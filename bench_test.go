@@ -246,16 +246,16 @@ func BenchmarkCheckerPerPacket(b *testing.B) {
 	}
 }
 
-// BenchmarkPHVSlots is the linking ablation: one telemetry-hop
+// BenchmarkPHVSlots is the slot-resolution ablation: one telemetry-hop
 // execution of the loop-freedom checker on the map-PHV interpreter vs
-// the slot-resolved linked executor (flat []Value PHV, closure ops,
-// static-offset telemetry codec).
+// the bytecode VM (flat []Value PHV, one dispatch loop, static-offset
+// telemetry codec), both through the pooled Runtime.RunHop.
 func BenchmarkPHVSlots(b *testing.B) {
 	prog := compiler.MustCompile(checkers.MustParse("loop-freedom"), compiler.Options{})
 	for _, mode := range []struct {
 		name   string
 		noLink bool
-	}{{"map", true}, {"linked", false}} {
+	}{{"map", true}, {"vm", false}} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
 			rt := &compiler.Runtime{Prog: prog, NoLink: mode.noLink}

@@ -49,7 +49,7 @@ func main() {
 		wireRun    = flag.Bool("wire", false, "run the end-to-end wire-path replay")
 		stormRun   = flag.Bool("storm", false, "run the report-storm replay (baseline vs always-violating probe on the report bus)")
 		chaosRun   = flag.Bool("chaos", false, "run the fault-injection campaign and print the checker detection matrix")
-		symRun     = flag.Bool("symcheck", false, "prove interpreter/map/linked backend equivalence over the modeled space (E13)")
+		symRun     = flag.Bool("symcheck", false, "prove interpreter/map/VM backend equivalence over the modeled space (E13)")
 		atomsRun   = flag.Bool("atoms", false, "run the incremental control-plane verification churn on a fat-tree (E16)")
 		fleetRun   = flag.Bool("fleet", false, "run the multi-process fleet harness and assert verdict parity with the in-process engine (E17)")
 		soakRun    = flag.Bool("soak", false, "run the fleet harness with a worker kill/restart mid-stream; asserts conservation (E17)")
@@ -61,7 +61,7 @@ func main() {
 		packets   = flag.Int("packets", 50000, "throughput: packets to replay")
 		shards    = flag.String("shards", "1,4,8", "engine: comma-separated worker counts (0 = GOMAXPROCS)")
 		simShards = flag.Int("simshards", 1, "wire/chaos: partition the netsim event loop into N parallel shards (1 = sequential; results are byte-identical at any count)")
-		noBatch   = flag.Bool("nobatch", false, "engine: disable the bytecode-VM batched path (per-packet linked executor, the pre-batching baseline)")
+		noBatch   = flag.Bool("nobatch", false, "engine: disable the batched path (hop-major per-packet VM execution with the telemetry codec per hop, the pre-batching shape)")
 		seed      = flag.Int64("seed", 1, "chaos: campaign seed (traffic + every fault injector)")
 		faultRate = flag.Float64("faultrate", 0.02, "chaos: per-packet/per-frame fault probability")
 		chaosJSON = flag.String("chaosjson", "", "chaos: write the byte-reproducible detection matrix as JSON to this file (- for stdout)")

@@ -4,12 +4,14 @@
 // `for { switch op }` loop — no per-op closures, no interface values,
 // no allocation on the per-packet path.
 //
-// The compile pass is a second backend over the same IR the linking
-// pass (pipeline.Link) consumes, and it must stay bit-identical to the
-// map interpreter and the linked closures on every input — the difftest
-// conformance suite replays the corpus, the frontier counterexamples,
-// and randomized programs across all four backends and demands
-// byte-exact verdicts, report payloads, and telemetry blobs.
+// The VM is the production executor of the pipeline IR (netsim switches
+// and NICs, the engine, the fleet workers) and must stay bit-identical
+// to the map interpreter, the reference it is tested against — the
+// difftest conformance suite replays the corpus, the frontier
+// counterexamples, and randomized programs through the Indus oracle,
+// the map reference, and the VM (per-hop wire roundtrip and resident
+// whole-trace), and demands byte-exact verdicts, report payloads, and
+// telemetry blobs.
 //
 // Layout decisions that make the VM fast:
 //
@@ -51,11 +53,11 @@ type OpKind uint8
 // keeping the performance-model counters identical to the other
 // executors.
 const (
-	opNop   OpKind = iota
-	opLoadF        // A=dst, B=src, W: width-defaulting field read
-	opAssign       // A=dst, B=src, W: dst = B(W, src.V) [ir]
-	opJmp          // A=target
-	opJz           // A=cond, B=target: jump if cond is false [ir: IfOp]
+	opNop    OpKind = iota
+	opLoadF         // A=dst, B=src, W: width-defaulting field read
+	opAssign        // A=dst, B=src, W: dst = B(W, src.V) [ir]
+	opJmp           // A=target
+	opJz            // A=cond, B=target: jump if cond is false [ir: IfOp]
 
 	opNot  // A=dst, B=src
 	opBNot //
@@ -130,7 +132,7 @@ type Instr struct {
 const tempBase int32 = 1 << 24
 
 // teleStep is one field of the telemetry wire layout: slot, width, and
-// static bit offset (mirrors the linked executor's layout exactly).
+// static bit offset.
 type teleStep struct {
 	slot  int32
 	width int32
@@ -233,9 +235,9 @@ type comp struct {
 	tempNext, tempMax int32
 }
 
-// Compile builds the bytecode form of prog. Like pipeline.Link it fails
-// only on programs the map interpreter would also reject at execution
-// time (ops referencing undeclared tables or registers).
+// Compile builds the bytecode form of prog. It fails only on programs
+// the map interpreter would also reject at execution time (ops
+// referencing undeclared tables or registers).
 func Compile(prog *pipeline.Program) (*Prog, error) {
 	p := &Prog{P: prog, slots: make(map[pipeline.FieldRef]int32, 64)}
 	cp := &comp{
@@ -265,12 +267,7 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 	cp.relocate()
 	p.rejectOutsideChecker = writesReject(prog, prog.Init) || writesReject(prog, prog.Telemetry)
 
-	p.ctxPool.New = func() any {
-		return &Ctx{
-			PHV:    make([]pipeline.Value, p.nSlots),
-			caches: make([]tcamCache, p.nTCAM),
-		}
-	}
+	p.ctxPool.New = func() any { return p.NewCtx() }
 	return p, nil
 }
 
@@ -350,7 +347,7 @@ func (cp *comp) layout() error {
 	p := cp.p
 
 	// Telemetry region first, mirroring the sequential wire layout of
-	// Program.EncodeTele (and pipeline.Linked.layoutTele).
+	// Program.EncodeTele.
 	off := int32(0)
 	addTele := func(slot int32, width int) {
 		p.teleSteps = append(p.teleSteps, teleStep{slot: slot, width: int32(width), off: off})
@@ -859,15 +856,15 @@ func (cp *comp) relocate() {
 // instruction destinations plus the header binds (a sparse binder may
 // skip absent headers, leaving the previous hop's value).
 //
-// A candidate is then dropped when every hop execution is guaranteed
-// to overwrite it before reading it — a stale value nothing can
-// observe needs no restore. A hop runs (init?) tele (check?) with tele
-// always preceding check, so a slot stays in the reset set iff it is
-// read-before-written in init, in tele, or in check without an
-// unconditional tele write covering it. The reject flag is force-kept
-// (Reject reads it from outside the bytecode after the trace), as are
-// array regions (their element stores index dynamically, which the
-// linear read/write scan does not track).
+// A candidate is then dropped when every block that reads it is
+// guaranteed to overwrite it first — a stale value nothing can observe
+// needs no restore. A slot stays in the reset set iff some block reads
+// it before writing it, judged block by block, so the set is sound for
+// any subset of blocks a hop runs (netsim runs init alone at ingress,
+// a NIC runs the checker alone). The reject flag is force-kept (Reject
+// reads it from outside the bytecode after the trace), as are array
+// regions (their element stores index dynamically, which the linear
+// read/write scan does not track).
 func (p *Prog) computeResetRuns(tempStart int32) {
 	scratch := func(si int32) bool {
 		return si >= int32(p.nTele) && si < tempStart
@@ -906,18 +903,9 @@ func (p *Prog) computeResetRuns(tempStart int32) {
 		add(si)
 	}
 
-	rbwInit, _ := p.blockFlow(p.init, scratch)
-	rbwTele, mustTele := p.blockFlow(p.tele, scratch)
-	rbwCheck, _ := p.blockFlow(p.check, scratch)
 	need := make(map[int32]bool, len(writable))
-	for si := range rbwInit {
-		need[si] = true
-	}
-	for si := range rbwTele {
-		need[si] = true
-	}
-	for si := range rbwCheck {
-		if !mustTele[si] {
+	for _, code := range [][]Instr{p.init, p.tele, p.check} {
+		for si := range p.readBeforeWrite(code, scratch) {
 			need[si] = true
 		}
 	}
@@ -964,16 +952,15 @@ func (p *Prog) computeResetRuns(tempStart int32) {
 	}
 }
 
-// blockFlow scans one block for the scratch slots it may read before
-// writing (rbw) and the slots it definitely writes (mustW). The
-// structured IR compiles to forward jumps only, so an instruction is
-// unconditionally executed iff no earlier jump can land past it; only
-// unconditional writes count as definite, while reads count wherever
-// they appear. The analysis is conservative: over-approximating rbw or
-// under-approximating mustW merely keeps a slot in the reset set.
-func (p *Prog) blockFlow(code []Instr, scratch func(int32) bool) (rbw, mustW map[int32]bool) {
-	rbw = make(map[int32]bool)
-	mustW = make(map[int32]bool)
+// readBeforeWrite scans one block for the scratch slots it may read
+// before writing. The structured IR compiles to forward jumps only, so
+// an instruction is unconditionally executed iff no earlier jump can
+// land past it; only unconditional writes count as definite, while
+// reads count wherever they appear. The analysis is conservative:
+// over-approximating the result merely keeps a slot in the reset set.
+func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32]bool {
+	rbw := make(map[int32]bool)
+	mustW := make(map[int32]bool)
 	condUntil := 0
 	read := func(si int32) {
 		if scratch(si) && !mustW[si] {
@@ -1048,7 +1035,7 @@ func (p *Prog) blockFlow(code []Instr, scratch func(int32) bool) (rbw, mustW map
 			mustW[dst] = true
 		}
 	}
-	return rbw, mustW
+	return rbw
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Ctx is the pooled per-execution state of a bytecode program: the flat
-// PHV, the switch state, and the per-context TCAM lookup caches. It
-// mirrors pipeline.LCtx field-for-field so embedders treat the two
-// executors interchangeably.
+// Ctx is the per-execution state of a bytecode program: the flat PHV,
+// the switch state, and the per-context TCAM lookup caches. A Ctx is
+// either pooled (AcquireCtx/ReleaseCtx, one execution at a time) or
+// resident: created once with NewCtx and owned by one embedder — an
+// engine shard, a netsim attachment — for its whole life.
 type Ctx struct {
 	PHV     []pipeline.Value
 	State   *pipeline.State
@@ -40,10 +41,12 @@ type Ctx struct {
 }
 
 // BeginEphemeralReports arms arena-backed report storage for the
-// current execution, with the same contract as LCtx: every report
-// raised until the context is released (or this is called again on a
-// persistent context) must be fully consumed before the next
-// execution. Calling it again on an already-ephemeral context recycles
+// current execution: raising a report allocates nothing, but every
+// report raised until the context is released (or this is called again
+// on a resident context) — and the Args inside it — must be fully
+// consumed before the next execution. Without it, reports are
+// heap-allocated and escape with the caller at release time.
+// Calling it again on an already-ephemeral context recycles
 // the previous execution's report buffer, so persistent per-shard
 // contexts reach zero allocations per packet at steady state.
 func (c *Ctx) BeginEphemeralReports() {
@@ -57,9 +60,9 @@ func (c *Ctx) BeginEphemeralReports() {
 
 // tcamWays is the associativity of each TCAM apply site's lookup cache.
 // A trace touches one *Table per switch it visits, so a single-entry
-// cache (the linked executor's choice) thrashes when a context runs a
-// whole multi-switch trace; four ways cover the topologies the corpus
-// replays without a per-lookup map.
+// cache thrashes when a context runs a whole multi-switch trace; four
+// ways cover the topologies the corpus replays without a per-lookup
+// map.
 const tcamWays = 4
 
 // maxCacheEntries bounds each per-site memo map; beyond it, lookups
@@ -121,18 +124,29 @@ func (sc *tcamCache) ent(t *pipeline.Table, trust bool) *tcamEnt {
 	return e
 }
 
+// NewCtx returns a fresh context the caller owns for as long as it
+// likes, its PHV holding the program template (decode-empty telemetry,
+// width-defaulted fields, constants). It must never be passed to
+// ReleaseCtx.
+func (p *Prog) NewCtx() *Ctx {
+	c := &Ctx{
+		PHV:    make([]pipeline.Value, p.nSlots),
+		caches: make([]tcamCache, p.nTCAM),
+	}
+	copy(c.PHV, p.template)
+	return c
+}
+
 // AcquireCtx returns an execution context from the pool, its PHV reset
-// to the program template (decode-empty telemetry, width-defaulted
-// fields, constants).
+// to the program template.
 func (p *Prog) AcquireCtx() *Ctx {
 	c := p.ctxPool.Get().(*Ctx)
 	copy(c.PHV, p.template)
 	return c
 }
 
-// ReleaseCtx resets a context and returns it to the pool, with the same
-// report-detachment contract as Linked.ReleaseCtx: Reports escape with
-// the caller unless the execution was ephemeral.
+// ReleaseCtx resets a context and returns it to the pool. Reports
+// escape with the caller unless the execution was ephemeral.
 func (p *Prog) ReleaseCtx(c *Ctx) {
 	c.State = nil
 	c.OpsExecuted, c.TableApplies = 0, 0
@@ -167,16 +181,60 @@ func (p *Prog) BeginHop(c *Ctx, st *pipeline.State, switchID uint32, pktLen int,
 	for _, r := range p.resetRuns {
 		copy(phv[r[0]:r[1]], p.template[r[0]:r[1]])
 	}
-	p.SetHopMeta(phv, switchID, pktLen, first, last)
-}
-
-// SetHopMeta installs the builtin per-hop metadata slots (the same
-// widths the compiler runtime feeds the other executors).
-func (p *Prog) SetHopMeta(phv []pipeline.Value, switchID uint32, pktLen int, first, last bool) {
+	// The builtin per-hop metadata, at the widths the compiler runtime
+	// feeds the map reference.
 	phv[p.slotSwitch] = pipeline.B(32, uint64(switchID))
 	phv[p.slotPktLen] = pipeline.B(32, uint64(pktLen))
 	phv[p.slotLast] = pipeline.BoolV(last)
 	phv[p.slotFirst] = pipeline.BoolV(first)
+}
+
+// Blocks selects the blocks one RunHop call executes. §4.2 places init
+// at the head of the first hop's ingress pipeline and telemetry and
+// checker in the egress pipeline, so a switch runs two different sets
+// per hop with different header bindings.
+type Blocks uint8
+
+const (
+	BlockInit Blocks = 1 << iota
+	BlockTelemetry
+	BlockChecker
+)
+
+// RunHop is the per-hop wire entry point: it decodes the incoming
+// telemetry blob into c's telemetry slots (an empty blob is the first
+// hop: the template image), restores the scratch slots, binds hdrs
+// (BindHeaderSlots order and absence convention), runs the selected
+// blocks in init, telemetry, checker order, and encodes the telemetry
+// slots into dst's storage (EncodeTele's contract: grown only if too
+// small, so a caller that passes in[:0] of a slot capped at
+// TeleWireBytes rewrites its blob in place — decode completes before
+// encode starts). A short blob fails before anything runs.
+//
+// c may be resident: nothing is copied from the template beyond the
+// reset runs, which cover every slot a block can read before writing
+// it, whatever subset of blocks ran on the context last. The verdict
+// is Reject(c) and the reports are c.Reports, both valid until the next
+// execution on c. A resident caller arms c.BeginEphemeralReports()
+// before every call — nothing else ever truncates c.Reports on a
+// context that is never released — and consumes them before the next.
+func (p *Prog) RunHop(c *Ctx, st *pipeline.State, in, dst []byte, hdrs []pipeline.Value,
+	switchID uint32, pktLen int, first, last bool, blocks Blocks) ([]byte, error) {
+	if err := p.DecodeTele(in, c.PHV); err != nil {
+		return nil, err
+	}
+	p.BeginHop(c, st, switchID, pktLen, first, last)
+	p.BindHeaderSlots(c.PHV, hdrs)
+	if blocks&BlockInit != 0 {
+		p.run(c, p.init)
+	}
+	if blocks&BlockTelemetry != 0 {
+		p.run(c, p.tele)
+	}
+	if blocks&BlockChecker != 0 {
+		p.run(c, p.check)
+	}
+	return p.EncodeTele(dst, c.PHV), nil
 }
 
 // BeginBatch revalidates every TCAM cache entry once and arms
@@ -211,15 +269,6 @@ func (p *Prog) BindHeaderSlots(phv []pipeline.Value, vals []pipeline.Value) {
 		}
 		if v := vals[i]; v.W != 0 {
 			phv[s] = v
-		}
-	}
-}
-
-// BindHeaderMap copies bound header values from a path-keyed map.
-func (p *Prog) BindHeaderMap(phv []pipeline.Value, headers map[string]pipeline.Value) {
-	for i, path := range p.bindings {
-		if v, ok := headers[path]; ok {
-			phv[p.bindSlots[i]] = v
 		}
 	}
 }
@@ -583,41 +632,48 @@ func (p *Prog) EncodeTele(dst []byte, phv []pipeline.Value) []byte {
 }
 
 // putBits writes the low `width` bits of v MSB-first at static bit
-// offset off. The buffer must be pre-zeroed; byte-aligned whole-byte
-// writes take a store-only fast path. (Private duplicate of the linked
-// executor's codec — both pinned by the cross-backend blob equality
-// checks in difftest.)
+// offset off, a byte at a time: the head and tail bytes are OR-ed in
+// (the buffer must be pre-zeroed), whole bytes in between are stored.
 func putBits(buf []byte, off, width int, v uint64) {
 	if width <= 0 {
 		return
 	}
 	v = pipeline.Mask(width, v)
-	if off%8 == 0 && width%8 == 0 {
-		for i := width - 8; i >= 0; i -= 8 {
-			buf[off>>3] = byte(v >> uint(i))
-			off += 8
-		}
+	i, head := off>>3, 8-off&7 // head: bits left in the first byte
+	if width <= head {
+		buf[i] |= byte(v << uint(head-width))
 		return
 	}
-	for i := width - 1; i >= 0; i-- {
-		buf[off>>3] |= byte(v>>uint(i)&1) << uint(7-off%8)
-		off++
+	rem := width - head
+	buf[i] |= byte(v >> uint(rem))
+	for rem >= 8 {
+		i++
+		rem -= 8
+		buf[i] = byte(v >> uint(rem))
+	}
+	if rem > 0 {
+		buf[i+1] |= byte(v << uint(8-rem))
 	}
 }
 
 // getBits reads `width` bits MSB-first from static bit offset off.
 func getBits(buf []byte, off, width int) uint64 {
-	var v uint64
-	if off%8 == 0 && width%8 == 0 {
-		for i := 0; i < width; i += 8 {
-			v = v<<8 | uint64(buf[off>>3])
-			off += 8
-		}
-		return v
+	if width <= 0 {
+		return 0
 	}
-	for i := 0; i < width; i++ {
-		v = v<<1 | uint64(buf[off>>3]>>uint(7-off%8)&1)
-		off++
+	i, head := off>>3, 8-off&7
+	v := uint64(buf[i]) & (0xFF >> uint(8-head))
+	if width <= head {
+		return v >> uint(head-width)
+	}
+	rem := width - head
+	for rem >= 8 {
+		i++
+		rem -= 8
+		v = v<<8 | uint64(buf[i])
+	}
+	if rem > 0 {
+		v = v<<uint(rem) | uint64(buf[i+1])>>uint(8-rem)
 	}
 	return v
 }

@@ -14,27 +14,25 @@ import (
 // egress, checker at the last hop's egress (§4.2). The telemetry blob it
 // threads between hops is exactly the Hydra header payload on the wire.
 //
-// By default the Runtime executes through the slot-resolved linked form
-// of the program (pipeline.Link): a flat PHV vector, closure-compiled
-// ops, and packed table keys — no string hashing or per-packet maps.
-// NoLink forces the original map-based interpreter, kept as the
-// reference semantics for differential testing.
+// The Runtime executes through the bytecode VM (internal/bytecode): a
+// flat PHV vector, one dispatch loop, and packed table keys — no string
+// hashing or per-packet maps. NoLink forces the original map-based
+// interpreter, kept as the reference semantics for differential
+// testing; a program the VM cannot compile runs on it too, which
+// surfaces the same error at execution time.
+//
+// RunBlocks draws a pooled context per call. Embedders with a home for
+// a resident one (a netsim attachment, an engine shard) take VM() and
+// drive bytecode.Prog.RunHop / BeginHop on a context they own.
 type Runtime struct {
 	Prog *pipeline.Program
 	// CheckEveryHop enables the §4.3 per-hop checking variant: the
 	// checker block runs at every hop instead of only the last one, so
 	// violations are caught (and packets can be dropped) mid-network.
 	CheckEveryHop bool
-	// NoLink disables the linked executor; set it before the first Run*
-	// call. Used by the conformance suite to pin the reference path.
+	// NoLink disables the VM; set it before the first Run* call. Used by
+	// the conformance suite to pin the reference path.
 	NoLink bool
-	// UseVM routes RunBlocks through the bytecode VM backend instead of
-	// the linked closures; set it before the first Run* call. RunTraceVM
-	// is available regardless.
-	UseVM bool
-
-	linkOnce sync.Once
-	linked   *pipeline.Linked
 
 	vmOnce sync.Once
 	vm     *bytecode.Prog
@@ -79,25 +77,9 @@ func (r *Runtime) Bindings() []string {
 	return r.bindings
 }
 
-// Linked returns the slot-resolved executable form of the program,
-// linking it on first use, or nil when NoLink is set or the program
-// fails to link (it then runs on the map interpreter, which surfaces
-// the same error at execution time).
-func (r *Runtime) Linked() *pipeline.Linked {
-	if r.NoLink {
-		return nil
-	}
-	r.linkOnce.Do(func() {
-		if lk, err := pipeline.Link(r.Prog); err == nil {
-			r.linked = lk
-		}
-	})
-	return r.linked
-}
-
 // VM returns the flat bytecode form of the program, compiling it on
 // first use, or nil when NoLink is set or compilation fails (execution
-// then falls back to the linked closures or the map interpreter).
+// then falls back to the map interpreter).
 func (r *Runtime) VM() *bytecode.Prog {
 	if r.NoLink {
 		return nil
@@ -132,19 +114,18 @@ type HopEnv struct {
 	// encode pass starts, so in-place rewrite is safe as long as the
 	// encode cannot spill past the caller's slot: pass a blob whose
 	// capacity is capped at its own slot (three-index subslice) or that
-	// is already exactly TeleWireBytes long. netsim's split blobs use
-	// capped disjoint subslices of the frame for exactly this. Note the
-	// unlinked (NoLink) reference path ignores ReuseBlob and returns a
-	// fresh blob; callers that require in-place must compare storage
-	// (&blob[0]) and copy back when it differs.
+	// is already exactly TeleWireBytes long. Note the map reference path
+	// ignores ReuseBlob and returns a fresh blob; callers that require
+	// in-place must compare storage (&blob[0]) and copy back when it
+	// differs.
 	ReuseBlob bool
-	// EphemeralReports arms arena-backed report storage on the linked
-	// path (pipeline.LCtx.BeginEphemeralReports): raising a report
-	// allocates nothing, but HopResult.Reports — and the Args inside —
-	// must be fully consumed before the next RunBlocks call on this
-	// runtime from any goroutine. For single-threaded embedders that
-	// deliver reports synchronously; retainers must leave it unset. The
-	// unlinked reference path ignores it (and allocates as always).
+	// EphemeralReports arms arena-backed report storage on the VM path
+	// (bytecode.Ctx.BeginEphemeralReports): raising a report allocates
+	// nothing, but HopResult.Reports — and the Args inside — must be
+	// fully consumed before the next RunBlocks call on this runtime from
+	// any goroutine. For single-threaded embedders that deliver reports
+	// synchronously; retainers must leave it unset. The map reference
+	// path ignores it (and allocates as always).
 	EphemeralReports bool
 }
 
@@ -172,111 +153,71 @@ type BlockSet struct {
 	Checker   bool
 }
 
+// Blocks converts the block selection to the bytecode package's form.
+func (bs BlockSet) Blocks() bytecode.Blocks {
+	var b bytecode.Blocks
+	if bs.Init {
+		b |= bytecode.BlockInit
+	}
+	if bs.Telemetry {
+		b |= bytecode.BlockTelemetry
+	}
+	if bs.Checker {
+		b |= bytecode.BlockChecker
+	}
+	return b
+}
+
 // RunBlocks executes the selected blocks against the telemetry blob and
 // hop environment and returns the updated blob plus any verdicts.
 func (r *Runtime) RunBlocks(blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
-	if r.UseVM {
-		if vp := r.VM(); vp != nil {
-			return r.runVM(vp, blob, env, bs, first, last)
-		}
-	}
-	if lk := r.Linked(); lk != nil {
-		return r.runLinked(lk, blob, env, bs, first, last)
+	if vp := r.VM(); vp != nil {
+		return runVM(vp, blob, env, bs, first, last)
 	}
 	return r.runMapped(blob, env, bs, first, last)
 }
 
-// runVM executes one hop through the bytecode backend, with the same
-// per-hop blob roundtrip contract as runLinked.
-func (r *Runtime) runVM(vp *bytecode.Prog, blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
-	c := vp.AcquireCtx()
-	c.State = env.State
-	if env.EphemeralReports {
-		c.BeginEphemeralReports()
+// headerSlots returns env's header bindings in vp.Bindings() order:
+// SlotHeaders as given, else the Headers map flattened, a missing key
+// staying zero-width (absent). The map form allocates; it serves tests
+// and the differential harness, not the packet paths.
+func headerSlots(vp *bytecode.Prog, env *HopEnv) []pipeline.Value {
+	if env.SlotHeaders != nil || env.Headers == nil {
+		return env.SlotHeaders
 	}
-	if err := vp.DecodeTele(blob, c.PHV); err != nil {
-		vp.ReleaseCtx(c)
-		return HopResult{}, err
+	paths := vp.Bindings()
+	out := make([]pipeline.Value, len(paths))
+	for i, path := range paths {
+		out[i] = env.Headers[path]
 	}
-	vp.SetHopMeta(c.PHV, env.SwitchID, int(env.PacketLen), first, last)
-	if env.SlotHeaders != nil {
-		vp.BindHeaderSlots(c.PHV, env.SlotHeaders)
-	} else if env.Headers != nil {
-		vp.BindHeaderMap(c.PHV, env.Headers)
-	}
-
-	if bs.Init {
-		vp.ExecInit(c)
-	}
-	if bs.Telemetry {
-		vp.ExecTelemetry(c)
-	}
-	if bs.Checker {
-		vp.ExecChecker(c)
-	}
-
-	var dst []byte
-	if env.ReuseBlob {
-		dst = blob[:0]
-	}
-	res := HopResult{
-		Blob:         vp.EncodeTele(dst, c.PHV),
-		Reject:       vp.Reject(c),
-		Reports:      c.Reports,
-		TableApplies: c.TableApplies,
-		OpsExecuted:  c.OpsExecuted,
-	}
-	vp.ReleaseCtx(c)
-	return res, nil
+	return out
 }
 
-// runLinked is the hot path: pooled flat PHV, closure ops, in-place
-// telemetry encode when the caller allows it.
-func (r *Runtime) runLinked(lk *pipeline.Linked, blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
-	c := lk.AcquireCtx()
-	c.State = env.State
+// runVM executes one hop through bytecode.Prog.RunHop — the entry point
+// netsim's resident contexts use — on a pooled context.
+func runVM(vp *bytecode.Prog, blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
+	c := vp.AcquireCtx()
+	defer vp.ReleaseCtx(c)
 	if env.EphemeralReports {
 		c.BeginEphemeralReports()
 	}
-	if err := lk.DecodeTele(blob, c.PHV); err != nil {
-		lk.ReleaseCtx(c)
-		return HopResult{}, err
-	}
-	c.PHV[lk.SlotSwitch] = pipeline.B(32, uint64(env.SwitchID))
-	c.PHV[lk.SlotPktLen] = pipeline.B(32, uint64(env.PacketLen))
-	c.PHV[lk.SlotLast] = pipeline.BoolV(last)
-	c.PHV[lk.SlotFirst] = pipeline.BoolV(first)
-	if env.SlotHeaders != nil {
-		lk.BindHeaderSlots(c.PHV, env.SlotHeaders)
-	} else if env.Headers != nil {
-		lk.BindHeaderMap(c.PHV, env.Headers)
-	}
-
-	if bs.Init {
-		lk.ExecInit(c)
-	}
-	if bs.Telemetry {
-		lk.ExecTelemetry(c)
-	}
-	if bs.Checker {
-		lk.ExecChecker(c)
-	}
-
 	// Decode fully precedes encode, so reusing the incoming blob's
 	// storage is safe within one call — but only when the caller owns it.
 	var dst []byte
 	if env.ReuseBlob {
 		dst = blob[:0]
 	}
-	res := HopResult{
-		Blob:         lk.EncodeTele(dst, c.PHV),
-		Reject:       c.PHV[lk.SlotReject].Bool(),
+	out, err := vp.RunHop(c, env.State, blob, dst, headerSlots(vp, &env), env.SwitchID, int(env.PacketLen), first, last, bs.Blocks())
+	if err != nil {
+		return HopResult{}, err
+	}
+	return HopResult{
+		Blob:         out,
+		Reject:       vp.Reject(c),
 		Reports:      c.Reports,
 		TableApplies: c.TableApplies,
 		OpsExecuted:  c.OpsExecuted,
-	}
-	lk.ReleaseCtx(c)
-	return res, nil
+	}, nil
 }
 
 // runMapped is the reference interpreter over the map PHV.
@@ -378,11 +319,11 @@ func (r *Runtime) RunTrace(envs []HopEnv) (TraceResult, error) {
 	return res, nil
 }
 
-// RunTraceVM executes a full path through the bytecode backend in
-// resident-PHV mode: telemetry stays in the slot vector between hops
-// and the wire codec runs only once, for the final blob. This is the
-// engine's batched execution shape; difftest replays every trace
-// through it to pin byte-equivalence with the per-hop roundtrip.
+// RunTraceVM executes a full path through the VM in resident-PHV mode:
+// telemetry stays in the slot vector between hops and the wire codec
+// runs only once, for the final blob. This is the engine's batched
+// execution shape; difftest replays every trace through it to pin
+// byte-equivalence with RunTrace's per-hop roundtrip.
 func (r *Runtime) RunTraceVM(envs []HopEnv) (TraceResult, error) {
 	vp := r.VM()
 	if vp == nil {
@@ -396,11 +337,7 @@ func (r *Runtime) RunTraceVM(envs []HopEnv) (TraceResult, error) {
 	for i, env := range envs {
 		first, last := i == 0, i == len(envs)-1
 		vp.BeginHop(c, env.State, env.SwitchID, int(env.PacketLen), first, last)
-		if env.SlotHeaders != nil {
-			vp.BindHeaderSlots(c.PHV, env.SlotHeaders)
-		} else if env.Headers != nil {
-			vp.BindHeaderMap(c.PHV, env.Headers)
-		}
+		vp.BindHeaderSlots(c.PHV, headerSlots(vp, &env))
 		if first {
 			vp.ExecInit(c)
 		}

@@ -16,15 +16,47 @@ import (
 	"repro/internal/symexec"
 )
 
-// TestLinkedScratchAliasing runs every corpus checker through the
-// linked backend twice: once on a pristine runtime, and once on a
-// runtime whose pooled contexts have been deliberately dirtied between
-// packets — PHV slots scribbled with all-ones garbage, stale reports
-// attached, ephemeral report arenas churned, and unrelated dirt traces
-// executed so table-apply caches hold another packet's entries. The
-// outcomes must be byte-identical: any scratch value leaking from one
-// packet into the next shows up as a verdict, report, or blob diff.
-func TestLinkedScratchAliasing(t *testing.T) {
+// aliasEnvs renders a golden trace as hop environments over the given
+// states; dirt flips every header value (a different flow of the same
+// shape).
+func aliasEnvs(comp *difftest.Compiled, trace []difftest.HopSpec, states map[uint32]*pipeline.State, dirt bool) []compiler.HopEnv {
+	out := make([]compiler.HopEnv, len(trace))
+	for i, hs := range trace {
+		pktLen := hs.PktLen
+		if pktLen == 0 {
+			pktLen = 100
+		}
+		headers := map[string]pipeline.Value{}
+		for name, v := range hs.Headers {
+			w := 1
+			if bt, ok := comp.Info.Decls[name].Type.(ast.BitType); ok {
+				w = bt.Width
+			}
+			if dirt {
+				v = ^v
+			}
+			headers[comp.Prog.HeaderBindings[name]] = pipeline.B(w, v)
+		}
+		out[i] = compiler.HopEnv{
+			State:     states[hs.SW],
+			SwitchID:  hs.SW,
+			Headers:   headers,
+			PacketLen: pktLen,
+		}
+	}
+	return out
+}
+
+// TestResidentHopAliasing is the aliasing suite for the per-hop wire
+// path netsim runs: every corpus checker threads its golden traces hop
+// by hop through Prog.RunHop on ONE resident context — never released,
+// never re-templated — with every slot the VM can write (DirtySlots)
+// poisoned with all-ones garbage before each hop, counters bumped, and
+// foreign dirt traces interleaved so the table-apply caches and the
+// report arena carry another flow. Outcomes must be byte-identical to
+// the map reference on pristine state: the blob decode plus BeginHop's
+// reset runs must erase every poisoned slot an execution could observe.
+func TestResidentHopAliasing(t *testing.T) {
 	for _, gt := range goldenTraces {
 		gt := gt
 		t.Run(gt.key, func(t *testing.T) {
@@ -33,117 +65,87 @@ func TestLinkedScratchAliasing(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			model := checkers.SymModelFor(gt.key)
-
-			envs := func(trace []difftest.HopSpec, states map[uint32]*pipeline.State, dirt bool) []compiler.HopEnv {
-				out := make([]compiler.HopEnv, len(trace))
-				for i, hs := range trace {
-					pktLen := hs.PktLen
-					if pktLen == 0 {
-						pktLen = 100
-					}
-					headers := map[string]pipeline.Value{}
-					for name, v := range hs.Headers {
-						w := 1
-						if bt, ok := comp.Info.Decls[name].Type.(ast.BitType); ok {
-							w = bt.Width
-						}
-						if dirt {
-							v = ^v // different flow, same shape
-						}
-						headers[comp.Prog.HeaderBindings[name]] = pipeline.B(w, v)
-					}
-					out[i] = compiler.HopEnv{
-						State:            states[hs.SW],
-						SwitchID:         hs.SW,
-						Headers:          headers,
-						PacketLen:        pktLen,
-						EphemeralReports: dirt,
-					}
-				}
-				return out
-			}
-
-			run := func(rt *compiler.Runtime, trace []difftest.HopSpec) compiler.TraceResult {
+			freshStates := func() map[uint32]*pipeline.State {
 				states, err := symexec.BuildStates(comp.Prog, model)
 				if err != nil {
 					t.Fatalf("build states: %v", err)
 				}
-				res, err := rt.RunTrace(envs(trace, states, false))
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				return res
+				return states
 			}
 
-			// scribble poisons pooled contexts: all slots set to 64-bit
-			// all-ones, counters bumped, stale report digests attached.
-			// Acquiring several at once poisons multiple pool entries.
-			scribble := func(lk *pipeline.Linked) {
-				ctxs := make([]*pipeline.LCtx, 4)
-				for i := range ctxs {
-					c := lk.AcquireCtx()
-					for s := range c.PHV {
+			ref := &compiler.Runtime{Prog: comp.Prog, NoLink: true}
+			vp := (&compiler.Runtime{Prog: comp.Prog}).VM()
+			if vp == nil {
+				t.Fatal("program failed to compile to bytecode")
+			}
+			c := vp.NewCtx()
+
+			resident := func(trace []difftest.HopSpec, dirt bool) compiler.TraceResult {
+				var res compiler.TraceResult
+				var blob []byte
+				envs := aliasEnvs(comp, trace, freshStates(), dirt)
+				for i, env := range envs {
+					for _, s := range vp.DirtySlots() {
 						c.PHV[s] = pipeline.B(64, ^uint64(0))
 					}
-					c.Reports = append(c.Reports, pipeline.Report{
-						Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
-					})
 					c.OpsExecuted += 997
 					c.TableApplies += 31
-					ctxs[i] = c
+					hdrs := make([]pipeline.Value, len(vp.Bindings()))
+					for j, path := range vp.Bindings() {
+						hdrs[j] = env.Headers[path]
+					}
+					first, last := i == 0, i == len(envs)-1
+					blocks := bytecode.BlockTelemetry
+					if first {
+						blocks |= bytecode.BlockInit
+					}
+					if last {
+						blocks |= bytecode.BlockChecker
+					}
+					c.BeginEphemeralReports()
+					blob, err = vp.RunHop(c, env.State, blob, blob[:0], hdrs, env.SwitchID, int(env.PacketLen), first, last, blocks)
+					if err != nil {
+						t.Fatalf("hop %d: %v", i, err)
+					}
+					for _, r := range c.Reports { // arena-backed: copy out
+						args := make([]pipeline.Value, len(r.Args))
+						copy(args, r.Args)
+						res.Reports = append(res.Reports, pipeline.Report{Args: args})
+					}
+					res.Reject = res.Reject || vp.Reject(c)
 				}
-				for _, c := range ctxs {
-					lk.ReleaseCtx(c)
-				}
-			}
-			// dirtTrace pushes a real foreign packet through the same
-			// runtime (ephemeral reports on, different header values, its
-			// own states) so caches and arenas carry another flow.
-			dirtTrace := func(rt *compiler.Runtime, trace []difftest.HopSpec) {
-				states, err := symexec.BuildStates(comp.Prog, model)
-				if err != nil {
-					t.Fatalf("build states: %v", err)
-				}
-				if _, err := rt.RunTrace(envs(trace, states, true)); err != nil {
-					t.Fatalf("dirt trace: %v", err)
-				}
-			}
-
-			clean := &compiler.Runtime{Prog: comp.Prog}
-			dirty := &compiler.Runtime{Prog: comp.Prog}
-			lk := dirty.Linked()
-			if lk == nil {
-				t.Fatal("program failed to link")
+				res.FinalBlob = append([]byte(nil), blob...)
+				return res
 			}
 
 			for _, tc := range []struct {
 				label string
 				trace []difftest.HopSpec
 			}{{"conform", gt.conform}, {"violate", gt.violate}} {
-				want := run(clean, tc.trace)
-				scribble(lk)
-				dirtTrace(dirty, gt.violate)
-				scribble(lk)
-				dirtTrace(dirty, gt.conform)
-				scribble(lk)
-				got := run(dirty, tc.trace)
+				want, err := ref.RunTrace(aliasEnvs(comp, tc.trace, freshStates(), false))
+				if err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+				resident(gt.violate, true)
+				resident(gt.conform, true)
+				got := resident(tc.trace, false)
 
 				if got.Reject != want.Reject {
-					t.Errorf("%s: reject %v on dirty runtime, %v on clean", tc.label, got.Reject, want.Reject)
+					t.Errorf("%s: reject %v on the poisoned context, %v on the reference", tc.label, got.Reject, want.Reject)
 				}
 				if !bytes.Equal(got.FinalBlob, want.FinalBlob) {
-					t.Errorf("%s: final blob %x on dirty runtime, %x on clean", tc.label, got.FinalBlob, want.FinalBlob)
+					t.Errorf("%s: final blob %x on the poisoned context, %x on the reference", tc.label, got.FinalBlob, want.FinalBlob)
 				}
 				if !reflect.DeepEqual(got.Reports, want.Reports) {
-					t.Errorf("%s: reports %+v on dirty runtime, %+v on clean", tc.label, got.Reports, want.Reports)
+					t.Errorf("%s: reports %+v on the poisoned context, %+v on the reference", tc.label, got.Reports, want.Reports)
 				}
 			}
 		})
 	}
 }
 
-// TestVMScratchAliasing is the bytecode-VM twin of the linked suite:
-// every corpus checker runs its golden traces through RunTraceVM (the
+// TestVMScratchAliasing is the pooled-context twin of the resident
+// suite: every corpus checker runs its golden traces through RunTraceVM (the
 // whole-trace resident-PHV path) on a runtime whose pooled VM contexts
 // are scribbled with all-ones slots, stale reports, and bumped
 // counters between traces, with foreign dirt traces interleaved so the
@@ -161,40 +163,12 @@ func TestVMScratchAliasing(t *testing.T) {
 			}
 			model := checkers.SymModelFor(gt.key)
 
-			envs := func(trace []difftest.HopSpec, states map[uint32]*pipeline.State, dirt bool) []compiler.HopEnv {
-				out := make([]compiler.HopEnv, len(trace))
-				for i, hs := range trace {
-					pktLen := hs.PktLen
-					if pktLen == 0 {
-						pktLen = 100
-					}
-					headers := map[string]pipeline.Value{}
-					for name, v := range hs.Headers {
-						w := 1
-						if bt, ok := comp.Info.Decls[name].Type.(ast.BitType); ok {
-							w = bt.Width
-						}
-						if dirt {
-							v = ^v
-						}
-						headers[comp.Prog.HeaderBindings[name]] = pipeline.B(w, v)
-					}
-					out[i] = compiler.HopEnv{
-						State:     states[hs.SW],
-						SwitchID:  hs.SW,
-						Headers:   headers,
-						PacketLen: pktLen,
-					}
-				}
-				return out
-			}
-
 			run := func(rt *compiler.Runtime, trace []difftest.HopSpec) compiler.TraceResult {
 				states, err := symexec.BuildStates(comp.Prog, model)
 				if err != nil {
 					t.Fatalf("build states: %v", err)
 				}
-				res, err := rt.RunTraceVM(envs(trace, states, false))
+				res, err := rt.RunTraceVM(aliasEnvs(comp, trace, states, false))
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -224,7 +198,7 @@ func TestVMScratchAliasing(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build states: %v", err)
 				}
-				if _, err := rt.RunTraceVM(envs(trace, states, true)); err != nil {
+				if _, err := rt.RunTraceVM(aliasEnvs(comp, trace, states, true)); err != nil {
 					t.Fatalf("dirt trace: %v", err)
 				}
 			}

@@ -1,9 +1,9 @@
 // Package difftest is the reusable differential-testing harness: it
 // runs an Indus program on every backend — the reference interpreter
 // (internal/indus/eval), the map-based pipeline interpreter, and the
-// slot-resolved linked executor (pipeline.Link) — with identical
-// switch state, and fails the test on any divergence in verdicts,
-// report payloads, or (between the two pipeline executors) the
+// bytecode VM (internal/bytecode), per hop and resident — with
+// identical switch state, and fails the test on any divergence in
+// verdicts, report payloads, or (between the pipeline executors) the
 // byte-exact telemetry blob. The conformance suite in this package
 // sweeps the whole checker corpus through randomized traces; the
 // symbolic suite (internal/symexec) replays its witnesses and frontier
@@ -25,7 +25,7 @@ type Harness struct {
 	r  *Runner
 }
 
-// NewHarness parses, checks and compiles src for both backends.
+// NewHarness parses, checks and compiles src for every backend.
 func NewHarness(tb testing.TB, src string) *Harness {
 	tb.Helper()
 	c, err := CompileSource(src)
@@ -74,7 +74,7 @@ func (h *Harness) InstallSet(id uint32, name string, key ...uint64) {
 }
 
 // RunBoth executes the trace on every backend and compares verdicts,
-// report payloads, and (between the two pipeline executors) the final
+// report payloads, and (between the pipeline executors) the final
 // telemetry blob; it returns (rejected, reports).
 func (h *Harness) RunBoth(trace []HopSpec) (bool, [][]uint64) {
 	h.tb.Helper()

@@ -6,8 +6,8 @@ import "repro/internal/difftest"
 // trace and a violating trace, both chosen to exercise the property's
 // intended semantics (not edge cases — those live in the frontier
 // corpus). The golden tests pin their verdicts and telemetry blobs; the
-// scratch-aliasing tests replay the same pairs through a deliberately
-// dirtied linked runtime.
+// scratch-aliasing tests replay the same pairs through deliberately
+// dirtied VM contexts.
 type goldenTrace struct {
 	key     string
 	conform []difftest.HopSpec

@@ -13,8 +13,9 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Compiled is one Indus program prepared for three-way differential
-// execution. It is immutable and shared: the eval machine and the two
+// Compiled is one Indus program prepared for differential execution:
+// the eval oracle, the map-based reference pipeline, and the bytecode
+// VM. It is immutable and shared: the eval machine and the two
 // runtimes carry no per-switch state, so many Runners (one per
 // independent trace) can be built from one Compiled cheaply.
 type Compiled struct {
@@ -22,8 +23,8 @@ type Compiled struct {
 	Prog *pipeline.Program
 
 	m *eval.Machine
-	// rt executes through the linked (slot-resolved) path; rtRef pins
-	// the map-based interpreter.
+	// rt executes through the bytecode VM; rtRef pins the map-based
+	// interpreter.
 	rt    *compiler.Runtime
 	rtRef *compiler.Runtime
 }
@@ -60,8 +61,9 @@ func CompileCorpus(key string) (*Compiled, error) {
 	return CompileSource(p.Source)
 }
 
-// Runner executes traces against all four backends with mirrored
-// per-switch state. A Runner is single-use per state history: every
+// Runner executes traces against every backend with mirrored
+// per-switch state (the VM gets two sets: one for its per-hop wire
+// roundtrip, one for its resident whole-trace mode). A Runner is single-use per state history: every
 // trace it runs mutates its registers and firewall-style dict state.
 type Runner struct {
 	c *Compiled
@@ -228,7 +230,7 @@ func (o Outcome) Violation() bool { return o.Reject || len(o.Reports) > 0 }
 // suite exists to surface. It carries which pair of backends split and
 // a human-readable detail of the first mismatching artifact.
 type Divergence struct {
-	Backends string // e.g. "linked vs map-based"
+	Backends string // e.g. "vm vs map-based"
 	Detail   string
 }
 
@@ -246,10 +248,12 @@ type HopSpec struct {
 }
 
 // RunTrace executes the trace on every backend — the eval interpreter,
-// the map-based pipeline, the linked pipeline, and the bytecode VM —
-// and compares verdicts and report payloads across all four, plus
-// byte-exact final telemetry blobs between the pipeline executors. A
-// disagreement returns a *Divergence error.
+// the map-based pipeline, and the bytecode VM twice: hop by hop through
+// the wire codec (Prog.RunHop, the entry point netsim's switches and
+// NICs run) and resident across the whole trace (the engine's batch
+// shape) — and compares verdicts and report payloads across all of
+// them, plus byte-exact final telemetry blobs between the pipeline
+// executions. A disagreement returns a *Divergence error.
 func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	evalHops := make([]eval.Hop, len(trace))
 	pipeEnvs := make([]compiler.HopEnv, len(trace))
@@ -287,7 +291,7 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	}
 	got, err := r.c.rt.RunTrace(pipeEnvs)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("linked pipeline: %w", err)
+		return Outcome{}, fmt.Errorf("bytecode vm (per-hop): %w", err)
 	}
 	ref, err := r.c.rtRef.RunTrace(refEnvs)
 	if err != nil {
@@ -295,59 +299,20 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	}
 	vm, err := r.c.rt.RunTraceVM(vmEnvs)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("bytecode vm: %w", err)
+		return Outcome{}, fmt.Errorf("bytecode vm (resident): %w", err)
 	}
 
-	// Bytecode VM (resident-PHV, whole-trace) vs linked (per-hop blob
-	// roundtrip): bit-identical, including the final wire blob.
-	pair := "vm vs linked"
-	if vm.Reject != got.Reject {
-		return Outcome{}, &Divergence{pair, fmt.Sprintf("vm reject=%v, linked reject=%v", vm.Reject, got.Reject)}
-	}
-	if !bytes.Equal(vm.FinalBlob, got.FinalBlob) {
-		return Outcome{}, &Divergence{pair, fmt.Sprintf("final blob mismatch: vm %x, linked %x", vm.FinalBlob, got.FinalBlob)}
-	}
-	if len(vm.Reports) != len(got.Reports) {
-		return Outcome{}, &Divergence{pair, fmt.Sprintf("report count: vm %d, linked %d", len(vm.Reports), len(got.Reports))}
-	}
-	for i := range vm.Reports {
-		va, ga := vm.Reports[i].Args, got.Reports[i].Args
-		if len(va) != len(ga) {
-			return Outcome{}, &Divergence{pair, fmt.Sprintf("report %d arity: vm %v, linked %v", i, va, ga)}
-		}
-		for j := range va {
-			if va[j] != ga[j] {
-				return Outcome{}, &Divergence{pair, fmt.Sprintf("report %d arg %d: vm %v, linked %v", i, j, va[j], ga[j])}
-			}
-		}
-	}
-
-	// Linked vs map-based pipeline: bit-identical, including the wire
+	// The pipeline executions must be bit-identical, including the wire
 	// blob that left the last hop.
-	pair = "linked vs map-based"
-	if got.Reject != ref.Reject {
-		return Outcome{}, &Divergence{pair, fmt.Sprintf("linked reject=%v, map-based reject=%v", got.Reject, ref.Reject)}
+	if d := diffTraces("vm-resident", vm, "vm", got); d != nil {
+		return Outcome{}, d
 	}
-	if !bytes.Equal(got.FinalBlob, ref.FinalBlob) {
-		return Outcome{}, &Divergence{pair, fmt.Sprintf("final blob mismatch: linked %x, map-based %x", got.FinalBlob, ref.FinalBlob)}
-	}
-	if len(got.Reports) != len(ref.Reports) {
-		return Outcome{}, &Divergence{pair, fmt.Sprintf("report count: linked %d, map-based %d", len(got.Reports), len(ref.Reports))}
-	}
-	for i := range got.Reports {
-		ga, ra := got.Reports[i].Args, ref.Reports[i].Args
-		if len(ga) != len(ra) {
-			return Outcome{}, &Divergence{pair, fmt.Sprintf("report %d arity: linked %v, map-based %v", i, ga, ra)}
-		}
-		for j := range ga {
-			if ga[j] != ra[j] {
-				return Outcome{}, &Divergence{pair, fmt.Sprintf("report %d arg %d: linked %v, map-based %v", i, j, ga[j], ra[j])}
-			}
-		}
+	if d := diffTraces("vm", got, "map-based", ref); d != nil {
+		return Outcome{}, d
 	}
 
 	// Pipeline vs the reference interpreter.
-	pair = "pipeline vs interpreter"
+	pair := "pipeline vs interpreter"
 	if got.Reject != (want.Verdict == eval.VerdictReject) {
 		return Outcome{}, &Divergence{pair, fmt.Sprintf("pipeline reject=%v, interpreter %v", got.Reject, want.Verdict)}
 	}
@@ -372,6 +337,32 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 		reports = append(reports, gotArgs)
 	}
 	return Outcome{Reject: got.Reject, Reports: reports, FinalBlob: got.FinalBlob}, nil
+}
+
+// diffTraces compares two pipeline executions of one trace bit for bit.
+func diffTraces(an string, a compiler.TraceResult, bn string, b compiler.TraceResult) *Divergence {
+	pair := an + " vs " + bn
+	if a.Reject != b.Reject {
+		return &Divergence{pair, fmt.Sprintf("%s reject=%v, %s reject=%v", an, a.Reject, bn, b.Reject)}
+	}
+	if !bytes.Equal(a.FinalBlob, b.FinalBlob) {
+		return &Divergence{pair, fmt.Sprintf("final blob mismatch: %s %x, %s %x", an, a.FinalBlob, bn, b.FinalBlob)}
+	}
+	if len(a.Reports) != len(b.Reports) {
+		return &Divergence{pair, fmt.Sprintf("report count: %s %d, %s %d", an, len(a.Reports), bn, len(b.Reports))}
+	}
+	for i := range a.Reports {
+		aa, ba := a.Reports[i].Args, b.Reports[i].Args
+		if len(aa) != len(ba) {
+			return &Divergence{pair, fmt.Sprintf("report %d arity: %s %v, %s %v", i, an, aa, bn, ba)}
+		}
+		for j := range aa {
+			if aa[j] != ba[j] {
+				return &Divergence{pair, fmt.Sprintf("report %d arg %d: %s %v, %s %v", i, j, an, aa[j], bn, ba[j])}
+			}
+		}
+	}
+	return nil
 }
 
 // valueFor builds an eval value of the declared scalar type.

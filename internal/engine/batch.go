@@ -60,7 +60,7 @@ func (s *shard) setupBatch() {
 	s.vmBinds = make([][]bindPair, n)
 	s.hot = make([][]swEnt, n)
 	for i, vp := range progs {
-		s.vmCtxs[i] = vp.AcquireCtx()
+		s.vmCtxs[i] = vp.NewCtx()
 		slots := vp.BindSlots()
 		for bi, path := range vp.Bindings() {
 			for src, p := range stdHdrPaths {

@@ -129,10 +129,11 @@ type Config struct {
 	// shared lock and a full ring drops (with accounting) instead of
 	// blocking the worker. Composable with KeepReports.
 	ReportBus *reportbus.Bus
-	// NoBatch disables the bytecode-VM batched execution path, forcing
-	// hop-major per-packet execution through Checker.RT.RunHop. The
-	// engine also falls back automatically when a checker has no
-	// bytecode form, checks every hop, or can reject mid-trace.
+	// NoBatch disables the batched (checker-major) execution path,
+	// forcing hop-major per-packet execution through Checker.RT.RunHop
+	// (the VM on a pooled context, telemetry codec per hop). The engine
+	// also falls back automatically when a checker has no bytecode
+	// form, checks every hop, or can reject mid-trace.
 	NoBatch bool
 }
 

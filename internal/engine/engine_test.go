@@ -59,12 +59,12 @@ func TestEngineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestLinkedMatchesNoLink pins the map-based interpreter as ground
-// truth (NoLink) and checks the linked executor — the default for both
+// TestVMMatchesNoLink pins the map-based interpreter as ground
+// truth (NoLink) and checks the bytecode VM — the default for both
 // the sequential reference and the sharded engine — against it on the
 // campus replay: identical merged counts and per-packet verdicts at
 // shard counts 1, 4 and 8.
-func TestLinkedMatchesNoLink(t *testing.T) {
+func TestVMMatchesNoLink(t *testing.T) {
 	const packets, seed = 4000, 9
 	want, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{
 		Packets: packets, Seed: seed, KeepVerdicts: true, NoLink: true,
@@ -76,17 +76,17 @@ func TestLinkedMatchesNoLink(t *testing.T) {
 		t.Fatalf("map-based replay had %d checker errors", want.Counts.Errors)
 	}
 
-	linkedSeq, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{
+	vmSeq, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{
 		Packets: packets, Seed: seed, KeepVerdicts: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(linkedSeq.Counts, want.Counts) {
-		t.Errorf("sequential linked counts diverge from map-based\n got %+v\nwant %+v", linkedSeq.Counts, want.Counts)
+	if !reflect.DeepEqual(vmSeq.Counts, want.Counts) {
+		t.Errorf("sequential VM counts diverge from map-based\n got %+v\nwant %+v", vmSeq.Counts, want.Counts)
 	}
-	if !reflect.DeepEqual(linkedSeq.Verdicts, want.Verdicts) {
-		t.Errorf("sequential linked per-packet verdicts diverge from map-based")
+	if !reflect.DeepEqual(vmSeq.Verdicts, want.Verdicts) {
+		t.Errorf("sequential VM per-packet verdicts diverge from map-based")
 	}
 
 	for _, shards := range []int{1, 4, 8} {
@@ -97,12 +97,12 @@ func TestLinkedMatchesNoLink(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Counts, want.Counts) {
-			t.Errorf("shards=%d: linked counts diverge from map-based\n got %+v\nwant %+v", shards, got.Counts, want.Counts)
+			t.Errorf("shards=%d: VM counts diverge from map-based\n got %+v\nwant %+v", shards, got.Counts, want.Counts)
 		}
 		if !reflect.DeepEqual(got.Verdicts, want.Verdicts) {
 			for i := range got.Verdicts {
 				if got.Verdicts[i] != want.Verdicts[i] {
-					t.Errorf("shards=%d: packet %d linked verdict %+v, map-based %+v", shards, i, got.Verdicts[i], want.Verdicts[i])
+					t.Errorf("shards=%d: packet %d VM verdict %+v, map-based %+v", shards, i, got.Verdicts[i], want.Verdicts[i])
 					break
 				}
 			}
@@ -212,17 +212,17 @@ func TestEngineViolations(t *testing.T) {
 		t.Fatalf("report count %d inconsistent with %d kept digests", wantCounts.Reports, len(wantReports))
 	}
 
-	// The map-based interpreter must agree with the linked executor on
+	// The map-based interpreter must agree with the bytecode VM on
 	// rejecting traffic too, including the full report stream.
 	refCounts, refVerdicts, refReports := run(0, true)
 	if !reflect.DeepEqual(refCounts, wantCounts) {
-		t.Errorf("map-based counts diverge from linked\n got %+v\nwant %+v", refCounts, wantCounts)
+		t.Errorf("map-based counts diverge from the VM\n got %+v\nwant %+v", refCounts, wantCounts)
 	}
 	if !reflect.DeepEqual(refVerdicts, wantVerdicts) {
-		t.Errorf("map-based per-packet verdicts diverge from linked")
+		t.Errorf("map-based per-packet verdicts diverge from the VM")
 	}
 	if !reflect.DeepEqual(sortedReports(refReports), sortedReports(wantReports)) {
-		t.Errorf("map-based report multiset diverges from linked")
+		t.Errorf("map-based report multiset diverges from the VM")
 	}
 
 	for _, shards := range []int{1, 4} {

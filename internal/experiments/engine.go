@@ -30,11 +30,12 @@ type EngineReplayConfig struct {
 	// the differential tests; costs one slice slot per packet).
 	KeepVerdicts bool
 	// NoLink pins every checker runtime to the map-based reference
-	// interpreter instead of the linked executor (used by the linked
+	// interpreter instead of the bytecode VM (used by the engine
 	// conformance tests as the ground truth).
 	NoLink bool
-	// NoBatch disables the bytecode-VM batched path, measuring the
-	// per-packet linked executor instead (the pre-batching baseline).
+	// NoBatch disables the batched (checker-major, resident-PHV) path,
+	// measuring hop-major per-packet execution through RunHop instead
+	// (the pre-batching shape).
 	NoBatch bool
 }
 

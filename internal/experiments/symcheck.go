@@ -16,8 +16,8 @@ import (
 
 // SymcheckConfig drives the symbolic backend-equivalence run: explore
 // each corpus checker's modeled trace space symbolically, then replay
-// every explored path and frontier witness through all three backends
-// (reference interpreter, map pipeline, linked pipeline), checking the
+// every explored path and frontier witness through every backend
+// (reference interpreter, map pipeline, bytecode VM), checking the
 // concrete outcome byte-for-byte against the symbolic prediction.
 type SymcheckConfig struct {
 	// Checkers selects corpus keys; empty means the whole corpus.
@@ -287,7 +287,7 @@ func FormatSymcheck(r SymcheckResult) string {
 		}
 	}
 	if r.Passed {
-		b.WriteString("all checkers: interpreter = map pipeline = linked pipeline over the modeled space\n")
+		b.WriteString("all checkers: interpreter = map pipeline = bytecode VM over the modeled space\n")
 	} else {
 		b.WriteString("FAILED: see rows above\n")
 	}

@@ -353,6 +353,42 @@ func TestIngestReconnectDrops(t *testing.T) {
 	}
 }
 
+// TestIngestFinAckThenClose is the regression test for the spurious
+// reconnect at session end: the worker closes right after FinAck, so
+// the sender's final select can find the FinAck and the EOF ready
+// together, and a session in which every packet was acked must not
+// count a reconnect whichever one it picks.
+func TestIngestFinAckThenClose(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fw := &fakeWorker{ln: ln} // session() hangs up as soon as FinAck is written
+	go fw.serve()
+
+	const sessions, n = 600, 48
+	frames := campusFrames(n)
+	for i := 0; i < sessions; i++ {
+		ing, err := NewIngest(IngestConfig{
+			Workers:   []string{ln.Addr().String()},
+			PathFor:   testPath,
+			BatchSize: 16, Window: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := ing.Run(&memSource{frames: frames})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Reconnects != 0 || len(stats.Dropped) != 0 || stats.Acked != n {
+			t.Fatalf("session %d: reconnects=%d dropped=%v acked=%d/%d, want an orderly end",
+				i, stats.Reconnects, stats.Dropped, stats.Acked, n)
+		}
+	}
+}
+
 // TestIngestWorkerUnreachable covers the terminal failure path: a
 // worker address nobody listens on burns the dial retries and the
 // batches are accounted "failed".

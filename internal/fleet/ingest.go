@@ -631,6 +631,15 @@ func (s *sender) finish() {
 		case <-s.cs.finackc:
 			return
 		case err := <-s.cs.errc:
+			// The worker closes right after FinAck, and readLoop hands
+			// over the FinAck before the EOF that follows it: when both
+			// are ready and select picked the error, the session still
+			// ended in order.
+			select {
+			case <-s.cs.finackc:
+				return
+			default:
+			}
 			s.onConnError(err)
 			return
 		case <-deadline.C:

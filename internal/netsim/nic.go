@@ -25,23 +25,18 @@ type HydraNIC struct {
 	Checked  uint64
 	Rejected uint64
 
-	// plan is the packet-only header bind plan (no forwarding
-	// metadata); blob is the reused injection buffer.
-	plan *bindPlan
+	// hop is the NIC's resident execution state; its bind plan is
+	// packet-only (no forwarding metadata). blob is the reused
+	// injection buffer.
+	hop  residentHop
 	blob []byte
 }
 
 // AttachNIC wires a Hydra NIC to the host, with fresh per-NIC state.
 func (h *Host) AttachNIC(rt *compiler.Runtime, onReport func(*Host, pipeline.Report)) *HydraNIC {
-	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, plan: newBindPlan(rt, true)}
+	hop := newResidentHop(rt, true)
+	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, hop: hop, blob: make([]byte, 0, hop.size)}
 	return h.nic
-}
-
-func (nic *HydraNIC) bindPlan() *bindPlan {
-	if nic.plan == nil {
-		nic.plan = newBindPlan(nic.Runtime, true)
-	}
-	return nic.plan
 }
 
 // NIC returns the attached Hydra NIC, or nil.
@@ -54,26 +49,17 @@ func (h *Host) nicEgress(pkt *dataplane.Decoded) {
 		return
 	}
 	pkt.InsertHydra(nil)
-	env := compiler.HopEnv{
-		State:       nic.State,
-		SwitchID:    uint32(h.MAC.Uint64()), // NICs identify as their MAC
-		SlotHeaders: nic.bindPlan().bind(pkt, nil, 0, 0),
-		PacketLen:   uint32(pkt.WireLen()),
-		ReuseBlob:   true,
-	}
-	if n := (nic.Runtime.Prog.TeleWireBits() + 7) / 8; cap(nic.blob) < n {
-		nic.blob = make([]byte, 0, n)
-	}
-	hr, err := nic.Runtime.RunBlocks(nic.blob[:0], env, compiler.BlockSet{Init: true}, true, false)
+	// NICs identify as their MAC.
+	out, _, reports, err := nic.hop.run(nic.State, uint32(h.MAC.Uint64()), nil, nic.blob[:0],
+		nic.hop.plan.bind(pkt, nil, 0, 0), pkt.WireLen(), true, false, compiler.BlockSet{Init: true})
 	if err != nil {
 		h.ParseErrs++
 		return
 	}
-	nic.blob = hr.Blob[:0]
 	nic.Injected++
-	pkt.Hydra.Blob = hr.Blob
-	for _, rep := range hr.Reports {
-		if nic.OnReport != nil {
+	pkt.Hydra.Blob = out
+	if nic.OnReport != nil {
+		for _, rep := range reports {
 			nic.OnReport(h, rep)
 		}
 	}
@@ -86,31 +72,30 @@ func (h *Host) nicIngress(pkt *dataplane.Decoded) bool {
 	if nic == nil || !pkt.HasHydra {
 		return true
 	}
-	env := compiler.HopEnv{
-		State:       nic.State,
-		SwitchID:    uint32(h.MAC.Uint64()),
-		SlotHeaders: nic.bindPlan().bind(pkt, nil, 0, 0),
-		PacketLen:   uint32(pkt.WireLen()),
-		// The blob aliases the received frame, which the host owns
-		// until delivery completes — encoding into it is safe, but only
-		// when the blob is exactly one telemetry record wide (encode
-		// always writes TeleWireBytes; a shorter foreign blob would
-		// spill into the frame bytes that follow it).
-		ReuseBlob: len(pkt.Hydra.Blob) == (nic.Runtime.Prog.TeleWireBits()+7)/8,
+	// The blob aliases the received frame, which the host owns until
+	// delivery completes — encoding into it is safe, but only when the
+	// blob is exactly one telemetry record wide (encode always writes
+	// that many bytes; a shorter foreign blob would spill into the frame
+	// bytes that follow it).
+	in := pkt.Hydra.Blob
+	var dst []byte
+	if len(in) == nic.hop.size {
+		dst = in[:0]
 	}
-	hr, err := nic.Runtime.RunBlocks(pkt.Hydra.Blob, env, compiler.BlockSet{Checker: true}, false, true)
+	_, reject, reports, err := nic.hop.run(nic.State, uint32(h.MAC.Uint64()), in, dst,
+		nic.hop.plan.bind(pkt, nil, 0, 0), pkt.WireLen(), false, true, compiler.BlockSet{Checker: true})
 	if err != nil {
 		h.ParseErrs++
 		pkt.StripHydra()
 		return true
 	}
 	nic.Checked++
-	for _, rep := range hr.Reports {
-		if nic.OnReport != nil {
+	if nic.OnReport != nil {
+		for _, rep := range reports {
 			nic.OnReport(h, rep)
 		}
 	}
-	if hr.Reject {
+	if reject {
 		nic.Rejected++
 		return false
 	}

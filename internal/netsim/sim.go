@@ -146,49 +146,58 @@ type event struct {
 // event — which is exactly what the zero-allocation wire path removes.
 type eventHeap []event
 
-// less orders by time, then control events (dest 0) ahead of node
+// before orders by time, then control events (dest 0) ahead of node
 // events — the partitioned coordinator runs a timestamp's control
 // events before releasing the parallel window, so the sequential
 // comparator must agree — then by the deterministic key.
-func (h eventHeap) less(i, j int) bool {
-	if h[i].k.at != h[j].k.at {
-		return h[i].k.at < h[j].k.at
+func (a *event) before(b *event) bool {
+	if a.k.at != b.k.at {
+		return a.k.at < b.k.at
 	}
-	ci, cj := h[i].dest == 0, h[j].dest == 0
-	if ci != cj {
-		return ci
+	ca, cb := a.dest == 0, b.dest == 0
+	if ca != cb {
+		return ca
 	}
-	return h[i].k.less(h[j].k)
+	return a.k.less(b.k)
 }
 
+// up and down sift with a hole: an event is 96 bytes, so each level
+// moves one event into the hole instead of swapping two, and the moving
+// event is placed once at the end.
+
+// up restores the heap after h[i] was appended.
 func (h eventHeap) up(i int) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
+// down restores the heap after h[i] was replaced.
 func (h eventHeap) down(i int) {
 	n := len(h)
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
+		small := 2*i + 1
+		if small >= n {
+			break
 		}
-		if r < n && h.less(r, small) {
+		if r := small + 1; r < n && h[r].before(&h[small]) {
 			small = r
 		}
-		if small == i {
-			return
+		if !h[small].before(&e) {
+			break
 		}
-		h[i], h[small] = h[small], h[i]
+		h[i] = h[small]
 		i = small
 	}
+	h[i] = e
 }
 
 // Simulator owns an event loop. Unpartitioned it is single-threaded:

@@ -73,16 +73,9 @@ type HydraAttachment struct {
 	// Checked counts packets that ran the checker block here.
 	Checked uint64
 
-	// plan is the precompiled header bind plan (built lazily for
-	// attachments constructed without AttachChecker).
-	plan *bindPlan
-}
-
-func (at *HydraAttachment) bindPlan() *bindPlan {
-	if at.plan == nil {
-		at.plan = newBindPlan(at.Runtime, false)
-	}
-	return at.plan
+	// hop is this attachment's resident execution state, built by
+	// AttachChecker.
+	hop residentHop
 }
 
 // wireShape is a snapshot of everything that determines a packet's
@@ -171,6 +164,9 @@ type Switch struct {
 	parts     [][]byte
 	txBuf     []byte
 	injectBuf []byte
+	// blobSize is the wire size of the shared telemetry blob: the sum of
+	// the attached checkers' slots.
+	blobSize int
 }
 
 // NewSwitch creates a switch with the given identifier.
@@ -290,41 +286,27 @@ func (sw *Switch) process(frame []byte, inPort int) {
 // into the switch's reused inject buffer.
 func (sw *Switch) inject(pkt *dataplane.Decoded, meta *PacketMeta, inPort int) {
 	pkt.InsertHydra(nil)
-	pktLen := uint32(pkt.WireLen())
-	total := sw.totalBlobSize()
-	if cap(sw.injectBuf) < total {
-		sw.injectBuf = make([]byte, total)
+	pktLen := pkt.WireLen()
+	if cap(sw.injectBuf) < sw.blobSize {
+		sw.injectBuf = make([]byte, sw.blobSize)
 	}
-	blob := sw.injectBuf[:total]
+	blob := sw.injectBuf[:sw.blobSize]
 	off := 0
 	for _, at := range sw.Checkers {
-		n := blobSize(at)
+		n := at.hop.size
 		slot := blob[off : off+n : off+n]
 		off += n
-		env := compiler.HopEnv{
-			State:       at.State,
-			SwitchID:    sw.ID,
-			SlotHeaders: at.bindPlan().bind(pkt, meta, inPort, -1),
-			PacketLen:   pktLen,
-			ReuseBlob:   true,
-			// Reports are delivered to OnReport below, before the next
-			// RunBlocks — the event loop is single-threaded, so the
-			// zero-alloc arena path is safe.
-			EphemeralReports: true,
-		}
-		// slot[:0] as the incoming blob: DecodeTele zero-fills on an
-		// empty blob, and ReuseBlob encodes back into the slot.
-		hr, err := at.Runtime.RunBlocks(slot[:0], env, compiler.BlockSet{Init: true}, true, false)
+		// An empty incoming blob decodes to the zero telemetry image; the
+		// init block's output is encoded straight into the slot.
+		_, _, reports, err := at.hop.run(at.State, sw.ID, nil, slot[:0],
+			at.hop.plan.bind(pkt, meta, inPort, -1), pktLen, true, false, compiler.BlockSet{Init: true})
 		if err != nil {
 			sw.ParseErrors++
 			zeroFill(slot)
 			continue
 		}
-		if !sameStorage(hr.Blob, slot) {
-			copy(slot, hr.Blob) // map-path executor returned fresh storage
-		}
-		for _, rep := range hr.Reports {
-			if at.OnReport != nil {
+		if at.OnReport != nil {
+			for _, rep := range reports {
 				at.OnReport(sw, rep)
 			}
 		}
@@ -350,26 +332,20 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 	}
 
 	if len(sw.Checkers) > 0 && pkt.HasHydra {
-		pktLen := uint32(pkt.WireLen())
+		pktLen := pkt.WireLen()
 		parts, inPlace := sw.splitBlob(pkt.Hydra.Blob)
 		rejected := false
 		for i, at := range sw.Checkers {
 			check := lastHop || at.Runtime.CheckEveryHop
-			env := compiler.HopEnv{
-				State:       at.State,
-				SwitchID:    sw.ID,
-				SlotHeaders: at.bindPlan().bind(pkt, meta, inPort, outPort),
-				PacketLen:   pktLen,
-				// The split slots are disjoint capped subslices of the
-				// blob, so each checker may encode into its own slot.
-				ReuseBlob: inPlace,
-				// Reports are consumed synchronously below.
-				EphemeralReports: true,
+			// The in-place slots are disjoint capped subslices of the
+			// blob, so each checker may encode into its own slot.
+			var dst []byte
+			if inPlace {
+				dst = parts[i][:0]
 			}
-			hr, err := at.Runtime.RunBlocks(parts[i], env, compiler.BlockSet{
-				Telemetry: true,
-				Checker:   check,
-			}, firstHop, lastHop)
+			out, reject, reports, err := at.hop.run(at.State, sw.ID, parts[i], dst,
+				at.hop.plan.bind(pkt, meta, inPort, outPort), pktLen, firstHop, lastHop,
+				compiler.BlockSet{Telemetry: true, Checker: check})
 			if err != nil {
 				// A checker execution error must never take down
 				// forwarding; count it and forward unchecked.
@@ -377,26 +353,20 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 				if inPlace {
 					zeroFill(parts[i])
 				} else if parts[i] == nil {
-					parts[i] = make([]byte, blobSize(at))
+					parts[i] = make([]byte, at.hop.size)
 				}
 				continue
 			}
-			if inPlace {
-				if !sameStorage(hr.Blob, parts[i]) {
-					copy(parts[i], hr.Blob) // map-path executor: copy back
-				}
-			} else {
-				parts[i] = hr.Blob
-			}
-			for _, rep := range hr.Reports {
-				if at.OnReport != nil {
+			parts[i] = out
+			if at.OnReport != nil {
+				for _, rep := range reports {
 					at.OnReport(sw, rep)
 				}
 			}
 			if check {
 				at.Checked++
 			}
-			if hr.Reject {
+			if reject {
 				at.Rejected++
 				rejected = true
 			}
@@ -516,9 +486,10 @@ func maxInt(a, b int) int {
 // Multiple checkers may be attached; their telemetry shares the Hydra
 // header, each in a statically-sized slot.
 func (sw *Switch) AttachChecker(rt *compiler.Runtime, onReport func(*Switch, pipeline.Report)) *HydraAttachment {
-	at := &HydraAttachment{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, plan: newBindPlan(rt, false)}
+	at := &HydraAttachment{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, hop: newResidentHop(rt, false)}
 	sw.Checkers = append(sw.Checkers, at)
 	sw.parts = nil // checker set changed: rebuild split scratch
+	sw.blobSize += at.hop.size
 	return at
 }
 
@@ -528,20 +499,6 @@ func (sw *Switch) Checker() *HydraAttachment {
 		return nil
 	}
 	return sw.Checkers[0]
-}
-
-// blobSize returns the fixed wire size of one checker's telemetry slot.
-func blobSize(at *HydraAttachment) int {
-	return (at.Runtime.Prog.TeleWireBits() + 7) / 8
-}
-
-// totalBlobSize is the wire size of the shared telemetry blob.
-func (sw *Switch) totalBlobSize() int {
-	total := 0
-	for _, at := range sw.Checkers {
-		total += blobSize(at)
-	}
-	return total
 }
 
 // splitBlob slices the shared telemetry blob into per-checker slots,
@@ -555,10 +512,10 @@ func (sw *Switch) splitBlob(blob []byte) (parts [][]byte, inPlace bool) {
 		sw.parts = make([][]byte, len(sw.Checkers))
 	}
 	parts = sw.parts[:len(sw.Checkers)]
-	if len(blob) == sw.totalBlobSize() && len(blob) > 0 {
+	if len(blob) == sw.blobSize && len(blob) > 0 {
 		off := 0
 		for i, at := range sw.Checkers {
-			n := blobSize(at)
+			n := at.hop.size
 			parts[i] = blob[off : off+n : off+n]
 			off += n
 		}
@@ -572,7 +529,7 @@ func (sw *Switch) splitBlob(blob []byte) (parts [][]byte, inPlace bool) {
 	}
 	off := 0
 	for i, at := range sw.Checkers {
-		n := blobSize(at)
+		n := at.hop.size
 		if off+n > len(blob) {
 			// Malformed: reset every slot so DecodeTele zero-fills.
 			for j := range parts {
@@ -592,12 +549,6 @@ func joinBlobs(parts [][]byte) []byte {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// sameStorage reports whether two equal-length slices share a backing
-// array (first byte at the same address).
-func sameStorage(a, b []byte) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func zeroFill(b []byte) {

@@ -108,7 +108,7 @@ func TestWireAllocs(t *testing.T) {
 		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
 		Payload: make([]byte, 64),
 	}
-	pkt.InsertHydra(make([]byte, sw.totalBlobSize()))
+	pkt.InsertHydra(make([]byte, sw.blobSize))
 	template := pkt.Serialize()
 
 	hop := func() {

@@ -105,10 +105,10 @@ type State struct {
 	Registers map[string]*Register
 
 	// tableList and regList hold the same pointers in Program.Tables /
-	// Program.Registers declaration order, so the linked executor can
+	// Program.Registers declaration order, so the bytecode VM can
 	// resolve resources by index instead of hashing names per packet.
-	// Hand-built States (tests) may leave them nil; the linked ops fall
-	// back to the maps then.
+	// Hand-built States (tests) may leave them nil; TableAt/RegisterAt
+	// fall back to the maps then.
 	tableList []*Table
 	regList   []*Register
 }
@@ -143,31 +143,24 @@ func (s *State) Warm() {
 	}
 }
 
-// tableAt resolves a table by declaration index, falling back to the
-// name map for hand-built States.
-func (s *State) tableAt(i int, name string) *Table {
+// TableAt resolves a table by declaration index, falling back to the
+// name map for hand-built States. The bytecode VM resolves its apply
+// sites through it.
+func (s *State) TableAt(i int, name string) *Table {
 	if i < len(s.tableList) {
 		return s.tableList[i]
 	}
 	return s.Tables[name]
 }
 
-// regAt resolves a register by declaration index, falling back to the
-// name map for hand-built States.
-func (s *State) regAt(i int, name string) *Register {
+// RegisterAt resolves a register by declaration index, falling back to
+// the name map for hand-built States.
+func (s *State) RegisterAt(i int, name string) *Register {
 	if i < len(s.regList) {
 		return s.regList[i]
 	}
 	return s.Registers[name]
 }
-
-// TableAt resolves a table by declaration index with a name-map
-// fallback; exported for out-of-package executors (the bytecode VM).
-func (s *State) TableAt(i int, name string) *Table { return s.tableAt(i, name) }
-
-// RegisterAt resolves a register by declaration index with a name-map
-// fallback; exported for out-of-package executors (the bytecode VM).
-func (s *State) RegisterAt(i int, name string) *Register { return s.regAt(i, name) }
 
 // ---------------------------------------------------------------------------
 // Telemetry wire codec

@@ -533,12 +533,11 @@ func buildPackedSnap(packed map[PackedKey]*Entry) *packedSnap {
 	return s
 }
 
-// LookupPacked is the allocation-free lookup the linked and bytecode
-// executors use: the key is passed by value in a fixed array, so
-// nothing escapes to the heap. Exact tables serve hits from the
-// immutable snapshot without touching the lock. It supports tables with
-// at most MaxPackedKeys columns (unused columns zero); wider tables
-// must go through Lookup.
+// LookupPacked is the allocation-free lookup the bytecode VM uses: the
+// key is passed by value in a fixed array, so nothing escapes to the
+// heap. Exact tables serve hits from the immutable snapshot without
+// touching the lock. It supports tables with at most MaxPackedKeys
+// columns (unused columns zero); wider tables must go through Lookup.
 func (t *Table) LookupPacked(k PackedKey) ([]Value, bool) {
 	if s := t.snap.Load(); s != nil {
 		if a, ok := s.lookup(k); ok {

@@ -249,8 +249,8 @@ func scalarWidth(t ast.Type) int {
 }
 
 // BuildStates instantiates per-switch pipeline state with the model's
-// canonical control-plane installs. The linked-backend aliasing tests
-// reuse it to get bit-identical state without a difftest Runner.
+// canonical control-plane installs. The context-aliasing tests reuse
+// it to get bit-identical state without a difftest Runner.
 func BuildStates(prog *pipeline.Program, model checkers.SymModel) (map[uint32]*pipeline.State, error) {
 	specs := make(map[string]pipeline.TableSpec, len(prog.Tables))
 	for _, ts := range prog.Tables {
