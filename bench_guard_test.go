@@ -15,7 +15,7 @@ import (
 // metric, so it is guarded tightly; packets-per-second is wall-clock
 // and machine-dependent, so the guard only fails when throughput drops
 // below EnginePPS×PPSMinFactor. The factor is 0.5: tight enough that
-// losing the bytecode-VM batched path (or an accidental O(n²), or a
+// losing the resident-context VM loop (or an accidental O(n²), or a
 // lock on the per-packet path) fails the guard, loose enough not to
 // flake on slower hardware. See README for the baseline update
 // workflow.
@@ -75,8 +75,8 @@ func measureEnginePPS(t testing.TB) float64 {
 }
 
 func measureBatchPPS(t testing.TB) float64 {
-	res, err := experiments.RunBatchReplay(experiments.EngineReplayConfig{
-		Packets: 20_000, Seed: 5,
+	res, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{
+		Packets: 20_000, Seed: 5, BatchSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

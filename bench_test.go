@@ -260,7 +260,7 @@ func BenchmarkPHVSlots(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			rt := &compiler.Runtime{Prog: prog, NoLink: mode.noLink}
 			st := prog.NewState()
-			env := compiler.HopEnv{State: st, SwitchID: 7, PacketLen: 256, ReuseBlob: true}
+			env := compiler.HopEnv{State: st, SwitchID: 7, PacketLen: 256}
 			var blob []byte
 			b.ReportAllocs()
 			b.ResetTimer()

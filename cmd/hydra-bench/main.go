@@ -61,7 +61,6 @@ func main() {
 		packets   = flag.Int("packets", 50000, "throughput: packets to replay")
 		shards    = flag.String("shards", "1,4,8", "engine: comma-separated worker counts (0 = GOMAXPROCS)")
 		simShards = flag.Int("simshards", 1, "wire/chaos: partition the netsim event loop into N parallel shards (1 = sequential; results are byte-identical at any count)")
-		noBatch   = flag.Bool("nobatch", false, "engine: disable the batched path (hop-major per-packet VM execution with the telemetry codec per hop, the pre-batching shape)")
 		seed      = flag.Int64("seed", 1, "chaos: campaign seed (traffic + every fault injector)")
 		faultRate = flag.Float64("faultrate", 0.02, "chaos: per-packet/per-frame fault probability")
 		chaosJSON = flag.String("chaosjson", "", "chaos: write the byte-reproducible detection matrix as JSON to this file (- for stdout)")
@@ -164,20 +163,18 @@ func main() {
 		for _, n := range counts {
 			fmt.Fprintf(os.Stderr, "running engine replay with %d shard(s)...\n", n)
 			r, err := experiments.RunEngineReplay(experiments.EngineReplayConfig{
-				Packets: *packets, Shards: n, NoBatch: *noBatch,
+				Packets: *packets, Shards: n,
 			})
 			must(err)
 			engineResults = append(engineResults, r)
 		}
 		fmt.Println(experiments.FormatEngineReplay(engineResults))
-		if !*noBatch {
-			fmt.Fprintln(os.Stderr, "running batched single-shard replay (no dispatch queues)...")
-			r, err := experiments.RunBatchReplay(experiments.EngineReplayConfig{Packets: *packets})
-			must(err)
-			batchResult = &r
-			fmt.Printf("Batch:  steady-state batched checking, 1 shard: %.0f pkts/s (%.0f ns/pkt)\n\n",
-				r.WallPktsPerSec, 1e9/r.WallPktsPerSec)
-		}
+		fmt.Fprintln(os.Stderr, "running batched single-shard replay (no dispatch queues)...")
+		r, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{Packets: *packets, BatchSize: 64})
+		must(err)
+		batchResult = &r
+		fmt.Printf("Batch:  steady-state batched checking, 1 shard: %.0f pkts/s (%.0f ns/pkt)\n\n",
+			r.WallPktsPerSec, 1e9/r.WallPktsPerSec)
 	}
 
 	if *wireRun {

@@ -213,12 +213,6 @@ type Prog struct {
 	// VM never writes them, so a pooled context can never carry dirt
 	// there. The arena-aliasing suite poisons exactly this set.
 	dirtySlots []int32
-
-	// rejectOutsideChecker is true when the init or telemetry block can
-	// write the reject flag — those blocks run at every hop, so a
-	// batched (checker-major) executor could not reproduce the
-	// hop-major reject-halt and must fall back to per-packet order.
-	rejectOutsideChecker bool
 }
 
 // comp is the transient compilation state.
@@ -265,8 +259,6 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 	}
 
 	cp.relocate()
-	p.rejectOutsideChecker = writesReject(prog, prog.Init) || writesReject(prog, prog.Telemetry)
-
 	p.ctxPool.New = func() any { return p.NewCtx() }
 	return p, nil
 }
@@ -1065,40 +1057,6 @@ func (p *Prog) BindSlots() []int32 { return p.bindSlots }
 func (p *Prog) SlotOf(f pipeline.FieldRef) (int, bool) {
 	s, ok := p.slots[f]
 	return int(s), ok
-}
-
-// RejectOnlyInChecker reports whether the reject flag can only be
-// written by the checker block. When true (every corpus checker), and
-// checking runs at the last hop only, a packet's reject verdict cannot
-// arise mid-trace — so checker-major batched execution is
-// verdict-identical to hop-major per-packet execution.
-func (p *Prog) RejectOnlyInChecker() bool { return !p.rejectOutsideChecker }
-
-// writesReject reports whether any op in the block (conservatively)
-// writes the reject flag.
-func writesReject(prog *pipeline.Program, ops []pipeline.Op) bool {
-	found := false
-	pipeline.WalkOps(ops, func(op pipeline.Op) {
-		switch op := op.(type) {
-		case pipeline.AssignOp:
-			if op.Dst == pipeline.FieldReject {
-				found = true
-			}
-		case pipeline.RegReadOp:
-			if op.Dst == pipeline.FieldReject {
-				found = true
-			}
-		case pipeline.ApplyOp:
-			if _, spec, err := tableIndex(prog, op.Table); err == nil {
-				for _, o := range spec.Outputs {
-					if o == pipeline.FieldReject {
-						found = true
-					}
-				}
-			}
-		}
-	})
-	return found
 }
 
 // ResetRuns exposes the per-hop restore ranges for diagnostics and

@@ -14,16 +14,14 @@ import (
 // egress, checker at the last hop's egress (§4.2). The telemetry blob it
 // threads between hops is exactly the Hydra header payload on the wire.
 //
-// The Runtime executes through the bytecode VM (internal/bytecode): a
-// flat PHV vector, one dispatch loop, and packed table keys — no string
-// hashing or per-packet maps. NoLink forces the original map-based
-// interpreter, kept as the reference semantics for differential
-// testing; a program the VM cannot compile runs on it too, which
-// surfaces the same error at execution time.
-//
-// RunBlocks draws a pooled context per call. Embedders with a home for
-// a resident one (a netsim attachment, an engine shard) take VM() and
-// drive bytecode.Prog.RunHop / BeginHop on a context they own.
+// Runtime is the pooled per-call entry point: RunBlocks draws a VM
+// context from the program's pool, runs one hop through the wire codec
+// and releases it. Tests, difftest and netsim's map fallback call it;
+// the packet paths (a netsim attachment, an engine shard) take VM() and
+// drive bytecode.Prog.RunHop / BeginHop on a resident context they own.
+// NoLink forces the map-based interpreter, kept as the reference
+// semantics for differential testing; a program the VM cannot compile
+// runs on it too, which surfaces the same error at execution time.
 type Runtime struct {
 	Prog *pipeline.Program
 	// CheckEveryHop enables the §4.3 per-hop checking variant: the
@@ -109,24 +107,6 @@ type HopEnv struct {
 	SlotHeaders []pipeline.Value
 	// PacketLen is the wire length exposed as packet_length.
 	PacketLen uint32
-	// ReuseBlob lets RunBlocks encode the outgoing telemetry into the
-	// incoming blob's storage. The decode pass completes before the
-	// encode pass starts, so in-place rewrite is safe as long as the
-	// encode cannot spill past the caller's slot: pass a blob whose
-	// capacity is capped at its own slot (three-index subslice) or that
-	// is already exactly TeleWireBytes long. Note the map reference path
-	// ignores ReuseBlob and returns a fresh blob; callers that require
-	// in-place must compare storage (&blob[0]) and copy back when it
-	// differs.
-	ReuseBlob bool
-	// EphemeralReports arms arena-backed report storage on the VM path
-	// (bytecode.Ctx.BeginEphemeralReports): raising a report allocates
-	// nothing, but HopResult.Reports — and the Args inside — must be
-	// fully consumed before the next RunBlocks call on this runtime from
-	// any goroutine. For single-threaded embedders that deliver reports
-	// synchronously; retainers must leave it unset. The map reference
-	// path ignores it (and allocates as always).
-	EphemeralReports bool
 }
 
 // HopResult is the outcome of running the program at one hop.
@@ -198,16 +178,7 @@ func headerSlots(vp *bytecode.Prog, env *HopEnv) []pipeline.Value {
 func runVM(vp *bytecode.Prog, blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
 	c := vp.AcquireCtx()
 	defer vp.ReleaseCtx(c)
-	if env.EphemeralReports {
-		c.BeginEphemeralReports()
-	}
-	// Decode fully precedes encode, so reusing the incoming blob's
-	// storage is safe within one call — but only when the caller owns it.
-	var dst []byte
-	if env.ReuseBlob {
-		dst = blob[:0]
-	}
-	out, err := vp.RunHop(c, env.State, blob, dst, headerSlots(vp, &env), env.SwitchID, int(env.PacketLen), first, last, bs.Blocks())
+	out, err := vp.RunHop(c, env.State, blob, nil, headerSlots(vp, &env), env.SwitchID, int(env.PacketLen), first, last, bs.Blocks())
 	if err != nil {
 		return HopResult{}, err
 	}
@@ -321,8 +292,8 @@ func (r *Runtime) RunTrace(envs []HopEnv) (TraceResult, error) {
 
 // RunTraceVM executes a full path through the VM in resident-PHV mode:
 // telemetry stays in the slot vector between hops and the wire codec
-// runs only once, for the final blob. This is the engine's batched
-// execution shape; difftest replays every trace through it to pin
+// runs only once, for the final blob. This is the engine's execution
+// shape for one checker; difftest replays every trace through it to pin
 // byte-equivalence with RunTrace's per-hop roundtrip.
 func (r *Runtime) RunTraceVM(envs []HopEnv) (TraceResult, error) {
 	vp := r.VM()

@@ -236,10 +236,10 @@ func TestVMScratchAliasing(t *testing.T) {
 	}
 }
 
-// TestVMBatchArenaAliasing poisons the engine's persistent batch-VM
-// arenas between every packet. The batched path acquires one context
-// per checker at construction and reuses it for every packet — there
-// is no per-trace template copy, only BeginTrace's telemetry reset and
+// TestVMBatchArenaAliasing poisons the engine's resident per-checker
+// contexts between every packet. The engine makes one context per
+// checker at construction and reuses it for every packet — there is no
+// per-trace template copy, only BeginTrace's telemetry reset and
 // BeginHop's reset runs — so this is the strongest aliasing surface in
 // the system: any slot the reset analysis wrongly prunes leaks a
 // poisoned value straight into the next packet's verdict. A clean and

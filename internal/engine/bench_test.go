@@ -7,10 +7,9 @@ import (
 	"repro/internal/experiments"
 )
 
-// benchEngineBatch measures steady-state per-packet cost of the batched
-// bytecode-VM path at a given batch size, through the same
-// Sequential.ProcessBatch entry the sharded workers use. ns/op is
-// nanoseconds per packet.
+// benchEngineBatch measures steady-state per-packet cost of the
+// engine's execution loop at a given batch size, through
+// Sequential.ProcessBatch. ns/op is nanoseconds per packet.
 func benchEngineBatch(b *testing.B, batch int) {
 	chks, err := experiments.CorpusCheckers()
 	if err != nil {
@@ -41,39 +40,3 @@ func benchEngineBatch(b *testing.B, batch int) {
 func BenchmarkEngineBatch1(b *testing.B)  { benchEngineBatch(b, 1) }
 func BenchmarkEngineBatch16(b *testing.B) { benchEngineBatch(b, 16) }
 func BenchmarkEngineBatch64(b *testing.B) { benchEngineBatch(b, 64) }
-
-// TestBatchAllocs is the batched path's allocation budget: steady-state
-// batched checking must average at most 1 heap allocation per packet
-// (the report-free benign workload is in practice allocation-free; the
-// budget of 1 leaves room for rare pool refills).
-func TestBatchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; budget is meaningless under -race")
-	}
-	chks, err := experiments.CorpusCheckers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := engine.NewSequential(engine.Config{Checkers: chks})
-	pkts, pairs := experiments.CampusEnginePackets(512, 5)
-	if err := experiments.ConfigureReplayEngine(seq.Install, pairs); err != nil {
-		t.Fatal(err)
-	}
-	seq.Warm()
-	const batch = 64
-	for lo := 0; lo < len(pkts); lo += batch {
-		seq.ProcessBatch(pkts[lo:min(lo+batch, len(pkts))])
-	}
-	lo := 0
-	n := testing.AllocsPerRun(50, func() {
-		hi := lo + batch
-		if hi > len(pkts) {
-			lo, hi = 0, batch
-		}
-		seq.ProcessBatch(pkts[lo:hi])
-		lo = hi
-	})
-	if perPkt := n / batch; perPkt > 1 {
-		t.Errorf("steady-state batched check: %.3f allocs/packet, budget 1", perPkt)
-	}
-}

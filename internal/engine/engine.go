@@ -16,8 +16,8 @@
 //     per-flow sensor writes stay shard-local, so there is no
 //     cross-shard register contention and no locking on the hot path
 //     beyond the pipeline's own table mutexes.
-//   - Telemetry-carried state needs no care at all: it rides in the
-//     per-packet blob exactly as on the wire.
+//   - Telemetry-carried state needs no care at all: it lives in the
+//     checker's telemetry slots for exactly one packet.
 //
 // Checkers whose verdicts depend only on packet-carried telemetry and
 // per-flow control/sensor state therefore produce byte-identical
@@ -44,7 +44,10 @@ import (
 	"repro/internal/reportbus"
 )
 
-// Checker is one compiled program the engine executes per packet.
+// Checker is one compiled program the engine executes per packet, on
+// the bytecode VM (RT.VM()). A runtime without a VM form — NoLink, or a
+// program bytecode.Compile refuses — is not executed: every hop it
+// would have run at counts one Counts.Errors and the packet moves on.
 type Checker struct {
 	Name string
 	RT   *compiler.Runtime
@@ -65,7 +68,8 @@ type Packet struct {
 	Len  uint32
 	Hops []Hop
 	// Index, when Config.Verdicts is set, selects the slot the packet's
-	// verdict is recorded into; -1 records nothing.
+	// verdict is recorded into; -1 (or any index outside Verdicts)
+	// records nothing.
 	Index int32
 }
 
@@ -99,8 +103,8 @@ type Counts struct {
 	Forwarded uint64
 	Rejected  uint64
 	Reports   uint64
-	// Errors counts checker executions that failed; like the netsim
-	// switch, an execution error never halts the packet.
+	// Errors counts checker hops that could not execute (see Checker);
+	// like the netsim switch, an execution error never halts the packet.
 	Errors     uint64
 	PerChecker []CheckerCounts
 }
@@ -118,7 +122,7 @@ type Config struct {
 	// Checkers are executed in order at every hop.
 	Checkers []Checker
 	// Verdicts, when non-nil, records each packet's verdict at
-	// Verdicts[Packet.Index].
+	// Verdicts[Packet.Index]; an index outside the slice records nothing.
 	Verdicts []Verdict
 	// KeepReports retains full report digests (returned by Reports).
 	// Off, only counts are kept — the right choice for replay
@@ -129,12 +133,6 @@ type Config struct {
 	// shared lock and a full ring drops (with accounting) instead of
 	// blocking the worker. Composable with KeepReports.
 	ReportBus *reportbus.Bus
-	// NoBatch disables the batched (checker-major) execution path,
-	// forcing hop-major per-packet execution through Checker.RT.RunHop
-	// (the VM on a pooled context, telemetry codec per hop). The engine
-	// also falls back automatically when a checker has no bytecode
-	// form, checks every hop, or can reject mid-trace.
-	NoBatch bool
 }
 
 // Engine executes checkers over submitted packets on sharded workers.
@@ -174,7 +172,10 @@ func New(cfg Config) *Engine {
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			s.run(&e.pool)
+			for batch := range s.in {
+				s.exec(batch)
+				e.pool.Put(batch[:0])
+			}
 		}()
 	}
 	return e
@@ -200,7 +201,7 @@ func (e *Engine) Install(checker string, switchID uint32, fn func(*pipeline.Stat
 		return errUnknownChecker(checker)
 	}
 	for _, s := range e.shards {
-		if err := fn(s.state(idx, switchID)); err != nil {
+		if err := fn(s.row(switchID)[idx]); err != nil {
 			return fmt.Errorf("engine: installing into %s on switch %d (shard %d): %w", checker, switchID, s.id, err)
 		}
 	}
@@ -218,8 +219,8 @@ func (e *Engine) Warm() {
 }
 
 func (s *shard) warm() {
-	for _, states := range s.states {
-		for _, st := range states {
+	for _, row := range s.rows {
+		for _, st := range row.st {
 			st.Warm()
 		}
 	}
@@ -299,7 +300,8 @@ func (e *Engine) counts() Counts {
 
 // Reports returns the merged report stream of a drained engine
 // (requires Config.KeepReports). The merge is deterministic: shard
-// order, and submission order within a shard.
+// order, submission order within a shard, hop-major (hop, then checker)
+// within a packet.
 func (e *Engine) Reports() []Report {
 	if !e.drained {
 		panic("engine: Reports before Drain")
@@ -316,8 +318,8 @@ func (e *Engine) Reports() []Report {
 
 // Header-binding paths the engine can provide, indexed by the hdr*
 // constants below. Per-checker bind plans map these dense indices to
-// HopEnv.SlotHeaders positions once at construction, so the per-packet
-// path writes a fixed value array — no map, no string hashing.
+// PHV slots once at construction, so the per-hop path copies from a
+// fixed value array — no map, no string hashing.
 const (
 	hdrInPort = iota // per-hop
 	hdrEgPort        // per-hop
@@ -364,116 +366,105 @@ var stdHdrPaths = [numStdHdrs]string{
 }
 
 // bindPair routes one engine-provided header value (hvals[src]) to one
-// checker's SlotHeaders[dst].
+// checker's PHV slot dst.
 type bindPair struct{ src, dst int }
 
+// stateRow is every checker's state on one switch, in Config.Checkers
+// order.
+type stateRow struct {
+	id uint32
+	st []*pipeline.State
+}
+
+// lane is one executable checker on one shard: its index in
+// Config.Checkers, the bytecode program, the resident context it runs
+// on, and the scatter plan from the shard's hvals into that context's
+// PHV. Binding paths the engine cannot supply keep their template value
+// (absent).
+type lane struct {
+	idx      int
+	vp       *bytecode.Prog
+	c        *bytecode.Ctx
+	binds    []bindPair
+	everyHop bool // RT.CheckEveryHop
+	// reported is how many of c.Reports the current packet's earlier
+	// hops already delivered.
+	reported int
+}
+
 type shard struct {
-	id     int
-	cfg    *Config
-	in     chan []Packet
-	states []map[uint32]*pipeline.State
-	// hvals holds this packet/hop's engine-provided header values;
-	// binds[i] scatters them into slotHeaders[i], which is laid out per
-	// Checkers[i].RT.Bindings(). Binding paths the engine cannot supply
-	// stay zero-width (absent), like a missing map key before.
-	hvals       [numStdHdrs]pipeline.Value
-	binds       [][]bindPair
-	slotHeaders [][]pipeline.Value
-	blobs       [][]byte
-	counts      Counts
-	perChecker  []CheckerCounts
-	reports     []Report
+	id  int
+	cfg *Config
+	in  chan []Packet
+	// rows holds this shard's state replicas, one row per switch. A
+	// row, once created, is never replaced, and paths touch a handful
+	// of switches, so the per-hop lookup is a short linear scan.
+	rows []stateRow
+	// lanes is this shard's execution state per checker that has a VM
+	// form, in Config.Checkers order; skipped counts the checkers that
+	// have none.
+	lanes   []lane
+	skipped uint64
+	// hvals holds the current packet's engine-provided header values;
+	// the two port entries are rewritten per hop.
+	hvals      [numStdHdrs]pipeline.Value
+	counts     Counts
+	perChecker []CheckerCounts
+	reports    []Report
 	// prod is this shard's ring producer on Config.ReportBus (nil when
 	// no bus is attached).
 	prod *reportbus.Producer
-
-	// Batched bytecode-VM execution state (see batch.go). batchVM is
-	// true when every checker qualifies; the vm* slices then hold one
-	// compiled program, one persistent context, and one direct PHV
-	// scatter plan per checker.
-	batchVM bool
-	vmProgs []*bytecode.Prog
-	vmCtxs  []*bytecode.Ctx
-	vmBinds [][]bindPair
-	// hot is a per-checker linear-scan cache over states: traces touch
-	// a handful of switches, so a 2-3 entry scan beats a map hash per
-	// checker-hop.
-	hot [][]swEnt
-	// Per-batch scratch, grown to the batch length.
-	hvBuf  [][numStdHdrs]pipeline.Value
-	rejBuf []bool
-	repBuf []int32
-}
-
-// swEnt is one entry of the shard's hot state cache.
-type swEnt struct {
-	id uint32
-	st *pipeline.State
 }
 
 func newShard(id int, cfg *Config) *shard {
 	s := &shard{
-		id:          id,
-		cfg:         cfg,
-		in:          make(chan []Packet, cfg.QueueDepth),
-		states:      make([]map[uint32]*pipeline.State, len(cfg.Checkers)),
-		binds:       make([][]bindPair, len(cfg.Checkers)),
-		slotHeaders: make([][]pipeline.Value, len(cfg.Checkers)),
-		blobs:       make([][]byte, len(cfg.Checkers)),
-		perChecker:  make([]CheckerCounts, len(cfg.Checkers)),
-	}
-	for i := range s.states {
-		s.states[i] = map[uint32]*pipeline.State{}
+		id:         id,
+		cfg:        cfg,
+		in:         make(chan []Packet, cfg.QueueDepth),
+		perChecker: make([]CheckerCounts, len(cfg.Checkers)),
 	}
 	if cfg.ReportBus != nil {
 		s.prod = cfg.ReportBus.RingProducer(fmt.Sprintf("engine-shard:%d", id))
 	}
 	for i, c := range cfg.Checkers {
-		bindings := c.RT.Bindings()
-		s.slotHeaders[i] = make([]pipeline.Value, len(bindings))
-		for dst, path := range bindings {
+		vp := c.RT.VM()
+		if vp == nil {
+			s.skipped++
+			continue
+		}
+		ln := lane{idx: i, vp: vp, c: vp.NewCtx(), everyHop: c.RT.CheckEveryHop}
+		slots := vp.BindSlots()
+		for bi, path := range vp.Bindings() {
 			for src, p := range stdHdrPaths {
 				if p == path {
-					s.binds[i] = append(s.binds[i], bindPair{src: src, dst: dst})
+					ln.binds = append(ln.binds, bindPair{src: src, dst: int(slots[bi])})
 					break
 				}
 			}
 		}
+		s.lanes = append(s.lanes, ln)
 	}
-	s.setupBatch()
 	return s
 }
 
-// state returns (creating on demand) this shard's replica of checker
-// i's state on the given switch.
-func (s *shard) state(i int, switchID uint32) *pipeline.State {
-	st, ok := s.states[i][switchID]
-	if !ok {
-		st = s.cfg.Checkers[i].RT.Prog.NewState()
-		s.states[i][switchID] = st
+// row returns (creating on demand) this shard's replicas of every
+// checker's state on the given switch.
+func (s *shard) row(switchID uint32) []*pipeline.State {
+	for i := range s.rows {
+		if s.rows[i].id == switchID {
+			return s.rows[i].st
+		}
 	}
+	st := make([]*pipeline.State, len(s.cfg.Checkers))
+	for i, c := range s.cfg.Checkers {
+		st[i] = c.RT.Prog.NewState()
+	}
+	s.rows = append(s.rows, stateRow{id: switchID, st: st})
 	return st
 }
 
-func (s *shard) run(pool *sync.Pool) {
-	for batch := range s.in {
-		if s.batchVM {
-			s.processBatch(batch)
-		} else {
-			for i := range batch {
-				s.process(&batch[i])
-			}
-		}
-		pool.Put(batch[:0])
-	}
-}
-
-// bindBase sets the packet-constant header bindings (the subset of
+// fillHvals sets the packet-constant header bindings (the subset of
 // netsim.BindPacketHeaders derivable from a 5-tuple trace record).
-func (s *shard) bindBase(p *Packet) {
-	fillHvals(p, &s.hvals)
-}
-
 func fillHvals(p *Packet, h *[numStdHdrs]pipeline.Value) {
 	isIPv4 := p.Key != (dataplane.FlowKey{})
 	h[hdrIPv4Valid] = pipeline.BoolV(isIPv4)
@@ -502,82 +493,102 @@ func fillHvals(p *Packet, h *[numStdHdrs]pipeline.Value) {
 	h[hdrSrcRoute0Valid] = pipeline.BoolV(false)
 }
 
-// process runs every checker over the packet's path, hop-major like the
-// netsim switch: at each hop all checkers execute; a reject halts the
-// packet at that hop.
-func (s *shard) process(p *Packet) {
-	s.counts.Packets++
-	s.bindBase(p)
-	for i := range s.blobs {
-		// Truncate, keeping capacity: the first hop decodes an empty
-		// blob, and ReuseBlob re-encodes into the same storage.
-		s.blobs[i] = s.blobs[i][:0]
+// exec is the engine's one execution loop: sharded workers,
+// Sequential.ProcessBatch and Sequential.Process all run it. Packets
+// execute one after another, hop-major like a netsim switch: at each
+// hop every checker runs init (first hop), telemetry, and the checker
+// block (last hop, or every hop under RT.CheckEveryHop) on its
+// resident context, whose telemetry slots carry the packet's
+// telemetry from hop to hop with no wire codec in between
+// (byte-equivalent: every telemetry write is width-masked on store).
+// Once all checkers have run at a hop where any of them rejected, the
+// packet halts there, so hops it never reached leave no register
+// write and no report — wherever in the program the reject was raised.
+//
+// BeginBatch revalidates the TCAM memo caches once per call and
+// lookups inside the call skip the version poll, so a concurrent
+// Install becomes visible with at most one batch of delay.
+func (s *shard) exec(batch []Packet) {
+	for i := range s.lanes {
+		s.lanes[i].vp.BeginBatch(s.lanes[i].c)
 	}
-	reject := false
-	var nReports int32
-	for h := range p.Hops {
-		hop := &p.Hops[h]
-		first, last := h == 0, h == len(p.Hops)-1
-		s.hvals[hdrInPort] = pipeline.B(8, uint64(hop.InPort))
-		s.hvals[hdrEgPort] = pipeline.B(8, uint64(hop.OutPort))
-		for i := range s.cfg.Checkers {
-			c := &s.cfg.Checkers[i]
-			sh := s.slotHeaders[i]
-			for _, bp := range s.binds[i] {
-				sh[bp.dst] = s.hvals[bp.src]
-			}
-			env := compiler.HopEnv{
-				State:       s.state(i, hop.SwitchID),
-				SwitchID:    hop.SwitchID,
-				SlotHeaders: sh,
-				PacketLen:   p.Len,
-				ReuseBlob:   true,
-			}
-			hr, err := c.RT.RunHop(s.blobs[i], env, first, last)
-			if err != nil {
-				s.counts.Errors++
-				continue
-			}
-			s.blobs[i] = hr.Blob
-			if n := len(hr.Reports); n > 0 {
-				s.counts.Reports += uint64(n)
-				s.perChecker[i].Reports += uint64(n)
-				nReports += int32(n)
-				if s.prod != nil {
-					at := s.cfg.ReportBus.Now()
-					for _, rep := range hr.Reports {
-						s.prod.Publish(reportbus.DigestFrom(c.Name, hop.SwitchID, at, rep))
-					}
+	for pi := range batch {
+		p := &batch[pi]
+		s.counts.Packets++
+		fillHvals(p, &s.hvals)
+		for i := range s.lanes {
+			ln := &s.lanes[i]
+			ln.c.BeginEphemeralReports()
+			ln.vp.BeginTrace(ln.c)
+			ln.reported = 0
+		}
+		reject := false
+		var nReports int32
+		for h := 0; h < len(p.Hops) && !reject; h++ {
+			hop := &p.Hops[h]
+			first, last := h == 0, h == len(p.Hops)-1
+			s.hvals[hdrInPort] = pipeline.B(8, uint64(hop.InPort))
+			s.hvals[hdrEgPort] = pipeline.B(8, uint64(hop.OutPort))
+			row := s.row(hop.SwitchID)
+			s.counts.Errors += s.skipped
+			for i := range s.lanes {
+				ln := &s.lanes[i]
+				vp, c := ln.vp, ln.c
+				vp.BeginHop(c, row[ln.idx], hop.SwitchID, int(p.Len), first, last)
+				for _, bp := range ln.binds {
+					c.PHV[bp.dst] = s.hvals[bp.src]
 				}
-				if s.cfg.KeepReports {
-					for _, rep := range hr.Reports {
-						args := make([]uint64, len(rep.Args))
-						for j, a := range rep.Args {
-							args[j] = a.V
-						}
-						s.reports = append(s.reports, Report{
-							Checker:  c.Name,
-							SwitchID: hop.SwitchID,
-							Args:     args,
-						})
-					}
+				if first {
+					vp.ExecInit(c)
 				}
-			}
-			if hr.Reject {
-				reject = true
-				s.perChecker[i].Rejected++
+				vp.ExecTelemetry(c)
+				if last || ln.everyHop {
+					vp.ExecChecker(c)
+				}
+				// c.Reports accumulates over the packet's hops (arena
+				// storage, recycled by the next packet).
+				if fresh := c.Reports[ln.reported:]; len(fresh) > 0 {
+					nReports += int32(len(fresh))
+					ln.reported = len(c.Reports)
+					s.raise(ln.idx, hop.SwitchID, fresh)
+				}
+				if vp.Reject(c) {
+					reject = true
+					s.perChecker[ln.idx].Rejected++
+				}
 			}
 		}
 		if reject {
-			break
+			s.counts.Rejected++
+		} else {
+			s.counts.Forwarded++
+		}
+		if uint(p.Index) < uint(len(s.cfg.Verdicts)) {
+			s.cfg.Verdicts[p.Index] = Verdict{Reject: reject, Reports: nReports}
 		}
 	}
-	if reject {
-		s.counts.Rejected++
-	} else {
-		s.counts.Forwarded++
+}
+
+// raise counts, publishes and (under KeepReports) retains the digests
+// checker i raised at one hop. reps is arena-backed and only valid
+// until the context's next packet, so retained digests are copied.
+func (s *shard) raise(i int, switchID uint32, reps []pipeline.Report) {
+	s.counts.Reports += uint64(len(reps))
+	s.perChecker[i].Reports += uint64(len(reps))
+	name := s.cfg.Checkers[i].Name
+	if s.prod != nil {
+		at := s.cfg.ReportBus.Now()
+		for _, r := range reps {
+			s.prod.Publish(reportbus.DigestFrom(name, switchID, at, r))
+		}
 	}
-	if s.cfg.Verdicts != nil && p.Index >= 0 {
-		s.cfg.Verdicts[p.Index] = Verdict{Reject: reject, Reports: nReports}
+	if s.cfg.KeepReports {
+		for _, r := range reps {
+			args := make([]uint64, len(r.Args))
+			for j, a := range r.Args {
+				args[j] = a.V
+			}
+			s.reports = append(s.reports, Report{Checker: name, SwitchID: switchID, Args: args})
+		}
 	}
 }

@@ -5,18 +5,21 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Sequential executes the exact per-packet code path the sharded
-// workers run, inline on the caller's goroutine against a single
-// (unsharded) state set. It is the ground-truth reference the parallel
-// engine is differentially tested against — the same role the eval
-// interpreter plays for the compiled pipeline.
+// Sequential is the inline single-shard driver: it runs the execution
+// loop of the sharded workers (shard.exec) on the caller's goroutine
+// against a single (unsharded) state set, with no dispatch queues
+// around it. The fleet worker and the benchmark run their packets
+// through it. It is not a reference semantics — the engine's oracle is
+// the map-interpreter replay in oracle_test.go.
 type Sequential struct {
 	cfg Config
 	s   *shard
+	// one backs Process's batch of one.
+	one [1]Packet
 }
 
-// NewSequential builds the single-state reference executor. Shards,
-// BatchSize and QueueDepth in cfg are ignored.
+// NewSequential builds the single-state executor. Shards, BatchSize and
+// QueueDepth in cfg are ignored.
 func NewSequential(cfg Config) *Sequential {
 	cfg.Shards = 1
 	return &Sequential{cfg: cfg, s: newShard(0, &cfg)}
@@ -26,7 +29,7 @@ func NewSequential(cfg Config) *Sequential {
 func (q *Sequential) Install(checker string, switchID uint32, fn func(*pipeline.State) error) error {
 	for i, c := range q.cfg.Checkers {
 		if c.Name == checker {
-			return fn(q.s.state(i, switchID))
+			return fn(q.s.row(switchID)[i])
 		}
 	}
 	return errUnknownChecker(checker)
@@ -36,22 +39,15 @@ func (q *Sequential) Install(checker string, switchID uint32, fn func(*pipeline.
 // replica created so far (see Engine.Warm).
 func (q *Sequential) Warm() { q.s.warm() }
 
-// Process runs all checkers over one packet.
-func (q *Sequential) Process(p Packet) { q.s.process(&p) }
-
-// ProcessBatch runs all checkers over a batch of packets through the
-// same path the sharded workers use: the batched bytecode-VM path when
-// every checker qualifies (see batch.go), otherwise the per-packet
-// loop.
-func (q *Sequential) ProcessBatch(pkts []Packet) {
-	if q.s.batchVM {
-		q.s.processBatch(pkts)
-		return
-	}
-	for i := range pkts {
-		q.s.process(&pkts[i])
-	}
+// Process runs all checkers over one packet: a batch of one.
+func (q *Sequential) Process(p Packet) {
+	q.one[0] = p
+	q.s.exec(q.one[:])
 }
+
+// ProcessBatch runs all checkers over a batch of packets, one packet
+// after another.
+func (q *Sequential) ProcessBatch(pkts []Packet) { q.s.exec(pkts) }
 
 // Counts returns the aggregate outcome so far.
 func (q *Sequential) Counts() Counts {
@@ -67,13 +63,13 @@ func (q *Sequential) Counts() Counts {
 // Reports returns the digests collected so far (requires KeepReports).
 func (q *Sequential) Reports() []Report { return q.s.reports }
 
-// VMContexts invokes f on each persistent batch-VM context and its
-// program, in checker order; a no-op when the batched path is
-// inactive. This exists for the arena-aliasing suite, which
-// deliberately poisons the contexts between batches to prove no
-// scratch value survives into the next packet's outcome.
+// VMContexts invokes f on each checker's resident context and its
+// program, in checker order (checkers without a VM form are skipped).
+// This exists for the arena-aliasing suite, which deliberately poisons
+// the contexts between batches to prove no scratch value survives into
+// the next packet's outcome.
 func (q *Sequential) VMContexts(f func(*bytecode.Prog, *bytecode.Ctx)) {
-	for i, c := range q.s.vmCtxs {
-		f(q.s.vmProgs[i], c)
+	for _, ln := range q.s.lanes {
+		f(ln.vp, ln.c)
 	}
 }

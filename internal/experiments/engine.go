@@ -14,29 +14,24 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// EngineReplayConfig parameterizes the sharded-engine campus replay:
-// the same synthetic trace as RunThroughput, executed by the
-// internal/engine worker pool instead of the event-driven simulator, to
-// measure how fast the software substrate can check packets.
+// EngineReplayConfig parameterizes the engine campus replay: the same
+// synthetic trace as RunThroughput, executed by internal/engine instead
+// of the event-driven simulator, to measure how fast the software
+// substrate can check packets.
 type EngineReplayConfig struct {
 	// Packets to replay (default 50,000).
 	Packets int
 	// Shards is the engine worker count; <= 0 means GOMAXPROCS.
+	// RunSequentialReplay ignores it.
 	Shards int
-	// BatchSize overrides the engine's dispatch batch size when > 0.
+	// BatchSize is the packets per dispatch batch (RunEngineReplay,
+	// engine default 64) or per ProcessBatch call (RunSequentialReplay,
+	// default 1).
 	BatchSize int
 	Seed      int64
 	// KeepVerdicts records every packet's individual verdict (used by
 	// the differential tests; costs one slice slot per packet).
 	KeepVerdicts bool
-	// NoLink pins every checker runtime to the map-based reference
-	// interpreter instead of the bytecode VM (used by the engine
-	// conformance tests as the ground truth).
-	NoLink bool
-	// NoBatch disables the batched (checker-major, resident-PHV) path,
-	// measuring hop-major per-packet execution through RunHop instead
-	// (the pre-batching shape).
-	NoBatch bool
 }
 
 // EngineReplayResult is the outcome of one engine replay.
@@ -54,12 +49,6 @@ type EngineReplayResult struct {
 // CorpusCheckers compiles every corpus checker into an engine checker
 // list (the §6.2 "All Checkers" configuration).
 func CorpusCheckers() ([]engine.Checker, error) {
-	return CorpusCheckersOpt(false)
-}
-
-// CorpusCheckersOpt is CorpusCheckers with an executor choice: noLink
-// pins the runtimes to the map-based reference interpreter.
-func CorpusCheckersOpt(noLink bool) ([]engine.Checker, error) {
 	var out []engine.Checker
 	for _, p := range checkers.All {
 		info, err := p.Parse()
@@ -70,7 +59,7 @@ func CorpusCheckersOpt(noLink bool) ([]engine.Checker, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, engine.Checker{Name: p.Key, RT: &compiler.Runtime{Prog: prog, NoLink: noLink}})
+		out = append(out, engine.Checker{Name: p.Key, RT: &compiler.Runtime{Prog: prog}})
 	}
 	return out, nil
 }
@@ -153,138 +142,98 @@ func ConfigureReplayEngine(install func(checker string, switchID uint32, fn func
 	return nil
 }
 
-// RunEngineReplay replays the campus trace through the sharded engine
-// with all corpus checkers attached and benignly configured.
-func RunEngineReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
+// replayFixture is what both replay drivers share: the compiled corpus,
+// the campus packets with their firewall seed, and the verdict slice.
+type replayFixture struct {
+	chks     []engine.Checker
+	pkts     []engine.Packet
+	pairs    [][2]uint32
+	verdicts []engine.Verdict
+}
+
+func newReplayFixture(cfg EngineReplayConfig) (replayFixture, error) {
 	if cfg.Packets == 0 {
 		cfg.Packets = 50_000
 	}
-	chks, err := CorpusCheckersOpt(cfg.NoLink)
+	chks, err := CorpusCheckers()
 	if err != nil {
-		return EngineReplayResult{}, err
+		return replayFixture{}, err
 	}
-	pkts, pairs := CampusEnginePackets(cfg.Packets, cfg.Seed)
-	var verdicts []engine.Verdict
+	f := replayFixture{chks: chks}
+	f.pkts, f.pairs = CampusEnginePackets(cfg.Packets, cfg.Seed)
 	if cfg.KeepVerdicts {
-		verdicts = make([]engine.Verdict, len(pkts))
+		f.verdicts = make([]engine.Verdict, len(f.pkts))
 	}
-	eng := engine.New(engine.Config{
-		Shards:    cfg.Shards,
-		BatchSize: cfg.BatchSize,
-		Checkers:  chks,
-		Verdicts:  verdicts,
-		NoBatch:   cfg.NoBatch,
-	})
-	if err := ConfigureReplayEngine(eng.Install, pairs); err != nil {
-		return EngineReplayResult{}, err
-	}
-	eng.Warm()
-	// Collect the install-phase garbage now so the replay's first GC
-	// cycle doesn't land mid-measurement (steady state is ~alloc-free).
+	return f, nil
+}
+
+// timed runs replay after collecting the install-phase garbage (so the
+// replay's first GC cycle doesn't land mid-measurement; steady state is
+// alloc-free) and fills in the result.
+func (f replayFixture) timed(shards int, replay func() engine.Counts) (EngineReplayResult, error) {
 	runtime.GC()
 	start := time.Now()
-	for i := range pkts {
-		eng.Submit(pkts[i])
-	}
-	counts := eng.Drain()
+	counts := replay()
 	wall := time.Since(start)
 	if wall <= 0 {
 		return EngineReplayResult{}, fmt.Errorf("experiments: empty engine replay")
 	}
 	return EngineReplayResult{
 		Counts:         counts,
-		Verdicts:       verdicts,
-		WallPktsPerSec: float64(cfg.Packets) / wall.Seconds(),
-		Shards:         eng.Shards(),
+		Verdicts:       f.verdicts,
+		WallPktsPerSec: float64(len(f.pkts)) / wall.Seconds(),
+		Shards:         shards,
 	}, nil
 }
 
-// RunSequentialReplay runs the identical workload through the
-// single-state reference executor — the ground truth the sharded runs
-// are compared against.
-func RunSequentialReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
-	if cfg.Packets == 0 {
-		cfg.Packets = 50_000
-	}
-	chks, err := CorpusCheckersOpt(cfg.NoLink)
+// RunEngineReplay replays the campus trace through the sharded engine
+// with all corpus checkers attached and benignly configured.
+func RunEngineReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
+	f, err := newReplayFixture(cfg)
 	if err != nil {
 		return EngineReplayResult{}, err
 	}
-	pkts, pairs := CampusEnginePackets(cfg.Packets, cfg.Seed)
-	var verdicts []engine.Verdict
-	if cfg.KeepVerdicts {
-		verdicts = make([]engine.Verdict, len(pkts))
-	}
-	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts, NoBatch: cfg.NoBatch})
-	if err := ConfigureReplayEngine(seq.Install, pairs); err != nil {
+	eng := engine.New(engine.Config{
+		Shards:    cfg.Shards,
+		BatchSize: cfg.BatchSize,
+		Checkers:  f.chks,
+		Verdicts:  f.verdicts,
+	})
+	if err := ConfigureReplayEngine(eng.Install, f.pairs); err != nil {
 		return EngineReplayResult{}, err
 	}
-	seq.Warm()
-	runtime.GC()
-	start := time.Now()
-	for i := range pkts {
-		seq.Process(pkts[i])
-	}
-	wall := time.Since(start)
-	if wall <= 0 {
-		return EngineReplayResult{}, fmt.Errorf("experiments: empty sequential replay")
-	}
-	return EngineReplayResult{
-		Counts:         seq.Counts(),
-		Verdicts:       verdicts,
-		WallPktsPerSec: float64(cfg.Packets) / wall.Seconds(),
-		Shards:         1,
-	}, nil
-}
-
-// RunBatchReplay measures the steady-state batched checking rate: the
-// identical workload to RunSequentialReplay, driven through
-// Sequential.ProcessBatch in BatchSize slices. This is the per-packet
-// cost of the bytecode-VM batched hot path itself, without the sharded
-// engine's dispatch queues around it — the number the
-// BenchmarkEngineBatch* benchmarks track and BENCH_baseline.json pins
-// as batch_pps.
-func RunBatchReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
-	if cfg.Packets == 0 {
-		cfg.Packets = 50_000
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 64
-	}
-	chks, err := CorpusCheckersOpt(cfg.NoLink)
-	if err != nil {
-		return EngineReplayResult{}, err
-	}
-	pkts, pairs := CampusEnginePackets(cfg.Packets, cfg.Seed)
-	var verdicts []engine.Verdict
-	if cfg.KeepVerdicts {
-		verdicts = make([]engine.Verdict, len(pkts))
-	}
-	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts, NoBatch: cfg.NoBatch})
-	if err := ConfigureReplayEngine(seq.Install, pairs); err != nil {
-		return EngineReplayResult{}, err
-	}
-	seq.Warm()
-	runtime.GC()
-	start := time.Now()
-	for lo := 0; lo < len(pkts); lo += batch {
-		hi := lo + batch
-		if hi > len(pkts) {
-			hi = len(pkts)
+	eng.Warm()
+	return f.timed(eng.Shards(), func() engine.Counts {
+		for i := range f.pkts {
+			eng.Submit(f.pkts[i])
 		}
-		seq.ProcessBatch(pkts[lo:hi])
+		return eng.Drain()
+	})
+}
+
+// RunSequentialReplay runs the identical workload inline through
+// engine.Sequential in BatchSize slices (default 1): the per-packet
+// cost of the engine's execution loop itself, without the sharded
+// engine's dispatch queues around it. At BatchSize 64 it is the number
+// the BenchmarkEngineBatch* benchmarks track and BENCH_baseline.json
+// pins as batch_pps.
+func RunSequentialReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
+	f, err := newReplayFixture(cfg)
+	if err != nil {
+		return EngineReplayResult{}, err
 	}
-	wall := time.Since(start)
-	if wall <= 0 {
-		return EngineReplayResult{}, fmt.Errorf("experiments: empty batch replay")
+	batch := max(cfg.BatchSize, 1)
+	seq := engine.NewSequential(engine.Config{Checkers: f.chks, Verdicts: f.verdicts})
+	if err := ConfigureReplayEngine(seq.Install, f.pairs); err != nil {
+		return EngineReplayResult{}, err
 	}
-	return EngineReplayResult{
-		Counts:         seq.Counts(),
-		Verdicts:       verdicts,
-		WallPktsPerSec: float64(cfg.Packets) / wall.Seconds(),
-		Shards:         1,
-	}, nil
+	seq.Warm()
+	return f.timed(1, func() engine.Counts {
+		for lo := 0; lo < len(f.pkts); lo += batch {
+			seq.ProcessBatch(f.pkts[lo:min(lo+batch, len(f.pkts))])
+		}
+		return seq.Counts()
+	})
 }
 
 // FormatEngineReplay renders one or more engine-replay results.
