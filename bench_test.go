@@ -276,8 +276,9 @@ func BenchmarkPHVSlots(b *testing.B) {
 }
 
 // BenchmarkTableLookup measures the match-action table hot paths: the
-// packed-key exact map, the wide-key (string fallback) exact map, and
-// the pre-sorted TCAM scan with compiled per-entry matchers.
+// packed-key exact map, the keyless (scalar control) table that skips
+// it, the wide-key (string fallback) exact map, and the pre-sorted TCAM
+// scan with compiled per-entry matchers.
 func BenchmarkTableLookup(b *testing.B) {
 	b.Run("exact-packed", func(b *testing.B) {
 		t := pipeline.NewTable("t", []pipeline.KeySpec{{Width: 32}, {Width: 16}},
@@ -294,6 +295,20 @@ func BenchmarkTableLookup(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, hit := t.LookupPacked(pipeline.PackedKey{uint64(i % 256), uint64(i % 16)}); !hit {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("keyless", func(b *testing.B) {
+		// A scalar control variable: no key columns, one entry.
+		t := pipeline.NewTable("t", nil, []pipeline.FieldRef{"ctrl.v"}, []pipeline.Value{pipeline.B(16, 0)})
+		if err := t.Insert(pipeline.Entry{Action: []pipeline.Value{pipeline.B(16, 7)}}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, hit := t.LookupPacked(pipeline.PackedKey{}); !hit {
 				b.Fatal("miss")
 			}
 		}

@@ -9,9 +9,9 @@
 // to the map interpreter, the reference it is tested against — the
 // difftest conformance suite replays the corpus, the frontier
 // counterexamples, and randomized programs through the Indus oracle,
-// the map reference, and the VM (per-hop wire roundtrip and resident
-// whole-trace), and demands byte-exact verdicts, report payloads, and
-// telemetry blobs.
+// the map reference, and the VM (per-hop wire roundtrip, resident
+// whole-trace, and linked with other programs into one Set), and demands
+// byte-exact verdicts, report payloads, and telemetry blobs.
 //
 // Layout decisions that make the VM fast:
 //
@@ -39,6 +39,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -125,6 +126,49 @@ type Instr struct {
 	D  int32
 }
 
+// opd says what one operand field of an instruction holds, for the
+// passes that walk code without executing it: the reset analysis and
+// the set linker.
+type opd uint8
+
+const (
+	opdNone   opd = iota
+	opdDst        // PHV slot written
+	opdSrc        // PHV slot read
+	opdJump       // jump target
+	opdApply      // index into applies
+	opdReg        // index into regs
+	opdArray      // index into arrays
+	opdReport     // index into reports
+)
+
+// shapes gives the meaning of Instr.A, B, C, D per opcode.
+var shapes = func() (t [opReport + 1][4]opd) {
+	for op := opBoolAnd; op <= opGe; op++ {
+		t[op] = [4]opd{opdDst, opdSrc, opdSrc} // opSelect, in their midst, is set below
+	}
+	for _, op := range []OpKind{opLoadF, opAssign, opNot, opBNot, opNeg, opAbs} {
+		t[op] = [4]opd{opdDst, opdSrc}
+	}
+	t[opSelect] = [4]opd{opdDst, opdSrc, opdSrc, opdSrc}
+	for op := opJzEq; op <= opJzOr; op++ {
+		t[op] = [4]opd{opdNone, opdSrc, opdSrc, opdJump}
+	}
+	t[opJmp] = [4]opd{opdJump}
+	t[opJz] = [4]opd{opdSrc, opdJump}
+	t[opJnz] = [4]opd{opdSrc, opdJump}
+	t[opApply] = [4]opd{opdApply}
+	t[opRegRead] = [4]opd{opdDst, opdReg, opdSrc}
+	t[opRegWrite] = [4]opd{opdReg, opdSrc, opdSrc}
+	t[opPush] = [4]opd{opdArray, opdSrc}
+	t[opSetSlot] = [4]opd{opdArray, opdSrc, opdSrc}
+	t[opReport] = [4]opd{opdReport}
+	return t
+}()
+
+// fields returns the operand fields in shapes order.
+func (in *Instr) fields() [4]*int32 { return [4]*int32{&in.A, &in.B, &in.C, &in.D} }
+
 // tempBase is the virtual slot index space for expression temporaries
 // during compilation; a relocation pass rebases them past the last
 // field/const slot once the full slot count is known. Real slot
@@ -141,19 +185,21 @@ type teleStep struct {
 
 // applySite is the side table for one ApplyOp.
 type applySite struct {
-	table int // declaration index
-	name  string
-	keys  []int32
-	outs  []int32
-	hit   int32
-	wide  bool  // more key columns than PackedKey holds
-	cache int32 // TCAM cache index; -1 for exact/wide sites
+	member int // index of the owning program's state in Ctx's row
+	table  int // declaration index
+	name   string
+	keys   []int32
+	outs   []int32
+	hit    int32
+	wide   bool  // more key columns than PackedKey holds
+	cache  int32 // TCAM cache index; -1 for exact/wide sites
 }
 
 // regSite resolves one register access.
 type regSite struct {
-	idx  int
-	name string
+	member int // as applySite.member
+	idx    int
+	name   string
 }
 
 // arraySite is the side table for header-stack ops.
@@ -166,22 +212,17 @@ type arraySite struct {
 
 // reportSite is the side table for one ReportOp.
 type reportSite struct {
-	args []int32
+	owner int32 // tag of the reports it raises (Ctx.Owners)
+	args  []int32
 }
 
-// Prog is the compiled bytecode form of a pipeline Program. One Prog is
-// built per program at install time and is safe for concurrent use; all
-// mutable execution state lives in Ctx.
-type Prog struct {
-	P *pipeline.Program
-
-	nSlots int // PHV length: fields + consts + temps
+// image is a linked executable: a PHV layout with its template and reset
+// plan, plus the side tables its code indexes. A Prog is the image of one
+// program, a Set of several; contexts, the reset, the header scatter and
+// the dispatch loop are defined on the image, so both run the same code.
+type image struct {
+	nSlots int // PHV length
 	nTele  int // telemetry region is slots [0, nTele)
-
-	init, tele, check []Instr
-
-	teleSteps []teleStep
-	teleBits  int
 
 	// template is the trace-start PHV image: decode-empty telemetry
 	// values, width-defaulted field slots, and constant values. The
@@ -193,14 +234,12 @@ type Prog struct {
 	arrays  []arraySite
 	reports []reportSite
 
-	slots     map[pipeline.FieldRef]int32
 	bindings  []string
 	bindSlots []int32
 
-	slotHops, slotReject, slotSwitch, slotPktLen, slotLast, slotFirst int32
+	slotSwitch, slotPktLen, slotLast, slotFirst int32
 
-	nTCAM   int
-	ctxPool sync.Pool
+	nTCAM int
 
 	// resetRuns are the [lo, hi) scratch slot ranges BeginHop restores
 	// from the template — the statically writable slots plus bind
@@ -210,9 +249,31 @@ type Prog struct {
 	// dirtySlots is every PHV slot some execution can write: telemetry,
 	// instruction destinations, binds, per-hop metadata, and expression
 	// temporaries. Constants and read-only field slots are absent — the
-	// VM never writes them, so a pooled context can never carry dirt
+	// VM never writes them, so a reused context can never carry dirt
 	// there. The arena-aliasing suite poisons exactly this set.
 	dirtySlots []int32
+}
+
+// Prog is the compiled bytecode form of a pipeline Program. One Prog is
+// built per program at install time and is safe for concurrent use; all
+// mutable execution state lives in Ctx.
+type Prog struct {
+	image
+	P *pipeline.Program
+
+	init, tele, check []Instr
+
+	teleSteps []teleStep
+	teleBits  int
+
+	slots      map[pipeline.FieldRef]int32
+	slotReject int32
+	ctxPool    sync.Pool
+
+	// For LinkSet: where the expression temporaries start, and the
+	// sorted slots behind resetRuns.
+	tempStart  int32
+	resetSlots []int32
 }
 
 // comp is the transient compilation state.
@@ -351,8 +412,7 @@ func (cp *comp) layout() error {
 			off = (off + 7) &^ 7
 		}
 	}
-	p.slotHops = cp.intern(pipeline.FieldHops)
-	addTele(p.slotHops, 8)
+	addTele(cp.intern(pipeline.FieldHops), 8)
 	for _, f := range p.P.Tele {
 		if f.IsArray {
 			addTele(cp.intern(pipeline.ArrayCount(f.Name)), 8)
@@ -814,7 +874,7 @@ func (cp *comp) relocate() {
 		}
 		return v
 	}
-	for _, code := range [][]Instr{p.init, p.tele, p.check} {
+	for _, code := range p.blocks() {
 		for i := range code {
 			code[i].A = fix(code[i].A)
 			code[i].B = fix(code[i].B)
@@ -836,8 +896,11 @@ func (cp *comp) relocate() {
 	// Temps join the template as zero values so whole-template copies
 	// cover the full PHV.
 	p.template = append(p.template, make([]pipeline.Value, cp.tempMax)...)
-	p.computeResetRuns(base)
+	p.tempStart = base
+	p.computeResetRuns()
 }
+
+func (p *Prog) blocks() [3][]Instr { return [3][]Instr{p.init, p.tele, p.check} }
 
 // computeResetRuns decides which scratch slots BeginHop must restore
 // to the template, coalesced into copy runs. Telemetry slots are
@@ -857,9 +920,9 @@ func (cp *comp) relocate() {
 // reads it from outside the bytecode after the trace), as are array
 // regions (their element stores index dynamically, which the linear
 // read/write scan does not track).
-func (p *Prog) computeResetRuns(tempStart int32) {
+func (p *Prog) computeResetRuns() {
 	scratch := func(si int32) bool {
-		return si >= int32(p.nTele) && si < tempStart
+		return si >= int32(p.nTele) && si < p.tempStart
 	}
 	writable := make(map[int32]bool)
 	add := func(si int32) {
@@ -867,47 +930,36 @@ func (p *Prog) computeResetRuns(tempStart int32) {
 			writable[si] = true
 		}
 	}
-	for _, code := range [][]Instr{p.init, p.tele, p.check} {
+	need := map[int32]bool{p.slotReject: true}
+	for _, code := range p.blocks() {
 		for i := range code {
-			switch code[i].Op {
-			case opAssign, opLoadF:
-				add(code[i].A)
-			case opRegRead:
-				add(code[i].A)
-			case opApply:
-				site := &p.applies[code[i].A]
-				for _, o := range site.outs {
-					add(o)
+			for f, v := range code[i].fields() {
+				switch shapes[code[i].Op][f] {
+				case opdDst: // expression ops write only statement-scoped temps
+					add(*v)
+				case opdApply:
+					site := &p.applies[*v]
+					for _, o := range site.outs {
+						add(o)
+					}
+					add(site.hit)
+				case opdArray:
+					site := &p.arrays[*v]
+					for s := site.start; s < site.start+site.capN; s++ {
+						add(s)
+						need[s] = true
+					}
+					add(site.cnt)
+					need[site.cnt] = true
 				}
-				add(site.hit)
-			case opPush, opSetSlot:
-				site := &p.arrays[code[i].A]
-				for s := site.start; s < site.start+site.capN; s++ {
-					add(s)
-				}
-				add(site.cnt)
-			default:
-				// Expression ops write only statement-scoped temps.
 			}
 		}
-	}
-	for _, si := range p.bindSlots {
-		add(si)
-	}
-
-	need := make(map[int32]bool, len(writable))
-	for _, code := range [][]Instr{p.init, p.tele, p.check} {
 		for si := range p.readBeforeWrite(code, scratch) {
 			need[si] = true
 		}
 	}
-	need[p.slotReject] = true
-	for i := range p.arrays {
-		site := &p.arrays[i]
-		for s := site.start; s < site.start+site.capN; s++ {
-			need[s] = true
-		}
-		need[site.cnt] = true
+	for _, si := range p.bindSlots {
+		add(si)
 	}
 
 	for si := int32(0); si < int32(p.nTele); si++ {
@@ -915,33 +967,36 @@ func (p *Prog) computeResetRuns(tempStart int32) {
 	}
 	for si := range writable {
 		p.dirtySlots = append(p.dirtySlots, si)
+		if need[si] {
+			p.resetSlots = append(p.resetSlots, si)
+		}
 	}
 	for _, si := range []int32{p.slotSwitch, p.slotPktLen, p.slotLast, p.slotFirst} {
-		if scratch(si) && !writable[si] {
+		if !writable[si] {
 			p.dirtySlots = append(p.dirtySlots, si)
 		}
 	}
-	for si := tempStart; si < int32(p.nSlots); si++ {
+	for si := p.tempStart; si < int32(p.nSlots); si++ {
 		p.dirtySlots = append(p.dirtySlots, si)
 	}
-	sort.Slice(p.dirtySlots, func(i, j int) bool { return p.dirtySlots[i] < p.dirtySlots[j] })
+	slices.Sort(p.dirtySlots)
+	slices.Sort(p.resetSlots)
+	p.resetRuns = coalesce(p.resetSlots)
+}
 
-	slots := make([]int32, 0, len(writable))
-	for si := range writable {
-		if need[si] {
-			slots = append(slots, si)
-		}
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	// Coalesce, bridging gaps of up to 4 slots: one slightly longer
-	// copy beats two loop iterations.
+// coalesce turns sorted slots into [lo, hi) copy runs, bridging gaps of
+// up to 4 slots: one slightly longer copy beats two loop iterations,
+// and restoring a scratch slot that did not need it is harmless.
+func coalesce(slots []int32) [][2]int32 {
+	var runs [][2]int32
 	for _, si := range slots {
-		if n := len(p.resetRuns); n > 0 && si-p.resetRuns[n-1][1] <= 4 {
-			p.resetRuns[n-1][1] = si + 1
+		if n := len(runs); n > 0 && si-runs[n-1][1] <= 4 {
+			runs[n-1][1] = si + 1
 			continue
 		}
-		p.resetRuns = append(p.resetRuns, [2]int32{si, si + 1})
+		runs = append(runs, [2]int32{si, si + 1})
 	}
+	return runs
 }
 
 // readBeforeWrite scans one block for the scratch slots it may read
@@ -960,68 +1015,34 @@ func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32
 		}
 	}
 	for i := range code {
-		in := &code[i]
 		uncond := i >= condUntil
 		dst := int32(-1)
-		jmp := -1
-		switch in.Op {
-		case opAssign, opLoadF, opNot, opBNot, opNeg, opAbs:
-			read(in.B)
-			dst = in.A
-		case opBoolAnd, opBoolOr, opAdd, opSub, opMul, opDiv, opMod,
-			opBAnd, opBOr, opBXor, opShl, opShr, opMax, opMin,
-			opEq, opNe, opLt, opLe, opGt, opGe:
-			read(in.B)
-			read(in.C)
-			dst = in.A
-		case opSelect:
-			read(in.B)
-			read(in.C)
-			read(in.D)
-			dst = in.A
-		case opJmp:
-			jmp = int(in.A)
-		case opJz, opJnz:
-			read(in.A)
-			jmp = int(in.B)
-		case opJzEq, opJzNe, opJzLt, opJzLe, opJzGt, opJzGe, opJzAnd, opJzOr:
-			read(in.B)
-			read(in.C)
-			jmp = int(in.D)
-		case opApply:
-			site := &p.applies[in.A]
-			for _, k := range site.keys {
-				read(k)
-			}
-			if uncond {
-				for _, o := range site.outs {
-					mustW[o] = true
+		for f, v := range code[i].fields() {
+			switch shapes[code[i].Op][f] {
+			case opdSrc:
+				read(*v)
+			case opdDst:
+				dst = *v
+			case opdJump:
+				condUntil = max(condUntil, int(*v))
+			case opdApply:
+				site := &p.applies[*v]
+				for _, k := range site.keys {
+					read(k)
 				}
-				mustW[site.hit] = true
+				if uncond {
+					for _, o := range site.outs {
+						mustW[o] = true
+					}
+					mustW[site.hit] = true
+				}
+			case opdArray:
+				read(p.arrays[*v].cnt)
+			case opdReport:
+				for _, a := range p.reports[*v].args {
+					read(a)
+				}
 			}
-		case opRegRead:
-			read(in.C)
-			dst = in.A
-		case opRegWrite:
-			read(in.B)
-			read(in.C)
-		case opPush:
-			site := &p.arrays[in.A]
-			read(site.cnt)
-			read(in.B)
-		case opSetSlot:
-			site := &p.arrays[in.A]
-			read(site.cnt)
-			read(in.B)
-			read(in.C)
-		case opReport:
-			site := &p.reports[in.A]
-			for _, a := range site.args {
-				read(a)
-			}
-		}
-		if jmp > condUntil {
-			condUntil = jmp
 		}
 		if dst >= 0 && uncond {
 			mustW[dst] = true
@@ -1034,23 +1055,18 @@ func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32
 // Introspection
 
 // NumSlots returns the PHV vector length.
-func (p *Prog) NumSlots() int { return p.nSlots }
+func (p *image) NumSlots() int { return p.nSlots }
 
 // NumInstrs returns the total instruction count across all blocks.
 func (p *Prog) NumInstrs() int { return len(p.init) + len(p.tele) + len(p.check) }
 
-// BlockSizes renders the per-block instruction counts for diagnostics.
-func (p *Prog) BlockSizes() string {
-	return fmt.Sprintf("init=%d tele=%d check=%d", len(p.init), len(p.tele), len(p.check))
-}
-
 // Bindings returns the header-binding paths the program reads, in the
 // order HopEnv.SlotHeaders must be laid out (sorted, deduplicated).
-func (p *Prog) Bindings() []string { return p.bindings }
+func (p *image) Bindings() []string { return p.bindings }
 
 // BindSlots returns the PHV slot for each Bindings() entry, so
 // embedders can precompute direct header scatter plans.
-func (p *Prog) BindSlots() []int32 { return p.bindSlots }
+func (p *image) BindSlots() []int32 { return p.bindSlots }
 
 // SlotOf resolves a field to its slot index, if the program references
 // it anywhere.
@@ -1059,14 +1075,10 @@ func (p *Prog) SlotOf(f pipeline.FieldRef) (int, bool) {
 	return int(s), ok
 }
 
-// ResetRuns exposes the per-hop restore ranges for diagnostics and
-// tests (shared backing; callers must not mutate).
-func (p *Prog) ResetRuns() [][2]int32 { return p.resetRuns }
-
 // DirtySlots returns every PHV slot index some execution can write —
 // the largest set of slots a reused context can carry stale values in
 // (shared backing; callers must not mutate). The aliasing suite
 // poisons exactly these between packets; constants and read-only field
 // slots stay pristine by construction, which is what makes skipping
 // their restore sound.
-func (p *Prog) DirtySlots() []int32 { return p.dirtySlots }
+func (p *image) DirtySlots() []int32 { return p.dirtySlots }

@@ -533,22 +533,23 @@ func TestBatchCacheRevalidation(t *testing.T) {
 	st := prog.NewState()
 	installTorture(t, st)
 
-	slot, ok := vp.SlotOf("tcam_t.out")
+	progSlot, ok := vp.SlotOf("tcam_t.out")
 	if !ok {
 		t.Fatal("tcam_t.out not interned")
 	}
+	set := bytecode.LinkSet([]bytecode.Member{{Prog: vp}})
+	slot := set.Slot(0, int32(progSlot))
+	row := []*pipeline.State{st}
 	run := func(c *bytecode.Ctx, h0 uint64) uint64 {
-		vp.BeginHop(c, st, 1, 100, true, true)
-		vp.BindHeaderSlots(c.PHV, []pipeline.Value{pipeline.B(8, h0)})
-		vp.ExecInit(c)
-		vp.ExecTelemetry(c)
+		set.BeginHop(c, row, 1, 100, true, false)
+		set.BindHeaderSlots(c.PHV, []pipeline.Value{pipeline.B(8, h0)})
+		set.Run(c, true, false) // init and telemetry
 		return c.PHV[slot].V
 	}
 
-	c := vp.AcquireCtx()
-	defer vp.ReleaseCtx(c)
+	c := set.NewCtx()
 
-	vp.BeginBatch(c)
+	set.BeginBatch(c)
 	if got := run(c, 0x04); got != 9 { // miss -> default
 		t.Fatalf("pre-install lookup = %d, want default 9", got)
 	}
@@ -565,7 +566,7 @@ func TestBatchCacheRevalidation(t *testing.T) {
 		t.Fatalf("mid-batch lookup = %d, want stale 9 (trusted cache)", got)
 	}
 	// …but the next batch boundary must see it.
-	vp.BeginBatch(c)
+	set.BeginBatch(c)
 	if got := run(c, 0x04); got != 77 {
 		t.Fatalf("post-BeginBatch lookup = %d, want 77", got)
 	}
@@ -590,31 +591,26 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 	headers := []pipeline.Value{
 		pipeline.B(8, 9), pipeline.B(8, 5), pipeline.B(8, 250), pipeline.B(8, 1),
 	}
-	c := vp.AcquireCtx()
-	defer vp.ReleaseCtx(c)
+	set := bytecode.LinkSet([]bytecode.Member{{Prog: vp}})
+	row := []*pipeline.State{st}
+	c := set.NewCtx()
 
 	var sink int
 	trace := func() {
 		c.BeginEphemeralReports()
-		vp.BeginTrace(c)
-		for i, hv := range headers {
-			vp.BeginHop(c, st, uint32(i%3+1), 100, i == 0, i == len(headers)-1)
-			vp.BindHeaderSlots(c.PHV, headers[i:i+1])
-			_ = hv
-			if i == 0 {
-				vp.ExecInit(c)
-			}
-			vp.ExecTelemetry(c)
-			if i == len(headers)-1 {
-				vp.ExecChecker(c)
-			}
+		set.BeginTrace(c)
+		for i := range headers {
+			first, last := i == 0, i == len(headers)-1
+			set.BeginHop(c, row, uint32(i%3+1), 100, first, last)
+			set.BindHeaderSlots(c.PHV, headers[i:i+1])
+			set.Run(c, first, last)
 		}
 		sink += len(c.Reports)
-		if vp.Reject(c) {
+		if set.Reject(c, 0) {
 			sink++
 		}
 	}
-	vp.BeginBatch(c)
+	set.BeginBatch(c)
 	for i := 0; i < 10; i++ { // warmup: caches, arena, report buffer
 		trace()
 	}
@@ -808,17 +804,18 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	hdr := []pipeline.Value{pipeline.B(8, 9)}
-	c := vp.AcquireCtx()
-	defer vp.ReleaseCtx(c)
+	set := bytecode.LinkSet([]bytecode.Member{{Prog: vp}})
+	row := []*pipeline.State{st}
+	c := set.NewCtx()
 	c.BeginEphemeralReports()
-	vp.BeginBatch(c)
-	vp.BeginTrace(c)
+	set.BeginBatch(c)
+	set.BeginTrace(c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vp.BeginHop(c, st, 1, 100, false, false)
-		vp.BindHeaderSlots(c.PHV, hdr)
-		vp.ExecTelemetry(c)
+		set.BeginHop(c, row, 1, 100, false, false)
+		set.BindHeaderSlots(c.PHV, hdr)
+		set.Run(c, false, false) // a middle hop: telemetry only
 		benchSink += c.PHV[0].V
 	}
 }

@@ -1,0 +1,192 @@
+package bytecode
+
+import (
+	"slices"
+
+	"repro/internal/pipeline"
+)
+
+// Member is one program of a Set: its compiled form (nil: no VM form, the
+// member is left out), its position in the state row BeginHop receives —
+// also the owner tag of its reports — and the §4.3 placement of its
+// checker block.
+type Member struct {
+	Prog          *Prog
+	Index         int
+	CheckEveryHop bool
+}
+
+// linked is a Member placed in the Set's PHV: slot maps its Prog's slot
+// numbering to the Set's, reject is its own reject flag.
+type linked struct {
+	Member
+	slot   []int32
+	reject int32
+}
+
+// Set is several programs linked into one image, the way the compiler
+// links every checker into one pipeline beside forwarding (§4.2): one
+// PHV, one reset, one header scatter and one dispatch run per hop.
+//
+// Each member keeps its own slot namespace (same-named variables never
+// meet; a header path two members bind has a slot in each) and its
+// telemetry region in wire order. Members share what no program can tell
+// apart: the four per-hop builtins, which only BeginHop writes (Indus
+// cannot assign them), and one region of statement-scoped expression
+// temporaries. The reset runs are the members' own, merged.
+//
+// The code is resolved by hop role at link time, so no first / last /
+// CheckEveryHop test runs per hop, and laid out checker-major (member
+// i's init, telemetry and checker blocks, then member i+1's): reports
+// and register writes happen in the order of running the members one
+// after another.
+type Set struct {
+	image
+	code    [4][]Instr // by role: bit 0 first hop, bit 1 last hop
+	members []linked
+}
+
+// LinkSet links the members that have a Prog, in order.
+func LinkSet(members []Member) *Set {
+	s := &Set{}
+	var nTemp int32
+	for _, m := range members {
+		if m.Prog != nil {
+			s.nTele += m.Prog.nTele
+			nTemp = max(nTemp, int32(m.Prog.nSlots)-m.Prog.tempStart)
+		}
+	}
+	// Layout: every telemetry region, the temporaries, the builtins,
+	// then each member's scratch slots.
+	tempBase := int32(s.nTele)
+	s.template = make([]pipeline.Value, s.nTele+int(nTemp)+4)
+	s.slotSwitch, s.slotPktLen, s.slotLast, s.slotFirst = tempBase+nTemp, tempBase+nTemp+1, tempBase+nTemp+2, tempBase+nTemp+3
+
+	var reset []int32
+	teleBase := int32(0)
+	for _, m := range members {
+		p := m.Prog
+		if p == nil {
+			continue
+		}
+		builtins := map[int32]int32{p.slotSwitch: s.slotSwitch, p.slotPktLen: s.slotPktLen, p.slotLast: s.slotLast, p.slotFirst: s.slotFirst}
+		slot := make([]int32, p.nSlots)
+		for sl := range slot {
+			sl := int32(sl)
+			if b, ok := builtins[sl]; ok {
+				slot[sl] = b
+			} else if sl >= p.tempStart {
+				slot[sl] = tempBase + sl - p.tempStart
+			} else if sl >= int32(p.nTele) {
+				slot[sl] = int32(len(s.template))
+				s.template = append(s.template, p.template[sl])
+			} else {
+				slot[sl] = teleBase + sl
+				s.template[slot[sl]] = p.template[sl]
+			}
+		}
+		teleBase += int32(p.nTele)
+		remap := func(slots []int32) []int32 {
+			out := make([]int32, len(slots))
+			for i, sl := range slots {
+				out[i] = slot[sl]
+			}
+			return out
+		}
+
+		base := [4]int32{int32(len(s.applies)), int32(len(s.regs)), int32(len(s.arrays)), int32(len(s.reports))}
+		for _, a := range p.applies {
+			a.member, a.keys, a.outs, a.hit = m.Index, remap(a.keys), remap(a.outs), slot[a.hit]
+			if a.cache >= 0 {
+				a.cache += int32(s.nTCAM)
+			}
+			s.applies = append(s.applies, a)
+		}
+		s.nTCAM += p.nTCAM
+		for _, r := range p.regs {
+			r.member = m.Index
+			s.regs = append(s.regs, r)
+		}
+		for _, a := range p.arrays {
+			a.start, a.cnt = slot[a.start], slot[a.cnt]
+			s.arrays = append(s.arrays, a)
+		}
+		for _, r := range p.reports {
+			s.reports = append(s.reports, reportSite{owner: int32(m.Index), args: remap(r.args)})
+		}
+		for role := range s.code {
+			if role&1 != 0 {
+				s.code[role] = relocate(s.code[role], p.init, slot, base)
+			}
+			s.code[role] = relocate(s.code[role], p.tele, slot, base)
+			if role&2 != 0 || m.CheckEveryHop {
+				s.code[role] = relocate(s.code[role], p.check, slot, base)
+			}
+		}
+
+		s.bindings = append(s.bindings, p.bindings...)
+		s.bindSlots = append(s.bindSlots, remap(p.bindSlots)...)
+		reset = append(reset, remap(p.resetSlots)...)
+		s.dirtySlots = append(s.dirtySlots, remap(p.dirtySlots)...)
+		s.members = append(s.members, linked{Member: m, slot: slot, reject: slot[p.slotReject]})
+	}
+	s.nSlots = len(s.template)
+	slices.Sort(reset)
+	s.resetRuns = coalesce(reset)
+	slices.Sort(s.dirtySlots)
+	s.dirtySlots = slices.Compact(s.dirtySlots)
+	return s
+}
+
+// relocate appends code to dst, rewritten for its place in a Set: slots
+// through the member's slot map, side-table indices past the tables of
+// the members before it, jump targets by its offset in dst.
+func relocate(dst, code []Instr, slot []int32, base [4]int32) []Instr {
+	off := int32(len(dst))
+	for _, in := range code {
+		for f, v := range in.fields() {
+			switch k := shapes[in.Op][f]; k {
+			case opdDst, opdSrc:
+				*v = slot[*v]
+			case opdJump:
+				*v += off
+			case opdApply, opdReg, opdArray, opdReport:
+				*v += base[k-opdApply]
+			}
+		}
+		dst = append(dst, in)
+	}
+	return dst
+}
+
+// Len returns the number of linked members; k below counts them.
+func (s *Set) Len() int { return len(s.members) }
+
+// Owner returns the k-th linked member's Member.Index.
+func (s *Set) Owner(k int) int { return s.members[k].Index }
+
+// Slot maps a slot of the k-th linked member's Prog to the Set's PHV.
+func (s *Set) Slot(k int, slot int32) int32 { return s.members[k].slot[slot] }
+
+// Run executes the hop's blocks of every member, member after member,
+// after BeginHop (row[Member.Index] is each member's state) and the
+// header scatter.
+func (s *Set) Run(c *Ctx, first, last bool) {
+	role := 0
+	if first {
+		role = 1
+	}
+	if last {
+		role |= 2
+	}
+	s.run(c, s.code[role])
+}
+
+// Reject reads the k-th linked member's verdict for the hop just run.
+func (s *Set) Reject(c *Ctx, k int) bool { return c.PHV[s.members[k].reject].Bool() }
+
+// EncodeTele is Prog.EncodeTele over the k-th linked member's region.
+func (s *Set) EncodeTele(k int, dst []byte, c *Ctx) []byte {
+	m := &s.members[k]
+	return m.Prog.EncodeTele(dst, c.PHV[m.slot[0]:])
+}

@@ -6,18 +6,24 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Ctx is the per-execution state of a bytecode program: the flat PHV,
-// the switch state, and the per-context TCAM lookup caches. A Ctx is
-// either pooled (AcquireCtx/ReleaseCtx, one execution at a time) or
+// Ctx is the per-execution state of an image (a Prog or a Set): the flat
+// PHV, the switch state, and the per-context TCAM lookup caches. A Ctx
+// is either pooled (AcquireCtx/ReleaseCtx, one execution at a time) or
 // resident: created once with NewCtx and owned by one embedder — an
 // engine shard, a netsim attachment — for its whole life.
 type Ctx struct {
-	PHV     []pipeline.Value
-	State   *pipeline.State
+	PHV []pipeline.Value
+	// Reports are the digests raised so far; Owners[i] tags Reports[i]
+	// with the Member.Index of the program that raised it (0 on a Prog).
 	Reports []pipeline.Report
+	Owners  []int32
 	// TableApplies and OpsExecuted mirror the interpreter's counters.
 	TableApplies int
 	OpsExecuted  int
+
+	// row is BeginHop's; one backs it when a Prog runs alone (RunHop).
+	row []*pipeline.State
+	one [1]*pipeline.State
 
 	caches []tcamCache
 	// wide is the reusable key buffer for applies of tables with more
@@ -55,6 +61,7 @@ func (c *Ctx) BeginEphemeralReports() {
 	}
 	c.ephemeral = true
 	c.Reports = c.ephReports[:0]
+	c.Owners = c.Owners[:0]
 	c.argArena = c.argArena[:0]
 }
 
@@ -125,10 +132,10 @@ func (sc *tcamCache) ent(t *pipeline.Table, trust bool) *tcamEnt {
 }
 
 // NewCtx returns a fresh context the caller owns for as long as it
-// likes, its PHV holding the program template (decode-empty telemetry,
+// likes, its PHV holding the template (decode-empty telemetry,
 // width-defaulted fields, constants). It must never be passed to
 // ReleaseCtx.
-func (p *Prog) NewCtx() *Ctx {
+func (p *image) NewCtx() *Ctx {
 	c := &Ctx{
 		PHV:    make([]pipeline.Value, p.nSlots),
 		caches: make([]tcamCache, p.nTCAM),
@@ -148,7 +155,8 @@ func (p *Prog) AcquireCtx() *Ctx {
 // ReleaseCtx resets a context and returns it to the pool. Reports
 // escape with the caller unless the execution was ephemeral.
 func (p *Prog) ReleaseCtx(c *Ctx) {
-	c.State = nil
+	c.row, c.one[0] = nil, nil
+	c.Owners = c.Owners[:0]
 	c.OpsExecuted, c.TableApplies = 0, 0
 	c.trustCaches = false
 	if c.ephemeral {
@@ -164,19 +172,20 @@ func (p *Prog) ReleaseCtx(c *Ctx) {
 // the slots across hops with no intermediate blob codec, which is
 // byte-equivalent to the per-hop roundtrip because every telemetry
 // slot write is already masked to its wire width.
-func (p *Prog) BeginTrace(c *Ctx) {
+func (p *image) BeginTrace(c *Ctx) {
 	copy(c.PHV[:p.nTele], p.template[:p.nTele])
 }
 
 // BeginHop resets the writable scratch slots to the template (the
 // compile-time resetRuns — constants, read-only fields, and
 // statement-scoped temps can't diverge, so they are skipped) and
-// installs the per-hop builtin metadata. Telemetry slots are left
+// installs the per-hop builtin metadata; row holds the switch's state
+// per program, indexed by the sites' member. Telemetry slots are left
 // untouched: they carry across hops in resident mode. The PHV is owned
 // by the VM between BeginTrace and the end of the trace; external
 // writes to non-bind slots between hops are not restored.
-func (p *Prog) BeginHop(c *Ctx, st *pipeline.State, switchID uint32, pktLen int, first, last bool) {
-	c.State = st
+func (p *image) BeginHop(c *Ctx, row []*pipeline.State, switchID uint32, pktLen int, first, last bool) {
+	c.row = row
 	phv := c.PHV
 	for _, r := range p.resetRuns {
 		copy(phv[r[0]:r[1]], p.template[r[0]:r[1]])
@@ -223,7 +232,8 @@ func (p *Prog) RunHop(c *Ctx, st *pipeline.State, in, dst []byte, hdrs []pipelin
 	if err := p.DecodeTele(in, c.PHV); err != nil {
 		return nil, err
 	}
-	p.BeginHop(c, st, switchID, pktLen, first, last)
+	c.one[0] = st
+	p.BeginHop(c, c.one[:], switchID, pktLen, first, last)
 	p.BindHeaderSlots(c.PHV, hdrs)
 	if blocks&BlockInit != 0 {
 		p.run(c, p.init)
@@ -240,7 +250,7 @@ func (p *Prog) RunHop(c *Ctx, st *pipeline.State, in, dst []byte, hdrs []pipelin
 // BeginBatch revalidates every TCAM cache entry once and arms
 // trust-caches mode: until the context is released or the next
 // BeginBatch, apply sites skip the per-lookup version poll.
-func (p *Prog) BeginBatch(c *Ctx) {
+func (p *image) BeginBatch(c *Ctx) {
 	for i := range c.caches {
 		for j := range c.caches[i].ents {
 			e := &c.caches[i].ents[j]
@@ -262,7 +272,7 @@ func (p *Prog) Reject(c *Ctx) bool { return c.PHV[p.slotReject].Bool() }
 // BindHeaderSlots copies bound header values into the PHV: vals[i]
 // corresponds to Bindings()[i], and a zero-width Value marks an absent
 // binding (matching a missing key in the map-based Headers env).
-func (p *Prog) BindHeaderSlots(phv []pipeline.Value, vals []pipeline.Value) {
+func (p *image) BindHeaderSlots(phv []pipeline.Value, vals []pipeline.Value) {
 	for i, s := range p.bindSlots {
 		if i >= len(vals) {
 			return
@@ -273,21 +283,12 @@ func (p *Prog) BindHeaderSlots(phv []pipeline.Value, vals []pipeline.Value) {
 	}
 }
 
-// ExecInit runs the init block.
-func (p *Prog) ExecInit(c *Ctx) { p.run(c, p.init) }
-
-// ExecTelemetry runs the telemetry block.
-func (p *Prog) ExecTelemetry(c *Ctx) { p.run(c, p.tele) }
-
-// ExecChecker runs the checker block.
-func (p *Prog) ExecChecker(c *Ctx) { p.run(c, p.check) }
-
 // run is the dispatch loop: one flat instruction array, one switch, no
 // closures, no interface values. Ops that correspond to IR ops bump
 // OpsExecuted exactly as the other executors do; the count accumulates
 // in a local so the loop isn't forced to reload the Ctx field after
 // every PHV store (the compiler can't prove phv doesn't alias c).
-func (p *Prog) run(c *Ctx, code []Instr) {
+func (p *image) run(c *Ctx, code []Instr) {
 	phv := c.PHV
 	ops := 0
 	for pc := 0; pc < len(code); {
@@ -468,13 +469,13 @@ func (p *Prog) run(c *Ctx, code []Instr) {
 		case opRegRead:
 			ops++
 			rs := &p.regs[in.B]
-			r := c.State.RegisterAt(rs.idx, rs.name)
+			r := c.row[rs.member].RegisterAt(rs.idx, rs.name)
 			phv[in.A] = pipeline.B(int(in.W), r.Read(int(phv[in.C].V)))
 
 		case opRegWrite:
 			ops++
 			rs := &p.regs[in.A]
-			r := c.State.RegisterAt(rs.idx, rs.name)
+			r := c.row[rs.member].RegisterAt(rs.idx, rs.name)
 			r.Write(int(phv[in.B].V), phv[in.C].V)
 
 		case opPush:
@@ -529,8 +530,8 @@ func binWidth(x, y pipeline.Value) int {
 // the table's lock-free snapshot; TCAM sites memoize through the
 // per-context set-associative cache; wide tables take the generic
 // slice path.
-func (p *Prog) runApply(c *Ctx, site *applySite) {
-	t := c.State.TableAt(site.table, site.name)
+func (p *image) runApply(c *Ctx, site *applySite) {
+	t := c.row[site.member].TableAt(site.table, site.name)
 	if site.wide {
 		nk := len(site.keys)
 		if cap(c.wide) < nk {
@@ -564,7 +565,7 @@ func (p *Prog) runApply(c *Ctx, site *applySite) {
 	p.writeOut(c, site, ce.action, ce.hit)
 }
 
-func (p *Prog) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit bool) {
+func (p *image) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit bool) {
 	for i, s := range site.outs {
 		c.PHV[s] = action[i]
 	}
@@ -572,7 +573,7 @@ func (p *Prog) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit bo
 	c.TableApplies++
 }
 
-func (p *Prog) runReport(c *Ctx, site *reportSite) {
+func (p *image) runReport(c *Ctx, site *reportSite) {
 	var vals []pipeline.Value
 	if c.ephemeral {
 		// Arena growth may move earlier reports' Args to a stale
@@ -590,6 +591,7 @@ func (p *Prog) runReport(c *Ctx, site *reportSite) {
 		}
 	}
 	c.Reports = append(c.Reports, pipeline.Report{Args: vals})
+	c.Owners = append(c.Owners, site.owner)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package compiler_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -598,5 +599,26 @@ func TestAlignedTelemetryEncoding(t *testing.T) {
 	}
 	if phv2.Get("hydra_header.visited_spine").V != 1 || phv2.Get(pipeline.FieldHops).V != 2 {
 		t.Fatal("aligned round trip lost fields")
+	}
+}
+
+// TestRuntimeVMErr: a program the bytecode VM refuses keeps its compile
+// error on the Runtime instead of silently degrading to "no VM form";
+// NoLink, which asks for none, and a compilable program report nil.
+func TestRuntimeVMErr(t *testing.T) {
+	broken := &pipeline.Program{Name: "broken", Telemetry: []pipeline.Op{pipeline.ApplyOp{Table: "undeclared"}}}
+	rt := &compiler.Runtime{Prog: broken}
+	if rt.VM() != nil {
+		t.Fatal("VM() of an uncompilable program is non-nil")
+	}
+	if err := rt.VMErr(); err == nil || !strings.Contains(err.Error(), "undeclared") {
+		t.Fatalf("VMErr() = %v, want the undeclared-table error", err)
+	}
+	if err := (&compiler.Runtime{Prog: broken, NoLink: true}).VMErr(); err != nil {
+		t.Fatalf("VMErr() under NoLink = %v, want nil", err)
+	}
+	ok := &compiler.Runtime{Prog: &pipeline.Program{Name: "ok"}}
+	if ok.VM() == nil || ok.VMErr() != nil {
+		t.Fatalf("compilable program: VM() nil=%v VMErr()=%v", ok.VM() == nil, ok.VMErr())
 	}
 }

@@ -17,8 +17,9 @@ import (
 // Runtime is the pooled per-call entry point: RunBlocks draws a VM
 // context from the program's pool, runs one hop through the wire codec
 // and releases it. Tests, difftest and netsim's map fallback call it;
-// the packet paths (a netsim attachment, an engine shard) take VM() and
-// drive bytecode.Prog.RunHop / BeginHop on a resident context they own.
+// the packet paths take VM() and run it on a resident context they own —
+// a netsim attachment through bytecode.Prog.RunHop, an engine linked
+// with the other checkers into one bytecode.Set.
 // NoLink forces the map-based interpreter, kept as the reference
 // semantics for differential testing; a program the VM cannot compile
 // runs on it too, which surfaces the same error at execution time.
@@ -34,6 +35,7 @@ type Runtime struct {
 
 	vmOnce sync.Once
 	vm     *bytecode.Prog
+	vmErr  error
 
 	// bindings caches the sorted header-binding paths the program reads;
 	// both executors bind headers in this order, and HopEnv.SlotHeaders
@@ -76,18 +78,21 @@ func (r *Runtime) Bindings() []string {
 }
 
 // VM returns the flat bytecode form of the program, compiling it on
-// first use, or nil when NoLink is set or compilation fails (execution
-// then falls back to the map interpreter).
+// first use, or nil when NoLink is set or compilation fails (VMErr says
+// why; execution then falls back to the map interpreter).
 func (r *Runtime) VM() *bytecode.Prog {
 	if r.NoLink {
 		return nil
 	}
-	r.vmOnce.Do(func() {
-		if vp, err := bytecode.Compile(r.Prog); err == nil {
-			r.vm = vp
-		}
-	})
+	r.vmOnce.Do(func() { r.vm, r.vmErr = bytecode.Compile(r.Prog) })
 	return r.vm
+}
+
+// VMErr returns the error that left the program without a VM form: nil
+// when VM() is non-nil, and nil under NoLink, which asks for none.
+func (r *Runtime) VMErr() error {
+	r.VM()
+	return r.vmErr
 }
 
 // HopEnv is the per-hop execution environment.
@@ -291,37 +296,59 @@ func (r *Runtime) RunTrace(envs []HopEnv) (TraceResult, error) {
 }
 
 // RunTraceVM executes a full path through the VM in resident-PHV mode:
-// telemetry stays in the slot vector between hops and the wire codec
-// runs only once, for the final blob. This is the engine's execution
-// shape for one checker; difftest replays every trace through it to pin
-// byte-equivalence with RunTrace's per-hop roundtrip.
+// RunTraceSet over this one program. difftest replays every trace
+// through it to pin byte-equivalence with RunTrace's per-hop roundtrip.
 func (r *Runtime) RunTraceVM(envs []HopEnv) (TraceResult, error) {
-	vp := r.VM()
-	if vp == nil {
-		return TraceResult{}, fmt.Errorf("compiler: bytecode backend unavailable")
+	res, err := RunTraceSet([]*Runtime{r}, [][]HopEnv{envs})
+	if err != nil {
+		return TraceResult{}, err
 	}
-	if len(envs) == 0 {
-		return TraceResult{}, fmt.Errorf("compiler: empty trace")
+	return res[0], nil
+}
+
+// RunTraceSet executes one path through several programs linked into one
+// bytecode.Set, the engine's execution shape: telemetry stays in the
+// slot vector between hops and the wire codec runs only once, for the
+// final blobs. envs[k][i] is program k's environment at hop i — its own
+// State and Headers; the hop's switch and packet length are envs[0]'s.
+func RunTraceSet(rts []*Runtime, envs [][]HopEnv) ([]TraceResult, error) {
+	members := make([]bytecode.Member, len(rts))
+	for k, r := range rts {
+		vp := r.VM()
+		if vp == nil {
+			return nil, fmt.Errorf("compiler: bytecode backend unavailable")
+		}
+		members[k] = bytecode.Member{Prog: vp, Index: k, CheckEveryHop: r.CheckEveryHop}
 	}
-	c := vp.AcquireCtx()
-	var res TraceResult
-	for i, env := range envs {
-		first, last := i == 0, i == len(envs)-1
-		vp.BeginHop(c, env.State, env.SwitchID, int(env.PacketLen), first, last)
-		vp.BindHeaderSlots(c.PHV, headerSlots(vp, &env))
-		if first {
-			vp.ExecInit(c)
+	if len(envs[0]) == 0 {
+		return nil, fmt.Errorf("compiler: empty trace")
+	}
+	set := bytecode.LinkSet(members)
+	c := set.NewCtx()
+	res := make([]TraceResult, len(rts))
+	row := make([]*pipeline.State, len(rts))
+	for i, hop := range envs[0] {
+		// Set.Bindings is the members' own, one after another.
+		var hdrs []pipeline.Value
+		for k := range rts {
+			row[k] = envs[k][i].State
+			at := len(hdrs)
+			hdrs = append(hdrs, make([]pipeline.Value, len(members[k].Prog.Bindings()))...)
+			copy(hdrs[at:], headerSlots(members[k].Prog, &envs[k][i]))
 		}
-		vp.ExecTelemetry(c)
-		if last || r.CheckEveryHop {
-			vp.ExecChecker(c)
-		}
-		if vp.Reject(c) {
-			res.Reject = true
+		first, last := i == 0, i == len(envs[0])-1
+		set.BeginHop(c, row, hop.SwitchID, int(hop.PacketLen), first, last)
+		set.BindHeaderSlots(c.PHV, hdrs)
+		set.Run(c, first, last)
+		for k := range res {
+			res[k].Reject = res[k].Reject || set.Reject(c, k)
 		}
 	}
-	res.Reports = c.Reports
-	res.FinalBlob = vp.EncodeTele(nil, c.PHV)
-	vp.ReleaseCtx(c)
+	for i, rep := range c.Reports {
+		res[c.Owners[i]].Reports = append(res[c.Owners[i]].Reports, rep)
+	}
+	for k := range res {
+		res[k].FinalBlob = set.EncodeTele(k, nil, c)
+	}
 	return res, nil
 }

@@ -145,12 +145,12 @@ func TestResidentHopAliasing(t *testing.T) {
 }
 
 // TestVMScratchAliasing is the pooled-context twin of the resident
-// suite: every corpus checker runs its golden traces through RunTraceVM (the
-// whole-trace resident-PHV path) on a runtime whose pooled VM contexts
+// suite: every corpus checker runs its golden traces through RunTrace
+// (one pooled context per hop) on a runtime whose pooled VM contexts
 // are scribbled with all-ones slots, stale reports, and bumped
 // counters between traces, with foreign dirt traces interleaved so the
 // per-site table caches hold another packet's entries. Outcomes must
-// be byte-identical to a pristine runtime: the per-trace template
+// be byte-identical to a pristine runtime: the per-acquire template
 // restore plus the per-hop reset runs must erase every poisoned slot
 // an execution could observe.
 func TestVMScratchAliasing(t *testing.T) {
@@ -168,7 +168,7 @@ func TestVMScratchAliasing(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build states: %v", err)
 				}
-				res, err := rt.RunTraceVM(aliasEnvs(comp, trace, states, false))
+				res, err := rt.RunTrace(aliasEnvs(comp, trace, states, false))
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -198,7 +198,7 @@ func TestVMScratchAliasing(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build states: %v", err)
 				}
-				if _, err := rt.RunTraceVM(aliasEnvs(comp, trace, states, true)); err != nil {
+				if _, err := rt.RunTrace(aliasEnvs(comp, trace, states, true)); err != nil {
 					t.Fatalf("dirt trace: %v", err)
 				}
 			}
@@ -236,13 +236,16 @@ func TestVMScratchAliasing(t *testing.T) {
 	}
 }
 
-// TestVMBatchArenaAliasing poisons the engine's resident per-checker
-// contexts between every packet. The engine makes one context per
-// checker at construction and reuses it for every packet — there is no
-// per-trace template copy, only BeginTrace's telemetry reset and
-// BeginHop's reset runs — so this is the strongest aliasing surface in
-// the system: any slot the reset analysis wrongly prunes leaks a
-// poisoned value straight into the next packet's verdict. A clean and
+// TestVMBatchArenaAliasing poisons the engine's resident context
+// between every packet: every slot of the linked checker set's
+// DirtySlots — the union over its members, the shared header and
+// builtin slots included. The engine makes one context per shard at
+// construction and reuses it for every packet — there is no per-trace
+// template copy, only BeginTrace's telemetry reset and BeginHop's
+// merged reset runs — so this is the strongest aliasing surface in
+// the system: any slot the reset analysis wrongly prunes, or the linker
+// wrongly shares, leaks a poisoned value straight into the next
+// packet's verdict. A clean and
 // a poisoned engine replay the same campus mix (with looped paths
 // spliced in so real rejects and reports are at stake) and must agree
 // on every verdict, count, and report byte.
@@ -288,16 +291,16 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 		// packet could leave. Constant and read-only field slots are
 		// excluded: nothing writes them, so a context can never carry
 		// stale values there (DirtySlots documents this contract).
-		dirty.VMContexts(func(vp *bytecode.Prog, c *bytecode.Ctx) {
-			for _, s := range vp.DirtySlots() {
-				c.PHV[s] = pipeline.B(64, ^uint64(0))
-			}
-			c.Reports = append(c.Reports, pipeline.Report{
-				Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
-			})
-			c.OpsExecuted += 997
-			c.TableApplies += 31
+		set, c := dirty.VMContext()
+		for _, s := range set.DirtySlots() {
+			c.PHV[s] = pipeline.B(64, ^uint64(0))
+		}
+		c.Reports = append(c.Reports, pipeline.Report{
+			Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
 		})
+		c.Owners = append(c.Owners, 3)
+		c.OpsExecuted += 997
+		c.TableApplies += 31
 		dirty.ProcessBatch(pkts2[i : i+1])
 	}
 

@@ -3,6 +3,7 @@ package difftest
 import (
 	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/checkers"
@@ -159,5 +160,86 @@ func TestConformanceCoversCorpus(t *testing.T) {
 			t.Fatalf("duplicate corpus key %s", p.Key)
 		}
 		seen[p.Key] = true
+	}
+}
+
+// initOnlySrc is a member whose init block alone does anything: past the
+// first hop it contributes no instruction to the linked code. It reuses
+// the names RandomProgram declares.
+const initOnlySrc = `
+tele bit<8> t8_0 = 3;
+sensor bit<8> s0 = 0;
+header bit<8> h0;
+control bit<8> c0;
+{ t8_0 = h0 + c0; s0 = h0; }
+{ }
+{ }
+`
+
+// TestSetConformanceRandom links random sets of 2–5 RandomProgram
+// programs and checks each set against the product of its members
+// (SetRunner). Every member declares the same variable names, so any
+// leak between slot namespaces shows. Some members swap the annotation
+// paths of their 8- and 16-bit headers, so one path is bound at
+// conflicting widths across the set, each member's slot at its own; some
+// run their checker at every hop among last-hop members, which is also
+// where mid-path rejects come from; some are initOnlySrc.
+func TestSetConformanceRandom(t *testing.T) {
+	seeds := 80
+	if testing.Short() {
+		seeds = 20
+	}
+	var rejects, everyHopRejects, reports int
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)*104729 + 17))
+		k := 2 + rng.Intn(4)
+		members := make([]*Compiled, k)
+		everyHop := make([]bool, k)
+		for m := range members {
+			src := RandomProgram(rng)
+			switch rng.Intn(5) {
+			case 0:
+				src = strings.Replace(src, "header bit<8> h0;", `header bit<8> h0 @ "hdr.h1";`, 1)
+				src = strings.Replace(src, "header bit<16> h1;", `header bit<16> h1 @ "hdr.h0";`, 1)
+			case 1:
+				src = initOnlySrc
+			}
+			c, err := CompileSource(src)
+			if err != nil {
+				t.Fatalf("seed %d member %d: %v\n%s", seed, m, err, src)
+			}
+			members[m], everyHop[m] = c, rng.Intn(3) == 0
+		}
+		s := NewSetRunner(members, everyHop)
+		cfg := newRandomConfig(rng)
+		for _, r := range s.Members {
+			installRandomState(&Harness{tb: t, r: r}, cfg, 3)
+		}
+		for trace := 0; trace < 3; trace++ {
+			hops := make([]HopSpec, 1+rng.Intn(4))
+			for i := range hops {
+				hops[i] = HopSpec{
+					SW:      uint32(1 + rng.Intn(3)),
+					Headers: map[string]uint64{"hdr.h0": cfg.value(8), "hdr.h1": cfg.value(16)},
+					PktLen:  uint32(64 + rng.Intn(1400)),
+				}
+			}
+			outs, err := s.RunTrace(hops)
+			if err != nil {
+				t.Fatalf("seed %d trace %d: %v", seed, trace, err)
+			}
+			for m, o := range outs {
+				reports += len(o.Reports)
+				if o.Reject {
+					rejects++
+					if everyHop[m] {
+						everyHopRejects++
+					}
+				}
+			}
+		}
+	}
+	if rejects == 0 || everyHopRejects == 0 || reports == 0 {
+		t.Fatalf("vacuous: %d rejects (%d under CheckEveryHop), %d reports", rejects, everyHopRejects, reports)
 	}
 }

@@ -61,51 +61,55 @@ func CompileCorpus(key string) (*Compiled, error) {
 	return CompileSource(p.Source)
 }
 
+// The pipeline backends, each with a state set of its own per switch:
+// the VM hop by hop through the wire codec, the map reference, the VM
+// resident over the whole trace, and a SetRunner's linked Set.
+const (
+	beVM = iota
+	beRef
+	beResident
+	beSet
+	nBackends
+)
+
 // Runner executes traces against every backend with mirrored
-// per-switch state (the VM gets two sets: one for its per-hop wire
-// roundtrip, one for its resident whole-trace mode). A Runner is single-use per state history: every
+// per-switch state. A Runner is single-use per state history: every
 // trace it runs mutates its registers and firewall-style dict state.
 type Runner struct {
 	c *Compiled
 
-	evalSw    map[uint32]*eval.SwitchState
-	pipeSw    map[uint32]*pipeline.State
-	pipeSwRef map[uint32]*pipeline.State
-	pipeSwVM  map[uint32]*pipeline.State
+	evalSw map[uint32]*eval.SwitchState
+	pipeSw map[uint32]*[nBackends]*pipeline.State
 }
 
 // NewRunner builds a fresh mirrored state set over the compiled program.
 func (c *Compiled) NewRunner() *Runner {
 	return &Runner{
-		c:         c,
-		evalSw:    map[uint32]*eval.SwitchState{},
-		pipeSw:    map[uint32]*pipeline.State{},
-		pipeSwRef: map[uint32]*pipeline.State{},
-		pipeSwVM:  map[uint32]*pipeline.State{},
+		c:      c,
+		evalSw: map[uint32]*eval.SwitchState{},
+		pipeSw: map[uint32]*[nBackends]*pipeline.State{},
 	}
 }
 
-func (r *Runner) sw(id uint32) (*eval.SwitchState, *pipeline.State) {
+func (r *Runner) sw(id uint32) (*eval.SwitchState, *[nBackends]*pipeline.State) {
 	if _, ok := r.evalSw[id]; !ok {
 		r.evalSw[id] = eval.NewSwitchState(id)
-		r.pipeSw[id] = r.c.Prog.NewState()
-		r.pipeSwRef[id] = r.c.Prog.NewState()
-		r.pipeSwVM[id] = r.c.Prog.NewState()
+		ps := new([nBackends]*pipeline.State)
+		for be := range ps {
+			ps[be] = r.c.Prog.NewState()
+		}
+		r.pipeSw[id] = ps
 	}
 	return r.evalSw[id], r.pipeSw[id]
 }
 
 // insert mirrors a table install into every pipeline backend's state.
 func (r *Runner) insert(id uint32, name string, e pipeline.Entry) error {
-	r.sw(id)
-	if err := r.pipeSw[id].Tables[name].Insert(e); err != nil {
-		return fmt.Errorf("install %s: %w", name, err)
-	}
-	if err := r.pipeSwRef[id].Tables[name].Insert(e); err != nil {
-		return fmt.Errorf("install %s (ref): %w", name, err)
-	}
-	if err := r.pipeSwVM[id].Tables[name].Insert(e); err != nil {
-		return fmt.Errorf("install %s (vm): %w", name, err)
+	_, ps := r.sw(id)
+	for be, st := range ps {
+		if err := st.Tables[name].Insert(e); err != nil {
+			return fmt.Errorf("install %s (backend %d): %w", name, be, err)
+		}
 	}
 	return nil
 }
@@ -247,57 +251,76 @@ type HopSpec struct {
 	PktLen  uint32
 }
 
-// RunTrace executes the trace on every backend — the eval interpreter,
-// the map-based pipeline, and the bytecode VM twice: hop by hop through
-// the wire codec (Prog.RunHop, the entry point netsim's switches and
-// NICs run) and resident across the whole trace (the engine's batch
-// shape) — and compares verdicts and report payloads across all of
-// them, plus byte-exact final telemetry blobs between the pipeline
-// executions. A disagreement returns a *Divergence error.
-func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
-	evalHops := make([]eval.Hop, len(trace))
-	pipeEnvs := make([]compiler.HopEnv, len(trace))
-	refEnvs := make([]compiler.HopEnv, len(trace))
-	vmEnvs := make([]compiler.HopEnv, len(trace))
+func (hs HopSpec) pktLen() uint32 {
+	if hs.PktLen == 0 {
+		return 100
+	}
+	return hs.PktLen
+}
+
+// envs builds every pipeline backend's hop environments for a trace:
+// each backend's own state, and the same headers keyed by annotation
+// path at their declared widths.
+func (r *Runner) envs(trace []HopSpec) (out [nBackends][]compiler.HopEnv, err error) {
 	for i, hs := range trace {
-		es, ps := r.sw(hs.SW)
-		pktLen := hs.PktLen
-		if pktLen == 0 {
-			pktLen = 100
-		}
-		headers := map[string]eval.Value{}
-		pipeHeaders := map[string]pipeline.Value{}
+		hdrs := map[string]pipeline.Value{}
 		for name, v := range hs.Headers {
 			d, ok := r.c.Info.Decls[name]
 			if !ok {
-				return Outcome{}, fmt.Errorf("hop %d: undeclared header %q", i, name)
+				return out, fmt.Errorf("hop %d: undeclared header %q", i, name)
 			}
-			headers[name] = valueFor(d.Type, v)
 			w := 1
 			if bt, ok := d.Type.(ast.BitType); ok {
 				w = bt.Width
 			}
-			pipeHeaders[r.c.Prog.HeaderBindings[name]] = pipeline.B(w, v)
+			hdrs[r.c.Prog.HeaderBindings[name]] = pipeline.B(w, v)
 		}
-		evalHops[i] = eval.Hop{Switch: es, Headers: headers, PacketLen: pktLen}
-		pipeEnvs[i] = compiler.HopEnv{State: ps, SwitchID: hs.SW, Headers: pipeHeaders, PacketLen: pktLen}
-		refEnvs[i] = compiler.HopEnv{State: r.pipeSwRef[hs.SW], SwitchID: hs.SW, Headers: pipeHeaders, PacketLen: pktLen}
-		vmEnvs[i] = compiler.HopEnv{State: r.pipeSwVM[hs.SW], SwitchID: hs.SW, Headers: pipeHeaders, PacketLen: pktLen}
+		_, ps := r.sw(hs.SW)
+		for be, st := range ps {
+			out[be] = append(out[be], compiler.HopEnv{State: st, SwitchID: hs.SW, Headers: hdrs, PacketLen: hs.pktLen()})
+		}
+	}
+	return out, nil
+}
+
+// RunTrace executes the trace on every backend — the eval interpreter,
+// the map-based pipeline, and the bytecode VM twice: hop by hop through
+// the wire codec (Prog.RunHop, the entry point netsim's switches and
+// NICs run) and resident across the whole trace (a bytecode.Set of this
+// one program, the engine's shape) — and compares verdicts and report
+// payloads across all of them, plus byte-exact final telemetry blobs
+// between the pipeline executions. A disagreement returns a *Divergence
+// error.
+func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
+	evalHops := make([]eval.Hop, len(trace))
+	for i, hs := range trace {
+		es, _ := r.sw(hs.SW)
+		headers := map[string]eval.Value{}
+		for name, v := range hs.Headers {
+			if d, ok := r.c.Info.Decls[name]; ok {
+				headers[name] = valueFor(d.Type, v)
+			}
+		}
+		evalHops[i] = eval.Hop{Switch: es, Headers: headers, PacketLen: hs.pktLen()}
+	}
+	envs, err := r.envs(trace)
+	if err != nil {
+		return Outcome{}, err
 	}
 
 	want, err := r.c.m.RunTrace(evalHops)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("interpreter: %w", err)
 	}
-	got, err := r.c.rt.RunTrace(pipeEnvs)
+	got, err := r.c.rt.RunTrace(envs[beVM])
 	if err != nil {
 		return Outcome{}, fmt.Errorf("bytecode vm (per-hop): %w", err)
 	}
-	ref, err := r.c.rtRef.RunTrace(refEnvs)
+	ref, err := r.c.rtRef.RunTrace(envs[beRef])
 	if err != nil {
 		return Outcome{}, fmt.Errorf("map pipeline: %w", err)
 	}
-	vm, err := r.c.rt.RunTraceVM(vmEnvs)
+	vm, err := r.c.rt.RunTraceVM(envs[beResident])
 	if err != nil {
 		return Outcome{}, fmt.Errorf("bytecode vm (resident): %w", err)
 	}
@@ -319,13 +342,9 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	if len(got.Reports) != len(want.Reports) {
 		return Outcome{}, &Divergence{pair, fmt.Sprintf("report count: pipeline %d, interpreter %d", len(got.Reports), len(want.Reports))}
 	}
-	var reports [][]uint64
-	for i := range got.Reports {
+	out := outcomeOf(got)
+	for i, gotArgs := range out.Reports {
 		wantArgs := flattenEvalArgs(want.Reports[i].Args)
-		gotArgs := make([]uint64, len(got.Reports[i].Args))
-		for j, v := range got.Reports[i].Args {
-			gotArgs[j] = v.V
-		}
 		if len(gotArgs) != len(wantArgs) {
 			return Outcome{}, &Divergence{pair, fmt.Sprintf("report %d arity: %v vs %v", i, gotArgs, wantArgs)}
 		}
@@ -334,9 +353,8 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 				return Outcome{}, &Divergence{pair, fmt.Sprintf("report %d arg %d: pipeline %d, interpreter %d", i, j, gotArgs[j], wantArgs[j])}
 			}
 		}
-		reports = append(reports, gotArgs)
 	}
-	return Outcome{Reject: got.Reject, Reports: reports, FinalBlob: got.FinalBlob}, nil
+	return out, nil
 }
 
 // diffTraces compares two pipeline executions of one trace bit for bit.

@@ -1,0 +1,73 @@
+package difftest_test
+
+import (
+	"testing"
+
+	"repro/internal/checkers"
+	"repro/internal/difftest"
+)
+
+// TestSetConformanceCorpus links all 12 corpus checkers into one
+// bytecode.Set — the program the engine runs — and replays every golden
+// trace and every committed frontier pair through it. SetRunner demands,
+// per member, the verdict, reports in order and final telemetry bytes of
+// that member's solo run (oracle ≡ map reference ≡ VM); on top of that
+// the checker the trace was written for must keep its pinned verdict
+// with eleven other programs sharing its PHV.
+func TestSetConformanceCorpus(t *testing.T) {
+	corpus, err := difftest.CompileCorpusSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := map[string]int{}
+	for k, p := range checkers.All {
+		index[p.Key] = k
+	}
+	replay := func(s *difftest.SetRunner, key string, trace []difftest.HopSpec) difftest.Outcome {
+		t.Helper()
+		outs, err := s.RunTrace(corpus[index[key]].ByPath(trace))
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		return outs[index[key]]
+	}
+	fresh := func() *difftest.SetRunner {
+		t.Helper()
+		s, err := difftest.NewCorpusSetRunner(corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	// One long-lived runner takes every golden trace in turn, so sensor
+	// state and the resident context carry from trace to trace.
+	resident := fresh()
+	for _, gt := range goldenTraces {
+		if out := replay(fresh(), gt.key, gt.conform); out.Violation() {
+			t.Errorf("%s: conforming golden trace flagged in the set: %+v", gt.key, out)
+		}
+		if out := replay(fresh(), gt.key, gt.violate); !out.Violation() {
+			t.Errorf("%s: violating golden trace passed in the set", gt.key)
+		}
+		replay(resident, gt.key, gt.conform)
+		replay(resident, gt.key, gt.violate)
+	}
+
+	files, err := difftest.LoadFrontierDir(difftest.FrontierSeedDir)
+	if err != nil {
+		t.Fatalf("loading frontier corpus: %v", err)
+	}
+	for _, f := range files {
+		for i, pair := range f.Pairs {
+			c := replay(fresh(), f.Checker, difftest.HopSpecs(pair.Conform))
+			if c.Reject != pair.ConformVerdict.Reject || len(c.Reports) != pair.ConformVerdict.Reports {
+				t.Errorf("%s pair %d conform (%s): pinned %+v, set %+v", f.Checker, i, pair.Cond, pair.ConformVerdict, c)
+			}
+			v := replay(fresh(), f.Checker, difftest.HopSpecs(pair.Violate))
+			if v.Reject != pair.ViolateVerdict.Reject || len(v.Reports) != pair.ViolateVerdict.Reports {
+				t.Errorf("%s pair %d violate (%s): pinned %+v, set %+v", f.Checker, i, pair.Cond, pair.ViolateVerdict, v)
+			}
+		}
+	}
+}

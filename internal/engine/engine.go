@@ -35,6 +35,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/bytecode"
@@ -46,8 +47,9 @@ import (
 
 // Checker is one compiled program the engine executes per packet, on
 // the bytecode VM (RT.VM()). A runtime without a VM form — NoLink, or a
-// program bytecode.Compile refuses — is not executed: every hop it
-// would have run at counts one Counts.Errors and the packet moves on.
+// program bytecode.Compile refuses (RT.VMErr()) — is not executed: every
+// hop it would have run at counts one Counts.Errors and the packet
+// moves on.
 type Checker struct {
 	Name string
 	RT   *compiler.Runtime
@@ -166,8 +168,9 @@ func New(cfg Config) *Engine {
 		pending:  make([][]Packet, cfg.Shards),
 	}
 	e.pool.New = func() any { return make([]Packet, 0, cfg.BatchSize) }
+	set, binds := link(cfg.Checkers)
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(i, &cfg)
+		s := newShard(i, &cfg, set, binds)
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
 		go func() {
@@ -190,20 +193,21 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // installs during a run go through the pipeline table mutexes and are
 // safe, but replica creation is not).
 func (e *Engine) Install(checker string, switchID uint32, fn func(*pipeline.State) error) error {
-	idx := -1
-	for i, c := range e.cfg.Checkers {
-		if c.Name == checker {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return errUnknownChecker(checker)
-	}
 	for _, s := range e.shards {
-		if err := fn(s.row(switchID)[idx]); err != nil {
-			return fmt.Errorf("engine: installing into %s on switch %d (shard %d): %w", checker, switchID, s.id, err)
+		if err := s.install(checker, switchID, fn); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+func (s *shard) install(checker string, switchID uint32, fn func(*pipeline.State) error) error {
+	idx := slices.IndexFunc(s.cfg.Checkers, func(c Checker) bool { return c.Name == checker })
+	if idx < 0 {
+		return fmt.Errorf("engine: unknown checker %q", checker)
+	}
+	if err := fn(s.row(switchID)[idx]); err != nil {
+		return fmt.Errorf("engine: installing into %s on switch %d (shard %d): %w", checker, switchID, s.id, err)
 	}
 	return nil
 }
@@ -224,10 +228,6 @@ func (s *shard) warm() {
 			st.Warm()
 		}
 	}
-}
-
-func errUnknownChecker(name string) error {
-	return fmt.Errorf("engine: unknown checker %q", name)
 }
 
 // ShardOf returns the shard index a flow key maps to.
@@ -279,12 +279,14 @@ func (e *Engine) Drain() Counts {
 	return e.counts()
 }
 
-func (e *Engine) counts() Counts {
-	total := Counts{PerChecker: make([]CheckerCounts, len(e.cfg.Checkers))}
-	for i, c := range e.cfg.Checkers {
+func (e *Engine) counts() Counts { return mergeCounts(e.cfg.Checkers, e.shards...) }
+
+func mergeCounts(chks []Checker, shards ...*shard) Counts {
+	total := Counts{PerChecker: make([]CheckerCounts, len(chks))}
+	for i, c := range chks {
 		total.PerChecker[i].Name = c.Name
 	}
-	for _, s := range e.shards {
+	for _, s := range shards {
 		total.Packets += s.counts.Packets
 		total.Forwarded += s.counts.Forwarded
 		total.Rejected += s.counts.Rejected
@@ -365,8 +367,8 @@ var stdHdrPaths = [numStdHdrs]string{
 	hdrSrcRoute0Valid: "hdr.srcRoutes[0].$valid$",
 }
 
-// bindPair routes one engine-provided header value (hvals[src]) to one
-// checker's PHV slot dst.
+// bindPair routes one engine-provided header value (hvals[src]) to PHV
+// slot dst of the linked checker set.
 type bindPair struct{ src, dst int }
 
 // stateRow is every checker's state on one switch, in Config.Checkers
@@ -374,22 +376,6 @@ type bindPair struct{ src, dst int }
 type stateRow struct {
 	id uint32
 	st []*pipeline.State
-}
-
-// lane is one executable checker on one shard: its index in
-// Config.Checkers, the bytecode program, the resident context it runs
-// on, and the scatter plan from the shard's hvals into that context's
-// PHV. Binding paths the engine cannot supply keep their template value
-// (absent).
-type lane struct {
-	idx      int
-	vp       *bytecode.Prog
-	c        *bytecode.Ctx
-	binds    []bindPair
-	everyHop bool // RT.CheckEveryHop
-	// reported is how many of c.Reports the current packet's earlier
-	// hops already delivered.
-	reported int
 }
 
 type shard struct {
@@ -400,11 +386,12 @@ type shard struct {
 	// row, once created, is never replaced, and paths touch a handful
 	// of switches, so the per-hop lookup is a short linear scan.
 	rows []stateRow
-	// lanes is this shard's execution state per checker that has a VM
-	// form, in Config.Checkers order; skipped counts the checkers that
-	// have none.
-	lanes   []lane
-	skipped uint64
+	// set is the engine's checkers linked into one program, shared
+	// read-only by all shards, and binds the scatter plan from hvals into
+	// its PHV; c is the resident context this shard runs it on.
+	set   *bytecode.Set
+	binds []bindPair
+	c     *bytecode.Ctx
 	// hvals holds the current packet's engine-provided header values;
 	// the two port entries are rewritten per hop.
 	hvals      [numStdHdrs]pipeline.Value
@@ -416,33 +403,38 @@ type shard struct {
 	prod *reportbus.Producer
 }
 
-func newShard(id int, cfg *Config) *shard {
+// link builds the one program an engine runs: every checker that has a
+// VM form, its Config.Checkers index as row position and report owner.
+// Binding paths the engine cannot supply keep their template value
+// (absent).
+func link(chks []Checker) (*bytecode.Set, []bindPair) {
+	members := make([]bytecode.Member, len(chks))
+	for i, c := range chks {
+		members[i] = bytecode.Member{Prog: c.RT.VM(), Index: i, CheckEveryHop: c.RT.CheckEveryHop}
+	}
+	set := bytecode.LinkSet(members)
+	var binds []bindPair
+	slots := set.BindSlots()
+	for bi, path := range set.Bindings() {
+		if src := slices.Index(stdHdrPaths[:], path); src >= 0 {
+			binds = append(binds, bindPair{src: src, dst: int(slots[bi])})
+		}
+	}
+	return set, binds
+}
+
+func newShard(id int, cfg *Config, set *bytecode.Set, binds []bindPair) *shard {
 	s := &shard{
 		id:         id,
 		cfg:        cfg,
 		in:         make(chan []Packet, cfg.QueueDepth),
+		set:        set,
+		binds:      binds,
+		c:          set.NewCtx(),
 		perChecker: make([]CheckerCounts, len(cfg.Checkers)),
 	}
 	if cfg.ReportBus != nil {
 		s.prod = cfg.ReportBus.RingProducer(fmt.Sprintf("engine-shard:%d", id))
-	}
-	for i, c := range cfg.Checkers {
-		vp := c.RT.VM()
-		if vp == nil {
-			s.skipped++
-			continue
-		}
-		ln := lane{idx: i, vp: vp, c: vp.NewCtx(), everyHop: c.RT.CheckEveryHop}
-		slots := vp.BindSlots()
-		for bi, path := range vp.Bindings() {
-			for src, p := range stdHdrPaths {
-				if p == path {
-					ln.binds = append(ln.binds, bindPair{src: src, dst: int(slots[bi])})
-					break
-				}
-			}
-		}
-		s.lanes = append(s.lanes, ln)
 	}
 	return s
 }
@@ -496,10 +488,10 @@ func fillHvals(p *Packet, h *[numStdHdrs]pipeline.Value) {
 // exec is the engine's one execution loop: sharded workers,
 // Sequential.ProcessBatch and Sequential.Process all run it. Packets
 // execute one after another, hop-major like a netsim switch: at each
-// hop every checker runs init (first hop), telemetry, and the checker
-// block (last hop, or every hop under RT.CheckEveryHop) on its
-// resident context, whose telemetry slots carry the packet's
-// telemetry from hop to hop with no wire codec in between
+// hop the linked set runs every checker's init (first hop), telemetry,
+// and checker block (last hop, or every hop under RT.CheckEveryHop) on
+// the shard's resident context, whose telemetry slots carry the
+// packet's telemetry from hop to hop with no wire codec in between
 // (byte-equivalent: every telemetry write is width-masked on store).
 // Once all checkers have run at a hop where any of them rejected, the
 // packet halts there, so hops it never reached leave no register
@@ -509,52 +501,49 @@ func fillHvals(p *Packet, h *[numStdHdrs]pipeline.Value) {
 // lookups inside the call skip the version poll, so a concurrent
 // Install becomes visible with at most one batch of delay.
 func (s *shard) exec(batch []Packet) {
-	for i := range s.lanes {
-		s.lanes[i].vp.BeginBatch(s.lanes[i].c)
-	}
+	set, c := s.set, s.c
+	set.BeginBatch(c)
+	skipped := uint64(len(s.cfg.Checkers) - set.Len())
 	for pi := range batch {
 		p := &batch[pi]
 		s.counts.Packets++
-		fillHvals(p, &s.hvals)
-		for i := range s.lanes {
-			ln := &s.lanes[i]
-			ln.c.BeginEphemeralReports()
-			ln.vp.BeginTrace(ln.c)
-			ln.reported = 0
+		hops := p.Hops
+		if set.Len() == 0 {
+			// Nothing to run: no hop does any work.
+			s.counts.Errors += skipped * uint64(len(hops))
+			hops = nil
 		}
+		fillHvals(p, &s.hvals)
+		c.BeginEphemeralReports()
+		set.BeginTrace(c)
 		reject := false
-		var nReports int32
-		for h := 0; h < len(p.Hops) && !reject; h++ {
-			hop := &p.Hops[h]
-			first, last := h == 0, h == len(p.Hops)-1
+		// c.Reports accumulates over the packet's hops (arena storage,
+		// recycled by the next packet).
+		reported := 0
+		for h := 0; h < len(hops) && !reject; h++ {
+			hop := &hops[h]
+			first, last := h == 0, h == len(hops)-1
 			s.hvals[hdrInPort] = pipeline.B(8, uint64(hop.InPort))
 			s.hvals[hdrEgPort] = pipeline.B(8, uint64(hop.OutPort))
-			row := s.row(hop.SwitchID)
-			s.counts.Errors += s.skipped
-			for i := range s.lanes {
-				ln := &s.lanes[i]
-				vp, c := ln.vp, ln.c
-				vp.BeginHop(c, row[ln.idx], hop.SwitchID, int(p.Len), first, last)
-				for _, bp := range ln.binds {
-					c.PHV[bp.dst] = s.hvals[bp.src]
+			s.counts.Errors += skipped
+			set.BeginHop(c, s.row(hop.SwitchID), hop.SwitchID, int(p.Len), first, last)
+			for _, bp := range s.binds {
+				c.PHV[bp.dst] = s.hvals[bp.src]
+			}
+			set.Run(c, first, last)
+			// The fresh tail is grouped by owner, in checker order.
+			for reported < len(c.Reports) {
+				hi := reported + 1
+				for hi < len(c.Reports) && c.Owners[hi] == c.Owners[reported] {
+					hi++
 				}
-				if first {
-					vp.ExecInit(c)
-				}
-				vp.ExecTelemetry(c)
-				if last || ln.everyHop {
-					vp.ExecChecker(c)
-				}
-				// c.Reports accumulates over the packet's hops (arena
-				// storage, recycled by the next packet).
-				if fresh := c.Reports[ln.reported:]; len(fresh) > 0 {
-					nReports += int32(len(fresh))
-					ln.reported = len(c.Reports)
-					s.raise(ln.idx, hop.SwitchID, fresh)
-				}
-				if vp.Reject(c) {
+				s.raise(int(c.Owners[reported]), hop.SwitchID, c.Reports[reported:hi])
+				reported = hi
+			}
+			for k := 0; k < set.Len(); k++ {
+				if set.Reject(c, k) {
 					reject = true
-					s.perChecker[ln.idx].Rejected++
+					s.perChecker[set.Owner(k)].Rejected++
 				}
 			}
 		}
@@ -564,7 +553,7 @@ func (s *shard) exec(batch []Packet) {
 			s.counts.Forwarded++
 		}
 		if uint(p.Index) < uint(len(s.cfg.Verdicts)) {
-			s.cfg.Verdicts[p.Index] = Verdict{Reject: reject, Reports: nReports}
+			s.cfg.Verdicts[p.Index] = Verdict{Reject: reject, Reports: int32(reported)}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/checkers"
@@ -204,6 +205,20 @@ tele bool visited_waypoint = false;
 }
 `
 
+// installWaypoint names the waypoint switch to per-hop-waypoint on every
+// replay switch.
+func installWaypoint(in installFn, waypoint uint64) error {
+	for _, sw := range experiments.ReplaySwitchInfos() {
+		err := in("per-hop-waypoint", sw.ID, func(st *pipeline.State) error {
+			return st.Tables["waypoint_id"].Insert(pipeline.Entry{Action: []pipeline.Value{pipeline.B(32, waypoint)}})
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func compileSrc(t *testing.T, key, src string) *pipeline.Program {
 	t.Helper()
 	info, err := checkers.Property{Key: key, Source: src}.Parse()
@@ -226,9 +241,11 @@ func corpus(t *testing.T) []engine.Checker {
 	return chks
 }
 
-// TestEngineMatchesOracle compares the engine with the oracle above on
-// per-packet verdicts, Counts (per checker included) and the sorted
-// report multiset, for every way of driving the one execution loop:
+// TestEngineMatchesOracle compares the engine — every checker linked
+// into one bytecode.Set — with the oracle above, which runs them one by
+// one, on per-packet verdicts, Counts (per checker included) and the
+// sorted report multiset, for every way of driving the one execution
+// loop:
 // Sequential.Process, and sharded workers at 1/4/8 shards with dispatch
 // batches of 1 and 64.
 func TestEngineMatchesOracle(t *testing.T) {
@@ -288,17 +305,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 			name: "check-every-hop",
 			chks: []engine.Checker{{Name: "per-hop-waypoint", RT: &compiler.Runtime{Prog: perHop, CheckEveryHop: true}}},
 			pkts: campus, seen: "per-hop-waypoint",
-			configure: func(in installFn) error {
-				for _, sw := range experiments.ReplaySwitchInfos() {
-					err := in("per-hop-waypoint", sw.ID, func(st *pipeline.State) error {
-						return st.Tables["waypoint_id"].Insert(pipeline.Entry{Action: []pipeline.Value{pipeline.B(32, spine3)}})
-					})
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			},
+			configure: func(in installFn) error { return installWaypoint(in, spine3) },
 			sane: func(o *oracle) bool {
 				return viaSpine4(o.counts) && seenCells(o.t, o.Install, "per-hop-waypoint")[2] == o.counts.Forwarded
 			},
@@ -312,17 +319,40 @@ func TestEngineMatchesOracle(t *testing.T) {
 			},
 		},
 		{
-			// A runtime without a VM form is not executed: one error per
-			// hop, and the packet is forwarded on the other checker's word.
+			// A runtime without a VM form is left out of the linked set:
+			// one error per hop, and the packet is forwarded on the word of
+			// the checkers linked either side of it.
 			name: "nolink-checker",
 			chks: []engine.Checker{
 				{Name: "hop-counter", RT: &compiler.Runtime{Prog: compileSrc(t, "hop-counter", hopCounterSrc)}},
 				{Name: "waypointing", RT: &compiler.Runtime{Prog: compileSrc(t, "waypointing", waypointing.Source), NoLink: true}},
+				{Name: "hop-counter-2", RT: &compiler.Runtime{Prog: compileSrc(t, "hop-counter-2", hopCounterSrc)}},
 			},
-			pkts: campus, seen: "hop-counter", configure: none,
+			pkts: campus, seen: "hop-counter-2", configure: none,
 			sane: func(o *oracle) bool {
 				return o.counts.Errors == campusHops && o.counts.Forwarded == o.counts.Packets &&
-					o.counts.Reports == campusHops
+					o.counts.Reports == 2*campusHops
+			},
+		},
+		{
+			// Checker placements mixed in one linked set: the every-hop
+			// waypoint checker sits between last-hop corpus checkers and
+			// rejects spine-4 packets at the spine, so the hop counter
+			// linked after everything must not see them at the egress leaf.
+			name: "mixed-placement",
+			chks: slices.Concat(corpus(t)[:6],
+				[]engine.Checker{{Name: "per-hop-waypoint", RT: &compiler.Runtime{Prog: perHop, CheckEveryHop: true}}},
+				corpus(t)[6:],
+				[]engine.Checker{{Name: "hop-counter", RT: &compiler.Runtime{Prog: compileSrc(t, "hop-counter", hopCounterSrc)}}}),
+			pkts: campus, seen: "hop-counter",
+			configure: func(in installFn) error {
+				if err := experiments.ConfigureReplayEngine(in, pairs); err != nil {
+					return err
+				}
+				return installWaypoint(in, spine3)
+			},
+			sane: func(o *oracle) bool {
+				return viaSpine4(o.counts) && seenCells(o.t, o.Install, "hop-counter")[2] == o.counts.Forwarded
 			},
 		},
 	}
@@ -391,6 +421,12 @@ func TestEngineMatchesOracle(t *testing.T) {
 				}
 				if !reflect.DeepEqual(sortedReports(reports), wantReports) {
 					t.Errorf("%s: report multiset diverges from the oracle (%d vs %d digests)", label, len(reports), len(wantReports))
+				}
+				// One state set sees packets in submission order: there the
+				// stream itself — hop, then checker, then program order —
+				// is the oracle's.
+				if d.shards <= 1 && !reflect.DeepEqual(reports, want.reports) {
+					t.Errorf("%s: report stream order diverges from the oracle", label)
 				}
 				if tc.seen != "" {
 					got, ref := seenCells(t, install, tc.seen), seenCells(t, want.Install, tc.seen)

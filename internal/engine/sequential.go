@@ -22,17 +22,13 @@ type Sequential struct {
 // QueueDepth in cfg are ignored.
 func NewSequential(cfg Config) *Sequential {
 	cfg.Shards = 1
-	return &Sequential{cfg: cfg, s: newShard(0, &cfg)}
+	set, binds := link(cfg.Checkers)
+	return &Sequential{cfg: cfg, s: newShard(0, &cfg, set, binds)}
 }
 
 // Install applies fn to the named checker's state for switchID.
 func (q *Sequential) Install(checker string, switchID uint32, fn func(*pipeline.State) error) error {
-	for i, c := range q.cfg.Checkers {
-		if c.Name == checker {
-			return fn(q.s.row(switchID)[i])
-		}
-	}
-	return errUnknownChecker(checker)
+	return q.s.install(checker, switchID, fn)
 }
 
 // Warm eagerly rebuilds the lock-free table snapshots of every state
@@ -50,26 +46,13 @@ func (q *Sequential) Process(p Packet) {
 func (q *Sequential) ProcessBatch(pkts []Packet) { q.s.exec(pkts) }
 
 // Counts returns the aggregate outcome so far.
-func (q *Sequential) Counts() Counts {
-	c := q.s.counts
-	c.PerChecker = make([]CheckerCounts, len(q.cfg.Checkers))
-	for i, ck := range q.cfg.Checkers {
-		c.PerChecker[i] = q.s.perChecker[i]
-		c.PerChecker[i].Name = ck.Name
-	}
-	return c
-}
+func (q *Sequential) Counts() Counts { return mergeCounts(q.cfg.Checkers, q.s) }
 
 // Reports returns the digests collected so far (requires KeepReports).
 func (q *Sequential) Reports() []Report { return q.s.reports }
 
-// VMContexts invokes f on each checker's resident context and its
-// program, in checker order (checkers without a VM form are skipped).
-// This exists for the arena-aliasing suite, which deliberately poisons
-// the contexts between batches to prove no scratch value survives into
-// the next packet's outcome.
-func (q *Sequential) VMContexts(f func(*bytecode.Prog, *bytecode.Ctx)) {
-	for _, ln := range q.s.lanes {
-		f(ln.vp, ln.c)
-	}
-}
+// VMContext returns the linked checker set and the resident context it
+// runs on. This exists for the arena-aliasing suite, which deliberately
+// poisons the context between batches to prove no scratch value
+// survives into the next packet's outcome.
+func (q *Sequential) VMContext() (*bytecode.Set, *bytecode.Ctx) { return q.s.set, q.s.c }

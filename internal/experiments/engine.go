@@ -47,7 +47,9 @@ type EngineReplayResult struct {
 }
 
 // CorpusCheckers compiles every corpus checker into an engine checker
-// list (the §6.2 "All Checkers" configuration).
+// list (the §6.2 "All Checkers" configuration). A checker the bytecode
+// VM cannot compile is an error here, not an engine that silently
+// counts Errors.
 func CorpusCheckers() ([]engine.Checker, error) {
 	var out []engine.Checker
 	for _, p := range checkers.All {
@@ -59,7 +61,11 @@ func CorpusCheckers() ([]engine.Checker, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, engine.Checker{Name: p.Key, RT: &compiler.Runtime{Prog: prog}})
+		rt := &compiler.Runtime{Prog: prog}
+		if err := rt.VMErr(); err != nil {
+			return nil, fmt.Errorf("experiments: checker %s has no VM form: %w", p.Key, err)
+		}
+		out = append(out, engine.Checker{Name: p.Key, RT: rt})
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/checkers"
@@ -17,8 +18,10 @@ import (
 // SymcheckConfig drives the symbolic backend-equivalence run: explore
 // each corpus checker's modeled trace space symbolically, then replay
 // every explored path and frontier witness through every backend
-// (reference interpreter, map pipeline, bytecode VM), checking the
-// concrete outcome byte-for-byte against the symbolic prediction.
+// (reference interpreter, map pipeline, bytecode VM, and the VM with the
+// whole corpus linked into one bytecode.Set, the program the engine
+// runs), checking the concrete outcome byte-for-byte against the
+// symbolic prediction.
 type SymcheckConfig struct {
 	// Checkers selects corpus keys; empty means the whole corpus.
 	Checkers []string
@@ -48,9 +51,13 @@ type SymcheckRow struct {
 	Paths         int    `json:"paths"`
 	FrontierPairs int    `json:"frontier_pairs"`
 	Replayed      int    `json:"replayed"`
-	FlipsSolved   int    `json:"flips_solved"`
-	FlipsUnsat    int    `json:"flips_unsat"`
-	FlipsUnknown  int    `json:"flips_unknown"`
+	// SetChecks counts the member outcomes the linked-set backend
+	// reproduced: every replay runs all corpus checkers as one Set and
+	// compares each member with its solo run.
+	SetChecks    int `json:"set_checks"`
+	FlipsSolved  int `json:"flips_solved"`
+	FlipsUnsat   int `json:"flips_unsat"`
+	FlipsUnknown int `json:"flips_unknown"`
 	// Complete: the bounded space was fully explored (no solver
 	// give-ups, no path caps).
 	Complete bool `json:"complete"`
@@ -84,9 +91,13 @@ func RunSymcheck(cfg SymcheckConfig) (SymcheckResult, error) {
 			keys = append(keys, p.Key)
 		}
 	}
+	corpus, err := difftest.CompileCorpusSet()
+	if err != nil {
+		return SymcheckResult{}, err
+	}
 	res := SymcheckResult{Passed: true}
 	for _, key := range keys {
-		row, frontier, err := symcheckOne(key, cfg)
+		row, frontier, err := symcheckOne(key, corpus, cfg)
 		if err != nil {
 			return SymcheckResult{}, fmt.Errorf("symcheck %s: %w", key, err)
 		}
@@ -108,7 +119,7 @@ func RunSymcheck(cfg SymcheckConfig) (SymcheckResult, error) {
 	return res, nil
 }
 
-func symcheckOne(key string, cfg SymcheckConfig) (SymcheckRow, []symexec.FrontierPair, error) {
+func symcheckOne(key string, corpus []*difftest.Compiled, cfg SymcheckConfig) (SymcheckRow, []symexec.FrontierPair, error) {
 	ex, err := symexec.ForChecker(key, symexec.Config{
 		MaxPathsPerInstance: cfg.MaxPathsPerInstance,
 		SolverNodes:         cfg.SolverNodes,
@@ -120,17 +131,22 @@ func symcheckOne(key string, cfg SymcheckConfig) (SymcheckRow, []symexec.Frontie
 	if err != nil {
 		return SymcheckRow{}, nil, err
 	}
-	comp, err := difftest.CompileCorpus(key)
-	if err != nil {
-		return SymcheckRow{}, nil, err
+	member := slices.IndexFunc(checkers.All, func(p checkers.Property) bool { return p.Key == key })
+	if member < 0 {
+		return SymcheckRow{}, nil, fmt.Errorf("unknown corpus key %q", key)
 	}
-	model := checkers.SymModelFor(key)
+	// One replay runs this checker on all four backends and, beside it in
+	// one Set, every other corpus checker on the same headers.
 	replay := func(tr symexec.Trace) (difftest.Outcome, error) {
-		r := comp.NewRunner()
-		if err := r.ApplyModel(model); err != nil {
+		s, err := difftest.NewCorpusSetRunner(corpus)
+		if err != nil {
 			return difftest.Outcome{}, err
 		}
-		return r.RunTrace(difftest.HopSpecs(tr))
+		outs, err := s.RunTrace(corpus[member].ByPath(difftest.HopSpecs(tr)))
+		if err != nil {
+			return difftest.Outcome{}, err
+		}
+		return outs[member], nil
 	}
 
 	row := SymcheckRow{
@@ -175,6 +191,7 @@ func symcheckOne(key string, cfg SymcheckConfig) (SymcheckRow, []symexec.Frontie
 			return SymcheckRow{}, nil, err
 		}
 		row.Replayed++
+		row.SetChecks += len(corpus)
 		if out.Reject != p.Verdict.Reject || len(out.Reports) != p.Verdict.Reports {
 			row.ModelFaithful = false
 			note("prediction mismatch on %v: predicted %+v, backends reject=%v reports=%d",
@@ -212,6 +229,7 @@ func symcheckOne(key string, cfg SymcheckConfig) (SymcheckRow, []symexec.Frontie
 				return SymcheckRow{}, nil, err
 			}
 			row.Replayed++
+			row.SetChecks += len(corpus)
 			if out.Reject != side.want.Reject || len(out.Reports) != side.want.Reports {
 				row.ModelFaithful = false
 				note("frontier verdict mismatch on %q", fp.Cond)
@@ -261,7 +279,7 @@ func writeFuzzSeed(dir, key string, tr symexec.Trace) error {
 func FormatSymcheck(r SymcheckResult) string {
 	var b strings.Builder
 	b.WriteString("E13 symcheck: symbolic backend equivalence over the modeled space\n")
-	b.WriteString("checker              inst  paths  frontier  flips(sat/unsat/unk)  replayed  status\n")
+	b.WriteString("checker              inst  paths  frontier  flips(sat/unsat/unk)  replayed  set-checks  status\n")
 	for _, row := range r.Rows {
 		status := "PROVEN"
 		switch {
@@ -274,10 +292,10 @@ func FormatSymcheck(r SymcheckResult) string {
 		case row.FrontierPairs == 0:
 			status = "NO-FRONTIER"
 		}
-		fmt.Fprintf(&b, "%-20s %4d  %5d  %8d  %9s  %8d  %s\n",
+		fmt.Fprintf(&b, "%-20s %4d  %5d  %8d  %9s  %8d  %10d  %s\n",
 			row.Checker, row.Instances, row.Paths, row.FrontierPairs,
 			fmt.Sprintf("%d/%d/%d", row.FlipsSolved, row.FlipsUnsat, row.FlipsUnknown),
-			row.Replayed, status)
+			row.Replayed, row.SetChecks, status)
 		if row.Counterexample != nil {
 			fmt.Fprintf(&b, "  counterexample: %s\n  minimized: %+v\n",
 				row.Counterexample.Detail, row.Counterexample.Minimized.Hops)
@@ -287,7 +305,7 @@ func FormatSymcheck(r SymcheckResult) string {
 		}
 	}
 	if r.Passed {
-		b.WriteString("all checkers: interpreter = map pipeline = bytecode VM over the modeled space\n")
+		b.WriteString("all checkers: interpreter = map pipeline = bytecode VM = member of the linked corpus set over the modeled space\n")
 	} else {
 		b.WriteString("FAILED: see rows above\n")
 	}

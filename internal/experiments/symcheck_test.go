@@ -29,6 +29,9 @@ func TestSymcheckCorpus(t *testing.T) {
 		if row.Replayed == 0 {
 			t.Errorf("%s: nothing replayed", row.Checker)
 		}
+		if row.SetChecks != 12*row.Replayed {
+			t.Errorf("%s: %d set checks for %d replays, want every replay beside all 12 members", row.Checker, row.SetChecks, row.Replayed)
+		}
 		if row.Counterexample != nil {
 			t.Errorf("%s: unexpected counterexample: %s", row.Checker, row.Counterexample.Detail)
 		}

@@ -4,10 +4,12 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/compiler"
 	"repro/internal/dataplane"
 	"repro/internal/engine"
 	"repro/internal/pipeline"
@@ -468,5 +470,23 @@ func TestOpenPcapRejectsNonEthernet(t *testing.T) {
 func TestOpenLiveStub(t *testing.T) {
 	if _, err := OpenLive("eth0"); err == nil {
 		t.Skip("built with hydralive; stub not in effect")
+	}
+}
+
+// TestWorkerRefusesCheckerWithoutVM: the engine would count one error
+// per hop for a checker the VM cannot compile and carry on; a worker
+// session must fail its install instead of reporting verdicts.
+func TestWorkerRefusesCheckerWithoutVM(t *testing.T) {
+	cfg := noopWorkerConfig("w", "")
+	cfg.BuildCheckers = func() ([]engine.Checker, error) {
+		broken := &pipeline.Program{Name: "broken", Telemetry: []pipeline.Op{pipeline.ApplyOp{Table: "undeclared"}}}
+		return []engine.Checker{{Name: "broken", RT: &compiler.Runtime{Prog: broken}}}, nil
+	}
+	w, err := NewWorker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.newSession(nil); err == nil || !strings.Contains(err.Error(), "undeclared") {
+		t.Fatalf("session install with an uncompilable checker: err = %v, want the compile error", err)
 	}
 }

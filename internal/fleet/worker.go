@@ -260,6 +260,13 @@ func (w *Worker) newSession(pairs [][2]uint32) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, c := range chks {
+		// The engine would count one error per hop and carry on; a
+		// worker that cannot run a checker must not report verdicts.
+		if err := c.RT.VMErr(); err != nil {
+			return nil, fmt.Errorf("fleet: checker %s has no VM form: %w", c.Name, err)
+		}
+	}
 	s := &session{
 		w:        w,
 		id:       w.newSessionID(),

@@ -461,6 +461,10 @@ type packedSnap struct {
 	ctrl  []uint8
 	slots []packedSlot
 	acts  []Value
+	// keyless marks the snapshot of a table without key columns (a
+	// scalar control variable): it holds at most one entry, so lookup
+	// answers from acts and hit with no hash table to probe.
+	keyless, hit bool
 }
 
 // packedSlot is a key plus the half-open [off, off+n) range of the
@@ -486,6 +490,9 @@ func hashPacked(k PackedKey) uint64 {
 }
 
 func (s *packedSnap) lookup(k PackedKey) ([]Value, bool) {
+	if s.keyless {
+		return s.acts, s.hit
+	}
 	h := hashPacked(k)
 	want := uint8(h>>56) | 0x80
 	i := h & s.mask
@@ -506,7 +513,14 @@ func (s *packedSnap) lookup(k PackedKey) ([]Value, bool) {
 	}
 }
 
-func buildPackedSnap(packed map[PackedKey]*Entry) *packedSnap {
+func buildPackedSnap(packed map[PackedKey]*Entry, keyless bool) *packedSnap {
+	if keyless {
+		e, hit := packed[PackedKey{}]
+		if !hit {
+			return &packedSnap{keyless: true}
+		}
+		return &packedSnap{keyless: true, hit: true, acts: append(emptyAction, e.Action...)}
+	}
 	size := uint64(8)
 	for size < uint64(len(packed))*2 {
 		size *= 2
@@ -556,7 +570,7 @@ func (t *Table) lookupPackedSlow(k PackedKey) ([]Value, bool) {
 		t.mu.Lock()
 		s := t.snap.Load()
 		if s == nil {
-			s = buildPackedSnap(t.packed)
+			s = buildPackedSnap(t.packed, len(t.Keys) == 0)
 			t.snap.Store(s)
 		}
 		t.mu.Unlock()
@@ -654,7 +668,7 @@ func (t *Table) WarmSnapshot() {
 	}
 	t.mu.Lock()
 	if t.snap.Load() == nil {
-		t.snap.Store(buildPackedSnap(t.packed))
+		t.snap.Store(buildPackedSnap(t.packed, len(t.Keys) == 0))
 	}
 	t.mu.Unlock()
 }
