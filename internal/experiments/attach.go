@@ -168,21 +168,20 @@ func AttachAllCheckers(ls *netsim.LeafSpine) (map[string][]*netsim.HydraAttachme
 
 // FirewallSeed returns an installer that seeds the stateful firewall's
 // allowed dictionary (both directions) for the given (src, dst) address
-// pairs.
+// pairs. The entries are laid out once — keys cut from one slab, one
+// shared action — and go into every switch's table as one batch.
 func FirewallSeed(pairs [][2]uint32) func(*pipeline.State) error {
-	return func(st *pipeline.State) error {
-		tbl := st.Tables["allowed"]
-		for _, p := range pairs {
-			for _, k := range [][]pipeline.KeyMatch{
-				{pipeline.ExactKey(uint64(p[0])), pipeline.ExactKey(uint64(p[1]))},
-				{pipeline.ExactKey(uint64(p[1])), pipeline.ExactKey(uint64(p[0]))},
-			} {
-				if err := tbl.Insert(pipeline.Entry{Keys: k, Action: []pipeline.Value{pipeline.BoolV(true)}}); err != nil {
-					return err
-				}
-			}
+	keys := make([]pipeline.KeyMatch, 0, 4*len(pairs))
+	batch := make([]pipeline.Entry, 0, 2*len(pairs))
+	allow := []pipeline.Value{pipeline.BoolV(true)}
+	for _, p := range pairs {
+		for dir := 0; dir < 2; dir++ {
+			keys = append(keys, pipeline.ExactKey(uint64(p[dir])), pipeline.ExactKey(uint64(p[1-dir])))
+			batch = append(batch, pipeline.Entry{Keys: keys[len(keys)-2 : len(keys) : len(keys)], Action: allow})
 		}
-		return nil
+	}
+	return func(st *pipeline.State) error {
+		return st.Tables["allowed"].InsertBatch(batch)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/pipeline"
 	"repro/internal/resources"
 )
 
@@ -158,5 +159,40 @@ func TestWireReplayBenign(t *testing.T) {
 	}
 	if res.Checked == 0 {
 		t.Fatal("no checker verdicts recorded")
+	}
+}
+
+// TestFirewallSeedAllocs: building the seed batch and installing it into
+// a fresh state costs a fixed number of allocations — the batch's three
+// slices, the table's arrays — however many pairs there are.
+func TestFirewallSeedAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		pairs := make([][2]uint32, n)
+		for i := range pairs {
+			pairs[i] = [2]uint32{uint32(i) + 1, ^uint32(i)}
+		}
+		var tbl *pipeline.Table
+		got := testing.AllocsPerRun(5, func() {
+			tbl = pipeline.NewTable("allowed",
+				[]pipeline.KeySpec{{Name: "src", Width: 32}, {Name: "dst", Width: 32}},
+				[]pipeline.FieldRef{"allowed.value"}, []pipeline.Value{pipeline.BoolV(false)})
+			if err := FirewallSeed(pairs)(&pipeline.State{Tables: map[string]*pipeline.Table{"allowed": tbl}}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if tbl.Len() != 2*n {
+			t.Fatalf("%d pairs seeded %d entries, want %d", n, tbl.Len(), 2*n)
+		}
+		if a, hit := tbl.Lookup([]uint64{uint64(^uint32(n - 1)), uint64(n)}); !hit || !a[0].Bool() {
+			t.Fatalf("the reverse direction of the last pair: %v, %t", a, hit)
+		}
+		return got
+	}
+	// The runtime books a couple of extra objects for arrays large
+	// enough to get spans of their own, hence the slack; one allocation
+	// per entry would be 80 000.
+	small, large := allocs(100), allocs(40_000)
+	if large > small+6 {
+		t.Fatalf("FirewallSeed allocates %v times for 100 pairs and %v for 40 000: the install must not allocate per pair", small, large)
 	}
 }

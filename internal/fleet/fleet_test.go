@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
@@ -203,6 +204,114 @@ func TestFleetInProcessClean(t *testing.T) {
 	want := []VerdictCount{{Reject: false, Reports: 0, Count: n}}
 	if !reflect.DeepEqual(rep.Verdicts, want) {
 		t.Fatalf("verdicts = %+v, want %+v", rep.Verdicts, want)
+	}
+}
+
+// TestIngestLoadPinsWorkers pins the pre-scan: a flow's worker is its
+// RSS hash modulo the worker count (with one worker the hash is skipped,
+// the remainder being 0 whatever it is), every record carries the path
+// PathFor gave its flow, cut from one slab, and the seed pairs come in
+// first-occurrence order.
+func TestIngestLoadPinsWorkers(t *testing.T) {
+	frames := campusFrames(2000)
+	// Paths of flow-dependent length, so the slab offsets are exercised.
+	pathFor := func(k dataplane.FlowKey) []engine.Hop {
+		hops := make([]engine.Hop, 1+int(k.Sport)%3)
+		for i := range hops {
+			hops[i] = engine.Hop{SwitchID: uint32(k.Dst) + uint32(i), InPort: k.Sport, OutPort: k.Dport}
+		}
+		return hops
+	}
+	for _, workers := range []int{1, 2, 3} {
+		in, err := NewIngest(IngestConfig{Workers: make([]string, workers), PathFor: pathFor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats IngestStats
+		recs, pairs, err := in.load(&memSource{frames: frames}, &stats)
+		if err != nil || len(recs) != len(frames) {
+			t.Fatalf("%d workers: load = %d records, %v", workers, len(recs), err)
+		}
+		var (
+			dec       dataplane.Decoded
+			wantPairs [][2]uint32
+			seen      = map[[2]uint32]bool{}
+			used      = map[int]bool{}
+			slabEnd   unsafe.Pointer // one past the previous record's last hop
+		)
+		for i, r := range recs {
+			if err := dataplane.ParseInto(&dec, frames[i]); err != nil {
+				t.Fatal(err)
+			}
+			key := dataplane.FlowKeyOf(&dec)
+			if want := int(key.RSSHash() % uint32(workers)); r.worker != want {
+				t.Fatalf("%d workers: record %d pinned to worker %d, want %d", workers, i, r.worker, want)
+			}
+			used[r.worker] = true
+			want := pathFor(key)
+			if len(r.pkt.Hops) != len(want) || cap(r.pkt.Hops) != len(want) {
+				t.Fatalf("record %d: %d hops (cap %d), want %d", i, len(r.pkt.Hops), cap(r.pkt.Hops), len(want))
+			}
+			for j, h := range want {
+				if r.pkt.Hops[j] != (wireproto.Hop{Switch: h.SwitchID, In: h.InPort, Out: h.OutPort}) {
+					t.Fatalf("record %d hop %d: %+v, want %+v", i, j, r.pkt.Hops[j], h)
+				}
+			}
+			if first := unsafe.Pointer(&r.pkt.Hops[0]); slabEnd != nil && first != slabEnd {
+				t.Fatalf("record %d: its hops do not follow record %d's in one slab", i, i-1)
+			}
+			slabEnd = unsafe.Add(unsafe.Pointer(&r.pkt.Hops[0]), len(want)*int(unsafe.Sizeof(wireproto.Hop{})))
+			if p := [2]uint32{uint32(key.Src), uint32(key.Dst)}; !seen[p] {
+				seen[p] = true
+				wantPairs = append(wantPairs, p)
+			}
+		}
+		if len(used) != workers {
+			t.Fatalf("%d workers: only %d received flows", workers, len(used))
+		}
+		if !reflect.DeepEqual(pairs, wantPairs) {
+			t.Fatalf("%d workers: seed pairs differ from first-occurrence order", workers)
+		}
+	}
+}
+
+// TestHandshakeSeedChunks: the sender's handshake and the worker's
+// readSeed agree on the chunked binary seed, for sets that end on a
+// chunk boundary, span several chunks, or are empty.
+func TestHandshakeSeedChunks(t *testing.T) {
+	for _, n := range []int{0, 1, wireproto.MaxSeedPairs, 2*wireproto.MaxSeedPairs + 17} {
+		pairs := make([][2]uint32, n)
+		for i := range pairs {
+			pairs[i] = [2]uint32{uint32(i), ^uint32(i)}
+		}
+		client, server := net.Pipe()
+		in, err := NewIngest(IngestConfig{Workers: []string{"unused"}, PathFor: testPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &sender{in: in, seed: pairs}
+		errc := make(chan error, 1)
+		go func() {
+			errc <- s.handshake(&connState{conn: client, w: wireproto.NewWriter(client)})
+			client.Close()
+		}()
+		r := wireproto.NewReader(server)
+		f, err := r.ReadFrame()
+		if err != nil || f.Type != wireproto.TypeHello {
+			t.Fatalf("%d pairs: first frame type %d, %v", n, f.Type, err)
+		}
+		f.Release()
+		got, err := readSeed(r)
+		if err != nil || len(got) != n || n > 0 && !reflect.DeepEqual(got, pairs) {
+			t.Fatalf("%d pairs: readSeed returned %d pairs, %v", n, len(got), err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("%d pairs: handshake: %v", n, err)
+		}
+		if _, err := r.ReadFrame(); err != io.EOF {
+			t.Fatalf("%d pairs: frames after the done chunk: %v", n, err)
+		}
+		server.Close()
 	}
 }
 

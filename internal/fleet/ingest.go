@@ -248,10 +248,12 @@ dispatch:
 
 // load pre-scans the capture: every frame is parsed to its 5-tuple,
 // pinned to a path and a worker, and the unique (src, dst) pairs are
-// collected in first-occurrence order for the firewall seed.
+// collected in first-occurrence order for the firewall seed. All
+// records' hops are cut from one slab.
 func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, error) {
 	var (
 		recs  []rec
+		slab  []wireproto.Hop
 		pairs [][2]uint32
 		seen  = map[[2]uint32]bool{}
 		dec   dataplane.Decoded
@@ -272,22 +274,34 @@ func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, erro
 			continue
 		}
 		key := dataplane.FlowKeyOf(&dec)
-		hops := in.cfg.PathFor(key)
+		start := len(slab)
+		for _, h := range in.cfg.PathFor(key) {
+			slab = append(slab, wireproto.Hop{Switch: h.SwitchID, In: h.InPort, Out: h.OutPort})
+		}
 		wp := wireproto.Packet{
 			Src: uint32(key.Src), Dst: uint32(key.Dst),
 			Sport: key.Sport, Dport: key.Dport, Proto: key.Proto,
 			Len:  uint32(len(frame)),
-			Hops: make([]wireproto.Hop, len(hops)),
+			Hops: slab[start:], // re-cut below: the slab may still move
 		}
-		for i, h := range hops {
-			wp.Hops[i] = wireproto.Hop{Switch: h.SwitchID, In: h.InPort, Out: h.OutPort}
+		// With one worker the hash's remainder is 0 whatever it is, and
+		// the software Toeplitz hash is the dearest step of the scan.
+		worker := 0
+		if nWorkers > 1 {
+			worker = int(key.RSSHash() % nWorkers)
 		}
-		recs = append(recs, rec{pkt: wp, worker: int(key.RSSHash() % nWorkers)})
+		recs = append(recs, rec{pkt: wp, worker: worker})
 		pair := [2]uint32{uint32(key.Src), uint32(key.Dst)}
 		if !seen[pair] {
 			seen[pair] = true
 			pairs = append(pairs, pair)
 		}
+	}
+	off := 0
+	for i := range recs {
+		end := off + len(recs[i].pkt.Hops)
+		recs[i].pkt.Hops = slab[off:end:end]
+		off = end
 	}
 	return recs, pairs, nil
 }
@@ -545,27 +559,28 @@ func (s *sender) connect() bool {
 	return false
 }
 
-// seedChunk bounds pairs per Seed frame so the JSON payload stays well
-// under the wire protocol's frame cap.
-const seedChunk = 8192
-
+// handshake opens a session: Hello, then the firewall seed set — the
+// flow pairs the replay's control plane allowed before traffic started,
+// derived from the pre-scan — in chunks of at most
+// wireproto.MaxSeedPairs, the last marked done. It is replayed on every
+// (re)connect, so a restarted worker rebuilds the same control state.
 func (s *sender) handshake(cs *connState) error {
 	hello := Hello{Role: "ingest", Node: s.in.cfg.Node, PID: os.Getpid()}
 	if err := writeJSON(cs.w, wireproto.TypeHello, hello); err != nil {
 		return err
 	}
-	pairs := s.seed
-	for {
-		chunk := pairs
-		if len(chunk) > seedChunk {
-			chunk = chunk[:seedChunk]
-		}
+	var buf []byte
+	for pairs := s.seed; ; {
+		chunk := pairs[:min(len(pairs), wireproto.MaxSeedPairs)]
 		pairs = pairs[len(chunk):]
-		msg := Seed{Pairs: chunk, Done: len(pairs) == 0}
-		if err := writeJSON(cs.w, wireproto.TypeSeed, msg); err != nil {
+		var err error
+		if buf, err = wireproto.AppendSeed(buf[:0], chunk, len(pairs) == 0); err != nil {
 			return err
 		}
-		if msg.Done {
+		if err := cs.w.WriteFrame(wireproto.TypeSeed, buf); err != nil {
+			return err
+		}
+		if len(pairs) == 0 {
 			return nil
 		}
 	}

@@ -34,20 +34,6 @@ type Hello struct {
 	PID     int    `json:"pid,omitempty"`
 }
 
-// Seed is one chunk of the stateful-firewall seed set — the flow pairs
-// the replay's control plane allowed before traffic started. The
-// ingest daemon derives it from a pre-scan of the capture and replays
-// it to a worker on every (re)connect, so a restarted worker rebuilds
-// the same control state.
-type Seed struct {
-	Pairs [][2]uint32 `json:"pairs"`
-	// Done marks the final chunk; the worker builds its engine when it
-	// arrives.
-	Done bool `json:"done,omitempty"`
-	// Packets is the total the ingest expects to stream (informational).
-	Packets uint64 `json:"packets,omitempty"`
-}
-
 // VerdictCount is one equivalence class of per-packet verdicts with
 // its multiplicity — the unit of the fleet's parity check against the
 // in-process engine.

@@ -240,14 +240,13 @@ func readSeed(r *wireproto.Reader) ([][2]uint32, error) {
 			f.Release()
 			return nil, fmt.Errorf("fleet: expected seed, got frame type %d", f.Type)
 		}
-		var seed Seed
-		err = decodeJSON(&f, &seed)
+		chunk, done, err := wireproto.DecodeSeed(f.Payload)
 		f.Release()
 		if err != nil {
 			return nil, err
 		}
-		pairs = append(pairs, seed.Pairs...)
-		if seed.Done {
+		pairs = append(pairs, chunk...)
+		if done {
 			return pairs, nil
 		}
 	}

@@ -363,23 +363,14 @@ func applyCompound(op token.Kind, old, rhs Value) (Value, error) {
 	return nil, fmt.Errorf("unknown compound operator %s", op)
 }
 
+// execFor runs the body once per index of the arrays' static capacity,
+// each iteration guarded by the index being valid when it is reached
+// and binding the element that is there then — the semantics the
+// compiler's unrolling gives (§4.1: "the loop body is executed for each
+// list index that is valid"). A body that pushes to, or assigns into,
+// an array it iterates therefore sees its own writes; see DESIGN.md,
+// "Loops over an array the body mutates".
 func (f *frame) execFor(s *ast.For) error {
-	arrays := make([]*Array, len(s.Seqs))
-	n := 0
-	for i, seq := range s.Seqs {
-		v, err := f.eval(seq, nil)
-		if err != nil {
-			return err
-		}
-		arr, ok := v.(*Array)
-		if !ok {
-			return fmt.Errorf("%s: eval: for over non-array value", s.Pos)
-		}
-		arrays[i] = arr
-		if i == 0 || arr.Len() < n {
-			n = arr.Len()
-		}
-	}
 	saved := make(map[string]Value, len(s.Vars))
 	for _, name := range s.Vars {
 		if prev, ok := f.locals[name]; ok {
@@ -395,7 +386,27 @@ func (f *frame) execFor(s *ast.For) error {
 			}
 		}
 	}()
-	for i := 0; i < n; i++ {
+	arrays := make([]*Array, len(s.Seqs))
+	for i := 0; ; i++ { // ends at the arrays' capacity; the parser gives every for a sequence
+		valid := true
+		for j, seq := range s.Seqs {
+			v, err := f.eval(seq, nil)
+			if err != nil {
+				return err
+			}
+			arr, ok := v.(*Array)
+			if !ok {
+				return fmt.Errorf("%s: eval: for over non-array value", s.Pos)
+			}
+			if i >= arr.Cap {
+				return nil
+			}
+			valid = valid && i < arr.Len()
+			arrays[j] = arr
+		}
+		if !valid {
+			continue
+		}
 		for j, name := range s.Vars {
 			f.locals[name] = arrays[j].Get(i)
 		}
@@ -403,7 +414,6 @@ func (f *frame) execFor(s *ast.For) error {
 			return err
 		}
 	}
-	return nil
 }
 
 func (f *frame) execPush(m *ast.Method) error {

@@ -1,0 +1,364 @@
+package pipeline
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// collidingKeys returns n distinct keys of ncols columns built to
+// collide: three in four hash to the last slot of every table of up to
+// 1 024 slots (low ten hash bits all ones), so their probe run wraps
+// around to slot 0; the rest hash to slot 0 and sit in the middle of
+// that run. A keyless table has the one empty key.
+func collidingKeys(ncols, n int) []PackedKey {
+	if ncols == 0 {
+		return []PackedKey{{}}
+	}
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	if keys := pools[ncols]; len(keys) >= n {
+		return keys[:n:n]
+	}
+	keys := make([]PackedKey, 0, n)
+	for v := uint64(1); len(keys) < n; v++ {
+		var k PackedKey
+		for c := 0; c < ncols; c++ {
+			k[c] = v * uint64(c+1)
+		}
+		want := uint64(0x3ff)
+		if len(keys)%4 == 3 {
+			want = 0
+		}
+		if hashPacked(k)&0x3ff == want {
+			keys = append(keys, k)
+		}
+	}
+	pools[ncols] = keys
+	return keys
+}
+
+// pools memoizes collidingKeys per column count: finding the keys is a
+// thousand hashes each, and the fuzzer asks once per input.
+var (
+	poolMu sync.Mutex
+	pools  [MaxPackedKeys + 1][]PackedKey
+)
+
+// tableModel is the plain-map oracle the store is checked against.
+type tableModel struct {
+	acts  map[PackedKey][]Value
+	names map[PackedKey]string
+}
+
+func entryKey(e Entry) PackedKey { return packEntryKeys(e.Keys) }
+
+// checkTable compares every observable of tbl with the model: both
+// lookups for every key of the pool, Len, and the sorted Entries.
+func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedKey, m *tableModel) {
+	t.Helper()
+	for _, k := range pool {
+		want, hit := m.acts[k]
+		if !hit {
+			want = tbl.Default
+		}
+		if got, ok := tbl.LookupPacked(k); ok != hit || !slices.Equal(got, want) {
+			t.Fatalf("%s: LookupPacked(%v) = %v, %t; want %v, %t", step, k[:ncols], got, ok, want, hit)
+		}
+		if got, ok := tbl.Lookup(k[:ncols]); ok != hit || !slices.Equal(got, want) {
+			t.Fatalf("%s: Lookup(%v) = %v, %t; want %v, %t", step, k[:ncols], got, ok, want, hit)
+		}
+	}
+	if tbl.Len() != len(m.acts) {
+		t.Fatalf("%s: Len = %d, want %d", step, tbl.Len(), len(m.acts))
+	}
+	entries := tbl.Entries()
+	slices.SortFunc(entries, func(a, b Entry) int {
+		ka, kb := entryKey(a), entryKey(b)
+		return slices.Compare(ka[:], kb[:])
+	})
+	if len(entries) != len(m.acts) {
+		t.Fatalf("%s: %d entries, want %d", step, len(entries), len(m.acts))
+	}
+	for i, e := range entries {
+		k := entryKey(e)
+		if i > 0 && entryKey(entries[i-1]) == k {
+			t.Fatalf("%s: Entries lists key %v twice", step, k[:ncols])
+		}
+		want, ok := m.acts[k]
+		if !ok || len(e.Keys) != ncols || !slices.Equal(e.Action, want) || e.Name != m.names[k] {
+			t.Fatalf("%s: entry %+v, want action %v name %q (present %t)", step, e, want, m.names[k], ok)
+		}
+	}
+}
+
+// runTableOps drives one table and the model through the op stream and
+// checks them against each other after every step. data[0] picks the
+// column count (0–4), data[1] the action length (0–2); each op is three
+// bytes: kind, key index, value.
+func runTableOps(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	ncols, nout := int(data[0]%5), int(data[1]%3)
+	keys := make([]KeySpec, ncols)
+	for i := range keys {
+		keys[i] = KeySpec{Name: fmt.Sprintf("k%d", i), Width: 64, Kind: MatchExact}
+	}
+	outs, def := make([]FieldRef, nout), make([]Value, nout)
+	for i := range outs {
+		outs[i], def[i] = FieldRef(fmt.Sprintf("o%d", i)), B(16, 0xdead)
+	}
+	tbl := NewTable("t", keys, outs, def)
+	pool := collidingKeys(ncols, 72)
+	m := &tableModel{acts: map[PackedKey][]Value{}, names: map[PackedKey]string{}}
+	// One Entry refilled for every insert, as a bulk installer would.
+	e := Entry{Keys: make([]KeyMatch, ncols), Action: make([]Value, nout)}
+	version := tbl.Version()
+	for pc := 2; pc+2 < len(data); pc += 3 {
+		kind, k, val := data[pc]%16, pool[int(data[pc+1])%len(pool)], uint64(data[pc+2])
+		step := fmt.Sprintf("op %d (kind %d, key %v, val %d)", (pc-2)/3, kind, k[:ncols], val)
+		mutated := true
+		switch {
+		case kind < 9: // insert or replace; kind 8 names the entry
+			for c := range e.Keys {
+				e.Keys[c] = ExactKey(k[c])
+			}
+			for o := range e.Action {
+				e.Action[o] = B(16, val+uint64(o))
+			}
+			e.Name = ""
+			if kind == 8 {
+				e.Name = fmt.Sprintf("a%d", val)
+			}
+			if err := tbl.Insert(e); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			m.acts[k] = slices.Clone(e.Action)
+			delete(m.names, k)
+			if e.Name != "" {
+				m.names[k] = e.Name
+			}
+		case kind < 13:
+			_, had := m.acts[k]
+			dk := make([]KeyMatch, ncols)
+			for c := range dk {
+				dk[c] = ExactKey(k[c])
+			}
+			if n := tbl.Delete(dk); (n == 1) != had {
+				t.Fatalf("%s: Delete = %d, entry present %t", step, n, had)
+			}
+			delete(m.acts, k)
+			delete(m.names, k)
+		case kind == 13: // a batch of up to 15 entries from consecutive pool keys, the last repeating the first
+			batch := make([]Entry, int(val)%16)
+			for b := range batch {
+				bk := pool[(int(data[pc+1])+b%max(len(batch)-1, 1))%len(pool)]
+				batch[b] = Entry{Keys: make([]KeyMatch, ncols), Action: make([]Value, nout)}
+				for c := range batch[b].Keys {
+					batch[b].Keys[c] = ExactKey(bk[c])
+				}
+				for o := range batch[b].Action {
+					batch[b].Action[o] = B(16, val+uint64(b+o))
+				}
+				m.acts[bk] = batch[b].Action
+				delete(m.names, bk)
+			}
+			if err := tbl.InsertBatch(batch); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		case kind == 14:
+			tbl.WarmSnapshot()
+			mutated = false
+		case val < 32: // Clear, one time in eight
+			tbl.Clear()
+			clear(m.acts)
+			clear(m.names)
+		default:
+			mutated = false
+		}
+		if v := tbl.Version(); v < version || mutated && v == version {
+			t.Fatalf("%s: Version %d after %d", step, v, version)
+		} else {
+			version = v
+		}
+		checkTable(t, step, tbl, ncols, pool, m)
+	}
+}
+
+// TestTableModel runs long random op streams for every column count,
+// with a key pool small and colliding enough that backward-shift
+// deletion crosses the wrap-around and growth lands mid-chain.
+func TestTableModel(t *testing.T) {
+	for ncols := 0; ncols <= 4; ncols++ {
+		for nout := 0; nout <= 2; nout++ {
+			rng := rand.New(rand.NewSource(int64(17*ncols + nout)))
+			data := make([]byte, 2+3*1500)
+			rng.Read(data)
+			data[0], data[1] = byte(ncols), byte(nout)
+			t.Run(fmt.Sprintf("cols%d_out%d", ncols, nout), func(t *testing.T) { runTableOps(t, data) })
+		}
+	}
+}
+
+// FuzzTableOps is TestTableModel's driver under the fuzzer.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 0, 7, 0, 0, 9, 9, 0, 0})
+	f.Add([]byte{0, 2, 0, 0, 1, 9, 0, 0, 8, 0, 5, 15, 0, 1})
+	f.Fuzz(runTableOps)
+}
+
+// TestWrapAroundDelete pins the case the model test is built to reach:
+// a probe run that starts in the last slot and continues at slot 0
+// loses its first entry, and everything behind the hole stays findable.
+func TestWrapAroundDelete(t *testing.T) {
+	tbl := NewTable("t", []KeySpec{{Width: 64, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(8, 0)})
+	pool := collidingKeys(1, 4) // three home in the last slot, one in slot 0
+	for i, k := range pool {
+		if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(8, uint64(i+1))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tbl.packed
+	if last := len(st.ctrl) - 1; st.slots[last].key != pool[0] || st.ctrl[0] == 0 || st.ctrl[1] == 0 {
+		t.Fatalf("the run does not wrap: ctrl %v", st.ctrl)
+	}
+	if n := tbl.Delete([]KeyMatch{ExactKey(pool[0][0])}); n != 1 {
+		t.Fatalf("Delete = %d", n)
+	}
+	for i, k := range pool {
+		if a, hit := tbl.LookupPacked(k); hit != (i > 0) || hit && a[0].V != uint64(i+1) {
+			t.Fatalf("key %d after the delete: %v, %t", i, a, hit)
+		}
+	}
+	if st.slots[len(st.ctrl)-1].key != pool[1] {
+		t.Fatalf("the second entry did not shift back across the wrap-around: ctrl %v", st.ctrl)
+	}
+}
+
+// TestInsertCopies: the table answers what was inserted even after the
+// caller reuses the entry's slices, and Entries hands out copies.
+func TestInsertCopies(t *testing.T) {
+	tbl := NewTable("t", []KeySpec{{Width: 32, Kind: MatchExact}, {Width: 32, Kind: MatchExact}},
+		[]FieldRef{"a", "b"}, []Value{B(8, 0), B(8, 0)})
+	e := Entry{Keys: []KeyMatch{ExactKey(1), ExactKey(2)}, Action: []Value{B(8, 10), B(8, 20)}}
+	if err := tbl.Insert(e); err != nil {
+		t.Fatal(err)
+	}
+	e.Keys[0], e.Keys[1] = ExactKey(3), ExactKey(4)
+	e.Action[0], e.Action[1] = B(8, 30), B(8, 40)
+	if a, hit := tbl.Lookup([]uint64{1, 2}); !hit || a[0].V != 10 || a[1].V != 20 {
+		t.Fatalf("Lookup(1,2) = %v, %t after the caller rewrote its slices", a, hit)
+	}
+	if _, hit := tbl.Lookup([]uint64{3, 4}); hit {
+		t.Fatal("the caller's later key is in the table")
+	}
+	got := tbl.Entries()
+	got[0].Action[0] = B(8, 99)
+	got[0].Keys[0] = ExactKey(99)
+	if a, hit := tbl.Lookup([]uint64{1, 2}); !hit || a[0].V != 10 {
+		t.Fatalf("writing through Entries() changed the table: %v, %t", a, hit)
+	}
+}
+
+// TestCopyOnWriteReaders is the store's concurrency audit (run it under
+// -race): readers spin on LookupPacked for keys that are never removed
+// while a writer inserts, replaces and deletes other keys, grows the
+// table with batches and republishes the view at random. Every read must hit with
+// the action the key was installed with, and a view once published
+// must never change under a reader that still holds it.
+func TestCopyOnWriteReaders(t *testing.T) {
+	tbl := NewTable("t", []KeySpec{{Width: 64, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(64, 0)})
+	pool := collidingKeys(1, 96)
+	stable, churn := pool[:32], pool[32:]
+	for _, k := range stable {
+		if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, k[0])}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		wg   sync.WaitGroup
+		done atomic.Bool
+	)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; !done.Load(); i++ {
+				k := stable[i%len(stable)]
+				if a, hit := tbl.LookupPacked(k); !hit || a[0].V != k[0] {
+					t.Errorf("reader %d: LookupPacked(%d) = %v, %t", r, k[0], a, hit)
+					return
+				}
+			}
+		}(r)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000 && !t.Failed(); i++ {
+		k := churn[rng.Intn(len(churn))]
+		switch rng.Intn(8) {
+		case 0, 1, 2, 3:
+			if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, uint64(i))}}); err != nil {
+				t.Fatal(err)
+			}
+		case 4, 5:
+			tbl.Delete([]KeyMatch{ExactKey(k[0])})
+		case 6:
+			tbl.WarmSnapshot()
+		case 7:
+			// A held view must stay what it was through the next writes.
+			view := tbl.publish()
+			before := slices.Clone(view.acts)
+			tbl.Delete([]KeyMatch{ExactKey(k[0])})
+			_ = tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, ^uint64(i))}})
+			grow := make([]Entry, rng.Intn(64))
+			for g := range grow {
+				grow[g] = Entry{Keys: []KeyMatch{ExactKey(churn[g%len(churn)][0])}, Action: []Value{B(64, uint64(g))}}
+			}
+			_ = tbl.InsertBatch(grow)
+			if !slices.Equal(view.acts, before) {
+				t.Fatal("a published action array was written")
+			}
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+}
+
+// TestQuiescentTableHoldsOneCopy pins the copy-on-write economics: a
+// batch install on a fresh table sizes it once, publishing shares the
+// store's arrays, and the first write after a publish clones them once.
+func TestQuiescentTableHoldsOneCopy(t *testing.T) {
+	tbl := NewTable("t", []KeySpec{{Width: 32, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(8, 0)})
+	batch := make([]Entry, 1000)
+	for i := range batch {
+		batch[i] = Entry{Keys: []KeyMatch{ExactKey(uint64(i))}, Action: []Value{B(8, 1)}}
+	}
+	if err := tbl.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	slots := &tbl.packed.slots[0]
+	if len(tbl.packed.slots) != 2048 || cap(tbl.packed.acts) != 1000 {
+		t.Fatalf("a batch of 1000 left %d slots and room for %d actions: it must size the table once", len(tbl.packed.slots), cap(tbl.packed.acts))
+	}
+	tbl.WarmSnapshot()
+	view := tbl.snap.Load()
+	if &view.slots[0] != slots || &view.ctrl[0] != &tbl.packed.ctrl[0] || &view.acts[0] != &tbl.packed.acts[0] {
+		t.Fatal("the published view is a copy of the store, not the store's arrays")
+	}
+	if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(5)}, Action: []Value{B(8, 2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if &tbl.packed.slots[0] == slots || &view.slots[0] != slots {
+		t.Fatal("a write after publishing did not clone the shared arrays")
+	}
+	if a, _ := view.lookup(PackedKey{5}); a[0].V != 1 {
+		t.Fatal("the write reached the published view")
+	}
+	if a, _ := tbl.LookupPacked(PackedKey{5}); a[0].V != 2 {
+		t.Fatal("the write is not visible to the next lookup")
+	}
+}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -140,17 +141,17 @@ type Table struct {
 
 	mu sync.RWMutex
 	// packed is the allocation-free fast path: all-exact tables with at
-	// most MaxPackedKeys columns.
-	packed map[PackedKey]*Entry
-	// snap is an immutable snapshot of packed, published atomically and
+	// most MaxPackedKeys columns. Set once by NewTable; guarded by mu.
+	packed *packedStore
+	// snap is the published read view of packed, stored atomically and
 	// invalidated (stored nil) by every mutation. Readers that find it
-	// non-nil look up without taking mu at all — the snapshot is never
-	// written after publication, so concurrent reads are safe; the
-	// first reader after a mutation rebuilds it under the write lock.
-	// Control-plane installs are rare and batchy, so the O(n) rebuild
-	// amortizes to nothing while the per-packet path drops from two
-	// RWMutex atomics to one pointer load. The snapshot is a flat
-	// open-addressing table rather than a Go map: the key array is
+	// non-nil look up without taking mu at all: the view shares the
+	// store's arrays copy-on-write and a published array is never
+	// written (see packedStore), so concurrent reads are safe; the
+	// first reader after a mutation republishes under the write lock,
+	// at the cost of one small struct. The per-packet path is one
+	// pointer load instead of two RWMutex atomics. The table is flat
+	// open addressing rather than a Go map: the key array is
 	// pointer-free (cheap for the GC) and the multiply-xor hash is a
 	// fraction of the runtime map's 32-byte memhash + bucket protocol.
 	snap atomic.Pointer[packedSnap]
@@ -175,7 +176,8 @@ func NewTable(name string, keys []KeySpec, outputs []FieldRef, def []Value) *Tab
 	}
 	if t.isExact {
 		if len(keys) <= MaxPackedKeys {
-			t.packed = make(map[PackedKey]*Entry)
+			t.packed = &packedStore{n: len(outputs)}
+			t.packed.rehash(0)
 		} else {
 			t.exact = make(map[string]*Entry)
 		}
@@ -261,17 +263,37 @@ func (t *Table) compileMatcher(keys []KeyMatch) func(PackedKey) bool {
 
 // Insert adds or replaces an entry. For exact tables, replacement is by
 // key; for TCAM tables an identical (keys, priority) entry is replaced.
-func (t *Table) Insert(e Entry) error {
+// A packed exact table copies keys and action in and keeps neither slice.
+func (t *Table) Insert(e Entry) error { return t.InsertBatch([]Entry{e}) }
+
+// InsertBatch inserts the entries in order under one hold of the lock:
+// one version step, one view invalidation and, on a packed exact table,
+// room for all of them up front, so a bulk install neither rehashes on
+// its way up nor drains the store buffer behind a lock round trip per
+// entry. On an error the entries before the bad one are in.
+func (t *Table) InsertBatch(es []Entry) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.version.Add(1)
+	t.snap.Store(nil)
+	if st := t.packed; st != nil && (st.count+len(es))*2 > len(st.ctrl) {
+		st.rehash(max(st.count+len(es), 2*st.count)) // at least doubling
+	}
+	for i := range es {
+		if err := t.insertLocked(&es[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *Table) insertLocked(e *Entry) error {
 	if len(e.Keys) != len(t.Keys) {
 		return fmt.Errorf("table %s: entry has %d keys, want %d", t.Name, len(e.Keys), len(t.Keys))
 	}
 	if len(e.Action) != len(t.Outputs) {
 		return fmt.Errorf("table %s: entry has %d action values, want %d", t.Name, len(e.Action), len(t.Outputs))
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.version.Add(1)
-	t.snap.Store(nil)
 	if t.isExact {
 		for i, k := range e.Keys {
 			if k.Any {
@@ -279,20 +301,22 @@ func (t *Table) Insert(e Entry) error {
 			}
 		}
 		if t.packed != nil {
-			t.packed[packEntryKeys(e.Keys)] = &e
-		} else {
-			t.exact[exactKeyString(e.Keys)] = &e
+			t.packed.insert(packEntryKeys(e.Keys), e.Action, e.Name)
+			return nil
 		}
+		kept := *e
+		t.exact[exactKeyString(e.Keys)] = &kept
 		return nil
 	}
-	e.match = t.compileMatcher(e.Keys)
+	kept := *e
+	kept.match = t.compileMatcher(e.Keys)
 	for i, old := range t.entries {
 		if old.Priority == e.Priority && sameKeys(old.Keys, e.Keys) {
-			t.entries[i] = &e
+			t.entries[i] = &kept
 			return nil
 		}
 	}
-	t.entries = append(t.entries, &e)
+	t.entries = append(t.entries, &kept)
 	sort.SliceStable(t.entries, func(i, j int) bool {
 		if t.entries[i].Priority != t.entries[j].Priority {
 			return t.entries[i].Priority > t.entries[j].Priority
@@ -333,9 +357,7 @@ func (t *Table) Delete(keys []KeyMatch) int {
 	t.snap.Store(nil)
 	if t.isExact {
 		if t.packed != nil {
-			k := packEntryKeys(keys)
-			if _, ok := t.packed[k]; ok {
-				delete(t.packed, k)
+			if t.packed.remove(packEntryKeys(keys)) {
 				return 1
 			}
 			return 0
@@ -368,7 +390,8 @@ func (t *Table) Clear() {
 	t.snap.Store(nil)
 	if t.isExact {
 		if t.packed != nil {
-			t.packed = make(map[PackedKey]*Entry)
+			*t.packed = packedStore{n: t.packed.n}
+			t.packed.rehash(0)
 		} else {
 			t.exact = make(map[string]*Entry)
 		}
@@ -382,7 +405,7 @@ func (t *Table) Len() int {
 	defer t.mu.RUnlock()
 	if t.isExact {
 		if t.packed != nil {
-			return len(t.packed)
+			return t.packed.count
 		}
 		return len(t.exact)
 	}
@@ -447,15 +470,15 @@ func (t *Table) Lookup(vals []uint64) ([]Value, bool) {
 	return t.Default, false
 }
 
-// packedSnap is the immutable lock-free read structure for exact
-// tables: open addressing with linear probing at <= 50% load. Probes
-// walk a dense one-byte-per-slot control array first (0 = empty,
-// otherwise the top hash bits with the high bit set), so an empty or
-// mismatching slot usually costs one L1 touch instead of pulling the
-// 40-byte slot in from DRAM; the slot itself is only loaded when its
-// control byte matches. Actions live back-to-back in one shared
-// backing array, so the hit's action read lands next to its
-// neighbours instead of on a private heap object.
+// packedSnap is the lock-free read view of an exact table: open
+// addressing with linear probing at <= 50% load. Probes walk a dense
+// one-byte-per-slot control array first (0 = empty, otherwise the top
+// hash bits with the high bit set), so an empty or mismatching slot
+// usually costs one L1 touch instead of pulling the 40-byte slot in
+// from DRAM; the slot itself is only loaded when its control byte
+// matches. Actions live back-to-back in one shared backing array, so
+// the hit's action read lands next to its neighbours instead of on a
+// private heap object. Once published, nothing it points to is written.
 type packedSnap struct {
 	mask  uint64
 	ctrl  []uint8
@@ -513,38 +536,132 @@ func (s *packedSnap) lookup(k PackedKey) ([]Value, bool) {
 	}
 }
 
-func buildPackedSnap(packed map[PackedKey]*Entry, keyless bool) *packedSnap {
-	if keyless {
-		e, hit := packed[PackedKey{}]
-		if !hit {
-			return &packedSnap{keyless: true}
-		}
-		return &packedSnap{keyless: true, hit: true, acts: append(emptyAction, e.Action...)}
+// packedStore is the one store of a packed exact table: the arrays a
+// reader probes plus what only the writer needs. It is mutated under
+// Table.mu and published copy-on-write: Table.publish hands readers the
+// store's own arrays and marks them shared, and the next mutation clones
+// them before its first write. The one invariant: a published array is
+// never written. So a quiescent table holds one copy, publishing is
+// O(1), a bulk install never copies and a live install pays one memcpy.
+type packedStore struct {
+	packedSnap
+	n      int                  // action values per entry (len(Table.Outputs))
+	count  int                  // occupied slots
+	shared bool                 // a published view aliases ctrl, slots and acts
+	free   []uint32             // offsets in acts of deleted entries' action blocks
+	names  map[PackedKey]string // the cold side map for the rare Entry.Name
+}
+
+// unshare gives the store private arrays if a view aliases them.
+func (st *packedStore) unshare() {
+	if st.shared {
+		st.ctrl, st.slots, st.acts = slices.Clone(st.ctrl), slices.Clone(st.slots), slices.Clone(st.acts)
+		st.shared = false
 	}
-	size := uint64(8)
-	for size < uint64(len(packed))*2 {
+}
+
+// rehash moves the entries into fresh arrays with room for entries of
+// them at <= 50% load, actions compact in slot order. The old arrays
+// are left as they were, so a published view stays valid.
+func (st *packedStore) rehash(entries int) {
+	size := 8
+	for size < 2*entries {
 		size *= 2
 	}
-	s := &packedSnap{
-		mask:  size - 1,
+	old := st.packedSnap
+	st.packedSnap = packedSnap{
+		mask:  uint64(size - 1),
 		ctrl:  make([]uint8, size),
 		slots: make([]packedSlot, size),
+		acts:  make([]Value, 0, entries*st.n),
 	}
-	for k, e := range packed {
-		h := hashPacked(k)
-		i := h & s.mask
-		for s.ctrl[i] != 0 {
-			i = (i + 1) & s.mask
+	st.shared, st.free = false, st.free[:0]
+	for i, c := range old.ctrl {
+		if c != 0 {
+			sl := old.slots[i]
+			j, _ := st.find(sl.key, hashPacked(sl.key))
+			st.ctrl[j], st.slots[j] = c, packedSlot{key: sl.key, off: uint32(len(st.acts)), n: sl.n}
+			st.acts = append(st.acts, old.acts[sl.off:sl.off+sl.n]...)
 		}
-		s.ctrl[i] = uint8(h>>56) | 0x80
-		s.slots[i] = packedSlot{
-			key: k,
-			off: uint32(len(s.acts)),
-			n:   uint32(len(e.Action)),
-		}
-		s.acts = append(s.acts, e.Action...)
 	}
-	return s
+}
+
+// find probes for k (hash h): its slot, or the empty one ending its run.
+func (st *packedStore) find(k PackedKey, h uint64) (uint64, bool) {
+	want := uint8(h>>56) | 0x80
+	for i := h & st.mask; ; i = (i + 1) & st.mask {
+		if c := st.ctrl[i]; c == 0 || c == want && st.slots[i].key == k {
+			return i, c != 0
+		}
+	}
+}
+
+// insert adds k or overwrites its action in place (every entry of a
+// table carries len(Outputs) values); action is copied, not kept. The
+// caller (InsertBatch) has made room: load stays <= 50%.
+func (st *packedStore) insert(k PackedKey, action []Value, name string) {
+	st.unshare()
+	h := hashPacked(k)
+	i, ok := st.find(k, h)
+	sl := &st.slots[i]
+	if !ok {
+		*sl = packedSlot{key: k, off: uint32(len(st.acts)), n: uint32(st.n)}
+		if f := len(st.free) - 1; f >= 0 {
+			sl.off, st.free = st.free[f], st.free[:f]
+		} else {
+			st.acts = append(st.acts, action...)
+		}
+		st.ctrl[i] = uint8(h>>56) | 0x80
+		st.count++
+	}
+	copy(st.acts[sl.off:], action)
+	if name != "" {
+		if st.names == nil {
+			st.names = make(map[PackedKey]string)
+		}
+		st.names[k] = name
+	} else if st.names != nil {
+		delete(st.names, k)
+	}
+}
+
+// remove deletes k by backward shift: later entries of the probe run
+// whose home slot is not past the hole move back into it (no tombstones).
+func (st *packedStore) remove(k PackedKey) bool {
+	i, ok := st.find(k, hashPacked(k))
+	if !ok {
+		return false
+	}
+	st.unshare()
+	if st.n > 0 {
+		st.free = append(st.free, st.slots[i].off)
+	}
+	for j := (i + 1) & st.mask; st.ctrl[j] != 0; j = (j + 1) & st.mask {
+		if home := hashPacked(st.slots[j].key); (j-home)&st.mask >= (j-i)&st.mask {
+			st.ctrl[i], st.slots[i] = st.ctrl[j], st.slots[j]
+			i = j
+		}
+	}
+	st.ctrl[i] = 0
+	st.count--
+	delete(st.names, k)
+	return true
+}
+
+// entries rebuilds Entry values from the slots, for Table.Entries.
+func (st *packedStore) entries(nkeys int) []Entry {
+	out := make([]Entry, 0, st.count)
+	for i, c := range st.ctrl {
+		if c != 0 {
+			sl := st.slots[i]
+			keys := make([]KeyMatch, nkeys)
+			for j := range keys {
+				keys[j] = ExactKey(sl.key[j])
+			}
+			out = append(out, Entry{Keys: keys, Action: slices.Clone(st.acts[sl.off : sl.off+sl.n]), Name: st.names[sl.key]})
+		}
+	}
+	return out
 }
 
 // LookupPacked is the allocation-free lookup the bytecode VM uses: the
@@ -563,17 +680,11 @@ func (t *Table) LookupPacked(k PackedKey) ([]Value, bool) {
 }
 
 // lookupPackedSlow is the locked path: TCAM tables always land here;
-// exact tables land here only right after a mutation, rebuilding the
-// read snapshot for every subsequent lookup.
+// exact tables land here only right after a mutation, republishing the
+// read view for every subsequent lookup.
 func (t *Table) lookupPackedSlow(k PackedKey) ([]Value, bool) {
 	if t.packed != nil {
-		t.mu.Lock()
-		s := t.snap.Load()
-		if s == nil {
-			s = buildPackedSnap(t.packed, len(t.Keys) == 0)
-			t.snap.Store(s)
-		}
-		t.mu.Unlock()
+		s := t.publish()
 		if a, ok := s.lookup(k); ok {
 			return a, true
 		}
@@ -596,11 +707,7 @@ func (t *Table) Entries() []Entry {
 	defer t.mu.RUnlock()
 	if t.isExact {
 		if t.packed != nil {
-			out := make([]Entry, 0, len(t.packed))
-			for _, e := range t.packed {
-				out = append(out, *e)
-			}
-			return out
+			return t.packed.entries(len(t.Keys))
 		}
 		out := make([]Entry, 0, len(t.exact))
 		for _, e := range t.exact {
@@ -658,17 +765,30 @@ func (r *Register) Reset() {
 	}
 }
 
-// WarmSnapshot eagerly (re)builds the lock-free read snapshot after a
-// batch of control-plane mutations, so the first packet after an
-// install doesn't pay the O(n) rebuild on the data path. It is a no-op
-// for TCAM tables and for exact tables whose snapshot is current.
-func (t *Table) WarmSnapshot() {
-	if t.packed == nil {
-		return
-	}
+// publish returns the current read view, sharing the store's arrays
+// into a new one if a mutation invalidated the last.
+func (t *Table) publish() *packedSnap {
 	t.mu.Lock()
-	if t.snap.Load() == nil {
-		t.snap.Store(buildPackedSnap(t.packed, len(t.Keys) == 0))
+	defer t.mu.Unlock()
+	if s := t.snap.Load(); s != nil {
+		return s
 	}
-	t.mu.Unlock()
+	t.packed.shared = true
+	v := t.packed.packedSnap
+	if len(t.Keys) == 0 {
+		v.acts, v.hit = v.lookup(PackedKey{})
+		v.keyless = true
+	}
+	t.snap.Store(&v)
+	return &v
+}
+
+// WarmSnapshot publishes the lock-free read view after a batch of
+// control-plane mutations, so the first packet after an install doesn't
+// take the lock to do it. It is O(1), and a no-op for TCAM tables and
+// for exact tables whose view is current.
+func (t *Table) WarmSnapshot() {
+	if t.packed != nil {
+		t.publish()
+	}
 }

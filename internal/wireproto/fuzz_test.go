@@ -3,9 +3,71 @@ package wireproto
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var updateSeeds = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzWireFrame from fuzzSeeds")
+
+// fuzzSeeds is the named seed corpus of FuzzWireFrame: one valid frame
+// of every binary payload kind, a JSON one, and the damaged shapes. The
+// committed files under testdata/fuzz embed the version byte and the
+// checksums, so they are generated from this list
+// (TestCommittedFuzzSeeds, -update) rather than edited.
+func fuzzSeeds(t testing.TB) map[string][]byte {
+	batch, err := AppendPacketBatch(nil, samplePackets()[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedChunk, err := AppendSeed(nil, [][2]uint32{{0xac100001, 0xac110202}, {1, 2}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedDone, err := AppendSeed(nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := encodeFrame(t, TypePacketBatch, batch)
+	corrupt[len(corrupt)-2] ^= 0x40
+	return map[string][]byte{
+		"seed_hello":        encodeFrame(t, TypeHello, []byte(`{"role":"worker","node":"worker-0"}`)),
+		"seed_packet_batch": encodeFrame(t, TypePacketBatch, batch),
+		"seed_seed":         append(encodeFrame(t, TypeSeed, seedChunk), encodeFrame(t, TypeSeed, seedDone)...),
+		"seed_seed_short":   encodeFrame(t, TypeSeed, seedChunk[:len(seedChunk)-3]),
+		"seed_fin":          encodeFrame(t, TypeFin, nil),
+		"seed_credit":       encodeFrame(t, TypeCredit, AppendCredit(nil, 3)),
+		"seed_two_frames":   append(encodeFrame(t, TypeFin, nil), encodeFrame(t, TypeCredit, AppendCredit(nil, 1))...),
+		"seed_truncated":    encodeFrame(t, TypePacketBatch, batch)[:headerLen+3],
+		"seed_bad_crc":      corrupt,
+	}
+}
+
+// TestCommittedFuzzSeeds keeps the committed corpus equal to fuzzSeeds,
+// so a version bump cannot leave seeds the reader refuses at byte 4.
+func TestCommittedFuzzSeeds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzWireFrame")
+	for name, data := range fuzzSeeds(t) {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		path := filepath.Join(dir, name)
+		if *updateSeeds {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s is stale: run go test ./internal/wireproto -run TestCommittedFuzzSeeds -update", path)
+		}
+	}
+}
 
 // FuzzWireFrame hammers the framing layer with arbitrary bytes. The
 // invariants:
@@ -16,30 +78,12 @@ import (
 //     byte-exactly (the codec is canonical);
 //   - an accepted TypePacketBatch payload drains through the batch
 //     decoder without panicking, and if it drains cleanly it re-encodes
-//     to the identical payload.
+//     to the identical payload; an accepted TypeSeed payload that
+//     decodes re-encodes to the identical payload too.
 func FuzzWireFrame(f *testing.F) {
-	valid := func(typ byte, payload []byte) []byte {
-		var buf bytes.Buffer
-		if err := NewWriter(&buf).WriteFrame(typ, payload); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	for _, data := range fuzzSeeds(f) {
+		f.Add(data)
 	}
-	batch, err := AppendPacketBatch(nil, []Packet{
-		{Src: 1, Dst: 2, Sport: 3, Dport: 4, Proto: 6, Len: 64,
-			Hops: []Hop{{Switch: 1, In: 3, Out: 1}, {Switch: 2, In: 1, Out: 3}}},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid(TypeHello, []byte(`{"role":"ingest"}`)))
-	f.Add(valid(TypePacketBatch, batch))
-	f.Add(valid(TypeFin, nil))
-	f.Add(valid(TypeCredit, AppendCredit(nil, 1)))
-	f.Add(valid(TypePacketBatch, batch)[:headerLen+3]) // truncated
-	corrupt := valid(TypePacketBatch, batch)
-	corrupt[len(corrupt)-1] ^= 0xff
-	f.Add(corrupt) // bad CRC
 	f.Add([]byte("HYWP"))
 	f.Add([]byte{})
 
@@ -67,8 +111,15 @@ func FuzzWireFrame(f *testing.F) {
 				t.Fatalf("round trip changed frame: type %d->%d, %d->%d payload bytes",
 					fr.Type, re.Type, len(fr.Payload), len(re.Payload))
 			}
-			if fr.Type == TypePacketBatch {
+			switch fr.Type {
+			case TypePacketBatch:
 				fuzzDrainBatch(t, fr.Payload)
+			case TypeSeed:
+				if pairs, done, err := DecodeSeed(fr.Payload); err == nil {
+					if re, err := AppendSeed(nil, pairs, done); err != nil || !bytes.Equal(re, fr.Payload) {
+						t.Fatalf("seed codec not canonical: %v, %d vs %d bytes", err, len(re), len(fr.Payload))
+					}
+				}
 			}
 			re.Release()
 			fr.Release()

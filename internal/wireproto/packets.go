@@ -161,3 +161,51 @@ func DecodeCredit(payload []byte) (uint32, error) {
 	}
 	return binary.LittleEndian.Uint32(payload), nil
 }
+
+// MaxSeedPairs bounds the pairs one TypeSeed frame may carry; a larger
+// seed set is sent as several frames, the last one marked done.
+const MaxSeedPairs = 8192
+
+const seedDone = 1 // flags bit 0: the final chunk of the seed set
+
+// AppendSeed appends the binary TypeSeed payload: flags (1B), count
+// (uint32 LE), then each (src, dst) address pair as two uint32 LE.
+func AppendSeed(buf []byte, pairs [][2]uint32, done bool) ([]byte, error) {
+	if len(pairs) > MaxSeedPairs {
+		return buf, fmt.Errorf("wireproto: seed chunk of %d pairs exceeds %d", len(pairs), MaxSeedPairs)
+	}
+	var flags byte
+	if done {
+		flags = seedDone
+	}
+	buf = append(buf, flags)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pairs)))
+	for _, p := range pairs {
+		buf = binary.LittleEndian.AppendUint32(buf, p[0])
+		buf = binary.LittleEndian.AppendUint32(buf, p[1])
+	}
+	return buf, nil
+}
+
+// DecodeSeed parses a TypeSeed payload into its pairs and done flag.
+func DecodeSeed(payload []byte) (pairs [][2]uint32, done bool, err error) {
+	if len(payload) < 5 {
+		return nil, false, fmt.Errorf("wireproto: seed payload shorter than its flags and count")
+	}
+	if payload[0]&^seedDone != 0 {
+		return nil, false, fmt.Errorf("wireproto: seed payload with unknown flags %#x", payload[0])
+	}
+	n := binary.LittleEndian.Uint32(payload[1:])
+	if n > MaxSeedPairs {
+		return nil, false, fmt.Errorf("wireproto: seed count %d exceeds %d", n, MaxSeedPairs)
+	}
+	b := payload[5:]
+	if len(b) != int(n)*8 {
+		return nil, false, fmt.Errorf("wireproto: seed payload carries %d bytes for %d pairs", len(b), n)
+	}
+	pairs = make([][2]uint32, n)
+	for i := range pairs {
+		pairs[i] = [2]uint32{binary.LittleEndian.Uint32(b[8*i:]), binary.LittleEndian.Uint32(b[8*i+4:])}
+	}
+	return pairs, payload[0] == seedDone, nil
+}

@@ -13,10 +13,12 @@
 // poisoning a decoder. Payloads are read into pooled buffers sized to
 // the frame (Frame.Release returns them), and the hot-path payload —
 // the packet batch — has a fixed little-endian binary codec that
-// decodes by reslicing, no per-packet allocation. Control payloads
-// (hello, seed, stats, summaries) are JSON inside the same framing;
-// they run once per connection or per stats tick, where schema
-// evolution matters more than nanoseconds.
+// decodes by reslicing, no per-packet allocation; the firewall seed,
+// tens of thousands of pairs on the serial prelude of every session,
+// shares its style. The other control payloads (hello, stats,
+// summaries, aggregates) are JSON inside the same framing; they run
+// once per connection or per stats tick, where schema evolution
+// matters more than nanoseconds.
 package wireproto
 
 import (
@@ -33,7 +35,8 @@ import (
 const (
 	// TypeHello opens every connection: JSON Hello payload.
 	TypeHello = byte(iota + 1)
-	// TypeSeed carries a chunk of firewall seed pairs: JSON Seed payload.
+	// TypeSeed carries a chunk of firewall seed pairs: binary (see
+	// AppendSeed / DecodeSeed).
 	TypeSeed
 	// TypePacketBatch is the hot path: binary packet batch (see
 	// AppendPacketBatch / BatchDecoder).
@@ -55,8 +58,8 @@ const (
 
 const (
 	// Version is the protocol version this build speaks. A reader
-	// rejects frames from any other version.
-	Version = 1
+	// rejects frames from any other version. 2: TypeSeed went binary.
+	Version = 2
 
 	headerLen  = 10
 	trailerLen = 4

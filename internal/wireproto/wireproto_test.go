@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -207,5 +208,41 @@ func TestCredit(t *testing.T) {
 	}
 	if _, err := DecodeCredit([]byte{1, 2, 3}); err == nil {
 		t.Fatal("want error on short credit payload")
+	}
+}
+
+func TestSeed(t *testing.T) {
+	pairs := [][2]uint32{{0xac100001, 0xac110202}, {0, 0xffffffff}, {7, 7}}
+	for _, done := range []bool{false, true} {
+		payload, err := AppendSeed([]byte{0xee}, pairs, done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload[0] != 0xee || len(payload) != 1+5+8*len(pairs) {
+			t.Fatalf("AppendSeed wrote %d bytes from %#x, want an append of %d", len(payload), payload[0], 5+8*len(pairs))
+		}
+		got, gotDone, err := DecodeSeed(payload[1:])
+		if err != nil || gotDone != done || !slices.Equal(got, pairs) {
+			t.Fatalf("round trip (done=%t) = (%v, %t, %v)", done, got, gotDone, err)
+		}
+	}
+	if got, done, err := DecodeSeed([]byte{1, 0, 0, 0, 0}); err != nil || !done || len(got) != 0 {
+		t.Fatalf("empty done chunk = (%v, %t, %v)", got, done, err)
+	}
+	if _, err := AppendSeed(nil, make([][2]uint32, MaxSeedPairs+1), true); err == nil {
+		t.Fatal("want error encoding an oversized seed chunk")
+	}
+	valid, _ := AppendSeed(nil, pairs, true)
+	for name, mutate := range map[string]func([]byte) []byte{
+		"short header":       func(b []byte) []byte { return b[:4] },
+		"unknown flag":       func(b []byte) []byte { b[0] |= 2; return b },
+		"count over bound":   func(b []byte) []byte { binary.LittleEndian.PutUint32(b[1:], MaxSeedPairs+1); return b },
+		"count over content": func(b []byte) []byte { binary.LittleEndian.PutUint32(b[1:], 4); return b },
+		"trailing bytes":     func(b []byte) []byte { return append(b, 0) },
+		"truncated pair":     func(b []byte) []byte { return b[:len(b)-1] },
+	} {
+		if _, _, err := DecodeSeed(mutate(slices.Clone(valid))); err == nil {
+			t.Errorf("%s: want decode error", name)
+		}
 	}
 }
