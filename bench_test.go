@@ -276,9 +276,9 @@ func BenchmarkPHVSlots(b *testing.B) {
 }
 
 // BenchmarkTableLookup measures the match-action table hot paths: the
-// packed-key exact map, the keyless (scalar control) table that skips
-// it, the wide-key (string fallback) exact map, and the pre-sorted TCAM
-// scan with compiled per-entry matchers.
+// packed-key exact table in cache and out of it, the keyless (scalar
+// control) table that never probes, the wide-key (string fallback) exact
+// map, and the pre-sorted TCAM scan with compiled per-entry matchers.
 func BenchmarkTableLookup(b *testing.B) {
 	b.Run("exact-packed", func(b *testing.B) {
 		t := pipeline.NewTable("t", []pipeline.KeySpec{{Width: 32}, {Width: 16}},
@@ -297,6 +297,57 @@ func BenchmarkTableLookup(b *testing.B) {
 			if _, hit := t.LookupPacked(pipeline.PackedKey{uint64(i % 256), uint64(i % 16)}); !hit {
 				b.Fatal("miss")
 			}
+		}
+	})
+	// exact-packed above is 256 entries, all in L1: it times the hash and
+	// the compare. A per-flow table outgrows every cache, and there a
+	// lookup costs what its layout makes it touch — so this one holds
+	// 1<<18 two-column entries (a 16 MB record array) and visits them in
+	// a fixed pseudo-random order, as hits and as misses. It consumes
+	// the action, and the next key depends on it, as the VM's writeOut
+	// and the branch after it do: a loop that drops the action never
+	// loads it, and independent lookups overlap their misses, which a
+	// packet's two lookups a thousand instructions apart cannot.
+	b.Run("exact-packed-cold", func(b *testing.B) {
+		const n = 1 << 18
+		t := pipeline.NewTable("t", []pipeline.KeySpec{{Width: 32}, {Width: 32}},
+			[]pipeline.FieldRef{"ctrl.v"}, []pipeline.Value{pipeline.B(16, 0)})
+		key := func(i uint64) pipeline.PackedKey { return pipeline.PackedKey{0x0a000000 + i, 0x0a800000 + i>>3} }
+		batch, keys, acts := make([]pipeline.Entry, n), make([]pipeline.KeyMatch, 2*n), make([]pipeline.Value, n)
+		for i := range batch {
+			k := key(uint64(i))
+			keys[2*i], keys[2*i+1], acts[i] = pipeline.ExactKey(k[0]), pipeline.ExactKey(k[1]), pipeline.B(32, 4*uint64(i))
+			batch[i] = pipeline.Entry{Keys: keys[2*i : 2*i+2], Action: acts[i : i+1]}
+		}
+		if err := t.InsertBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		t.WarmSnapshot()
+		for _, v := range []struct {
+			name string
+			base uint64 // n past the installed keys: every lookup misses
+		}{{"hit", 0}, {"miss", n}} {
+			b.Run(v.name, func(b *testing.B) {
+				i := uint64(0)
+				next := func() bool {
+					a, hit := t.LookupPacked(key(v.base + i))
+					// A hit's action is 4i, a miss's 0: either way the
+					// multiplier stays 1 mod 4, so the LCG keeps its full
+					// period over the n keys.
+					i = (i*1664525 + 1013904223 + a[0].V) % n
+					return hit
+				}
+				if allocs := testing.AllocsPerRun(1000, func() { next() }); allocs != 0 {
+					b.Fatalf("%.1f allocs per lookup, want 0", allocs)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for j := 0; j < b.N; j++ {
+					if next() != (v.base == 0) {
+						b.Fatal("a hit where a miss belongs, or the reverse")
+					}
+				}
+			})
 		}
 	})
 	b.Run("keyless", func(b *testing.B) {

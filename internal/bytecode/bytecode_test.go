@@ -493,6 +493,51 @@ func TestVMLiveInstall(t *testing.T) {
 	}
 }
 
+// TestApplyZeroFillsUnusedColumns pins the caller's half of the
+// LookupPacked contract: an exact table compares keys at its own width,
+// so runApply must hand a narrower table a key whose remaining columns
+// are zero, whatever a wider apply left behind. Every narrow apply here
+// follows a four-column one with all four words set, and must hit.
+func TestApplyZeroFillsUnusedColumns(t *testing.T) {
+	fx, fy := f("hdr.x", 32), f("hdr.y", 16)
+	four := pipeline.ApplyOp{Table: "t4", Keys: []pipeline.Expr{fx, fy, fx, fy}}
+	prog := &pipeline.Program{Name: "widths", HeaderBindings: map[string]string{"x": "hdr.x", "y": "hdr.y"}}
+	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
+		name := fmt.Sprintf("t%d", n)
+		prog.Tables = append(prog.Tables, pipeline.TableSpec{
+			Name: name, Keys: make([]pipeline.KeySpec, n),
+			Outputs: []pipeline.FieldRef{pipeline.FieldRef("ctrl.o" + name)}, OutputWidths: []int{8},
+			Default: []pipeline.Value{pipeline.B(8, 0)},
+		})
+		for i := range prog.Tables[n].Keys {
+			prog.Tables[n].Keys[i].Width = 32
+		}
+		if n < pipeline.MaxPackedKeys {
+			prog.Checker = append(prog.Checker, four, pipeline.ApplyOp{Table: name, Keys: []pipeline.Expr{fx, fy, fx}[:n]})
+		}
+	}
+	vp := bytecode.MustCompile(prog)
+	st := prog.NewState()
+	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
+		keys := []pipeline.KeyMatch{pipeline.ExactKey(7), pipeline.ExactKey(9), pipeline.ExactKey(7), pipeline.ExactKey(9)}[:n]
+		if err := st.Tables[fmt.Sprintf("t%d", n)].Insert(pipeline.Entry{Keys: keys, Action: []pipeline.Value{pipeline.B(8, uint64(n+1))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := vp.NewCtx()
+	hdrs := []pipeline.Value{pipeline.B(32, 7), pipeline.B(16, 9)} // Bindings() order: hdr.x, hdr.y
+	if _, err := vp.RunHop(c, st, nil, nil, hdrs, 1, 100, true, true, bytecode.BlockChecker); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
+		out, _ := vp.SlotOf(pipeline.FieldRef(fmt.Sprintf("ctrl.ot%d", n)))
+		hit, _ := vp.SlotOf(st.Tables[fmt.Sprintf("t%d", n)].HitField())
+		if c.PHV[out].V != uint64(n+1) || c.PHV[hit].V != 1 {
+			t.Errorf("%d-column apply after a 4-column one: out %d hit %d, want %d and 1", n, c.PHV[out].V, c.PHV[hit].V, n+1)
+		}
+	}
+}
+
 // TestCorpusCompiles compiles every corpus checker to bytecode.
 func TestCorpusCompiles(t *testing.T) {
 	for _, p := range checkers.All {

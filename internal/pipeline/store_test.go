@@ -4,10 +4,32 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// modelPool is the key pool of the model test: collidingKeys, plus what
+// a store that marks an empty slot by its key can get wrong — the
+// all-zero key itself (index modelZero) and one key per column with only
+// that column set, so a live record may start with a zero word, or a
+// whole zero Value.
+func modelPool(ncols int) []PackedKey {
+	pool := collidingKeys(ncols, modelZero)
+	if ncols == 0 {
+		return pool
+	}
+	pool = append(pool, PackedKey{})
+	for c := 0; c < ncols; c++ {
+		var k PackedKey
+		k[c] = uint64(c + 1)
+		pool = append(pool, k)
+	}
+	return pool
+}
+
+const modelZero = 72
 
 // collidingKeys returns n distinct keys of ncols columns built to
 // collide: three in four hash to the last slot of every table of up to
@@ -98,7 +120,8 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 // runTableOps drives one table and the model through the op stream and
 // checks them against each other after every step. data[0] picks the
 // column count (0–4), data[1] the action length (0–2); each op is three
-// bytes: kind, key index, value.
+// bytes: kind, key index, value. Action values are raw — any width,
+// bits above it set — so a store that reinterprets W or V shows.
 func runTableOps(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
@@ -113,7 +136,10 @@ func runTableOps(t *testing.T, data []byte) {
 		outs[i], def[i] = FieldRef(fmt.Sprintf("o%d", i)), B(16, 0xdead)
 	}
 	tbl := NewTable("t", keys, outs, def)
-	pool := collidingKeys(ncols, 72)
+	pool := modelPool(ncols)
+	action := func(val uint64, o int) Value {
+		return Value{W: int(val % 65), V: val*0x0101010101010101 + uint64(o)}
+	}
 	m := &tableModel{acts: map[PackedKey][]Value{}, names: map[PackedKey]string{}}
 	// One Entry refilled for every insert, as a bulk installer would.
 	e := Entry{Keys: make([]KeyMatch, ncols), Action: make([]Value, nout)}
@@ -128,7 +154,7 @@ func runTableOps(t *testing.T, data []byte) {
 				e.Keys[c] = ExactKey(k[c])
 			}
 			for o := range e.Action {
-				e.Action[o] = B(16, val+uint64(o))
+				e.Action[o] = action(val, o)
 			}
 			e.Name = ""
 			if kind == 8 {
@@ -162,7 +188,7 @@ func runTableOps(t *testing.T, data []byte) {
 					batch[b].Keys[c] = ExactKey(bk[c])
 				}
 				for o := range batch[b].Action {
-					batch[b].Action[o] = B(16, val+uint64(b+o))
+					batch[b].Action[o] = action(val, b+o)
 				}
 				m.acts[bk] = batch[b].Action
 				delete(m.names, bk)
@@ -191,14 +217,18 @@ func runTableOps(t *testing.T, data []byte) {
 
 // TestTableModel runs long random op streams for every column count,
 // with a key pool small and colliding enough that backward-shift
-// deletion crosses the wrap-around and growth lands mid-chain.
+// deletion crosses the wrap-around and growth lands mid-chain. Every
+// shape opens with the all-zero key inserted, replaced, deleted and
+// re-inserted by name, then a batch across it that grows the table.
 func TestTableModel(t *testing.T) {
+	prologue := []byte{0, modelZero, 1, 0, modelZero, 2, 9, modelZero, 0, 9, modelZero, 0, 8, modelZero, 3, 13, modelZero - 7, 15}
 	for ncols := 0; ncols <= 4; ncols++ {
 		for nout := 0; nout <= 2; nout++ {
 			rng := rand.New(rand.NewSource(int64(17*ncols + nout)))
 			data := make([]byte, 2+3*1500)
 			rng.Read(data)
 			data[0], data[1] = byte(ncols), byte(nout)
+			copy(data[2:], prologue)
 			t.Run(fmt.Sprintf("cols%d_out%d", ncols, nout), func(t *testing.T) { runTableOps(t, data) })
 		}
 	}
@@ -223,8 +253,8 @@ func TestWrapAroundDelete(t *testing.T) {
 		}
 	}
 	st := tbl.packed
-	if last := len(st.ctrl) - 1; st.slots[last].key != pool[0] || st.ctrl[0] == 0 || st.ctrl[1] == 0 {
-		t.Fatalf("the run does not wrap: ctrl %v", st.ctrl)
+	if st.key(st.rec(st.mask)) != pool[0] || st.key(st.rec(0)) == (PackedKey{}) || st.key(st.rec(1)) == (PackedKey{}) {
+		t.Fatalf("the run does not wrap: records %v", st.recs)
 	}
 	if n := tbl.Delete([]KeyMatch{ExactKey(pool[0][0])}); n != 1 {
 		t.Fatalf("Delete = %d", n)
@@ -234,8 +264,8 @@ func TestWrapAroundDelete(t *testing.T) {
 			t.Fatalf("key %d after the delete: %v, %t", i, a, hit)
 		}
 	}
-	if st.slots[len(st.ctrl)-1].key != pool[1] {
-		t.Fatalf("the second entry did not shift back across the wrap-around: ctrl %v", st.ctrl)
+	if st.key(st.rec(st.mask)) != pool[1] {
+		t.Fatalf("the second entry did not shift back across the wrap-around: records %v", st.recs)
 	}
 }
 
@@ -267,13 +297,14 @@ func TestInsertCopies(t *testing.T) {
 // TestCopyOnWriteReaders is the store's concurrency audit (run it under
 // -race): readers spin on LookupPacked for keys that are never removed
 // while a writer inserts, replaces and deletes other keys, grows the
-// table with batches and republishes the view at random. Every read must hit with
-// the action the key was installed with, and a view once published
-// must never change under a reader that still holds it.
+// table with batches and republishes the view at random. Every read
+// must hit with the action the key was installed with, and a view once
+// published — its record array and its zero-key action — must never
+// change under a reader that still holds it.
 func TestCopyOnWriteReaders(t *testing.T) {
 	tbl := NewTable("t", []KeySpec{{Width: 64, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(64, 0)})
 	pool := collidingKeys(1, 96)
-	stable, churn := pool[:32], pool[32:]
+	stable, churn := pool[:32], append(pool[32:], PackedKey{}) // the all-zero key churns too
 	for _, k := range stable {
 		if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, k[0])}}); err != nil {
 			t.Fatal(err)
@@ -311,16 +342,20 @@ func TestCopyOnWriteReaders(t *testing.T) {
 		case 7:
 			// A held view must stay what it was through the next writes.
 			view := tbl.publish()
-			before := slices.Clone(view.acts)
+			before, zero := slices.Clone(view.recs), slices.Clone(view.zero)
 			tbl.Delete([]KeyMatch{ExactKey(k[0])})
 			_ = tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, ^uint64(i))}})
+			_ = tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(0)}, Action: []Value{B(64, uint64(i))}})
+			if i%2 == 0 {
+				tbl.Delete([]KeyMatch{ExactKey(0)})
+			}
 			grow := make([]Entry, rng.Intn(64))
 			for g := range grow {
 				grow[g] = Entry{Keys: []KeyMatch{ExactKey(churn[g%len(churn)][0])}, Action: []Value{B(64, uint64(g))}}
 			}
 			_ = tbl.InsertBatch(grow)
-			if !slices.Equal(view.acts, before) {
-				t.Fatal("a published action array was written")
+			if !slices.Equal(view.recs, before) || !slices.Equal(view.zero, zero) {
+				t.Fatal("a published record array or zero-key action was written")
 			}
 		}
 	}
@@ -340,25 +375,140 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 	if err := tbl.InsertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	slots := &tbl.packed.slots[0]
-	if len(tbl.packed.slots) != 2048 || cap(tbl.packed.acts) != 1000 {
-		t.Fatalf("a batch of 1000 left %d slots and room for %d actions: it must size the table once", len(tbl.packed.slots), cap(tbl.packed.acts))
+	recs := &tbl.packed.recs[0]
+	if st := tbl.packed; len(st.recs) != 2048*st.stride || st.stride != 2 {
+		t.Fatalf("a batch of 1000 left %d records of %d values: it must size the table once", len(st.recs)/st.stride, st.stride)
 	}
 	tbl.WarmSnapshot()
 	view := tbl.snap.Load()
-	if &view.slots[0] != slots || &view.ctrl[0] != &tbl.packed.ctrl[0] || &view.acts[0] != &tbl.packed.acts[0] {
-		t.Fatal("the published view is a copy of the store, not the store's arrays")
+	if &view.recs[0] != recs {
+		t.Fatal("the published view is a copy of the store, not the store's array")
 	}
 	if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(5)}, Action: []Value{B(8, 2)}}); err != nil {
 		t.Fatal(err)
 	}
-	if &tbl.packed.slots[0] == slots || &view.slots[0] != slots {
-		t.Fatal("a write after publishing did not clone the shared arrays")
+	if &tbl.packed.recs[0] == recs || &view.recs[0] != recs {
+		t.Fatal("a write after publishing did not clone the shared array")
+	}
+	clone := &tbl.packed.recs[0]
+	if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(6)}, Action: []Value{B(8, 2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if &tbl.packed.recs[0] != clone {
+		t.Fatal("a second write before the next publish cloned again")
 	}
 	if a, _ := view.lookup(PackedKey{5}); a[0].V != 1 {
 		t.Fatal("the write reached the published view")
 	}
 	if a, _ := tbl.LookupPacked(PackedKey{5}); a[0].V != 2 {
 		t.Fatal("the write is not visible to the next lookup")
+	}
+}
+
+// tableShapes is one table of each store: packed exact, wide exact (the
+// string-keyed fallback) and TCAM, each with one output.
+func tableShapes() map[string]*Table {
+	cols := func(n int, kind MatchKind) []KeySpec {
+		keys := make([]KeySpec, n)
+		for i := range keys {
+			keys[i] = KeySpec{Width: 32, Kind: kind}
+		}
+		return keys
+	}
+	return map[string]*Table{
+		"packed": NewTable("t", cols(2, MatchExact), []FieldRef{"v"}, []Value{B(8, 0)}),
+		"wide":   NewTable("t", cols(MaxPackedKeys+1, MatchExact), []FieldRef{"v"}, []Value{B(8, 0)}),
+		"tcam":   NewTable("t", cols(2, MatchTernary), []FieldRef{"v"}, []Value{B(8, 0)}),
+	}
+}
+
+// TestInsertBatchAllOrNothing: a batch with an invalid entry names the
+// entry, installs none of the batch, and leaves the version and the
+// published view alone — so no shard cache is busted for nothing.
+func TestInsertBatchAllOrNothing(t *testing.T) {
+	for name, tbl := range tableShapes() {
+		t.Run(name, func(t *testing.T) {
+			entry := func(v uint64) Entry {
+				e := Entry{Keys: make([]KeyMatch, len(tbl.Keys)), Action: []Value{B(8, v)}}
+				for i := range e.Keys {
+					e.Keys[i] = KeyMatch{Value: v, Aux: 0xff}
+				}
+				return e
+			}
+			if err := tbl.Insert(entry(1)); err != nil {
+				t.Fatal(err)
+			}
+			tbl.WarmSnapshot()
+			version, view := tbl.Version(), tbl.snap.Load()
+			bad := map[string]Entry{
+				"short key":   {Keys: entry(3).Keys[1:], Action: entry(3).Action},
+				"long action": {Keys: entry(3).Keys, Action: []Value{B(8, 3), B(8, 3)}},
+			}
+			if tbl.IsExact() {
+				wild := entry(3)
+				wild.Keys[0] = AnyKey()
+				bad["wildcard"] = wild
+			}
+			for what, e := range bad {
+				err := tbl.InsertBatch([]Entry{entry(2), entry(1), e, entry(4)})
+				if err == nil || !strings.Contains(err.Error(), "entry 2:") {
+					t.Fatalf("%s: error %v does not name entry 2", what, err)
+				}
+				if tbl.Len() != 1 || tbl.Version() != version || tbl.snap.Load() != view {
+					t.Fatalf("%s: a refused batch left %d entries, version %d (was %d), view replaced %t",
+						what, tbl.Len(), tbl.Version(), version, tbl.snap.Load() != view)
+				}
+				key := make([]uint64, len(tbl.Keys))
+				for v := uint64(1); v <= 4; v++ {
+					for i := range key {
+						key[i] = v
+					}
+					if a, hit := tbl.Lookup(key); hit != (v == 1) || hit && a[0].V != 1 {
+						t.Fatalf("%s: Lookup(%d…) = %v, %t after the refused batch", what, v, a, hit)
+					}
+				}
+			}
+			if err := tbl.InsertBatch([]Entry{entry(2), entry(4)}); err != nil || tbl.Len() != 3 || tbl.Version() == version {
+				t.Fatalf("a valid batch: %v, %d entries, version %d", err, tbl.Len(), tbl.Version())
+			}
+		})
+	}
+}
+
+// TestLookupKeyWidth pins the key-width contract in the one place that
+// can check it: Lookup with any other number of values than the table
+// has columns is a miss, on every store. LookupPacked cannot see a width
+// — its callers zero-fill the unused columns (bytecode's
+// TestApplyZeroFillsUnusedColumns holds runApply to that).
+func TestLookupKeyWidth(t *testing.T) {
+	for name, tbl := range tableShapes() {
+		key := make([]uint64, len(tbl.Keys)+1)
+		e := Entry{Keys: make([]KeyMatch, len(tbl.Keys)), Action: []Value{B(8, 1)}}
+		for i := range e.Keys {
+			key[i], e.Keys[i] = 5, KeyMatch{Value: 5, Aux: 0xff}
+		}
+		if err := tbl.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit := tbl.Lookup(key[:len(tbl.Keys)]); !hit {
+			t.Errorf("%s: the installed key misses", name)
+		}
+		for _, vals := range [][]uint64{nil, key[:len(tbl.Keys)-1], key} {
+			if a, hit := tbl.Lookup(vals); hit || !slices.Equal(a, tbl.Default) {
+				t.Errorf("%s: Lookup of %d values on %d columns = %v, %t; want the default and a miss", name, len(vals), len(tbl.Keys), a, hit)
+			}
+		}
+	}
+	// A keyed table's all-zero key is an entry like any other, not the
+	// answer to a short lookup.
+	tbl := tableShapes()["packed"]
+	if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(0), ExactKey(0)}, Action: []Value{B(8, 9)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := tbl.Lookup(nil); hit {
+		t.Error("Lookup() on two columns hit the all-zero key")
+	}
+	if a, hit := tbl.Lookup([]uint64{0, 0}); !hit || a[0].V != 9 {
+		t.Errorf("Lookup(0, 0) = %v, %t", a, hit)
 	}
 }

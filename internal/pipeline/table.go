@@ -145,14 +145,12 @@ type Table struct {
 	packed *packedStore
 	// snap is the published read view of packed, stored atomically and
 	// invalidated (stored nil) by every mutation. Readers that find it
-	// non-nil look up without taking mu at all: the view shares the
-	// store's arrays copy-on-write and a published array is never
-	// written (see packedStore), so concurrent reads are safe; the
-	// first reader after a mutation republishes under the write lock,
-	// at the cost of one small struct. The per-packet path is one
-	// pointer load instead of two RWMutex atomics. The table is flat
-	// open addressing rather than a Go map: the key array is
-	// pointer-free (cheap for the GC) and the multiply-xor hash is a
+	// non-nil look up without taking mu at all — one pointer load, not
+	// two RWMutex atomics per packet: the view shares the store's array
+	// copy-on-write and a published array is never written (see
+	// packedStore); the first reader after a mutation republishes under
+	// the write lock, at the cost of one small struct. The table is flat
+	// open addressing rather than a Go map: the multiply-xor hash is a
 	// fraction of the runtime map's 32-byte memhash + bucket protocol.
 	snap atomic.Pointer[packedSnap]
 	// exact is the fallback for exact tables with more columns than
@@ -176,8 +174,7 @@ func NewTable(name string, keys []KeySpec, outputs []FieldRef, def []Value) *Tab
 	}
 	if t.isExact {
 		if len(keys) <= MaxPackedKeys {
-			t.packed = &packedStore{n: len(outputs)}
-			t.packed.rehash(0)
+			t.packed = newPackedStore(len(keys), len(outputs))
 		} else {
 			t.exact = make(map[string]*Entry)
 		}
@@ -270,50 +267,62 @@ func (t *Table) Insert(e Entry) error { return t.InsertBatch([]Entry{e}) }
 // one version step, one view invalidation and, on a packed exact table,
 // room for all of them up front, so a bulk install neither rehashes on
 // its way up nor drains the store buffer behind a lock round trip per
-// entry. On an error the entries before the bad one are in.
+// entry. It is all or nothing: every entry is validated before the first
+// is written, and an invalid one returns its index and leaves the table,
+// its version and its published view as they were.
 func (t *Table) InsertBatch(es []Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i := range es {
+		if err := t.validate(&es[i]); err != nil {
+			return fmt.Errorf("table %s: entry %d: %w", t.Name, i, err)
+		}
+	}
 	t.version.Add(1)
 	t.snap.Store(nil)
-	if st := t.packed; st != nil && (st.count+len(es))*2 > len(st.ctrl) {
+	if st := t.packed; st != nil && (st.count+len(es))*2 > int(st.mask)+1 {
 		st.rehash(max(st.count+len(es), 2*st.count)) // at least doubling
 	}
 	for i := range es {
-		if err := t.insertLocked(&es[i]); err != nil {
-			return err
+		t.insertLocked(&es[i])
+	}
+	return nil
+}
+
+// validate checks an entry's shape; insertLocked installs one that passed.
+func (t *Table) validate(e *Entry) error {
+	if len(e.Keys) != len(t.Keys) {
+		return fmt.Errorf("%d keys, want %d", len(e.Keys), len(t.Keys))
+	}
+	if len(e.Action) != len(t.Outputs) {
+		return fmt.Errorf("%d action values, want %d", len(e.Action), len(t.Outputs))
+	}
+	if t.isExact {
+		for i, k := range e.Keys {
+			if k.Any {
+				return fmt.Errorf("wildcard key in exact-match column %d", i)
+			}
 		}
 	}
 	return nil
 }
 
-func (t *Table) insertLocked(e *Entry) error {
-	if len(e.Keys) != len(t.Keys) {
-		return fmt.Errorf("table %s: entry has %d keys, want %d", t.Name, len(e.Keys), len(t.Keys))
-	}
-	if len(e.Action) != len(t.Outputs) {
-		return fmt.Errorf("table %s: entry has %d action values, want %d", t.Name, len(e.Action), len(t.Outputs))
-	}
+func (t *Table) insertLocked(e *Entry) {
 	if t.isExact {
-		for i, k := range e.Keys {
-			if k.Any {
-				return fmt.Errorf("table %s: wildcard key in exact-match column %d", t.Name, i)
-			}
-		}
 		if t.packed != nil {
 			t.packed.insert(packEntryKeys(e.Keys), e.Action, e.Name)
-			return nil
+			return
 		}
 		kept := *e
 		t.exact[exactKeyString(e.Keys)] = &kept
-		return nil
+		return
 	}
 	kept := *e
 	kept.match = t.compileMatcher(e.Keys)
 	for i, old := range t.entries {
 		if old.Priority == e.Priority && sameKeys(old.Keys, e.Keys) {
 			t.entries[i] = &kept
-			return nil
+			return
 		}
 	}
 	t.entries = append(t.entries, &kept)
@@ -325,7 +334,6 @@ func (t *Table) insertLocked(e *Entry) error {
 		// without explicit priorities.
 		return t.specificityLocked(t.entries[i]) > t.specificityLocked(t.entries[j])
 	})
-	return nil
 }
 
 func (t *Table) specificityLocked(e *Entry) int {
@@ -388,14 +396,10 @@ func (t *Table) Clear() {
 	defer t.mu.Unlock()
 	t.version.Add(1)
 	t.snap.Store(nil)
-	if t.isExact {
-		if t.packed != nil {
-			*t.packed = packedStore{n: t.packed.n}
-			t.packed.rehash(0)
-		} else {
-			t.exact = make(map[string]*Entry)
-		}
+	if t.packed != nil {
+		*t.packed = *newPackedStore(len(t.Keys), len(t.Outputs))
 	}
+	clear(t.exact)
 	t.entries = nil
 }
 
@@ -403,13 +407,10 @@ func (t *Table) Clear() {
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.isExact {
-		if t.packed != nil {
-			return t.packed.count
-		}
-		return len(t.exact)
+	if t.packed != nil {
+		return t.packed.count
 	}
-	return len(t.entries)
+	return len(t.exact) + len(t.entries) // one of the two is always empty
 }
 
 // Version increments on every mutation. It is read without taking the
@@ -417,10 +418,14 @@ func (t *Table) Len() int {
 // detection in tests) can poll it cheaply.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
-// Lookup matches the key values and returns the action data and whether
-// the lookup hit; on a miss the default action data is returned.
+// Lookup matches the key values, one per key column, and returns the
+// action data and whether the lookup hit; on a miss — which any other
+// number of values is — the default action data is returned.
 func (t *Table) Lookup(vals []uint64) ([]Value, bool) {
-	if t.isExact && t.packed != nil && len(vals) <= MaxPackedKeys {
+	if len(vals) != len(t.Keys) {
+		return t.Default, false
+	}
+	if len(vals) <= MaxPackedKeys {
 		var k PackedKey
 		copy(k[:], vals)
 		return t.LookupPacked(k)
@@ -445,17 +450,7 @@ func (t *Table) Lookup(vals []uint64) ([]Value, bool) {
 		}
 		return t.Default, false
 	}
-	var k PackedKey
-	if len(vals) <= MaxPackedKeys {
-		copy(k[:], vals)
-	}
-	for _, e := range t.entries {
-		if e.match != nil {
-			if e.match(k) {
-				return e.Action, true
-			}
-			continue
-		}
+	for _, e := range t.entries { // too wide for compiled matchers
 		hit := true
 		for i, km := range e.Keys {
 			if !km.matches(t.Keys[i].Kind, t.Keys[i].Width, vals[i]) {
@@ -471,127 +466,121 @@ func (t *Table) Lookup(vals []uint64) ([]Value, bool) {
 }
 
 // packedSnap is the lock-free read view of an exact table: open
-// addressing with linear probing at <= 50% load. Probes walk a dense
-// one-byte-per-slot control array first (0 = empty, otherwise the top
-// hash bits with the high bit set), so an empty or mismatching slot
-// usually costs one L1 touch instead of pulling the 40-byte slot in
-// from DRAM; the slot itself is only loaded when its control byte
-// matches. Actions live back-to-back in one shared backing array, so
-// the hit's action read lands next to its neighbours instead of on a
-// private heap object. Once published, nothing it points to is written.
+// addressing with linear probing at <= 50% load over one array of
+// fixed-stride records — an entry's key words at the table's own column
+// count, two to a Value (W, then V), then its action values. A hit loads
+// one line of one array and returns a view of the record's tail; the
+// array carries no pointers, so GC scans nothing of it. An empty slot is
+// the all-zero key, and the all-zero key's entry lives in zero instead —
+// which is all a table without key columns (a scalar control variable)
+// ever holds. Once published, nothing it points to is written.
 type packedSnap struct {
-	mask  uint64
-	ctrl  []uint8
-	slots []packedSlot
-	acts  []Value
-	// keyless marks the snapshot of a table without key columns (a
-	// scalar control variable): it holds at most one entry, so lookup
-	// answers from acts and hit with no hash table to probe.
-	keyless, hit bool
+	recs       []Value
+	mask       uint64  // slots - 1
+	kv, stride int     // Values of key per record, Values per record
+	zero       []Value // the all-zero key's action; nil when it is not installed
 }
 
-// packedSlot is a key plus the half-open [off, off+n) range of the
-// snapshot's action backing array. keys and offsets carry no pointers,
-// so GC scans only the two top-level slices.
-type packedSlot struct {
-	key    PackedKey
-	off, n uint32
-}
+// Key words ride in Value.W, so an int must hold all 64 bits of one.
+const _ uint = strconv.IntSize - 64
 
-// emptyAction is the non-nil stand-in for occupied slots whose action
-// list is empty.
+// emptyAction is the all-zero key's action in a table without outputs.
 var emptyAction = []Value{}
 
 // hashPacked mixes the four key words with distinct odd multipliers;
-// good enough dispersion for addresses/ports/IDs at half load. The low
-// bits pick the slot, the high bits feed the control byte — the two
-// are effectively independent.
+// good enough dispersion for addresses/ports/IDs at half load.
 func hashPacked(k PackedKey) uint64 {
 	h := k[0]*0x9e3779b97f4a7c15 ^ k[1]*0xbf58476d1ce4e5b9 ^
 		k[2]*0x94d049bb133111eb ^ k[3]*0x2545f4914f6cdd1d
 	return h ^ h>>29
 }
 
-func (s *packedSnap) lookup(k PackedKey) ([]Value, bool) {
-	if s.keyless {
-		return s.acts, s.hit
+// rec is slot i's record: kv Values of key, then the action.
+func (s *packedSnap) rec(i uint64) []Value {
+	o := int(i) * s.stride
+	return s.recs[o : o+s.stride : o+s.stride]
+}
+
+// key unpacks a record's key words.
+func (s *packedSnap) key(r []Value) PackedKey {
+	k := PackedKey{uint64(r[0].W), r[0].V}
+	if s.kv == 2 {
+		k[2], k[3] = uint64(r[1].W), r[1].V
 	}
-	h := hashPacked(k)
-	want := uint8(h>>56) | 0x80
-	i := h & s.mask
-	for {
-		c := s.ctrl[i]
-		if c == 0 {
-			return nil, false
+	return k
+}
+
+// find probes for k, which is not the all-zero key: its slot, or the
+// empty one ending its run.
+func (s *packedSnap) find(k PackedKey) (uint64, bool) {
+	for i := hashPacked(k) & s.mask; ; i = (i + 1) & s.mask {
+		if kr := s.key(s.rec(i)); kr == k || kr == (PackedKey{}) {
+			return i, kr == k
 		}
-		if c == want {
-			if sl := &s.slots[i]; sl.key == k {
-				if sl.n == 0 {
-					return emptyAction, true
-				}
-				return s.acts[sl.off : sl.off+sl.n : sl.off+sl.n], true
-			}
-		}
-		i = (i + 1) & s.mask
 	}
 }
 
-// packedStore is the one store of a packed exact table: the arrays a
+// lookup is find for readers, the probe written out word by word: it
+// is the per-packet path, and comparing through key costs half again.
+func (s *packedSnap) lookup(k PackedKey) ([]Value, bool) {
+	if k[0]|k[1]|k[2]|k[3] == 0 {
+		return s.zero, s.zero != nil
+	}
+	k0, k1 := Value{int(k[0]), k[1]}, Value{int(k[2]), k[3]}
+	for i := hashPacked(k) & s.mask; ; i = (i + 1) & s.mask {
+		r := s.rec(i)
+		if r[0] == k0 && (s.kv == 1 || r[1] == k1) {
+			return r[s.kv:], true
+		}
+		if r[0] == (Value{}) && (s.kv == 1 || r[1] == (Value{})) {
+			return nil, false
+		}
+	}
+}
+
+// packedStore is the one store of a packed exact table: the array a
 // reader probes plus what only the writer needs. It is mutated under
 // Table.mu and published copy-on-write: Table.publish hands readers the
-// store's own arrays and marks them shared, and the next mutation clones
-// them before its first write. The one invariant: a published array is
-// never written. So a quiescent table holds one copy, publishing is
-// O(1), a bulk install never copies and a live install pays one memcpy.
+// store's own array and marks it shared, and the next mutation clones
+// it before its first write (the zero action is replaced, never written).
+// The one invariant: a published array is never written. So a quiescent
+// table holds one copy, publishing is O(1), a bulk install never copies
+// and a live install pays one memcpy.
 type packedStore struct {
 	packedSnap
-	n      int                  // action values per entry (len(Table.Outputs))
-	count  int                  // occupied slots
-	shared bool                 // a published view aliases ctrl, slots and acts
-	free   []uint32             // offsets in acts of deleted entries' action blocks
+	count  int                  // entries, the all-zero key's included
+	shared bool                 // a published view aliases recs
 	names  map[PackedKey]string // the cold side map for the rare Entry.Name
 }
 
-// unshare gives the store private arrays if a view aliases them.
+func newPackedStore(ncols, nout int) *packedStore {
+	kv := max(1, (ncols+1)/2) // a keyless table's array is never probed for a key
+	st := &packedStore{packedSnap: packedSnap{kv: kv, stride: kv + nout}}
+	st.rehash(0)
+	return st
+}
+
+// unshare gives the store a private array if a view aliases it.
 func (st *packedStore) unshare() {
 	if st.shared {
-		st.ctrl, st.slots, st.acts = slices.Clone(st.ctrl), slices.Clone(st.slots), slices.Clone(st.acts)
-		st.shared = false
+		st.recs, st.shared = slices.Clone(st.recs), false
 	}
 }
 
-// rehash moves the entries into fresh arrays with room for entries of
-// them at <= 50% load, actions compact in slot order. The old arrays
-// are left as they were, so a published view stays valid.
+// rehash moves the records into a fresh array with room for entries of
+// them at <= 50% load. The old array is left as it was, so a published
+// view stays valid.
 func (st *packedStore) rehash(entries int) {
 	size := 8
 	for size < 2*entries {
 		size *= 2
 	}
-	old := st.packedSnap
-	st.packedSnap = packedSnap{
-		mask:  uint64(size - 1),
-		ctrl:  make([]uint8, size),
-		slots: make([]packedSlot, size),
-		acts:  make([]Value, 0, entries*st.n),
-	}
-	st.shared, st.free = false, st.free[:0]
-	for i, c := range old.ctrl {
-		if c != 0 {
-			sl := old.slots[i]
-			j, _ := st.find(sl.key, hashPacked(sl.key))
-			st.ctrl[j], st.slots[j] = c, packedSlot{key: sl.key, off: uint32(len(st.acts)), n: sl.n}
-			st.acts = append(st.acts, old.acts[sl.off:sl.off+sl.n]...)
-		}
-	}
-}
-
-// find probes for k (hash h): its slot, or the empty one ending its run.
-func (st *packedStore) find(k PackedKey, h uint64) (uint64, bool) {
-	want := uint8(h>>56) | 0x80
-	for i := h & st.mask; ; i = (i + 1) & st.mask {
-		if c := st.ctrl[i]; c == 0 || c == want && st.slots[i].key == k {
-			return i, c != 0
+	old := st.recs
+	st.recs, st.mask, st.shared = make([]Value, size*st.stride), uint64(size-1), false
+	for ; len(old) > 0; old = old[st.stride:] {
+		if k := st.key(old); k != (PackedKey{}) {
+			i, _ := st.find(k)
+			copy(st.rec(i), old)
 		}
 	}
 }
@@ -600,65 +589,81 @@ func (st *packedStore) find(k PackedKey, h uint64) (uint64, bool) {
 // table carries len(Outputs) values); action is copied, not kept. The
 // caller (InsertBatch) has made room: load stays <= 50%.
 func (st *packedStore) insert(k PackedKey, action []Value, name string) {
-	st.unshare()
-	h := hashPacked(k)
-	i, ok := st.find(k, h)
-	sl := &st.slots[i]
-	if !ok {
-		*sl = packedSlot{key: k, off: uint32(len(st.acts)), n: uint32(st.n)}
-		if f := len(st.free) - 1; f >= 0 {
-			sl.off, st.free = st.free[f], st.free[:f]
-		} else {
-			st.acts = append(st.acts, action...)
+	if k == (PackedKey{}) {
+		if st.zero == nil {
+			st.count++
 		}
-		st.ctrl[i] = uint8(h>>56) | 0x80
-		st.count++
+		st.zero = append(emptyAction, action...)
+	} else {
+		st.unshare()
+		i, ok := st.find(k)
+		r := st.rec(i)
+		if !ok {
+			r[0] = Value{int(k[0]), k[1]}
+			if st.kv == 2 {
+				r[1] = Value{int(k[2]), k[3]}
+			}
+			st.count++
+		}
+		copy(r[st.kv:], action)
 	}
-	copy(st.acts[sl.off:], action)
 	if name != "" {
 		if st.names == nil {
 			st.names = make(map[PackedKey]string)
 		}
 		st.names[k] = name
-	} else if st.names != nil {
+	} else {
 		delete(st.names, k)
 	}
 }
 
-// remove deletes k by backward shift: later entries of the probe run
+// remove deletes k by backward shift: later records of the probe run
 // whose home slot is not past the hole move back into it (no tombstones).
 func (st *packedStore) remove(k PackedKey) bool {
-	i, ok := st.find(k, hashPacked(k))
-	if !ok {
-		return false
-	}
-	st.unshare()
-	if st.n > 0 {
-		st.free = append(st.free, st.slots[i].off)
-	}
-	for j := (i + 1) & st.mask; st.ctrl[j] != 0; j = (j + 1) & st.mask {
-		if home := hashPacked(st.slots[j].key); (j-home)&st.mask >= (j-i)&st.mask {
-			st.ctrl[i], st.slots[i] = st.ctrl[j], st.slots[j]
-			i = j
+	if k == (PackedKey{}) {
+		if st.zero == nil {
+			return false
 		}
+		st.zero = nil
+	} else {
+		i, ok := st.find(k)
+		if !ok {
+			return false
+		}
+		st.unshare()
+		for j := (i + 1) & st.mask; ; j = (j + 1) & st.mask {
+			kj := st.key(st.rec(j))
+			if kj == (PackedKey{}) {
+				break
+			}
+			if home := hashPacked(kj); (j-home)&st.mask >= (j-i)&st.mask {
+				copy(st.rec(i), st.rec(j))
+				i = j
+			}
+		}
+		clear(st.rec(i))
 	}
-	st.ctrl[i] = 0
 	st.count--
 	delete(st.names, k)
 	return true
 }
 
-// entries rebuilds Entry values from the slots, for Table.Entries.
+// entries rebuilds Entry values from the records, for Table.Entries.
 func (st *packedStore) entries(nkeys int) []Entry {
 	out := make([]Entry, 0, st.count)
-	for i, c := range st.ctrl {
-		if c != 0 {
-			sl := st.slots[i]
-			keys := make([]KeyMatch, nkeys)
-			for j := range keys {
-				keys[j] = ExactKey(sl.key[j])
-			}
-			out = append(out, Entry{Keys: keys, Action: slices.Clone(st.acts[sl.off : sl.off+sl.n]), Name: st.names[sl.key]})
+	add := func(k PackedKey, action []Value) {
+		keys := make([]KeyMatch, nkeys)
+		for j := range keys {
+			keys[j] = ExactKey(k[j])
+		}
+		out = append(out, Entry{Keys: keys, Action: slices.Clone(action), Name: st.names[k]})
+	}
+	if st.zero != nil {
+		add(PackedKey{}, st.zero)
+	}
+	for r := st.recs; len(r) > 0; r = r[st.stride:] {
+		if k := st.key(r); k != (PackedKey{}) {
+			add(k, r[st.kv:st.stride])
 		}
 	}
 	return out
@@ -668,7 +673,10 @@ func (st *packedStore) entries(nkeys int) []Entry {
 // key is passed by value in a fixed array, so nothing escapes to the
 // heap. Exact tables serve hits from the immutable snapshot without
 // touching the lock. It supports tables with at most MaxPackedKeys
-// columns (unused columns zero); wider tables must go through Lookup.
+// columns; wider tables must go through Lookup. Callers zero-fill the
+// columns past the table's own (as Lookup and the VM's runApply do): an
+// exact table stores and compares keys at its own width, so what a key
+// with a stray word there matches is unspecified.
 func (t *Table) LookupPacked(k PackedKey) ([]Value, bool) {
 	if s := t.snap.Load(); s != nil {
 		if a, ok := s.lookup(k); ok {
@@ -705,17 +713,13 @@ func (t *Table) lookupPackedSlow(k PackedKey) ([]Value, bool) {
 func (t *Table) Entries() []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.isExact {
-		if t.packed != nil {
-			return t.packed.entries(len(t.Keys))
-		}
-		out := make([]Entry, 0, len(t.exact))
-		for _, e := range t.exact {
-			out = append(out, *e)
-		}
-		return out
+	if t.packed != nil {
+		return t.packed.entries(len(t.Keys))
 	}
-	out := make([]Entry, 0, len(t.entries))
+	out := make([]Entry, 0, len(t.exact)+len(t.entries)) // one of the two is always empty
+	for _, e := range t.exact {
+		out = append(out, *e)
+	}
 	for _, e := range t.entries {
 		out = append(out, *e)
 	}
@@ -765,7 +769,7 @@ func (r *Register) Reset() {
 	}
 }
 
-// publish returns the current read view, sharing the store's arrays
+// publish returns the current read view, sharing the store's array
 // into a new one if a mutation invalidated the last.
 func (t *Table) publish() *packedSnap {
 	t.mu.Lock()
@@ -775,10 +779,6 @@ func (t *Table) publish() *packedSnap {
 	}
 	t.packed.shared = true
 	v := t.packed.packedSnap
-	if len(t.Keys) == 0 {
-		v.acts, v.hit = v.lookup(PackedKey{})
-		v.keyless = true
-	}
 	t.snap.Store(&v)
 	return &v
 }
