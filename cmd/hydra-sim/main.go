@@ -46,6 +46,7 @@ func valleyFree() {
 	info := checkers.MustParse("valley-free")
 	prog := compiler.MustCompile(info, compiler.Options{Name: "valley-free"})
 	rt := &compiler.Runtime{Prog: prog}
+	must(rt.VMErr())
 	for _, sw := range f.Switches() {
 		att := sw.AttachChecker(rt, nil)
 		spine := uint64(0)

@@ -141,6 +141,9 @@ func Build(sim *netsim.Simulator, opts Options) *Deployment {
 		info := checkers.MustParse("app-filtering")
 		prog := compiler.MustCompile(info, compiler.Options{Name: "app-filtering"})
 		rt := &compiler.Runtime{Prog: prog}
+		if err := rt.VMErr(); err != nil {
+			panic(fmt.Sprintf("aether: checker app-filtering has no VM form: %v", err))
+		}
 		for _, sw := range d.Switches() {
 			att := sw.AttachChecker(rt, d.HydraApp.OnReport)
 			d.HydraApp.Wire(att)

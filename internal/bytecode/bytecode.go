@@ -175,12 +175,13 @@ func (in *Instr) fields() [4]*int32 { return [4]*int32{&in.A, &in.B, &in.C, &in.
 // indices and jump targets stay far below it.
 const tempBase int32 = 1 << 24
 
-// teleStep is one field of the telemetry wire layout: slot, width, and
-// static bit offset.
+// teleStep is one field of the telemetry wire layout: slot, width,
+// static bit offset, and the shape the codec moves it by (codec.go).
 type teleStep struct {
 	slot  int32
 	width int32
 	off   int32
+	kind  stepKind
 }
 
 // applySite is the side table for one ApplyOp.
@@ -224,6 +225,13 @@ type image struct {
 	nSlots int // PHV length
 	nTele  int // telemetry region is slots [0, nTele)
 
+	// teleSteps is the telemetry blob's copy plan, sorted by shape;
+	// kindEnd[k] ends the run of shape k. teleBytes is the blob's wire
+	// size (codec.go).
+	teleSteps []teleStep
+	kindEnd   [numStepKinds]int
+	teleBytes int
+
 	// template is the trace-start PHV image: decode-empty telemetry
 	// values, width-defaulted field slots, and constant values. The
 	// scratch (non-tele) region doubles as the per-hop reset image.
@@ -262,9 +270,6 @@ type Prog struct {
 	P *pipeline.Program
 
 	init, tele, check []Instr
-
-	teleSteps []teleStep
-	teleBits  int
 
 	slots      map[pipeline.FieldRef]int32
 	slotReject int32
@@ -403,7 +408,7 @@ func (cp *comp) layout() error {
 	// Program.EncodeTele.
 	off := int32(0)
 	addTele := func(slot int32, width int) {
-		p.teleSteps = append(p.teleSteps, teleStep{slot: slot, width: int32(width), off: off})
+		p.teleSteps = append(p.teleSteps, teleStep{slot: slot, width: int32(width), off: off, kind: stepShape(off, int32(width))})
 		p.template[slot] = pipeline.Value{W: width}
 		off += int32(width)
 	}
@@ -430,8 +435,9 @@ func (cp *comp) layout() error {
 		addTele(cp.intern(pipeline.FieldRef(f.Name)), f.Width)
 		align()
 	}
-	p.teleBits = int(off)
+	p.teleBytes = int(off+7) / 8
 	p.nTele = len(p.template)
+	p.planTele()
 
 	// Builtin metadata slots (hops already sits in the tele region).
 	p.slotReject = cp.intern(pipeline.FieldReject)

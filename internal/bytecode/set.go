@@ -9,19 +9,24 @@ import (
 // Member is one program of a Set: its compiled form (nil: no VM form, the
 // member is left out), its position in the state row BeginHop receives —
 // also the owner tag of its reports — and the §4.3 placement of its
-// checker block.
+// checker block: CheckEveryHop runs it wherever the telemetry block runs.
+// A member that is left out still owns TeleBytes of the Set's blob, which
+// DecodeTele skips and EncodeTele zero-fills.
 type Member struct {
 	Prog          *Prog
 	Index         int
 	CheckEveryHop bool
+	TeleBytes     int
 }
 
 // linked is a Member placed in the Set's PHV: slot maps its Prog's slot
-// numbering to the Set's, reject is its own reject flag.
+// numbering to the Set's, reject is its own reject flag, teleOff where
+// its record starts in the Set's blob.
 type linked struct {
 	Member
-	slot   []int32
-	reject int32
+	slot    []int32
+	reject  int32
+	teleOff int
 }
 
 // Set is several programs linked into one image, the way the compiler
@@ -35,14 +40,14 @@ type linked struct {
 // cannot assign them), and one region of statement-scoped expression
 // temporaries. The reset runs are the members' own, merged.
 //
-// The code is resolved by hop role at link time, so no first / last /
-// CheckEveryHop test runs per hop, and laid out checker-major (member
-// i's init, telemetry and checker blocks, then member i+1's): reports
-// and register writes happen in the order of running the members one
-// after another.
+// The code is resolved at link time for every subset of blocks a pipeline
+// pass can ask for, so no first / last / CheckEveryHop test runs per hop,
+// and laid out checker-major (member i's init, telemetry and checker
+// blocks, then member i+1's): reports and register writes happen in the
+// order of running the members one after another.
 type Set struct {
 	image
-	code    [4][]Instr // by role: bit 0 first hop, bit 1 last hop
+	code    [BlockChecker << 1][]Instr // by Blocks
 	members []linked
 }
 
@@ -67,6 +72,7 @@ func LinkSet(members []Member) *Set {
 	for _, m := range members {
 		p := m.Prog
 		if p == nil {
+			s.teleBytes += m.TeleBytes
 			continue
 		}
 		builtins := map[int32]int32{p.slotSwitch: s.slotSwitch, p.slotPktLen: s.slotPktLen, p.slotLast: s.slotLast, p.slotFirst: s.slotFirst}
@@ -114,23 +120,32 @@ func LinkSet(members []Member) *Set {
 		for _, r := range p.reports {
 			s.reports = append(s.reports, reportSite{owner: int32(m.Index), args: remap(r.args)})
 		}
-		for role := range s.code {
-			if role&1 != 0 {
-				s.code[role] = relocate(s.code[role], p.init, slot, base)
+		for b := range s.code {
+			b := Blocks(b)
+			if b&BlockInit != 0 {
+				s.code[b] = relocate(s.code[b], p.init, slot, base)
 			}
-			s.code[role] = relocate(s.code[role], p.tele, slot, base)
-			if role&2 != 0 || m.CheckEveryHop {
-				s.code[role] = relocate(s.code[role], p.check, slot, base)
+			if b&BlockTelemetry != 0 {
+				s.code[b] = relocate(s.code[b], p.tele, slot, base)
 			}
+			if b&BlockChecker != 0 || b&BlockTelemetry != 0 && m.CheckEveryHop {
+				s.code[b] = relocate(s.code[b], p.check, slot, base)
+			}
+		}
+		for _, st := range p.teleSteps {
+			st.slot, st.off = slot[st.slot], st.off+int32(8*s.teleBytes)
+			s.teleSteps = append(s.teleSteps, st)
 		}
 
 		s.bindings = append(s.bindings, p.bindings...)
 		s.bindSlots = append(s.bindSlots, remap(p.bindSlots)...)
 		reset = append(reset, remap(p.resetSlots)...)
 		s.dirtySlots = append(s.dirtySlots, remap(p.dirtySlots)...)
-		s.members = append(s.members, linked{Member: m, slot: slot, reject: slot[p.slotReject]})
+		s.members = append(s.members, linked{Member: m, slot: slot, reject: slot[p.slotReject], teleOff: s.teleBytes})
+		s.teleBytes += p.teleBytes
 	}
 	s.nSlots = len(s.template)
+	s.planTele()
 	slices.Sort(reset)
 	s.resetRuns = coalesce(reset)
 	slices.Sort(s.dirtySlots)
@@ -168,25 +183,32 @@ func (s *Set) Owner(k int) int { return s.members[k].Index }
 // Slot maps a slot of the k-th linked member's Prog to the Set's PHV.
 func (s *Set) Slot(k int, slot int32) int32 { return s.members[k].slot[slot] }
 
-// Run executes the hop's blocks of every member, member after member,
-// after BeginHop (row[Member.Index] is each member's state) and the
-// header scatter.
+// RunBlocks executes the selected blocks of every member, member after
+// member, after BeginHop (row[Member.Index] is each member's state) and
+// the header scatter. §4.2 splits a hop in two passes: a switch runs
+// init alone at ingress and telemetry, or telemetry and checker, at
+// egress; a NIC's ingress runs the checker alone.
+func (s *Set) RunBlocks(c *Ctx, b Blocks) { s.run(c, s.code[b]) }
+
+// Run executes a whole hop in one pass: init at the first hop, telemetry,
+// the checker at the last.
 func (s *Set) Run(c *Ctx, first, last bool) {
-	role := 0
+	b := BlockTelemetry
 	if first {
-		role = 1
+		b |= BlockInit
 	}
 	if last {
-		role |= 2
+		b |= BlockChecker
 	}
-	s.run(c, s.code[role])
+	s.run(c, s.code[b])
 }
 
 // Reject reads the k-th linked member's verdict for the hop just run.
 func (s *Set) Reject(c *Ctx, k int) bool { return c.PHV[s.members[k].reject].Bool() }
 
-// EncodeTele is Prog.EncodeTele over the k-th linked member's region.
-func (s *Set) EncodeTele(k int, dst []byte, c *Ctx) []byte {
+// TeleSpan returns where the k-th linked member's record lies in the
+// Set's blob.
+func (s *Set) TeleSpan(k int) (off, n int) {
 	m := &s.members[k]
-	return m.Prog.EncodeTele(dst, c.PHV[m.slot[0]:])
+	return m.teleOff, m.Prog.teleBytes
 }

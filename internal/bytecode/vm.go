@@ -10,7 +10,7 @@ import (
 // PHV, the switch state, and the per-context TCAM lookup caches. A Ctx
 // is either pooled (AcquireCtx/ReleaseCtx, one execution at a time) or
 // resident: created once with NewCtx and owned by one embedder — an
-// engine shard, a netsim attachment — for its whole life.
+// engine shard, a netsim switch — for its whole life.
 type Ctx struct {
 	PHV []pipeline.Value
 	// Reports are the digests raised so far; Owners[i] tags Reports[i]
@@ -592,90 +592,4 @@ func (p *image) runReport(c *Ctx, site *reportSite) {
 	}
 	c.Reports = append(c.Reports, pipeline.Report{Args: vals})
 	c.Owners = append(c.Owners, site.owner)
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry wire codec over slots
-
-// TeleWireBytes is the serialized telemetry blob size.
-func (p *Prog) TeleWireBytes() int { return (p.teleBits + 7) / 8 }
-
-// DecodeTele unpacks a telemetry blob into the slot PHV. An empty blob
-// (first hop) zero-fills the telemetry slots at their declared widths.
-func (p *Prog) DecodeTele(blob []byte, phv []pipeline.Value) error {
-	if len(blob) == 0 {
-		copy(phv[:p.nTele], p.template[:p.nTele])
-		return nil
-	}
-	if len(blob)*8 < p.teleBits {
-		return fmt.Errorf("pipeline: telemetry blob: bit read past end: need %d bits, have %d", p.teleBits, len(blob)*8)
-	}
-	for _, st := range p.teleSteps {
-		phv[st.slot] = pipeline.Value{W: int(st.width), V: getBits(blob, int(st.off), int(st.width))}
-	}
-	return nil
-}
-
-// EncodeTele packs the slot PHV's telemetry fields into dst's storage
-// (grown only if too small) and returns the blob. Callers that own dst
-// get an allocation-free encode; pass nil for a fresh blob.
-func (p *Prog) EncodeTele(dst []byte, phv []pipeline.Value) []byte {
-	n := p.TeleWireBytes()
-	if cap(dst) >= n {
-		dst = dst[:n]
-		clear(dst)
-	} else {
-		dst = make([]byte, n)
-	}
-	for _, st := range p.teleSteps {
-		putBits(dst, int(st.off), int(st.width), phv[st.slot].V)
-	}
-	return dst
-}
-
-// putBits writes the low `width` bits of v MSB-first at static bit
-// offset off, a byte at a time: the head and tail bytes are OR-ed in
-// (the buffer must be pre-zeroed), whole bytes in between are stored.
-func putBits(buf []byte, off, width int, v uint64) {
-	if width <= 0 {
-		return
-	}
-	v = pipeline.Mask(width, v)
-	i, head := off>>3, 8-off&7 // head: bits left in the first byte
-	if width <= head {
-		buf[i] |= byte(v << uint(head-width))
-		return
-	}
-	rem := width - head
-	buf[i] |= byte(v >> uint(rem))
-	for rem >= 8 {
-		i++
-		rem -= 8
-		buf[i] = byte(v >> uint(rem))
-	}
-	if rem > 0 {
-		buf[i+1] |= byte(v << uint(8-rem))
-	}
-}
-
-// getBits reads `width` bits MSB-first from static bit offset off.
-func getBits(buf []byte, off, width int) uint64 {
-	if width <= 0 {
-		return 0
-	}
-	i, head := off>>3, 8-off&7
-	v := uint64(buf[i]) & (0xFF >> uint(8-head))
-	if width <= head {
-		return v >> uint(head-width)
-	}
-	rem := width - head
-	for rem >= 8 {
-		i++
-		rem -= 8
-		v = v<<8 | uint64(buf[i])
-	}
-	if rem > 0 {
-		v = v<<uint(rem) | uint64(buf[i+1])>>uint(8-rem)
-	}
-	return v
 }

@@ -16,13 +16,13 @@ import (
 //
 // Runtime is the pooled per-call entry point: RunBlocks draws a VM
 // context from the program's pool, runs one hop through the wire codec
-// and releases it. Tests, difftest and netsim's map fallback call it;
-// the packet paths take VM() and run it on a resident context they own —
-// a netsim attachment through bytecode.Prog.RunHop, an engine linked
-// with the other checkers into one bytecode.Set.
+// and releases it. Tests and difftest call it; the packet paths take
+// VM(), link it with the other checkers of a switch or an engine into
+// one bytecode.Set, and run that on a resident context they own.
 // NoLink forces the map-based interpreter, kept as the reference
 // semantics for differential testing; a program the VM cannot compile
-// runs on it too, which surfaces the same error at execution time.
+// runs on it too here, which surfaces the same error at execution time —
+// the packet paths refuse such a program (VMErr) or leave it out.
 type Runtime struct {
 	Prog *pipeline.Program
 	// CheckEveryHop enables the §4.3 per-hop checking variant: the
@@ -178,8 +178,8 @@ func headerSlots(vp *bytecode.Prog, env *HopEnv) []pipeline.Value {
 	return out
 }
 
-// runVM executes one hop through bytecode.Prog.RunHop — the entry point
-// netsim's resident contexts use — on a pooled context.
+// runVM executes one hop through bytecode.Prog.RunHop on a pooled
+// context.
 func runVM(vp *bytecode.Prog, blob []byte, env HopEnv, bs BlockSet, first, last bool) (HopResult, error) {
 	c := vp.AcquireCtx()
 	defer vp.ReleaseCtx(c)
@@ -347,8 +347,10 @@ func RunTraceSet(rts []*Runtime, envs [][]HopEnv) ([]TraceResult, error) {
 	for i, rep := range c.Reports {
 		res[c.Owners[i]].Reports = append(res[c.Owners[i]].Reports, rep)
 	}
+	blob := set.EncodeTele(nil, c.PHV)
 	for k := range res {
-		res[k].FinalBlob = set.EncodeTele(k, nil, c)
+		off, n := set.TeleSpan(k)
+		res[k].FinalBlob = blob[off : off+n : off+n]
 	}
 	return res, nil
 }

@@ -142,6 +142,9 @@ func (c *Controller) Deploy(name string, info *types.Info, switches ...*netsim.S
 		return fmt.Errorf("controlplane: compiling %s: %w", name, err)
 	}
 	rt := &compiler.Runtime{Prog: prog}
+	if err := rt.VMErr(); err != nil {
+		return fmt.Errorf("controlplane: checker %s has no VM form: %w", name, err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.atts[name]; dup {

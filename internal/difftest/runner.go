@@ -63,12 +63,16 @@ func CompileCorpus(key string) (*Compiled, error) {
 
 // The pipeline backends, each with a state set of its own per switch:
 // the VM hop by hop through the wire codec, the map reference, the VM
-// resident over the whole trace, and a SetRunner's linked Set.
+// resident over the whole trace, and a SetRunner's linked Set — resident,
+// and pass by pass through the wire codec the two ways a fabric splits a
+// hop (runWire).
 const (
 	beVM = iota
 	beRef
 	beResident
 	beSet
+	beWire
+	beWireNIC
 	nBackends
 )
 

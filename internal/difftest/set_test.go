@@ -33,7 +33,7 @@ func TestSetConformanceCorpus(t *testing.T) {
 	}
 	fresh := func() *difftest.SetRunner {
 		t.Helper()
-		s, err := difftest.NewCorpusSetRunner(corpus)
+		s, err := difftest.NewCorpusSetRunner(corpus, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,6 +68,50 @@ func TestSetConformanceCorpus(t *testing.T) {
 			if v.Reject != pair.ViolateVerdict.Reject || len(v.Reports) != pair.ViolateVerdict.Reports {
 				t.Errorf("%s pair %d violate (%s): pinned %+v, set %+v", f.Checker, i, pair.Cond, pair.ViolateVerdict, v)
 			}
+		}
+	}
+}
+
+// TestSetWireShapeCorpus runs the corpus set with every other member
+// checking at every hop — in a switch's image those run their checker in
+// the telemetry-only egress pass of a middle hop — through every golden
+// trace. SetRunner holds the three set shapes (resident; {init} then
+// {telemetry} or {telemetry, checker} per hop over the whole blob; the
+// last hop's {checker} alone, when no member checks at every hop) to each
+// member's solo run, the every-hop members' on the map reference.
+func TestSetWireShapeCorpus(t *testing.T) {
+	corpus, err := difftest.CompileCorpusSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stride := range []int{0, 2} {
+		everyHop := make([]bool, len(corpus))
+		for k := range everyHop {
+			everyHop[k] = stride != 0 && k%stride == 0
+		}
+		resident, err := difftest.NewCorpusSetRunner(corpus, everyHop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports := 0
+		for k, p := range checkers.All {
+			for _, gt := range goldenTraces {
+				if gt.key != p.Key {
+					continue
+				}
+				for _, trace := range [][]difftest.HopSpec{gt.conform, gt.violate, gt.conform} {
+					outs, err := resident.RunTrace(corpus[k].ByPath(trace))
+					if err != nil {
+						t.Fatalf("every-hop stride %d, %s: %v", stride, p.Key, err)
+					}
+					for _, o := range outs {
+						reports += len(o.Reports)
+					}
+				}
+			}
+		}
+		if reports == 0 {
+			t.Fatalf("every-hop stride %d: vacuous, no member reported", stride)
 		}
 	}
 }

@@ -337,7 +337,7 @@ const (
 	hdrUDPSport
 	hdrUDPDport
 	// Headers a 5-tuple trace record can never carry, bound invalid to
-	// match netsim.BindPacketHeaders for a plain (untunneled, unrouted)
+	// match netsim's header fill for a plain (untunneled, unrouted)
 	// packet.
 	hdrInnerIPv4Valid
 	hdrInnerTCPValid
@@ -456,7 +456,7 @@ func (s *shard) row(switchID uint32) []*pipeline.State {
 }
 
 // fillHvals sets the packet-constant header bindings (the subset of
-// netsim.BindPacketHeaders derivable from a 5-tuple trace record).
+// netsim's header fill derivable from a 5-tuple trace record).
 func fillHvals(p *Packet, h *[numStdHdrs]pipeline.Value) {
 	isIPv4 := p.Key != (dataplane.FlowKey{})
 	h[hdrIPv4Valid] = pipeline.BoolV(isIPv4)

@@ -73,7 +73,7 @@ func (o *oracle) Install(checker string, switchID uint32, fn func(*pipeline.Stat
 }
 
 // oracleHeaders is what a plain IPv4 5-tuple record exposes to a
-// checker at one hop (netsim.BindPacketHeaders for an untunneled,
+// checker at one hop (netsim's header fill for an untunneled,
 // unrouted packet), keyed by annotation path.
 func oracleHeaders(p *engine.Packet, hop engine.Hop) map[string]pipeline.Value {
 	k := p.Key

@@ -147,6 +147,9 @@ func AttachAllCheckers(ls *netsim.LeafSpine) (map[string][]*netsim.HydraAttachme
 			return nil, err
 		}
 		rt := &compiler.Runtime{Prog: prog}
+		if err := rt.VMErr(); err != nil {
+			return nil, fmt.Errorf("experiments: checker %s has no VM form: %w", p.Key, err)
+		}
 		for _, sw := range ls.AllSwitches() {
 			atts[p.Key] = append(atts[p.Key], sw.AttachChecker(rt, nil))
 		}

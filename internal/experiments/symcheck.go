@@ -138,7 +138,7 @@ func symcheckOne(key string, corpus []*difftest.Compiled, cfg SymcheckConfig) (S
 	// One replay runs this checker on all four backends and, beside it in
 	// one Set, every other corpus checker on the same headers.
 	replay := func(tr symexec.Trace) (difftest.Outcome, error) {
-		s, err := difftest.NewCorpusSetRunner(corpus)
+		s, err := difftest.NewCorpusSetRunner(corpus, nil)
 		if err != nil {
 			return difftest.Outcome{}, err
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
 	"repro/internal/pipeline"
@@ -25,22 +26,43 @@ type HydraNIC struct {
 	Checked  uint64
 	Rejected uint64
 
-	// hop is the NIC's resident execution state; its bind plan is
-	// packet-only (no forwarding metadata). blob is the reused
-	// injection buffer.
-	hop  residentHop
-	blob []byte
+	// stage is the one-member image of Runtime (its bind is packet-only:
+	// a NIC has no forwarding metadata); blob is the reused injection
+	// buffer.
+	stage *hopStage
+	blob  []byte
 }
 
 // AttachNIC wires a Hydra NIC to the host, with fresh per-NIC state.
 func (h *Host) AttachNIC(rt *compiler.Runtime, onReport func(*Host, pipeline.Report)) *HydraNIC {
-	hop := newResidentHop(rt, true)
-	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, hop: hop, blob: make([]byte, 0, hop.size)}
+	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, stage: linkStage([]*compiler.Runtime{rt})}
 	return h.nic
 }
 
 // NIC returns the attached Hydra NIC, or nil.
 func (h *Host) NIC() *HydraNIC { return h.nic }
+
+// nicPass runs one block of the NIC's program over the packet's telemetry
+// and delivers the reports; NICs identify as their MAC. A blob shorter
+// than the program's record — or a program with no VM form — is an
+// error: counted, and nothing ran.
+func (h *Host) nicPass(pkt *dataplane.Decoded, first bool, b bytecode.Blocks) bool {
+	nic := h.nic
+	st := nic.stage
+	st.row[0] = nic.State
+	st.bind(pkt, nil, 0, 0)
+	err := st.run(pkt.Hydra.Blob, uint32(h.MAC.Uint64()), pkt.WireLen(), first, !first, b)
+	if err != nil || st.skipped > 0 {
+		h.ParseErrs++
+		return false
+	}
+	if nic.OnReport != nil {
+		for _, rep := range st.ctx.Reports {
+			nic.OnReport(h, rep)
+		}
+	}
+	return true
+}
 
 // nicEgress runs first-hop injection + init on an outgoing packet.
 func (h *Host) nicEgress(pkt *dataplane.Decoded) {
@@ -49,53 +71,28 @@ func (h *Host) nicEgress(pkt *dataplane.Decoded) {
 		return
 	}
 	pkt.InsertHydra(nil)
-	// NICs identify as their MAC.
-	out, _, reports, err := nic.hop.run(nic.State, uint32(h.MAC.Uint64()), nil, nic.blob[:0],
-		nic.hop.plan.bind(pkt, nil, 0, 0), pkt.WireLen(), true, false, compiler.BlockSet{Init: true})
-	if err != nil {
-		h.ParseErrs++
+	if !h.nicPass(pkt, true, bytecode.BlockInit) {
 		return
 	}
 	nic.Injected++
-	pkt.Hydra.Blob = out
-	if nic.OnReport != nil {
-		for _, rep := range reports {
-			nic.OnReport(h, rep)
-		}
-	}
+	nic.blob = nic.stage.set.EncodeTele(nic.blob[:0], nic.stage.ctx.PHV)
+	pkt.Hydra.Blob = nic.blob
 }
 
 // nicIngress runs the last-hop checker + strip on an incoming packet;
-// it reports whether the packet survives.
+// it reports whether the packet survives. The telemetry is stripped or
+// dropped with the packet, so nothing is encoded back.
 func (h *Host) nicIngress(pkt *dataplane.Decoded) bool {
 	nic := h.nic
 	if nic == nil || !pkt.HasHydra {
 		return true
 	}
-	// The blob aliases the received frame, which the host owns until
-	// delivery completes — encoding into it is safe, but only when the
-	// blob is exactly one telemetry record wide (encode always writes
-	// that many bytes; a shorter foreign blob would spill into the frame
-	// bytes that follow it).
-	in := pkt.Hydra.Blob
-	var dst []byte
-	if len(in) == nic.hop.size {
-		dst = in[:0]
-	}
-	_, reject, reports, err := nic.hop.run(nic.State, uint32(h.MAC.Uint64()), in, dst,
-		nic.hop.plan.bind(pkt, nil, 0, 0), pkt.WireLen(), false, true, compiler.BlockSet{Checker: true})
-	if err != nil {
-		h.ParseErrs++
+	if !h.nicPass(pkt, false, bytecode.BlockChecker) {
 		pkt.StripHydra()
 		return true
 	}
 	nic.Checked++
-	if nic.OnReport != nil {
-		for _, rep := range reports {
-			nic.OnReport(h, rep)
-		}
-	}
-	if reject {
+	if nic.stage.set.Reject(nic.stage.ctx, 0) {
 		nic.Rejected++
 		return false
 	}

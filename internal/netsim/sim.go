@@ -94,112 +94,6 @@ type frameSink interface {
 	deliverFrame(frame []byte, port int)
 }
 
-// evKey is an event's deterministic sort key, every component of which
-// is independent of the shard count:
-//
-//   - at is the event's execution time;
-//   - schedAt is the simulation time at which it was scheduled — the
-//     sequential simulator pushes events in execution order, so for
-//     same-timestamp events "scheduled earlier" reproduces the
-//     sequential loop's push-order tie-break;
-//   - origin is the stable node ID of the scheduling context (0 for
-//     external/control code), breaking the remaining ties between
-//     events scheduled at the same instant by different nodes;
-//   - seq is a per-origin FIFO counter, the final total-order tie-break.
-type evKey struct {
-	at      Time
-	schedAt Time
-	origin  int32
-	seq     uint64
-}
-
-func (a evKey) less(b evKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	if a.origin != b.origin {
-		return a.origin < b.origin
-	}
-	return a.seq < b.seq
-}
-
-// event is one scheduled callback or frame delivery. dest is the stable
-// ID of the node whose state the event touches — the shard routing
-// address, and the origin inherited by anything the event schedules in
-// turn; dest 0 is a control event, handled by the root loop.
-type event struct {
-	k    evKey
-	fn   func()
-	dest int32
-	// Frame-delivery form: when sink is non-nil, fn is nil and the
-	// event runs sink.deliverFrame(frame, port).
-	sink  frameSink
-	frame []byte
-	port  int
-}
-
-// eventHeap is a hand-rolled binary min-heap. container/heap would box
-// every event into an interface on Push — one allocation per scheduled
-// event — which is exactly what the zero-allocation wire path removes.
-type eventHeap []event
-
-// before orders by time, then control events (dest 0) ahead of node
-// events — the partitioned coordinator runs a timestamp's control
-// events before releasing the parallel window, so the sequential
-// comparator must agree — then by the deterministic key.
-func (a *event) before(b *event) bool {
-	if a.k.at != b.k.at {
-		return a.k.at < b.k.at
-	}
-	ca, cb := a.dest == 0, b.dest == 0
-	if ca != cb {
-		return ca
-	}
-	return a.k.less(b.k)
-}
-
-// up and down sift with a hole: an event is 96 bytes, so each level
-// moves one event into the hole instead of swapping two, and the moving
-// event is placed once at the end.
-
-// up restores the heap after h[i] was appended.
-func (h eventHeap) up(i int) {
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-}
-
-// down restores the heap after h[i] was replaced.
-func (h eventHeap) down(i int) {
-	n := len(h)
-	e := h[i]
-	for {
-		small := 2*i + 1
-		if small >= n {
-			break
-		}
-		if r := small + 1; r < n && h[r].before(&h[small]) {
-			small = r
-		}
-		if !h[small].before(&e) {
-			break
-		}
-		h[i] = h[small]
-		i = small
-	}
-	h[i] = e
-}
-
 // Simulator owns an event loop. Unpartitioned it is single-threaded:
 // all node callbacks run inside Run, so nodes need no locking of their
 // own — and the frame free list below needs no synchronization either.
@@ -208,7 +102,7 @@ func (h eventHeap) down(i int) {
 // on their shard's goroutine, still one at a time per node.
 type Simulator struct {
 	now    Time
-	events eventHeap
+	events eventQueue
 
 	// frames is the free list backing AcquireFrame/ReleaseFrame.
 	frames [][]byte
@@ -322,11 +216,7 @@ func (s *Simulator) registerNode(n Node) int32 {
 	// large fabrics otherwise pay repeated append/sift growth in the
 	// first busy window. Heuristic: a handful of in-flight events and
 	// pooled frames per node.
-	if c := 8 * len(s.nodes); cap(s.events) < c {
-		grown := make(eventHeap, len(s.events), c)
-		copy(grown, s.events)
-		s.events = grown
-	}
+	s.events.grow(8 * len(s.nodes))
 	if c := min(4*len(s.nodes), framePoolMax); cap(s.frames) < c {
 		grown := make([][]byte, len(s.frames), c)
 		copy(grown, s.frames)
@@ -377,37 +267,29 @@ func (s *Simulator) nextSeq(origin int32) uint64 {
 	return s.seqs[origin]
 }
 
-// push keys and enqueues an event on this loop's own heap.
-func (s *Simulator) push(e event) {
+// schedule keys an event in this loop's context — clamped to now,
+// stamped with the scheduling time and its origin's next seq — and
+// enqueues it on the loop that owns its destination: this one; a
+// shard's, from the coordinator, whose workers are parked between
+// windows; or, from a worker, the outbox the coordinator drains into
+// that shard at the next barrier.
+func (s *Simulator) schedule(e *event, on *Simulator) {
 	if e.k.at < s.now {
 		e.k.at = s.now
 	}
 	e.k.schedAt = s.now
 	e.k.seq = s.nextSeq(e.k.origin)
-	s.pushRaw(e)
-}
-
-// pushRaw enqueues an already-keyed event (cross-shard migration and
-// outbox draining must preserve the sender-assigned key).
-func (s *Simulator) pushRaw(e event) {
-	s.events = append(s.events, e)
-	s.events.up(len(s.events) - 1)
-}
-
-func (s *Simulator) pop() event {
-	h := s.events
-	e := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop frame/closure references
-	s.events = h[:n]
-	if n > 0 {
-		s.events.down(0)
+	if on == s || s.root == nil {
+		on.events.push(e)
+		return
 	}
-	return e
+	s.outbox[on.shard] = append(s.outbox[on.shard], *e)
 }
 
-func (s *Simulator) runEvent(e event) {
+// runNext pops the earliest event and runs it.
+func (s *Simulator) runNext() {
+	var e event
+	s.events.pop(&e)
 	s.now = e.k.at
 	s.curOrigin = e.dest
 	s.curEvKey = e.k
@@ -426,7 +308,7 @@ func (s *Simulator) runEvent(e event) {
 // it must not send packets or touch node state; schedule through
 // AtNode for that.
 func (s *Simulator) At(t Time, fn func()) {
-	s.push(event{k: evKey{at: t, origin: s.curOrigin}, fn: fn, dest: s.curOrigin})
+	s.schedule(&event{k: evKey{at: t, origin: s.curOrigin}, payload: payload{fn: fn, dest: s.curOrigin}}, s)
 }
 
 // After schedules fn to run delay from now.
@@ -448,48 +330,24 @@ func (s *Simulator) AtNode(n Node, t Time, fn func()) {
 		s.At(t, fn)
 		return
 	}
-	e := event{k: evKey{at: t, origin: s.curOrigin}, fn: fn, dest: id}
-	if s.par == nil {
-		s.push(e)
-		return
+	on := s
+	if s.par != nil {
+		on = s.par.children[s.par.shardOf[id]]
 	}
-	if e.k.at < s.now {
-		e.k.at = s.now
-	}
-	e.k.schedAt = s.now
-	e.k.seq = s.nextSeq(e.k.origin)
-	s.par.children[s.par.shardOf[id]].pushRaw(e)
+	s.schedule(&event{k: evKey{at: t, origin: s.curOrigin}, payload: payload{fn: fn, dest: id}}, on)
 }
 
 // atFrame schedules a closure-free frame delivery: at time t, the sink
 // receives (frame, port). Ownership of frame passes to the sink. dest
 // is the stable ID of the receiving node.
 func (s *Simulator) atFrame(t Time, sink frameSink, frame []byte, port int, dest int32) {
-	s.push(event{k: evKey{at: t, origin: s.curOrigin}, sink: sink, frame: frame, port: port, dest: dest})
+	s.schedule(&event{k: evKey{at: t, origin: s.curOrigin}, payload: payload{sink: sink, frame: frame, port: port, dest: dest}}, s)
 }
 
-// sendFrame schedules a link delivery, routing across shards when the
-// receiving endpoint lives elsewhere: a worker buffers the keyed event
-// in its outbox for the coordinator to drain at the next barrier; the
-// coordinator itself (control context, workers parked) inserts
-// directly into the destination heap.
+// sendFrame schedules a link delivery on the loop of the receiving
+// endpoint.
 func (s *Simulator) sendFrame(t Time, sink *linkSink, frame []byte) {
-	e := event{k: evKey{at: t, origin: s.curOrigin}, sink: sink, frame: frame, port: sink.to.port, dest: sink.origin}
-	if sink.sim == s {
-		s.push(e)
-		return
-	}
-	if e.k.at < s.now {
-		e.k.at = s.now
-	}
-	e.k.schedAt = s.now
-	e.k.seq = s.nextSeq(e.k.origin)
-	if s.root == nil {
-		// Coordinator context: workers are parked between windows.
-		sink.sim.pushRaw(e)
-		return
-	}
-	s.outbox[sink.sim.shard] = append(s.outbox[sink.sim.shard], e)
+	s.schedule(&event{k: evKey{at: t, origin: s.curOrigin}, payload: payload{sink: sink, frame: frame, port: sink.to.port, dest: sink.origin}}, sink.sim)
 }
 
 // Run processes events until the queue empties or the clock passes
@@ -499,11 +357,8 @@ func (s *Simulator) Run(until Time) uint64 {
 		return s.runParallel(until, true)
 	}
 	var n uint64
-	for len(s.events) > 0 {
-		if s.events[0].k.at > until {
-			break
-		}
-		s.runEvent(s.pop())
+	for s.events.len() > 0 && s.events.nextAt() <= until {
+		s.runNext()
 		n++
 	}
 	if s.now < until {
@@ -524,8 +379,8 @@ func (s *Simulator) RunAll() uint64 {
 		limit = defaultEventCap
 	}
 	var n uint64
-	for len(s.events) > 0 {
-		s.runEvent(s.pop())
+	for s.events.len() > 0 {
+		s.runNext()
 		n++
 		if n > limit {
 			panic(fmt.Sprintf("netsim: event cap exceeded at t=%s — forwarding loop?", s.now))
@@ -558,10 +413,10 @@ func (s *Simulator) finish() {
 
 // Pending reports the number of queued events across all shards.
 func (s *Simulator) Pending() int {
-	n := len(s.events)
+	n := s.events.len()
 	if s.par != nil {
 		for _, c := range s.par.children {
-			n += len(c.events)
+			n += c.events.len()
 			for _, box := range c.outbox {
 				n += len(box)
 			}
@@ -657,10 +512,10 @@ func (s *Simulator) Partition(p int) error {
 			shard:  i,
 			seqs:   s.seqs, // shared backing; entries are shard-owned
 			now:    s.now,
-			events: make(eventHeap, 0, max(64, 8*perShard[i])),
 			frames: make([][]byte, 0, min(framePoolMax, max(16, 4*perShard[i]))),
 			outbox: make([][]event, p),
 		}
+		c.events.grow(max(64, 8*perShard[i]))
 		par.children[i] = c
 		par.gates[i] = gate{work: make(chan Time), done: make(chan struct{})}
 	}
@@ -685,19 +540,15 @@ func (s *Simulator) Partition(p int) error {
 	// Migrate pending node events (scheduled via AtNode or direct
 	// Receive calls before Partition) to their shards, keys intact;
 	// control events stay on the coordinator.
-	if len(s.events) > 0 {
-		keep := s.events[:0:cap(s.events)]
-		rest := make([]event, 0, len(s.events))
-		for _, e := range s.events {
-			if e.dest == 0 {
-				rest = append(rest, e)
-			} else {
-				par.children[shardOf[e.dest]].pushRaw(e)
-			}
-		}
-		s.events = keep
-		for _, e := range rest {
-			s.pushRaw(e)
+	pending := make([]event, s.events.len())
+	for i := range pending {
+		s.events.pop(&pending[i])
+	}
+	for i := range pending {
+		if e := &pending[i]; e.dest == 0 {
+			s.events.push(e)
+		} else {
+			par.children[shardOf[e.dest]].events.push(e)
 		}
 	}
 
@@ -711,8 +562,8 @@ const stopWindow = Time(math.MinInt64)
 
 // runWindow executes every local event strictly before we.
 func (s *Simulator) runWindow(we Time) {
-	for len(s.events) > 0 && s.events[0].k.at < we {
-		s.runEvent(s.pop())
+	for s.events.nextAt() < we {
+		s.runNext()
 	}
 	// Leave the loop in external context: anything the coordinator
 	// routes through this shard between windows keys as control.
@@ -763,8 +614,8 @@ func (s *Simulator) runParallel(until Time, bounded bool) uint64 {
 		// every heap here.
 		for _, c := range par.children {
 			for dst, box := range c.outbox {
-				for j, e := range box {
-					par.children[dst].pushRaw(e)
+				for j := range box {
+					par.children[dst].events.push(&box[j])
 					box[j] = event{}
 				}
 				c.outbox[dst] = box[:0]
@@ -774,12 +625,12 @@ func (s *Simulator) runParallel(until Time, bounded bool) uint64 {
 		// Global minimum pending event time.
 		low := maxTime
 		for _, c := range par.children {
-			if len(c.events) > 0 && c.events[0].k.at < low {
-				low = c.events[0].k.at
+			if t := c.events.nextAt(); t < low {
+				low = t
 			}
 		}
-		if len(s.events) > 0 && s.events[0].k.at < low {
-			low = s.events[0].k.at
+		if t := s.events.nextAt(); t < low {
+			low = t
 		}
 		if low == maxTime || (bounded && low > until) {
 			break
@@ -799,8 +650,8 @@ func (s *Simulator) runParallel(until Time, bounded bool) uint64 {
 		// Control events at low run first — origin 0 sorts ahead of
 		// every node event at the same timestamp, exactly as in the
 		// sequential order.
-		for len(s.events) > 0 && s.events[0].k.at == low {
-			s.runEvent(s.pop())
+		for s.events.nextAt() == low {
+			s.runNext()
 		}
 
 		// The safe window: lookahead ahead of low, but never past the
@@ -809,8 +660,8 @@ func (s *Simulator) runParallel(until Time, bounded bool) uint64 {
 		if we < low {
 			we = maxTime // overflow
 		}
-		if len(s.events) > 0 && s.events[0].k.at < we {
-			we = s.events[0].k.at
+		if t := s.events.nextAt(); t < we {
+			we = t
 		}
 		if bounded && until+1 < we {
 			we = until + 1
@@ -881,18 +732,4 @@ func (s *Simulator) Stats() SimStats {
 		st.ShardEvents[i] = c.localRun
 	}
 	return st
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

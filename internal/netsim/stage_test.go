@@ -1,0 +1,530 @@
+package netsim
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/compiler"
+	"repro/internal/dataplane"
+	"repro/internal/indus/parser"
+	"repro/internal/indus/types"
+	"repro/internal/pipeline"
+)
+
+// headerProbeSrc reports, at the last hop, every optional header it can
+// bind beside what the init block saw of them: a value left behind in a
+// resident context by an earlier packet shows up as a report argument.
+const headerProbeSrc = `
+tele bit<16> first_tcp;
+tele bit<16> first_vlan;
+header bit<16> tcp_dport @ "hdr.tcp.dport";
+header bit<16> udp_dport @ "hdr.udp.dport";
+header bit<16> vlan_id @ "hdr.vlan_tag.vlan_id";
+
+{ first_tcp = tcp_dport; first_vlan = vlan_id; }
+{ }
+{ report((tcp_dport, udp_dport, vlan_id, first_tcp, first_vlan)); }
+`
+
+func compileSource(t *testing.T, name, src string) *pipeline.Program {
+	t.Helper()
+	ast, err := parser.Parse(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := types.Check(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiler.Compile(info, compiler.Options{Name: name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// broadcastProgram floods packets addressed to x.x.x.255 to ports 2 and
+// 3 and sends everything else out of port 2.
+type broadcastProgram struct{}
+
+func (broadcastProgram) Process(_ *Switch, pkt *dataplane.Decoded, meta *PacketMeta) []Egress {
+	if pkt.HasIPv4 && uint32(pkt.IPv4.Dst)&0xFF == 0xFF {
+		return []Egress{{Port: 2}, {Port: 3}}
+	}
+	return meta.OneEgress(2)
+}
+
+// probeReports pushes pkts one at a time through a single switch whose
+// three ports all face hosts (every packet is at its first and last hop
+// there) with rt attached, and returns the report stream.
+func probeReports(t *testing.T, rt *compiler.Runtime, pkts []*dataplane.Decoded) [][]uint64 {
+	t.Helper()
+	sim := NewSimulator()
+	sw := NewSwitch(sim, 7, "edge")
+	sw.Forwarding = broadcastProgram{}
+	sink := &nullNode{sim: sim}
+	for port := 1; port <= 3; port++ {
+		sw.EdgePorts[port] = true
+		sw.AttachLink(port, Connect(sim, sw, port, sink, port, 0, 0))
+	}
+	var got [][]uint64
+	sw.AttachChecker(rt, func(_ *Switch, rep pipeline.Report) {
+		args := make([]uint64, len(rep.Args))
+		for i, a := range rep.Args {
+			args[i] = a.V
+		}
+		got = append(got, args)
+	})
+	for _, pkt := range pkts {
+		sw.Receive(pkt.Serialize(), 1)
+		sim.RunAll()
+	}
+	if sw.ParseErrors != 0 {
+		t.Fatalf("%d parse errors", sw.ParseErrors)
+	}
+	return got
+}
+
+// TestResidentHopHeaderAbsence sends packets through one attachment
+// where each lacks a header its predecessor had — TCP then UDP, VLAN
+// then none, a multicast whose clones run back to back on one hop — and
+// requires that no packet observes a predecessor's bound values: the
+// resident context's report stream must equal the map reference's and
+// the VM's whole-trace mode's, each on a fresh context per packet.
+func TestResidentHopHeaderAbsence(t *testing.T) {
+	prog := compileSource(t, "header-probe", headerProbeSrc)
+	ip := dataplane.IPv4{TTL: 8, Src: dataplane.MustIP4("10.0.0.1"), Dst: dataplane.MustIP4("10.0.0.2")}
+	tcp := func(vlan uint16, dport uint16) *dataplane.Decoded {
+		p := &dataplane.Decoded{Eth: dataplane.Ethernet{Type: dataplane.EtherTypeIPv4}, HasIPv4: true, IPv4: ip,
+			HasTCP: true, TCP: dataplane.TCP{SrcPort: 999, DstPort: dport}}
+		p.IPv4.Protocol = dataplane.ProtoTCP
+		p.HasVLAN, p.VLAN.VID = vlan != 0, vlan
+		return p
+	}
+	udp := func(vlan uint16, dport uint16, bcast bool) *dataplane.Decoded {
+		p := &dataplane.Decoded{Eth: dataplane.Ethernet{Type: dataplane.EtherTypeIPv4}, HasIPv4: true, IPv4: ip,
+			HasUDP: true, UDP: dataplane.UDP{SrcPort: 999, DstPort: dport}}
+		p.IPv4.Protocol = dataplane.ProtoUDP
+		p.HasVLAN, p.VLAN.VID = vlan != 0, vlan
+		if bcast {
+			p.IPv4.Dst = dataplane.MustIP4("10.0.0.255")
+		}
+		return p
+	}
+	pkts := []*dataplane.Decoded{
+		tcp(100, 443),
+		udp(0, 53, false), // neither TCP nor VLAN: both must read absent
+		udp(7, 67, true),  // two clones on one hop
+		tcp(0, 22),        // after the clones: no VLAN, no UDP
+		udp(0, 123, true), // clones again, now without the VLAN
+		tcp(4000, 8080),
+	}
+
+	got := probeReports(t, &compiler.Runtime{Prog: prog}, pkts)
+	want := [][]uint64{
+		{443, 0, 100, 443, 100},
+		{0, 53, 0, 0, 0},
+		{0, 67, 7, 0, 7}, {0, 67, 7, 0, 7},
+		{22, 0, 0, 22, 0},
+		{0, 123, 0, 0, 0}, {0, 123, 0, 0, 0},
+		{8080, 0, 4000, 8080, 4000},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resident context reports\n got %v\nwant %v", got, want)
+	}
+
+	// The two references take one fresh one-hop trace per packet copy
+	// over the map header environment.
+	traces := func(name string, run func([]compiler.HopEnv) (compiler.TraceResult, error)) {
+		t.Helper()
+		var got [][]uint64
+		for _, pkt := range pkts {
+			copies := 1
+			if uint32(pkt.IPv4.Dst)&0xFF == 0xFF {
+				copies = 2
+			}
+			for ; copies > 0; copies-- {
+				res, err := run([]compiler.HopEnv{{
+					State: prog.NewState(), SwitchID: 7, Headers: bindPacketHeaders(pkt, nil), PacketLen: uint32(pkt.WireLen()),
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rep := range res.Reports {
+					args := make([]uint64, len(rep.Args))
+					for i, a := range rep.Args {
+						args[i] = a.V
+					}
+					got = append(got, args)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s reports\n got %v\nwant %v", name, got, want)
+		}
+	}
+	traces("map reference", (&compiler.Runtime{Prog: prog, NoLink: true}).RunTrace)
+	traces("RunTraceVM", (&compiler.Runtime{Prog: prog}).RunTraceVM)
+}
+
+// TestCheckerErrorForwardsUnchecked pins what a failing checker
+// execution does at a switch: it is counted in ParseErrors, only that
+// checker's telemetry slot is zero-filled, its neighbours run normally,
+// and the packet is forwarded. The failing program applies an
+// undeclared table, which the VM refuses to compile: the attachment is
+// left out of the switch's linked image.
+func TestCheckerErrorForwardsUnchecked(t *testing.T) {
+	bad := &pipeline.Program{
+		Name:      "bad",
+		Tele:      []pipeline.TeleField{{Name: "hydra_header.junk", Width: 24}},
+		Telemetry: []pipeline.Op{pipeline.ApplyOp{Table: "nope"}},
+	}
+	badRT := &compiler.Runtime{Prog: bad}
+	if badRT.VM() != nil {
+		t.Fatal("the VM compiled a program that applies an undeclared table")
+	}
+
+	sim := NewSimulator()
+	sw := NewSwitch(sim, 7, "mid") // no edge ports: a telemetry-only hop
+	sw.Forwarding = onePortProgram{port: 1}
+	sink := &keepNode{}
+	sw.AttachLink(1, Connect(sim, sw, 1, sink, 0, 0, 0))
+	before := sw.AttachChecker(mustCompileChecker(t, "loop-freedom"), nil)
+	badAt := sw.AttachChecker(badRT, nil)
+	sw.AttachChecker(mustCompileChecker(t, "waypointing"), nil)
+
+	pkt := &dataplane.Decoded{
+		Eth:     dataplane.Ethernet{Type: dataplane.EtherTypeIPv4},
+		HasIPv4: true,
+		IPv4:    dataplane.IPv4{TTL: 8, Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.0.1"), Dst: dataplane.MustIP4("10.0.0.2")},
+		HasUDP:  true,
+		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
+	}
+	size := sw.hydra().set.TeleWireBytes()
+	blob := make([]byte, size)
+	lo := (before.Runtime.Prog.TeleWireBits() + 7) / 8
+	hi := lo + (badAt.Runtime.Prog.TeleWireBits()+7)/8
+	for i := lo; i < hi; i++ {
+		blob[i] = 0xA5 // garbage in the failing checker's slot
+	}
+	pkt.InsertHydra(blob)
+	sw.Receive(pkt.Serialize(), 2)
+	sim.RunAll()
+
+	if sw.ParseErrors != 1 {
+		t.Fatalf("ParseErrors = %d, want 1", sw.ParseErrors)
+	}
+	if sink.last == nil || sw.TxFrames != 1 || sw.FastTxFrames != 1 {
+		t.Fatalf("packet not forwarded in place: tx=%d fast=%d", sw.TxFrames, sw.FastTxFrames)
+	}
+	fwd, err := dataplane.Parse(sink.last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fwd.Hydra.Blob
+	if len(got) != size {
+		t.Fatalf("forwarded blob is %d bytes, want %d", len(got), size)
+	}
+	for i := lo; i < hi; i++ {
+		if got[i] != 0 {
+			t.Fatalf("failing checker's slot not zero-filled: %x", got[lo:hi])
+		}
+	}
+	// Both neighbours counted this hop (slot byte 0 is the hop counter).
+	if got[0] != 1 || got[hi] != 1 {
+		t.Fatalf("neighbouring checkers did not run: hop counters %d and %d, want 1 and 1", got[0], got[hi])
+	}
+}
+
+// keepNode is a link endpoint that keeps a copy of the last frame.
+type keepNode struct{ last []byte }
+
+func (*keepNode) NodeName() string { return "keep" }
+func (n *keepNode) Receive(frame []byte, port int) {
+	n.last = append([]byte(nil), frame...)
+}
+
+// TestNICShortBlobForwardsUnchecked pins the VM's decode-error path at
+// its one reachable site, a NIC handed a telemetry blob shorter than
+// its program's record: counted, stripped, and delivered unchecked.
+func TestNICShortBlobForwardsUnchecked(t *testing.T) {
+	sim := NewSimulator()
+	h := NewHost(sim, "h", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
+	h.RecordAll = true
+	nic := h.AttachNIC(mustCompileChecker(t, "loop-freedom"), nil)
+
+	pkt := &dataplane.Decoded{
+		Eth:     dataplane.Ethernet{Dst: h.MAC, Type: dataplane.EtherTypeIPv4},
+		HasIPv4: true,
+		IPv4:    dataplane.IPv4{TTL: 8, Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.0.1"), Dst: h.IP},
+		HasUDP:  true,
+		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
+	}
+	pkt.InsertHydra(make([]byte, nic.stage.set.TeleWireBytes()-1))
+	h.Receive(pkt.Serialize(), 0)
+	sim.RunAll()
+
+	if h.ParseErrs != 1 || nic.Checked != 0 || nic.Rejected != 0 {
+		t.Fatalf("ParseErrs=%d Checked=%d Rejected=%d, want 1 0 0", h.ParseErrs, nic.Checked, nic.Rejected)
+	}
+	if len(h.Received) != 1 || h.Received[0].Pkt.HasHydra {
+		t.Fatalf("short-blob packet not delivered stripped: %d received", len(h.Received))
+	}
+}
+
+// bindPacketHeaders is the map reference of a pass's header environment:
+// the packet-derived standard bindings, a missing key for an absent one,
+// over the extra entries (may be nil).
+func bindPacketHeaders(pkt *dataplane.Decoded, extra map[string]pipeline.Value) map[string]pipeline.Value {
+	h := map[string]pipeline.Value{}
+	for k, v := range extra {
+		h[k] = v
+	}
+	if pkt.HasVLAN {
+		h["hdr.vlan_tag.vlan_id"] = pipeline.B(16, uint64(pkt.VLAN.VID))
+	}
+	if pkt.HasIPv4 {
+		h["hdr.ipv4.$valid$"] = pipeline.BoolV(true)
+		h["hdr.ipv4.src_addr"] = pipeline.B(32, uint64(pkt.IPv4.Src))
+		h["hdr.ipv4.dst_addr"] = pipeline.B(32, uint64(pkt.IPv4.Dst))
+		h["hdr.ipv4.protocol"] = pipeline.B(8, uint64(pkt.IPv4.Protocol))
+	} else {
+		h["hdr.ipv4.$valid$"] = pipeline.BoolV(false)
+	}
+	h["hdr.tcp.$valid$"] = pipeline.BoolV(pkt.HasTCP)
+	if pkt.HasTCP {
+		h["hdr.tcp.sport"] = pipeline.B(16, uint64(pkt.TCP.SrcPort))
+		h["hdr.tcp.dport"] = pipeline.B(16, uint64(pkt.TCP.DstPort))
+	}
+	h["hdr.udp.$valid$"] = pipeline.BoolV(pkt.HasUDP && !pkt.HasGTPU)
+	if pkt.HasUDP {
+		h["hdr.udp.sport"] = pipeline.B(16, uint64(pkt.UDP.SrcPort))
+		h["hdr.udp.dport"] = pipeline.B(16, uint64(pkt.UDP.DstPort))
+	}
+	h["hdr.inner_ipv4.$valid$"] = pipeline.BoolV(pkt.HasInnerIPv4)
+	if pkt.HasInnerIPv4 {
+		h["hdr.inner_ipv4.src_addr"] = pipeline.B(32, uint64(pkt.InnerIPv4.Src))
+		h["hdr.inner_ipv4.dst_addr"] = pipeline.B(32, uint64(pkt.InnerIPv4.Dst))
+		h["hdr.inner_ipv4.protocol"] = pipeline.B(8, uint64(pkt.InnerIPv4.Protocol))
+	}
+	h["hdr.inner_tcp.$valid$"] = pipeline.BoolV(pkt.HasInnerTCP)
+	if pkt.HasInnerTCP {
+		h["hdr.inner_tcp.dport"] = pipeline.B(16, uint64(pkt.InnerTCP.DstPort))
+	}
+	h["hdr.inner_udp.$valid$"] = pipeline.BoolV(pkt.HasInnerUDP)
+	if pkt.HasInnerUDP {
+		h["hdr.inner_udp.dport"] = pipeline.B(16, uint64(pkt.InnerUDP.DstPort))
+	}
+	h["hdr.srcRoutes[0].$valid$"] = pipeline.BoolV(pkt.HasSourceRoute && len(pkt.SourceRoute) > 0)
+	if pkt.HasSourceRoute && len(pkt.SourceRoute) > 0 {
+		h["hdr.srcRoutes[0].switch_id"] = pipeline.B(32, uint64(pkt.SourceRoute[0].SwitchID))
+	}
+	return h
+}
+
+// stateProbeSrc reports a control value and a sensor it counts packets in:
+// which tables and which registers a hop ran against.
+const stateProbeSrc = `
+sensor bit<32> seen = 0;
+control bit<32> mark;
+
+{ }
+{ seen += 1; }
+{ report((mark, seen)); }
+`
+
+// edgeSwitch is a switch whose three ports all face hosts — every packet
+// is at its first and last hop there — forwarding to port 2.
+func edgeSwitch(sim *Simulator) *Switch {
+	sw := NewSwitch(sim, 7, "edge")
+	sw.Forwarding = onePortProgram{port: 2}
+	sink := &nullNode{sim: sim}
+	for port := 1; port <= 3; port++ {
+		sw.EdgePorts[port] = true
+		sw.AttachLink(port, Connect(sim, sw, port, sink, port, 0, 0))
+	}
+	return sw
+}
+
+func udpPacket() *dataplane.Decoded {
+	return &dataplane.Decoded{
+		Eth:     dataplane.Ethernet{Type: dataplane.EtherTypeIPv4},
+		HasIPv4: true,
+		IPv4:    dataplane.IPv4{TTL: 8, Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.0.1"), Dst: dataplane.MustIP4("10.0.0.2")},
+		HasUDP:  true,
+		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
+	}
+}
+
+// reportArgs collects an attachment's reports as their argument values.
+func reportArgs(got *[][]uint64) func(*Switch, pipeline.Report) {
+	return func(_ *Switch, rep pipeline.Report) {
+		args := make([]uint64, len(rep.Args))
+		for i, a := range rep.Args {
+			args[i] = a.V
+		}
+		*got = append(*got, args)
+	}
+}
+
+func setMark(t *testing.T, st *pipeline.State, mark uint64) {
+	t.Helper()
+	if err := st.Tables["mark"].Insert(pipeline.Entry{Action: []pipeline.Value{pipeline.B(32, mark)}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStateReadPerHop pins what the linked image resolves when: the
+// control plane and the node-fault injector wipe a switch by replacing
+// HydraAttachment.State, so the next packet must run against the new
+// tables and registers, not the ones linked; and a checker attached after
+// traffic has flowed joins the image.
+func TestStateReadPerHop(t *testing.T) {
+	rt := &compiler.Runtime{Prog: compileSource(t, "state-probe", stateProbeSrc)}
+	sim := NewSimulator()
+	sw := edgeSwitch(sim)
+	var first, second [][]uint64
+	at := sw.AttachChecker(rt, reportArgs(&first))
+	setMark(t, at.State, 11)
+	send := func() {
+		sw.Receive(udpPacket().Serialize(), 1)
+		sim.RunAll()
+	}
+	send()
+	send()
+
+	at.State = rt.Prog.NewState()
+	setMark(t, at.State, 22)
+	send()
+
+	late := sw.AttachChecker(rt, reportArgs(&second))
+	setMark(t, late.State, 33)
+	send()
+
+	if want := [][]uint64{{11, 1}, {11, 2}, {22, 1}, {22, 2}}; !reflect.DeepEqual(first, want) {
+		t.Errorf("first attachment reported %v, want %v", first, want)
+	}
+	if want := [][]uint64{{33, 1}}; !reflect.DeepEqual(second, want) {
+		t.Errorf("late attachment reported %v, want %v", second, want)
+	}
+	if sw.ParseErrors != 0 || at.Checked != 4 || late.Checked != 1 {
+		t.Errorf("ParseErrors=%d Checked=%d and %d, want 0, 4 and 1", sw.ParseErrors, at.Checked, late.Checked)
+	}
+}
+
+// extraProbeSrc binds a standard path and a program-specific one.
+const extraProbeSrc = `
+header bit<32> route_sw @ "hdr.srcRoutes[0].switch_id";
+header bit<16> custom @ "fabric_metadata.custom";
+header bit<16> dport @ "hdr.udp.dport";
+
+{ }
+{ }
+{ report((route_sw, custom, dport)); }
+`
+
+// extraProgram forwards to port 2 with program-specific header bindings.
+type extraProgram struct{ extra map[string]pipeline.Value }
+
+func (p extraProgram) Process(_ *Switch, _ *dataplane.Decoded, meta *PacketMeta) []Egress {
+	meta.Extra = p.extra
+	return meta.OneEgress(2)
+}
+
+// TestExtraBindingReachesEveryMember attaches two checkers that bind the
+// same paths: a PacketMeta.Extra entry must reach both members' slots,
+// override the standard binding of its path (the source-routing fabric
+// binds hdr.srcRoutes[0].* to the hop it consumed), leave the other
+// standard bindings alone, and be gone at the next packet.
+func TestExtraBindingReachesEveryMember(t *testing.T) {
+	prog := compileSource(t, "extra-probe", extraProbeSrc)
+	sim := NewSimulator()
+	sw := edgeSwitch(sim)
+	var got [2][][]uint64
+	sw.AttachChecker(&compiler.Runtime{Prog: prog}, reportArgs(&got[0]))
+	sw.AttachChecker(&compiler.Runtime{Prog: prog}, reportArgs(&got[1]))
+
+	pkt := udpPacket()
+	pkt.HasSourceRoute = true
+	pkt.SourceRoute = []dataplane.SourceRouteHop{{SwitchID: 9, Port: 1}, {SwitchID: 10, Port: 2}}
+	send := func(extra map[string]pipeline.Value) {
+		sw.Forwarding = extraProgram{extra: extra}
+		sw.Receive(pkt.Serialize(), 1)
+		sim.RunAll()
+	}
+	send(map[string]pipeline.Value{
+		"hdr.srcRoutes[0].switch_id": pipeline.B(32, 77),
+		"fabric_metadata.custom":     pipeline.B(16, 5),
+		"fabric_metadata.unbound":    pipeline.B(16, 6),
+	})
+	send(nil)
+
+	want := [][]uint64{{77, 5, 80}, {9, 0, 80}}
+	for k := range got {
+		if !reflect.DeepEqual(got[k], want) {
+			t.Errorf("checker %d reported %v, want %v", k, got[k], want)
+		}
+	}
+	if sw.ParseErrors != 0 {
+		t.Errorf("%d parse errors", sw.ParseErrors)
+	}
+}
+
+// TestFlatFillMatchesMapReference holds the flat header fill against the
+// map reference on every standard path, present and absent: a packet
+// carrying every layer, packets missing one each, a bare Ethernet frame,
+// and a NIC's pass, which has no forwarding metadata.
+func TestFlatFillMatchesMapReference(t *testing.T) {
+	full := func() *dataplane.Decoded {
+		return &dataplane.Decoded{
+			HasVLAN: true, VLAN: dataplane.VLAN{VID: 300},
+			HasSourceRoute: true, SourceRoute: []dataplane.SourceRouteHop{{SwitchID: 9, Port: 1}},
+			HasIPv4: true, IPv4: dataplane.IPv4{Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.0.1"), Dst: dataplane.MustIP4("10.0.0.2")},
+			HasUDP: true, UDP: dataplane.UDP{SrcPort: 2152, DstPort: 2152},
+			HasTCP: true, TCP: dataplane.TCP{SrcPort: 999, DstPort: 443},
+			HasGTPU:      true,
+			HasInnerIPv4: true, InnerIPv4: dataplane.IPv4{Protocol: dataplane.ProtoTCP, Src: dataplane.MustIP4("172.16.0.1"), Dst: dataplane.MustIP4("172.16.0.2")},
+			HasInnerTCP: true, InnerTCP: dataplane.TCP{DstPort: 8080},
+			HasInnerUDP: true, InnerUDP: dataplane.UDP{DstPort: 53},
+		}
+	}
+	cases := map[string]func(*dataplane.Decoded){
+		"every layer":     func(*dataplane.Decoded) {},
+		"no vlan":         func(p *dataplane.Decoded) { p.HasVLAN = false },
+		"no ipv4":         func(p *dataplane.Decoded) { p.HasIPv4 = false },
+		"no tcp":          func(p *dataplane.Decoded) { p.HasTCP = false },
+		"no udp":          func(p *dataplane.Decoded) { p.HasUDP = false },
+		"udp, no tunnel":  func(p *dataplane.Decoded) { p.HasGTPU = false },
+		"no inner ipv4":   func(p *dataplane.Decoded) { p.HasInnerIPv4 = false },
+		"no inner tcp":    func(p *dataplane.Decoded) { p.HasInnerTCP = false },
+		"no inner udp":    func(p *dataplane.Decoded) { p.HasInnerUDP = false },
+		"no source route": func(p *dataplane.Decoded) { p.HasSourceRoute = false },
+		"empty route":     func(p *dataplane.Decoded) { p.SourceRoute = nil },
+		"bare ethernet":   func(p *dataplane.Decoded) { *p = dataplane.Decoded{} },
+	}
+	st := linkStage(nil)
+	for name, strip := range cases {
+		pkt := full()
+		strip(pkt)
+		for _, nic := range []bool{false, true} {
+			want := bindPacketHeaders(pkt, nil)
+			if nic {
+				st.bind(pkt, nil, 0, 0)
+			} else {
+				st.bind(pkt, &PacketMeta{Drop: true}, 3, -1)
+				want["standard_metadata.ingress_port"] = pipeline.B(8, 3)
+				want["standard_metadata.egress_port"] = pipeline.B(8, 0)
+				want["fabric_metadata.skip_forwarding"] = pipeline.BoolV(true)
+			}
+			for i, path := range stdHdrPaths {
+				if got, ref := st.hvals[i], want[path]; got != ref {
+					t.Errorf("%s (nic=%v): %s = %+v, map reference %+v", name, nic, path, got, ref)
+				}
+				delete(want, path)
+			}
+			if len(want) != 0 {
+				t.Errorf("%s (nic=%v): map reference binds paths the flat fill has no slot for: %v", name, nic, want)
+			}
+		}
+	}
+}

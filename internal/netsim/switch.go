@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
 	"repro/internal/pipeline"
@@ -72,10 +73,6 @@ type HydraAttachment struct {
 	Rejected uint64
 	// Checked counts packets that ran the checker block here.
 	Checked uint64
-
-	// hop is this attachment's resident execution state, built by
-	// AttachChecker.
-	hop residentHop
 }
 
 // wireShape is a snapshot of everything that determines a packet's
@@ -161,12 +158,10 @@ type Switch struct {
 	// of each suffices per switch.
 	dec       dataplane.Decoded
 	meta      PacketMeta
-	parts     [][]byte
 	txBuf     []byte
 	injectBuf []byte
-	// blobSize is the wire size of the shared telemetry blob: the sum of
-	// the attached checkers' slots.
-	blobSize int
+	// stage is Checkers linked into one image; see hydra.
+	stage *hopStage
 }
 
 // NewSwitch creates a switch with the given identifier.
@@ -281,37 +276,46 @@ func (sw *Switch) process(frame []byte, inPort int) {
 	}
 }
 
-// inject runs first-hop injection: an empty Hydra header is inserted
-// and every checker's init block encodes its telemetry slot directly
-// into the switch's reused inject buffer.
+// hydra returns the switch's checkers as one linked image, relinked when
+// the attached set has grown since the last pass, with the state row the
+// attachments hold now.
+func (sw *Switch) hydra() *hopStage {
+	st := sw.stage
+	if st == nil || len(st.row) != len(sw.Checkers) {
+		rts := make([]*compiler.Runtime, len(sw.Checkers))
+		for i, at := range sw.Checkers {
+			rts[i] = at.Runtime
+		}
+		st = linkStage(rts)
+		sw.stage = st
+	}
+	for i, at := range sw.Checkers {
+		st.row[i] = at.State
+	}
+	return st
+}
+
+// deliver hands the reports of the pass just run to their attachments.
+func (sw *Switch) deliver(st *hopStage) {
+	c := st.ctx
+	for i, rep := range c.Reports {
+		if at := sw.Checkers[c.Owners[i]]; at.OnReport != nil {
+			at.OnReport(sw, rep)
+		}
+	}
+}
+
+// inject runs first-hop injection: a Hydra header is inserted and every
+// checker's init block runs over the decode-empty telemetry image, which
+// is then encoded into the switch's reused inject buffer.
 func (sw *Switch) inject(pkt *dataplane.Decoded, meta *PacketMeta, inPort int) {
+	st := sw.hydra()
 	pkt.InsertHydra(nil)
-	pktLen := pkt.WireLen()
-	if cap(sw.injectBuf) < sw.blobSize {
-		sw.injectBuf = make([]byte, sw.blobSize)
-	}
-	blob := sw.injectBuf[:sw.blobSize]
-	off := 0
-	for _, at := range sw.Checkers {
-		n := at.hop.size
-		slot := blob[off : off+n : off+n]
-		off += n
-		// An empty incoming blob decodes to the zero telemetry image; the
-		// init block's output is encoded straight into the slot.
-		_, _, reports, err := at.hop.run(at.State, sw.ID, nil, slot[:0],
-			at.hop.plan.bind(pkt, meta, inPort, -1), pktLen, true, false, compiler.BlockSet{Init: true})
-		if err != nil {
-			sw.ParseErrors++
-			zeroFill(slot)
-			continue
-		}
-		if at.OnReport != nil {
-			for _, rep := range reports {
-				at.OnReport(sw, rep)
-			}
-		}
-	}
-	pkt.Hydra.Blob = blob
+	st.bind(pkt, meta, inPort, -1)
+	_ = st.run(nil, sw.ID, pkt.WireLen(), true, false, bytecode.BlockInit) // an empty blob always decodes
+	sw.injectBuf = st.set.EncodeTele(sw.injectBuf[:0], st.ctx.PHV)
+	pkt.Hydra.Blob = sw.injectBuf
+	sw.deliver(st)
 }
 
 // egress runs the per-hop egress pipeline for one output port. frame,
@@ -332,47 +336,37 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 	}
 
 	if len(sw.Checkers) > 0 && pkt.HasHydra {
-		pktLen := pkt.WireLen()
-		parts, inPlace := sw.splitBlob(pkt.Hydra.Blob)
+		st := sw.hydra()
+		// A blob of exactly the image's size is rewritten in place; a
+		// shorter one is malformed and decodes as empty, a longer one loses
+		// its tail — both re-encoded into fresh storage.
+		in, blocks := pkt.Hydra.Blob, bytecode.BlockTelemetry
+		var dst []byte
+		if n := st.set.TeleWireBytes(); len(in) == n {
+			dst = in[:0]
+		} else if len(in) < n {
+			in = nil
+		}
+		if lastHop {
+			blocks |= bytecode.BlockChecker
+		}
+		st.bind(pkt, meta, inPort, outPort)
+		_ = st.run(in, sw.ID, pkt.WireLen(), firstHop, lastHop, blocks) // in is empty or long enough
+		pkt.Hydra.Blob = st.set.EncodeTele(dst, st.ctx.PHV)
+		// A checker that could not be linked must never take down
+		// forwarding: it is counted and the packet goes on unchecked by it.
+		sw.ParseErrors += st.skipped
+		sw.deliver(st)
 		rejected := false
-		for i, at := range sw.Checkers {
-			check := lastHop || at.Runtime.CheckEveryHop
-			// The in-place slots are disjoint capped subslices of the
-			// blob, so each checker may encode into its own slot.
-			var dst []byte
-			if inPlace {
-				dst = parts[i][:0]
-			}
-			out, reject, reports, err := at.hop.run(at.State, sw.ID, parts[i], dst,
-				at.hop.plan.bind(pkt, meta, inPort, outPort), pktLen, firstHop, lastHop,
-				compiler.BlockSet{Telemetry: true, Checker: check})
-			if err != nil {
-				// A checker execution error must never take down
-				// forwarding; count it and forward unchecked.
-				sw.ParseErrors++
-				if inPlace {
-					zeroFill(parts[i])
-				} else if parts[i] == nil {
-					parts[i] = make([]byte, at.hop.size)
-				}
-				continue
-			}
-			parts[i] = out
-			if at.OnReport != nil {
-				for _, rep := range reports {
-					at.OnReport(sw, rep)
-				}
-			}
-			if check {
+		for k := 0; k < st.set.Len(); k++ {
+			at := sw.Checkers[st.set.Owner(k)]
+			if lastHop || at.Runtime.CheckEveryHop {
 				at.Checked++
 			}
-			if reject {
+			if st.set.Reject(st.ctx, k) {
 				at.Rejected++
 				rejected = true
 			}
-		}
-		if !inPlace {
-			pkt.Hydra.Blob = joinBlobs(parts)
 		}
 		if rejected {
 			return // a checker halts the packet (reject, §2)
@@ -407,89 +401,13 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 	link.Send(sw, sw.txBuf)
 }
 
-// bindHeaders builds the checker's header-variable environment from the
-// packet and metadata, using the standard annotation paths plus any
-// program-specific extras.
-//
-// It survives as the map-based reference used by tests; the hot path
-// binds through each attachment's bindPlan instead.
-func (sw *Switch) bindHeaders(pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int) map[string]pipeline.Value {
-	h := BindPacketHeaders(pkt, map[string]pipeline.Value{
-		"standard_metadata.ingress_port":  pipeline.B(8, uint64(inPort)),
-		"standard_metadata.egress_port":   pipeline.B(8, uint64(maxInt(outPort, 0))),
-		"fabric_metadata.skip_forwarding": pipeline.BoolV(meta.Drop),
-	})
-	for k, v := range meta.Extra {
-		h[k] = v
-	}
-	return h
-}
-
-// BindPacketHeaders builds the packet-derived header bindings shared by
-// switches and Hydra NICs; extra entries (may be nil) are merged in.
-func BindPacketHeaders(pkt *dataplane.Decoded, extra map[string]pipeline.Value) map[string]pipeline.Value {
-	h := map[string]pipeline.Value{}
-	for k, v := range extra {
-		h[k] = v
-	}
-	if pkt.HasVLAN {
-		h["hdr.vlan_tag.vlan_id"] = pipeline.B(16, uint64(pkt.VLAN.VID))
-	}
-	if pkt.HasIPv4 {
-		h["hdr.ipv4.$valid$"] = pipeline.BoolV(true)
-		h["hdr.ipv4.src_addr"] = pipeline.B(32, uint64(pkt.IPv4.Src))
-		h["hdr.ipv4.dst_addr"] = pipeline.B(32, uint64(pkt.IPv4.Dst))
-		h["hdr.ipv4.protocol"] = pipeline.B(8, uint64(pkt.IPv4.Protocol))
-	} else {
-		h["hdr.ipv4.$valid$"] = pipeline.BoolV(false)
-	}
-	h["hdr.tcp.$valid$"] = pipeline.BoolV(pkt.HasTCP)
-	if pkt.HasTCP {
-		h["hdr.tcp.sport"] = pipeline.B(16, uint64(pkt.TCP.SrcPort))
-		h["hdr.tcp.dport"] = pipeline.B(16, uint64(pkt.TCP.DstPort))
-	}
-	h["hdr.udp.$valid$"] = pipeline.BoolV(pkt.HasUDP && !pkt.HasGTPU)
-	if pkt.HasUDP {
-		h["hdr.udp.sport"] = pipeline.B(16, uint64(pkt.UDP.SrcPort))
-		h["hdr.udp.dport"] = pipeline.B(16, uint64(pkt.UDP.DstPort))
-	}
-	h["hdr.inner_ipv4.$valid$"] = pipeline.BoolV(pkt.HasInnerIPv4)
-	if pkt.HasInnerIPv4 {
-		h["hdr.inner_ipv4.src_addr"] = pipeline.B(32, uint64(pkt.InnerIPv4.Src))
-		h["hdr.inner_ipv4.dst_addr"] = pipeline.B(32, uint64(pkt.InnerIPv4.Dst))
-		h["hdr.inner_ipv4.protocol"] = pipeline.B(8, uint64(pkt.InnerIPv4.Protocol))
-	}
-	h["hdr.inner_tcp.$valid$"] = pipeline.BoolV(pkt.HasInnerTCP)
-	if pkt.HasInnerTCP {
-		h["hdr.inner_tcp.dport"] = pipeline.B(16, uint64(pkt.InnerTCP.DstPort))
-	}
-	h["hdr.inner_udp.$valid$"] = pipeline.BoolV(pkt.HasInnerUDP)
-	if pkt.HasInnerUDP {
-		h["hdr.inner_udp.dport"] = pipeline.B(16, uint64(pkt.InnerUDP.DstPort))
-	}
-	h["hdr.srcRoutes[0].$valid$"] = pipeline.BoolV(pkt.HasSourceRoute && len(pkt.SourceRoute) > 0)
-	if pkt.HasSourceRoute && len(pkt.SourceRoute) > 0 {
-		h["hdr.srcRoutes[0].switch_id"] = pipeline.B(32, uint64(pkt.SourceRoute[0].SwitchID))
-	}
-	return h
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // AttachChecker wires an already-compiled runtime plus fresh per-switch
 // state to the switch and returns the attachment for control-plane use.
 // Multiple checkers may be attached; their telemetry shares the Hydra
 // header, each in a statically-sized slot.
 func (sw *Switch) AttachChecker(rt *compiler.Runtime, onReport func(*Switch, pipeline.Report)) *HydraAttachment {
-	at := &HydraAttachment{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, hop: newResidentHop(rt, false)}
+	at := &HydraAttachment{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport}
 	sw.Checkers = append(sw.Checkers, at)
-	sw.parts = nil // checker set changed: rebuild split scratch
-	sw.blobSize += at.hop.size
 	return at
 }
 
@@ -499,60 +417,4 @@ func (sw *Switch) Checker() *HydraAttachment {
 		return nil
 	}
 	return sw.Checkers[0]
-}
-
-// splitBlob slices the shared telemetry blob into per-checker slots,
-// reusing the switch's scratch slice. When the blob length matches the
-// attached checkers exactly, the slots are disjoint capped subslices of
-// the blob and inPlace is true: checkers may encode telemetry back into
-// them without reassembly. Otherwise (fresh empty blob, or a malformed
-// length) the slots are detached and the caller must joinBlobs.
-func (sw *Switch) splitBlob(blob []byte) (parts [][]byte, inPlace bool) {
-	if cap(sw.parts) < len(sw.Checkers) {
-		sw.parts = make([][]byte, len(sw.Checkers))
-	}
-	parts = sw.parts[:len(sw.Checkers)]
-	if len(blob) == sw.blobSize && len(blob) > 0 {
-		off := 0
-		for i, at := range sw.Checkers {
-			n := at.hop.size
-			parts[i] = blob[off : off+n : off+n]
-			off += n
-		}
-		return parts, true
-	}
-	for i := range parts {
-		parts[i] = nil
-	}
-	if len(blob) == 0 {
-		return parts, false
-	}
-	off := 0
-	for i, at := range sw.Checkers {
-		n := at.hop.size
-		if off+n > len(blob) {
-			// Malformed: reset every slot so DecodeTele zero-fills.
-			for j := range parts {
-				parts[j] = nil
-			}
-			return parts, false
-		}
-		parts[i] = blob[off : off+n]
-		off += n
-	}
-	return parts, false
-}
-
-func joinBlobs(parts [][]byte) []byte {
-	var out []byte
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-func zeroFill(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }

@@ -41,13 +41,38 @@ func (p onePortProgram) Process(_ *Switch, _ *dataplane.Decoded, meta *PacketMet
 	return meta.OneEgress(p.port)
 }
 
+// checkerSets are the attached sets the wire-path tests run with: one
+// checker, and the whole corpus linked into one image per switch (no
+// control state installed, so a last hop may reject — mid-fabric hops do
+// not depend on it).
+var checkerSets = map[string][]string{
+	"one":    {"loop-freedom"},
+	"corpus": corpusKeys(),
+}
+
+func corpusKeys() []string {
+	keys := make([]string, len(checkers.All))
+	for i, p := range checkers.All {
+		keys[i] = p.Key
+	}
+	return keys
+}
+
 // TestWireFastPathCounters pins down which hops take the in-place
 // rewrite fast path: telemetry-only mid-fabric hops do, inject and
 // strip hops do not.
 func TestWireFastPathCounters(t *testing.T) {
+	for name, keys := range checkerSets {
+		t.Run(name, func(t *testing.T) { testWireFastPathCounters(t, keys) })
+	}
+}
+
+func testWireFastPathCounters(t *testing.T, keys []string) {
 	sim := NewSimulator()
 	ls := BuildLeafSpine(sim, LeafSpineConfig{Leaves: 2, Spines: 2, HostsPerLeaf: 1, WithRouting: true})
-	attachCorpusChecker(t, ls, "loop-freedom")
+	for _, key := range keys {
+		attachCorpusChecker(t, ls, key)
+	}
 
 	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
 	for p := uint16(0); p < 32; p++ {
@@ -55,8 +80,13 @@ func TestWireFastPathCounters(t *testing.T) {
 	}
 	sim.RunAll()
 
-	if h2.RxUDP != 32 {
+	if len(keys) == 1 && h2.RxUDP != 32 {
 		t.Fatalf("delivered %d/32", h2.RxUDP)
+	}
+	for _, sw := range ls.AllSwitches() {
+		if sw.ParseErrors != 0 {
+			t.Fatalf("%s counted %d parse errors", sw.Name, sw.ParseErrors)
+		}
 	}
 	// Spines only rewrite telemetry: the wire shape never changes there,
 	// so every spine transmission must be in place.
@@ -86,6 +116,12 @@ func TestWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
+	for name, keys := range checkerSets {
+		t.Run(name, func(t *testing.T) { testWireAllocs(t, keys) })
+	}
+}
+
+func testWireAllocs(t *testing.T, keys []string) {
 	sim := NewSimulator()
 	sw := NewSwitch(sim, 7, "mid")
 	sw.Forwarding = onePortProgram{port: 1}
@@ -94,8 +130,9 @@ func TestWireAllocs(t *testing.T) {
 	sw.AttachLink(1, lk)
 	// No edge ports: the switch is mid-fabric and only runs telemetry.
 
-	info := mustCompileChecker(t, "loop-freedom")
-	sw.AttachChecker(info, nil)
+	for _, key := range keys {
+		sw.AttachChecker(mustCompileChecker(t, key), nil)
+	}
 
 	// Template frame: a Hydra header is already present with a zeroed
 	// blob of exactly this switch's telemetry width, as a first-hop
@@ -108,7 +145,7 @@ func TestWireAllocs(t *testing.T) {
 		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
 		Payload: make([]byte, 64),
 	}
-	pkt.InsertHydra(make([]byte, sw.blobSize))
+	pkt.InsertHydra(make([]byte, sw.hydra().set.TeleWireBytes()))
 	template := pkt.Serialize()
 
 	hop := func() {
