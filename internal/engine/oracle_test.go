@@ -278,6 +278,10 @@ func TestEngineMatchesOracle(t *testing.T) {
 		name      string
 		chks      []engine.Checker
 		configure func(installFn) error
+		// reference, when set, configures the oracle instead: the same
+		// state through configurePlain, so the oracle's tables never adopt
+		// one another and it keeps sharing no mechanism with the engine.
+		reference func(installFn) error
 		pkts      []engine.Packet
 		// seen names a checker whose `seen` sensor is compared per switch.
 		seen string
@@ -287,6 +291,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 		{
 			name: "campus", chks: corpus(t), pkts: campus,
 			configure: func(in installFn) error { return experiments.ConfigureReplayEngine(in, pairs) },
+			reference: func(in installFn) error { return configurePlain(in, pairs) },
 			sane: func(o *oracle) bool {
 				return o.counts.Forwarded == o.counts.Packets && o.counts.Errors == 0
 			},
@@ -294,6 +299,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 		{
 			name: "violations", chks: corpus(t), pkts: violationWorkload(600),
 			configure: func(in installFn) error { return experiments.ConfigureReplayEngine(in, nil) },
+			reference: func(in installFn) error { return configurePlain(in, nil) },
 			sane: func(o *oracle) bool {
 				return o.counts.Rejected == o.counts.Packets && o.counts.Reports > 0
 			},
@@ -351,6 +357,12 @@ func TestEngineMatchesOracle(t *testing.T) {
 				}
 				return installWaypoint(in, spine3)
 			},
+			reference: func(in installFn) error {
+				if err := configurePlain(in, pairs); err != nil {
+					return err
+				}
+				return installWaypoint(in, spine3)
+			},
 			sane: func(o *oracle) bool {
 				return viaSpine4(o.counts) && seenCells(o.t, o.Install, "hop-counter")[2] == o.counts.Forwarded
 			},
@@ -368,7 +380,10 @@ func TestEngineMatchesOracle(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := newOracle(t, tc.chks, len(tc.pkts))
-			if err := tc.configure(want.Install); err != nil {
+			if tc.reference == nil {
+				tc.reference = tc.configure
+			}
+			if err := tc.reference(want.Install); err != nil {
 				t.Fatal(err)
 			}
 			for i := range tc.pkts {

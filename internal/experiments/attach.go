@@ -172,7 +172,11 @@ func AttachAllCheckers(ls *netsim.LeafSpine) (map[string][]*netsim.HydraAttachme
 // FirewallSeed returns an installer that seeds the stateful firewall's
 // allowed dictionary (both directions) for the given (src, dst) address
 // pairs. The entries are laid out once — keys cut from one slab, one
-// shared action — and go into every switch's table as one batch.
+// shared action — and go into the first empty table the installer is
+// handed as one batch. allowed is one control variable replicated to
+// every switch, so each later empty table adopts the first copy-on-write
+// (pipeline.Table.CopyFrom) while that one still holds exactly the
+// batch; any other table takes the batch itself. For one goroutine.
 func FirewallSeed(pairs [][2]uint32) func(*pipeline.State) error {
 	keys := make([]pipeline.KeyMatch, 0, 4*len(pairs))
 	batch := make([]pipeline.Entry, 0, 2*len(pairs))
@@ -183,8 +187,19 @@ func FirewallSeed(pairs [][2]uint32) func(*pipeline.State) error {
 			batch = append(batch, pipeline.Entry{Keys: keys[len(keys)-2 : len(keys) : len(keys)], Action: allow})
 		}
 	}
+	var donor *pipeline.Table
+	var version uint64
 	return func(st *pipeline.State) error {
-		return st.Tables["allowed"].InsertBatch(batch)
+		tbl := st.Tables["allowed"]
+		empty := tbl.Len() == 0
+		if empty && donor != nil && donor.Version() == version {
+			return tbl.CopyFrom(donor)
+		}
+		err := tbl.InsertBatch(batch)
+		if err == nil && empty && donor == nil {
+			donor, version = tbl, tbl.Version()
+		}
+		return err
 	}
 }
 

@@ -166,6 +166,11 @@ func TestWireReplayBenign(t *testing.T) {
 // a fresh state costs a fixed number of allocations — the batch's three
 // slices, the table's arrays — however many pairs there are.
 func TestFirewallSeedAllocs(t *testing.T) {
+	newState := func() *pipeline.State {
+		return &pipeline.State{Tables: map[string]*pipeline.Table{"allowed": pipeline.NewTable("allowed",
+			[]pipeline.KeySpec{{Name: "src", Width: 32}, {Name: "dst", Width: 32}},
+			[]pipeline.FieldRef{"allowed.value"}, []pipeline.Value{pipeline.BoolV(false)})}}
+	}
 	allocs := func(n int) float64 {
 		pairs := make([][2]uint32, n)
 		for i := range pairs {
@@ -173,10 +178,9 @@ func TestFirewallSeedAllocs(t *testing.T) {
 		}
 		var tbl *pipeline.Table
 		got := testing.AllocsPerRun(5, func() {
-			tbl = pipeline.NewTable("allowed",
-				[]pipeline.KeySpec{{Name: "src", Width: 32}, {Name: "dst", Width: 32}},
-				[]pipeline.FieldRef{"allowed.value"}, []pipeline.Value{pipeline.BoolV(false)})
-			if err := FirewallSeed(pairs)(&pipeline.State{Tables: map[string]*pipeline.Table{"allowed": tbl}}); err != nil {
+			st := newState()
+			tbl = st.Tables["allowed"]
+			if err := FirewallSeed(pairs)(st); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -194,5 +198,35 @@ func TestFirewallSeedAllocs(t *testing.T) {
 	small, large := allocs(100), allocs(40_000)
 	if large > small+6 {
 		t.Fatalf("FirewallSeed allocates %v times for 100 pairs and %v for 40 000: the install must not allocate per pair", small, large)
+	}
+
+	// Every table after the first adopts it: no array, no batch, whatever
+	// the seed's size.
+	pairs := make([][2]uint32, 40_000)
+	for i := range pairs {
+		pairs[i] = [2]uint32{uint32(i) + 1, ^uint32(i)}
+	}
+	seed := FirewallSeed(pairs)
+	if err := seed(newState()); err != nil {
+		t.Fatal(err)
+	}
+	states := make([]*pipeline.State, 7) // AllocsPerRun's warm-up run takes one too
+	for i := range states {
+		states[i] = newState()
+	}
+	next := 0
+	adopting := testing.AllocsPerRun(len(states)-1, func() {
+		if err := seed(states[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	for _, st := range states {
+		if tbl := st.Tables["allowed"]; tbl.Len() != 2*len(pairs) {
+			t.Fatalf("an adopting table holds %d entries, want %d", tbl.Len(), 2*len(pairs))
+		}
+	}
+	if adopting > 2 {
+		t.Fatalf("an adopting FirewallSeed call allocates %v times, want at most 2", adopting)
 	}
 }

@@ -204,6 +204,9 @@ type FleetResult struct {
 	// FleetConfig.MaxRSSKB (always true when no bound was set).
 	RSSBounded bool
 
+	// InstallSeconds sums the workers' scraped session-install times.
+	InstallSeconds float64
+
 	Kills     int
 	Wall      time.Duration
 	PeakRSSKB map[string]uint64
@@ -426,6 +429,8 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 				return res, fmt.Errorf("experiments: worker %d metrics missing %s", i, series)
 			}
 		}
+		sum, _ := seriesValue(body, "hydra_worker_session_install_seconds_sum")
+		res.InstallSeconds += sum
 	}
 	if err := agg.wait(deadline); err != nil {
 		// The aggregator exits on its own after -expect summaries; nudge
@@ -491,6 +496,8 @@ func FormatFleet(r FleetResult) string {
 	fmt.Fprintf(&b, "%-24s %12v\n", "counts parity", r.CountsParity)
 	fmt.Fprintf(&b, "%-24s %12v\n", "digest parity", r.DigestParity)
 	fmt.Fprintf(&b, "%-24s %12v\n", "conserved", r.Conserved)
+	fmt.Fprintf(&b, "%-24s scan %.1f ms, handshakes %.1f ms, session installs %.1f ms\n", "session prelude",
+		1e3*r.Ingest.ScanSeconds, 1e3*r.Ingest.HandshakeSeconds, 1e3*r.InstallSeconds)
 	fmt.Fprintf(&b, "%-24s %12s\n", "wall", r.Wall.Round(time.Millisecond))
 	for name, kb := range r.PeakRSSKB {
 		fmt.Fprintf(&b, "peak rss %-15s %9d KB\n", name, kb)
@@ -630,21 +637,25 @@ func scrape(addr string) (string, error) {
 	return string(body), err
 }
 
+// seriesValue reads the first sample of the named series from a
+// Prometheus text body.
+func seriesValue(body, name string) (float64, bool) {
+	for _, line := range strings.Split(body, "\n") {
+		if fields := strings.Fields(line); len(fields) == 2 && strings.HasPrefix(fields[0], name) {
+			v, err := strconv.ParseFloat(fields[1], 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
+}
+
 // awaitCounter polls a metrics endpoint until the named counter
 // reaches min.
 func awaitCounter(addr, name string, min float64, deadline time.Time) error {
 	for {
 		if body, err := scrape(addr); err == nil {
-			for _, line := range strings.Split(body, "\n") {
-				if !strings.HasPrefix(line, name) || strings.HasPrefix(line, "# ") {
-					continue
-				}
-				fields := strings.Fields(line)
-				if len(fields) == 2 {
-					if v, err := strconv.ParseFloat(fields[1], 64); err == nil && v >= min {
-						return nil
-					}
-				}
+			if v, ok := seriesValue(body, name); ok && v >= min {
+				return nil
 			}
 		}
 		if time.Now().After(deadline) {

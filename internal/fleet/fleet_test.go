@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,23 +208,28 @@ func TestFleetInProcessClean(t *testing.T) {
 	}
 }
 
-// TestIngestLoadPinsWorkers pins the pre-scan: a flow's worker is its
-// RSS hash modulo the worker count (with one worker the hash is skipped,
-// the remainder being 0 whatever it is), every record carries the path
-// PathFor gave its flow, cut from one slab, and the seed pairs come in
-// first-occurrence order.
-func TestIngestLoadPinsWorkers(t *testing.T) {
-	frames := campusFrames(2000)
-	// Paths of flow-dependent length, so the slab offsets are exercised.
-	pathFor := func(k dataplane.FlowKey) []engine.Hop {
-		hops := make([]engine.Hop, 1+int(k.Sport)%3)
-		for i := range hops {
-			hops[i] = engine.Hop{SwitchID: uint32(k.Dst) + uint32(i), InPort: k.Sport, OutPort: k.Dport}
-		}
-		return hops
+// hopPath is a fabric model with paths of flow-dependent length (1–3
+// hops), so hop-slab offsets are exercised.
+func hopPath(k dataplane.FlowKey) []engine.Hop {
+	hops := make([]engine.Hop, 1+int(k.Sport)%3)
+	for i := range hops {
+		hops[i] = engine.Hop{SwitchID: uint32(k.Dst) + uint32(i), InPort: k.Sport, OutPort: k.Dport}
 	}
+	return hops
+}
+
+// TestIngestLoadPinsWorkers pins the scan: a record is its frame's flow
+// key, wire length and worker in 24 bytes — the path is the dispatcher's
+// to pin — a flow's worker is its RSS hash modulo the worker count (with
+// one worker the hash is skipped, the remainder being 0 whatever it is),
+// and the seed pairs come in first-occurrence order.
+func TestIngestLoadPinsWorkers(t *testing.T) {
+	if size := unsafe.Sizeof(rec{}); size != 24 {
+		t.Fatalf("a scanned record is %d bytes, want 24", size)
+	}
+	frames := campusFrames(2000)
 	for _, workers := range []int{1, 2, 3} {
-		in, err := NewIngest(IngestConfig{Workers: make([]string, workers), PathFor: pathFor})
+		in, err := NewIngest(IngestConfig{Workers: make([]string, workers), PathFor: hopPath})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,31 +242,17 @@ func TestIngestLoadPinsWorkers(t *testing.T) {
 			dec       dataplane.Decoded
 			wantPairs [][2]uint32
 			seen      = map[[2]uint32]bool{}
-			used      = map[int]bool{}
-			slabEnd   unsafe.Pointer // one past the previous record's last hop
+			used      = map[int32]bool{}
 		)
 		for i, r := range recs {
 			if err := dataplane.ParseInto(&dec, frames[i]); err != nil {
 				t.Fatal(err)
 			}
 			key := dataplane.FlowKeyOf(&dec)
-			if want := int(key.RSSHash() % uint32(workers)); r.worker != want {
-				t.Fatalf("%d workers: record %d pinned to worker %d, want %d", workers, i, r.worker, want)
+			if want := int32(key.RSSHash() % uint32(workers)); r.worker != want || r.key != key || r.len != uint32(len(frames[i])) {
+				t.Fatalf("%d workers: record %d = %+v, want key %+v, length %d, worker %d", workers, i, r, key, len(frames[i]), want)
 			}
 			used[r.worker] = true
-			want := pathFor(key)
-			if len(r.pkt.Hops) != len(want) || cap(r.pkt.Hops) != len(want) {
-				t.Fatalf("record %d: %d hops (cap %d), want %d", i, len(r.pkt.Hops), cap(r.pkt.Hops), len(want))
-			}
-			for j, h := range want {
-				if r.pkt.Hops[j] != (wireproto.Hop{Switch: h.SwitchID, In: h.InPort, Out: h.OutPort}) {
-					t.Fatalf("record %d hop %d: %+v, want %+v", i, j, r.pkt.Hops[j], h)
-				}
-			}
-			if first := unsafe.Pointer(&r.pkt.Hops[0]); slabEnd != nil && first != slabEnd {
-				t.Fatalf("record %d: its hops do not follow record %d's in one slab", i, i-1)
-			}
-			slabEnd = unsafe.Add(unsafe.Pointer(&r.pkt.Hops[0]), len(want)*int(unsafe.Sizeof(wireproto.Hop{})))
 			if p := [2]uint32{uint32(key.Src), uint32(key.Dst)}; !seen[p] {
 				seen[p] = true
 				wantPairs = append(wantPairs, p)
@@ -272,6 +264,89 @@ func TestIngestLoadPinsWorkers(t *testing.T) {
 		if !reflect.DeepEqual(pairs, wantPairs) {
 			t.Fatalf("%d workers: seed pairs differ from first-occurrence order", workers)
 		}
+	}
+}
+
+// TestDispatchPinsPaths: the dispatcher pins every packet to PathFor of
+// its own flow as the batch fills. With a batch size that divides
+// nothing and recycled hop slabs, the worker must decode — in capture
+// order, across batch boundaries, in both loops alike — exactly the
+// packets a pre-pinned capture would have carried.
+func TestDispatchPinsPaths(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fw := &fakeWorker{ln: ln, record: true}
+	go fw.serve()
+
+	frames := campusFrames(500)
+	const loops = 2
+	ing, err := NewIngest(IngestConfig{
+		Workers: []string{ln.Addr().String()}, PathFor: hopPath,
+		BatchSize: 7, Loops: loops, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := ing.Run(&memSource{frames: frames})
+	if err != nil || stats.Acked != loops*uint64(len(frames)) {
+		t.Fatalf("run: %v, acked %d of %d", err, stats.Acked, loops*len(frames))
+	}
+	fw.mu.Lock()
+	got := fw.packets
+	fw.mu.Unlock()
+	if len(got) != loops*len(frames) {
+		t.Fatalf("worker decoded %d packets, want %d", len(got), loops*len(frames))
+	}
+	var dec dataplane.Decoded
+	for i, p := range got {
+		frame := frames[i%len(frames)]
+		if err := dataplane.ParseInto(&dec, frame); err != nil {
+			t.Fatal(err)
+		}
+		key := dataplane.FlowKeyOf(&dec)
+		want := wireproto.Packet{
+			Src: uint32(key.Src), Dst: uint32(key.Dst), Sport: key.Sport, Dport: key.Dport,
+			Proto: key.Proto, Len: uint32(len(frame)),
+		}
+		for _, h := range hopPath(key) {
+			want.Hops = append(want.Hops, wireproto.Hop{Switch: h.SwitchID, In: h.InPort, Out: h.OutPort})
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("packet %d (loop %d): decoded %+v, want %+v", i, i/len(frames), p, want)
+		}
+	}
+}
+
+// TestDispatchSteadyStateAllocs: batch storage comes back from the
+// sender, so what a dispatch allocates is bounded by the batches in
+// circulation (one filling, QueueDepth queued, one with the sender), not
+// by the batches sent.
+func TestDispatchSteadyStateAllocs(t *testing.T) {
+	in, err := NewIngest(IngestConfig{Workers: []string{"unused"}, PathFor: testPath, BatchSize: 64, Loops: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats IngestStats
+	recs, _, err := in.load(&memSource{frames: campusFrames(2000)}, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSender(in, 0, "unused", nil, 0)
+	go func() { // a sender that discards
+		for b := range s.queue {
+			s.free <- batch{pkts: b.pkts[:0], hops: b.hops[:0]}
+		}
+	}()
+	defer close(s.queue)
+	var sent uint64
+	allocs := testing.AllocsPerRun(3, func() { sent = in.dispatch(recs, []*sender{s}) })
+	batches := sent / 64
+	// A new batch grows two slices from nil, some ten steps each.
+	if limit := float64(in.cfg.QueueDepth+2)*24 + 8; sent != 20*2000 || allocs > limit {
+		t.Fatalf("dispatching %d packets in %d batches allocated %v times, want at most %v", sent, batches, allocs, limit)
 	}
 }
 
@@ -327,6 +402,13 @@ type fakeWorker struct {
 
 	creditGate        time.Duration
 	closeAfterBatches int
+
+	// record keeps every decoded packet, in arrival order; seeded counts
+	// the seed pairs each session was sent.
+	record  bool
+	mu      sync.Mutex
+	packets []wireproto.Packet
+	seeded  []int
 }
 
 func (fw *fakeWorker) serve() {
@@ -344,7 +426,7 @@ func (fw *fakeWorker) session(conn net.Conn, first bool) {
 	defer conn.Close()
 	r := wireproto.NewReader(conn)
 	w := wireproto.NewWriter(conn)
-	batches := 0
+	batches, seeded := 0, 0
 	gated := fw.creditGate > 0
 	for {
 		f, err := r.ReadFrame()
@@ -352,6 +434,13 @@ func (fw *fakeWorker) session(conn net.Conn, first bool) {
 			return
 		}
 		switch f.Type {
+		case wireproto.TypeSeed:
+			chunk, done, _ := wireproto.DecodeSeed(f.Payload)
+			if seeded += len(chunk); done {
+				fw.mu.Lock()
+				fw.seeded = append(fw.seeded, seeded)
+				fw.mu.Unlock()
+			}
 		case wireproto.TypePacketBatch:
 			var d wireproto.BatchDecoder
 			if err := d.Reset(f.Payload); err != nil {
@@ -365,6 +454,13 @@ func (fw *fakeWorker) session(conn net.Conn, first bool) {
 					break
 				}
 				n++
+				if fw.record {
+					kept := *p
+					kept.Hops = append([]wireproto.Hop(nil), p.Hops...)
+					fw.mu.Lock()
+					fw.packets = append(fw.packets, kept)
+					fw.mu.Unlock()
+				}
 			}
 			batches++
 			if first && fw.closeAfterBatches > 0 && batches >= fw.closeAfterBatches {
@@ -461,6 +557,12 @@ func TestIngestReconnectDrops(t *testing.T) {
 	}
 	if fw.sessions.Load() != 2 {
 		t.Fatalf("fake worker saw %d sessions, want 2", fw.sessions.Load())
+	}
+	// The second connection replays the whole seed ahead of its packets.
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if len(fw.seeded) != 2 || fw.seeded[0] != stats.SeededPairs || fw.seeded[1] != stats.SeededPairs {
+		t.Fatalf("sessions were sent %v seed pairs, want %d each", fw.seeded, stats.SeededPairs)
 	}
 }
 

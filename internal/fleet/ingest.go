@@ -85,6 +85,9 @@ type IngestStats struct {
 	Dropped      map[string]uint64 `json:"dropped,omitempty"`
 	Reconnects   uint64            `json:"reconnects"`
 	Workers      []WorkerLink      `json:"workers"`
+	// The capture scan, and Hello + seed summed over every connection.
+	ScanSeconds      float64 `json:"scan_seconds"`
+	HandshakeSeconds float64 `json:"handshake_seconds"`
 }
 
 // FilterSeedPairs returns pairs with every skipEvery-th entry omitted
@@ -105,8 +108,9 @@ func FilterSeedPairs(pairs [][2]uint32, skipEvery int) (kept [][2]uint32, skippe
 	return kept, skipped
 }
 
-// Ingest is the fan-out daemon: it pre-scans a capture for the firewall
-// seed set, then streams the frames as binary packet batches to the
+// Ingest is the fan-out daemon: it scans a capture for its flow keys and
+// the firewall seed set, then streams the packets — each pinned to its
+// fabric path as its batch fills — as binary packet batches to the
 // worker fleet under per-worker credit windows.
 type Ingest struct {
 	cfg     IngestConfig
@@ -114,9 +118,11 @@ type Ingest struct {
 	acked   atomic.Uint64
 	started time.Time
 
-	mFrames *metrics.Counter
-	mPPS    *metrics.Gauge
-	mSend   *metrics.Histogram
+	mFrames    *metrics.Counter
+	mPPS       *metrics.Gauge
+	mSend      *metrics.Histogram
+	mScan      *metrics.Histogram
+	mHandshake *metrics.Histogram
 }
 
 // NewIngest validates the config and builds the daemon.
@@ -162,6 +168,8 @@ func NewIngest(cfg IngestConfig) (*Ingest, error) {
 	in.mFrames = reg.Counter("hydra_ingest_frames_total", "Frames read from the capture source.", nil)
 	in.mPPS = reg.Gauge("hydra_ingest_pps", "Smoothed acknowledged packets per second.", nil)
 	in.mSend = reg.Histogram("hydra_ingest_send_seconds", "Wall time writing one batch frame.", nil, nil)
+	in.mScan = reg.Histogram("hydra_ingest_scan_seconds", "Wall time scanning the capture before a session.", nil, nil)
+	in.mHandshake = reg.Histogram("hydra_ingest_handshake_seconds", "Wall time writing Hello and the firewall seed on one connection.", nil, nil)
 	return in, nil
 }
 
@@ -169,20 +177,31 @@ func NewIngest(cfg IngestConfig) (*Ingest, error) {
 // the current batch and the senders drain and Fin normally.
 func (in *Ingest) Stop() { in.stop.Store(true) }
 
-// rec is one pre-parsed capture record: the wire-form packet and the
-// worker its flow is pinned to.
+// rec is one scanned capture record: its flow, its wire length and the
+// worker the flow is pinned to.
 type rec struct {
-	pkt    wireproto.Packet
-	worker int
+	key    dataplane.FlowKey
+	len    uint32
+	worker int32
+}
+
+// batch is one wire batch's storage: the packets, and the slab their
+// hops are cut from once it is full. sender.free brings it back emptied.
+type batch struct {
+	pkts []wireproto.Packet
+	hops []wireproto.Hop
 }
 
 // Run replays the source through the fleet and returns the accounting.
 func (in *Ingest) Run(src Source) (IngestStats, error) {
 	stats := IngestStats{Loops: in.cfg.Loops, Dropped: map[string]uint64{}}
+	start := time.Now()
 	recs, pairs, err := in.load(src, &stats)
 	if err != nil {
 		return stats, err
 	}
+	stats.ScanSeconds = time.Since(start).Seconds()
+	in.mScan.Observe(stats.ScanSeconds)
 	seedPairs, skipped := FilterSeedPairs(pairs, in.cfg.SkipSeedEvery)
 	stats.SeededPairs = len(seedPairs)
 	stats.SkippedPairs = skipped
@@ -203,34 +222,14 @@ func (in *Ingest) Run(src Source) (IngestStats, error) {
 	ppsDone := make(chan struct{})
 	go in.trackPPS(ppsDone)
 
-	pending := make([][]wireproto.Packet, len(senders))
-dispatch:
-	for loop := 0; loop < in.cfg.Loops; loop++ {
-		for i := range recs {
-			if in.stop.Load() {
-				break dispatch
-			}
-			r := &recs[i]
-			pending[r.worker] = append(pending[r.worker], r.pkt)
-			if len(pending[r.worker]) >= in.cfg.BatchSize {
-				senders[r.worker].queue <- pending[r.worker]
-				pending[r.worker] = nil
-				stats.Packets += uint64(in.cfg.BatchSize)
-			}
-		}
-	}
-	for i, b := range pending {
-		if len(b) > 0 {
-			senders[i].queue <- b
-			stats.Packets += uint64(len(b))
-		}
-	}
+	stats.Packets = in.dispatch(recs, senders)
 	for _, s := range senders {
 		close(s.queue)
 	}
 	wg.Wait()
 	close(ppsDone)
 
+	stats.HandshakeSeconds = in.mHandshake.Sum()
 	for _, s := range senders {
 		link := s.link()
 		stats.Acked += link.Acked
@@ -246,14 +245,65 @@ dispatch:
 	return stats, nil
 }
 
-// load pre-scans the capture: every frame is parsed to its 5-tuple,
-// pinned to a path and a worker, and the unique (src, dst) pairs are
-// collected in first-occurrence order for the firewall seed. All
-// records' hops are cut from one slab.
+// dispatch replays the records to the senders in capture order, Loops
+// times over, and returns the packets queued. A packet is pinned to its
+// path as its batch fills — beside the workers' install and checking,
+// not ahead of the session — into storage its sender hands back.
+func (in *Ingest) dispatch(recs []rec, senders []*sender) (packets uint64) {
+	pending := make([]batch, len(senders))
+	flush := func(w int32) {
+		b := &pending[w]
+		off := 0
+		for i := range b.pkts { // the slab has stopped moving
+			end := off + len(b.pkts[i].Hops)
+			b.pkts[i].Hops = b.hops[off:end:end]
+			off = end
+		}
+		senders[w].queue <- *b
+		packets += uint64(len(b.pkts))
+		select {
+		case *b = <-senders[w].free:
+		default:
+			*b = batch{}
+		}
+	}
+dispatch:
+	for loop := 0; loop < in.cfg.Loops; loop++ {
+		for i := range recs {
+			if in.stop.Load() {
+				break dispatch
+			}
+			r := &recs[i]
+			b := &pending[r.worker]
+			start := len(b.hops)
+			for _, h := range in.cfg.PathFor(r.key) {
+				b.hops = append(b.hops, wireproto.Hop{Switch: h.SwitchID, In: h.InPort, Out: h.OutPort})
+			}
+			b.pkts = append(b.pkts, wireproto.Packet{
+				Src: uint32(r.key.Src), Dst: uint32(r.key.Dst),
+				Sport: r.key.Sport, Dport: r.key.Dport, Proto: r.key.Proto,
+				Len:  r.len,
+				Hops: b.hops[start:], // re-cut by flush: the slab may still move
+			})
+			if len(b.pkts) >= in.cfg.BatchSize {
+				flush(r.worker)
+			}
+		}
+	}
+	for w := range pending {
+		if len(pending[w].pkts) > 0 {
+			flush(int32(w))
+		}
+	}
+	return packets
+}
+
+// load scans the capture to its end: every frame is parsed to its
+// 5-tuple and pinned to a worker, and the unique (src, dst) pairs are
+// collected in first-occurrence order for the firewall seed.
 func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, error) {
 	var (
 		recs  []rec
-		slab  []wireproto.Hop
 		pairs [][2]uint32
 		seen  = map[[2]uint32]bool{}
 		dec   dataplane.Decoded
@@ -274,34 +324,18 @@ func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, erro
 			continue
 		}
 		key := dataplane.FlowKeyOf(&dec)
-		start := len(slab)
-		for _, h := range in.cfg.PathFor(key) {
-			slab = append(slab, wireproto.Hop{Switch: h.SwitchID, In: h.InPort, Out: h.OutPort})
-		}
-		wp := wireproto.Packet{
-			Src: uint32(key.Src), Dst: uint32(key.Dst),
-			Sport: key.Sport, Dport: key.Dport, Proto: key.Proto,
-			Len:  uint32(len(frame)),
-			Hops: slab[start:], // re-cut below: the slab may still move
-		}
 		// With one worker the hash's remainder is 0 whatever it is, and
 		// the software Toeplitz hash is the dearest step of the scan.
-		worker := 0
+		var worker int32
 		if nWorkers > 1 {
-			worker = int(key.RSSHash() % nWorkers)
+			worker = int32(key.RSSHash() % nWorkers)
 		}
-		recs = append(recs, rec{pkt: wp, worker: worker})
+		recs = append(recs, rec{key: key, len: uint32(len(frame)), worker: worker})
 		pair := [2]uint32{uint32(key.Src), uint32(key.Dst)}
 		if !seen[pair] {
 			seen[pair] = true
 			pairs = append(pairs, pair)
 		}
-	}
-	off := 0
-	for i := range recs {
-		end := off + len(recs[i].pkt.Hops)
-		recs[i].pkt.Hops = slab[off:end:end]
-		off = end
 	}
 	return recs, pairs, nil
 }
@@ -344,8 +378,11 @@ type sender struct {
 	in    *Ingest
 	idx   int
 	addr  string
-	queue chan []wireproto.Packet
-	seed  [][2]uint32
+	queue chan batch
+	// free returns emptied batches to the dispatcher: one filling,
+	// QueueDepth queued, one being sent — QueueDepth+2 slots never block.
+	free chan batch
+	seed [][2]uint32
 
 	cs              *connState
 	outstanding     int
@@ -377,7 +414,8 @@ func newSender(in *Ingest, idx int, addr string, seed [][2]uint32, expect uint64
 		in:      in,
 		idx:     idx,
 		addr:    addr,
-		queue:   make(chan []wireproto.Packet, in.cfg.QueueDepth),
+		queue:   make(chan batch, in.cfg.QueueDepth),
+		free:    make(chan batch, in.cfg.QueueDepth+2),
 		seed:    seed,
 		dropped: map[string]uint64{},
 		mDrops:  map[string]*metrics.Counter{},
@@ -397,10 +435,14 @@ func newSender(in *Ingest, idx int, addr string, seed [][2]uint32, expect uint64
 	return s
 }
 
+// run opens the session at once — the seed is on the wire while the
+// first batch fills — and an unreachable worker fails every batch.
 func (s *sender) run() {
+	s.connect()
 	for b := range s.queue {
-		s.assigned.Add(uint64(len(b)))
-		s.sendBatch(b)
+		s.assigned.Add(uint64(len(b.pkts)))
+		s.sendBatch(b.pkts)
+		s.free <- batch{pkts: b.pkts[:0], hops: b.hops[:0]}
 	}
 	s.finish()
 	if s.cs != nil {
@@ -544,11 +586,13 @@ func (s *sender) connect() bool {
 			finackc: make(chan FinAck, 1),
 			errc:    make(chan error, 1),
 		}
+		start := time.Now()
 		if err := s.handshake(cs); err != nil {
 			lastErr = err
 			conn.Close()
 			continue
 		}
+		s.in.mHandshake.Observe(time.Since(start).Seconds())
 		go readLoop(cs)
 		s.cs = cs
 		return true
@@ -561,7 +605,7 @@ func (s *sender) connect() bool {
 
 // handshake opens a session: Hello, then the firewall seed set — the
 // flow pairs the replay's control plane allowed before traffic started,
-// derived from the pre-scan — in chunks of at most
+// derived from the scan — in chunks of at most
 // wireproto.MaxSeedPairs, the last marked done. It is replayed on every
 // (re)connect, so a restarted worker rebuilds the same control state.
 func (s *sender) handshake(cs *connState) error {

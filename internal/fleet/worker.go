@@ -29,7 +29,8 @@ type WorkerConfig struct {
 	// BuildCheckers compiles the checker set for a new session's engine.
 	BuildCheckers func() ([]engine.Checker, error)
 	// Configure installs control state into a fresh engine: the benign
-	// fabric tables plus the firewall seed pairs the ingest replayed.
+	// fabric tables plus the firewall seed pairs the ingest sent ahead of
+	// the session's first packet.
 	Configure func(install func(checker string, switchID uint32, fn func(*pipeline.State) error) error, pairs [][2]uint32) error
 	// BusWindow is the report-bus aggregation window (default 5ms).
 	BusWindow time.Duration
@@ -60,6 +61,7 @@ type Worker struct {
 	mBatchLen *metrics.Histogram
 	mBatchSec *metrics.Histogram
 	mDigests  *metrics.Counter
+	mInstall  *metrics.Histogram
 }
 
 // NewWorker validates the config and builds the daemon.
@@ -94,6 +96,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		[]float64{1, 16, 64, 256, 1024, 4096}, nil)
 	w.mBatchSec = reg.Histogram("hydra_worker_batch_seconds", "Wall time checking one batch.", nil, nil)
 	w.mDigests = reg.Counter("hydra_worker_digests_published_total", "Violation digests raised into the report bus.", nil)
+	w.mInstall = reg.Histogram("hydra_worker_session_install_seconds", "Wall time building and seeding one session's engine.", nil, nil)
 	reg.GaugeFunc("hydra_worker_session_active", "Whether an ingest session is live.", nil,
 		func() float64 { return float64(w.active.Load()) })
 	return w, nil
@@ -174,10 +177,11 @@ type session struct {
 	bus      *reportbus.Bus
 	verdicts []engine.Verdict // scratch, indexed per batch
 	multiset map[engine.Verdict]uint64
-	// decode scratch, reused across batches
-	pkts  []engine.Packet
-	arena []engine.Hop
-	offs  [][2]int
+	// decode and credit scratch, reused across batches
+	pkts   []engine.Packet
+	arena  []engine.Hop
+	offs   [][2]int
+	credit []byte
 }
 
 func (w *Worker) handle(conn net.Conn) error {
@@ -206,10 +210,12 @@ func (w *Worker) handle(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	s, err := w.newSession(pairs)
 	if err != nil {
 		return err
 	}
+	w.mInstall.Observe(time.Since(start).Seconds())
 	w.cfg.Logf("worker: session %d from %s (%s): %d seed pairs", s.id, hello.Node, conn.RemoteAddr(), len(pairs))
 
 	clean, runErr := s.run(r, wr)
@@ -306,7 +312,8 @@ func (s *session) run(r *wireproto.Reader, wr *wireproto.Writer) (clean bool, er
 			if perr != nil {
 				return false, perr
 			}
-			if cerr := wr.WriteFrame(wireproto.TypeCredit, wireproto.AppendCredit(nil, uint32(n))); cerr != nil {
+			s.credit = wireproto.AppendCredit(s.credit[:0], uint32(n))
+			if cerr := wr.WriteFrame(wireproto.TypeCredit, s.credit); cerr != nil {
 				return false, fmt.Errorf("fleet: session %d credit: %w", s.id, cerr)
 			}
 			if s.w.agg != nil && time.Since(lastStats) >= s.w.cfg.StatsEvery {

@@ -152,6 +152,9 @@ func (h *Histogram) Observe(v float64) {
 // Count reads the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.n.Load() }
 
+// Sum reads the total of the samples observed.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+
 // Histogram registers a histogram series with the given bucket upper
 // bounds (ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels) *Histogram {

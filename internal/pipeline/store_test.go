@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -79,9 +80,15 @@ type tableModel struct {
 func entryKey(e Entry) PackedKey { return packEntryKeys(e.Keys) }
 
 // checkTable compares every observable of tbl with the model: both
-// lookups for every key of the pool, Len, and the sorted Entries.
-func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedKey, m *tableModel) {
+// lookups for every key of the pool, Len, and the sorted Entries. A
+// lookup publishes the view, which marks the array shared; without
+// lookups the table is left as the op left it, so the next write meets
+// whatever marks the op itself set.
+func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedKey, m *tableModel, lookups bool) {
 	t.Helper()
+	if !lookups {
+		pool = nil
+	}
 	for _, k := range pool {
 		want, hit := m.acts[k]
 		if !hit {
@@ -117,11 +124,14 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 	}
 }
 
-// runTableOps drives one table and the model through the op stream and
-// checks them against each other after every step. data[0] picks the
-// column count (0–4), data[1] the action length (0–2); each op is three
-// bytes: kind, key index, value. Action values are raw — any width,
-// bits above it set — so a store that reinterprets W or V shows.
+// runTableOps drives two tables of one shape, each with its own model,
+// through the op stream and checks both against their models after every
+// step, so a write that reaches the table it was not aimed at shows.
+// data[0] picks the column count (0–4), data[1] the action length (0–2);
+// each op is three bytes: kind (low nibble; bit 4 picks the table, bit 5
+// checks the step without lookups), key index, value. One op has the
+// table adopt the other's entries (CopyFrom). Action values are raw — any width, bits above it set — so
+// a store that reinterprets W or V shows.
 func runTableOps(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
@@ -135,18 +145,23 @@ func runTableOps(t *testing.T, data []byte) {
 	for i := range outs {
 		outs[i], def[i] = FieldRef(fmt.Sprintf("o%d", i)), B(16, 0xdead)
 	}
-	tbl := NewTable("t", keys, outs, def)
+	tbls := [2]*Table{NewTable("t0", keys, outs, def), NewTable("t1", keys, outs, def)}
 	pool := modelPool(ncols)
 	action := func(val uint64, o int) Value {
 		return Value{W: int(val % 65), V: val*0x0101010101010101 + uint64(o)}
 	}
-	m := &tableModel{acts: map[PackedKey][]Value{}, names: map[PackedKey]string{}}
+	var ms [2]*tableModel
+	for i := range ms {
+		ms[i] = &tableModel{acts: map[PackedKey][]Value{}, names: map[PackedKey]string{}}
+	}
 	// One Entry refilled for every insert, as a bulk installer would.
 	e := Entry{Keys: make([]KeyMatch, ncols), Action: make([]Value, nout)}
-	version := tbl.Version()
+	versions := [2]uint64{tbls[0].Version(), tbls[1].Version()}
 	for pc := 2; pc+2 < len(data); pc += 3 {
 		kind, k, val := data[pc]%16, pool[int(data[pc+1])%len(pool)], uint64(data[pc+2])
-		step := fmt.Sprintf("op %d (kind %d, key %v, val %d)", (pc-2)/3, kind, k[:ncols], val)
+		target := int(data[pc] >> 4 & 1)
+		tbl, m := tbls[target], ms[target]
+		step := fmt.Sprintf("op %d (table %d, kind %d, key %v, val %d)", (pc-2)/3, target, kind, k[:ncols], val)
 		mutated := true
 		switch {
 		case kind < 9: // insert or replace; kind 8 names the entry
@@ -203,15 +218,25 @@ func runTableOps(t *testing.T, data []byte) {
 			tbl.Clear()
 			clear(m.acts)
 			clear(m.names)
+		case val >= 224: // adopt the other table's entries, one time in eight
+			if err := tbl.CopyFrom(tbls[1-target]); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			m.acts, m.names = maps.Clone(ms[1-target].acts), maps.Clone(ms[1-target].names)
 		default:
 			mutated = false
 		}
-		if v := tbl.Version(); v < version || mutated && v == version {
-			t.Fatalf("%s: Version %d after %d", step, v, version)
+		// The table aimed at steps its version; the other one is as it was.
+		if v := tbl.Version(); v < versions[target] || mutated && v == versions[target] {
+			t.Fatalf("%s: Version %d after %d", step, v, versions[target])
+		} else if other := tbls[1-target].Version(); other != versions[1-target] {
+			t.Fatalf("%s: the other table's Version went %d → %d", step, versions[1-target], other)
 		} else {
-			version = v
+			versions[target] = v
 		}
-		checkTable(t, step, tbl, ncols, pool, m)
+		for i := range tbls {
+			checkTable(t, fmt.Sprintf("%s, table %d", step, i), tbls[i], ncols, pool, ms[i], data[pc]>>5&1 == 0)
+		}
 	}
 }
 
@@ -219,9 +244,13 @@ func runTableOps(t *testing.T, data []byte) {
 // with a key pool small and colliding enough that backward-shift
 // deletion crosses the wrap-around and growth lands mid-chain. Every
 // shape opens with the all-zero key inserted, replaced, deleted and
-// re-inserted by name, then a batch across it that grows the table.
+// re-inserted by name, then a batch across it that grows the table; then
+// the second table adopts the first — zero key, named entry and all —
+// the donor is written, the adopter is written, and the first table
+// adopts the second back.
 func TestTableModel(t *testing.T) {
-	prologue := []byte{0, modelZero, 1, 0, modelZero, 2, 9, modelZero, 0, 9, modelZero, 0, 8, modelZero, 3, 13, modelZero - 7, 15}
+	prologue := []byte{0, modelZero, 1, 0, modelZero, 2, 9, modelZero, 0, 9, modelZero, 0, 8, modelZero, 3, 13, modelZero - 7, 15,
+		0x3f, 0, 0xff, 0x20, 1, 4, 0x10, 2, 5, 0x19, modelZero, 0, 0x2f, 0, 0xff, 0x30, 3, 6, 9, 3, 0}
 	for ncols := 0; ncols <= 4; ncols++ {
 		for nout := 0; nout <= 2; nout++ {
 			rng := rand.New(rand.NewSource(int64(17*ncols + nout)))
@@ -300,9 +329,13 @@ func TestInsertCopies(t *testing.T) {
 // table with batches and republishes the view at random. Every read
 // must hit with the action the key was installed with, and a view once
 // published — its record array and its zero-key action — must never
-// change under a reader that still holds it.
+// change under a reader that still holds it. A twin table adopts the
+// first, or is adopted by it, at random, with a reader of its own: a
+// view held across an adoption, and across the next write on either
+// side of it, stays what it was too.
 func TestCopyOnWriteReaders(t *testing.T) {
 	tbl := NewTable("t", []KeySpec{{Width: 64, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(64, 0)})
+	twin := NewTable("twin", tbl.Keys, tbl.Outputs, tbl.Default)
 	pool := collidingKeys(1, 96)
 	stable, churn := pool[:32], append(pool[32:], PackedKey{}) // the all-zero key churns too
 	for _, k := range stable {
@@ -310,14 +343,21 @@ func TestCopyOnWriteReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := twin.CopyFrom(tbl); err != nil {
+		t.Fatal(err)
+	}
 	var (
 		wg   sync.WaitGroup
 		done atomic.Bool
 	)
-	for r := 0; r < 2; r++ {
+	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			tbl := tbl
+			if r == 2 {
+				tbl = twin
+			}
 			for i := r; !done.Load(); i++ {
 				k := stable[i%len(stable)]
 				if a, hit := tbl.LookupPacked(k); !hit || a[0].V != k[0] {
@@ -330,7 +370,33 @@ func TestCopyOnWriteReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000 && !t.Failed(); i++ {
 		k := churn[rng.Intn(len(churn))]
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
+		case 8:
+			// Either table adopts the other. The adopter's old view, and
+			// the view of the one array both hold afterwards, must stay
+			// what they were through a write on each side.
+			dst, src := twin, tbl
+			if i%2 == 0 {
+				dst, src = tbl, twin
+			}
+			old := dst.publish()
+			oldRecs, oldZero := slices.Clone(old.recs), slices.Clone(old.zero)
+			if err := dst.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			view := dst.publish()
+			if &view.recs[0] != &src.packed.recs[0] {
+				t.Fatal("the adopter holds a copy of the donor's array, not the array")
+			}
+			before, zero := slices.Clone(view.recs), slices.Clone(view.zero)
+			_ = src.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, uint64(i))}})
+			_ = dst.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, ^uint64(i))}})
+			src.Delete([]KeyMatch{ExactKey(k[0])})
+			_ = dst.Insert(Entry{Keys: []KeyMatch{ExactKey(0)}, Action: []Value{B(64, uint64(i))}})
+			if !slices.Equal(view.recs, before) || !slices.Equal(view.zero, zero) ||
+				!slices.Equal(old.recs, oldRecs) || !slices.Equal(old.zero, oldZero) {
+				t.Fatal("a view held across an adoption was written")
+			}
 		case 0, 1, 2, 3:
 			if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, uint64(i))}}); err != nil {
 				t.Fatal(err)
@@ -403,6 +469,42 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 	if a, _ := tbl.LookupPacked(PackedKey{5}); a[0].V != 2 {
 		t.Fatal("the write is not visible to the next lookup")
 	}
+
+	// A donor and three adopters hold one array between them until one
+	// of them is written, and then exactly two.
+	group := []*Table{tbl}
+	for i := 0; i < 3; i++ {
+		a := NewTable("t", tbl.Keys, tbl.Outputs, tbl.Default)
+		if err := a.CopyFrom(tbl); err != nil {
+			t.Fatal(err)
+		}
+		group = append(group, a)
+	}
+	arrays := func() int {
+		seen := map[*Value]bool{}
+		for _, g := range group {
+			seen[&g.packed.recs[0]] = true
+		}
+		return len(seen)
+	}
+	if n := arrays(); n != 1 {
+		t.Fatalf("a donor and three adopters hold %d arrays, want 1", n)
+	}
+	if err := group[2].Insert(Entry{Keys: []KeyMatch{ExactKey(7)}, Action: []Value{B(8, 3)}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := arrays(); n != 2 {
+		t.Fatalf("after one adopter was written the four hold %d arrays, want 2", n)
+	}
+	for i, g := range group {
+		want := uint64(1)
+		if i == 2 {
+			want = 3
+		}
+		if a, _ := g.LookupPacked(PackedKey{7}); a[0].V != want {
+			t.Fatalf("table %d answers %d for the key one adopter rewrote, want %d", i, a[0].V, want)
+		}
+	}
 }
 
 // tableShapes is one table of each store: packed exact, wide exact (the
@@ -470,6 +572,71 @@ func TestInsertBatchAllOrNothing(t *testing.T) {
 			}
 			if err := tbl.InsertBatch([]Entry{entry(2), entry(4)}); err != nil || tbl.Len() != 3 || tbl.Version() == version {
 				t.Fatalf("a valid batch: %v, %d entries, version %d", err, tbl.Len(), tbl.Version())
+			}
+		})
+	}
+}
+
+// TestCopyFrom: on every store the adopter comes to answer exactly as
+// the donor does — what it held before is gone — and keeps doing so
+// after the donor changes; a donor of another shape is refused with the
+// table, its version and its view as they were.
+func TestCopyFrom(t *testing.T) {
+	for name, src := range tableShapes() {
+		t.Run(name, func(t *testing.T) {
+			dst := tableShapes()[name]
+			entry := func(v uint64) Entry {
+				e := Entry{Keys: make([]KeyMatch, len(src.Keys)), Action: []Value{B(8, v)}, Name: fmt.Sprintf("a%d", v)}
+				for i := range e.Keys {
+					e.Keys[i] = KeyMatch{Value: v, Aux: 0xff}
+				}
+				return e
+			}
+			answers := func(tbl *Table, v uint64) bool {
+				key := make([]uint64, len(tbl.Keys))
+				for i := range key {
+					key[i] = v
+				}
+				a, hit := tbl.Lookup(key)
+				return hit && a[0].V == v
+			}
+			if err := src.InsertBatch([]Entry{entry(1), entry(2)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Insert(entry(9)); err != nil {
+				t.Fatal(err)
+			}
+			dst.WarmSnapshot()
+			version, view := dst.Version(), dst.snap.Load()
+			for what, other := range map[string]*Table{
+				"fewer columns": NewTable("o", src.Keys[1:], src.Outputs, src.Default),
+				"more outputs":  NewTable("o", src.Keys, []FieldRef{"v", "w"}, []Value{B(8, 0), B(8, 0)}),
+				"another kind":  NewTable("o", append([]KeySpec{{Width: 32, Kind: MatchRange}}, src.Keys[1:]...), src.Outputs, src.Default),
+			} {
+				if err := dst.CopyFrom(other); err == nil {
+					t.Fatalf("%s: CopyFrom accepted the donor", what)
+				}
+				if dst.Len() != 1 || !answers(dst, 9) || dst.Version() != version || dst.snap.Load() != view {
+					t.Fatalf("%s: a refused CopyFrom left %d entries, version %d (was %d), view replaced %t",
+						what, dst.Len(), dst.Version(), version, dst.snap.Load() != view)
+				}
+			}
+			srcVersion := src.Version()
+			if err := dst.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			if dst.Len() != 2 || !answers(dst, 1) || !answers(dst, 2) || answers(dst, 9) || dst.Version() == version || src.Version() != srcVersion {
+				t.Fatalf("after CopyFrom: %d entries, versions %d (was %d) and donor %d (was %d)", dst.Len(), dst.Version(), version, src.Version(), srcVersion)
+			}
+			if es := dst.Entries(); es[0].Name != "a1" && es[0].Name != "a2" {
+				t.Fatalf("the adopted entries lost their names: %+v", es)
+			}
+			src.Delete(entry(1).Keys)
+			if err := dst.Insert(entry(3)); err != nil {
+				t.Fatal(err)
+			}
+			if !answers(dst, 1) || answers(src, 1) || answers(src, 3) || !answers(dst, 3) {
+				t.Fatal("donor and adopter did not diverge independently")
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -403,6 +404,43 @@ func (t *Table) Clear() {
 	t.entries = nil
 }
 
+// CopyFrom makes t hold exactly src's entries: a control variable
+// replicated to every switch is installed once. On a packed exact table
+// it is O(1) — both stores alias one record array, each marked shared,
+// and whichever is written next clones it first (see packedStore). The
+// locks are taken one after the other, never nested. A src of another
+// shape is an error that leaves t, its version and its view as they were.
+func (t *Table) CopyFrom(src *Table) error {
+	if len(src.Outputs) != len(t.Outputs) || !slices.EqualFunc(src.Keys, t.Keys, func(a, b KeySpec) bool {
+		return a.Kind == b.Kind && a.Width == b.Width
+	}) {
+		return fmt.Errorf("table %s: copy from %s: key columns or output count differ", t.Name, src.Name)
+	}
+	if t.packed == nil {
+		es := src.Entries()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.version.Add(1)
+		clear(t.exact)
+		t.entries = nil
+		for i := range es {
+			t.insertLocked(&es[i])
+		}
+		return nil
+	}
+	src.mu.Lock()
+	src.packed.shared = true
+	st := *src.packed
+	st.names = maps.Clone(st.names)
+	src.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.version.Add(1)
+	t.snap.Store(nil)
+	*t.packed = st
+	return nil
+}
+
 // Len returns the number of installed entries.
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -543,13 +581,15 @@ func (s *packedSnap) lookup(k PackedKey) ([]Value, bool) {
 // Table.mu and published copy-on-write: Table.publish hands readers the
 // store's own array and marks it shared, and the next mutation clones
 // it before its first write (the zero action is replaced, never written).
-// The one invariant: a published array is never written. So a quiescent
-// table holds one copy, publishing is O(1), a bulk install never copies
+// The one invariant: an aliased array is never written, be the alias a
+// published view or another table's store (CopyFrom marks both sides).
+// So a quiescent table holds one copy, as do tables that adopted one
+// another; publishing and adopting are O(1), a bulk install never copies
 // and a live install pays one memcpy.
 type packedStore struct {
 	packedSnap
 	count  int                  // entries, the all-zero key's included
-	shared bool                 // a published view aliases recs
+	shared bool                 // a published view or another store aliases recs
 	names  map[PackedKey]string // the cold side map for the rare Entry.Name
 }
 

@@ -14,8 +14,8 @@
 // the frame (Frame.Release returns them), and the hot-path payload —
 // the packet batch — has a fixed little-endian binary codec that
 // decodes by reslicing, no per-packet allocation; the firewall seed,
-// tens of thousands of pairs on the serial prelude of every session,
-// shares its style. The other control payloads (hello, stats,
+// tens of thousands of pairs the worker must hold before it checks a
+// session's first packet, shares its style. The other control payloads (hello, stats,
 // summaries, aggregates) are JSON inside the same framing; they run
 // once per connection or per stats tick, where schema evolution
 // matters more than nanoseconds.
