@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/checkers"
 	"repro/internal/compiler"
+	"repro/internal/difftest"
 	"repro/internal/experiments"
 	"repro/internal/indus/eval"
 	"repro/internal/indus/parser"
@@ -218,6 +219,17 @@ func BenchmarkStormReplay(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Per-checker hot path
 
+// linkOne links rt as a set of one on a context of its own: the VM side
+// of the per-program ablations below.
+func linkOne(b *testing.B, rt *compiler.Runtime) *difftest.Linked {
+	b.Helper()
+	vm, err := difftest.Link(rt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return vm
+}
+
 // BenchmarkCheckerPerPacket measures one telemetry-hop execution of
 // each compiled corpus checker — the per-packet work a switch does.
 func BenchmarkCheckerPerPacket(b *testing.B) {
@@ -225,17 +237,17 @@ func BenchmarkCheckerPerPacket(b *testing.B) {
 		p := p
 		b.Run(p.Key, func(b *testing.B) {
 			prog := compiler.MustCompile(checkers.MustParse(p.Key), compiler.Options{Name: p.Key})
-			rt := &compiler.Runtime{Prog: prog}
+			vm := linkOne(b, &compiler.Runtime{Prog: prog})
 			st := prog.NewState()
 			headers := map[string]pipeline.Value{}
 			for _, path := range prog.HeaderBindings {
 				headers[path] = pipeline.B(32, 1)
 			}
-			env := compiler.HopEnv{State: st, SwitchID: 7, Headers: headers, PacketLen: 256}
+			env := difftest.HopEnv{State: st, SwitchID: 7, Headers: headers, PacketLen: 256}
 			var blob []byte
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hr, err := rt.RunHop(blob, env, i == 0, false)
+				hr, err := vm.RunHop(blob, env, i == 0, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -249,23 +261,26 @@ func BenchmarkCheckerPerPacket(b *testing.B) {
 // BenchmarkPHVSlots is the slot-resolution ablation: one telemetry-hop
 // execution of the loop-freedom checker on the map-PHV interpreter vs
 // the bytecode VM (flat []Value PHV, one dispatch loop, static-offset
-// telemetry codec), both through the pooled Runtime.RunHop.
+// telemetry codec): the reference semantics against a set of one on a
+// resident context, each one wire pass per hop.
 func BenchmarkPHVSlots(b *testing.B) {
 	prog := compiler.MustCompile(checkers.MustParse("loop-freedom"), compiler.Options{})
 	for _, mode := range []struct {
-		name   string
-		noLink bool
-	}{{"map", true}, {"vm", false}} {
+		name string
+		run  func([]byte, difftest.HopEnv, bool, bool) (difftest.HopResult, error)
+	}{
+		{"map", difftest.Reference{Prog: prog}.RunHop},
+		{"vm", linkOne(b, &compiler.Runtime{Prog: prog}).RunHop},
+	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
-			rt := &compiler.Runtime{Prog: prog, NoLink: mode.noLink}
 			st := prog.NewState()
-			env := compiler.HopEnv{State: st, SwitchID: 7, PacketLen: 256}
+			env := difftest.HopEnv{State: st, SwitchID: 7, PacketLen: 256}
 			var blob []byte
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hr, err := rt.RunHop(blob, env, i == 0, false)
+				hr, err := mode.run(blob, env, i == 0, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -438,15 +453,15 @@ func BenchmarkInterpreterVsPipeline(b *testing.B) {
 	})
 	b.Run("pipeline", func(b *testing.B) {
 		prog := compiler.MustCompile(info, compiler.Options{})
-		rt := &compiler.Runtime{Prog: prog}
+		vm := linkOne(b, &compiler.Runtime{Prog: prog})
 		st := prog.NewState()
-		envs := []compiler.HopEnv{
+		envs := [][]difftest.HopEnv{{
 			{State: st, SwitchID: 1, PacketLen: 100},
 			{State: st, SwitchID: 2, PacketLen: 100},
 			{State: st, SwitchID: 3, PacketLen: 100},
-		}
+		}}
 		for i := 0; i < b.N; i++ {
-			if _, err := rt.RunTrace(envs); err != nil {
+			if _, err := vm.RunTrace(envs, difftest.Wire); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -469,9 +484,9 @@ func BenchmarkAblationCheckPlacement(b *testing.B) {
 	}{{"last-hop", false}, {"per-hop", true}} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
-			rt := &compiler.Runtime{Prog: prog, CheckEveryHop: mode.everyHop}
+			vm := linkOne(b, &compiler.Runtime{Prog: prog, CheckEveryHop: mode.everyHop})
 			st := prog.NewState()
-			envs := []compiler.HopEnv{
+			envs := []difftest.HopEnv{
 				{State: st, SwitchID: 1, PacketLen: 100},
 				{State: st, SwitchID: 2, PacketLen: 100},
 				{State: st, SwitchID: 1, PacketLen: 100}, // loop!
@@ -482,11 +497,7 @@ func BenchmarkAblationCheckPlacement(b *testing.B) {
 				var blob []byte
 				caughtAt = -1
 				for h, env := range envs {
-					hr, err := rt.RunBlocks(blob, env, compiler.BlockSet{
-						Init:      h == 0,
-						Telemetry: true,
-						Checker:   h == len(envs)-1 || rt.CheckEveryHop,
-					}, h == 0, h == len(envs)-1)
+					hr, err := vm.RunHop(blob, env, h == 0, h == len(envs)-1)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -533,13 +544,13 @@ tele bool revisited = false;
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt := &compiler.Runtime{Prog: compiled}
+			vm := linkOne(b, &compiler.Runtime{Prog: compiled})
 			st := compiled.NewState()
-			env := compiler.HopEnv{State: st, SwitchID: 9, PacketLen: 100}
+			env := difftest.HopEnv{State: st, SwitchID: 9, PacketLen: 100}
 			var blob []byte
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hr, err := rt.RunHop(blob, env, i == 0, false)
+				hr, err := vm.RunHop(blob, env, i == 0, false)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,9 +9,13 @@
 // to the map interpreter, the reference it is tested against — the
 // difftest conformance suite replays the corpus, the frontier
 // counterexamples, and randomized programs through the Indus oracle,
-// the map reference, and the VM (per-hop wire roundtrip, resident
-// whole-trace, and linked with other programs into one Set), and demands
-// byte-exact verdicts, report payloads, and telemetry blobs.
+// the map reference, and the VM (a Set of one program and the program
+// linked with others, each resident over the whole trace and pass by
+// pass through the wire codec), and demands byte-exact verdicts, report
+// payloads, and telemetry blobs.
+//
+// A Prog is an object file: Compile produces it, LinkSet relocates it
+// into a Set, and a Set is the only thing that runs.
 //
 // Layout decisions that make the VM fast:
 //
@@ -41,7 +45,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/pipeline"
 )
@@ -263,8 +266,8 @@ type image struct {
 }
 
 // Prog is the compiled bytecode form of a pipeline Program. One Prog is
-// built per program at install time and is safe for concurrent use; all
-// mutable execution state lives in Ctx.
+// built per program at install time and is immutable; it runs once
+// LinkSet has placed it in a Set, alone or beside others.
 type Prog struct {
 	image
 	P *pipeline.Program
@@ -273,7 +276,6 @@ type Prog struct {
 
 	slots      map[pipeline.FieldRef]int32
 	slotReject int32
-	ctxPool    sync.Pool
 
 	// For LinkSet: where the expression temporaries start, and the
 	// sorted slots behind resetRuns.
@@ -325,7 +327,6 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 	}
 
 	cp.relocate()
-	p.ctxPool.New = func() any { return p.NewCtx() }
 	return p, nil
 }
 
@@ -481,8 +482,8 @@ func (cp *comp) layout() error {
 		cp.arrays[b] = start
 	}
 
-	// Header bindings, in the sorted path order shared with the other
-	// executors (the HopEnv.SlotHeaders contract).
+	// Header bindings, sorted by path and deduplicated: the order
+	// BindHeaderSlots takes its values in.
 	seen := map[string]bool{}
 	for _, path := range p.P.HeaderBindings {
 		if !seen[path] {
@@ -1066,8 +1067,9 @@ func (p *image) NumSlots() int { return p.nSlots }
 // NumInstrs returns the total instruction count across all blocks.
 func (p *Prog) NumInstrs() int { return len(p.init) + len(p.tele) + len(p.check) }
 
-// Bindings returns the header-binding paths the program reads, in the
-// order HopEnv.SlotHeaders must be laid out (sorted, deduplicated).
+// Bindings returns the header-binding paths the image reads, in the
+// order BindHeaderSlots takes their values: a Prog's sorted and
+// deduplicated, a Set's its members' one after another.
 func (p *image) Bindings() []string { return p.bindings }
 
 // BindSlots returns the PHV slot for each Bindings() entry, so

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/checkers"
 	"repro/internal/compiler"
+	"repro/internal/difftest"
 	"repro/internal/indus/parser"
 	"repro/internal/indus/types"
 	"repro/internal/pipeline"
@@ -275,6 +276,17 @@ func installSink(t *testing.T, st *pipeline.State) {
 	}
 }
 
+// setSlot resolves a field of a set of one's program to its slot in the
+// set's PHV.
+func setSlot(t testing.TB, vm *difftest.Linked, f pipeline.FieldRef) int32 {
+	t.Helper()
+	s, ok := vm.Slot(0, f)
+	if !ok {
+		t.Fatalf("%s not interned", f)
+	}
+	return s
+}
+
 // sinkHdr is one hop's header bindings for the sink program.
 func sinkHdr(x, y uint64) map[string]pipeline.Value {
 	return map[string]pipeline.Value{"hdr.x": pipeline.B(32, x), "hdr.y": pipeline.B(16, y)}
@@ -314,17 +326,24 @@ func parityCases() []parityCase {
 	}
 }
 
+// linkOne links prog as a set of one on a context of its own.
+func linkOne(t testing.TB, prog *pipeline.Program) *difftest.Linked {
+	t.Helper()
+	vm, err := difftest.Link(&compiler.Runtime{Prog: prog})
+	if err != nil {
+		t.Fatalf("%s: %v", prog.Name, err)
+	}
+	return vm
+}
+
 // TestVMPerHopParity threads the per-hop blob roundtrip through the map
-// reference and the bytecode VM (Prog.RunHop, reached through
-// Runtime.RunHop) and demands identical HopResults — blob bytes,
-// verdicts, reports, and performance counters — at every hop.
+// reference and the bytecode VM (a set of one, every hop one wire pass
+// on one resident context) and demands identical HopResults — blob
+// bytes, verdicts, reports, and performance counters — at every hop.
 func TestVMPerHopParity(t *testing.T) {
 	for _, pc := range parityCases() {
-		rtRef := &compiler.Runtime{Prog: pc.prog, NoLink: true}
-		rtVM := &compiler.Runtime{Prog: pc.prog}
-		if rtVM.VM() == nil {
-			t.Fatalf("%s: bytecode backend unavailable", pc.name)
-		}
+		rtRef := difftest.Reference{Prog: pc.prog}
+		rtVM := linkOne(t, pc.prog)
 		rejects, reports := 0, 0
 		for ti, trace := range pc.traces {
 			stRef, stVM := pc.prog.NewState(), pc.prog.NewState()
@@ -334,11 +353,11 @@ func TestVMPerHopParity(t *testing.T) {
 			var blobRef, blobVM []byte
 			for i, hdr := range trace {
 				first, last := i == 0, i == len(trace)-1
-				hrRef, err := rtRef.RunHop(blobRef, compiler.HopEnv{State: stRef, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 100}, first, last)
+				hrRef, err := rtRef.RunHop(blobRef, difftest.HopEnv{State: stRef, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 100}, first, last)
 				if err != nil {
 					t.Fatalf("%s trace %d hop %d map: %v", pc.name, ti, i, err)
 				}
-				hrVM, err := rtVM.RunHop(blobVM, compiler.HopEnv{State: stVM, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 100}, first, last)
+				hrVM, err := rtVM.RunHop(blobVM, difftest.HopEnv{State: stVM, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 100}, first, last)
 				if err != nil {
 					t.Fatalf("%s trace %d hop %d vm: %v", pc.name, ti, i, err)
 				}
@@ -377,29 +396,30 @@ func TestVMPerHopParity(t *testing.T) {
 
 // TestVMResidentTraceParity pins the key batching lemma: whole-trace
 // resident-PHV execution (no per-hop codec) is byte-equivalent to the
-// per-hop blob roundtrip.
+// pass-by-pass blob roundtrip.
 func TestVMResidentTraceParity(t *testing.T) {
 	for _, pc := range parityCases() {
-		rt := &compiler.Runtime{Prog: pc.prog}
+		vm := linkOne(t, pc.prog)
 		for ti, trace := range pc.traces {
 			stHop, stVM := pc.prog.NewState(), pc.prog.NewState()
 			pc.install(t, stHop)
 			pc.install(t, stVM)
 
-			hopEnvs := make([]compiler.HopEnv, len(trace))
-			vmEnvs := make([]compiler.HopEnv, len(trace))
+			hopEnvs := make([]difftest.HopEnv, len(trace))
+			vmEnvs := make([]difftest.HopEnv, len(trace))
 			for i, hdr := range trace {
-				hopEnvs[i] = compiler.HopEnv{State: stHop, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
-				vmEnvs[i] = compiler.HopEnv{State: stVM, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
+				hopEnvs[i] = difftest.HopEnv{State: stHop, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
+				vmEnvs[i] = difftest.HopEnv{State: stVM, SwitchID: uint32(i%3 + 1), Headers: hdr, PacketLen: 64}
 			}
-			want, err := rt.RunTrace(hopEnvs)
+			wire, err := vm.RunTrace([][]difftest.HopEnv{hopEnvs}, difftest.Wire)
 			if err != nil {
 				t.Fatalf("%s trace %d per-hop: %v", pc.name, ti, err)
 			}
-			got, err := rt.RunTraceVM(vmEnvs)
+			resident, err := vm.RunTrace([][]difftest.HopEnv{vmEnvs}, difftest.Resident)
 			if err != nil {
 				t.Fatalf("%s trace %d resident: %v", pc.name, ti, err)
 			}
+			want, got := wire[0], resident[0]
 			if want.Reject != got.Reject {
 				t.Fatalf("%s trace %d reject: per-hop %v resident %v", pc.name, ti, want.Reject, got.Reject)
 			}
@@ -420,22 +440,18 @@ func TestVMResidentTraceParity(t *testing.T) {
 // delete (no BeginBatch trust window is open here).
 func TestVMLiveInstall(t *testing.T) {
 	prog := sinkProgram(false)
-	vp := bytecode.MustCompile(prog)
+	vm := linkOne(t, prog)
 	st := prog.NewState()
 	installSink(t, st)
-	aclSlot, _ := vp.SlotOf("ctrl.acl")
-	exSlot, _ := vp.SlotOf("ctrl.ex_out")
+	aclSlot, exSlot := setSlot(t, vm, "ctrl.acl"), setSlot(t, vm, "ctrl.ex_out")
 
-	c := vp.NewCtx()
-	hdrs := []pipeline.Value{pipeline.B(32, 100), pipeline.B(16, 500)} // Bindings() order: hdr.x, hdr.y
-	blob := make([]byte, 0, vp.TeleWireBytes())
+	envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(100, 500), PacketLen: 100}}
+	blob := make([]byte, 0, vm.Set.TeleWireBytes())
 	run := func() (acl, ex uint64) {
-		c.BeginEphemeralReports()
-		if _, err := vp.RunHop(c, st, nil, blob, hdrs, 1, 100, true, true,
-			bytecode.BlockTelemetry|bytecode.BlockChecker); err != nil {
+		if _, err := vm.Pass(blob, envs, bytecode.BlockTelemetry|bytecode.BlockChecker, true, true); err != nil {
 			t.Fatal(err)
 		}
-		return c.PHV[aclSlot].V, c.PHV[exSlot].V
+		return vm.Ctx.PHV[aclSlot].V, vm.Ctx.PHV[exSlot].V
 	}
 
 	if acl, ex := run(); acl != 7 || ex != 0x0BEE {
@@ -516,7 +532,7 @@ func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 			prog.Checker = append(prog.Checker, four, pipeline.ApplyOp{Table: name, Keys: []pipeline.Expr{fx, fy, fx}[:n]})
 		}
 	}
-	vp := bytecode.MustCompile(prog)
+	vm := linkOne(t, prog)
 	st := prog.NewState()
 	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
 		keys := []pipeline.KeyMatch{pipeline.ExactKey(7), pipeline.ExactKey(9), pipeline.ExactKey(7), pipeline.ExactKey(9)}[:n]
@@ -524,16 +540,16 @@ func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := vp.NewCtx()
-	hdrs := []pipeline.Value{pipeline.B(32, 7), pipeline.B(16, 9)} // Bindings() order: hdr.x, hdr.y
-	if _, err := vp.RunHop(c, st, nil, nil, hdrs, 1, 100, true, true, bytecode.BlockChecker); err != nil {
+	envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(7, 9), PacketLen: 100}}
+	if _, err := vm.Pass(nil, envs, bytecode.BlockChecker, true, true); err != nil {
 		t.Fatal(err)
 	}
+	phv := vm.Ctx.PHV
 	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
-		out, _ := vp.SlotOf(pipeline.FieldRef(fmt.Sprintf("ctrl.ot%d", n)))
-		hit, _ := vp.SlotOf(st.Tables[fmt.Sprintf("t%d", n)].HitField())
-		if c.PHV[out].V != uint64(n+1) || c.PHV[hit].V != 1 {
-			t.Errorf("%d-column apply after a 4-column one: out %d hit %d, want %d and 1", n, c.PHV[out].V, c.PHV[hit].V, n+1)
+		out := setSlot(t, vm, pipeline.FieldRef(fmt.Sprintf("ctrl.ot%d", n)))
+		hit := setSlot(t, vm, st.Tables[fmt.Sprintf("t%d", n)].HitField())
+		if phv[out].V != uint64(n+1) || phv[hit].V != 1 {
+			t.Errorf("%d-column apply after a 4-column one: out %d hit %d, want %d and 1", n, phv[out].V, phv[hit].V, n+1)
 		}
 	}
 }
@@ -723,101 +739,44 @@ func reportProg() *pipeline.Program {
 	}
 }
 
-// reportBlob is reportHop's encode target (a local would escape through
-// RunHop's result and cost the alloc tests an allocation).
-var reportBlob [3]byte // hop counter (8 bits) + hydra_header.t (12)
+// reportBlob and reportEnvs are reportHop's encode target and hop
+// environment (locals would cost the alloc test an allocation each).
+var (
+	reportBlob [3]byte // hop counter (8 bits) + hydra_header.t (12)
+	reportEnvs = []difftest.HopEnv{{Headers: map[string]pipeline.Value{}, PacketLen: 100}}
+)
 
-// reportHop runs one first-and-last hop of reportProg on c and checks
-// the single report it raises.
-func reportHop(t *testing.T, p *bytecode.Prog, c *bytecode.Ctx, st *pipeline.State, swID uint32) []pipeline.Report {
+// reportHop runs one first-and-last hop of reportProg on vm's context
+// and checks the single report it raises.
+func reportHop(t *testing.T, vm *difftest.Linked, st *pipeline.State, swID uint32) {
 	t.Helper()
-	hdrs := [1]pipeline.Value{pipeline.B(32, uint64(swID)+1000)}
-	if _, err := p.RunHop(c, st, nil, reportBlob[:0], hdrs[:], swID, 100, true, true,
-		bytecode.BlockInit|bytecode.BlockTelemetry|bytecode.BlockChecker); err != nil {
+	env := &reportEnvs[0]
+	env.State, env.SwitchID = st, swID
+	env.Headers["hdr.x"] = pipeline.B(32, uint64(swID)+1000)
+	if _, err := vm.Pass(reportBlob[:0], reportEnvs, bytecode.BlockInit|bytecode.BlockTelemetry|bytecode.BlockChecker, true, true); err != nil {
 		t.Fatal(err)
 	}
+	c := vm.Ctx
 	if len(c.Reports) != 1 || c.Reports[0].Args[0].V != uint64(swID) || c.Reports[0].Args[1].V != uint64(swID)+1000 {
 		t.Fatalf("hop on switch %d raised %+v", swID, c.Reports)
 	}
-	return c.Reports
 }
 
-// TestPooledCtxReportIsolation pins the AcquireCtx/ReleaseCtx contract
-// Runtime.RunBlocks' HopResult depends on: report slices (and the Args
-// inside them) escape to the caller at release time, so a context
-// coming back out of the pool must start with no reports and zeroed
-// counters, and nothing a reused context does may clobber a previously
-// escaped digest.
-func TestPooledCtxReportIsolation(t *testing.T) {
-	prog := reportProg()
-	p := bytecode.MustCompile(prog)
-	st := prog.NewState()
-
-	run := func(swID uint32) ([]pipeline.Report, *bytecode.Ctx) {
-		c := p.AcquireCtx()
-		if len(c.Reports) != 0 || c.OpsExecuted != 0 || c.TableApplies != 0 {
-			t.Fatalf("pooled ctx not clean: %d reports, ops=%d applies=%d", len(c.Reports), c.OpsExecuted, c.TableApplies)
-		}
-		return reportHop(t, p, c, st, swID), c
-	}
-
-	escaped, c1 := run(2)
-	p.ReleaseCtx(c1)
-
-	// sync.Pool gives no identity guarantee, so hammer it until c1 has
-	// demonstrably been reused at least once.
-	reused := false
-	for i := uint32(0); i < 64; i++ {
-		_, c := run(100 + i)
-		reused = reused || c == c1
-		p.ReleaseCtx(c)
-	}
-	if !reused {
-		t.Skip("pool never returned the original context; isolation unobservable")
-	}
-	if len(escaped) != 1 || escaped[0].Args[0].V != 2 || escaped[0].Args[1].V != 1002 {
-		t.Fatalf("escaped digest was rewritten by reuse of its birth context: %+v", escaped)
-	}
-}
-
-// TestEphemeralReportsArena pins the opt-in zero-allocation report path
+// TestEphemeralReportsArena pins the zero-allocation report path
 // resident contexts run on: raising a report in ephemeral mode
-// allocates nothing at steady state, each BeginEphemeralReports
-// recycles the previous execution's buffers, and a pooled context
-// released from ephemeral mode comes back in detach-on-release mode.
+// allocates nothing at steady state, and each pass's
+// BeginEphemeralReports recycles the previous one's buffers — a context
+// that is never released holds exactly the last pass's reports.
 func TestEphemeralReportsArena(t *testing.T) {
 	prog := reportProg()
-	p := bytecode.MustCompile(prog)
+	vm := linkOne(t, prog)
 	st := prog.NewState()
 
-	c := p.NewCtx()
-	hop := func(swID uint32) {
-		c.BeginEphemeralReports()
-		reportHop(t, p, c, st, swID)
-	}
-	hop(1) // warm: the first run grows the arena and the report slice
+	reportHop(t, vm, st, 1) // warm: the first run grows the arena and the report slice
 	if !raceEnabled {
-		if n := testing.AllocsPerRun(200, func() { hop(7) }); n > 0 {
+		if n := testing.AllocsPerRun(200, func() { reportHop(t, vm, st, 7) }); n > 0 {
 			t.Errorf("ephemeral report raise on a resident context: %.1f allocs/run, want 0", n)
 		}
-	}
-
-	pc := p.AcquireCtx()
-	pc.BeginEphemeralReports()
-	reportHop(t, p, pc, st, 9)
-	p.ReleaseCtx(pc)
-
-	pc = p.AcquireCtx()
-	escaped := reportHop(t, p, pc, st, 42)
-	p.ReleaseCtx(pc)
-	for i := uint32(0); i < 8; i++ {
-		pc = p.AcquireCtx()
-		pc.BeginEphemeralReports()
-		reportHop(t, p, pc, st, 200+i)
-		p.ReleaseCtx(pc)
-	}
-	if len(escaped) != 1 || escaped[0].Args[0].V != 42 {
-		t.Fatalf("detached report was clobbered by later ephemeral reuse: %+v", escaped)
 	}
 }
 

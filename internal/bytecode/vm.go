@@ -6,11 +6,10 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Ctx is the per-execution state of an image (a Prog or a Set): the flat
-// PHV, the switch state, and the per-context TCAM lookup caches. A Ctx
-// is either pooled (AcquireCtx/ReleaseCtx, one execution at a time) or
-// resident: created once with NewCtx and owned by one embedder — an
-// engine shard, a netsim switch — for its whole life.
+// Ctx is the execution state of a Set: the flat PHV, the switch state,
+// and the per-context TCAM lookup caches. A Ctx is resident: created
+// once with NewCtx and owned by one embedder — an engine shard, a netsim
+// switch — for its whole life, never re-templated.
 type Ctx struct {
 	PHV []pipeline.Value
 	// Reports are the digests raised so far; Owners[i] tags Reports[i]
@@ -21,9 +20,8 @@ type Ctx struct {
 	TableApplies int
 	OpsExecuted  int
 
-	// row is BeginHop's; one backs it when a Prog runs alone (RunHop).
+	// row is BeginHop's.
 	row []*pipeline.State
-	one [1]*pipeline.State
 
 	caches []tcamCache
 	// wide is the reusable key buffer for applies of tables with more
@@ -39,8 +37,8 @@ type Ctx struct {
 	trustCaches bool
 
 	// Ephemeral-report mode (BeginEphemeralReports): reports and their
-	// Args are carved from context-owned buffers that survive release
-	// instead of being heap-allocated per report.
+	// Args are carved from context-owned buffers instead of being
+	// heap-allocated per report.
 	ephemeral  bool
 	ephReports []pipeline.Report
 	argArena   []pipeline.Value
@@ -48,13 +46,12 @@ type Ctx struct {
 
 // BeginEphemeralReports arms arena-backed report storage for the
 // current execution: raising a report allocates nothing, but every
-// report raised until the context is released (or this is called again
-// on a resident context) — and the Args inside it — must be fully
-// consumed before the next execution. Without it, reports are
-// heap-allocated and escape with the caller at release time.
-// Calling it again on an already-ephemeral context recycles
-// the previous execution's report buffer, so persistent per-shard
-// contexts reach zero allocations per packet at steady state.
+// report raised until this is called again — and the Args inside it —
+// must be fully consumed before then. Without it, reports are
+// heap-allocated and nothing ever truncates c.Reports. Calling it again
+// on an already-ephemeral context recycles the previous execution's
+// report buffer, so persistent per-shard contexts reach zero allocations
+// per packet at steady state.
 func (c *Ctx) BeginEphemeralReports() {
 	if c.ephemeral {
 		c.ephReports = c.Reports[:0]
@@ -133,8 +130,7 @@ func (sc *tcamCache) ent(t *pipeline.Table, trust bool) *tcamEnt {
 
 // NewCtx returns a fresh context the caller owns for as long as it
 // likes, its PHV holding the template (decode-empty telemetry,
-// width-defaulted fields, constants). It must never be passed to
-// ReleaseCtx.
+// width-defaulted fields, constants).
 func (p *image) NewCtx() *Ctx {
 	c := &Ctx{
 		PHV:    make([]pipeline.Value, p.nSlots),
@@ -142,29 +138,6 @@ func (p *image) NewCtx() *Ctx {
 	}
 	copy(c.PHV, p.template)
 	return c
-}
-
-// AcquireCtx returns an execution context from the pool, its PHV reset
-// to the program template.
-func (p *Prog) AcquireCtx() *Ctx {
-	c := p.ctxPool.Get().(*Ctx)
-	copy(c.PHV, p.template)
-	return c
-}
-
-// ReleaseCtx resets a context and returns it to the pool. Reports
-// escape with the caller unless the execution was ephemeral.
-func (p *Prog) ReleaseCtx(c *Ctx) {
-	c.row, c.one[0] = nil, nil
-	c.Owners = c.Owners[:0]
-	c.OpsExecuted, c.TableApplies = 0, 0
-	c.trustCaches = false
-	if c.ephemeral {
-		c.ephemeral = false
-		c.ephReports = c.Reports[:0]
-	}
-	c.Reports = nil
-	p.ctxPool.Put(c)
 }
 
 // BeginTrace resets the telemetry region to its decode-empty image —
@@ -190,18 +163,18 @@ func (p *image) BeginHop(c *Ctx, row []*pipeline.State, switchID uint32, pktLen 
 	for _, r := range p.resetRuns {
 		copy(phv[r[0]:r[1]], p.template[r[0]:r[1]])
 	}
-	// The builtin per-hop metadata, at the widths the compiler runtime
-	// feeds the map reference.
+	// The builtin per-hop metadata, at the widths the map reference
+	// (difftest.Reference) sets them.
 	phv[p.slotSwitch] = pipeline.B(32, uint64(switchID))
 	phv[p.slotPktLen] = pipeline.B(32, uint64(pktLen))
 	phv[p.slotLast] = pipeline.BoolV(last)
 	phv[p.slotFirst] = pipeline.BoolV(first)
 }
 
-// Blocks selects the blocks one RunHop call executes. §4.2 places init
-// at the head of the first hop's ingress pipeline and telemetry and
-// checker in the egress pipeline, so a switch runs two different sets
-// per hop with different header bindings.
+// Blocks selects the blocks one pipeline pass executes (Set.RunBlocks).
+// §4.2 places init at the head of the first hop's ingress pipeline and
+// telemetry and checker in the egress pipeline, so a switch runs two
+// different sets per hop with different header bindings.
 type Blocks uint8
 
 const (
@@ -210,46 +183,9 @@ const (
 	BlockChecker
 )
 
-// RunHop is the per-hop wire entry point: it decodes the incoming
-// telemetry blob into c's telemetry slots (an empty blob is the first
-// hop: the template image), restores the scratch slots, binds hdrs
-// (BindHeaderSlots order and absence convention), runs the selected
-// blocks in init, telemetry, checker order, and encodes the telemetry
-// slots into dst's storage (EncodeTele's contract: grown only if too
-// small, so a caller that passes in[:0] of a slot capped at
-// TeleWireBytes rewrites its blob in place — decode completes before
-// encode starts). A short blob fails before anything runs.
-//
-// c may be resident: nothing is copied from the template beyond the
-// reset runs, which cover every slot a block can read before writing
-// it, whatever subset of blocks ran on the context last. The verdict
-// is Reject(c) and the reports are c.Reports, both valid until the next
-// execution on c. A resident caller arms c.BeginEphemeralReports()
-// before every call — nothing else ever truncates c.Reports on a
-// context that is never released — and consumes them before the next.
-func (p *Prog) RunHop(c *Ctx, st *pipeline.State, in, dst []byte, hdrs []pipeline.Value,
-	switchID uint32, pktLen int, first, last bool, blocks Blocks) ([]byte, error) {
-	if err := p.DecodeTele(in, c.PHV); err != nil {
-		return nil, err
-	}
-	c.one[0] = st
-	p.BeginHop(c, c.one[:], switchID, pktLen, first, last)
-	p.BindHeaderSlots(c.PHV, hdrs)
-	if blocks&BlockInit != 0 {
-		p.run(c, p.init)
-	}
-	if blocks&BlockTelemetry != 0 {
-		p.run(c, p.tele)
-	}
-	if blocks&BlockChecker != 0 {
-		p.run(c, p.check)
-	}
-	return p.EncodeTele(dst, c.PHV), nil
-}
-
 // BeginBatch revalidates every TCAM cache entry once and arms
-// trust-caches mode: until the context is released or the next
-// BeginBatch, apply sites skip the per-lookup version poll.
+// trust-caches mode: from here on, apply sites skip the per-lookup
+// version poll and see an install at the next BeginBatch.
 func (p *image) BeginBatch(c *Ctx) {
 	for i := range c.caches {
 		for j := range c.caches[i].ents {
@@ -265,9 +201,6 @@ func (p *image) BeginBatch(c *Ctx) {
 	}
 	c.trustCaches = true
 }
-
-// Reject reads the checker's reject verdict from the PHV.
-func (p *Prog) Reject(c *Ctx) bool { return c.PHV[p.slotReject].Bool() }
 
 // BindHeaderSlots copies bound header values into the PHV: vals[i]
 // corresponds to Bindings()[i], and a zero-width Value marks an absent

@@ -424,7 +424,10 @@ func TestPerHopChecking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := &compiler.Runtime{Prog: prog, CheckEveryHop: true}
+	vm, err := difftest.Link(&compiler.Runtime{Prog: prog, CheckEveryHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := prog.NewState()
 
 	var blob []byte
@@ -433,7 +436,7 @@ func TestPerHopChecking(t *testing.T) {
 	ids := []uint32{1, 2, 1, 3}
 	var rejectedAt = -1
 	for i, id := range ids {
-		hr, err := rt.RunHop(blob, compiler.HopEnv{State: st, SwitchID: id, PacketLen: 100}, i == 0, i == len(ids)-1)
+		hr, err := vm.RunHop(blob, difftest.HopEnv{State: st, SwitchID: id, PacketLen: 100}, i == 0, i == len(ids)-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +566,10 @@ func TestAlignedTelemetryEncoding(t *testing.T) {
 	}
 
 	// Differential run under the aligned encoding: verdicts unchanged.
-	rtA := &compiler.Runtime{Prog: aligned}
+	vmA, err := difftest.Link(&compiler.Runtime{Prog: aligned})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stA := aligned.NewState()
 	if err := stA.Tables["is_spine_switch"].Insert(pipeline.Entry{
 		Action: []pipeline.Value{pipeline.B(1, 1)},
@@ -571,14 +577,14 @@ func TestAlignedTelemetryEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two spine hops on the same (spine-configured) state: reject.
-	res, err := rtA.RunTrace([]compiler.HopEnv{
+	res, err := vmA.RunTrace([][]difftest.HopEnv{{
 		{State: stA, SwitchID: 3, PacketLen: 100},
 		{State: stA, SwitchID: 4, PacketLen: 100},
-	})
+	}}, difftest.Wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reject {
+	if !res[0].Reject {
 		t.Fatal("aligned encoding changed the verdict")
 	}
 
@@ -603,8 +609,8 @@ func TestAlignedTelemetryEncoding(t *testing.T) {
 }
 
 // TestRuntimeVMErr: a program the bytecode VM refuses keeps its compile
-// error on the Runtime instead of silently degrading to "no VM form";
-// NoLink, which asks for none, and a compilable program report nil.
+// error on the Runtime instead of silently degrading to "no VM form"; a
+// compilable program reports nil.
 func TestRuntimeVMErr(t *testing.T) {
 	broken := &pipeline.Program{Name: "broken", Telemetry: []pipeline.Op{pipeline.ApplyOp{Table: "undeclared"}}}
 	rt := &compiler.Runtime{Prog: broken}
@@ -613,9 +619,6 @@ func TestRuntimeVMErr(t *testing.T) {
 	}
 	if err := rt.VMErr(); err == nil || !strings.Contains(err.Error(), "undeclared") {
 		t.Fatalf("VMErr() = %v, want the undeclared-table error", err)
-	}
-	if err := (&compiler.Runtime{Prog: broken, NoLink: true}).VMErr(); err != nil {
-		t.Fatalf("VMErr() under NoLink = %v, want nil", err)
 	}
 	ok := &compiler.Runtime{Prog: &pipeline.Program{Name: "ok"}}
 	if ok.VM() == nil || ok.VMErr() != nil {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/bytecode"
 	"repro/internal/checkers"
 	"repro/internal/compiler"
 	"repro/internal/difftest"
@@ -19,8 +18,8 @@ import (
 // aliasEnvs renders a golden trace as hop environments over the given
 // states; dirt flips every header value (a different flow of the same
 // shape).
-func aliasEnvs(comp *difftest.Compiled, trace []difftest.HopSpec, states map[uint32]*pipeline.State, dirt bool) []compiler.HopEnv {
-	out := make([]compiler.HopEnv, len(trace))
+func aliasEnvs(comp *difftest.Compiled, trace []difftest.HopSpec, states map[uint32]*pipeline.State, dirt bool) []difftest.HopEnv {
+	out := make([]difftest.HopEnv, len(trace))
 	for i, hs := range trace {
 		pktLen := hs.PktLen
 		if pktLen == 0 {
@@ -37,7 +36,7 @@ func aliasEnvs(comp *difftest.Compiled, trace []difftest.HopSpec, states map[uin
 			}
 			headers[comp.Prog.HeaderBindings[name]] = pipeline.B(w, v)
 		}
-		out[i] = compiler.HopEnv{
+		out[i] = difftest.HopEnv{
 			State:     states[hs.SW],
 			SwitchID:  hs.SW,
 			Headers:   headers,
@@ -47,74 +46,93 @@ func aliasEnvs(comp *difftest.Compiled, trace []difftest.HopSpec, states map[uin
 	return out
 }
 
+// aliasCase is one corpus checker of the aliasing suites: its compiled
+// form, a source of pristine model states, and a set of one to poison.
+type aliasCase struct {
+	comp   *difftest.Compiled
+	states func() map[uint32]*pipeline.State
+	link   func() *difftest.Linked
+}
+
+func newAliasCase(t *testing.T, key string) aliasCase {
+	comp, err := difftest.CompileCorpus(key)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	model := checkers.SymModelFor(key)
+	return aliasCase{
+		comp: comp,
+		states: func() map[uint32]*pipeline.State {
+			states, err := symexec.BuildStates(comp.Prog, model)
+			if err != nil {
+				t.Fatalf("build states: %v", err)
+			}
+			return states
+		},
+		link: func() *difftest.Linked {
+			vm, err := difftest.Link(&compiler.Runtime{Prog: comp.Prog})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vm
+		},
+	}
+}
+
+// poison writes all-ones garbage into every slot the VM can write
+// (DirtySlots) and bumps the counters: the worst dirt a previous
+// execution could leave on a context that is never re-templated.
+func poison(vm *difftest.Linked) {
+	c := vm.Ctx
+	for _, s := range vm.Set.DirtySlots() {
+		c.PHV[s] = pipeline.B(64, ^uint64(0))
+	}
+	c.OpsExecuted += 997
+	c.TableApplies += 31
+}
+
+func diffAliased(t *testing.T, label string, got, want difftest.TraceResult) {
+	t.Helper()
+	if got.Reject != want.Reject {
+		t.Errorf("%s: reject %v on the poisoned context, %v on the reference", label, got.Reject, want.Reject)
+	}
+	if !bytes.Equal(got.FinalBlob, want.FinalBlob) {
+		t.Errorf("%s: final blob %x on the poisoned context, %x on the reference", label, got.FinalBlob, want.FinalBlob)
+	}
+	if !reflect.DeepEqual(got.Reports, want.Reports) {
+		t.Errorf("%s: reports %+v on the poisoned context, %+v on the reference", label, got.Reports, want.Reports)
+	}
+}
+
 // TestResidentHopAliasing is the aliasing suite for the per-hop wire
 // path netsim runs: every corpus checker threads its golden traces hop
-// by hop through Prog.RunHop on ONE resident context — never released,
-// never re-templated — with every slot the VM can write (DirtySlots)
-// poisoned with all-ones garbage before each hop, counters bumped, and
-// foreign dirt traces interleaved so the table-apply caches and the
-// report arena carry another flow. Outcomes must be byte-identical to
-// the map reference on pristine state: the blob decode plus BeginHop's
-// reset runs must erase every poisoned slot an execution could observe.
+// by hop through Linked.Pass — a set of one on ONE resident context,
+// never released, never re-templated, the blob rewritten in place —
+// with every slot the VM can write poisoned before each hop and foreign
+// dirt traces interleaved so the table-apply caches and the report
+// arena carry another flow. Outcomes must be byte-identical to the map
+// reference on pristine state: the blob decode plus BeginHop's reset
+// runs must erase every poisoned slot an execution could observe, and
+// each pass's BeginEphemeralReports every report of the pass before.
 func TestResidentHopAliasing(t *testing.T) {
 	for _, gt := range goldenTraces {
 		gt := gt
 		t.Run(gt.key, func(t *testing.T) {
-			comp, err := difftest.CompileCorpus(gt.key)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			model := checkers.SymModelFor(gt.key)
-			freshStates := func() map[uint32]*pipeline.State {
-				states, err := symexec.BuildStates(comp.Prog, model)
-				if err != nil {
-					t.Fatalf("build states: %v", err)
-				}
-				return states
-			}
-
-			ref := &compiler.Runtime{Prog: comp.Prog, NoLink: true}
-			vp := (&compiler.Runtime{Prog: comp.Prog}).VM()
-			if vp == nil {
-				t.Fatal("program failed to compile to bytecode")
-			}
-			c := vp.NewCtx()
-
-			resident := func(trace []difftest.HopSpec, dirt bool) compiler.TraceResult {
-				var res compiler.TraceResult
-				var blob []byte
-				envs := aliasEnvs(comp, trace, freshStates(), dirt)
+			ac := newAliasCase(t, gt.key)
+			vm := ac.link()
+			resident := func(trace []difftest.HopSpec, dirt bool) difftest.TraceResult {
+				var res difftest.TraceResult
+				envs := aliasEnvs(ac.comp, trace, ac.states(), dirt)
 				for i, env := range envs {
-					for _, s := range vp.DirtySlots() {
-						c.PHV[s] = pipeline.B(64, ^uint64(0))
-					}
-					c.OpsExecuted += 997
-					c.TableApplies += 31
-					hdrs := make([]pipeline.Value, len(vp.Bindings()))
-					for j, path := range vp.Bindings() {
-						hdrs[j] = env.Headers[path]
-					}
-					first, last := i == 0, i == len(envs)-1
-					blocks := bytecode.BlockTelemetry
-					if first {
-						blocks |= bytecode.BlockInit
-					}
-					if last {
-						blocks |= bytecode.BlockChecker
-					}
-					c.BeginEphemeralReports()
-					blob, err = vp.RunHop(c, env.State, blob, blob[:0], hdrs, env.SwitchID, int(env.PacketLen), first, last, blocks)
+					poison(vm)
+					hr, err := vm.RunHop(res.FinalBlob, env, i == 0, i == len(envs)-1)
 					if err != nil {
 						t.Fatalf("hop %d: %v", i, err)
 					}
-					for _, r := range c.Reports { // arena-backed: copy out
-						args := make([]pipeline.Value, len(r.Args))
-						copy(args, r.Args)
-						res.Reports = append(res.Reports, pipeline.Report{Args: args})
-					}
-					res.Reject = res.Reject || vp.Reject(c)
+					res.FinalBlob = hr.Blob
+					res.Reports = append(res.Reports, hr.Reports...)
+					res.Reject = res.Reject || hr.Reject
 				}
-				res.FinalBlob = append([]byte(nil), blob...)
 				return res
 			}
 
@@ -122,115 +140,58 @@ func TestResidentHopAliasing(t *testing.T) {
 				label string
 				trace []difftest.HopSpec
 			}{{"conform", gt.conform}, {"violate", gt.violate}} {
-				want, err := ref.RunTrace(aliasEnvs(comp, tc.trace, freshStates(), false))
+				want, err := difftest.Reference{Prog: ac.comp.Prog}.RunTrace(aliasEnvs(ac.comp, tc.trace, ac.states(), false))
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
 				resident(gt.violate, true)
 				resident(gt.conform, true)
-				got := resident(tc.trace, false)
-
-				if got.Reject != want.Reject {
-					t.Errorf("%s: reject %v on the poisoned context, %v on the reference", tc.label, got.Reject, want.Reject)
-				}
-				if !bytes.Equal(got.FinalBlob, want.FinalBlob) {
-					t.Errorf("%s: final blob %x on the poisoned context, %x on the reference", tc.label, got.FinalBlob, want.FinalBlob)
-				}
-				if !reflect.DeepEqual(got.Reports, want.Reports) {
-					t.Errorf("%s: reports %+v on the poisoned context, %+v on the reference", tc.label, got.Reports, want.Reports)
-				}
+				diffAliased(t, tc.label, resident(tc.trace, false), want)
 			}
 		})
 	}
 }
 
-// TestVMScratchAliasing is the pooled-context twin of the resident
-// suite: every corpus checker runs its golden traces through RunTrace
-// (one pooled context per hop) on a runtime whose pooled VM contexts
-// are scribbled with all-ones slots, stale reports, and bumped
-// counters between traces, with foreign dirt traces interleaved so the
-// per-site table caches hold another packet's entries. Outcomes must
-// be byte-identical to a pristine runtime: the per-acquire template
-// restore plus the per-hop reset runs must erase every poisoned slot
-// an execution could observe.
+// TestVMScratchAliasing is the whole-trace twin of the per-hop suite:
+// every corpus checker runs its golden traces in the engine's resident
+// shape (Linked.RunTrace: telemetry in the slots from BeginTrace to the
+// one final encode) on a context that is poisoned between traces —
+// telemetry slots included, which only BeginTrace restores — and handed
+// a stale report, with foreign dirt traces interleaved so the per-site
+// table caches hold another packet's entries. Outcomes must be
+// byte-identical to a pristine context's.
 func TestVMScratchAliasing(t *testing.T) {
 	for _, gt := range goldenTraces {
 		gt := gt
 		t.Run(gt.key, func(t *testing.T) {
-			comp, err := difftest.CompileCorpus(gt.key)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			model := checkers.SymModelFor(gt.key)
-
-			run := func(rt *compiler.Runtime, trace []difftest.HopSpec) compiler.TraceResult {
-				states, err := symexec.BuildStates(comp.Prog, model)
-				if err != nil {
-					t.Fatalf("build states: %v", err)
-				}
-				res, err := rt.RunTrace(aliasEnvs(comp, trace, states, false))
+			ac := newAliasCase(t, gt.key)
+			run := func(vm *difftest.Linked, trace []difftest.HopSpec, dirt bool) difftest.TraceResult {
+				res, err := vm.RunTrace([][]difftest.HopEnv{aliasEnvs(ac.comp, trace, ac.states(), dirt)}, difftest.Resident)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				return res
+				return res[0]
+			}
+			scribble := func(vm *difftest.Linked) {
+				poison(vm)
+				vm.Ctx.Reports = append(vm.Ctx.Reports, pipeline.Report{
+					Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
+				})
+				vm.Ctx.Owners = append(vm.Ctx.Owners, 0)
 			}
 
-			scribble := func(vp *bytecode.Prog) {
-				ctxs := make([]*bytecode.Ctx, 4)
-				for i := range ctxs {
-					c := vp.AcquireCtx()
-					for s := range c.PHV {
-						c.PHV[s] = pipeline.B(64, ^uint64(0))
-					}
-					c.Reports = append(c.Reports, pipeline.Report{
-						Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
-					})
-					c.OpsExecuted += 997
-					c.TableApplies += 31
-					ctxs[i] = c
-				}
-				for _, c := range ctxs {
-					vp.ReleaseCtx(c)
-				}
-			}
-			dirtTrace := func(rt *compiler.Runtime, trace []difftest.HopSpec) {
-				states, err := symexec.BuildStates(comp.Prog, model)
-				if err != nil {
-					t.Fatalf("build states: %v", err)
-				}
-				if _, err := rt.RunTrace(aliasEnvs(comp, trace, states, true)); err != nil {
-					t.Fatalf("dirt trace: %v", err)
-				}
-			}
-
-			clean := &compiler.Runtime{Prog: comp.Prog}
-			dirty := &compiler.Runtime{Prog: comp.Prog}
-			vp := dirty.VM()
-			if vp == nil {
-				t.Fatal("program failed to compile to bytecode")
-			}
-
+			clean, dirty := ac.link(), ac.link()
 			for _, tc := range []struct {
 				label string
 				trace []difftest.HopSpec
 			}{{"conform", gt.conform}, {"violate", gt.violate}} {
-				want := run(clean, tc.trace)
-				scribble(vp)
-				dirtTrace(dirty, gt.violate)
-				scribble(vp)
-				dirtTrace(dirty, gt.conform)
-				scribble(vp)
-				got := run(dirty, tc.trace)
-
-				if got.Reject != want.Reject {
-					t.Errorf("%s: reject %v on dirty runtime, %v on clean", tc.label, got.Reject, want.Reject)
-				}
-				if !bytes.Equal(got.FinalBlob, want.FinalBlob) {
-					t.Errorf("%s: final blob %x on dirty runtime, %x on clean", tc.label, got.FinalBlob, want.FinalBlob)
-				}
-				if !reflect.DeepEqual(got.Reports, want.Reports) {
-					t.Errorf("%s: reports %+v on dirty runtime, %+v on clean", tc.label, got.Reports, want.Reports)
-				}
+				want := run(clean, tc.trace, false)
+				scribble(dirty)
+				run(dirty, gt.violate, true)
+				scribble(dirty)
+				run(dirty, gt.conform, true)
+				scribble(dirty)
+				diffAliased(t, tc.label, run(dirty, tc.trace, false), want)
 			}
 		})
 	}

@@ -1,14 +1,18 @@
 // Package difftest is the reusable differential-testing harness: it
 // runs an Indus program on every backend — the reference interpreter
-// (internal/indus/eval), the map-based pipeline interpreter, and the
-// bytecode VM (internal/bytecode), per hop and resident — with
-// identical switch state, and fails the test on any divergence in
-// verdicts, report payloads, or (between the pipeline executors) the
-// byte-exact telemetry blob. The conformance suite in this package
-// sweeps the whole checker corpus through randomized traces; the
-// symbolic suite (internal/symexec) replays its witnesses and frontier
-// corpus through the same Runner core; other packages import the
-// harness for targeted scenarios.
+// (internal/indus/eval), the map-based pipeline interpreter (Reference,
+// which lives here), and the bytecode VM (internal/bytecode) as the one
+// thing the packet paths run, a linked Set on a resident context
+// (Linked), resident across the trace and pass by pass through the wire
+// codec — with identical switch state, and fails the test on any
+// divergence in verdicts, report payloads, or (between the pipeline
+// executors) the byte-exact telemetry blob. The conformance suite in
+// this package sweeps the whole checker corpus through randomized
+// traces; the symbolic suite (internal/symexec) replays its witnesses
+// and frontier corpus through the same Runner core; other packages'
+// tests import Reference and Linked for their own oracles. The package
+// imports none of engine, netsim, ltlf and fleet, so all of them can;
+// nothing on a packet path may import it.
 package difftest
 
 import (

@@ -14,19 +14,16 @@ import (
 )
 
 // Compiled is one Indus program prepared for differential execution:
-// the eval oracle, the map-based reference pipeline, and the bytecode
-// VM. It is immutable and shared: the eval machine and the two
-// runtimes carry no per-switch state, so many Runners (one per
-// independent trace) can be built from one Compiled cheaply.
+// the eval oracle, the map reference, and the compiled-program handle the
+// packet paths link. It is immutable and shared: none of the three
+// carries per-switch state, so many Runners (one per independent trace)
+// can be built from one Compiled cheaply.
 type Compiled struct {
 	Info *types.Info
 	Prog *pipeline.Program
 
-	m *eval.Machine
-	// rt executes through the bytecode VM; rtRef pins the map-based
-	// interpreter.
-	rt    *compiler.Runtime
-	rtRef *compiler.Runtime
+	m  *eval.Machine
+	rt *compiler.Runtime
 }
 
 // CompileSource parses, checks, and compiles src for all backends.
@@ -43,13 +40,7 @@ func CompileSource(src string) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	return &Compiled{
-		Info:  info,
-		Prog:  compiled,
-		m:     eval.New(info),
-		rt:    &compiler.Runtime{Prog: compiled},
-		rtRef: &compiler.Runtime{Prog: compiled, NoLink: true},
-	}, nil
+	return &Compiled{Info: info, Prog: compiled, m: eval.New(info), rt: &compiler.Runtime{Prog: compiled}}, nil
 }
 
 // CompileCorpus compiles a checker from the corpus by key.
@@ -62,17 +53,16 @@ func CompileCorpus(key string) (*Compiled, error) {
 }
 
 // The pipeline backends, each with a state set of its own per switch:
-// the VM hop by hop through the wire codec, the map reference, the VM
-// resident over the whole trace, and a SetRunner's linked Set — resident,
-// and pass by pass through the wire codec the two ways a fabric splits a
-// hop (runWire).
+// the map reference; the VM as a set of this one program, resident over
+// the whole trace and pass by pass through the wire codec; and a
+// SetRunner's linked Set in each of the three shapes.
 const (
-	beVM = iota
-	beRef
+	beRef = iota
 	beResident
-	beSet
 	beWire
-	beWireNIC
+	beSet
+	beSetWire
+	beSetWireNIC
 	nBackends
 )
 
@@ -81,6 +71,9 @@ const (
 // trace it runs mutates its registers and firewall-style dict state.
 type Runner struct {
 	c *Compiled
+	// vm is the program as a set of one, linked at the first trace; both
+	// VM shapes of every trace run on its one context.
+	vm *Linked
 
 	evalSw map[uint32]*eval.SwitchState
 	pipeSw map[uint32]*[nBackends]*pipeline.State
@@ -265,7 +258,7 @@ func (hs HopSpec) pktLen() uint32 {
 // envs builds every pipeline backend's hop environments for a trace:
 // each backend's own state, and the same headers keyed by annotation
 // path at their declared widths.
-func (r *Runner) envs(trace []HopSpec) (out [nBackends][]compiler.HopEnv, err error) {
+func (r *Runner) envs(trace []HopSpec) (out [nBackends][]HopEnv, err error) {
 	for i, hs := range trace {
 		hdrs := map[string]pipeline.Value{}
 		for name, v := range hs.Headers {
@@ -281,20 +274,20 @@ func (r *Runner) envs(trace []HopSpec) (out [nBackends][]compiler.HopEnv, err er
 		}
 		_, ps := r.sw(hs.SW)
 		for be, st := range ps {
-			out[be] = append(out[be], compiler.HopEnv{State: st, SwitchID: hs.SW, Headers: hdrs, PacketLen: hs.pktLen()})
+			out[be] = append(out[be], HopEnv{State: st, SwitchID: hs.SW, Headers: hdrs, PacketLen: hs.pktLen()})
 		}
 	}
 	return out, nil
 }
 
 // RunTrace executes the trace on every backend — the eval interpreter,
-// the map-based pipeline, and the bytecode VM twice: hop by hop through
-// the wire codec (Prog.RunHop, the entry point netsim's switches and
-// NICs run) and resident across the whole trace (a bytecode.Set of this
-// one program, the engine's shape) — and compares verdicts and report
-// payloads across all of them, plus byte-exact final telemetry blobs
-// between the pipeline executions. A disagreement returns a *Divergence
-// error.
+// the map reference, and the bytecode VM in the two shapes the packet
+// paths run it in: resident across the whole trace (the engine's) and
+// pass by pass through the wire codec (a netsim switch's), both over a
+// bytecode.Set of this one program on one context — and compares
+// verdicts and report payloads across all of them, plus byte-exact final
+// telemetry blobs between the pipeline executions. A disagreement
+// returns a *Divergence error.
 func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	evalHops := make([]eval.Hop, len(trace))
 	for i, hs := range trace {
@@ -316,22 +309,28 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("interpreter: %w", err)
 	}
-	got, err := r.c.rt.RunTrace(envs[beVM])
-	if err != nil {
-		return Outcome{}, fmt.Errorf("bytecode vm (per-hop): %w", err)
-	}
-	ref, err := r.c.rtRef.RunTrace(envs[beRef])
+	ref, err := Reference{Prog: r.c.Prog}.RunTrace(envs[beRef])
 	if err != nil {
 		return Outcome{}, fmt.Errorf("map pipeline: %w", err)
 	}
-	vm, err := r.c.rt.RunTraceVM(envs[beResident])
+	if r.vm == nil {
+		if r.vm, err = Link(r.c.rt); err != nil {
+			return Outcome{}, err
+		}
+	}
+	vm, err := r.vm.RunTrace([][]HopEnv{envs[beResident]}, Resident)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("bytecode vm (resident): %w", err)
 	}
+	wire, err := r.vm.RunTrace([][]HopEnv{envs[beWire]}, Wire)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("bytecode vm (wire): %w", err)
+	}
+	got := wire[0]
 
 	// The pipeline executions must be bit-identical, including the wire
 	// blob that left the last hop.
-	if d := diffTraces("vm-resident", vm, "vm", got); d != nil {
+	if d := diffTraces("vm-resident", vm[0], "vm", got); d != nil {
 		return Outcome{}, d
 	}
 	if d := diffTraces("vm", got, "map-based", ref); d != nil {
@@ -362,7 +361,7 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 }
 
 // diffTraces compares two pipeline executions of one trace bit for bit.
-func diffTraces(an string, a compiler.TraceResult, bn string, b compiler.TraceResult) *Divergence {
+func diffTraces(an string, a TraceResult, bn string, b TraceResult) *Divergence {
 	pair := an + " vs " + bn
 	if a.Reject != b.Reject {
 		return &Divergence{pair, fmt.Sprintf("%s reject=%v, %s reject=%v", an, a.Reject, bn, b.Reject)}

@@ -3,44 +3,39 @@ package difftest
 import (
 	"fmt"
 	"reflect"
-	"slices"
 
-	"repro/internal/bytecode"
 	"repro/internal/checkers"
 	"repro/internal/compiler"
-	"repro/internal/pipeline"
 )
 
 // SetRunner checks bytecode.LinkSet against the product of its members.
 // Every member runs a trace alone — through Runner.RunTrace, so oracle ≡
 // map reference ≡ VM holds per member (a CheckEveryHop member, which the
 // oracle cannot express, on the map reference alone) — and linked with
-// the others into one Set three times, each over a state set of its own:
-// resident across the trace, the engine's shape (compiler.RunTraceSet),
-// and pass by pass with the Set's blob carried as bytes in between, the
-// shape of a netsim switch and of a NIC-offloaded last hop (runWire).
-// Each member of the Set must reproduce its solo verdict, its reports in
-// order, and its final telemetry bytes.
+// the others into one Set in each Shape of Linked.RunTrace, each over a
+// state set of its own: resident across the trace, pass by pass with the
+// Set's blob carried as bytes in between, and that with the last hop's
+// checker a pass of its own. Each member of the Set must reproduce its
+// solo verdict, its reports in order, and its final telemetry bytes.
 type SetRunner struct {
 	// Members holds each member's Runner: install control state there.
 	Members []*Runner
-	// linked runs member k in the Set, ref alone when it checks at every
-	// hop (nil: Members[k].RunTrace does).
-	linked, ref []*compiler.Runtime
+	// rts runs member k in the Set, linked at the first trace.
+	rts    []*compiler.Runtime
+	linked *Linked
 }
 
 // NewSetRunner links members in order; everyHop[k] (nil: none) places
 // member k's checker block at every hop.
 func NewSetRunner(members []*Compiled, everyHop []bool) *SetRunner {
-	s := &SetRunner{ref: make([]*compiler.Runtime, len(members))}
+	s := &SetRunner{}
 	for k, c := range members {
 		s.Members = append(s.Members, c.NewRunner())
+		rt := c.rt
 		if k < len(everyHop) && everyHop[k] {
-			s.linked = append(s.linked, &compiler.Runtime{Prog: c.Prog, CheckEveryHop: true})
-			s.ref[k] = &compiler.Runtime{Prog: c.Prog, CheckEveryHop: true, NoLink: true}
-		} else {
-			s.linked = append(s.linked, c.rt)
+			rt = &compiler.Runtime{Prog: c.Prog, CheckEveryHop: true}
 		}
+		s.rts = append(s.rts, rt)
 	}
 	return s
 }
@@ -90,7 +85,7 @@ func (c *Compiled) ByPath(trace []HopSpec) []HopSpec {
 // whose path is missing reads 0.
 func (s *SetRunner) RunTrace(trace []HopSpec) ([]Outcome, error) {
 	solo := make([]Outcome, len(s.Members))
-	var envs [nBackends][][]compiler.HopEnv
+	var envs [nBackends][][]HopEnv
 	everyHop := false
 	for k, r := range s.Members {
 		hops := make([]HopSpec, len(trace))
@@ -107,9 +102,9 @@ func (s *SetRunner) RunTrace(trace []HopSpec) ([]Outcome, error) {
 		for be := range envs {
 			envs[be] = append(envs[be], all[be])
 		}
-		if s.ref[k] != nil {
+		if s.rts[k].CheckEveryHop {
 			everyHop = true
-			res, err := s.ref[k].RunTrace(all[beRef])
+			res, err := Reference{Prog: r.c.Prog, CheckEveryHop: true}.RunTrace(all[beRef])
 			if err != nil {
 				return nil, fmt.Errorf("member %d: map pipeline: %w", k, err)
 			}
@@ -118,18 +113,29 @@ func (s *SetRunner) RunTrace(trace []HopSpec) ([]Outcome, error) {
 			return nil, fmt.Errorf("member %d: %w", k, err)
 		}
 	}
+	if s.linked == nil {
+		var err error
+		if s.linked, err = Link(s.rts...); err != nil {
+			return nil, err
+		}
+	}
+	// A checker-every-hop member runs its checker with the telemetry
+	// pass, so a last hop split in two would run it twice.
+	nic := WireNIC
+	if everyHop {
+		nic = Wire
+	}
 	shapes := []struct {
-		name string
-		run  func() ([]compiler.TraceResult, error)
+		name  string
+		shape Shape
+		be    int
 	}{
-		{"resident set", func() ([]compiler.TraceResult, error) { return compiler.RunTraceSet(s.linked, envs[beSet]) }},
-		{"wire set", func() ([]compiler.TraceResult, error) { return runWire(s.linked, envs[beWire], false) }},
-		// A checker-every-hop member runs its checker with the telemetry
-		// pass, so a last hop split in two would run it twice.
-		{"wire set, checker alone", func() ([]compiler.TraceResult, error) { return runWire(s.linked, envs[beWireNIC], !everyHop) }},
+		{"resident set", Resident, beSet},
+		{"wire set", Wire, beSetWire},
+		{"wire set, checker alone", nic, beSetWireNIC},
 	}
 	for _, sh := range shapes {
-		linked, err := sh.run()
+		linked, err := s.linked.RunTrace(envs[sh.be], sh.shape)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sh.name, err)
 		}
@@ -142,76 +148,8 @@ func (s *SetRunner) RunTrace(trace []HopSpec) ([]Outcome, error) {
 	return solo, nil
 }
 
-// runWire executes one path through the programs linked into one
-// bytecode.Set the way netsim does: every pipeline pass decodes the
-// Set's whole blob, restores the scratch slots, binds the headers, runs
-// one subset of blocks over every member and encodes the blob back, in
-// place once it exists. A first hop is two passes — {init}, then the
-// egress pass; an egress pass is {telemetry}, or {telemetry, checker} at
-// the last hop, which splitLast turns into {telemetry} and {checker}
-// alone, the pass of a NIC that took the last hop's duty. envs[k][i] is
-// program k's environment at hop i.
-func runWire(rts []*compiler.Runtime, envs [][]compiler.HopEnv, splitLast bool) ([]compiler.TraceResult, error) {
-	members := make([]bytecode.Member, len(rts))
-	for k, r := range rts {
-		members[k] = bytecode.Member{Prog: r.VM(), Index: k, CheckEveryHop: r.CheckEveryHop}
-		if members[k].Prog == nil {
-			return nil, fmt.Errorf("member %d: bytecode backend unavailable", k)
-		}
-	}
-	set := bytecode.LinkSet(members)
-	c := set.NewCtx()
-	res := make([]compiler.TraceResult, len(rts))
-	row := make([]*pipeline.State, len(rts))
-	var blob []byte
-	for i, hop := range envs[0] {
-		var hdrs []pipeline.Value
-		for k := range rts {
-			row[k] = envs[k][i].State
-			for _, path := range members[k].Prog.Bindings() {
-				hdrs = append(hdrs, envs[k][i].Headers[path])
-			}
-		}
-		first, last := i == 0, i == len(envs[0])-1
-		var passes []bytecode.Blocks
-		if first {
-			passes = append(passes, bytecode.BlockInit)
-		}
-		switch {
-		case last && splitLast:
-			passes = append(passes, bytecode.BlockTelemetry, bytecode.BlockChecker)
-		case last:
-			passes = append(passes, bytecode.BlockTelemetry|bytecode.BlockChecker)
-		default:
-			passes = append(passes, bytecode.BlockTelemetry)
-		}
-		for _, b := range passes {
-			if err := set.DecodeTele(blob, c.PHV); err != nil {
-				return nil, fmt.Errorf("hop %d: %w", i, err)
-			}
-			c.BeginEphemeralReports()
-			set.BeginHop(c, row, hop.SwitchID, int(hop.PacketLen), first, last)
-			set.BindHeaderSlots(c.PHV, hdrs)
-			set.RunBlocks(c, b)
-			blob = set.EncodeTele(blob[:0], c.PHV)
-			for j, rep := range c.Reports {
-				k := c.Owners[j]
-				res[k].Reports = append(res[k].Reports, pipeline.Report{Args: slices.Clone(rep.Args)})
-			}
-			for k := range res {
-				res[k].Reject = res[k].Reject || set.Reject(c, k)
-			}
-		}
-	}
-	for k := range res {
-		off, n := set.TeleSpan(k)
-		res[k].FinalBlob = blob[off : off+n : off+n]
-	}
-	return res, nil
-}
-
 // outcomeOf flattens a pipeline execution's result to an Outcome.
-func outcomeOf(res compiler.TraceResult) Outcome {
+func outcomeOf(res TraceResult) Outcome {
 	out := Outcome{Reject: res.Reject, FinalBlob: res.FinalBlob}
 	for _, rep := range res.Reports {
 		args := make([]uint64, len(rep.Args))

@@ -46,10 +46,9 @@ import (
 )
 
 // Checker is one compiled program the engine executes per packet, on
-// the bytecode VM (RT.VM()). A runtime without a VM form — NoLink, or a
-// program bytecode.Compile refuses (RT.VMErr()) — is not executed: every
-// hop it would have run at counts one Counts.Errors and the packet
-// moves on.
+// the bytecode VM (RT.VM()). A runtime without a VM form — a program
+// bytecode.Compile refuses (RT.VMErr()) — is not executed: every hop it
+// would have run at counts one Counts.Errors and the packet moves on.
 type Checker struct {
 	Name string
 	RT   *compiler.Runtime

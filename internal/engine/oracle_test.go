@@ -9,6 +9,7 @@ import (
 	"repro/internal/checkers"
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
+	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
@@ -21,14 +22,14 @@ type installFn = func(checker string, switchID uint32, fn func(*pipeline.State) 
 // oracle is the engine's reference semantics, and shares no execution
 // code with it: per checker and switch one pipeline.State, every packet
 // replayed hop-major through the map interpreter
-// (compiler.Runtime{NoLink: true}.RunHop, telemetry carried as the wire
-// blob), halting after the first hop at which any checker rejected. A
+// (difftest.Reference.RunHop, telemetry carried as the wire blob),
+// halting after the first hop at which any checker rejected. A
 // checker the engine cannot run (no VM form) is skipped and counts one
 // error per hop, which is the engine's documented behaviour.
 type oracle struct {
 	t        *testing.T
 	chks     []engine.Checker
-	refs     []*compiler.Runtime // nil: skipped
+	refs     []*difftest.Reference // nil: skipped
 	states   []map[uint32]*pipeline.State
 	counts   engine.Counts
 	verdicts []engine.Verdict
@@ -39,7 +40,7 @@ func newOracle(t *testing.T, chks []engine.Checker, nPkts int) *oracle {
 	o := &oracle{
 		t:        t,
 		chks:     chks,
-		refs:     make([]*compiler.Runtime, len(chks)),
+		refs:     make([]*difftest.Reference, len(chks)),
 		states:   make([]map[uint32]*pipeline.State, len(chks)),
 		counts:   engine.Counts{PerChecker: make([]engine.CheckerCounts, len(chks))},
 		verdicts: make([]engine.Verdict, nPkts),
@@ -48,7 +49,7 @@ func newOracle(t *testing.T, chks []engine.Checker, nPkts int) *oracle {
 		o.states[i] = map[uint32]*pipeline.State{}
 		o.counts.PerChecker[i].Name = c.Name
 		if c.RT.VM() != nil {
-			o.refs[i] = &compiler.Runtime{Prog: c.RT.Prog, CheckEveryHop: c.RT.CheckEveryHop, NoLink: true}
+			o.refs[i] = &difftest.Reference{Prog: c.RT.Prog, CheckEveryHop: c.RT.CheckEveryHop}
 		}
 	}
 	return o
@@ -115,7 +116,7 @@ func (o *oracle) process(p *engine.Packet) {
 				o.counts.Errors++
 				continue
 			}
-			hr, err := rt.RunHop(blobs[i], compiler.HopEnv{
+			hr, err := rt.RunHop(blobs[i], difftest.HopEnv{
 				State: o.state(i, hop.SwitchID), SwitchID: hop.SwitchID, Headers: hdrs, PacketLen: p.Len,
 			}, h == 0, h == len(p.Hops)-1)
 			if err != nil {
@@ -232,6 +233,15 @@ func compileSrc(t *testing.T, key, src string) *pipeline.Program {
 	return prog
 }
 
+// noVMForm returns prog with an apply of an undeclared table appended to
+// its checker block — the one thing bytecode.Compile refuses — so a
+// Runtime over it has a state layout and a nil VM().
+func noVMForm(prog *pipeline.Program) *pipeline.Program {
+	broken := *prog
+	broken.Checker = append(slices.Clone(prog.Checker), pipeline.ApplyOp{Table: "undeclared"})
+	return &broken
+}
+
 func corpus(t *testing.T) []engine.Checker {
 	t.Helper()
 	chks, err := experiments.CorpusCheckers()
@@ -331,7 +341,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 			name: "nolink-checker",
 			chks: []engine.Checker{
 				{Name: "hop-counter", RT: &compiler.Runtime{Prog: compileSrc(t, "hop-counter", hopCounterSrc)}},
-				{Name: "waypointing", RT: &compiler.Runtime{Prog: compileSrc(t, "waypointing", waypointing.Source), NoLink: true}},
+				{Name: "waypointing", RT: &compiler.Runtime{Prog: noVMForm(compileSrc(t, "waypointing", waypointing.Source))}},
 				{Name: "hop-counter-2", RT: &compiler.Runtime{Prog: compileSrc(t, "hop-counter-2", hopCounterSrc)}},
 			},
 			pkts: campus, seen: "hop-counter-2", configure: none,

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/checkers"
-	"repro/internal/compiler"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 )
@@ -136,31 +134,17 @@ func ConfigureBenign(sws []SwitchInfo, install func(checker string, swIdx int, f
 // stateful firewall is pre-seeded for the experiment's flows via
 // AllowFlows.
 func AttachAllCheckers(ls *netsim.LeafSpine) (map[string][]*netsim.HydraAttachment, error) {
+	chks, err := CorpusCheckers()
+	if err != nil {
+		return nil, err
+	}
 	atts := map[string][]*netsim.HydraAttachment{}
-	for _, p := range checkers.All {
-		info, err := p.Parse()
-		if err != nil {
-			return nil, err
-		}
-		prog, err := compiler.Compile(info, compiler.Options{Name: p.Key})
-		if err != nil {
-			return nil, err
-		}
-		rt := &compiler.Runtime{Prog: prog}
-		if err := rt.VMErr(); err != nil {
-			return nil, fmt.Errorf("experiments: checker %s has no VM form: %w", p.Key, err)
-		}
+	for _, c := range chks {
 		for _, sw := range ls.AllSwitches() {
-			atts[p.Key] = append(atts[p.Key], sw.AttachChecker(rt, nil))
+			atts[c.Name] = append(atts[c.Name], sw.AttachChecker(c.RT, nil))
 		}
 	}
-
-	all := ls.AllSwitches()
-	sws := make([]SwitchInfo, len(all))
-	for i, sw := range all {
-		sws[i] = SwitchInfo{ID: sw.ID, IsLeaf: i < len(ls.Leaves)}
-	}
-	err := ConfigureBenign(sws, func(checker string, swIdx int, fn func(*pipeline.State) error) error {
+	err = ConfigureBenign(fabricSwitchInfos(ls), func(checker string, swIdx int, fn func(*pipeline.State) error) error {
 		return fn(atts[checker][swIdx].State)
 	})
 	if err != nil {

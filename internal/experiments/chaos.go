@@ -13,7 +13,6 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/pipeline"
 	"repro/internal/reportbus"
 	"repro/internal/trafficgen"
 )
@@ -296,26 +295,8 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	}
 	st := StaticScenario{Class: res.Class, Expected: ExpectedStatic[class]}
 
-	sim := netsim.NewSimulator()
-	ls := netsim.BuildLeafSpine(sim, netsim.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		LinkBps: 100_000_000_000,
-	})
-	replayHost, sink := ls.Host(0, 0), ls.Host(1, 0)
-	for l, leaf := range ls.Leaves {
-		p := &netsim.L3Program{}
-		if l == 0 {
-			p.AddRoute(0, 0, 1, 2)
-		} else {
-			p.AddRoute(0, 0, 3)
-		}
-		leaf.Forwarding = p
-	}
-	for _, spine := range ls.Spines {
-		p := &netsim.L3Program{}
-		p.AddRoute(0, 0, 2)
-		spine.Forwarding = p
-	}
+	f := newCampusFabric(cfg.Packets, trafficgen.CampusConfig{Seed: cfg.Seed})
+	sim, ls, sink, pairs, span := f.sim, f.ls, f.sink, f.pairs, f.span
 
 	// Virtual-time bus; the tap counts every raised digest per checker.
 	// Bus taps fire outside the bus mutex, and with a partitioned
@@ -344,27 +325,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	ctl.Observer = audit
 
 	all := ls.AllSwitches()
-	for _, p := range checkers.All {
-		info, err := p.Parse()
-		if err != nil {
-			return res, st, 0, err
-		}
-		if err := ctl.Deploy(p.Key, info, all...); err != nil {
-			return res, st, 0, err
-		}
-	}
-	sws := make([]SwitchInfo, len(all))
-	for i, sw := range all {
-		sws[i] = SwitchInfo{ID: sw.ID, IsLeaf: i < len(ls.Leaves)}
-	}
-	err := ConfigureBenign(sws, func(checker string, swIdx int, fn func(*pipeline.State) error) error {
-		att, err := ctl.Attachment(checker, sws[swIdx].ID)
-		if err != nil {
-			return err
-		}
-		return fn(att.State)
-	})
-	if err != nil {
+	if err := deployCorpus(ctl, ls); err != nil {
 		return res, st, 0, err
 	}
 
@@ -384,21 +345,6 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	atoms.Publish(ver, sbus.InlineProducer("static"), sbus.Now)
 	atoms.WatchFabric(ver, all)
 	ver.ExpectHost(sink.IP)
-
-	gen := trafficgen.NewCampus(trafficgen.CampusConfig{Seed: cfg.Seed})
-	pkts := make([]trafficgen.Packet, cfg.Packets)
-	seen := map[[2]uint32]bool{}
-	var pairs [][2]uint32
-	var span netsim.Time
-	for i := range pkts {
-		pkts[i] = gen.Next()
-		span += pkts[i].Gap
-		key := [2]uint32{uint32(pkts[i].Src), uint32(pkts[i].Dst)}
-		if !seen[key] {
-			seen[key] = true
-			pairs = append(pairs, key)
-		}
-	}
 
 	// Static layer, part 3: declare the control intents — every unique
 	// flow pair, both directions, on every switch — before the seeding
@@ -569,12 +515,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 		}
 	}
 
-	var at netsim.Time
-	for i := range pkts {
-		p := pkts[i]
-		at += p.Gap
-		sim.AtNode(replayHost, at, func() { replayHost.SendPacket(p.Decode()) })
-	}
+	f.schedule(true)
 
 	start := time.Now()
 	sim.RunAll()
@@ -584,7 +525,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 		return res, st, 0, deferredErr
 	}
 
-	res.Delivered = sink.RxUDP + sink.RxTCP
+	res.Delivered = f.delivered()
 	for _, sw := range all {
 		res.ParseErrors += sw.ParseErrors
 	}

@@ -70,9 +70,11 @@ func CorpusCheckers() ([]engine.Checker, error) {
 	return out, nil
 }
 
-// The replay fabric mirrors runThroughput's 2x2 leaf-spine: leaves 1-2,
-// spines 3-4. Hosts hang off port 3 of each leaf; ports 1 and 2 are the
-// leaf uplinks.
+// The replay fabric mirrors newCampusFabric's 2x2 leaf-spine switch for
+// switch and port for port (TestReplayModelMatchesFabric): leaves 1-2
+// and spines 3-4, where netsim numbers its spines 101-102 — each side
+// configures the switches it names. Hosts hang off port 3 of each leaf;
+// ports 1 and 2 are the leaf uplinks.
 var replaySwitches = []SwitchInfo{
 	{ID: 1, IsLeaf: true},
 	{ID: 2, IsLeaf: true},

@@ -8,7 +8,6 @@ import (
 	"repro/internal/checkers"
 	"repro/internal/controlplane"
 	"repro/internal/netsim"
-	"repro/internal/pipeline"
 	"repro/internal/reportbus"
 	"repro/internal/trafficgen"
 )
@@ -148,26 +147,8 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 }
 
 func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
-	sim := netsim.NewSimulator()
-	ls := netsim.BuildLeafSpine(sim, netsim.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		LinkBps: 100_000_000_000,
-	})
-	replayHost, sink := ls.Host(0, 0), ls.Host(1, 0)
-	for l, leaf := range ls.Leaves {
-		p := &netsim.L3Program{}
-		if l == 0 {
-			p.AddRoute(0, 0, 1, 2)
-		} else {
-			p.AddRoute(0, 0, 3)
-		}
-		leaf.Forwarding = p
-	}
-	for _, spine := range ls.Spines {
-		p := &netsim.L3Program{}
-		p.AddRoute(0, 0, 2)
-		spine.Forwarding = p
-	}
+	f := newCampusFabric(cfg.Packets, trafficgen.CampusConfig{Seed: cfg.Seed})
+	sim, ls := f.sim, f.ls
 
 	// The bus runs on virtual time: windows close and token buckets
 	// refill as the simulation advances, so the pass is deterministic
@@ -187,37 +168,8 @@ func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
 	// allocation to the measured path.
 	ctl := controlplane.NewControllerWith(controlplane.Config{Bus: bus, RetainPerChecker: -1})
 
-	all := ls.AllSwitches()
-	for _, p := range checkers.All {
-		info, err := p.Parse()
-		if err != nil {
-			return StormPass{}, err
-		}
-		if err := ctl.Deploy(p.Key, info, all...); err != nil {
-			return StormPass{}, err
-		}
-	}
 	probe := checkers.Property{Key: "storm-probe", Source: StormCheckerSrc}
-	info, err := probe.Parse()
-	if err != nil {
-		return StormPass{}, err
-	}
-	if err := ctl.Deploy(probe.Key, info, all...); err != nil {
-		return StormPass{}, err
-	}
-
-	sws := make([]SwitchInfo, len(all))
-	for i, sw := range all {
-		sws[i] = SwitchInfo{ID: sw.ID, IsLeaf: i < len(ls.Leaves)}
-	}
-	err = ConfigureBenign(sws, func(checker string, swIdx int, fn func(*pipeline.State) error) error {
-		att, err := ctl.Attachment(checker, sws[swIdx].ID)
-		if err != nil {
-			return err
-		}
-		return fn(att.State)
-	})
-	if err != nil {
+	if err := deployCorpus(ctl, ls, probe); err != nil {
 		return StormPass{}, err
 	}
 
@@ -229,20 +181,8 @@ func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
 		return StormPass{}, err
 	}
 
-	gen := trafficgen.NewCampus(trafficgen.CampusConfig{Seed: cfg.Seed})
-	pkts := make([]trafficgen.Packet, cfg.Packets)
-	seen := map[[2]uint32]bool{}
-	var pairs [][2]uint32
-	for i := range pkts {
-		pkts[i] = gen.Next()
-		key := [2]uint32{uint32(pkts[i].Src), uint32(pkts[i].Dst)}
-		if !seen[key] {
-			seen[key] = true
-			pairs = append(pairs, key)
-		}
-	}
-	seed := FirewallSeed(pairs)
-	for _, sw := range all {
+	seed := FirewallSeed(f.pairs)
+	for _, sw := range ls.AllSwitches() {
 		att, err := ctl.Attachment("stateful-firewall", sw.ID)
 		if err != nil {
 			return StormPass{}, err
@@ -251,13 +191,7 @@ func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
 			return StormPass{}, err
 		}
 	}
-
-	var at netsim.Time
-	for i := range pkts {
-		p := pkts[i]
-		at += p.Gap
-		sim.At(at, func() { replayHost.SendPacket(p.Decode()) })
-	}
+	f.schedule(false)
 
 	start := time.Now()
 	sim.RunAll()
@@ -270,7 +204,7 @@ func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
 	m := bus.Metrics()
 	pass := StormPass{
 		WallPktsPerSec:    float64(cfg.Packets) / wall.Seconds(),
-		Delivered:         sink.RxUDP + sink.RxTCP,
+		Delivered:         f.delivered(),
 		Raised:            m.Published,
 		Dropped:           m.Dropped,
 		MaxLiveAggregates: m.MaxLiveAggregates,

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/trafficgen"
 )
 
@@ -54,63 +53,18 @@ func RunThroughput(cfg ThroughputConfig) (baseline, withCheckers ThroughputResul
 }
 
 func runThroughput(cfg ThroughputConfig, withCheckers bool) (ThroughputResult, error) {
-	sim := netsim.NewSimulator()
-	ls := netsim.BuildLeafSpine(sim, netsim.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		LinkBps: 100_000_000_000, // headroom so the replay is CPU-shaped, not line-blocked
-	})
-	// Default routes: everything entering leaf1 crosses the fabric to a
-	// sink host on leaf2 (the replay's "towards leaf1" direction).
-	replayHost, sink := ls.Host(0, 0), ls.Host(1, 0)
-	for l, leaf := range ls.Leaves {
-		p := &netsim.L3Program{}
-		if l == 0 {
-			p.AddRoute(0, 0, 1, 2) // ECMP to spines
-		} else {
-			p.AddRoute(0, 0, 3) // to the sink
-		}
-		leaf.Forwarding = p
-	}
-	for _, spine := range ls.Spines {
-		p := &netsim.L3Program{}
-		p.AddRoute(0, 0, 2) // toward leaf2
-		spine.Forwarding = p
-	}
-
-	// Pre-generate the trace so the firewall can be seeded with exactly
-	// the flows that will appear (the control plane would otherwise
-	// learn them via reports).
-	gen := trafficgen.NewCampus(trafficgen.CampusConfig{Seed: cfg.Seed, PacketsPerSec: cfg.PacketsPerSec})
-	pkts := make([]trafficgen.Packet, cfg.Packets)
-	seen := map[[2]uint32]bool{}
-	var pairs [][2]uint32
-	for i := range pkts {
-		pkts[i] = gen.Next()
-		key := [2]uint32{uint32(pkts[i].Src), uint32(pkts[i].Dst)}
-		if !seen[key] {
-			seen[key] = true
-			pairs = append(pairs, key)
-		}
-	}
-
+	f := newCampusFabric(cfg.Packets, trafficgen.CampusConfig{Seed: cfg.Seed, PacketsPerSec: cfg.PacketsPerSec})
+	sim, sink := f.sim, f.sink
 	if withCheckers {
-		atts, err := AttachAllCheckers(ls)
+		atts, err := AttachAllCheckers(f.ls)
 		if err != nil {
 			return ThroughputResult{}, err
 		}
-		if err := AllowFlows(atts, pairs); err != nil {
+		if err := AllowFlows(atts, f.pairs); err != nil {
 			return ThroughputResult{}, err
 		}
 	}
-
-	// Schedule the replay.
-	var at netsim.Time
-	for i := range pkts {
-		p := pkts[i]
-		at += p.Gap
-		sim.At(at, func() { replayHost.SendPacket(p.Decode()) })
-	}
-	offered := at
+	f.schedule(false)
 
 	start := time.Now()
 	sim.RunAll()
@@ -120,9 +74,9 @@ func runThroughput(cfg ThroughputConfig, withCheckers bool) (ThroughputResult, e
 	if duration == 0 {
 		return ThroughputResult{}, fmt.Errorf("experiments: empty replay")
 	}
-	delivered := float64(sink.RxUDP + sink.RxTCP)
+	delivered := float64(f.delivered())
 	res := ThroughputResult{
-		OfferedPps:     float64(cfg.Packets) / offered.Seconds(),
+		OfferedPps:     float64(cfg.Packets) / f.span.Seconds(),
 		DeliveredPps:   delivered / duration.Seconds(),
 		DeliveredGbps:  float64(sink.RxBytes) * 8 / duration.Seconds() / 1e9,
 		DeliveredRatio: delivered / float64(cfg.Packets),

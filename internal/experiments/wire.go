@@ -55,44 +55,13 @@ func RunWireReplay(cfg WireReplayConfig) (WireReplayResult, error) {
 	if cfg.Packets == 0 {
 		cfg.Packets = 50_000
 	}
-	sim := netsim.NewSimulator()
-	ls := netsim.BuildLeafSpine(sim, netsim.LeafSpineConfig{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		LinkBps: 100_000_000_000, // headroom: CPU-shaped, not line-blocked
-	})
-	replayHost, sink := ls.Host(0, 0), ls.Host(1, 0)
-	for l, leaf := range ls.Leaves {
-		p := &netsim.L3Program{}
-		if l == 0 {
-			p.AddRoute(0, 0, 1, 2) // ECMP to spines
-		} else {
-			p.AddRoute(0, 0, 3) // to the sink
-		}
-		leaf.Forwarding = p
-	}
-	for _, spine := range ls.Spines {
-		p := &netsim.L3Program{}
-		p.AddRoute(0, 0, 2) // toward leaf2
-		spine.Forwarding = p
-	}
-
-	gen := trafficgen.NewCampus(trafficgen.CampusConfig{Seed: cfg.Seed})
-	pkts := make([]trafficgen.Packet, cfg.Packets)
-	seen := map[[2]uint32]bool{}
-	var pairs [][2]uint32
-	for i := range pkts {
-		pkts[i] = gen.Next()
-		key := [2]uint32{uint32(pkts[i].Src), uint32(pkts[i].Dst)}
-		if !seen[key] {
-			seen[key] = true
-			pairs = append(pairs, key)
-		}
-	}
+	f := newCampusFabric(cfg.Packets, trafficgen.CampusConfig{Seed: cfg.Seed})
+	sim, ls := f.sim, f.ls
 	atts, err := AttachAllCheckers(ls)
 	if err != nil {
 		return WireReplayResult{}, err
 	}
-	if err := AllowFlows(atts, pairs); err != nil {
+	if err := AllowFlows(atts, f.pairs); err != nil {
 		return WireReplayResult{}, err
 	}
 
@@ -101,13 +70,7 @@ func RunWireReplay(cfg WireReplayConfig) (WireReplayResult, error) {
 			return WireReplayResult{}, err
 		}
 	}
-
-	var at netsim.Time
-	for i := range pkts {
-		p := pkts[i]
-		at += p.Gap
-		sim.AtNode(replayHost, at, func() { replayHost.SendPacket(p.Decode()) })
-	}
+	f.schedule(true)
 
 	start := time.Now()
 	sim.RunAll()
@@ -118,7 +81,7 @@ func RunWireReplay(cfg WireReplayConfig) (WireReplayResult, error) {
 
 	res := WireReplayResult{
 		WallPktsPerSec: float64(cfg.Packets) / wall.Seconds(),
-		Delivered:      sink.RxUDP + sink.RxTCP,
+		Delivered:      f.delivered(),
 	}
 	res.DeliveredRatio = float64(res.Delivered) / float64(cfg.Packets)
 	for _, sw := range ls.AllSwitches() {

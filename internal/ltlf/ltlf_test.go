@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/compiler"
+	"repro/internal/difftest"
 	"repro/internal/indus/eval"
 	"repro/internal/indus/parser"
 	"repro/internal/indus/types"
@@ -114,21 +115,24 @@ func translateAndRun(t *testing.T, f Formula, tr Trace) (bool, bool) {
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
-	rt := &compiler.Runtime{Prog: compiled}
+	vm, err := difftest.Link(&compiler.Runtime{Prog: compiled})
+	if err != nil {
+		t.Fatalf("link: %v\n%s", err, src)
+	}
 	st := compiled.NewState()
-	envs := make([]compiler.HopEnv, len(tr))
+	envs := make([]difftest.HopEnv, len(tr))
 	for i, ev := range tr {
 		headers := map[string]pipeline.Value{}
 		for _, atom := range Atoms(f) {
 			headers["hdr."+atom] = pipeline.BoolV(ev[atom])
 		}
-		envs[i] = compiler.HopEnv{State: st, SwitchID: uint32(i + 1), Headers: headers, PacketLen: 100}
+		envs[i] = difftest.HopEnv{State: st, SwitchID: uint32(i + 1), Headers: headers, PacketLen: 100}
 	}
-	res, err := rt.RunTrace(envs)
+	res, err := vm.RunTrace([][]difftest.HopEnv{envs}, difftest.Wire)
 	if err != nil {
 		t.Fatalf("pipeline: %v\n%s", err, src)
 	}
-	return out.Verdict == eval.VerdictForward, !res.Reject
+	return out.Verdict == eval.VerdictForward, !res[0].Reject
 }
 
 // TestTheorem31 is the expressiveness theorem as an executable property:

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
+	"repro/internal/difftest"
 	"repro/internal/indus/parser"
 	"repro/internal/indus/types"
 	"repro/internal/pipeline"
@@ -135,7 +136,7 @@ func TestResidentHopHeaderAbsence(t *testing.T) {
 
 	// The two references take one fresh one-hop trace per packet copy
 	// over the map header environment.
-	traces := func(name string, run func([]compiler.HopEnv) (compiler.TraceResult, error)) {
+	traces := func(name string, run func([]difftest.HopEnv) (difftest.TraceResult, error)) {
 		t.Helper()
 		var got [][]uint64
 		for _, pkt := range pkts {
@@ -144,7 +145,7 @@ func TestResidentHopHeaderAbsence(t *testing.T) {
 				copies = 2
 			}
 			for ; copies > 0; copies-- {
-				res, err := run([]compiler.HopEnv{{
+				res, err := run([]difftest.HopEnv{{
 					State: prog.NewState(), SwitchID: 7, Headers: bindPacketHeaders(pkt, nil), PacketLen: uint32(pkt.WireLen()),
 				}})
 				if err != nil {
@@ -163,8 +164,18 @@ func TestResidentHopHeaderAbsence(t *testing.T) {
 			t.Fatalf("%s reports\n got %v\nwant %v", name, got, want)
 		}
 	}
-	traces("map reference", (&compiler.Runtime{Prog: prog, NoLink: true}).RunTrace)
-	traces("RunTraceVM", (&compiler.Runtime{Prog: prog}).RunTraceVM)
+	traces("map reference", difftest.Reference{Prog: prog}.RunTrace)
+	traces("resident set of one", func(envs []difftest.HopEnv) (difftest.TraceResult, error) {
+		vm, err := difftest.Link(&compiler.Runtime{Prog: prog})
+		if err != nil {
+			return difftest.TraceResult{}, err
+		}
+		res, err := vm.RunTrace([][]difftest.HopEnv{envs}, difftest.Resident)
+		if err != nil {
+			return difftest.TraceResult{}, err
+		}
+		return res[0], nil
+	})
 }
 
 // TestCheckerErrorForwardsUnchecked pins what a failing checker

@@ -91,7 +91,7 @@ func (ex *Explorer) run(seq []uint32, asn []uint64) (*pathRun, error) {
 		s.sym = make(map[pipeline.FieldRef]*Term, 32)
 		s.decodeTele(carry)
 
-		// Builtins, mirroring compiler.Runtime.RunBlocks: switch_id,
+		// Builtins, mirroring difftest.Reference.RunHop: switch_id,
 		// packet_length, first/last hop flags, then header bindings.
 		s.setConst(pipeline.FieldSwitch, pipeline.B(32, uint64(s.sw)))
 		pv := ex.pktVar(hop)
