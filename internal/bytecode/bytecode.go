@@ -220,10 +220,10 @@ type reportSite struct {
 	args  []int32
 }
 
-// image is a linked executable: a PHV layout with its template and reset
-// plan, plus the side tables its code indexes. A Prog is the image of one
-// program, a Set of several; contexts, the reset, the header scatter and
-// the dispatch loop are defined on the image, so both run the same code.
+// image is a PHV layout with its template and reset plan, plus the side
+// tables its code indexes: a Prog holds one program's, a Set is the
+// linked image of several. Contexts, the reset, the codec and the
+// dispatch loop are defined on the image and reachable through a Set only.
 type image struct {
 	nSlots int // PHV length
 	nTele  int // telemetry region is slots [0, nTele)
@@ -266,11 +266,13 @@ type image struct {
 }
 
 // Prog is the compiled bytecode form of a pipeline Program. One Prog is
-// built per program at install time and is immutable; it runs once
-// LinkSet has placed it in a Set, alone or beside others.
+// built per program at install time and is immutable. It is an object
+// file: img is its layout and side tables in its own slot numbering, and
+// nothing executes, decodes or encodes it until LinkSet has placed it in
+// a Set, alone or beside others.
 type Prog struct {
-	image
-	P *pipeline.Program
+	img image
+	P   *pipeline.Program
 
 	init, tele, check []Instr
 
@@ -278,7 +280,7 @@ type Prog struct {
 	slotReject int32
 
 	// For LinkSet: where the expression temporaries start, and the
-	// sorted slots behind resetRuns.
+	// slots behind resetRuns.
 	tempStart  int32
 	resetSlots []int32
 }
@@ -409,8 +411,8 @@ func (cp *comp) layout() error {
 	// Program.EncodeTele.
 	off := int32(0)
 	addTele := func(slot int32, width int) {
-		p.teleSteps = append(p.teleSteps, teleStep{slot: slot, width: int32(width), off: off, kind: stepShape(off, int32(width))})
-		p.template[slot] = pipeline.Value{W: width}
+		p.img.teleSteps = append(p.img.teleSteps, teleStep{slot: slot, width: int32(width), off: off, kind: stepShape(off, int32(width))})
+		p.img.template[slot] = pipeline.Value{W: width}
 		off += int32(width)
 	}
 	align := func() {
@@ -422,7 +424,7 @@ func (cp *comp) layout() error {
 	for _, f := range p.P.Tele {
 		if f.IsArray {
 			addTele(cp.intern(pipeline.ArrayCount(f.Name)), 8)
-			start := int32(len(p.template))
+			start := int32(len(p.img.template))
 			for i := 0; i < f.Cap; i++ {
 				if s := cp.intern(pipeline.ArraySlot(f.Name, i)); s != start+int32(i) {
 					return fmt.Errorf("bytecode: tele array %s slots not contiguous", f.Name)
@@ -436,16 +438,15 @@ func (cp *comp) layout() error {
 		addTele(cp.intern(pipeline.FieldRef(f.Name)), f.Width)
 		align()
 	}
-	p.teleBytes = int(off+7) / 8
-	p.nTele = len(p.template)
-	p.planTele()
+	p.img.teleBytes = int(off+7) / 8
+	p.img.nTele = len(p.img.template)
 
 	// Builtin metadata slots (hops already sits in the tele region).
 	p.slotReject = cp.intern(pipeline.FieldReject)
-	p.slotSwitch = cp.intern(pipeline.FieldSwitch)
-	p.slotPktLen = cp.intern(pipeline.FieldPktLen)
-	p.slotLast = cp.intern(pipeline.FieldLastHop)
-	p.slotFirst = cp.intern(pipeline.FieldFirst)
+	p.img.slotSwitch = cp.intern(pipeline.FieldSwitch)
+	p.img.slotPktLen = cp.intern(pipeline.FieldPktLen)
+	p.img.slotLast = cp.intern(pipeline.FieldLastHop)
+	p.img.slotFirst = cp.intern(pipeline.FieldFirst)
 
 	// Non-telemetry arrays referenced by header-stack ops get
 	// contiguous blocks too.
@@ -473,7 +474,7 @@ func (cp *comp) layout() error {
 	sort.Strings(bases)
 	for _, b := range bases {
 		cp.intern(pipeline.ArrayCount(b))
-		start := int32(len(p.template))
+		start := int32(len(p.img.template))
 		for i := 0; i < caps[b]; i++ {
 			if s := cp.intern(pipeline.ArraySlot(b, i)); s != start+int32(i) {
 				return fmt.Errorf("bytecode: array %s slots not contiguous", b)
@@ -482,19 +483,19 @@ func (cp *comp) layout() error {
 		cp.arrays[b] = start
 	}
 
-	// Header bindings, sorted by path and deduplicated: the order
-	// BindHeaderSlots takes its values in.
+	// Header bindings, sorted by path and deduplicated, so a program's
+	// bind pairs come in one order however its map iterates.
 	seen := map[string]bool{}
 	for _, path := range p.P.HeaderBindings {
 		if !seen[path] {
 			seen[path] = true
-			p.bindings = append(p.bindings, path)
+			p.img.bindings = append(p.img.bindings, path)
 		}
 	}
-	sort.Strings(p.bindings)
-	p.bindSlots = make([]int32, len(p.bindings))
-	for i, path := range p.bindings {
-		p.bindSlots[i] = cp.intern(pipeline.FieldRef(path))
+	sort.Strings(p.img.bindings)
+	p.img.bindSlots = make([]int32, len(p.img.bindings))
+	for i, path := range p.img.bindings {
+		p.img.bindSlots[i] = cp.intern(pipeline.FieldRef(path))
 	}
 	return nil
 }
@@ -507,13 +508,13 @@ func (cp *comp) intern(f pipeline.FieldRef) int32 {
 	if s, ok := p.slots[f]; ok {
 		return s
 	}
-	s := int32(len(p.template))
+	s := int32(len(p.img.template))
 	p.slots[f] = s
 	var tv pipeline.Value
 	if w := cp.widths[f]; w > 0 {
 		tv = pipeline.Value{W: w}
 	}
-	p.template = append(p.template, tv)
+	p.img.template = append(p.img.template, tv)
 	return s
 }
 
@@ -522,8 +523,8 @@ func (cp *comp) constSlot(v pipeline.Value) int32 {
 	if s, ok := cp.consts[v]; ok {
 		return s
 	}
-	s := int32(len(cp.p.template))
-	cp.p.template = append(cp.p.template, v)
+	s := int32(len(cp.p.img.template))
+	cp.p.img.template = append(cp.p.img.template, v)
 	cp.consts[v] = s
 	return s
 }
@@ -666,8 +667,8 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			if err != nil {
 				return err
 			}
-			site := int32(len(p.regs))
-			p.regs = append(p.regs, regSite{idx: ri, name: op.Reg})
+			site := int32(len(p.img.regs))
+			p.img.regs = append(p.img.regs, regSite{idx: ri, name: op.Reg})
 			*code = append(*code, Instr{Op: opRegRead, A: cp.intern(op.Dst), B: site, C: idx, W: int32(op.Width)})
 
 		case pipeline.RegWriteOp:
@@ -683,8 +684,8 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			if err != nil {
 				return err
 			}
-			site := int32(len(p.regs))
-			p.regs = append(p.regs, regSite{idx: ri, name: op.Reg})
+			site := int32(len(p.img.regs))
+			p.img.regs = append(p.img.regs, regSite{idx: ri, name: op.Reg})
 			*code = append(*code, Instr{Op: opRegWrite, A: site, B: idx, C: src})
 
 		case pipeline.IfOp:
@@ -713,8 +714,8 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			if err != nil {
 				return err
 			}
-			site := int32(len(p.arrays))
-			p.arrays = append(p.arrays, arraySite{
+			site := int32(len(p.img.arrays))
+			p.img.arrays = append(p.img.arrays, arraySite{
 				start: cp.arrays[op.Base],
 				cnt:   cp.intern(pipeline.ArrayCount(op.Base)),
 				capN:  int32(op.Cap),
@@ -731,8 +732,8 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			if err != nil {
 				return err
 			}
-			site := int32(len(p.arrays))
-			p.arrays = append(p.arrays, arraySite{
+			site := int32(len(p.img.arrays))
+			p.img.arrays = append(p.img.arrays, arraySite{
 				start: cp.arrays[op.Base],
 				cnt:   cp.intern(pipeline.ArrayCount(op.Base)),
 				capN:  int32(op.Cap),
@@ -749,8 +750,8 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 				}
 				args[i] = s
 			}
-			site := int32(len(p.reports))
-			p.reports = append(p.reports, reportSite{args: args})
+			site := int32(len(p.img.reports))
+			p.img.reports = append(p.img.reports, reportSite{args: args})
 			*code = append(*code, Instr{Op: opReport, A: site})
 
 		default:
@@ -797,11 +798,11 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 	} else if !allExact {
 		// TCAM sites get a per-context memo cache; exact sites read
 		// the table's lock-free snapshot directly.
-		site.cache = int32(p.nTCAM)
-		p.nTCAM++
+		site.cache = int32(p.img.nTCAM)
+		p.img.nTCAM++
 	}
-	idx := int32(len(p.applies))
-	p.applies = append(p.applies, site)
+	idx := int32(len(p.img.applies))
+	p.img.applies = append(p.img.applies, site)
 	*code = append(*code, Instr{Op: opApply, A: idx})
 	return nil
 }
@@ -874,7 +875,7 @@ func setBranchTarget(code *[]Instr, idx, target int) {
 // a temp by construction.
 func (cp *comp) relocate() {
 	p := cp.p
-	base := int32(len(p.template))
+	base := int32(len(p.img.template))
 	fix := func(v int32) int32 {
 		if v >= tempBase {
 			return base + (v - tempBase)
@@ -889,20 +890,20 @@ func (cp *comp) relocate() {
 			code[i].D = fix(code[i].D)
 		}
 	}
-	for i := range p.applies {
-		for j := range p.applies[i].keys {
-			p.applies[i].keys[j] = fix(p.applies[i].keys[j])
+	for i := range p.img.applies {
+		for j := range p.img.applies[i].keys {
+			p.img.applies[i].keys[j] = fix(p.img.applies[i].keys[j])
 		}
 	}
-	for i := range p.reports {
-		for j := range p.reports[i].args {
-			p.reports[i].args[j] = fix(p.reports[i].args[j])
+	for i := range p.img.reports {
+		for j := range p.img.reports[i].args {
+			p.img.reports[i].args[j] = fix(p.img.reports[i].args[j])
 		}
 	}
-	p.nSlots = len(p.template) + int(cp.tempMax)
+	p.img.nSlots = len(p.img.template) + int(cp.tempMax)
 	// Temps join the template as zero values so whole-template copies
 	// cover the full PHV.
-	p.template = append(p.template, make([]pipeline.Value, cp.tempMax)...)
+	p.img.template = append(p.img.template, make([]pipeline.Value, cp.tempMax)...)
 	p.tempStart = base
 	p.computeResetRuns()
 }
@@ -910,7 +911,8 @@ func (cp *comp) relocate() {
 func (p *Prog) blocks() [3][]Instr { return [3][]Instr{p.init, p.tele, p.check} }
 
 // computeResetRuns decides which scratch slots BeginHop must restore
-// to the template, coalesced into copy runs. Telemetry slots are
+// to the template (resetSlots; LinkSet merges the members' and coalesces
+// them into copy runs). Telemetry slots are
 // resident by design, constant and read-only field slots can never
 // diverge from the template, and expression temporaries are
 // statement-scoped (every read is dominated by a write in the same IR
@@ -929,7 +931,7 @@ func (p *Prog) blocks() [3][]Instr { return [3][]Instr{p.init, p.tele, p.check} 
 // read/write scan does not track).
 func (p *Prog) computeResetRuns() {
 	scratch := func(si int32) bool {
-		return si >= int32(p.nTele) && si < p.tempStart
+		return si >= int32(p.img.nTele) && si < p.tempStart
 	}
 	writable := make(map[int32]bool)
 	add := func(si int32) {
@@ -945,13 +947,13 @@ func (p *Prog) computeResetRuns() {
 				case opdDst: // expression ops write only statement-scoped temps
 					add(*v)
 				case opdApply:
-					site := &p.applies[*v]
+					site := &p.img.applies[*v]
 					for _, o := range site.outs {
 						add(o)
 					}
 					add(site.hit)
 				case opdArray:
-					site := &p.arrays[*v]
+					site := &p.img.arrays[*v]
 					for s := site.start; s < site.start+site.capN; s++ {
 						add(s)
 						need[s] = true
@@ -965,30 +967,28 @@ func (p *Prog) computeResetRuns() {
 			need[si] = true
 		}
 	}
-	for _, si := range p.bindSlots {
+	for _, si := range p.img.bindSlots {
 		add(si)
 	}
 
-	for si := int32(0); si < int32(p.nTele); si++ {
-		p.dirtySlots = append(p.dirtySlots, si)
+	for si := int32(0); si < int32(p.img.nTele); si++ {
+		p.img.dirtySlots = append(p.img.dirtySlots, si)
 	}
 	for si := range writable {
-		p.dirtySlots = append(p.dirtySlots, si)
+		p.img.dirtySlots = append(p.img.dirtySlots, si)
 		if need[si] {
 			p.resetSlots = append(p.resetSlots, si)
 		}
 	}
-	for _, si := range []int32{p.slotSwitch, p.slotPktLen, p.slotLast, p.slotFirst} {
+	for _, si := range []int32{p.img.slotSwitch, p.img.slotPktLen, p.img.slotLast, p.img.slotFirst} {
 		if !writable[si] {
-			p.dirtySlots = append(p.dirtySlots, si)
+			p.img.dirtySlots = append(p.img.dirtySlots, si)
 		}
 	}
-	for si := p.tempStart; si < int32(p.nSlots); si++ {
-		p.dirtySlots = append(p.dirtySlots, si)
+	for si := p.tempStart; si < int32(p.img.nSlots); si++ {
+		p.img.dirtySlots = append(p.img.dirtySlots, si)
 	}
-	slices.Sort(p.dirtySlots)
-	slices.Sort(p.resetSlots)
-	p.resetRuns = coalesce(p.resetSlots)
+	slices.Sort(p.img.dirtySlots)
 }
 
 // coalesce turns sorted slots into [lo, hi) copy runs, bridging gaps of
@@ -1033,7 +1033,7 @@ func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32
 			case opdJump:
 				condUntil = max(condUntil, int(*v))
 			case opdApply:
-				site := &p.applies[*v]
+				site := &p.img.applies[*v]
 				for _, k := range site.keys {
 					read(k)
 				}
@@ -1044,9 +1044,9 @@ func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32
 					mustW[site.hit] = true
 				}
 			case opdArray:
-				read(p.arrays[*v].cnt)
+				read(p.img.arrays[*v].cnt)
 			case opdReport:
-				for _, a := range p.reports[*v].args {
+				for _, a := range p.img.reports[*v].args {
 					read(a)
 				}
 			}
@@ -1061,27 +1061,14 @@ func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32
 // ---------------------------------------------------------------------------
 // Introspection
 
-// NumSlots returns the PHV vector length.
-func (p *image) NumSlots() int { return p.nSlots }
+// NumSlots returns the program's own PHV vector length.
+func (p *Prog) NumSlots() int { return p.img.nSlots }
 
 // NumInstrs returns the total instruction count across all blocks.
 func (p *Prog) NumInstrs() int { return len(p.init) + len(p.tele) + len(p.check) }
 
-// Bindings returns the header-binding paths the image reads, in the
-// order BindHeaderSlots takes their values: a Prog's sorted and
-// deduplicated, a Set's its members' one after another.
-func (p *image) Bindings() []string { return p.bindings }
-
-// BindSlots returns the PHV slot for each Bindings() entry, so
-// embedders can precompute direct header scatter plans.
-func (p *image) BindSlots() []int32 { return p.bindSlots }
-
-// SlotOf resolves a field to its slot index, if the program references
-// it anywhere.
-func (p *Prog) SlotOf(f pipeline.FieldRef) (int, bool) {
-	s, ok := p.slots[f]
-	return int(s), ok
-}
+// TeleWireBytes is the size of the program's telemetry record on the wire.
+func (p *Prog) TeleWireBytes() int { return p.img.teleBytes }
 
 // DirtySlots returns every PHV slot index some execution can write —
 // the largest set of slots a reused context can carry stale values in

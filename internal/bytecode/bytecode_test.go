@@ -280,11 +280,22 @@ func installSink(t *testing.T, st *pipeline.State) {
 // set's PHV.
 func setSlot(t testing.TB, vm *difftest.Linked, f pipeline.FieldRef) int32 {
 	t.Helper()
-	s, ok := vm.Slot(0, f)
+	s, ok := vm.Set.SlotOf(0, f)
 	if !ok {
 		t.Fatalf("%s not interned", f)
 	}
 	return s
+}
+
+// headerIndex resolves a path the stage's programs bind to its place in
+// the header environment.
+func headerIndex(t testing.TB, vm *difftest.Linked, path string) int32 {
+	t.Helper()
+	i, ok := vm.Index(path)
+	if !ok {
+		t.Fatalf("%s not bound", path)
+	}
+	return i
 }
 
 // sinkHdr is one hop's header bindings for the sink program.
@@ -587,31 +598,20 @@ func TestCorpusCompiles(t *testing.T) {
 // but the next BeginBatch must observe them.
 func TestBatchCacheRevalidation(t *testing.T) {
 	prog := tortureProgram()
-	vp, err := bytecode.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := linkOne(t, prog)
 	st := prog.NewState()
 	installTorture(t, st)
-
-	progSlot, ok := vp.SlotOf("tcam_t.out")
-	if !ok {
-		t.Fatal("tcam_t.out not interned")
-	}
-	set := bytecode.LinkSet([]bytecode.Member{{Prog: vp}})
-	slot := set.Slot(0, int32(progSlot))
-	row := []*pipeline.State{st}
-	run := func(c *bytecode.Ctx, h0 uint64) uint64 {
-		set.BeginHop(c, row, 1, 100, true, false)
-		set.BindHeaderSlots(c.PHV, []pipeline.Value{pipeline.B(8, h0)})
-		set.Run(c, true, false) // init and telemetry
+	vm.Row[0] = st
+	slot, h0 := setSlot(t, vm, "tcam_t.out"), headerIndex(t, vm, "hdr.x.h0")
+	set, c := vm.Set, vm.Ctx
+	run := func(v uint64) uint64 {
+		vm.H[h0] = pipeline.B(8, v)
+		vm.Run(1, 100, true, false, bytecode.HopBlocks(true, false)) // init and telemetry
 		return c.PHV[slot].V
 	}
 
-	c := set.NewCtx()
-
 	set.BeginBatch(c)
-	if got := run(c, 0x04); got != 9 { // miss -> default
+	if got := run(0x04); got != 9 { // miss -> default
 		t.Fatalf("pre-install lookup = %d, want default 9", got)
 	}
 	// Install a higher-priority entry matching 0x04 mid-batch: the
@@ -623,12 +623,12 @@ func TestBatchCacheRevalidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := run(c, 0x04); got != 9 {
+	if got := run(0x04); got != 9 {
 		t.Fatalf("mid-batch lookup = %d, want stale 9 (trusted cache)", got)
 	}
 	// …but the next batch boundary must see it.
 	set.BeginBatch(c)
-	if got := run(c, 0x04); got != 77 {
+	if got := run(0x04); got != 77 {
 		t.Fatalf("post-BeginBatch lookup = %d, want 77", got)
 	}
 }
@@ -642,29 +642,22 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
 	prog := tortureProgram()
-	vp, err := bytecode.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vm := linkOne(t, prog)
 	st := prog.NewState()
 	installTorture(t, st)
+	vm.Row[0] = st
+	h0 := headerIndex(t, vm, "hdr.x.h0")
+	set, c := vm.Set, vm.Ctx
 
-	headers := []pipeline.Value{
-		pipeline.B(8, 9), pipeline.B(8, 5), pipeline.B(8, 250), pipeline.B(8, 1),
-	}
-	set := bytecode.LinkSet([]bytecode.Member{{Prog: vp}})
-	row := []*pipeline.State{st}
-	c := set.NewCtx()
-
+	headers := []uint64{9, 5, 250, 1}
 	var sink int
 	trace := func() {
 		c.BeginEphemeralReports()
 		set.BeginTrace(c)
-		for i := range headers {
+		for i, v := range headers {
 			first, last := i == 0, i == len(headers)-1
-			set.BeginHop(c, row, uint32(i%3+1), 100, first, last)
-			set.BindHeaderSlots(c.PHV, headers[i:i+1])
-			set.Run(c, first, last)
+			vm.H[h0] = pipeline.B(8, v)
+			vm.Run(uint32(i%3+1), 100, first, last, bytecode.HopBlocks(first, last))
 		}
 		sink += len(c.Reports)
 		if set.Reject(c, 0) {
@@ -684,22 +677,19 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 // against the map reference's codec.
 func TestDecodeErrors(t *testing.T) {
 	prog := tortureProgram()
-	vp, err := bytecode.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
+	vm := linkOne(t, prog)
+	size := vm.Set.TeleWireBytes()
+	if want := (prog.TeleWireBits() + 7) / 8; size != want {
+		t.Fatalf("TeleWireBytes: vm %d map %d", size, want)
 	}
-	if got, want := vp.TeleWireBytes(), (prog.TeleWireBits()+7)/8; got != want {
-		t.Fatalf("TeleWireBytes: vm %d map %d", got, want)
-	}
-	phv := make([]pipeline.Value, vp.NumSlots())
-	short := make([]byte, vp.TeleWireBytes()-1)
-	if err := vp.DecodeTele(short, phv); err == nil {
+	short := make([]byte, size-1)
+	if err := vm.Set.DecodeTele(short, vm.Ctx.PHV); err == nil {
 		t.Fatal("short blob: want error")
 	}
 	if err := prog.DecodeTele(short, pipeline.PHV{}); err == nil {
 		t.Fatal("short blob: the map reference's codec accepted it")
 	}
-	if err := vp.DecodeTele(nil, phv); err != nil {
+	if err := vm.Set.DecodeTele(nil, vm.Ctx.PHV); err != nil {
 		t.Fatalf("empty blob: %v", err)
 	}
 }
@@ -787,10 +777,7 @@ var benchSink uint64
 // reset, bind, exec).
 func BenchmarkBytecodeDispatch(b *testing.B) {
 	prog := tortureProgram()
-	vp, err := bytecode.Compile(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
+	vm := linkOne(b, prog)
 	st := prog.NewState()
 	for _, k := range []uint64{1, 13, 25} {
 		if err := st.Tables["exact_t"].Insert(pipeline.Entry{
@@ -807,19 +794,16 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	hdr := []pipeline.Value{pipeline.B(8, 9)}
-	set := bytecode.LinkSet([]bytecode.Member{{Prog: vp}})
-	row := []*pipeline.State{st}
-	c := set.NewCtx()
+	vm.Row[0] = st
+	vm.H[headerIndex(b, vm, "hdr.x.h0")] = pipeline.B(8, 9)
+	set, c := vm.Set, vm.Ctx
 	c.BeginEphemeralReports()
 	set.BeginBatch(c)
 	set.BeginTrace(c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set.BeginHop(c, row, 1, 100, false, false)
-		set.BindHeaderSlots(c.PHV, hdr)
-		set.Run(c, false, false) // a middle hop: telemetry only
+		vm.Run(1, 100, false, false, bytecode.BlockTelemetry) // a middle hop
 		benchSink += c.PHV[0].V
 	}
 }

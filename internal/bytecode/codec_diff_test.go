@@ -133,20 +133,21 @@ func checkCodec(t *testing.T, name string, members []codecMember, blob []byte) {
 		record := in[off : off+m.size]
 		vals, canon := refRecode(m.fields, m.size, record)
 		for i, f := range m.fields {
-			slot, ok := m.vp.SlotOf(f.ref)
+			slot, ok := set.SlotOf(k, f.ref)
 			if !ok {
 				t.Fatalf("%s: member %d has no slot for %s", name, k, f.ref)
 			}
-			if got := c.PHV[set.Slot(k, int32(slot))]; got != (pipeline.Value{W: f.width, V: vals[i]}) {
+			if got := c.PHV[slot]; got != (pipeline.Value{W: f.width, V: vals[i]}) {
 				t.Fatalf("%s: member %d %s@%d decoded %+v, reference %d-bit %#x", name, k, f.ref, f.off, got, f.width, vals[i])
 			}
 		}
-		// The member alone, over its own record.
-		solo := m.vp.NewCtx()
-		if err := m.vp.DecodeTele(record, solo.PHV); err != nil {
+		// The member alone — a set of one — over its own record.
+		one := bytecode.LinkSet([]bytecode.Member{{Prog: m.vp}})
+		solo := one.NewCtx()
+		if err := one.DecodeTele(record, solo.PHV); err != nil {
 			t.Fatalf("%s: member %d alone: %v", name, k, err)
 		}
-		if got := m.vp.EncodeTele(nil, solo.PHV); !bytes.Equal(got, canon) {
+		if got := one.EncodeTele(nil, solo.PHV); !bytes.Equal(got, canon) {
 			t.Fatalf("%s: member %d alone encoded %x, reference %x", name, k, got, canon)
 		}
 		if o, n := set.TeleSpan(k); o != off || n != m.size {

@@ -57,8 +57,8 @@ func LinkSet(members []Member) *Set {
 	var nTemp int32
 	for _, m := range members {
 		if m.Prog != nil {
-			s.nTele += m.Prog.nTele
-			nTemp = max(nTemp, int32(m.Prog.nSlots)-m.Prog.tempStart)
+			s.nTele += m.Prog.img.nTele
+			nTemp = max(nTemp, int32(m.Prog.img.nSlots)-m.Prog.tempStart)
 		}
 	}
 	// Layout: every telemetry region, the temporaries, the builtins,
@@ -75,23 +75,23 @@ func LinkSet(members []Member) *Set {
 			s.teleBytes += m.TeleBytes
 			continue
 		}
-		builtins := map[int32]int32{p.slotSwitch: s.slotSwitch, p.slotPktLen: s.slotPktLen, p.slotLast: s.slotLast, p.slotFirst: s.slotFirst}
-		slot := make([]int32, p.nSlots)
+		builtins := map[int32]int32{p.img.slotSwitch: s.slotSwitch, p.img.slotPktLen: s.slotPktLen, p.img.slotLast: s.slotLast, p.img.slotFirst: s.slotFirst}
+		slot := make([]int32, p.img.nSlots)
 		for sl := range slot {
 			sl := int32(sl)
 			if b, ok := builtins[sl]; ok {
 				slot[sl] = b
 			} else if sl >= p.tempStart {
 				slot[sl] = tempBase + sl - p.tempStart
-			} else if sl >= int32(p.nTele) {
+			} else if sl >= int32(p.img.nTele) {
 				slot[sl] = int32(len(s.template))
-				s.template = append(s.template, p.template[sl])
+				s.template = append(s.template, p.img.template[sl])
 			} else {
 				slot[sl] = teleBase + sl
-				s.template[slot[sl]] = p.template[sl]
+				s.template[slot[sl]] = p.img.template[sl]
 			}
 		}
-		teleBase += int32(p.nTele)
+		teleBase += int32(p.img.nTele)
 		remap := func(slots []int32) []int32 {
 			out := make([]int32, len(slots))
 			for i, sl := range slots {
@@ -101,23 +101,23 @@ func LinkSet(members []Member) *Set {
 		}
 
 		base := [4]int32{int32(len(s.applies)), int32(len(s.regs)), int32(len(s.arrays)), int32(len(s.reports))}
-		for _, a := range p.applies {
+		for _, a := range p.img.applies {
 			a.member, a.keys, a.outs, a.hit = m.Index, remap(a.keys), remap(a.outs), slot[a.hit]
 			if a.cache >= 0 {
 				a.cache += int32(s.nTCAM)
 			}
 			s.applies = append(s.applies, a)
 		}
-		s.nTCAM += p.nTCAM
-		for _, r := range p.regs {
+		s.nTCAM += p.img.nTCAM
+		for _, r := range p.img.regs {
 			r.member = m.Index
 			s.regs = append(s.regs, r)
 		}
-		for _, a := range p.arrays {
+		for _, a := range p.img.arrays {
 			a.start, a.cnt = slot[a.start], slot[a.cnt]
 			s.arrays = append(s.arrays, a)
 		}
-		for _, r := range p.reports {
+		for _, r := range p.img.reports {
 			s.reports = append(s.reports, reportSite{owner: int32(m.Index), args: remap(r.args)})
 		}
 		for b := range s.code {
@@ -132,17 +132,17 @@ func LinkSet(members []Member) *Set {
 				s.code[b] = relocate(s.code[b], p.check, slot, base)
 			}
 		}
-		for _, st := range p.teleSteps {
+		for _, st := range p.img.teleSteps {
 			st.slot, st.off = slot[st.slot], st.off+int32(8*s.teleBytes)
 			s.teleSteps = append(s.teleSteps, st)
 		}
 
-		s.bindings = append(s.bindings, p.bindings...)
-		s.bindSlots = append(s.bindSlots, remap(p.bindSlots)...)
+		s.bindings = append(s.bindings, p.img.bindings...)
+		s.bindSlots = append(s.bindSlots, remap(p.img.bindSlots)...)
 		reset = append(reset, remap(p.resetSlots)...)
-		s.dirtySlots = append(s.dirtySlots, remap(p.dirtySlots)...)
+		s.dirtySlots = append(s.dirtySlots, remap(p.img.dirtySlots)...)
 		s.members = append(s.members, linked{Member: m, slot: slot, reject: slot[p.slotReject], teleOff: s.teleBytes})
-		s.teleBytes += p.teleBytes
+		s.teleBytes += p.img.teleBytes
 	}
 	s.nSlots = len(s.template)
 	s.planTele()
@@ -180,19 +180,26 @@ func (s *Set) Len() int { return len(s.members) }
 // Owner returns the k-th linked member's Member.Index.
 func (s *Set) Owner(k int) int { return s.members[k].Index }
 
-// Slot maps a slot of the k-th linked member's Prog to the Set's PHV.
-func (s *Set) Slot(k int, slot int32) int32 { return s.members[k].slot[slot] }
+// SlotOf resolves a field of the k-th linked member's program to its slot
+// in the Set's PHV, if the program references it anywhere.
+func (s *Set) SlotOf(k int, f pipeline.FieldRef) (int32, bool) {
+	m := &s.members[k]
+	sl, ok := m.Prog.slots[f]
+	return m.slot[sl], ok
+}
 
 // RunBlocks executes the selected blocks of every member, member after
 // member, after BeginHop (row[Member.Index] is each member's state) and
-// the header scatter. §4.2 splits a hop in two passes: a switch runs
-// init alone at ingress and telemetry, or telemetry and checker, at
-// egress; a NIC's ingress runs the checker alone.
+// the header scatter: Stage.Run makes the three calls. §4.2 splits a hop
+// in two passes: a switch runs init alone at ingress and telemetry, or
+// telemetry and checker, at egress; a NIC's ingress runs the checker
+// alone.
 func (s *Set) RunBlocks(c *Ctx, b Blocks) { s.run(c, s.code[b]) }
 
-// Run executes a whole hop in one pass: init at the first hop, telemetry,
-// the checker at the last.
-func (s *Set) Run(c *Ctx, first, last bool) {
+// HopBlocks is the §4.2 schedule of a hop run as one pass: init at the
+// first hop, telemetry at every hop, the checker at the last. A
+// CheckEveryHop member's checker rides with its telemetry block.
+func HopBlocks(first, last bool) Blocks {
 	b := BlockTelemetry
 	if first {
 		b |= BlockInit
@@ -200,7 +207,7 @@ func (s *Set) Run(c *Ctx, first, last bool) {
 	if last {
 		b |= BlockChecker
 	}
-	s.run(c, s.code[b])
+	return b
 }
 
 // Reject reads the k-th linked member's verdict for the hop just run.
@@ -210,5 +217,5 @@ func (s *Set) Reject(c *Ctx, k int) bool { return c.PHV[s.members[k].reject].Boo
 // Set's blob.
 func (s *Set) TeleSpan(k int) (off, n int) {
 	m := &s.members[k]
-	return m.teleOff, m.Prog.teleBytes
+	return m.teleOff, m.Prog.img.teleBytes
 }

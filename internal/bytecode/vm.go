@@ -8,12 +8,12 @@ import (
 
 // Ctx is the execution state of a Set: the flat PHV, the switch state,
 // and the per-context TCAM lookup caches. A Ctx is resident: created
-// once with NewCtx and owned by one embedder — an engine shard, a netsim
-// switch — for its whole life, never re-templated.
+// once by Link and owned by one Stage — an engine shard's, a netsim
+// switch's — for its whole life, never re-templated.
 type Ctx struct {
 	PHV []pipeline.Value
 	// Reports are the digests raised so far; Owners[i] tags Reports[i]
-	// with the Member.Index of the program that raised it (0 on a Prog).
+	// with the Member.Index of the program that raised it.
 	Reports []pipeline.Report
 	Owners  []int32
 	// TableApplies and OpsExecuted mirror the interpreter's counters.
@@ -200,20 +200,6 @@ func (p *image) BeginBatch(c *Ctx) {
 		}
 	}
 	c.trustCaches = true
-}
-
-// BindHeaderSlots copies bound header values into the PHV: vals[i]
-// corresponds to Bindings()[i], and a zero-width Value marks an absent
-// binding (matching a missing key in the map-based Headers env).
-func (p *image) BindHeaderSlots(phv []pipeline.Value, vals []pipeline.Value) {
-	for i, s := range p.bindSlots {
-		if i >= len(vals) {
-			return
-		}
-		if v := vals[i]; v.W != 0 {
-			phv[s] = v
-		}
-	}
 }
 
 // run is the dispatch loop: one flat instruction array, one switch, no

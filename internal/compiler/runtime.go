@@ -9,11 +9,11 @@ import (
 
 // Runtime is a compiled program as the packet paths hold it: the IR, the
 // placement of its checker block, and its bytecode form, compiled once.
-// Nothing here executes. An engine, a netsim switch or a NIC takes VM(),
-// links it with the other checkers it runs into one bytecode.Set (§4.2)
-// and runs that on a context it owns; a program the VM cannot compile is
-// refused (VMErr) or left out of the set. The reference semantics the
-// VM is tested against live in internal/difftest.
+// Nothing here executes. An engine shard, a netsim switch or a NIC links
+// the Member of every checker it runs into one bytecode.Stage (§4.2) and
+// runs that; a program the VM cannot compile is refused (VMErr) or left
+// out of the image. The reference semantics the VM is tested against live
+// in internal/difftest.
 type Runtime struct {
 	Prog *pipeline.Program
 	// CheckEveryHop enables the §4.3 per-hop checking variant: the
@@ -38,4 +38,11 @@ func (r *Runtime) VM() *bytecode.Prog {
 func (r *Runtime) VMErr() error {
 	r.VM()
 	return r.vmErr
+}
+
+// Member is the program as the i-th member of a linked image: i is its
+// position in the state row and the owner tag of its reports. A program
+// without a VM form keeps its telemetry record's place in the blob.
+func (r *Runtime) Member(i int) bytecode.Member {
+	return bytecode.Member{Prog: r.VM(), Index: i, CheckEveryHop: r.CheckEveryHop, TeleBytes: (r.Prog.TeleWireBits() + 7) / 8}
 }

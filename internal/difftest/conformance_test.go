@@ -179,9 +179,10 @@ control bit<8> c0;
 // TestSetConformanceRandom links random sets of 2–5 RandomProgram
 // programs and checks each set against the product of its members
 // (SetRunner). Every member declares the same variable names, so any
-// leak between slot namespaces shows. Some members swap the annotation
-// paths of their 8- and 16-bit headers, so one path is bound at
-// conflicting widths across the set, each member's slot at its own; some
+// leak between slot namespaces shows. Some members bind their headers to
+// annotation paths of their own, so one name means different paths — and
+// different values — across the set (a pass has one packet, so one path
+// has one value for every member that binds it: bytecode.Stage.H); some
 // run their checker at every hop among last-hop members, which is also
 // where mid-path rejects come from; some are initOnlySrc.
 func TestSetConformanceRandom(t *testing.T) {
@@ -199,8 +200,8 @@ func TestSetConformanceRandom(t *testing.T) {
 			src := RandomProgram(rng)
 			switch rng.Intn(5) {
 			case 0:
-				src = strings.Replace(src, "header bit<8> h0;", `header bit<8> h0 @ "hdr.h1";`, 1)
-				src = strings.Replace(src, "header bit<16> h1;", `header bit<16> h1 @ "hdr.h0";`, 1)
+				src = strings.Replace(src, "header bit<8> h0;", `header bit<8> h0 @ "hdr.alt8";`, 1)
+				src = strings.Replace(src, "header bit<16> h1;", `header bit<16> h1 @ "hdr.alt16";`, 1)
 			case 1:
 				src = initOnlySrc
 			}
@@ -220,7 +221,7 @@ func TestSetConformanceRandom(t *testing.T) {
 			for i := range hops {
 				hops[i] = HopSpec{
 					SW:      uint32(1 + rng.Intn(3)),
-					Headers: map[string]uint64{"hdr.h0": cfg.value(8), "hdr.h1": cfg.value(16)},
+					Headers: map[string]uint64{"hdr.h0": cfg.value(8), "hdr.h1": cfg.value(16), "hdr.alt8": cfg.value(8), "hdr.alt16": cfg.value(16)},
 					PktLen:  uint32(64 + rng.Intn(1400)),
 				}
 			}

@@ -8,61 +8,48 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Linked is programs linked into one bytecode.Set beside the one context
-// that set ever runs on — what an engine shard and a netsim hopStage
-// hold, here with a set of one for a program on its own. The context is
-// never re-templated: whatever a pass leaves in it, the next pass finds.
-type Linked struct {
-	Set *bytecode.Set
-	Ctx *bytecode.Ctx
-
-	members []bytecode.Member
-	row     []*pipeline.State
-	hdrs    []pipeline.Value
-}
+// Linked is programs linked into one bytecode.Stage — what an engine
+// shard and a netsim switch hold, here with a set of one for a program on
+// its own. The context is never re-templated: whatever a pass leaves in
+// it, the next pass finds.
+type Linked struct{ *bytecode.Stage }
 
 // Link links rts, in order, into one Set; member k's reports carry owner
 // k. A runtime without a VM form is an error.
 func Link(rts ...*compiler.Runtime) (*Linked, error) {
-	l := &Linked{members: make([]bytecode.Member, len(rts)), row: make([]*pipeline.State, len(rts))}
+	members := make([]bytecode.Member, len(rts))
 	for k, rt := range rts {
 		if err := rt.VMErr(); err != nil {
 			return nil, fmt.Errorf("member %d: bytecode backend unavailable: %w", k, err)
 		}
-		l.members[k] = bytecode.Member{Prog: rt.VM(), Index: k, CheckEveryHop: rt.CheckEveryHop}
+		members[k] = rt.Member(k)
 	}
-	l.Set = bytecode.LinkSet(l.members)
-	l.Ctx = l.Set.NewCtx()
-	return l, nil
-}
-
-// Slot resolves a field of member k's program to its slot in the Set's
-// PHV, if the program references it anywhere.
-func (l *Linked) Slot(k int, f pipeline.FieldRef) (int32, bool) {
-	s, ok := l.members[k].Prog.SlotOf(f)
-	return l.Set.Slot(k, int32(s)), ok
+	return &Linked{bytecode.Link(members...)}, nil
 }
 
 // run is a pipeline pass over telemetry already in the context's slots:
-// arm the report arena, restore the scratch slots, bind envs[k].Headers
-// for member k, run the blocks b of every member. The hop's switch and
-// packet length are envs[0]'s.
+// arm the report arena, store member k's state and the headers of every
+// env by path, run the blocks b of every member. A pass has one packet,
+// so members that bind one path must be given one value for it. The
+// hop's switch and packet length are envs[0]'s.
 func (l *Linked) run(envs []HopEnv, b bytecode.Blocks, first, last bool) {
 	l.Ctx.BeginEphemeralReports()
-	// Set.Bindings is the members' own, one after another.
-	l.hdrs = l.hdrs[:0]
-	for k, m := range l.members {
-		l.row[k] = envs[k].State
-		for _, path := range m.Prog.Bindings() {
-			l.hdrs = append(l.hdrs, envs[k].Headers[path])
+	clear(l.H)
+	for k, env := range envs {
+		l.Row[k] = env.State
+		for path, v := range env.Headers {
+			if i, ok := l.Index(path); ok {
+				if l.H[i].W != 0 && l.H[i] != v {
+					panic(fmt.Sprintf("difftest: %s bound to %+v and %+v in one pass", path, l.H[i], v))
+				}
+				l.H[i] = v
+			}
 		}
 	}
-	l.Set.BeginHop(l.Ctx, l.row, envs[0].SwitchID, int(envs[0].PacketLen), first, last)
-	l.Set.BindHeaderSlots(l.Ctx.PHV, l.hdrs)
-	l.Set.RunBlocks(l.Ctx, b)
+	l.Run(envs[0].SwitchID, int(envs[0].PacketLen), first, last, b)
 }
 
-// Pass is one pipeline pass the way netsim's hopStage.run makes it:
+// Pass is one pipeline pass the way a netsim switch makes it:
 // decode the Set's whole blob (empty at the first hop), run, and encode
 // the telemetry back into blob's storage. The verdicts (Set.Reject) and
 // the reports (Ctx.Reports by Ctx.Owners, carved from the context's
@@ -75,26 +62,12 @@ func (l *Linked) Pass(blob []byte, envs []HopEnv, b bytecode.Blocks, first, last
 	return l.Set.EncodeTele(blob[:0], l.Ctx.PHV), nil
 }
 
-// hopBlocks is the §4.2 schedule of a hop run as one pass: init at the
-// first hop, telemetry at every hop, the checker at the last. A
-// CheckEveryHop member's checker rides with its telemetry block.
-func hopBlocks(first, last bool) bytecode.Blocks {
-	b := bytecode.BlockTelemetry
-	if first {
-		b |= bytecode.BlockInit
-	}
-	if last {
-		b |= bytecode.BlockChecker
-	}
-	return b
-}
-
 // RunHop runs a whole hop of a set of one as a single Pass and copies
 // the outcome out of the context.
 func (l *Linked) RunHop(blob []byte, env HopEnv, first, last bool) (HopResult, error) {
 	c := l.Ctx
 	applies, ops := c.TableApplies, c.OpsExecuted
-	blob, err := l.Pass(blob, []HopEnv{env}, hopBlocks(first, last), first, last)
+	blob, err := l.Pass(blob, []HopEnv{env}, bytecode.HopBlocks(first, last), first, last)
 	if err != nil {
 		return HopResult{}, err
 	}
@@ -132,7 +105,7 @@ const (
 // passes lists the block subsets one hop runs in this shape.
 func (s Shape) passes(first, last bool) []bytecode.Blocks {
 	if s == Resident {
-		return []bytecode.Blocks{hopBlocks(first, last)}
+		return []bytecode.Blocks{bytecode.HopBlocks(first, last)}
 	}
 	var out []bytecode.Blocks
 	if first {
@@ -141,7 +114,7 @@ func (s Shape) passes(first, last bool) []bytecode.Blocks {
 	if last && s == WireNIC {
 		return append(out, bytecode.BlockTelemetry, bytecode.BlockChecker)
 	}
-	return append(out, hopBlocks(false, last))
+	return append(out, bytecode.HopBlocks(false, last))
 }
 
 // RunTrace executes one path through the linked programs in the given
@@ -157,8 +130,8 @@ func (l *Linked) RunTrace(envs [][]HopEnv, shape Shape) ([]TraceResult, error) {
 	if shape == Resident {
 		set.BeginTrace(c)
 	}
-	res := make([]TraceResult, len(l.members))
-	hop := make([]HopEnv, len(l.members))
+	res := make([]TraceResult, l.Set.Len())
+	hop := make([]HopEnv, l.Set.Len())
 	var blob []byte
 	for i := 0; i < hops; i++ {
 		for k := range hop {

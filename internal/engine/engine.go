@@ -26,6 +26,12 @@
 // per-shard — like per-pipe registers on a multi-pipe Tofino — and only
 // their threshold behavior can observe the split.
 //
+// Each shard holds the checkers as one bytecode.Stage — the linked
+// image, its resident context and the header environment a checker
+// reads, the same type a netsim switch holds — and supplies what a
+// 5-tuple trace record knows: the flow fill per packet, the two ports
+// and the switch's state row per hop.
+//
 // Packets move through bounded batches with backpressure: Submit blocks
 // when a shard's queue is full, and Drain flushes partial batches,
 // waits for all workers, and merges per-shard results into one
@@ -167,9 +173,8 @@ func New(cfg Config) *Engine {
 		pending:  make([][]Packet, cfg.Shards),
 	}
 	e.pool.New = func() any { return make([]Packet, 0, cfg.BatchSize) }
-	set, binds := link(cfg.Checkers)
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(i, &cfg, set, binds)
+		s := newShard(i, &cfg)
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
 		go func() {
@@ -317,59 +322,6 @@ func (e *Engine) Reports() []Report {
 // ---------------------------------------------------------------------------
 // Shard worker
 
-// Header-binding paths the engine can provide, indexed by the hdr*
-// constants below. Per-checker bind plans map these dense indices to
-// PHV slots once at construction, so the per-hop path copies from a
-// fixed value array — no map, no string hashing.
-const (
-	hdrInPort = iota // per-hop
-	hdrEgPort        // per-hop
-	hdrSkipFwd
-	hdrIPv4Valid
-	hdrIPv4Src
-	hdrIPv4Dst
-	hdrIPv4Proto
-	hdrTCPValid
-	hdrTCPSport
-	hdrTCPDport
-	hdrUDPValid
-	hdrUDPSport
-	hdrUDPDport
-	// Headers a 5-tuple trace record can never carry, bound invalid to
-	// match netsim's header fill for a plain (untunneled, unrouted)
-	// packet.
-	hdrInnerIPv4Valid
-	hdrInnerTCPValid
-	hdrInnerUDPValid
-	hdrSrcRoute0Valid
-
-	numStdHdrs
-)
-
-var stdHdrPaths = [numStdHdrs]string{
-	hdrInPort:         "standard_metadata.ingress_port",
-	hdrEgPort:         "standard_metadata.egress_port",
-	hdrSkipFwd:        "fabric_metadata.skip_forwarding",
-	hdrIPv4Valid:      "hdr.ipv4.$valid$",
-	hdrIPv4Src:        "hdr.ipv4.src_addr",
-	hdrIPv4Dst:        "hdr.ipv4.dst_addr",
-	hdrIPv4Proto:      "hdr.ipv4.protocol",
-	hdrTCPValid:       "hdr.tcp.$valid$",
-	hdrTCPSport:       "hdr.tcp.sport",
-	hdrTCPDport:       "hdr.tcp.dport",
-	hdrUDPValid:       "hdr.udp.$valid$",
-	hdrUDPSport:       "hdr.udp.sport",
-	hdrUDPDport:       "hdr.udp.dport",
-	hdrInnerIPv4Valid: "hdr.inner_ipv4.$valid$",
-	hdrInnerTCPValid:  "hdr.inner_tcp.$valid$",
-	hdrInnerUDPValid:  "hdr.inner_udp.$valid$",
-	hdrSrcRoute0Valid: "hdr.srcRoutes[0].$valid$",
-}
-
-// bindPair routes one engine-provided header value (hvals[src]) to PHV
-// slot dst of the linked checker set.
-type bindPair struct{ src, dst int }
-
 // stateRow is every checker's state on one switch, in Config.Checkers
 // order.
 type stateRow struct {
@@ -385,15 +337,12 @@ type shard struct {
 	// row, once created, is never replaced, and paths touch a handful
 	// of switches, so the per-hop lookup is a short linear scan.
 	rows []stateRow
-	// set is the engine's checkers linked into one program, shared
-	// read-only by all shards, and binds the scatter plan from hvals into
-	// its PHV; c is the resident context this shard runs it on.
-	set   *bytecode.Set
-	binds []bindPair
-	c     *bytecode.Ctx
-	// hvals holds the current packet's engine-provided header values;
-	// the two port entries are rewritten per hop.
-	hvals      [numStdHdrs]pipeline.Value
+	// st is the engine's checkers linked into one image on this shard's
+	// resident context, each under its Config.Checkers index as row
+	// position and report owner. Of its header environment the engine
+	// stores skip_forwarding once and the two ports per hop, the flow
+	// fill the rest per packet; a path neither supplies is absent.
+	st         *bytecode.Stage
 	counts     Counts
 	perChecker []CheckerCounts
 	reports    []Report
@@ -402,36 +351,19 @@ type shard struct {
 	prod *reportbus.Producer
 }
 
-// link builds the one program an engine runs: every checker that has a
-// VM form, its Config.Checkers index as row position and report owner.
-// Binding paths the engine cannot supply keep their template value
-// (absent).
-func link(chks []Checker) (*bytecode.Set, []bindPair) {
-	members := make([]bytecode.Member, len(chks))
-	for i, c := range chks {
-		members[i] = bytecode.Member{Prog: c.RT.VM(), Index: i, CheckEveryHop: c.RT.CheckEveryHop}
+func newShard(id int, cfg *Config) *shard {
+	members := make([]bytecode.Member, len(cfg.Checkers))
+	for i, c := range cfg.Checkers {
+		members[i] = c.RT.Member(i)
 	}
-	set := bytecode.LinkSet(members)
-	var binds []bindPair
-	slots := set.BindSlots()
-	for bi, path := range set.Bindings() {
-		if src := slices.Index(stdHdrPaths[:], path); src >= 0 {
-			binds = append(binds, bindPair{src: src, dst: int(slots[bi])})
-		}
-	}
-	return set, binds
-}
-
-func newShard(id int, cfg *Config, set *bytecode.Set, binds []bindPair) *shard {
 	s := &shard{
 		id:         id,
 		cfg:        cfg,
 		in:         make(chan []Packet, cfg.QueueDepth),
-		set:        set,
-		binds:      binds,
-		c:          set.NewCtx(),
+		st:         bytecode.Link(members...),
 		perChecker: make([]CheckerCounts, len(cfg.Checkers)),
 	}
+	s.st.H[bytecode.HSkipFwd] = pipeline.BoolV(false)
 	if cfg.ReportBus != nil {
 		s.prod = cfg.ReportBus.RingProducer(fmt.Sprintf("engine-shard:%d", id))
 	}
@@ -454,36 +386,6 @@ func (s *shard) row(switchID uint32) []*pipeline.State {
 	return st
 }
 
-// fillHvals sets the packet-constant header bindings (the subset of
-// netsim's header fill derivable from a 5-tuple trace record).
-func fillHvals(p *Packet, h *[numStdHdrs]pipeline.Value) {
-	isIPv4 := p.Key != (dataplane.FlowKey{})
-	h[hdrIPv4Valid] = pipeline.BoolV(isIPv4)
-	h[hdrIPv4Src] = pipeline.B(32, uint64(p.Key.Src))
-	h[hdrIPv4Dst] = pipeline.B(32, uint64(p.Key.Dst))
-	h[hdrIPv4Proto] = pipeline.B(8, uint64(p.Key.Proto))
-	isTCP := p.Key.Proto == dataplane.ProtoTCP
-	isUDP := p.Key.Proto == dataplane.ProtoUDP
-	h[hdrTCPValid] = pipeline.BoolV(isTCP)
-	h[hdrUDPValid] = pipeline.BoolV(isUDP)
-	sport, dport := pipeline.B(16, uint64(p.Key.Sport)), pipeline.B(16, uint64(p.Key.Dport))
-	if isTCP {
-		h[hdrTCPSport], h[hdrTCPDport] = sport, dport
-	} else {
-		h[hdrTCPSport], h[hdrTCPDport] = pipeline.B(16, 0), pipeline.B(16, 0)
-	}
-	if isUDP {
-		h[hdrUDPSport], h[hdrUDPDport] = sport, dport
-	} else {
-		h[hdrUDPSport], h[hdrUDPDport] = pipeline.B(16, 0), pipeline.B(16, 0)
-	}
-	h[hdrSkipFwd] = pipeline.BoolV(false)
-	h[hdrInnerIPv4Valid] = pipeline.BoolV(false)
-	h[hdrInnerTCPValid] = pipeline.BoolV(false)
-	h[hdrInnerUDPValid] = pipeline.BoolV(false)
-	h[hdrSrcRoute0Valid] = pipeline.BoolV(false)
-}
-
 // exec is the engine's one execution loop: sharded workers,
 // Sequential.ProcessBatch and Sequential.Process all run it. Packets
 // execute one after another, hop-major like a netsim switch: at each
@@ -500,19 +402,19 @@ func fillHvals(p *Packet, h *[numStdHdrs]pipeline.Value) {
 // lookups inside the call skip the version poll, so a concurrent
 // Install becomes visible with at most one batch of delay.
 func (s *shard) exec(batch []Packet) {
-	set, c := s.set, s.c
+	st := s.st
+	set, c := st.Set, st.Ctx
 	set.BeginBatch(c)
-	skipped := uint64(len(s.cfg.Checkers) - set.Len())
 	for pi := range batch {
 		p := &batch[pi]
 		s.counts.Packets++
 		hops := p.Hops
 		if set.Len() == 0 {
 			// Nothing to run: no hop does any work.
-			s.counts.Errors += skipped * uint64(len(hops))
+			s.counts.Errors += st.Skipped() * uint64(len(hops))
 			hops = nil
 		}
-		fillHvals(p, &s.hvals)
+		st.FillFlow(p.Key)
 		c.BeginEphemeralReports()
 		set.BeginTrace(c)
 		reject := false
@@ -522,14 +424,11 @@ func (s *shard) exec(batch []Packet) {
 		for h := 0; h < len(hops) && !reject; h++ {
 			hop := &hops[h]
 			first, last := h == 0, h == len(hops)-1
-			s.hvals[hdrInPort] = pipeline.B(8, uint64(hop.InPort))
-			s.hvals[hdrEgPort] = pipeline.B(8, uint64(hop.OutPort))
-			s.counts.Errors += skipped
-			set.BeginHop(c, s.row(hop.SwitchID), hop.SwitchID, int(p.Len), first, last)
-			for _, bp := range s.binds {
-				c.PHV[bp.dst] = s.hvals[bp.src]
-			}
-			set.Run(c, first, last)
+			st.H[bytecode.HInPort] = pipeline.B(8, uint64(hop.InPort))
+			st.H[bytecode.HEgPort] = pipeline.B(8, uint64(hop.OutPort))
+			s.counts.Errors += st.Skipped()
+			st.Row = s.row(hop.SwitchID)
+			st.Run(hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))
 			// The fresh tail is grouped by owner, in checker order.
 			for reported < len(c.Reports) {
 				hi := reported + 1

@@ -73,25 +73,19 @@ func (o *oracle) Install(checker string, switchID uint32, fn func(*pipeline.Stat
 	return fmt.Errorf("oracle: unknown checker %q", checker)
 }
 
-// oracleHeaders is what a plain IPv4 5-tuple record exposes to a
-// checker at one hop (netsim's header fill for an untunneled,
-// unrouted packet), keyed by annotation path.
+// oracleHeaders is what a 5-tuple record exposes to a checker at one hop,
+// keyed by annotation path: the headers of the plain frame the record
+// describes — Ethernet, IPv4, the transport header its protocol names.
+// Every layer's validity bit is bound; a field of a layer that frame does
+// not carry (the other transport's ports, everything of the zero key's
+// non-IPv4 frame, VLAN, tunnel, source route) is a missing key, absent.
 func oracleHeaders(p *engine.Packet, hop engine.Hop) map[string]pipeline.Value {
 	k := p.Key
-	ports := func(proto uint8) (pipeline.Value, pipeline.Value) {
-		if k.Proto == proto {
-			return pipeline.B(16, uint64(k.Sport)), pipeline.B(16, uint64(k.Dport))
-		}
-		return pipeline.B(16, 0), pipeline.B(16, 0)
-	}
 	h := map[string]pipeline.Value{
 		"standard_metadata.ingress_port":  pipeline.B(8, uint64(hop.InPort)),
 		"standard_metadata.egress_port":   pipeline.B(8, uint64(hop.OutPort)),
 		"fabric_metadata.skip_forwarding": pipeline.BoolV(false),
 		"hdr.ipv4.$valid$":                pipeline.BoolV(k != (dataplane.FlowKey{})),
-		"hdr.ipv4.src_addr":               pipeline.B(32, uint64(k.Src)),
-		"hdr.ipv4.dst_addr":               pipeline.B(32, uint64(k.Dst)),
-		"hdr.ipv4.protocol":               pipeline.B(8, uint64(k.Proto)),
 		"hdr.tcp.$valid$":                 pipeline.BoolV(k.Proto == dataplane.ProtoTCP),
 		"hdr.udp.$valid$":                 pipeline.BoolV(k.Proto == dataplane.ProtoUDP),
 		"hdr.inner_ipv4.$valid$":          pipeline.BoolV(false),
@@ -99,8 +93,17 @@ func oracleHeaders(p *engine.Packet, hop engine.Hop) map[string]pipeline.Value {
 		"hdr.inner_udp.$valid$":           pipeline.BoolV(false),
 		"hdr.srcRoutes[0].$valid$":        pipeline.BoolV(false),
 	}
-	h["hdr.tcp.sport"], h["hdr.tcp.dport"] = ports(dataplane.ProtoTCP)
-	h["hdr.udp.sport"], h["hdr.udp.dport"] = ports(dataplane.ProtoUDP)
+	if k != (dataplane.FlowKey{}) {
+		h["hdr.ipv4.src_addr"] = pipeline.B(32, uint64(k.Src))
+		h["hdr.ipv4.dst_addr"] = pipeline.B(32, uint64(k.Dst))
+		h["hdr.ipv4.protocol"] = pipeline.B(8, uint64(k.Proto))
+	}
+	for proto, l4 := range map[uint8]string{dataplane.ProtoTCP: "tcp", dataplane.ProtoUDP: "udp"} {
+		if k.Proto == proto {
+			h["hdr."+l4+".sport"] = pipeline.B(16, uint64(k.Sport))
+			h["hdr."+l4+".dport"] = pipeline.B(16, uint64(k.Dport))
+		}
+	}
 	return h
 }
 

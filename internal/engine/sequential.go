@@ -22,8 +22,7 @@ type Sequential struct {
 // QueueDepth in cfg are ignored.
 func NewSequential(cfg Config) *Sequential {
 	cfg.Shards = 1
-	set, binds := link(cfg.Checkers)
-	return &Sequential{cfg: cfg, s: newShard(0, &cfg, set, binds)}
+	return &Sequential{cfg: cfg, s: newShard(0, &cfg)}
 }
 
 // Install applies fn to the named checker's state for switchID.
@@ -55,4 +54,4 @@ func (q *Sequential) Reports() []Report { return q.s.reports }
 // runs on. This exists for the arena-aliasing suite, which deliberately
 // poisons the context between batches to prove no scratch value
 // survives into the next packet's outcome.
-func (q *Sequential) VMContext() (*bytecode.Set, *bytecode.Ctx) { return q.s.set, q.s.c }
+func (q *Sequential) VMContext() (*bytecode.Set, *bytecode.Ctx) { return q.s.st.Set, q.s.st.Ctx }

@@ -26,16 +26,16 @@ type HydraNIC struct {
 	Checked  uint64
 	Rejected uint64
 
-	// stage is the one-member image of Runtime (its bind is packet-only:
-	// a NIC has no forwarding metadata); blob is the reused injection
-	// buffer.
-	stage *hopStage
+	// stage is the one-member image of Runtime (its header environment is
+	// the packet fill alone: a NIC has no forwarding metadata); blob is the
+	// reused injection buffer.
+	stage *bytecode.Stage
 	blob  []byte
 }
 
 // AttachNIC wires a Hydra NIC to the host, with fresh per-NIC state.
 func (h *Host) AttachNIC(rt *compiler.Runtime, onReport func(*Host, pipeline.Report)) *HydraNIC {
-	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, stage: linkStage([]*compiler.Runtime{rt})}
+	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, stage: bytecode.Link(rt.Member(0))}
 	return h.nic
 }
 
@@ -49,15 +49,17 @@ func (h *Host) NIC() *HydraNIC { return h.nic }
 func (h *Host) nicPass(pkt *dataplane.Decoded, first bool, b bytecode.Blocks) bool {
 	nic := h.nic
 	st := nic.stage
-	st.row[0] = nic.State
-	st.bind(pkt, nil, 0, 0)
-	err := st.run(pkt.Hydra.Blob, uint32(h.MAC.Uint64()), pkt.WireLen(), first, !first, b)
-	if err != nil || st.skipped > 0 {
+	st.Row[0] = nic.State
+	err := st.Set.DecodeTele(pkt.Hydra.Blob, st.Ctx.PHV)
+	if err != nil || st.Skipped() > 0 {
 		h.ParseErrs++
 		return false
 	}
+	st.Ctx.BeginEphemeralReports()
+	st.FillPacket(pkt)
+	st.Run(uint32(h.MAC.Uint64()), pkt.WireLen(), first, !first, b)
 	if nic.OnReport != nil {
-		for _, rep := range st.ctx.Reports {
+		for _, rep := range st.Ctx.Reports {
 			nic.OnReport(h, rep)
 		}
 	}
@@ -75,7 +77,7 @@ func (h *Host) nicEgress(pkt *dataplane.Decoded) {
 		return
 	}
 	nic.Injected++
-	nic.blob = nic.stage.set.EncodeTele(nic.blob[:0], nic.stage.ctx.PHV)
+	nic.blob = nic.stage.Set.EncodeTele(nic.blob[:0], nic.stage.Ctx.PHV)
 	pkt.Hydra.Blob = nic.blob
 }
 
@@ -92,7 +94,7 @@ func (h *Host) nicIngress(pkt *dataplane.Decoded) bool {
 		return true
 	}
 	nic.Checked++
-	if nic.stage.set.Reject(nic.stage.ctx, 0) {
+	if nic.stage.Set.Reject(nic.stage.Ctx, 0) {
 		nic.Rejected++
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
 	"repro/internal/difftest"
@@ -146,7 +147,7 @@ func TestResidentHopHeaderAbsence(t *testing.T) {
 			}
 			for ; copies > 0; copies-- {
 				res, err := run([]difftest.HopEnv{{
-					State: prog.NewState(), SwitchID: 7, Headers: bindPacketHeaders(pkt, nil), PacketLen: uint32(pkt.WireLen()),
+					State: prog.NewState(), SwitchID: 7, Headers: packetHeaders(pkt), PacketLen: uint32(pkt.WireLen()),
 				}})
 				if err != nil {
 					t.Fatal(err)
@@ -211,7 +212,7 @@ func TestCheckerErrorForwardsUnchecked(t *testing.T) {
 		HasUDP:  true,
 		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
 	}
-	size := sw.hydra().set.TeleWireBytes()
+	size := sw.hydra().Set.TeleWireBytes()
 	blob := make([]byte, size)
 	lo := (before.Runtime.Prog.TeleWireBits() + 7) / 8
 	hi := lo + (badAt.Runtime.Prog.TeleWireBits()+7)/8
@@ -271,7 +272,7 @@ func TestNICShortBlobForwardsUnchecked(t *testing.T) {
 		HasUDP:  true,
 		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
 	}
-	pkt.InsertHydra(make([]byte, nic.stage.set.TeleWireBytes()-1))
+	pkt.InsertHydra(make([]byte, nic.stage.Set.TeleWireBytes()-1))
 	h.Receive(pkt.Serialize(), 0)
 	sim.RunAll()
 
@@ -283,52 +284,17 @@ func TestNICShortBlobForwardsUnchecked(t *testing.T) {
 	}
 }
 
-// bindPacketHeaders is the map reference of a pass's header environment:
-// the packet-derived standard bindings, a missing key for an absent one,
-// over the extra entries (may be nil).
-func bindPacketHeaders(pkt *dataplane.Decoded, extra map[string]pipeline.Value) map[string]pipeline.Value {
+// packetHeaders is the stage's packet fill as the map environment the
+// references take: a missing key for an absent header. The fill itself is
+// held to a hand-written map in internal/bytecode.
+func packetHeaders(pkt *dataplane.Decoded) map[string]pipeline.Value {
+	st := bytecode.Link()
+	st.FillPacket(pkt)
 	h := map[string]pipeline.Value{}
-	for k, v := range extra {
-		h[k] = v
-	}
-	if pkt.HasVLAN {
-		h["hdr.vlan_tag.vlan_id"] = pipeline.B(16, uint64(pkt.VLAN.VID))
-	}
-	if pkt.HasIPv4 {
-		h["hdr.ipv4.$valid$"] = pipeline.BoolV(true)
-		h["hdr.ipv4.src_addr"] = pipeline.B(32, uint64(pkt.IPv4.Src))
-		h["hdr.ipv4.dst_addr"] = pipeline.B(32, uint64(pkt.IPv4.Dst))
-		h["hdr.ipv4.protocol"] = pipeline.B(8, uint64(pkt.IPv4.Protocol))
-	} else {
-		h["hdr.ipv4.$valid$"] = pipeline.BoolV(false)
-	}
-	h["hdr.tcp.$valid$"] = pipeline.BoolV(pkt.HasTCP)
-	if pkt.HasTCP {
-		h["hdr.tcp.sport"] = pipeline.B(16, uint64(pkt.TCP.SrcPort))
-		h["hdr.tcp.dport"] = pipeline.B(16, uint64(pkt.TCP.DstPort))
-	}
-	h["hdr.udp.$valid$"] = pipeline.BoolV(pkt.HasUDP && !pkt.HasGTPU)
-	if pkt.HasUDP {
-		h["hdr.udp.sport"] = pipeline.B(16, uint64(pkt.UDP.SrcPort))
-		h["hdr.udp.dport"] = pipeline.B(16, uint64(pkt.UDP.DstPort))
-	}
-	h["hdr.inner_ipv4.$valid$"] = pipeline.BoolV(pkt.HasInnerIPv4)
-	if pkt.HasInnerIPv4 {
-		h["hdr.inner_ipv4.src_addr"] = pipeline.B(32, uint64(pkt.InnerIPv4.Src))
-		h["hdr.inner_ipv4.dst_addr"] = pipeline.B(32, uint64(pkt.InnerIPv4.Dst))
-		h["hdr.inner_ipv4.protocol"] = pipeline.B(8, uint64(pkt.InnerIPv4.Protocol))
-	}
-	h["hdr.inner_tcp.$valid$"] = pipeline.BoolV(pkt.HasInnerTCP)
-	if pkt.HasInnerTCP {
-		h["hdr.inner_tcp.dport"] = pipeline.B(16, uint64(pkt.InnerTCP.DstPort))
-	}
-	h["hdr.inner_udp.$valid$"] = pipeline.BoolV(pkt.HasInnerUDP)
-	if pkt.HasInnerUDP {
-		h["hdr.inner_udp.dport"] = pipeline.B(16, uint64(pkt.InnerUDP.DstPort))
-	}
-	h["hdr.srcRoutes[0].$valid$"] = pipeline.BoolV(pkt.HasSourceRoute && len(pkt.SourceRoute) > 0)
-	if pkt.HasSourceRoute && len(pkt.SourceRoute) > 0 {
-		h["hdr.srcRoutes[0].switch_id"] = pipeline.B(32, uint64(pkt.SourceRoute[0].SwitchID))
+	for i := bytecode.HVLANID; i < bytecode.NumStdHeaders; i++ {
+		if v := st.H[i]; v.W != 0 {
+			h[bytecode.StdHeaderPaths[i]] = v
+		}
 	}
 	return h
 }
@@ -423,6 +389,53 @@ func TestStateReadPerHop(t *testing.T) {
 	}
 }
 
+// swappedProbeSrc is stateProbeSrc — the same tables and registers —
+// reporting its two values the other way round.
+const swappedProbeSrc = `
+sensor bit<32> seen = 0;
+control bit<32> mark;
+
+{ }
+{ seen += 1; }
+{ report((seen, mark)); }
+`
+
+// TestRelinkOnReplacedAttachment pins when a switch relinks: Checkers is
+// an exported slice, so an entry can be replaced by one holding another
+// runtime without the slice changing length, and the next packet must run
+// the new program, not the image linked from the old one; and a checker
+// attached after traffic has flowed joins the image.
+func TestRelinkOnReplacedAttachment(t *testing.T) {
+	oldRT := &compiler.Runtime{Prog: compileSource(t, "state-probe", stateProbeSrc)}
+	newRT := &compiler.Runtime{Prog: compileSource(t, "swapped-probe", swappedProbeSrc)}
+	sim := NewSimulator()
+	sw := edgeSwitch(sim)
+	var got, late [][]uint64
+	setMark(t, sw.AttachChecker(oldRT, reportArgs(&got)).State, 11)
+	send := func() {
+		sw.Receive(udpPacket().Serialize(), 1)
+		sim.RunAll()
+	}
+	send()
+
+	sw.Checkers[0] = &HydraAttachment{Runtime: newRT, State: newRT.Prog.NewState(), OnReport: reportArgs(&got)}
+	setMark(t, sw.Checkers[0].State, 22)
+	send()
+
+	setMark(t, sw.AttachChecker(oldRT, reportArgs(&late)).State, 33)
+	send()
+
+	if want := [][]uint64{{11, 1}, {1, 22}, {2, 22}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("replaced attachment reported %v, want %v", got, want)
+	}
+	if want := [][]uint64{{33, 1}}; !reflect.DeepEqual(late, want) {
+		t.Errorf("late attachment reported %v, want %v", late, want)
+	}
+	if sw.ParseErrors != 0 {
+		t.Errorf("%d parse errors", sw.ParseErrors)
+	}
+}
+
 // extraProbeSrc binds a standard path and a program-specific one.
 const extraProbeSrc = `
 header bit<32> route_sw @ "hdr.srcRoutes[0].switch_id";
@@ -478,64 +491,5 @@ func TestExtraBindingReachesEveryMember(t *testing.T) {
 	}
 	if sw.ParseErrors != 0 {
 		t.Errorf("%d parse errors", sw.ParseErrors)
-	}
-}
-
-// TestFlatFillMatchesMapReference holds the flat header fill against the
-// map reference on every standard path, present and absent: a packet
-// carrying every layer, packets missing one each, a bare Ethernet frame,
-// and a NIC's pass, which has no forwarding metadata.
-func TestFlatFillMatchesMapReference(t *testing.T) {
-	full := func() *dataplane.Decoded {
-		return &dataplane.Decoded{
-			HasVLAN: true, VLAN: dataplane.VLAN{VID: 300},
-			HasSourceRoute: true, SourceRoute: []dataplane.SourceRouteHop{{SwitchID: 9, Port: 1}},
-			HasIPv4: true, IPv4: dataplane.IPv4{Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.0.1"), Dst: dataplane.MustIP4("10.0.0.2")},
-			HasUDP: true, UDP: dataplane.UDP{SrcPort: 2152, DstPort: 2152},
-			HasTCP: true, TCP: dataplane.TCP{SrcPort: 999, DstPort: 443},
-			HasGTPU:      true,
-			HasInnerIPv4: true, InnerIPv4: dataplane.IPv4{Protocol: dataplane.ProtoTCP, Src: dataplane.MustIP4("172.16.0.1"), Dst: dataplane.MustIP4("172.16.0.2")},
-			HasInnerTCP: true, InnerTCP: dataplane.TCP{DstPort: 8080},
-			HasInnerUDP: true, InnerUDP: dataplane.UDP{DstPort: 53},
-		}
-	}
-	cases := map[string]func(*dataplane.Decoded){
-		"every layer":     func(*dataplane.Decoded) {},
-		"no vlan":         func(p *dataplane.Decoded) { p.HasVLAN = false },
-		"no ipv4":         func(p *dataplane.Decoded) { p.HasIPv4 = false },
-		"no tcp":          func(p *dataplane.Decoded) { p.HasTCP = false },
-		"no udp":          func(p *dataplane.Decoded) { p.HasUDP = false },
-		"udp, no tunnel":  func(p *dataplane.Decoded) { p.HasGTPU = false },
-		"no inner ipv4":   func(p *dataplane.Decoded) { p.HasInnerIPv4 = false },
-		"no inner tcp":    func(p *dataplane.Decoded) { p.HasInnerTCP = false },
-		"no inner udp":    func(p *dataplane.Decoded) { p.HasInnerUDP = false },
-		"no source route": func(p *dataplane.Decoded) { p.HasSourceRoute = false },
-		"empty route":     func(p *dataplane.Decoded) { p.SourceRoute = nil },
-		"bare ethernet":   func(p *dataplane.Decoded) { *p = dataplane.Decoded{} },
-	}
-	st := linkStage(nil)
-	for name, strip := range cases {
-		pkt := full()
-		strip(pkt)
-		for _, nic := range []bool{false, true} {
-			want := bindPacketHeaders(pkt, nil)
-			if nic {
-				st.bind(pkt, nil, 0, 0)
-			} else {
-				st.bind(pkt, &PacketMeta{Drop: true}, 3, -1)
-				want["standard_metadata.ingress_port"] = pipeline.B(8, 3)
-				want["standard_metadata.egress_port"] = pipeline.B(8, 0)
-				want["fabric_metadata.skip_forwarding"] = pipeline.BoolV(true)
-			}
-			for i, path := range stdHdrPaths {
-				if got, ref := st.hvals[i], want[path]; got != ref {
-					t.Errorf("%s (nic=%v): %s = %+v, map reference %+v", name, nic, path, got, ref)
-				}
-				delete(want, path)
-			}
-			if len(want) != 0 {
-				t.Errorf("%s (nic=%v): map reference binds paths the flat fill has no slot for: %v", name, nic, want)
-			}
-		}
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bytecode"
@@ -160,8 +161,10 @@ type Switch struct {
 	meta      PacketMeta
 	txBuf     []byte
 	injectBuf []byte
-	// stage is Checkers linked into one image; see hydra.
-	stage *hopStage
+	// stage is Checkers linked into one image and linked the runtime it
+	// holds at each index; see hydra.
+	stage  *bytecode.Stage
+	linked []*compiler.Runtime
 }
 
 // NewSwitch creates a switch with the given identifier.
@@ -277,29 +280,48 @@ func (sw *Switch) process(frame []byte, inPort int) {
 }
 
 // hydra returns the switch's checkers as one linked image, relinked when
-// the attached set has grown since the last pass, with the state row the
-// attachments hold now.
-func (sw *Switch) hydra() *hopStage {
-	st := sw.stage
-	if st == nil || len(st.row) != len(sw.Checkers) {
-		rts := make([]*compiler.Runtime, len(sw.Checkers))
+// Checkers no longer holds the runtimes it was linked from — one more was
+// attached, or an entry was replaced — with the state row the attachments
+// hold now.
+func (sw *Switch) hydra() *bytecode.Stage {
+	linkedFrom := func(rt *compiler.Runtime, at *HydraAttachment) bool { return rt == at.Runtime }
+	if sw.stage == nil || !slices.EqualFunc(sw.linked, sw.Checkers, linkedFrom) {
+		members := make([]bytecode.Member, len(sw.Checkers))
+		sw.linked = sw.linked[:0]
 		for i, at := range sw.Checkers {
-			rts[i] = at.Runtime
+			members[i] = at.Runtime.Member(i)
+			sw.linked = append(sw.linked, at.Runtime)
 		}
-		st = linkStage(rts)
-		sw.stage = st
+		sw.stage = bytecode.Link(members...)
 	}
 	for i, at := range sw.Checkers {
-		st.row[i] = at.State
+		sw.stage.Row[i] = at.State
 	}
-	return st
+	return sw.stage
 }
 
-// deliver hands the reports of the pass just run to their attachments.
-func (sw *Switch) deliver(st *hopStage) {
-	c := st.ctx
-	for i, rep := range c.Reports {
-		if at := sw.Checkers[c.Owners[i]]; at.OnReport != nil {
+// pass runs one pipeline pass of the linked image over the packet as it is
+// now — before forwarding at ingress, after it at egress; outPort is
+// negative for a packet with no egress port. The telemetry in `in` (empty
+// at the first hop, else at least the image's size) is decoded first; a
+// program-specific binding in meta.Extra overrides a standard one.
+func (sw *Switch) pass(st *bytecode.Stage, in []byte, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) {
+	_ = st.Set.DecodeTele(in, st.Ctx.PHV) // cannot fail: in is empty or long enough
+	st.Ctx.BeginEphemeralReports()
+	h := st.H
+	st.FillPacket(pkt)
+	clear(h[bytecode.NumStdHeaders:])
+	h[bytecode.HInPort] = pipeline.B(8, uint64(inPort))
+	h[bytecode.HEgPort] = pipeline.B(8, uint64(max(outPort, 0)))
+	h[bytecode.HSkipFwd] = pipeline.BoolV(meta.Drop)
+	for path, v := range meta.Extra {
+		if i, ok := st.Index(path); ok {
+			h[i] = v
+		}
+	}
+	st.Run(sw.ID, pkt.WireLen(), first, last, b)
+	for i, rep := range st.Ctx.Reports {
+		if at := sw.Checkers[st.Ctx.Owners[i]]; at.OnReport != nil {
 			at.OnReport(sw, rep)
 		}
 	}
@@ -311,11 +333,9 @@ func (sw *Switch) deliver(st *hopStage) {
 func (sw *Switch) inject(pkt *dataplane.Decoded, meta *PacketMeta, inPort int) {
 	st := sw.hydra()
 	pkt.InsertHydra(nil)
-	st.bind(pkt, meta, inPort, -1)
-	_ = st.run(nil, sw.ID, pkt.WireLen(), true, false, bytecode.BlockInit) // an empty blob always decodes
-	sw.injectBuf = st.set.EncodeTele(sw.injectBuf[:0], st.ctx.PHV)
+	sw.pass(st, nil, pkt, meta, inPort, -1, true, false, bytecode.BlockInit)
+	sw.injectBuf = st.Set.EncodeTele(sw.injectBuf[:0], st.Ctx.PHV)
 	pkt.Hydra.Blob = sw.injectBuf
-	sw.deliver(st)
 }
 
 // egress runs the per-hop egress pipeline for one output port. frame,
@@ -342,7 +362,7 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		// its tail — both re-encoded into fresh storage.
 		in, blocks := pkt.Hydra.Blob, bytecode.BlockTelemetry
 		var dst []byte
-		if n := st.set.TeleWireBytes(); len(in) == n {
+		if n := st.Set.TeleWireBytes(); len(in) == n {
 			dst = in[:0]
 		} else if len(in) < n {
 			in = nil
@@ -350,20 +370,18 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		if lastHop {
 			blocks |= bytecode.BlockChecker
 		}
-		st.bind(pkt, meta, inPort, outPort)
-		_ = st.run(in, sw.ID, pkt.WireLen(), firstHop, lastHop, blocks) // in is empty or long enough
-		pkt.Hydra.Blob = st.set.EncodeTele(dst, st.ctx.PHV)
+		sw.pass(st, in, pkt, meta, inPort, outPort, firstHop, lastHop, blocks)
+		pkt.Hydra.Blob = st.Set.EncodeTele(dst, st.Ctx.PHV)
 		// A checker that could not be linked must never take down
 		// forwarding: it is counted and the packet goes on unchecked by it.
-		sw.ParseErrors += st.skipped
-		sw.deliver(st)
+		sw.ParseErrors += st.Skipped()
 		rejected := false
-		for k := 0; k < st.set.Len(); k++ {
-			at := sw.Checkers[st.set.Owner(k)]
+		for k := 0; k < st.Set.Len(); k++ {
+			at := sw.Checkers[st.Set.Owner(k)]
 			if lastHop || at.Runtime.CheckEveryHop {
 				at.Checked++
 			}
-			if st.set.Reject(st.ctx, k) {
+			if st.Set.Reject(st.Ctx, k) {
 				at.Rejected++
 				rejected = true
 			}

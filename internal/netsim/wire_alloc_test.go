@@ -145,7 +145,7 @@ func testWireAllocs(t *testing.T, keys []string) {
 		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
 		Payload: make([]byte, 64),
 	}
-	pkt.InsertHydra(make([]byte, sw.hydra().set.TeleWireBytes()))
+	pkt.InsertHydra(make([]byte, sw.hydra().Set.TeleWireBytes()))
 	template := pkt.Serialize()
 
 	hop := func() {
