@@ -195,8 +195,7 @@ type applySite struct {
 	keys   []int32
 	outs   []int32
 	hit    int32
-	wide   bool  // more key columns than PackedKey holds
-	cache  int32 // TCAM cache index; -1 for exact/wide sites
+	wide   bool // more key columns than PackedKey holds
 }
 
 // regSite resolves one register access.
@@ -249,8 +248,6 @@ type image struct {
 	bindSlots []int32
 
 	slotSwitch, slotPktLen, slotLast, slotFirst int32
-
-	nTCAM int
 
 	// resetRuns are the [lo, hi) scratch slot ranges BeginHop restores
 	// from the template — the statically writable slots plus bind
@@ -785,21 +782,7 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 		keys:  keys,
 		outs:  outs,
 		hit:   cp.intern(pipeline.FieldRef(spec.Name + ".$hit")),
-		cache: -1,
-	}
-	allExact := true
-	for _, k := range spec.Keys {
-		if k.Kind != pipeline.MatchExact {
-			allExact = false
-		}
-	}
-	if len(op.Keys) > pipeline.MaxPackedKeys || len(spec.Keys) > pipeline.MaxPackedKeys {
-		site.wide = true
-	} else if !allExact {
-		// TCAM sites get a per-context memo cache; exact sites read
-		// the table's lock-free snapshot directly.
-		site.cache = int32(p.img.nTCAM)
-		p.img.nTCAM++
+		wide:  len(op.Keys) > pipeline.MaxPackedKeys || len(spec.Keys) > pipeline.MaxPackedKeys,
 	}
 	idx := int32(len(p.img.applies))
 	p.img.applies = append(p.img.applies, site)

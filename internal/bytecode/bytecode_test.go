@@ -445,10 +445,9 @@ func TestVMResidentTraceParity(t *testing.T) {
 }
 
 // TestVMLiveInstall proves control-plane installs into a live State are
-// visible to a resident context without recompiling, across both table
-// flavors: the exact path reads the table's snapshot directly, and the
-// memoized TCAM path must invalidate via Table.Version on insert and
-// delete (no BeginBatch trust window is open here).
+// visible to a resident context at its next lookup without recompiling,
+// across both table flavors: the exact path reads the table's snapshot
+// directly, the TCAM path walks the table's entries under its read lock.
 func TestVMLiveInstall(t *testing.T) {
 	prog := sinkProgram(false)
 	vm := linkOne(t, prog)
@@ -468,8 +467,6 @@ func TestVMLiveInstall(t *testing.T) {
 	if acl, ex := run(); acl != 7 || ex != 0x0BEE {
 		t.Fatalf("pre-install: acl=%d ex=%#x, want 7 and 0xbee", acl, ex)
 	}
-	run() // the TCAM memo is warm before the table changes
-
 	aclTbl := st.Tables["t_acl"]
 	if err := aclTbl.Insert(pipeline.Entry{
 		Keys:     []pipeline.KeyMatch{pipeline.TernaryKey(100, 0xFFFF), pipeline.RangeKey(400, 600)},
@@ -483,18 +480,18 @@ func TestVMLiveInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	if acl, ex := run(); acl != 42 || ex != 777 {
-		t.Fatalf("post-install: acl=%d ex=%d, want 42 and 777 (stale cache?)", acl, ex)
+		t.Fatalf("post-install: acl=%d ex=%d, want 42 and 777", acl, ex)
 	}
 
 	if n := aclTbl.Delete([]pipeline.KeyMatch{pipeline.TernaryKey(100, 0xFFFF), pipeline.RangeKey(400, 600)}); n != 1 {
 		t.Fatalf("Delete removed %d entries, want 1", n)
 	}
 	if acl, _ := run(); acl != 7 {
-		t.Fatalf("post-delete: acl=%d, want 7 (stale cache after delete?)", acl)
+		t.Fatalf("post-delete: acl=%d, want 7", acl)
 	}
 
 	// The same hop, steady state, allocates nothing: packed-exact,
-	// memoized-TCAM and wide (slice-key) applies plus the in-place
+	// TCAM and wide (slice-key) applies plus the in-place
 	// encode; and neither do the table lookups themselves.
 	if raceEnabled {
 		return
@@ -593,29 +590,25 @@ func TestCorpusCompiles(t *testing.T) {
 	}
 }
 
-// TestBatchCacheRevalidation pins the TCAM cache freshness contract:
-// within a trust-caches window (BeginBatch) installs may be invisible,
-// but the next BeginBatch must observe them.
-func TestBatchCacheRevalidation(t *testing.T) {
+// TestInstallVisibleAtNextLookup pins the freshness contract of a TCAM
+// apply site on a resident context between passes of one trace: nothing
+// memoizes a lookup, so the pass after an install sees it.
+func TestInstallVisibleAtNextLookup(t *testing.T) {
 	prog := tortureProgram()
 	vm := linkOne(t, prog)
 	st := prog.NewState()
 	installTorture(t, st)
 	vm.Row[0] = st
 	slot, h0 := setSlot(t, vm, "tcam_t.out"), headerIndex(t, vm, "hdr.x.h0")
-	set, c := vm.Set, vm.Ctx
 	run := func(v uint64) uint64 {
 		vm.H[h0] = pipeline.B(8, v)
 		vm.Run(1, 100, true, false, bytecode.HopBlocks(true, false)) // init and telemetry
-		return c.PHV[slot].V
+		return vm.Ctx.PHV[slot].V
 	}
 
-	set.BeginBatch(c)
 	if got := run(0x04); got != 9 { // miss -> default
 		t.Fatalf("pre-install lookup = %d, want default 9", got)
 	}
-	// Install a higher-priority entry matching 0x04 mid-batch: the
-	// trusted cache may serve the stale default…
 	if err := st.Tables["tcam_t"].Insert(pipeline.Entry{
 		Keys:     []pipeline.KeyMatch{pipeline.TernaryKey(0x04, 0x04)},
 		Priority: 3,
@@ -623,13 +616,8 @@ func TestBatchCacheRevalidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := run(0x04); got != 9 {
-		t.Fatalf("mid-batch lookup = %d, want stale 9 (trusted cache)", got)
-	}
-	// …but the next batch boundary must see it.
-	set.BeginBatch(c)
 	if got := run(0x04); got != 77 {
-		t.Fatalf("post-BeginBatch lookup = %d, want 77", got)
+		t.Fatalf("lookup after the install = %d, want 77", got)
 	}
 }
 
@@ -664,8 +652,7 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 			sink++
 		}
 	}
-	set.BeginBatch(c)
-	for i := 0; i < 10; i++ { // warmup: caches, arena, report buffer
+	for i := 0; i < 10; i++ { // warmup: arena, report buffer
 		trace()
 	}
 	if n := testing.AllocsPerRun(200, trace); n > 0 {
@@ -798,7 +785,6 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 	vm.H[headerIndex(b, vm, "hdr.x.h0")] = pipeline.B(8, 9)
 	set, c := vm.Set, vm.Ctx
 	c.BeginEphemeralReports()
-	set.BeginBatch(c)
 	set.BeginTrace(c)
 	b.ReportAllocs()
 	b.ResetTimer()

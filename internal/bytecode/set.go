@@ -103,12 +103,8 @@ func LinkSet(members []Member) *Set {
 		base := [4]int32{int32(len(s.applies)), int32(len(s.regs)), int32(len(s.arrays)), int32(len(s.reports))}
 		for _, a := range p.img.applies {
 			a.member, a.keys, a.outs, a.hit = m.Index, remap(a.keys), remap(a.outs), slot[a.hit]
-			if a.cache >= 0 {
-				a.cache += int32(s.nTCAM)
-			}
 			s.applies = append(s.applies, a)
 		}
-		s.nTCAM += p.img.nTCAM
 		for _, r := range p.img.regs {
 			r.member = m.Index
 			s.regs = append(s.regs, r)

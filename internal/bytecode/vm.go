@@ -6,10 +6,10 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Ctx is the execution state of a Set: the flat PHV, the switch state,
-// and the per-context TCAM lookup caches. A Ctx is resident: created
-// once by Link and owned by one Stage — an engine shard's, a netsim
-// switch's — for its whole life, never re-templated.
+// Ctx is the execution state of a Set: the flat PHV and the switch
+// state. A Ctx is resident: created once by Link and owned by one Stage
+// — an engine shard's, a netsim switch's — for its whole life, never
+// re-templated.
 type Ctx struct {
 	PHV []pipeline.Value
 	// Reports are the digests raised so far; Owners[i] tags Reports[i]
@@ -23,18 +23,9 @@ type Ctx struct {
 	// row is BeginHop's.
 	row []*pipeline.State
 
-	caches []tcamCache
 	// wide is the reusable key buffer for applies of tables with more
 	// than MaxPackedKeys columns.
 	wide []uint64
-
-	// trustCaches suppresses the per-lookup Table.Version check after
-	// BeginBatch has validated every cache entry: for the rest of the
-	// batch, lookups trust the memoized results. Concurrent control
-	// plane installs are then observed with at most one batch of delay
-	// instead of at the next version poll — the same freshness contract
-	// batching already implies.
-	trustCaches bool
 
 	// Ephemeral-report mode (BeginEphemeralReports): reports and their
 	// Args are carved from context-owned buffers instead of being
@@ -62,80 +53,11 @@ func (c *Ctx) BeginEphemeralReports() {
 	c.argArena = c.argArena[:0]
 }
 
-// tcamWays is the associativity of each TCAM apply site's lookup cache.
-// A trace touches one *Table per switch it visits, so a single-entry
-// cache thrashes when a context runs a whole multi-switch trace; four
-// ways cover the topologies the corpus replays without a per-lookup
-// map.
-const tcamWays = 4
-
-// maxCacheEntries bounds each per-site memo map; beyond it, lookups
-// fall through uncached rather than growing the map unboundedly.
-const maxCacheEntries = 1024
-
-// tcamEnt memoizes TCAM lookups against one table, invalidated by
-// version change.
-type tcamEnt struct {
-	table   *pipeline.Table
-	version uint64
-	m       map[pipeline.PackedKey]cacheEnt
-}
-
-type cacheEnt struct {
-	action []pipeline.Value
-	hit    bool
-}
-
-// tcamCache is the per-site set of memo entries.
-type tcamCache struct {
-	ents [tcamWays]tcamEnt
-	rr   uint8
-}
-
-// ent returns the memo entry for t, revalidating (or evicting) as
-// needed. With trust set, a hit skips the version poll — BeginBatch
-// has already validated it this batch.
-func (sc *tcamCache) ent(t *pipeline.Table, trust bool) *tcamEnt {
-	for i := range sc.ents {
-		e := &sc.ents[i]
-		if e.table == t {
-			if !trust {
-				if v := t.Version(); v != e.version {
-					e.version = v
-					clear(e.m)
-				}
-			}
-			return e
-		}
-	}
-	var e *tcamEnt
-	for i := range sc.ents {
-		if sc.ents[i].table == nil {
-			e = &sc.ents[i]
-			break
-		}
-	}
-	if e == nil {
-		e = &sc.ents[sc.rr]
-		sc.rr = (sc.rr + 1) % tcamWays
-	}
-	e.table, e.version = t, t.Version()
-	if e.m == nil {
-		e.m = make(map[pipeline.PackedKey]cacheEnt, 16)
-	} else {
-		clear(e.m)
-	}
-	return e
-}
-
 // NewCtx returns a fresh context the caller owns for as long as it
 // likes, its PHV holding the template (decode-empty telemetry,
 // width-defaulted fields, constants).
 func (p *image) NewCtx() *Ctx {
-	c := &Ctx{
-		PHV:    make([]pipeline.Value, p.nSlots),
-		caches: make([]tcamCache, p.nTCAM),
-	}
+	c := &Ctx{PHV: make([]pipeline.Value, p.nSlots)}
 	copy(c.PHV, p.template)
 	return c
 }
@@ -182,25 +104,6 @@ const (
 	BlockTelemetry
 	BlockChecker
 )
-
-// BeginBatch revalidates every TCAM cache entry once and arms
-// trust-caches mode: from here on, apply sites skip the per-lookup
-// version poll and see an install at the next BeginBatch.
-func (p *image) BeginBatch(c *Ctx) {
-	for i := range c.caches {
-		for j := range c.caches[i].ents {
-			e := &c.caches[i].ents[j]
-			if e.table == nil {
-				continue
-			}
-			if v := e.table.Version(); v != e.version {
-				e.version = v
-				clear(e.m)
-			}
-		}
-	}
-	c.trustCaches = true
-}
 
 // run is the dispatch loop: one flat instruction array, one switch, no
 // closures, no interface values. Ops that correspond to IR ops bump
@@ -445,10 +348,10 @@ func binWidth(x, y pipeline.Value) int {
 	return x.W
 }
 
-// runApply executes one apply site. Exact-packed tables go straight to
-// the table's lock-free snapshot; TCAM sites memoize through the
-// per-context set-associative cache; wide tables take the generic
-// slice path.
+// runApply executes one apply site. A table of at most MaxPackedKeys
+// columns is looked up by a key passed by value — an exact one from its
+// lock-free snapshot, any other kind under the table's read lock; wider
+// tables take the generic slice path.
 func (p *image) runApply(c *Ctx, site *applySite) {
 	t := c.row[site.member].TableAt(site.table, site.name)
 	if site.wide {
@@ -468,20 +371,8 @@ func (p *image) runApply(c *Ctx, site *applySite) {
 	for i, s := range site.keys {
 		k[i] = c.PHV[s].V
 	}
-	if site.cache < 0 {
-		action, hit := t.LookupPacked(k)
-		p.writeOut(c, site, action, hit)
-		return
-	}
-	e := c.caches[site.cache].ent(t, c.trustCaches)
-	ce, ok := e.m[k]
-	if !ok {
-		ce.action, ce.hit = t.LookupPacked(k)
-		if len(e.m) < maxCacheEntries {
-			e.m[k] = ce
-		}
-	}
-	p.writeOut(c, site, ce.action, ce.hit)
+	action, hit := t.LookupPacked(k)
+	p.writeOut(c, site, action, hit)
 }
 
 func (p *image) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit bool) {

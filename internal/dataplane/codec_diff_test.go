@@ -260,12 +260,40 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func BenchmarkParseInto(b *testing.B) {
+// codecBenchFrame is the frame the codec's hot-path budget is stated on:
+// VLAN + 24-byte Hydra blob + UDP.
+func codecBenchFrame() []byte {
 	d := buildUDPPacket([]byte("benchmark payload bytes"))
 	d.HasVLAN = true
 	d.VLAN = VLAN{VID: 42}
 	d.InsertHydra(make([]byte, 24))
-	wire := d.Serialize()
+	return d.Serialize()
+}
+
+// TestCodecAllocs: parsing into a caller-owned Decoded and serializing
+// into a buffer of WireLen capacity allocate nothing — an accidental
+// per-parse allocation fails here on any machine.
+func TestCodecAllocs(t *testing.T) {
+	wire := codecBenchFrame()
+	var dec Decoded
+	if n := testing.AllocsPerRun(200, func() {
+		if err := ParseInto(&dec, wire); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("ParseInto: %.1f allocs/run, want 0", n)
+	}
+	buf := make([]byte, 0, dec.WireLen())
+	if n := testing.AllocsPerRun(200, func() { buf = dec.AppendTo(buf[:0]) }); n > 0 {
+		t.Errorf("AppendTo: %.1f allocs/run, want 0", n)
+	}
+	if !bytes.Equal(buf, wire) {
+		t.Errorf("AppendTo(ParseInto(frame)) != frame")
+	}
+}
+
+func BenchmarkParseInto(b *testing.B) {
+	wire := codecBenchFrame()
 	var dec Decoded
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -277,11 +305,7 @@ func BenchmarkParseInto(b *testing.B) {
 }
 
 func BenchmarkAppendTo(b *testing.B) {
-	d := buildUDPPacket([]byte("benchmark payload bytes"))
-	d.HasVLAN = true
-	d.VLAN = VLAN{VID: 42}
-	d.InsertHydra(make([]byte, 24))
-	p, err := Parse(d.Serialize())
+	p, err := Parse(codecBenchFrame())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -109,9 +109,9 @@ func diffAliased(t *testing.T, label string, got, want difftest.TraceResult) {
 // by hop through Linked.Pass — a set of one on ONE resident context,
 // never released, never re-templated, the blob rewritten in place —
 // with every slot the VM can write poisoned before each hop and foreign
-// dirt traces interleaved so the table-apply caches and the report
-// arena carry another flow. Outcomes must be byte-identical to the map
-// reference on pristine state: the blob decode plus BeginHop's reset
+// dirt traces interleaved so the report arena carries another flow.
+// Outcomes must be byte-identical to the map reference on pristine
+// state: the blob decode plus BeginHop's reset
 // runs must erase every poisoned slot an execution could observe, and
 // each pass's BeginEphemeralReports every report of the pass before.
 func TestResidentHopAliasing(t *testing.T) {
@@ -157,8 +157,7 @@ func TestResidentHopAliasing(t *testing.T) {
 // shape (Linked.RunTrace: telemetry in the slots from BeginTrace to the
 // one final encode) on a context that is poisoned between traces —
 // telemetry slots included, which only BeginTrace restores — and handed
-// a stale report, with foreign dirt traces interleaved so the per-site
-// table caches hold another packet's entries. Outcomes must be
+// a stale report, with foreign dirt traces interleaved. Outcomes must be
 // byte-identical to a pristine context's.
 func TestVMScratchAliasing(t *testing.T) {
 	for _, gt := range goldenTraces {

@@ -11,10 +11,10 @@ import (
 )
 
 // TestEngineAllocs is the engine's hot-path allocation budget: after
-// warm-up (per-switch states created, report arenas grown, TCAM caches
-// populated), checking a campus packet — all 12 corpus checkers across
-// every hop of its path — allocates nothing, however the execution loop
-// is driven. The bus row adds the armed storm probe, so every hop also
+// warm-up (per-switch states created, report arenas grown), checking a
+// campus packet — all 12 corpus checkers across every hop of its path —
+// allocates nothing, however the execution loop is driven. The bus row
+// adds the armed storm probe, so every hop also
 // raises a digest and publishes it into the shard's ring (an unstarted
 // bus: the ring fills and then drops, with no collector goroutine to
 // blur the count).

@@ -216,10 +216,10 @@ func (s *shard) install(checker string, switchID uint32, fn func(*pipeline.State
 	return nil
 }
 
-// Warm eagerly rebuilds the lock-free table snapshots of every state
-// replica created so far (pipeline.State.Warm). Call it after a batch
-// of Installs and before submitting traffic, so the first packets don't
-// pay the O(n) snapshot rebuilds on the data path.
+// Warm publishes the lock-free table read views of every state replica
+// created so far (pipeline.State.Warm; O(1) a table). Call it after a
+// batch of Installs and before submitting traffic, so the first packets
+// don't take the table locks to publish on the data path.
 func (e *Engine) Warm() {
 	for _, s := range e.shards {
 		s.warm()
@@ -397,14 +397,9 @@ func (s *shard) row(switchID uint32) []*pipeline.State {
 // Once all checkers have run at a hop where any of them rejected, the
 // packet halts there, so hops it never reached leave no register
 // write and no report — wherever in the program the reject was raised.
-//
-// BeginBatch revalidates the TCAM memo caches once per call and
-// lookups inside the call skip the version poll, so a concurrent
-// Install becomes visible with at most one batch of delay.
 func (s *shard) exec(batch []Packet) {
 	st := s.st
 	set, c := st.Set, st.Ctx
-	set.BeginBatch(c)
 	for pi := range batch {
 		p := &batch[pi]
 		s.counts.Packets++

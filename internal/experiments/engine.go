@@ -223,8 +223,7 @@ func RunEngineReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
 // engine.Sequential in BatchSize slices (default 1): the per-packet
 // cost of the engine's execution loop itself, without the sharded
 // engine's dispatch queues around it. At BatchSize 64 it is the number
-// the BenchmarkEngineBatch* benchmarks track and BENCH_baseline.json
-// pins as batch_pps.
+// the BenchmarkEngineBatch* benchmarks track.
 func RunSequentialReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
 	f, err := newReplayFixture(cfg)
 	if err != nil {

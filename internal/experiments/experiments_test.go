@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -14,11 +15,34 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 11 {
-		t.Fatalf("Table 1 has %d rows, want 11", len(rows))
+	// PHV occupancy is a deterministic function of the compiler's field
+	// layout, so it is pinned per checker: a layout change shows here and
+	// the table is updated with it, and a checker added to Table 1
+	// without a row fails.
+	goldenPHV := map[string]float64{
+		"app-filtering":     50.1940625,
+		"egress-validity":   48.2409375,
+		"load-balance":      56.24875,
+		"loop-freedom":      52.9284375,
+		"multi-tenancy":     48.43625,
+		"routing-validity":  47.264375,
+		"service-chain":     52.1471875,
+		"source-routing":    54.4909375,
+		"stateful-firewall": 47.264375,
+		"vlan-isolation":    47.655,
+		"waypointing":       48.826875,
+	}
+	if len(rows) != len(goldenPHV) {
+		t.Fatalf("Table 1 has %d rows, want %d", len(rows), len(goldenPHV))
 	}
 	ratios := 0.0
 	for _, r := range rows {
+		if want, ok := goldenPHV[r.Key]; !ok {
+			t.Errorf("%s: no golden phv_pct row", r.Key)
+		} else if math.Abs(r.PHVPct-want) > 0.01 {
+			t.Errorf("%s: phv_pct = %.4f, golden %.4f — a compiler layout change", r.Key, r.PHVPct, want)
+		}
+		delete(goldenPHV, r.Key) // a second row of one checker has no golden left
 		// The conciseness claim: generated P4 is always larger than the
 		// Indus source (the paper's own app-filtering row is only ~2x,
 		// so the per-row bound is loose and the average is checked below).

@@ -672,6 +672,77 @@ func TestIngestStop(t *testing.T) {
 	}
 }
 
+// endlessSource is a Source that never returns io.EOF, the shape of an
+// AF_PACKET tap: it cycles its frames, closes started once it has
+// delivered them all once, and from then on paces itself, so a scan that
+// never ends grows by a thousand records a second, not by millions.
+type endlessSource struct {
+	frames  [][]byte
+	i       int
+	started chan struct{}
+}
+
+func (l *endlessSource) Next() ([]byte, error) {
+	if l.i == len(l.frames) {
+		close(l.started)
+	}
+	if l.i >= len(l.frames) {
+		time.Sleep(time.Millisecond)
+	}
+	f := l.frames[l.i%len(l.frames)]
+	l.i++
+	return f, nil
+}
+
+func (l *endlessSource) Close() error { return nil }
+
+// TestIngestStopDuringScan: Stop reaches the scan, not only the
+// dispatcher. On a source with no end Run returns soon after Stop with
+// what was scanned counted, nothing dispatched, and every sender's
+// session opened and Fin'd cleanly.
+func TestIngestStopDuringScan(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fw := &fakeWorker{ln: ln}
+	go fw.serve()
+
+	ing, err := NewIngest(IngestConfig{Workers: []string{ln.Addr().String()}, PathFor: testPath, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &endlessSource{frames: campusFrames(200), started: make(chan struct{})}
+	type result struct {
+		stats IngestStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := ing.Run(src)
+		done <- result{stats, err}
+	}()
+	<-src.started
+	ing.Stop()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.stats.FramesRead < 200 || r.stats.Packets != 0 {
+			t.Fatalf("stopped scan: %d frames read, %d packets dispatched, want >= 200 and 0", r.stats.FramesRead, r.stats.Packets)
+		}
+		for _, w := range r.stats.Workers {
+			if w.Error != "" || w.Assigned != 0 {
+				t.Fatalf("worker link after a stopped scan: %+v", w)
+			}
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Run did not return within a second of Stop: the scan ignores it")
+	}
+}
+
 func TestOpenPcapRejectsNonEthernet(t *testing.T) {
 	if _, err := OpenPcap("/dev/null"); err == nil {
 		t.Fatal("OpenPcap(/dev/null) should fail")

@@ -173,8 +173,9 @@ func NewIngest(cfg IngestConfig) (*Ingest, error) {
 	return in, nil
 }
 
-// Stop asks a running Run to finish early: the dispatcher stops after
-// the current batch and the senders drain and Fin normally.
+// Stop asks a running Run to finish early: the scan stops at the next
+// frame, the dispatcher after the current batch, and the senders drain
+// and Fin normally.
 func (in *Ingest) Stop() { in.stop.Store(true) }
 
 // rec is one scanned capture record: its flow, its wire length and the
@@ -298,7 +299,8 @@ dispatch:
 	return packets
 }
 
-// load scans the capture to its end: every frame is parsed to its
+// load scans the capture to its end, or to the frame at which Stop was
+// called — a live source has no end: every frame is parsed to its
 // 5-tuple and pinned to a worker, and the unique (src, dst) pairs are
 // collected in first-occurrence order for the firewall seed.
 func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, error) {
@@ -309,7 +311,7 @@ func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, erro
 		dec   dataplane.Decoded
 	)
 	nWorkers := uint32(len(in.cfg.Workers))
-	for {
+	for !in.stop.Load() {
 		frame, err := src.Next()
 		if err == io.EOF {
 			break

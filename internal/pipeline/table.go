@@ -160,7 +160,7 @@ type Table struct {
 	entries []*Entry // TCAM path, kept sorted by priority desc
 	isExact bool
 	// version increments on every mutation; read without the lock
-	// (atomically) so per-shard lookup caches can validate cheaply.
+	// (atomically).
 	version atomic.Uint64
 }
 
@@ -452,8 +452,8 @@ func (t *Table) Len() int {
 }
 
 // Version increments on every mutation. It is read without taking the
-// table lock, so per-shard lookup caches (and control-plane race
-// detection in tests) can poll it cheaply.
+// table lock, so a test can poll it to tell whether a control-plane
+// write happened.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Lookup matches the key values, one per key column, and returns the
