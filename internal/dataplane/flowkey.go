@@ -41,6 +41,24 @@ var rssKey = func() [40]byte {
 	return k
 }()
 
+// rssTable[i][v] is what byte value v at input byte i adds to the
+// Toeplitz hash: the XOR of the 32-bit rssKey windows starting at v's
+// set bits. The hash is linear in its input bits, so the hash of an
+// input is the XOR of one entry per byte.
+var rssTable = func() (t [13][256]uint32) {
+	for i := range t {
+		key := binary.BigEndian.Uint64(rssKey[i:])
+		for v := range t[i] {
+			for bit := 0; bit < 8; bit++ {
+				if v&(0x80>>bit) != 0 {
+					t[i][v] ^= uint32(key >> (32 - bit))
+				}
+			}
+		}
+	}
+	return t
+}()
+
 // RSSHash is the Toeplitz hash of the flow key over the standard RSS
 // input layout (src, dst, sport, dport — plus the protocol byte, which
 // hardware RSS folds into the queue-indirection table instead).
@@ -51,23 +69,9 @@ func (k FlowKey) RSSHash() uint32 {
 	binary.BigEndian.PutUint16(in[8:10], k.Sport)
 	binary.BigEndian.PutUint16(in[10:12], k.Dport)
 	in[12] = k.Proto
-	return toeplitz(in[:])
-}
-
-// toeplitz computes the Toeplitz hash of data under rssKey: for every
-// set bit of the input, XOR in the 32-bit key window starting at that
-// bit position.
-func toeplitz(data []byte) uint32 {
 	var h uint32
-	w := binary.BigEndian.Uint32(rssKey[0:4])
-	for i, b := range data {
-		for bit := 0; bit < 8; bit++ {
-			if b&(0x80>>uint(bit)) != 0 {
-				h ^= w
-			}
-			next := rssKey[i+4] >> uint(7-bit) & 1
-			w = w<<1 | uint32(next)
-		}
+	for i, b := range in {
+		h ^= rssTable[i][b]
 	}
 	return h
 }

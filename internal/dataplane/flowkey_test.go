@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -46,6 +47,77 @@ func TestRSSHashSpread(t *testing.T) {
 		if c < flows/buckets/2 || c > flows/buckets*2 {
 			t.Fatalf("bucket %d holds %d of %d flows (counts %v)", b, c, flows, counts)
 		}
+	}
+}
+
+// toeplitz is the bit-serial reference for RSSHash's table: for every
+// set bit of the input, XOR in the 32-bit rssKey window starting at that
+// bit position.
+func toeplitz(data []byte) uint32 {
+	var h uint32
+	w := binary.BigEndian.Uint32(rssKey[0:4])
+	for i, b := range data {
+		for bit := 0; bit < 8; bit++ {
+			if b&(0x80>>uint(bit)) != 0 {
+				h ^= w
+			}
+			next := rssKey[i+4] >> uint(7-bit) & 1
+			w = w<<1 | uint32(next)
+		}
+	}
+	return h
+}
+
+// rssKeyOf is the flow key whose RSSHash input bytes are in.
+func rssKeyOf(in []byte) FlowKey {
+	return FlowKey{
+		Src:   IP4(binary.BigEndian.Uint32(in[0:4])),
+		Dst:   IP4(binary.BigEndian.Uint32(in[4:8])),
+		Sport: binary.BigEndian.Uint16(in[8:10]),
+		Dport: binary.BigEndian.Uint16(in[10:12]),
+		Proto: in[12],
+	}
+}
+
+// TestRSSHashMatchesReference: the table hash equals the bit-serial one.
+// The single-byte inputs read every table entry once; both hashes are
+// XORs over the input's bytes, so equality there is equality everywhere,
+// and the random keys check that the combination is that XOR.
+func TestRSSHashMatchesReference(t *testing.T) {
+	for i := 0; i < 13; i++ {
+		for v := 0; v < 256; v++ {
+			var in [13]byte
+			in[i] = byte(v)
+			if got, want := rssKeyOf(in[:]).RSSHash(), toeplitz(in[:]); got != want {
+				t.Fatalf("byte %d = %#02x: RSSHash %08x, reference %08x", i, v, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	var in [13]byte
+	for n := 0; n < 1_000_000; n++ {
+		rng.Read(in[:])
+		if got, want := rssKeyOf(in[:]).RSSHash(), toeplitz(in[:]); got != want {
+			t.Fatalf("input % x: RSSHash %08x, reference %08x", in, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rssSink = FlowKey{Src: 1, Dst: 2}.RSSHash() }); allocs != 0 {
+		t.Fatalf("RSSHash allocated %v times, want 0", allocs)
+	}
+}
+
+var rssSink uint32
+
+func BenchmarkRSSHash(b *testing.B) {
+	keys := make([]FlowKey, 1024)
+	rng := rand.New(rand.NewSource(4))
+	for i := range keys {
+		keys[i] = randKey(rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rssSink ^= keys[i&1023].RSSHash()
 	}
 }
 

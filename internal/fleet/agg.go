@@ -61,6 +61,9 @@ type Agg struct {
 	sessions  map[uint64]*sessionLedger
 	summaries int
 	received  uint64
+	// arrived is closed, and replaced, when a summary is recorded: a
+	// waiter blocks on the channel it read beside summaries.
+	arrived chan struct{}
 
 	mDigests   *metrics.Counter
 	mBatches   *metrics.Counter
@@ -79,6 +82,7 @@ func NewAgg(cfg AggConfig) *Agg {
 		cfg:      cfg,
 		aggs:     map[string]*reportbus.Aggregate{},
 		sessions: map[uint64]*sessionLedger{},
+		arrived:  make(chan struct{}),
 	}
 	reg := cfg.Metrics
 	a.mDigests = reg.Counter("hydra_agg_digests_total", "Digests received inside aggregate windows.", nil)
@@ -151,6 +155,8 @@ func (a *Agg) handle(conn net.Conn) error {
 			a.note(sum.Session, sum.Node, func(l *sessionLedger) {
 				if l.summary == nil {
 					a.summaries++
+					close(a.arrived)
+					a.arrived = make(chan struct{})
 				}
 				cp := sum
 				l.summary = &cp
@@ -221,17 +227,26 @@ func (a *Agg) Summaries() int {
 }
 
 // WaitSummaries blocks until n session summaries arrived or the
-// timeout elapsed.
+// timeout elapsed; a timeout <= 0 checks once. It wakes as each summary
+// is recorded.
 func (a *Agg) WaitSummaries(n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		if a.Summaries() >= n {
+		a.mu.Lock()
+		got, arrived := a.summaries, a.arrived
+		a.mu.Unlock()
+		if got >= n {
 			return true
 		}
-		if time.Now().After(deadline) {
+		if timeout <= 0 {
 			return false
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-arrived:
+		case <-deadline.C:
+			return false
+		}
 	}
 }
 

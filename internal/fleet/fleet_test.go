@@ -208,6 +208,111 @@ func TestFleetInProcessClean(t *testing.T) {
 	}
 }
 
+// aggUplink serves a fresh aggregator and returns it with one uplink
+// writer to it.
+func aggUplink(t *testing.T) (*Agg, *wireproto.Writer) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	agg := NewAgg(AggConfig{Node: "agg", Logf: t.Logf})
+	go agg.Serve(ln)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return agg, wireproto.NewWriter(conn)
+}
+
+func writeSummary(t *testing.T, w *wireproto.Writer, session uint64) {
+	t.Helper()
+	if err := writeJSON(w, wireproto.TypeSummary, Summary{Session: session, Node: "w", Clean: true}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitSummariesWakesOnArrival: a waiter returns as the summary is
+// recorded, not at a poll tick. The frame is written 25 ms after the
+// waiter starts, so a 20 ms poll would wake ≈ 15 ms after it.
+func TestWaitSummariesWakesOnArrival(t *testing.T) {
+	agg, w := aggUplink(t)
+	woke := make(chan time.Time, 1)
+	go func() {
+		if agg.WaitSummaries(1, 5*time.Second) {
+			woke <- time.Now()
+		}
+		close(woke)
+	}()
+	time.Sleep(25 * time.Millisecond) // let the waiter block
+	written := time.Now()
+	writeSummary(t, w, 1)
+	at, ok := <-woke
+	if !ok {
+		t.Fatal("waiter timed out with the summary written")
+	}
+	if lag := at.Sub(written); lag > 10*time.Millisecond {
+		t.Fatalf("waiter returned %v after the summary frame was written, want <= 10ms", lag)
+	}
+}
+
+// TestWaitSummariesTimeoutAndSatisfied: no summary is false at the
+// timeout; a count already reached is true without waiting, even with a
+// timeout <= 0, which otherwise checks once.
+func TestWaitSummariesTimeoutAndSatisfied(t *testing.T) {
+	agg, w := aggUplink(t)
+	start := time.Now()
+	if agg.WaitSummaries(1, 30*time.Millisecond) {
+		t.Fatal("WaitSummaries(1) true with no summary sent")
+	}
+	if waited := time.Since(start); waited < 30*time.Millisecond {
+		t.Fatalf("WaitSummaries returned false after %v, before its 30ms timeout", waited)
+	}
+	if agg.WaitSummaries(1, 0) {
+		t.Fatal("WaitSummaries(1, 0) true with no summary sent")
+	}
+	writeSummary(t, w, 1)
+	if !agg.WaitSummaries(1, 5*time.Second) {
+		t.Fatal("summary never recorded")
+	}
+	start = time.Now()
+	if !agg.WaitSummaries(1, 0) || !agg.WaitSummaries(1, time.Hour) {
+		t.Fatal("WaitSummaries(1) false with one summary recorded")
+	}
+	if waited := time.Since(start); waited > 10*time.Millisecond {
+		t.Fatalf("an already satisfied WaitSummaries took %v", waited)
+	}
+}
+
+// TestWaitSummariesConcurrentWaiters: each waiter returns when its own
+// count is reached. A second summary of one session does not count.
+func TestWaitSummariesConcurrentWaiters(t *testing.T) {
+	agg, w := aggUplink(t)
+	one, two := make(chan bool, 1), make(chan bool, 1)
+	go func() { one <- agg.WaitSummaries(1, 5*time.Second) }()
+	go func() { two <- agg.WaitSummaries(2, 5*time.Second) }()
+	writeSummary(t, w, 1)
+	writeSummary(t, w, 1)
+	if !<-one {
+		t.Fatal("waiter for 1 summary timed out")
+	}
+	select {
+	case ok := <-two:
+		t.Fatalf("waiter for 2 summaries returned %t with one session summarized", ok)
+	default:
+	}
+	writeSummary(t, w, 2)
+	if !<-two {
+		t.Fatal("waiter for 2 summaries timed out")
+	}
+	// One uplink's frames are recorded in order: the repeat is in.
+	if n := agg.Summaries(); n != 2 {
+		t.Fatalf("%d summaries counted for two sessions", n)
+	}
+}
+
 // hopPath is a fabric model with paths of flow-dependent length (1–3
 // hops), so hop-slab offsets are exercised.
 func hopPath(k dataplane.FlowKey) []engine.Hop {
@@ -740,6 +845,62 @@ func TestIngestStopDuringScan(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Run did not return within a second of Stop: the scan ignores it")
+	}
+}
+
+// TestIngestStopDuringBackoff: Stop reaches a sender backing off between
+// dials to a worker nobody listens on, at the default retry schedule
+// (≈ 69 s to give up). Run returns soon after, and the batches the
+// dispatcher had queued are accounted failed.
+func TestIngestStopDuringBackoff(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	scanned := make(chan struct{})
+	var once sync.Once
+	ing, err := NewIngest(IngestConfig{
+		Workers: []string{addr}, PathFor: testPath,
+		Logf: func(format string, args ...any) {
+			t.Logf(format, args...)
+			once.Do(func() { close(scanned) }) // the first line ends the scan
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		stats IngestStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := ing.Run(&memSource{frames: campusFrames(3000)})
+		done <- result{stats, err}
+	}()
+	<-scanned
+	// The sender dials at once, fails, and backs off 50 ms, then 100 ms:
+	// at 100 ms it is between its second and third attempts, and the
+	// dispatcher is blocked on its full queue.
+	time.Sleep(100 * time.Millisecond)
+	ing.Stop()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		w := r.stats.Workers[0]
+		if w.Assigned == 0 || w.Assigned != r.stats.Packets || w.Acked+w.Dropped["failed"] != w.Assigned {
+			t.Fatalf("stopped link %+v of %d packets dispatched: want acked + failed == assigned > 0", w, r.stats.Packets)
+		}
+		if !strings.Contains(w.Error, "stopped") {
+			t.Fatalf("link error %q does not say the sender was stopped", w.Error)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run did not return within 2 s of Stop: the sender sleeps out its backoff")
 	}
 }
 

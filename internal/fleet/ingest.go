@@ -113,10 +113,13 @@ func FilterSeedPairs(pairs [][2]uint32, skipEvery int) (kept [][2]uint32, skippe
 // fabric path as its batch fills — as binary packet batches to the
 // worker fleet under per-worker credit windows.
 type Ingest struct {
-	cfg     IngestConfig
-	stop    atomic.Bool
-	acked   atomic.Uint64
-	started time.Time
+	cfg  IngestConfig
+	stop atomic.Bool
+	// stopc is closed once by Stop, for a sender waiting between dials.
+	stopc    chan struct{}
+	stopOnce sync.Once
+	acked    atomic.Uint64
+	started  time.Time
 
 	mFrames    *metrics.Counter
 	mPPS       *metrics.Gauge
@@ -163,7 +166,7 @@ func NewIngest(cfg IngestConfig) (*Ingest, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	in := &Ingest{cfg: cfg}
+	in := &Ingest{cfg: cfg, stopc: make(chan struct{})}
 	reg := cfg.Metrics
 	in.mFrames = reg.Counter("hydra_ingest_frames_total", "Frames read from the capture source.", nil)
 	in.mPPS = reg.Gauge("hydra_ingest_pps", "Smoothed acknowledged packets per second.", nil)
@@ -175,8 +178,12 @@ func NewIngest(cfg IngestConfig) (*Ingest, error) {
 
 // Stop asks a running Run to finish early: the scan stops at the next
 // frame, the dispatcher after the current batch, and the senders drain
-// and Fin normally.
-func (in *Ingest) Stop() { in.stop.Store(true) }
+// and Fin normally — a sender backing off between dials gives up, and
+// what it was assigned is accounted failed.
+func (in *Ingest) Stop() {
+	in.stop.Store(true)
+	in.stopOnce.Do(func() { close(in.stopc) })
+}
 
 // rec is one scanned capture record: its flow, its wire length and the
 // worker the flow is pinned to.
@@ -327,7 +334,7 @@ func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, erro
 		}
 		key := dataplane.FlowKeyOf(&dec)
 		// With one worker the hash's remainder is 0 whatever it is, and
-		// the software Toeplitz hash is the dearest step of the scan.
+		// the scan is on the session's critical path: skip the hash.
 		var worker int32
 		if nWorkers > 1 {
 			worker = int32(key.RSSHash() % nWorkers)
@@ -569,9 +576,16 @@ func (s *sender) onConnError(err error) {
 func (s *sender) connect() bool {
 	backoff := s.in.cfg.BackoffBase
 	var lastErr error
-	for attempt := 0; attempt < s.in.cfg.DialRetries; attempt++ {
+	attempt := 0
+dial:
+	for ; attempt < s.in.cfg.DialRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(backoff)
+			select {
+			case <-time.After(backoff):
+			case <-s.in.stopc:
+				lastErr = fmt.Errorf("stopped while backing off: %w", lastErr)
+				break dial
+			}
 			if backoff *= 2; backoff > s.in.cfg.BackoffMax {
 				backoff = s.in.cfg.BackoffMax
 			}
@@ -600,7 +614,7 @@ func (s *sender) connect() bool {
 		return true
 	}
 	s.err = fmt.Errorf("fleet: worker %d (%s) unreachable after %d attempts: %w",
-		s.idx, s.addr, s.in.cfg.DialRetries, lastErr)
+		s.idx, s.addr, attempt, lastErr)
 	s.in.cfg.Logf("ingest: %v", s.err)
 	return false
 }

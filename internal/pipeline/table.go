@@ -452,8 +452,9 @@ func (t *Table) Len() int {
 }
 
 // Version increments on every mutation. It is read without taking the
-// table lock, so a test can poll it to tell whether a control-plane
-// write happened.
+// table lock: experiments.FirewallSeed compares it to tell whether its
+// donor table changed since it was seeded, and a test can poll it to
+// tell whether a control-plane write happened.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Lookup matches the key values, one per key column, and returns the

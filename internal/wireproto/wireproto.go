@@ -15,10 +15,12 @@
 // the packet batch — has a fixed little-endian binary codec that
 // decodes by reslicing, no per-packet allocation; the firewall seed,
 // tens of thousands of pairs the worker must hold before it checks a
-// session's first packet, shares its style. The other control payloads (hello, stats,
-// summaries, aggregates) are JSON inside the same framing; they run
-// once per connection or per stats tick, where schema evolution
-// matters more than nanoseconds.
+// session's first packet, shares its style. The other control payloads
+// (hello, stats, summaries, aggregates) are JSON inside the same
+// framing. Most run once per connection or stats tick; an aggregate
+// batch runs once per report-bus window (5 ms in the benchmark's fleet
+// session), and decoding it is ≈ 5 % of a session's CPU. It stays JSON
+// because bench/'s ladder stage fleet.agg writes JSON aggregate frames.
 package wireproto
 
 import (
