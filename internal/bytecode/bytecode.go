@@ -24,8 +24,11 @@
 //     entirely: tele state simply stays in the slots between hops,
 //     which is equivalent because every write into a tele slot is
 //     already masked to its declared wire width (encode∘decode is the
-//     identity). Per-hop scratch reset is then one copy of the
-//     non-tele template region.
+//     identity).
+//   - The scratch slots some block may read before writing come next to
+//     one another — a linked Set places every member's in one region
+//     after the builtins — so the per-hop reset is one copy of that
+//     region of the template.
 //   - Every slot's "unwritten" value is precomputed into a template:
 //     slot widths are mined from the program's Field reads, so a read
 //     of a never-written field sees Value{W: declared} exactly as the
@@ -39,12 +42,21 @@
 //     because pipeline expressions are pure and total (no state reads,
 //     no traps: division by zero yields zero, oversized shifts yield
 //     zero).
+//   - Two instructions fuse where no jump lands between them and the
+//     first's result has no other reader: a compare and its IfOp's jump
+//     (opJzEq…), an add and the AssignOp of its sum (opAddAssign: x +=
+//     k), an apply and the AssignOp right after it that copies its one
+//     output or its hit (opApplyAssign). An apply of a table without key
+//     columns builds no key (opApply0), and the OR chain compileIn
+//     unrolls for `x in arr` is one scan (opIn). A fused instruction
+//     counts the IR ops it stands for in OpsExecuted.
 package bytecode
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/pipeline"
 )
@@ -57,11 +69,12 @@ type OpKind uint8
 // keeping the performance-model counters identical to the other
 // executors.
 const (
-	opNop    OpKind = iota
-	opLoadF         // A=dst, B=src, W: width-defaulting field read
-	opAssign        // A=dst, B=src, W: dst = B(W, src.V) [ir]
-	opJmp           // A=target
-	opJz            // A=cond, B=target: jump if cond is false [ir: IfOp]
+	opNop       OpKind = iota
+	opLoadF            // A=dst, B=src, W: width-defaulting field read
+	opAssign           // A=dst, B=src, W: dst = B(W, src.V) [ir]
+	opAddAssign        // A=dst, B, C, W: an opAssign of the opAdd before it, both masks kept [ir: AssignOp]
+	opJmp              // A=target
+	opJz               // A=cond, B=target: jump if cond is false [ir: IfOp]
 
 	opNot  // A=dst, B=src
 	opBNot //
@@ -109,12 +122,15 @@ const (
 	opJzOr  // taken unless B or C is truthy
 	opJnz   // A=cond, B=target: fused !x — taken when cond is TRUE [ir: IfOp]
 
-	opApply    // A=apply-site [ir]
-	opRegRead  // A=dst, B=reg-site, C=idx slot, W=width [ir]
-	opRegWrite // A=reg-site, B=idx slot, C=src slot [ir]
-	opPush     // A=array-site, B=src slot [ir]
-	opSetSlot  // A=array-site, B=idx slot, C=src slot [ir]
-	opReport   // A=report-site [ir]
+	opApply       // A=apply-site [ir]
+	opApply0      // A=apply-site of a table without key columns [ir: ApplyOp]
+	opApplyAssign // A=apply-site, B=dst, C=its one output or hit, W: the apply, then an opAssign [ir: 2]
+	opIn          // A=dst, B=array-site, C=needle: BoolV(needle among the first min(count, capN) elements)
+	opRegRead     // A=dst, B=reg-site, C=idx slot, W=width [ir]
+	opRegWrite    // A=reg-site, B=idx slot, C=src slot [ir]
+	opPush        // A=array-site, B=src slot [ir]
+	opSetSlot     // A=array-site, B=idx slot, C=src slot [ir]
+	opReport      // A=report-site [ir]
 )
 
 // Instr is one VM instruction. Operands are PHV slot indices, jump
@@ -154,6 +170,7 @@ var shapes = func() (t [opReport + 1][4]opd) {
 		t[op] = [4]opd{opdDst, opdSrc}
 	}
 	t[opSelect] = [4]opd{opdDst, opdSrc, opdSrc, opdSrc}
+	t[opAddAssign] = t[opAdd]
 	for op := opJzEq; op <= opJzOr; op++ {
 		t[op] = [4]opd{opdNone, opdSrc, opdSrc, opdJump}
 	}
@@ -161,6 +178,14 @@ var shapes = func() (t [opReport + 1][4]opd) {
 	t[opJz] = [4]opd{opdSrc, opdJump}
 	t[opJnz] = [4]opd{opdSrc, opdJump}
 	t[opApply] = [4]opd{opdApply}
+	t[opApply0] = [4]opd{opdApply}
+	t[opApplyAssign] = [4]opd{opdApply, opdDst, opdSrc}
+	// opIn only reads its array, but as opdArray its elements and count
+	// are force-kept in the reset set when they are scratch. That keeps
+	// nothing new: compileIn's arrays are telemetry, which has no scratch
+	// slot, and an array has scratch slots only when a push or slot store
+	// writes it, which force-keeps them already.
+	t[opIn] = [4]opd{opdDst, opdArray, opdSrc}
 	t[opRegRead] = [4]opd{opdDst, opdReg, opdSrc}
 	t[opRegWrite] = [4]opd{opdReg, opdSrc, opdSrc}
 	t[opPush] = [4]opd{opdArray, opdSrc}
@@ -249,10 +274,9 @@ type image struct {
 
 	slotSwitch, slotPktLen, slotLast, slotFirst int32
 
-	// resetRuns are the [lo, hi) scratch slot ranges BeginHop restores
-	// from the template — the statically writable slots plus bind
-	// slots; see computeResetRuns.
-	resetRuns [][2]int32
+	// reset is the [lo, hi) run of scratch slots BeginHop restores from
+	// the template: LinkSet places every member's resetSlots there.
+	reset [2]int32
 
 	// dirtySlots is every PHV slot some execution can write: telemetry,
 	// instruction destinations, binds, per-hop metadata, and expression
@@ -277,7 +301,7 @@ type Prog struct {
 	slotReject int32
 
 	// For LinkSet: where the expression temporaries start, and the
-	// slots behind resetRuns.
+	// slots BeginHop must restore (computeResetSlots).
 	tempStart  int32
 	resetSlots []int32
 }
@@ -291,9 +315,15 @@ type comp struct {
 	// widths, which forces an explicit opLoadF at each read site).
 	widths map[pipeline.FieldRef]int
 	consts map[pipeline.Value]int32
-	arrays map[string]int32 // base -> first element slot
+	arrays map[string]arrayBlock
 
 	tempNext, tempMax int32
+}
+
+// arrayBlock is where layout placed an array's contiguous element slots.
+type arrayBlock struct {
+	start int32 // first element slot
+	capN  int
 }
 
 // Compile builds the bytecode form of prog. It fails only on programs
@@ -306,7 +336,7 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 		prog:   prog,
 		widths: map[pipeline.FieldRef]int{},
 		consts: map[pipeline.Value]int32{},
-		arrays: map[string]int32{},
+		arrays: map[string]arrayBlock{},
 	}
 
 	cp.scanWidths()
@@ -429,7 +459,7 @@ func (cp *comp) layout() error {
 				addTele(start+int32(i), f.Width)
 				align()
 			}
-			cp.arrays[f.Name] = start
+			cp.arrays[f.Name] = arrayBlock{start, f.Cap}
 			continue
 		}
 		addTele(cp.intern(pipeline.FieldRef(f.Name)), f.Width)
@@ -477,7 +507,7 @@ func (cp *comp) layout() error {
 				return fmt.Errorf("bytecode: array %s slots not contiguous", b)
 			}
 		}
-		cp.arrays[b] = start
+		cp.arrays[b] = arrayBlock{start, caps[b]}
 	}
 
 	// Header bindings, sorted by path and deduplicated, so a program's
@@ -577,6 +607,12 @@ func (cp *comp) expr(e pipeline.Expr, code *[]Instr) (int32, error) {
 		return t, nil
 
 	case pipeline.Bin:
+		if base, needle, ok := cp.membership(e); ok {
+			x, _ := cp.expr(needle, code) // a Field: never an error
+			t := cp.temp()
+			*code = append(*code, Instr{Op: opIn, A: t, B: cp.arraySite(base, cp.arrays[base].capN, 0), C: x})
+			return t, nil
+		}
 		x, err := cp.expr(e.X, code)
 		if err != nil {
 			return 0, err
@@ -613,6 +649,44 @@ func (cp *comp) expr(e pipeline.Expr, code *[]Instr) (int32, error) {
 	return 0, fmt.Errorf("bytecode: unknown expr %T", e)
 }
 
+// membership recognises exactly the expansion compiler.compileIn emits
+// for `needle in arr` over an array of capacity n, the OR chain
+// (0 < arr.$count && arr.0 == needle) || … || (n-1 < arr.$count &&
+// arr.(n-1) == needle), nested to the left, which opIn evaluates in one
+// dispatch: the same terms over the same contiguous slots, with the count
+// clamped to n as the unrolled form's indices are.
+func (cp *comp) membership(e pipeline.Bin) (base string, needle pipeline.Field, ok bool) {
+	var terms []pipeline.Expr // last term first
+	x := pipeline.Expr(e)
+	for {
+		b, isBin := x.(pipeline.Bin)
+		if !isBin || b.Op != pipeline.OpLOr {
+			break
+		}
+		terms, x = append(terms, b.Y), b.X
+	}
+	terms = append(terms, x)
+	t0, _ := x.(pipeline.Bin)
+	lt, _ := t0.X.(pipeline.Bin)
+	eq, _ := t0.Y.(pipeline.Bin)
+	count, _ := lt.Y.(pipeline.Field)
+	slot, _ := eq.X.(pipeline.Field)
+	needle, isField := eq.Y.(pipeline.Field)
+	base = strings.TrimSuffix(string(count.Ref), ".$count")
+	if !isField || count.Ref != pipeline.ArrayCount(base) || cp.arrays[base].capN != len(terms) {
+		return "", needle, false
+	}
+	for i := range terms {
+		want := pipeline.Bin{Op: pipeline.OpLAnd,
+			X: pipeline.Bin{Op: pipeline.OpLt, X: pipeline.C(8, uint64(i)), Y: count},
+			Y: pipeline.Bin{Op: pipeline.OpEq, X: pipeline.Field{Ref: pipeline.ArraySlot(base, i), Width: slot.Width}, Y: needle}}
+		if terms[len(terms)-1-i] != pipeline.Expr(want) {
+			return "", needle, false
+		}
+	}
+	return base, needle, true
+}
+
 // binOp maps IR binary opcodes to VM opcodes. Logical and/or compile
 // to their eager boolean forms (sound on pure, total expressions).
 var binOp = map[pipeline.OpCode]OpKind{
@@ -638,17 +712,34 @@ func (cp *comp) block(ops []pipeline.Op) ([]Instr, error) {
 
 func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 	p := cp.p
+	var prev pipeline.Op
 	for _, op := range ops {
 		// Temps are statement-scoped: nothing outlives the IR op that
 		// computed it, so every op reuses the same temp slots.
 		cp.tempNext = 0
 		switch op := op.(type) {
 		case pipeline.AssignOp:
+			n := len(*code)
 			src, err := cp.expr(op.Src, code)
 			if err != nil {
 				return err
 			}
-			*code = append(*code, Instr{Op: opAssign, A: cp.intern(op.Dst), B: src, W: int32(op.DstWidth)})
+			in := Instr{Op: opAssign, A: cp.intern(op.Dst), B: src, W: int32(op.DstWidth)}
+			if last := len(*code) - 1; src >= tempBase && (*code)[last].Op == opAdd && (*code)[last].A == src {
+				// x += k: the sum's temp has no other reader (emitBranch's idiom).
+				in.Op, in.B, in.C = opAddAssign, (*code)[last].B, (*code)[last].C
+				*code = (*code)[:last]
+			} else if _, after := prev.(pipeline.ApplyOp); after && len(*code) == n {
+				// A copy of the apply just emitted — no jump lands between
+				// the two, both being ops of this list — of its one output or
+				// its hit: one dispatch for both IR ops.
+				a := (*code)[n-1].A
+				if site := &p.img.applies[a]; src == site.hit || len(site.outs) == 1 && src == site.outs[0] {
+					in = Instr{Op: opApplyAssign, A: a, B: in.A, C: src, W: in.W}
+					*code = (*code)[:n-1]
+				}
+			}
+			*code = append(*code, in)
 
 		case pipeline.ApplyOp:
 			if err := cp.emitApply(op, code); err != nil {
@@ -711,14 +802,7 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			if err != nil {
 				return err
 			}
-			site := int32(len(p.img.arrays))
-			p.img.arrays = append(p.img.arrays, arraySite{
-				start: cp.arrays[op.Base],
-				cnt:   cp.intern(pipeline.ArrayCount(op.Base)),
-				capN:  int32(op.Cap),
-				ew:    int32(op.ElemWidth),
-			})
-			*code = append(*code, Instr{Op: opPush, A: site, B: src})
+			*code = append(*code, Instr{Op: opPush, A: cp.arraySite(op.Base, op.Cap, op.ElemWidth), B: src})
 
 		case pipeline.SetSlotOp:
 			idx, err := cp.expr(op.Index, code)
@@ -729,14 +813,7 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			if err != nil {
 				return err
 			}
-			site := int32(len(p.img.arrays))
-			p.img.arrays = append(p.img.arrays, arraySite{
-				start: cp.arrays[op.Base],
-				cnt:   cp.intern(pipeline.ArrayCount(op.Base)),
-				capN:  int32(op.Cap),
-				ew:    int32(op.ElemWidth),
-			})
-			*code = append(*code, Instr{Op: opSetSlot, A: site, B: idx, C: src})
+			*code = append(*code, Instr{Op: opSetSlot, A: cp.arraySite(op.Base, op.Cap, op.ElemWidth), B: idx, C: src})
 
 		case pipeline.ReportOp:
 			args := make([]int32, len(op.Args))
@@ -754,8 +831,21 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 		default:
 			return fmt.Errorf("bytecode: unknown op %T", op)
 		}
+		prev = op
 	}
 	return nil
+}
+
+// arraySite adds a side-table entry for array base and returns its index.
+func (cp *comp) arraySite(base string, capN, ew int) int32 {
+	site := int32(len(cp.p.img.arrays))
+	cp.p.img.arrays = append(cp.p.img.arrays, arraySite{
+		start: cp.arrays[base].start,
+		cnt:   cp.intern(pipeline.ArrayCount(base)),
+		capN:  int32(capN),
+		ew:    int32(ew),
+	})
+	return site
 }
 
 func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
@@ -786,7 +876,11 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 	}
 	idx := int32(len(p.img.applies))
 	p.img.applies = append(p.img.applies, site)
-	*code = append(*code, Instr{Op: opApply, A: idx})
+	in := Instr{Op: opApply, A: idx}
+	if len(keys) == 0 && len(spec.Keys) == 0 {
+		in.Op = opApply0
+	}
+	*code = append(*code, in)
 	return nil
 }
 
@@ -888,20 +982,19 @@ func (cp *comp) relocate() {
 	// cover the full PHV.
 	p.img.template = append(p.img.template, make([]pipeline.Value, cp.tempMax)...)
 	p.tempStart = base
-	p.computeResetRuns()
+	p.computeResetSlots()
 }
 
 func (p *Prog) blocks() [3][]Instr { return [3][]Instr{p.init, p.tele, p.check} }
 
-// computeResetRuns decides which scratch slots BeginHop must restore
-// to the template (resetSlots; LinkSet merges the members' and coalesces
-// them into copy runs). Telemetry slots are
-// resident by design, constant and read-only field slots can never
-// diverge from the template, and expression temporaries are
-// statement-scoped (every read is dominated by a write in the same IR
-// op), so the candidates are only the slots some writer can dirty:
-// instruction destinations plus the header binds (a sparse binder may
-// skip absent headers, leaving the previous hop's value).
+// computeResetSlots decides which scratch slots BeginHop must restore
+// to the template (resetSlots; LinkSet lays every member's out in one
+// region). Telemetry slots are resident by design, constant and
+// read-only field slots can never diverge from the template, and
+// expression temporaries are statement-scoped (every read is dominated
+// by a write in the same IR op), so the candidates are only the slots
+// some writer can dirty: instruction destinations plus the header binds
+// (a sparse binder may skip absent headers, leaving the last hop's value).
 //
 // A candidate is then dropped when every block that reads it is
 // guaranteed to overwrite it first — a stale value nothing can observe
@@ -912,7 +1005,7 @@ func (p *Prog) blocks() [3][]Instr { return [3][]Instr{p.init, p.tele, p.check} 
 // reads it from outside the bytecode after the trace), as are array
 // regions (their element stores index dynamically, which the linear
 // read/write scan does not track).
-func (p *Prog) computeResetRuns() {
+func (p *Prog) computeResetSlots() {
 	scratch := func(si int32) bool {
 		return si >= int32(p.img.nTele) && si < p.tempStart
 	}
@@ -972,21 +1065,6 @@ func (p *Prog) computeResetRuns() {
 		p.img.dirtySlots = append(p.img.dirtySlots, si)
 	}
 	slices.Sort(p.img.dirtySlots)
-}
-
-// coalesce turns sorted slots into [lo, hi) copy runs, bridging gaps of
-// up to 4 slots: one slightly longer copy beats two loop iterations,
-// and restoring a scratch slot that did not need it is harmless.
-func coalesce(slots []int32) [][2]int32 {
-	var runs [][2]int32
-	for _, si := range slots {
-		if n := len(runs); n > 0 && si-runs[n-1][1] <= 4 {
-			runs[n-1][1] = si + 1
-			continue
-		}
-		runs = append(runs, [2]int32{si, si + 1})
-	}
-	return runs
 }
 
 // readBeforeWrite scans one block for the scratch slots it may read

@@ -6,3 +6,41 @@ var (
 	RefPutBits = refPutBits
 	RefGetBits = refGetBits
 )
+
+// opNames names every opcode up to opReport, the last, as shapes does. An
+// opcode added without a name leaves an empty entry, which
+// TestEveryOpcodeReached reports; one added after opReport must move the
+// bound here and in shapes.
+var opNames = [opReport + 1]string{
+	opNop: "nop", opLoadF: "loadf", opAssign: "assign", opAddAssign: "addassign", opJmp: "jmp", opJz: "jz",
+	opNot: "not", opBNot: "bnot", opNeg: "neg", opAbs: "abs",
+	opBoolAnd: "booland", opBoolOr: "boolor", opSelect: "select",
+	opAdd: "add", opSub: "sub", opMul: "mul", opDiv: "div", opMod: "mod",
+	opBAnd: "band", opBOr: "bor", opBXor: "bxor", opShl: "shl", opShr: "shr", opMax: "max", opMin: "min",
+	opEq: "eq", opNe: "ne", opLt: "lt", opLe: "le", opGt: "gt", opGe: "ge",
+	opJzEq: "jzeq", opJzNe: "jzne", opJzLt: "jzlt", opJzLe: "jzle", opJzGt: "jzgt", opJzGe: "jzge",
+	opJzAnd: "jzand", opJzOr: "jzor", opJnz: "jnz",
+	opApply: "apply", opApply0: "apply0", opApplyAssign: "applyassign", opIn: "in",
+	opRegRead: "regread", opRegWrite: "regwrite", opPush: "push", opSetSlot: "setslot", opReport: "report",
+}
+
+// Opcodes names every opcode Compile can emit: all of them but nop.
+func Opcodes() []string { return opNames[opNop+1:] }
+
+// OpcodeCounts counts p's instructions by opcode name.
+func OpcodeCounts(p *Prog) map[string]int {
+	n := map[string]int{}
+	for _, code := range p.blocks() {
+		for _, in := range code {
+			n[opNames[in.Op]]++
+		}
+	}
+	return n
+}
+
+// CheckLayout and LayoutMutations are layout_test.go's, for the external
+// tests that link the corpus and random sets.
+var (
+	CheckLayout     = checkLayout
+	LayoutMutations = layoutMutations
+)

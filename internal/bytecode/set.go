@@ -54,20 +54,23 @@ type Set struct {
 // LinkSet links the members that have a Prog, in order.
 func LinkSet(members []Member) *Set {
 	s := &Set{}
-	var nTemp int32
+	var nTemp, nReset int32
 	for _, m := range members {
 		if m.Prog != nil {
 			s.nTele += m.Prog.img.nTele
 			nTemp = max(nTemp, int32(m.Prog.img.nSlots)-m.Prog.tempStart)
+			nReset += int32(len(m.Prog.resetSlots))
 		}
 	}
-	// Layout: every telemetry region, the temporaries, the builtins,
-	// then each member's scratch slots.
+	// Layout: every telemetry region, the temporaries, the builtins, every
+	// member's reset slots — BeginHop's one copy — then each member's other
+	// scratch slots.
 	tempBase := int32(s.nTele)
-	s.template = make([]pipeline.Value, s.nTele+int(nTemp)+4)
 	s.slotSwitch, s.slotPktLen, s.slotLast, s.slotFirst = tempBase+nTemp, tempBase+nTemp+1, tempBase+nTemp+2, tempBase+nTemp+3
+	s.reset = [2]int32{tempBase + nTemp + 4, tempBase + nTemp + 4 + nReset}
+	s.template = make([]pipeline.Value, s.reset[1])
+	nextReset := s.reset[0]
 
-	var reset []int32
 	teleBase := int32(0)
 	for _, m := range members {
 		p := m.Prog
@@ -76,6 +79,10 @@ func LinkSet(members []Member) *Set {
 			continue
 		}
 		builtins := map[int32]int32{p.img.slotSwitch: s.slotSwitch, p.img.slotPktLen: s.slotPktLen, p.img.slotLast: s.slotLast, p.img.slotFirst: s.slotFirst}
+		reset := make([]bool, p.img.nSlots)
+		for _, sl := range p.resetSlots {
+			reset[sl] = true
+		}
 		slot := make([]int32, p.img.nSlots)
 		for sl := range slot {
 			sl := int32(sl)
@@ -84,8 +91,13 @@ func LinkSet(members []Member) *Set {
 			} else if sl >= p.tempStart {
 				slot[sl] = tempBase + sl - p.tempStart
 			} else if sl >= int32(p.img.nTele) {
-				slot[sl] = int32(len(s.template))
-				s.template = append(s.template, p.img.template[sl])
+				if reset[sl] {
+					slot[sl], nextReset = nextReset, nextReset+1
+				} else {
+					slot[sl] = int32(len(s.template))
+					s.template = append(s.template, pipeline.Value{})
+				}
+				s.template[slot[sl]] = p.img.template[sl]
 			} else {
 				slot[sl] = teleBase + sl
 				s.template[slot[sl]] = p.img.template[sl]
@@ -135,15 +147,12 @@ func LinkSet(members []Member) *Set {
 
 		s.bindings = append(s.bindings, p.img.bindings...)
 		s.bindSlots = append(s.bindSlots, remap(p.img.bindSlots)...)
-		reset = append(reset, remap(p.resetSlots)...)
 		s.dirtySlots = append(s.dirtySlots, remap(p.img.dirtySlots)...)
 		s.members = append(s.members, linked{Member: m, slot: slot, reject: slot[p.slotReject], teleOff: s.teleBytes})
 		s.teleBytes += p.img.teleBytes
 	}
 	s.nSlots = len(s.template)
 	s.planTele()
-	slices.Sort(reset)
-	s.resetRuns = coalesce(reset)
 	slices.Sort(s.dirtySlots)
 	s.dirtySlots = slices.Compact(s.dirtySlots)
 	return s

@@ -72,7 +72,7 @@ func (p *image) BeginTrace(c *Ctx) {
 }
 
 // BeginHop resets the writable scratch slots to the template (the
-// compile-time resetRuns — constants, read-only fields, and
+// link-time reset run, one copy — constants, read-only fields, and
 // statement-scoped temps can't diverge, so they are skipped) and
 // installs the per-hop builtin metadata; row holds the switch's state
 // per program, indexed by the sites' member. Telemetry slots are left
@@ -82,9 +82,7 @@ func (p *image) BeginTrace(c *Ctx) {
 func (p *image) BeginHop(c *Ctx, row []*pipeline.State, switchID uint32, pktLen int, first, last bool) {
 	c.row = row
 	phv := c.PHV
-	for _, r := range p.resetRuns {
-		copy(phv[r[0]:r[1]], p.template[r[0]:r[1]])
-	}
+	copy(phv[p.reset[0]:p.reset[1]], p.template[p.reset[0]:p.reset[1]])
 	// The builtin per-hop metadata, at the widths the map reference
 	// (difftest.Reference) sets them.
 	phv[p.slotSwitch] = pipeline.B(32, uint64(switchID))
@@ -120,6 +118,10 @@ func (p *image) run(c *Ctx, code []Instr) {
 		case opAssign:
 			ops++
 			phv[in.A] = pipeline.B(int(in.W), phv[in.B].V)
+		case opAddAssign:
+			ops++
+			x, y := phv[in.B], phv[in.C]
+			phv[in.A] = pipeline.B(int(in.W), pipeline.Mask(binWidth(x, y), x.V+y.V))
 
 		case opJz:
 			ops++
@@ -287,6 +289,24 @@ func (p *image) run(c *Ctx, code []Instr) {
 		case opApply:
 			ops++
 			p.runApply(c, &p.applies[in.A])
+		case opApply0:
+			ops++
+			site := &p.applies[in.A]
+			action, hit := c.row[site.member].TableAt(site.table, site.name).LookupPacked(pipeline.PackedKey{})
+			p.writeOut(c, site, action, hit)
+		case opApplyAssign:
+			ops += 2
+			p.runApply(c, &p.applies[in.A])
+			phv[in.B] = pipeline.B(int(in.W), phv[in.C].V)
+
+		case opIn:
+			site, needle := &p.arrays[in.B], phv[in.C].V
+			n := min(phv[site.cnt].V, uint64(site.capN))
+			found := false
+			for _, v := range phv[site.start : site.start+int32(n)] {
+				found = found || v.V == needle
+			}
+			phv[in.A] = pipeline.BoolV(found)
 
 		case opRegRead:
 			ops++

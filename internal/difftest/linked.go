@@ -120,13 +120,15 @@ func (s Shape) passes(first, last bool) []bytecode.Blocks {
 // RunTrace executes one path through the linked programs in the given
 // shape: envs[k][i] is member k's environment at hop i. Result k is
 // member k's verdict, its reports in order, and its span of the Set's
-// final blob.
+// final blob; a set of one also gets the context's counters, which the
+// members of a larger set share.
 func (l *Linked) RunTrace(envs [][]HopEnv, shape Shape) ([]TraceResult, error) {
 	hops := len(envs[0])
 	if hops == 0 {
 		return nil, errEmptyTrace
 	}
 	set, c := l.Set, l.Ctx
+	applies, ops := c.TableApplies, c.OpsExecuted
 	if shape == Resident {
 		set.BeginTrace(c)
 	}
@@ -161,6 +163,9 @@ func (l *Linked) RunTrace(envs [][]HopEnv, shape Shape) ([]TraceResult, error) {
 	for k := range res {
 		off, n := set.TeleSpan(k)
 		res[k].FinalBlob = blob[off : off+n : off+n]
+	}
+	if len(res) == 1 {
+		res[0].TableApplies, res[0].OpsExecuted = c.TableApplies-applies, c.OpsExecuted-ops
 	}
 	return res, nil
 }

@@ -41,6 +41,9 @@ type TraceResult struct {
 	Reports []pipeline.Report
 	// FinalBlob is the telemetry payload as stripped at the last hop.
 	FinalBlob []byte
+	// TableApplies and OpsExecuted are HopResult's, summed over the hops.
+	TableApplies int
+	OpsExecuted  int
 }
 
 var errEmptyTrace = errors.New("difftest: empty trace")
@@ -118,6 +121,8 @@ func (r Reference) RunTrace(envs []HopEnv) (TraceResult, error) {
 		res.FinalBlob = hr.Blob
 		res.Reports = append(res.Reports, hr.Reports...)
 		res.Reject = res.Reject || hr.Reject
+		res.TableApplies += hr.TableApplies
+		res.OpsExecuted += hr.OpsExecuted
 	}
 	return res, nil
 }

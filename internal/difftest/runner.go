@@ -286,8 +286,8 @@ func (r *Runner) envs(trace []HopSpec) (out [nBackends][]HopEnv, err error) {
 // pass by pass through the wire codec (a netsim switch's), both over a
 // bytecode.Set of this one program on one context — and compares
 // verdicts and report payloads across all of them, plus byte-exact final
-// telemetry blobs between the pipeline executions. A disagreement
-// returns a *Divergence error.
+// telemetry blobs and the TableApplies / OpsExecuted counts between the
+// pipeline executions. A disagreement returns a *Divergence error.
 func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	evalHops := make([]eval.Hop, len(trace))
 	for i, hs := range trace {
@@ -360,7 +360,8 @@ func (r *Runner) RunTrace(trace []HopSpec) (Outcome, error) {
 	return out, nil
 }
 
-// diffTraces compares two pipeline executions of one trace bit for bit.
+// diffTraces compares two pipeline executions of one trace bit for bit,
+// and their counters: a fused instruction counts the IR ops it replaced.
 func diffTraces(an string, a TraceResult, bn string, b TraceResult) *Divergence {
 	pair := an + " vs " + bn
 	if a.Reject != b.Reject {
@@ -368,6 +369,10 @@ func diffTraces(an string, a TraceResult, bn string, b TraceResult) *Divergence 
 	}
 	if !bytes.Equal(a.FinalBlob, b.FinalBlob) {
 		return &Divergence{pair, fmt.Sprintf("final blob mismatch: %s %x, %s %x", an, a.FinalBlob, bn, b.FinalBlob)}
+	}
+	if a.TableApplies != b.TableApplies || a.OpsExecuted != b.OpsExecuted {
+		return &Divergence{pair, fmt.Sprintf("counters (applies, ops): %s (%d, %d), %s (%d, %d)",
+			an, a.TableApplies, a.OpsExecuted, bn, b.TableApplies, b.OpsExecuted)}
 	}
 	if len(a.Reports) != len(b.Reports) {
 		return &Divergence{pair, fmt.Sprintf("report count: %s %d, %s %d", an, len(a.Reports), bn, len(b.Reports))}
