@@ -220,7 +220,7 @@ type applySite struct {
 	keys   []int32
 	outs   []int32
 	hit    int32
-	wide   bool // more key columns than PackedKey holds
+	wide   bool // more key columns than LookupWords takes
 }
 
 // regSite resolves one register access.

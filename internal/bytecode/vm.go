@@ -292,7 +292,7 @@ func (p *image) run(c *Ctx, code []Instr) {
 		case opApply0:
 			ops++
 			site := &p.applies[in.A]
-			action, hit := c.row[site.member].TableAt(site.table, site.name).LookupPacked(pipeline.PackedKey{})
+			action, hit := c.row[site.member].TableAt(site.table, site.name).LookupWords(0, 0, 0, 0)
 			p.writeOut(c, site, action, hit)
 		case opApplyAssign:
 			ops += 2
@@ -369,9 +369,10 @@ func binWidth(x, y pipeline.Value) int {
 }
 
 // runApply executes one apply site. A table of at most MaxPackedKeys
-// columns is looked up by a key passed by value — an exact one from its
-// lock-free snapshot, any other kind under the table's read lock; wider
-// tables take the generic slice path.
+// columns gets its key words as LookupWords' four arguments, read slot
+// by slot into locals: no key array is built, so the words stay in
+// registers down to the probe, and those past the site's keys stay
+// zero. Wider tables take the generic slice path.
 func (p *image) runApply(c *Ctx, site *applySite) {
 	t := c.row[site.member].TableAt(site.table, site.name)
 	if site.wide {
@@ -387,11 +388,21 @@ func (p *image) runApply(c *Ctx, site *applySite) {
 		p.writeOut(c, site, action, hit)
 		return
 	}
-	var k pipeline.PackedKey
-	for i, s := range site.keys {
-		k[i] = c.PHV[s].V
+	var k0, k1, k2, k3 uint64
+	switch ks := site.keys; len(ks) {
+	case 4:
+		k3 = c.PHV[ks[3]].V
+		fallthrough
+	case 3:
+		k2 = c.PHV[ks[2]].V
+		fallthrough
+	case 2:
+		k1 = c.PHV[ks[1]].V
+		fallthrough
+	case 1:
+		k0 = c.PHV[ks[0]].V
 	}
-	action, hit := t.LookupPacked(k)
+	action, hit := t.LookupWords(k0, k1, k2, k3)
 	p.writeOut(c, site, action, hit)
 }
 

@@ -56,7 +56,7 @@ func collidingKeys(ncols, n int) []PackedKey {
 		if len(keys)%4 == 3 {
 			want = 0
 		}
-		if hashPacked(k)&0x3ff == want {
+		if hashPacked(split(k))&0x3ff == want {
 			keys = append(keys, k)
 		}
 	}
@@ -79,11 +79,14 @@ type tableModel struct {
 
 func entryKey(e Entry) PackedKey { return packEntryKeys(e.Keys) }
 
-// checkTable compares every observable of tbl with the model: both
+// checkTable compares every observable of tbl with the model: the three
 // lookups for every key of the pool, Len, and the sorted Entries. A
 // lookup publishes the view, which marks the array shared; without
 // lookups the table is left as the op left it, so the next write meets
-// whatever marks the op itself set.
+// whatever marks the op itself set. Every key is looked up twice by
+// LookupWords: first from the no-view state a mutation leaves (the
+// view dropped again before each key), then from the view that
+// lookup published.
 func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedKey, m *tableModel, lookups bool) {
 	t.Helper()
 	if !lookups {
@@ -93,6 +96,12 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 		want, hit := m.acts[k]
 		if !hit {
 			want = tbl.Default
+		}
+		tbl.snap.Store(nil)
+		for _, view := range []string{"no view", "view"} {
+			if got, ok := tbl.LookupWords(k[0], k[1], k[2], k[3]); ok != hit || !slices.Equal(got, want) {
+				t.Fatalf("%s: LookupWords(%v) from %s = %v, %t; want %v, %t", step, k[:ncols], view, got, ok, want, hit)
+			}
 		}
 		if got, ok := tbl.LookupPacked(k); ok != hit || !slices.Equal(got, want) {
 			t.Fatalf("%s: LookupPacked(%v) = %v, %t; want %v, %t", step, k[:ncols], got, ok, want, hit)
@@ -463,7 +472,7 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 	if &tbl.packed.recs[0] != clone {
 		t.Fatal("a second write before the next publish cloned again")
 	}
-	if a, _ := view.lookup(PackedKey{5}); a[0].V != 1 {
+	if a, _ := view.lookup(split(PackedKey{5})); a[0].V != 1 {
 		t.Fatal("the write reached the published view")
 	}
 	if a, _ := tbl.LookupPacked(PackedKey{5}); a[0].V != 2 {
@@ -508,7 +517,9 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 }
 
 // tableShapes is one table of each store: packed exact, wide exact (the
-// string-keyed fallback) and TCAM, each with one output.
+// string-keyed fallback) and TCAM, each with one output. The TCAM store
+// comes twice: all-ternary, and one column of each kind at the full
+// MaxPackedKeys width.
 func tableShapes() map[string]*Table {
 	cols := func(n int, kind MatchKind) []KeySpec {
 		keys := make([]KeySpec, n)
@@ -521,6 +532,8 @@ func tableShapes() map[string]*Table {
 		"packed": NewTable("t", cols(2, MatchExact), []FieldRef{"v"}, []Value{B(8, 0)}),
 		"wide":   NewTable("t", cols(MaxPackedKeys+1, MatchExact), []FieldRef{"v"}, []Value{B(8, 0)}),
 		"tcam":   NewTable("t", cols(2, MatchTernary), []FieldRef{"v"}, []Value{B(8, 0)}),
+		"tcam-mixed": NewTable("t", []KeySpec{{Width: 32, Kind: MatchLPM}, {Width: 16, Kind: MatchRange},
+			{Width: 8, Kind: MatchTernary}, {Width: 32, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(8, 0)}),
 	}
 }
 
@@ -642,11 +655,13 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-// TestLookupKeyWidth pins the key-width contract in the one place that
-// can check it: Lookup with any other number of values than the table
-// has columns is a miss, on every store. LookupPacked cannot see a width
-// — its callers zero-fill the unused columns (bytecode's
-// TestApplyZeroFillsUnusedColumns holds runApply to that).
+// TestLookupKeyWidth pins the key-width contract: Lookup with any other
+// number of values than the table has columns is a miss, on every
+// store. LookupWords and LookupPacked always take four words, which
+// their callers zero past the table's columns (bytecode's
+// TestApplyZeroFillsUnusedColumns holds runApply to that): so filled,
+// the installed key hits through both on every store of at most
+// MaxPackedKeys columns, and a wider table answers only Lookup.
 func TestLookupKeyWidth(t *testing.T) {
 	for name, tbl := range tableShapes() {
 		key := make([]uint64, len(tbl.Keys)+1)
@@ -659,6 +674,13 @@ func TestLookupKeyWidth(t *testing.T) {
 		}
 		if _, hit := tbl.Lookup(key[:len(tbl.Keys)]); !hit {
 			t.Errorf("%s: the installed key misses", name)
+		}
+		var k PackedKey
+		copy(k[:], key[:len(tbl.Keys)])
+		words, _ := tbl.LookupWords(k[0], k[1], k[2], k[3])
+		packed, hit := tbl.LookupPacked(k)
+		if hit != (len(tbl.Keys) <= MaxPackedKeys) || words[0] != packed[0] {
+			t.Errorf("%s: LookupWords / LookupPacked of the installed key = %v / %v, %t", name, words, packed, hit)
 		}
 		for _, vals := range [][]uint64{nil, key[:len(tbl.Keys)-1], key} {
 			if a, hit := tbl.Lookup(vals); hit || !slices.Equal(a, tbl.Default) {

@@ -69,31 +69,6 @@ func TernaryKey(v, mask uint64) KeyMatch { return KeyMatch{Value: v, Aux: mask} 
 // AnyKey returns a wildcard matcher.
 func AnyKey() KeyMatch { return KeyMatch{Any: true} }
 
-func (m KeyMatch) matches(kind MatchKind, width int, v uint64) bool {
-	if m.Any {
-		return true
-	}
-	switch kind {
-	case MatchExact:
-		return v == m.Value
-	case MatchLPM:
-		plen := int(m.Aux)
-		if plen <= 0 {
-			return true
-		}
-		if plen >= width {
-			return v == m.Value
-		}
-		shift := uint(width - plen)
-		return v>>shift == m.Value>>shift
-	case MatchTernary:
-		return v&m.Aux == m.Value&m.Aux
-	case MatchRange:
-		return m.Value <= v && v <= m.Aux
-	}
-	return false
-}
-
 // specificity orders LPM entries when priorities tie: longer prefixes win.
 func (m KeyMatch) specificity(kind MatchKind) int {
 	if m.Any {
@@ -110,8 +85,11 @@ func (m KeyMatch) specificity(kind MatchKind) int {
 // to a string-keyed map.
 const MaxPackedKeys = 4
 
-// PackedKey is a table lookup key packed into a fixed array so the hot
-// path can build it on the stack and hash it without allocation.
+// PackedKey is a table key of at most MaxPackedKeys words, the form the
+// writers and the tests handle. It is not how the per-packet path passes
+// a key: Go's register ABI passes an array of more than one element in
+// memory, so a PackedKey argument is a 32-byte store and reload per
+// call. LookupWords takes the words as four arguments instead.
 // Columns beyond the table's key count must be zero.
 type PackedKey [MaxPackedKeys]uint64
 
@@ -124,10 +102,24 @@ type Entry struct {
 	Action   []Value
 	// Name optionally labels the action for P4 output and debugging.
 	Name string
+}
 
-	// match is the entry's compiled matcher, specialized per column
-	// kind at insert time (TCAM tables with <= MaxPackedKeys columns).
-	match func(PackedKey) bool
+// tcamEntry is an installed TCAM entry with its non-wildcard columns
+// compiled at insert time. The tests stay off Entry, which is also the
+// bulk-install form: a firewall seed is 150 k of them.
+type tcamEntry struct {
+	Entry
+	tests []colTest
+}
+
+// colTest is one compiled TCAM column: the column's value, shifted
+// right and masked, lies in [lo, hi]. Every kind is one such test, so a
+// TCAM walk calls no closure per entry — through which its key would
+// escape to the heap — and re-dispatches on no MatchKind per column.
+type colTest struct {
+	col          int
+	shift        uint
+	mask, lo, hi uint64
 }
 
 // Table is a match-action table. Outputs lists the PHV fields the action
@@ -157,7 +149,7 @@ type Table struct {
 	// exact is the fallback for exact tables with more columns than
 	// PackedKey holds (string-encoded keys).
 	exact   map[string]*Entry
-	entries []*Entry // TCAM path, kept sorted by priority desc
+	entries []*tcamEntry // TCAM path, kept sorted by priority desc
 	isExact bool
 	// version increments on every mutation; read without the lock
 	// (atomically).
@@ -208,55 +200,42 @@ func packEntryKeys(keys []KeyMatch) PackedKey {
 	return k
 }
 
-// compileMatcher specializes an entry's per-column matchers by kind at
-// insert time, so TCAM lookups run one closure per entry instead of
-// re-dispatching on MatchKind for every column of every entry.
-func (t *Table) compileMatcher(keys []KeyMatch) func(PackedKey) bool {
-	if len(keys) > MaxPackedKeys {
-		return nil
-	}
-	cols := make([]func(uint64) bool, 0, len(keys))
-	idx := make([]int, 0, len(keys))
+// compileTests compiles an entry's columns. Exact, and a prefix at
+// least the column's width, compare the whole value; a shorter prefix
+// its top plen bits; ternary the bits under the mask; range lo..hi
+// inclusive. A wildcard, or a prefix of length 0, is no test at all.
+func (t *Table) compileTests(keys []KeyMatch) []colTest {
+	tests := make([]colTest, 0, len(keys))
 	for i, m := range keys {
-		if m.Any {
-			continue // wildcard columns match everything: no test at all
-		}
-		m := m
-		var f func(uint64) bool
-		switch t.Keys[i].Kind {
-		case MatchExact:
-			f = func(v uint64) bool { return v == m.Value }
-		case MatchLPM:
-			plen := int(m.Aux)
-			switch {
-			case plen <= 0:
-				continue
-			case plen >= t.Keys[i].Width:
-				f = func(v uint64) bool { return v == m.Value }
-			default:
-				shift := uint(t.Keys[i].Width - plen)
-				want := m.Value >> shift
-				f = func(v uint64) bool { return v>>shift == want }
-			}
-		case MatchTernary:
-			want := m.Value & m.Aux
-			f = func(v uint64) bool { return v&m.Aux == want }
-		case MatchRange:
-			f = func(v uint64) bool { return m.Value <= v && v <= m.Aux }
+		kind, width, plen := t.Keys[i].Kind, t.Keys[i].Width, int(m.Aux)
+		c := colTest{col: i, mask: ^uint64(0), lo: m.Value, hi: m.Value}
+		switch {
+		case m.Any, kind == MatchLPM && plen <= 0:
+			continue
+		case kind == MatchExact, kind == MatchLPM && plen >= width:
+		case kind == MatchLPM:
+			c.shift = uint(width - plen)
+			c.lo, c.hi = m.Value>>c.shift, m.Value>>c.shift
+		case kind == MatchTernary:
+			c.mask, c.lo, c.hi = m.Aux, m.Value&m.Aux, m.Value&m.Aux
+		case kind == MatchRange:
+			c.hi = m.Aux
 		default:
-			return nil
+			c.lo, c.hi = 1, 0 // an unknown kind matches nothing
 		}
-		cols = append(cols, f)
-		idx = append(idx, i)
+		tests = append(tests, c)
 	}
-	return func(k PackedKey) bool {
-		for j, f := range cols {
-			if !f(k[idx[j]]) {
-				return false
-			}
+	return tests
+}
+
+// hit reports whether every compiled column of e passes on vals.
+func (e *tcamEntry) hit(vals []uint64) bool {
+	for _, c := range e.tests {
+		if v := vals[c.col] >> c.shift & c.mask; v < c.lo || v > c.hi {
+			return false
 		}
-		return true
 	}
+	return true
 }
 
 // Insert adds or replaces an entry. For exact tables, replacement is by
@@ -318,22 +297,21 @@ func (t *Table) insertLocked(e *Entry) {
 		t.exact[exactKeyString(e.Keys)] = &kept
 		return
 	}
-	kept := *e
-	kept.match = t.compileMatcher(e.Keys)
+	kept := &tcamEntry{*e, t.compileTests(e.Keys)}
 	for i, old := range t.entries {
 		if old.Priority == e.Priority && sameKeys(old.Keys, e.Keys) {
-			t.entries[i] = &kept
+			t.entries[i] = kept
 			return
 		}
 	}
-	t.entries = append(t.entries, &kept)
+	t.entries = append(t.entries, kept)
 	sort.SliceStable(t.entries, func(i, j int) bool {
 		if t.entries[i].Priority != t.entries[j].Priority {
 			return t.entries[i].Priority > t.entries[j].Priority
 		}
 		// Tie-break by total specificity so LPM behaves as expected
 		// without explicit priorities.
-		return t.specificityLocked(t.entries[i]) > t.specificityLocked(t.entries[j])
+		return t.specificityLocked(&t.entries[i].Entry) > t.specificityLocked(&t.entries[j].Entry)
 	})
 }
 
@@ -467,37 +445,42 @@ func (t *Table) Lookup(vals []uint64) ([]Value, bool) {
 	if len(vals) <= MaxPackedKeys {
 		var k PackedKey
 		copy(k[:], vals)
-		return t.LookupPacked(k)
+		return t.LookupWords(k[0], k[1], k[2], k[3])
+	}
+	if !t.isExact {
+		return t.match(vals)
+	}
+	// Fallback string path (> MaxPackedKeys exact columns). The key
+	// bytes are built in a stack buffer and converted only inside the
+	// map index expression, which the compiler optimizes to a no-copy
+	// lookup — no heap allocation either way.
+	var scratch [96]byte
+	buf := scratch[:0]
+	for i, v := range vals {
+		if i > 0 {
+			buf = append(buf, '|')
+		}
+		buf = strconv.AppendUint(buf, v, 10)
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.isExact {
-		// Fallback string path (> MaxPackedKeys exact columns). The key
-		// bytes are built in a stack buffer and converted only inside
-		// the map index expression, which the compiler optimizes to a
-		// no-copy lookup — no heap allocation either way.
-		var scratch [96]byte
-		buf := scratch[:0]
-		for i, v := range vals {
-			if i > 0 {
-				buf = append(buf, '|')
-			}
-			buf = strconv.AppendUint(buf, v, 10)
-		}
-		if e, ok := t.exact[string(buf)]; ok {
-			return e.Action, true
-		}
+	if e, ok := t.exact[string(buf)]; ok {
+		return e.Action, true
+	}
+	return t.Default, false
+}
+
+// match walks a TCAM table's entries in priority order for the first
+// whose compiled columns pass on vals; any other number of values than
+// the table has columns is a miss.
+func (t *Table) match(vals []uint64) ([]Value, bool) {
+	if len(vals) != len(t.Keys) {
 		return t.Default, false
 	}
-	for _, e := range t.entries { // too wide for compiled matchers
-		hit := true
-		for i, km := range e.Keys {
-			if !km.matches(t.Keys[i].Kind, t.Keys[i].Width, vals[i]) {
-				hit = false
-				break
-			}
-		}
-		if hit {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, e := range t.entries {
+		if e.hit(vals) {
 			return e.Action, true
 		}
 	}
@@ -526,12 +509,18 @@ const _ uint = strconv.IntSize - 64
 // emptyAction is the all-zero key's action in a table without outputs.
 var emptyAction = []Value{}
 
-// hashPacked mixes the four key words with distinct odd multipliers;
-// good enough dispersion for addresses/ports/IDs at half load.
-func hashPacked(k PackedKey) uint64 {
-	h := k[0]*0x9e3779b97f4a7c15 ^ k[1]*0xbf58476d1ce4e5b9 ^
-		k[2]*0x94d049bb133111eb ^ k[3]*0x2545f4914f6cdd1d
+// hashPacked mixes the four key words, in a record's key form, with
+// distinct odd multipliers; good enough dispersion for
+// addresses/ports/IDs at half load.
+func hashPacked(k0, k1 Value) uint64 {
+	h := uint64(k0.W)*0x9e3779b97f4a7c15 ^ k0.V*0xbf58476d1ce4e5b9 ^
+		uint64(k1.W)*0x94d049bb133111eb ^ k1.V*0x2545f4914f6cdd1d
 	return h ^ h>>29
+}
+
+// split is k in a record's key form: two words to a Value, W first.
+func split(k PackedKey) (Value, Value) {
+	return Value{int(k[0]), k[1]}, Value{int(k[2]), k[3]}
 }
 
 // rec is slot i's record: kv Values of key, then the action.
@@ -552,21 +541,21 @@ func (s *packedSnap) key(r []Value) PackedKey {
 // find probes for k, which is not the all-zero key: its slot, or the
 // empty one ending its run.
 func (s *packedSnap) find(k PackedKey) (uint64, bool) {
-	for i := hashPacked(k) & s.mask; ; i = (i + 1) & s.mask {
+	for i := hashPacked(split(k)) & s.mask; ; i = (i + 1) & s.mask {
 		if kr := s.key(s.rec(i)); kr == k || kr == (PackedKey{}) {
 			return i, kr == k
 		}
 	}
 }
 
-// lookup is find for readers, the probe written out word by word: it
-// is the per-packet path, and comparing through key costs half again.
-func (s *packedSnap) lookup(k PackedKey) ([]Value, bool) {
-	if k[0]|k[1]|k[2]|k[3] == 0 {
+// lookup is find for readers, on the key in a record's own form and
+// compared word by word: it is the per-packet path, and comparing
+// through key costs half again.
+func (s *packedSnap) lookup(k0, k1 Value) ([]Value, bool) {
+	if k0 == (Value{}) && k1 == (Value{}) {
 		return s.zero, s.zero != nil
 	}
-	k0, k1 := Value{int(k[0]), k[1]}, Value{int(k[2]), k[3]}
-	for i := hashPacked(k) & s.mask; ; i = (i + 1) & s.mask {
+	for i := hashPacked(k0, k1) & s.mask; ; i = (i + 1) & s.mask {
 		r := s.rec(i)
 		if r[0] == k0 && (s.kv == 1 || r[1] == k1) {
 			return r[s.kv:], true
@@ -640,9 +629,10 @@ func (st *packedStore) insert(k PackedKey, action []Value, name string) {
 		i, ok := st.find(k)
 		r := st.rec(i)
 		if !ok {
-			r[0] = Value{int(k[0]), k[1]}
+			k0, k1 := split(k)
+			r[0] = k0
 			if st.kv == 2 {
-				r[1] = Value{int(k[2]), k[3]}
+				r[1] = k1
 			}
 			st.count++
 		}
@@ -677,7 +667,7 @@ func (st *packedStore) remove(k PackedKey) bool {
 			if kj == (PackedKey{}) {
 				break
 			}
-			if home := hashPacked(kj); (j-home)&st.mask >= (j-i)&st.mask {
+			if home := hashPacked(split(kj)); (j-home)&st.mask >= (j-i)&st.mask {
 				copy(st.rec(i), st.rec(j))
 				i = j
 			}
@@ -710,43 +700,34 @@ func (st *packedStore) entries(nkeys int) []Entry {
 	return out
 }
 
-// LookupPacked is the allocation-free lookup the bytecode VM uses: the
-// key is passed by value in a fixed array, so nothing escapes to the
-// heap. Exact tables serve hits from the immutable snapshot without
-// touching the lock. It supports tables with at most MaxPackedKeys
-// columns; wider tables must go through Lookup. Callers zero-fill the
-// columns past the table's own (as Lookup and the VM's runApply do): an
-// exact table stores and compares keys at its own width, so what a key
-// with a stray word there matches is unspecified.
-func (t *Table) LookupPacked(k PackedKey) ([]Value, bool) {
-	if s := t.snap.Load(); s != nil {
-		if a, ok := s.lookup(k); ok {
-			return a, true
+// LookupWords is the allocation-free lookup the bytecode VM uses: the
+// key words travel as arguments, in registers, down to the probe. An
+// exact table answers from its lock-free read view, published here
+// first if a mutation invalidated it — so an install is visible at the
+// next lookup; a TCAM table walks its entries under the read lock. It
+// serves tables of at most MaxPackedKeys columns; wider tables must go
+// through Lookup. Callers zero the words past the table's own columns
+// (as Lookup and the VM's runApply do): an exact table stores and
+// compares keys at its own width, so what a key with a stray word there
+// matches is unspecified.
+func (t *Table) LookupWords(k0, k1, k2, k3 uint64) ([]Value, bool) {
+	s := t.snap.Load()
+	if s == nil {
+		if t.packed == nil {
+			k := PackedKey{k0, k1, k2, k3}
+			return t.match(k[:min(len(t.Keys), MaxPackedKeys)])
 		}
-		return t.Default, false
+		s = t.publish()
 	}
-	return t.lookupPackedSlow(k)
-}
-
-// lookupPackedSlow is the locked path: TCAM tables always land here;
-// exact tables land here only right after a mutation, republishing the
-// read view for every subsequent lookup.
-func (t *Table) lookupPackedSlow(k PackedKey) ([]Value, bool) {
-	if t.packed != nil {
-		s := t.publish()
-		if a, ok := s.lookup(k); ok {
-			return a, true
-		}
-		return t.Default, false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, e := range t.entries {
-		if e.match != nil && e.match(k) {
-			return e.Action, true
-		}
+	if a, ok := s.lookup(Value{int(k0), k1}, Value{int(k2), k3}); ok {
+		return a, true
 	}
 	return t.Default, false
+}
+
+// LookupPacked is LookupWords on a key built as an array.
+func (t *Table) LookupPacked(k PackedKey) ([]Value, bool) {
+	return t.LookupWords(k[0], k[1], k[2], k[3])
 }
 
 // Entries returns a snapshot of the installed entries (TCAM order for
@@ -762,7 +743,7 @@ func (t *Table) Entries() []Entry {
 		out = append(out, *e)
 	}
 	for _, e := range t.entries {
-		out = append(out, *e)
+		out = append(out, e.Entry)
 	}
 	return out
 }
