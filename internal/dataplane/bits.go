@@ -72,9 +72,6 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitLen returns the number of bits written (before final padding).
-func (w *BitWriter) BitLen() int { return w.nbit }
-
 // BitReader reads values of arbitrary bit widths from a byte slice,
 // MSB-first, mirroring BitWriter.
 type BitReader struct {

@@ -116,6 +116,23 @@ type Counts struct {
 	PerChecker []CheckerCounts
 }
 
+// Add accumulates o into c. PerChecker rows add by position and keep
+// c's names; a row only o has is appended under o's name.
+func (c *Counts) Add(o Counts) {
+	c.Packets += o.Packets
+	c.Forwarded += o.Forwarded
+	c.Rejected += o.Rejected
+	c.Reports += o.Reports
+	c.Errors += o.Errors
+	for i, row := range o.PerChecker {
+		if i == len(c.PerChecker) {
+			c.PerChecker = append(c.PerChecker, CheckerCounts{Name: row.Name})
+		}
+		c.PerChecker[i].Rejected += row.Rejected
+		c.PerChecker[i].Reports += row.Reports
+	}
+}
+
 // Config sizes the engine.
 type Config struct {
 	// Shards is the worker count; <= 0 means GOMAXPROCS.
@@ -291,15 +308,9 @@ func mergeCounts(chks []Checker, shards ...*shard) Counts {
 		total.PerChecker[i].Name = c.Name
 	}
 	for _, s := range shards {
-		total.Packets += s.counts.Packets
-		total.Forwarded += s.counts.Forwarded
-		total.Rejected += s.counts.Rejected
-		total.Reports += s.counts.Reports
-		total.Errors += s.counts.Errors
-		for i := range total.PerChecker {
-			total.PerChecker[i].Rejected += s.perChecker[i].Rejected
-			total.PerChecker[i].Reports += s.perChecker[i].Reports
-		}
+		c := s.counts
+		c.PerChecker = s.perChecker
+		total.Add(c)
 	}
 	return total
 }

@@ -144,6 +144,26 @@ func TestEngineBackpressure(t *testing.T) {
 	}
 }
 
+// TestCountsAdd: totals add, per-checker rows add by position and keep
+// the receiver's names, and a zero Counts takes the rows it lacks.
+func TestCountsAdd(t *testing.T) {
+	a := engine.Counts{Packets: 3, Forwarded: 2, Rejected: 1, Reports: 4, Errors: 1,
+		PerChecker: []engine.CheckerCounts{{Name: "fw", Rejected: 1, Reports: 3}, {Name: "lb", Reports: 1}}}
+	b := engine.Counts{Packets: 5, Forwarded: 5, Reports: 2,
+		PerChecker: []engine.CheckerCounts{{Name: "other", Reports: 2}, {Name: "lb"}}}
+	var sum engine.Counts
+	sum.Add(a)
+	sum.Add(b)
+	want := engine.Counts{Packets: 8, Forwarded: 7, Rejected: 1, Reports: 6, Errors: 1,
+		PerChecker: []engine.CheckerCounts{{Name: "fw", Rejected: 1, Reports: 5}, {Name: "lb", Reports: 1}}}
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("sum = %+v, want %+v", sum, want)
+	}
+	if a.PerChecker[0].Reports != 3 {
+		t.Fatal("Add wrote through to an operand's rows")
+	}
+}
+
 // TestShardAffinity: both directions of a flow must land on one shard
 // (the stateful firewall correlates them), and the spread across shards
 // must be genuine.

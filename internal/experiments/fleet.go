@@ -103,7 +103,7 @@ func RunFleetReference(packets, loops, skipSeedEvery, batchSize int, seed int64)
 	}
 	seq.Warm()
 	bus.Start()
-	multiset := map[engine.Verdict]uint64{}
+	var perLoop [][]fleet.VerdictCount
 	for loop := 0; loop < loops; loop++ {
 		for lo := 0; lo < len(pkts); lo += batchSize {
 			hi := lo + batchSize
@@ -112,21 +112,14 @@ func RunFleetReference(packets, loops, skipSeedEvery, batchSize int, seed int64)
 			}
 			seq.ProcessBatch(pkts[lo:hi])
 		}
-		for i := range verdicts {
-			multiset[verdicts[i]]++
-		}
+		perLoop = append(perLoop, fleet.VerdictCountsOf(verdicts))
 	}
 	bus.Close()
 	ref := FleetReference{
 		Counts:     seq.Counts(),
-		Verdicts:   nil,
+		Verdicts:   fleet.MergeVerdictCounts(perLoop...),
 		DigestKeys: map[string]uint64{},
 	}
-	vcs := make([]fleet.VerdictCount, 0, len(multiset))
-	for v, c := range multiset {
-		vcs = append(vcs, fleet.VerdictCount{Reject: v.Reject, Reports: v.Reports, Count: c})
-	}
-	ref.Verdicts = fleet.MergeVerdictCounts(vcs)
 	aggs := collect.Aggregates()
 	for i := range aggs {
 		ref.DigestKeys[fleet.AggKeyOf(&aggs[i])] += aggs[i].Count
@@ -191,8 +184,9 @@ type FleetResult struct {
 	Ref    FleetReference
 
 	// VerdictParity: the fleet's merged verdict multiset equals the
-	// reference's (asserted only on clean runs). CountsParity: engine
-	// counts match. DigestParity: the merged violation table matches
+	// reference's (asserted only on clean runs). CountsParity: the
+	// summed engine counts equal the reference's, per-checker rows
+	// included. DigestParity: the merged violation table matches
 	// the reference's content-keyed digest counts. Conserved: every
 	// summarized session balanced its digest ledger exactly.
 	VerdictParity bool
@@ -465,11 +459,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	res.IngestClean = res.Ingest.Reconnects == 0 && len(res.Ingest.Dropped) == 0 &&
 		res.Ingest.Packets == res.Ingest.Acked
 	res.VerdictParity = reflect.DeepEqual(res.Report.Verdicts, ref.Verdicts)
-	res.CountsParity = res.Report.Counts.Packets == ref.Counts.Packets &&
-		res.Report.Counts.Forwarded == ref.Counts.Forwarded &&
-		res.Report.Counts.Rejected == ref.Counts.Rejected &&
-		res.Report.Counts.Reports == ref.Counts.Reports &&
-		res.Report.Counts.Errors == ref.Counts.Errors
+	res.CountsParity = reflect.DeepEqual(res.Report.Counts, ref.Counts)
 	res.DigestParity = reflect.DeepEqual(DigestKeyCounts(res.Report.Aggregates), ref.DigestKeys)
 	if ref.Unaccounted != 0 {
 		res.Conserved = false

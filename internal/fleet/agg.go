@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/reportbus"
 	"repro/internal/wireproto"
@@ -46,7 +48,6 @@ func AggKeyOf(a *reportbus.Aggregate) string {
 type sessionLedger struct {
 	node     string
 	received uint64 // digests received via AggBatch windows
-	last     *Stats
 	summary  *Summary
 }
 
@@ -124,9 +125,12 @@ func (a *Agg) handle(conn net.Conn) error {
 	node := conn.RemoteAddr().String()
 	for {
 		f, err := r.ReadFrame()
-		if err != nil {
-			// EOF is the normal end of a worker process.
+		if err == io.EOF {
+			// The normal end of a worker process.
 			return nil
+		}
+		if err != nil {
+			return err
 		}
 		switch f.Type {
 		case wireproto.TypeHello:
@@ -141,47 +145,40 @@ func (a *Agg) handle(conn net.Conn) error {
 				return err
 			}
 			a.merge(node, &batch)
-		case wireproto.TypeStats:
-			var st Stats
-			if err := decodeJSON(&f, &st); err == nil {
-				a.note(st.Session, st.Node, func(l *sessionLedger) { cp := st; l.last = &cp })
-			}
 		case wireproto.TypeSummary:
 			var sum Summary
 			if err := decodeJSON(&f, &sum); err != nil {
 				f.Release()
 				return err
 			}
-			a.note(sum.Session, sum.Node, func(l *sessionLedger) {
-				if l.summary == nil {
-					a.summaries++
-					close(a.arrived)
-					a.arrived = make(chan struct{})
-				}
-				cp := sum
-				l.summary = &cp
-			})
+			a.record(&sum)
 			a.mSummaries.Inc()
 			a.cfg.Logf("agg: summary from %s session %d: %d packets, unaccounted %d, clean %t",
-				sum.Node, sum.Session, sum.Counts.Packets, sum.Bus.Unaccounted, sum.Clean)
+				sum.Node, sum.Session, sum.Counts.Packets, sum.Bus.Unaccounted(), sum.Clean)
 		}
 		f.Release()
 	}
 }
 
-// note applies fn to the session's ledger under the lock.
-func (a *Agg) note(session uint64, node string, fn func(*sessionLedger)) {
+// record files a session's summary in its ledger and wakes the waiters
+// when it is the session's first.
+func (a *Agg) record(sum *Summary) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	l := a.sessions[session]
+	l := a.sessions[sum.Session]
 	if l == nil {
 		l = &sessionLedger{}
-		a.sessions[session] = l
+		a.sessions[sum.Session] = l
 	}
-	if node != "" {
-		l.node = node
+	if sum.Node != "" {
+		l.node = sum.Node
 	}
-	fn(l)
+	if l.summary == nil {
+		a.summaries++
+		close(a.arrived)
+		a.arrived = make(chan struct{})
+	}
+	l.summary = sum
 }
 
 // merge folds one federated window into the fleet table.
@@ -262,13 +259,13 @@ type FleetReport struct {
 	Summaries []Summary `json:"summaries"`
 	// Counts sums engine counts over all summarized sessions; Verdicts
 	// merges the verdict multisets of clean sessions (the parity view).
-	Counts   EngineCounts   `json:"counts"`
+	Counts   engine.Counts  `json:"counts"`
 	Verdicts []VerdictCount `json:"verdicts"`
 	// Aggregates is the merged fleet-wide violation table, sorted by
 	// content key.
 	Aggregates []reportbus.Aggregate `json:"aggregates"`
 	// Conservation: every summarized session must satisfy
-	// Bus.Unaccounted == 0 (nothing lost inside the worker) and its
+	// Bus.Unaccounted() == 0 (nothing lost inside the worker) and its
 	// received digest count must equal its emitted count (nothing lost
 	// on the wire). Unaccounted sums the per-session residuals;
 	// Conserved is the fleet-wide verdict.
@@ -314,8 +311,9 @@ func (a *Agg) Report() FleetReport {
 		rep.Counts.Add(s.Counts)
 		rep.SummarizedEmitted += s.Bus.EmittedDigests
 		rep.SummarizedReceived += l.received
-		rep.Unaccounted += s.Bus.Unaccounted
-		if s.Bus.Unaccounted != 0 || l.received != s.Bus.EmittedDigests {
+		unaccounted := s.Bus.Unaccounted()
+		rep.Unaccounted += unaccounted
+		if unaccounted != 0 || l.received != s.Bus.EmittedDigests {
 			rep.Conserved = false
 		}
 		if s.Clean {

@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/reportbus"
 	"repro/internal/trafficgen"
@@ -313,6 +317,44 @@ func TestWaitSummariesConcurrentWaiters(t *testing.T) {
 	}
 }
 
+// TestAggLogsBrokenUplink: an uplink that ends on a framing error, not
+// at EOF, is logged with that error.
+func TestAggLogsBrokenUplink(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	lines := make(chan string, 8)
+	agg := NewAgg(AggConfig{Node: "agg", Logf: func(format string, args ...any) {
+		lines <- fmt.Sprintf(format, args...)
+	}})
+	go agg.Serve(ln)
+
+	var frame bytes.Buffer
+	if err := writeJSON(wireproto.NewWriter(&frame), wireproto.TypeHello, Hello{Node: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	raw := frame.Bytes()
+	raw[len(raw)-1] ^= 0xff // the CRC trailer
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case line := <-lines:
+		if !strings.Contains(line, "agg: uplink from") || !strings.Contains(line, "wireproto: checksum") {
+			t.Fatalf("log line %q does not report the uplink's checksum error", line)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a bad-CRC frame ended the uplink without a log line")
+	}
+}
+
 // hopPath is a fabric model with paths of flow-dependent length (1–3
 // hops), so hop-slab offsets are exercised.
 func hopPath(k dataplane.FlowKey) []engine.Hop {
@@ -586,6 +628,46 @@ func (fw *fakeWorker) session(conn net.Conn, first bool) {
 	}
 }
 
+// checkLedgerMatchesMetrics: each worker link of the ingest's JSON
+// ledger says what the registry's series for that worker say.
+func checkLedgerMatchesMetrics(t *testing.T, stats IngestStats, reg *metrics.Registry) {
+	t.Helper()
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]uint64{}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			if v, err := strconv.ParseUint(f[1], 10, 64); err == nil {
+				samples[f[0]] = v
+			}
+		}
+	}
+	sample := func(series string) uint64 {
+		t.Helper()
+		v, ok := samples[series]
+		if !ok {
+			t.Fatalf("no sample for %s in the registry", series)
+		}
+		return v
+	}
+	for i, w := range stats.Workers {
+		worker := fmt.Sprintf(`worker="%d"`, i)
+		if got := sample("hydra_ingest_packets_acked_total{" + worker + "}"); w.Acked != got {
+			t.Errorf("worker %d: ledger acked %d, /metrics %d", i, w.Acked, got)
+		}
+		if got := sample("hydra_ingest_reconnects_total{" + worker + "}"); w.Reconnects != got {
+			t.Errorf("worker %d: ledger reconnects %d, /metrics %d", i, w.Reconnects, got)
+		}
+		for _, reason := range []string{"backpressure", "reconnect", "failed"} {
+			if got := sample(fmt.Sprintf("hydra_ingest_drops_total{reason=%q,%s}", reason, worker)); w.Dropped[reason] != got {
+				t.Errorf("worker %d: ledger dropped %d for %s, /metrics %d", i, w.Dropped[reason], reason, got)
+			}
+		}
+	}
+}
+
 func TestIngestBackpressureDrops(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -596,11 +678,13 @@ func TestIngestBackpressureDrops(t *testing.T) {
 	go fw.serve()
 
 	const n = 2000
+	reg := metrics.NewRegistry()
 	ing, err := NewIngest(IngestConfig{
 		Workers:   []string{ln.Addr().String()},
 		PathFor:   testPath,
 		BatchSize: 16, Window: 1, QueueDepth: 1,
 		DropAfter: 10 * time.Millisecond,
+		Metrics:   reg,
 		Logf:      t.Logf,
 	})
 	if err != nil {
@@ -624,6 +708,7 @@ func TestIngestBackpressureDrops(t *testing.T) {
 	if stats.Reconnects != 0 {
 		t.Fatalf("backpressure must not reconnect, got %d", stats.Reconnects)
 	}
+	checkLedgerMatchesMetrics(t, stats, reg)
 }
 
 func TestIngestReconnectDrops(t *testing.T) {
@@ -636,11 +721,13 @@ func TestIngestReconnectDrops(t *testing.T) {
 	go fw.serve()
 
 	const n, batch = 2000, 32
+	reg := metrics.NewRegistry()
 	ing, err := NewIngest(IngestConfig{
 		Workers:   []string{ln.Addr().String()},
 		PathFor:   testPath,
 		BatchSize: batch, Window: 1,
-		Logf: t.Logf,
+		Metrics: reg,
+		Logf:    t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -663,6 +750,7 @@ func TestIngestReconnectDrops(t *testing.T) {
 	if fw.sessions.Load() != 2 {
 		t.Fatalf("fake worker saw %d sessions, want 2", fw.sessions.Load())
 	}
+	checkLedgerMatchesMetrics(t, stats, reg)
 	// The second connection replays the whole seed ahead of its packets.
 	fw.mu.Lock()
 	defer fw.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +117,6 @@ type Ingest struct {
 	// stopc is closed once by Stop, for a sender waiting between dials.
 	stopc    chan struct{}
 	stopOnce sync.Once
-	acked    atomic.Uint64
 	started  time.Time
 
 	mFrames    *metrics.Counter
@@ -152,13 +150,13 @@ func NewIngest(cfg IngestConfig) (*Ingest, error) {
 		cfg.Loops = 1
 	}
 	if cfg.DialRetries <= 0 {
-		cfg.DialRetries = 40
+		cfg.DialRetries = defaultDialRetries
 	}
 	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
+		cfg.BackoffBase = defaultBackoffBase
 	}
 	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
+		cfg.BackoffMax = defaultBackoffMax
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -228,7 +226,7 @@ func (in *Ingest) Run(src Source) (IngestStats, error) {
 		}(senders[i])
 	}
 	ppsDone := make(chan struct{})
-	go in.trackPPS(ppsDone)
+	go in.trackPPS(ppsDone, senders)
 
 	stats.Packets = in.dispatch(recs, senders)
 	for _, s := range senders {
@@ -349,8 +347,9 @@ func (in *Ingest) load(src Source, stats *IngestStats) ([]rec, [][2]uint32, erro
 	return recs, pairs, nil
 }
 
-// trackPPS refreshes the smoothed throughput gauge once a second.
-func (in *Ingest) trackPPS(done chan struct{}) {
+// trackPPS refreshes the smoothed throughput gauge once a second from
+// the senders' acknowledged-packet counters.
+func (in *Ingest) trackPPS(done chan struct{}, senders []*sender) {
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	var last uint64
@@ -359,7 +358,10 @@ func (in *Ingest) trackPPS(done chan struct{}) {
 		case <-done:
 			return
 		case <-t.C:
-			cur := in.acked.Load()
+			var cur uint64
+			for _, s := range senders {
+				cur += s.mAcked.Value()
+			}
 			in.mPPS.Set(float64(cur - last))
 			last = cur
 		}
@@ -382,7 +384,8 @@ type connState struct {
 
 // sender owns one worker link: connection lifecycle (dial, seed replay,
 // reconnect with backoff), the bounded credit window, and the drop
-// ledger. All mutable state is confined to the sender goroutine.
+// ledger, which is its metrics counters. All other mutable state is
+// confined to the sender goroutine.
 type sender struct {
 	in    *Ingest
 	idx   int
@@ -401,12 +404,8 @@ type sender struct {
 	outGauge atomic.Uint64
 	scratch  []byte
 
-	assigned   atomic.Uint64
-	acked      atomic.Uint64
-	reconnects atomic.Uint64
-	dropped    map[string]uint64
-	dropTotal  atomic.Uint64
-	err        error
+	assigned atomic.Uint64
+	err      error
 
 	mSent   *metrics.Counter
 	mAcked  *metrics.Counter
@@ -420,14 +419,13 @@ var errCreditTimeout = errors.New("fleet: timed out waiting for worker credits")
 
 func newSender(in *Ingest, idx int, addr string, seed [][2]uint32, expect uint64) *sender {
 	s := &sender{
-		in:      in,
-		idx:     idx,
-		addr:    addr,
-		queue:   make(chan batch, in.cfg.QueueDepth),
-		free:    make(chan batch, in.cfg.QueueDepth+2),
-		seed:    seed,
-		dropped: map[string]uint64{},
-		mDrops:  map[string]*metrics.Counter{},
+		in:     in,
+		idx:    idx,
+		addr:   addr,
+		queue:  make(chan batch, in.cfg.QueueDepth),
+		free:   make(chan batch, in.cfg.QueueDepth+2),
+		seed:   seed,
+		mDrops: map[string]*metrics.Counter{},
 	}
 	w := fmt.Sprintf("%d", idx)
 	reg := in.cfg.Metrics
@@ -460,13 +458,7 @@ func (s *sender) run() {
 	}
 }
 
-func (s *sender) drop(reason string, n uint64) {
-	s.dropped[reason] += n
-	s.dropTotal.Add(n)
-	if c := s.mDrops[reason]; c != nil {
-		c.Add(n)
-	}
-}
+func (s *sender) drop(reason string, n uint64) { s.mDrops[reason].Add(n) }
 
 func (s *sender) sendBatch(pkts []wireproto.Packet) {
 	n := uint64(len(pkts))
@@ -547,8 +539,6 @@ func (s *sender) credit(n uint64) {
 	}
 	s.outstandingPkts -= n
 	s.outGauge.Store(s.outstandingPkts)
-	s.acked.Add(n)
-	s.in.acked.Add(n)
 	s.mAcked.Add(n)
 }
 
@@ -566,7 +556,6 @@ func (s *sender) onConnError(err error) {
 	s.outstanding = 0
 	s.outstandingPkts = 0
 	s.outGauge.Store(0)
-	s.reconnects.Add(1)
 	s.mReconn.Inc()
 }
 
@@ -574,48 +563,30 @@ func (s *sender) onConnError(err error) {
 // handshake: Hello, then the firewall seed in bounded chunks. A worker
 // that restarts rebuilds identical control state from the re-sent seed.
 func (s *sender) connect() bool {
-	backoff := s.in.cfg.BackoffBase
-	var lastErr error
-	attempt := 0
-dial:
-	for ; attempt < s.in.cfg.DialRetries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-s.in.stopc:
-				lastErr = fmt.Errorf("stopped while backing off: %w", lastErr)
-				break dial
+	cfg := &s.in.cfg
+	attempts, err := dialBackoff(s.addr, cfg.DialRetries, cfg.BackoffBase, cfg.BackoffMax, s.in.stopc,
+		func(conn net.Conn) error {
+			cs := &connState{
+				conn:    conn,
+				w:       wireproto.NewWriter(conn),
+				creditc: make(chan uint64, 2*cfg.Window+16),
+				finackc: make(chan FinAck, 1),
+				errc:    make(chan error, 1),
 			}
-			if backoff *= 2; backoff > s.in.cfg.BackoffMax {
-				backoff = s.in.cfg.BackoffMax
+			start := time.Now()
+			if err := s.handshake(cs); err != nil {
+				return err
 			}
-		}
-		conn, err := net.Dial("tcp", s.addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		cs := &connState{
-			conn:    conn,
-			w:       wireproto.NewWriter(conn),
-			creditc: make(chan uint64, 2*s.in.cfg.Window+16),
-			finackc: make(chan FinAck, 1),
-			errc:    make(chan error, 1),
-		}
-		start := time.Now()
-		if err := s.handshake(cs); err != nil {
-			lastErr = err
-			conn.Close()
-			continue
-		}
-		s.in.mHandshake.Observe(time.Since(start).Seconds())
-		go readLoop(cs)
-		s.cs = cs
+			s.in.mHandshake.Observe(time.Since(start).Seconds())
+			go readLoop(cs)
+			s.cs = cs
+			return nil
+		})
+	if err == nil {
 		return true
 	}
-	s.err = fmt.Errorf("fleet: worker %d (%s) unreachable after %d attempts: %w",
-		s.idx, s.addr, attempt, lastErr)
-	s.in.cfg.Logf("ingest: %v", s.err)
+	s.err = fmt.Errorf("fleet: worker %d (%s) unreachable after %d attempts: %w", s.idx, s.addr, attempts, err)
+	cfg.Logf("ingest: %v", s.err)
 	return false
 }
 
@@ -625,8 +596,7 @@ dial:
 // wireproto.MaxSeedPairs, the last marked done. It is replayed on every
 // (re)connect, so a restarted worker rebuilds the same control state.
 func (s *sender) handshake(cs *connState) error {
-	hello := Hello{Role: "ingest", Node: s.in.cfg.Node, PID: os.Getpid()}
-	if err := writeJSON(cs.w, wireproto.TypeHello, hello); err != nil {
+	if err := writeJSON(cs.w, wireproto.TypeHello, Hello{Node: s.in.cfg.Node}); err != nil {
 		return err
 	}
 	var buf []byte
@@ -724,18 +694,21 @@ func (s *sender) finish() {
 	}
 }
 
-// link snapshots the sender's accounting after run returns.
+// link snapshots the sender's accounting after run returns: what its
+// metrics counters say, reasons with no drop left out.
 func (s *sender) link() WorkerLink {
 	l := WorkerLink{
 		Addr:       s.addr,
 		Assigned:   s.assigned.Load(),
-		Acked:      s.acked.Load(),
-		Reconnects: s.reconnects.Load(),
+		Acked:      s.mAcked.Value(),
+		Reconnects: s.mReconn.Value(),
 	}
-	if len(s.dropped) > 0 {
-		l.Dropped = make(map[string]uint64, len(s.dropped))
-		for k, v := range s.dropped {
-			l.Dropped[k] = v
+	for reason, c := range s.mDrops {
+		if n := c.Value(); n > 0 {
+			if l.Dropped == nil {
+				l.Dropped = map[string]uint64{}
+			}
+			l.Dropped[reason] = n
 		}
 	}
 	if s.err != nil {

@@ -5,7 +5,7 @@
 //
 //	capture ──▶ hydra-ingestd ──(wireproto: packet batches)──▶ hydra-workerd ×N
 //	                                                               │
-//	                                      (wireproto: aggregates, stats, summaries)
+//	                                      (wireproto: aggregates, summaries)
 //	                                                               ▼
 //	                                                          hydra-aggd
 //
@@ -18,20 +18,17 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"net"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/reportbus"
 	"repro/internal/wireproto"
 )
 
-// Hello opens every fleet connection.
+// Hello opens every fleet connection and names the dialling node.
 type Hello struct {
-	Role string `json:"role"` // "ingest" or "worker"
 	Node string `json:"node"`
-	// Session distinguishes incarnations of the same worker across
-	// crash/restart cycles; the aggregator ledgers per session.
-	Session uint64 `json:"session,omitempty"`
-	PID     int    `json:"pid,omitempty"`
 }
 
 // VerdictCount is one equivalence class of per-packet verdicts with
@@ -43,74 +40,16 @@ type VerdictCount struct {
 	Count   uint64 `json:"count"`
 }
 
-// EngineCounts mirrors engine.Counts in wire form.
-type EngineCounts struct {
-	Packets   uint64 `json:"packets"`
-	Forwarded uint64 `json:"forwarded"`
-	Rejected  uint64 `json:"rejected"`
-	Reports   uint64 `json:"reports"`
-	Errors    uint64 `json:"errors"`
-}
-
-func countsFromEngine(c engine.Counts) EngineCounts {
-	return EngineCounts{
-		Packets:   c.Packets,
-		Forwarded: c.Forwarded,
-		Rejected:  c.Rejected,
-		Reports:   c.Reports,
-		Errors:    c.Errors,
-	}
-}
-
-// Add accumulates o into c.
-func (c *EngineCounts) Add(o EngineCounts) {
-	c.Packets += o.Packets
-	c.Forwarded += o.Forwarded
-	c.Rejected += o.Rejected
-	c.Reports += o.Reports
-	c.Errors += o.Errors
-}
-
-// BusCounts is a worker report-bus snapshot in wire form. Every
-// snapshot is internally consistent (taken under the bus mutex), so
-// the aggregator can sum Unaccounted across sessions and trust the
-// fleet-wide ledger.
-type BusCounts struct {
-	Published      uint64 `json:"published"`
-	Dropped        uint64 `json:"dropped"`
-	EmittedDigests uint64 `json:"emitted_digests"`
-	LiveDigests    uint64 `json:"live_digests"`
-	Unaccounted    int64  `json:"unaccounted"`
-}
-
-func busCountsFrom(m reportbus.Metrics) BusCounts {
-	return BusCounts{
-		Published:      m.Published,
-		Dropped:        m.Dropped,
-		EmittedDigests: m.EmittedDigests,
-		LiveDigests:    m.LiveDigests,
-		Unaccounted:    m.Unaccounted(),
-	}
-}
-
-// Stats is a worker's periodic snapshot: how much it has processed and
-// where its digests stand. Mid-run, Unaccounted counts digests queued
-// in ingest rings (published, not yet collected) — it returns to 0 at
-// every bus flush and stays 0 in the final Summary.
-type Stats struct {
-	Session uint64       `json:"session"`
-	Node    string       `json:"node"`
-	Counts  EngineCounts `json:"counts"`
-	Bus     BusCounts    `json:"bus"`
-}
-
 // Summary is a worker's end-of-session ledger, sent after the engine
-// drained and the bus closed.
+// drained and the bus closed: the engine's counts and the bus's
+// metrics as their owners report them. The bus snapshot is taken under
+// the bus mutex, so the aggregator can sum Bus.Unaccounted() across
+// sessions and trust the fleet-wide ledger.
 type Summary struct {
-	Session uint64       `json:"session"`
-	Node    string       `json:"node"`
-	Counts  EngineCounts `json:"counts"`
-	Bus     BusCounts    `json:"bus"`
+	Session uint64            `json:"session"`
+	Node    string            `json:"node"`
+	Counts  engine.Counts     `json:"counts"`
+	Bus     reportbus.Metrics `json:"bus"`
 	// Verdicts is the per-packet verdict multiset, sorted by (reject,
 	// reports).
 	Verdicts []VerdictCount `json:"verdicts"`
@@ -145,4 +84,41 @@ func decodeJSON(f *wireproto.Frame, msg any) error {
 		return fmt.Errorf("fleet: decoding frame type %d: %w", f.Type, err)
 	}
 	return nil
+}
+
+// The dial schedule both uplinks default to: 40 attempts, 50 ms apart at
+// first, the wait doubling up to 2 s.
+const (
+	defaultDialRetries = 40
+	defaultBackoffBase = 50 * time.Millisecond
+	defaultBackoffMax  = 2 * time.Second
+)
+
+// dialBackoff dials addr over TCP until open accepts a connection, at
+// most retries times, waiting base between the first two attempts and
+// doubling the wait up to limit. A receive on stop ends a wait early.
+// open owns a connection it accepts; one it rejects is closed. It
+// returns the attempts made and, when none succeeded, the last error.
+func dialBackoff(addr string, retries int, base, limit time.Duration, stop <-chan struct{}, open func(net.Conn) error) (attempts int, err error) {
+	backoff := base
+	for ; attempts < retries; attempts++ {
+		if attempts > 0 {
+			select {
+			case <-time.After(backoff):
+			case <-stop:
+				return attempts, fmt.Errorf("stopped while backing off: %w", err)
+			}
+			backoff = min(2*backoff, limit)
+		}
+		conn, derr := net.Dial("tcp", addr)
+		if derr != nil {
+			err = derr
+			continue
+		}
+		if err = open(conn); err == nil {
+			return attempts + 1, nil
+		}
+		conn.Close()
+	}
+	return attempts, err
 }

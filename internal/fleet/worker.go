@@ -34,12 +34,6 @@ type WorkerConfig struct {
 	Configure func(install func(checker string, switchID uint32, fn func(*pipeline.State) error) error, pairs [][2]uint32) error
 	// BusWindow is the report-bus aggregation window (default 5ms).
 	BusWindow time.Duration
-	// StatsEvery is the upstream Stats cadence (default 500ms).
-	StatsEvery time.Duration
-	// DialRetries/BackoffBase bound the aggregator dial (defaults 40,
-	// 50ms).
-	DialRetries int
-	BackoffBase time.Duration
 	// Metrics, when set, receives the worker instrumentation.
 	Metrics *metrics.Registry
 	// Logf, when set, receives progress lines.
@@ -72,15 +66,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.BusWindow <= 0 {
 		cfg.BusWindow = 5 * time.Millisecond
 	}
-	if cfg.StatsEvery <= 0 {
-		cfg.StatsEvery = 500 * time.Millisecond
-	}
-	if cfg.DialRetries <= 0 {
-		cfg.DialRetries = 40
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -108,31 +93,19 @@ func (w *Worker) Connect() error {
 	if w.cfg.AggAddr == "" {
 		return nil
 	}
-	backoff := w.cfg.BackoffBase
-	var lastErr error
-	for attempt := 0; attempt < w.cfg.DialRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > 2*time.Second {
-				backoff = 2 * time.Second
+	_, err := dialBackoff(w.cfg.AggAddr, defaultDialRetries, defaultBackoffBase, defaultBackoffMax, nil,
+		func(conn net.Conn) error {
+			link := &aggLink{conn: conn, w: wireproto.NewWriter(conn), logf: w.cfg.Logf}
+			if err := link.send(wireproto.TypeHello, Hello{Node: w.cfg.Node}); err != nil {
+				return err
 			}
-		}
-		conn, err := net.Dial("tcp", w.cfg.AggAddr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		link := &aggLink{conn: conn, w: wireproto.NewWriter(conn), logf: w.cfg.Logf}
-		hello := Hello{Role: "worker", Node: w.cfg.Node, PID: os.Getpid()}
-		if err := link.send(wireproto.TypeHello, hello); err != nil {
-			lastErr = err
-			conn.Close()
-			continue
-		}
-		w.agg = link
-		return nil
+			w.agg = link
+			return nil
+		})
+	if err != nil {
+		return fmt.Errorf("fleet: aggregator %s unreachable: %w", w.cfg.AggAddr, err)
 	}
-	return fmt.Errorf("fleet: aggregator %s unreachable: %w", w.cfg.AggAddr, lastErr)
+	return nil
 }
 
 // Close tears down the aggregator link.
@@ -296,10 +269,9 @@ func (w *Worker) newSession(pairs [][2]uint32) (*session, error) {
 	return s, nil
 }
 
-// run is the session hot loop: batches in, credits out, Stats upstream.
-// clean reports whether the session ended with an orderly Fin.
+// run is the session hot loop: batches in, credits out. clean reports
+// whether the session ended with an orderly Fin.
 func (s *session) run(r *wireproto.Reader, wr *wireproto.Writer) (clean bool, err error) {
-	lastStats := time.Now()
 	for {
 		f, err := r.ReadFrame()
 		if err != nil {
@@ -315,12 +287,6 @@ func (s *session) run(r *wireproto.Reader, wr *wireproto.Writer) (clean bool, er
 			s.credit = wireproto.AppendCredit(s.credit[:0], uint32(n))
 			if cerr := wr.WriteFrame(wireproto.TypeCredit, s.credit); cerr != nil {
 				return false, fmt.Errorf("fleet: session %d credit: %w", s.id, cerr)
-			}
-			if s.w.agg != nil && time.Since(lastStats) >= s.w.cfg.StatsEvery {
-				lastStats = time.Now()
-				if serr := s.w.agg.send(wireproto.TypeStats, s.stats()); serr != nil {
-					s.w.cfg.Logf("worker: stats upload failed: %v", serr)
-				}
 			}
 		case wireproto.TypeFin:
 			f.Release()
@@ -389,21 +355,12 @@ func (s *session) processBatch(payload []byte) (int, error) {
 	return len(s.pkts), nil
 }
 
-func (s *session) stats() Stats {
-	return Stats{
-		Session: s.id,
-		Node:    s.w.cfg.Node,
-		Counts:  countsFromEngine(s.seq.Counts()),
-		Bus:     busCountsFrom(s.bus.Metrics()),
-	}
-}
-
 func (s *session) summary(clean bool) Summary {
 	return Summary{
 		Session:  s.id,
 		Node:     s.w.cfg.Node,
-		Counts:   countsFromEngine(s.seq.Counts()),
-		Bus:      busCountsFrom(s.bus.Metrics()),
+		Counts:   s.seq.Counts(),
+		Bus:      s.bus.Metrics(),
 		Verdicts: verdictCountsOf(s.multiset),
 		Clean:    clean,
 	}
@@ -453,7 +410,7 @@ func MergeVerdictCounts(sets ...[]VerdictCount) []VerdictCount {
 // Aggregator uplink
 
 // aggLink is the process-wide connection to the aggregator. Sends come
-// from the session goroutine (Stats, Summary) and the report-bus
+// from the session goroutine (Summary) and the report-bus
 // collector goroutine (AggBatch) concurrently, so the writer is
 // mutex-guarded.
 type aggLink struct {

@@ -7,8 +7,7 @@ import "fmt"
 // Kind identifies the lexical class of a token.
 type Kind int
 
-// Token kinds. Keyword kinds are kept contiguous so IsKeyword is a range
-// test; likewise for operators.
+// Token kinds.
 const (
 	ILLEGAL Kind = iota
 	EOF
@@ -18,7 +17,6 @@ const (
 	INT    // 42, 0x2A, 0b1010
 	STRING // "hdr.ipv4.src_addr" (annotation payloads)
 
-	keywordBeg
 	// Declaration modifiers (§3.2: variable kinds).
 	TELE
 	SENSOR
@@ -44,9 +42,7 @@ const (
 	// Boolean literals.
 	TRUE
 	FALSE
-	keywordEnd
 
-	operatorBeg
 	// Arithmetic.
 	PLUS    // +
 	MINUS   // -
@@ -89,7 +85,6 @@ const (
 	SEMICOLON // ;
 	DOT       // .
 	AT        // @
-	operatorEnd
 )
 
 var kindNames = map[Kind]string{
@@ -115,12 +110,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
-
-// IsKeyword reports whether k is a reserved word.
-func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
-
-// IsOperator reports whether k is an operator or punctuation token.
-func (k Kind) IsOperator() bool { return k > operatorBeg && k < operatorEnd }
 
 var keywords = map[string]Kind{
 	"tele": TELE, "sensor": SENSOR, "header": HEADER, "control": CONTROL,

@@ -228,19 +228,3 @@ func (l *Link) Peer(from Node) (Node, int) {
 	}
 	return l.a.node, l.a.port
 }
-
-// QueueDelay returns the current transmit backlog (as time) in the
-// direction away from `from`. Like Send, it reads sender-shard state.
-func (l *Link) QueueDelay(from Node) Time {
-	var dir *direction
-	var sim *Simulator
-	if from == l.a.node {
-		dir, sim = &l.ab, l.simA
-	} else {
-		dir, sim = &l.ba, l.simB
-	}
-	if dir.busyUntil <= sim.now {
-		return 0
-	}
-	return dir.busyUntil - sim.now
-}

@@ -48,9 +48,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Stddev returns the sample standard deviation.
-func (s Summary) Stddev() float64 { return math.Sqrt(s.Variance) }
-
 // Percentile returns the p-th percentile (0..100) by linear
 // interpolation on the sorted sample.
 func Percentile(xs []float64, p float64) float64 {

@@ -16,8 +16,8 @@
 // decodes by reslicing, no per-packet allocation; the firewall seed,
 // tens of thousands of pairs the worker must hold before it checks a
 // session's first packet, shares its style. The other control payloads
-// (hello, stats, summaries, aggregates) are JSON inside the same
-// framing. Most run once per connection or stats tick; an aggregate
+// (hello, summaries, aggregates, the fin ack) are JSON inside the same
+// framing. Most run once per connection or session; an aggregate
 // batch runs once per report-bus window (5 ms in the benchmark's fleet
 // session), and decoding it is ≈ 5 % of a session's CPU. It stays JSON
 // because bench/'s ladder stage fleet.agg writes JSON aggregate frames.
@@ -48,8 +48,9 @@ const (
 	TypeCredit
 	// TypeAggBatch federates closed-window aggregates upstream: JSON.
 	TypeAggBatch
-	// TypeStats is a periodic worker snapshot: JSON.
-	TypeStats
+	// Type 6 is reserved (a retired worker snapshot): the empty slot
+	// keeps the bytes of the types after it.
+	_
 	// TypeSummary is a worker's end-of-session ledger: JSON.
 	TypeSummary
 	// TypeFin asks the worker to finish its stream; no payload.
