@@ -33,6 +33,15 @@ func buildWithSlice(t *testing.T, opts Options) (*Deployment, *netsim.Simulator)
 	return d, sim
 }
 
+// checkPublished: every digest the checker raised left through the
+// deployment's report bus, and the app decoded each one into a report.
+func checkPublished(t *testing.T, d *Deployment) {
+	t.Helper()
+	if m := d.Bus.Metrics(); m.Published != uint64(len(d.HydraApp.Reports)) {
+		t.Fatalf("the bus published %d digests, the app holds %d reports", m.Published, len(d.HydraApp.Reports))
+	}
+}
+
 func TestUplinkAllowedFlow(t *testing.T) {
 	d, sim := buildWithSlice(t, Options{})
 	ue, err := d.Core.Attach("imsi-001", 1)
@@ -146,6 +155,7 @@ func TestFigure11BugReproduction(t *testing.T) {
 	if d.Server.RxUDP != 1 {
 		t.Fatalf("phase 1: rx = %d", d.Server.RxUDP)
 	}
+	checkPublished(t, d)
 	if len(d.HydraApp.Reports) != 0 {
 		t.Fatalf("phase 1: unexpected reports %+v", d.HydraApp.Reports)
 	}
@@ -167,6 +177,7 @@ func TestFigure11BugReproduction(t *testing.T) {
 	if d.Server.RxUDP != 3 {
 		t.Fatalf("phase 2: rx = %d, want 3", d.Server.RxUDP)
 	}
+	checkPublished(t, d)
 	if len(d.HydraApp.Reports) != 0 {
 		t.Fatalf("phase 2: unexpected reports %+v", d.HydraApp.Reports)
 	}
@@ -183,6 +194,7 @@ func TestFigure11BugReproduction(t *testing.T) {
 	if d.UPF.FilteredDrops != 1 {
 		t.Fatalf("phase 3: upf drops = %d, want 1", d.UPF.FilteredDrops)
 	}
+	checkPublished(t, d)
 	if len(d.HydraApp.Reports) != 1 {
 		t.Fatalf("phase 3: reports = %d, want 1 (%+v)", len(d.HydraApp.Reports), d.HydraApp.Reports)
 	}
@@ -220,6 +232,7 @@ func TestFigure11BugGoneWithFixedONOS(t *testing.T) {
 	if d.Server.RxUDP != 1 {
 		t.Fatalf("fixed controller: rx = %d, want 1", d.Server.RxUDP)
 	}
+	checkPublished(t, d)
 	if len(d.HydraApp.Reports) != 0 {
 		t.Fatalf("fixed controller: unexpected reports %+v", d.HydraApp.Reports)
 	}
@@ -252,6 +265,7 @@ func TestDownlinkBugAlsoCaught(t *testing.T) {
 	if d.DownlinkDelivered(c1) != 1 {
 		t.Fatal("downlink packet should have been dropped by the bug")
 	}
+	checkPublished(t, d)
 	if len(d.HydraApp.Reports) != 1 {
 		t.Fatalf("downlink reports = %d, want 1", len(d.HydraApp.Reports))
 	}

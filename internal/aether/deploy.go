@@ -4,9 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/checkers"
-	"repro/internal/compiler"
+	"repro/internal/controlplane"
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
+	"repro/internal/reportbus"
 )
 
 // Well-known addresses of the deployment (Figure 10).
@@ -36,8 +37,11 @@ type Deployment struct {
 	ONOS *ONOS
 	Core *MobileCore
 
-	// Hydra pieces (nil when built without the checker).
+	// Hydra pieces (nil when built without the checker): the intent app,
+	// and the report bus on the simulator's clock that every digest the
+	// checker raises is published into.
 	HydraApp *HydraApp
+	Bus      *reportbus.Bus
 
 	// enbSeen counts downlink tunnel deliveries per TEID.
 	enbSeen map[uint32]int
@@ -46,8 +50,9 @@ type Deployment struct {
 
 // Options configures the build.
 type Options struct {
-	// WithChecker attaches the Figure 9 application-filtering checker to
-	// every switch and starts the Hydra control-plane app.
+	// WithChecker deploys the Figure 9 application-filtering checker on
+	// every switch through a controlplane.Controller and starts the
+	// Hydra control-plane app on it.
 	WithChecker bool
 	// KnownApps lists the application endpoints the Hydra app expands
 	// intent over; defaults to the edge server on UDP ports 80-82 and
@@ -136,18 +141,12 @@ func Build(sim *netsim.Simulator, opts Options) *Deployment {
 				{IP: InetAddr, Proto: dataplane.ProtoUDP, Ports: []uint16{53}},
 			}
 		}
-		d.HydraApp = NewHydraApp(d.Core, apps)
-
-		info := checkers.MustParse("app-filtering")
-		prog := compiler.MustCompile(info, compiler.Options{Name: "app-filtering"})
-		rt := &compiler.Runtime{Prog: prog}
-		if err := rt.VMErr(); err != nil {
-			panic(fmt.Sprintf("aether: checker app-filtering has no VM form: %v", err))
+		d.Bus = reportbus.New(reportbus.Config{Clock: func() int64 { return int64(sim.Now()) }})
+		ctl := controlplane.NewController(d.Bus)
+		if err := ctl.Deploy(checkerName, checkers.MustParse("app-filtering"), d.Switches()...); err != nil {
+			panic(fmt.Sprintf("aether: %v", err))
 		}
-		for _, sw := range d.Switches() {
-			att := sw.AttachChecker(rt, d.HydraApp.OnReport)
-			d.HydraApp.Wire(att)
-		}
+		d.HydraApp = NewHydraApp(d.Core, ctl, d.Bus, apps)
 	}
 	return d
 }

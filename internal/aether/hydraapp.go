@@ -1,10 +1,16 @@
 package aether
 
 import (
+	"fmt"
+
+	"repro/internal/controlplane"
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
-	"repro/internal/pipeline"
+	"repro/internal/reportbus"
 )
+
+// checkerName is the name the deployment gives the Figure 9 checker.
+const checkerName = "app-filtering"
 
 // AppEndpoint is one known edge application: the Hydra control-plane
 // app expands operator intent over these concrete endpoints when
@@ -17,17 +23,17 @@ type AppEndpoint struct {
 
 // HydraApp is the "simple control plane application that runs atop ONOS"
 // of §5.2: it holds the operator's filtering intent, listens for attach
-// requests, and installs the corresponding entries in the
-// filtering_actions table of the Figure 9 checker on every switch it is
-// wired to. It is deliberately independent of ONOS's UPF rule
-// translation — that independence is what lets the checker catch the
-// Figure 11 bug.
+// requests, installs the corresponding entries in the filtering_actions
+// dictionary of the Figure 9 checker on every switch through the
+// controller, and reads the checker's reports off the report bus. It is
+// deliberately independent of ONOS's UPF rule translation — that
+// independence is what lets the checker catch the Figure 11 bug.
 type HydraApp struct {
 	core *MobileCore
+	ctl  *controlplane.Controller
 	apps []AppEndpoint
 
-	attachments []*netsim.HydraAttachment
-	ues         []*UE
+	ues []*UE
 	// Reports collects every digest raised by the checker.
 	Reports []FilteringReport
 }
@@ -43,32 +49,29 @@ type FilteringReport struct {
 	At      netsim.Time
 }
 
-// NewHydraApp wires the app to the core's attach events.
-func NewHydraApp(core *MobileCore, apps []AppEndpoint) *HydraApp {
-	a := &HydraApp{core: core, apps: apps}
+// NewHydraApp wires the app to the core's attach events and to the
+// bus the controller publishes the checker's reports into.
+func NewHydraApp(core *MobileCore, ctl *controlplane.Controller, bus *reportbus.Bus, apps []AppEndpoint) *HydraApp {
+	a := &HydraApp{core: core, ctl: ctl, apps: apps}
 	core.OnAttach(a.onAttach)
+	bus.Tap(a.onDigest)
 	return a
 }
 
-// Wire registers the checker attachment of one switch; the report sink
-// must also be pointed at OnReport.
-func (a *HydraApp) Wire(att *netsim.HydraAttachment) {
-	a.attachments = append(a.attachments, att)
-}
-
-// OnReport is the report sink to install as the switch's OnReport.
-func (a *HydraApp) OnReport(sw *netsim.Switch, rep pipeline.Report) {
-	if len(rep.Args) != 5 {
+// onDigest decodes one of the checker's reports. The controller's
+// producers are inline, so it runs at the instant of the raise.
+func (a *HydraApp) onDigest(d reportbus.Digest) {
+	if d.Checker != checkerName || d.NArgs != 5 {
 		return
 	}
 	a.Reports = append(a.Reports, FilteringReport{
-		Switch:  sw.ID,
-		UEAddr:  dataplane.IP4(rep.Args[0].V),
-		Proto:   uint8(rep.Args[1].V),
-		AppAddr: dataplane.IP4(rep.Args[2].V),
-		L4Port:  uint16(rep.Args[3].V),
-		Action:  uint8(rep.Args[4].V),
-		At:      sw.Sim().Now(),
+		Switch:  d.SwitchID,
+		UEAddr:  dataplane.IP4(d.Args[0]),
+		Proto:   uint8(d.Args[1]),
+		AppAddr: dataplane.IP4(d.Args[2]),
+		L4Port:  uint16(d.Args[3]),
+		Action:  uint8(d.Args[4]),
+		At:      netsim.Time(d.At),
 	})
 }
 
@@ -94,21 +97,12 @@ func (a *HydraApp) installFor(ue *UE) {
 	}
 	for _, app := range a.apps {
 		for _, port := range app.Ports {
+			key := []uint64{uint64(ue.IP), uint64(app.Proto), uint64(app.IP), uint64(port)}
 			action := s.Evaluate(app.IP, app.Proto, port)
-			entry := pipeline.Entry{
-				Keys: []pipeline.KeyMatch{
-					pipeline.ExactKey(uint64(ue.IP)),
-					pipeline.ExactKey(uint64(app.Proto)),
-					pipeline.ExactKey(uint64(app.IP)),
-					pipeline.ExactKey(uint64(port)),
-				},
-				Action: []pipeline.Value{pipeline.B(8, uint64(action))},
-			}
-			for _, att := range a.attachments {
-				// The corpus checker names its dictionary filtering_actions.
-				if tbl, ok := att.State.Tables["filtering_actions"]; ok {
-					_ = tbl.Insert(entry)
-				}
+			// The deployment put the checker on every switch, so an install
+			// can only fail on a broken build.
+			if err := a.ctl.PutDict(checkerName, 0, "filtering_actions", key, uint64(action)); err != nil {
+				panic(fmt.Sprintf("aether: installing intent for %s: %v", ue.IP, err))
 			}
 		}
 	}

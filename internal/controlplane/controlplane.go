@@ -2,23 +2,18 @@
 // checkers: a Controller that owns the per-switch attachments of one or
 // more compiled checkers, typed install/delete helpers for the three
 // kinds of control variables (§3.2: scalars, dictionaries, sets — each
-// realized as match-action tables by the compiler), and a report sink
-// that collects the digests checkers raise (§2's "report" action).
+// realized as match-action tables by the compiler), and the wiring that
+// sends the digests checkers raise (§2's "report" action) to the
+// control plane.
 //
-// Reports ride the internal/reportbus digest pipeline: every raised
-// digest is published into the bus (one inline producer per switch, so
-// the single-threaded netsim event loop delivers synchronously), the
-// bus's per-digest tap feeds the controller's reactive OnReport
-// callback and its retention store, and the bus's windowed aggregation,
-// storm control, and exporters are available to any consumer that
-// shares the bus (see Config.Bus).
-//
-// Retention policy: the controller keeps the last RetainPerChecker
-// reports per checker (default 4096) in per-checker rings — O(1)
-// insertion, O(k) ReportsFor — and counts what it evicts (Evicted).
-// The full, lossless record is the bus's aggregate stream, not the
-// controller's sample: retention exists for reactive control logic and
-// tests, which want recent individual digests, not history.
+// That wiring is the caller's internal/reportbus Bus, and nothing else:
+// every raised digest is published into it through one inline producer
+// per switch, and the controller keeps no copy. A reactive consumer
+// registers a Bus.Tap — with inline producers it fires before the
+// raising packet moves on, so a simulation's control loop reacts at the
+// instant of the report — and the bus's windowed aggregation, storm
+// control and exporters serve everyone else. The caller owns the bus:
+// it flushes or closes it when the run is over.
 //
 // The Aether-specific control logic (ONOS's UPF rule translation and
 // the Hydra intent app) lives in internal/aether; this package is the
@@ -35,27 +30,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/reportbus"
 )
-
-// Report is one collected digest with its provenance.
-type Report struct {
-	Checker  string
-	SwitchID uint32
-	Switch   string
-	At       netsim.Time
-	Args     []uint64
-}
-
-// Config parameterizes a Controller.
-type Config struct {
-	// Bus, when set, is the report bus the controller publishes into and
-	// taps; the caller keeps ownership (Close never closes it). Nil
-	// means a private inline bus with default settings.
-	Bus *reportbus.Bus
-	// RetainPerChecker bounds the per-checker report retention; default
-	// 4096, negative disables retention entirely (the bus still sees
-	// every digest).
-	RetainPerChecker int
-}
 
 // InstallObserver observes the control-plane mutations a Controller
 // actually applies, per target switch: the hook the static verification
@@ -74,68 +48,31 @@ type Controller struct {
 	mu sync.Mutex
 	// atts[checker][switchID] is the attachment on that switch.
 	atts map[string]map[uint32]*netsim.HydraAttachment
-	// infos keeps the type information for width-correct installs.
+	// runtimes keeps each checker's compiled runtime: WipeSwitch resets
+	// an attachment to its program's factory state.
 	runtimes map[string]*compiler.Runtime
-	// producers is the per-switch inline bus producer; swNames resolves
-	// digest provenance back to a switch name.
+	// producers is the per-switch inline producer on bus.
 	producers map[uint32]*reportbus.Producer
-	swNames   map[uint32]string
-
-	bus    *reportbus.Bus
-	ownBus bool
-	ret    retention
-
-	// OnReport, when set, is additionally invoked for every report, fed
-	// synchronously from the bus's per-digest tap.
-	OnReport func(Report)
+	bus       *reportbus.Bus
 
 	// Observer, when set, sees every applied install/delete. Set it
 	// before issuing installs; it is read under the controller's mutex.
 	Observer InstallObserver
 }
 
-// NewController returns an empty controller with a private report bus.
-func NewController() *Controller { return NewControllerWith(Config{}) }
-
-// NewControllerWith returns an empty controller on the given bus and
-// retention settings.
-func NewControllerWith(cfg Config) *Controller {
-	c := &Controller{
+// NewController returns an empty controller that publishes every
+// digest its checkers raise into bus.
+func NewController(bus *reportbus.Bus) *Controller {
+	return &Controller{
 		atts:      map[string]map[uint32]*netsim.HydraAttachment{},
 		runtimes:  map[string]*compiler.Runtime{},
 		producers: map[uint32]*reportbus.Producer{},
-		swNames:   map[uint32]string{},
-		bus:       cfg.Bus,
+		bus:       bus,
 	}
-	if c.bus == nil {
-		c.bus = reportbus.New(reportbus.Config{})
-		c.ownBus = true
-	}
-	c.ret.perChecker = cfg.RetainPerChecker
-	if c.ret.perChecker == 0 {
-		c.ret.perChecker = defaultRetainPerChecker
-	}
-	c.ret.byChecker = map[string]*reportRing{}
-	c.bus.Tap(c.deliver)
-	return c
 }
 
-// Bus returns the controller's report bus.
-func (c *Controller) Bus() *reportbus.Bus { return c.bus }
-
-// Close flushes the report bus (and closes it when the controller owns
-// it), emitting every pending aggregate to the bus's exporters.
-func (c *Controller) Close() {
-	if c.ownBus {
-		c.bus.Close()
-		return
-	}
-	c.bus.Flush()
-}
-
-// Deploy compiles nothing — it attaches an already-compiled checker to
-// the given switches under the given name and wires its reports into
-// the controller's sink.
+// Deploy compiles the checker, attaches it to the given switches under
+// the given name, and publishes every report it raises into the bus.
 func (c *Controller) Deploy(name string, info *types.Info, switches ...*netsim.Switch) error {
 	prog, err := compiler.Compile(info, compiler.Options{Name: name})
 	if err != nil {
@@ -153,81 +90,19 @@ func (c *Controller) Deploy(name string, info *types.Info, switches ...*netsim.S
 	c.runtimes[name] = rt
 	c.atts[name] = map[uint32]*netsim.HydraAttachment{}
 	for _, sw := range switches {
-		sw := sw
 		// The producer is resolved once per attachment, so the per-digest
 		// callback publishes without touching the controller's mutex.
-		p := c.producerForLocked(sw)
-		att := sw.AttachChecker(rt, func(s *netsim.Switch, rep pipeline.Report) {
+		p, ok := c.producers[sw.ID]
+		if !ok {
+			p = c.bus.InlineProducer(fmt.Sprintf("switch:%s", sw.Name))
+			c.producers[sw.ID] = p
+		}
+		c.atts[name][sw.ID] = sw.AttachChecker(rt, func(s *netsim.Switch, rep pipeline.Report) {
 			p.Publish(reportbus.DigestFrom(name, s.ID, int64(s.Sim().Now()), rep))
 		})
-		c.atts[name][sw.ID] = att
 	}
 	return nil
 }
-
-// sink publishes one raised digest into the report bus. The producer
-// is inline, so the bus tap (deliver) runs before sink returns — the
-// reactive path a simulation's control loop observes is synchronous.
-func (c *Controller) sink(name string, sw *netsim.Switch, rep pipeline.Report) {
-	c.producerFor(sw).Publish(reportbus.DigestFrom(name, sw.ID, int64(sw.Sim().Now()), rep))
-}
-
-// producerFor returns (creating on first use) the switch's inline bus
-// producer.
-func (c *Controller) producerFor(sw *netsim.Switch) *reportbus.Producer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.producerForLocked(sw)
-}
-
-// producerForLocked is producerFor with c.mu already held.
-func (c *Controller) producerForLocked(sw *netsim.Switch) *reportbus.Producer {
-	p, ok := c.producers[sw.ID]
-	if !ok {
-		p = c.bus.InlineProducer(fmt.Sprintf("switch:%s", sw.Name))
-		c.producers[sw.ID] = p
-		c.swNames[sw.ID] = sw.Name
-	}
-	return p
-}
-
-// deliver is the bus tap: it rebuilds the provenance-tagged Report,
-// retains it, and runs the reactive callback. With retention disabled
-// and no reactive callback there is no consumer, so it skips the
-// per-digest Report construction entirely (the storm experiment's
-// measured configuration).
-func (c *Controller) deliver(d reportbus.Digest) {
-	c.mu.Lock()
-	name := c.swNames[d.SwitchID]
-	cb := c.OnReport
-	c.mu.Unlock()
-	if cb == nil && c.ret.perChecker < 0 {
-		return
-	}
-	r := Report{
-		Checker:  d.Checker,
-		SwitchID: d.SwitchID,
-		Switch:   name,
-		At:       netsim.Time(d.At),
-		Args:     append([]uint64(nil), d.Args[:d.NArgs]...),
-	}
-	c.ret.add(r)
-	if cb != nil {
-		cb(r)
-	}
-}
-
-// Reports returns a snapshot of the retained reports, oldest first
-// across all checkers (bounded per checker; see the package comment's
-// retention policy).
-func (c *Controller) Reports() []Report { return c.ret.all() }
-
-// ReportsFor returns the retained reports raised by one checker.
-func (c *Controller) ReportsFor(name string) []Report { return c.ret.forChecker(name) }
-
-// Evicted returns how many of a checker's reports the bounded retention
-// has discarded (they remain visible in the bus's aggregate stream).
-func (c *Controller) Evicted(name string) uint64 { return c.ret.evicted(name) }
 
 // Attachment returns the per-switch attachment of a deployed checker.
 func (c *Controller) Attachment(name string, switchID uint32) (*netsim.HydraAttachment, error) {

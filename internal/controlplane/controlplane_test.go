@@ -2,8 +2,6 @@ package controlplane
 
 import (
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/checkers"
@@ -12,15 +10,18 @@ import (
 	"repro/internal/reportbus"
 )
 
-func buildFabric(t *testing.T) (*netsim.Simulator, *netsim.LeafSpine, *Controller) {
+// buildFabric returns a 2×2 leaf-spine and a controller publishing into
+// a report bus on the simulator's clock.
+func buildFabric(t *testing.T, exporters ...reportbus.Exporter) (*netsim.Simulator, *netsim.LeafSpine, *Controller, *reportbus.Bus) {
 	t.Helper()
 	sim := netsim.NewSimulator()
 	ls := netsim.BuildLeafSpine(sim, netsim.LeafSpineConfig{Leaves: 2, Spines: 2, HostsPerLeaf: 1, WithRouting: true})
-	return sim, ls, NewController()
+	bus := reportbus.New(reportbus.Config{Clock: func() int64 { return int64(sim.Now()) }, Exporters: exporters})
+	return sim, ls, NewController(bus), bus
 }
 
 func TestDeployAndConfigure(t *testing.T) {
-	sim, ls, ctl := buildFabric(t)
+	sim, ls, ctl, _ := buildFabric(t)
 	if err := ctl.Deploy("waypointing", checkers.MustParse("waypointing"), ls.AllSwitches()...); err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +48,12 @@ func TestDeployAndConfigure(t *testing.T) {
 	}
 }
 
+// TestReportsCollected reads reports the way a reactive control-plane
+// app does: through a bus tap, which an inline producer runs before the
+// raising packet moves on. The tap reacts to the firewall's report by
+// installing the reverse rule, which admits the return traffic.
 func TestReportsCollected(t *testing.T) {
-	sim, ls, ctl := buildFabric(t)
+	sim, ls, ctl, bus := buildFabric(t)
 	if err := ctl.Deploy("fw", checkers.MustParse("stateful-firewall"), ls.AllSwitches()...); err != nil {
 		t.Fatal(err)
 	}
@@ -57,35 +62,38 @@ func TestReportsCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var live int
-	ctl.OnReport = func(Report) { live++ }
+	var reps []reportbus.Digest
+	bus.Tap(func(d reportbus.Digest) {
+		reps = append(reps, d)
+		// The report names the reverse flow (dst, src): allow it.
+		if err := ctl.PutDict("fw", 0, "allowed", []uint64{d.Args[0], d.Args[1]}, 1); err != nil {
+			t.Error(err)
+		}
+	})
 
 	h1.SendUDP(h2.IP, 555, 80, 64)
 	sim.RunAll()
-	reps := ctl.ReportsFor("fw")
-	if len(reps) != 1 || live != 1 {
-		t.Fatalf("reports = %d live = %d, want 1/1", len(reps), live)
+	if len(reps) != 1 {
+		t.Fatalf("reports = %d, want 1", len(reps))
 	}
 	r := reps[0]
-	if r.Checker != "fw" || len(r.Args) != 2 || r.Args[0] != uint64(h2.IP) || r.Args[1] != uint64(h1.IP) {
+	if r.Checker != "fw" || r.NArgs != 2 || r.Args[0] != uint64(h2.IP) || r.Args[1] != uint64(h1.IP) {
 		t.Fatalf("report = %+v", r)
 	}
-	if r.Switch == "" || r.SwitchID == 0 {
-		t.Fatalf("provenance missing: %+v", r)
+	// Provenance: a switch the checker runs on, at the instant of the raise.
+	if _, err := ctl.Attachment("fw", r.SwitchID); err != nil || r.At <= 0 || r.At > int64(sim.Now()) {
+		t.Fatalf("provenance missing: %+v (%v)", r, err)
 	}
 
-	// Reacting to the report (install the reverse rule) stops further
-	// reports and admits the return traffic.
-	if err := ctl.PutDict("fw", 0, "allowed", []uint64{uint64(h2.IP), uint64(h1.IP)}, 1); err != nil {
-		t.Fatal(err)
-	}
+	// The install the tap made admits the return traffic, which raises
+	// no further report.
 	h2.SendUDP(h1.IP, 80, 555, 64)
 	sim.RunAll()
 	if h1.RxUDP != 1 {
-		t.Fatal("return traffic must pass after the install")
+		t.Fatal("return traffic must pass after the reactive install")
 	}
-	if len(ctl.ReportsFor("fw")) != 1 {
-		t.Fatalf("no further reports expected, got %d", len(ctl.ReportsFor("fw")))
+	if len(reps) != 1 {
+		t.Fatalf("no further reports expected, got %d", len(reps))
 	}
 }
 
@@ -119,7 +127,7 @@ func (r *deleteRecorder) switches(t *testing.T, key []uint64) map[uint32]bool {
 }
 
 func TestSetAndDelete(t *testing.T) {
-	sim, ls, ctl := buildFabric(t)
+	sim, ls, ctl, _ := buildFabric(t)
 	if err := ctl.Deploy("egress", checkers.MustParse("egress-validity"), ls.AllSwitches()...); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +189,7 @@ func TestSetAndDelete(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	_, ls, ctl := buildFabric(t)
+	_, ls, ctl, _ := buildFabric(t)
 	if err := ctl.SetScalar("nope", 0, "x", 1); err == nil {
 		t.Fatal("undeployed checker must error")
 	}
@@ -205,166 +213,84 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestSinkConcurrent audits the report sink's locking: the sink is the
-// one controller path invoked from the data plane, so hammer it from
-// several goroutines while readers snapshot Reports/ReportsFor. Under
-// -race this fails on any unguarded access; without it, it still checks
-// no report is lost.
-func TestSinkConcurrent(t *testing.T) {
-	_, ls, ctl := buildFabric(t)
-	sw := ls.Leaves[0]
-	var live atomic.Int64
-	ctl.OnReport = func(Report) { live.Add(1) }
-
-	const goroutines, perGoroutine = 4, 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perGoroutine; i++ {
-				ctl.sink("fw", sw, pipeline.Report{Args: []pipeline.Value{pipeline.B(32, uint64(i))}})
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			_ = ctl.Reports()
-			_ = ctl.ReportsFor("fw")
-		}
-	}()
-	wg.Wait()
-
-	const want = goroutines * perGoroutine
-	if got := len(ctl.Reports()); got != want || live.Load() != want {
-		t.Fatalf("collected %d reports, %d live callbacks; want %d of each", got, live.Load(), want)
-	}
-}
-
-// TestRetentionBounded pins the retention policy: the controller keeps
-// at most RetainPerChecker reports per checker (oldest evicted first,
-// eviction counted), ReportsFor indexes per checker without scanning
-// others, and Reports merges rings back into global arrival order.
-func TestRetentionBounded(t *testing.T) {
-	_, ls, _ := buildFabric(t)
-	sw := ls.Leaves[0]
-	ctl := NewControllerWith(Config{RetainPerChecker: 8})
-	defer ctl.Close()
-
-	for i := 0; i < 20; i++ {
-		ctl.sink("a", sw, pipeline.Report{Args: []pipeline.Value{pipeline.B(32, uint64(i))}})
-		if i%2 == 0 {
-			ctl.sink("b", sw, pipeline.Report{Args: []pipeline.Value{pipeline.B(32, uint64(100+i))}})
-		}
-	}
-
-	aReps := ctl.ReportsFor("a")
-	if len(aReps) != 8 {
-		t.Fatalf("checker a retained %d reports, want 8", len(aReps))
-	}
-	// Oldest-first within the ring, and only the newest 8 survive.
-	for i, r := range aReps {
-		if want := uint64(12 + i); r.Args[0] != want {
-			t.Fatalf("a[%d] = %d, want %d", i, r.Args[0], want)
-		}
-	}
-	if got := ctl.Evicted("a"); got != 12 {
-		t.Fatalf("a evicted = %d, want 12", got)
-	}
-	bReps := ctl.ReportsFor("b")
-	if len(bReps) != 8 || ctl.Evicted("b") != 2 {
-		t.Fatalf("checker b retained %d evicted %d, want 8/2", len(bReps), ctl.Evicted("b"))
-	}
-
-	// The merged snapshot is in arrival order across checkers.
-	all := ctl.Reports()
-	if len(all) != 16 {
-		t.Fatalf("merged snapshot has %d reports, want 16", len(all))
-	}
-	lastA, lastB := -1, -1
-	for i, r := range all {
-		switch r.Checker {
-		case "a":
-			if lastA >= 0 && all[lastA].Args[0] >= r.Args[0] {
-				t.Fatal("merged order broken within checker a")
-			}
-			lastA = i
-		case "b":
-			if lastB >= 0 && all[lastB].Args[0] >= r.Args[0] {
-				t.Fatal("merged order broken within checker b")
-			}
-			lastB = i
-		}
-	}
-	// a=15 arrived between b=114 and b=116; merged order must reflect it.
-	idx := map[uint64]int{}
-	for i, r := range all {
-		idx[r.Args[0]] = i
-	}
-	if !(idx[114] < idx[15] && idx[15] < idx[116]) {
-		t.Fatalf("interleave broken: positions b114=%d a15=%d b116=%d", idx[114], idx[15], idx[116])
-	}
-}
-
-// TestRetentionDisabled: negative RetainPerChecker turns retention off
-// entirely while the bus tap (OnReport) still sees every digest.
-func TestRetentionDisabled(t *testing.T) {
-	_, ls, _ := buildFabric(t)
-	sw := ls.Leaves[0]
-	ctl := NewControllerWith(Config{RetainPerChecker: -1})
-	defer ctl.Close()
-	var live int
-	ctl.OnReport = func(Report) { live++ }
-	for i := 0; i < 5; i++ {
-		ctl.sink("fw", sw, pipeline.Report{Args: []pipeline.Value{pipeline.B(32, uint64(i))}})
-	}
-	if live != 5 {
-		t.Fatalf("OnReport fired %d times, want 5", live)
-	}
-	if got := len(ctl.ReportsFor("fw")); got != 0 {
-		t.Fatalf("retention disabled but kept %d reports", got)
-	}
-}
-
-// TestControllerSharesBus: a caller-provided bus receives the
-// controller's digests (aggregates on Close via Flush), and the
-// controller does not close a bus it does not own.
+// TestControllerSharesBus: the controller publishes into the caller's
+// bus and keeps nothing itself, so every consumer of the bus sees the
+// same digests — a tap each one, the exporters' aggregates all of them
+// once the caller flushes — and the caller's other producers publish
+// beside the switches.
 func TestControllerSharesBus(t *testing.T) {
-	sim, ls, _ := buildFabric(t)
 	sink := &reportbus.CollectExporter{}
-	bus := reportbus.New(reportbus.Config{
-		Clock:     func() int64 { return int64(sim.Now()) },
-		Exporters: []reportbus.Exporter{sink},
-	})
-	ctl := NewControllerWith(Config{Bus: bus})
+	sim, ls, ctl, bus := buildFabric(t, sink)
 	if err := ctl.Deploy("fw", checkers.MustParse("stateful-firewall"), ls.AllSwitches()...); err != nil {
 		t.Fatal(err)
 	}
+	var tapped uint64
+	bus.Tap(func(reportbus.Digest) { tapped++ })
 	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
 	if err := ctl.PutDict("fw", 0, "allowed", []uint64{uint64(h1.IP), uint64(h2.IP)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	h1.SendUDP(h2.IP, 555, 80, 64)
 	sim.RunAll()
-	raised := len(ctl.ReportsFor("fw"))
-	if raised == 0 {
+	if tapped == 0 {
 		t.Fatal("expected firewall reports")
 	}
-	ctl.Close() // flushes, must not close the shared bus
+	bus.Flush()
 
 	var total uint64
 	for _, c := range sink.CountsByKey() {
 		total += c
 	}
-	if total != uint64(raised) {
-		t.Fatalf("bus aggregates sum to %d digests, controller saw %d", total, raised)
+	if total != tapped {
+		t.Fatalf("bus aggregates sum to %d digests, the tap saw %d", total, tapped)
 	}
-	// The bus is still usable after the controller's Close.
+	raised := tapped
 	p := bus.InlineProducer("post")
 	p.Publish(reportbus.DigestFrom("fw", 1, int64(sim.Now()), pipeline.Report{}))
-	if m := bus.Metrics(); m.Unaccounted() < 0 {
-		t.Fatalf("bus unusable after controller close: %+v", m)
+	bus.Flush()
+	if m := bus.Metrics(); tapped != raised+1 || m.Published != tapped || m.Unaccounted() != 0 {
+		t.Fatalf("after a second producer: tapped %d, published %d, want %d; unaccounted %d",
+			tapped, m.Published, raised+1, m.Unaccounted())
+	}
+}
+
+// TestWipeSwitch models a switch restart's register wipe: every checker
+// attachment on the switch is back at its program's factory state, its
+// installed entries gone, and no other switch loses anything.
+func TestWipeSwitch(t *testing.T) {
+	_, ls, ctl, _ := buildFabric(t)
+	for name, key := range map[string]string{"vlan": "vlan-isolation", "egress": "egress-validity"} {
+		if err := ctl.Deploy(name, checkers.MustParse(key), ls.AllSwitches()...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ctl.PutDict("vlan", 0, "vlan_members", []uint64{0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.AddSet("egress", 0, "allowed_eg_ports", 3); err != nil {
+		t.Fatal(err)
+	}
+	entries := func(sw uint32) []int {
+		t.Helper()
+		var n []int
+		for _, v := range []struct{ checker, table string }{{"vlan", "vlan_members"}, {"egress", "allowed_eg_ports"}} {
+			att, err := ctl.Attachment(v.checker, sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = append(n, att.State.Tables[v.table].Len())
+		}
+		return n
+	}
+
+	leaf, other := ls.Leaves[0].ID, ls.Leaves[1].ID
+	if n := ctl.WipeSwitch(leaf); n != 2 {
+		t.Fatalf("wiped %d attachments, want 2", n)
+	}
+	if got := entries(leaf); !reflect.DeepEqual(got, []int{0, 0}) {
+		t.Errorf("wiped switch still holds %v installed entries", got)
+	}
+	if got := entries(other); !reflect.DeepEqual(got, []int{1, 1}) {
+		t.Errorf("the wipe reached another switch: %v entries, want [1 1]", got)
 	}
 }

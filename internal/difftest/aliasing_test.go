@@ -12,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/indus/ast"
 	"repro/internal/pipeline"
+	"repro/internal/reportbus"
 	"repro/internal/symexec"
 )
 
@@ -210,10 +211,16 @@ func TestVMScratchAliasing(t *testing.T) {
 // spliced in so real rejects and reports are at stake) and must agree
 // on every verdict, count, and report byte.
 func TestVMBatchArenaAliasing(t *testing.T) {
-	build := func() (*engine.Sequential, []engine.Verdict, []engine.Packet, error) {
+	type replay struct {
+		seq      *engine.Sequential
+		verdicts []engine.Verdict
+		bus      *reportbus.Bus
+		reports  []reportbus.Digest
+	}
+	build := func() (*replay, []engine.Packet, error) {
 		chks, err := experiments.CorpusCheckers()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		pkts, pairs := experiments.CampusEnginePackets(192, 13)
 		// Every 8th packet revisits its ingress switch: a forwarding
@@ -222,27 +229,28 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 			h := pkts[i].Hops
 			pkts[i].Hops = append(append([]engine.Hop{}, h...), h[0])
 		}
-		verdicts := make([]engine.Verdict, len(pkts))
-		seq := engine.NewSequential(engine.Config{
-			Checkers:    chks,
-			Verdicts:    verdicts,
-			KeepReports: true,
-		})
-		if err := experiments.ConfigureReplayEngine(seq.Install, pairs); err != nil {
-			return nil, nil, nil, err
+		// The digests are read through a bus tap: a frozen clock keeps the
+		// two runs' streams comparable, and one ring holds a whole run's
+		// (48 digests).
+		r := &replay{verdicts: make([]engine.Verdict, len(pkts))}
+		r.bus = reportbus.New(reportbus.Config{RingSize: 1 << 8, Clock: func() int64 { return 0 }})
+		r.bus.Tap(func(d reportbus.Digest) { r.reports = append(r.reports, d) })
+		r.seq = engine.NewSequential(engine.Config{Checkers: chks, Verdicts: r.verdicts, ReportBus: r.bus})
+		if err := experiments.ConfigureReplayEngine(r.seq.Install, pairs); err != nil {
+			return nil, nil, err
 		}
-		return seq, verdicts, pkts, nil
+		return r, pkts, nil
 	}
 
-	clean, cleanV, pkts, err := build()
+	clean, pkts, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range pkts {
-		clean.ProcessBatch(pkts[i : i+1])
+		clean.seq.ProcessBatch(pkts[i : i+1])
 	}
 
-	dirty, dirtyV, pkts2, err := build()
+	dirty, pkts2, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +259,7 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 		// packet could leave. Constant and read-only field slots are
 		// excluded: nothing writes them, so a context can never carry
 		// stale values there (DirtySlots documents this contract).
-		set, c := dirty.VMContext()
+		set, c := dirty.seq.VMContext()
 		for _, s := range set.DirtySlots() {
 			c.PHV[s] = pipeline.B(64, ^uint64(0))
 		}
@@ -261,23 +269,29 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 		c.Owners = append(c.Owners, 3)
 		c.OpsExecuted += 997
 		c.TableApplies += 31
-		dirty.ProcessBatch(pkts2[i : i+1])
+		dirty.seq.ProcessBatch(pkts2[i : i+1])
 	}
 
-	if c := clean.Counts(); c.Rejected == 0 || c.Reports == 0 {
+	for _, r := range []*replay{clean, dirty} {
+		r.bus.Flush()
+		if m := r.bus.Metrics(); m.Dropped != 0 {
+			t.Fatalf("report bus dropped %d of %d digests", m.Dropped, m.Published)
+		}
+	}
+	if c := clean.seq.Counts(); c.Rejected == 0 || c.Reports == 0 {
 		t.Fatalf("vacuous workload: counts %+v must include rejects and reports", c)
 	}
-	if !reflect.DeepEqual(clean.Counts(), dirty.Counts()) {
-		t.Errorf("counts diverge:\nclean %+v\ndirty %+v", clean.Counts(), dirty.Counts())
+	if !reflect.DeepEqual(clean.seq.Counts(), dirty.seq.Counts()) {
+		t.Errorf("counts diverge:\nclean %+v\ndirty %+v", clean.seq.Counts(), dirty.seq.Counts())
 	}
-	if !reflect.DeepEqual(cleanV, dirtyV) {
-		for i := range cleanV {
-			if cleanV[i] != dirtyV[i] {
-				t.Errorf("packet %d verdict: clean %+v dirty %+v", i, cleanV[i], dirtyV[i])
+	if !reflect.DeepEqual(clean.verdicts, dirty.verdicts) {
+		for i := range clean.verdicts {
+			if clean.verdicts[i] != dirty.verdicts[i] {
+				t.Errorf("packet %d verdict: clean %+v dirty %+v", i, clean.verdicts[i], dirty.verdicts[i])
 			}
 		}
 	}
-	if !reflect.DeepEqual(clean.Reports(), dirty.Reports()) {
-		t.Errorf("reports diverge: clean %d dirty %d", len(clean.Reports()), len(dirty.Reports()))
+	if !reflect.DeepEqual(clean.reports, dirty.reports) {
+		t.Errorf("reports diverge: clean %d dirty %d", len(clean.reports), len(dirty.reports))
 	}
 }

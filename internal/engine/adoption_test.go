@@ -69,15 +69,19 @@ func sortedEntries(tbl *pipeline.Table) []pipeline.Entry {
 	return es
 }
 
+// adoptionRingSize holds a whole run's digests on one ring: at most
+// 1 501 are raised.
+const adoptionRingSize = 1 << 11
+
 // TestSeedAdoptionEquivalence is the oracle for the aliasing bug seed
 // adoption could introduce. Engine A is seeded through FirewallSeed, so
 // three of its four switches adopt the first one's table; engine B takes
 // a plain InsertBatch per switch. The same campus and violation packets
-// must leave identical verdicts, Counts and per-switch entries — and
-// still do when one switch's table is written (an Insert ahead of the
-// first packet, then a live Insert, a Delete and a Clear mid-replay), on
-// the donor or on an adopter, with the other three switches' entries and
-// versions untouched by it. Nothing publishes a view before the first
+// must leave identical verdicts, Counts, published digests and
+// per-switch entries — and still do when one switch's table is written
+// (an Insert ahead of the first packet, then a live Insert, a Delete and
+// a Clear mid-replay), on the donor or on an adopter, with the other
+// three switches' entries and versions untouched by it. Nothing publishes a view before the first
 // write (no Warm, and a spine's table is never looked up), so only
 // CopyFrom's own marks stand between that write and the shared array.
 func TestSeedAdoptionEquivalence(t *testing.T) {
@@ -102,11 +106,12 @@ func TestSeedAdoptionEquivalence(t *testing.T) {
 		type side struct {
 			seq      *engine.Sequential
 			verdicts []engine.Verdict
+			reports  *reportTap
 			tables   map[uint32]*pipeline.Table
 		}
 		build := func(configure func(installFn, [][2]uint32) error) side {
-			s := side{verdicts: make([]engine.Verdict, len(pkts))}
-			s.seq = engine.NewSequential(engine.Config{Checkers: corpus(t), Verdicts: s.verdicts, KeepReports: true})
+			s := side{verdicts: make([]engine.Verdict, len(pkts)), reports: newReportTap(adoptionRingSize)}
+			s.seq = engine.NewSequential(engine.Config{Checkers: corpus(t), Verdicts: s.verdicts, ReportBus: s.reports.bus})
 			if err := configure(s.seq.Install, seed); err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +128,7 @@ func TestSeedAdoptionEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(a.verdicts, b.verdicts) {
 				t.Fatalf("switch %d, %s: verdicts diverge", target, step)
 			}
-			if !reflect.DeepEqual(sortedReports(a.seq.Reports()), sortedReports(b.seq.Reports())) {
+			if ra, rb := digestKeys(t, a.reports.digests(t)), digestKeys(t, b.reports.digests(t)); !reflect.DeepEqual(sortedReports(ra), sortedReports(rb)) {
 				t.Fatalf("switch %d, %s: reports diverge", target, step)
 			}
 			for sw, ta := range a.tables {

@@ -34,8 +34,8 @@
 //
 // Packets move through bounded batches with backpressure: Submit blocks
 // when a shard's queue is full, and Drain flushes partial batches,
-// waits for all workers, and merges per-shard results into one
-// deterministic verdict/report stream.
+// waits for all workers, and merges per-shard counts into one
+// deterministic total. Raised digests leave through Config.ReportBus.
 package engine
 
 import (
@@ -84,14 +84,6 @@ type Packet struct {
 type Verdict struct {
 	Reject  bool
 	Reports int32
-}
-
-// Report is one digest raised during engine execution, tagged with its
-// provenance.
-type Report struct {
-	Checker  string
-	SwitchID uint32
-	Args     []uint64
 }
 
 // CheckerCounts aggregates one checker's outcomes across all shards.
@@ -148,14 +140,12 @@ type Config struct {
 	// Verdicts, when non-nil, records each packet's verdict at
 	// Verdicts[Packet.Index]; an index outside the slice records nothing.
 	Verdicts []Verdict
-	// KeepReports retains full report digests (returned by Reports).
-	// Off, only counts are kept — the right choice for replay
-	// benchmarks where reports would accumulate unboundedly.
-	KeepReports bool
-	// ReportBus, when set, receives every raised digest: each shard owns
-	// one ring producer on the bus, so the hot path enqueues without a
-	// shared lock and a full ring drops (with accounting) instead of
-	// blocking the worker. Composable with KeepReports.
+	// ReportBus, when set, receives every raised digest — the one way a
+	// digest leaves the engine; without it only counts are kept. Each
+	// shard owns one ring producer on the bus, so the hot path enqueues
+	// without a shared lock and a full ring drops (with accounting)
+	// instead of blocking the worker. A consumer that wants individual
+	// digests registers a bus Tap.
 	ReportBus *reportbus.Bus
 }
 
@@ -315,21 +305,6 @@ func mergeCounts(chks []Checker, shards ...*shard) Counts {
 	return total
 }
 
-// Reports returns the merged report stream of a drained engine
-// (requires Config.KeepReports). The merge is deterministic: shard
-// order, submission order within a shard, hop-major (hop, then checker)
-// within a packet.
-func (e *Engine) Reports() []Report {
-	if !e.drained {
-		panic("engine: Reports before Drain")
-	}
-	var out []Report
-	for _, s := range e.shards {
-		out = append(out, s.reports...)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Shard worker
 
@@ -356,7 +331,6 @@ type shard struct {
 	st         *bytecode.Stage
 	counts     Counts
 	perChecker []CheckerCounts
-	reports    []Report
 	// prod is this shard's ring producer on Config.ReportBus (nil when
 	// no bus is attached).
 	prod *reportbus.Producer
@@ -462,26 +436,16 @@ func (s *shard) exec(batch []Packet) {
 	}
 }
 
-// raise counts, publishes and (under KeepReports) retains the digests
-// checker i raised at one hop. reps is arena-backed and only valid
-// until the context's next packet, so retained digests are copied.
+// raise counts and publishes the digests checker i raised at one hop.
+// reps is arena-backed and only valid until the context's next packet;
+// a Digest copies what it keeps.
 func (s *shard) raise(i int, switchID uint32, reps []pipeline.Report) {
 	s.counts.Reports += uint64(len(reps))
 	s.perChecker[i].Reports += uint64(len(reps))
-	name := s.cfg.Checkers[i].Name
 	if s.prod != nil {
-		at := s.cfg.ReportBus.Now()
+		name, at := s.cfg.Checkers[i].Name, s.cfg.ReportBus.Now()
 		for _, r := range reps {
 			s.prod.Publish(reportbus.DigestFrom(name, switchID, at, r))
-		}
-	}
-	if s.cfg.KeepReports {
-		for _, r := range reps {
-			args := make([]uint64, len(r.Args))
-			for j, a := range r.Args {
-				args[j] = a.V
-			}
-			s.reports = append(s.reports, Report{Checker: name, SwitchID: switchID, Args: args})
 		}
 	}
 }

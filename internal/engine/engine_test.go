@@ -1,9 +1,10 @@
 package engine_test
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -90,32 +91,69 @@ func violationWorkload(n int) []engine.Packet {
 	return pkts
 }
 
+// reportKey is one digest as the oracle raises it: provenance and every
+// argument word.
 type reportKey struct {
 	checker  string
 	switchID uint32
 	args     string
 }
 
-func sortedReports(reps []engine.Report) []reportKey {
-	out := make([]reportKey, len(reps))
-	for i, r := range reps {
-		k := reportKey{checker: r.Checker, switchID: r.SwitchID}
-		for _, a := range r.Args {
-			k.args += fmt.Sprintf("%d,", a)
-		}
-		out[i] = k
+func keyOf(checker string, switchID uint32, args []uint64) reportKey {
+	k := reportKey{checker: checker, switchID: switchID}
+	for _, a := range args {
+		k.args += fmt.Sprintf("%d,", a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.checker != b.checker {
-			return a.checker < b.checker
+	return k
+}
+
+// digestKeys returns the keys of published digests, in order. A
+// truncated digest lost argument words a key would compare, so it fails
+// the test.
+func digestKeys(t *testing.T, ds []reportbus.Digest) []reportKey {
+	t.Helper()
+	var out []reportKey
+	for _, d := range ds {
+		if d.Truncated {
+			t.Fatalf("digest %+v is truncated", d)
 		}
-		if a.switchID != b.switchID {
-			return a.switchID < b.switchID
-		}
-		return a.args < b.args
+		out = append(out, keyOf(d.Checker, d.SwitchID, d.Args[:d.NArgs]))
+	}
+	return out
+}
+
+// sortedReports returns the keys sorted, for comparing multisets.
+func sortedReports(keys []reportKey) []reportKey {
+	out := slices.Clone(keys)
+	slices.SortFunc(out, func(a, b reportKey) int {
+		return cmp.Or(cmp.Compare(a.checker, b.checker), cmp.Compare(a.switchID, b.switchID), cmp.Compare(a.args, b.args))
 	})
 	return out
+}
+
+// reportTap is a report bus on a frozen clock whose tap keeps every
+// digest in delivery order: the way a test reads what an engine raised.
+type reportTap struct {
+	bus *reportbus.Bus
+	got []reportbus.Digest
+}
+
+// newReportTap sizes every ring for ringSize digests; a run that raises
+// more on one shard between two reads drops, and digests fails then.
+func newReportTap(ringSize int) *reportTap {
+	r := &reportTap{bus: reportbus.New(reportbus.Config{RingSize: ringSize, Clock: func() int64 { return 0 }})}
+	r.bus.Tap(func(d reportbus.Digest) { r.got = append(r.got, d) })
+	return r
+}
+
+// digests flushes the rings and returns every digest tapped so far.
+func (r *reportTap) digests(t *testing.T) []reportbus.Digest {
+	t.Helper()
+	r.bus.Flush()
+	if m := r.bus.Metrics(); m.Dropped != 0 {
+		t.Fatalf("report bus dropped %d of %d digests", m.Dropped, m.Published)
+	}
+	return r.got
 }
 
 // TestEngineBackpressure squeezes a large submission through tiny

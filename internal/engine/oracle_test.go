@@ -33,7 +33,7 @@ type oracle struct {
 	states   []map[uint32]*pipeline.State
 	counts   engine.Counts
 	verdicts []engine.Verdict
-	reports  []engine.Report
+	reports  []reportKey
 }
 
 func newOracle(t *testing.T, chks []engine.Checker, nPkts int) *oracle {
@@ -127,11 +127,11 @@ func (o *oracle) process(p *engine.Packet) {
 			}
 			blobs[i] = hr.Blob
 			for _, r := range hr.Reports {
-				rep := engine.Report{Checker: o.chks[i].Name, SwitchID: hop.SwitchID}
-				for _, a := range r.Args {
-					rep.Args = append(rep.Args, a.V)
+				args := make([]uint64, len(r.Args))
+				for j, a := range r.Args {
+					args[j] = a.V
 				}
-				o.reports = append(o.reports, rep)
+				o.reports = append(o.reports, keyOf(o.chks[i].Name, hop.SwitchID, args))
 			}
 			n := uint64(len(hr.Reports))
 			o.counts.Reports += n
@@ -257,10 +257,9 @@ func corpus(t *testing.T) []engine.Checker {
 // TestEngineMatchesOracle compares the engine — every checker linked
 // into one bytecode.Set — with the oracle above, which runs them one by
 // one, on per-packet verdicts, Counts (per checker included) and the
-// sorted report multiset, for every way of driving the one execution
-// loop:
-// Sequential.Process, and sharded workers at 1/4/8 shards with dispatch
-// batches of 1 and 64.
+// sorted multiset of digests the engine published on its report bus, for
+// every way of driving the one execution loop: Sequential.Process, and
+// sharded workers at 1/4/8 shards with dispatch batches of 1 and 64.
 func TestEngineMatchesOracle(t *testing.T) {
 	const spine3, spine4 = 3, 4
 	campus, pairs := experiments.CampusEnginePackets(3000, 9)
@@ -409,13 +408,14 @@ func TestEngineMatchesOracle(t *testing.T) {
 
 			for _, d := range drivers {
 				verdicts := make([]engine.Verdict, len(tc.pkts))
+				// Every shard's ring holds the whole run's digests.
+				tap := newReportTap(len(want.reports))
 				cfg := engine.Config{
 					Shards: d.shards, BatchSize: d.batch,
-					Checkers: tc.chks, Verdicts: verdicts, KeepReports: true,
+					Checkers: tc.chks, Verdicts: verdicts, ReportBus: tap.bus,
 				}
 				var (
 					counts  engine.Counts
-					reports []engine.Report
 					install installFn
 				)
 				if d.shards == 0 {
@@ -426,7 +426,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 					for i := range tc.pkts {
 						seq.Process(tc.pkts[i])
 					}
-					counts, reports, install = seq.Counts(), seq.Reports(), seq.Install
+					counts, install = seq.Counts(), seq.Install
 				} else {
 					eng := engine.New(cfg)
 					if err := tc.configure(eng.Install); err != nil {
@@ -435,8 +435,9 @@ func TestEngineMatchesOracle(t *testing.T) {
 					for i := range tc.pkts {
 						eng.Submit(tc.pkts[i])
 					}
-					counts, reports, install = eng.Drain(), eng.Reports(), eng.Install
+					counts, install = eng.Drain(), eng.Install
 				}
+				reports := digestKeys(t, tap.digests(t))
 				label := fmt.Sprintf("shards=%d batch=%d", d.shards, d.batch)
 				if !reflect.DeepEqual(counts, want.counts) {
 					t.Errorf("%s: counts diverge from the oracle\n got %+v\nwant %+v", label, counts, want.counts)
@@ -450,9 +451,9 @@ func TestEngineMatchesOracle(t *testing.T) {
 				if !reflect.DeepEqual(sortedReports(reports), wantReports) {
 					t.Errorf("%s: report multiset diverges from the oracle (%d vs %d digests)", label, len(reports), len(wantReports))
 				}
-				// One state set sees packets in submission order: there the
-				// stream itself — hop, then checker, then program order —
-				// is the oracle's.
+				// One state set sees packets in submission order and one ring
+				// carries its digests: there the stream itself — hop, then
+				// checker, then program order — is the oracle's.
 				if d.shards <= 1 && !reflect.DeepEqual(reports, want.reports) {
 					t.Errorf("%s: report stream order diverges from the oracle", label)
 				}

@@ -47,9 +47,6 @@ func (q *Sequential) ProcessBatch(pkts []Packet) { q.s.exec(pkts) }
 // Counts returns the aggregate outcome so far.
 func (q *Sequential) Counts() Counts { return mergeCounts(q.cfg.Checkers, q.s) }
 
-// Reports returns the digests collected so far (requires KeepReports).
-func (q *Sequential) Reports() []Report { return q.s.reports }
-
 // VMContext returns the linked checker set and the resident context it
 // runs on. This exists for the arena-aliasing suite, which deliberately
 // poisons the context between batches to prove no scratch value

@@ -314,7 +314,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 		res.Digests[d.Checker]++
 		digestMu.Unlock()
 	})
-	ctl := controlplane.NewControllerWith(controlplane.Config{Bus: bus, RetainPerChecker: -1})
+	ctl := controlplane.NewController(bus)
 
 	// Static layer, part 1: the install audit observes every control
 	// mutation the controller actually applies, to cross-check against
@@ -520,7 +520,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	start := time.Now()
 	sim.RunAll()
 	wall := time.Since(start)
-	ctl.Close()
+	bus.Close()
 	if deferredErr != nil {
 		return res, st, 0, deferredErr
 	}

@@ -345,30 +345,40 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		}
 	}
 
-	workers := make([]*proc, cfg.Workers)
+	// A worker's two addresses are kept as awaitPrefixed returns them:
+	// its stdout goroutine writes the prefixed map.
+	type worker struct {
+		p               *proc
+		listen, metrics string
+	}
+	workers := make([]worker, cfg.Workers)
 	workerAddrs := make([]string, cfg.Workers)
-	startWorker := func(i int, listen string) (*proc, error) {
+	startWorker := func(i int, listen string) (worker, error) {
 		p, err := startProc(cfg.Logf, fmt.Sprintf("workerd-%d", i), bins["hydra-workerd"],
 			"-listen", listen, "-metrics", "127.0.0.1:0",
 			"-agg", aggAddr, "-node", fmt.Sprintf("worker-%d", i))
 		if err != nil {
-			return nil, err
+			return worker{}, err
 		}
-		if _, err := p.awaitPrefixed("LISTEN ", deadline); err != nil {
+		w := worker{p: p}
+		if w.listen, err = p.awaitPrefixed("LISTEN ", deadline); err == nil {
+			w.metrics, err = p.awaitPrefixed("METRICS ", deadline)
+		}
+		if err != nil {
 			p.kill()
-			return nil, fmt.Errorf("experiments: worker %d did not report its address: %w", i, err)
+			return worker{}, fmt.Errorf("experiments: worker %d did not report its addresses: %w", i, err)
 		}
-		return p, nil
+		return w, nil
 	}
 	for i := range workers {
-		p, err := startWorker(i, "127.0.0.1:0")
+		w, err := startWorker(i, "127.0.0.1:0")
 		if err != nil {
 			return res, err
 		}
-		defer p.kill()
-		workers[i] = p
-		workerAddrs[i] = p.prefixed["LISTEN "]
-		sampler.watch(fmt.Sprintf("workerd-%d", i), p.cmd.Process.Pid)
+		defer w.p.kill()
+		workers[i] = w
+		workerAddrs[i] = w.listen
+		sampler.watch(fmt.Sprintf("workerd-%d", i), w.p.cmd.Process.Pid)
 	}
 
 	statsPath := filepath.Join(dir, "ingest-stats.json")
@@ -387,9 +397,8 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.Kill {
 		// Wait until worker 0 is provably mid-stream (its packet counter
 		// moved), then SIGKILL it and restart on the same address.
-		target := workers[0]
-		wm := target.prefixed["METRICS "]
-		if err := awaitCounter(wm, "hydra_worker_packets_total", 1, deadline); err != nil {
+		target := workers[0].p
+		if err := awaitCounter(workers[0].metrics, "hydra_worker_packets_total", 1, deadline); err != nil {
 			return res, fmt.Errorf("experiments: worker 0 never started processing: %w", err)
 		}
 		cfg.Logf("fleet: killing worker 0 (pid %d) mid-stream", target.cmd.Process.Pid)
@@ -399,9 +408,9 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("experiments: restarting worker 0: %w", err)
 		}
-		defer replacement.kill()
+		defer replacement.p.kill()
 		workers[0] = replacement
-		sampler.watch("workerd-0r", replacement.cmd.Process.Pid)
+		sampler.watch("workerd-0r", replacement.p.cmd.Process.Pid)
 	}
 
 	if err := ingest.wait(deadline); err != nil {
@@ -413,8 +422,8 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 
 	// The workers' /metrics endpoints must expose the pipeline counters
 	// — the fleet's observability contract.
-	for i, p := range workers {
-		body, err := scrape(p.prefixed["METRICS "])
+	for i, w := range workers {
+		body, err := scrape(w.metrics)
 		if err != nil {
 			return res, fmt.Errorf("experiments: scraping worker %d: %w", i, err)
 		}

@@ -162,11 +162,7 @@ func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
 		MaxKeys:   cfg.MaxKeys,
 		Exporters: []reportbus.Exporter{collect},
 	})
-	// Retention off: the experiment measures the bus pipeline, and its
-	// lossless record is the aggregate stream — keeping a per-checker
-	// sample of 90k identical storm digests would only add a per-digest
-	// allocation to the measured path.
-	ctl := controlplane.NewControllerWith(controlplane.Config{Bus: bus, RetainPerChecker: -1})
+	ctl := controlplane.NewController(bus)
 
 	probe := checkers.Property{Key: "storm-probe", Source: StormCheckerSrc}
 	if err := deployCorpus(ctl, ls, probe); err != nil {
@@ -199,7 +195,7 @@ func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
 	if wall <= 0 {
 		return StormPass{}, fmt.Errorf("empty replay")
 	}
-	ctl.Close() // final flush: every live aggregate reaches the exporter
+	bus.Close() // final flush: every live aggregate reaches the exporter
 
 	m := bus.Metrics()
 	pass := StormPass{

@@ -15,8 +15,7 @@
 //     misrouted next-hops, rogue in-place telemetry rewrites (a
 //     compromised switch scribbling on the Hydra blob), and crash
 //     windows during which the switch blackholes everything. Register
-//     wipe on restart is modeled by WipeAttachments /
-//     controlplane.Controller.WipeSwitch.
+//     wipe on restart is modeled by controlplane.Controller.WipeSwitch.
 //   - Control-plane faults: Withhold selects a deterministic subset of
 //     installs to suppress (partial table installs); delayed installs
 //     are ordinary simulator events the scenario runner schedules.

@@ -212,30 +212,3 @@ func TestNodeFaultsTeleRewrite(t *testing.T) {
 		t.Errorf("Rewritten = %d, want 1", nf.Rewritten)
 	}
 }
-
-// TestWipeAttachments models the restart register wipe: installed state
-// vanishes, the program's factory state takes its place.
-func TestWipeAttachments(t *testing.T) {
-	sim := netsim.NewSimulator()
-	sw := netsim.NewSwitch(sim, 7, "reboot")
-	rt := mustCompileChecker(t, "vlan-isolation")
-	att := sw.AttachChecker(rt, nil)
-
-	tbl := att.State.Tables["vlan_members"]
-	if tbl == nil {
-		t.Fatal("vlan-isolation has no vlan_members table")
-	}
-	if err := tbl.Insert(pipelineEntryKey0()); err != nil {
-		t.Fatalf("seeding table: %v", err)
-	}
-	if tbl.Len() == 0 {
-		t.Fatal("insert did not land")
-	}
-
-	if n := WipeAttachments(sw); n != 1 {
-		t.Fatalf("wiped %d attachments, want 1", n)
-	}
-	if att.State.Tables["vlan_members"].Len() != 0 {
-		t.Error("wiped state still holds installed entries")
-	}
-}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/checkers"
 	"repro/internal/compiler"
-	"repro/internal/pipeline"
 )
 
 // mustCompileChecker compiles one corpus checker into a runtime.
@@ -17,12 +16,4 @@ func mustCompileChecker(t *testing.T, key string) *compiler.Runtime {
 		t.Fatal(err)
 	}
 	return &compiler.Runtime{Prog: prog}
-}
-
-// pipelineEntryKey0 is a vlan_members-shaped entry: key 0 -> member.
-func pipelineEntryKey0() pipeline.Entry {
-	return pipeline.Entry{
-		Keys:   []pipeline.KeyMatch{pipeline.ExactKey(0)},
-		Action: []pipeline.Value{pipeline.B(1, 1)},
-	}
 }

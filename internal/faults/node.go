@@ -23,7 +23,7 @@ type NodeFaultConfig struct {
 	// CrashAt/CrashUntil define a crash window [CrashAt, CrashUntil):
 	// while down, the switch blackholes every packet (forwarding returns
 	// nil — a silent drop, exactly what a dead linecard does). Restart
-	// with register wipe is modeled separately via WipeAttachments or
+	// with register wipe is modeled separately, by
 	// controlplane.(*Controller).WipeSwitch at the restart instant.
 	CrashAt    netsim.Time
 	CrashUntil netsim.Time
@@ -79,25 +79,4 @@ func (f *NodeFaults) Process(sw *netsim.Switch, pkt *dataplane.Decoded, meta *ne
 		return nil
 	}
 	return f.inner.Process(sw, pkt, meta)
-}
-
-// WipeAttachment resets one checker attachment to factory state — the
-// register wipe of a switch restart: every table entry and register
-// value the control plane installed is lost until reinstalled.
-func WipeAttachment(att *netsim.HydraAttachment) {
-	if att == nil || att.Runtime == nil {
-		return
-	}
-	att.State = att.Runtime.Prog.NewState()
-}
-
-// WipeAttachments wipes every checker attachment on the switch,
-// returning how many were reset.
-func WipeAttachments(sw *netsim.Switch) int {
-	n := 0
-	for _, att := range sw.Checkers {
-		WipeAttachment(att)
-		n++
-	}
-	return n
 }

@@ -542,13 +542,17 @@ func TestHandshakeSeedChunks(t *testing.T) {
 
 // fakeWorker accepts ingest sessions and misbehaves to order:
 // creditGate delays the first credit of a session, closeAfterBatches
-// hangs up mid-session without crediting (first session only).
+// hangs up mid-session without crediting, and closeOnFin hangs up on Fin
+// without a FinAck (both first session only). finAcks counts the
+// sessions that ended in order.
 type fakeWorker struct {
 	ln       net.Listener
 	sessions atomic.Int64
+	finAcks  atomic.Int64
 
 	creditGate        time.Duration
 	closeAfterBatches int
+	closeOnFin        bool
 
 	// record keeps every decoded packet, in arrival order; seeded counts
 	// the seed pairs each session was sent.
@@ -620,8 +624,12 @@ func (fw *fakeWorker) session(conn net.Conn, first bool) {
 			}
 			w.WriteFrame(wireproto.TypeCredit, wireproto.AppendCredit(nil, uint32(n)))
 		case wireproto.TypeFin:
-			writeJSON(w, wireproto.TypeFinAck, FinAck{})
 			f.Release()
+			if first && fw.closeOnFin {
+				return // the worker died after its last batch
+			}
+			fw.finAcks.Add(1) // before the ack, which may end the test
+			writeJSON(w, wireproto.TypeFinAck, FinAck{})
 			return
 		}
 		f.Release()
@@ -752,6 +760,51 @@ func TestIngestReconnectDrops(t *testing.T) {
 	}
 	checkLedgerMatchesMetrics(t, stats, reg)
 	// The second connection replays the whole seed ahead of its packets.
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if len(fw.seeded) != 2 || fw.seeded[0] != stats.SeededPairs || fw.seeded[1] != stats.SeededPairs {
+		t.Fatalf("sessions were sent %v seed pairs, want %d each", fw.seeded, stats.SeededPairs)
+	}
+}
+
+// TestIngestReconnectsToFinish: a worker lost after its last batch
+// (the first session hangs up on Fin) is redialled, handed the seed, and
+// sent Fin on the new session, which it acknowledges — so a restarted
+// worker daemon still summarizes a session and the aggregator's count
+// of expected summaries completes. Every packet was acknowledged before
+// the Fin, so nothing is dropped; the lost connection is one reconnect.
+func TestIngestReconnectsToFinish(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	fw := &fakeWorker{ln: ln, closeOnFin: true}
+	go fw.serve()
+
+	const n = 500
+	reg := metrics.NewRegistry()
+	ing, err := NewIngest(IngestConfig{
+		Workers:   []string{ln.Addr().String()},
+		PathFor:   testPath,
+		BatchSize: 32, Window: 4,
+		Metrics: reg,
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := ing.Run(&memSource{frames: campusFrames(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fw.sessions.Load(); got != 2 || fw.finAcks.Load() != 1 {
+		t.Fatalf("fake worker saw %d sessions and sent %d FinAcks, want 2 and 1", got, fw.finAcks.Load())
+	}
+	if stats.Reconnects != 1 || len(stats.Dropped) != 0 || stats.Acked != n {
+		t.Fatalf("reconnects=%d dropped=%v acked=%d/%d, want 1, none, all", stats.Reconnects, stats.Dropped, stats.Acked, n)
+	}
+	checkLedgerMatchesMetrics(t, stats, reg)
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if len(fw.seeded) != 2 || fw.seeded[0] != stats.SeededPairs || fw.seeded[1] != stats.SeededPairs {

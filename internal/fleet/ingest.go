@@ -646,35 +646,51 @@ func readLoop(cs *connState) {
 }
 
 // finish drains the window, sends Fin, and waits for the worker's
-// FinAck — the orderly end of a session.
+// FinAck — the orderly end of a session. A connection lost on the way is
+// reopened through connect, as sendBatch does, and the Fin goes to the
+// new session: a worker restarted after the last batch still gets its
+// session (Hello, seed, Fin) and summarizes it. Packets in flight on the
+// lost connection stay accounted as reconnect drops. Every wait on the
+// worker shares one finTimeout deadline.
 func (s *sender) finish() {
-	if s.cs == nil || s.err != nil {
-		return
-	}
 	deadline := time.NewTimer(finTimeout)
 	defer deadline.Stop()
+	for s.err == nil {
+		if s.cs == nil && !s.connect() {
+			return
+		}
+		if s.endSession(deadline.C) {
+			return
+		}
+	}
+}
+
+// endSession runs one attempt at the end of the session on s.cs. It
+// reports false when the connection was lost before the FinAck, so the
+// caller reconnects; true when the session ended or the deadline fired.
+func (s *sender) endSession(deadline <-chan time.Time) bool {
 	for s.outstanding > 0 {
 		select {
 		case n := <-s.cs.creditc:
 			s.credit(n)
 		case err := <-s.cs.errc:
 			s.onConnError(err)
-			return
-		case <-deadline.C:
+			return false
+		case <-deadline:
 			s.onConnError(errCreditTimeout)
-			return
+			return true
 		}
 	}
 	if err := s.cs.w.WriteFrame(wireproto.TypeFin, nil); err != nil {
 		s.onConnError(err)
-		return
+		return false
 	}
 	for {
 		select {
 		case n := <-s.cs.creditc:
 			s.credit(n)
 		case <-s.cs.finackc:
-			return
+			return true
 		case err := <-s.cs.errc:
 			// The worker closes right after FinAck, and readLoop hands
 			// over the FinAck before the EOF that follows it: when both
@@ -682,14 +698,14 @@ func (s *sender) finish() {
 			// ended in order.
 			select {
 			case <-s.cs.finackc:
-				return
+				return true
 			default:
 			}
 			s.onConnError(err)
-			return
-		case <-deadline.C:
+			return false
+		case <-deadline:
 			s.onConnError(errCreditTimeout)
-			return
+			return true
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // the collector goroutine (Start) or by explicit Flush/Close. Inline
 // producers are for single-threaded embedders (the netsim event loop
 // via the control plane): Publish delivers under the bus mutex and the
-// per-digest tap fires synchronously, preserving the reactive OnReport
-// semantics simulations rely on.
+// per-digest taps fire before it returns, so a simulation's reactive
+// control logic sees a report at the instant it is raised.
 type Bus struct {
 	cfg Config
 
@@ -35,8 +35,8 @@ type Bus struct {
 	liveDigests uint64
 	maxLive     int
 
-	// taps observe every delivered digest pre-aggregation:
-	// Config.OnDigest plus anything added via Tap. Append-only.
+	// taps observe every delivered digest pre-aggregation (Tap).
+	// Append-only.
 	taps []func(Digest)
 
 	started bool
@@ -89,22 +89,20 @@ func (bk *bucket) take(now int64, rate, burst float64) bool {
 
 // New builds a bus; see Config for defaults.
 func New(cfg Config) *Bus {
-	b := &Bus{
+	return &Bus{
 		cfg:      cfg.withDefaults(),
 		live:     map[Key]*Aggregate{},
 		ovf:      map[ovfKey]*Aggregate{},
 		buckets:  map[string]*bucket{},
 		checkers: map[string]*checkerStats{},
 	}
-	if b.cfg.OnDigest != nil {
-		b.taps = append(b.taps, b.cfg.OnDigest)
-	}
-	return b
 }
 
-// Tap registers an additional per-digest observer (see Config.OnDigest
-// for when and where taps run). Register taps before publishing begins;
-// digests already in flight may miss a late tap.
+// Tap registers a per-digest observer. It runs outside the bus mutex,
+// on the publisher goroutine (inline producers) or on the goroutine
+// that drains the rings (ring producers: the collector, Flush or
+// Close). Register taps before publishing begins; digests already in
+// flight may miss a late tap.
 func (b *Bus) Tap(fn func(Digest)) {
 	b.mu.Lock()
 	b.taps = append(b.taps, fn)

@@ -31,8 +31,8 @@
 //     by configuration, not by traffic.
 //
 // Consumers attach per-window Exporters (JSONL, in-memory collection)
-// and an optional per-digest tap (OnDigest) that sees every digest
-// before aggregation — the control plane's reactive OnReport path.
+// and per-digest taps (Bus.Tap) that see every digest before
+// aggregation — the path a reactive control-plane app reads reports by.
 package reportbus
 
 import (
@@ -158,11 +158,6 @@ type Config struct {
 	// storm-deferred carryover). Beyond it, new keys fold into overflow
 	// buckets. Default 4096.
 	MaxKeys int
-	// OnDigest, when set, observes every delivered digest before
-	// aggregation — the reactive control-plane tap. It runs outside the
-	// bus mutex, on the publisher goroutine (inline producers) or the
-	// collector goroutine (ring producers).
-	OnDigest func(Digest)
 	// Exporters receive each closed window's emitted aggregates, sorted
 	// by (checker, switch, args-hash). Called outside the bus mutex.
 	Exporters []Exporter
