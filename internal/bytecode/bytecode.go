@@ -46,10 +46,12 @@
 //     first's result has no other reader: a compare and its IfOp's jump
 //     (opJzEq…), an add and the AssignOp of its sum (opAddAssign: x +=
 //     k), an apply and the AssignOp right after it that copies its one
-//     output or its hit (opApplyAssign). An apply of a table without key
-//     columns builds no key (opApply0), and the OR chain compileIn
+//     output or its hit (opApplyAssign), and the OR chain compileIn
 //     unrolls for `x in arr` is one scan (opIn). A fused instruction
 //     counts the IR ops it stands for in OpsExecuted.
+//   - A block's prologue, its leading hop-count bump and scalar-control
+//     loads, leaves the dispatch loop: RunBlocks runs every member's in
+//     two flat loops at the head of the pass (markPrologues).
 package bytecode
 
 import (
@@ -123,7 +125,6 @@ const (
 	opJnz   // A=cond, B=target: fused !x — taken when cond is TRUE [ir: IfOp]
 
 	opApply       // A=apply-site [ir]
-	opApply0      // A=apply-site of a table without key columns [ir: ApplyOp]
 	opApplyAssign // A=apply-site, B=dst, C=its one output or hit, W: the apply, then an opAssign [ir: 2]
 	opIn          // A=dst, B=array-site, C=needle: BoolV(needle among the first min(count, capN) elements)
 	opRegRead     // A=dst, B=reg-site, C=idx slot, W=width [ir]
@@ -146,8 +147,8 @@ type Instr struct {
 }
 
 // opd says what one operand field of an instruction holds, for the
-// passes that walk code without executing it: the reset analysis and
-// the set linker.
+// passes that walk code without executing it: the reset and prologue
+// analyses and the set linker.
 type opd uint8
 
 const (
@@ -178,7 +179,6 @@ var shapes = func() (t [opReport + 1][4]opd) {
 	t[opJz] = [4]opd{opdSrc, opdJump}
 	t[opJnz] = [4]opd{opdSrc, opdJump}
 	t[opApply] = [4]opd{opdApply}
-	t[opApply0] = [4]opd{opdApply}
 	t[opApplyAssign] = [4]opd{opdApply, opdDst, opdSrc}
 	// opIn only reads its array, but as opdArray its elements and count
 	// are force-kept in the reset set when they are scratch. That keeps
@@ -296,6 +296,7 @@ type Prog struct {
 	P   *pipeline.Program
 
 	init, tele, check []Instr
+	pro               [3]int // each block's prologue length (markPrologues)
 
 	slots      map[pipeline.FieldRef]int32
 	slotReject int32
@@ -874,13 +875,8 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 		hit:   cp.intern(pipeline.FieldRef(spec.Name + ".$hit")),
 		wide:  len(op.Keys) > pipeline.MaxPackedKeys || len(spec.Keys) > pipeline.MaxPackedKeys,
 	}
-	idx := int32(len(p.img.applies))
+	*code = append(*code, Instr{Op: opApply, A: int32(len(p.img.applies))})
 	p.img.applies = append(p.img.applies, site)
-	in := Instr{Op: opApply, A: idx}
-	if len(keys) == 0 && len(spec.Keys) == 0 {
-		in.Op = opApply0
-	}
-	*code = append(*code, in)
 	return nil
 }
 
@@ -983,9 +979,50 @@ func (cp *comp) relocate() {
 	p.img.template = append(p.img.template, make([]pipeline.Value, cp.tempMax)...)
 	p.tempStart = base
 	p.computeResetSlots()
+	p.markPrologues()
 }
 
 func (p *Prog) blocks() [3][]Instr { return [3][]Instr{p.init, p.tele, p.check} }
+
+// markPrologues marks each block's prologue, the leading hop-count bumps and
+// keyless applies (§4.1's scalar-control loads) LinkSet lifts to the head of
+// the pass: one joins only if no block that can run before it in a pass
+// (init before telemetry, both before the checker) reads or writes a slot
+// it writes — the hop slot, or outputs and hit, never an array's.
+func (p *Prog) markPrologues() {
+	hop, touched := p.slots[pipeline.FieldHops], map[int32]bool{}
+	for bi, code := range p.blocks() {
+		for _, in := range code {
+			var w []int32
+			if in.Op == opAddAssign && in.A == hop && in.B == hop && in.W == 8 && p.img.template[in.C] == pipeline.B(8, 1) {
+				w = []int32{hop}
+			} else if in.Op == opApply && len(p.img.applies[in.A].keys) == 0 {
+				w = append(slices.Clip(p.img.applies[in.A].outs), p.img.applies[in.A].hit)
+			}
+			if w == nil || slices.ContainsFunc(w, func(s int32) bool { return touched[s] }) {
+				break
+			}
+			p.pro[bi]++
+		}
+		for _, in := range code {
+			for f, v := range in.fields() {
+				slots := []int32{*v}
+				switch shapes[in.Op][f] {
+				case opdApply:
+					a := &p.img.applies[*v]
+					slots = append(append(slices.Clip(a.keys), a.outs...), a.hit)
+				case opdReport:
+					slots = p.img.reports[*v].args
+				case opdNone, opdJump, opdReg, opdArray:
+					continue
+				}
+				for _, s := range slots {
+					touched[s] = true
+				}
+			}
+		}
+	}
+}
 
 // computeResetSlots decides which scratch slots BeginHop must restore
 // to the template (resetSlots; LinkSet lays every member's out in one

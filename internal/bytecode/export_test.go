@@ -20,7 +20,7 @@ var opNames = [opReport + 1]string{
 	opEq: "eq", opNe: "ne", opLt: "lt", opLe: "le", opGt: "gt", opGe: "ge",
 	opJzEq: "jzeq", opJzNe: "jzne", opJzLt: "jzlt", opJzLe: "jzle", opJzGt: "jzgt", opJzGe: "jzge",
 	opJzAnd: "jzand", opJzOr: "jzor", opJnz: "jnz",
-	opApply: "apply", opApply0: "apply0", opApplyAssign: "applyassign", opIn: "in",
+	opApply: "apply", opApplyAssign: "applyassign", opIn: "in",
 	opRegRead: "regread", opRegWrite: "regwrite", opPush: "push", opSetSlot: "setslot", opReport: "report",
 }
 
@@ -36,6 +36,15 @@ func OpcodeCounts(p *Prog) map[string]int {
 		}
 	}
 	return n
+}
+
+// PrologueLens is p's prologue length per block: init, telemetry, checker.
+func PrologueLens(p *Prog) [3]int { return p.pro }
+
+// PassPrologue counts the hop-count bumps and the applies pass b of s runs
+// ahead of its code.
+func PassPrologue(s *Set, b Blocks) (hops, applies int) {
+	return len(s.pro[b].hops), len(s.pro[b].applies)
 }
 
 // CheckLayout and LayoutMutations are layout_test.go's, for the external

@@ -34,10 +34,11 @@ header bit<8> h0;
 // extraFormsSrc and the hand-built parity programs, and requires every
 // opcode Compile can emit to appear in one of them — the fused forms in
 // the corpus itself — so a compiler change cannot silently stop emitting
-// one, nor leave one that nothing exercises. Two opcodes only hand-built
-// IR reaches: a plain opApply (every keyed apply the front end emits is
-// copied out right after, and fuses) and opLoadF (a field read at two
-// widths).
+// one, nor leave one that nothing exercises. One opcode only hand-built
+// IR reaches: opLoadF (a field read at two widths). The corpus Set's
+// prologue is pinned too: every member's hop-count bump, and 21 of the 22
+// scalar loads of a campus packet's three passes (routing-validity's
+// checker keeps its is_leaf apply in the body).
 func TestEveryOpcodeReached(t *testing.T) {
 	count := func(into map[string]int, progs ...*pipeline.Program) {
 		for _, p := range progs {
@@ -55,10 +56,20 @@ func TestEveryOpcodeReached(t *testing.T) {
 		count(inCorpus, c.Prog)
 		count(seen, c.Prog)
 	}
-	for _, op := range []string{"addassign", "apply0", "applyassign", "in"} {
+	for _, op := range []string{"addassign", "applyassign", "in"} {
 		if inCorpus[op] == 0 {
 			t.Errorf("the corpus compiles to no %s", op)
 		}
+	}
+	set := corpusSet(t, false)
+	hops, _ := bytecode.PassPrologue(set, bytecode.BlockTelemetry)
+	loads := 0
+	for _, b := range []bytecode.Blocks{bytecode.HopBlocks(true, false), bytecode.HopBlocks(false, false), bytecode.HopBlocks(false, true)} {
+		_, n := bytecode.PassPrologue(set, b)
+		loads += n
+	}
+	if hops != 12 || loads != 21 {
+		t.Errorf("corpus prologue: %d bumps in the telemetry pass, %d applies over a packet's passes; want 12 and 21", hops, loads)
 	}
 	for seed := 0; seed < 200; seed++ {
 		c, err := difftest.CompileSource(difftest.RandomProgram(rand.New(rand.NewSource(int64(seed)))))
@@ -321,12 +332,19 @@ func randomSets(t *testing.T, seeds int) [][]bytecode.Member {
 	return sets
 }
 
-// corpusSet links the 12 corpus checkers, every other one checking at
-// every hop when everyHop is set.
-func corpusSet(t *testing.T, everyHop bool) *bytecode.Set {
+// corpusSet links the 12 corpus checkers, then the extra sources, every
+// other member checking at every hop when everyHop is set.
+func corpusSet(t *testing.T, everyHop bool, extra ...string) *bytecode.Set {
 	corpus, err := difftest.CompileCorpusSet()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, src := range extra {
+		c, err := difftest.CompileSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, c)
 	}
 	members := make([]bytecode.Member, len(corpus))
 	for k, c := range corpus {
@@ -336,15 +354,94 @@ func corpusSet(t *testing.T, everyHop bool) *bytecode.Set {
 	return bytecode.LinkSet(members)
 }
 
+// hopInitSrc's init reads hop_count, which compiles to the carried count
+// plus one, so the telemetry block's bump must stay behind it, in the
+// body; its checker's scalar load is lifted.
+const hopInitSrc = `
+control bit<8> limit;
+tele bit<8> born = 0;
+tele bit<8> seen = 0;
+{ born = hop_count; }
+{ seen = hop_count - born; }
+{
+  if (seen > limit) {
+    reject;
+    report((born, seen));
+  }
+}
+`
+
+// sharedScalarSrc's telemetry block loads and reads quota, which its
+// checker loads again: the telemetry block's bump and load are lifted, the
+// checker's load stays in the body.
+const sharedScalarSrc = `
+control bit<8> quota;
+tele bit<8> used = 0;
+{ }
+{ used = used + quota; }
+{
+  if (used > quota) {
+    reject;
+    report(used);
+  }
+}
+`
+
+// TestPrologueKeepsBlockedEntries compiles the two members whose prologue
+// the rule cuts short and requires each to keep its blocked entry in the
+// body, and to run equal to the oracle and the map reference, resident and
+// over the wire, counters included, on traces of one to five hops, some of
+// which it rejects.
+func TestPrologueKeepsBlockedEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, control string
+		want               [3]int // prologue lengths: init, telemetry, checker
+	}{
+		{"init reads hop_count", hopInitSrc, "limit", [3]int{0, 0, 1}},
+		{"telemetry reads the checker's scalar", sharedScalarSrc, "quota", [3]int{0, 2, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := difftest.CompileSource(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bytecode.PrologueLens(bytecode.MustCompile(c.Prog)); got != tc.want {
+				t.Errorf("prologue %v, want %v", got, tc.want)
+			}
+			h := difftest.NewHarness(t, tc.src)
+			for sw := uint32(1); sw <= 5; sw++ {
+				h.InstallScalar(sw, tc.control, uint64(sw))
+			}
+			rejects := 0
+			for n := 1; n <= 5; n++ {
+				for first := uint32(1); first <= 5; first++ {
+					trace := make([]difftest.HopSpec, n)
+					for i := range trace {
+						trace[i] = difftest.HopSpec{SW: (first+uint32(i))%5 + 1}
+					}
+					if reject, _ := h.RunBoth(trace); reject {
+						rejects++
+					}
+				}
+			}
+			if rejects == 0 || rejects == 25 {
+				t.Errorf("%d of 25 traces rejected, want some", rejects)
+			}
+		})
+	}
+}
+
 // TestLinkedLayout runs the static layout check (layout_test.go) over the
-// 12-member corpus Set, both placements, and over the random 2–5-member
-// sets of TestSetConformanceRandom; then it breaks the corpus Set three
-// ways a linker could — a reset slot outside the run, a jump left
-// unrebased, a scratch slot shared between members — and requires the
-// check to refuse each.
+// 12-member corpus Set with hopInitSrc and sharedScalarSrc linked after it,
+// both placements, and over the random 2–5-member sets of
+// TestSetConformanceRandom; then it breaks that Set five ways a linker
+// could — a reset slot outside the run, a jump left unrebased, a scratch
+// slot shared between members, a hop-count bump lifted over an init that
+// reads it, routing-validity's checker is_leaf load lifted over its
+// telemetry block — and requires the check to refuse each.
 func TestLinkedLayout(t *testing.T) {
 	for _, everyHop := range []bool{false, true} {
-		if err := bytecode.CheckLayout(corpusSet(t, everyHop)); err != nil {
+		if err := bytecode.CheckLayout(corpusSet(t, everyHop, hopInitSrc, sharedScalarSrc)); err != nil {
 			t.Errorf("corpus set, every-hop %v: %v", everyHop, err)
 		}
 	}
@@ -358,7 +455,7 @@ func TestLinkedLayout(t *testing.T) {
 		}
 	}
 	for name, mutate := range bytecode.LayoutMutations {
-		s := corpusSet(t, false)
+		s := corpusSet(t, false, hopInitSrc, sharedScalarSrc)
 		if !mutate(s) {
 			t.Fatalf("%s: the corpus set gave the mutation nothing to break", name)
 		}

@@ -3,6 +3,8 @@ package bytecode
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/pipeline"
 )
 
 // checkLayout is a static check of a linked Set that shares no code with
@@ -15,8 +17,13 @@ import (
 //   - Every member's reset slot maps into that run.
 //   - No two members' private slots — telemetry and scratch — alias, and
 //     none aliases a shared slot (a builtin or a temporary).
-//   - Every jump of every Blocks code array lands inside the block it was
-//     compiled in, at its place in the member-after-member layout.
+//   - Every Blocks code array and prologue hold, member after member, each
+//     block the pass runs: its prologue entries in the pass's hop and apply
+//     lists, its body in the code, relocated.
+//   - Every prologue entry is a hop-count bump or a keyless apply, and no
+//     block of its member that runs before it in the pass reads or writes
+//     a slot it writes (checkLifted).
+//   - Every jump lands inside the body of the block it was compiled in.
 func checkLayout(s *Set) error {
 	const shared = -2
 	owner := make([]int, s.nSlots) // member owning a slot, -1 free
@@ -81,30 +88,132 @@ func checkLayout(s *Set) error {
 	}
 
 	for b, code := range s.code {
-		off := 0
+		pro := s.pro[b]
+		off, hops, applies := 0, 0, 0
+		var base [4]int32 // the side tables of the members before
 		for k, m := range s.members {
 			p := m.Prog
+			var ran []Instr // the member's blocks that run before this one in the pass
 			for bi, blk := range p.blocks() {
-				in := Blocks(b)&(1<<bi) != 0 || bi == 2 && m.CheckEveryHop && Blocks(b)&BlockTelemetry != 0
-				if !in {
+				runs := Blocks(b)&(1<<bi) != 0 || bi == 2 && m.CheckEveryHop && Blocks(b)&BlockTelemetry != 0
+				if !runs {
 					continue
 				}
-				if off+len(blk) > len(code) {
-					return fmt.Errorf("blocks %b: member %d block %d runs past the code", b, k, bi)
-				}
-				for pc := off; pc < off+len(blk); pc++ {
-					if t := jumpTarget(&code[pc]); t != nil && (int(*t) < off || int(*t) > off+len(blk)) {
-						return fmt.Errorf("blocks %b: member %d block %d pc %d jumps to %d, outside [%d, %d]", b, k, bi, pc, *t, off, off+len(blk))
+				where := fmt.Sprintf("blocks %b: member %d block %d", b, k, bi)
+				n := p.pro[bi]
+				for _, in := range blk[:n] {
+					if err := checkLifted(p, in, ran); err != nil {
+						return fmt.Errorf("%s: %v", where, err)
+					}
+					if in.Op == opApply {
+						if applies >= len(pro.applies) || pro.applies[applies] != base[0]+in.A {
+							return fmt.Errorf("%s: lifted apply %d not at prologue apply %d", where, in.A, applies)
+						}
+						applies++
+					} else {
+						if hops >= len(pro.hops) || pro.hops[hops] != m.slot[in.A] {
+							return fmt.Errorf("%s: lifted bump of %d not at prologue hop %d", where, in.A, hops)
+						}
+						hops++
 					}
 				}
-				off += len(blk)
+				body := blk[n:]
+				if off+len(body) > len(code) {
+					return fmt.Errorf("%s runs past the code", where)
+				}
+				for i, in := range body {
+					pc := off + i
+					if want := relocated(in, m.slot, base, int32(off-n)); code[pc] != want {
+						return fmt.Errorf("%s: pc %d is %+v, its program has %+v there", where, pc, code[pc], want)
+					}
+					if t := jumpTarget(&code[pc]); t != nil && (int(*t) < off || int(*t) > off+len(body)) {
+						return fmt.Errorf("%s: pc %d jumps to %d, outside [%d, %d]", where, pc, *t, off, off+len(body))
+					}
+				}
+				off += len(body)
+				ran = append(ran, blk...)
 			}
+			base[0] += int32(len(p.img.applies))
+			base[1] += int32(len(p.img.regs))
+			base[2] += int32(len(p.img.arrays))
+			base[3] += int32(len(p.img.reports))
 		}
-		if off != len(code) {
-			return fmt.Errorf("blocks %b: %d instructions, the members have %d", b, len(code), off)
+		if off != len(code) || hops != len(pro.hops) || applies != len(pro.applies) {
+			return fmt.Errorf("blocks %b: %d instructions, %d bumps and %d applies; the members have %d, %d and %d",
+				b, len(code), len(pro.hops), len(pro.applies), off, hops, applies)
 		}
 	}
 	return nil
+}
+
+// relocated is in as it must stand in a Set: slots through the member's
+// slot map, side-table indices past base, jump targets moved by shift.
+func relocated(in Instr, slot []int32, base [4]int32, shift int32) Instr {
+	for f, v := range in.fields() {
+		switch k := shapes[in.Op][f]; {
+		case k == opdDst || k == opdSrc:
+			*v = slot[*v]
+		case k == opdJump:
+			*v += shift
+		case k >= opdApply:
+			*v += base[k-opdApply]
+		}
+	}
+	return in
+}
+
+// checkLifted says why in, a prologue entry of p, may not run at the head
+// of a pass in which ran runs before its block. It must be a hop-count
+// bump or an apply without keys, and no instruction of ran may read or
+// write a slot it writes, or write a slot it reads.
+func checkLifted(p *Prog, in Instr, ran []Instr) error {
+	hop := p.slots[pipeline.FieldHops]
+	bump := in.Op == opAddAssign && in.A == hop && in.B == hop && in.W == 8 && p.img.template[in.C] == pipeline.B(8, 1)
+	if !bump && (in.Op != opApply || len(p.img.applies[in.A].keys) > 0) {
+		return fmt.Errorf("lifted %+v is neither a hop-count bump nor a keyless apply", in)
+	}
+	r, w := access(p, in)
+	for _, e := range ran {
+		er, ew := access(p, e)
+		for _, s := range w {
+			if slices.Contains(er, s) || slices.Contains(ew, s) {
+				return fmt.Errorf("lifted %+v writes slot %d, which %+v before it touches", in, s, e)
+			}
+		}
+		for _, s := range r {
+			if slices.Contains(ew, s) {
+				return fmt.Errorf("lifted %+v reads slot %d, which %+v before it writes", in, s, e)
+			}
+		}
+	}
+	return nil
+}
+
+// access lists the slots an instruction of p may read and may write, by
+// shapes: an apply reads its keys and writes its outputs and hit, an array
+// op may read and write each element and the count, a report reads its
+// arguments.
+func access(p *Prog, in Instr) (r, w []int32) {
+	for f, v := range in.fields() {
+		switch shapes[in.Op][f] {
+		case opdSrc:
+			r = append(r, *v)
+		case opdDst:
+			w = append(w, *v)
+		case opdApply:
+			a := &p.img.applies[*v]
+			r, w = append(r, a.keys...), append(append(w, a.outs...), a.hit)
+		case opdArray:
+			a := &p.img.arrays[*v]
+			for s := a.start; s < a.start+a.capN; s++ {
+				r, w = append(r, s), append(w, s)
+			}
+			r, w = append(r, a.cnt), append(w, a.cnt)
+		case opdReport:
+			r = append(r, p.img.reports[*v].args...)
+		}
+	}
+	return r, w
 }
 
 // jumpTarget points at an instruction's jump target, nil if it has none.
@@ -120,7 +229,7 @@ func jumpTarget(in *Instr) *int32 {
 	return nil
 }
 
-// layoutMutations are three linker bugs, each applied to a linked Set in
+// layoutMutations are five linker bugs, each applied to a linked Set in
 // place; one reports false when the Set gives it nothing to break.
 var layoutMutations = map[string]func(*Set) bool{
 	// A reset slot placed outside the region: BeginHop never restores it.
@@ -140,10 +249,10 @@ var layoutMutations = map[string]func(*Set) bool{
 	"jump left unrebased": func(s *Set) bool {
 		code := s.code[BlockInit|BlockTelemetry|BlockChecker]
 		last := s.members[len(s.members)-1].Prog
-		off, moved := len(code)-len(last.check), false
+		off, moved := len(code)-len(last.check)+last.pro[2], false
 		for pc := off; pc < len(code) && off > 0; pc++ {
 			if t := jumpTarget(&code[pc]); t != nil {
-				*t, moved = *t-int32(off), true
+				*t, moved = *t-int32(off-last.pro[2]), true
 			}
 		}
 		return moved
@@ -157,4 +266,35 @@ var layoutMutations = map[string]func(*Set) bool{
 		b.slot[b.Prog.slotReject] = a.slot[a.Prog.slotReject]
 		return true
 	},
+	// A hop-count bump lifted over an init block that reads hop_count: the
+	// init sees the count one hop ahead.
+	"hop bump lifted over an init that reads it": func(s *Set) bool {
+		return liftNext(s, 1, func(p *Prog, in Instr) bool {
+			hop := p.slots[pipeline.FieldHops]
+			return in.Op == opAddAssign && in.A == hop && in.B == hop
+		})
+	},
+	// A checker's scalar apply lifted over the telemetry block that applies
+	// and reads the same slot: routing-validity's is_leaf in the corpus.
+	"checker apply lifted over its telemetry": func(s *Set) bool {
+		return liftNext(s, 2, func(p *Prog, in Instr) bool {
+			return in.Op == opApply && len(p.img.applies[in.A].keys) == 0
+		})
+	},
+}
+
+// liftNext relinks s with block bi's prologue one instruction longer in
+// the first member whose next instruction there is what lift asks for.
+func liftNext(s *Set, bi int, lift func(*Prog, Instr) bool) bool {
+	members, found := make([]Member, len(s.members)), false
+	for k, m := range s.members {
+		members[k] = m.Member
+		if p := m.Prog; !found && p.pro[bi] < len(p.blocks()[bi]) && lift(p, p.blocks()[bi][p.pro[bi]]) {
+			q := *p
+			q.pro[bi]++
+			members[k].Prog, found = &q, true
+		}
+	}
+	*s = *LinkSet(members)
+	return found
 }

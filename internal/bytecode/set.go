@@ -44,12 +44,17 @@ type linked struct {
 // pass can ask for, so no first / last / CheckEveryHop test runs per hop,
 // and laid out checker-major (member i's init, telemetry and checker
 // blocks, then member i+1's): reports and register writes happen in the
-// order of running the members one after another.
+// order of running the members one after another, but for the prologues.
 type Set struct {
 	image
-	code    [BlockChecker << 1][]Instr // by Blocks
+	code    [BlockChecker << 1][]Instr  // by Blocks
+	pro     [BlockChecker << 1]prologue // by Blocks
 	members []linked
 }
+
+// prologue is what a pass runs before its code: the members' lifted
+// hop-count bumps, as hop slots, then their lifted applies, as apply sites.
+type prologue struct{ hops, applies []int32 }
 
 // LinkSet links the members that have a Prog, in order.
 func LinkSet(members []Member) *Set {
@@ -129,15 +134,18 @@ func LinkSet(members []Member) *Set {
 			s.reports = append(s.reports, reportSite{owner: int32(m.Index), args: remap(r.args)})
 		}
 		for b := range s.code {
-			b := Blocks(b)
-			if b&BlockInit != 0 {
-				s.code[b] = relocate(s.code[b], p.init, slot, base)
-			}
-			if b&BlockTelemetry != 0 {
-				s.code[b] = relocate(s.code[b], p.tele, slot, base)
-			}
-			if b&BlockChecker != 0 || b&BlockTelemetry != 0 && m.CheckEveryHop {
-				s.code[b] = relocate(s.code[b], p.check, slot, base)
+			for bi, code := range p.blocks() {
+				if Blocks(b)&(1<<bi) == 0 && !(bi == 2 && m.CheckEveryHop && Blocks(b)&BlockTelemetry != 0) {
+					continue
+				}
+				for _, in := range code[:p.pro[bi]] {
+					if in.Op == opApply {
+						s.pro[b].applies = append(s.pro[b].applies, in.A+base[0])
+					} else {
+						s.pro[b].hops = append(s.pro[b].hops, slot[in.A])
+					}
+				}
+				s.code[b] = relocate(s.code[b], code, p.pro[bi], slot, base)
 			}
 		}
 		for _, st := range p.img.teleSteps {
@@ -158,12 +166,12 @@ func LinkSet(members []Member) *Set {
 	return s
 }
 
-// relocate appends code to dst, rewritten for its place in a Set: slots
-// through the member's slot map, side-table indices past the tables of
-// the members before it, jump targets by its offset in dst.
-func relocate(dst, code []Instr, slot []int32, base [4]int32) []Instr {
-	off := int32(len(dst))
-	for _, in := range code {
+// relocate appends code past its n-instruction prologue (no jump lands in
+// one) to dst, rewritten for its place in a Set: slots through the slot
+// map, side-table indices past the members' before, jumps by the offset.
+func relocate(dst, code []Instr, n int, slot []int32, base [4]int32) []Instr {
+	off := int32(len(dst) - n)
+	for _, in := range code[n:] {
 		for f, v := range in.fields() {
 			switch k := shapes[in.Op][f]; k {
 			case opdDst, opdSrc:
@@ -198,8 +206,19 @@ func (s *Set) SlotOf(k int, f pipeline.FieldRef) (int32, bool) {
 // the header scatter: Stage.Run makes the three calls. §4.2 splits a hop
 // in two passes: a switch runs init alone at ingress and telemetry, or
 // telemetry and checker, at egress; a NIC's ingress runs the checker
-// alone.
-func (s *Set) RunBlocks(c *Ctx, b Blocks) { s.run(c, s.code[b]) }
+// alone. The prologue runs first, counted as the instructions it was; a hop
+// slot holds an 8-bit value, as every telemetry slot one of its width.
+func (s *Set) RunBlocks(c *Ctx, b Blocks) {
+	pro, phv := &s.pro[b], c.PHV
+	for _, sl := range pro.hops {
+		phv[sl] = pipeline.B(8, phv[sl].V+1)
+	}
+	for _, a := range pro.applies {
+		s.runApply(c, &s.applies[a])
+	}
+	c.OpsExecuted += len(pro.hops) + len(pro.applies)
+	s.run(c, s.code[b])
+}
 
 // HopBlocks is the §4.2 schedule of a hop run as one pass: init at the
 // first hop, telemetry at every hop, the checker at the last. A

@@ -206,9 +206,10 @@ func (st *Stage) FillFlow(k dataplane.FlowKey) {
 // Run is one pipeline pass over the telemetry in the context's slots:
 // restore the scratch slots, install the hop's builtins, scatter the
 // bound headers — an absent one leaves its slot at the restored template
-// — and run the blocks b of every member against Row. The verdicts
-// (Set.Reject), the reports (Ctx.Reports by Ctx.Owners) and the telemetry
-// stay in the context until the next pass.
+// — and run the blocks b of every member against Row, prologues first (no
+// pass writes a table, so a lifted load reads what its block head would).
+// The verdicts (Set.Reject), the reports (Ctx.Reports by Ctx.Owners) and
+// the telemetry stay in the context until the next pass.
 func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) {
 	set, c := st.Set, st.Ctx
 	set.BeginHop(c, st.Row, switchID, pktLen, first, last)

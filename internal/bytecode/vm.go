@@ -94,7 +94,8 @@ func (p *image) BeginHop(c *Ctx, row []*pipeline.State, switchID uint32, pktLen 
 // Blocks selects the blocks one pipeline pass executes (Set.RunBlocks).
 // §4.2 places init at the head of the first hop's ingress pipeline and
 // telemetry and checker in the egress pipeline, so a switch runs two
-// different sets per hop with different header bindings.
+// different sets per hop with different header bindings. A Set links one
+// prologue and one code array per subset.
 type Blocks uint8
 
 const (
@@ -289,11 +290,6 @@ func (p *image) run(c *Ctx, code []Instr) {
 		case opApply:
 			ops++
 			p.runApply(c, &p.applies[in.A])
-		case opApply0:
-			ops++
-			site := &p.applies[in.A]
-			action, hit := c.row[site.member].TableAt(site.table, site.name).LookupWords(0, 0, 0, 0)
-			p.writeOut(c, site, action, hit)
 		case opApplyAssign:
 			ops += 2
 			p.runApply(c, &p.applies[in.A])

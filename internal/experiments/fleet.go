@@ -156,7 +156,7 @@ type FleetConfig struct {
 	SkipSeedEvery int
 	// BatchSize is the ingest wire batch (default 256).
 	BatchSize int
-	// Kill, when set, SIGKILLs worker 0 mid-stream and restarts it on
+	// Kill, when set, SIGKILLs worker 0 mid-session and restarts it on
 	// the same address — the soak scenario. Verdict parity is not
 	// asserted (in-flight packets die with the worker, by design);
 	// conservation of every summarized session still is.
@@ -396,21 +396,27 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 
 	if cfg.Kill {
 		// Wait until worker 0 is provably mid-stream (its packet counter
-		// moved), then SIGKILL it and restart on the same address.
+		// moved), then, if its session (and so ingestd and aggd) still runs,
+		// SIGKILL it and restart on the same address: a replay can be over.
 		target := workers[0].p
 		if err := awaitCounter(workers[0].metrics, "hydra_worker_packets_total", 1, deadline); err != nil {
 			return res, fmt.Errorf("experiments: worker 0 never started processing: %w", err)
 		}
-		cfg.Logf("fleet: killing worker 0 (pid %d) mid-stream", target.cmd.Process.Pid)
-		target.kill()
-		res.Kills++
-		replacement, err := startWorker(0, workerAddrs[0])
-		if err != nil {
-			return res, fmt.Errorf("experiments: restarting worker 0: %w", err)
+		body, _ := scrape(workers[0].metrics)
+		if active, _ := seriesValue(body, "hydra_worker_session_active"); active == 1 {
+			cfg.Logf("fleet: killing worker 0 (pid %d) mid-stream", target.cmd.Process.Pid)
+			target.kill()
+			res.Kills++
+			replacement, err := startWorker(0, workerAddrs[0])
+			if err != nil {
+				return res, fmt.Errorf("experiments: restarting worker 0: %w", err)
+			}
+			defer replacement.p.kill()
+			workers[0] = replacement
+			sampler.watch("workerd-0r", replacement.p.cmd.Process.Pid)
+		} else {
+			res.Notes = append(res.Notes, "soak: the replay ended before worker 0 was seen mid-stream; kill skipped")
 		}
-		defer replacement.p.kill()
-		workers[0] = replacement
-		sampler.watch("workerd-0r", replacement.p.cmd.Process.Pid)
 	}
 
 	if err := ingest.wait(deadline); err != nil {
