@@ -52,6 +52,11 @@
 //   - A block's prologue, its leading hop-count bump and scalar-control
 //     loads, leaves the dispatch loop: RunBlocks runs every member's in
 //     two flat loops at the head of the pass (markPrologues).
+//   - A row binds once: a Binding resolves every apply and register site
+//     of a Set against a state row when the row changes, and keeps per
+//     pass what the prologue's scalar loads wrote, re-read only when
+//     pipeline.ScalarEpoch moves (stage.go). No packet resolves a site,
+//     and a warm one probes no scalar control.
 package bytecode
 
 import (
@@ -214,7 +219,7 @@ type teleStep struct {
 
 // applySite is the side table for one ApplyOp.
 type applySite struct {
-	member int // index of the owning program's state in Ctx's row
+	member int // index of the owning program's state in the row a Binding binds
 	table  int // declaration index
 	name   string
 	keys   []int32

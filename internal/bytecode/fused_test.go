@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/checkers"
 	"repro/internal/compiler"
 	"repro/internal/difftest"
+	"repro/internal/experiments"
 	"repro/internal/pipeline"
 )
 
@@ -464,5 +466,52 @@ func TestLinkedLayout(t *testing.T) {
 		} else {
 			t.Logf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestScalarFoldCount is ROADMAP item 8's measurement: the corpus Set on
+// the replay fabric's rows with ConfigureBenign's scalar controls, folded
+// conservatively (FoldCount) over a campus packet's three passes — leaf 1
+// {init, telemetry}, spine 3 {telemetry}, leaf 2 {telemetry, checker}. It
+// pins how many of a packet's 157 in-stream dispatches specialising the
+// rows' images could at most remove, and how many instructions it would
+// find dead.
+func TestScalarFoldCount(t *testing.T) {
+	corpus, err := difftest.CompileCorpusSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := corpusSet(t, false)
+	index := map[string]int{}
+	for k, p := range checkers.All {
+		index[p.Key] = k
+	}
+	sws := experiments.ReplaySwitchInfos()
+	rows := map[uint32][]*pipeline.State{}
+	for _, sw := range sws {
+		for _, c := range corpus {
+			rows[sw.ID] = append(rows[sw.ID], c.Prog.NewState())
+		}
+	}
+	if err := experiments.ConfigureBenign(sws, func(checker string, i int, fn func(*pipeline.State) error) error {
+		return fn(rows[sws[i].ID][index[checker]])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fold, dead := 0, 0
+	for _, p := range []struct {
+		sw uint32
+		b  bytecode.Blocks
+	}{{1, bytecode.HopBlocks(true, false)}, {3, bytecode.HopBlocks(false, false)}, {2, bytecode.HopBlocks(false, true)}} {
+		f, d, err := bytecode.FoldCount(set, p.b, rows[p.sw], p.sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("switch %d, blocks %03b: %d fold, %d dead", p.sw, p.b, f, d)
+		fold, dead = fold+f, dead+d
+	}
+	t.Logf("a campus packet: at most %d of 157 in-stream dispatches fold; %d instructions dead", fold, dead)
+	if fold != 27 || dead != 12 {
+		t.Errorf("a campus packet: %d folding dispatches, %d dead instructions; want 27 and 12", fold, dead)
 	}
 }

@@ -172,9 +172,9 @@ func checkLifted(p *Prog, in Instr, ran []Instr) error {
 	if !bump && (in.Op != opApply || len(p.img.applies[in.A].keys) > 0) {
 		return fmt.Errorf("lifted %+v is neither a hop-count bump nor a keyless apply", in)
 	}
-	r, w := access(p, in)
+	r, w := access(&p.img, in)
 	for _, e := range ran {
-		er, ew := access(p, e)
+		er, ew := access(&p.img, e)
 		for _, s := range w {
 			if slices.Contains(er, s) || slices.Contains(ew, s) {
 				return fmt.Errorf("lifted %+v writes slot %d, which %+v before it touches", in, s, e)
@@ -189,11 +189,11 @@ func checkLifted(p *Prog, in Instr, ran []Instr) error {
 	return nil
 }
 
-// access lists the slots an instruction of p may read and may write, by
+// access lists the slots an instruction of img may read and may write, by
 // shapes: an apply reads its keys and writes its outputs and hit, an array
 // op may read and write each element and the count, a report reads its
 // arguments.
-func access(p *Prog, in Instr) (r, w []int32) {
+func access(img *image, in Instr) (r, w []int32) {
 	for f, v := range in.fields() {
 		switch shapes[in.Op][f] {
 		case opdSrc:
@@ -201,16 +201,16 @@ func access(p *Prog, in Instr) (r, w []int32) {
 		case opdDst:
 			w = append(w, *v)
 		case opdApply:
-			a := &p.img.applies[*v]
+			a := &img.applies[*v]
 			r, w = append(r, a.keys...), append(append(w, a.outs...), a.hit)
 		case opdArray:
-			a := &p.img.arrays[*v]
+			a := &img.arrays[*v]
 			for s := a.start; s < a.start+a.capN; s++ {
 				r, w = append(r, s), append(w, s)
 			}
 			r, w = append(r, a.cnt), append(w, a.cnt)
 		case opdReport:
-			r = append(r, p.img.reports[*v].args...)
+			r = append(r, img.reports[*v].args...)
 		}
 	}
 	return r, w

@@ -53,8 +53,10 @@ type Set struct {
 }
 
 // prologue is what a pass runs before its code: the members' lifted
-// hop-count bumps, as hop slots, then their lifted applies, as apply sites.
-type prologue struct{ hops, applies []int32 }
+// hop-count bumps, as hop slots, then their lifted applies, as apply sites;
+// slots lists what the applies write, outputs then hit, apply after apply
+// (a Binding's snapshot of the pass holds one value per entry).
+type prologue struct{ hops, applies, slots []int32 }
 
 // LinkSet links the members that have a Prog, in order.
 func LinkSet(members []Member) *Set {
@@ -140,7 +142,9 @@ func LinkSet(members []Member) *Set {
 				}
 				for _, in := range code[:p.pro[bi]] {
 					if in.Op == opApply {
+						a := &s.applies[in.A+base[0]]
 						s.pro[b].applies = append(s.pro[b].applies, in.A+base[0])
+						s.pro[b].slots = append(append(s.pro[b].slots, a.outs...), a.hit)
 					} else {
 						s.pro[b].hops = append(s.pro[b].hops, slot[in.A])
 					}
@@ -202,19 +206,33 @@ func (s *Set) SlotOf(k int, f pipeline.FieldRef) (int32, bool) {
 }
 
 // RunBlocks executes the selected blocks of every member, member after
-// member, after BeginHop (row[Member.Index] is each member's state) and
-// the header scatter: Stage.Run makes the three calls. §4.2 splits a hop
-// in two passes: a switch runs init alone at ingress and telemetry, or
-// telemetry and checker, at egress; a NIC's ingress runs the checker
-// alone. The prologue runs first, counted as the instructions it was; a hop
-// slot holds an 8-bit value, as every telemetry slot one of its width.
+// member, against the context's row binding, after BeginHop and the header
+// scatter: Stage.Run binds the row and makes the three calls, and is the
+// only caller. §4.2 splits a hop in two passes: a switch runs init alone at
+// ingress and telemetry, or telemetry and checker, at egress; a NIC's
+// ingress runs the checker alone. The prologue runs first, counted as the
+// instructions it was: a hop slot holds an 8-bit value, as every telemetry
+// slot one of its width; the lifted scalar loads scatter the binding's
+// snapshot of pass b when it has one, else run and record it.
 func (s *Set) RunBlocks(c *Ctx, b Blocks) {
-	pro, phv := &s.pro[b], c.PHV
+	pro, phv, bd := &s.pro[b], c.PHV, c.bind
 	for _, sl := range pro.hops {
 		phv[sl] = pipeline.B(8, phv[sl].V+1)
 	}
-	for _, a := range pro.applies {
-		s.runApply(c, &s.applies[a])
+	if snap := bd.snaps[b]; bd.fresh&(1<<b) != 0 {
+		for i, sl := range pro.slots {
+			phv[sl] = snap[i]
+		}
+		c.TableApplies += len(pro.applies)
+	} else {
+		for _, a := range pro.applies {
+			s.runApply(c, a)
+		}
+		snap = snap[:0]
+		for _, sl := range pro.slots {
+			snap = append(snap, phv[sl])
+		}
+		bd.snaps[b], bd.fresh = snap, bd.fresh|1<<b
 	}
 	c.OpsExecuted += len(pro.hops) + len(pro.applies)
 	s.run(c, s.code[b])

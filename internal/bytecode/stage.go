@@ -79,7 +79,9 @@ type bindPair struct{ src, dst int32 }
 // never nested, so the context, the header environment and the reports of
 // a pass are the stage's own until the next pass. A member without a VM
 // form is not in the image: its telemetry record stays zero and the
-// embedder accounts Skipped for every hop.
+// embedder accounts Skipped for every hop. The image reads its tables and
+// registers through Bind, which Run checks against Row and the scalar
+// epoch at every pass.
 type Stage struct {
 	Set *Set
 	Ctx *Ctx
@@ -88,6 +90,9 @@ type Stage struct {
 	// fault injectors replace an attachment's State to wipe it, an engine
 	// shard has one row per switch.
 	Row []*pipeline.State
+	// Bind is Row bound to Set. Link gives the stage one; an engine shard
+	// keeps one beside each switch's row and stores it with the row.
+	Bind *Binding
 	// H is the pass's header environment, a zero-width Value for a header
 	// the packet does not carry: the standard paths, then one entry per
 	// program-specific path some member binds (Index finds those). A fill
@@ -108,6 +113,7 @@ func Link(members ...Member) *Stage {
 		Set:     set,
 		Ctx:     set.NewCtx(),
 		Row:     make([]*pipeline.State, len(members)),
+		Bind:    new(Binding),
 		index:   map[string]int32{},
 		skipped: uint64(len(members) - set.Len()),
 	}
@@ -125,6 +131,46 @@ func Link(members ...Member) *Stage {
 	}
 	st.H = make([]pipeline.Value, n)
 	return st
+}
+
+// Binding is a state row bound to a Set: the row's States, every apply
+// site's table and every register site's register in site order, and per
+// Blocks subset a snapshot of what that pass's lifted scalar loads wrote,
+// in the order of its prologue's slots. The zero Binding is unbound.
+// Stage.Run keeps it current before every pass: a row whose States are not
+// the bound ones (a wipe, a relinked switch) re-resolves every site and
+// drops the snapshots; a moved pipeline.ScalarEpoch drops the snapshots.
+// A scattered snapshot is the pass's loads because nothing inside a pass
+// writes a table; an install moves the epoch before it returns, so the
+// next pass re-reads; the epoch is loaded before the loads it stamps, so a
+// write racing them moves it again; and a State's tables and registers
+// are fixed at NewState, so a State pointer still bound still resolves to
+// the same sites.
+type Binding struct {
+	set    *Set
+	row    []*pipeline.State
+	tables []*pipeline.Table    // by apply site
+	regs   []*pipeline.Register // by register site
+	epoch  uint64
+	fresh  uint8                               // bit b: snaps[b] holds pass b's loads at epoch
+	snaps  [BlockChecker << 1][]pipeline.Value // by Blocks
+}
+
+// bind brings bd up to date with s and row.
+func (bd *Binding) bind(s *Set, row []*pipeline.State) {
+	if bd.set != s || !slices.Equal(bd.row, row) {
+		bd.set, bd.row, bd.fresh = s, append(bd.row[:0], row...), 0
+		bd.tables, bd.regs = bd.tables[:0], bd.regs[:0]
+		for _, a := range s.applies {
+			bd.tables = append(bd.tables, row[a.member].TableAt(a.table, a.name))
+		}
+		for _, r := range s.regs {
+			bd.regs = append(bd.regs, row[r.member].RegisterAt(r.idx, r.name))
+		}
+	}
+	if e := pipeline.ScalarEpoch(); e != bd.epoch {
+		bd.epoch, bd.fresh = e, 0
+	}
 }
 
 // Index returns the H entry of a path some member binds.
@@ -204,15 +250,18 @@ func (st *Stage) FillFlow(k dataplane.FlowKey) {
 }
 
 // Run is one pipeline pass over the telemetry in the context's slots:
-// restore the scratch slots, install the hop's builtins, scatter the
-// bound headers — an absent one leaves its slot at the restored template
-// — and run the blocks b of every member against Row, prologues first (no
-// pass writes a table, so a lifted load reads what its block head would).
-// The verdicts (Set.Reject), the reports (Ctx.Reports by Ctx.Owners) and
-// the telemetry stay in the context until the next pass.
+// bring Bind up to date with Row and the scalar epoch, restore the scratch
+// slots, install the hop's builtins, scatter the bound headers — an absent
+// one leaves its slot at the restored template — and run the blocks b of
+// every member through Bind, prologues first (no pass writes a table, so
+// a lifted load reads what its block head would). The verdicts
+// (Set.Reject), the reports (Ctx.Reports by Ctx.Owners) and the telemetry
+// stay in the context until the next pass.
 func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) {
 	set, c := st.Set, st.Ctx
-	set.BeginHop(c, st.Row, switchID, pktLen, first, last)
+	st.Bind.bind(set, st.Row)
+	c.bind = st.Bind
+	set.BeginHop(c, switchID, pktLen, first, last)
 	// In locals: a store through the PHV would have the loop reload both
 	// slice headers every pair.
 	h, phv := st.H, c.PHV

@@ -6,9 +6,10 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Ctx is the execution state of a Set: the flat PHV and the switch
-// state. A Ctx is resident: created once by Link and owned by one Stage
-// — an engine shard's, a netsim switch's — for its whole life, never
+// Ctx is the execution state of a Set: the flat PHV and, for the pass in
+// progress, the row binding its sites read tables and registers through.
+// A Ctx is resident: created once by Link and owned by one Stage — an
+// engine shard's, a netsim switch's — for its whole life, never
 // re-templated.
 type Ctx struct {
 	PHV []pipeline.Value
@@ -20,8 +21,8 @@ type Ctx struct {
 	TableApplies int
 	OpsExecuted  int
 
-	// row is BeginHop's.
-	row []*pipeline.State
+	// bind is the pass's row binding, stored by Stage.Run.
+	bind *Binding
 
 	// wide is the reusable key buffer for applies of tables with more
 	// than MaxPackedKeys columns.
@@ -74,13 +75,11 @@ func (p *image) BeginTrace(c *Ctx) {
 // BeginHop resets the writable scratch slots to the template (the
 // link-time reset run, one copy — constants, read-only fields, and
 // statement-scoped temps can't diverge, so they are skipped) and
-// installs the per-hop builtin metadata; row holds the switch's state
-// per program, indexed by the sites' member. Telemetry slots are left
+// installs the per-hop builtin metadata. Telemetry slots are left
 // untouched: they carry across hops in resident mode. The PHV is owned
 // by the VM between BeginTrace and the end of the trace; external
 // writes to non-bind slots between hops are not restored.
-func (p *image) BeginHop(c *Ctx, row []*pipeline.State, switchID uint32, pktLen int, first, last bool) {
-	c.row = row
+func (p *image) BeginHop(c *Ctx, switchID uint32, pktLen int, first, last bool) {
 	phv := c.PHV
 	copy(phv[p.reset[0]:p.reset[1]], p.template[p.reset[0]:p.reset[1]])
 	// The builtin per-hop metadata, at the widths the map reference
@@ -289,10 +288,10 @@ func (p *image) run(c *Ctx, code []Instr) {
 
 		case opApply:
 			ops++
-			p.runApply(c, &p.applies[in.A])
+			p.runApply(c, in.A)
 		case opApplyAssign:
 			ops += 2
-			p.runApply(c, &p.applies[in.A])
+			p.runApply(c, in.A)
 			phv[in.B] = pipeline.B(int(in.W), phv[in.C].V)
 
 		case opIn:
@@ -306,15 +305,12 @@ func (p *image) run(c *Ctx, code []Instr) {
 
 		case opRegRead:
 			ops++
-			rs := &p.regs[in.B]
-			r := c.row[rs.member].RegisterAt(rs.idx, rs.name)
+			r := c.bind.regs[in.B]
 			phv[in.A] = pipeline.B(int(in.W), r.Read(int(phv[in.C].V)))
 
 		case opRegWrite:
 			ops++
-			rs := &p.regs[in.A]
-			r := c.row[rs.member].RegisterAt(rs.idx, rs.name)
-			r.Write(int(phv[in.B].V), phv[in.C].V)
+			c.bind.regs[in.A].Write(int(phv[in.B].V), phv[in.C].V)
 
 		case opPush:
 			ops++
@@ -364,13 +360,14 @@ func binWidth(x, y pipeline.Value) int {
 	return x.W
 }
 
-// runApply executes one apply site. A table of at most MaxPackedKeys
-// columns gets its key words as LookupWords' four arguments, read slot
-// by slot into locals: no key array is built, so the words stay in
-// registers down to the probe, and those past the site's keys stay
-// zero. Wider tables take the generic slice path.
-func (p *image) runApply(c *Ctx, site *applySite) {
-	t := c.row[site.member].TableAt(site.table, site.name)
+// runApply executes apply site a against the table the pass's binding
+// resolved for it. A table of at most MaxPackedKeys columns gets its key
+// words as LookupWords' four arguments, read slot by slot into locals: no
+// key array is built, so the words stay in registers down to the probe,
+// and those past the site's keys stay zero. Wider tables take the generic
+// slice path.
+func (p *image) runApply(c *Ctx, a int32) {
+	site, t := &p.applies[a], c.bind.tables[a]
 	if site.wide {
 		nk := len(site.keys)
 		if cap(c.wide) < nk {

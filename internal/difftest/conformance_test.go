@@ -217,6 +217,13 @@ func TestSetConformanceRandom(t *testing.T) {
 			installRandomState(&Harness{tb: t, r: r}, cfg, 3)
 		}
 		for trace := 0; trace < 3; trace++ {
+			// The set's row bindings and their snapshots outlive the
+			// members' scalar installs, deletes and clears.
+			for _, r := range s.Members {
+				if err := r.ChurnScalars(rng, 3, cfg.value); err != nil {
+					t.Fatal(err)
+				}
+			}
 			hops := make([]HopSpec, 1+rng.Intn(4))
 			for i := range hops {
 				hops[i] = HopSpec{

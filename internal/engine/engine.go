@@ -217,7 +217,7 @@ func (s *shard) install(checker string, switchID uint32, fn func(*pipeline.State
 	if idx < 0 {
 		return fmt.Errorf("engine: unknown checker %q", checker)
 	}
-	if err := fn(s.row(switchID)[idx]); err != nil {
+	if err := fn(s.row(switchID).st[idx]); err != nil {
 		return fmt.Errorf("engine: installing into %s on switch %d (shard %d): %w", checker, switchID, s.id, err)
 	}
 	return nil
@@ -309,10 +309,11 @@ func mergeCounts(chks []Checker, shards ...*shard) Counts {
 // Shard worker
 
 // stateRow is every checker's state on one switch, in Config.Checkers
-// order.
+// order, and the shard's linked set bound to it.
 type stateRow struct {
-	id uint32
-	st []*pipeline.State
+	id   uint32
+	st   []*pipeline.State
+	bind bytecode.Binding
 }
 
 type shard struct {
@@ -356,11 +357,12 @@ func newShard(id int, cfg *Config) *shard {
 }
 
 // row returns (creating on demand) this shard's replicas of every
-// checker's state on the given switch.
-func (s *shard) row(switchID uint32) []*pipeline.State {
+// checker's state on the given switch. The pointer is good until the next
+// row is created.
+func (s *shard) row(switchID uint32) *stateRow {
 	for i := range s.rows {
 		if s.rows[i].id == switchID {
-			return s.rows[i].st
+			return &s.rows[i]
 		}
 	}
 	st := make([]*pipeline.State, len(s.cfg.Checkers))
@@ -368,7 +370,7 @@ func (s *shard) row(switchID uint32) []*pipeline.State {
 		st[i] = c.RT.Prog.NewState()
 	}
 	s.rows = append(s.rows, stateRow{id: switchID, st: st})
-	return st
+	return &s.rows[len(s.rows)-1]
 }
 
 // exec is the engine's one execution loop: sharded workers,
@@ -407,7 +409,8 @@ func (s *shard) exec(batch []Packet) {
 			st.H[bytecode.HInPort] = pipeline.B(8, uint64(hop.InPort))
 			st.H[bytecode.HEgPort] = pipeline.B(8, uint64(hop.OutPort))
 			s.counts.Errors += st.Skipped()
-			st.Row = s.row(hop.SwitchID)
+			r := s.row(hop.SwitchID)
+			st.Row, st.Bind = r.st, &r.bind
 			st.Run(hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))
 			// The fresh tail is grouped by owner, in checker order.
 			for reported < len(c.Reports) {

@@ -144,8 +144,9 @@ func (s *State) Warm() {
 }
 
 // TableAt resolves a table by declaration index, falling back to the
-// name map for hand-built States. The bytecode VM resolves its apply
-// sites through it.
+// name map for hand-built States. A bytecode row binding resolves its
+// apply sites through it when it binds a row, never per packet: a State's
+// tables are fixed at NewState, so the pointer stays the one lookups read.
 func (s *State) TableAt(i int, name string) *Table {
 	if i < len(s.tableList) {
 		return s.tableList[i]

@@ -701,3 +701,39 @@ func TestLookupKeyWidth(t *testing.T) {
 		t.Errorf("Lookup(0, 0) = %v, %t", a, hit)
 	}
 }
+
+// TestScalarEpoch pins which writes move ScalarEpoch: every mutation of a
+// keyless table (a scalar control), and no mutation of a keyed one.
+func TestScalarEpoch(t *testing.T) {
+	keyless := func() *Table { return NewTable("s", nil, []FieldRef{"v"}, []Value{B(8, 0)}) }
+	set := Entry{Action: []Value{B(8, 7)}}
+	donor := keyless()
+	if err := donor.Insert(set); err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range map[string]func(*Table, *Table, Entry) error{
+		"Insert":      func(tbl, _ *Table, e Entry) error { return tbl.Insert(e) },
+		"InsertBatch": func(tbl, _ *Table, e Entry) error { return tbl.InsertBatch([]Entry{e, e}) },
+		"Delete":      func(tbl, _ *Table, e Entry) error { tbl.Delete(e.Keys); return nil },
+		"Clear":       func(tbl, _ *Table, _ Entry) error { tbl.Clear(); return nil },
+		"CopyFrom":    func(tbl, src *Table, _ Entry) error { return tbl.CopyFrom(src) },
+	} {
+		before := ScalarEpoch()
+		if err := write(keyless(), donor, set); err != nil {
+			t.Fatal(err)
+		}
+		if ScalarEpoch() == before {
+			t.Errorf("%s on a keyless table left the epoch at %d", name, before)
+		}
+		for shape, tbl := range tableShapes() {
+			e := Entry{Keys: make([]KeyMatch, len(tbl.Keys)), Action: []Value{B(8, 1)}}
+			before := ScalarEpoch()
+			if err := write(tbl, tableShapes()[shape], e); err != nil {
+				t.Fatal(err)
+			}
+			if ScalarEpoch() != before {
+				t.Errorf("%s on a %s table moved the epoch", name, shape)
+			}
+		}
+	}
+}

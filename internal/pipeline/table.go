@@ -126,6 +126,14 @@ type colTest struct {
 // data is written to, in order; on a miss the Default action data is
 // written instead, and the table's hit field (Name + ".$hit") is set to
 // 0. The entry store is safe for concurrent control-plane updates.
+//
+// A table without key columns is a scalar control (§4.1): its one
+// action is a per-switch constant until the controller writes it. Every
+// mutation of one — Insert, InsertBatch, Delete, Clear, CopyFrom — bumps
+// the process-wide ScalarEpoch after the write and before the call
+// returns, so an executor that snapshots scalar outputs and re-reads them
+// whenever the epoch moved sees every install at its next lookup. Keyed
+// tables never bump it.
 type Table struct {
 	Name    string
 	Keys    []KeySpec
@@ -154,6 +162,25 @@ type Table struct {
 	// version increments on every mutation; read without the lock
 	// (atomically).
 	version atomic.Uint64
+}
+
+// scalarEpoch counts the mutations of keyless tables. It is one counter
+// for the process, not one per table, so a reader that caches the outputs
+// of many scalar controls compares one word per pass; a write anywhere
+// costs the readers one re-read, never a stale value.
+var scalarEpoch atomic.Uint64
+
+// ScalarEpoch is the scalar-control epoch: it moves after every mutation
+// of a keyless table, anywhere in the process. A reader that loads it
+// before reading keyless tables and finds it unchanged later knows none
+// of them changed in between.
+func ScalarEpoch() uint64 { return scalarEpoch.Load() }
+
+// wrote ends a mutation: a keyless table bumps the scalar epoch.
+func (t *Table) wrote() {
+	if len(t.Keys) == 0 {
+		scalarEpoch.Add(1)
+	}
 }
 
 // NewTable creates an empty table. All-exact key columns select the
@@ -266,6 +293,7 @@ func (t *Table) InsertBatch(es []Entry) error {
 	for i := range es {
 		t.insertLocked(&es[i])
 	}
+	t.wrote()
 	return nil
 }
 
@@ -340,6 +368,7 @@ func sameKeys(a, b []KeyMatch) bool {
 func (t *Table) Delete(keys []KeyMatch) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	defer t.wrote()
 	t.version.Add(1)
 	t.snap.Store(nil)
 	if t.isExact {
@@ -380,6 +409,7 @@ func (t *Table) Clear() {
 	}
 	clear(t.exact)
 	t.entries = nil
+	t.wrote()
 }
 
 // CopyFrom makes t hold exactly src's entries: a control variable
@@ -404,6 +434,7 @@ func (t *Table) CopyFrom(src *Table) error {
 		for i := range es {
 			t.insertLocked(&es[i])
 		}
+		t.wrote()
 		return nil
 	}
 	src.mu.Lock()
@@ -416,6 +447,7 @@ func (t *Table) CopyFrom(src *Table) error {
 	t.version.Add(1)
 	t.snap.Store(nil)
 	*t.packed = st
+	t.wrote()
 	return nil
 }
 
