@@ -67,7 +67,6 @@ func run(args []string) (code int) {
 		pingMs    = fs.Float64("ping-ms", 10, "figure 12: ping interval (ms)")
 		packets   = fs.Int("packets", 50000, "throughput: packets to replay")
 		shards    = fs.String("shards", "1,4,8", "engine: comma-separated worker counts (0 = GOMAXPROCS)")
-		simShards = fs.Int("simshards", 1, "wire/chaos: partition the netsim event loop into N parallel shards (1 = sequential; results are byte-identical at any count)")
 		seed      = fs.Int64("seed", 1, "chaos: campaign seed (traffic + every fault injector)")
 		faultRate = fs.Float64("faultrate", 0.02, "chaos: per-packet/per-frame fault probability")
 		chaosJSON = fs.String("chaosjson", "", "chaos: write the byte-reproducible detection matrix as JSON to this file (- for stdout)")
@@ -206,8 +205,8 @@ func run(args []string) (code int) {
 	}
 
 	if *wireRun {
-		fmt.Fprintf(os.Stderr, "running end-to-end wire replay (simshards=%d)...\n", *simShards)
-		r, err := experiments.RunWireReplay(experiments.WireReplayConfig{Packets: *packets, SimShards: *simShards})
+		fmt.Fprintln(os.Stderr, "running end-to-end wire replay...")
+		r, err := experiments.RunWireReplay(experiments.WireReplayConfig{Packets: *packets})
 		if err != nil {
 			return fail(err)
 		}
@@ -227,7 +226,7 @@ func run(args []string) (code int) {
 		fmt.Fprintf(os.Stderr, "running chaos campaign (seed=%d rate=%g, baseline + %d fault classes)...\n",
 			*seed, *faultRate, len(faults.Classes()))
 		r, err := experiments.RunChaos(experiments.ChaosConfig{
-			Packets: *packets, Seed: *seed, FaultRate: *faultRate, SimShards: *simShards,
+			Packets: *packets, Seed: *seed, FaultRate: *faultRate,
 		})
 		if err != nil {
 			return fail(err)

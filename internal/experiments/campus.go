@@ -63,21 +63,13 @@ func newCampusFabric(packets int, traffic trafficgen.CampusConfig) *campusFabric
 	return f
 }
 
-// schedule queues every send of the trace: on the source host's own
-// event queue when the simulator is (or may be) partitioned, else on the
-// global one. Which one a caller uses fixes its event order, which the
-// determinism goldens pin.
-func (f *campusFabric) schedule(perNode bool) {
+// schedule queues every send of the trace at its arrival time.
+func (f *campusFabric) schedule() {
 	var at netsim.Time
 	for i := range f.pkts {
 		p := f.pkts[i]
 		at += p.Gap
-		send := func() { f.src.SendPacket(p.Decode()) }
-		if perNode {
-			f.sim.AtNode(f.src, at, send)
-		} else {
-			f.sim.At(at, send)
-		}
+		f.sim.At(at, func() { f.src.SendPacket(p.Decode()) })
 	}
 }
 

@@ -64,7 +64,7 @@ func TestReplayModelMatchesFabric(t *testing.T) {
 	for _, sw := range f.ls.AllSwitches() {
 		sw.Forwarding = &hopRecorder{next: sw.Forwarding, seen: map[dataplane.FlowKey]int{}, paths: paths}
 	}
-	f.schedule(false)
+	f.schedule()
 	f.sim.RunAll()
 	if f.delivered() != packets || len(paths) != packets {
 		t.Fatalf("%d of %d packets delivered over %d recorded paths", f.delivered(), packets, len(paths))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/atoms"
@@ -21,9 +20,8 @@ import (
 // class (plus a healthy baseline) and scores every corpus checker as a
 // detector: which checkers raise digests under which faults. The whole
 // run is a pure function of (seed, config) — virtual-time bus, seeded
-// injectors, deterministic simulator at every shard count — so the
-// detection matrix is byte-reproducible (TestChaosDeterministic),
-// shard-invariant (TestChaosShardInvariant), and CI can assert on it
+// injectors, deterministic simulator — so the detection matrix is
+// byte-reproducible (TestChaosDeterministic) and CI can assert on it
 // (TestChaosDetectionMatrix).
 
 // ChaosConfig parameterizes the chaos replay.
@@ -41,10 +39,6 @@ type ChaosConfig struct {
 	Window time.Duration
 	// Classes selects which fault classes to run (default all).
 	Classes []faults.Class
-	// SimShards partitions the simulator into parallel shard loops
-	// (<=1 = sequential fast path). The detection matrix is
-	// byte-identical at every shard count.
-	SimShards int
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -299,21 +293,13 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	sim, ls, sink, pairs, span := f.sim, f.ls, f.sink, f.pairs, f.span
 
 	// Virtual-time bus; the tap counts every raised digest per checker.
-	// Bus taps fire outside the bus mutex, and with a partitioned
-	// simulator switches on different shards publish concurrently, so
-	// the count map needs its own lock. The resulting counts are still
-	// shard-invariant: each switch raises the same digests in the same
-	// per-switch order at every shard count.
+	// The controller's producers are inline, so the tap runs on the
+	// simulator's loop.
 	bus := reportbus.New(reportbus.Config{
 		Window: cfg.Window,
 		Clock:  func() int64 { return int64(sim.Now()) },
 	})
-	var digestMu sync.Mutex
-	bus.Tap(func(d reportbus.Digest) {
-		digestMu.Lock()
-		res.Digests[d.Checker]++
-		digestMu.Unlock()
-	})
+	bus.Tap(func(d reportbus.Digest) { res.Digests[d.Checker]++ })
 	ctl := controlplane.NewController(bus)
 
 	// Static layer, part 1: the install audit observes every control
@@ -509,13 +495,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	st.MissingInstalls = len(audit.Missing())
 	st.Detected = len(st.Violations) > 0 || st.MissingInstalls > 0
 
-	if cfg.SimShards > 1 {
-		if err := sim.Partition(cfg.SimShards); err != nil {
-			return res, st, 0, err
-		}
-	}
-
-	f.schedule(true)
+	f.schedule()
 
 	start := time.Now()
 	sim.RunAll()

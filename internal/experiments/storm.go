@@ -187,7 +187,7 @@ func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
 			return StormPass{}, err
 		}
 	}
-	f.schedule(false)
+	f.schedule()
 
 	start := time.Now()
 	sim.RunAll()

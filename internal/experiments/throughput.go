@@ -64,7 +64,7 @@ func runThroughput(cfg ThroughputConfig, withCheckers bool) (ThroughputResult, e
 			return ThroughputResult{}, err
 		}
 	}
-	f.schedule(false)
+	f.schedule()
 
 	start := time.Now()
 	sim.RunAll()

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/trafficgen"
 )
 
@@ -18,10 +17,6 @@ type WireReplayConfig struct {
 	// Packets to replay (default 50,000).
 	Packets int
 	Seed    int64
-	// SimShards partitions the simulator into parallel shard loops
-	// (<=1 = sequential fast path). Results are byte-identical at
-	// every shard count; only wall-clock throughput changes.
-	SimShards int
 }
 
 // WireReplayResult is one wire replay's outcome.
@@ -43,9 +38,6 @@ type WireReplayResult struct {
 	FastTxFrames uint64
 	SlowTxFrames uint64
 	FastShare    float64
-	// Sim snapshots the simulator's execution counters (shard count,
-	// barriers, lookahead, per-shard balance).
-	Sim netsim.SimStats
 }
 
 // RunWireReplay replays the campus trace end to end through the
@@ -65,12 +57,7 @@ func RunWireReplay(cfg WireReplayConfig) (WireReplayResult, error) {
 		return WireReplayResult{}, err
 	}
 
-	if cfg.SimShards > 1 {
-		if err := sim.Partition(cfg.SimShards); err != nil {
-			return WireReplayResult{}, err
-		}
-	}
-	f.schedule(true)
+	f.schedule()
 
 	start := time.Now()
 	sim.RunAll()
@@ -99,7 +86,6 @@ func RunWireReplay(cfg WireReplayConfig) (WireReplayResult, error) {
 	if res.TxFrames > 0 {
 		res.FastShare = float64(res.FastTxFrames) / float64(res.FastTxFrames+res.SlowTxFrames)
 	}
-	res.Sim = sim.Stats()
 	return res, nil
 }
 
@@ -112,9 +98,5 @@ func FormatWireReplay(r WireReplayResult) string {
 	fmt.Fprintf(&b, "%-14.0f %11.1f%% %10d %10d %10d %10d %8d\n",
 		r.WallPktsPerSec, r.DeliveredRatio*100, r.Checked, r.Rejected,
 		r.FastTxFrames, r.SlowTxFrames, r.ParseErrors)
-	if r.Sim.Shards > 1 {
-		fmt.Fprintf(&b, "sim: shards=%d lookahead=%s barriers=%d events=%d balance=%v\n",
-			r.Sim.Shards, r.Sim.Lookahead, r.Sim.Barriers, r.Sim.EventsRun, r.Sim.ShardEvents)
-	}
 	return b.String()
 }

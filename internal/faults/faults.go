@@ -23,28 +23,15 @@
 // # Determinism contract
 //
 // Every fault site owns a rand.Rand seeded from (campaign seed,
-// component name) via SubSeed. The simulator executes each node's
-// events in a deterministic order — including under
-// netsim.Simulator.Partition, where a node's callbacks run on exactly
-// one shard in a shard-count-invariant order — so the sequence of
-// random draws — and therefore every drop, flip, duplicate, and
-// misroute — is a pure function of the seed and the fault
-// configuration. Two runs with the same seed and config produce
-// byte-identical fault schedules and byte-identical detection matrices
-// at every shard count (pinned by TestChaosDeterministic and
-// TestChaosShardInvariant in internal/experiments). Rates of zero draw
-// nothing from the RNG, so a disabled fault class cannot perturb
-// another class's stream.
-//
-// Parallel constraint: a LinkFaults injector runs on the shard of the
-// frame's *sender* (netsim.Link.Send applies it in the sender's
-// execution context). An injector shared across several links
-// therefore stays deterministic — and race-free — only if every frame
-// it intercepts is sent by nodes of one shard; in practice, attach a
-// shared injector only to links whose sending side is a single switch
-// (the chaos campaign's leaf-1 uplinks qualify: campus traffic flows
-// one way, so only leaf 1 transmits on them). NodeFaults wrap a single
-// switch's forwarding program and are shard-safe by construction.
+// component name) via SubSeed. The simulator executes its events in a
+// deterministic order, so the sequence of random draws — and therefore
+// every drop, flip, duplicate, and misroute — is a pure function of the
+// seed and the fault configuration. Two runs with the same seed and
+// config produce byte-identical fault schedules and byte-identical
+// detection matrices (pinned by TestChaosDeterministic and
+// TestChaosMatchesSequentialGolden in internal/experiments). Rates of
+// zero draw nothing from the RNG, so a disabled fault class cannot
+// perturb another class's stream.
 package faults
 
 import (

@@ -36,11 +36,8 @@ type LinkFaultConfig struct {
 }
 
 // LinkFaults is a seeded netsim.LinkFault implementing the wire-level
-// fault classes. It is not safe for concurrent use: its execution
-// context is the event loop of the sending endpoint's shard, so when
-// one injector is shared across links of a partitioned simulator,
-// every intercepted frame must originate from a single shard's nodes
-// (see the package comment's parallel constraint).
+// fault classes. It is not safe for concurrent use: it runs on the
+// simulator's event loop.
 type LinkFaults struct {
 	cfg LinkFaultConfig
 	rng *rand.Rand

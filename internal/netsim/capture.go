@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/dataplane"
 )
@@ -22,67 +20,36 @@ type CaptureRecord struct {
 	Summary string
 	// HasHydra reports whether the frame carried a telemetry header.
 	HasHydra bool
-
-	// key is the delivery event's deterministic sort key: under
-	// partitioning records arrive in shard-interleaved order and are
-	// sorted back into key order — the sequential execution order — at
-	// end of run.
-	key evKey
 }
 
 // Capture collects frames from the links it is attached to, like a
 // network TAP (Figure 13's vantage points). Attach with Tap. Records
-// are in canonical (sequential-execution) order once the run returns,
-// at every shard count.
+// are in execution order.
 type Capture struct {
-	// Max bounds the number of retained records (0 = unbounded). The
-	// bound keeps the first Max records in canonical order — identical
-	// at every shard count, though a parallel run buffers the overflow
-	// until the end-of-run sort.
+	// Max bounds the number of retained records (0 = unbounded): the
+	// first Max are kept.
 	Max     int
 	Records []CaptureRecord
 	// Dropped counts records discarded past Max.
 	Dropped uint64
 
-	// mu serializes record appends: with a partitioned simulator taps
-	// fire concurrently from shard goroutines.
-	mu sync.Mutex
-	// dec is reused across records. Tap callbacks borrow the frame for
-	// the duration of the call (it may be a pooled buffer that is
-	// recycled afterwards), so a record keeps only derived strings —
-	// never the frame or slices into it.
+	// dec is reused across records. Taps borrow the frame for the
+	// duration of the call (it may be a pooled buffer that is recycled
+	// afterwards), so a record keeps only derived strings — never the
+	// frame or slices into it.
 	dec dataplane.Decoded
 }
 
 // Tap mirrors every frame delivered over the link into the capture,
-// recorded at the receiving side. sim must be the root simulator.
-func (c *Capture) Tap(sim *Simulator, l *Link) {
-	registered := false
-	for _, existing := range sim.caps {
-		if existing == c {
-			registered = true
-			break
-		}
-	}
-	if !registered {
-		sim.caps = append(sim.caps, c)
-	}
-	l.taps = append(l.taps, func(k evKey, node string, port int, frame []byte) {
-		c.record(k, node, port, "rx", frame, sim.par == nil)
-	})
-}
+// recorded at the receiving side.
+func (c *Capture) Tap(l *Link) { l.taps = append(l.taps, c) }
 
-func (c *Capture) record(k evKey, node string, port int, dir string, frame []byte, ordered bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Sequential runs append in canonical order, so the Max bound can
-	// drop eagerly. Parallel runs must retain everything until the
-	// end-of-run sort decides which records are the canonical first Max.
-	if ordered && c.Max > 0 && len(c.Records) >= c.Max {
+func (c *Capture) record(at Time, node string, port int, frame []byte) {
+	if c.Max > 0 && len(c.Records) >= c.Max {
 		c.Dropped++
 		return
 	}
-	rec := CaptureRecord{At: k.at, Node: node, Port: port, Dir: dir, Len: len(frame), key: k}
+	rec := CaptureRecord{At: at, Node: node, Port: port, Dir: "rx", Len: len(frame)}
 	if err := dataplane.ParseInto(&c.dec, frame); err == nil {
 		rec.Summary = Summarize(&c.dec)
 		rec.HasHydra = c.dec.HasHydra
@@ -91,30 +58,6 @@ func (c *Capture) record(k evKey, node string, port int, dir string, frame []byt
 	}
 	c.Records = append(c.Records, rec)
 }
-
-// finalize restores canonical record order and applies the Max bound;
-// called by the simulator at end of run. Idempotent.
-func (c *Capture) finalize() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rs := c.Records
-	sorted := true
-	for i := 1; i < len(rs); i++ {
-		if keyLess(&rs[i], &rs[i-1]) {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		sort.SliceStable(rs, func(i, j int) bool { return keyLess(&rs[i], &rs[j]) })
-	}
-	if c.Max > 0 && len(rs) > c.Max {
-		c.Dropped += uint64(len(rs) - c.Max)
-		c.Records = rs[:c.Max]
-	}
-}
-
-func keyLess(a, b *CaptureRecord) bool { return a.key.less(b.key) }
 
 // Summarize renders a packet as a one-line tcpdump-style summary.
 func Summarize(pkt *dataplane.Decoded) string {

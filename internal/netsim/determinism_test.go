@@ -7,28 +7,51 @@ import (
 	"testing"
 )
 
-// The cross-shard determinism suite. The partitioned simulator's hard
-// contract is that observable behavior — capture transcripts, counters,
-// verdicts — is a pure function of the seed and topology, independent
-// of the shard count. Two layers of pinning:
+// The determinism suite. Observable behavior — capture transcripts,
+// counters, verdicts — is a pure function of the seed and topology, and
+// two transcripts pin it byte for byte:
 //
-//  1. testdata/campus_capture.golden holds the transcript produced by
-//     the pre-parallelism sequential simulator (generated before the
-//     conservative-lookahead engine landed, with
-//     NETSIM_GOLDEN_UPDATE=1). Every shard count must still reproduce
-//     it byte-for-byte.
-//  2. The fat-tree scenario (no golden: the topology generator postdates
-//     the sequential-only simulator) is run at P=1 and compared against
-//     P=2,4,8 in-process.
+//   - testdata/campus_capture.golden, a 2×2 leaf-spine with every link
+//     tapped;
+//   - testdata/fattree_capture.golden, a k=8 fat-tree (80 switches, 128
+//     hosts) with the pod-0 aggregation uplinks tapped.
+//
+// Regenerate with NETSIM_GOLDEN_UPDATE=1 only for a change meant to
+// move them.
 
-const campusCaptureGolden = "testdata/campus_capture.golden"
+const (
+	campusCaptureGolden  = "testdata/campus_capture.golden"
+	fatTreeCaptureGolden = "testdata/fattree_capture.golden"
+)
+
+// checkGolden compares a transcript with its golden file, or rewrites
+// the file under NETSIM_GOLDEN_UPDATE.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if os.Getenv("NETSIM_GOLDEN_UPDATE") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with NETSIM_GOLDEN_UPDATE=1): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("transcript diverged from %s\ngot %d bytes, want %d\n%s",
+			path, len(got), len(want), firstDiff(got, string(want)))
+	}
+}
 
 // campusCaptureScenario builds the 2×2 campus fabric with taps on every
 // link, replays a deterministic multi-host traffic mix, and returns the
-// full capture transcript plus the counter summary. shards=1 runs the
-// sequential fast path.
-func campusCaptureScenario(t *testing.T, shards int) string {
-	t.Helper()
+// full capture transcript plus the counter summary.
+func campusCaptureScenario() string {
 	sim := NewSimulator()
 	ls := BuildLeafSpine(sim, LeafSpineConfig{
 		Leaves: 2, Spines: 2, HostsPerLeaf: 2, WithRouting: true,
@@ -36,16 +59,14 @@ func campusCaptureScenario(t *testing.T, shards int) string {
 	cap := &Capture{}
 	for _, row := range ls.Up {
 		for _, lk := range row {
-			cap.Tap(sim, lk)
+			cap.Tap(lk)
 		}
 	}
 	for _, row := range ls.Down {
 		for _, lk := range row {
-			cap.Tap(sim, lk)
+			cap.Tap(lk)
 		}
 	}
-
-	partitionForTest(t, sim, shards)
 
 	// A deterministic mix: every host talks across the fabric with
 	// irregular spacing, varied sizes, and a few pings for the reverse
@@ -57,7 +78,7 @@ func campusCaptureScenario(t *testing.T, shards int) string {
 		dst := hosts[(i+2)%len(hosts)] // always the opposite leaf
 		at += Time(3100 + 977*(i%7))
 		i, plen := i, 64+(i%9)*100
-		scheduleAtNode(sim, src, at, func() {
+		sim.At(at, func() {
 			switch i % 3 {
 			case 0:
 				src.SendUDP(dst.IP, uint16(4000+i), 80, plen)
@@ -89,61 +110,21 @@ func campusCaptureScenario(t *testing.T, shards int) string {
 }
 
 func TestCampusCaptureMatchesSequentialGolden(t *testing.T) {
-	got := campusCaptureScenario(t, 1)
-	if os.Getenv("NETSIM_GOLDEN_UPDATE") != "" {
-		if err := os.MkdirAll(filepath.Dir(campusCaptureGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(campusCaptureGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", campusCaptureGolden, len(got))
-		return
-	}
-	want, err := os.ReadFile(campusCaptureGolden)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with NETSIM_GOLDEN_UPDATE=1): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("campus capture diverged from the sequential-simulator golden\ngot %d bytes, want %d\n%s",
-			len(got), len(want), firstDiff(got, string(want)))
-	}
-}
-
-// TestCampusCaptureShardInvariant re-runs the campus scenario at shard
-// counts 2/4/8 and holds every transcript to the byte-identical
-// sequential golden — the tentpole determinism contract.
-func TestCampusCaptureShardInvariant(t *testing.T) {
-	want, err := os.ReadFile(campusCaptureGolden)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with NETSIM_GOLDEN_UPDATE=1): %v", err)
-	}
-	for _, shards := range []int{2, 4, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := campusCaptureScenario(t, shards)
-			if got != string(want) {
-				t.Errorf("P=%d capture diverged from the sequential transcript\n%s",
-					shards, firstDiff(got, string(want)))
-			}
-		})
-	}
+	checkGolden(t, campusCaptureGolden, campusCaptureScenario())
 }
 
 // fatTreeScenario drives all-to-all-ish traffic across a generated
 // fat-tree and returns a transcript of per-switch/host/link counters
 // plus a capture over the pod-0 aggregation uplinks.
-func fatTreeScenario(t *testing.T, k, shards int) string {
-	t.Helper()
+func fatTreeScenario(k int) string {
 	sim := NewSimulator()
 	ft := BuildFatTree(sim, FatTreeConfig{K: k, WithRouting: true})
 	cap := &Capture{}
 	for _, row := range ft.AggCore[0] {
 		for _, lk := range row {
-			cap.Tap(sim, lk)
+			cap.Tap(lk)
 		}
 	}
-	partitionForTest(t, sim, shards)
 
 	// Cross-pod flows: every (pod, edge) pair sources traffic to a host
 	// in a rotated pod, with varied sizes and irregular spacing.
@@ -157,7 +138,7 @@ func fatTreeScenario(t *testing.T, k, shards int) string {
 				dst := ft.Host((p+1+h)%k, (e+1)%half, (h+1)%half)
 				at += Time(1700 + 613*(n%11))
 				n, plen := n, 64+(n%7)*150
-				scheduleAtNode(sim, src, at, func() {
+				sim.At(at, func() {
 					if n%4 == 3 {
 						src.Ping(dst.IP, uint16(n))
 					} else {
@@ -195,24 +176,13 @@ func fatTreeScenario(t *testing.T, k, shards int) string {
 	return out
 }
 
-// TestFatTreeShardInvariant compares a k=8 fat-tree run (80 switches,
-// 128 hosts) at shard counts 2/4/8 against the sequential (P=1) run of
-// the same build — the large-fabric leg of the determinism suite.
-func TestFatTreeShardInvariant(t *testing.T) {
+// TestFatTreeMatchesGolden holds the k=8 fat-tree run to its transcript,
+// the large-fabric leg of the determinism suite.
+func TestFatTreeMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("k=8 fat-tree campaign")
 	}
-	const k = 8
-	want := fatTreeScenario(t, k, 1)
-	for _, shards := range []int{2, 4, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			if got := fatTreeScenario(t, k, shards); got != want {
-				t.Errorf("P=%d fat-tree run diverged from sequential\n%s",
-					shards, firstDiff(got, want))
-			}
-		})
-	}
+	checkGolden(t, fatTreeCaptureGolden, fatTreeScenario(8))
 }
 
 // firstDiff renders the first differing line between two transcripts.

@@ -57,9 +57,8 @@ func FatTreeHostIP(p, e, h int) dataplane.IP4 {
 	return dataplane.MustIP4(fmt.Sprintf("10.%d.%d.%d", p, e, h+2))
 }
 
-// BuildFatTree constructs the fabric. Construction order (cores, then
-// per-pod aggs and edges, then hosts) fixes the deterministic node
-// registration order and therefore the shard striping.
+// BuildFatTree constructs the fabric: cores, then per-pod aggs and
+// edges, then hosts.
 func BuildFatTree(sim *Simulator, cfg FatTreeConfig) *FatTree {
 	if cfg.K == 0 {
 		cfg.K = 4

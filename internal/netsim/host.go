@@ -55,9 +55,8 @@ type Host struct {
 	nic *HydraNIC
 
 	// rxDec and txBuf are per-host scratch: all of a host's callbacks
-	// run on one event loop (the simulator, or its shard after
-	// Partition), so one decode target and one serialize buffer
-	// suffice.
+	// run on the one event loop, so one decode target and one serialize
+	// buffer suffice.
 	rxDec dataplane.Decoded
 	txBuf []byte
 
@@ -80,7 +79,7 @@ func NewHost(sim *Simulator, name string, mac dataplane.MAC, ip dataplane.IP4) *
 		seed = seed*131 + int64(c)
 	}
 	h := &Host{Name: name, MAC: mac, IP: ip, sim: sim, pingSent: map[uint16]Time{}, rng: rand.New(rand.NewSource(seed))}
-	sim.registerNode(h)
+	sim.addNode()
 	return h
 }
 

@@ -22,31 +22,23 @@ type endpoint struct {
 
 // linkSink delivers frames arriving at one endpoint of a link; one per
 // direction, allocated with the Link, so frame-arrival events carry a
-// pre-existing sink instead of a fresh closure. Under partitioning the
-// sink is the receiver-side anchor: sim is the shard loop that owns the
-// receiving endpoint, origin its stable node ID, and frames/bytes the
-// delivered-traffic counters for this direction — written only by the
-// receiving shard, folded into the Link totals at end of run.
+// pre-existing sink instead of a fresh closure.
 type linkSink struct {
-	l      *Link
-	sim    *Simulator
-	to     endpoint
-	origin int32
-	frames uint64
-	bytes  uint64
+	l  *Link
+	to endpoint
 }
 
 func (s *linkSink) deliverFrame(frame []byte, port int) {
-	s.frames++
-	s.bytes += uint64(len(frame))
-	for _, tap := range s.l.taps {
-		tap(s.sim.curEvKey, s.to.node.NodeName(), port, frame)
+	l := s.l
+	l.Frames++
+	l.Bytes += uint64(len(frame))
+	for _, c := range l.taps {
+		c.record(l.sim.now, s.to.node.NodeName(), port, frame)
 	}
 	s.to.node.Receive(frame, port)
 }
 
 // direction carries the transmit state for one direction of a link.
-// It is owned by the sending endpoint's shard.
 type direction struct {
 	busyUntil Time
 }
@@ -75,12 +67,6 @@ type FaultAction struct {
 //
 // The hook is a single nil check when unset: links without faults keep
 // the zero-allocation wire path untouched.
-//
-// Under partitioning Apply runs on the sending endpoint's shard, in
-// that sender's deterministic execution order. An injector shared by
-// several links stays deterministic as long as every frame it sees is
-// sent from nodes on one shard (in practice: one sending switch) —
-// see internal/faults for the contract.
 type LinkFault interface {
 	Apply(now Time, fromA bool, buf []byte) FaultAction
 }
@@ -92,15 +78,9 @@ type Link struct {
 	sim *Simulator
 
 	a, b endpoint
-	// simA and simB are the event loops owning each endpoint — both the
-	// root before Partition, per-shard loops after. Sends execute on
-	// the sender's loop; the cross-shard case routes through its sink.
-	simA, simB *Simulator
 	// BitsPerSec is the line rate; zero means infinite.
 	BitsPerSec int64
-	// PropDelay is the one-way propagation delay. For a link whose
-	// endpoints land on different shards it must be positive: it bounds
-	// the parallel lookahead window.
+	// PropDelay is the one-way propagation delay.
 	PropDelay Time
 	// QueueBytes bounds the transmit backlog per direction; zero means
 	// unbounded.
@@ -118,8 +98,6 @@ type Link struct {
 	// distinct from queue overflow), per direction.
 	FaultDropsAB, FaultDropsBA uint64
 	// Frames and Bytes count delivered traffic in both directions.
-	// Under partitioning they are folded from the per-direction sinks
-	// at end of run; read them after Run/RunAll returns.
 	Frames uint64
 	Bytes  uint64
 
@@ -127,32 +105,23 @@ type Link struct {
 	// LinkFault). nil — the default — costs one pointer test per send.
 	Fault LinkFault
 
-	// taps are capture hooks invoked on every delivered frame, with the
-	// delivery event's deterministic key for canonical ordering across
-	// shard counts.
-	taps []func(k evKey, node string, port int, frame []byte)
+	// taps are the captures recording every delivered frame.
+	taps []*Capture
 }
 
 // Connect wires two nodes with a new link and returns it. The same port
 // number may be reused on different nodes; each (node, port) pair must
-// be wired at most once (the caller owns that invariant). Both nodes
-// are registered with the simulator, fixing their deterministic event
-// order and shard placement.
+// be wired at most once (the caller owns that invariant).
 func Connect(sim *Simulator, a Node, aPort int, b Node, bPort int, bitsPerSec int64, prop Time) *Link {
 	l := &Link{
 		sim:        sim,
 		a:          endpoint{a, aPort},
 		b:          endpoint{b, bPort},
-		simA:       sim,
-		simB:       sim,
 		BitsPerSec: bitsPerSec,
 		PropDelay:  prop,
 	}
-	aID := sim.registerNode(a)
-	bID := sim.registerNode(b)
-	l.toA = linkSink{l: l, sim: sim, to: l.a, origin: aID}
-	l.toB = linkSink{l: l, sim: sim, to: l.b, origin: bID}
-	sim.links = append(sim.links, l)
+	l.toA = linkSink{l: l, to: l.a}
+	l.toB = linkSink{l: l, to: l.b}
 	return l
 }
 
@@ -161,24 +130,22 @@ func Connect(sim *Simulator, a Node, aPort int, b Node, bPort int, bitsPerSec in
 // the line rate, a bounded transmit queue, and propagation delay.
 //
 // Send copies the frame into a pooled buffer: the caller keeps
-// ownership of frame and may reuse it as soon as Send returns. Send
-// must run on the sender's event loop — inside one of the sending
-// node's callbacks, or (partitioned) from coordinator control context.
+// ownership of frame and may reuse it as soon as Send returns.
 func (l *Link) Send(from Node, frame []byte) {
 	var dir *direction
 	var drops, faultDrops *uint64
 	var sink *linkSink
-	var sim *Simulator
 	fromA := false
 	switch from {
 	case l.a.node:
-		dir, drops, faultDrops, sink, sim, fromA = &l.ab, &l.DropsAB, &l.FaultDropsAB, &l.toB, l.simA, true
+		dir, drops, faultDrops, sink, fromA = &l.ab, &l.DropsAB, &l.FaultDropsAB, &l.toB, true
 	case l.b.node:
-		dir, drops, faultDrops, sink, sim = &l.ba, &l.DropsBA, &l.FaultDropsBA, &l.toA, l.simB
+		dir, drops, faultDrops, sink = &l.ba, &l.DropsBA, &l.FaultDropsBA, &l.toA
 	default:
 		panic("netsim: Send from a node not on this link")
 	}
 
+	sim := l.sim
 	now := sim.now
 	start := dir.busyUntil
 	if start < now {
@@ -214,11 +181,11 @@ func (l *Link) Send(from Node, frame []byte) {
 		if act.Duplicate {
 			dup := sim.AcquireFrame(len(buf))
 			copy(dup, buf)
-			sim.sendFrame(arrive+act.DupDelay, sink, dup)
+			sim.atFrame(arrive+act.DupDelay, sink, dup, sink.to.port)
 		}
 		arrive += act.ExtraDelay
 	}
-	sim.sendFrame(arrive, sink, buf)
+	sim.atFrame(arrive, sink, buf, sink.to.port)
 }
 
 // Peer returns the node and port on the opposite side from `from`.

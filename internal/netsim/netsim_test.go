@@ -3,6 +3,7 @@ package netsim
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkers"
 	"repro/internal/compiler"
@@ -44,6 +45,29 @@ func TestRunUntil(t *testing.T) {
 	sim.RunAll()
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
+	}
+}
+
+// TestRunUntilEventCap reschedules a callback at Now from itself: the
+// clock never passes until, so only the event cap can end Run(until).
+func TestRunUntilEventCap(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		sim := NewSimulator()
+		sim.EventCap = 1000
+		var f func()
+		f = func() { sim.At(sim.Now(), f) }
+		sim.At(0, f)
+		sim.Run(10)
+	}()
+	select {
+	case r := <-done:
+		if msg, _ := r.(string); !strings.Contains(msg, "event cap exceeded") {
+			t.Fatalf("Run(10) ended with %v, want the event-cap panic", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run(10) is still running a callback that reschedules itself at Now")
 	}
 }
 
@@ -410,7 +434,7 @@ func TestCaptureTapsLink(t *testing.T) {
 
 	// Tap the first leaf1->spine1 link: frames there carry telemetry.
 	cap := &Capture{Max: 100}
-	cap.Tap(sim, ls.Up[0][0])
+	cap.Tap(ls.Up[0][0])
 
 	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
 	for p := uint16(0); p < 16; p++ { // several flows so some cross spine1
@@ -446,7 +470,7 @@ func TestCaptureMaxBound(t *testing.T) {
 	a.AttachLink(lk)
 	b.AttachLink(lk)
 	cap := &Capture{Max: 3}
-	cap.Tap(sim, lk)
+	cap.Tap(lk)
 	for i := 0; i < 10; i++ {
 		a.SendUDP(b.IP, 1, 2, 10)
 	}

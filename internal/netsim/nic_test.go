@@ -41,7 +41,7 @@ func TestNICOffloadLoopChecker(t *testing.T) {
 	// Tap the last link: with NIC offload the telemetry header must
 	// still be on the wire right up to the host.
 	cap := &Capture{}
-	cap.Tap(sim, ls.Down[1][0])
+	cap.Tap(ls.Down[1][0])
 
 	h1.SendUDP(h2.IP, 777, 80, 64)
 	sim.RunAll()

@@ -1,77 +1,24 @@
 package netsim
 
-// evKey is an event's deterministic sort key, every component of which
-// is independent of the shard count:
-//
-//   - at is the event's execution time;
-//   - schedAt is the simulation time at which it was scheduled — the
-//     sequential simulator pushes events in execution order, so for
-//     same-timestamp events "scheduled earlier" reproduces the
-//     sequential loop's push-order tie-break;
-//   - origin is the stable node ID of the scheduling context (0 for
-//     external/control code), breaking the remaining ties between
-//     events scheduled at the same instant by different nodes;
-//   - seq is a per-origin FIFO counter, the final total-order tie-break.
+// evKey is an event's sort key: at, the execution time, then seq, the
+// simulator's FIFO counter at scheduling. seq is unique, so the order is
+// total, and same-instant events run in the order they were scheduled.
 //
 // ref belongs to the queue the key waits in: the slab slot of the
-// event's payload, with nodeEvent set unless the event is a control
-// event. It is assigned anew by every eventQueue.push, so a key carries
-// none across loops.
+// event's payload, assigned by eventQueue.push.
 type evKey struct {
-	at      Time
-	schedAt Time
-	seq     uint64
-	origin  int32
-	ref     uint32
+	at  Time
+	seq uint64
+	ref uint32
 }
 
-// nodeEvent marks, in evKey.ref, an event whose dest is a node.
-const nodeEvent uint32 = 1 << 31
-
-func (a evKey) less(b evKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	if a.origin != b.origin {
-		return a.origin < b.origin
-	}
-	return a.seq < b.seq
-}
-
-// before is the queue's order: by time, then control events ahead of
-// node events — the partitioned coordinator runs a timestamp's control
-// events before releasing the parallel window, so the sequential
-// comparator must agree — then by the deterministic key. The order is
-// total: no two pending keys share an origin and a seq. Distinct times,
-// nearly every comparison made, are decided inline.
 func (a *evKey) before(b *evKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.beforeAt(b)
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// beforeAt orders two keys of one timestamp; kept out of line so that
-// before stays small enough to inline into the sifts.
-//
-//go:noinline
-func (a *evKey) beforeAt(b *evKey) bool {
-	if ca, cb := a.ref&nodeEvent, b.ref&nodeEvent; ca != cb {
-		return ca < cb
-	}
-	return a.less(*b)
-}
-
-// payload is what an event does when its time comes. dest is the stable
-// ID of the node whose state the event touches — the shard routing
-// address, and the origin inherited by anything the event schedules in
-// turn; dest 0 is a control event, handled by the root loop.
+// payload is what an event does when its time comes.
 type payload struct {
-	fn   func()
-	dest int32
+	fn func()
 	// Frame-delivery form: when sink is non-nil, fn is nil and the
 	// event runs sink.deliverFrame(frame, port).
 	sink  frameSink
@@ -80,15 +27,14 @@ type payload struct {
 }
 
 // event is one scheduled callback or frame delivery in transit: what
-// the queue takes and gives back, and what the outboxes and Partition's
-// migration pass between loops. Events travel by pointer: a by-value
-// event is 96 bytes copied at every call.
+// the queue takes and gives back. Events travel by pointer: a by-value
+// event is 80 bytes copied at every call.
 type event struct {
 	k evKey
 	payload
 }
 
-// eventQueue holds one loop's pending events: the 32-byte keys in order,
+// eventQueue holds the pending events: the 24-byte keys in order,
 // the payloads in a slab the keys point into, so that ordering never
 // moves what an event carries. (container/heap would box every event
 // into an interface on Push — one allocation per scheduled event — which
@@ -144,9 +90,7 @@ func (q *eventQueue) nextAt() Time {
 	return maxTime
 }
 
-// push enqueues a keyed event: one Simulator.schedule has just keyed,
-// or one that keeps the key it was given on another loop — an outbox's,
-// or Partition's migration.
+// push enqueues an event Simulator.schedule has just keyed.
 func (q *eventQueue) push(e *event) {
 	var slot uint32
 	if n := len(q.free); n > 0 {
@@ -158,9 +102,6 @@ func (q *eventQueue) push(e *event) {
 	}
 	k := e.k
 	k.ref = slot
-	if e.dest != 0 {
-		k.ref |= nodeEvent
-	}
 	if n := len(q.run); n > q.head && k.before(&q.run[n-1]) {
 		q.heap = append(q.heap, k)
 		q.heap.up(len(q.heap)-1, k)
@@ -190,7 +131,7 @@ func (q *eventQueue) pop(e *event) {
 			q.heap.sink(last)
 		}
 	}
-	slot := e.k.ref &^ nodeEvent
+	slot := e.k.ref
 	e.payload = q.slab[slot]
 	q.slab[slot] = payload{} // drop frame/closure references
 	q.free = append(q.free, slot)

@@ -13,22 +13,12 @@ type nullSink nullNode
 
 func (*nullSink) deliverFrame([]byte, int) {}
 
-// documentedOrder is the queue's order as the package comment states it —
-// (at, control first, schedAt, origin, seq) — written out independently of
-// evKey.before.
+// documentedOrder is the queue's order as evKey states it — (at, seq) —
+// written out independently of evKey.before.
 func documentedOrder(a, b *event) int {
 	switch {
 	case a.k.at != b.k.at:
 		return int(a.k.at - b.k.at)
-	case (a.dest == 0) != (b.dest == 0):
-		if a.dest == 0 {
-			return -1
-		}
-		return 1
-	case a.k.schedAt != b.k.schedAt:
-		return int(a.k.schedAt - b.k.schedAt)
-	case a.k.origin != b.k.origin:
-		return int(a.k.origin - b.k.origin)
 	case a.k.seq < b.k.seq:
 		return -1
 	case a.k.seq > b.k.seq:
@@ -42,42 +32,41 @@ func documentedOrder(a, b *event) int {
 func sameEvent(a, b *event) bool {
 	ak, bk := a.k, b.k
 	ak.ref, bk.ref = 0, 0
-	return ak == bk && a.dest == b.dest && a.port == b.port &&
+	return ak == bk && a.port == b.port &&
 		(a.fn == nil) == (b.fn == nil) && a.sink == b.sink && unsafe.SliceData(a.frame) == unsafe.SliceData(b.frame)
 }
 
 // TestEventQueueModel drives the queue with random interleaved pushes and
-// pops — few distinct timestamps, control and node events, keys assigned
-// here and foreign keys as a cross-shard send delivers them, runs of
-// ascending keys and keys below them — against a sorted slice, and
-// requires that a popped event's slab slot holds no frame or closure.
+// pops — few distinct timestamps, keys stamped by schedule and keys
+// pushed with any unique seq, runs of ascending keys and keys below them
+// — against a sorted slice, and requires that a popped event's slab slot
+// holds no frame or closure.
 func TestEventQueueModel(t *testing.T) {
-	if s := unsafe.Sizeof(evKey{}); s != 32 {
-		t.Fatalf("evKey is %d bytes, want 32", s)
+	if s := unsafe.Sizeof(evKey{}); s != 24 {
+		t.Fatalf("evKey is %d bytes, want 24", s)
 	}
 	rng := rand.New(rand.NewSource(7))
 	sink := &nullSink{}
 	for round := 0; round < 200; round++ {
 		s := NewSimulator()
-		s.seqs = append(s.seqs, 0, 0) // origins 1 and 2
 		var model []event
 		id := 0
 		push := func() {
 			id++
-			e := event{payload: payload{port: id, dest: int32(rng.Intn(4))}}
+			e := event{payload: payload{port: id}}
 			if rng.Intn(2) == 0 {
 				e.fn = func() {}
 			} else {
 				e.sink, e.frame = sink, make([]byte, 1)
 			}
 			if rng.Intn(3) == 0 {
-				// A foreign key: any schedAt, origin and seq.
-				e.k = evKey{at: Time(rng.Intn(6)), schedAt: Time(rng.Intn(3)), origin: int32(rng.Intn(3)), seq: 1<<32 | uint64(id)}
+				// Any time, and a seq out of schedule's order.
+				e.k = evKey{at: Time(rng.Intn(6)), seq: 1<<32 - uint64(id)}
 				s.events.push(&e)
 			} else {
 				s.now = Time(rng.Intn(3))
-				e.k = evKey{at: s.now + Time(rng.Intn(4)), origin: int32(rng.Intn(3))}
-				s.schedule(&e, s)
+				e.k = evKey{at: s.now + Time(rng.Intn(4))}
+				s.schedule(&e)
 			}
 			model = append(model, e)
 		}
@@ -91,7 +80,7 @@ func TestEventQueueModel(t *testing.T) {
 			if !sameEvent(&got, &model[0]) {
 				t.Fatalf("round %d: popped %+v, model %+v", round, got, model[0])
 			}
-			if p := s.events.slab[got.k.ref&^nodeEvent]; !reflect.DeepEqual(p, payload{}) {
+			if p := s.events.slab[got.k.ref]; !reflect.DeepEqual(p, payload{}) {
 				t.Fatalf("round %d: popped event left %+v in its slab slot", round, p)
 			}
 			model = model[1:]
@@ -123,6 +112,45 @@ func TestEventQueueModel(t *testing.T) {
 	}
 }
 
+// TestSameInstantFIFO schedules events of one instant through At, AtNode
+// and link deliveries, interleaved, then more from the instant's first
+// callback, and requires them to run in the order they were scheduled.
+func TestSameInstantFIFO(t *testing.T) {
+	sim := NewSimulator()
+	src, dst := &nullNode{sim: sim}, &orderNode{sim: sim}
+	// Infinite line rate: a frame sent on slow at 0 arrives at exactly
+	// 100, one sent on fast arrives when it is sent.
+	slow := Connect(sim, src, 1, dst, 1, 0, 100)
+	fast := Connect(sim, src, 2, dst, 2, 0, 0)
+	sw := NewSwitch(sim, 1, "sw")
+	mark := func(i byte) func() { return func() { dst.seen = append(dst.seen, i) } }
+	const n = 30
+	sim.At(100, func() {
+		mark(0)()
+		sim.At(100, mark(n))
+		sim.AtNode(sw, 100, mark(n+1))
+		fast.Send(src, []byte{n + 2})
+	})
+	for i := byte(1); i < n; i++ {
+		switch i % 3 {
+		case 0:
+			sim.At(100, mark(i))
+		case 1:
+			sim.AtNode(sw, 100, mark(i))
+		default:
+			slow.Send(src, []byte{i})
+		}
+	}
+	sim.RunAll()
+	want := make([]byte, n+3)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	if !slices.Equal(dst.seen, want) {
+		t.Fatalf("same-instant events ran in the order %v, want %v", dst.seen, want)
+	}
+}
+
 // TestEventQueueRunStaysBounded feeds the sorted run as fast as it drains
 // — two generators each scheduling their next event from their own
 // callback, so the run is never empty — and requires that its storage
@@ -144,92 +172,23 @@ func TestEventQueueRunStaysBounded(t *testing.T) {
 	}
 }
 
-// TestPartitionKeepsPendingEvents schedules control and node events,
-// partitions, and requires every event back with the key it had: control
-// events on the coordinator, a node's events on its shard.
-func TestPartitionKeepsPendingEvents(t *testing.T) {
-	sim := NewSimulator()
-	a, b := NewSwitch(sim, 1, "a"), NewSwitch(sim, 2, "b")
-	l := Connect(sim, a, 1, b, 1, 0, Microsecond)
-	a.AttachLink(1, l)
-	b.AttachLink(1, l)
-
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		at := Time(rng.Intn(50))
-		switch rng.Intn(3) {
-		case 0:
-			sim.At(at, func() {})
-		case 1:
-			sim.AtNode(a, at, func() {})
-		default:
-			sim.AtNode(b, at, func() {})
-		}
-	}
-	drain := func(s *Simulator) []event {
-		out := make([]event, s.events.len())
-		for i := range out {
-			s.events.pop(&out[i])
-			if i > 0 && documentedOrder(&out[i-1], &out[i]) >= 0 {
-				t.Fatalf("popped %+v before %+v", out[i-1].k, out[i].k)
-			}
-			out[i].k.ref, out[i].fn = 0, nil
-		}
-		return out
-	}
-	// Take the keys as the unpartitioned loop holds them, and put them back.
-	pending := drain(sim)
-	for i := range pending {
-		e := pending[i]
-		e.fn = func() {}
-		sim.events.push(&e)
-	}
-
-	if err := sim.Partition(2); err != nil {
-		t.Fatal(err)
-	}
-	if sim.Pending() != len(pending) {
-		t.Fatalf("%d events pending after Partition, %d before", sim.Pending(), len(pending))
-	}
-	var got []event
-	for _, e := range drain(sim) {
-		if e.dest != 0 {
-			t.Fatalf("node event %+v left on the coordinator", e.k)
-		}
-		got = append(got, e)
-	}
-	for shard, c := range sim.par.children {
-		for _, e := range drain(c) {
-			if e.dest == 0 || int(sim.par.shardOf[e.dest]) != shard {
-				t.Fatalf("event for node %d on shard %d", e.dest, shard)
-			}
-			got = append(got, e)
-		}
-	}
-	slices.SortFunc(got, func(a, b event) int { return documentedOrder(&a, &b) })
-	if !reflect.DeepEqual(got, pending) {
-		t.Fatalf("Partition changed the pending events:\n got %+v\nwant %+v", got, pending)
-	}
-}
-
 // BenchmarkEventHeap is the wire workload's queue shape: a campaign's
 // 49 152 sends scheduled up front wait far in the future while every
 // frame in flight pushes a near-term event and pops it.
 func BenchmarkEventHeap(b *testing.B) {
 	s := NewSimulator()
 	sink := &nullNode{sim: s}
-	src := NewSwitch(s, 1, "src")
 	const backlog = 49152
 	for i := 0; i < backlog; i++ {
-		s.AtNode(src, Second+Time(i)*Microsecond, func() {})
+		s.At(Second+Time(i)*Microsecond, func() {})
 	}
 	frame := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.now = Time(i)
-		s.atFrame(s.now+500, (*nullSink)(sink), frame, 1, 1)
-		s.atFrame(s.now+300, (*nullSink)(sink), frame, 1, 1)
+		s.atFrame(s.now+500, (*nullSink)(sink), frame, 1)
+		s.atFrame(s.now+300, (*nullSink)(sink), frame, 1)
 		var e event
 		if s.events.pop(&e); e.k.at != s.now+300 {
 			b.Fatalf("popped t=%d, want %d", e.k.at, s.now+300)

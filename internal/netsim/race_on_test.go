@@ -2,20 +2,7 @@
 
 package netsim
 
-import "testing"
-
 // raceEnabled reports whether the race detector is instrumenting this
 // build; allocation-count tests skip themselves under it because the
 // detector's shadow allocations break testing.AllocsPerRun.
 const raceEnabled = true
-
-// TestParallelLoopRace drives the partitioned event loop hard under the
-// race detector: a k=4 fat-tree at P=4 with cross-pod traffic dense
-// enough that every window has several shards executing concurrently,
-// exercising the mailbox hand-off, barrier protocol, capture mutex,
-// and per-sink counters.
-func TestParallelLoopRace(t *testing.T) {
-	for round := 0; round < 3; round++ {
-		fatTreeScenario(t, 4, 4)
-	}
-}

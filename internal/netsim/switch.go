@@ -149,14 +149,10 @@ type Switch struct {
 	// encap/decap, source-route edits, multicast clones).
 	FastTxFrames, SlowTxFrames uint64
 
-	// origin is the stable simulator-assigned node ID: the switch's
-	// deterministic event-ordering key and shard routing address.
-	origin int32
-
-	// Per-packet scratch. All of a switch's callbacks run on one event
-	// loop (its shard, after Partition) and frame processing never
-	// nests (Link.Send defers delivery through the event queue), so one
-	// of each suffices per switch.
+	// Per-packet scratch. All of a switch's callbacks run on the one
+	// event loop and frame processing never nests (Link.Send defers
+	// delivery through the event queue), so one of each suffices per
+	// switch.
 	dec       dataplane.Decoded
 	meta      PacketMeta
 	txBuf     []byte
@@ -177,7 +173,7 @@ func NewSwitch(sim *Simulator, id uint32, name string) *Switch {
 		EdgePorts:       map[int]bool{},
 		PipelineLatency: 500 * Nanosecond,
 	}
-	sw.origin = sim.registerNode(sw)
+	sim.addNode()
 	return sw
 }
 
@@ -213,7 +209,7 @@ func (sw *Switch) Sim() *Simulator { return sw.sim }
 // ownership of the frame and releases it after the pipeline runs.
 func (sw *Switch) Receive(frame []byte, port int) {
 	sw.RxFrames++
-	sw.sim.atFrame(sw.sim.now+sw.PipelineLatency, (*switchPipe)(sw), frame, port, sw.origin)
+	sw.sim.atFrame(sw.sim.now+sw.PipelineLatency, (*switchPipe)(sw), frame, port)
 }
 
 // switchPipe is the frame sink running the switch pipeline; a separate
