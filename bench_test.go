@@ -111,11 +111,9 @@ func BenchmarkFig12RTT(b *testing.B) {
 // Throughput (§6.2 text result)
 
 func benchThroughput(b *testing.B, withCheckers bool) {
-	var res experiments.ThroughputResult
+	var res experiments.WireReplayResult
 	for i := 0; i < b.N; i++ {
-		var base, chk experiments.ThroughputResult
-		var err error
-		base, chk, err = experiments.RunThroughput(experiments.ThroughputConfig{Packets: 10_000, Seed: 5})
+		base, chk, err := experiments.RunThroughput(experiments.WireReplayConfig{Packets: 10_000, Seed: 5})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,28 +40,71 @@ import (
 	"repro/internal/netsim"
 )
 
+// mode is one experiment flag: -name runs run, and -all selects every
+// mode that is not standalone. A standalone mode owns the process tree
+// and the machine's cores, so it runs alone.
+type mode struct {
+	name, help string
+	standalone bool
+	run        func() error
+}
+
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run is main returning its exit code instead of calling os.Exit, so the
 // deferred profile writers also run when an experiment fails: a profile
 // of the failing run is the one worth having.
 func run(args []string) (code int) {
+	selected, cpuProfile, memProfile, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "hydra-bench: %v\n", err)
+		return 1
+	}
+
+	if cpuProfile != "" {
+		f, err := os.Create(cpuProfile)
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
+	if memProfile != "" {
+		defer func() {
+			if err := writeHeapProfile(memProfile); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
+
+	for _, m := range selected {
+		if err := m.run(); err != nil {
+			return fail(err)
+		}
+	}
+	return 0
+}
+
+// parseFlags registers a flag per mode row plus the options the rows
+// read, parses args and returns the selected rows in table order (the
+// order they run) with the profile paths. A usage error has been printed
+// by the time it returns one.
+func parseFlags(args []string) (selected []mode, cpuProfile, memProfile string, err error) {
 	fs := flag.NewFlagSet("hydra-bench", flag.ContinueOnError)
 	var (
-		table1     = fs.Bool("table1", false, "regenerate Table 1")
-		fig12a     = fs.Bool("fig12a", false, "regenerate Figure 12a (RTT over time)")
-		fig12b     = fs.Bool("fig12b", false, "regenerate Figure 12b (RTT CDF + t-test)")
-		throughput = fs.Bool("throughput", false, "regenerate the throughput comparison")
-		engineRun  = fs.Bool("engine", false, "run the sharded checker-engine replay")
-		wireRun    = fs.Bool("wire", false, "run the end-to-end wire-path replay")
-		stormRun   = fs.Bool("storm", false, "run the report-storm replay (baseline vs always-violating probe on the report bus)")
-		chaosRun   = fs.Bool("chaos", false, "run the fault-injection campaign and print the checker detection matrix")
-		symRun     = fs.Bool("symcheck", false, "prove interpreter/map/VM backend equivalence over the modeled space (E13)")
-		atomsRun   = fs.Bool("atoms", false, "run the incremental control-plane verification churn on a fat-tree (E16)")
-		fleetRun   = fs.Bool("fleet", false, "run the multi-process fleet harness and assert verdict parity with the in-process engine (E17)")
-		soakRun    = fs.Bool("soak", false, "run the fleet harness with a worker kill/restart mid-stream; asserts conservation (E17)")
-		all        = fs.Bool("all", false, "run every in-process experiment")
-
 		durationS = fs.Float64("duration", 5, "figure 12: seconds of simulated time per configuration")
 		bps       = fs.Int64("bps", 2_000_000_000, "figure 12: background load per direction (bit/s)")
 		pingMs    = fs.Float64("ping-ms", 10, "figure 12: ping interval (ms)")
@@ -82,205 +125,31 @@ func run(args []string) (code int) {
 		symJSON     = fs.String("symjson", "", "symcheck: write the full report as JSON to this file (- for stdout)")
 		frontierOut = fs.String("frontierout", "", "symcheck: regenerate the frontier seed corpus into this directory")
 		fuzzSeedOut = fs.String("fuzzseedout", "", "symcheck: write FuzzParse seeds for the frontier packets into this directory")
-
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "hydra-bench: %v\n", err)
-		return 1
-	}
+	fs.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&memProfile, "memprofile", "", "write a heap profile to this file on exit")
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				code = fail(err)
-			}
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := writeHeapProfile(*memProfile); err != nil {
-				code = fail(err)
-			}
-		}()
-	}
-
-	if *all {
-		*table1, *fig12a, *fig12b, *throughput, *engineRun, *wireRun, *stormRun, *chaosRun, *symRun, *atomsRun = true, true, true, true, true, true, true, true, true, true
-	}
-	var selected []string
-	for _, m := range []struct {
-		name string
-		set  bool
-	}{
-		{"table1", *table1}, {"fig12a", *fig12a}, {"fig12b", *fig12b},
-		{"throughput", *throughput}, {"engine", *engineRun}, {"wire", *wireRun},
-		{"storm", *stormRun}, {"chaos", *chaosRun}, {"symcheck", *symRun},
-		{"atoms", *atomsRun}, {"fleet", *fleetRun}, {"soak", *soakRun},
-	} {
-		if m.set {
-			selected = append(selected, m.name)
-		}
-	}
-	if err := validateModes(selected); err != nil {
-		fmt.Fprintf(os.Stderr, "hydra-bench: %v\n", err)
-		fs.Usage()
-		return 2
-	}
-
-	if *table1 {
-		rows, err := experiments.Table1()
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatTable1(rows))
-	}
-
-	if *fig12a || *fig12b {
-		fmt.Fprintf(os.Stderr, "running figure 12 experiment (%.1fs sim time x 2 configurations)...\n", *durationS)
-		r, err := experiments.RunFig12(experiments.Fig12Config{
-			Duration:      netsim.Time(*durationS * float64(netsim.Second)),
-			PingInterval:  netsim.Time(*pingMs * float64(netsim.Millisecond)),
-			BackgroundBps: *bps,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if *fig12a {
-			fmt.Println(experiments.FormatFig12a(r))
-		}
-		if *fig12b {
-			fmt.Println(experiments.FormatFig12b(r))
-		}
-	}
-
-	if *throughput {
-		fmt.Fprintln(os.Stderr, "running throughput replay x 2 configurations...")
-		base, chk, err := experiments.RunThroughput(experiments.ThroughputConfig{Packets: *packets})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatThroughput(base, chk))
-	}
-
-	if *engineRun {
-		counts, err := parseShards(*shards)
-		if err != nil {
-			return fail(err)
-		}
-		var results []experiments.EngineReplayResult
-		for _, n := range counts {
-			fmt.Fprintf(os.Stderr, "running engine replay with %d shard(s)...\n", n)
-			r, err := experiments.RunEngineReplay(experiments.EngineReplayConfig{
-				Packets: *packets, Shards: n,
+	// -fig12a and -fig12b print two renderings of one run.
+	var fig12 *experiments.Fig12Result
+	runFig12 := func(format func(experiments.Fig12Result) string) error {
+		if fig12 == nil {
+			fmt.Fprintf(os.Stderr, "running figure 12 experiment (%.1fs sim time x 2 configurations)...\n", *durationS)
+			r, err := experiments.RunFig12(experiments.Fig12Config{
+				Duration:      netsim.Time(*durationS * float64(netsim.Second)),
+				PingInterval:  netsim.Time(*pingMs * float64(netsim.Millisecond)),
+				BackgroundBps: *bps,
 			})
 			if err != nil {
-				return fail(err)
+				return err
 			}
-			results = append(results, r)
+			fig12 = &r
 		}
-		fmt.Println(experiments.FormatEngineReplay(results))
-		fmt.Fprintln(os.Stderr, "running batched single-shard replay (no dispatch queues)...")
-		r, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{Packets: *packets, BatchSize: 64})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Printf("Batch:  steady-state batched checking, 1 shard: %.0f pkts/s (%.0f ns/pkt)\n\n",
-			r.WallPktsPerSec, 1e9/r.WallPktsPerSec)
+		fmt.Println(format(*fig12))
+		return nil
 	}
-
-	if *wireRun {
-		fmt.Fprintln(os.Stderr, "running end-to-end wire replay...")
-		r, err := experiments.RunWireReplay(experiments.WireReplayConfig{Packets: *packets})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatWireReplay(r))
-	}
-
-	if *stormRun {
-		fmt.Fprintln(os.Stderr, "running report-storm replay (baseline + storm passes)...")
-		r, err := experiments.RunStorm(experiments.StormConfig{Packets: *packets, Seed: 5})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatStorm(r))
-	}
-
-	if *chaosRun {
-		fmt.Fprintf(os.Stderr, "running chaos campaign (seed=%d rate=%g, baseline + %d fault classes)...\n",
-			*seed, *faultRate, len(faults.Classes()))
-		r, err := experiments.RunChaos(experiments.ChaosConfig{
-			Packets: *packets, Seed: *seed, FaultRate: *faultRate,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatChaos(r))
-		if *chaosJSON != "" {
-			data, err := r.Matrix.JSON()
-			if err == nil {
-				err = writeOutput(*chaosJSON, data)
-			}
-			if err != nil {
-				return fail(err)
-			}
-		}
-	}
-
-	if *symRun {
-		fmt.Fprintln(os.Stderr, "running symbolic backend-equivalence suite over the checker corpus...")
-		r, err := experiments.RunSymcheck(experiments.SymcheckConfig{
-			FrontierDir: *frontierOut,
-			FuzzSeedDir: *fuzzSeedOut,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatSymcheck(r))
-		if *symJSON != "" {
-			data, err := json.MarshalIndent(r, "", "  ")
-			if err == nil {
-				err = writeOutput(*symJSON, data)
-			}
-			if err != nil {
-				return fail(err)
-			}
-		}
-		if !r.Passed {
-			return fail(errors.New("symcheck failed"))
-		}
-	}
-
-	if *atomsRun {
-		fmt.Fprintf(os.Stderr, "running atoms churn (k=%d, %d updates)...\n", *atomsK, *atomsUpdates)
-		r, err := experiments.RunAtomsChurn(experiments.AtomsConfig{
-			K: *atomsK, Updates: *atomsUpdates, Seed: *seed,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(experiments.FormatAtoms(r))
-	}
-
-	if *fleetRun || *soakRun {
+	runFleet := func(kill bool) error {
 		kind := "fleet parity"
-		if *soakRun {
+		if kill {
 			kind = "fleet soak (worker kill/restart)"
 		}
 		fmt.Fprintf(os.Stderr, "running %s harness (%d packets, %d workers, %d loop(s))...\n",
@@ -290,25 +159,142 @@ func run(args []string) (code int) {
 			Seed:     *seed,
 			Workers:  *fleetWorkers,
 			Loops:    *fleetLoops,
-			Kill:     *soakRun,
+			Kill:     kill,
 			MaxRSSKB: *fleetRSS,
 			BinDir:   *fleetBin,
 			Logf:     func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
 		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		fmt.Println(experiments.FormatFleet(res))
 		if !res.OK() {
-			return fail(errors.New("fleet run failed its acceptance checks"))
+			return errors.New("fleet run failed its acceptance checks")
+		}
+		return nil
+	}
+
+	modes := []mode{
+		{"table1", "regenerate Table 1", false, func() error {
+			rows, err := experiments.Table1()
+			return show(experiments.FormatTable1, rows, err)
+		}},
+		{"fig12a", "regenerate Figure 12a (RTT over time)", false, func() error { return runFig12(experiments.FormatFig12a) }},
+		{"fig12b", "regenerate Figure 12b (RTT CDF + t-test)", false, func() error { return runFig12(experiments.FormatFig12b) }},
+		{"throughput", "regenerate the throughput comparison", false, func() error {
+			fmt.Fprintln(os.Stderr, "running throughput replay x 2 configurations...")
+			base, chk, err := experiments.RunThroughput(experiments.WireReplayConfig{Packets: *packets})
+			if err != nil {
+				return err
+			}
+			fmt.Println(experiments.FormatThroughput(base, chk))
+			return nil
+		}},
+		{"engine", "run the sharded checker-engine replay", false, func() error {
+			counts, err := parseShards(*shards)
+			if err != nil {
+				return err
+			}
+			var results []experiments.EngineReplayResult
+			for _, n := range counts {
+				fmt.Fprintf(os.Stderr, "running engine replay with %d shard(s)...\n", n)
+				r, err := experiments.RunEngineReplay(experiments.EngineReplayConfig{Packets: *packets, Shards: n})
+				if err != nil {
+					return err
+				}
+				results = append(results, r)
+			}
+			fmt.Println(experiments.FormatEngineReplay(results))
+			fmt.Fprintln(os.Stderr, "running batched single-shard replay (no dispatch queues)...")
+			r, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{Packets: *packets, BatchSize: 64})
+			if err != nil {
+				return err
+			}
+			fmt.Printf("Batch:  steady-state batched checking, 1 shard: %.0f pkts/s (%.0f ns/pkt)\n\n",
+				r.WallPktsPerSec, 1e9/r.WallPktsPerSec)
+			return nil
+		}},
+		{"wire", "run the end-to-end wire-path replay", false, func() error {
+			fmt.Fprintln(os.Stderr, "running end-to-end wire replay...")
+			r, err := experiments.RunWireReplay(experiments.WireReplayConfig{Packets: *packets})
+			return show(experiments.FormatWireReplay, r, err)
+		}},
+		{"storm", "run the report-storm replay (baseline vs always-violating probe on the report bus)", false, func() error {
+			fmt.Fprintln(os.Stderr, "running report-storm replay (baseline + storm passes)...")
+			r, err := experiments.RunStorm(experiments.StormConfig{Packets: *packets, Seed: 5})
+			return show(experiments.FormatStorm, r, err)
+		}},
+		{"chaos", "run the fault-injection campaign and print the checker detection matrix", false, func() error {
+			fmt.Fprintf(os.Stderr, "running chaos campaign (seed=%d rate=%g, baseline + %d fault classes)...\n",
+				*seed, *faultRate, len(faults.Classes()))
+			r, err := experiments.RunChaos(experiments.ChaosConfig{Packets: *packets, Seed: *seed, FaultRate: *faultRate})
+			if err := show(experiments.FormatChaos, r, err); err != nil {
+				return err
+			}
+			return writeJSON(*chaosJSON, r.Matrix)
+		}},
+		{"symcheck", "prove interpreter/map/VM backend equivalence over the modeled space (E13)", false, func() error {
+			fmt.Fprintln(os.Stderr, "running symbolic backend-equivalence suite over the checker corpus...")
+			r, err := experiments.RunSymcheck(experiments.SymcheckConfig{FrontierDir: *frontierOut, FuzzSeedDir: *fuzzSeedOut})
+			if err := show(experiments.FormatSymcheck, r, err); err != nil {
+				return err
+			}
+			if err := writeJSON(*symJSON, r); err != nil {
+				return err
+			}
+			if !r.Passed {
+				return errors.New("symcheck failed")
+			}
+			return nil
+		}},
+		{"atoms", "run the incremental control-plane verification churn on a fat-tree (E16)", false, func() error {
+			fmt.Fprintf(os.Stderr, "running atoms churn (k=%d, %d updates)...\n", *atomsK, *atomsUpdates)
+			r, err := experiments.RunAtomsChurn(experiments.AtomsConfig{K: *atomsK, Updates: *atomsUpdates, Seed: *seed})
+			return show(experiments.FormatAtoms, r, err)
+		}},
+		{"fleet", "run the multi-process fleet harness and assert verdict parity with the in-process engine (E17)", true, func() error { return runFleet(false) }},
+		{"soak", "run the fleet harness with a worker kill/restart mid-stream; asserts conservation (E17)", true, func() error { return runFleet(true) }},
+	}
+	set := make([]*bool, len(modes))
+	for i, m := range modes {
+		set[i] = fs.Bool(m.name, false, m.help)
+	}
+	all := fs.Bool("all", false, "run every in-process experiment")
+	if err := fs.Parse(args); err != nil {
+		return nil, "", "", err
+	}
+
+	for i, m := range modes {
+		if *set[i] || (*all && !m.standalone) {
+			selected = append(selected, m)
 		}
 	}
-	return 0
+	if err := validateModes(selected); err != nil {
+		fmt.Fprintf(os.Stderr, "hydra-bench: %v\n", err)
+		fs.Usage()
+		return nil, "", "", err
+	}
+	return selected, cpuProfile, memProfile, nil
 }
 
-// writeOutput writes data and a final newline to path, "-" being
-// standard output.
-func writeOutput(path string, data []byte) error {
+// show prints a mode's rendered result, unless the mode failed.
+func show[R any](format func(R) string, r R, err error) error {
+	if err == nil {
+		fmt.Println(format(r))
+	}
+	return err
+}
+
+// writeJSON writes v as indented JSON and a final newline to path, "-"
+// being standard output; an empty path writes nothing.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
 	data = append(data, '\n')
 	if path == "-" {
 		_, err := os.Stdout.Write(data)
@@ -333,16 +319,16 @@ func writeHeapProfile(path string) error {
 }
 
 // validateModes enforces the mode-flag contract: at least one mode,
-// and the process-tree modes (-fleet, -soak) standalone — they own
-// the machine's cores and the measurement, so combining them with
-// each other or with in-process experiments would skew both.
-func validateModes(selected []string) error {
+// and a standalone mode (-fleet, -soak) alone — it owns the machine's
+// cores and the measurement, so combining it with another mode would
+// skew both.
+func validateModes(selected []mode) error {
 	var heavy, inproc []string
 	for _, m := range selected {
-		if m == "fleet" || m == "soak" {
-			heavy = append(heavy, m)
+		if m.standalone {
+			heavy = append(heavy, m.name)
 		} else {
-			inproc = append(inproc, m)
+			inproc = append(inproc, m.name)
 		}
 	}
 	if len(heavy) > 1 {

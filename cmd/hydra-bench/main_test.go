@@ -1,11 +1,51 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/flags.golden")
+
+// TestFlagsGolden pins hydra-bench's flag list — every name, default
+// and help string — as -h prints it.
+func TestFlagsGolden(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = out
+	code := run([]string{"-h"})
+	os.Stderr = stderr
+	if code != 0 {
+		t.Fatalf("run -h = %d, want 0", code)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/flags.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with -update): %v", golden, err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("hydra-bench -h diverged from %s\ngot:\n%s", golden, got)
+	}
+}
 
 func TestValidateModes(t *testing.T) {
 	cases := []struct {
@@ -24,7 +64,11 @@ func TestValidateModes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateModes(c.selected)
+			var selected []mode
+			for _, name := range c.selected {
+				selected = append(selected, mode{name: name, standalone: name == "fleet" || name == "soak"})
+			}
+			err := validateModes(selected)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateModes(%v) = %v, want nil", c.selected, err)
@@ -35,6 +79,23 @@ func TestValidateModes(t *testing.T) {
 				t.Fatalf("validateModes(%v) = %v, want error containing %q", c.selected, err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestAllSelectsInProcessModes: -all selects exactly the ten in-process
+// modes, in the order they run, and neither process-tree mode.
+func TestAllSelectsInProcessModes(t *testing.T) {
+	selected, _, _, err := parseFlags([]string{"-all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range selected {
+		got = append(got, m.name)
+	}
+	want := []string{"table1", "fig12a", "fig12b", "throughput", "engine", "wire", "storm", "chaos", "symcheck", "atoms"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("-all selected %v, want %v", got, want)
 	}
 }
 

@@ -25,107 +25,77 @@ type SwitchInfo struct {
 // effectively infinite, and the stateful firewall is seeded separately
 // via FirewallSeed / AllowFlows.
 func ConfigureBenign(sws []SwitchInfo, install func(checker string, swIdx int, fn func(*pipeline.State) error) error) error {
-	scalar := func(key string, sw int, name string, w int, v uint64) error {
-		return install(key, sw, func(st *pipeline.State) error {
-			return st.Tables[name].Insert(pipeline.Entry{
-				Action: []pipeline.Value{pipeline.B(w, v)},
-			})
-		})
-	}
-	dict := func(key string, sw int, name string, k []uint64, w int, v uint64) error {
-		return install(key, sw, func(st *pipeline.State) error {
-			keys := make([]pipeline.KeyMatch, len(k))
-			for i, kv := range k {
-				keys[i] = pipeline.ExactKey(kv)
-			}
-			return st.Tables[name].Insert(pipeline.Entry{
-				Keys:   keys,
-				Action: []pipeline.Value{pipeline.B(w, v)},
-			})
-		})
-	}
-	set := func(key string, sw int, name string, k uint64) error {
-		return install(key, sw, func(st *pipeline.State) error {
-			return st.Tables[name].Insert(pipeline.Entry{
-				Keys: []pipeline.KeyMatch{pipeline.ExactKey(k)},
-			})
-		})
-	}
-
-	var leafIDs []uint32
+	var leafIDs []uint64
 	for _, sw := range sws {
 		if sw.IsLeaf {
-			leafIDs = append(leafIDs, sw.ID)
+			leafIDs = append(leafIDs, uint64(sw.ID))
 		}
 	}
 	if len(leafIDs) == 0 {
 		return fmt.Errorf("experiments: benign config needs at least one leaf switch")
 	}
-
 	for i, sw := range sws {
-		var err error
-		for port := uint64(0); port <= 12 && err == nil; port++ {
-			if e := dict("multi-tenancy", i, "tenants", []uint64{port}, 8, 1); e != nil {
-				err = e
-			}
-			if e := set("egress-validity", i, "allowed_eg_ports", port); e != nil {
-				err = e
-			}
+		leaf := uint64(0)
+		if sw.IsLeaf {
+			leaf = 1
 		}
-		if err == nil {
-			err = scalar("load-balance", i, "left_port", 8, 1)
+		var ins []controlEntry
+		for port := uint64(0); port <= 12; port++ {
+			ins = append(ins,
+				controlEntry{"multi-tenancy", "tenants", []uint64{port}, 8, 1},
+				controlEntry{"egress-validity", "allowed_eg_ports", []uint64{port}, 0, 0})
 		}
-		if err == nil {
-			err = scalar("load-balance", i, "right_port", 8, 2)
-		}
-		if err == nil {
-			err = scalar("load-balance", i, "thresh", 32, 1<<31)
-		}
+		ins = append(ins,
+			controlEntry{"load-balance", "left_port", nil, 8, 1},
+			controlEntry{"load-balance", "right_port", nil, 8, 2},
+			controlEntry{"load-balance", "thresh", nil, 32, 1 << 31})
 		if sw.IsLeaf {
 			// Uplink ports are a leaf concept; a spine concentrates each
 			// destination's traffic on one port by design.
-			if err == nil {
-				err = dict("load-balance", i, "is_uplink", []uint64{1}, 1, 1)
-			}
-			if err == nil {
-				err = dict("load-balance", i, "is_uplink", []uint64{2}, 1, 1)
-			}
+			ins = append(ins,
+				controlEntry{"load-balance", "is_uplink", []uint64{1}, 1, 1},
+				controlEntry{"load-balance", "is_uplink", []uint64{2}, 1, 1})
 		}
-		if err == nil {
+		ins = append(ins,
 			// Untagged traffic reads VLAN 0; make it a member everywhere.
-			err = dict("vlan-isolation", i, "vlan_members", []uint64{0}, 1, 1)
+			controlEntry{"vlan-isolation", "vlan_members", []uint64{0}, 1, 1},
+			controlEntry{"routing-validity", "is_leaf", nil, 1, leaf},
+			controlEntry{"waypointing", "waypoint_id", nil, 32, leafIDs[0]},
+			controlEntry{"service-chain", "src_switch", nil, 32, leafIDs[0]})
+		if len(leafIDs) > 1 {
+			ins = append(ins, controlEntry{"service-chain", "dst_switch", nil, 32, leafIDs[1]})
 		}
-		if err == nil {
-			leaf := uint64(0)
-			if sw.IsLeaf {
-				leaf = 1
+		ins = append(ins,
+			controlEntry{"service-chain", "chain_len", nil, 8, 0},
+			controlEntry{"valley-free", "is_spine_switch", nil, 1, 1 - leaf})
+		for _, e := range ins {
+			if err := install(e.checker, i, e.insert); err != nil {
+				return fmt.Errorf("experiments: configuring switch %d: %w", sw.ID, err)
 			}
-			err = scalar("routing-validity", i, "is_leaf", 1, leaf)
-		}
-		if err == nil {
-			err = scalar("waypointing", i, "waypoint_id", 32, uint64(leafIDs[0]))
-		}
-		if err == nil {
-			err = scalar("service-chain", i, "src_switch", 32, uint64(leafIDs[0]))
-		}
-		if err == nil && len(leafIDs) > 1 {
-			err = scalar("service-chain", i, "dst_switch", 32, uint64(leafIDs[1]))
-		}
-		if err == nil {
-			err = scalar("service-chain", i, "chain_len", 8, 0)
-		}
-		if err == nil {
-			spine := uint64(0)
-			if !sw.IsLeaf {
-				spine = 1
-			}
-			err = scalar("valley-free", i, "is_spine_switch", 1, spine)
-		}
-		if err != nil {
-			return fmt.Errorf("experiments: configuring switch %d: %w", sw.ID, err)
 		}
 	}
 	return nil
+}
+
+// controlEntry is one entry of a checker's control table: a scalar (no
+// keys), a dictionary entry (keys and a width-w value) or a set member
+// (keys, width 0: no action).
+type controlEntry struct {
+	checker, table string
+	keys           []uint64
+	w              int
+	v              uint64
+}
+
+func (e controlEntry) insert(st *pipeline.State) error {
+	var entry pipeline.Entry
+	for _, k := range e.keys {
+		entry.Keys = append(entry.Keys, pipeline.ExactKey(k))
+	}
+	if e.w > 0 {
+		entry.Action = []pipeline.Value{pipeline.B(e.w, e.v)}
+	}
+	return st.Tables[e.table].Insert(entry)
 }
 
 // AttachAllCheckers compiles every corpus checker, attaches all of them

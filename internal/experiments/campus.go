@@ -1,17 +1,25 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/checkers"
 	"repro/internal/controlplane"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
+	"repro/internal/reportbus"
 	"repro/internal/trafficgen"
 )
 
-// campusFabric is the §6.2 replay bench the wire, throughput, storm and
-// chaos experiments share (and engine.go's replayPaths model): a 2×2
+// busWindow is the aggregation window of the storm and chaos replays'
+// report buses, in virtual time.
+const busWindow = time.Duration(netsim.Millisecond)
+
+// campusFabric is the §6.2 replay bench the wire (with or without
+// checkers: the throughput comparison), storm and chaos experiments
+// share (and engine.go's replayPaths model): a 2×2
 // leaf-spine whose default routes carry everything entering leaf 1
 // across either spine (ECMP) to a sink host on leaf 2, with link
 // headroom so a replay is CPU-shaped, not line-blocked, and the campus
@@ -28,7 +36,7 @@ type campusFabric struct {
 	span  netsim.Time
 }
 
-func newCampusFabric(packets int, traffic trafficgen.CampusConfig) *campusFabric {
+func newCampusFabric(packets int, seed int64) *campusFabric {
 	sim := netsim.NewSimulator()
 	ls := netsim.BuildLeafSpine(sim, netsim.LeafSpineConfig{
 		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
@@ -49,18 +57,31 @@ func newCampusFabric(packets int, traffic trafficgen.CampusConfig) *campusFabric
 		spine.Forwarding = p
 	}
 	f := &campusFabric{sim: sim, ls: ls, src: ls.Host(0, 0), sink: ls.Host(1, 0), pkts: make([]trafficgen.Packet, packets)}
-	gen := trafficgen.NewCampus(traffic)
+	f.pairs = campusTrace(packets, seed, func(i int, p trafficgen.Packet) {
+		f.pkts[i] = p
+		f.span += p.Gap
+	})
+	return f
+}
+
+// campusTrace generates n packets of the campus trace (trafficgen's
+// default ~350 Kpps load), hands each to emit in order, and returns the
+// trace's (src, dst) address pairs in order of first occurrence: the
+// flows the stateful firewall is seeded with.
+func campusTrace(n int, seed int64, emit func(i int, p trafficgen.Packet)) [][2]uint32 {
+	gen := trafficgen.NewCampus(trafficgen.CampusConfig{Seed: seed})
 	seen := map[[2]uint32]bool{}
-	for i := range f.pkts {
-		f.pkts[i] = gen.Next()
-		f.span += f.pkts[i].Gap
-		key := [2]uint32{uint32(f.pkts[i].Src), uint32(f.pkts[i].Dst)}
+	var pairs [][2]uint32
+	for i := 0; i < n; i++ {
+		p := gen.Next()
+		emit(i, p)
+		key := [2]uint32{uint32(p.Src), uint32(p.Dst)}
 		if !seen[key] {
 			seen[key] = true
-			f.pairs = append(f.pairs, key)
+			pairs = append(pairs, key)
 		}
 	}
-	return f
+	return pairs
 }
 
 // schedule queues every send of the trace at its arrival time.
@@ -71,6 +92,34 @@ func (f *campusFabric) schedule() {
 		at += p.Gap
 		f.sim.At(at, func() { f.src.SendPacket(p.Decode()) })
 	}
+}
+
+// run schedules the trace, runs the simulator to completion and returns
+// the replay's wall-clock rate in packets per second.
+func (f *campusFabric) run() (float64, error) {
+	f.schedule()
+	start := time.Now()
+	f.sim.RunAll()
+	wall := time.Since(start)
+	if wall <= 0 || f.sim.Now() == 0 {
+		return 0, fmt.Errorf("experiments: empty campus replay")
+	}
+	return float64(len(f.pkts)) / wall.Seconds(), nil
+}
+
+// bus returns a report bus on the fabric's virtual clock with busWindow
+// windows: windows close and token buckets refill as the simulation
+// advances, so a replay's bus is deterministic for a given seed.
+func (f *campusFabric) bus(cfg reportbus.Config) *reportbus.Bus {
+	cfg.Window = busWindow
+	cfg.Clock = func() int64 { return int64(f.sim.Now()) }
+	return reportbus.New(cfg)
+}
+
+// controller returns a controller over a new virtual-time bus (see bus).
+func (f *campusFabric) controller(cfg reportbus.Config) (*controlplane.Controller, *reportbus.Bus) {
+	bus := f.bus(cfg)
+	return controlplane.NewController(bus), bus
 }
 
 // delivered counts the packets the sink received.
@@ -88,10 +137,12 @@ func fabricSwitchInfos(ls *netsim.LeafSpine) []SwitchInfo {
 }
 
 // deployCorpus deploys every corpus checker, then extra, on every switch
-// of the fabric through the controller, and installs ConfigureBenign's
-// state into the attachments it made.
-func deployCorpus(ctl *controlplane.Controller, ls *netsim.LeafSpine, extra ...checkers.Property) error {
-	all := ls.AllSwitches()
+// of the fabric through ctl, and installs ConfigureBenign's state into
+// the attachments it made. With seed set it also seeds the stateful
+// firewall with the trace's pairs, for callers whose seeding is not a
+// fault site of its own.
+func (f *campusFabric) deployCorpus(ctl *controlplane.Controller, seed bool, extra ...checkers.Property) error {
+	all := f.ls.AllSwitches()
 	for _, p := range slices.Concat(checkers.All, extra) {
 		info, err := p.Parse()
 		if err != nil {
@@ -101,12 +152,26 @@ func deployCorpus(ctl *controlplane.Controller, ls *netsim.LeafSpine, extra ...c
 			return err
 		}
 	}
-	sws := fabricSwitchInfos(ls)
-	return ConfigureBenign(sws, func(checker string, swIdx int, fn func(*pipeline.State) error) error {
+	sws := fabricSwitchInfos(f.ls)
+	err := ConfigureBenign(sws, func(checker string, swIdx int, fn func(*pipeline.State) error) error {
 		att, err := ctl.Attachment(checker, sws[swIdx].ID)
 		if err != nil {
 			return err
 		}
 		return fn(att.State)
 	})
+	if err != nil || !seed {
+		return err
+	}
+	install := FirewallSeed(f.pairs)
+	for _, sw := range all {
+		att, err := ctl.Attachment("stateful-firewall", sw.ID)
+		if err != nil {
+			return err
+		}
+		if err := install(att.State); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/engine"
 	"repro/internal/netsim"
-	"repro/internal/trafficgen"
 )
 
 // hopRecorder wraps a switch's forwarding program and appends every
@@ -47,7 +46,7 @@ func (r *hopRecorder) Process(sw *netsim.Switch, pkt *dataplane.Decoded, meta *n
 // (switch, ingress port, egress port) sequences of replayPaths.
 func TestReplayModelMatchesFabric(t *testing.T) {
 	const packets = 4000
-	f := newCampusFabric(packets, trafficgen.CampusConfig{Seed: 5})
+	f := newCampusFabric(packets, 5)
 	fabric, model := fabricSwitchInfos(f.ls), ReplaySwitchInfos()
 	if len(fabric) != len(model) {
 		t.Fatalf("fabric has %d switches, replay model %d", len(fabric), len(model))

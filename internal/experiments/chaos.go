@@ -3,17 +3,15 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/atoms"
 	"repro/internal/checkers"
-	"repro/internal/controlplane"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/reportbus"
-	"repro/internal/trafficgen"
 )
 
 // The chaos experiment replays the campus workload once per fault
@@ -34,11 +32,6 @@ type ChaosConfig struct {
 	// FaultRate is the per-packet/per-frame probability for the
 	// probabilistic fault classes (default 0.02).
 	FaultRate float64
-	// Window is the bus aggregation window in virtual nanoseconds
-	// (default 1ms of simulated time).
-	Window time.Duration
-	// Classes selects which fault classes to run (default all).
-	Classes []faults.Class
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -50,12 +43,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.FaultRate == 0 {
 		c.FaultRate = 0.02
-	}
-	if c.Window <= 0 {
-		c.Window = time.Duration(netsim.Millisecond)
-	}
-	if c.Classes == nil {
-		c.Classes = faults.Classes()
 	}
 	return c
 }
@@ -202,65 +189,43 @@ func (m StaticMatrix) JSON() ([]byte, error) { return json.MarshalIndent(m, "", 
 // wall-clock throughput of each scenario (kept out of both matrices so
 // reproducibility is exact).
 type ChaosResult struct {
-	Config  ChaosConfig
 	Matrix  ChaosMatrix
 	Static  StaticMatrix
 	WallPPS map[string]float64
 }
 
-// RunChaos replays the campus workload under every configured fault
-// class and scores the corpus checkers.
+// RunChaos replays the campus workload under every fault class and
+// scores the corpus checkers.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
-	out := ChaosResult{Config: cfg, WallPPS: map[string]float64{}}
-
-	base, baseStatic, pps, err := runChaosScenario(cfg, "")
-	if err != nil {
-		return out, fmt.Errorf("experiments: chaos baseline: %w", err)
-	}
-	out.WallPPS[base.Class] = pps
-
-	m := ChaosMatrix{
-		Seed:      cfg.Seed,
-		Packets:   cfg.Packets,
-		FaultRate: cfg.FaultRate,
-		Baseline:  base,
-		Checkers:  map[string]CheckerSummary{},
-	}
-	sm := StaticMatrix{
-		Seed:      cfg.Seed,
-		Packets:   cfg.Packets,
-		FaultRate: cfg.FaultRate,
-		Baseline:  baseStatic,
-	}
-	for _, class := range cfg.Classes {
+	out := ChaosResult{WallPPS: map[string]float64{}}
+	m := ChaosMatrix{Seed: cfg.Seed, Packets: cfg.Packets, FaultRate: cfg.FaultRate, Checkers: map[string]CheckerSummary{}}
+	sm := StaticMatrix{Seed: cfg.Seed, Packets: cfg.Packets, FaultRate: cfg.FaultRate}
+	// The healthy baseline ("") first, then every fault class.
+	for i, class := range append([]faults.Class{""}, faults.Classes()...) {
 		sc, st, pps, err := runChaosScenario(cfg, class)
 		if err != nil {
-			return out, fmt.Errorf("experiments: chaos %s: %w", class, err)
+			return out, fmt.Errorf("experiments: chaos %s: %w", sc.Class, err)
 		}
 		out.WallPPS[sc.Class] = pps
+		if i == 0 {
+			m.Baseline, sm.Baseline = sc, st
+			continue
+		}
 		m.Scenarios = append(m.Scenarios, sc)
 		sm.Scenarios = append(sm.Scenarios, st)
 	}
 
-	in := func(list []string, name string) bool {
-		for _, s := range list {
-			if s == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, p := range checkers.All {
-		s := CheckerSummary{FP: base.Digests[p.Key]}
+		s := CheckerSummary{FP: m.Baseline.Digests[p.Key]}
 		for _, sc := range m.Scenarios {
-			if in(sc.Detected, p.Key) {
+			if slices.Contains(sc.Detected, p.Key) {
 				s.TP++
 			}
-			if in(sc.Missed, p.Key) {
+			if slices.Contains(sc.Missed, p.Key) {
 				s.Missed++
 			}
-			if in(sc.Collateral, p.Key) {
+			if slices.Contains(sc.Collateral, p.Key) {
 				s.Collateral++
 			}
 		}
@@ -289,18 +254,13 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	}
 	st := StaticScenario{Class: res.Class, Expected: ExpectedStatic[class]}
 
-	f := newCampusFabric(cfg.Packets, trafficgen.CampusConfig{Seed: cfg.Seed})
+	f := newCampusFabric(cfg.Packets, cfg.Seed)
 	sim, ls, sink, pairs, span := f.sim, f.ls, f.sink, f.pairs, f.span
 
-	// Virtual-time bus; the tap counts every raised digest per checker.
-	// The controller's producers are inline, so the tap runs on the
-	// simulator's loop.
-	bus := reportbus.New(reportbus.Config{
-		Window: cfg.Window,
-		Clock:  func() int64 { return int64(sim.Now()) },
-	})
+	// The tap counts every raised digest per checker. The controller's
+	// producers are inline, so the tap runs on the simulator's loop.
+	ctl, bus := f.controller(reportbus.Config{})
 	bus.Tap(func(d reportbus.Digest) { res.Digests[d.Checker]++ })
-	ctl := controlplane.NewController(bus)
 
 	// Static layer, part 1: the install audit observes every control
 	// mutation the controller actually applies, to cross-check against
@@ -311,7 +271,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	ctl.Observer = audit
 
 	all := ls.AllSwitches()
-	if err := deployCorpus(ctl, ls); err != nil {
+	if err := f.deployCorpus(ctl, false); err != nil {
 		return res, st, 0, err
 	}
 
@@ -323,10 +283,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	// swaps the forwarding program, so watching must come first.
 	ver := atoms.New()
 	var staticDigests uint64
-	sbus := reportbus.New(reportbus.Config{
-		Window: cfg.Window,
-		Clock:  func() int64 { return int64(sim.Now()) },
-	})
+	sbus := f.bus(reportbus.Config{})
 	sbus.Tap(func(reportbus.Digest) { staticDigests++ })
 	atoms.Publish(ver, sbus.InlineProducer("static"), sbus.Now)
 	atoms.WatchFabric(ver, all)
@@ -377,11 +334,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	switch class {
 	case faults.PartialInstall:
 		withheld := faults.Withhold(faults.SubSeed(cfg.Seed, "partial-install"), len(pairs), cfg.FaultRate)
-		any := false
-		for _, w := range withheld {
-			any = any || w
-		}
-		if !any && len(withheld) > 0 {
+		if !slices.Contains(withheld, true) && len(withheld) > 0 {
 			// A tiny rate may select nothing; the scenario must not be
 			// vacuous, so deterministically withhold the first pair.
 			withheld[0] = true
@@ -412,29 +365,21 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	// takes down leaf 2 — the last hop, where the checker block runs.
 	var lf *faults.LinkFaults
 	var nf *faults.NodeFaults
-	var linkCfg faults.LinkFaultConfig
-	switch class {
-	case faults.Drop:
-		linkCfg.DropRate = cfg.FaultRate
-	case faults.Corrupt:
-		linkCfg.CorruptRate = cfg.FaultRate
-	case faults.Duplicate:
-		linkCfg.DupRate = cfg.FaultRate
-		linkCfg.DupDelay = 10 * netsim.Microsecond
-	case faults.Reorder:
-		linkCfg.ReorderRate = cfg.FaultRate
-		linkCfg.ReorderJitter = 20 * netsim.Microsecond
-	case faults.Flap:
+	linkFaults := map[faults.Class]faults.LinkFaultConfig{
+		faults.Drop:      {DropRate: cfg.FaultRate},
+		faults.Corrupt:   {CorruptRate: cfg.FaultRate},
+		faults.Duplicate: {DupRate: cfg.FaultRate, DupDelay: 10 * netsim.Microsecond},
+		faults.Reorder:   {ReorderRate: cfg.FaultRate, ReorderJitter: 20 * netsim.Microsecond},
 		// The link is down for the first 1/80 of every span/8 — eight
 		// outages of 10% duty over the replay.
-		linkCfg.FlapPeriod = span / 8
-		linkCfg.FlapDown = span / 80
+		faults.Flap: {FlapPeriod: span / 8, FlapDown: span / 80},
 	}
-	switch class {
-	case faults.Drop, faults.Corrupt, faults.Duplicate, faults.Reorder, faults.Flap:
+	if linkCfg, ok := linkFaults[class]; ok {
 		lf = faults.NewLinkFaults(faults.SubSeed(cfg.Seed, "link:"+string(class)), linkCfg)
 		ls.Up[0][0].Fault = lf
 		ls.Up[0][1].Fault = lf
+	}
+	switch class {
 	case faults.Misroute:
 		// Spine 1 bounces packets back out port 1 toward leaf 1: the
 		// revisit shows up in the path telemetry.
@@ -495,11 +440,10 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	st.MissingInstalls = len(audit.Missing())
 	st.Detected = len(st.Violations) > 0 || st.MissingInstalls > 0
 
-	f.schedule()
-
-	start := time.Now()
-	sim.RunAll()
-	wall := time.Since(start)
+	pps, err := f.run()
+	if err != nil {
+		return res, st, 0, err
+	}
 	bus.Close()
 	if deferredErr != nil {
 		return res, st, 0, deferredErr
@@ -509,27 +453,23 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	for _, sw := range all {
 		res.ParseErrors += sw.ParseErrors
 	}
+	var inj map[string]uint64
 	if lf != nil {
-		inj := map[string]uint64{
+		inj = map[string]uint64{
 			"drops": lf.Dropped, "corrupted": lf.Corrupted,
 			"duplicated": lf.Duplicated, "reordered": lf.Reordered,
 			"flap_drops": lf.FlapDropped,
 		}
-		for k, v := range inj {
-			if v > 0 {
-				res.Injected[k] = v
-			}
-		}
 	}
 	if nf != nil {
-		inj := map[string]uint64{
+		inj = map[string]uint64{
 			"misroutes": nf.Misrouted, "tele_rewrites": nf.Rewritten,
 			"crash_drops": nf.CrashDropped,
 		}
-		for k, v := range inj {
-			if v > 0 {
-				res.Injected[k] = v
-			}
+	}
+	for k, v := range inj {
+		if v > 0 {
+			res.Injected[k] = v
 		}
 	}
 	for _, p := range checkers.All {
@@ -539,9 +479,7 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	}
 
 	expected := ExpectedDetectors[class]
-	expSet := map[string]bool{}
 	for _, e := range expected {
-		expSet[e] = true
 		if res.Digests[e] > 0 {
 			res.Detected = append(res.Detected, e)
 		} else {
@@ -549,18 +487,13 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 		}
 	}
 	for name := range res.Digests {
-		if !expSet[name] {
+		if !slices.Contains(expected, name) {
 			res.Collateral = append(res.Collateral, name)
 		}
 	}
 	sort.Strings(res.Detected)
 	sort.Strings(res.Missed)
 	sort.Strings(res.Collateral)
-
-	pps := 0.0
-	if wall > 0 {
-		pps = float64(cfg.Packets) / wall.Seconds()
-	}
 	return res, st, pps, nil
 }
 

@@ -87,3 +87,52 @@ func TestChaosMatchesSequentialGolden(t *testing.T) {
 	}
 	checkGolden(t, chaosStaticGolden, string(s), "chaos static matrix")
 }
+
+const (
+	stormCountersGolden = "testdata/storm_counters.golden"
+	throughputGolden    = "testdata/throughput.golden"
+)
+
+// stormCounters renders a storm pass's deterministic bus accounting.
+// OverflowDigests is left out: which aggregates a window defers depends
+// on the order of their ArgsHash, and the hash seed is drawn per
+// process, so the overflow count moves by a few digests between two
+// processes while every field here stays fixed.
+func stormCounters(name string, p StormPass) string {
+	return fmt.Sprintf(
+		"%s delivered=%d raised=%d exported=%d aggs=%d suppressed=%d max_live=%d unaccounted=%d\n",
+		name, p.Delivered, p.Raised, p.ExportedDigests, p.EmittedAggregates,
+		p.Suppressed, p.MaxLiveAggregates, p.Unaccounted)
+}
+
+// TestStormMatchesGolden pins both storm passes' bus accounting at
+// TestStormAccounting's configuration.
+func TestStormMatchesGolden(t *testing.T) {
+	r, err := RunStorm(stormTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := stormCounters("baseline", r.Baseline) + stormCounters("storm", r.Storm)
+	checkGolden(t, stormCountersGolden, got, "storm counters")
+}
+
+// TestThroughputMatchesGolden pins the §6.2 columns of both throughput
+// configurations, everything but the wall-clock rate.
+func TestThroughputMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	base, chk, err := RunThroughput(WireReplayConfig{Packets: 20_000, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for _, row := range []struct {
+		name string
+		r    WireReplayResult
+	}{{"baseline", base}, {"all-checkers", chk}} {
+		got += fmt.Sprintf("%s offered_pps=%.3f delivered_pps=%.3f gbps=%.6f ratio=%.4f\n",
+			row.name, row.r.OfferedPps, row.r.DeliveredPps, row.r.DeliveredGbps, row.r.DeliveredRatio)
+	}
+	checkGolden(t, throughputGolden, got, "throughput columns")
+}

@@ -11,11 +11,12 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/engine"
 	"repro/internal/pipeline"
+	"repro/internal/reportbus"
 	"repro/internal/trafficgen"
 )
 
 // EngineReplayConfig parameterizes the engine campus replay: the same
-// synthetic trace as RunThroughput, executed by internal/engine instead
+// synthetic trace as RunWireReplay, executed by internal/engine instead
 // of the event-driven simulator, to measure how fast the software
 // substrate can check packets.
 type EngineReplayConfig struct {
@@ -107,12 +108,8 @@ func ReplaySwitchInfos() []SwitchInfo {
 // 5-tuple) together with the unique (src, dst) address pairs the
 // stateful firewall must be seeded with.
 func CampusEnginePackets(n int, seed int64) ([]engine.Packet, [][2]uint32) {
-	gen := trafficgen.NewCampus(trafficgen.CampusConfig{Seed: seed})
 	pkts := make([]engine.Packet, n)
-	seen := map[[2]uint32]bool{}
-	var pairs [][2]uint32
-	for i := range pkts {
-		tp := gen.Next()
+	pairs := campusTrace(n, seed, func(i int, tp trafficgen.Packet) {
 		key := tp.FlowKey()
 		// Pin the flow to one spine by hash — decorrelated from the
 		// engine's shard choice (hash % shards uses the low bits).
@@ -122,12 +119,7 @@ func CampusEnginePackets(n int, seed int64) ([]engine.Packet, [][2]uint32) {
 			Hops:  replayPaths[key.RSSHash()>>16&1],
 			Index: int32(i),
 		}
-		pair := [2]uint32{uint32(tp.Src), uint32(tp.Dst)}
-		if !seen[pair] {
-			seen[pair] = true
-			pairs = append(pairs, pair)
-		}
-	}
+	})
 	return pkts, pairs
 }
 
@@ -173,6 +165,26 @@ func newReplayFixture(cfg EngineReplayConfig) (replayFixture, error) {
 		f.verdicts = make([]engine.Verdict, len(f.pkts))
 	}
 	return f, nil
+}
+
+// sequential builds the engine.Sequential both the batched replay and
+// the fleet reference drive: the fixture's checkers and verdict slice,
+// digests to bus (nil: none), the benign state plus the firewall seeded
+// with pairs, warmed.
+func (f replayFixture) sequential(bus *reportbus.Bus, pairs [][2]uint32) (*engine.Sequential, error) {
+	seq := engine.NewSequential(engine.Config{Checkers: f.chks, Verdicts: f.verdicts, ReportBus: bus})
+	if err := ConfigureReplayEngine(seq.Install, pairs); err != nil {
+		return nil, err
+	}
+	seq.Warm()
+	return seq, nil
+}
+
+// batches pushes the fixture's packets through seq, n at a time.
+func (f replayFixture) batches(seq *engine.Sequential, n int) {
+	for lo := 0; lo < len(f.pkts); lo += n {
+		seq.ProcessBatch(f.pkts[lo:min(lo+n, len(f.pkts))])
+	}
 }
 
 // timed runs replay after collecting the install-phase garbage (so the
@@ -229,16 +241,12 @@ func RunSequentialReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
 	if err != nil {
 		return EngineReplayResult{}, err
 	}
-	batch := max(cfg.BatchSize, 1)
-	seq := engine.NewSequential(engine.Config{Checkers: f.chks, Verdicts: f.verdicts})
-	if err := ConfigureReplayEngine(seq.Install, f.pairs); err != nil {
+	seq, err := f.sequential(nil, f.pairs)
+	if err != nil {
 		return EngineReplayResult{}, err
 	}
-	seq.Warm()
 	return f.timed(1, func() engine.Counts {
-		for lo := 0; lo < len(f.pkts); lo += batch {
-			seq.ProcessBatch(f.pkts[lo:min(lo+batch, len(f.pkts))])
-		}
+		f.batches(seq, max(cfg.BatchSize, 1))
 		return seq.Counts()
 	})
 }

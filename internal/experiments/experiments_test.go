@@ -109,7 +109,7 @@ func TestThroughputParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	base, chk, err := RunThroughput(ThroughputConfig{Packets: 20_000, Seed: 11})
+	base, chk, err := RunThroughput(WireReplayConfig{Packets: 20_000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

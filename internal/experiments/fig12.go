@@ -142,11 +142,7 @@ func FormatFig12a(r Fig12Result) string {
 	var b strings.Builder
 	b.WriteString("Figure 12a: RTT over time (ms)\n")
 	b.WriteString("time_s baseline_ms all_checkers_ms\n")
-	n := len(r.Baseline.T)
-	if len(r.Checkers.T) < n {
-		n = len(r.Checkers.T)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(r.Baseline.T), len(r.Checkers.T)) {
 		fmt.Fprintf(&b, "%.3f %.5f %.5f\n", r.Baseline.T[i], r.Baseline.RTT[i], r.Checkers.RTT[i])
 	}
 	return b.String()
@@ -165,15 +161,8 @@ func FormatFig12b(r Fig12Result) string {
 	fmt.Fprintf(&b, "welch t-test: %s -> significant at 0.05: %v\n", r.TTest, r.TTest.Significant(0.05))
 	b.WriteString("rtt_ms baseline_p checkers_p\n")
 	cb, cc := stats.CDF(r.Baseline.RTT), stats.CDF(r.Checkers.RTT)
-	n := len(cb)
-	if len(cc) < n {
-		n = len(cc)
-	}
-	step := n / 50
-	if step == 0 {
-		step = 1
-	}
-	for i := 0; i < n; i += step {
+	n := min(len(cb), len(cc))
+	for i := 0; i < n; i += max(n/50, 1) {
 		fmt.Fprintf(&b, "%.5f %.3f %.3f\n", cb[i].X, cb[i].P, cc[i].P)
 	}
 	return b.String()

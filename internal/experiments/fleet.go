@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -83,49 +84,35 @@ func RunFleetReference(packets, loops, skipSeedEvery, batchSize int, seed int64)
 		loops = 1
 	}
 	if batchSize <= 0 {
-		batchSize = 256
+		batchSize = fleetBatchSize
 	}
-	chks, err := CorpusCheckers()
+	f, err := newReplayFixture(EngineReplayConfig{Packets: packets, Seed: seed, KeepVerdicts: true})
 	if err != nil {
 		return FleetReference{}, err
 	}
-	pkts, pairs := CampusEnginePackets(packets, seed)
-	seedPairs, _ := fleet.FilterSeedPairs(pairs, skipSeedEvery)
-	verdicts := make([]engine.Verdict, len(pkts))
+	seedPairs, _ := fleet.FilterSeedPairs(f.pairs, skipSeedEvery)
 	collect := &reportbus.CollectExporter{}
 	bus := reportbus.New(reportbus.Config{
 		Window:    5 * time.Millisecond,
 		Exporters: []reportbus.Exporter{collect},
 	})
-	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts, ReportBus: bus})
-	if err := ConfigureReplayEngine(seq.Install, seedPairs); err != nil {
+	seq, err := f.sequential(bus, seedPairs)
+	if err != nil {
 		return FleetReference{}, err
 	}
-	seq.Warm()
 	bus.Start()
 	var perLoop [][]fleet.VerdictCount
 	for loop := 0; loop < loops; loop++ {
-		for lo := 0; lo < len(pkts); lo += batchSize {
-			hi := lo + batchSize
-			if hi > len(pkts) {
-				hi = len(pkts)
-			}
-			seq.ProcessBatch(pkts[lo:hi])
-		}
-		perLoop = append(perLoop, fleet.VerdictCountsOf(verdicts))
+		f.batches(seq, batchSize)
+		perLoop = append(perLoop, fleet.VerdictCountsOf(f.verdicts))
 	}
 	bus.Close()
-	ref := FleetReference{
-		Counts:     seq.Counts(),
-		Verdicts:   fleet.MergeVerdictCounts(perLoop...),
-		DigestKeys: map[string]uint64{},
-	}
-	aggs := collect.Aggregates()
-	for i := range aggs {
-		ref.DigestKeys[fleet.AggKeyOf(&aggs[i])] += aggs[i].Count
-	}
-	ref.Unaccounted = bus.Metrics().Unaccounted()
-	return ref, nil
+	return FleetReference{
+		Counts:      seq.Counts(),
+		Verdicts:    fleet.MergeVerdictCounts(perLoop...),
+		DigestKeys:  DigestKeyCounts(collect.Aggregates()),
+		Unaccounted: bus.Metrics().Unaccounted(),
+	}, nil
 }
 
 // DigestKeyCounts folds a fleet report's merged aggregates into the
@@ -141,6 +128,15 @@ func DigestKeyCounts(aggs []reportbus.Aggregate) map[string]uint64 {
 // ---------------------------------------------------------------------------
 // Exec harness
 
+// A fleet harness run skips every fleetSkipSeedEvery-th firewall seed
+// pair (deterministic violations), sends fleetBatchSize-packet wire
+// batches, and must finish within fleetTimeout.
+const (
+	fleetSkipSeedEvery = 16
+	fleetBatchSize     = 256
+	fleetTimeout       = 3 * time.Minute
+)
+
 // FleetConfig parameterizes one fleet harness run: spawn the three
 // daemons, replay a campus pcap through them, and compare the
 // aggregator's fleet-wide report to the in-process reference.
@@ -152,10 +148,6 @@ type FleetConfig struct {
 	Workers int
 	// Loops replays the capture this many times (default 1).
 	Loops int
-	// SkipSeedEvery injects deterministic violations (default 16).
-	SkipSeedEvery int
-	// BatchSize is the ingest wire batch (default 256).
-	BatchSize int
 	// Kill, when set, SIGKILLs worker 0 mid-session and restarts it on
 	// the same address — the soak scenario. Verdict parity is not
 	// asserted (in-flight packets die with the worker, by design);
@@ -165,13 +157,8 @@ type FleetConfig struct {
 	// process exceeding it fails the run (the soak job's leak check).
 	MaxRSSKB uint64
 	// BinDir holds prebuilt hydra-{ingestd,workerd,aggd}; empty builds
-	// them with `go build` into the scratch dir.
+	// them with `go build` into the run's temporary directory.
 	BinDir string
-	// Dir is the scratch directory (empty: a fresh temp dir, removed
-	// afterwards).
-	Dir string
-	// Timeout bounds the whole run (default 3 minutes).
-	Timeout time.Duration
 	// Logf, when set, receives harness progress lines.
 	Logf func(format string, args ...any)
 }
@@ -220,51 +207,20 @@ func (r FleetResult) OK() bool {
 }
 
 // FleetBinaries ensures the three daemon binaries exist in dir,
-// building them with the local go toolchain when missing.
+// building the missing ones with the local go toolchain, which needs a
+// working directory inside this module.
 func FleetBinaries(binDir string) (map[string]string, error) {
-	names := []string{"hydra-ingestd", "hydra-workerd", "hydra-aggd"}
 	bins := map[string]string{}
-	var missing []string
-	for _, n := range names {
-		p := filepath.Join(binDir, n)
-		if _, err := os.Stat(p); err != nil {
-			missing = append(missing, n)
+	for _, n := range []string{"hydra-ingestd", "hydra-workerd", "hydra-aggd"} {
+		bins[n] = filepath.Join(binDir, n)
+		if _, err := os.Stat(bins[n]); err == nil {
+			continue
 		}
-		bins[n] = p
-	}
-	if len(missing) == 0 {
-		return bins, nil
-	}
-	root, err := repoRoot()
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range missing {
-		cmd := exec.Command("go", "build", "-o", bins[n], "./cmd/"+n)
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
+		if out, err := exec.Command("go", "build", "-o", bins[n], "repro/cmd/"+n).CombinedOutput(); err != nil {
 			return nil, fmt.Errorf("experiments: building %s: %v\n%s", n, err, out)
 		}
 	}
 	return bins, nil
-}
-
-// repoRoot walks up from the working directory to the go.mod.
-func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("experiments: no go.mod above working directory")
-		}
-		dir = parent
-	}
 }
 
 // RunFleet executes one full fleet harness run.
@@ -278,35 +234,21 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.Loops <= 0 {
 		cfg.Loops = 1
 	}
-	if cfg.SkipSeedEvery == 0 {
-		cfg.SkipSeedEvery = 16
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 3 * time.Minute
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	var res FleetResult
 	start := time.Now()
 
-	dir := cfg.Dir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "hydra-fleet-")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(d)
-		dir = d
+	dir, err := os.MkdirTemp("", "hydra-fleet-")
+	if err != nil {
+		return res, err
 	}
-	binDir := cfg.BinDir
-	if binDir == "" {
-		binDir = dir
+	defer os.RemoveAll(dir)
+	if cfg.BinDir == "" {
+		cfg.BinDir = dir
 	}
-	bins, err := FleetBinaries(binDir)
+	bins, err := FleetBinaries(cfg.BinDir)
 	if err != nil {
 		return res, err
 	}
@@ -315,15 +257,14 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		return res, err
 	}
 
-	deadline := time.Now().Add(cfg.Timeout)
-	sampler := newRSSSampler()
-	defer sampler.stop()
+	deadline := time.Now().Add(fleetTimeout)
+	daemons := map[string]*proc{} // by the name their peak RSS is reported under
 
 	// Aggregator first: workers dial it at startup.
 	reportPath := filepath.Join(dir, "fleet-report.json")
 	agg, err := startProc(cfg.Logf, "aggd", bins["hydra-aggd"],
 		"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
-		"-expect", strconv.Itoa(cfg.Workers), "-timeout", cfg.Timeout.String(),
+		"-expect", strconv.Itoa(cfg.Workers), "-timeout", fleetTimeout.String(),
 		"-out", reportPath)
 	if err != nil {
 		return res, err
@@ -334,7 +275,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		return res, fmt.Errorf("experiments: aggd did not report its address: %w", err)
 	}
 	aggMetrics, _ := agg.awaitPrefixed("METRICS ", deadline)
-	sampler.watch("aggd", agg.cmd.Process.Pid)
+	daemons["aggd"] = agg
 	// Scrape the aggregator now, while it is guaranteed alive (it exits
 	// on its own once the expected summaries arrive): registration is
 	// eager, so the series exist before any traffic flows.
@@ -378,21 +319,21 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		defer w.p.kill()
 		workers[i] = w
 		workerAddrs[i] = w.listen
-		sampler.watch(fmt.Sprintf("workerd-%d", i), w.p.cmd.Process.Pid)
+		daemons[fmt.Sprintf("workerd-%d", i)] = w.p
 	}
 
 	statsPath := filepath.Join(dir, "ingest-stats.json")
 	ingest, err := startProc(cfg.Logf, "ingestd", bins["hydra-ingestd"],
 		"-pcap", pcapPath, "-workers", strings.Join(workerAddrs, ","),
 		"-loops", strconv.Itoa(cfg.Loops),
-		"-skip-seed-every", strconv.Itoa(cfg.SkipSeedEvery),
-		"-batch", strconv.Itoa(cfg.BatchSize),
+		"-skip-seed-every", strconv.Itoa(fleetSkipSeedEvery),
+		"-batch", strconv.Itoa(fleetBatchSize),
 		"-metrics", "127.0.0.1:0", "-out", statsPath)
 	if err != nil {
 		return res, err
 	}
 	defer ingest.kill()
-	sampler.watch("ingestd", ingest.cmd.Process.Pid)
+	daemons["ingestd"] = ingest
 
 	if cfg.Kill {
 		// Wait until worker 0 is provably mid-stream (its packet counter
@@ -413,7 +354,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 			}
 			defer replacement.p.kill()
 			workers[0] = replacement
-			sampler.watch("workerd-0r", replacement.p.cmd.Process.Pid)
+			daemons["workerd-0r"] = replacement.p
 		} else {
 			res.Notes = append(res.Notes, "soak: the replay ended before worker 0 was seen mid-stream; kill skipped")
 		}
@@ -453,11 +394,16 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		return res, fmt.Errorf("experiments: fleet report: %w", err)
 	}
 	res.Wall = time.Since(start)
-	res.PeakRSSKB = sampler.peaks()
+	res.PeakRSSKB = make(map[string]uint64, len(daemons))
+	for name, p := range daemons {
+		if kb := p.peakRSSKB(); kb > 0 { // 0: exited before its first sample
+			res.PeakRSSKB[name] = kb
+		}
+	}
 	res.RSSBounded = true
 	if cfg.MaxRSSKB > 0 {
-		for name, kb := range res.PeakRSSKB {
-			if kb > cfg.MaxRSSKB {
+		for _, name := range daemonNames(res.PeakRSSKB) {
+			if kb := res.PeakRSSKB[name]; kb > cfg.MaxRSSKB {
 				res.RSSBounded = false
 				res.Notes = append(res.Notes,
 					fmt.Sprintf("%s peaked at %d KB, above the %d KB bound", name, kb, cfg.MaxRSSKB))
@@ -465,7 +411,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		}
 	}
 
-	ref, err := RunFleetReference(cfg.Packets, cfg.Loops, cfg.SkipSeedEvery, cfg.BatchSize, cfg.Seed)
+	ref, err := RunFleetReference(cfg.Packets, cfg.Loops, fleetSkipSeedEvery, fleetBatchSize, cfg.Seed)
 	if err != nil {
 		return res, err
 	}
@@ -504,8 +450,8 @@ func FormatFleet(r FleetResult) string {
 	fmt.Fprintf(&b, "%-24s scan %.1f ms, handshakes %.1f ms, session installs %.1f ms\n", "session prelude",
 		1e3*r.Ingest.ScanSeconds, 1e3*r.Ingest.HandshakeSeconds, 1e3*r.InstallSeconds)
 	fmt.Fprintf(&b, "%-24s %12s\n", "wall", r.Wall.Round(time.Millisecond))
-	for name, kb := range r.PeakRSSKB {
-		fmt.Fprintf(&b, "peak rss %-15s %9d KB\n", name, kb)
+	for _, name := range daemonNames(r.PeakRSSKB) {
+		fmt.Fprintf(&b, "peak rss %-15s %9d KB\n", name, r.PeakRSSKB[name])
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -513,20 +459,34 @@ func FormatFleet(r FleetResult) string {
 	return b.String()
 }
 
+// daemonNames returns the daemons of a per-daemon map sorted by name, so
+// a report lists them in the same order on every run.
+func daemonNames(m map[string]uint64) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // ---------------------------------------------------------------------------
 // Process plumbing
 
 // proc wraps one spawned daemon: stdout line routing (LISTEN/METRICS
-// handshake lines are captured, everything else is logged) and
-// lifecycle helpers.
+// handshake lines are captured, everything else is logged), its peak
+// resident set, sampled every 100 ms while it runs (the soak job's
+// bounded-memory check), and lifecycle helpers.
 type proc struct {
 	name string
 	cmd  *exec.Cmd
 
 	mu       sync.Mutex
 	prefixed map[string]string
-	done     chan error
+	peakKB   uint64
 	linec    chan string
+	exited   chan struct{} // closed once err holds cmd.Wait's result
+	err      error
 }
 
 func startProc(logf func(string, ...any), name, bin string, args ...string) (*proc, error) {
@@ -540,8 +500,8 @@ func startProc(logf func(string, ...any), name, bin string, args ...string) (*pr
 		name:     name,
 		cmd:      cmd,
 		prefixed: map[string]string{},
-		done:     make(chan error, 1),
 		linec:    make(chan string, 64),
+		exited:   make(chan struct{}),
 	}
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("experiments: starting %s: %w", name, err)
@@ -568,9 +528,44 @@ func startProc(logf func(string, ...any), name, bin string, args ...string) (*pr
 				logf("%s: %s", name, line)
 			}
 		}
-		p.done <- cmd.Wait()
+		p.err = cmd.Wait()
+		close(p.exited)
+	}()
+	go func() {
+		t := time.NewTicker(100 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-p.exited:
+				return
+			case <-t.C:
+				p.sampleRSS()
+			}
+		}
 	}()
 	return p, nil
+}
+
+// sampleRSS records the daemon's VmHWM while it runs.
+func (p *proc) sampleRSS() {
+	select {
+	case <-p.exited:
+		return
+	default:
+	}
+	if kb, ok := readVmHWM(p.cmd.Process.Pid); ok {
+		p.mu.Lock()
+		p.peakKB = max(p.peakKB, kb)
+		p.mu.Unlock()
+	}
+}
+
+// peakRSSKB is the daemon's peak resident set in KB so far.
+func (p *proc) peakRSSKB() uint64 {
+	p.sampleRSS()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.peakKB
 }
 
 // awaitPrefixed blocks until the daemon printed "<prefix><value>".
@@ -584,9 +579,8 @@ func (p *proc) awaitPrefixed(prefix string, deadline time.Time) (string, error) 
 		}
 		select {
 		case <-p.linec:
-		case err := <-p.done:
-			p.done <- err
-			return "", fmt.Errorf("%s exited early: %v", p.name, err)
+		case <-p.exited:
+			return "", fmt.Errorf("%s exited early: %v", p.name, p.err)
 		case <-time.After(time.Until(deadline)):
 			return "", fmt.Errorf("timed out waiting for %s%q from %s", prefix, "...", p.name)
 		}
@@ -595,30 +589,22 @@ func (p *proc) awaitPrefixed(prefix string, deadline time.Time) (string, error) 
 
 func (p *proc) wait(deadline time.Time) error {
 	select {
-	case err := <-p.done:
-		p.done <- err
-		return err
+	case <-p.exited:
+		return p.err
 	case <-time.After(time.Until(deadline)):
 		return fmt.Errorf("%s did not exit before the deadline", p.name)
 	}
 }
 
 func (p *proc) kill() {
-	if p.cmd.Process != nil {
-		_ = p.cmd.Process.Kill()
-	}
+	_ = p.cmd.Process.Kill() // a proc exists only once its process started
 	select {
-	case err := <-p.done:
-		p.done <- err
+	case <-p.exited:
 	case <-time.After(5 * time.Second):
 	}
 }
 
-func (p *proc) terminate() {
-	if p.cmd.Process != nil {
-		_ = p.cmd.Process.Signal(syscall.SIGTERM)
-	}
-}
+func (p *proc) terminate() { _ = p.cmd.Process.Signal(syscall.SIGTERM) }
 
 func readJSONFile(path string, v any) error {
 	data, err := os.ReadFile(path)
@@ -670,81 +656,18 @@ func awaitCounter(addr, name string, min float64, deadline time.Time) error {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// RSS sampling
-
-// rssSampler polls /proc/<pid>/status for every watched process and
-// keeps the peak resident set — the soak job's bounded-memory check.
-type rssSampler struct {
-	mu    sync.Mutex
-	pids  map[string]int
-	peak  map[string]uint64
-	stopc chan struct{}
-}
-
-func newRSSSampler() *rssSampler {
-	s := &rssSampler{pids: map[string]int{}, peak: map[string]uint64{}, stopc: make(chan struct{})}
-	go func() {
-		t := time.NewTicker(100 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stopc:
-				return
-			case <-t.C:
-				s.sample()
-			}
-		}
-	}()
-	return s
-}
-
-func (s *rssSampler) watch(name string, pid int) {
-	s.mu.Lock()
-	s.pids[name] = pid
-	s.mu.Unlock()
-	s.sample()
-}
-
-func (s *rssSampler) sample() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, pid := range s.pids {
-		if kb, ok := readVmRSS(pid); ok && kb > s.peak[name] {
-			s.peak[name] = kb
-		}
-	}
-}
-
-func (s *rssSampler) peaks() map[string]uint64 {
-	s.sample()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.peak))
-	for k, v := range s.peak {
-		out[k] = v
-	}
-	return out
-}
-
-func (s *rssSampler) stop() { close(s.stopc) }
-
-// readVmRSS parses VmRSS (in KB) from /proc/<pid>/status; ok is false
-// when the process is gone or the platform has no procfs.
-func readVmRSS(pid int) (uint64, bool) {
+// readVmHWM parses VmHWM, the kernel's high-water mark of the resident
+// set (in KB), from /proc/<pid>/status; ok is false when the process is
+// gone or the platform has no procfs.
+func readVmHWM(pid int) (uint64, bool) {
 	data, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", pid))
 	if err != nil {
 		return 0, false
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmRSS:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) >= 2 {
-			if v, err := strconv.ParseUint(fields[1], 10, 64); err == nil {
-				return v, true
-			}
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
+			return kb, err == nil
 		}
 	}
 	return 0, false

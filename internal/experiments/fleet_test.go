@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -124,5 +126,26 @@ func TestFleetExecSoak(t *testing.T) {
 	if res.Ingest.Acked+dropped != res.Ingest.Packets {
 		t.Fatalf("ingest accounting leak: acked %d + dropped %d != assigned %d",
 			res.Ingest.Acked, dropped, res.Ingest.Packets)
+	}
+}
+
+// TestFormatFleetPeakRSSOrder: a report lists its daemons' peak RSS
+// sorted by name, so two identical runs print identical reports.
+func TestFormatFleetPeakRSSOrder(t *testing.T) {
+	r := FleetResult{PeakRSSKB: map[string]uint64{"workerd-0": 3, "aggd": 1, "ingestd": 2}}
+	want := FormatFleet(r)
+	for i := 0; i < 50; i++ {
+		if got := FormatFleet(r); got != want {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	var names []string
+	for _, line := range strings.Split(want, "\n") {
+		if rest, ok := strings.CutPrefix(line, "peak rss "); ok {
+			names = append(names, strings.Fields(rest)[0])
+		}
+	}
+	if !slices.Equal(names, []string{"aggd", "ingestd", "workerd-0"}) {
+		t.Fatalf("peak rss rows in order %v, want sorted by name", names)
 	}
 }

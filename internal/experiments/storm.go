@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/checkers"
-	"repro/internal/controlplane"
-	"repro/internal/netsim"
 	"repro/internal/reportbus"
-	"repro/internal/trafficgen"
 )
 
 // StormCheckerSrc is the storm probe: an Indus checker whose only job
@@ -32,19 +28,19 @@ header bit<32> ipv4_dst @ "hdr.ipv4.dst_addr";
 { }
 `
 
-// StormConfig parameterizes the report-storm replay.
+// The storm budget: aggregate emissions per virtual second and
+// token-bucket depth, per checker.
+const (
+	stormRate  = 1000
+	stormBurst = 8
+)
+
+// StormConfig parameterizes the report-storm replay. The bus runs
+// busWindow windows with a stormRate / stormBurst budget per checker.
 type StormConfig struct {
 	// Packets per pass (default 30,000).
 	Packets int
 	Seed    int64
-	// Window is the bus aggregation window in virtual nanoseconds
-	// (default 1ms of simulated time).
-	Window time.Duration
-	// Rate is the per-checker storm budget in aggregate emissions per
-	// virtual second (default 1000); Burst is the token-bucket depth
-	// (default 8).
-	Rate  float64
-	Burst int
 	// MaxKeys caps the collector's live aggregate table (default 512 —
 	// deliberately far below the campus flow count, so the storm pass
 	// exercises the overflow buckets and the memory ceiling).
@@ -58,15 +54,6 @@ type StormConfig struct {
 func (c StormConfig) withDefaults() StormConfig {
 	if c.Packets == 0 {
 		c.Packets = 30_000
-	}
-	if c.Window <= 0 {
-		c.Window = time.Duration(netsim.Millisecond)
-	}
-	if c.Rate == 0 {
-		c.Rate = 1000
-	}
-	if c.Burst == 0 {
-		c.Burst = 8
 	}
 	if c.MaxKeys == 0 {
 		c.MaxKeys = 512
@@ -101,7 +88,6 @@ type StormPass struct {
 
 // StormResult pairs the two passes.
 type StormResult struct {
-	Config   StormConfig
 	Baseline StormPass
 	Storm    StormPass
 	// PPSRatio is storm throughput over baseline throughput — the cost
@@ -122,84 +108,53 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 	// keeps its fastest run, so warmup and scheduler noise hit both
 	// sides evenly. The bus accounting is virtual-time deterministic —
 	// identical on every repeat — so keeping the fastest loses nothing.
-	var base, storm StormPass
+	var passes [2]StormPass // disarmed, armed
 	for i := 0; i < cfg.Repeats; i++ {
-		b, err := runStormPass(cfg, false)
-		if err != nil {
-			return StormResult{}, fmt.Errorf("experiments: storm baseline pass: %w", err)
-		}
-		if i == 0 || b.WallPktsPerSec > base.WallPktsPerSec {
-			base = b
-		}
-		s, err := runStormPass(cfg, true)
-		if err != nil {
-			return StormResult{}, fmt.Errorf("experiments: storm pass: %w", err)
-		}
-		if i == 0 || s.WallPktsPerSec > storm.WallPktsPerSec {
-			storm = s
+		for armed, name := range []string{"storm baseline pass", "storm pass"} {
+			p, err := runStormPass(cfg, uint64(armed))
+			if err != nil {
+				return StormResult{}, fmt.Errorf("experiments: %s: %w", name, err)
+			}
+			if i == 0 || p.WallPktsPerSec > passes[armed].WallPktsPerSec {
+				passes[armed] = p
+			}
 		}
 	}
-	res := StormResult{Config: cfg, Baseline: base, Storm: storm}
-	if base.WallPktsPerSec > 0 {
-		res.PPSRatio = storm.WallPktsPerSec / base.WallPktsPerSec
+	res := StormResult{Baseline: passes[0], Storm: passes[1]}
+	if res.Baseline.WallPktsPerSec > 0 {
+		res.PPSRatio = res.Storm.WallPktsPerSec / res.Baseline.WallPktsPerSec
 	}
 	return res, nil
 }
 
-func runStormPass(cfg StormConfig, armed bool) (StormPass, error) {
-	f := newCampusFabric(cfg.Packets, trafficgen.CampusConfig{Seed: cfg.Seed})
-	sim, ls := f.sim, f.ls
-
-	// The bus runs on virtual time: windows close and token buckets
-	// refill as the simulation advances, so the pass is deterministic
-	// for a given seed.
+// runStormPass replays the trace once with the probe's armed scalar set
+// to armed (0 or 1).
+func runStormPass(cfg StormConfig, armed uint64) (StormPass, error) {
+	f := newCampusFabric(cfg.Packets, cfg.Seed)
 	collect := &reportbus.CollectExporter{}
-	bus := reportbus.New(reportbus.Config{
-		Window:    cfg.Window,
-		Clock:     func() int64 { return int64(sim.Now()) },
-		Rate:      cfg.Rate,
-		Burst:     cfg.Burst,
+	ctl, bus := f.controller(reportbus.Config{
+		Rate:      stormRate,
+		Burst:     stormBurst,
 		MaxKeys:   cfg.MaxKeys,
 		Exporters: []reportbus.Exporter{collect},
 	})
-	ctl := controlplane.NewController(bus)
-
 	probe := checkers.Property{Key: "storm-probe", Source: StormCheckerSrc}
-	if err := deployCorpus(ctl, ls, probe); err != nil {
+	if err := f.deployCorpus(ctl, true, probe); err != nil {
+		return StormPass{}, err
+	}
+	if err := ctl.SetScalar(probe.Key, 0, "armed", armed); err != nil {
 		return StormPass{}, err
 	}
 
-	var armedVal uint64
-	if armed {
-		armedVal = 1
-	}
-	if err := ctl.SetScalar(probe.Key, 0, "armed", armedVal); err != nil {
+	pps, err := f.run()
+	if err != nil {
 		return StormPass{}, err
-	}
-
-	seed := FirewallSeed(f.pairs)
-	for _, sw := range ls.AllSwitches() {
-		att, err := ctl.Attachment("stateful-firewall", sw.ID)
-		if err != nil {
-			return StormPass{}, err
-		}
-		if err := seed(att.State); err != nil {
-			return StormPass{}, err
-		}
-	}
-	f.schedule()
-
-	start := time.Now()
-	sim.RunAll()
-	wall := time.Since(start)
-	if wall <= 0 {
-		return StormPass{}, fmt.Errorf("empty replay")
 	}
 	bus.Close() // final flush: every live aggregate reaches the exporter
 
 	m := bus.Metrics()
 	pass := StormPass{
-		WallPktsPerSec:    float64(cfg.Packets) / wall.Seconds(),
+		WallPktsPerSec:    pps,
 		Delivered:         f.delivered(),
 		Raised:            m.Published,
 		Dropped:           m.Dropped,

@@ -1,23 +1,18 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
+
+// stormTestConfig is a small storm replay: 4000 packets, and a live-key
+// cap far below the campus flow count so the overflow buckets engage.
+func stormTestConfig() StormConfig {
+	return StormConfig{Packets: 4000, Seed: 5, MaxKeys: 128, Repeats: 1}
+}
 
 // TestStormAccounting runs a small storm replay and checks the bus's
 // conservation and memory-bound guarantees — the exact-arithmetic side
 // of the experiment, independent of wall-clock throughput.
 func TestStormAccounting(t *testing.T) {
-	cfg := StormConfig{
-		Packets: 4000,
-		Seed:    5,
-		Window:  time.Millisecond, // virtual ms
-		Rate:    1000,
-		Burst:   8,
-		MaxKeys: 128,
-		Repeats: 1,
-	}
+	cfg := stormTestConfig()
 	r, err := RunStorm(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -23,12 +23,6 @@ import (
 // runs), checking the concrete outcome byte-for-byte against the
 // symbolic prediction.
 type SymcheckConfig struct {
-	// Checkers selects corpus keys; empty means the whole corpus.
-	Checkers []string
-	// MaxPathsPerInstance / SolverNodes bound the exploration (zero
-	// means the symexec defaults).
-	MaxPathsPerInstance int
-	SolverNodes         int
 	// FrontierDir, when set, writes the violation-frontier corpus as
 	// one JSON seed file per checker.
 	FrontierDir string
@@ -83,32 +77,27 @@ type SymcheckResult struct {
 	Passed bool          `json:"passed"`
 }
 
-// RunSymcheck explores and replays every selected checker.
+// RunSymcheck explores and replays every corpus checker, within
+// symexec's default exploration bounds.
 func RunSymcheck(cfg SymcheckConfig) (SymcheckResult, error) {
-	keys := cfg.Checkers
-	if len(keys) == 0 {
-		for _, p := range checkers.All {
-			keys = append(keys, p.Key)
-		}
-	}
 	corpus, err := difftest.CompileCorpusSet()
 	if err != nil {
 		return SymcheckResult{}, err
 	}
 	res := SymcheckResult{Passed: true}
-	for _, key := range keys {
-		row, frontier, err := symcheckOne(key, corpus, cfg)
+	for member, p := range checkers.All {
+		row, frontier, err := symcheckOne(member, corpus)
 		if err != nil {
-			return SymcheckResult{}, fmt.Errorf("symcheck %s: %w", key, err)
+			return SymcheckResult{}, fmt.Errorf("symcheck %s: %w", p.Key, err)
 		}
 		if cfg.FrontierDir != "" && len(frontier) > 0 {
-			if err := difftest.WriteFrontierFile(cfg.FrontierDir, difftest.FrontierFile{Checker: key, Pairs: frontier}); err != nil {
-				return SymcheckResult{}, fmt.Errorf("symcheck %s: write frontier: %w", key, err)
+			if err := difftest.WriteFrontierFile(cfg.FrontierDir, difftest.FrontierFile{Checker: p.Key, Pairs: frontier}); err != nil {
+				return SymcheckResult{}, fmt.Errorf("symcheck %s: write frontier: %w", p.Key, err)
 			}
 		}
 		if cfg.FuzzSeedDir != "" && len(frontier) > 0 {
-			if err := writeFuzzSeed(cfg.FuzzSeedDir, key, frontier[0].Violate); err != nil {
-				return SymcheckResult{}, fmt.Errorf("symcheck %s: write fuzz seed: %w", key, err)
+			if err := writeFuzzSeed(cfg.FuzzSeedDir, p.Key, frontier[0].Violate); err != nil {
+				return SymcheckResult{}, fmt.Errorf("symcheck %s: write fuzz seed: %w", p.Key, err)
 			}
 		}
 		res.Rows = append(res.Rows, row)
@@ -119,21 +108,17 @@ func RunSymcheck(cfg SymcheckConfig) (SymcheckResult, error) {
 	return res, nil
 }
 
-func symcheckOne(key string, corpus []*difftest.Compiled, cfg SymcheckConfig) (SymcheckRow, []symexec.FrontierPair, error) {
-	ex, err := symexec.ForChecker(key, symexec.Config{
-		MaxPathsPerInstance: cfg.MaxPathsPerInstance,
-		SolverNodes:         cfg.SolverNodes,
-	})
+// symcheckOne explores corpus checker member and replays its paths
+// and frontier.
+func symcheckOne(member int, corpus []*difftest.Compiled) (SymcheckRow, []symexec.FrontierPair, error) {
+	key := checkers.All[member].Key
+	ex, err := symexec.ForChecker(key, symexec.Config{})
 	if err != nil {
 		return SymcheckRow{}, nil, err
 	}
 	sym, err := ex.Explore()
 	if err != nil {
 		return SymcheckRow{}, nil, err
-	}
-	member := slices.IndexFunc(checkers.All, func(p checkers.Property) bool { return p.Key == key })
-	if member < 0 {
-		return SymcheckRow{}, nil, fmt.Errorf("unknown corpus key %q", key)
 	}
 	// One replay runs this checker on all four backends and, beside it in
 	// one Set, every other corpus checker on the same headers.
@@ -199,7 +184,7 @@ func symcheckOne(key string, corpus []*difftest.Compiled, cfg SymcheckConfig) (S
 			continue
 		}
 		for i := range out.Reports {
-			if len(p.Reports) <= i || !equalU64(out.Reports[i], p.Reports[i]) {
+			if len(p.Reports) <= i || !slices.Equal(out.Reports[i], p.Reports[i]) {
 				row.ModelFaithful = false
 				note("report args mismatch on %v", p.Trace.Hops)
 				break
@@ -237,18 +222,6 @@ func symcheckOne(key string, corpus []*difftest.Compiled, cfg SymcheckConfig) (S
 		}
 	}
 	return row, sym.Frontier, nil
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // writeFuzzSeed renders the first hop of a frontier-violating trace

@@ -3,26 +3,34 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/trafficgen"
+	"repro/internal/netsim"
 )
 
-// WireReplayConfig parameterizes the wire-path replay: the campus trace
-// pushed through the event-driven simulator with all corpus checkers
-// attached, measuring the full per-hop wire path (pooled parse, header
-// binding, telemetry rewrite, serialization) rather than just the
-// checker engine.
+// WireReplayConfig parameterizes the campus replay: the synthetic campus
+// trace (§6.2: the mirrored ~350 Kpps trace replayed towards leaf1)
+// pushed through the event-driven simulator, measuring the full per-hop
+// wire path (pooled parse, header binding, telemetry rewrite,
+// serialization) rather than just the checker engine.
 type WireReplayConfig struct {
 	// Packets to replay (default 50,000).
 	Packets int
 	Seed    int64
 }
 
-// WireReplayResult is one wire replay's outcome.
+// WireReplayResult is one campus replay's outcome: the §6.2 columns and
+// the wire counters.
 type WireReplayResult struct {
-	// WallPktsPerSec is end-to-end packets delivered per wall-clock
-	// second — the wire path's headline throughput number.
+	// OfferedPps is the trace's offered load; DeliveredPps and
+	// DeliveredGbps are what reached the sink over the virtual duration
+	// of the replay.
+	OfferedPps    float64
+	DeliveredPps  float64
+	DeliveredGbps float64
+	// WallPktsPerSec is end-to-end packets replayed per wall-clock
+	// second — the wire path's headline throughput number (an honest
+	// software-substrate number; the paper's 6.5 Tb/s switch obviously
+	// dwarfs it).
 	WallPktsPerSec float64
 	Delivered      uint64
 	DeliveredRatio float64
@@ -44,34 +52,54 @@ type WireReplayResult struct {
 // leaf-spine fabric with every corpus checker attached and benignly
 // configured, and reports wall-clock throughput plus fast-path usage.
 func RunWireReplay(cfg WireReplayConfig) (WireReplayResult, error) {
+	return replayCampus(cfg, true)
+}
+
+// RunThroughput replays the same synthetic campus trace through the
+// fabric twice — baseline and all-checkers — and reports both (§6.2:
+// throughput "almost identical with around 20 Gb/s").
+func RunThroughput(cfg WireReplayConfig) (baseline, withCheckers WireReplayResult, err error) {
+	baseline, err = replayCampus(cfg, false)
+	if err != nil {
+		return
+	}
+	withCheckers, err = replayCampus(cfg, true)
+	return
+}
+
+// replayCampus runs one campus replay, with every corpus checker
+// attached, benignly configured and seeded for the trace's flows when
+// checked is set, and with bare forwarding otherwise.
+func replayCampus(cfg WireReplayConfig, checked bool) (WireReplayResult, error) {
 	if cfg.Packets == 0 {
 		cfg.Packets = 50_000
 	}
-	f := newCampusFabric(cfg.Packets, trafficgen.CampusConfig{Seed: cfg.Seed})
-	sim, ls := f.sim, f.ls
-	atts, err := AttachAllCheckers(ls)
+	f := newCampusFabric(cfg.Packets, cfg.Seed)
+	var atts map[string][]*netsim.HydraAttachment
+	if checked {
+		var err error
+		if atts, err = AttachAllCheckers(f.ls); err != nil {
+			return WireReplayResult{}, err
+		}
+		if err := AllowFlows(atts, f.pairs); err != nil {
+			return WireReplayResult{}, err
+		}
+	}
+	pps, err := f.run()
 	if err != nil {
 		return WireReplayResult{}, err
 	}
-	if err := AllowFlows(atts, f.pairs); err != nil {
-		return WireReplayResult{}, err
-	}
 
-	f.schedule()
-
-	start := time.Now()
-	sim.RunAll()
-	wall := time.Since(start)
-	if wall <= 0 {
-		return WireReplayResult{}, fmt.Errorf("experiments: empty wire replay")
-	}
-
+	duration := f.sim.Now().Seconds()
 	res := WireReplayResult{
-		WallPktsPerSec: float64(cfg.Packets) / wall.Seconds(),
+		OfferedPps:     float64(cfg.Packets) / f.span.Seconds(),
+		DeliveredPps:   float64(f.delivered()) / duration,
+		DeliveredGbps:  float64(f.sink.RxBytes) * 8 / duration / 1e9,
+		WallPktsPerSec: pps,
 		Delivered:      f.delivered(),
 	}
 	res.DeliveredRatio = float64(res.Delivered) / float64(cfg.Packets)
-	for _, sw := range ls.AllSwitches() {
+	for _, sw := range f.ls.AllSwitches() {
 		res.ParseErrors += sw.ParseErrors
 		res.TxFrames += sw.TxFrames
 		res.FastTxFrames += sw.FastTxFrames
@@ -98,5 +126,19 @@ func FormatWireReplay(r WireReplayResult) string {
 	fmt.Fprintf(&b, "%-14.0f %11.1f%% %10d %10d %10d %10d %8d\n",
 		r.WallPktsPerSec, r.DeliveredRatio*100, r.Checked, r.Rejected,
 		r.FastTxFrames, r.SlowTxFrames, r.ParseErrors)
+	return b.String()
+}
+
+// FormatThroughput renders the baseline / all-checkers comparison.
+func FormatThroughput(base, chk WireReplayResult) string {
+	var b strings.Builder
+	b.WriteString("Throughput: campus-trace replay towards leaf1 (§6.2)\n")
+	fmt.Fprintf(&b, "%-14s %14s %14s %14s %12s %16s\n", "config", "offered_pps", "delivered_pps", "gbps", "delivered", "sw_pkts_per_s")
+	row := func(name string, r WireReplayResult) {
+		fmt.Fprintf(&b, "%-14s %14.0f %14.0f %14.3f %11.1f%% %16.0f\n",
+			name, r.OfferedPps, r.DeliveredPps, r.DeliveredGbps, r.DeliveredRatio*100, r.WallPktsPerSec)
+	}
+	row("baseline", base)
+	row("all-checkers", chk)
 	return b.String()
 }
