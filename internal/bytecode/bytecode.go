@@ -219,9 +219,8 @@ type teleStep struct {
 
 // applySite is the side table for one ApplyOp.
 type applySite struct {
-	member int // index of the owning program's state in the row a Binding binds
-	table  int // declaration index
-	name   string
+	member int    // index of the owning program's state in the row a Binding binds
+	name   string // the table, as the member's State.Tables names it
 	keys   []int32
 	outs   []int32
 	hit    int32
@@ -231,7 +230,6 @@ type applySite struct {
 // regSite resolves one register access.
 type regSite struct {
 	member int // as applySite.member
-	idx    int
 	name   string
 }
 
@@ -753,8 +751,7 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			}
 
 		case pipeline.RegReadOp:
-			ri, err := regIndex(p.P, op.Reg)
-			if err != nil {
+			if err := regDeclared(p.P, op.Reg); err != nil {
 				return err
 			}
 			idx, err := cp.expr(op.Index, code)
@@ -762,12 +759,11 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 				return err
 			}
 			site := int32(len(p.img.regs))
-			p.img.regs = append(p.img.regs, regSite{idx: ri, name: op.Reg})
+			p.img.regs = append(p.img.regs, regSite{name: op.Reg})
 			*code = append(*code, Instr{Op: opRegRead, A: cp.intern(op.Dst), B: site, C: idx, W: int32(op.Width)})
 
 		case pipeline.RegWriteOp:
-			ri, err := regIndex(p.P, op.Reg)
-			if err != nil {
+			if err := regDeclared(p.P, op.Reg); err != nil {
 				return err
 			}
 			idx, err := cp.expr(op.Index, code)
@@ -779,7 +775,7 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 				return err
 			}
 			site := int32(len(p.img.regs))
-			p.img.regs = append(p.img.regs, regSite{idx: ri, name: op.Reg})
+			p.img.regs = append(p.img.regs, regSite{name: op.Reg})
 			*code = append(*code, Instr{Op: opRegWrite, A: site, B: idx, C: src})
 
 		case pipeline.IfOp:
@@ -856,7 +852,7 @@ func (cp *comp) arraySite(base string, capN, ew int) int32 {
 
 func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 	p := cp.p
-	ti, spec, err := tableIndex(p.P, op.Table)
+	spec, err := tableSpec(p.P, op.Table)
 	if err != nil {
 		return err
 	}
@@ -873,34 +869,33 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 		outs[i] = cp.intern(o)
 	}
 	site := applySite{
-		table: ti,
-		name:  op.Table,
-		keys:  keys,
-		outs:  outs,
-		hit:   cp.intern(pipeline.FieldRef(spec.Name + ".$hit")),
-		wide:  len(op.Keys) > pipeline.MaxPackedKeys || len(spec.Keys) > pipeline.MaxPackedKeys,
+		name: op.Table,
+		keys: keys,
+		outs: outs,
+		hit:  cp.intern(pipeline.FieldRef(spec.Name + ".$hit")),
+		wide: len(op.Keys) > pipeline.MaxPackedKeys || len(spec.Keys) > pipeline.MaxPackedKeys,
 	}
 	*code = append(*code, Instr{Op: opApply, A: int32(len(p.img.applies))})
 	p.img.applies = append(p.img.applies, site)
 	return nil
 }
 
-func tableIndex(prog *pipeline.Program, name string) (int, *pipeline.TableSpec, error) {
+func tableSpec(prog *pipeline.Program, name string) (*pipeline.TableSpec, error) {
 	for i := range prog.Tables {
 		if prog.Tables[i].Name == name {
-			return i, &prog.Tables[i], nil
+			return &prog.Tables[i], nil
 		}
 	}
-	return 0, nil, fmt.Errorf("pipeline: apply of undeclared table %q", name)
+	return nil, fmt.Errorf("pipeline: apply of undeclared table %q", name)
 }
 
-func regIndex(prog *pipeline.Program, name string) (int, error) {
+func regDeclared(prog *pipeline.Program, name string) error {
 	for i := range prog.Registers {
 		if prog.Registers[i].Name == name {
-			return i, nil
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("pipeline: access to undeclared register %q", name)
+	return fmt.Errorf("pipeline: access to undeclared register %q", name)
 }
 
 // emitBranch emits the jump-if-false for an IfOp condition, fusing the

@@ -162,10 +162,10 @@ func (bd *Binding) bind(s *Set, row []*pipeline.State) {
 		bd.set, bd.row, bd.fresh = s, append(bd.row[:0], row...), 0
 		bd.tables, bd.regs = bd.tables[:0], bd.regs[:0]
 		for _, a := range s.applies {
-			bd.tables = append(bd.tables, row[a.member].TableAt(a.table, a.name))
+			bd.tables = append(bd.tables, row[a.member].Tables[a.name])
 		}
 		for _, r := range s.regs {
-			bd.regs = append(bd.regs, row[r.member].RegisterAt(r.idx, r.name))
+			bd.regs = append(bd.regs, row[r.member].Registers[r.name])
 		}
 	}
 	if e := pipeline.ScalarEpoch(); e != bd.epoch {

@@ -13,8 +13,10 @@ import (
 // re-templated.
 type Ctx struct {
 	PHV []pipeline.Value
-	// Reports are the digests raised so far; Owners[i] tags Reports[i]
-	// with the Member.Index of the program that raised it.
+	// Reports are the digests raised since BeginEphemeralReports (since
+	// the context was made, before the first call); Owners[i] tags
+	// Reports[i] with the Member.Index of the program that raised it. A
+	// report's Args are carved from the context's argument arena.
 	Reports []pipeline.Report
 	Owners  []int32
 	// TableApplies and OpsExecuted mirror the interpreter's counters.
@@ -28,30 +30,20 @@ type Ctx struct {
 	// than MaxPackedKeys columns.
 	wide []uint64
 
-	// Ephemeral-report mode (BeginEphemeralReports): reports and their
-	// Args are carved from context-owned buffers instead of being
-	// heap-allocated per report.
-	ephemeral  bool
-	ephReports []pipeline.Report
-	argArena   []pipeline.Value
+	// argArena holds the Args of every report raised since
+	// BeginEphemeralReports.
+	argArena []pipeline.Value
 }
 
-// BeginEphemeralReports arms arena-backed report storage for the
-// current execution: raising a report allocates nothing, but every
-// report raised until this is called again — and the Args inside it —
-// must be fully consumed before then. Without it, reports are
-// heap-allocated and nothing ever truncates c.Reports. Calling it again
-// on an already-ephemeral context recycles the previous execution's
-// report buffer, so persistent per-shard contexts reach zero allocations
-// per packet at steady state.
+// BeginEphemeralReports starts a new execution's reports: it truncates
+// Reports, Owners and the argument arena, so every report raised before
+// — and the Args inside it — must be fully consumed before the call.
+// Raising a report allocates nothing once the buffers have grown, so a
+// resident context reaches zero allocations per packet at steady state.
+// A context never truncated keeps every report: the arena only grows,
+// and growing moves later Args to a new array, never earlier ones.
 func (c *Ctx) BeginEphemeralReports() {
-	if c.ephemeral {
-		c.ephReports = c.Reports[:0]
-	}
-	c.ephemeral = true
-	c.Reports = c.ephReports[:0]
-	c.Owners = c.Owners[:0]
-	c.argArena = c.argArena[:0]
+	c.Reports, c.Owners, c.argArena = c.Reports[:0], c.Owners[:0], c.argArena[:0]
 }
 
 // NewCtx returns a fresh context the caller owns for as long as it
@@ -407,23 +399,14 @@ func (p *image) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit b
 	c.TableApplies++
 }
 
+// runReport raises a report, its Args carved from the arena. Arena
+// growth leaves earlier reports' Args on the old array — their values
+// stay intact, so reads remain correct; the arena converges after warmup.
 func (p *image) runReport(c *Ctx, site *reportSite) {
-	var vals []pipeline.Value
-	if c.ephemeral {
-		// Arena growth may move earlier reports' Args to a stale
-		// array — their values stay intact, so reads remain correct;
-		// the arena converges after warmup.
-		off := len(c.argArena)
-		for _, s := range site.args {
-			c.argArena = append(c.argArena, c.PHV[s])
-		}
-		vals = c.argArena[off:len(c.argArena):len(c.argArena)]
-	} else {
-		vals = make([]pipeline.Value, len(site.args))
-		for i, s := range site.args {
-			vals[i] = c.PHV[s]
-		}
+	off := len(c.argArena)
+	for _, s := range site.args {
+		c.argArena = append(c.argArena, c.PHV[s])
 	}
-	c.Reports = append(c.Reports, pipeline.Report{Args: vals})
+	c.Reports = append(c.Reports, pipeline.Report{Args: c.argArena[off:len(c.argArena):len(c.argArena)]})
 	c.Owners = append(c.Owners, site.owner)
 }

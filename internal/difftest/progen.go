@@ -12,8 +12,9 @@ import (
 // trace. The emitted declarations are stable so callers can install
 // state and bind headers by name: tele scalars t{8,16,32}_{0,1}, bools
 // f0/f1, arrays arr0/arr1, sensors s0/s1, headers h0 (8-bit) and h1
-// (16-bit), scalar control c0, dicts d0 (bit<8> key) and d1
-// ((bit<8>,bit<16>) key), and set0 (bit<8> members).
+// (16-bit), scalar control c0, dicts d0 (bit<8> key), d1
+// ((bit<8>,bit<16>) key) and d2 (a five-column key of mixed widths, wider
+// than a packed table key), and set0 (bit<8> members).
 func RandomProgram(rng *rand.Rand) string {
 	return newProgGen(rng).generate()
 }
@@ -115,6 +116,8 @@ func (g *progGen) generate() string {
 	g.dicts = append(g.dicts, genDict{name: "d0", keyWidths: []int{8}, valWidth: 8})
 	decl("control dict<(bit<8>,bit<16>),bit<8>> d1;")
 	g.dicts = append(g.dicts, genDict{name: "d1", keyWidths: []int{8, 16}, valWidth: 8})
+	decl("control dict<(bit<8>,bit<16>,bit<32>,bit<8>,bit<16>),bit<8>> d2;")
+	g.dicts = append(g.dicts, genDict{name: "d2", keyWidths: []int{8, 16, 32, 8, 16}, valWidth: 8})
 	decl("control set<bit<8>> set0;")
 	g.sets = append(g.sets, genSet{name: "set0", keyWidths: []int{8}})
 

@@ -94,15 +94,14 @@ const (
 )
 
 // stormCounters renders a storm pass's deterministic bus accounting.
-// OverflowDigests is left out: which aggregates a window defers depends
-// on the order of their ArgsHash, and the hash seed is drawn per
-// process, so the overflow count moves by a few digests between two
-// processes while every field here stays fixed.
+// OverflowDigests is among it: a window emits in argument order, not in
+// the order of the per-process ArgsHash, so which aggregates it defers —
+// and so what later overflows — is the same in every process.
 func stormCounters(name string, p StormPass) string {
 	return fmt.Sprintf(
-		"%s delivered=%d raised=%d exported=%d aggs=%d suppressed=%d max_live=%d unaccounted=%d\n",
+		"%s delivered=%d raised=%d exported=%d aggs=%d suppressed=%d max_live=%d unaccounted=%d overflow=%d\n",
 		name, p.Delivered, p.Raised, p.ExportedDigests, p.EmittedAggregates,
-		p.Suppressed, p.MaxLiveAggregates, p.Unaccounted)
+		p.Suppressed, p.MaxLiveAggregates, p.Unaccounted, p.OverflowDigests)
 }
 
 // TestStormMatchesGolden pins both storm passes' bus accounting at

@@ -99,18 +99,12 @@ func (f TeleField) WireBitsAligned() int {
 
 // State is the per-switch instantiation of a program's tables and
 // registers. The control plane holds the same *Table pointers and
-// updates them concurrently with forwarding.
+// updates them concurrently with forwarding. The maps are filled once,
+// by NewState or by hand; a bytecode row binding resolves its sites by
+// name when it binds a row, never per packet.
 type State struct {
 	Tables    map[string]*Table
 	Registers map[string]*Register
-
-	// tableList and regList hold the same pointers in Program.Tables /
-	// Program.Registers declaration order, so the bytecode VM can
-	// resolve resources by index instead of hashing names per packet.
-	// Hand-built States (tests) may leave them nil; TableAt/RegisterAt
-	// fall back to the maps then.
-	tableList []*Table
-	regList   []*Register
 }
 
 // NewState instantiates the program's resources for one switch.
@@ -118,18 +112,12 @@ func (p *Program) NewState() *State {
 	st := &State{
 		Tables:    make(map[string]*Table, len(p.Tables)),
 		Registers: make(map[string]*Register, len(p.Registers)),
-		tableList: make([]*Table, 0, len(p.Tables)),
-		regList:   make([]*Register, 0, len(p.Registers)),
 	}
 	for _, ts := range p.Tables {
-		t := NewTable(ts.Name, ts.Keys, ts.Outputs, ts.Default)
-		st.Tables[ts.Name] = t
-		st.tableList = append(st.tableList, t)
+		st.Tables[ts.Name] = NewTable(ts.Name, ts.Keys, ts.Outputs, ts.Default)
 	}
 	for _, rs := range p.Registers {
-		r := NewRegister(rs.Name, rs.Width, rs.Size)
-		st.Registers[rs.Name] = r
-		st.regList = append(st.regList, r)
+		st.Registers[rs.Name] = NewRegister(rs.Name, rs.Width, rs.Size)
 	}
 	return st
 }
@@ -141,26 +129,6 @@ func (s *State) Warm() {
 	for _, t := range s.Tables {
 		t.WarmSnapshot()
 	}
-}
-
-// TableAt resolves a table by declaration index, falling back to the
-// name map for hand-built States. A bytecode row binding resolves its
-// apply sites through it when it binds a row, never per packet: a State's
-// tables are fixed at NewState, so the pointer stays the one lookups read.
-func (s *State) TableAt(i int, name string) *Table {
-	if i < len(s.tableList) {
-		return s.tableList[i]
-	}
-	return s.Tables[name]
-}
-
-// RegisterAt resolves a register by declaration index, falling back to
-// the name map for hand-built States.
-func (s *State) RegisterAt(i int, name string) *Register {
-	if i < len(s.regList) {
-		return s.regList[i]
-	}
-	return s.Registers[name]
 }
 
 // ---------------------------------------------------------------------------

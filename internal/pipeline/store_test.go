@@ -516,9 +516,9 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 	}
 }
 
-// tableShapes is one table of each store: packed exact, wide exact (the
-// string-keyed fallback) and TCAM, each with one output. The TCAM store
-// comes twice: all-ternary, and one column of each kind at the full
+// tableShapes is one table of each shape: packed exact, wide exact (all
+// exact, on the priority list) and TCAM, each with one output. The TCAM
+// shape comes twice: all-ternary, and one column of each kind at the full
 // MaxPackedKeys width.
 func tableShapes() map[string]*Table {
 	cols := func(n int, kind MatchKind) []KeySpec {

@@ -13,8 +13,9 @@ import (
 // MatchKind is how one key column of a table matches.
 type MatchKind int
 
-// Match kinds. Exact-only tables take a hash-map fast path; any other
-// kind makes the table a priority-ordered (TCAM-style) table.
+// Match kinds. An all-exact table of at most MaxPackedKeys columns
+// takes the packed hash store; any other table is a priority-ordered
+// (TCAM-style) list.
 const (
 	MatchExact MatchKind = iota
 	MatchLPM
@@ -81,8 +82,8 @@ func (m KeyMatch) specificity(kind MatchKind) int {
 }
 
 // MaxPackedKeys is the widest key (in columns) the allocation-free
-// packed lookup path supports; tables with more exact columns fall back
-// to a string-keyed map.
+// packed lookup path supports; a wider all-exact table keeps its entries
+// in the priority list, as a TCAM table does.
 const MaxPackedKeys = 4
 
 // PackedKey is a table key of at most MaxPackedKeys words, the form the
@@ -94,8 +95,9 @@ const MaxPackedKeys = 4
 type PackedKey [MaxPackedKeys]uint64
 
 // Entry is one table entry: matchers for each key column, a priority
-// (higher wins; TCAM-style tables only), and the action data written to
-// the table's output fields on a hit.
+// (higher wins; tables with a non-exact column only — an exact table
+// keeps none), and the action data written to the table's output fields
+// on a hit.
 type Entry struct {
 	Keys     []KeyMatch
 	Priority int
@@ -154,10 +156,8 @@ type Table struct {
 	// open addressing rather than a Go map: the multiply-xor hash is a
 	// fraction of the runtime map's 32-byte memhash + bucket protocol.
 	snap atomic.Pointer[packedSnap]
-	// exact is the fallback for exact tables with more columns than
-	// PackedKey holds (string-encoded keys).
-	exact   map[string]*Entry
-	entries []*tcamEntry // TCAM path, kept sorted by priority desc
+	// entries is every other table's store, kept sorted by priority desc.
+	entries []*tcamEntry
 	isExact bool
 	// version increments on every mutation; read without the lock
 	// (atomically).
@@ -183,8 +183,8 @@ func (t *Table) wrote() {
 	}
 }
 
-// NewTable creates an empty table. All-exact key columns select the
-// hash-map fast path.
+// NewTable creates an empty table. All-exact key columns, at most
+// MaxPackedKeys of them, select the packed store.
 func NewTable(name string, keys []KeySpec, outputs []FieldRef, def []Value) *Table {
 	t := &Table{Name: name, Keys: keys, Outputs: outputs, Default: def, isExact: true}
 	for _, k := range keys {
@@ -192,32 +192,17 @@ func NewTable(name string, keys []KeySpec, outputs []FieldRef, def []Value) *Tab
 			t.isExact = false
 		}
 	}
-	if t.isExact {
-		if len(keys) <= MaxPackedKeys {
-			t.packed = newPackedStore(len(keys), len(outputs))
-		} else {
-			t.exact = make(map[string]*Entry)
-		}
+	if t.isExact && len(keys) <= MaxPackedKeys {
+		t.packed = newPackedStore(len(keys), len(outputs))
 	}
 	return t
 }
 
-// IsExact reports whether the table takes the exact-match fast path.
+// IsExact reports whether every key column is exact.
 func (t *Table) IsExact() bool { return t.isExact }
 
 // HitField is the PHV field recording whether the last apply hit.
 func (t *Table) HitField() FieldRef { return FieldRef(t.Name + ".$hit") }
-
-func exactKeyString(keys []KeyMatch) string {
-	buf := make([]byte, 0, 24*len(keys))
-	for i, k := range keys {
-		if i > 0 {
-			buf = append(buf, '|')
-		}
-		buf = strconv.AppendUint(buf, k.Value, 10)
-	}
-	return string(buf)
-}
 
 func packEntryKeys(keys []KeyMatch) PackedKey {
 	var k PackedKey
@@ -266,8 +251,9 @@ func (e *tcamEntry) hit(vals []uint64) bool {
 }
 
 // Insert adds or replaces an entry. For exact tables, replacement is by
-// key; for TCAM tables an identical (keys, priority) entry is replaced.
-// A packed exact table copies keys and action in and keeps neither slice.
+// key, whatever the Priority, which an exact table drops; for TCAM tables
+// an identical (keys, priority) entry is replaced. A packed exact table
+// copies keys and action in and keeps neither slice.
 func (t *Table) Insert(e Entry) error { return t.InsertBatch([]Entry{e}) }
 
 // InsertBatch inserts the entries in order under one hold of the lock:
@@ -316,18 +302,16 @@ func (t *Table) validate(e *Entry) error {
 }
 
 func (t *Table) insertLocked(e *Entry) {
-	if t.isExact {
-		if t.packed != nil {
-			t.packed.insert(packEntryKeys(e.Keys), e.Action, e.Name)
-			return
-		}
-		kept := *e
-		t.exact[exactKeyString(e.Keys)] = &kept
+	if t.packed != nil {
+		t.packed.insert(packEntryKeys(e.Keys), e.Action, e.Name)
 		return
 	}
 	kept := &tcamEntry{*e, t.compileTests(e.Keys)}
+	if t.isExact {
+		kept.Priority = 0 // a key matches one entry at most: nothing to order
+	}
 	for i, old := range t.entries {
-		if old.Priority == e.Priority && sameKeys(old.Keys, e.Keys) {
+		if old.Priority == kept.Priority && sameKeys(old.Keys, e.Keys) {
 			t.entries[i] = kept
 			return
 		}
@@ -371,16 +355,8 @@ func (t *Table) Delete(keys []KeyMatch) int {
 	defer t.wrote()
 	t.version.Add(1)
 	t.snap.Store(nil)
-	if t.isExact {
-		if t.packed != nil {
-			if t.packed.remove(packEntryKeys(keys)) {
-				return 1
-			}
-			return 0
-		}
-		k := exactKeyString(keys)
-		if _, ok := t.exact[k]; ok {
-			delete(t.exact, k)
+	if t.packed != nil {
+		if t.packed.remove(packEntryKeys(keys)) {
 			return 1
 		}
 		return 0
@@ -407,7 +383,6 @@ func (t *Table) Clear() {
 	if t.packed != nil {
 		*t.packed = *newPackedStore(len(t.Keys), len(t.Outputs))
 	}
-	clear(t.exact)
 	t.entries = nil
 	t.wrote()
 }
@@ -429,7 +404,6 @@ func (t *Table) CopyFrom(src *Table) error {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		t.version.Add(1)
-		clear(t.exact)
 		t.entries = nil
 		for i := range es {
 			t.insertLocked(&es[i])
@@ -458,7 +432,7 @@ func (t *Table) Len() int {
 	if t.packed != nil {
 		return t.packed.count
 	}
-	return len(t.exact) + len(t.entries) // one of the two is always empty
+	return len(t.entries)
 }
 
 // Version increments on every mutation. It is read without taking the
@@ -474,37 +448,17 @@ func (t *Table) Lookup(vals []uint64) ([]Value, bool) {
 	if len(vals) != len(t.Keys) {
 		return t.Default, false
 	}
-	if len(vals) <= MaxPackedKeys {
-		var k PackedKey
-		copy(k[:], vals)
-		return t.LookupWords(k[0], k[1], k[2], k[3])
-	}
-	if !t.isExact {
+	if len(vals) > MaxPackedKeys {
 		return t.match(vals)
 	}
-	// Fallback string path (> MaxPackedKeys exact columns). The key
-	// bytes are built in a stack buffer and converted only inside the
-	// map index expression, which the compiler optimizes to a no-copy
-	// lookup — no heap allocation either way.
-	var scratch [96]byte
-	buf := scratch[:0]
-	for i, v := range vals {
-		if i > 0 {
-			buf = append(buf, '|')
-		}
-		buf = strconv.AppendUint(buf, v, 10)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if e, ok := t.exact[string(buf)]; ok {
-		return e.Action, true
-	}
-	return t.Default, false
+	var k PackedKey
+	copy(k[:], vals)
+	return t.LookupWords(k[0], k[1], k[2], k[3])
 }
 
-// match walks a TCAM table's entries in priority order for the first
-// whose compiled columns pass on vals; any other number of values than
-// the table has columns is a miss.
+// match walks the priority list for the first entry whose compiled
+// columns pass on vals; any other number of values than the table has
+// columns is a miss.
 func (t *Table) match(vals []uint64) ([]Value, bool) {
 	if len(vals) != len(t.Keys) {
 		return t.Default, false
@@ -736,7 +690,7 @@ func (st *packedStore) entries(nkeys int) []Entry {
 // key words travel as arguments, in registers, down to the probe. An
 // exact table answers from its lock-free read view, published here
 // first if a mutation invalidated it — so an install is visible at the
-// next lookup; a TCAM table walks its entries under the read lock. It
+// next lookup; any other table walks its entries under the read lock. It
 // serves tables of at most MaxPackedKeys columns; wider tables must go
 // through Lookup. Callers zero the words past the table's own columns
 // (as Lookup and the VM's runApply do): an exact table stores and
@@ -770,10 +724,7 @@ func (t *Table) Entries() []Entry {
 	if t.packed != nil {
 		return t.packed.entries(len(t.Keys))
 	}
-	out := make([]Entry, 0, len(t.exact)+len(t.entries)) // one of the two is always empty
-	for _, e := range t.exact {
-		out = append(out, *e)
-	}
+	out := make([]Entry, 0, len(t.entries))
 	for _, e := range t.entries {
 		out = append(out, e.Entry)
 	}

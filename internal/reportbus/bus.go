@@ -1,7 +1,9 @@
 package reportbus
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -276,21 +278,7 @@ func (b *Bus) maybeCloseWindow(now int64) []Aggregate {
 // control delays and coalesces, it never loses counts. force bypasses
 // the buckets (final flush). Caller holds b.mu.
 func (b *Bus) closeWindow(now int64, force bool) []Aggregate {
-	var keys []Key
-	for k := range b.live {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessKey(keys[i], keys[j]) })
-	var okeys []ovfKey
-	for k := range b.ovf {
-		okeys = append(okeys, k)
-	}
-	sort.Slice(okeys, func(i, j int) bool {
-		if okeys[i].Checker != okeys[j].Checker {
-			return okeys[i].Checker < okeys[j].Checker
-		}
-		return okeys[i].SwitchID < okeys[j].SwitchID
-	})
+	live, ovf := sortedAggregates(b.live), sortedAggregates(b.ovf)
 
 	var out []Aggregate
 	emit := func(agg *Aggregate) bool {
@@ -311,14 +299,14 @@ func (b *Bus) closeWindow(now int64, force bool) []Aggregate {
 		b.liveDigests -= agg.Count
 		return true
 	}
-	for _, k := range keys {
-		if emit(b.live[k]) {
-			delete(b.live, k)
+	for _, agg := range live {
+		if emit(agg) {
+			delete(b.live, Key{Checker: agg.Checker, SwitchID: agg.SwitchID, ArgsHash: agg.ArgsHash})
 		}
 	}
-	for _, k := range okeys {
-		if emit(b.ovf[k]) {
-			delete(b.ovf, k)
+	for _, agg := range ovf {
+		if emit(agg) {
+			delete(b.ovf, ovfKey{Checker: agg.Checker, SwitchID: agg.SwitchID})
 		}
 	}
 	b.windowOpen = len(b.live)+len(b.ovf) > 0
@@ -419,14 +407,24 @@ func (b *Bus) Close() {
 	b.Flush()
 }
 
-func lessKey(a, c Key) bool {
-	if a.Checker != c.Checker {
-		return a.Checker < c.Checker
+// sortedAggregates returns m's aggregates in emission order.
+func sortedAggregates[K comparable](m map[K]*Aggregate) []*Aggregate {
+	out := make([]*Aggregate, 0, len(m))
+	for _, agg := range m {
+		out = append(out, agg)
 	}
-	if a.SwitchID != c.SwitchID {
-		return a.SwitchID < c.SwitchID
-	}
-	return a.ArgsHash < c.ArgsHash
+	slices.SortFunc(out, compareAggregates)
+	return out
+}
+
+// compareAggregates is the emission order: checker, switch, argument
+// words, then ArgsHash — which only splits truncated digests whose kept
+// words agree. Under a storm budget the order decides which aggregates a
+// window defers, and so which keys stay live and what later overflows;
+// ArgsHash's seed is drawn per process, so it may not decide that.
+func compareAggregates(a, c *Aggregate) int {
+	return cmp.Or(strings.Compare(a.Checker, c.Checker), cmp.Compare(a.SwitchID, c.SwitchID),
+		slices.Compare(a.Args, c.Args), cmp.Compare(a.ArgsHash, c.ArgsHash))
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import (
 )
 
 // Exporter consumes each closed window's emitted aggregates. Batches
-// arrive sorted by (checker, switch, args-hash); calls may come from
+// arrive sorted by (checker, switch, argument words, args-hash), the
+// live aggregates before the overflow buckets; calls may come from
 // the collector goroutine and inline publishers concurrently, so
 // implementations must be safe for concurrent use.
 type Exporter interface {

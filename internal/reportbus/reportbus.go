@@ -159,7 +159,8 @@ type Config struct {
 	// buckets. Default 4096.
 	MaxKeys int
 	// Exporters receive each closed window's emitted aggregates, sorted
-	// by (checker, switch, args-hash). Called outside the bus mutex.
+	// by (checker, switch, argument words, args-hash). Called outside the
+	// bus mutex.
 	Exporters []Exporter
 	// PollEvery is the collector goroutine's ring sweep interval
 	// (Start); default Window/4.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -239,6 +240,50 @@ func TestMaxKeysOverflowBuckets(t *testing.T) {
 	}
 	if m := b.Metrics(); m.EmittedDigests != 6 || m.Unaccounted() != 0 {
 		t.Fatalf("post-close metrics = %+v", m)
+	}
+}
+
+// TestEmissionIgnoresArgsHash feeds one digest multiset twice through a
+// bus whose storm budget and key cap both bite, the second time with
+// every argument list's ArgsHash permuted (reversed). Which aggregates a
+// window emits decides which keys stay live, and so which later digests
+// overflow: both must follow the argument words, not the hash, whose
+// seed DigestFrom draws per process.
+func TestEmissionIgnoresArgsHash(t *testing.T) {
+	run := func(hash func(args [2]uint64) uint64) ([]Aggregate, Metrics) {
+		sink := &CollectExporter{}
+		b := New(Config{Window: 100, Clock: (&manualClock{}).fn(), Rate: 1e-9, Burst: 2, MaxKeys: 4, Exporters: []Exporter{sink}})
+		p := b.InlineProducer("sim")
+		at := int64(0)
+		for round := 0; round < 4; round++ {
+			for _, sw := range []uint32{2, 1} {
+				for i := uint64(0); i < 6; i++ {
+					args := [2]uint64{i % 3, 10 - i}
+					d := Digest{Checker: "storm", SwitchID: sw, At: at, NArgs: 2, ArgsHash: hash(args)}
+					copy(d.Args[:], args[:])
+					p.Publish(d)
+					at++
+				}
+			}
+			at += 100 // the next round's first digest closes the window
+		}
+		b.Close()
+		aggs := sink.Aggregates()
+		for i := range aggs {
+			aggs[i].ArgsHash = 0
+		}
+		return aggs, b.Metrics()
+	}
+	up, upM := run(func(a [2]uint64) uint64 { return a[0]<<32 | a[1] })
+	down, downM := run(func(a [2]uint64) uint64 { return ^(a[0]<<32 | a[1]) })
+	if !reflect.DeepEqual(up, down) {
+		t.Errorf("emissions depend on ArgsHash:\n%+v\n%+v", up, down)
+	}
+	if !reflect.DeepEqual(upM, downM) {
+		t.Errorf("metrics depend on ArgsHash:\n%+v\n%+v", upM, downM)
+	}
+	if st := upM.Checkers["storm"]; st.OverflowDigests == 0 || st.Suppressed == 0 || upM.Unaccounted() != 0 {
+		t.Fatalf("the budget or the key cap never bit, or digests were lost: %+v", upM)
 	}
 }
 
