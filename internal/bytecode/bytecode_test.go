@@ -562,6 +562,32 @@ func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 	}
 }
 
+// TestLoadFieldAtTwoWidths reads one header field at two widths — the only
+// way the compiler emits opLoadF — with the header present and absent, and
+// holds the reports to the map reference: a present field reads as bound,
+// an absent one as a zero of each read's width.
+func TestLoadFieldAtTwoWidths(t *testing.T) {
+	prog := &pipeline.Program{
+		Name: "two-widths", HeaderBindings: map[string]string{"x": "hdr.x"},
+		Checker: []pipeline.Op{pipeline.ReportOp{Args: []pipeline.Expr{f("hdr.x", 8), f("hdr.x", 16)}}},
+	}
+	ref, vm := difftest.Reference{Prog: prog}, linkOne(t, prog)
+	for _, hdr := range []map[string]pipeline.Value{{"hdr.x": pipeline.B(16, 0x1234)}, nil} {
+		env := difftest.HopEnv{State: prog.NewState(), SwitchID: 1, Headers: hdr, PacketLen: 100}
+		want, err := ref.RunHop(nil, env, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := vm.RunHop(nil, env, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Reports) != 1 || !reflect.DeepEqual(got.Reports, want.Reports) {
+			t.Errorf("headers %v: vm reported %+v, reference %+v", hdr, got.Reports, want.Reports)
+		}
+	}
+}
+
 // TestCorpusCompiles compiles every corpus checker to bytecode.
 func TestCorpusCompiles(t *testing.T) {
 	for _, p := range checkers.All {

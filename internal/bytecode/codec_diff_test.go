@@ -63,8 +63,7 @@ func refRecode(fields []refField, size int, in []byte) (vals []uint64, out []byt
 	return vals, out
 }
 
-// codecMember is one program of a checked set (vp nil: a member with no
-// VM form, which only pads the blob).
+// codecMember is one program of a checked set.
 type codecMember struct {
 	vp     *bytecode.Prog
 	fields []refField
@@ -93,8 +92,8 @@ func checkCodec(t *testing.T, name string, members []codecMember, blob []byte) {
 	t.Helper()
 	var link []bytecode.Member
 	size := 0
-	for i, m := range members {
-		link = append(link, bytecode.Member{Prog: m.vp, Index: i, TeleBytes: m.size})
+	for _, m := range members {
+		link = append(link, bytecode.Member{Prog: m.vp})
 		size += m.size
 	}
 	set := bytecode.LinkSet(link)
@@ -123,13 +122,8 @@ func checkCodec(t *testing.T, name string, members []codecMember, blob []byte) {
 		t.Fatalf("%s: %v", name, err)
 	}
 	var want []byte
-	off, k := 0, 0
-	for _, m := range members {
-		if m.vp == nil {
-			want = append(want, make([]byte, m.size)...)
-			off += m.size
-			continue
-		}
+	off := 0
+	for k, m := range members {
 		record := in[off : off+m.size]
 		vals, canon := refRecode(m.fields, m.size, record)
 		for i, f := range m.fields {
@@ -155,7 +149,6 @@ func checkCodec(t *testing.T, name string, members []codecMember, blob []byte) {
 		}
 		want = append(want, canon...)
 		off += m.size
-		k++
 	}
 	if fresh := set.EncodeTele(nil, c.PHV); !bytes.Equal(fresh, want) {
 		t.Fatalf("%s: encoded %x, reference %x", name, fresh, want)
@@ -201,7 +194,7 @@ func blobs(rng *rand.Rand, size int) [][]byte {
 
 // TestTeleCodecDifferential holds the copy plan to the bit-serial
 // reference on the corpus — each of the 12 layouts alone, and all of them
-// linked into one image around a member with no VM form — and on random
+// linked into one image — and on random
 // layouts, packed and byte-aligned, alone and linked in threes.
 func TestTeleCodecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
@@ -216,9 +209,6 @@ func TestTeleCodecDifferential(t *testing.T) {
 			checkCodec(t, p.Key, []codecMember{m}, b)
 		}
 		corpus = append(corpus, m)
-		if len(corpus) == 5 {
-			corpus = append(corpus, codecMember{size: 3})
-		}
 	}
 	size := 0
 	for _, m := range corpus {

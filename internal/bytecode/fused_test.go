@@ -327,7 +327,7 @@ func randomSets(t *testing.T, seeds int) [][]bytecode.Member {
 			if err != nil {
 				t.Fatalf("seed %d member %d: %v", seed, m, err)
 			}
-			members[m] = bytecode.Member{Prog: bytecode.MustCompile(c.Prog), Index: m, CheckEveryHop: rng.Intn(3) == 0}
+			members[m] = bytecode.Member{Prog: bytecode.MustCompile(c.Prog), CheckEveryHop: rng.Intn(3) == 0}
 		}
 		sets = append(sets, members)
 	}
@@ -351,7 +351,7 @@ func corpusSet(t *testing.T, everyHop bool, extra ...string) *bytecode.Set {
 	members := make([]bytecode.Member, len(corpus))
 	for k, c := range corpus {
 		rt := &compiler.Runtime{Prog: c.Prog, CheckEveryHop: everyHop && k%2 == 0}
-		members[k] = rt.Member(k)
+		members[k] = rt.Member()
 	}
 	return bytecode.LinkSet(members)
 }

@@ -6,17 +6,13 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Member is one program of a Set: its compiled form (nil: no VM form, the
-// member is left out), its position in the state row BeginHop receives —
-// also the owner tag of its reports — and the §4.3 placement of its
-// checker block: CheckEveryHop runs it wherever the telemetry block runs.
-// A member that is left out still owns TeleBytes of the Set's blob, which
-// DecodeTele skips and EncodeTele zero-fills.
+// Member is one program of a Set: its compiled form and the §4.3
+// placement of its checker block (CheckEveryHop runs it wherever the
+// telemetry block runs). Its position in LinkSet's list is its index: its
+// place in the state row a pass binds and the owner tag of its reports.
 type Member struct {
 	Prog          *Prog
-	Index         int
 	CheckEveryHop bool
-	TeleBytes     int
 }
 
 // linked is a Member placed in the Set's PHV: slot maps its Prog's slot
@@ -58,16 +54,14 @@ type Set struct {
 // (a Binding's snapshot of the pass holds one value per entry).
 type prologue struct{ hops, applies, slots []int32 }
 
-// LinkSet links the members that have a Prog, in order.
+// LinkSet links the members, in order.
 func LinkSet(members []Member) *Set {
 	s := &Set{}
 	var nTemp, nReset int32
 	for _, m := range members {
-		if m.Prog != nil {
-			s.nTele += m.Prog.img.nTele
-			nTemp = max(nTemp, int32(m.Prog.img.nSlots)-m.Prog.tempStart)
-			nReset += int32(len(m.Prog.resetSlots))
-		}
+		s.nTele += m.Prog.img.nTele
+		nTemp = max(nTemp, int32(m.Prog.img.nSlots)-m.Prog.tempStart)
+		nReset += int32(len(m.Prog.resetSlots))
 	}
 	// Layout: every telemetry region, the temporaries, the builtins, every
 	// member's reset slots — BeginHop's one copy — then each member's other
@@ -79,12 +73,8 @@ func LinkSet(members []Member) *Set {
 	nextReset := s.reset[0]
 
 	teleBase := int32(0)
-	for _, m := range members {
+	for k, m := range members {
 		p := m.Prog
-		if p == nil {
-			s.teleBytes += m.TeleBytes
-			continue
-		}
 		builtins := map[int32]int32{p.img.slotSwitch: s.slotSwitch, p.img.slotPktLen: s.slotPktLen, p.img.slotLast: s.slotLast, p.img.slotFirst: s.slotFirst}
 		reset := make([]bool, p.img.nSlots)
 		for _, sl := range p.resetSlots {
@@ -121,11 +111,11 @@ func LinkSet(members []Member) *Set {
 
 		base := [4]int32{int32(len(s.applies)), int32(len(s.regs)), int32(len(s.arrays)), int32(len(s.reports))}
 		for _, a := range p.img.applies {
-			a.member, a.keys, a.outs, a.hit = m.Index, remap(a.keys), remap(a.outs), slot[a.hit]
+			a.member, a.keys, a.outs, a.hit = k, remap(a.keys), remap(a.outs), slot[a.hit]
 			s.applies = append(s.applies, a)
 		}
 		for _, r := range p.img.regs {
-			r.member = m.Index
+			r.member = k
 			s.regs = append(s.regs, r)
 		}
 		for _, a := range p.img.arrays {
@@ -133,7 +123,7 @@ func LinkSet(members []Member) *Set {
 			s.arrays = append(s.arrays, a)
 		}
 		for _, r := range p.img.reports {
-			s.reports = append(s.reports, reportSite{owner: int32(m.Index), args: remap(r.args)})
+			s.reports = append(s.reports, reportSite{owner: int32(k), args: remap(r.args)})
 		}
 		for b := range s.code {
 			for bi, code := range p.blocks() {
@@ -191,13 +181,10 @@ func relocate(dst, code []Instr, n int, slot []int32, base [4]int32) []Instr {
 	return dst
 }
 
-// Len returns the number of linked members; k below counts them.
+// Len returns the number of members; k below counts them.
 func (s *Set) Len() int { return len(s.members) }
 
-// Owner returns the k-th linked member's Member.Index.
-func (s *Set) Owner(k int) int { return s.members[k].Index }
-
-// SlotOf resolves a field of the k-th linked member's program to its slot
+// SlotOf resolves a field of the k-th member's program to its slot
 // in the Set's PHV, if the program references it anywhere.
 func (s *Set) SlotOf(k int, f pipeline.FieldRef) (int32, bool) {
 	m := &s.members[k]
@@ -252,10 +239,10 @@ func HopBlocks(first, last bool) Blocks {
 	return b
 }
 
-// Reject reads the k-th linked member's verdict for the hop just run.
+// Reject reads the k-th member's verdict for the hop just run.
 func (s *Set) Reject(c *Ctx, k int) bool { return c.PHV[s.members[k].reject].Bool() }
 
-// TeleSpan returns where the k-th linked member's record lies in the
+// TeleSpan returns where the k-th member's record lies in the
 // Set's blob.
 func (s *Set) TeleSpan(k int) (off, n int) {
 	m := &s.members[k]

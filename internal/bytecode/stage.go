@@ -77,15 +77,14 @@ type bindPair struct{ src, dst int32 }
 // of a NIC — linked into one image (§4.2), with the one context that
 // image ever runs on. An embedder runs its passes one after another and
 // never nested, so the context, the header environment and the reports of
-// a pass are the stage's own until the next pass. A member without a VM
-// form is not in the image: its telemetry record stays zero and the
-// embedder accounts Skipped for every hop. The image reads its tables and
-// registers through Bind, which Run checks against Row and the scalar
-// epoch at every pass.
+// a pass are the stage's own until the next pass. Every member has a VM
+// form: an embedder refuses a program without one where it is attached.
+// The image reads its tables and registers through Bind, which Run checks
+// against Row and the scalar epoch at every pass.
 type Stage struct {
 	Set *Set
 	Ctx *Ctx
-	// Row is the state each member runs against, by Member.Index. The
+	// Row is the state each member runs against, by position. The
 	// embedder stores it before a pass: a switch's control plane and the
 	// fault injectors replace an attachment's State to wipe it, an engine
 	// shard has one row per switch.
@@ -100,22 +99,19 @@ type Stage struct {
 	// to store.
 	H []pipeline.Value
 
-	index   map[string]int32
-	binds   []bindPair
-	skipped uint64
+	index map[string]int32
+	binds []bindPair
 }
 
-// Link links the members that have a VM form, in order, into one image on
-// a fresh context.
+// Link links the members, in order, into one image on a fresh context.
 func Link(members ...Member) *Stage {
 	set := LinkSet(members)
 	st := &Stage{
-		Set:     set,
-		Ctx:     set.NewCtx(),
-		Row:     make([]*pipeline.State, len(members)),
-		Bind:    new(Binding),
-		index:   map[string]int32{},
-		skipped: uint64(len(members) - set.Len()),
+		Set:   set,
+		Ctx:   set.NewCtx(),
+		Row:   make([]*pipeline.State, len(members)),
+		Bind:  new(Binding),
+		index: map[string]int32{},
 	}
 	n := int32(NumStdHeaders)
 	for bi, path := range set.bindings {
@@ -178,9 +174,6 @@ func (st *Stage) Index(path string) (int32, bool) {
 	i, ok := st.index[path]
 	return i, ok
 }
-
-// Skipped counts the members Link left out of the image.
-func (st *Stage) Skipped() uint64 { return st.skipped }
 
 // present is a bound header value, or the zero-width Value that marks a
 // header the packet does not carry.

@@ -15,7 +15,7 @@ type Ctx struct {
 	PHV []pipeline.Value
 	// Reports are the digests raised since BeginEphemeralReports (since
 	// the context was made, before the first call); Owners[i] tags
-	// Reports[i] with the Member.Index of the program that raised it. A
+	// Reports[i] with the Set index of the program that raised it. A
 	// report's Args are carved from the context's argument arena.
 	Reports []pipeline.Report
 	Owners  []int32

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/bytecode"
@@ -11,9 +12,9 @@ import (
 // placement of its checker block, and its bytecode form, compiled once.
 // Nothing here executes. An engine shard, a netsim switch or a NIC links
 // the Member of every checker it runs into one bytecode.Stage (§4.2) and
-// runs that; a program the VM cannot compile is refused (VMErr) or left
-// out of the image. The reference semantics the VM is tested against live
-// in internal/difftest.
+// runs that; a program the VM cannot compile (VMErr) is refused where it
+// is attached, never linked around. The reference semantics the VM is
+// tested against live in internal/difftest.
 type Runtime struct {
 	Prog *pipeline.Program
 	// CheckEveryHop enables the §4.3 per-hop checking variant: the
@@ -40,9 +41,13 @@ func (r *Runtime) VMErr() error {
 	return r.vmErr
 }
 
-// Member is the program as the i-th member of a linked image: i is its
-// position in the state row and the owner tag of its reports. A program
-// without a VM form keeps its telemetry record's place in the blob.
-func (r *Runtime) Member(i int) bytecode.Member {
-	return bytecode.Member{Prog: r.VM(), Index: i, CheckEveryHop: r.CheckEveryHop, TeleBytes: (r.Prog.TeleWireBits() + 7) / 8}
+// Member is the program as a member of a linked image. It panics, naming
+// the program and VMErr, on a program without a VM form: every packet path
+// refuses one where it is attached, as Hydra never deploys a checker that
+// does not compile (§4.2).
+func (r *Runtime) Member() bytecode.Member {
+	if err := r.VMErr(); err != nil {
+		panic(fmt.Sprintf("compiler: checker %s has no VM form: %v", r.Prog.Name, err))
+	}
+	return bytecode.Member{Prog: r.VM(), CheckEveryHop: r.CheckEveryHop}
 }

@@ -48,9 +48,6 @@ type Controller struct {
 	mu sync.Mutex
 	// atts[checker][switchID] is the attachment on that switch.
 	atts map[string]map[uint32]*netsim.HydraAttachment
-	// runtimes keeps each checker's compiled runtime: WipeSwitch resets
-	// an attachment to its program's factory state.
-	runtimes map[string]*compiler.Runtime
 	// producers is the per-switch inline producer on bus.
 	producers map[uint32]*reportbus.Producer
 	bus       *reportbus.Bus
@@ -65,7 +62,6 @@ type Controller struct {
 func NewController(bus *reportbus.Bus) *Controller {
 	return &Controller{
 		atts:      map[string]map[uint32]*netsim.HydraAttachment{},
-		runtimes:  map[string]*compiler.Runtime{},
 		producers: map[uint32]*reportbus.Producer{},
 		bus:       bus,
 	}
@@ -87,7 +83,6 @@ func (c *Controller) Deploy(name string, info *types.Info, switches ...*netsim.S
 	if _, dup := c.atts[name]; dup {
 		return fmt.Errorf("controlplane: checker %q already deployed", name)
 	}
-	c.runtimes[name] = rt
 	c.atts[name] = map[uint32]*netsim.HydraAttachment{}
 	for _, sw := range switches {
 		// The producer is resolved once per attachment, so the per-digest
@@ -240,9 +235,9 @@ func (c *Controller) WipeSwitch(switchID uint32) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for name, m := range c.atts {
+	for _, m := range c.atts {
 		if att, ok := m[switchID]; ok {
-			att.State = c.runtimes[name].Prog.NewState()
+			att.State = att.Runtime.Prog.NewState()
 			n++
 		}
 	}

@@ -22,7 +22,7 @@ func Link(rts ...*compiler.Runtime) (*Linked, error) {
 		if err := rt.VMErr(); err != nil {
 			return nil, fmt.Errorf("member %d: bytecode backend unavailable: %w", k, err)
 		}
-		members[k] = rt.Member(k)
+		members[k] = rt.Member()
 	}
 	return &Linked{bytecode.Link(members...)}, nil
 }

@@ -30,7 +30,8 @@
 // image, its resident context and the header environment a checker
 // reads, the same type a netsim switch holds — and supplies what a
 // 5-tuple trace record knows: the flow fill per packet, the two ports
-// and the switch's state row per hop.
+// and the switch's state row per hop. Every checker is in that image: New
+// and NewSequential refuse one without a VM form, never link around it.
 //
 // Packets move through bounded batches with backpressure: Submit blocks
 // when a shard's queue is full, and Drain flushes partial batches,
@@ -52,9 +53,8 @@ import (
 )
 
 // Checker is one compiled program the engine executes per packet, on
-// the bytecode VM (RT.VM()). A runtime without a VM form — a program
-// bytecode.Compile refuses (RT.VMErr()) — is not executed: every hop it
-// would have run at counts one Counts.Errors and the packet moves on.
+// the bytecode VM (RT.VM()). New and NewSequential panic on a runtime
+// without a VM form (RT.VMErr()): it is refused where it is attached.
 type Checker struct {
 	Name string
 	RT   *compiler.Runtime
@@ -102,8 +102,8 @@ type Counts struct {
 	Forwarded uint64
 	Rejected  uint64
 	Reports   uint64
-	// Errors counts checker hops that could not execute (see Checker);
-	// like the netsim switch, an execution error never halts the packet.
+	// Errors is always 0: every checker the engine holds executes (see
+	// Checker). The field stays for the readers of a Counts.
 	Errors     uint64
 	PerChecker []CheckerCounts
 }
@@ -163,7 +163,8 @@ type Engine struct {
 	drained  bool
 }
 
-// New builds an engine and starts its workers.
+// New builds an engine and starts its workers. It panics on a checker
+// without a VM form.
 func New(cfg Config) *Engine {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -325,8 +326,8 @@ type shard struct {
 	// of switches, so the per-hop lookup is a short linear scan.
 	rows []stateRow
 	// st is the engine's checkers linked into one image on this shard's
-	// resident context, each under its Config.Checkers index as row
-	// position and report owner. Of its header environment the engine
+	// resident context, each under its Config.Checkers index as Set index
+	// (row position and report owner). Of its header environment the engine
 	// stores skip_forwarding once and the two ports per hop, the flow
 	// fill the rest per packet; a path neither supplies is absent.
 	st         *bytecode.Stage
@@ -340,7 +341,7 @@ type shard struct {
 func newShard(id int, cfg *Config) *shard {
 	members := make([]bytecode.Member, len(cfg.Checkers))
 	for i, c := range cfg.Checkers {
-		members[i] = c.RT.Member(i)
+		members[i] = c.RT.Member()
 	}
 	s := &shard{
 		id:         id,
@@ -392,9 +393,7 @@ func (s *shard) exec(batch []Packet) {
 		s.counts.Packets++
 		hops := p.Hops
 		if set.Len() == 0 {
-			// Nothing to run: no hop does any work.
-			s.counts.Errors += st.Skipped() * uint64(len(hops))
-			hops = nil
+			hops = nil // nothing to run: no hop does any work
 		}
 		st.FillFlow(p.Key)
 		c.BeginEphemeralReports()
@@ -408,7 +407,6 @@ func (s *shard) exec(batch []Packet) {
 			first, last := h == 0, h == len(hops)-1
 			st.H[bytecode.HInPort] = pipeline.B(8, uint64(hop.InPort))
 			st.H[bytecode.HEgPort] = pipeline.B(8, uint64(hop.OutPort))
-			s.counts.Errors += st.Skipped()
 			r := s.row(hop.SwitchID)
 			st.Row, st.Bind = r.st, &r.bind
 			st.Run(hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))
@@ -424,7 +422,7 @@ func (s *shard) exec(batch []Packet) {
 			for k := 0; k < set.Len(); k++ {
 				if set.Reject(c, k) {
 					reject = true
-					s.perChecker[set.Owner(k)].Rejected++
+					s.perChecker[k].Rejected++
 				}
 			}
 		}

@@ -23,13 +23,11 @@ type installFn = func(checker string, switchID uint32, fn func(*pipeline.State) 
 // code with it: per checker and switch one pipeline.State, every packet
 // replayed hop-major through the map interpreter
 // (difftest.Reference.RunHop, telemetry carried as the wire blob),
-// halting after the first hop at which any checker rejected. A
-// checker the engine cannot run (no VM form) is skipped and counts one
-// error per hop, which is the engine's documented behaviour.
+// halting after the first hop at which any checker rejected.
 type oracle struct {
 	t        *testing.T
 	chks     []engine.Checker
-	refs     []*difftest.Reference // nil: skipped
+	refs     []*difftest.Reference
 	states   []map[uint32]*pipeline.State
 	counts   engine.Counts
 	verdicts []engine.Verdict
@@ -48,9 +46,7 @@ func newOracle(t *testing.T, chks []engine.Checker, nPkts int) *oracle {
 	for i, c := range chks {
 		o.states[i] = map[uint32]*pipeline.State{}
 		o.counts.PerChecker[i].Name = c.Name
-		if c.RT.VM() != nil {
-			o.refs[i] = &difftest.Reference{Prog: c.RT.Prog, CheckEveryHop: c.RT.CheckEveryHop}
-		}
+		o.refs[i] = &difftest.Reference{Prog: c.RT.Prog, CheckEveryHop: c.RT.CheckEveryHop}
 	}
 	return o
 }
@@ -115,10 +111,6 @@ func (o *oracle) process(p *engine.Packet) {
 	for h, hop := range p.Hops {
 		hdrs := oracleHeaders(p, hop)
 		for i, rt := range o.refs {
-			if rt == nil {
-				o.counts.Errors++
-				continue
-			}
 			hr, err := rt.RunHop(blobs[i], difftest.HopEnv{
 				State: o.state(i, hop.SwitchID), SwitchID: hop.SwitchID, Headers: hdrs, PacketLen: p.Len,
 			}, h == 0, h == len(p.Hops)-1)
@@ -236,15 +228,6 @@ func compileSrc(t *testing.T, key, src string) *pipeline.Program {
 	return prog
 }
 
-// noVMForm returns prog with an apply of an undeclared table appended to
-// its checker block — the one thing bytecode.Compile refuses — so a
-// Runtime over it has a state layout and a nil VM().
-func noVMForm(prog *pipeline.Program) *pipeline.Program {
-	broken := *prog
-	broken.Checker = append(slices.Clone(prog.Checker), pipeline.ApplyOp{Table: "undeclared"})
-	return &broken
-}
-
 func corpus(t *testing.T) []engine.Checker {
 	t.Helper()
 	chks, err := experiments.CorpusCheckers()
@@ -263,10 +246,6 @@ func corpus(t *testing.T) []engine.Checker {
 func TestEngineMatchesOracle(t *testing.T) {
 	const spine3, spine4 = 3, 4
 	campus, pairs := experiments.CampusEnginePackets(3000, 9)
-	var campusHops uint64
-	for i := range campus {
-		campusHops += uint64(len(campus[i].Hops))
-	}
 	viaSpine4 := func(c engine.Counts) bool {
 		// Campus flows are ECMP-pinned to one of two spines; both halves
 		// must be populated for the halting rows to mean anything.
@@ -283,8 +262,6 @@ func TestEngineMatchesOracle(t *testing.T) {
 		Cond: pipeline.Bin{Op: pipeline.OpEq, X: pipeline.Field{Ref: pipeline.FieldSwitch, Width: 32}, Y: pipeline.C(32, spine4)},
 		Then: []pipeline.Op{pipeline.AssignOp{Dst: pipeline.FieldReject, DstWidth: 1, Src: pipeline.C(1, 1)}},
 	})
-
-	waypointing, _ := checkers.ByKey("waypointing")
 
 	cases := []struct {
 		name      string
@@ -305,7 +282,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 			configure: func(in installFn) error { return experiments.ConfigureReplayEngine(in, pairs) },
 			reference: func(in installFn) error { return configurePlain(in, pairs) },
 			sane: func(o *oracle) bool {
-				return o.counts.Forwarded == o.counts.Packets && o.counts.Errors == 0
+				return o.counts.Forwarded == o.counts.Packets
 			},
 		},
 		{
@@ -334,22 +311,6 @@ func TestEngineMatchesOracle(t *testing.T) {
 			pkts: campus, seen: "tele-reject", configure: none,
 			sane: func(o *oracle) bool {
 				return viaSpine4(o.counts) && seenCells(o.t, o.Install, "tele-reject")[2] == o.counts.Forwarded
-			},
-		},
-		{
-			// A runtime without a VM form is left out of the linked set:
-			// one error per hop, and the packet is forwarded on the word of
-			// the checkers linked either side of it.
-			name: "nolink-checker",
-			chks: []engine.Checker{
-				{Name: "hop-counter", RT: &compiler.Runtime{Prog: compileSrc(t, "hop-counter", hopCounterSrc)}},
-				{Name: "waypointing", RT: &compiler.Runtime{Prog: noVMForm(compileSrc(t, "waypointing", waypointing.Source))}},
-				{Name: "hop-counter-2", RT: &compiler.Runtime{Prog: compileSrc(t, "hop-counter-2", hopCounterSrc)}},
-			},
-			pkts: campus, seen: "hop-counter-2", configure: none,
-			sane: func(o *oracle) bool {
-				return o.counts.Errors == campusHops && o.counts.Forwarded == o.counts.Packets &&
-					o.counts.Reports == 2*campusHops
 			},
 		},
 		{

@@ -19,7 +19,8 @@ type Sequential struct {
 }
 
 // NewSequential builds the single-state executor. Shards, BatchSize and
-// QueueDepth in cfg are ignored.
+// QueueDepth in cfg are ignored; like New, it panics on a checker without
+// a VM form.
 func NewSequential(cfg Config) *Sequential {
 	cfg.Shards = 1
 	return &Sequential{cfg: cfg, s: newShard(0, &cfg)}

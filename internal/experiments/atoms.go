@@ -64,12 +64,12 @@ type AtomsResult struct {
 
 	// ReplayUpdates is the route events replayed at watch time (the
 	// whole FIB); ReplayNsPerUpdate is the cold-start cost per event.
-	ReplayUpdates    uint64
+	ReplayUpdates     uint64
 	ReplayNsPerUpdate float64
 
 	// ChurnUpdates is the mutations driven; ChurnNsPerUpdate is the
 	// steady-state incremental verification cost per mutation.
-	ChurnUpdates    uint64
+	ChurnUpdates     uint64
 	ChurnNsPerUpdate float64
 
 	// MaxAffected/AvgAffected count the atoms rechecked by a single

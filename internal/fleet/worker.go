@@ -239,8 +239,8 @@ func (w *Worker) newSession(pairs [][2]uint32) (*session, error) {
 		return nil, err
 	}
 	for _, c := range chks {
-		// The engine would count one error per hop and carry on; a
-		// worker that cannot run a checker must not report verdicts.
+		// The engine refuses such a checker with a panic; a worker
+		// returns the error to its session instead.
 		if err := c.RT.VMErr(); err != nil {
 			return nil, fmt.Errorf("fleet: checker %s has no VM form: %w", c.Name, err)
 		}

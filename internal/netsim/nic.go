@@ -33,9 +33,10 @@ type HydraNIC struct {
 	blob  []byte
 }
 
-// AttachNIC wires a Hydra NIC to the host, with fresh per-NIC state.
+// AttachNIC wires a Hydra NIC to the host, with fresh per-NIC state. It
+// panics on a runtime without a VM form, as AttachChecker does.
 func (h *Host) AttachNIC(rt *compiler.Runtime, onReport func(*Host, pipeline.Report)) *HydraNIC {
-	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, stage: bytecode.Link(rt.Member(0))}
+	h.nic = &HydraNIC{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport, stage: bytecode.Link(rt.Member())}
 	return h.nic
 }
 
@@ -44,14 +45,12 @@ func (h *Host) NIC() *HydraNIC { return h.nic }
 
 // nicPass runs one block of the NIC's program over the packet's telemetry
 // and delivers the reports; NICs identify as their MAC. A blob shorter
-// than the program's record — or a program with no VM form — is an
-// error: counted, and nothing ran.
+// than the program's record is an error: counted, and nothing ran.
 func (h *Host) nicPass(pkt *dataplane.Decoded, first bool, b bytecode.Blocks) bool {
 	nic := h.nic
 	st := nic.stage
 	st.Row[0] = nic.State
-	err := st.Set.DecodeTele(pkt.Hydra.Blob, st.Ctx.PHV)
-	if err != nil || st.Skipped() > 0 {
+	if err := st.Set.DecodeTele(pkt.Hydra.Blob, st.Ctx.PHV); err != nil {
 		h.ParseErrs++
 		return false
 	}

@@ -179,83 +179,6 @@ func TestResidentHopHeaderAbsence(t *testing.T) {
 	})
 }
 
-// TestCheckerErrorForwardsUnchecked pins what a failing checker
-// execution does at a switch: it is counted in ParseErrors, only that
-// checker's telemetry slot is zero-filled, its neighbours run normally,
-// and the packet is forwarded. The failing program applies an
-// undeclared table, which the VM refuses to compile: the attachment is
-// left out of the switch's linked image.
-func TestCheckerErrorForwardsUnchecked(t *testing.T) {
-	bad := &pipeline.Program{
-		Name:      "bad",
-		Tele:      []pipeline.TeleField{{Name: "hydra_header.junk", Width: 24}},
-		Telemetry: []pipeline.Op{pipeline.ApplyOp{Table: "nope"}},
-	}
-	badRT := &compiler.Runtime{Prog: bad}
-	if badRT.VM() != nil {
-		t.Fatal("the VM compiled a program that applies an undeclared table")
-	}
-
-	sim := NewSimulator()
-	sw := NewSwitch(sim, 7, "mid") // no edge ports: a telemetry-only hop
-	sw.Forwarding = onePortProgram{port: 1}
-	sink := &keepNode{}
-	sw.AttachLink(1, Connect(sim, sw, 1, sink, 0, 0, 0))
-	before := sw.AttachChecker(mustCompileChecker(t, "loop-freedom"), nil)
-	badAt := sw.AttachChecker(badRT, nil)
-	sw.AttachChecker(mustCompileChecker(t, "waypointing"), nil)
-
-	pkt := &dataplane.Decoded{
-		Eth:     dataplane.Ethernet{Type: dataplane.EtherTypeIPv4},
-		HasIPv4: true,
-		IPv4:    dataplane.IPv4{TTL: 8, Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.0.1"), Dst: dataplane.MustIP4("10.0.0.2")},
-		HasUDP:  true,
-		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
-	}
-	size := sw.hydra().Set.TeleWireBytes()
-	blob := make([]byte, size)
-	lo := (before.Runtime.Prog.TeleWireBits() + 7) / 8
-	hi := lo + (badAt.Runtime.Prog.TeleWireBits()+7)/8
-	for i := lo; i < hi; i++ {
-		blob[i] = 0xA5 // garbage in the failing checker's slot
-	}
-	pkt.InsertHydra(blob)
-	sw.Receive(pkt.Serialize(), 2)
-	sim.RunAll()
-
-	if sw.ParseErrors != 1 {
-		t.Fatalf("ParseErrors = %d, want 1", sw.ParseErrors)
-	}
-	if sink.last == nil || sw.TxFrames != 1 || sw.FastTxFrames != 1 {
-		t.Fatalf("packet not forwarded in place: tx=%d fast=%d", sw.TxFrames, sw.FastTxFrames)
-	}
-	fwd, err := dataplane.Parse(sink.last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := fwd.Hydra.Blob
-	if len(got) != size {
-		t.Fatalf("forwarded blob is %d bytes, want %d", len(got), size)
-	}
-	for i := lo; i < hi; i++ {
-		if got[i] != 0 {
-			t.Fatalf("failing checker's slot not zero-filled: %x", got[lo:hi])
-		}
-	}
-	// Both neighbours counted this hop (slot byte 0 is the hop counter).
-	if got[0] != 1 || got[hi] != 1 {
-		t.Fatalf("neighbouring checkers did not run: hop counters %d and %d, want 1 and 1", got[0], got[hi])
-	}
-}
-
-// keepNode is a link endpoint that keeps a copy of the last frame.
-type keepNode struct{ last []byte }
-
-func (*keepNode) NodeName() string { return "keep" }
-func (n *keepNode) Receive(frame []byte, port int) {
-	n.last = append([]byte(nil), frame...)
-}
-
 // TestNICShortBlobForwardsUnchecked pins the VM's decode-error path at
 // its one reachable site, a NIC handed a telemetry blob shorter than
 // its program's record: counted, stripped, and delivered unchecked.
@@ -389,44 +312,26 @@ func TestStateReadPerHop(t *testing.T) {
 	}
 }
 
-// swappedProbeSrc is stateProbeSrc — the same tables and registers —
-// reporting its two values the other way round.
-const swappedProbeSrc = `
-sensor bit<32> seen = 0;
-control bit<32> mark;
-
-{ }
-{ seen += 1; }
-{ report((seen, mark)); }
-`
-
-// TestRelinkOnReplacedAttachment pins when a switch relinks: Checkers is
-// an exported slice, so an entry can be replaced by one holding another
-// runtime without the slice changing length, and the next packet must run
-// the new program, not the image linked from the old one; and a checker
-// attached after traffic has flowed joins the image.
+// TestRelinkOnReplacedAttachment pins when a switch relinks: a checker
+// attached after traffic has flowed joins the image at the next packet,
+// and the one attached before runs on against the state it had.
 func TestRelinkOnReplacedAttachment(t *testing.T) {
-	oldRT := &compiler.Runtime{Prog: compileSource(t, "state-probe", stateProbeSrc)}
-	newRT := &compiler.Runtime{Prog: compileSource(t, "swapped-probe", swappedProbeSrc)}
+	rt := &compiler.Runtime{Prog: compileSource(t, "state-probe", stateProbeSrc)}
 	sim := NewSimulator()
 	sw := edgeSwitch(sim)
 	var got, late [][]uint64
-	setMark(t, sw.AttachChecker(oldRT, reportArgs(&got)).State, 11)
+	setMark(t, sw.AttachChecker(rt, reportArgs(&got)).State, 11)
 	send := func() {
 		sw.Receive(udpPacket().Serialize(), 1)
 		sim.RunAll()
 	}
 	send()
 
-	sw.Checkers[0] = &HydraAttachment{Runtime: newRT, State: newRT.Prog.NewState(), OnReport: reportArgs(&got)}
-	setMark(t, sw.Checkers[0].State, 22)
+	setMark(t, sw.AttachChecker(rt, reportArgs(&late)).State, 33)
 	send()
 
-	setMark(t, sw.AttachChecker(oldRT, reportArgs(&late)).State, 33)
-	send()
-
-	if want := [][]uint64{{11, 1}, {1, 22}, {2, 22}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("replaced attachment reported %v, want %v", got, want)
+	if want := [][]uint64{{11, 1}, {11, 2}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("first attachment reported %v, want %v", got, want)
 	}
 	if want := [][]uint64{{33, 1}}; !reflect.DeepEqual(late, want) {
 		t.Errorf("late attachment reported %v, want %v", late, want)
@@ -436,54 +341,58 @@ func TestRelinkOnReplacedAttachment(t *testing.T) {
 	}
 }
 
-// extraProbeSrc binds a standard path and a program-specific one.
-const extraProbeSrc = `
+// routeProbeSrc binds the source-route head, a program-specific path and a
+// standard one.
+const routeProbeSrc = `
+header bool route_ok @ "hdr.srcRoutes[0].$valid$";
 header bit<32> route_sw @ "hdr.srcRoutes[0].switch_id";
 header bit<16> custom @ "fabric_metadata.custom";
 header bit<16> dport @ "hdr.udp.dport";
 
 { }
 { }
-{ report((route_sw, custom, dport)); }
+{ report((route_ok, route_sw, custom, dport)); }
 `
 
-// extraProgram forwards to port 2 with program-specific header bindings.
-type extraProgram struct{ extra map[string]pipeline.Value }
+// popProgram forwards to port 2, having consumed popped when it is set.
+type popProgram struct{ popped *dataplane.SourceRouteHop }
 
-func (p extraProgram) Process(_ *Switch, _ *dataplane.Decoded, meta *PacketMeta) []Egress {
-	meta.Extra = p.extra
+func (p popProgram) Process(_ *Switch, _ *dataplane.Decoded, meta *PacketMeta) []Egress {
+	if p.popped != nil {
+		meta.Popped, meta.HasPopped = *p.popped, true
+	}
 	return meta.OneEgress(2)
 }
 
 // TestExtraBindingReachesEveryMember attaches two checkers that bind the
-// same paths: a PacketMeta.Extra entry must reach both members' slots,
-// override the standard binding of its path (the source-routing fabric
-// binds hdr.srcRoutes[0].* to the hop it consumed), leave the other
-// standard bindings alone, and be gone at the next packet.
+// same paths: the source-route entry forwarding popped must reach both
+// members as hdr.srcRoutes[0] — over the packet's own head, or with none
+// left (the source-routing fabric pops the last entry at the last hop) —
+// leave the other standard bindings alone, and be gone at the next
+// packet; a program-specific path is absent, since nothing on the wire
+// stores it.
 func TestExtraBindingReachesEveryMember(t *testing.T) {
-	prog := compileSource(t, "extra-probe", extraProbeSrc)
+	prog := compileSource(t, "route-probe", routeProbeSrc)
 	sim := NewSimulator()
 	sw := edgeSwitch(sim)
 	var got [2][][]uint64
 	sw.AttachChecker(&compiler.Runtime{Prog: prog}, reportArgs(&got[0]))
 	sw.AttachChecker(&compiler.Runtime{Prog: prog}, reportArgs(&got[1]))
 
-	pkt := udpPacket()
-	pkt.HasSourceRoute = true
-	pkt.SourceRoute = []dataplane.SourceRouteHop{{SwitchID: 9, Port: 1}, {SwitchID: 10, Port: 2}}
-	send := func(extra map[string]pipeline.Value) {
-		sw.Forwarding = extraProgram{extra: extra}
+	send := func(route []dataplane.SourceRouteHop, popped *dataplane.SourceRouteHop) {
+		pkt := udpPacket()
+		pkt.HasSourceRoute, pkt.SourceRoute = len(route) > 0, route
+		sw.Forwarding = popProgram{popped: popped}
 		sw.Receive(pkt.Serialize(), 1)
 		sim.RunAll()
 	}
-	send(map[string]pipeline.Value{
-		"hdr.srcRoutes[0].switch_id": pipeline.B(32, 77),
-		"fabric_metadata.custom":     pipeline.B(16, 5),
-		"fabric_metadata.unbound":    pipeline.B(16, 6),
-	})
-	send(nil)
+	route := []dataplane.SourceRouteHop{{SwitchID: 9, Port: 1}, {SwitchID: 10, Port: 2, BOS: true}}
+	send(route, &dataplane.SourceRouteHop{SwitchID: 77, Port: 2})
+	send(route, nil)
+	send(nil, &dataplane.SourceRouteHop{SwitchID: 5, Port: 2, BOS: true})
+	send(nil, nil)
 
-	want := [][]uint64{{77, 5, 80}, {9, 0, 80}}
+	want := [][]uint64{{1, 77, 0, 80}, {1, 9, 0, 80}, {1, 5, 0, 80}, {0, 0, 0, 80}}
 	for k := range got {
 		if !reflect.DeepEqual(got[k], want) {
 			t.Errorf("checker %d reported %v, want %v", k, got[k], want)

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/bytecode"
@@ -27,9 +26,12 @@ type PacketMeta struct {
 	// the egress pipeline (the checker still observes it, as the UPF
 	// checker of Figure 9 requires).
 	Drop bool
-	// Extra carries program-specific header bindings for the checker,
-	// keyed by annotation path.
-	Extra map[string]pipeline.Value
+	// Popped is the source-route entry forwarding consumed at this hop,
+	// set when HasPopped: the egress pass runs after the pop, so the
+	// checker reads it as hdr.srcRoutes[0] in place of the entry the
+	// packet now carries.
+	Popped    dataplane.SourceRouteHop
+	HasPopped bool
 
 	// egr backs OneEgress.
 	egr [1]Egress
@@ -48,7 +50,7 @@ func (m *PacketMeta) OneEgress(port int) []Egress {
 func (m *PacketMeta) reset(inPort int) {
 	m.InPort = inPort
 	m.Drop = false
-	m.Extra = nil
+	m.HasPopped = false
 }
 
 // ForwardingProgram is the switch's forwarding behavior — the analogue
@@ -124,10 +126,11 @@ type Switch struct {
 	EdgePorts map[int]bool
 
 	Forwarding ForwardingProgram
-	// Checkers are the attached Hydra programs; several can be linked to
+	// checkers are the attached Hydra programs; several can be linked to
 	// one switch (the §6.2 "all checkers" configuration), each with its
-	// own fixed-size slice of the telemetry blob.
-	Checkers []*HydraAttachment
+	// own fixed-size slice of the telemetry blob. AttachChecker is the one
+	// writer.
+	checkers []*HydraAttachment
 
 	// NICOffload marks a fabric whose first/last-hop duties live on the
 	// end hosts' NICs (the §4.1 future-work extension): the switch never
@@ -157,10 +160,9 @@ type Switch struct {
 	meta      PacketMeta
 	txBuf     []byte
 	injectBuf []byte
-	// stage is Checkers linked into one image and linked the runtime it
-	// holds at each index; see hydra.
-	stage  *bytecode.Stage
-	linked []*compiler.Runtime
+	// stage is checkers linked into one image, nil until the next pass
+	// after an attach; see hydra.
+	stage *bytecode.Stage
 }
 
 // NewSwitch creates a switch with the given identifier.
@@ -240,7 +242,7 @@ func (sw *Switch) process(frame []byte, inPort int) {
 	// forwarding tables rewrite it (e.g. before the UPF decapsulates a
 	// GTP tunnel, which the Figure 9 checker's init block relies on).
 	firstHop := false
-	if len(sw.Checkers) > 0 && !sw.NICOffload && !pkt.HasHydra && sw.EdgePorts[inPort] {
+	if len(sw.checkers) > 0 && !sw.NICOffload && !pkt.HasHydra && sw.EdgePorts[inPort] {
 		sw.inject(pkt, meta, inPort)
 		firstHop = true
 	}
@@ -266,7 +268,7 @@ func (sw *Switch) process(frame []byte, inPort int) {
 		}
 		sw.egress(out, f, shape, meta, inPort, eg.Port, firstHop)
 	}
-	if meta.Drop && len(sw.Checkers) > 0 && len(egresses) == 0 {
+	if meta.Drop && len(sw.checkers) > 0 && len(egresses) == 0 {
 		// The forwarding program dropped the packet outright with no
 		// egress decision: the checker still observes it at this hop so
 		// properties like Figure 9's can fire (modelled as an egress to
@@ -275,22 +277,18 @@ func (sw *Switch) process(frame []byte, inPort int) {
 	}
 }
 
-// hydra returns the switch's checkers as one linked image, relinked when
-// Checkers no longer holds the runtimes it was linked from — one more was
-// attached, or an entry was replaced — with the state row the attachments
-// hold now.
+// hydra returns the switch's checkers as one linked image, relinked after
+// an attach, with the state row the attachments hold now: the control
+// plane and the fault injectors replace an attachment's State to wipe it.
 func (sw *Switch) hydra() *bytecode.Stage {
-	linkedFrom := func(rt *compiler.Runtime, at *HydraAttachment) bool { return rt == at.Runtime }
-	if sw.stage == nil || !slices.EqualFunc(sw.linked, sw.Checkers, linkedFrom) {
-		members := make([]bytecode.Member, len(sw.Checkers))
-		sw.linked = sw.linked[:0]
-		for i, at := range sw.Checkers {
-			members[i] = at.Runtime.Member(i)
-			sw.linked = append(sw.linked, at.Runtime)
+	if sw.stage == nil {
+		members := make([]bytecode.Member, len(sw.checkers))
+		for i, at := range sw.checkers {
+			members[i] = at.Runtime.Member()
 		}
 		sw.stage = bytecode.Link(members...)
 	}
-	for i, at := range sw.Checkers {
+	for i, at := range sw.checkers {
 		sw.stage.Row[i] = at.State
 	}
 	return sw.stage
@@ -299,25 +297,24 @@ func (sw *Switch) hydra() *bytecode.Stage {
 // pass runs one pipeline pass of the linked image over the packet as it is
 // now — before forwarding at ingress, after it at egress; outPort is
 // negative for a packet with no egress port. The telemetry in `in` (empty
-// at the first hop, else at least the image's size) is decoded first; a
-// program-specific binding in meta.Extra overrides a standard one.
+// at the first hop, else at least the image's size) is decoded first; the
+// source-route entry forwarding popped, if any, is hdr.srcRoutes[0]. A
+// program-specific path is absent: nothing on the wire stores it.
 func (sw *Switch) pass(st *bytecode.Stage, in []byte, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) {
 	_ = st.Set.DecodeTele(in, st.Ctx.PHV) // cannot fail: in is empty or long enough
 	st.Ctx.BeginEphemeralReports()
 	h := st.H
 	st.FillPacket(pkt)
-	clear(h[bytecode.NumStdHeaders:])
+	if meta.HasPopped {
+		h[bytecode.HSrcRoute0Valid] = pipeline.BoolV(true)
+		h[bytecode.HSrcRoute0Switch] = pipeline.B(32, uint64(meta.Popped.SwitchID))
+	}
 	h[bytecode.HInPort] = pipeline.B(8, uint64(inPort))
 	h[bytecode.HEgPort] = pipeline.B(8, uint64(max(outPort, 0)))
 	h[bytecode.HSkipFwd] = pipeline.BoolV(meta.Drop)
-	for path, v := range meta.Extra {
-		if i, ok := st.Index(path); ok {
-			h[i] = v
-		}
-	}
 	st.Run(sw.ID, pkt.WireLen(), first, last, b)
 	for i, rep := range st.Ctx.Reports {
-		if at := sw.Checkers[st.Ctx.Owners[i]]; at.OnReport != nil {
+		if at := sw.checkers[st.Ctx.Owners[i]]; at.OnReport != nil {
 			at.OnReport(sw, rep)
 		}
 	}
@@ -351,7 +348,7 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		lastHop = meta.Drop
 	}
 
-	if len(sw.Checkers) > 0 && pkt.HasHydra {
+	if len(sw.checkers) > 0 && pkt.HasHydra {
 		st := sw.hydra()
 		// A blob of exactly the image's size is rewritten in place; a
 		// shorter one is malformed and decodes as empty, a longer one loses
@@ -368,12 +365,8 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		}
 		sw.pass(st, in, pkt, meta, inPort, outPort, firstHop, lastHop, blocks)
 		pkt.Hydra.Blob = st.Set.EncodeTele(dst, st.Ctx.PHV)
-		// A checker that could not be linked must never take down
-		// forwarding: it is counted and the packet goes on unchecked by it.
-		sw.ParseErrors += st.Skipped()
 		rejected := false
-		for k := 0; k < st.Set.Len(); k++ {
-			at := sw.Checkers[st.Set.Owner(k)]
+		for k, at := range sw.checkers[:st.Set.Len()] {
 			if lastHop || at.Runtime.CheckEveryHop {
 				at.Checked++
 			}
@@ -418,17 +411,21 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 // AttachChecker wires an already-compiled runtime plus fresh per-switch
 // state to the switch and returns the attachment for control-plane use.
 // Multiple checkers may be attached; their telemetry shares the Hydra
-// header, each in a statically-sized slot.
+// header, each in a statically-sized slot. The next pass relinks. It
+// panics on a runtime without a VM form: a program that does not compile
+// is refused here, never linked around.
 func (sw *Switch) AttachChecker(rt *compiler.Runtime, onReport func(*Switch, pipeline.Report)) *HydraAttachment {
+	rt.Member() // panics on a program without a VM form
 	at := &HydraAttachment{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport}
-	sw.Checkers = append(sw.Checkers, at)
+	sw.checkers = append(sw.checkers, at)
+	sw.stage = nil
 	return at
 }
 
 // Checker returns the first attached checker, or nil.
 func (sw *Switch) Checker() *HydraAttachment {
-	if len(sw.Checkers) == 0 {
+	if len(sw.checkers) == 0 {
 		return nil
 	}
-	return sw.Checkers[0]
+	return sw.checkers[0]
 }

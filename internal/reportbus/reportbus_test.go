@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,6 +141,37 @@ func TestInlineAggregationWindows(t *testing.T) {
 	b.Close()
 	if m := b.Metrics(); m.EmittedDigests != 5 || m.LiveDigests != 0 || m.Unaccounted() != 0 {
 		t.Fatalf("post-close metrics = %+v", m)
+	}
+}
+
+// TestWindowReopensAfterEmptyingClose pins that a close which empties the
+// table leaves no window open: the next digest opens a fresh one at its
+// own time, so three digests of one key 10 apart aggregate as one, not
+// split by a window still counting from the emptying close.
+func TestWindowReopensAfterEmptyingClose(t *testing.T) {
+	clk := &manualClock{}
+	sink := &CollectExporter{}
+	b := New(Config{Window: 100, Clock: clk.fn(), Exporters: []Exporter{sink}})
+	p := b.InlineProducer("sim")
+
+	p.Publish(DigestFrom("loop", 1, 10, rep(0xA)))
+	p.Publish(DigestFrom("loop", 1, 150, rep(0xB))) // closes the window, emptying the table
+	if n := len(sink.Aggregates()); n != 2 {
+		t.Fatalf("first close emitted %d aggregates, want 2", n)
+	}
+	for _, at := range []int64{500, 510, 520} {
+		p.Publish(DigestFrom("loop", 1, at, rep(0xA)))
+	}
+	p.Publish(DigestFrom("loop", 1, 650, rep(0xB)))
+
+	var counts []uint64
+	for _, a := range sink.Aggregates()[2:] {
+		if a.Args[0] == 0xA {
+			counts = append(counts, a.Count)
+		}
+	}
+	if !slices.Equal(counts, []uint64{3}) {
+		t.Fatalf("key A emitted with counts %v after the emptying close, want one aggregate of 3", counts)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
-	"repro/internal/pipeline"
 )
 
 // Program forwards packets by popping the source-route stack: each entry
@@ -19,7 +18,7 @@ import (
 type Program struct{}
 
 // Process implements netsim.ForwardingProgram. The consumed stack entry
-// is exposed to the checker through bridged metadata (the egress-side
+// is handed to the checker as PacketMeta.Popped (the egress-side
 // telemetry block runs after the pop, so it could not otherwise observe
 // which entry this switch acted on).
 func (Program) Process(_ *netsim.Switch, pkt *dataplane.Decoded, meta *netsim.PacketMeta) []netsim.Egress {
@@ -31,11 +30,7 @@ func (Program) Process(_ *netsim.Switch, pkt *dataplane.Decoded, meta *netsim.Pa
 	if len(pkt.SourceRoute) == 0 {
 		pkt.HasSourceRoute = false
 	}
-	if meta.Extra == nil {
-		meta.Extra = map[string]pipeline.Value{}
-	}
-	meta.Extra["hdr.srcRoutes[0].$valid$"] = pipeline.BoolV(true)
-	meta.Extra["hdr.srcRoutes[0].switch_id"] = pipeline.B(32, uint64(hop.SwitchID))
+	meta.Popped, meta.HasPopped = hop, true
 	return meta.OneEgress(int(hop.Port))
 }
 
