@@ -76,16 +76,23 @@ func (ip *IPv4) Append(buf []byte) []byte {
 	return buf
 }
 
-// Checksum computes the RFC 1071 Internet checksum over b.
+// Checksum computes the RFC 1071 Internet checksum over b. It sums 32-bit
+// big-endian words into 64 bits and folds once at the end: RFC 1071 §2(B)
+// lets a one's-complement sum run over any word size, so the result is the
+// 16-bit loop's.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[:2]))
+	var sum uint64
+	for ; len(b) >= 4; b = b[4:] {
+		sum += uint64(binary.BigEndian.Uint32(b))
+	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		sum += uint64(b[0]) << 8
 	}
+	sum = sum&0xffffffff + sum>>32
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16
 	}

@@ -327,6 +327,61 @@ func TestChecksumRFC1071(t *testing.T) {
 	}
 }
 
+// checksum16 is RFC 1071's loop as the RFC writes it: 16-bit big-endian
+// words, an odd tail byte padded with zero, carries folded at the end.
+func checksum16(b []byte) uint16 {
+	var sum uint32
+	for ; len(b) >= 2; b = b[2:] {
+		sum += uint32(b[0])<<8 | uint32(b[1])
+	}
+	if len(b) == 1 {
+		sum += uint32(b[0]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// TestChecksumMatchesRFC1071Loop holds Checksum to the 16-bit loop on
+// random buffers of every length up to 64, odd ones included, and on
+// all-zero and all-0xFF ones (the two representations of one's-complement
+// zero).
+func TestChecksumMatchesRFC1071Loop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1071))
+	for n := 0; n <= 64; n++ {
+		bufs := [][]byte{make([]byte, n), bytes.Repeat([]byte{0xff}, n)}
+		for i := 0; i < 50; i++ {
+			b := make([]byte, n)
+			rng.Read(b)
+			bufs = append(bufs, b)
+		}
+		for _, b := range bufs {
+			if got, want := Checksum(b), checksum16(b); got != want {
+				t.Fatalf("Checksum(%x) = %04x, the 16-bit loop gives %04x", b, got, want)
+			}
+		}
+	}
+}
+
+// TestIPv4RejectsEverySingleBitFlip flips each bit of a valid header in
+// turn: Decode must refuse every one.
+func TestIPv4RejectsEverySingleBitFlip(t *testing.T) {
+	ip := IPv4{TOS: 0x10, TotalLen: 84, ID: 0xbeef, Flags: 2, TTL: 64, Protocol: ProtoUDP, Src: MustIP4("10.1.2.3"), Dst: MustIP4("192.168.7.9")}
+	hdr := ip.Append(nil)
+	var got IPv4
+	if _, err := got.Decode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*IPv4Len; bit++ {
+		b := bytes.Clone(hdr)
+		b[bit/8] ^= 0x80 >> (bit % 8)
+		if _, err := got.Decode(b); err == nil {
+			t.Errorf("bit %d flipped: header %x decoded", bit, b)
+		}
+	}
+}
+
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	w := NewBitWriter()
 	w.WriteBits(0x5, 3)

@@ -79,6 +79,19 @@ func (c *Compiled) ByPath(trace []HopSpec) []HopSpec {
 	return out
 }
 
+// byName re-keys a trace keyed by annotation path to r's header variable
+// names, ByPath's inverse; a variable whose path is missing reads 0.
+func (r *Runner) byName(trace []HopSpec) []HopSpec {
+	out := make([]HopSpec, len(trace))
+	for i, hs := range trace {
+		out[i] = HopSpec{SW: hs.SW, Headers: map[string]uint64{}, PktLen: hs.PktLen}
+		for name, path := range r.c.Prog.HeaderBindings {
+			out[i].Headers[name] = hs.Headers[path]
+		}
+	}
+	return out
+}
+
 // RunTrace runs the trace solo and linked and returns the agreed
 // outcome per member, or a *Divergence. Headers are keyed by annotation
 // path — one environment for every member; a member's header variable
@@ -88,13 +101,7 @@ func (s *SetRunner) RunTrace(trace []HopSpec) ([]Outcome, error) {
 	var envs [nBackends][][]HopEnv
 	everyHop := false
 	for k, r := range s.Members {
-		hops := make([]HopSpec, len(trace))
-		for i, hs := range trace {
-			hops[i] = HopSpec{SW: hs.SW, Headers: map[string]uint64{}, PktLen: hs.PktLen}
-			for name, path := range r.c.Prog.HeaderBindings {
-				hops[i].Headers[name] = hs.Headers[path]
-			}
-		}
+		hops := r.byName(trace)
 		all, err := r.envs(hops)
 		if err != nil {
 			return nil, fmt.Errorf("member %d: %w", k, err)

@@ -54,11 +54,9 @@ type Host struct {
 	// nic is the optional Hydra NIC offload (see nic.go).
 	nic *HydraNIC
 
-	// rxDec and txBuf are per-host scratch: all of a host's callbacks
-	// run on the one event loop, so one decode target and one serialize
-	// buffer suffice.
+	// rxDec is per-host scratch: all of a host's callbacks run on the one
+	// event loop, so one decode target suffices.
 	rxDec dataplane.Decoded
-	txBuf []byte
 
 	// StackBase and StackJitter model end-host networking-stack latency
 	// (kernel + NIC): each send and receive is delayed by
@@ -160,21 +158,20 @@ func (h *Host) send(pkt *dataplane.Decoded) {
 		panic("netsim: host " + h.Name + " has no link")
 	}
 	h.nicEgress(pkt)
+	// Serialize once, into the pooled buffer the link carries and
+	// releases.
+	wire := pkt.AppendTo(h.sim.AcquireFrame(pkt.WireLen())[:0])
 	if d := h.stackDelay(); d > 0 {
-		wire := pkt.AppendTo(h.sim.AcquireFrame(pkt.WireLen())[:0])
-		h.sim.After(d, func() {
-			h.link.Send(h, wire)
-			h.sim.ReleaseFrame(wire)
-		})
+		h.sim.After(d, func() { h.link.transmit(h, wire) })
 		return
 	}
-	// Serialize into per-host scratch; Link.Send copies before returning.
-	h.txBuf = pkt.AppendTo(h.txBuf[:0])
-	h.link.Send(h, h.txBuf)
+	h.link.transmit(h, wire)
 }
 
 // SendPacket transmits an arbitrary pre-built packet, for substrates
 // (like the Aether base station) that craft their own encapsulations.
+// pkt is serialized before SendPacket returns and not retained, so a
+// caller may build it on its stack and reuse it at once.
 func (h *Host) SendPacket(pkt *dataplane.Decoded) { h.send(pkt) }
 
 func (h *Host) newIPv4(dst dataplane.IP4, proto uint8) dataplane.IPv4 {

@@ -60,10 +60,10 @@ type FaultAction struct {
 
 // LinkFault intercepts frames on the wire — the hook the deterministic
 // fault-injection layer (internal/faults) attaches to. Apply runs once
-// per transmitted frame, after the link has copied it into a pooled
-// buffer: the fault may corrupt buf in place, and the returned action
-// drops, delays, or duplicates the delivery. fromA reports the
-// direction (true for frames sent by the link's a-side endpoint).
+// per transmitted frame, on the pooled buffer the link carries: the
+// fault may corrupt buf in place, and the returned action drops, delays,
+// or duplicates the delivery. fromA reports the direction (true for
+// frames sent by the link's a-side endpoint).
 //
 // The hook is a single nil check when unset: links without faults keep
 // the zero-allocation wire path untouched.
@@ -132,6 +132,15 @@ func Connect(sim *Simulator, a Node, aPort int, b Node, bPort int, bitsPerSec in
 // Send copies the frame into a pooled buffer: the caller keeps
 // ownership of frame and may reuse it as soon as Send returns.
 func (l *Link) Send(from Node, frame []byte) {
+	buf := l.sim.AcquireFrame(len(frame))
+	copy(buf, frame)
+	l.transmit(from, buf)
+}
+
+// transmit is Send for a frame the caller hands over: a buffer from
+// AcquireFrame (or a received frame) that the link now owns, delivers and
+// releases, and that the caller must not touch again.
+func (l *Link) transmit(from Node, frame []byte) {
 	var dir *direction
 	var drops, faultDrops *uint64
 	var sink *linkSink
@@ -158,6 +167,7 @@ func (l *Link) Send(from Node, frame []byte) {
 		backlogBytes := int64(start-now) * l.BitsPerSec / (8 * int64(Second))
 		if backlogBytes > int64(l.QueueBytes) {
 			*drops++
+			sim.ReleaseFrame(frame)
 			return
 		}
 	}
@@ -169,23 +179,21 @@ func (l *Link) Send(from Node, frame []byte) {
 	dir.busyUntil = start + txTime
 
 	arrive := dir.busyUntil + l.PropDelay
-	buf := sim.AcquireFrame(len(frame))
-	copy(buf, frame)
 	if l.Fault != nil {
-		act := l.Fault.Apply(now, fromA, buf)
+		act := l.Fault.Apply(now, fromA, frame)
 		if act.Drop {
 			*faultDrops++
-			sim.ReleaseFrame(buf)
+			sim.ReleaseFrame(frame)
 			return
 		}
 		if act.Duplicate {
-			dup := sim.AcquireFrame(len(buf))
-			copy(dup, buf)
+			dup := sim.AcquireFrame(len(frame))
+			copy(dup, frame)
 			sim.atFrame(arrive+act.DupDelay, sink, dup, sink.to.port)
 		}
 		arrive += act.ExtraDelay
 	}
-	sim.atFrame(arrive, sink, buf, sink.to.port)
+	sim.atFrame(arrive, sink, frame, sink.to.port)
 }
 
 // Peer returns the node and port on the opposite side from `from`.

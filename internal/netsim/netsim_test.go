@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -377,6 +378,82 @@ func TestMulticastClonesTelemetry(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFirstHopMulticastTelemetry floods a packet that enters on an edge
+// port to two uplinks with the corpus attached: the hop that injects is
+// the hop that clones, and each clone must leave with exactly the blob a
+// unicast first hop writes on its port.
+func TestFirstHopMulticastTelemetry(t *testing.T) {
+	rts := make([]*compiler.Runtime, 0, len(checkers.All))
+	for _, key := range corpusKeys() {
+		rts = append(rts, mustCompileChecker(t, key))
+	}
+	frame := (&dataplane.Decoded{
+		Eth:     dataplane.Ethernet{Type: dataplane.EtherTypeIPv4},
+		HasIPv4: true,
+		IPv4:    dataplane.IPv4{TTL: 9, Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.1.1"), Dst: dataplane.MustIP4("10.0.2.1")},
+		HasUDP:  true,
+		UDP:     dataplane.UDP{SrcPort: 4321, DstPort: 53},
+		Payload: make([]byte, 32),
+	}).Serialize()
+	// send runs the frame into a fresh leaf on its edge port 3 and returns
+	// the blob each uplink (ports 1 and 2) received, nil for none.
+	send := func(fwd ForwardingProgram) [3][]byte {
+		sim := NewSimulator()
+		sw := NewSwitch(sim, 1, "leaf")
+		sw.Forwarding = fwd
+		var ups [3]*blobNode
+		for p := 1; p <= 2; p++ {
+			ups[p] = &blobNode{sim: sim}
+			sw.AttachLink(p, Connect(sim, sw, p, ups[p], 0, 0, 0))
+		}
+		host := &nullNode{sim: sim}
+		sw.AttachLink(3, Connect(sim, sw, 3, host, 0, 0, 0))
+		sw.EdgePorts[3] = true
+		for _, rt := range rts {
+			sw.AttachChecker(rt, nil)
+		}
+		sw.Receive(append([]byte(nil), frame...), 3)
+		sim.RunAll()
+		var blobs [3][]byte
+		for p := 1; p <= 2; p++ {
+			if len(ups[p].blobs) > 1 {
+				t.Fatalf("port %d received %d frames", p, len(ups[p].blobs))
+			}
+			if len(ups[p].blobs) == 1 {
+				blobs[p] = ups[p].blobs[0]
+			}
+		}
+		return blobs
+	}
+	flood := send(floodProgram{ports: []int{1, 2}})
+	for p := 1; p <= 2; p++ {
+		uni := send(onePortProgram{port: p})
+		if len(uni[p]) == 0 {
+			t.Fatalf("unicast to port %d carried no telemetry", p)
+		}
+		if !bytes.Equal(flood[p], uni[p]) {
+			t.Errorf("port %d: flooded clone carries %x, unicast first hop %x", p, flood[p], uni[p])
+		}
+	}
+}
+
+// blobNode terminates a link and keeps a copy of the telemetry blob of
+// every frame it receives.
+type blobNode struct {
+	sim   *Simulator
+	blobs [][]byte
+}
+
+func (n *blobNode) NodeName() string { return "blobs" }
+func (n *blobNode) Receive(frame []byte, _ int) {
+	pkt, err := dataplane.Parse(frame)
+	if err != nil {
+		panic(err)
+	}
+	n.blobs = append(n.blobs, bytes.Clone(pkt.Hydra.Blob))
+	n.sim.ReleaseFrame(frame)
 }
 
 type floodProgram struct{ ports []int }

@@ -14,13 +14,20 @@
 // built-in node and expected of custom ones:
 //
 //   - Link.Send copies the frame: the caller keeps ownership of what it
-//     passed in and may reuse it immediately.
+//     passed in and may reuse it immediately. Built-in nodes do not copy:
+//     they serialise a packet once, straight into an AcquireFrame buffer,
+//     and hand that buffer to the link, which owns it from then on. A
+//     switch whose packet keeps its wire shape rewrites the received
+//     frame in place and hands that frame itself on, so it does not
+//     release it.
 //   - Node.Receive transfers ownership of the frame to the receiver.
 //     The frame is borrowed storage — a receiver that retains packet
 //     data past its callback must copy it (Decoded.Clone), and should
-//     hand the buffer back with ReleaseFrame when done. Releasing is
-//     optional (an unreleased frame is just garbage-collected), but a
-//     released frame must not be referenced again.
+//     hand the buffer back with ReleaseFrame when done (a built-in
+//     switch may hand it on to a link instead). Releasing is optional
+//     (an unreleased frame is just garbage-collected), but a frame has
+//     one owner: a released or handed-on frame must not be referenced
+//     again.
 //
 // # One event loop
 //

@@ -61,6 +61,8 @@ type ForwardingProgram interface {
 	// Process inspects (and may rewrite) the packet and returns egress
 	// decisions; returning nil drops the packet. The packet and meta are
 	// borrowed from the switch: they must not be retained past the call.
+	// At a first hop the packet's telemetry is still in the checker's
+	// PHV: its blob has the telemetry's size but reads zero.
 	Process(sw *Switch, pkt *dataplane.Decoded, meta *PacketMeta) []Egress
 }
 
@@ -153,12 +155,11 @@ type Switch struct {
 	FastTxFrames, SlowTxFrames uint64
 
 	// Per-packet scratch. All of a switch's callbacks run on the one
-	// event loop and frame processing never nests (Link.Send defers
+	// event loop and frame processing never nests (a link defers
 	// delivery through the event queue), so one of each suffices per
-	// switch.
+	// switch. injectBuf holds the blob of a packet this switch injected.
 	dec       dataplane.Decoded
 	meta      PacketMeta
-	txBuf     []byte
 	injectBuf []byte
 	// stage is checkers linked into one image, nil until the next pass
 	// after an attach; see hydra.
@@ -223,12 +224,21 @@ func (p *switchPipe) deliverFrame(frame []byte, port int) {
 	(*Switch)(p).process(frame, port)
 }
 
+// process runs the pipeline over a received frame and releases it,
+// unless the fast path handed it on to a link.
 func (sw *Switch) process(frame []byte, inPort int) {
-	defer sw.sim.ReleaseFrame(frame)
+	if !sw.forward(frame, inPort) {
+		sw.sim.ReleaseFrame(frame)
+	}
+}
+
+// forward runs the pipeline over a received frame and reports whether it
+// handed the frame itself to a link.
+func (sw *Switch) forward(frame []byte, inPort int) bool {
 	pkt := &sw.dec
 	if err := dataplane.ParseInto(pkt, frame); err != nil {
 		sw.ParseErrors++
-		return
+		return false
 	}
 	meta := &sw.meta
 	meta.reset(inPort)
@@ -254,27 +264,35 @@ func (sw *Switch) process(frame []byte, inPort int) {
 	}
 	if len(egresses) == 0 && !meta.Drop {
 		sw.Dropped++
-		return
+		return false
 	}
 
 	// --- Egress pipeline per output port: telemetry at every hop,
 	// checker + strip at the last hop (edge egress port).
-	for _, eg := range egresses {
-		out, f := pkt, frame
-		if len(egresses) > 1 {
-			// Multicast: each copy carries independent telemetry, so it
-			// gets its own storage (and no in-place frame).
-			out, f = pkt.Clone(), nil
+	if len(egresses) > 1 {
+		// Multicast: each copy carries independent telemetry, so it gets
+		// its own storage (and no in-place frame). At the first hop the
+		// init pass's telemetry is encoded once, for every clone to decode.
+		if firstHop && pkt.HasHydra {
+			st := sw.hydra()
+			pkt.Hydra.Blob = st.Set.EncodeTele(sw.injectBuf[:0], st.Ctx.PHV)
 		}
-		sw.egress(out, f, shape, meta, inPort, eg.Port, firstHop)
+		for _, eg := range egresses {
+			sw.egress(pkt.Clone(), nil, shape, meta, inPort, eg.Port, firstHop, false)
+		}
+		return false
 	}
-	if meta.Drop && len(sw.checkers) > 0 && len(egresses) == 0 {
+	if len(egresses) == 1 {
+		return sw.egress(pkt, frame, shape, meta, inPort, egresses[0].Port, firstHop, firstHop)
+	}
+	if len(sw.checkers) > 0 {
 		// The forwarding program dropped the packet outright with no
 		// egress decision: the checker still observes it at this hop so
 		// properties like Figure 9's can fire (modelled as an egress to
 		// a drop port).
-		sw.egress(pkt, nil, shape, meta, inPort, -1, firstHop)
+		sw.egress(pkt, nil, shape, meta, inPort, -1, firstHop, firstHop)
 	}
+	return false
 }
 
 // hydra returns the switch's checkers as one linked image, relinked after
@@ -296,12 +314,11 @@ func (sw *Switch) hydra() *bytecode.Stage {
 
 // pass runs one pipeline pass of the linked image over the packet as it is
 // now — before forwarding at ingress, after it at egress; outPort is
-// negative for a packet with no egress port. The telemetry in `in` (empty
-// at the first hop, else at least the image's size) is decoded first; the
+// negative for a packet with no egress port — on the telemetry in the
+// stage's PHV, which the caller decoded or left from the init pass. The
 // source-route entry forwarding popped, if any, is hdr.srcRoutes[0]. A
 // program-specific path is absent: nothing on the wire stores it.
-func (sw *Switch) pass(st *bytecode.Stage, in []byte, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) {
-	_ = st.Set.DecodeTele(in, st.Ctx.PHV) // cannot fail: in is empty or long enough
+func (sw *Switch) pass(st *bytecode.Stage, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) {
 	st.Ctx.BeginEphemeralReports()
 	h := st.H
 	st.FillPacket(pkt)
@@ -321,21 +338,33 @@ func (sw *Switch) pass(st *bytecode.Stage, in []byte, pkt *dataplane.Decoded, me
 }
 
 // inject runs first-hop injection: a Hydra header is inserted and every
-// checker's init block runs over the decode-empty telemetry image, which
-// is then encoded into the switch's reused inject buffer.
+// checker's init block runs over the decode-empty telemetry image. The
+// telemetry stays in the stage's PHV for the egress pass, which encodes it
+// only if the packet leaves on the wire. Until then the header carries a
+// zeroed blob of the image's size in the switch's inject buffer, so the
+// packet has its wire length for forwarding and the egress pass.
 func (sw *Switch) inject(pkt *dataplane.Decoded, meta *PacketMeta, inPort int) {
 	st := sw.hydra()
 	pkt.InsertHydra(nil)
-	sw.pass(st, nil, pkt, meta, inPort, -1, true, false, bytecode.BlockInit)
-	sw.injectBuf = st.Set.EncodeTele(sw.injectBuf[:0], st.Ctx.PHV)
-	pkt.Hydra.Blob = sw.injectBuf
+	_ = st.Set.DecodeTele(nil, st.Ctx.PHV) // the decode-empty image
+	sw.pass(st, pkt, meta, inPort, -1, true, false, bytecode.BlockInit)
+	n := st.Set.TeleWireBytes()
+	if cap(sw.injectBuf) < n {
+		sw.injectBuf = make([]byte, n)
+	}
+	pkt.Hydra.Blob = sw.injectBuf[:n]
+	clear(pkt.Hydra.Blob)
 }
 
-// egress runs the per-hop egress pipeline for one output port. frame,
-// when non-nil, is the received frame backing pkt's blob and payload;
-// if the wire shape is unchanged the rewritten packet is serialized in
-// place over it and sent without allocating.
-func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, meta *PacketMeta, inPort, outPort int, firstHop bool) {
+// egress runs the per-hop egress pipeline for one output port and
+// reports whether it handed frame to the link. frame, when non-nil, is
+// the received frame backing pkt's blob and payload; if the wire shape is
+// unchanged the rewritten packet is serialized in place over it and the
+// link carries it on. resident marks a first hop's packet whose telemetry
+// is still in the stage's PHV, where the init pass left it: the egress
+// pass runs on it with no decode. A hop encodes only a blob that leaves
+// on the wire, once, after its pass.
+func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, meta *PacketMeta, inPort, outPort int, firstHop, resident bool) bool {
 	// A packet leaving through a host-facing port — or being dropped by
 	// the forwarding program — is at its last hop: the checker must run
 	// now or never (the Figure 9 property explicitly inspects packets
@@ -348,23 +377,32 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		lastHop = meta.Drop
 	}
 
+	// tele is the stage whose PHV holds telemetry still to be encoded
+	// into dst's storage; nil when there is none.
+	var tele *bytecode.Stage
+	var dst []byte
 	if len(sw.checkers) > 0 && pkt.HasHydra {
 		st := sw.hydra()
-		// A blob of exactly the image's size is rewritten in place; a
-		// shorter one is malformed and decodes as empty, a longer one loses
-		// its tail — both re-encoded into fresh storage.
-		in, blocks := pkt.Hydra.Blob, bytecode.BlockTelemetry
-		var dst []byte
-		if n := st.Set.TeleWireBytes(); len(in) == n {
-			dst = in[:0]
-		} else if len(in) < n {
-			in = nil
+		if resident {
+			// The first hop's blob is encoded into the inject buffer.
+			dst = sw.injectBuf[:0]
+		} else {
+			// A blob of exactly the image's size is rewritten in place; a
+			// shorter one is malformed and decodes as empty, a longer one
+			// loses its tail — both re-encoded into fresh storage.
+			in := pkt.Hydra.Blob
+			if n := st.Set.TeleWireBytes(); len(in) == n {
+				dst = in[:0]
+			} else if len(in) < n {
+				in = nil
+			}
+			_ = st.Set.DecodeTele(in, st.Ctx.PHV) // cannot fail: in is empty or long enough
 		}
+		blocks := bytecode.BlockTelemetry
 		if lastHop {
 			blocks |= bytecode.BlockChecker
 		}
-		sw.pass(st, in, pkt, meta, inPort, outPort, firstHop, lastHop, blocks)
-		pkt.Hydra.Blob = st.Set.EncodeTele(dst, st.Ctx.PHV)
+		sw.pass(st, pkt, meta, inPort, outPort, firstHop, lastHop, blocks)
 		rejected := false
 		for k, at := range sw.checkers[:st.Set.Len()] {
 			if lastHop || at.Runtime.CheckEveryHop {
@@ -376,36 +414,42 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 			}
 		}
 		if rejected {
-			return // a checker halts the packet (reject, §2)
+			return false // a checker halts the packet (reject, §2)
 		}
 		if lastHop {
 			pkt.StripHydra()
+		} else {
+			tele = st
 		}
 	}
 
 	if meta.Drop || outPort < 0 {
 		sw.Dropped++
-		return
+		return false
 	}
 	link := sw.links[outPort]
 	if link == nil {
 		sw.Dropped++
-		return
+		return false
+	}
+	if tele != nil {
+		pkt.Hydra.Blob = tele.Set.EncodeTele(dst, tele.Ctx.PHV)
 	}
 	sw.TxFrames++
 	// Fast path: same wire shape as at parse means every offset is
 	// unchanged — rewrite the received frame in place (header field and
 	// telemetry updates land at their old offsets; blob and payload
-	// copies are identity memmoves). Inject, strip, encap/decap, and
-	// source-route edits all change the shape and take the slow path.
+	// copies are identity memmoves) and hand it to the link. Inject,
+	// strip, encap/decap, and source-route edits all change the shape and
+	// take the slow path: one serialization into a fresh pooled frame.
 	if frame != nil && pkt.WireLen() == len(frame) && shapeOf(pkt) == shape {
 		sw.FastTxFrames++
-		link.Send(sw, pkt.AppendTo(frame[:0]))
-		return
+		link.transmit(sw, pkt.AppendTo(frame[:0]))
+		return true
 	}
 	sw.SlowTxFrames++
-	sw.txBuf = pkt.AppendTo(sw.txBuf[:0])
-	link.Send(sw, sw.txBuf)
+	link.transmit(sw, pkt.AppendTo(sw.sim.AcquireFrame(pkt.WireLen())[:0]))
+	return false
 }
 
 // AttachChecker wires an already-compiled runtime plus fresh per-switch

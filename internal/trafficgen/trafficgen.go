@@ -164,13 +164,25 @@ func (g *Campus) Next() Packet {
 }
 
 // Decode builds the wire packet for a trace record (payload zeroed, as
-// the anonymizer discards payloads).
+// the anonymizer discards payloads). The payload is a read-only view of
+// a shared zero array, its capacity its length so an append copies: a
+// caller that writes into it must Clone the packet first. Decode inlines,
+// so a caller that does not keep the packet can have it on its stack.
 func (p Packet) Decode() *dataplane.Decoded {
-	d := &dataplane.Decoded{
-		Eth:     dataplane.Ethernet{Type: dataplane.EtherTypeIPv4},
-		HasIPv4: true,
-		IPv4:    dataplane.IPv4{TTL: 64, Protocol: p.Proto, Src: p.Src, Dst: p.Dst},
-	}
+	d := new(dataplane.Decoded)
+	p.fill(d)
+	return d
+}
+
+// zeroPayload backs every decoded payload up to its size; nothing writes
+// it.
+var zeroPayload [1 << 16]byte
+
+// fill writes the record's headers and payload into the zero packet d.
+func (p Packet) fill(d *dataplane.Decoded) {
+	d.Eth = dataplane.Ethernet{Type: dataplane.EtherTypeIPv4}
+	d.HasIPv4 = true
+	d.IPv4 = dataplane.IPv4{TTL: 64, Protocol: p.Proto, Src: p.Src, Dst: p.Dst}
 	overhead := dataplane.EthernetLen + dataplane.IPv4Len
 	switch p.Proto {
 	case dataplane.ProtoUDP:
@@ -182,10 +194,12 @@ func (p Packet) Decode() *dataplane.Decoded {
 		d.TCP = dataplane.TCP{SrcPort: p.Sport, DstPort: p.Dport, Window: 65535}
 		overhead += dataplane.TCPLen
 	}
-	if pay := p.Size - overhead; pay > 0 {
+	switch pay := p.Size - overhead; {
+	case pay > len(zeroPayload):
 		d.Payload = make([]byte, pay)
+	case pay > 0:
+		d.Payload = zeroPayload[:pay:pay]
 	}
-	return d
 }
 
 // FlowKey returns the record's 5-tuple — the shard-affinity unit the
