@@ -48,16 +48,21 @@ type Deployment struct {
 	ipID    uint16
 }
 
+// knownApps lists the application endpoints the Hydra app expands intent
+// over: the edge server on UDP ports 80-82 and TCP 80, and the Internet
+// host's DNS.
+var knownApps = []AppEndpoint{
+	{IP: ServerAddr, Proto: dataplane.ProtoUDP, Ports: []uint16{80, 81, 82}},
+	{IP: ServerAddr, Proto: dataplane.ProtoTCP, Ports: []uint16{80}},
+	{IP: InetAddr, Proto: dataplane.ProtoUDP, Ports: []uint16{53}},
+}
+
 // Options configures the build.
 type Options struct {
 	// WithChecker deploys the Figure 9 application-filtering checker on
 	// every switch through a controlplane.Controller and starts the
 	// Hydra control-plane app on it.
 	WithChecker bool
-	// KnownApps lists the application endpoints the Hydra app expands
-	// intent over; defaults to the edge server on UDP ports 80-82 and
-	// TCP 80.
-	KnownApps []AppEndpoint
 	// FixedONOS enables the repaired controller (no Figure 11 bug).
 	FixedONOS bool
 }
@@ -133,20 +138,12 @@ func Build(sim *netsim.Simulator, opts Options) *Deployment {
 	d.Core = NewMobileCore(d.ONOS)
 
 	if opts.WithChecker {
-		apps := opts.KnownApps
-		if apps == nil {
-			apps = []AppEndpoint{
-				{IP: ServerAddr, Proto: dataplane.ProtoUDP, Ports: []uint16{80, 81, 82}},
-				{IP: ServerAddr, Proto: dataplane.ProtoTCP, Ports: []uint16{80}},
-				{IP: InetAddr, Proto: dataplane.ProtoUDP, Ports: []uint16{53}},
-			}
-		}
 		d.Bus = reportbus.New(reportbus.Config{Clock: func() int64 { return int64(sim.Now()) }})
 		ctl := controlplane.NewController(d.Bus)
 		if err := ctl.Deploy(checkerName, checkers.MustParse("app-filtering"), d.Switches()...); err != nil {
 			panic(fmt.Sprintf("aether: %v", err))
 		}
-		d.HydraApp = NewHydraApp(d.Core, ctl, d.Bus, apps)
+		d.HydraApp = NewHydraApp(d.Core, ctl, d.Bus, knownApps)
 	}
 	return d
 }

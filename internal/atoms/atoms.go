@@ -92,12 +92,28 @@ func (x Violation) String() string {
 	return fmt.Sprintf("%s at switch %d for host %s (%s)", x.Kind, x.Switch, x.Host, rng)
 }
 
-// violKey identifies a violation within one atom; the range is the
-// atom's own and is materialized only at report time.
+// violKey identifies a violation within one atom; its range is
+// materialized only at report time (span).
 type violKey struct {
 	kind Kind
 	sw   uint32
 	host uint32
+}
+
+// span is the range [lo, hi) a violation covers in atom a: a loop is a
+// property of the whole atom, a delivery violation concerns its host's
+// address alone, wherever routes happen to split the space.
+func (k violKey) span(a *atom) (lo, hi uint64) {
+	if k.kind == KindLoop {
+		return a.lo, a.hi
+	}
+	return uint64(k.host), uint64(k.host) + 1
+}
+
+// within reports whether a violation can hold in the range [lo, hi): a
+// loop anywhere, a delivery violation only where its host is.
+func (k violKey) within(lo, hi uint64) bool {
+	return k.kind == KindLoop || lo <= uint64(k.host) && uint64(k.host) < hi
 }
 
 // Update summarizes the incremental work one mutation caused — the
@@ -299,8 +315,10 @@ func (v *Verifier) find(addr uint64) int {
 
 // splitAt ensures an atom boundary exists at addr, splitting the
 // containing atom if needed. The new right half inherits the left's
-// owners and violations (both ranges had identical forwarding, so the
-// checks' outcomes are identical by construction — no recheck needed).
+// owners; each half keeps the violations that hold within it (both had
+// identical forwarding, so the loop check's outcome is identical by
+// construction and a delivery check's follows its host — no recheck
+// needed).
 func (v *Verifier) splitAt(addr uint64, u *Update) {
 	if addr == 0 || addr >= 1<<32 {
 		return
@@ -311,11 +329,17 @@ func (v *Verifier) splitAt(addr uint64, u *Update) {
 		return
 	}
 	b := &atom{lo: addr, hi: a.hi, owner: append([]int32(nil), a.owner...)}
-	if len(a.viols) > 0 {
-		b.viols = make(map[violKey]struct{}, len(a.viols))
-		for k := range a.viols {
+	for k := range a.viols {
+		if k.within(b.lo, b.hi) {
+			if b.viols == nil {
+				b.viols = make(map[violKey]struct{}, len(a.viols))
+			}
 			b.viols[k] = struct{}{}
 			v.stats.Outstanding++
+		}
+		if !k.within(a.lo, addr) {
+			delete(a.viols, k)
+			v.stats.Outstanding--
 		}
 	}
 	a.hi = addr
@@ -469,9 +493,10 @@ func (v *Verifier) recheck(a *atom, u *Update) {
 }
 
 func (v *Verifier) materialize(a *atom, k violKey) Violation {
+	lo, hi := k.span(a)
 	return Violation{
 		Kind: k.kind, Switch: k.sw, Host: dataplane.IP4(k.host),
-		Lo: dataplane.IP4(a.lo), Hi: dataplane.IP4(a.hi - 1),
+		Lo: dataplane.IP4(lo), Hi: dataplane.IP4(hi - 1),
 	}
 }
 
@@ -603,11 +628,12 @@ func (v *Verifier) Outstanding() []Violation {
 	spans := map[violKey][]span{}
 	for _, a := range v.atos {
 		for k := range a.viols {
+			lo, hi := k.span(a)
 			ss := spans[k]
-			if n := len(ss); n > 0 && ss[n-1].hi == a.lo {
-				ss[n-1].hi = a.hi
+			if n := len(ss); n > 0 && ss[n-1].hi == lo {
+				ss[n-1].hi = hi
 			} else {
-				ss = append(ss, span{a.lo, a.hi})
+				ss = append(ss, span{lo, hi})
 			}
 			spans[k] = ss
 		}

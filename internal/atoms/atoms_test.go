@@ -127,6 +127,42 @@ func TestDeliveryChecks(t *testing.T) {
 	}
 }
 
+// TestSplitMovesDeliveryWithHost: a delivery violation belongs to the
+// atom holding its host. A split leaves no copy in a piece without the
+// host (nothing would ever recheck it), and the violation covers the
+// host's address alone, however wide its atom.
+func TestSplitMovesDeliveryWithHost(t *testing.T) {
+	v := triangle()
+	host := ip("10.0.0.200")
+	v.AttachHost(3, 8, host)
+	v.Install(3, ip("10.0.0.0"), 24, []int{8})
+	v.ExpectHost(host) // blackholed at switches 1 and 2, in the atom 10.0.0.0/24
+	want := func(what string, n int) {
+		t.Helper()
+		out := v.Outstanding()
+		if len(out) != n {
+			t.Fatalf("%s: Outstanding = %v, want %d violations", what, out, n)
+		}
+		for _, x := range out {
+			if x.Kind != KindBlackhole || x.Lo != host || x.Hi != host {
+				t.Fatalf("%s: %v, want a blackhole for %s alone", what, x, host)
+			}
+		}
+	}
+	want("wide atom", 2)
+	// Split the atom around a /26 that misses the host: the host's
+	// violations stay in its piece only.
+	v.Install(1, ip("10.0.0.128"), 26, []int{1})
+	want("after split", 2)
+	// Repair with /32s that recheck the host's atom alone.
+	v.Install(1, host, 32, []int{1})
+	v.Install(2, host, 32, []int{1})
+	want("after repair", 0)
+	if st := v.Stats(); st.Outstanding != 0 {
+		t.Fatalf("Stats().Outstanding = %d after repair", st.Outstanding)
+	}
+}
+
 // TestECMPAllPaths pins the all-paths semantics: one bad member of an
 // ECMP port set is a violation even though the other members deliver.
 func TestECMPAllPaths(t *testing.T) {

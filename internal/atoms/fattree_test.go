@@ -2,6 +2,7 @@ package atoms
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -11,10 +12,15 @@ import (
 // podPrefix is pod p's /16 (10.<p>.0.0), the prefix the cores route on.
 func podPrefix(p int) dataplane.IP4 { return dataplane.IP4(uint32(10)<<24 | uint32(p)<<16) }
 
-func watchFatTree(t *testing.T, k int) (*netsim.FatTree, *Verifier) {
+// watchFatTree builds a k-ary fat-tree, applies muts to its FIBs, and
+// only then builds a verifier over it, expecting every host.
+func watchFatTree(t *testing.T, k int, muts ...func(*netsim.FatTree)) (*netsim.FatTree, *Verifier) {
 	t.Helper()
 	sim := netsim.NewSimulator()
 	ft := netsim.BuildFatTree(sim, netsim.FatTreeConfig{K: k, WithRouting: true})
+	for _, mut := range muts {
+		mut(ft)
+	}
 	v := New()
 	WatchFabric(v, ft.AllSwitches())
 	half := k / 2
@@ -162,3 +168,59 @@ func TestFatTreePerturbations(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalMatchesRecomputation is Delta-net's own oracle: after
+// every step of a seeded churn on a k=4 fat-tree — host /32 and core /16
+// withdrawals and reinstalls, and misrouted entries (a host /32 on a
+// core among them, whose withdrawal hands the host back to the /16),
+// left in place as they accumulate — a verifier built from scratch on
+// the current FIBs must see the same violations and the same route count
+// as the one that followed every mutation incrementally. Outstanding
+// merges contiguous atoms, so where the two split the address space does
+// not matter.
+func TestIncrementalMatchesRecomputation(t *testing.T) {
+	const k, half, steps = 4, 2, 240
+	live, v := watchFatTree(t, k)
+	rng := rand.New(rand.NewSource(39))
+
+	// log replays the mutations so far on a fabric built from scratch.
+	var log []func(*netsim.FatTree)
+	for step := 0; step < steps; step++ {
+		p, e, h := rng.Intn(k), rng.Intn(half), rng.Intn(half)
+		g, j := rng.Intn(half), rng.Intn(half)
+		host := netsim.FatTreeHostIP(p, e, h)
+		var mut func(*netsim.FatTree)
+		switch rng.Intn(8) {
+		case 0:
+			mut = func(ft *netsim.FatTree) { l3(ft.Edge[p][e]).RemoveRoute(host, 32) }
+		case 1:
+			mut = func(ft *netsim.FatTree) { l3(ft.Edge[p][e]).AddRoute(host, 32, h+1) }
+		case 2:
+			mut = func(ft *netsim.FatTree) { l3(ft.Edge[p][e]).AddRoute(host, 32, (h+1)%half+1) }
+		case 3:
+			mut = func(ft *netsim.FatTree) { l3(ft.Core[g][j]).RemoveRoute(podPrefix(p), 16) }
+		case 4:
+			mut = func(ft *netsim.FatTree) { l3(ft.Core[g][j]).AddRoute(podPrefix(p), 16, p+1) }
+		case 5:
+			mut = func(ft *netsim.FatTree) { l3(ft.Core[g][j]).AddRoute(podPrefix(p), 16, (p+1)%k+1) }
+		case 6:
+			mut = func(ft *netsim.FatTree) { l3(ft.Core[g][j]).AddRoute(host, 32, (p+1)%k+1) }
+		case 7:
+			// The pod /16 (if present) takes the host back over.
+			mut = func(ft *netsim.FatTree) { l3(ft.Core[g][j]).RemoveRoute(host, 32) }
+		}
+		mut(live)
+		log = append(log, mut)
+
+		_, w := watchFatTree(t, k, log...)
+		if got, want := v.Outstanding(), w.Outstanding(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: incremental violations %v, recomputed %v", step, got, want)
+		}
+		if got, want := v.Stats().Routes, w.Stats().Routes; got != want {
+			t.Fatalf("step %d: incremental verifier holds %d routes, recomputed %d", step, got, want)
+		}
+	}
+}
+
+// l3 is a fat-tree switch's routing program.
+func l3(sw *netsim.Switch) *netsim.L3Program { return sw.Forwarding.(*netsim.L3Program) }

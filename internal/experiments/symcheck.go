@@ -112,7 +112,7 @@ func RunSymcheck(cfg SymcheckConfig) (SymcheckResult, error) {
 // and frontier.
 func symcheckOne(member int, corpus []*difftest.Compiled) (SymcheckRow, []symexec.FrontierPair, error) {
 	key := checkers.All[member].Key
-	ex, err := symexec.ForChecker(key, symexec.Config{})
+	ex, err := symexec.ForChecker(key)
 	if err != nil {
 		return SymcheckRow{}, nil, err
 	}
@@ -227,7 +227,7 @@ func symcheckOne(member int, corpus []*difftest.Compiled) (SymcheckRow, []symexe
 // writeFuzzSeed renders the first hop of a frontier-violating trace
 // onto the wire and writes it as a Go fuzz corpus seed for FuzzParse.
 func writeFuzzSeed(dir, key string, tr symexec.Trace) error {
-	ex, err := symexec.ForChecker(key, symexec.Config{})
+	ex, err := symexec.ForChecker(key)
 	if err != nil {
 		return err
 	}

@@ -40,12 +40,6 @@ type FatTree struct {
 type FatTreeConfig struct {
 	// K is the arity; must be even (default 4).
 	K int
-	// LinkBps is the line rate of every link (default 10 Gb/s).
-	LinkBps int64
-	// PropDelay is per-link propagation (default 1 µs).
-	PropDelay Time
-	// QueueBytes bounds each link queue (default 512 KiB).
-	QueueBytes int
 	// WithRouting installs two-level LPM + ECMP forwarding on every
 	// switch.
 	WithRouting bool
@@ -65,15 +59,6 @@ func BuildFatTree(sim *Simulator, cfg FatTreeConfig) *FatTree {
 	}
 	if cfg.K%2 != 0 || cfg.K < 2 {
 		panic(fmt.Sprintf("netsim: fat-tree arity %d is not even", cfg.K))
-	}
-	if cfg.LinkBps == 0 {
-		cfg.LinkBps = 10_000_000_000
-	}
-	if cfg.PropDelay == 0 {
-		cfg.PropDelay = Microsecond
-	}
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = 512 << 10
 	}
 	k := cfg.K
 	half := k / 2
@@ -101,8 +86,7 @@ func BuildFatTree(sim *Simulator, cfg FatTreeConfig) *FatTree {
 	}
 
 	connect := func(a *Switch, ap int, b *Switch, bp int) *Link {
-		lk := Connect(sim, a, ap, b, bp, cfg.LinkBps, cfg.PropDelay)
-		lk.QueueBytes = cfg.QueueBytes
+		lk := fabricLink(sim, a, ap, b, bp, fabricLinkBps)
 		a.AttachLink(ap, lk)
 		b.AttachLink(bp, lk)
 		return lk
@@ -143,8 +127,7 @@ func BuildFatTree(sim *Simulator, cfg FatTreeConfig) *FatTree {
 				mac := dataplane.MACFromUint64(uint64(p+1)<<16 | uint64(e+1)<<8 | uint64(h+1))
 				host := NewHost(sim, fmt.Sprintf("h%d_%d_%d", p, e, h), mac, FatTreeHostIP(p, e, h))
 				host.GatewayMAC = dataplane.MACFromUint64(0xE0_0000 | uint64(p)<<8 | uint64(e))
-				lk := Connect(sim, ft.Edge[p][e], h+1, host, 0, cfg.LinkBps, cfg.PropDelay)
-				lk.QueueBytes = cfg.QueueBytes
+				lk := fabricLink(sim, ft.Edge[p][e], h+1, host, 0, fabricLinkBps)
 				ft.Edge[p][e].AttachLink(h+1, lk)
 				host.AttachLink(lk)
 				ft.Edge[p][e].EdgePorts[h+1] = true

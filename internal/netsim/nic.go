@@ -12,10 +12,13 @@ import (
 // to the NIC at end hosts." The sending host's NIC injects the
 // telemetry header and runs the init block; the receiving host's NIC
 // runs the checker block, enforces reject, and strips the header before
-// the packet reaches the host stack. Fabric switches then only run the
-// telemetry block (set Switch.NICOffload), which §4.3 notes makes Hydra
-// deployable on cores that "are not fully programmable but can run
-// telemetry".
+// the packet reaches the host stack. Placement is per port and derived:
+// the switch in front of a host with a Hydra NIC does not inject its
+// packets (they arrive with a header) and does not check or strip the
+// packets it sends it, so a fabric whose hosts all have NICs only runs
+// the telemetry block, which §4.3 notes makes Hydra deployable on cores
+// that "are not fully programmable but can run telemetry". A switch
+// still checks a packet its forwarding drops: it never reaches a NIC.
 type HydraNIC struct {
 	Runtime *compiler.Runtime
 	State   *pipeline.State

@@ -22,7 +22,6 @@ func buildNICFabric(t *testing.T, key string) (*Simulator, *LeafSpine, *compiler
 	}
 	rt := &compiler.Runtime{Prog: prog}
 	for _, sw := range ls.AllSwitches() {
-		sw.NICOffload = true
 		sw.AttachChecker(rt, nil)
 	}
 	for _, hosts := range ls.Hosts {
@@ -130,6 +129,61 @@ func TestNICOffloadEnforcesWaypointing(t *testing.T) {
 	for _, sw := range ls.AllSwitches() {
 		if sw.Checker().Rejected != 0 {
 			t.Fatalf("%s rejected despite NIC offload", sw.Name)
+		}
+	}
+}
+
+// TestNICPlacementPerPort mixes placements on one leaf: leaf 2's host A
+// has a Hydra NIC and host B does not. Each switch port takes the
+// first- and last-hop duties unless the host behind it has a NIC, so
+// every delivered packet is checked exactly once — A's inbound traffic
+// at A's NIC, B's at the leaf — and no host stack sees a Hydra header.
+func TestNICPlacementPerPort(t *testing.T) {
+	sim := NewSimulator()
+	ls := BuildLeafSpine(sim, LeafSpineConfig{Leaves: 2, Spines: 2, HostsPerLeaf: 2, WithRouting: true})
+	info := checkers.MustParse("loop-freedom")
+	prog, err := compiler.Compile(info, compiler.Options{Name: "loop-freedom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &compiler.Runtime{Prog: prog}
+	for _, sw := range ls.AllSwitches() {
+		sw.AttachChecker(rt, nil)
+	}
+	c, a, b := ls.Host(0, 0), ls.Host(1, 0), ls.Host(1, 1)
+	nicA := a.AttachNIC(rt, nil)
+	a.RecordAll, b.RecordAll = true, true
+
+	a.SendUDP(b.IP, 1001, 80, 64)
+	b.SendUDP(a.IP, 1002, 80, 64)
+	c.SendUDP(a.IP, 1003, 80, 64)
+	c.SendUDP(b.IP, 1004, 80, 64)
+	sim.RunAll()
+
+	if a.RxUDP != 2 || b.RxUDP != 2 {
+		t.Fatalf("delivered A=%d B=%d, want 2 each", a.RxUDP, b.RxUDP)
+	}
+	checked := nicA.Checked
+	for _, sw := range ls.AllSwitches() {
+		checked += sw.Checker().Checked
+	}
+	if delivered := a.RxUDP + b.RxUDP; checked != delivered {
+		t.Fatalf("checked %d times for %d delivered packets", checked, delivered)
+	}
+	if nicA.Checked != a.RxUDP {
+		t.Fatalf("A's NIC checked %d of A's %d inbound packets", nicA.Checked, a.RxUDP)
+	}
+	if leaf2 := ls.Leaves[1].Checker().Checked; leaf2 != b.RxUDP {
+		t.Fatalf("leaf 2 checked %d packets, want B's %d", leaf2, b.RxUDP)
+	}
+	if nicA.Injected != 1 {
+		t.Fatalf("A's NIC injected %d, want its one packet", nicA.Injected)
+	}
+	for _, h := range []*Host{a, b} {
+		for _, r := range h.Received {
+			if r.Pkt.HasHydra {
+				t.Fatalf("%s's stack received a Hydra header", h.Name)
+			}
 		}
 	}
 }

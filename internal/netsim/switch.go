@@ -114,6 +114,12 @@ func shapeOf(pkt *dataplane.Decoded) wireShape {
 	}
 }
 
+// pipelineLatency models the fixed ingress+egress pipeline delay of a
+// hardware switch. It is constant by construction — a Tofino pipeline
+// takes the same time regardless of program — which is why the paper
+// finds no latency difference with checkers on (§6.2).
+const pipelineLatency = 500 * Nanosecond
+
 // Switch is a programmable switch: a forwarding program, an optional
 // Hydra checker, ports wired to links, and a fixed pipeline latency.
 type Switch struct {
@@ -124,7 +130,9 @@ type Switch struct {
 	links map[int]*Link
 	// EdgePorts marks host-facing ports: Hydra injects telemetry when a
 	// packet enters on an edge port and strips + checks when it leaves
-	// through one (§4.1).
+	// through one (§4.1), unless the host behind the port has a Hydra
+	// NIC, which then takes those duties: its packets arrive with a
+	// header already, and they leave with theirs for the NIC to check.
 	EdgePorts map[int]bool
 
 	Forwarding ForwardingProgram
@@ -133,17 +141,6 @@ type Switch struct {
 	// own fixed-size slice of the telemetry blob. AttachChecker is the one
 	// writer.
 	checkers []*HydraAttachment
-
-	// NICOffload marks a fabric whose first/last-hop duties live on the
-	// end hosts' NICs (the §4.1 future-work extension): the switch never
-	// injects, strips, or checks — it only runs telemetry blocks.
-	NICOffload bool
-
-	// PipelineLatency models the fixed ingress+egress pipeline delay of
-	// a hardware switch. It is constant by construction — a Tofino
-	// pipeline takes the same time regardless of program — which is why
-	// the paper finds no latency difference with checkers on (§6.2).
-	PipelineLatency Time
 
 	// Counters.
 	RxFrames, TxFrames, Dropped uint64
@@ -169,12 +166,11 @@ type Switch struct {
 // NewSwitch creates a switch with the given identifier.
 func NewSwitch(sim *Simulator, id uint32, name string) *Switch {
 	sw := &Switch{
-		ID:              id,
-		Name:            name,
-		sim:             sim,
-		links:           map[int]*Link{},
-		EdgePorts:       map[int]bool{},
-		PipelineLatency: 500 * Nanosecond,
+		ID:        id,
+		Name:      name,
+		sim:       sim,
+		links:     map[int]*Link{},
+		EdgePorts: map[int]bool{},
 	}
 	sim.addNode()
 	return sw
@@ -212,12 +208,12 @@ func (sw *Switch) Sim() *Simulator { return sw.sim }
 // ownership of the frame and releases it after the pipeline runs.
 func (sw *Switch) Receive(frame []byte, port int) {
 	sw.RxFrames++
-	sw.sim.atFrame(sw.sim.now+sw.PipelineLatency, (*switchPipe)(sw), frame, port)
+	sw.sim.atFrame(sw.sim.now+pipelineLatency, (*switchPipe)(sw), frame, port)
 }
 
 // switchPipe is the frame sink running the switch pipeline; a separate
 // type so Switch.Receive (link-side entry) and pipeline entry (after
-// PipelineLatency) both exist without an extra object.
+// pipelineLatency) both exist without an extra object.
 type switchPipe Switch
 
 func (p *switchPipe) deliverFrame(frame []byte, port int) {
@@ -252,7 +248,7 @@ func (sw *Switch) forward(frame []byte, inPort int) bool {
 	// forwarding tables rewrite it (e.g. before the UPF decapsulates a
 	// GTP tunnel, which the Figure 9 checker's init block relies on).
 	firstHop := false
-	if len(sw.checkers) > 0 && !sw.NICOffload && !pkt.HasHydra && sw.EdgePorts[inPort] {
+	if len(sw.checkers) > 0 && !pkt.HasHydra && sw.EdgePorts[inPort] {
 		sw.inject(pkt, meta, inPort)
 		firstHop = true
 	}
@@ -365,23 +361,19 @@ func (sw *Switch) inject(pkt *dataplane.Decoded, meta *PacketMeta, inPort int) {
 // pass runs on it with no decode. A hop encodes only a blob that leaves
 // on the wire, once, after its pass.
 func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, meta *PacketMeta, inPort, outPort int, firstHop, resident bool) bool {
-	// A packet leaving through a host-facing port — or being dropped by
-	// the forwarding program — is at its last hop: the checker must run
-	// now or never (the Figure 9 property explicitly inspects packets
-	// the data plane decided to drop).
-	lastHop := (outPort >= 0 && sw.EdgePorts[outPort]) || meta.Drop
-	if sw.NICOffload {
-		// The receiving NIC is the last hop; the switch only remains
-		// responsible for packets it drops itself (they never reach a
-		// NIC, so the violation must surface here or never).
-		lastHop = meta.Drop
-	}
+	link := sw.links[outPort] // nil for a drop port (-1) or an unwired one
 
 	// tele is the stage whose PHV holds telemetry still to be encoded
 	// into dst's storage; nil when there is none.
 	var tele *bytecode.Stage
 	var dst []byte
 	if len(sw.checkers) > 0 && pkt.HasHydra {
+		// A packet leaving through a host-facing port — or being dropped
+		// by the forwarding program — is at its last hop: the checker
+		// must run now or never (the Figure 9 property explicitly
+		// inspects packets the data plane decided to drop). Behind a port
+		// to a host with a Hydra NIC the NIC is the last hop.
+		lastHop := meta.Drop || sw.EdgePorts[outPort] && !sw.nicBehind(link)
 		st := sw.hydra()
 		if resident {
 			// The first hop's blob is encoded into the inject buffer.
@@ -423,12 +415,7 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		}
 	}
 
-	if meta.Drop || outPort < 0 {
-		sw.Dropped++
-		return false
-	}
-	link := sw.links[outPort]
-	if link == nil {
+	if meta.Drop || link == nil {
 		sw.Dropped++
 		return false
 	}
@@ -450,6 +437,16 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 	sw.SlowTxFrames++
 	link.transmit(sw, pkt.AppendTo(sw.sim.AcquireFrame(pkt.WireLen())[:0]))
 	return false
+}
+
+// nicBehind reports whether the link leads to a host with a Hydra NIC.
+func (sw *Switch) nicBehind(l *Link) bool {
+	if l == nil {
+		return false
+	}
+	peer, _ := l.Peer(sw)
+	h, ok := peer.(*Host)
+	return ok && h.nic != nil
 }
 
 // AttachChecker wires an already-compiled runtime plus fresh per-switch

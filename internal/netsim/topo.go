@@ -31,12 +31,8 @@ type LeafSpineConfig struct {
 	Leaves       int
 	Spines       int
 	HostsPerLeaf int
-	// LinkBps is the line rate of every link (default 10 Gb/s).
+	// LinkBps is the line rate of every link (default fabricLinkBps).
 	LinkBps int64
-	// PropDelay is per-link propagation (default 1 µs).
-	PropDelay Time
-	// QueueBytes bounds each link queue (default 512 KiB).
-	QueueBytes int
 	// WithRouting installs L3 ECMP forwarding on all switches; leave
 	// false when a custom forwarding program will be attached (e.g.
 	// source routing).
@@ -54,16 +50,25 @@ func LeafPrefix(l int) dataplane.IP4 {
 	return dataplane.MustIP4(fmt.Sprintf("10.0.%d.0", l+1))
 }
 
+// The links both fabric builders wire: line rate (a leaf-spine may set
+// its own), propagation delay and transmit-queue bound.
+const (
+	fabricLinkBps    = 10_000_000_000
+	fabricPropDelay  = Microsecond
+	fabricQueueBytes = 512 << 10
+)
+
+// fabricLink connects a fabric link at the given line rate.
+func fabricLink(sim *Simulator, a Node, aPort int, b Node, bPort int, bps int64) *Link {
+	lk := Connect(sim, a, aPort, b, bPort, bps, fabricPropDelay)
+	lk.QueueBytes = fabricQueueBytes
+	return lk
+}
+
 // BuildLeafSpine constructs the fabric.
 func BuildLeafSpine(sim *Simulator, cfg LeafSpineConfig) *LeafSpine {
 	if cfg.LinkBps == 0 {
-		cfg.LinkBps = 10_000_000_000
-	}
-	if cfg.PropDelay == 0 {
-		cfg.PropDelay = Microsecond
-	}
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = 512 << 10
+		cfg.LinkBps = fabricLinkBps
 	}
 
 	ls := &LeafSpine{Sim: sim, nSpine: cfg.Spines}
@@ -82,8 +87,7 @@ func BuildLeafSpine(sim *Simulator, cfg LeafSpineConfig) *LeafSpine {
 	for l, leaf := range ls.Leaves {
 		ls.Up[l] = make([]*Link, cfg.Spines)
 		for s, spine := range ls.Spines {
-			lk := Connect(sim, leaf, s+1, spine, l+1, cfg.LinkBps, cfg.PropDelay)
-			lk.QueueBytes = cfg.QueueBytes
+			lk := fabricLink(sim, leaf, s+1, spine, l+1, cfg.LinkBps)
 			leaf.AttachLink(s+1, lk)
 			spine.AttachLink(l+1, lk)
 			ls.Up[l][s] = lk
@@ -99,8 +103,7 @@ func BuildLeafSpine(sim *Simulator, cfg LeafSpineConfig) *LeafSpine {
 			mac := dataplane.MACFromUint64(uint64(l+1)<<8 | uint64(h+1))
 			host := NewHost(sim, fmt.Sprintf("h%d_%d", l+1, h+1), mac, HostIP(l, h))
 			host.GatewayMAC = dataplane.MACFromUint64(uint64(0xF0 + l))
-			lk := Connect(sim, leaf, port, host, 0, cfg.LinkBps, cfg.PropDelay)
-			lk.QueueBytes = cfg.QueueBytes
+			lk := fabricLink(sim, leaf, port, host, 0, cfg.LinkBps)
 			leaf.AttachLink(port, lk)
 			host.AttachLink(lk)
 			leaf.EdgePorts[port] = true

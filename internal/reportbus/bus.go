@@ -361,7 +361,7 @@ func (b *Bus) sweep(forceClose bool) {
 }
 
 // Start launches the collector goroutine, sweeping rings every
-// Config.PollEvery. Inline producers work with or without Start.
+// Window/4. Inline producers work with or without Start.
 func (b *Bus) Start() {
 	b.mu.Lock()
 	if b.started {
@@ -374,7 +374,7 @@ func (b *Bus) Start() {
 	b.mu.Unlock()
 	go func() {
 		defer close(b.done)
-		t := time.NewTicker(b.cfg.PollEvery)
+		t := time.NewTicker(b.cfg.Window / 4)
 		defer t.Stop()
 		for {
 			select {

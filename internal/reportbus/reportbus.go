@@ -162,9 +162,6 @@ type Config struct {
 	// by (checker, switch, argument words, args-hash). Called outside the
 	// bus mutex.
 	Exporters []Exporter
-	// PollEvery is the collector goroutine's ring sweep interval
-	// (Start); default Window/4.
-	PollEvery time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -182,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxKeys <= 0 {
 		c.MaxKeys = 4096
-	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = c.Window / 4
 	}
 	return c
 }

@@ -26,11 +26,7 @@ func (ex *Explorer) Explore() (*Result, error) {
 		res.Frontier = append(res.Frontier, p)
 	}
 
-	maxHops := ex.model.MaxHops
-	if ex.cfg.MaxHops > 0 {
-		maxHops = ex.cfg.MaxHops
-	}
-	for L := 1; L <= maxHops; L++ {
+	for L := 1; L <= ex.model.MaxHops; L++ {
 		for _, seq := range sequences(ex.model.Switches, L) {
 			res.Instances++
 			paths, pairs, err := ex.exploreInstance(seq, res)
@@ -41,7 +37,7 @@ func (ex *Explorer) Explore() (*Result, error) {
 				addPair(p)
 			}
 			for i, r := range paths {
-				stored = append(stored, storedPath{run: r, probeOK: i < ex.cfg.CrossSwitchPaths})
+				stored = append(stored, storedPath{run: r, probeOK: i < crossSwitchPaths})
 			}
 		}
 	}
@@ -88,8 +84,8 @@ func (ex *Explorer) Explore() (*Result, error) {
 		}
 	}
 
-	if len(res.Frontier) > ex.cfg.MaxFrontierPairs {
-		res.Frontier = res.Frontier[:ex.cfg.MaxFrontierPairs]
+	if len(res.Frontier) > maxFrontierPairs {
+		res.Frontier = res.Frontier[:maxFrontierPairs]
 	}
 	for _, sp := range stored {
 		r := sp.run
@@ -130,9 +126,9 @@ func (ex *Explorer) exploreInstance(seq []uint32, res *Result) ([]*pathRun, []Fr
 	var pairs []FrontierPair
 
 	for qi := 0; qi < len(queue); qi++ {
-		if len(paths) >= ex.cfg.MaxPathsPerInstance {
+		if len(paths) >= maxPathsPerInstance {
 			res.Complete = false
-			res.Notes = append(res.Notes, fmt.Sprintf("seq %v: path cap %d hit", seq, ex.cfg.MaxPathsPerInstance))
+			res.Notes = append(res.Notes, fmt.Sprintf("seq %v: path cap %d hit", seq, maxPathsPerInstance))
 			break
 		}
 		c := queue[qi]
@@ -154,7 +150,7 @@ func (ex *Explorer) exploreInstance(seq []uint32, res *Result) ([]*pathRun, []Fr
 				target := make([]constraint, i+1)
 				copy(target, r.cons[:i])
 				target[i] = constraint{t: r.cons[i].t, want: !r.cons[i].want, site: r.cons[i].site}
-				sol, status := solve(target, vars, defaults, ex.cfg)
+				sol, status := solve(target, vars, defaults)
 				switch status {
 				case solveSat:
 					res.FlipsSolved++

@@ -101,41 +101,20 @@ type Result struct {
 	FlipsUnknown int
 }
 
-// Config bounds the exploration.
-type Config struct {
-	// MaxHops overrides the model's trace-length bound when nonzero.
-	MaxHops int
-	// MaxPathsPerInstance caps distinct paths per switch sequence.
-	MaxPathsPerInstance int
-	// SolverNodes is the per-flip search budget.
-	SolverNodes int
-	// MaxFrontierPairs caps the committed frontier per checker.
-	MaxFrontierPairs int
-	// MaxCandidatesPerVar caps the solver's per-variable value pool.
-	MaxCandidatesPerVar int
-	// CrossSwitchPaths is how many paths per instance are re-executed
+// The exploration's budgets.
+const (
+	// maxPathsPerInstance caps distinct paths per switch sequence.
+	maxPathsPerInstance = 256
+	// solverNodes is the per-flip search budget.
+	solverNodes = 20000
+	// maxFrontierPairs caps the committed frontier per checker.
+	maxFrontierPairs = 12
+	// maxCandidatesPerVar caps the solver's per-variable value pool.
+	maxCandidatesPerVar = 64
+	// crossSwitchPaths is how many paths per instance are re-executed
 	// under single-switch perturbations to find switch-driven flips.
-	CrossSwitchPaths int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxPathsPerInstance == 0 {
-		c.MaxPathsPerInstance = 256
-	}
-	if c.SolverNodes == 0 {
-		c.SolverNodes = 20000
-	}
-	if c.MaxFrontierPairs == 0 {
-		c.MaxFrontierPairs = 12
-	}
-	if c.MaxCandidatesPerVar == 0 {
-		c.MaxCandidatesPerVar = 64
-	}
-	if c.CrossSwitchPaths == 0 {
-		c.CrossSwitchPaths = 8
-	}
-	return c
-}
+	crossSwitchPaths = 8
+)
 
 // varInfo describes one solver variable.
 type varInfo struct {
@@ -160,7 +139,6 @@ type Explorer struct {
 	prog    *pipeline.Program
 	headers []HeaderVar
 	model   checkers.SymModel
-	cfg     Config
 
 	states map[uint32]*pipeline.State
 	tables map[uint32]map[string]*tableSnap
@@ -168,7 +146,7 @@ type Explorer struct {
 
 // New builds an explorer over an arbitrary compiled program. The model
 // installs are applied to fresh per-switch states.
-func New(key string, prog *pipeline.Program, headers []HeaderVar, model checkers.SymModel, cfg Config) (*Explorer, error) {
+func New(key string, prog *pipeline.Program, headers []HeaderVar, model checkers.SymModel) (*Explorer, error) {
 	if model.MaxHops <= 0 || len(model.Switches) == 0 {
 		return nil, fmt.Errorf("symexec: model needs MaxHops >= 1 and a switch set")
 	}
@@ -181,7 +159,6 @@ func New(key string, prog *pipeline.Program, headers []HeaderVar, model checkers
 		prog:    prog,
 		headers: headers,
 		model:   model,
-		cfg:     cfg.withDefaults(),
 		states:  states,
 		tables:  make(map[uint32]map[string]*tableSnap, len(states)),
 	}
@@ -210,7 +187,7 @@ func New(key string, prog *pipeline.Program, headers []HeaderVar, model checkers
 
 // ForChecker compiles a corpus checker and builds its explorer using
 // the checker's SymModel annotation.
-func ForChecker(key string, cfg Config) (*Explorer, error) {
+func ForChecker(key string) (*Explorer, error) {
 	p, ok := checkers.ByKey(key)
 	if !ok {
 		return nil, fmt.Errorf("symexec: unknown corpus key %q", key)
@@ -235,7 +212,7 @@ func ForChecker(key string, cfg Config) (*Explorer, error) {
 			Width: scalarWidth(d.Type),
 		})
 	}
-	return New(key, prog, headers, checkers.SymModelFor(key), cfg)
+	return New(key, prog, headers, checkers.SymModelFor(key))
 }
 
 func scalarWidth(t ast.Type) int {

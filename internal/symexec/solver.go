@@ -25,7 +25,7 @@ const (
 //
 // Variables not mentioned by any constraint keep their defaults, so
 // witnesses stay minimal and stable across runs.
-func solve(cons []constraint, vars []varInfo, defaults []uint64, cfg Config) ([]uint64, solveStatus) {
+func solve(cons []constraint, vars []varInfo, defaults []uint64) ([]uint64, solveStatus) {
 	// Normalize: a true conjunction (or false disjunction) splits into
 	// its operands, and logical-not inverts the wanted truth value.
 	// Splitting an entry-match conjunction into per-column equalities
@@ -113,8 +113,8 @@ func solve(cons []constraint, vars []varInfo, defaults []uint64, cfg Config) ([]
 			list = append(list, x)
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		if len(list) > cfg.MaxCandidatesPerVar {
-			list = list[:cfg.MaxCandidatesPerVar]
+		if len(list) > maxCandidatesPerVar {
+			list = list[:maxCandidatesPerVar]
 		}
 		cands[oi] = list
 	}
@@ -147,7 +147,7 @@ func solve(cons []constraint, vars []varInfo, defaults []uint64, cfg Config) ([]
 		vi := order[d]
 		for _, cv := range cands[d] {
 			nodes++
-			if nodes > cfg.SolverNodes {
+			if nodes > solverNodes {
 				exceeded = true
 				return false
 			}

@@ -90,27 +90,26 @@ func TestTermMirrorsExpr(t *testing.T) {
 func TestSolverBasics(t *testing.T) {
 	vars := []varInfo{{name: "x", width: 8}, {name: "y", width: 8, def: 7}}
 	defaults := []uint64{0, 7}
-	cfg := Config{}.withDefaults()
 	x := varTerm(0, "x", 8)
 
 	eq := func(t *Term, v uint64) constraint {
 		return constraint{t: binTerm(pipeline.OpEq, t, constTerm(pipeline.B(8, v))), want: true}
 	}
-	asn, st := solve([]constraint{eq(x, 5)}, vars, defaults, cfg)
+	asn, st := solve([]constraint{eq(x, 5)}, vars, defaults)
 	if st != solveSat || asn[0] != 5 {
 		t.Fatalf("x==5: status %v asn %v", st, asn)
 	}
 	if asn[1] != 7 {
 		t.Fatalf("unconstrained var should keep default, got %d", asn[1])
 	}
-	_, st = solve([]constraint{eq(x, 5), eq(x, 6)}, vars, defaults, cfg)
+	_, st = solve([]constraint{eq(x, 5), eq(x, 6)}, vars, defaults)
 	if st != solveUnsat {
 		t.Fatalf("x==5&&x==6: want unsat, got %v", st)
 	}
 	// Inequality chains force neighbor mining: x > 200 && x < 202.
 	gt := constraint{t: binTerm(pipeline.OpGt, x, constTerm(pipeline.B(8, 200))), want: true}
 	lt := constraint{t: binTerm(pipeline.OpLt, x, constTerm(pipeline.B(8, 202))), want: true}
-	asn, st = solve([]constraint{gt, lt}, vars, defaults, cfg)
+	asn, st = solve([]constraint{gt, lt}, vars, defaults)
 	if st != solveSat || asn[0] != 201 {
 		t.Fatalf("200<x<202: status %v asn %v", st, asn)
 	}
@@ -123,7 +122,7 @@ func TestExploreCorpus(t *testing.T) {
 	for _, p := range checkers.All {
 		p := p
 		t.Run(p.Key, func(t *testing.T) {
-			ex, err := ForChecker(p.Key, Config{})
+			ex, err := ForChecker(p.Key)
 			if err != nil {
 				t.Fatalf("ForChecker: %v", err)
 			}
@@ -171,7 +170,7 @@ func TestExploreCorpus(t *testing.T) {
 // corpus and fuzz seeds are committed artifacts.
 func TestExploreDeterministic(t *testing.T) {
 	run := func() *Result {
-		ex, err := ForChecker("multi-tenancy", Config{})
+		ex, err := ForChecker("multi-tenancy")
 		if err != nil {
 			t.Fatalf("ForChecker: %v", err)
 		}

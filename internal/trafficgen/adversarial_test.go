@@ -102,7 +102,7 @@ func TestAdversarialFromFrontier(t *testing.T) {
 	}
 	var hops []trafficgen.AdversarialHop
 	for _, f := range files {
-		ex, err := symexec.ForChecker(f.Checker, symexec.Config{})
+		ex, err := symexec.ForChecker(f.Checker)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Checker, err)
 		}

@@ -34,17 +34,25 @@ func AnonymizeIP(ip dataplane.IP4, salt uint64) dataplane.IP4 {
 	return ip&0xffff0000 | dataplane.IP4(h.Sum32()&0xffff)
 }
 
-// CampusConfig sizes the synthetic campus trace.
+// CampusConfig seeds the synthetic campus trace.
 type CampusConfig struct {
 	Seed int64
-	// Subnets are the tapped /16s; defaults to two RFC-style blocks.
-	Subnets []dataplane.IP4
-	// PacketsPerSec is the offered load; the paper's replay is ~350K.
-	PacketsPerSec int
-	// Flows is the number of concurrent flows; defaults to 4096.
-	Flows int
-	// Salt feeds the address anonymizer.
-	Salt uint64
+}
+
+// The campus trace's shape.
+const (
+	// campusPPS is the offered load; the paper's replay is ~350K.
+	campusPPS = 350_000
+	// campusFlows is the number of concurrent flows.
+	campusFlows = 4096
+	// campusSalt feeds the address anonymizer.
+	campusSalt = 0
+)
+
+// campusSubnets are the tapped /16s, two RFC-style blocks.
+var campusSubnets = [...]dataplane.IP4{
+	dataplane.MustIP4("172.16.0.0"),
+	dataplane.MustIP4("172.17.0.0"),
 }
 
 // Packet is one generated trace record.
@@ -66,27 +74,14 @@ type flow struct {
 
 // Campus is a deterministic synthetic trace generator.
 type Campus struct {
-	cfg   CampusConfig
 	rng   *rand.Rand
 	flows []flow
 }
 
 // NewCampus builds a generator.
 func NewCampus(cfg CampusConfig) *Campus {
-	if cfg.PacketsPerSec == 0 {
-		cfg.PacketsPerSec = 350_000
-	}
-	if cfg.Flows == 0 {
-		cfg.Flows = 4096
-	}
-	if len(cfg.Subnets) == 0 {
-		cfg.Subnets = []dataplane.IP4{
-			dataplane.MustIP4("172.16.0.0"),
-			dataplane.MustIP4("172.17.0.0"),
-		}
-	}
-	g := &Campus{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	g.flows = make([]flow, cfg.Flows)
+	g := &Campus{rng: rand.New(rand.NewSource(cfg.Seed))}
+	g.flows = make([]flow, campusFlows)
 	for i := range g.flows {
 		g.flows[i] = g.newFlow()
 	}
@@ -96,9 +91,9 @@ func NewCampus(cfg CampusConfig) *Campus {
 // newFlow draws a flow with a Pareto-distributed size (heavy tail: most
 // flows are mice, most bytes are in elephants).
 func (g *Campus) newFlow() flow {
-	inside := g.cfg.Subnets[g.rng.Intn(len(g.cfg.Subnets))]
-	src := AnonymizeIP(inside|dataplane.IP4(g.rng.Intn(1<<16)), g.cfg.Salt)
-	dst := AnonymizeIP(dataplane.IP4(g.rng.Uint32()), g.cfg.Salt)
+	inside := campusSubnets[g.rng.Intn(len(campusSubnets))]
+	src := AnonymizeIP(inside|dataplane.IP4(g.rng.Intn(1<<16)), campusSalt)
+	dst := AnonymizeIP(dataplane.IP4(g.rng.Uint32()), campusSalt)
 
 	proto := dataplane.ProtoTCP
 	if g.rng.Float64() < 0.25 {
@@ -154,7 +149,7 @@ func (g *Campus) Next() Packet {
 		Src: f.src, Dst: f.dst, Proto: f.proto,
 		Sport: f.sport, Dport: f.dport,
 		Size: g.drawSize(),
-		Gap:  netsim.Time(g.rng.ExpFloat64() * float64(netsim.Second) / float64(g.cfg.PacketsPerSec)),
+		Gap:  netsim.Time(g.rng.ExpFloat64() * float64(netsim.Second) / campusPPS),
 	}
 	f.remaining--
 	if f.remaining <= 0 {

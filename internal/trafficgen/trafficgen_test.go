@@ -35,7 +35,7 @@ func TestCampusDeterminism(t *testing.T) {
 }
 
 func TestCampusRate(t *testing.T) {
-	g := NewCampus(CampusConfig{Seed: 1, PacketsPerSec: 350_000})
+	g := NewCampus(CampusConfig{Seed: 1})
 	var total netsim.Time
 	const n = 200_000
 	for i := 0; i < n; i++ {
