@@ -42,7 +42,7 @@ func main() {
 
 	var reports int
 	for _, sw := range ls.AllSwitches() {
-		att := sw.AttachChecker(rt, func(sw *netsim.Switch, _ pipeline.Report) {
+		att := sw.AttachChecker(rt, func(pipeline.Report) {
 			reports++
 		})
 		scalar := func(name string, w int, v uint64) {

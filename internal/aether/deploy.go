@@ -71,32 +71,16 @@ type Options struct {
 func Build(sim *netsim.Simulator, opts Options) *Deployment {
 	d := &Deployment{Sim: sim, enbSeen: map[uint32]int{}}
 
-	d.Leaf1 = netsim.NewSwitch(sim, 1, "leaf1")
-	d.Leaf2 = netsim.NewSwitch(sim, 2, "leaf2")
-	d.Spine1 = netsim.NewSwitch(sim, 101, "spine1")
-	d.Spine2 = netsim.NewSwitch(sim, 102, "spine2")
-
-	const bps = 10_000_000_000
-	wire := func(a *netsim.Switch, ap int, b *netsim.Switch, bp int) {
-		lk := netsim.Connect(sim, a, ap, b, bp, bps, netsim.Microsecond)
-		lk.QueueBytes = 512 << 10
-		a.AttachLink(ap, lk)
-		b.AttachLink(bp, lk)
-	}
-	// Leaf ports 1,2 → spines; spine port 1 → leaf1, port 2 → leaf2.
-	wire(d.Leaf1, 1, d.Spine1, 1)
-	wire(d.Leaf1, 2, d.Spine2, 1)
-	wire(d.Leaf2, 1, d.Spine1, 2)
-	wire(d.Leaf2, 2, d.Spine2, 2)
+	// The 2×2 mesh: leaf ports 1,2 → spines; spine port 1 → leaf1, port
+	// 2 → leaf2.
+	ls := netsim.BuildLeafSpine(sim, netsim.LeafSpineConfig{Leaves: 2, Spines: 2})
+	d.Leaf1, d.Leaf2 = ls.Leaves[0], ls.Leaves[1]
+	d.Spine1, d.Spine2 = ls.Spines[0], ls.Spines[1]
 
 	host := func(name string, ip dataplane.IP4, sw *netsim.Switch, port int, mac uint64) *netsim.Host {
 		h := netsim.NewHost(sim, name, dataplane.MACFromUint64(mac), ip)
 		h.GatewayMAC = dataplane.MACFromUint64(0xAA)
-		lk := netsim.Connect(sim, sw, port, h, 0, bps, netsim.Microsecond)
-		lk.QueueBytes = 512 << 10
-		sw.AttachLink(port, lk)
-		h.AttachLink(lk)
-		sw.EdgePorts[port] = true
+		netsim.Connect(sim, sw, port, h, 0, 10_000_000_000, netsim.Microsecond).QueueBytes = 512 << 10
 		return h
 	}
 	d.Enb = host("enb", EnbAddr, d.Leaf1, 3, 0xE1)

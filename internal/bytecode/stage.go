@@ -73,8 +73,8 @@ var StdHeaderPaths = [NumStdHeaders]string{
 type bindPair struct{ src, dst int32 }
 
 // Stage is the Hydra half of one pipeline: every program an embedder runs
-// — an engine shard's checkers, a switch's attachments, the one program
-// of a NIC — linked into one image (§4.2), with the one context that
+// — an engine shard's checkers, the attachments of a switch or a NIC —
+// linked into one image (§4.2), with the one context that
 // image ever runs on. An embedder runs its passes one after another and
 // never nested, so the context, the header environment and the reports of
 // a pass are the stage's own until the next pass. Every member has a VM

@@ -92,8 +92,8 @@ func (c *Controller) Deploy(name string, info *types.Info, switches ...*netsim.S
 			p = c.bus.InlineProducer(fmt.Sprintf("switch:%s", sw.Name))
 			c.producers[sw.ID] = p
 		}
-		c.atts[name][sw.ID] = sw.AttachChecker(rt, func(s *netsim.Switch, rep pipeline.Report) {
-			p.Publish(reportbus.DigestFrom(name, s.ID, int64(s.Sim().Now()), rep))
+		c.atts[name][sw.ID] = sw.AttachChecker(rt, func(rep pipeline.Report) {
+			p.Publish(reportbus.DigestFrom(name, sw.ID, int64(sw.Sim().Now()), rep))
 		})
 	}
 	return nil

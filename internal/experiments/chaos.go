@@ -376,8 +376,8 @@ func runChaosScenario(cfg ChaosConfig, class faults.Class) (ScenarioResult, Stat
 	}
 	if linkCfg, ok := linkFaults[class]; ok {
 		lf = faults.NewLinkFaults(faults.SubSeed(cfg.Seed, "link:"+string(class)), linkCfg)
-		ls.Up[0][0].Fault = lf
-		ls.Up[0][1].Fault = lf
+		ls.Leaves[0].Link(1).Fault = lf
+		ls.Leaves[0].Link(2).Fault = lf
 	}
 	switch class {
 	case faults.Misroute:

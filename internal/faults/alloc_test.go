@@ -40,7 +40,6 @@ func TestFaultHookAllocs(t *testing.T) {
 	sw.Forwarding = onePortProgram{port: 1}
 	sink := &nullNode{sim: sim}
 	lk := netsim.Connect(sim, sw, 1, sink, 0, 0, 0)
-	sw.AttachLink(1, lk)
 
 	rt := mustCompileChecker(t, "loop-freedom")
 	sw.AttachChecker(rt, nil)

@@ -57,14 +57,14 @@ func campusCaptureScenario() string {
 		Leaves: 2, Spines: 2, HostsPerLeaf: 2, WithRouting: true,
 	})
 	cap := &Capture{}
-	for _, row := range ls.Up {
-		for _, lk := range row {
-			cap.Tap(lk)
+	for _, leaf := range ls.Leaves {
+		for s := range ls.Spines {
+			cap.Tap(leaf.Link(s + 1))
 		}
 	}
-	for _, row := range ls.Down {
-		for _, lk := range row {
-			cap.Tap(lk)
+	for l, leaf := range ls.Leaves {
+		for h := range ls.Hosts[l] {
+			cap.Tap(leaf.Link(len(ls.Spines) + 1 + h))
 		}
 	}
 
@@ -100,8 +100,9 @@ func campusCaptureScenario() string {
 		out += fmt.Sprintf("host %s rx=%d udp=%d tcp=%d rtts=%d err=%d\n",
 			h.Name, h.RxFrames, h.RxUDP, h.RxTCP, len(h.RTTs), h.ParseErrs)
 	}
-	for li, row := range ls.Up {
-		for si, lk := range row {
+	for li, leaf := range ls.Leaves {
+		for si := range ls.Spines {
+			lk := leaf.Link(si + 1)
 			out += fmt.Sprintf("up[%d][%d] frames=%d bytes=%d drops=%d/%d\n",
 				li, si, lk.Frames, lk.Bytes, lk.DropsAB, lk.DropsBA)
 		}
@@ -119,16 +120,16 @@ func TestCampusCaptureMatchesSequentialGolden(t *testing.T) {
 func fatTreeScenario(k int) string {
 	sim := NewSimulator()
 	ft := BuildFatTree(sim, FatTreeConfig{K: k, WithRouting: true})
+	half := k / 2
 	cap := &Capture{}
-	for _, row := range ft.AggCore[0] {
-		for _, lk := range row {
-			cap.Tap(lk)
+	for _, agg := range ft.Agg[0] {
+		for j := range half {
+			cap.Tap(agg.Link(half + 1 + j))
 		}
 	}
 
 	// Cross-pod flows: every (pod, edge) pair sources traffic to a host
 	// in a rotated pod, with varied sizes and irregular spacing.
-	half := k / 2
 	var at Time
 	n := 0
 	for p := 0; p < k; p++ {
@@ -165,9 +166,10 @@ func fatTreeScenario(k int) string {
 			}
 		}
 	}
-	for p, pod := range ft.AggCore {
-		for a, row := range pod {
-			for j, lk := range row {
+	for p, pod := range ft.Agg {
+		for a, agg := range pod {
+			for j := range half {
+				lk := agg.Link(half + 1 + j)
 				out += fmt.Sprintf("aggcore[%d][%d][%d] frames=%d bytes=%d\n",
 					p, a, j, lk.Frames, lk.Bytes)
 			}

@@ -22,18 +22,12 @@ type FatTree struct {
 
 	// Core[g][j] is core switch j of group g (group g attaches to every
 	// pod's g'th aggregation switch). Agg[p][a] and Edge[p][e] are the
-	// pod switches; Hosts[p][e][h] is host h on edge e of pod p.
+	// pod switches; Hosts[p][e][h] is host h on edge e of pod p. A link
+	// is read from the switch by the port conventions above.
 	Core  [][]*Switch
 	Agg   [][]*Switch
 	Edge  [][]*Switch
 	Hosts [][][]*Host
-
-	// Links for inspection and fault attachment: HostLinks mirrors
-	// Hosts; EdgeAgg[p][e][a] is edge e to agg a in pod p;
-	// AggCore[p][a][j] is agg a of pod p to core j of group a.
-	HostLinks [][][]*Link
-	EdgeAgg   [][][]*Link
-	AggCore   [][][]*Link
 }
 
 // FatTreeConfig sizes the fabric.
@@ -85,54 +79,35 @@ func BuildFatTree(sim *Simulator, cfg FatTreeConfig) *FatTree {
 		ft.Edge = append(ft.Edge, edges)
 	}
 
-	connect := func(a *Switch, ap int, b *Switch, bp int) *Link {
-		lk := fabricLink(sim, a, ap, b, bp, fabricLinkBps)
-		a.AttachLink(ap, lk)
-		b.AttachLink(bp, lk)
-		return lk
-	}
-
 	// Agg <-> core: agg a of every pod connects to core group a.
-	ft.AggCore = make([][][]*Link, k)
 	for p := 0; p < k; p++ {
-		ft.AggCore[p] = make([][]*Link, half)
 		for a := 0; a < half; a++ {
-			ft.AggCore[p][a] = make([]*Link, half)
 			for j := 0; j < half; j++ {
-				ft.AggCore[p][a][j] = connect(ft.Agg[p][a], half+1+j, ft.Core[a][j], p+1)
+				fabricLink(sim, ft.Agg[p][a], half+1+j, ft.Core[a][j], p+1, fabricLinkBps)
 			}
 		}
 	}
 
 	// Edge <-> agg mesh inside each pod.
-	ft.EdgeAgg = make([][][]*Link, k)
 	for p := 0; p < k; p++ {
-		ft.EdgeAgg[p] = make([][]*Link, half)
 		for e := 0; e < half; e++ {
-			ft.EdgeAgg[p][e] = make([]*Link, half)
 			for a := 0; a < half; a++ {
-				ft.EdgeAgg[p][e][a] = connect(ft.Edge[p][e], half+1+a, ft.Agg[p][a], e+1)
+				fabricLink(sim, ft.Edge[p][e], half+1+a, ft.Agg[p][a], e+1, fabricLinkBps)
 			}
 		}
 	}
 
 	// Hosts.
 	ft.Hosts = make([][][]*Host, k)
-	ft.HostLinks = make([][][]*Link, k)
 	for p := 0; p < k; p++ {
 		ft.Hosts[p] = make([][]*Host, half)
-		ft.HostLinks[p] = make([][]*Link, half)
 		for e := 0; e < half; e++ {
 			for h := 0; h < half; h++ {
 				mac := dataplane.MACFromUint64(uint64(p+1)<<16 | uint64(e+1)<<8 | uint64(h+1))
 				host := NewHost(sim, fmt.Sprintf("h%d_%d_%d", p, e, h), mac, FatTreeHostIP(p, e, h))
 				host.GatewayMAC = dataplane.MACFromUint64(0xE0_0000 | uint64(p)<<8 | uint64(e))
-				lk := fabricLink(sim, ft.Edge[p][e], h+1, host, 0, fabricLinkBps)
-				ft.Edge[p][e].AttachLink(h+1, lk)
-				host.AttachLink(lk)
-				ft.Edge[p][e].EdgePorts[h+1] = true
+				fabricLink(sim, ft.Edge[p][e], h+1, host, 0, fabricLinkBps)
 				ft.Hosts[p][e] = append(ft.Hosts[p][e], host)
-				ft.HostLinks[p][e] = append(ft.HostLinks[p][e], lk)
 			}
 		}
 	}

@@ -51,8 +51,9 @@ type Host struct {
 	// OnPacket, when set, sees every delivered packet.
 	OnPacket func(*dataplane.Decoded)
 
-	// nic is the optional Hydra NIC offload (see nic.go).
-	nic *HydraNIC
+	// nic is the Hydra code of the host's NIC, which takes the first- and
+	// last-hop duties once a checker is attached (see hydra).
+	nic hydra
 
 	// rxDec is per-host scratch: all of a host's callbacks run on the one
 	// event loop, so one decode target suffices.
@@ -70,7 +71,7 @@ type Host struct {
 	ipID uint16
 }
 
-// NewHost creates a host; wire it with netsim.Connect and AttachLink.
+// NewHost creates a host; wire it with netsim.Connect.
 func NewHost(sim *Simulator, name string, mac dataplane.MAC, ip dataplane.IP4) *Host {
 	seed := int64(0)
 	for _, c := range name {
@@ -99,9 +100,6 @@ func (h *Host) stackDelay() Time {
 
 // NodeName implements Node.
 func (h *Host) NodeName() string { return h.Name }
-
-// AttachLink wires the host's single NIC.
-func (h *Host) AttachLink(l *Link) { h.link = l }
 
 // Receive implements Node. The host takes ownership of the frame and
 // releases it once the packet is delivered; anything retained

@@ -109,9 +109,10 @@ type Link struct {
 	taps []*Capture
 }
 
-// Connect wires two nodes with a new link and returns it. The same port
-// number may be reused on different nodes; each (node, port) pair must
-// be wired at most once (the caller owns that invariant).
+// Connect wires two nodes with a new link and returns it. The link is
+// attached at each end that is a switch port or a host; other Nodes are
+// told nothing. The same port number may be reused on different nodes;
+// Connect panics if a switch port or a host is wired twice.
 func Connect(sim *Simulator, a Node, aPort int, b Node, bPort int, bitsPerSec int64, prop Time) *Link {
 	l := &Link{
 		sim:        sim,
@@ -122,7 +123,22 @@ func Connect(sim *Simulator, a Node, aPort int, b Node, bPort int, bitsPerSec in
 	}
 	l.toA = linkSink{l: l, to: l.a}
 	l.toB = linkSink{l: l, to: l.b}
+	l.attach(a, aPort, b)
+	l.attach(b, bPort, a)
 	return l
+}
+
+// attach records the link at node n's port, with peer on the far side.
+func (l *Link) attach(n Node, port int, peer Node) {
+	switch n := n.(type) {
+	case *Switch:
+		n.wire(port, l, peer)
+	case *Host:
+		if n.link != nil {
+			panic("netsim: host " + n.Name + " wired twice")
+		}
+		n.link = l
+	}
 }
 
 // Send transmits a frame from the given node (which must be one of the

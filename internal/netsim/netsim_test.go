@@ -77,9 +77,7 @@ func TestLinkSerializationAndPropagation(t *testing.T) {
 	a := NewHost(sim, "a", dataplane.MACFromUint64(1), dataplane.MustIP4("10.0.0.1"))
 	b := NewHost(sim, "b", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
 	// 1 Gb/s, 10 µs propagation.
-	lk := Connect(sim, a, 0, b, 0, 1_000_000_000, 10*Microsecond)
-	a.AttachLink(lk)
-	b.AttachLink(lk)
+	Connect(sim, a, 0, b, 0, 1_000_000_000, 10*Microsecond)
 
 	var arrival Time
 	b.OnPacket = func(*dataplane.Decoded) { arrival = sim.Now() }
@@ -95,13 +93,40 @@ func TestLinkSerializationAndPropagation(t *testing.T) {
 	}
 }
 
+// TestConnectWiresOnce pins that Connect attaches a link at both ends: a
+// switch port and a host each take the link, and wiring either a second
+// time panics instead of replacing the first link.
+func TestConnectWiresOnce(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		second func(*Simulator, *Switch, *Host)
+	}{
+		{"switch port", func(sim *Simulator, sw *Switch, _ *Host) { Connect(sim, sw, 1, &nullNode{sim: sim}, 0, 0, 0) }},
+		{"host", func(sim *Simulator, _ *Switch, h *Host) { Connect(sim, NewSwitch(sim, 2, "s2"), 1, h, 0, 0, 0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim := NewSimulator()
+			sw := NewSwitch(sim, 1, "s1")
+			h := NewHost(sim, "h", dataplane.MACFromUint64(1), dataplane.MustIP4("10.0.0.1"))
+			lk := Connect(sim, sw, 1, h, 0, 0, 0)
+			if sw.Link(1) != lk || h.link != lk || sw.port(1).host != h {
+				t.Fatal("Connect did not attach the link at both ends")
+			}
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "wired twice") {
+					t.Fatalf("second wiring ended with %q, want the wired-twice panic", msg)
+				}
+			}()
+			c.second(sim, sw, h)
+		})
+	}
+}
+
 func TestLinkBackToBackQueueing(t *testing.T) {
 	sim := NewSimulator()
 	a := NewHost(sim, "a", dataplane.MACFromUint64(1), dataplane.MustIP4("10.0.0.1"))
 	b := NewHost(sim, "b", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
-	lk := Connect(sim, a, 0, b, 0, 1_000_000_000, 0)
-	a.AttachLink(lk)
-	b.AttachLink(lk)
+	Connect(sim, a, 0, b, 0, 1_000_000_000, 0)
 
 	var arrivals []Time
 	b.OnPacket = func(*dataplane.Decoded) { arrivals = append(arrivals, sim.Now()) }
@@ -124,8 +149,6 @@ func TestLinkDropTail(t *testing.T) {
 	b := NewHost(sim, "b", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
 	lk := Connect(sim, a, 0, b, 0, 1_000_000, 0) // 1 Mb/s: easy to saturate
 	lk.QueueBytes = 2000
-	a.AttachLink(lk)
-	b.AttachLink(lk)
 
 	for i := 0; i < 50; i++ {
 		a.SendUDP(b.IP, 1, 2, 958)
@@ -294,7 +317,7 @@ func TestHydraReportsReachController(t *testing.T) {
 	rt := &compiler.Runtime{Prog: prog}
 	var reports []pipeline.Report
 	for _, sw := range ls.AllSwitches() {
-		att := sw.AttachChecker(rt, func(_ *Switch, rep pipeline.Report) {
+		att := sw.AttachChecker(rt, func(rep pipeline.Report) {
 			reports = append(reports, rep)
 		})
 		// Allow the forward direction h1->h2 everywhere so the packet
@@ -406,11 +429,10 @@ func TestFirstHopMulticastTelemetry(t *testing.T) {
 		var ups [3]*blobNode
 		for p := 1; p <= 2; p++ {
 			ups[p] = &blobNode{sim: sim}
-			sw.AttachLink(p, Connect(sim, sw, p, ups[p], 0, 0, 0))
+			Connect(sim, sw, p, ups[p], 0, 0, 0)
 		}
-		host := &nullNode{sim: sim}
-		sw.AttachLink(3, Connect(sim, sw, 3, host, 0, 0, 0))
-		sw.EdgePorts[3] = true
+		host := NewHost(sim, "h", dataplane.MACFromUint64(1), dataplane.MustIP4("10.0.1.1"))
+		Connect(sim, sw, 3, host, 0, 0, 0)
 		for _, rt := range rts {
 			sw.AttachChecker(rt, nil)
 		}
@@ -472,9 +494,7 @@ func TestHostStackLatency(t *testing.T) {
 	sim := NewSimulator()
 	a := NewHost(sim, "a", dataplane.MACFromUint64(1), dataplane.MustIP4("10.0.0.1"))
 	b := NewHost(sim, "b", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
-	lk := Connect(sim, a, 0, b, 0, 0 /* infinite rate */, 0)
-	a.AttachLink(lk)
-	b.AttachLink(lk)
+	Connect(sim, a, 0, b, 0, 0 /* infinite rate */, 0)
 
 	// Deterministic component only: base 50µs on each side, no jitter.
 	a.StackBase, b.StackBase = 50*Microsecond, 50*Microsecond
@@ -511,7 +531,7 @@ func TestCaptureTapsLink(t *testing.T) {
 
 	// Tap the first leaf1->spine1 link: frames there carry telemetry.
 	cap := &Capture{Max: 100}
-	cap.Tap(ls.Up[0][0])
+	cap.Tap(ls.Leaves[0].Link(1))
 
 	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
 	for p := uint16(0); p < 16; p++ { // several flows so some cross spine1
@@ -544,8 +564,6 @@ func TestCaptureMaxBound(t *testing.T) {
 	a := NewHost(sim, "a", dataplane.MACFromUint64(1), dataplane.MustIP4("10.0.0.1"))
 	b := NewHost(sim, "b", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
 	lk := Connect(sim, a, 0, b, 0, 0, 0)
-	a.AttachLink(lk)
-	b.AttachLink(lk)
 	cap := &Capture{Max: 3}
 	cap.Tap(lk)
 	for i := 0; i < 10; i++ {

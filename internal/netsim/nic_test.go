@@ -10,8 +10,9 @@ import (
 )
 
 // buildNICFabric builds a leaf-spine where the hosts' NICs own the
-// first/last-hop duties and the switches only run telemetry.
-func buildNICFabric(t *testing.T, key string) (*Simulator, *LeafSpine, *compiler.Runtime) {
+// first/last-hop duties and the switches only run telemetry, and returns
+// each host's NIC attachment.
+func buildNICFabric(t *testing.T, key string) (*Simulator, *LeafSpine, map[*Host]*HydraAttachment) {
 	t.Helper()
 	sim := NewSimulator()
 	ls := BuildLeafSpine(sim, LeafSpineConfig{Leaves: 2, Spines: 2, HostsPerLeaf: 1, WithRouting: true})
@@ -24,23 +25,38 @@ func buildNICFabric(t *testing.T, key string) (*Simulator, *LeafSpine, *compiler
 	for _, sw := range ls.AllSwitches() {
 		sw.AttachChecker(rt, nil)
 	}
+	nics := map[*Host]*HydraAttachment{}
 	for _, hosts := range ls.Hosts {
 		for _, h := range hosts {
-			h.AttachNIC(rt, nil)
+			nics[h] = h.AttachNIC(rt, nil)
 		}
 	}
-	return sim, ls, rt
+	return sim, ls, nics
+}
+
+// injected counts the frames the host on a leaf's port sent with a Hydra
+// header, as a capture on its link recorded them.
+func injected(cap *Capture, leaf *Switch) int {
+	n := 0
+	for _, r := range cap.Records {
+		if r.Node == leaf.Name && r.HasHydra {
+			n++
+		}
+	}
+	return n
 }
 
 func TestNICOffloadLoopChecker(t *testing.T) {
-	sim, ls, _ := buildNICFabric(t, "loop-freedom")
+	sim, ls, nics := buildNICFabric(t, "loop-freedom")
 	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
 	h2.RecordAll = true
 
-	// Tap the last link: with NIC offload the telemetry header must
-	// still be on the wire right up to the host.
-	cap := &Capture{}
-	cap.Tap(ls.Down[1][0])
+	// Tap the first and the last link: with NIC offload the telemetry
+	// header must be on the wire from the sending host right up to the
+	// receiving one.
+	first, cap := &Capture{}, &Capture{}
+	first.Tap(ls.Leaves[0].Link(3))
+	cap.Tap(ls.Leaves[1].Link(3))
 
 	h1.SendUDP(h2.IP, 777, 80, 64)
 	sim.RunAll()
@@ -49,11 +65,11 @@ func TestNICOffloadLoopChecker(t *testing.T) {
 		t.Fatalf("delivery failed: rx=%d", h2.RxUDP)
 	}
 	// The sending NIC injected, the receiving NIC checked and stripped.
-	if h1.NIC().Injected != 1 {
-		t.Fatalf("sender NIC injected = %d", h1.NIC().Injected)
+	if n := injected(first, ls.Leaves[0]); n != 1 {
+		t.Fatalf("sender NIC injected = %d", n)
 	}
-	if h2.NIC().Checked != 1 || h2.NIC().Rejected != 0 {
-		t.Fatalf("receiver NIC checked=%d rejected=%d", h2.NIC().Checked, h2.NIC().Rejected)
+	if nic := nics[h2]; nic.Checked != 1 || nic.Rejected != 0 {
+		t.Fatalf("receiver NIC checked=%d rejected=%d", nic.Checked, nic.Rejected)
 	}
 	// Switches ran telemetry only: no switch checked or stripped.
 	for _, sw := range ls.AllSwitches() {
@@ -79,7 +95,7 @@ func TestNICOffloadLoopChecker(t *testing.T) {
 }
 
 func TestNICOffloadEnforcesWaypointing(t *testing.T) {
-	sim, ls, rt := buildNICFabric(t, "waypointing")
+	sim, ls, nics := buildNICFabric(t, "waypointing")
 	// Configure the waypoint on every switch attachment AND both NICs
 	// (the checker's control state lives wherever a block runs).
 	install := func(st *pipeline.State) {
@@ -92,12 +108,9 @@ func TestNICOffloadEnforcesWaypointing(t *testing.T) {
 	for _, sw := range ls.AllSwitches() {
 		install(sw.Checker().State)
 	}
-	for _, hosts := range ls.Hosts {
-		for _, h := range hosts {
-			install(h.NIC().State)
-		}
+	for _, nic := range nics {
+		install(nic.State)
 	}
-	_ = rt
 
 	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
 	// One flow per spine (as in the switch-based waypointing test).
@@ -122,8 +135,8 @@ func TestNICOffloadEnforcesWaypointing(t *testing.T) {
 	if h2.RxUDP != 1 {
 		t.Fatalf("exactly the waypointed flow must be delivered, rx=%d", h2.RxUDP)
 	}
-	if h2.NIC().Rejected != 1 {
-		t.Fatalf("receiver NIC rejected = %d, want 1", h2.NIC().Rejected)
+	if nics[h2].Rejected != 1 {
+		t.Fatalf("receiver NIC rejected = %d, want 1", nics[h2].Rejected)
 	}
 	// No switch dropped it — enforcement moved to the edge of the edge.
 	for _, sw := range ls.AllSwitches() {
@@ -153,6 +166,8 @@ func TestNICPlacementPerPort(t *testing.T) {
 	c, a, b := ls.Host(0, 0), ls.Host(1, 0), ls.Host(1, 1)
 	nicA := a.AttachNIC(rt, nil)
 	a.RecordAll, b.RecordAll = true, true
+	fromA := &Capture{}
+	fromA.Tap(ls.Leaves[1].Link(3))
 
 	a.SendUDP(b.IP, 1001, 80, 64)
 	b.SendUDP(a.IP, 1002, 80, 64)
@@ -176,8 +191,8 @@ func TestNICPlacementPerPort(t *testing.T) {
 	if leaf2 := ls.Leaves[1].Checker().Checked; leaf2 != b.RxUDP {
 		t.Fatalf("leaf 2 checked %d packets, want B's %d", leaf2, b.RxUDP)
 	}
-	if nicA.Injected != 1 {
-		t.Fatalf("A's NIC injected %d, want its one packet", nicA.Injected)
+	if n := injected(fromA, ls.Leaves[1]); n != 1 {
+		t.Fatalf("A's NIC injected %d, want its one packet", n)
 	}
 	for _, h := range []*Host{a, b} {
 		for _, r := range h.Received {

@@ -61,7 +61,8 @@ func TestScalarWriteVisibleAtNextPacket(t *testing.T) {
 	var swReports, nicReports [][]uint64
 	at := sw.AttachChecker(rt, reportArgs(&swReports))
 	h := NewHost(sim, "h", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
-	nic := h.AttachNIC(rt, func(_ *Host, rep pipeline.Report) { reportArgs(&nicReports)(nil, rep) })
+	nic := h.AttachNIC(rt, reportArgs(&nicReports))
+	blobLen := h.nic.linked().Set.TeleWireBytes()
 	embedders := []struct {
 		name  string
 		state **pipeline.State
@@ -74,10 +75,10 @@ func TestScalarWriteVisibleAtNextPacket(t *testing.T) {
 			sim.RunAll()
 			return at.Rejected > rejected, swReports[n:]
 		}},
-		{"nic", &nic.State, make([]byte, nic.stage.Set.TeleWireBytes()), func() (bool, [][]uint64) {
+		{"nic", &nic.State, make([]byte, blobLen), func() (bool, [][]uint64) {
 			pkt := udpPacket()
 			pkt.Eth.Dst = h.MAC
-			pkt.InsertHydra(make([]byte, nic.stage.Set.TeleWireBytes()))
+			pkt.InsertHydra(make([]byte, blobLen))
 			rejected, n := nic.Rejected, len(nicReports)
 			h.Receive(pkt.Serialize(), 0)
 			sim.RunAll()

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -62,21 +63,10 @@ func (broadcastProgram) Process(_ *Switch, pkt *dataplane.Decoded, meta *PacketM
 func probeReports(t *testing.T, rt *compiler.Runtime, pkts []*dataplane.Decoded) [][]uint64 {
 	t.Helper()
 	sim := NewSimulator()
-	sw := NewSwitch(sim, 7, "edge")
+	sw := edgeSwitch(sim)
 	sw.Forwarding = broadcastProgram{}
-	sink := &nullNode{sim: sim}
-	for port := 1; port <= 3; port++ {
-		sw.EdgePorts[port] = true
-		sw.AttachLink(port, Connect(sim, sw, port, sink, port, 0, 0))
-	}
 	var got [][]uint64
-	sw.AttachChecker(rt, func(_ *Switch, rep pipeline.Report) {
-		args := make([]uint64, len(rep.Args))
-		for i, a := range rep.Args {
-			args[i] = a.V
-		}
-		got = append(got, args)
-	})
+	sw.AttachChecker(rt, reportArgs(&got))
 	for _, pkt := range pkts {
 		sw.Receive(pkt.Serialize(), 1)
 		sim.RunAll()
@@ -179,31 +169,51 @@ func TestResidentHopHeaderAbsence(t *testing.T) {
 	})
 }
 
-// TestNICShortBlobForwardsUnchecked pins the VM's decode-error path at
-// its one reachable site, a NIC handed a telemetry blob shorter than
-// its program's record: counted, stripped, and delivered unchecked.
-func TestNICShortBlobForwardsUnchecked(t *testing.T) {
-	sim := NewSimulator()
-	h := NewHost(sim, "h", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
-	h.RecordAll = true
-	nic := h.AttachNIC(mustCompileChecker(t, "loop-freedom"), nil)
-
-	pkt := &dataplane.Decoded{
-		Eth:     dataplane.Ethernet{Dst: h.MAC, Type: dataplane.EtherTypeIPv4},
-		HasIPv4: true,
-		IPv4:    dataplane.IPv4{TTL: 8, Protocol: dataplane.ProtoUDP, Src: dataplane.MustIP4("10.0.0.1"), Dst: h.IP},
-		HasUDP:  true,
-		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
+// TestMalformedBlobAtLastHop hands a switch's last hop and a NIC a
+// telemetry blob one byte short of the image and one byte long. Both run
+// one rule: a short blob decodes as empty and a long one loses its tail,
+// so each zeroed blob is checked as the empty image, no host counts a
+// parse error, and the host stack gets the packet stripped.
+func TestMalformedBlobAtLastHop(t *testing.T) {
+	rt := mustCompileChecker(t, "loop-freedom")
+	n := bytecode.Link(rt.Member()).Set.TeleWireBytes()
+	lastHops := []struct {
+		name  string
+		build func(*Simulator, *Host) (*HydraAttachment, func([]byte))
+	}{
+		{"switch", func(sim *Simulator, h *Host) (*HydraAttachment, func([]byte)) {
+			sw := NewSwitch(sim, 7, "leaf")
+			sw.Forwarding = onePortProgram{port: 2}
+			Connect(sim, sw, 1, &nullNode{sim: sim}, 0, 0, 0)
+			Connect(sim, sw, 2, h, 0, 0, 0)
+			return sw.AttachChecker(rt, nil), func(frame []byte) { sw.Receive(frame, 1) }
+		}},
+		{"nic", func(_ *Simulator, h *Host) (*HydraAttachment, func([]byte)) {
+			return h.AttachNIC(rt, nil), func(frame []byte) { h.Receive(frame, 0) }
+		}},
 	}
-	pkt.InsertHydra(make([]byte, nic.stage.Set.TeleWireBytes()-1))
-	h.Receive(pkt.Serialize(), 0)
-	sim.RunAll()
-
-	if h.ParseErrs != 1 || nic.Checked != 0 || nic.Rejected != 0 {
-		t.Fatalf("ParseErrs=%d Checked=%d Rejected=%d, want 1 0 0", h.ParseErrs, nic.Checked, nic.Rejected)
-	}
-	if len(h.Received) != 1 || h.Received[0].Pkt.HasHydra {
-		t.Fatalf("short-blob packet not delivered stripped: %d received", len(h.Received))
+	for _, hop := range lastHops {
+		for _, blob := range []struct {
+			name string
+			size int
+		}{{"short", n - 1}, {"long", n + 1}} {
+			t.Run(hop.name+"/"+blob.name, func(t *testing.T) {
+				sim := NewSimulator()
+				h := NewHost(sim, "h", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
+				h.RecordAll = true
+				at, receive := hop.build(sim, h)
+				pkt := udpPacket()
+				pkt.InsertHydra(make([]byte, blob.size))
+				receive(pkt.Serialize())
+				sim.RunAll()
+				if at.Checked != 1 || at.Rejected != 0 || h.ParseErrs != 0 {
+					t.Fatalf("Checked=%d Rejected=%d ParseErrs=%d, want 1 0 0", at.Checked, at.Rejected, h.ParseErrs)
+				}
+				if len(h.Received) != 1 || h.Received[0].Pkt.HasHydra {
+					t.Fatalf("packet not delivered stripped: %d received", len(h.Received))
+				}
+			})
+		}
 	}
 }
 
@@ -238,10 +248,9 @@ control bit<32> mark;
 func edgeSwitch(sim *Simulator) *Switch {
 	sw := NewSwitch(sim, 7, "edge")
 	sw.Forwarding = onePortProgram{port: 2}
-	sink := &nullNode{sim: sim}
 	for port := 1; port <= 3; port++ {
-		sw.EdgePorts[port] = true
-		sw.AttachLink(port, Connect(sim, sw, port, sink, port, 0, 0))
+		h := NewHost(sim, fmt.Sprintf("h%d", port), dataplane.MACFromUint64(uint64(port)), dataplane.MustIP4(fmt.Sprintf("10.0.0.%d", port)))
+		Connect(sim, sw, port, h, 0, 0, 0)
 	}
 	return sw
 }
@@ -257,8 +266,8 @@ func udpPacket() *dataplane.Decoded {
 }
 
 // reportArgs collects an attachment's reports as their argument values.
-func reportArgs(got *[][]uint64) func(*Switch, pipeline.Report) {
-	return func(_ *Switch, rep pipeline.Report) {
+func reportArgs(got *[][]uint64) func(pipeline.Report) {
+	return func(rep pipeline.Report) {
 		args := make([]uint64, len(rep.Args))
 		for i, a := range rep.Args {
 			args[i] = a.V

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
@@ -66,20 +65,6 @@ type ForwardingProgram interface {
 	Process(sw *Switch, pkt *dataplane.Decoded, meta *PacketMeta) []Egress
 }
 
-// HydraAttachment links a compiled checker to a switch.
-type HydraAttachment struct {
-	Runtime *compiler.Runtime
-	// State is this switch's tables and registers for the checker
-	// program; the control plane installs entries into it.
-	State *pipeline.State
-	// OnReport receives report digests raised at this switch.
-	OnReport func(sw *Switch, rep pipeline.Report)
-	// Rejected counts packets dropped by the checker at this switch.
-	Rejected uint64
-	// Checked counts packets that ran the checker block here.
-	Checked uint64
-}
-
 // wireShape is a snapshot of everything that determines a packet's
 // serialized layout: the layer validity flags and the lengths of the
 // variable-size pieces. If the shape at egress equals the shape at
@@ -120,27 +105,21 @@ func shapeOf(pkt *dataplane.Decoded) wireShape {
 // finds no latency difference with checkers on (§6.2).
 const pipelineLatency = 500 * Nanosecond
 
-// Switch is a programmable switch: a forwarding program, an optional
-// Hydra checker, ports wired to links, and a fixed pipeline latency.
+// Switch is a programmable switch: a forwarding program, optional Hydra
+// checkers, ports wired to links, and a fixed pipeline latency.
 type Switch struct {
 	ID   uint32
 	Name string
 
-	sim   *Simulator
-	links map[int]*Link
-	// EdgePorts marks host-facing ports: Hydra injects telemetry when a
-	// packet enters on an edge port and strips + checks when it leaves
-	// through one (§4.1), unless the host behind the port has a Hydra
-	// NIC, which then takes those duties: its packets arrive with a
-	// header already, and they leave with theirs for the NIC to check.
-	EdgePorts map[int]bool
+	sim *Simulator
+	// ports holds, by port number, the link Connect wired there and the
+	// host behind it, nil behind a port facing a switch or another node.
+	// A port with a host behind it is an edge port (see hydra).
+	ports []swPort
 
 	Forwarding ForwardingProgram
-	// checkers are the attached Hydra programs; several can be linked to
-	// one switch (the §6.2 "all checkers" configuration), each with its
-	// own fixed-size slice of the telemetry blob. AttachChecker is the one
-	// writer.
-	checkers []*HydraAttachment
+	// hydra holds the attached checkers; AttachChecker is the one writer.
+	hydra
 
 	// Counters.
 	RxFrames, TxFrames, Dropped uint64
@@ -154,24 +133,20 @@ type Switch struct {
 	// Per-packet scratch. All of a switch's callbacks run on the one
 	// event loop and frame processing never nests (a link defers
 	// delivery through the event queue), so one of each suffices per
-	// switch. injectBuf holds the blob of a packet this switch injected.
-	dec       dataplane.Decoded
-	meta      PacketMeta
-	injectBuf []byte
-	// stage is checkers linked into one image, nil until the next pass
-	// after an attach; see hydra.
-	stage *bytecode.Stage
+	// switch.
+	dec  dataplane.Decoded
+	meta PacketMeta
+}
+
+// swPort is one switch port: its link and the host behind it, if any.
+type swPort struct {
+	link *Link
+	host *Host
 }
 
 // NewSwitch creates a switch with the given identifier.
 func NewSwitch(sim *Simulator, id uint32, name string) *Switch {
-	sw := &Switch{
-		ID:        id,
-		Name:      name,
-		sim:       sim,
-		links:     map[int]*Link{},
-		EdgePorts: map[int]bool{},
-	}
+	sw := &Switch{ID: id, Name: name, sim: sim}
 	sim.addNode()
 	return sw
 }
@@ -179,25 +154,40 @@ func NewSwitch(sim *Simulator, id uint32, name string) *Switch {
 // NodeName implements Node.
 func (sw *Switch) NodeName() string { return sw.Name }
 
-// AttachLink wires a link to a port.
-func (sw *Switch) AttachLink(port int, l *Link) {
-	if _, dup := sw.links[port]; dup {
+// wire records l on a port, with the host behind it if peer is one; it
+// panics if the port is wired already.
+func (sw *Switch) wire(port int, l *Link, peer Node) {
+	if port >= len(sw.ports) {
+		sw.ports = append(sw.ports, make([]swPort, port+1-len(sw.ports))...)
+	}
+	if sw.ports[port].link != nil {
 		panic(fmt.Sprintf("netsim: %s port %d wired twice", sw.Name, port))
 	}
-	sw.links[port] = l
+	host, _ := peer.(*Host)
+	sw.ports[port] = swPort{link: l, host: host}
+}
+
+// port returns a port's wiring, the zero swPort for a drop port (-1) or
+// an unwired one.
+func (sw *Switch) port(n int) swPort {
+	if uint(n) < uint(len(sw.ports)) {
+		return sw.ports[n]
+	}
+	return swPort{}
 }
 
 // Link returns the link on a port, or nil.
-func (sw *Switch) Link(port int) *Link { return sw.links[port] }
+func (sw *Switch) Link(port int) *Link { return sw.port(port).link }
 
 // Ports returns the switch's wired ports in ascending order — the
 // deterministic iteration companion to Link for topology discovery.
 func (sw *Switch) Ports() []int {
-	out := make([]int, 0, len(sw.links))
-	for p := range sw.links {
-		out = append(out, p)
+	var out []int
+	for p, sp := range sw.ports {
+		if sp.link != nil {
+			out = append(out, p)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -248,8 +238,8 @@ func (sw *Switch) forward(frame []byte, inPort int) bool {
 	// forwarding tables rewrite it (e.g. before the UPF decapsulates a
 	// GTP tunnel, which the Figure 9 checker's init block relies on).
 	firstHop := false
-	if len(sw.checkers) > 0 && !pkt.HasHydra && sw.EdgePorts[inPort] {
-		sw.inject(pkt, meta, inPort)
+	if len(sw.checkers) > 0 && !pkt.HasHydra && sw.port(inPort).host != nil {
+		sw.inject(sw.ID, pkt, meta, inPort)
 		firstHop = true
 	}
 
@@ -270,7 +260,7 @@ func (sw *Switch) forward(frame []byte, inPort int) bool {
 		// its own storage (and no in-place frame). At the first hop the
 		// init pass's telemetry is encoded once, for every clone to decode.
 		if firstHop && pkt.HasHydra {
-			st := sw.hydra()
+			st := sw.linked()
 			pkt.Hydra.Blob = st.Set.EncodeTele(sw.injectBuf[:0], st.Ctx.PHV)
 		}
 		for _, eg := range egresses {
@@ -291,67 +281,6 @@ func (sw *Switch) forward(frame []byte, inPort int) bool {
 	return false
 }
 
-// hydra returns the switch's checkers as one linked image, relinked after
-// an attach, with the state row the attachments hold now: the control
-// plane and the fault injectors replace an attachment's State to wipe it.
-func (sw *Switch) hydra() *bytecode.Stage {
-	if sw.stage == nil {
-		members := make([]bytecode.Member, len(sw.checkers))
-		for i, at := range sw.checkers {
-			members[i] = at.Runtime.Member()
-		}
-		sw.stage = bytecode.Link(members...)
-	}
-	for i, at := range sw.checkers {
-		sw.stage.Row[i] = at.State
-	}
-	return sw.stage
-}
-
-// pass runs one pipeline pass of the linked image over the packet as it is
-// now — before forwarding at ingress, after it at egress; outPort is
-// negative for a packet with no egress port — on the telemetry in the
-// stage's PHV, which the caller decoded or left from the init pass. The
-// source-route entry forwarding popped, if any, is hdr.srcRoutes[0]. A
-// program-specific path is absent: nothing on the wire stores it.
-func (sw *Switch) pass(st *bytecode.Stage, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) {
-	st.Ctx.BeginEphemeralReports()
-	h := st.H
-	st.FillPacket(pkt)
-	if meta.HasPopped {
-		h[bytecode.HSrcRoute0Valid] = pipeline.BoolV(true)
-		h[bytecode.HSrcRoute0Switch] = pipeline.B(32, uint64(meta.Popped.SwitchID))
-	}
-	h[bytecode.HInPort] = pipeline.B(8, uint64(inPort))
-	h[bytecode.HEgPort] = pipeline.B(8, uint64(max(outPort, 0)))
-	h[bytecode.HSkipFwd] = pipeline.BoolV(meta.Drop)
-	st.Run(sw.ID, pkt.WireLen(), first, last, b)
-	for i, rep := range st.Ctx.Reports {
-		if at := sw.checkers[st.Ctx.Owners[i]]; at.OnReport != nil {
-			at.OnReport(sw, rep)
-		}
-	}
-}
-
-// inject runs first-hop injection: a Hydra header is inserted and every
-// checker's init block runs over the decode-empty telemetry image. The
-// telemetry stays in the stage's PHV for the egress pass, which encodes it
-// only if the packet leaves on the wire. Until then the header carries a
-// zeroed blob of the image's size in the switch's inject buffer, so the
-// packet has its wire length for forwarding and the egress pass.
-func (sw *Switch) inject(pkt *dataplane.Decoded, meta *PacketMeta, inPort int) {
-	st := sw.hydra()
-	pkt.InsertHydra(nil)
-	_ = st.Set.DecodeTele(nil, st.Ctx.PHV) // the decode-empty image
-	sw.pass(st, pkt, meta, inPort, -1, true, false, bytecode.BlockInit)
-	n := st.Set.TeleWireBytes()
-	if cap(sw.injectBuf) < n {
-		sw.injectBuf = make([]byte, n)
-	}
-	pkt.Hydra.Blob = sw.injectBuf[:n]
-	clear(pkt.Hydra.Blob)
-}
-
 // egress runs the per-hop egress pipeline for one output port and
 // reports whether it handed frame to the link. frame, when non-nil, is
 // the received frame backing pkt's blob and payload; if the wire shape is
@@ -361,7 +290,8 @@ func (sw *Switch) inject(pkt *dataplane.Decoded, meta *PacketMeta, inPort int) {
 // pass runs on it with no decode. A hop encodes only a blob that leaves
 // on the wire, once, after its pass.
 func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, meta *PacketMeta, inPort, outPort int, firstHop, resident bool) bool {
-	link := sw.links[outPort] // nil for a drop port (-1) or an unwired one
+	out := sw.port(outPort)
+	link := out.link // nil for a drop port (-1) or an unwired one
 
 	// tele is the stage whose PHV holds telemetry still to be encoded
 	// into dst's storage; nil when there is none.
@@ -372,40 +302,22 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		// by the forwarding program — is at its last hop: the checker
 		// must run now or never (the Figure 9 property explicitly
 		// inspects packets the data plane decided to drop). Behind a port
-		// to a host with a Hydra NIC the NIC is the last hop.
-		lastHop := meta.Drop || sw.EdgePorts[outPort] && !sw.nicBehind(link)
-		st := sw.hydra()
+		// to a host whose NIC has checkers attached the NIC is the last
+		// hop.
+		lastHop := meta.Drop || out.host != nil && len(out.host.nic.checkers) == 0
+		st := sw.linked()
 		if resident {
 			// The first hop's blob is encoded into the inject buffer.
 			dst = sw.injectBuf[:0]
 		} else {
-			// A blob of exactly the image's size is rewritten in place; a
-			// shorter one is malformed and decodes as empty, a longer one
-			// loses its tail — both re-encoded into fresh storage.
-			in := pkt.Hydra.Blob
-			if n := st.Set.TeleWireBytes(); len(in) == n {
-				dst = in[:0]
-			} else if len(in) < n {
-				in = nil
-			}
-			_ = st.Set.DecodeTele(in, st.Ctx.PHV) // cannot fail: in is empty or long enough
+			dst = sw.decode(st, pkt.Hydra.Blob)
 		}
 		blocks := bytecode.BlockTelemetry
 		if lastHop {
 			blocks |= bytecode.BlockChecker
 		}
-		sw.pass(st, pkt, meta, inPort, outPort, firstHop, lastHop, blocks)
-		rejected := false
-		for k, at := range sw.checkers[:st.Set.Len()] {
-			if lastHop || at.Runtime.CheckEveryHop {
-				at.Checked++
-			}
-			if st.Set.Reject(st.Ctx, k) {
-				at.Rejected++
-				rejected = true
-			}
-		}
-		if rejected {
+		sw.pass(st, sw.ID, pkt, meta, inPort, outPort, firstHop, lastHop, blocks)
+		if sw.verdict(st, lastHop) {
 			return false // a checker halts the packet (reject, §2)
 		}
 		if lastHop {
@@ -439,28 +351,13 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 	return false
 }
 
-// nicBehind reports whether the link leads to a host with a Hydra NIC.
-func (sw *Switch) nicBehind(l *Link) bool {
-	if l == nil {
-		return false
-	}
-	peer, _ := l.Peer(sw)
-	h, ok := peer.(*Host)
-	return ok && h.nic != nil
-}
-
 // AttachChecker wires an already-compiled runtime plus fresh per-switch
 // state to the switch and returns the attachment for control-plane use.
 // Multiple checkers may be attached; their telemetry shares the Hydra
 // header, each in a statically-sized slot. The next pass relinks. It
-// panics on a runtime without a VM form: a program that does not compile
-// is refused here, never linked around.
-func (sw *Switch) AttachChecker(rt *compiler.Runtime, onReport func(*Switch, pipeline.Report)) *HydraAttachment {
-	rt.Member() // panics on a program without a VM form
-	at := &HydraAttachment{Runtime: rt, State: rt.Prog.NewState(), OnReport: onReport}
-	sw.checkers = append(sw.checkers, at)
-	sw.stage = nil
-	return at
+// panics on a runtime without a VM form.
+func (sw *Switch) AttachChecker(rt *compiler.Runtime, onReport func(pipeline.Report)) *HydraAttachment {
+	return sw.attach(rt, onReport)
 }
 
 // Checker returns the first attached checker, or nil.

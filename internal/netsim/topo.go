@@ -16,12 +16,9 @@ type LeafSpine struct {
 	Sim    *Simulator
 	Leaves []*Switch
 	Spines []*Switch
-	// Hosts[l][h] is host h on leaf l.
+	// Hosts[l][h] is host h on leaf l. A link is read from the switch
+	// by the port conventions above.
 	Hosts [][]*Host
-	// Links for inspection: Up[l][s] is leaf l to spine s; Down[l][h]
-	// is leaf l to its h'th host.
-	Up   [][]*Link
-	Down [][]*Link
 
 	nSpine int
 }
@@ -59,10 +56,8 @@ const (
 )
 
 // fabricLink connects a fabric link at the given line rate.
-func fabricLink(sim *Simulator, a Node, aPort int, b Node, bPort int, bps int64) *Link {
-	lk := Connect(sim, a, aPort, b, bPort, bps, fabricPropDelay)
-	lk.QueueBytes = fabricQueueBytes
-	return lk
+func fabricLink(sim *Simulator, a Node, aPort int, b Node, bPort int, bps int64) {
+	Connect(sim, a, aPort, b, bPort, bps, fabricPropDelay).QueueBytes = fabricQueueBytes
 }
 
 // BuildLeafSpine constructs the fabric.
@@ -83,32 +78,22 @@ func BuildLeafSpine(sim *Simulator, cfg LeafSpineConfig) *LeafSpine {
 	}
 
 	// Leaf-spine mesh.
-	ls.Up = make([][]*Link, cfg.Leaves)
 	for l, leaf := range ls.Leaves {
-		ls.Up[l] = make([]*Link, cfg.Spines)
 		for s, spine := range ls.Spines {
-			lk := fabricLink(sim, leaf, s+1, spine, l+1, cfg.LinkBps)
-			leaf.AttachLink(s+1, lk)
-			spine.AttachLink(l+1, lk)
-			ls.Up[l][s] = lk
+			fabricLink(sim, leaf, s+1, spine, l+1, cfg.LinkBps)
 		}
 	}
 
 	// Hosts.
 	ls.Hosts = make([][]*Host, cfg.Leaves)
-	ls.Down = make([][]*Link, cfg.Leaves)
 	for l, leaf := range ls.Leaves {
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
 			port := cfg.Spines + 1 + h
 			mac := dataplane.MACFromUint64(uint64(l+1)<<8 | uint64(h+1))
 			host := NewHost(sim, fmt.Sprintf("h%d_%d", l+1, h+1), mac, HostIP(l, h))
 			host.GatewayMAC = dataplane.MACFromUint64(uint64(0xF0 + l))
-			lk := fabricLink(sim, leaf, port, host, 0, cfg.LinkBps)
-			leaf.AttachLink(port, lk)
-			host.AttachLink(lk)
-			leaf.EdgePorts[port] = true
+			fabricLink(sim, leaf, port, host, 0, cfg.LinkBps)
 			ls.Hosts[l] = append(ls.Hosts[l], host)
-			ls.Down[l] = append(ls.Down[l], lk)
 		}
 	}
 

@@ -126,8 +126,7 @@ func testWireAllocs(t *testing.T, keys []string) {
 	sw := NewSwitch(sim, 7, "mid")
 	sw.Forwarding = onePortProgram{port: 1}
 	sink := &nullNode{sim: sim}
-	lk := Connect(sim, sw, 1, sink, 0, 0, 0)
-	sw.AttachLink(1, lk)
+	Connect(sim, sw, 1, sink, 0, 0, 0)
 	// No edge ports: the switch is mid-fabric and only runs telemetry.
 
 	for _, key := range keys {
@@ -145,7 +144,7 @@ func testWireAllocs(t *testing.T, keys []string) {
 		UDP:     dataplane.UDP{SrcPort: 1234, DstPort: 80},
 		Payload: make([]byte, 64),
 	}
-	pkt.InsertHydra(make([]byte, sw.hydra().Set.TeleWireBytes()))
+	pkt.InsertHydra(make([]byte, sw.linked().Set.TeleWireBytes()))
 	template := pkt.Serialize()
 
 	hop := func() {

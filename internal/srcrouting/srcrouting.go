@@ -75,9 +75,7 @@ func Build(sim *netsim.Simulator) *Figure8 {
 
 	const bps = 10_000_000_000
 	wire := func(a *netsim.Switch, ap int, b *netsim.Switch, bp int) {
-		lk := netsim.Connect(sim, a, ap, b, bp, bps, netsim.Microsecond)
-		a.AttachLink(ap, lk)
-		b.AttachLink(bp, lk)
+		netsim.Connect(sim, a, ap, b, bp, bps, netsim.Microsecond)
 		f.portTo[a][b] = ap
 		f.portTo[b][a] = bp
 	}
@@ -88,10 +86,7 @@ func Build(sim *netsim.Simulator) *Figure8 {
 
 	mkHost := func(name, ip string, leaf *netsim.Switch, port int, mac uint64) *netsim.Host {
 		h := netsim.NewHost(sim, name, dataplane.MACFromUint64(mac), dataplane.MustIP4(ip))
-		lk := netsim.Connect(sim, leaf, port, h, 0, bps, netsim.Microsecond)
-		leaf.AttachLink(port, lk)
-		h.AttachLink(lk)
-		leaf.EdgePorts[port] = true
+		netsim.Connect(sim, leaf, port, h, 0, bps, netsim.Microsecond)
 		f.hostLeaf[h] = leaf
 		f.hostPort[h] = port
 		return h
