@@ -4,14 +4,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 	"testing"
 )
+
+// chainFrom is the first PR the pps trajectory chains from: PR 26 (E29),
+// the first ledger row after identical code read 1.36–1.48× apart
+// between E27 and E28.
+const chainFrom = 26
 
 // TestBenchHistory keeps BENCH_history.jsonl, the committed trajectory
 // of the repository benchmark, well-formed: one JSON object a line,
 // every workload and metric a name BENCHMARK.json declares, both medians
 // positive, and no (pr, workload, metric) recorded twice. Nothing reads
 // the file on a packet path; a ledger row appends to it by hand.
+//
+// Absolute medians from different PRs ran in different sessions and are
+// not comparable; each row's change/parent ratio is. The test logs, per
+// workload, the product of the pps ratios from chainFrom on and the PRs
+// that contributed (go test -run TestBenchHistory -v .).
 func TestBenchHistory(t *testing.T) {
 	var decl struct {
 		Workloads []struct{ Name string }       `json:"workloads"`
@@ -38,6 +50,7 @@ func TestBenchHistory(t *testing.T) {
 	}
 	defer f.Close()
 	seen := map[string]int{}
+	chain, chainPRs := map[string]float64{}, map[string][]string{}
 	dec := json.NewDecoder(f)
 	dec.DisallowUnknownFields()
 	line := 0
@@ -76,8 +89,23 @@ func TestBenchHistory(t *testing.T) {
 			t.Errorf("line %d: (%s) is already on line %d", line, key, first)
 		}
 		seen[key] = line
+		if r.Metric == "pps" && r.PR >= chainFrom {
+			if _, ok := chain[r.Workload]; !ok {
+				chain[r.Workload] = 1
+			}
+			chain[r.Workload] *= r.Change / r.Parent
+			chainPRs[r.Workload] = append(chainPRs[r.Workload], fmt.Sprint(r.PR))
+		}
 	}
 	if line == 0 {
 		t.Fatal("BENCH_history.jsonl is empty")
+	}
+	var names []string
+	for w := range chain {
+		names = append(names, w)
+	}
+	sort.Strings(names)
+	for _, w := range names {
+		t.Logf("%s pps since PR %d: ×%.3f over PRs %s", w, chainFrom, chain[w], strings.Join(chainPRs[w], ", "))
 	}
 }

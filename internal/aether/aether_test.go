@@ -25,6 +25,23 @@ func sliceRulesV2() []FilterRule {
 	}
 }
 
+// sendDownlink emits one UDP packet from the edge server to ue's port.
+func sendDownlink(d *Deployment, ue *UE, sport uint16, payloadLen int) {
+	d.Server.SendUDP(ue.IP, sport, 40000+ue.ID, payloadLen)
+}
+
+// countDownlink counts the tunnelled packets that reach the base station
+// for ue.
+func countDownlink(d *Deployment, ue *UE) *int {
+	n := new(int)
+	d.Enb.OnPacket = func(pkt *dataplane.Decoded) {
+		if pkt.HasGTPU && pkt.GTPU.TEID == ue.TEIDDown {
+			*n++
+		}
+	}
+	return n
+}
+
 func buildWithSlice(t *testing.T, opts Options) (*Deployment, *netsim.Simulator) {
 	t.Helper()
 	sim := netsim.NewSimulator()
@@ -83,15 +100,16 @@ func TestDownlinkTunnel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SendDownlink(ue, dataplane.ProtoUDP, 81, 200)
+	delivered := countDownlink(d, ue)
+	sendDownlink(d, ue, 81, 200)
 	sim.RunAll()
-	if got := d.DownlinkDelivered(ue); got != 1 {
+	if got := *delivered; got != 1 {
 		t.Fatalf("downlink delivered = %d, want 1", got)
 	}
 	// Denied source port: dropped at the UPF.
-	d.SendDownlink(ue, dataplane.ProtoUDP, 9999, 200)
+	sendDownlink(d, ue, 9999, 200)
 	sim.RunAll()
-	if got := d.DownlinkDelivered(ue); got != 1 {
+	if got := *delivered; got != 1 {
 		t.Fatalf("denied downlink leaked: %d", got)
 	}
 }
@@ -114,11 +132,11 @@ func TestFigure11AppIDAssignment(t *testing.T) {
 	if _, err := d.Core.Attach("imsi-001", 1); err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := d.ONOS.AppID(1, sliceRulesV1()[0]); !ok || id != 1 {
-		t.Fatalf("deny-all app id = %d (%v), want 1", id, ok)
+	if e, ok := d.ONOS.appIDs[sliceRulesV1()[0].signature(1)]; !ok || e.id != 1 {
+		t.Fatalf("deny-all app id = %d (%v), want 1", e.id, ok)
 	}
-	if id, ok := d.ONOS.AppID(1, sliceRulesV1()[1]); !ok || id != 2 {
-		t.Fatalf("allow-81 app id = %d (%v), want 2", id, ok)
+	if e, ok := d.ONOS.appIDs[sliceRulesV1()[1].signature(1)]; !ok || e.id != 2 {
+		t.Fatalf("allow-81 app id = %d (%v), want 2", e.id, ok)
 	}
 
 	if err := d.UpdatePortal(1, sliceRulesV2()); err != nil {
@@ -127,8 +145,8 @@ func TestFigure11AppIDAssignment(t *testing.T) {
 	if _, err := d.Core.Attach("imsi-002", 1); err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := d.ONOS.AppID(1, sliceRulesV2()[1]); !ok || id != 3 {
-		t.Fatalf("allow-81-82 app id = %d (%v), want 3", id, ok)
+	if e, ok := d.ONOS.appIDs[sliceRulesV2()[1].signature(1)]; !ok || e.id != 3 {
+		t.Fatalf("allow-81-82 app id = %d (%v), want 3", e.id, ok)
 	}
 	// The Applications table now holds all three entries — the old
 	// 81-81 entry is still installed, shadowed by the higher priority.
@@ -247,9 +265,10 @@ func TestDownlinkBugAlsoCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SendDownlink(c1, dataplane.ProtoUDP, 81, 100)
+	delivered := countDownlink(d, c1)
+	sendDownlink(d, c1, 81, 100)
 	sim.RunAll()
-	if d.DownlinkDelivered(c1) != 1 {
+	if *delivered != 1 {
 		t.Fatal("downlink baseline failed")
 	}
 
@@ -259,10 +278,10 @@ func TestDownlinkBugAlsoCaught(t *testing.T) {
 	if _, err := d.Core.Attach("imsi-002", 1); err != nil {
 		t.Fatal(err)
 	}
-	d.SendDownlink(c1, dataplane.ProtoUDP, 81, 100)
+	sendDownlink(d, c1, 81, 100)
 	sim.RunAll()
 
-	if d.DownlinkDelivered(c1) != 1 {
+	if *delivered != 1 {
 		t.Fatal("downlink packet should have been dropped by the bug")
 	}
 	checkPublished(t, d)
@@ -327,19 +346,15 @@ func TestAccountingCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.SendUplink(ue, ServerAddr, dataplane.ProtoUDP, 81, 100)
 	}
-	d.SendDownlink(ue, dataplane.ProtoUDP, 81, 200)
+	sendDownlink(d, ue, 81, 200)
 	sim.RunAll()
 
-	c := d.UPF.Accounting.UE(ue.ID)
+	c := *d.UPF.Accounting.byUE[uint64(ue.ID)]
 	if c.UpPkts != 3 || c.DownPkts != 1 {
 		t.Fatalf("counters: %+v", c)
 	}
 	if c.UpBytes == 0 || c.DownBytes == 0 {
 		t.Fatalf("byte counters empty: %+v", c)
-	}
-	// An unknown UE reads zero.
-	if z := d.UPF.Accounting.UE(9999); z != (Counters{}) {
-		t.Fatalf("ghost counters: %+v", z)
 	}
 }
 
@@ -351,7 +366,7 @@ func TestSliceQoSMetering(t *testing.T) {
 	}
 	// Cap the slice at 1 Mb/s; a burst of 400 x 1000-byte packets in
 	// ~zero time vastly exceeds the bucket (1 Mb/s / 8 = 125 kbit burst).
-	d.UPF.Accounting.SetSliceMBR(1, 1_000_000)
+	d.UPF.Accounting.sliceMBR[1] = 1_000_000
 	for i := 0; i < 400; i++ {
 		d.SendUplink(ue, ServerAddr, dataplane.ProtoUDP, 81, 1000)
 	}

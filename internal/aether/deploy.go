@@ -43,9 +43,7 @@ type Deployment struct {
 	HydraApp *HydraApp
 	Bus      *reportbus.Bus
 
-	// enbSeen counts downlink tunnel deliveries per TEID.
-	enbSeen map[uint32]int
-	ipID    uint16
+	ipID uint16
 }
 
 // knownApps lists the application endpoints the Hydra app expands intent
@@ -69,7 +67,7 @@ type Options struct {
 
 // Build constructs the deployment.
 func Build(sim *netsim.Simulator, opts Options) *Deployment {
-	d := &Deployment{Sim: sim, enbSeen: map[uint32]int{}}
+	d := &Deployment{Sim: sim}
 
 	// The 2×2 mesh: leaf ports 1,2 → spines; spine port 1 → leaf1, port
 	// 2 → leaf2.
@@ -86,13 +84,6 @@ func Build(sim *netsim.Simulator, opts Options) *Deployment {
 	d.Enb = host("enb", EnbAddr, d.Leaf1, 3, 0xE1)
 	d.Server = host("server", ServerAddr, d.Leaf2, 3, 0x51)
 	d.Net = host("internet", InetAddr, d.Leaf2, 4, 0x52)
-
-	// Track downlink deliveries per TEID at the base station.
-	d.Enb.OnPacket = func(pkt *dataplane.Decoded) {
-		if pkt.HasGTPU {
-			d.enbSeen[pkt.GTPU.TEID]++
-		}
-	}
 
 	// Forwarding: leaf1 runs the UPF; the rest route.
 	d.UPF = NewUPF(UPFAddr, EnbAddr, UEPrefix, UEPrefixBits)
@@ -173,17 +164,3 @@ func (d *Deployment) SendUplink(ue *UE, dst dataplane.IP4, proto uint8, dport ui
 	}
 	d.Enb.SendPacket(pkt)
 }
-
-// SendDownlink emits one downlink packet from the edge server to ue.
-func (d *Deployment) SendDownlink(ue *UE, proto uint8, sport uint16, payloadLen int) {
-	switch proto {
-	case dataplane.ProtoUDP:
-		d.Server.SendUDP(ue.IP, sport, 40000+ue.ID, payloadLen)
-	case dataplane.ProtoTCP:
-		d.Server.SendTCP(ue.IP, sport, 40000+ue.ID, dataplane.TCPAck, payloadLen)
-	}
-}
-
-// DownlinkDelivered reports how many tunneled packets reached the base
-// station for the UE.
-func (d *Deployment) DownlinkDelivered(ue *UE) int { return d.enbSeen[ue.TEIDDown] }

@@ -249,13 +249,6 @@ func (r FilterRule) representative() (rep struct {
 	return rep
 }
 
-// AppID returns the Applications-table ID assigned to a rule signature,
-// for tests that assert Figure 11's exact entry layout.
-func (o *ONOS) AppID(sliceID uint8, r FilterRule) (uint8, bool) {
-	e, ok := o.appIDs[r.signature(sliceID)]
-	return e.id, ok
-}
-
 // MobileCore models the 3GPP dual-mode core: it owns slice definitions,
 // allocates UE identity (IP, TEIDs) on attach, and — because PFCP has
 // no slice-global rule scope — pushes each slice's filtering rules to

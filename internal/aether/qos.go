@@ -66,25 +66,6 @@ func NewAccounting() *Accounting {
 	}
 }
 
-// SetSliceMBR configures the maximum bitrate of a slice; existing
-// meters of that slice's UEs are rebuilt on their next packet.
-func (a *Accounting) SetSliceMBR(sliceID uint8, bps int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sliceMBR[uint64(sliceID)] = bps
-	a.meters = map[uint64]*meter{}
-}
-
-// UE returns (a copy of) a client's counters.
-func (a *Accounting) UE(ueID uint16) Counters {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if c, ok := a.byUE[uint64(ueID)]; ok {
-		return *c
-	}
-	return Counters{}
-}
-
 // record accounts one packet and applies the slice meter; it reports
 // whether the packet conforms (false = drop by QoS).
 func (a *Accounting) record(now netsim.Time, ueID, sliceID uint64, bytes int, uplink bool) bool {

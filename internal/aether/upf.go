@@ -18,7 +18,6 @@ import (
 
 // Filtering actions carried in the checker's telemetry (Figure 9).
 const (
-	ActionNone  uint8 = 0
 	ActionDeny  uint8 = 1
 	ActionAllow uint8 = 2
 )

@@ -274,14 +274,6 @@ func (v *Verifier) ensure(id uint32) int {
 	return i
 }
 
-// Connect wires a bidirectional switch-to-switch link into the
-// verifier's topology model.
-func (v *Verifier) Connect(aID uint32, aPort int, bID uint32, bPort int) {
-	ai, bi := v.ensure(aID), v.ensure(bID)
-	v.sws[ai].ports[aPort] = portDest{sw: bi}
-	v.sws[bi].ports[bPort] = portDest{sw: ai}
-}
-
 // AttachHost wires a host with the given address to a switch port and
 // marks the switch as a traffic source. Attachment alone enables the
 // misdelivery check against this port; delivery to ip is only verified

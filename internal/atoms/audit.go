@@ -15,7 +15,7 @@ import (
 // see.
 //
 // It implements the controller's InstallObserver contract structurally
-// (ControlInstalled / ControlDeleted), so wiring is one assignment:
+// (ControlInstalled), so wiring is one assignment:
 //
 //	audit := atoms.NewAudit()
 //	ctl.Observer = audit
@@ -97,16 +97,6 @@ func (a *Audit) ControlInstalled(checker string, switchID uint32, varName string
 		a.installed[k] = set
 	}
 	set[switchID] = struct{}{}
-}
-
-// ControlDeleted records an applied delete: the entry is no longer
-// installed on that switch, and any declared intent for it goes back to
-// missing.
-func (a *Audit) ControlDeleted(checker string, switchID uint32, varName string, key []uint64) {
-	k := intentKey{checker, varName, encodeKey(key)}
-	if set := a.installed[k]; set != nil {
-		delete(set, switchID)
-	}
 }
 
 // Missing snapshots every declared intent not currently applied, sorted

@@ -363,16 +363,6 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 	return p, nil
 }
 
-// MustCompile compiles prog, panicking on error; for programs already
-// validated by the compiler.
-func MustCompile(prog *pipeline.Program) *Prog {
-	p, err := Compile(prog)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // scanWidths mines every Field read's width so slot templates can bake
 // the width-defaulting semantics of an unwritten field.
 func (cp *comp) scanWidths() {
@@ -1158,15 +1148,6 @@ func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32
 
 // ---------------------------------------------------------------------------
 // Introspection
-
-// NumSlots returns the program's own PHV vector length.
-func (p *Prog) NumSlots() int { return p.img.nSlots }
-
-// NumInstrs returns the total instruction count across all blocks.
-func (p *Prog) NumInstrs() int { return len(p.init) + len(p.tele) + len(p.check) }
-
-// TeleWireBytes is the size of the program's telemetry record on the wire.
-func (p *Prog) TeleWireBytes() int { return p.img.teleBytes }
 
 // DirtySlots returns every PHV slot index some execution can write —
 // the largest set of slots a reused context can carry stale values in

@@ -607,10 +607,10 @@ func TestCorpusCompiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: bytecode: %v", p.Key, err)
 		}
-		if vp.NumInstrs() == 0 {
+		if len(bytecode.OpcodeCounts(vp)) == 0 {
 			t.Fatalf("%s: empty bytecode", p.Key)
 		}
-		if vp.NumSlots() == 0 {
+		if len(bytecode.LinkSet([]bytecode.Member{{Prog: vp}}).NewCtx().PHV) == 0 {
 			t.Fatalf("%s: empty PHV", p.Key)
 		}
 	}
@@ -818,11 +818,4 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 		vm.Run(1, 100, false, false, bytecode.BlockTelemetry) // a middle hop
 		benchSink += c.PHV[0].V
 	}
-}
-
-func ExampleProg_NumInstrs() {
-	prog := tortureProgram()
-	vp := bytecode.MustCompile(prog)
-	fmt.Println(vp.NumInstrs() > 0)
-	// Output: true
 }

@@ -78,8 +78,8 @@ func newCodecMember(t *testing.T, p *pipeline.Program) codecMember {
 	}
 	m := codecMember{vp: vp}
 	m.fields, m.size = refLayout(t, p)
-	if vp.TeleWireBytes() != m.size {
-		t.Fatalf("%s: TeleWireBytes %d, reference %d", p.Name, vp.TeleWireBytes(), m.size)
+	if n := bytecode.LinkSet([]bytecode.Member{{Prog: vp}}).TeleWireBytes(); n != m.size {
+		t.Fatalf("%s: TeleWireBytes %d, reference %d", p.Name, n, m.size)
 	}
 	return m
 }

@@ -1,5 +1,7 @@
 package bytecode
 
+import "repro/internal/pipeline"
+
 // The bit-serial reference codec of codec_test.go, for the external
 // tests that need the compiler to build their layouts.
 var (
@@ -45,6 +47,14 @@ func PrologueLens(p *Prog) [3]int { return p.pro }
 // ahead of its code.
 func PassPrologue(s *Set, b Blocks) (hops, applies int) {
 	return len(s.pro[b].hops), len(s.pro[b].applies)
+}
+
+// SlotOf resolves a field of the k-th member's program to its slot
+// in the Set's PHV, if the program references it anywhere.
+func (s *Set) SlotOf(k int, f pipeline.FieldRef) (int32, bool) {
+	m := &s.members[k]
+	sl, ok := m.Prog.slots[f]
+	return m.slot[sl], ok
 }
 
 // CheckLayout and LayoutMutations are layout_test.go's, for the external

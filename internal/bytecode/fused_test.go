@@ -44,7 +44,7 @@ header bit<8> h0;
 func TestEveryOpcodeReached(t *testing.T) {
 	count := func(into map[string]int, progs ...*pipeline.Program) {
 		for _, p := range progs {
-			for op, n := range bytecode.OpcodeCounts(bytecode.MustCompile(p)) {
+			for op, n := range bytecode.OpcodeCounts(mustCompile(t, p)) {
 				into[op] += n
 			}
 		}
@@ -130,7 +130,7 @@ func TestMembershipFusesCompileIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops := bytecode.OpcodeCounts(bytecode.MustCompile(c.Prog))
+		ops := bytecode.OpcodeCounts(mustCompile(t, c.Prog))
 		if ops["in"] != 1 || ops["boolor"]+ops["booland"]+ops["lt"]+ops["eq"] != 0 {
 			t.Errorf("capacity %d: %v, want one in and no unrolled term", n, ops)
 		}
@@ -208,7 +208,7 @@ func TestMembershipNearMisses(t *testing.T) {
 				pipeline.PushOp{Base: base, ElemWidth: 32, Cap: 3, Src: f(string(pipeline.FieldSwitch), 32)},
 			},
 		}
-		ops := bytecode.OpcodeCounts(bytecode.MustCompile(prog))
+		ops := bytecode.OpcodeCounts(mustCompile(t, prog))
 		if generic := ops["boolor"] + ops["jzor"]; ops["in"] != tc.in || (generic > 0) != tc.generic {
 			t.Errorf("%s: %d opIn, %d generic ORs", tc.name, ops["in"], generic)
 		}
@@ -306,6 +306,16 @@ control bit<8> c0;
 { }
 `
 
+// mustCompile compiles p to bytecode, failing t on error.
+func mustCompile(t *testing.T, p *pipeline.Program) *bytecode.Prog {
+	t.Helper()
+	vp, err := bytecode.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vp
+}
+
 // randomSets draws TestSetConformanceRandom's member lists (difftest's
 // conformance_test.go) seed for seed, the same random stream consumed the
 // same way, so the layout check sees the sets that test runs.
@@ -327,7 +337,7 @@ func randomSets(t *testing.T, seeds int) [][]bytecode.Member {
 			if err != nil {
 				t.Fatalf("seed %d member %d: %v", seed, m, err)
 			}
-			members[m] = bytecode.Member{Prog: bytecode.MustCompile(c.Prog), CheckEveryHop: rng.Intn(3) == 0}
+			members[m] = bytecode.Member{Prog: mustCompile(t, c.Prog), CheckEveryHop: rng.Intn(3) == 0}
 		}
 		sets = append(sets, members)
 	}
@@ -407,7 +417,7 @@ func TestPrologueKeepsBlockedEntries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := bytecode.PrologueLens(bytecode.MustCompile(c.Prog)); got != tc.want {
+			if got := bytecode.PrologueLens(mustCompile(t, c.Prog)); got != tc.want {
 				t.Errorf("prologue %v, want %v", got, tc.want)
 			}
 			h := difftest.NewHarness(t, tc.src)

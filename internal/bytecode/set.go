@@ -184,14 +184,6 @@ func relocate(dst, code []Instr, n int, slot []int32, base [4]int32) []Instr {
 // Len returns the number of members; k below counts them.
 func (s *Set) Len() int { return len(s.members) }
 
-// SlotOf resolves a field of the k-th member's program to its slot
-// in the Set's PHV, if the program references it anywhere.
-func (s *Set) SlotOf(k int, f pipeline.FieldRef) (int32, bool) {
-	m := &s.members[k]
-	sl, ok := m.Prog.slots[f]
-	return m.slot[sl], ok
-}
-
 // RunBlocks executes the selected blocks of every member, member after
 // member, against the context's row binding, after BeginHop and the header
 // scatter: Stage.Run binds the row and makes the three calls, and is the

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/indus/ast"
 	"repro/internal/indus/parser"
 	"repro/internal/indus/types"
 )
@@ -117,12 +116,6 @@ func MustParse(key string) *types.Info {
 	return info
 }
 
-// HeaderVars returns the header variables a forwarding substrate must
-// bind for the property, in declaration order.
-func HeaderVars(info *types.Info) []ast.Decl {
-	return info.Prog.DeclsOfKind(ast.KindHeader)
-}
-
 // All is the corpus, in Table 1 order.
 var All = []Property{
 	{
@@ -184,7 +177,7 @@ var All = []Property{
 	{
 		Key:         "loop-freedom",
 		Name:        "Loops (4 hops)",
-		Description: "Packets should not visit the same switch twice",
+		Description: "Packets should not revisit a switch within 4 hops",
 		Source:      LoopFreedomSrc,
 
 		PaperIndusLoC: 20, PaperP4LoC: 156, PaperStages: 12, PaperPHVPct: 48.24,

@@ -96,9 +96,9 @@ func TestIndusLoCNearPaper(t *testing.T) {
 
 func TestHeaderVars(t *testing.T) {
 	info := MustParse("multi-tenancy")
-	hs := HeaderVars(info)
+	hs := info.Prog.DeclsOfKind(ast.KindHeader)
 	if len(hs) != 2 || hs[0].Name != "in_port" || hs[1].Name != "eg_port" {
-		t.Fatalf("HeaderVars = %+v", hs)
+		t.Fatalf("header variables = %+v", hs)
 	}
 	for _, h := range hs {
 		if h.Kind != ast.KindHeader {

@@ -271,8 +271,13 @@ tele bool started = false;
 }
 `
 
-// LoopFreedomSrc checks that a packet never visits the same switch
-// twice, keeping a 4-entry path trace as Table 1's "Loops (4 hops)" row.
+// LoopFreedomSrc checks that a packet does not revisit a switch within
+// four hops, Table 1's "Loops (4 hops)" row. `path` keeps the last four
+// switches and a push onto the full array evicts the oldest, so a
+// revisit is caught only while the earlier visit is among the four
+// before it: 1 2 3 4 1 is rejected, 1 2 3 4 5 1 passes
+// (TestLoopFreedomWindow). Widening the array changes Table 1's PHV
+// column.
 const LoopFreedomSrc = `
 tele bit<32>[4] path;
 tele bool revisited = false;

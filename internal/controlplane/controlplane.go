@@ -34,12 +34,11 @@ import (
 // InstallObserver observes the control-plane mutations a Controller
 // actually applies, per target switch: the hook the static verification
 // layer (internal/atoms Audit) uses to cross-check declared intents
-// against delivered installs. Scalars report a nil key; set members
-// report value 1. WipeSwitch is deliberately unobserved — a wipe is a
-// runtime fault, not a control-plane decision.
+// against delivered installs. Scalars report a nil key. WipeSwitch is
+// deliberately unobserved — a wipe is a runtime fault, not a
+// control-plane decision.
 type InstallObserver interface {
 	ControlInstalled(checker string, switchID uint32, varName string, key []uint64, value uint64)
-	ControlDeleted(checker string, switchID uint32, varName string, key []uint64)
 }
 
 // Controller deploys compiled checkers onto switches and manages their
@@ -177,51 +176,14 @@ func (c *Controller) PutDict(name string, switchID uint32, varName string, key [
 	}, varName)
 }
 
-// DeleteDict removes a dictionary entry.
-func (c *Controller) DeleteDict(name string, switchID uint32, varName string, key []uint64) error {
-	return c.forEach(name, switchID, func(id uint32, tbl *pipeline.Table) error {
-		keys := make([]pipeline.KeyMatch, len(key))
-		for i, k := range key {
-			keys[i] = pipeline.ExactKey(k)
-		}
-		tbl.Delete(keys)
-		c.observeDelete(name, id, varName, key)
-		return nil
-	}, varName)
-}
-
-// AddSet inserts a member into a set control variable.
-func (c *Controller) AddSet(name string, switchID uint32, varName string, key ...uint64) error {
-	return c.forEach(name, switchID, func(id uint32, tbl *pipeline.Table) error {
-		keys := make([]pipeline.KeyMatch, len(key))
-		for i, k := range key {
-			keys[i] = pipeline.ExactKey(k)
-		}
-		if err := tbl.Insert(pipeline.Entry{Keys: keys}); err != nil {
-			return err
-		}
-		c.observeInstall(name, id, varName, key, 1)
-		return nil
-	}, varName)
-}
-
-// observeInstall and observeDelete forward applied mutations to the
-// install observer, when one is attached.
+// observeInstall forwards an applied install to the install observer,
+// when one is attached.
 func (c *Controller) observeInstall(name string, id uint32, varName string, key []uint64, value uint64) {
 	c.mu.Lock()
 	obs := c.Observer
 	c.mu.Unlock()
 	if obs != nil {
 		obs.ControlInstalled(name, id, varName, key, value)
-	}
-}
-
-func (c *Controller) observeDelete(name string, id uint32, varName string, key []uint64) {
-	c.mu.Lock()
-	obs := c.Observer
-	c.mu.Unlock()
-	if obs != nil {
-		obs.ControlDeleted(name, id, varName, key)
 	}
 }
 

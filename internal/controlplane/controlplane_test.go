@@ -97,97 +97,6 @@ func TestReportsCollected(t *testing.T) {
 	}
 }
 
-// deleteRecorder is an InstallObserver that keeps every delete it sees.
-type deleteRecorder struct{ deletes []deleted }
-
-type deleted struct {
-	checker, varName string
-	switchID         uint32
-	key              []uint64
-}
-
-func (r *deleteRecorder) ControlInstalled(string, uint32, string, []uint64, uint64) {}
-
-func (r *deleteRecorder) ControlDeleted(checker string, switchID uint32, varName string, key []uint64) {
-	r.deletes = append(r.deletes, deleted{checker, varName, switchID, key})
-}
-
-// switches returns the switches the recorded deletes of key hit, after
-// checking each names the egress checker's port set.
-func (r *deleteRecorder) switches(t *testing.T, key []uint64) map[uint32]bool {
-	t.Helper()
-	hit := map[uint32]bool{}
-	for _, d := range r.deletes {
-		if d.checker != "egress" || d.varName != "allowed_eg_ports" || !reflect.DeepEqual(d.key, key) || hit[d.switchID] {
-			t.Fatalf("unexpected delete %+v among %+v", d, r.deletes)
-		}
-		hit[d.switchID] = true
-	}
-	return hit
-}
-
-func TestSetAndDelete(t *testing.T) {
-	sim, ls, ctl, _ := buildFabric(t)
-	if err := ctl.Deploy("egress", checkers.MustParse("egress-validity"), ls.AllSwitches()...); err != nil {
-		t.Fatal(err)
-	}
-	for port := uint64(0); port <= 8; port++ {
-		if err := ctl.AddSet("egress", 0, "allowed_eg_ports", port); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec := &deleteRecorder{}
-	ctl.Observer = rec
-	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
-	h1.SendUDP(h2.IP, 1, 80, 64)
-	sim.RunAll()
-	if h2.RxUDP != 1 {
-		t.Fatal("allowed egress must pass")
-	}
-	if ctl.Rejected("egress") != 0 {
-		t.Fatal("no rejections expected")
-	}
-
-	// With two spines a leaf's host is on port 3: the h1 -> h2 flow
-	// leaves the fabric there at leaf 2, and h2 -> h1 at leaf 1.
-	hostPort := []uint64{3}
-	if err := ctl.DeleteDict("egress", 0, "allowed_eg_ports", hostPort); err != nil {
-		t.Fatal(err)
-	}
-	all := map[uint32]bool{}
-	for _, sw := range ls.AllSwitches() {
-		all[sw.ID] = true
-	}
-	if hit := rec.switches(t, hostPort); !reflect.DeepEqual(hit, all) {
-		t.Fatalf("a delete on every switch was observed on %v, want %v", hit, all)
-	}
-	h1.SendUDP(h2.IP, 2, 80, 64)
-	sim.RunAll()
-	if h2.RxUDP != 1 || ctl.Rejected("egress") != 1 {
-		t.Fatalf("after the delete: delivered %d, rejected %d, want the packet rejected", h2.RxUDP, ctl.Rejected("egress"))
-	}
-
-	// A scoped delete removes the entry on that switch only.
-	if err := ctl.AddSet("egress", 0, "allowed_eg_ports", hostPort...); err != nil {
-		t.Fatal(err)
-	}
-	rec.deletes = nil
-	leaf1 := ls.Leaves[0].ID
-	if err := ctl.DeleteDict("egress", leaf1, "allowed_eg_ports", hostPort); err != nil {
-		t.Fatal(err)
-	}
-	if hit := rec.switches(t, hostPort); !reflect.DeepEqual(hit, map[uint32]bool{leaf1: true}) {
-		t.Fatalf("a delete on leaf 1 was observed on %v", hit)
-	}
-	h1.SendUDP(h2.IP, 3, 80, 64)
-	h2.SendUDP(h1.IP, 3, 80, 64)
-	sim.RunAll()
-	if h2.RxUDP != 2 || h1.RxUDP != 0 || ctl.Rejected("egress") != 2 {
-		t.Fatalf("after a delete on leaf 1: h2 received %d, h1 %d, rejected %d; want 2, 0, 2",
-			h2.RxUDP, h1.RxUDP, ctl.Rejected("egress"))
-	}
-}
-
 func TestErrors(t *testing.T) {
 	_, ls, ctl, _ := buildFabric(t)
 	if err := ctl.SetScalar("nope", 0, "x", 1); err == nil {
@@ -267,8 +176,14 @@ func TestWipeSwitch(t *testing.T) {
 	if err := ctl.PutDict("vlan", 0, "vlan_members", []uint64{0}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.AddSet("egress", 0, "allowed_eg_ports", 3); err != nil {
-		t.Fatal(err)
+	for _, sw := range ls.AllSwitches() {
+		att, err := ctl.Attachment("egress", sw.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := att.State.Tables["allowed_eg_ports"].Insert(pipeline.Entry{Keys: []pipeline.KeyMatch{pipeline.ExactKey(3)}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	entries := func(sw uint32) []int {
 		t.Helper()

@@ -50,15 +50,6 @@ func (w *BitWriter) Grow(nbits int) {
 	}
 }
 
-// WriteBool appends a single bit.
-func (w *BitWriter) WriteBool(b bool) {
-	if b {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
-	}
-}
-
 // Align pads with zero bits to the next byte boundary.
 func (w *BitWriter) Align() {
 	for w.nbit%8 != 0 {
@@ -106,18 +97,9 @@ func (r *BitReader) ReadBits(width int) (uint64, error) {
 	return v, nil
 }
 
-// ReadBool consumes a single bit.
-func (r *BitReader) ReadBool() (bool, error) {
-	v, err := r.ReadBits(1)
-	return v == 1, err
-}
-
 // Align skips to the next byte boundary.
 func (r *BitReader) Align() {
 	if rem := r.nbit % 8; rem != 0 {
 		r.nbit += 8 - rem
 	}
 }
-
-// Remaining returns the number of unread bits.
-func (r *BitReader) Remaining() int { return len(r.buf)*8 - r.nbit }

@@ -102,7 +102,7 @@ func dirtyDecoded() *Decoded {
 	d.VLAN = VLAN{PCP: 7, VID: 4095}
 	d.InsertHydra([]byte{0xde, 0xad, 0xbe, 0xef, 0x99})
 	d.HasSourceRoute = true
-	d.SourceRoute = SourceRouteFromPorts(9, 8, 7, 6)
+	d.SourceRoute = []SourceRouteHop{{Port: 9}, {Port: 8}, {Port: 7}, {Port: 6, BOS: true}}
 	d.HasGTPU = true
 	d.GTPU = GTPU{MsgType: GTPUGPDU, Length: 77, TEID: 0xffff}
 	d.HasInnerIPv4 = true
@@ -115,7 +115,7 @@ func dirtyDecoded() *Decoded {
 }
 
 // normalizedDecoded flattens the nil-vs-empty slice distinction so a
-// fresh Parse (nil SourceRoute) compares equal to a ParseInto reuse
+// fresh Decoded (nil SourceRoute) compares equal to a ParseInto reuse
 // (length-0 slice with retained capacity).
 func normalizedDecoded(d *Decoded) Decoded {
 	c := *d
@@ -134,23 +134,24 @@ func normalizedDecoded(d *Decoded) Decoded {
 // checkCodecDifferential is the shared oracle for the table test and the
 // fuzzer: on any input bytes,
 //
-//  1. ParseInto into a dirty reused Decoded agrees with fresh Parse —
+//  1. ParseInto into a dirty reused Decoded agrees with one into a fresh Decoded —
 //     same error, or semantically equal result;
 //  2. AppendTo reproduces legacy Serialize byte-for-byte;
 //  3. WireLen equals the serialized length without serializing.
 func checkCodecDifferential(t *testing.T, data []byte) {
 	t.Helper()
-	fresh, freshErr := Parse(data)
+	fresh := new(Decoded)
+	freshErr := ParseInto(fresh, data)
 	reused := dirtyDecoded()
 	reusedErr := ParseInto(reused, data)
 	if (freshErr == nil) != (reusedErr == nil) {
-		t.Fatalf("Parse err %v but ParseInto err %v", freshErr, reusedErr)
+		t.Fatalf("fresh ParseInto err %v but reused ParseInto err %v", freshErr, reusedErr)
 	}
 	if freshErr != nil {
 		return
 	}
 	if !reflect.DeepEqual(normalizedDecoded(fresh), normalizedDecoded(reused)) {
-		t.Fatalf("ParseInto into dirty Decoded diverged from fresh Parse\nfresh  %+v\nreused %+v", fresh, reused)
+		t.Fatalf("ParseInto into dirty Decoded diverged from a fresh one\nfresh  %+v\nreused %+v", fresh, reused)
 	}
 
 	legacy := legacySerialize(fresh.Clone())
@@ -198,8 +199,8 @@ func TestCodecDifferential(t *testing.T) {
 func TestAppendToDoesNotMutate(t *testing.T) {
 	for _, tc := range roundTripCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := Parse(tc.build().Serialize())
-			if err != nil {
+			p := new(Decoded)
+			if err := ParseInto(p, tc.build().Serialize()); err != nil {
 				t.Fatal(err)
 			}
 			before := *p
@@ -217,8 +218,8 @@ func TestAppendToDoesNotMutate(t *testing.T) {
 // read-only; the byte comparison proves the outputs are stable.
 func TestSerializeSharedDecodedRace(t *testing.T) {
 	for _, tc := range roundTripCases() {
-		p, err := Parse(tc.build().Serialize())
-		if err != nil {
+		p := new(Decoded)
+		if err := ParseInto(p, tc.build().Serialize()); err != nil {
 			t.Fatal(err)
 		}
 		want := p.Serialize()
@@ -247,7 +248,7 @@ func TestCloneIndependence(t *testing.T) {
 	d := buildUDPPacket([]byte("payload"))
 	d.InsertHydra([]byte{1, 2, 3})
 	d.HasSourceRoute = true
-	d.SourceRoute = SourceRouteFromPorts(1, 2)
+	d.SourceRoute = []SourceRouteHop{{Port: 1}, {Port: 2, BOS: true}}
 	c := d.Clone()
 	if !reflect.DeepEqual(normalizedDecoded(d), normalizedDecoded(c)) {
 		t.Fatalf("clone differs from original")
@@ -305,8 +306,8 @@ func BenchmarkParseInto(b *testing.B) {
 }
 
 func BenchmarkAppendTo(b *testing.B) {
-	p, err := Parse(codecBenchFrame())
-	if err != nil {
+	p := new(Decoded)
+	if err := ParseInto(p, codecBenchFrame()); err != nil {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 0, p.WireLen())

@@ -142,14 +142,8 @@ type TCP struct {
 	Urgent   uint16
 }
 
-// TCP flag bits.
-const (
-	TCPFin uint8 = 1 << iota
-	TCPSyn
-	TCPRst
-	TCPPsh
-	TCPAck
-)
+// TCPSyn is the TCP SYN flag bit.
+const TCPSyn uint8 = 1 << 1
 
 // TCPLen is the serialized length of an optionless TCP header.
 const TCPLen = 20

@@ -139,15 +139,10 @@ type SourceRouteHop struct {
 // SourceRouteHopLen is the serialized length of one stack entry.
 const SourceRouteHopLen = 6
 
-// DecodeSourceRoute parses the full header stack (entries up to and
-// including the bottom-of-stack entry) and returns the remaining payload.
-func DecodeSourceRoute(b []byte) ([]SourceRouteHop, []byte, error) {
-	return decodeSourceRouteInto(nil, b)
-}
-
-// decodeSourceRouteInto is DecodeSourceRoute appending into a
-// caller-owned slice (normally sliced to length 0), so steady-state
-// parsing reuses its capacity.
+// decodeSourceRouteInto parses the full header stack (entries up to and
+// including the bottom-of-stack entry) into a caller-owned slice
+// (normally sliced to length 0), so steady-state parsing reuses its
+// capacity, and returns the remaining payload.
 func decodeSourceRouteInto(hops []SourceRouteHop, b []byte) ([]SourceRouteHop, []byte, error) {
 	for {
 		if len(b) < SourceRouteHopLen {
@@ -182,16 +177,6 @@ func AppendSourceRoute(buf []byte, hops []SourceRouteHop) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, h.SwitchID)
 	}
 	return buf
-}
-
-// SourceRouteFromPorts builds a stack from a list of egress ports (with
-// zero switch IDs, for callers that do not use path validation).
-func SourceRouteFromPorts(ports ...uint16) []SourceRouteHop {
-	hops := make([]SourceRouteHop, len(ports))
-	for i, p := range ports {
-		hops[i] = SourceRouteHop{Port: p, BOS: i == len(ports)-1}
-	}
-	return hops
 }
 
 // IP4 is a 32-bit IPv4 address in host byte order helpers.

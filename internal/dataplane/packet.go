@@ -19,9 +19,6 @@ type HydraRaw struct {
 // plus blob length (2).
 const hydraFixedLen = 4
 
-// WireLen returns the serialized length of the Hydra header.
-func (h *HydraRaw) WireLen() int { return hydraFixedLen + len(h.Blob) }
-
 // Decode parses the header from b and returns the remaining payload.
 func (h *HydraRaw) Decode(b []byte) ([]byte, error) {
 	if len(b) < hydraFixedLen {
@@ -82,24 +79,13 @@ type Decoded struct {
 	Payload []byte
 }
 
-// Parse decodes a full packet from wire bytes. It never fails on an
-// unknown inner protocol — parsing just stops and the rest lands in
-// Payload — but it does fail on structurally broken headers.
-//
-// Parse allocates a fresh Decoded per call; hot paths should hold a
-// Decoded of their own and use ParseInto.
-func Parse(data []byte) (*Decoded, error) {
-	d := &Decoded{}
-	if err := ParseInto(d, data); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // ParseInto decodes a full packet from wire bytes into a caller-owned
 // Decoded, reusing its SourceRoute capacity so steady-state parsing does
-// not allocate. All fields are reset first, so d may be dirty from a
-// previous packet. On error the contents of d are unspecified.
+// not allocate. It never fails on an unknown inner protocol — parsing
+// just stops and the rest lands in Payload — but it does fail on
+// structurally broken headers. All fields are reset first, so d may be
+// dirty from a previous packet. On error the contents of d are
+// unspecified.
 //
 // The Hydra blob and Payload alias data: d is only valid while the
 // caller owns the frame. Retain a packet past that with Clone.

@@ -82,16 +82,14 @@ func TestIP4Helpers(t *testing.T) {
 }
 
 func TestSourceRouteStack(t *testing.T) {
-	hops := SourceRouteFromPorts(2, 3, 1)
-	if !hops[2].BOS || hops[0].BOS || hops[1].BOS {
-		t.Fatalf("BOS placement wrong: %+v", hops)
-	}
+	// AppendSourceRoute sets bottom-of-stack on the last entry itself.
+	hops := []SourceRouteHop{{Port: 2}, {Port: 3}, {Port: 1}}
 	buf := AppendSourceRoute(nil, hops)
-	got, rest, err := DecodeSourceRoute(append(buf, 0xde, 0xad))
+	got, rest, err := decodeSourceRouteInto(nil, append(buf, 0xde, 0xad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[0].Port != 2 || got[1].Port != 3 || got[2].Port != 1 {
+	if len(got) != 3 || got[0].Port != 2 || got[1].Port != 3 || got[2].Port != 1 || !got[2].BOS || got[0].BOS || got[1].BOS {
 		t.Fatalf("got %+v", got)
 	}
 	if len(rest) != 2 {
@@ -99,7 +97,7 @@ func TestSourceRouteStack(t *testing.T) {
 	}
 
 	// Truncated stack (no BOS) must error.
-	if _, _, err := DecodeSourceRoute([]byte{0x00, 0x05}); err == nil {
+	if _, _, err := decodeSourceRouteInto(nil, []byte{0x00, 0x05}); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
@@ -119,8 +117,8 @@ func buildUDPPacket(payload []byte) *Decoded {
 func TestParseSerializeUDP(t *testing.T) {
 	d := buildUDPPacket([]byte("hello"))
 	wire := d.Serialize()
-	got, err := Parse(wire)
-	if err != nil {
+	got := new(Decoded)
+	if err := ParseInto(got, wire); err != nil {
 		t.Fatal(err)
 	}
 	if !got.HasIPv4 || !got.HasUDP || got.HasTCP || got.HasHydra {
@@ -142,8 +140,8 @@ func TestHydraInsertStripRestoresWire(t *testing.T) {
 	orig := d.Serialize()
 
 	// First hop: inject telemetry.
-	p, err := Parse(orig)
-	if err != nil {
+	p := new(Decoded)
+	if err := ParseInto(p, orig); err != nil {
 		t.Fatal(err)
 	}
 	p.InsertHydra([]byte{0xca, 0xfe, 0x01})
@@ -153,8 +151,8 @@ func TestHydraInsertStripRestoresWire(t *testing.T) {
 	}
 
 	// Middle hop: parse keeps the blob visible.
-	mid, err := Parse(withTele)
-	if err != nil {
+	mid := new(Decoded)
+	if err := ParseInto(mid, withTele); err != nil {
 		t.Fatal(err)
 	}
 	if !mid.HasHydra || !bytes.Equal(mid.Hydra.Blob, []byte{0xca, 0xfe, 0x01}) {
@@ -181,16 +179,16 @@ func TestHydraOverVLAN(t *testing.T) {
 	d.VLAN = VLAN{PCP: 3, VID: 100}
 	orig := d.Serialize()
 
-	p, err := Parse(orig)
-	if err != nil {
+	p := new(Decoded)
+	if err := ParseInto(p, orig); err != nil {
 		t.Fatal(err)
 	}
 	if !p.HasVLAN || p.VLAN.VID != 100 {
 		t.Fatalf("vlan lost: %+v", p.VLAN)
 	}
 	p.InsertHydra([]byte{1, 2})
-	q, err := Parse(p.Serialize())
-	if err != nil {
+	q := new(Decoded)
+	if err := ParseInto(q, p.Serialize()); err != nil {
 		t.Fatal(err)
 	}
 	if !q.HasHydra || !q.HasVLAN || q.VLAN.VID != 100 || !q.HasUDP {
@@ -205,10 +203,10 @@ func TestHydraOverVLAN(t *testing.T) {
 func TestSourceRoutePacketRoundTrip(t *testing.T) {
 	d := buildUDPPacket([]byte("sr"))
 	d.HasSourceRoute = true
-	d.SourceRoute = SourceRouteFromPorts(2, 3, 1)
+	d.SourceRoute = []SourceRouteHop{{Port: 2}, {Port: 3}, {Port: 1, BOS: true}}
 	wire := d.Serialize()
-	got, err := Parse(wire)
-	if err != nil {
+	got := new(Decoded)
+	if err := ParseInto(got, wire); err != nil {
 		t.Fatal(err)
 	}
 	if !got.HasSourceRoute || len(got.SourceRoute) != 3 {
@@ -223,8 +221,8 @@ func TestSourceRoutePacketRoundTrip(t *testing.T) {
 
 	// Popping one hop and re-serializing mimics a source-routing switch.
 	got.SourceRoute = got.SourceRoute[1:]
-	reparsed, err := Parse(got.Serialize())
-	if err != nil {
+	reparsed := new(Decoded)
+	if err := ParseInto(reparsed, got.Serialize()); err != nil {
 		t.Fatal(err)
 	}
 	if len(reparsed.SourceRoute) != 2 || reparsed.SourceRoute[0].Port != 3 {
@@ -251,8 +249,8 @@ func TestGTPUEncapRoundTrip(t *testing.T) {
 		Payload:      []byte("user data"),
 	}
 	wire := d.Serialize()
-	got, err := Parse(wire)
-	if err != nil {
+	got := new(Decoded)
+	if err := ParseInto(got, wire); err != nil {
 		t.Fatal(err)
 	}
 	if !got.HasGTPU || got.GTPU.TEID != 0xbeef {
@@ -280,8 +278,8 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 		HasICMP: true,
 		ICMP:    ICMPEcho{Type: ICMPEchoRequest, ID: 77, Seq: 3},
 	}
-	got, err := Parse(d.Serialize())
-	if err != nil {
+	got := new(Decoded)
+	if err := ParseInto(got, d.Serialize()); err != nil {
 		t.Fatal(err)
 	}
 	if !got.HasICMP || got.ICMP.ID != 77 || got.ICMP.Seq != 3 || got.ICMP.Type != ICMPEchoRequest {
@@ -308,7 +306,7 @@ func TestParseErrors(t *testing.T) {
 		}(),
 	}
 	for i, c := range cases {
-		if _, err := Parse(c); err == nil {
+		if err := ParseInto(new(Decoded), c); err == nil {
 			t.Errorf("case %d: expected parse error", i)
 		}
 	}
@@ -385,7 +383,7 @@ func TestIPv4RejectsEverySingleBitFlip(t *testing.T) {
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	w := NewBitWriter()
 	w.WriteBits(0x5, 3)
-	w.WriteBool(true)
+	w.WriteBits(1, 1)
 	w.WriteBits(0xABCD, 16)
 	w.WriteBits(1, 1)
 	w.Align()
@@ -396,8 +394,8 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 	if v, _ := r.ReadBits(3); v != 0x5 {
 		t.Fatalf("3-bit read = %x", v)
 	}
-	if b, _ := r.ReadBool(); !b {
-		t.Fatal("bool read")
+	if v, _ := r.ReadBits(1); v != 1 {
+		t.Fatal("1-bit read")
 	}
 	if v, _ := r.ReadBits(16); v != 0xABCD {
 		t.Fatalf("16-bit read = %x", v)
@@ -446,7 +444,7 @@ func TestBitRoundTripProperty(t *testing.T) {
 }
 
 func TestSerializeParseProperty(t *testing.T) {
-	// Property: Serialize then Parse is the identity on the fields the
+	// Property: Serialize then ParseInto is the identity on the fields the
 	// simulator depends on, for random UDP packets with random hydra
 	// blobs and vlan tags.
 	f := func(srcIP, dstIP uint32, sport, dport uint16, vid uint16, blobLen uint8, withVLAN, withHydra bool) bool {
@@ -463,8 +461,8 @@ func TestSerializeParseProperty(t *testing.T) {
 		if withHydra {
 			d.InsertHydra(bytes.Repeat([]byte{0x7e}, int(blobLen%16)))
 		}
-		got, err := Parse(d.Serialize())
-		if err != nil {
+		got := new(Decoded)
+		if err := ParseInto(got, d.Serialize()); err != nil {
 			return false
 		}
 		if got.IPv4.Src != IP4(srcIP) || got.IPv4.Dst != IP4(dstIP) {
@@ -488,8 +486,8 @@ func TestGTPUPortFallback(t *testing.T) {
 	// plain UDP (port-based tunnel detection is only a heuristic).
 	d := buildUDPPacket([]byte{0x00, 0x01, 0x02}) // version nibble 0: not GTP
 	d.UDP.SrcPort = GTPUPort
-	got, err := Parse(d.Serialize())
-	if err != nil {
+	got := new(Decoded)
+	if err := ParseInto(got, d.Serialize()); err != nil {
 		t.Fatalf("fallback failed: %v", err)
 	}
 	if got.HasGTPU || !got.HasUDP {

@@ -7,7 +7,7 @@ import (
 
 // roundTripCases builds one representative packet per wire shape the
 // simulator produces: every combination of Hydra telemetry, VLAN,
-// source-route stacks, and GTP-U tunnels that Parse has a path for.
+// source-route stacks, and GTP-U tunnels that ParseInto has a path for.
 // Shared between the round-trip table test and the fuzz seed corpus.
 func roundTripCases() []struct {
 	name  string
@@ -23,7 +23,7 @@ func roundTripCases() []struct {
 			d := buildUDPPacket([]byte("tcp data"))
 			d.HasUDP, d.HasTCP = false, true
 			d.IPv4.Protocol = ProtoTCP
-			d.TCP = TCP{SrcPort: 43210, DstPort: 80, Seq: 7, Flags: TCPSyn | TCPAck, Window: 1024}
+			d.TCP = TCP{SrcPort: 43210, DstPort: 80, Seq: 7, Flags: TCPSyn | 1<<4 /* ACK */, Window: 1024}
 			return d
 		}},
 		{"icmp", func() *Decoded {
@@ -59,7 +59,7 @@ func roundTripCases() []struct {
 		{"source-route", func() *Decoded {
 			d := buildUDPPacket([]byte("sr"))
 			d.HasSourceRoute = true
-			d.SourceRoute = SourceRouteFromPorts(2, 3, 1)
+			d.SourceRoute = []SourceRouteHop{{Port: 2}, {Port: 3}, {Port: 1, BOS: true}}
 			return d
 		}},
 		{"hydra-source-route", func() *Decoded {
@@ -132,7 +132,7 @@ func roundTripCases() []struct {
 }
 
 // TestWireRoundTrip pins the codec invariant every layer combination
-// must satisfy: Serialize ∘ Parse is the identity on wire bytes. The
+// must satisfy: Serialize ∘ ParseInto is the identity on wire bytes. The
 // first Serialize normalizes lengths and checksums; from then on
 // parse → re-serialize must reproduce the exact bytes, or telemetry
 // insertion/stripping at intermediate hops would corrupt packets.
@@ -140,16 +140,16 @@ func TestWireRoundTrip(t *testing.T) {
 	for _, tc := range roundTripCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := tc.build().Serialize()
-			p1, err := Parse(wire)
-			if err != nil {
+			p1 := new(Decoded)
+			if err := ParseInto(p1, wire); err != nil {
 				t.Fatalf("parse: %v", err)
 			}
 			w1 := p1.Serialize()
 			if !bytes.Equal(w1, wire) {
 				t.Fatalf("first re-serialize diverged\n got %x\nwant %x", w1, wire)
 			}
-			p2, err := Parse(w1)
-			if err != nil {
+			p2 := new(Decoded)
+			if err := ParseInto(p2, w1); err != nil {
 				t.Fatalf("re-parse: %v", err)
 			}
 			if w2 := p2.Serialize(); !bytes.Equal(w2, wire) {
@@ -159,14 +159,14 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// malformedCases are wire fragments that must make Parse return an
+// malformedCases are wire fragments that must make ParseInto return an
 // error — or, for the GTP-U heuristic, fall back to opaque UDP — but
 // never panic. They double as fuzz seeds.
 func malformedCases() []struct {
 	name string
 	wire []byte
 	// fallback marks GTP-U-port packets whose broken tunnel framing is
-	// legal as plain UDP: Parse succeeds with HasGTPU false.
+	// legal as plain UDP: ParseInto succeeds with HasGTPU false.
 	fallback bool
 } {
 	eth := func(t EtherType) []byte {
@@ -223,14 +223,15 @@ func malformedCases() []struct {
 	}
 }
 
-// TestMalformedInputs drives every malformed fragment through Parse:
+// TestMalformedInputs drives every malformed fragment through ParseInto:
 // structurally broken headers must error, GTP-U heuristic misses must
 // fall back to opaque UDP, and nothing may panic (a panic in the parse
 // path would let one crafted packet kill a verification switch).
 func TestMalformedInputs(t *testing.T) {
 	for _, tc := range malformedCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := Parse(tc.wire)
+			d := new(Decoded)
+			err := ParseInto(d, tc.wire)
 			if tc.fallback {
 				if err != nil {
 					t.Fatalf("GTP-U fallback case must parse as plain UDP, got error: %v", err)
@@ -254,15 +255,15 @@ func TestGTPUDecapEncapWire(t *testing.T) {
 	user := buildUDPPacket([]byte("user payload"))
 	userWire := user.Serialize()
 
-	up, err := Parse(userWire)
-	if err != nil {
+	up := new(Decoded)
+	if err := ParseInto(up, userWire); err != nil {
 		t.Fatal(err)
 	}
 	if err := up.EncapGTPU(MustIP4("140.0.100.1"), MustIP4("140.0.100.254"), 0x1234); err != nil {
 		t.Fatal(err)
 	}
-	tunneled, err := Parse(up.Serialize())
-	if err != nil {
+	tunneled := new(Decoded)
+	if err := ParseInto(tunneled, up.Serialize()); err != nil {
 		t.Fatalf("encapsulated packet failed to parse: %v", err)
 	}
 	if !tunneled.HasGTPU || tunneled.GTPU.TEID != 0x1234 || !tunneled.HasInnerIPv4 {
@@ -276,7 +277,8 @@ func TestGTPUDecapEncapWire(t *testing.T) {
 	}
 
 	// Error paths must stay errors, not panics.
-	plain, _ := Parse(userWire)
+	plain := new(Decoded)
+	_ = ParseInto(plain, userWire)
 	if err := plain.DecapGTPU(); err == nil {
 		t.Fatal("decap of an untunneled packet must error")
 	}
@@ -288,7 +290,7 @@ func TestGTPUDecapEncapWire(t *testing.T) {
 
 // FuzzParse seeds the fuzzer with every valid wire shape and every
 // known-tricky malformed fragment, and checks the two codec safety
-// properties on arbitrary bytes: Parse never panics, and whenever it
+// properties on arbitrary bytes: ParseInto never panics, and whenever it
 // succeeds, one Serialize normalizes the packet to a fixpoint
 // (parse → serialize → parse → serialize is stable).
 func FuzzParse(f *testing.F) {
@@ -300,13 +302,13 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCodecDifferential(t, data)
-		d, err := Parse(data)
-		if err != nil {
+		d := new(Decoded)
+		if err := ParseInto(d, data); err != nil {
 			return
 		}
 		wire := d.Serialize()
-		d2, err := Parse(wire)
-		if err != nil {
+		d2 := new(Decoded)
+		if err := ParseInto(d2, wire); err != nil {
 			t.Fatalf("re-serialized packet failed to parse: %v\nwire %x", err, wire)
 		}
 		if w2 := d2.Serialize(); !bytes.Equal(w2, wire) {

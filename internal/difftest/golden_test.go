@@ -109,3 +109,37 @@ func TestGoldenVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopFreedomWindow pins loop-freedom's bound as its contract. The
+// checker keeps the last four switches in `tele bit<32>[4] path`, and a
+// push onto the full array evicts the oldest entry, so a revisit is
+// caught only while the earlier visit is among the four before it:
+// 1 2 3 4 1 is rejected, 1 2 3 4 5 1 passes. Every backend agrees on
+// each trace (RunTrace fails on a divergence).
+func TestLoopFreedomWindow(t *testing.T) {
+	comp, err := difftest.CompileCorpus("loop-freedom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path    []uint32
+		reports [][]uint64
+	}{
+		{[]uint32{1, 2, 1}, [][]uint64{{1}}},
+		{[]uint32{1, 2, 3, 4, 1}, [][]uint64{{1}}},
+		{[]uint32{1, 2, 3, 4, 5, 1}, nil},
+	} {
+		trace := make([]difftest.HopSpec, len(tc.path))
+		for i, sw := range tc.path {
+			trace[i] = difftest.HopSpec{SW: sw}
+		}
+		out, err := comp.NewRunner().RunTrace(trace)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.path, err)
+		}
+		if out.Reject != (tc.reports != nil) || !reflect.DeepEqual(out.Reports, tc.reports) {
+			t.Errorf("%v: reject %v, reports %v; want reject %v, reports %v",
+				tc.path, out.Reject, out.Reports, tc.reports != nil, tc.reports)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -140,9 +139,6 @@ type ChaosMatrix struct {
 	Checkers  map[string]CheckerSummary `json:"checkers"`
 }
 
-// JSON renders the canonical byte-reproducible form of the matrix.
-func (m ChaosMatrix) JSON() ([]byte, error) { return json.MarshalIndent(m, "", "  ") }
-
 // StaticScenario is the static-verification row of one chaos scenario:
 // what the atoms route verifier and the control-install audit concluded
 // from control-plane state alone, snapshotted after fault arming but
@@ -180,10 +176,6 @@ type StaticMatrix struct {
 	Baseline  StaticScenario   `json:"baseline"`
 	Scenarios []StaticScenario `json:"scenarios"`
 }
-
-// JSON renders the canonical byte-reproducible form of the static
-// matrix.
-func (m StaticMatrix) JSON() ([]byte, error) { return json.MarshalIndent(m, "", "  ") }
 
 // ChaosResult pairs the matrix with the static verdicts and the
 // wall-clock throughput of each scenario (kept out of both matrices so

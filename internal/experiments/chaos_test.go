@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/faults"
@@ -27,22 +28,22 @@ func TestChaosDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second chaos run: %v", err)
 	}
-	j1, err := r1.Matrix.JSON()
+	j1, err := json.MarshalIndent(r1.Matrix, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal first matrix: %v", err)
 	}
-	j2, err := r2.Matrix.JSON()
+	j2, err := json.MarshalIndent(r2.Matrix, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal second matrix: %v", err)
 	}
 	if !bytes.Equal(j1, j2) {
 		t.Errorf("detection matrix not byte-reproducible across runs\nfirst:\n%s\nsecond:\n%s", j1, j2)
 	}
-	s1, err := r1.Static.JSON()
+	s1, err := json.MarshalIndent(r1.Static, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal first static matrix: %v", err)
 	}
-	s2, err := r2.Static.JSON()
+	s2, err := json.MarshalIndent(r2.Static, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal second static matrix: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestChaosStaticVerdicts(t *testing.T) {
 		t.Fatalf("chaos run: %v", err)
 	}
 	sm := r.Static
-	if j, err := sm.JSON(); err == nil {
+	if j, err := json.MarshalIndent(sm, "", "  "); err == nil {
 		t.Logf("static matrix:\n%s", j)
 	}
 
@@ -116,7 +117,7 @@ func TestChaosDetectionMatrix(t *testing.T) {
 		t.Fatalf("chaos run: %v", err)
 	}
 	m := r.Matrix
-	if j, err := m.JSON(); err == nil {
+	if j, err := json.MarshalIndent(m, "", "  "); err == nil {
 		t.Logf("detection matrix:\n%s", j)
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -76,12 +77,12 @@ func TestChaosMatchesSequentialGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := r.Matrix.JSON()
+	j, err := json.MarshalIndent(r.Matrix, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, chaosMatrixGolden, string(j), "chaos detection matrix")
-	s, err := r.Static.JSON()
+	s, err := json.MarshalIndent(r.Static, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -370,16 +370,6 @@ type Program struct {
 	Checker   *Block
 }
 
-// Decl returns the declaration of name, or nil.
-func (p *Program) Decl(name string) *Decl {
-	for i := range p.Decls {
-		if p.Decls[i].Name == name {
-			return &p.Decls[i]
-		}
-	}
-	return nil
-}
-
 // DeclsOfKind returns all declarations with the given kind, in order.
 func (p *Program) DeclsOfKind(k VarKind) []Decl {
 	var out []Decl

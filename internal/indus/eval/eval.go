@@ -30,9 +30,6 @@ func NewControlScalar(v Value) *ControlVar { return &ControlVar{Scalar: v} }
 // Put installs key->val in a dictionary control variable.
 func (cv *ControlVar) Put(key, val Value) { cv.Dict[KeyOf(key)] = val }
 
-// Delete removes key from a dictionary control variable.
-func (cv *ControlVar) Delete(key Value) { delete(cv.Dict, KeyOf(key)) }
-
 // Add inserts key into a set control variable.
 func (cv *ControlVar) Add(key Value) { cv.Set[KeyOf(key)] = true }
 
@@ -203,12 +200,6 @@ func (m *Machine) RunChecker(ps *PacketState, hop Hop, hopIndex int, lastHop boo
 	f := &frame{m: m, ps: ps, hop: hop, hopIndex: hopIndex, lastHop: lastHop, block: types.BlockChecker, locals: map[string]Value{}}
 	return f.execBlock(m.prog.Checker)
 }
-
-// Rejected reports whether the checker raised reject for this packet.
-func (ps *PacketState) Rejected() bool { return ps.rejected }
-
-// Reports returns the reports raised so far for this packet.
-func (ps *PacketState) Reports() []Report { return ps.reports }
 
 // ---------------------------------------------------------------------------
 // Statement execution

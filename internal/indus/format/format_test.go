@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/checkers"
+	"repro/internal/compiler"
 	"repro/internal/indus/parser"
 	"repro/internal/indus/types"
 	"repro/internal/ltlf"
@@ -41,12 +42,53 @@ func TestCorpusRoundTrip(t *testing.T) {
 	roundTrip(t, "fig2", checkers.LoadBalanceFig2Src)
 }
 
-func TestGeneratedLTLfRoundTrip(t *testing.T) {
+// generatedLTLf is 20 Indus programs translated from random LTLf
+// formulas over two atoms.
+func generatedLTLf() []string {
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 20; i++ {
-		f := ltlf.Random(rng, []string{"p", "q"}, 3)
-		roundTrip(t, "ltlf", ltlf.ToIndus(f, 6))
+	srcs := make([]string, 20)
+	for i := range srcs {
+		srcs[i] = ltlf.ToIndus(ltlf.Random(rng, []string{"p", "q"}, 3), 6)
 	}
+	return srcs
+}
+
+func TestGeneratedLTLfRoundTrip(t *testing.T) {
+	for _, src := range generatedLTLf() {
+		roundTrip(t, "ltlf", src)
+	}
+}
+
+// FuzzIndus drives the front end on arbitrary source: lexing, parsing,
+// type checking and compiling never panic, and whatever parses formats
+// to a fixed point — the formatted text parses and formats to itself.
+// Seeds are the corpus checkers and the generated LTLf programs.
+func FuzzIndus(f *testing.F) {
+	for _, p := range checkers.All {
+		f.Add(p.Source)
+	}
+	for _, src := range generatedLTLf() {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := parser.Parse("fuzz.indus", src)
+		if err != nil {
+			return
+		}
+		out1 := Program(prog)
+		prog2, err := parser.Parse("fuzz.fmt", out1)
+		if err != nil {
+			t.Fatalf("formatted output does not parse: %v\n%s", err, out1)
+		}
+		if out2 := Program(prog2); out2 != out1 {
+			t.Fatalf("formatting is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s", out1, out2)
+		}
+		info, err := types.Check(prog)
+		if err != nil {
+			return
+		}
+		_, _ = compiler.Compile(info, compiler.Options{Name: "fuzz"})
+	})
 }
 
 func TestSurfaceSyntax(t *testing.T) {

@@ -52,34 +52,7 @@ func Parse(file, src string) (prog *ast.Program, err error) {
 	return prog, nil
 }
 
-// ParseExpr parses a single expression, for tests and tools.
-func ParseExpr(src string) (e ast.Expr, err error) {
-	toks, lexErrs := lexer.ScanAll("", []byte(src))
-	p := &Parser{toks: toks}
-	p.errs = append(p.errs, lexErrs...)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(bailout); !ok {
-				panic(r)
-			}
-			e, err = nil, errors.Join(p.errs...)
-		}
-	}()
-	e = p.parseExpr()
-	p.expect(token.EOF)
-	if len(p.errs) > 0 {
-		return nil, errors.Join(p.errs...)
-	}
-	return e, nil
-}
-
 func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
 
 func (p *Parser) next() token.Token {
 	t := p.toks[p.pos]

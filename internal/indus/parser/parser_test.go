@@ -13,6 +13,15 @@ func wrap(decls, initB, teleB, checkB string) string {
 	return decls + "\n{" + initB + "}\n{" + teleB + "}\n{" + checkB + "}\n"
 }
 
+// parseExpr parses src as the condition of a checker's if.
+func parseExpr(src string) (ast.Expr, error) {
+	prog, err := Parse("test.indus", wrap("", "", "", "if ("+src+") { reject; }"))
+	if err != nil {
+		return nil, err
+	}
+	return prog.Checker.Stmts[0].(*ast.If).Cond, nil
+}
+
 func mustParse(t *testing.T, src string) *ast.Program {
 	t.Helper()
 	prog, err := Parse("test.indus", src)
@@ -160,7 +169,7 @@ func TestExprPrecedence(t *testing.T) {
 		{"-a * b", "(-a * b)"},
 	}
 	for _, tt := range tests {
-		e, err := ParseExpr(tt.src)
+		e, err := parseExpr(tt.src)
 		if err != nil {
 			t.Errorf("%q: %v", tt.src, err)
 			continue
@@ -172,7 +181,7 @@ func TestExprPrecedence(t *testing.T) {
 }
 
 func TestTupleExprAndIndex(t *testing.T) {
-	e, err := ParseExpr("allowed[(ipv4_src, ipv4_dst)]")
+	e, err := parseExpr("allowed[(ipv4_src, ipv4_dst)]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +196,7 @@ func TestTupleExprAndIndex(t *testing.T) {
 }
 
 func TestParenIsNotTuple(t *testing.T) {
-	e, err := ParseExpr("(a + b)")
+	e, err := parseExpr("(a + b)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +206,7 @@ func TestParenIsNotTuple(t *testing.T) {
 }
 
 func TestMethodCalls(t *testing.T) {
-	e, err := ParseExpr("xs.length")
+	e, err := parseExpr("xs.length")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +221,7 @@ func TestHexAndBinaryLiterals(t *testing.T) {
 		src  string
 		want uint64
 	}{{"0x2A", 42}, {"0b1010", 10}, {"7", 7}} {
-		e, err := ParseExpr(tt.src)
+		e, err := parseExpr(tt.src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -143,9 +143,6 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// IsValid reports whether the position carries real coordinates.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // Token is a single lexeme with its position and literal text.
 type Token struct {
 	Kind Kind

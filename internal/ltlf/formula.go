@@ -167,16 +167,3 @@ func Random(rng *rand.Rand, atoms []string, depth int) Formula {
 		return Globally{F: Random(rng, atoms, depth-1)}
 	}
 }
-
-// RandomTrace generates a random trace of the given length.
-func RandomTrace(rng *rand.Rand, atoms []string, n int) Trace {
-	tr := make(Trace, n)
-	for i := range tr {
-		ev := Event{}
-		for _, a := range atoms {
-			ev[a] = rng.Intn(2) == 1
-		}
-		tr[i] = ev
-	}
-	return tr
-}

@@ -144,7 +144,7 @@ func TestTheorem31(t *testing.T) {
 	run := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		f := Random(rng, atoms, 3)
-		tr := RandomTrace(rng, atoms, 1+rng.Intn(6))
+		tr := randomTrace(rng, atoms, 1+rng.Intn(6))
 		want := Holds(f, tr, 0)
 		gotInterp, gotPipe := translateAndRun(t, f, tr)
 		if gotInterp != want || gotPipe != want {
@@ -255,7 +255,10 @@ func TestParsePrintRoundTrip(t *testing.T) {
 func TestParsedFormulaCompilesEndToEnd(t *testing.T) {
 	// The §3.1 property, parsed from text, translated, compiled, and
 	// evaluated over a revisiting trace.
-	f := MustParseFormula("G !(a & X F a)")
+	f, err := ParseFormula("G !(a & X F a)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := Trace{{"a": true}, {"a": false}, {"a": true}}
 	if Holds(f, tr, 0) {
 		t.Fatal("revisit should violate")
@@ -264,4 +267,17 @@ func TestParsedFormulaCompilesEndToEnd(t *testing.T) {
 	if gotInterp || gotPipe {
 		t.Fatal("translated checker must reject the revisiting packet")
 	}
+}
+
+// randomTrace generates a random trace of the given length.
+func randomTrace(rng *rand.Rand, atoms []string, n int) Trace {
+	tr := make(Trace, n)
+	for i := range tr {
+		ev := Event{}
+		for _, a := range atoms {
+			ev[a] = rng.Intn(2) == 1
+		}
+		tr[i] = ev
+	}
+	return tr
 }

@@ -26,15 +26,6 @@ func ParseFormula(src string) (Formula, error) {
 	return f, nil
 }
 
-// MustParseFormula parses or panics, for fixtures.
-func MustParseFormula(src string) Formula {
-	f, err := ParseFormula(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 func lexFormula(src string) []string {
 	var toks []string
 	i := 0

@@ -149,9 +149,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count reads the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.n.Load() }
-
 // Sum reads the total of the samples observed.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 

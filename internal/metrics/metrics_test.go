@@ -92,8 +92,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("scrape missing %q:\n%s", want, out)
 		}
 	}
-	if h.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", h.Count())
+	if h.n.Load() != 4 {
+		t.Fatalf("Count = %d, want 4", h.n.Load())
 	}
 }
 
@@ -128,8 +128,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if c.Value() != 4000 {
 		t.Fatalf("counter = %d, want 4000", c.Value())
 	}
-	if h.Count() != 4000 {
-		t.Fatalf("histogram count = %d, want 4000", h.Count())
+	if h.n.Load() != 4000 {
+		t.Fatalf("histogram count = %d, want 4000", h.n.Load())
 	}
 }
 

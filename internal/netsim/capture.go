@@ -40,10 +40,6 @@ type Capture struct {
 	dec dataplane.Decoded
 }
 
-// Tap mirrors every frame delivered over the link into the capture,
-// recorded at the receiving side.
-func (c *Capture) Tap(l *Link) { l.taps = append(l.taps, c) }
-
 func (c *Capture) record(at Time, node string, port int, frame []byte) {
 	if c.Max > 0 && len(c.Records) >= c.Max {
 		c.Dropped++

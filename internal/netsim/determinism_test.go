@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/dataplane"
 )
 
 // The determinism suite. Observable behavior — capture transcripts,
@@ -26,6 +28,9 @@ const (
 
 // checkGolden compares a transcript with its golden file, or rewrites
 // the file under NETSIM_GOLDEN_UPDATE.
+// tap records every frame delivered over l into c.
+func tap(c *Capture, l *Link) { l.taps = append(l.taps, c) }
+
 func checkGolden(t *testing.T, path, got string) {
 	t.Helper()
 	if os.Getenv("NETSIM_GOLDEN_UPDATE") != "" {
@@ -59,12 +64,12 @@ func campusCaptureScenario() string {
 	cap := &Capture{}
 	for _, leaf := range ls.Leaves {
 		for s := range ls.Spines {
-			cap.Tap(leaf.Link(s + 1))
+			tap(cap, leaf.Link(s+1))
 		}
 	}
 	for l, leaf := range ls.Leaves {
 		for h := range ls.Hosts[l] {
-			cap.Tap(leaf.Link(len(ls.Spines) + 1 + h))
+			tap(cap, leaf.Link(len(ls.Spines)+1+h))
 		}
 	}
 
@@ -83,7 +88,16 @@ func campusCaptureScenario() string {
 			case 0:
 				src.SendUDP(dst.IP, uint16(4000+i), 80, plen)
 			case 1:
-				src.SendTCP(dst.IP, uint16(5000+i), 443, 0x18, plen)
+				// One PSH|ACK segment; the substrate keeps no
+				// connection state.
+				src.send(&dataplane.Decoded{
+					Eth:     dataplane.Ethernet{Dst: src.GatewayMAC, Src: src.MAC, Type: dataplane.EtherTypeIPv4},
+					HasIPv4: true,
+					IPv4:    src.newIPv4(dst.IP, dataplane.ProtoTCP),
+					HasTCP:  true,
+					TCP:     dataplane.TCP{SrcPort: uint16(5000 + i), DstPort: 443, Flags: 0x18, Window: 65535},
+					Payload: make([]byte, plen),
+				})
 			default:
 				src.Ping(dst.IP, uint16(i))
 			}
@@ -124,7 +138,7 @@ func fatTreeScenario(k int) string {
 	cap := &Capture{}
 	for _, agg := range ft.Agg[0] {
 		for j := range half {
-			cap.Tap(agg.Link(half + 1 + j))
+			tap(cap, agg.Link(half+1+j))
 		}
 	}
 
@@ -135,8 +149,8 @@ func fatTreeScenario(k int) string {
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			for h := 0; h < half; h++ {
-				src := ft.Host(p, e, h)
-				dst := ft.Host((p+1+h)%k, (e+1)%half, (h+1)%half)
+				src := ft.Hosts[p][e][h]
+				dst := ft.Hosts[(p+1+h)%k][(e+1)%half][(h+1)%half]
 				at += Time(1700 + 613*(n%11))
 				n, plen := n, 64+(n%7)*150
 				sim.At(at, func() {
@@ -160,7 +174,7 @@ func fatTreeScenario(k int) string {
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			for h := 0; h < half; h++ {
-				hh := ft.Host(p, e, h)
+				hh := ft.Hosts[p][e][h]
 				out += fmt.Sprintf("host %s rx=%d udp=%d rtts=%d err=%d\n",
 					hh.Name, hh.RxFrames, hh.RxUDP, len(hh.RTTs), hh.ParseErrs)
 			}

@@ -181,6 +181,3 @@ func (ft *FatTree) AllSwitches() []*Switch {
 	}
 	return out
 }
-
-// Host returns host h on edge switch e of pod p (0-based).
-func (ft *FatTree) Host(p, e, h int) *Host { return ft.Hosts[p][e][h] }

@@ -192,20 +192,6 @@ func (h *Host) SendUDP(dst dataplane.IP4, sport, dport uint16, payloadLen int) {
 	h.send(pkt)
 }
 
-// SendTCP emits a single TCP segment (no connection state; the substrate
-// exercises header paths, not transport semantics).
-func (h *Host) SendTCP(dst dataplane.IP4, sport, dport uint16, flags uint8, payloadLen int) {
-	pkt := &dataplane.Decoded{
-		Eth:     dataplane.Ethernet{Dst: h.GatewayMAC, Src: h.MAC, Type: dataplane.EtherTypeIPv4},
-		HasIPv4: true,
-		IPv4:    h.newIPv4(dst, dataplane.ProtoTCP),
-		HasTCP:  true,
-		TCP:     dataplane.TCP{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535},
-		Payload: make([]byte, payloadLen),
-	}
-	h.send(pkt)
-}
-
 // Ping sends an ICMP echo request; the RTT is recorded when the reply
 // arrives.
 func (h *Host) Ping(dst dataplane.IP4, seq uint16) {
@@ -248,6 +234,3 @@ func (h *Host) replyEcho(req *dataplane.Decoded) {
 	}
 	h.send(rep)
 }
-
-// PendingPings reports pings that have not been answered yet.
-func (h *Host) PendingPings() int { return len(h.pingSent) }

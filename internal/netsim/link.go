@@ -141,21 +141,12 @@ func (l *Link) attach(n Node, port int, peer Node) {
 	}
 }
 
-// Send transmits a frame from the given node (which must be one of the
+// transmit sends a frame from the given node (which must be one of the
 // link's endpoints) toward the other side. It models serialization at
-// the line rate, a bounded transmit queue, and propagation delay.
-//
-// Send copies the frame into a pooled buffer: the caller keeps
-// ownership of frame and may reuse it as soon as Send returns.
-func (l *Link) Send(from Node, frame []byte) {
-	buf := l.sim.AcquireFrame(len(frame))
-	copy(buf, frame)
-	l.transmit(from, buf)
-}
-
-// transmit is Send for a frame the caller hands over: a buffer from
-// AcquireFrame (or a received frame) that the link now owns, delivers and
-// releases, and that the caller must not touch again.
+// the line rate, a bounded transmit queue, and propagation delay. The
+// caller hands the frame over: a buffer from AcquireFrame (or a received
+// frame) that the link now owns, delivers and releases, and that the
+// caller must not touch again.
 func (l *Link) transmit(from Node, frame []byte) {
 	var dir *direction
 	var drops, faultDrops *uint64

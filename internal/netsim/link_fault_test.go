@@ -51,7 +51,7 @@ func TestLinkFaultActions(t *testing.T) {
 	b := &orderNode{sim: sim}
 	lk := Connect(sim, a, 0, b, 0, 0, 0)
 
-	frame := func(tag byte) []byte { return []byte{tag, 1, 2, 3} }
+	frame := func(tag byte) []byte { return append(sim.AcquireFrame(4)[:0], tag, 1, 2, 3) }
 
 	// Frame 1 dropped, frame 2 delayed past frame 3, frame 4 duplicated.
 	lk.Fault = &scriptedFault{actions: []FaultAction{
@@ -60,10 +60,10 @@ func TestLinkFaultActions(t *testing.T) {
 		{},
 		{Duplicate: true, DupDelay: 20 * Microsecond},
 	}}
-	lk.Send(a, frame(1))
-	lk.Send(a, frame(2))
-	lk.Send(a, frame(3))
-	lk.Send(a, frame(4))
+	lk.transmit(a, frame(1))
+	lk.transmit(a, frame(2))
+	lk.transmit(a, frame(3))
+	lk.transmit(a, frame(4))
 	sim.RunAll()
 
 	if lk.FaultDropsAB != 1 || lk.FaultDropsBA != 0 {
@@ -75,23 +75,18 @@ func TestLinkFaultActions(t *testing.T) {
 		t.Errorf("arrival order = %v, want %v", b.seen, want)
 	}
 
-	// Corruption happens after the link's copy, in the pooled buffer:
-	// the receiver sees the flipped byte, the caller's frame is intact.
+	// The receiver sees a corrupted frame's flipped byte.
 	b.seen = nil
 	lk.Fault = &scriptedFault{corrupt: true}
-	orig := frame(5)
-	lk.Send(a, orig)
+	lk.transmit(a, frame(5))
 	sim.RunAll()
 	if want := []byte{5 ^ 0xFF}; !bytes.Equal(b.seen, want) {
 		t.Errorf("corrupted arrival = %v, want %v", b.seen, want)
 	}
-	if orig[0] != 5 {
-		t.Errorf("fault corrupted the caller's buffer (ownership violation)")
-	}
 
 	// The b-side direction counts independently.
 	lk.Fault = &scriptedFault{actions: []FaultAction{{Drop: true}}}
-	lk.Send(b, frame(6))
+	lk.transmit(b, frame(6))
 	sim.RunAll()
 	if lk.FaultDropsBA != 1 {
 		t.Errorf("FaultDropsBA = %d, want 1", lk.FaultDropsBA)
@@ -116,10 +111,9 @@ func TestLinkQueueOverflowBidirectional(t *testing.T) {
 	lk.QueueBytes = 2000
 
 	const burst = 10
-	frame := make([]byte, 1000)
 	for i := 0; i < burst; i++ {
-		lk.Send(a, frame)
-		lk.Send(b, frame)
+		lk.transmit(a, sim.AcquireFrame(1000))
+		lk.transmit(b, sim.AcquireFrame(1000))
 	}
 	sim.RunAll()
 

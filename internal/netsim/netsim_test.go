@@ -178,7 +178,7 @@ func TestLeafSpinePing(t *testing.T) {
 	sim.RunAll()
 
 	if len(h1.RTTs) != 5 {
-		t.Fatalf("got %d RTT samples, want 5 (pending=%d)", len(h1.RTTs), h1.PendingPings())
+		t.Fatalf("got %d RTT samples, want 5 (pending=%d)", len(h1.RTTs), len(h1.pingSent))
 	}
 	for _, s := range h1.RTTs {
 		// 3 switches each way (leaf, spine, leaf), 4 links each way.
@@ -470,8 +470,8 @@ type blobNode struct {
 
 func (n *blobNode) NodeName() string { return "blobs" }
 func (n *blobNode) Receive(frame []byte, _ int) {
-	pkt, err := dataplane.Parse(frame)
-	if err != nil {
+	pkt := new(dataplane.Decoded)
+	if err := dataplane.ParseInto(pkt, frame); err != nil {
 		panic(err)
 	}
 	n.blobs = append(n.blobs, bytes.Clone(pkt.Hydra.Blob))
@@ -531,7 +531,7 @@ func TestCaptureTapsLink(t *testing.T) {
 
 	// Tap the first leaf1->spine1 link: frames there carry telemetry.
 	cap := &Capture{Max: 100}
-	cap.Tap(ls.Leaves[0].Link(1))
+	tap(cap, ls.Leaves[0].Link(1))
 
 	h1, h2 := ls.Host(0, 0), ls.Host(1, 0)
 	for p := uint16(0); p < 16; p++ { // several flows so some cross spine1
@@ -565,7 +565,7 @@ func TestCaptureMaxBound(t *testing.T) {
 	b := NewHost(sim, "b", dataplane.MACFromUint64(2), dataplane.MustIP4("10.0.0.2"))
 	lk := Connect(sim, a, 0, b, 0, 0, 0)
 	cap := &Capture{Max: 3}
-	cap.Tap(lk)
+	tap(cap, lk)
 	for i := 0; i < 10; i++ {
 		a.SendUDP(b.IP, 1, 2, 10)
 	}

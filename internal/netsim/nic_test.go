@@ -55,8 +55,8 @@ func TestNICOffloadLoopChecker(t *testing.T) {
 	// header must be on the wire from the sending host right up to the
 	// receiving one.
 	first, cap := &Capture{}, &Capture{}
-	first.Tap(ls.Leaves[0].Link(3))
-	cap.Tap(ls.Leaves[1].Link(3))
+	tap(first, ls.Leaves[0].Link(3))
+	tap(cap, ls.Leaves[1].Link(3))
 
 	h1.SendUDP(h2.IP, 777, 80, 64)
 	sim.RunAll()
@@ -167,7 +167,7 @@ func TestNICPlacementPerPort(t *testing.T) {
 	nicA := a.AttachNIC(rt, nil)
 	a.RecordAll, b.RecordAll = true, true
 	fromA := &Capture{}
-	fromA.Tap(ls.Leaves[1].Link(3))
+	tap(fromA, ls.Leaves[1].Link(3))
 
 	a.SendUDP(b.IP, 1001, 80, 64)
 	b.SendUDP(a.IP, 1002, 80, 64)

@@ -129,7 +129,7 @@ func TestSameInstantFIFO(t *testing.T) {
 		mark(0)()
 		sim.At(100, mark(n))
 		sim.AtNode(sw, 100, mark(n+1))
-		fast.Send(src, []byte{n + 2})
+		fast.transmit(src, append(sim.AcquireFrame(1)[:0], n+2))
 	})
 	for i := byte(1); i < n; i++ {
 		switch i % 3 {
@@ -138,7 +138,7 @@ func TestSameInstantFIFO(t *testing.T) {
 		case 1:
 			sim.AtNode(sw, 100, mark(i))
 		default:
-			slow.Send(src, []byte{i})
+			slow.transmit(src, append(sim.AcquireFrame(1)[:0], i))
 		}
 	}
 	sim.RunAll()

@@ -767,13 +767,6 @@ func (r *Register) Write(i int, v uint64) {
 	atomic.StoreUint64(&r.cells[i], Mask(r.Width, v))
 }
 
-// Reset zeroes all cells.
-func (r *Register) Reset() {
-	for i := range r.cells {
-		atomic.StoreUint64(&r.cells[i], 0)
-	}
-}
-
 // publish returns the current read view, sharing the store's array
 // into a new one if a mutation invalidated the last.
 func (t *Table) publish() *packedSnap {

@@ -97,12 +97,3 @@ func (p PHV) Get(f FieldRef) Value { return p[f] }
 
 // Set writes the field.
 func (p PHV) Set(f FieldRef, v Value) { p[f] = v }
-
-// Clone returns a copy of the PHV.
-func (p PHV) Clone() PHV {
-	q := make(PHV, len(p))
-	for k, v := range p {
-		q[k] = v
-	}
-	return q
-}

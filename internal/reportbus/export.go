@@ -1,10 +1,6 @@
 package reportbus
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Exporter consumes each closed window's emitted aggregates. Batches
 // arrive sorted by (checker, switch, argument words, args-hash), the
@@ -13,57 +9,6 @@ import (
 // implementations must be safe for concurrent use.
 type Exporter interface {
 	ExportAggregates(aggs []Aggregate)
-}
-
-// JSONLExporter streams one JSON object per aggregate to a writer —
-// the bus's durable sink. Lines are self-contained, so the stream can
-// be tailed, cut, and replayed with standard tooling.
-type JSONLExporter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	err error
-	n   uint64
-}
-
-// NewJSONL builds a JSONL exporter over w.
-func NewJSONL(w io.Writer) *JSONLExporter {
-	return &JSONLExporter{w: w}
-}
-
-// ExportAggregates implements Exporter.
-func (e *JSONLExporter) ExportAggregates(aggs []Aggregate) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return
-	}
-	for i := range aggs {
-		data, err := json.Marshal(&aggs[i])
-		if err != nil {
-			e.err = err
-			return
-		}
-		if _, err := e.w.Write(append(data, '\n')); err != nil {
-			e.err = err
-			return
-		}
-		e.n++
-	}
-}
-
-// Err returns the first write or marshal error; the exporter stops
-// exporting after one (the bus never blocks on a broken sink).
-func (e *JSONLExporter) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-// Lines returns how many aggregates were written.
-func (e *JSONLExporter) Lines() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
 }
 
 // CollectExporter keeps every emitted aggregate in memory — the

@@ -1,9 +1,6 @@
 package reportbus
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"slices"
 	"sync"
@@ -360,37 +357,6 @@ func TestInlineTapRunsBeforePublishReturns(t *testing.T) {
 	p.Publish(d)
 	if len(tapped) != 1 || tapped[0] != d {
 		t.Fatalf("tap saw %v, want exactly [%v]", tapped, d)
-	}
-}
-
-func TestJSONLExporterRoundTrip(t *testing.T) {
-	clk := &manualClock{}
-	var buf bytes.Buffer
-	jl := NewJSONL(&buf)
-	b := New(Config{Window: 100, Clock: clk.fn(), Exporters: []Exporter{jl}})
-	p := b.InlineProducer("sim")
-	p.Publish(DigestFrom("a", 1, 5, rep(1, 2)))
-	p.Publish(DigestFrom("a", 1, 6, rep(1, 2)))
-	p.Publish(DigestFrom("b", 2, 7, rep(3)))
-	b.Close()
-
-	if err := jl.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if jl.Lines() != 2 {
-		t.Fatalf("lines = %d, want 2", jl.Lines())
-	}
-	var total uint64
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var a Aggregate
-		if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		total += a.Count
-	}
-	if total != 3 {
-		t.Fatalf("JSONL digest total = %d, want 3", total)
 	}
 }
 

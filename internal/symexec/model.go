@@ -58,10 +58,6 @@ type Verdict struct {
 	Reports int  `json:"reports"`
 }
 
-// Violation applies the repo-wide convention: a property is violated on
-// an explicit reject or any report digest.
-func (v Verdict) Violation() bool { return v.Reject || v.Reports > 0 }
-
 // Path is one explored path: the witness trace plus the symbolic
 // executor's predicted outcome, which replay checks against all three
 // backends byte-for-byte.

@@ -137,16 +137,18 @@ func TestExploreCorpus(t *testing.T) {
 				t.Fatalf("no frontier pairs (paths %d, flips sat/unsat/unknown %d/%d/%d)",
 					len(res.Paths), res.FlipsSolved, res.FlipsUnsat, res.FlipsUnknown)
 			}
+			// A property is violated on an explicit reject or any report.
+			violation := func(v Verdict) bool { return v.Reject || v.Reports > 0 }
 			var conform, violate bool
 			for _, pp := range res.Paths {
-				if pp.Verdict.Violation() {
+				if violation(pp.Verdict) {
 					violate = true
 				} else {
 					conform = true
 				}
 			}
 			for _, fp := range res.Frontier {
-				if fp.ConformVerdict.Violation() || !fp.ViolateVerdict.Violation() {
+				if violation(fp.ConformVerdict) || !violation(fp.ViolateVerdict) {
 					t.Errorf("frontier pair %q has wrong orientation", fp.Cond)
 				}
 				if len(fp.Violate.Hops) == 0 || len(fp.Conform.Hops) == 0 {

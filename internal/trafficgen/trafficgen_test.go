@@ -53,7 +53,7 @@ func TestCampusPacketsAreWellFormed(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		p := g.Next()
 		wire := p.Decode().Serialize()
-		if _, err := dataplane.Parse(wire); err != nil {
+		if err := dataplane.ParseInto(new(dataplane.Decoded), wire); err != nil {
 			t.Fatalf("packet %d does not parse: %v", i, err)
 		}
 		if p.Proto == dataplane.ProtoTCP {

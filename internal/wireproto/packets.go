@@ -98,9 +98,6 @@ func (d *BatchDecoder) Reset(payload []byte) error {
 	return nil
 }
 
-// Remaining reports how many packets are left to decode.
-func (d *BatchDecoder) Remaining() int { return d.n - d.i }
-
 // Next decodes the next packet, or returns (nil, nil) when the batch
 // is exhausted exactly at the payload end.
 func (d *BatchDecoder) Next() (*Packet, error) {

@@ -108,8 +108,8 @@ func TestPacketBatchRoundTrip(t *testing.T) {
 	if err := d.Reset(payload); err != nil {
 		t.Fatal(err)
 	}
-	if d.Remaining() != len(pkts) {
-		t.Fatalf("Remaining = %d, want %d", d.Remaining(), len(pkts))
+	if d.n != len(pkts) {
+		t.Fatalf("batch holds %d packets, want %d", d.n, len(pkts))
 	}
 	for i := range pkts {
 		p, err := d.Next()
