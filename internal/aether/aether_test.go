@@ -357,27 +357,3 @@ func TestAccountingCounters(t *testing.T) {
 		t.Fatalf("byte counters empty: %+v", c)
 	}
 }
-
-func TestSliceQoSMetering(t *testing.T) {
-	d, sim := buildWithSlice(t, Options{})
-	ue, err := d.Core.Attach("imsi-001", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cap the slice at 1 Mb/s; a burst of 400 x 1000-byte packets in
-	// ~zero time vastly exceeds the bucket (1 Mb/s / 8 = 125 kbit burst).
-	d.UPF.Accounting.sliceMBR[1] = 1_000_000
-	for i := 0; i < 400; i++ {
-		d.SendUplink(ue, ServerAddr, dataplane.ProtoUDP, 81, 1000)
-	}
-	sim.RunAll()
-	if d.UPF.Accounting.QoSDrops == 0 {
-		t.Fatal("burst over the slice MBR must be metered")
-	}
-	if d.Server.RxUDP == 0 {
-		t.Fatal("conforming prefix of the burst must pass")
-	}
-	if d.Server.RxUDP+d.UPF.Accounting.QoSDrops != 400 {
-		t.Fatalf("conservation: %d delivered + %d dropped != 400", d.Server.RxUDP, d.UPF.Accounting.QoSDrops)
-	}
-}

@@ -54,7 +54,7 @@ type UPF struct {
 	// Routes performs the post-UPF L3 forwarding.
 	Routes *netsim.L3Program
 
-	// Accounting tracks per-UE traffic and enforces slice bitrates.
+	// Accounting tracks per-UE traffic.
 	Accounting *Accounting
 
 	// Counters for the experiments.
@@ -142,10 +142,7 @@ func (u *UPF) uplink(sw *netsim.Switch, pkt *dataplane.Decoded, meta *netsim.Pac
 		return nil
 	}
 
-	if !u.Accounting.record(sw.Sim().Now(), ueID, sliceID, pkt.WireLen(), true) {
-		meta.Drop = true // over the slice's maximum bitrate
-		return nil
-	}
+	u.Accounting.record(ueID, pkt.WireLen(), true)
 
 	if err := pkt.DecapGTPU(); err != nil {
 		meta.Drop = true
@@ -181,10 +178,7 @@ func (u *UPF) downlink(sw *netsim.Switch, pkt *dataplane.Decoded, meta *netsim.P
 		return nil
 	}
 
-	if !u.Accounting.record(sw.Sim().Now(), ueID, sliceID, pkt.WireLen(), false) {
-		meta.Drop = true // over the slice's maximum bitrate
-		return nil
-	}
+	u.Accounting.record(ueID, pkt.WireLen(), false)
 
 	if err := pkt.EncapGTPU(u.UPFAddr, u.EnbAddr, uint32(teid)); err != nil {
 		meta.Drop = true

@@ -400,8 +400,11 @@ func (s *shard) exec(batch []Packet) {
 		set.BeginTrace(c)
 		reject := false
 		// c.Reports accumulates over the packet's hops (arena storage,
-		// recycled by the next packet).
+		// recycled by the next packet). Its hops are checked back to
+		// back, so every digest of the packet carries the one bus-clock
+		// reading taken at its first report.
 		reported := 0
+		at, stamped := int64(0), false
 		for h := 0; h < len(hops) && !reject; h++ {
 			hop := &hops[h]
 			first, last := h == 0, h == len(hops)-1
@@ -416,7 +419,10 @@ func (s *shard) exec(batch []Packet) {
 				for hi < len(c.Reports) && c.Owners[hi] == c.Owners[reported] {
 					hi++
 				}
-				s.raise(int(c.Owners[reported]), hop.SwitchID, c.Reports[reported:hi])
+				if !stamped && s.prod != nil {
+					at, stamped = s.cfg.ReportBus.Now(), true
+				}
+				s.raise(int(c.Owners[reported]), hop.SwitchID, at, c.Reports[reported:hi])
 				reported = hi
 			}
 			for k := 0; k < set.Len(); k++ {
@@ -437,14 +443,14 @@ func (s *shard) exec(batch []Packet) {
 	}
 }
 
-// raise counts and publishes the digests checker i raised at one hop.
-// reps is arena-backed and only valid until the context's next packet;
-// a Digest copies what it keeps.
-func (s *shard) raise(i int, switchID uint32, reps []pipeline.Report) {
+// raise counts the digests checker i raised at one hop and publishes
+// them stamped at. reps is arena-backed and only valid until the
+// context's next packet; a Digest copies what it keeps.
+func (s *shard) raise(i int, switchID uint32, at int64, reps []pipeline.Report) {
 	s.counts.Reports += uint64(len(reps))
 	s.perChecker[i].Reports += uint64(len(reps))
 	if s.prod != nil {
-		name, at := s.cfg.Checkers[i].Name, s.cfg.ReportBus.Now()
+		name := s.cfg.Checkers[i].Name
 		for _, r := range reps {
 			s.prod.Publish(reportbus.DigestFrom(name, switchID, at, r))
 		}

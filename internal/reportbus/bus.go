@@ -2,10 +2,10 @@ package reportbus
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -24,14 +24,26 @@ type Bus struct {
 
 	mu        sync.Mutex
 	producers []*Producer
-	// live is the aggregate table: the open window plus storm-deferred
-	// carryover. ovf holds the per-(checker, switch) overflow buckets
-	// that absorb digests once live hits MaxKeys.
-	live map[Key]*Aggregate
-	ovf  map[ovfKey]*Aggregate
-	// buckets are the per-checker storm-control token buckets.
-	buckets     map[string]*bucket
+	// live is the aggregate table of the open window plus storm-deferred
+	// carryover: dense, in arrival order, at most MaxKeys entries, its
+	// storage allocated once. index is an open-addressing table over it
+	// (position+1, 0 empty), twice MaxKeys rounded up to a power of two,
+	// probed from a hash of the seeded ArgsHash and the switch — never of
+	// the raw words, so chosen header fields cannot build a probe run.
+	// ovf holds the per-(checker, switch) overflow buckets that absorb
+	// digests once live is full.
+	live  []entry
+	index []int32
+	shift uint
+	ovf   []entry
+	// checkers holds each checker's counters and storm bucket; ranked is
+	// the same records in name order (checkerStats.rank), and last is the
+	// record the previous digest hit, so a run of one checker's digests
+	// skips the map.
 	checkers    map[string]*checkerStats
+	ranked      []*checkerStats
+	last        *checkerStats
+	keys        []sortKey
 	windowStart int64
 	windowOpen  bool
 	liveDigests uint64
@@ -52,12 +64,45 @@ type Bus struct {
 	scratch []Digest
 }
 
-type ovfKey struct {
-	Checker  string
-	SwitchID uint32
+// entry is one aggregate in the table, its argument words inline; the
+// emitted Aggregate's Args are carved from the window's arena. Count 0
+// marks an entry emitted by the closing window.
+type entry struct {
+	Aggregate
+	st    *checkerStats
+	nargs uint8
+	args  [MaxArgs]uint64
+}
+
+func (e *entry) bump(at int64) {
+	e.Count++
+	e.FirstAt = min(e.FirstAt, at)
+	e.LastAt = max(e.LastAt, at)
+}
+
+// sortKey is an entry's place in emission order, compact: checker rank
+// and switch, then the first argument word (0 when there is none); pos
+// is the entry's index. Equal keys are ordered by compareEntries.
+type sortKey struct {
+	hi, arg0 uint64
+	pos      int32
+}
+
+func (e *entry) sortKey(pos int) sortKey {
+	k := sortKey{hi: uint64(e.st.rank)<<32 | uint64(e.SwitchID), pos: int32(pos)}
+	if e.nargs > 0 {
+		k.arg0 = e.args[0]
+	}
+	return k
 }
 
 type checkerStats struct {
+	name string
+	rank int
+	// bk is the checker's storm-control token bucket, set up the first
+	// time one of its aggregates comes up for emission.
+	bk                bucket
+	hasBucket         bool
 	delivered         uint64
 	emittedAggregates uint64
 	emittedDigests    uint64
@@ -91,11 +136,17 @@ func (bk *bucket) take(now int64, rate, burst float64) bool {
 
 // New builds a bus; see Config for defaults.
 func New(cfg Config) *Bus {
+	cfg = cfg.withDefaults()
+	slots := 2
+	for slots < 2*cfg.MaxKeys {
+		slots <<= 1
+	}
 	return &Bus{
-		cfg:      cfg.withDefaults(),
-		live:     map[Key]*Aggregate{},
-		ovf:      map[ovfKey]*Aggregate{},
-		buckets:  map[string]*bucket{},
+		cfg:      cfg,
+		live:     make([]entry, 0, cfg.MaxKeys),
+		index:    make([]int32, slots),
+		shift:    uint(64 - bits.TrailingZeros(uint(slots))),
+		keys:     make([]sortKey, 0, cfg.MaxKeys),
 		checkers: map[string]*checkerStats{},
 	}
 }
@@ -121,9 +172,11 @@ func (b *Bus) Now() int64 { return b.cfg.Clock() }
 type Producer struct {
 	bus  *Bus
 	name string
-	// r is nil for inline producers.
+	// r is nil for inline producers. A ring producer's enqueued count is
+	// its ring's tail; an inline producer's is enqueued, under the bus
+	// mutex.
 	r        *ring
-	enqueued atomic.Uint64
+	enqueued uint64
 	// drops is the ring-full account, by checker; the drop path is cold
 	// (it only runs once the bounded ring is already full), so a mutex
 	// and map are fine there.
@@ -168,9 +221,9 @@ func (b *Bus) InlineProducer(name string) *Producer {
 func (p *Producer) Publish(d Digest) bool {
 	b := p.bus
 	if p.r == nil {
-		p.enqueued.Add(1)
 		b.mu.Lock()
-		b.fold(d)
+		p.enqueued++
+		b.fold(&d)
 		emitted := b.maybeCloseWindow(d.At)
 		taps := b.taps
 		b.mu.Unlock()
@@ -180,14 +233,22 @@ func (p *Producer) Publish(d Digest) bool {
 		b.export(emitted)
 		return true
 	}
-	if !p.r.push(d) {
+	if !p.r.push(&d) {
 		p.dropMu.Lock()
 		p.drops[d.Checker]++
 		p.dropMu.Unlock()
 		return false
 	}
-	p.enqueued.Add(1)
 	return true
+}
+
+// enqueuedTotal is the digests p has handed to the bus. Caller holds
+// b.mu.
+func (p *Producer) enqueuedTotal() uint64 {
+	if p.r != nil {
+		return p.r.tail.Load()
+	}
+	return p.enqueued
 }
 
 func (p *Producer) droppedTotal() uint64 {
@@ -203,63 +264,80 @@ func (p *Producer) droppedTotal() uint64 {
 // ---------------------------------------------------------------------------
 // Collection
 
-// fold merges one digest into the aggregate table. Caller holds b.mu.
-func (b *Bus) fold(d Digest) {
-	st := b.checkers[d.Checker]
-	if st == nil {
-		st = &checkerStats{}
-		b.checkers[d.Checker] = st
-	}
+// fold merges one digest into the aggregate table: its key's entry, a
+// new entry while the table has room, else its (checker, switch)
+// overflow bucket. Caller holds b.mu.
+func (b *Bus) fold(d *Digest) {
+	st := b.stats(d.Checker)
 	st.delivered++
 	if !b.windowOpen {
 		b.windowOpen = true
 		b.windowStart = d.At
 	}
-	k := Key{Checker: d.Checker, SwitchID: d.SwitchID, ArgsHash: d.ArgsHash}
-	if agg, ok := b.live[k]; ok {
-		bumpAgg(agg, d)
-	} else if len(b.live) < b.cfg.MaxKeys {
-		args := make([]uint64, d.NArgs)
-		copy(args, d.Args[:d.NArgs])
-		b.live[k] = &Aggregate{
-			Checker: d.Checker, SwitchID: d.SwitchID, ArgsHash: d.ArgsHash,
-			Args: args, Count: 1, FirstAt: d.At, LastAt: d.At,
-		}
-	} else {
-		// Live-key budget exhausted: fold into the per-(checker, switch)
-		// overflow bucket. Counts stay exact; args are gone.
-		ok := ovfKey{Checker: d.Checker, SwitchID: d.SwitchID}
-		agg := b.ovf[ok]
-		if agg == nil {
-			agg = &Aggregate{
-				Checker: d.Checker, SwitchID: d.SwitchID,
-				FirstAt: d.At, LastAt: d.At, Overflow: true,
-			}
-			b.ovf[ok] = agg
-		}
-		agg.Count++
-		if d.At < agg.FirstAt {
-			agg.FirstAt = d.At
-		}
-		if d.At > agg.LastAt {
-			agg.LastAt = d.At
-		}
-		st.overflowDigests++
-	}
 	b.liveDigests++
-	if n := len(b.live) + len(b.ovf); n > b.maxLive {
-		b.maxLive = n
+	mask := len(b.index) - 1
+	for i := b.slot(d.SwitchID, d.ArgsHash); ; i = (i + 1) & mask {
+		pos := b.index[i]
+		if pos == 0 {
+			if len(b.live) < b.cfg.MaxKeys {
+				b.index[i] = int32(len(b.live) + 1)
+				b.live = append(b.live, entry{
+					Aggregate: Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, ArgsHash: d.ArgsHash,
+						Count: 1, FirstAt: d.At, LastAt: d.At},
+					st: st, nargs: d.NArgs, args: d.Args,
+				})
+			} else {
+				b.overflow(st, d)
+			}
+			break
+		}
+		if e := &b.live[pos-1]; e.st == st && e.SwitchID == d.SwitchID && e.ArgsHash == d.ArgsHash {
+			e.bump(d.At)
+			break
+		}
 	}
+	b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
 }
 
-func bumpAgg(agg *Aggregate, d Digest) {
-	agg.Count++
-	if d.At < agg.FirstAt {
-		agg.FirstAt = d.At
+// slot is the index slot a key's probe starts at.
+func (b *Bus) slot(switchID uint32, argsHash uint64) int {
+	return int((argsHash ^ uint64(switchID)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9 >> b.shift)
+}
+
+// overflow folds d into its (checker, switch) bucket once the live-key
+// budget is spent. Counts stay exact; args are gone.
+func (b *Bus) overflow(st *checkerStats, d *Digest) {
+	st.overflowDigests++
+	for i := range b.ovf {
+		if e := &b.ovf[i]; e.SwitchID == d.SwitchID && e.st == st {
+			e.bump(d.At)
+			return
+		}
 	}
-	if d.At > agg.LastAt {
-		agg.LastAt = d.At
+	b.ovf = append(b.ovf, entry{
+		Aggregate: Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, Count: 1, FirstAt: d.At, LastAt: d.At, Overflow: true},
+		st:        st,
+	})
+}
+
+// stats returns the named checker's record, creating it (and placing it
+// in name order) on its first digest.
+func (b *Bus) stats(name string) *checkerStats {
+	if st := b.last; st != nil && st.name == name {
+		return st
 	}
+	st := b.checkers[name]
+	if st == nil {
+		st = &checkerStats{name: name}
+		b.checkers[name] = st
+		at, _ := slices.BinarySearchFunc(b.ranked, name, func(s *checkerStats, n string) int { return strings.Compare(s.name, n) })
+		b.ranked = slices.Insert(b.ranked, at, st)
+		for r := at; r < len(b.ranked); r++ {
+			b.ranked[r].rank = r
+		}
+	}
+	b.last = st
+	return st
 }
 
 // maybeCloseWindow closes the window if it has run its length, and
@@ -272,46 +350,109 @@ func (b *Bus) maybeCloseWindow(now int64) []Aggregate {
 	return b.closeWindow(now, false)
 }
 
-// closeWindow runs the emission pass: every live aggregate that clears
-// its checker's token bucket is emitted and cleared; the rest carry
-// forward into the next window with Deferred incremented — storm
-// control delays and coalesces, it never loses counts. force bypasses
-// the buckets (final flush). Caller holds b.mu.
+// closeWindow runs the emission pass: every aggregate that clears its
+// checker's token bucket is emitted and cleared; the rest carry forward
+// into the next window with Deferred incremented — storm control delays
+// and coalesces, it never loses counts. force bypasses the buckets
+// (final flush). Live entries go first, then the overflow buckets, each
+// in emission order (compareEntries); the batch's Args are carved from
+// one arena allocated for this window and never reused, since an
+// exporter may keep the batch. Caller holds b.mu.
 func (b *Bus) closeWindow(now int64, force bool) []Aggregate {
-	live, ovf := sortedAggregates(b.live), sortedAggregates(b.ovf)
-
-	var out []Aggregate
-	emit := func(agg *Aggregate) bool {
-		bk := b.buckets[agg.Checker]
-		if bk == nil {
-			bk = &bucket{tokens: float64(b.cfg.Burst), last: now}
-			b.buckets[agg.Checker] = bk
-		}
-		st := b.checkers[agg.Checker]
-		if !force && !bk.take(now, b.cfg.Rate, float64(b.cfg.Burst)) {
-			agg.Deferred++
-			st.suppressed++
-			return false
-		}
-		out = append(out, *agg)
-		st.emittedAggregates++
-		st.emittedDigests += agg.Count
-		b.liveDigests -= agg.Count
-		return true
+	b.windowStart = now
+	if len(b.live)+len(b.ovf) == 0 {
+		b.windowOpen = false
+		return nil
 	}
-	for _, agg := range live {
-		if emit(agg) {
-			delete(b.live, Key{Checker: agg.Checker, SwitchID: agg.SwitchID, ArgsHash: agg.ArgsHash})
+	out := make([]Aggregate, 0, len(b.live)+len(b.ovf))
+	words := 0
+	keys := b.keys[:0]
+	for i := range b.live {
+		words += int(b.live[i].nargs)
+		keys = append(keys, b.live[i].sortKey(i))
+	}
+	slices.SortFunc(keys, func(x, y sortKey) int {
+		if x.hi != y.hi {
+			return cmp.Compare(x.hi, y.hi)
+		}
+		if x.arg0 != y.arg0 {
+			return cmp.Compare(x.arg0, y.arg0)
+		}
+		return compareEntries(&b.live[x.pos], &b.live[y.pos])
+	})
+	arena := make([]uint64, words)
+	for _, k := range keys {
+		e := &b.live[k.pos]
+		if b.emit(e, now, force) {
+			agg := e.Aggregate
+			agg.Args = arena[:e.nargs:e.nargs]
+			copy(agg.Args, e.args[:e.nargs])
+			arena = arena[e.nargs:]
+			out = append(out, agg)
+			e.Count = 0
 		}
 	}
-	for _, agg := range ovf {
-		if emit(agg) {
-			delete(b.ovf, ovfKey{Checker: agg.Checker, SwitchID: agg.SwitchID})
+	b.keys = keys
+	slices.SortFunc(b.ovf, func(x, y entry) int { return compareEntries(&x, &y) })
+	for i := range b.ovf {
+		if e := &b.ovf[i]; b.emit(e, now, force) {
+			out = append(out, e.Aggregate)
+			e.Count = 0
 		}
+	}
+	b.ovf = keepDeferred(b.ovf)
+	if kept := keepDeferred(b.live); len(kept) < len(b.live) {
+		b.live = kept
+		b.reindex()
 	}
 	b.windowOpen = len(b.live)+len(b.ovf) > 0
-	b.windowStart = now
 	return out
+}
+
+// emit takes e's emission decision: true when its checker's bucket has
+// a token (or force), with e's digests counted out of the table; false
+// when storm control defers it. Caller holds b.mu.
+func (b *Bus) emit(e *entry, now int64, force bool) bool {
+	st := e.st
+	if !st.hasBucket {
+		st.bk, st.hasBucket = bucket{tokens: float64(b.cfg.Burst), last: now}, true
+	}
+	if !force && !st.bk.take(now, b.cfg.Rate, float64(b.cfg.Burst)) {
+		e.Deferred++
+		st.suppressed++
+		return false
+	}
+	st.emittedAggregates++
+	st.emittedDigests += e.Count
+	b.liveDigests -= e.Count
+	return true
+}
+
+// keepDeferred moves the entries a window deferred (Count > 0) to the
+// front of es, in order, and clears the rest.
+func keepDeferred(es []entry) []entry {
+	n := 0
+	for i := range es {
+		if es[i].Count > 0 {
+			es[n] = es[i]
+			n++
+		}
+	}
+	clear(es[n:])
+	return es[:n]
+}
+
+// reindex rebuilds the index over live.
+func (b *Bus) reindex() {
+	clear(b.index)
+	mask := len(b.index) - 1
+	for pos := range b.live {
+		i := b.slot(b.live[pos].SwitchID, b.live[pos].ArgsHash)
+		for b.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.index[i] = int32(pos + 1)
+	}
 }
 
 // export hands a batch to the exporters, outside the bus mutex.
@@ -339,7 +480,7 @@ func (b *Bus) sweep(forceClose bool) {
 		}
 	}
 	for i := range b.scratch {
-		b.fold(b.scratch[i])
+		b.fold(&b.scratch[i])
 	}
 	now := b.Now()
 	var emitted []Aggregate
@@ -407,24 +548,22 @@ func (b *Bus) Close() {
 	b.Flush()
 }
 
-// sortedAggregates returns m's aggregates in emission order.
-func sortedAggregates[K comparable](m map[K]*Aggregate) []*Aggregate {
-	out := make([]*Aggregate, 0, len(m))
-	for _, agg := range m {
-		out = append(out, agg)
-	}
-	slices.SortFunc(out, compareAggregates)
-	return out
-}
-
-// compareAggregates is the emission order: checker, switch, argument
+// compareEntries is the emission order: checker, switch, argument
 // words, then ArgsHash — which only splits truncated digests whose kept
 // words agree. Under a storm budget the order decides which aggregates a
 // window defers, and so which keys stay live and what later overflows;
 // ArgsHash's seed is drawn per process, so it may not decide that.
-func compareAggregates(a, c *Aggregate) int {
-	return cmp.Or(strings.Compare(a.Checker, c.Checker), cmp.Compare(a.SwitchID, c.SwitchID),
-		slices.Compare(a.Args, c.Args), cmp.Compare(a.ArgsHash, c.ArgsHash))
+func compareEntries(a, c *entry) int {
+	if r := strings.Compare(a.Checker, c.Checker); r != 0 {
+		return r
+	}
+	if a.SwitchID != c.SwitchID {
+		return cmp.Compare(a.SwitchID, c.SwitchID)
+	}
+	if r := slices.Compare(a.args[:a.nargs], c.args[:c.nargs]); r != 0 {
+		return r
+	}
+	return cmp.Compare(a.ArgsHash, c.ArgsHash)
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +623,7 @@ func (b *Bus) Metrics() Metrics {
 	}
 	drops := map[string]uint64{}
 	for _, p := range b.producers {
-		pm := ProducerMetrics{Name: p.name, Enqueued: p.enqueued.Load(), Dropped: p.droppedTotal()}
+		pm := ProducerMetrics{Name: p.name, Enqueued: p.enqueuedTotal(), Dropped: p.droppedTotal()}
 		if p.r != nil {
 			pm.QueueDepth = p.r.depth()
 		}

@@ -4,9 +4,10 @@ import "sync"
 
 // Exporter consumes each closed window's emitted aggregates. Batches
 // arrive sorted by (checker, switch, argument words, args-hash), the
-// live aggregates before the overflow buckets; calls may come from
-// the collector goroutine and inline publishers concurrently, so
-// implementations must be safe for concurrent use.
+// live aggregates before the overflow buckets. A batch and its Args are
+// the exporter's to keep: the bus never writes them again. Calls may
+// come from the collector goroutine and inline publishers concurrently,
+// so implementations must be safe for concurrent use.
 type Exporter interface {
 	ExportAggregates(aggs []Aggregate)
 }

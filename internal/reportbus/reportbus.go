@@ -16,8 +16,12 @@
 //   - Windowed aggregation: a collector drains the rings and coalesces
 //     digests keyed by (checker, switch, args-hash) into counted
 //     aggregates with first/last timestamps, so a million identical
-//     violations become one record with count=1e6. The clock is
-//     pluggable: wall time for live engines, netsim virtual time for
+//     violations become one record with count=1e6. The table is flat and
+//     allocated once: aggregates are values with their argument words
+//     inline, found through an open-addressing index, so folding a
+//     digest allocates nothing; a closing window sorts compact integer
+//     keys and carves its batch's Args from one fresh arena. The clock
+//     is pluggable: wall time for live engines, netsim virtual time for
 //     simulations.
 //   - Storm control: per-checker token buckets bound the aggregate
 //     emission rate, mirroring the digest-channel budget. A rate-limited
@@ -30,12 +34,14 @@
 //     that keeps counts (but not args), so collector memory is bounded
 //     by configuration, not by traffic.
 //
-// Consumers attach per-window Exporters (JSONL, in-memory collection)
-// and per-digest taps (Bus.Tap) that see every digest before
-// aggregation — the path a reactive control-plane app reads reports by.
+// Consumers attach per-window Exporters (in-memory collection, the
+// fleet worker's uplink) and per-digest taps (Bus.Tap) that see every
+// digest before aggregation — the path a reactive control-plane app
+// reads reports by.
 package reportbus
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"time"
 
@@ -80,29 +86,23 @@ func DigestFrom(checker string, switchID uint32, at int64, rep pipeline.Report) 
 		var buf [8 * MaxArgs]byte
 		for i, a := range rep.Args {
 			d.Args[i] = a.V
-			d.NArgs++
-			for b := 0; b < 8; b++ {
-				buf[8*i+b] = byte(a.V >> (8 * b))
-			}
+			binary.LittleEndian.PutUint64(buf[8*i:], a.V)
 		}
+		d.NArgs = uint8(len(rep.Args))
 		d.ArgsHash = maphash.Bytes(argsSeed, buf[:8*len(rep.Args)])
 		return d
 	}
 	var h maphash.Hash
 	h.SetSeed(argsSeed)
+	var w [8]byte
 	for i, a := range rep.Args {
 		if i < MaxArgs {
 			d.Args[i] = a.V
-			d.NArgs++
-		} else {
-			d.Truncated = true
 		}
-		var w [8]byte
-		for b := 0; b < 8; b++ {
-			w[b] = byte(a.V >> (8 * b))
-		}
+		binary.LittleEndian.PutUint64(w[:], a.V)
 		h.Write(w[:])
 	}
+	d.NArgs, d.Truncated = MaxArgs, true
 	d.ArgsHash = h.Sum64()
 	return d
 }

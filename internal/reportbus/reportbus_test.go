@@ -33,11 +33,11 @@ func TestRingPushDrain(t *testing.T) {
 		t.Fatalf("ring size = %d, want 8 (rounded up)", got)
 	}
 	for i := 0; i < 8; i++ {
-		if !r.push(Digest{At: int64(i)}) {
+		if !r.push(&Digest{At: int64(i)}) {
 			t.Fatalf("push %d rejected before full", i)
 		}
 	}
-	if r.push(Digest{At: 99}) {
+	if r.push(&Digest{At: 99}) {
 		t.Fatal("push accepted on a full ring")
 	}
 	if d := r.depth(); d != 8 {
@@ -57,9 +57,9 @@ func TestRingPushDrain(t *testing.T) {
 	}
 	// The ring is reusable after a full wrap.
 	for i := 0; i < 12; i++ {
-		if !r.push(Digest{At: int64(100 + i)}) {
+		if !r.push(&Digest{At: int64(100 + i)}) {
 			out = r.drainInto(out[:0])
-			if !r.push(Digest{At: int64(100 + i)}) {
+			if !r.push(&Digest{At: int64(100 + i)}) {
 				t.Fatal("push rejected right after drain")
 			}
 		}
@@ -446,5 +446,61 @@ func TestCloseIsIdempotentAndFlushKeepsBusUsable(t *testing.T) {
 	}
 	if m := b.Metrics(); m.Unaccounted() != 0 {
 		t.Fatalf("unaccounted = %d", m.Unaccounted())
+	}
+}
+
+// TestCollectorAllocs is the collector's allocation budget. At steady
+// state (the checker's record exists) folding a digest allocates
+// nothing, whether it opens a key, repeats one or lands in an overflow
+// bucket; closing a window allocates the same fixed number of times —
+// the batch and its Args arena — whether it emits 64 aggregates or 4096.
+func TestCollectorAllocs(t *testing.T) {
+	b := New(Config{Clock: (&manualClock{}).fn()})
+	d := DigestFrom("acl", 1, 0, rep(1, 2))
+	fold := func() {
+		b.mu.Lock()
+		b.fold(&d)
+		b.mu.Unlock()
+	}
+	newKey := func() {
+		d.Args[0]++
+		d.ArgsHash++
+		fold()
+	}
+	fold()
+	if n := testing.AllocsPerRun(100, fold); n != 0 {
+		t.Errorf("a repeated key: %.2f allocs per digest, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, newKey); n != 0 {
+		t.Errorf("a new key: %.2f allocs per digest, want 0", n)
+	}
+	for len(b.live) < b.cfg.MaxKeys {
+		newKey()
+	}
+	if n := testing.AllocsPerRun(100, newKey); n != 0 {
+		t.Errorf("an overflow: %.2f allocs per digest, want 0", n)
+	}
+
+	closing := func(keys int) float64 {
+		b := New(Config{Clock: (&manualClock{}).fn()})
+		d := DigestFrom("acl", 1, 0, rep(1, 2))
+		emitted := 0
+		n := testing.AllocsPerRun(10, func() {
+			b.mu.Lock()
+			for i := 0; i < keys; i++ {
+				d.Args[0], d.ArgsHash = uint64(i), uint64(i)
+				b.fold(&d)
+			}
+			emitted = len(b.closeWindow(0, true))
+			b.mu.Unlock()
+		})
+		if emitted != keys {
+			t.Fatalf("a window of %d keys emitted %d aggregates", keys, emitted)
+		}
+		return n
+	}
+	small, large := closing(64), closing(4096)
+	if small != large || large > 2 {
+		t.Errorf("closing a window: %.2f allocs for 64 aggregates, %.2f for 4096; want the same, at most 2", small, large)
 	}
 }

@@ -27,13 +27,13 @@ func newRing(size int) *ring {
 	return &ring{buf: make([]Digest, n), mask: uint64(n - 1)}
 }
 
-// push appends d; false means the ring is full and d was not enqueued.
-func (r *ring) push(d Digest) bool {
+// push appends *d; false means the ring is full and d was not enqueued.
+func (r *ring) push(d *Digest) bool {
 	t := r.tail.Load()
 	if t-r.head.Load() == uint64(len(r.buf)) {
 		return false
 	}
-	r.buf[t&r.mask] = d
+	r.buf[t&r.mask] = *d
 	r.tail.Store(t + 1)
 	return true
 }
