@@ -137,6 +137,7 @@ const (
 	opPush        // A=array-site, B=src slot [ir]
 	opSetSlot     // A=array-site, B=idx slot, C=src slot [ir]
 	opReport      // A=report-site [ir]
+	opReject      // A=member, B=src, W: the member's bit of the pass's reject mask = Mask(W, src) != 0 [ir: AssignOp to the write-only reject flag]
 )
 
 // Instr is one VM instruction. Operands are PHV slot indices, jump
@@ -161,6 +162,7 @@ const (
 	opdDst        // PHV slot written
 	opdSrc        // PHV slot read
 	opdJump       // jump target
+	opdMember     // the member's index in its Set, filled in by LinkSet
 	opdApply      // index into applies
 	opdReg        // index into regs
 	opdArray      // index into arrays
@@ -168,7 +170,7 @@ const (
 )
 
 // shapes gives the meaning of Instr.A, B, C, D per opcode.
-var shapes = func() (t [opReport + 1][4]opd) {
+var shapes = func() (t [opReject + 1][4]opd) {
 	for op := opBoolAnd; op <= opGe; op++ {
 		t[op] = [4]opd{opdDst, opdSrc, opdSrc} // opSelect, in their midst, is set below
 	}
@@ -196,6 +198,7 @@ var shapes = func() (t [opReport + 1][4]opd) {
 	t[opPush] = [4]opd{opdArray, opdSrc}
 	t[opSetSlot] = [4]opd{opdArray, opdSrc, opdSrc}
 	t[opReport] = [4]opd{opdReport}
+	t[opReject] = [4]opd{opdMember, opdSrc}
 	return t
 }()
 
@@ -243,7 +246,7 @@ type arraySite struct {
 
 // reportSite is the side table for one ReportOp.
 type reportSite struct {
-	owner int32 // tag of the reports it raises (Ctx.Owners)
+	owner int32 // index of the member whose reports it raises
 	args  []int32
 }
 
@@ -301,8 +304,7 @@ type Prog struct {
 	init, tele, check []Instr
 	pro               [3]int // each block's prologue length (markPrologues)
 
-	slots      map[pipeline.FieldRef]int32
-	slotReject int32
+	slots map[pipeline.FieldRef]int32
 
 	// For LinkSet: where the expression temporaries start, and the
 	// slots BeginHop must restore (computeResetSlots).
@@ -462,8 +464,8 @@ func (cp *comp) layout() error {
 	p.img.teleBytes = int(off+7) / 8
 	p.img.nTele = len(p.img.template)
 
-	// Builtin metadata slots (hops already sits in the tele region).
-	p.slotReject = cp.intern(pipeline.FieldReject)
+	// Builtin metadata slots (hops already sits in the tele region; the
+	// reject flag is a bit of the context's mask, opReject's).
 	p.img.slotSwitch = cp.intern(pipeline.FieldSwitch)
 	p.img.slotPktLen = cp.intern(pipeline.FieldPktLen)
 	p.img.slotLast = cp.intern(pipeline.FieldLastHop)
@@ -717,6 +719,10 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			src, err := cp.expr(op.Src, code)
 			if err != nil {
 				return err
+			}
+			if op.Dst == pipeline.FieldReject { // LinkSet fills in the member
+				*code = append(*code, Instr{Op: opReject, B: src, W: int32(op.DstWidth)})
+				break
 			}
 			in := Instr{Op: opAssign, A: cp.intern(op.Dst), B: src, W: int32(op.DstWidth)}
 			if last := len(*code) - 1; src >= tempBase && (*code)[last].Op == opAdd && (*code)[last].A == src {
@@ -1003,7 +1009,7 @@ func (p *Prog) markPrologues() {
 					slots = append(append(slices.Clip(a.keys), a.outs...), a.hit)
 				case opdReport:
 					slots = p.img.reports[*v].args
-				case opdNone, opdJump, opdReg, opdArray:
+				case opdNone, opdJump, opdMember, opdReg, opdArray:
 					continue
 				}
 				for _, s := range slots {
@@ -1028,10 +1034,9 @@ func (p *Prog) markPrologues() {
 // needs no restore. A slot stays in the reset set iff some block reads
 // it before writing it, judged block by block, so the set is sound for
 // any subset of blocks a hop runs (netsim runs init alone at ingress,
-// a NIC runs the checker alone). The reject flag is force-kept (Reject
-// reads it from outside the bytecode after the trace), as are array
-// regions (their element stores index dynamically, which the linear
-// read/write scan does not track).
+// a NIC runs the checker alone). Array regions are force-kept: their
+// element stores index dynamically, which the linear read/write scan does
+// not track.
 func (p *Prog) computeResetSlots() {
 	scratch := func(si int32) bool {
 		return si >= int32(p.img.nTele) && si < p.tempStart
@@ -1042,7 +1047,7 @@ func (p *Prog) computeResetSlots() {
 			writable[si] = true
 		}
 	}
-	need := map[int32]bool{p.slotReject: true}
+	need := map[int32]bool{}
 	for _, code := range p.blocks() {
 		for i := range code {
 			for f, v := range code[i].fields() {

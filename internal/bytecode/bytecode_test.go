@@ -458,7 +458,7 @@ func TestVMLiveInstall(t *testing.T) {
 	envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(100, 500), PacketLen: 100}}
 	blob := make([]byte, 0, vm.Set.TeleWireBytes())
 	run := func() (acl, ex uint64) {
-		if _, err := vm.Pass(blob, envs, bytecode.BlockTelemetry|bytecode.BlockChecker, true, true); err != nil {
+		if _, _, err := vm.Pass(blob, envs, bytecode.BlockTelemetry|bytecode.BlockChecker, true, true); err != nil {
 			t.Fatal(err)
 		}
 		return vm.Ctx.PHV[aclSlot].V, vm.Ctx.PHV[exSlot].V
@@ -549,7 +549,7 @@ func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 		}
 	}
 	envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(7, 9), PacketLen: 100}}
-	if _, err := vm.Pass(nil, envs, bytecode.BlockChecker, true, true); err != nil {
+	if _, _, err := vm.Pass(nil, envs, bytecode.BlockChecker, true, true); err != nil {
 		t.Fatal(err)
 	}
 	phv := vm.Ctx.PHV
@@ -665,17 +665,14 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 
 	headers := []uint64{9, 5, 250, 1}
 	var sink int
+	count := func(_ int, reps []pipeline.Report) { sink += len(reps) }
 	trace := func() {
-		c.BeginEphemeralReports()
 		set.BeginTrace(c)
 		for i, v := range headers {
 			first, last := i == 0, i == len(headers)-1
 			vm.H[h0] = pipeline.B(8, v)
-			vm.Run(uint32(i%3+1), 100, first, last, bytecode.HopBlocks(first, last))
-		}
-		sink += len(c.Reports)
-		if set.Reject(c, 0) {
-			sink++
+			sink += int(vm.Run(uint32(i%3+1), 100, first, last, bytecode.HopBlocks(first, last)))
+			vm.Reports(count)
 		}
 	}
 	for i := 0; i < 10; i++ { // warmup: arena, report buffer
@@ -756,20 +753,21 @@ func reportHop(t *testing.T, vm *difftest.Linked, st *pipeline.State, swID uint3
 	env := &reportEnvs[0]
 	env.State, env.SwitchID = st, swID
 	env.Headers["hdr.x"] = pipeline.B(32, uint64(swID)+1000)
-	if _, err := vm.Pass(reportBlob[:0], reportEnvs, bytecode.BlockInit|bytecode.BlockTelemetry|bytecode.BlockChecker, true, true); err != nil {
+	if _, _, err := vm.Pass(reportBlob[:0], reportEnvs, bytecode.BlockInit|bytecode.BlockTelemetry|bytecode.BlockChecker, true, true); err != nil {
 		t.Fatal(err)
 	}
-	c := vm.Ctx
-	if len(c.Reports) != 1 || c.Reports[0].Args[0].V != uint64(swID) || c.Reports[0].Args[1].V != uint64(swID)+1000 {
-		t.Fatalf("hop on switch %d raised %+v", swID, c.Reports)
+	var got []pipeline.Report
+	vm.Reports(func(_ int, reps []pipeline.Report) { got = reps })
+	if len(got) != 1 || got[0].Args[0].V != uint64(swID) || got[0].Args[1].V != uint64(swID)+1000 {
+		t.Fatalf("hop on switch %d raised %+v", swID, got)
 	}
 }
 
 // TestEphemeralReportsArena pins the zero-allocation report path
 // resident contexts run on: raising a report in ephemeral mode
-// allocates nothing at steady state, and each pass's
-// BeginEphemeralReports recycles the previous one's buffers — a context
-// that is never released holds exactly the last pass's reports.
+// allocates nothing at steady state, and each pass's Stage.Run recycles
+// the previous one's buffers — a context that is never released holds
+// exactly the last pass's reports.
 func TestEphemeralReportsArena(t *testing.T) {
 	prog := reportProg()
 	vm := linkOne(t, prog)
@@ -810,7 +808,6 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 	vm.Row[0] = st
 	vm.H[headerIndex(b, vm, "hdr.x.h0")] = pipeline.B(8, 9)
 	set, c := vm.Set, vm.Ctx
-	c.BeginEphemeralReports()
 	set.BeginTrace(c)
 	b.ReportAllocs()
 	b.ResetTimer()

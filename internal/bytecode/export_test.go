@@ -9,11 +9,11 @@ var (
 	RefGetBits = refGetBits
 )
 
-// opNames names every opcode up to opReport, the last, as shapes does. An
+// opNames names every opcode up to opReject, the last, as shapes does. An
 // opcode added without a name leaves an empty entry, which
-// TestEveryOpcodeReached reports; one added after opReport must move the
+// TestEveryOpcodeReached reports; one added after opReject must move the
 // bound here and in shapes.
-var opNames = [opReport + 1]string{
+var opNames = [opReject + 1]string{
 	opNop: "nop", opLoadF: "loadf", opAssign: "assign", opAddAssign: "addassign", opJmp: "jmp", opJz: "jz",
 	opNot: "not", opBNot: "bnot", opNeg: "neg", opAbs: "abs",
 	opBoolAnd: "booland", opBoolOr: "boolor", opSelect: "select",
@@ -24,6 +24,7 @@ var opNames = [opReport + 1]string{
 	opJzAnd: "jzand", opJzOr: "jzor", opJnz: "jnz",
 	opApply: "apply", opApplyAssign: "applyassign", opIn: "in",
 	opRegRead: "regread", opRegWrite: "regwrite", opPush: "push", opSetSlot: "setslot", opReport: "report",
+	opReject: "reject",
 }
 
 // Opcodes names every opcode Compile can emit: all of them but nop.

@@ -485,7 +485,8 @@ func TestLinkedLayout(t *testing.T) {
 // {init, telemetry}, spine 3 {telemetry}, leaf 2 {telemetry, checker}. It
 // pins how many of a packet's 157 in-stream dispatches specialising the
 // rows' images could at most remove, and how many instructions it would
-// find dead.
+// find dead. A reject sets a bit of the pass's mask, an effect no
+// specialisation removes, so it never folds.
 func TestScalarFoldCount(t *testing.T) {
 	corpus, err := difftest.CompileCorpusSet()
 	if err != nil {
@@ -521,7 +522,7 @@ func TestScalarFoldCount(t *testing.T) {
 		fold, dead = fold+f, dead+d
 	}
 	t.Logf("a campus packet: at most %d of 157 in-stream dispatches fold; %d instructions dead", fold, dead)
-	if fold != 27 || dead != 12 {
-		t.Errorf("a campus packet: %d folding dispatches, %d dead instructions; want 27 and 12", fold, dead)
+	if fold != 16 || dead != 12 {
+		t.Errorf("a campus packet: %d folding dispatches, %d dead instructions; want 16 and 12", fold, dead)
 	}
 }

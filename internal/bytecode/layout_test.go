@@ -123,7 +123,7 @@ func checkLayout(s *Set) error {
 				}
 				for i, in := range body {
 					pc := off + i
-					if want := relocated(in, m.slot, base, int32(off-n)); code[pc] != want {
+					if want := relocated(in, k, m.slot, base, int32(off-n)); code[pc] != want {
 						return fmt.Errorf("%s: pc %d is %+v, its program has %+v there", where, pc, code[pc], want)
 					}
 					if t := jumpTarget(&code[pc]); t != nil && (int(*t) < off || int(*t) > off+len(body)) {
@@ -146,17 +146,20 @@ func checkLayout(s *Set) error {
 	return nil
 }
 
-// relocated is in as it must stand in a Set: slots through the member's
-// slot map, side-table indices past base, jump targets moved by shift.
-func relocated(in Instr, slot []int32, base [4]int32, shift int32) Instr {
+// relocated is in as it must stand in a Set as member k: slots through
+// the member's slot map, side-table indices past base, jump targets moved
+// by shift, a reject to bit k.
+func relocated(in Instr, k int, slot []int32, base [4]int32, shift int32) Instr {
 	for f, v := range in.fields() {
-		switch k := shapes[in.Op][f]; {
-		case k == opdDst || k == opdSrc:
+		switch kind := shapes[in.Op][f]; {
+		case kind == opdDst || kind == opdSrc:
 			*v = slot[*v]
-		case k == opdJump:
+		case kind == opdJump:
 			*v += shift
-		case k >= opdApply:
-			*v += base[k-opdApply]
+		case kind == opdMember:
+			*v = int32(k)
+		case kind >= opdApply:
+			*v += base[kind-opdApply]
 		}
 	}
 	return in
@@ -257,13 +260,17 @@ var layoutMutations = map[string]func(*Set) bool{
 		}
 		return moved
 	},
-	// The second member's reject flag is the first's.
+	// The second member's first private scratch slot is the first's.
 	"scratch slot shared between members": func(s *Set) bool {
 		if len(s.members) < 2 {
 			return false
 		}
 		a, b := s.members[0], s.members[1]
-		b.slot[b.Prog.slotReject] = a.slot[a.Prog.slotReject]
+		sa, sb := firstPrivateScratch(a.Prog), firstPrivateScratch(b.Prog)
+		if sa < 0 || sb < 0 {
+			return false
+		}
+		b.slot[sb] = a.slot[sa]
 		return true
 	},
 	// A hop-count bump lifted over an init block that reads hop_count: the
@@ -281,6 +288,18 @@ var layoutMutations = map[string]func(*Set) bool{
 			return in.Op == opApply && len(p.img.applies[in.A].keys) == 0
 		})
 	},
+}
+
+// firstPrivateScratch is p's first slot past its telemetry that is neither
+// a builtin nor a temporary, -1 if it has none.
+func firstPrivateScratch(p *Prog) int32 {
+	builtins := []int32{p.img.slotSwitch, p.img.slotPktLen, p.img.slotLast, p.img.slotFirst}
+	for sl := int32(p.img.nTele); sl < p.tempStart; sl++ {
+		if !slices.Contains(builtins, sl) {
+			return sl
+		}
+	}
+	return -1
 }
 
 // liftNext relinks s with block bi's prologue one instruction longer in

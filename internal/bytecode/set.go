@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/pipeline"
@@ -9,25 +10,27 @@ import (
 // Member is one program of a Set: its compiled form and the §4.3
 // placement of its checker block (CheckEveryHop runs it wherever the
 // telemetry block runs). Its position in LinkSet's list is its index: its
-// place in the state row a pass binds and the owner tag of its reports.
+// place in the state row a pass binds, its bit of a pass's reject mask
+// and the owner of its reports.
 type Member struct {
 	Prog          *Prog
 	CheckEveryHop bool
 }
 
 // linked is a Member placed in the Set's PHV: slot maps its Prog's slot
-// numbering to the Set's, reject is its own reject flag, teleOff where
-// its record starts in the Set's blob.
+// numbering to the Set's, teleOff where its record starts in the Set's
+// blob.
 type linked struct {
 	Member
 	slot    []int32
-	reject  int32
 	teleOff int
 }
 
 // Set is several programs linked into one image, the way the compiler
 // links every checker into one pipeline beside forwarding (§4.2): one
-// PHV, one reset, one header scatter and one dispatch run per hop.
+// PHV, one reset, one header scatter and one dispatch run per hop, and one
+// verdict word per pass, a member's reject its bit of the context's mask
+// (Figure 6's flag, checked once at the end of the pass).
 //
 // Each member keeps its own slot namespace (same-named variables never
 // meet; a header path two members bind has a slot in each) and its
@@ -54,8 +57,13 @@ type Set struct {
 // (a Binding's snapshot of the pass holds one value per entry).
 type prologue struct{ hops, applies, slots []int32 }
 
-// LinkSet links the members, in order.
+// LinkSet links the members, in order. It panics on more than 64, one bit
+// each of a pass's reject mask, as an embedder panics on a program
+// without a VM form.
 func LinkSet(members []Member) *Set {
+	if len(members) > 64 {
+		panic(fmt.Sprintf("bytecode: a set links at most 64 members, not %d", len(members)))
+	}
 	s := &Set{}
 	var nTemp, nReset int32
 	for _, m := range members {
@@ -139,7 +147,7 @@ func LinkSet(members []Member) *Set {
 						s.pro[b].hops = append(s.pro[b].hops, slot[in.A])
 					}
 				}
-				s.code[b] = relocate(s.code[b], code, p.pro[bi], slot, base)
+				s.code[b] = relocate(s.code[b], code, p.pro[bi], k, slot, base)
 			}
 		}
 		for _, st := range p.img.teleSteps {
@@ -150,7 +158,7 @@ func LinkSet(members []Member) *Set {
 		s.bindings = append(s.bindings, p.img.bindings...)
 		s.bindSlots = append(s.bindSlots, remap(p.img.bindSlots)...)
 		s.dirtySlots = append(s.dirtySlots, remap(p.img.dirtySlots)...)
-		s.members = append(s.members, linked{Member: m, slot: slot, reject: slot[p.slotReject], teleOff: s.teleBytes})
+		s.members = append(s.members, linked{Member: m, slot: slot, teleOff: s.teleBytes})
 		s.teleBytes += p.img.teleBytes
 	}
 	s.nSlots = len(s.template)
@@ -160,29 +168,29 @@ func LinkSet(members []Member) *Set {
 	return s
 }
 
-// relocate appends code past its n-instruction prologue (no jump lands in
-// one) to dst, rewritten for its place in a Set: slots through the slot
-// map, side-table indices past the members' before, jumps by the offset.
-func relocate(dst, code []Instr, n int, slot []int32, base [4]int32) []Instr {
+// relocate appends member k's code past its n-instruction prologue (no
+// jump lands in one) to dst, rewritten for its place in a Set: slots
+// through the slot map, side-table indices past the members' before, jumps
+// by the offset, a reject to bit k.
+func relocate(dst, code []Instr, n, k int, slot []int32, base [4]int32) []Instr {
 	off := int32(len(dst) - n)
 	for _, in := range code[n:] {
 		for f, v := range in.fields() {
-			switch k := shapes[in.Op][f]; k {
+			switch kind := shapes[in.Op][f]; kind {
 			case opdDst, opdSrc:
 				*v = slot[*v]
 			case opdJump:
 				*v += off
+			case opdMember:
+				*v = int32(k)
 			case opdApply, opdReg, opdArray, opdReport:
-				*v += base[k-opdApply]
+				*v += base[kind-opdApply]
 			}
 		}
 		dst = append(dst, in)
 	}
 	return dst
 }
-
-// Len returns the number of members; k below counts them.
-func (s *Set) Len() int { return len(s.members) }
 
 // RunBlocks executes the selected blocks of every member, member after
 // member, against the context's row binding, after BeginHop and the header
@@ -230,9 +238,6 @@ func HopBlocks(first, last bool) Blocks {
 	}
 	return b
 }
-
-// Reject reads the k-th member's verdict for the hop just run.
-func (s *Set) Reject(c *Ctx, k int) bool { return c.PHV[s.members[k].reject].Bool() }
 
 // TeleSpan returns where the k-th member's record lies in the
 // Set's blob.

@@ -243,17 +243,20 @@ func (st *Stage) FillFlow(k dataplane.FlowKey) {
 }
 
 // Run is one pipeline pass over the telemetry in the context's slots:
-// bring Bind up to date with Row and the scalar epoch, restore the scratch
-// slots, install the hop's builtins, scatter the bound headers — an absent
-// one leaves its slot at the restored template — and run the blocks b of
-// every member through Bind, prologues first (no pass writes a table, so
-// a lifted load reads what its block head would). The verdicts
-// (Set.Reject), the reports (Ctx.Reports by Ctx.Owners) and the telemetry
-// stay in the context until the next pass.
-func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) {
+// bring Bind up to date with Row and the scalar epoch, start the pass's
+// reports, restore the scratch slots, install the hop's builtins, scatter
+// the bound headers — an absent one leaves its slot at the restored
+// template — and run the blocks b of every member through Bind, prologues
+// first (no pass writes a table, so a lifted load reads what its block
+// head would). It returns the pass's reject mask, bit k set iff member k
+// rejected in this pass; its reports (Reports) and telemetry stay in the
+// context until the next pass. That is the hop contract: an embedder reads
+// a pass's verdict and reports there and nowhere else.
+func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) uint64 {
 	set, c := st.Set, st.Ctx
 	st.Bind.bind(set, st.Row)
 	c.bind = st.Bind
+	c.reports, c.owners, c.argArena = c.reports[:0], c.owners[:0], c.argArena[:0]
 	set.BeginHop(c, switchID, pktLen, first, last)
 	// In locals: a store through the PHV would have the loop reload both
 	// slice headers every pair.
@@ -264,4 +267,21 @@ func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) {
 		}
 	}
 	set.RunBlocks(c, b)
+	return c.rejects
+}
+
+// Reports hands the last pass's reports to fn, one call per member that
+// raised any, in member order (members run one after another, so each
+// one's reports are one run), reps in the order raised. Their Args live in
+// the context's arena until the next pass; fn copies what it keeps.
+func (st *Stage) Reports(fn func(k int, reps []pipeline.Report)) {
+	reps, owners := st.Ctx.reports, st.Ctx.owners
+	for lo := 0; lo < len(reps); {
+		hi := lo + 1
+		for hi < len(reps) && owners[hi] == owners[lo] {
+			hi++
+		}
+		fn(int(owners[lo]), reps[lo:hi])
+		lo = hi
+	}
 }

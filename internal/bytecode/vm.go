@@ -7,18 +7,12 @@ import (
 )
 
 // Ctx is the execution state of a Set: the flat PHV and, for the pass in
-// progress, the row binding its sites read tables and registers through.
-// A Ctx is resident: created once by Link and owned by one Stage — an
-// engine shard's, a netsim switch's — for its whole life, never
-// re-templated.
+// progress, the row binding its sites read tables and registers through,
+// its reject mask and its reports. A Ctx is resident: created once by Link
+// and owned by one Stage — an engine shard's, a netsim switch's — for its
+// whole life, never re-templated.
 type Ctx struct {
 	PHV []pipeline.Value
-	// Reports are the digests raised since BeginEphemeralReports (since
-	// the context was made, before the first call); Owners[i] tags
-	// Reports[i] with the Set index of the program that raised it. A
-	// report's Args are carved from the context's argument arena.
-	Reports []pipeline.Report
-	Owners  []int32
 	// TableApplies and OpsExecuted mirror the interpreter's counters.
 	TableApplies int
 	OpsExecuted  int
@@ -26,24 +20,18 @@ type Ctx struct {
 	// bind is the pass's row binding, stored by Stage.Run.
 	bind *Binding
 
+	// rejects is the pass's reject mask, bit k member k's (Stage.Run).
+	rejects uint64
+	// reports are the pass's digests in the order raised, reports[i]
+	// raised by member owners[i], its Args carved from argArena: Stage.Run
+	// truncates the three, Stage.Reports hands them out.
+	reports  []pipeline.Report
+	owners   []int32
+	argArena []pipeline.Value
+
 	// wide is the reusable key buffer for applies of tables with more
 	// than MaxPackedKeys columns.
 	wide []uint64
-
-	// argArena holds the Args of every report raised since
-	// BeginEphemeralReports.
-	argArena []pipeline.Value
-}
-
-// BeginEphemeralReports starts a new execution's reports: it truncates
-// Reports, Owners and the argument arena, so every report raised before
-// — and the Args inside it — must be fully consumed before the call.
-// Raising a report allocates nothing once the buffers have grown, so a
-// resident context reaches zero allocations per packet at steady state.
-// A context never truncated keeps every report: the arena only grows,
-// and growing moves later Args to a new array, never earlier ones.
-func (c *Ctx) BeginEphemeralReports() {
-	c.Reports, c.Owners, c.argArena = c.Reports[:0], c.Owners[:0], c.argArena[:0]
 }
 
 // NewCtx returns a fresh context the caller owns for as long as it
@@ -67,11 +55,12 @@ func (p *image) BeginTrace(c *Ctx) {
 // BeginHop resets the writable scratch slots to the template (the
 // link-time reset run, one copy — constants, read-only fields, and
 // statement-scoped temps can't diverge, so they are skipped) and
-// installs the per-hop builtin metadata. Telemetry slots are left
-// untouched: they carry across hops in resident mode. The PHV is owned
-// by the VM between BeginTrace and the end of the trace; external
-// writes to non-bind slots between hops are not restored.
+// installs the per-hop builtin metadata, and clears the reject mask.
+// Telemetry slots are left untouched: they carry across hops in resident
+// mode. The PHV is owned by the VM between BeginTrace and the end of the
+// trace; external writes to non-bind slots between hops are not restored.
 func (p *image) BeginHop(c *Ctx, switchID uint32, pktLen int, first, last bool) {
+	c.rejects = 0
 	phv := c.PHV
 	copy(phv[p.reset[0]:p.reset[1]], p.template[p.reset[0]:p.reset[1]])
 	// The builtin per-hop metadata, at the widths the map reference
@@ -336,6 +325,13 @@ func (p *image) run(c *Ctx, code []Instr) {
 			ops++
 			p.runReport(c, &p.reports[in.A])
 
+		case opReject:
+			ops++
+			c.rejects &^= 1 << in.A
+			if pipeline.Mask(int(in.W), phv[in.B].V) != 0 {
+				c.rejects |= 1 << in.A
+			}
+
 		default:
 			panic(fmt.Sprintf("bytecode: bad opcode %d", in.Op))
 		}
@@ -407,6 +403,6 @@ func (p *image) runReport(c *Ctx, site *reportSite) {
 	for _, s := range site.args {
 		c.argArena = append(c.argArena, c.PHV[s])
 	}
-	c.Reports = append(c.Reports, pipeline.Report{Args: c.argArena[off:len(c.argArena):len(c.argArena)]})
-	c.Owners = append(c.Owners, site.owner)
+	c.reports = append(c.reports, pipeline.Report{Args: c.argArena[off:len(c.argArena):len(c.argArena)]})
+	c.owners = append(c.owners, site.owner)
 }

@@ -114,7 +114,7 @@ func diffAliased(t *testing.T, label string, got, want difftest.TraceResult) {
 // Outcomes must be byte-identical to the map reference on pristine
 // state: the blob decode plus BeginHop's reset
 // runs must erase every poisoned slot an execution could observe, and
-// each pass's BeginEphemeralReports every report of the pass before.
+// each pass's Stage.Run every report of the pass before.
 func TestResidentHopAliasing(t *testing.T) {
 	for _, gt := range goldenTraces {
 		gt := gt
@@ -157,9 +157,11 @@ func TestResidentHopAliasing(t *testing.T) {
 // every corpus checker runs its golden traces in the engine's resident
 // shape (Linked.RunTrace: telemetry in the slots from BeginTrace to the
 // one final encode) on a context that is poisoned between traces —
-// telemetry slots included, which only BeginTrace restores — and handed
-// a stale report, with foreign dirt traces interleaved. Outcomes must be
-// byte-identical to a pristine context's.
+// telemetry slots included, which only BeginTrace restores — with
+// foreign dirt traces interleaved. Outcomes must be byte-identical to a
+// pristine context's. (A stale report cannot reach a pass from outside:
+// Stage.Run starts the report arena, which TestReportRunsByOwner in
+// internal/bytecode pins.)
 func TestVMScratchAliasing(t *testing.T) {
 	for _, gt := range goldenTraces {
 		gt := gt
@@ -172,25 +174,17 @@ func TestVMScratchAliasing(t *testing.T) {
 				}
 				return res[0]
 			}
-			scribble := func(vm *difftest.Linked) {
-				poison(vm)
-				vm.Ctx.Reports = append(vm.Ctx.Reports, pipeline.Report{
-					Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
-				})
-				vm.Ctx.Owners = append(vm.Ctx.Owners, 0)
-			}
-
 			clean, dirty := ac.link(), ac.link()
 			for _, tc := range []struct {
 				label string
 				trace []difftest.HopSpec
 			}{{"conform", gt.conform}, {"violate", gt.violate}} {
 				want := run(clean, tc.trace, false)
-				scribble(dirty)
+				poison(dirty)
 				run(dirty, gt.violate, true)
-				scribble(dirty)
+				poison(dirty)
 				run(dirty, gt.conform, true)
-				scribble(dirty)
+				poison(dirty)
 				diffAliased(t, tc.label, run(dirty, tc.trace, false), want)
 			}
 		})
@@ -263,10 +257,6 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 		for _, s := range set.DirtySlots() {
 			c.PHV[s] = pipeline.B(64, ^uint64(0))
 		}
-		c.Reports = append(c.Reports, pipeline.Report{
-			Args: []pipeline.Value{pipeline.B(64, 0xbadbadbadbad)},
-		})
-		c.Owners = append(c.Owners, 3)
 		c.OpsExecuted += 997
 		c.TableApplies += 31
 		dirty.seq.ProcessBatch(pkts2[i : i+1])

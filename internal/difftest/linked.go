@@ -28,12 +28,11 @@ func Link(rts ...*compiler.Runtime) (*Linked, error) {
 }
 
 // run is a pipeline pass over telemetry already in the context's slots:
-// arm the report arena, store member k's state and the headers of every
-// env by path, run the blocks b of every member. A pass has one packet,
-// so members that bind one path must be given one value for it. The
-// hop's switch and packet length are envs[0]'s.
-func (l *Linked) run(envs []HopEnv, b bytecode.Blocks, first, last bool) {
-	l.Ctx.BeginEphemeralReports()
+// store member k's state and the headers of every env by path, run the
+// blocks b of every member and return the pass's reject mask. A pass has
+// one packet, so members that bind one path must be given one value for
+// it. The hop's switch and packet length are envs[0]'s.
+func (l *Linked) run(envs []HopEnv, b bytecode.Blocks, first, last bool) uint64 {
 	clear(l.H)
 	for k, env := range envs {
 		l.Row[k] = env.State
@@ -46,20 +45,20 @@ func (l *Linked) run(envs []HopEnv, b bytecode.Blocks, first, last bool) {
 			}
 		}
 	}
-	l.Run(envs[0].SwitchID, int(envs[0].PacketLen), first, last, b)
+	return l.Run(envs[0].SwitchID, int(envs[0].PacketLen), first, last, b)
 }
 
 // Pass is one pipeline pass the way a netsim switch makes it:
 // decode the Set's whole blob (empty at the first hop), run, and encode
-// the telemetry back into blob's storage. The verdicts (Set.Reject) and
-// the reports (Ctx.Reports by Ctx.Owners, carved from the context's
-// arena) are the pass's own until the next one.
-func (l *Linked) Pass(blob []byte, envs []HopEnv, b bytecode.Blocks, first, last bool) ([]byte, error) {
+// the telemetry back into blob's storage. It returns the blob and the
+// pass's reject mask (Stage.Run); the pass's reports (Stage.Reports,
+// carved from the context's arena) are its own until the next one.
+func (l *Linked) Pass(blob []byte, envs []HopEnv, b bytecode.Blocks, first, last bool) ([]byte, uint64, error) {
 	if err := l.Set.DecodeTele(blob, l.Ctx.PHV); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	l.run(envs, b, first, last)
-	return l.Set.EncodeTele(blob[:0], l.Ctx.PHV), nil
+	rejects := l.run(envs, b, first, last)
+	return l.Set.EncodeTele(blob[:0], l.Ctx.PHV), rejects, nil
 }
 
 // RunHop runs a whole hop of a set of one as a single Pass and copies
@@ -67,23 +66,24 @@ func (l *Linked) Pass(blob []byte, envs []HopEnv, b bytecode.Blocks, first, last
 func (l *Linked) RunHop(blob []byte, env HopEnv, first, last bool) (HopResult, error) {
 	c := l.Ctx
 	applies, ops := c.TableApplies, c.OpsExecuted
-	blob, err := l.Pass(blob, []HopEnv{env}, bytecode.HopBlocks(first, last), first, last)
+	blob, rejects, err := l.Pass(blob, []HopEnv{env}, bytecode.HopBlocks(first, last), first, last)
 	if err != nil {
 		return HopResult{}, err
 	}
-	hr := HopResult{Blob: blob, Reject: l.Set.Reject(c, 0), TableApplies: c.TableApplies - applies, OpsExecuted: c.OpsExecuted - ops}
-	for _, rep := range c.Reports {
-		hr.Reports = append(hr.Reports, detach(rep))
-	}
+	hr := HopResult{Blob: blob, Reject: rejects != 0, TableApplies: c.TableApplies - applies, OpsExecuted: c.OpsExecuted - ops}
+	l.Reports(func(_ int, reps []pipeline.Report) { hr.Reports = detach(hr.Reports, reps) })
 	return hr, nil
 }
 
-// detach copies a report out of the context's arena, in the form the
-// reference raises it (Args allocated, never nil).
-func detach(rep pipeline.Report) pipeline.Report {
-	args := make([]pipeline.Value, len(rep.Args))
-	copy(args, rep.Args)
-	return pipeline.Report{Args: args}
+// detach appends copies of reps, out of the context's arena, to dst, in
+// the form the reference raises them (Args allocated, never nil).
+func detach(dst, reps []pipeline.Report) []pipeline.Report {
+	for _, rep := range reps {
+		args := make([]pipeline.Value, len(rep.Args))
+		copy(args, rep.Args)
+		dst = append(dst, pipeline.Report{Args: args})
+	}
+	return dst
 }
 
 // Shape is how a trace is cut into pipeline passes.
@@ -132,8 +132,8 @@ func (l *Linked) RunTrace(envs [][]HopEnv, shape Shape) ([]TraceResult, error) {
 	if shape == Resident {
 		set.BeginTrace(c)
 	}
-	res := make([]TraceResult, l.Set.Len())
-	hop := make([]HopEnv, l.Set.Len())
+	res := make([]TraceResult, len(envs))
+	hop := make([]HopEnv, len(envs))
 	var blob []byte
 	for i := 0; i < hops; i++ {
 		for k := range hop {
@@ -141,19 +141,18 @@ func (l *Linked) RunTrace(envs [][]HopEnv, shape Shape) ([]TraceResult, error) {
 		}
 		first, last := i == 0, i == hops-1
 		for _, b := range shape.passes(first, last) {
+			var rejects uint64
 			if shape == Resident {
-				l.run(hop, b, first, last)
+				rejects = l.run(hop, b, first, last)
 			} else {
 				var err error
-				if blob, err = l.Pass(blob, hop, b, first, last); err != nil {
+				if blob, rejects, err = l.Pass(blob, hop, b, first, last); err != nil {
 					return nil, fmt.Errorf("hop %d (switch %d): %w", i, hop[0].SwitchID, err)
 				}
 			}
-			for j, rep := range c.Reports {
-				res[c.Owners[j]].Reports = append(res[c.Owners[j]].Reports, detach(rep))
-			}
+			l.Reports(func(k int, reps []pipeline.Report) { res[k].Reports = detach(res[k].Reports, reps) })
 			for k := range res {
-				res[k].Reject = res[k].Reject || set.Reject(c, k)
+				res[k].Reject = res[k].Reject || rejects>>k&1 != 0
 			}
 		}
 	}

@@ -41,6 +41,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -382,77 +383,69 @@ func (s *shard) row(switchID uint32) *stateRow {
 // the shard's resident context, whose telemetry slots carry the
 // packet's telemetry from hop to hop with no wire codec in between
 // (byte-equivalent: every telemetry write is width-masked on store).
-// Once all checkers have run at a hop where any of them rejected, the
-// packet halts there, so hops it never reached leave no register
-// write and no report — wherever in the program the reject was raised.
+// A hop is one Stage.Run, its reports handed out by Stage.Reports. Once
+// all checkers have run at a hop where any of them rejected, the packet
+// halts there, so hops it never reached leave no register write and no
+// report — wherever in the program the reject was raised.
 func (s *shard) exec(batch []Packet) {
 	st := s.st
-	set, c := st.Set, st.Ctx
+	// The packet in flight: its hop's switch, its report count, and the
+	// bus-clock reading its first report takes for all its digests (its
+	// hops are checked back to back).
+	var (
+		sw       uint32
+		reported int32
+		at       int64
+		stamped  bool
+	)
+	// raise counts and publishes checker k's digests of a pass.
+	raise := func(k int, reps []pipeline.Report) {
+		reported += int32(len(reps))
+		s.perChecker[k].Reports += uint64(len(reps))
+		if s.prod == nil {
+			return
+		}
+		if !stamped {
+			at, stamped = s.cfg.ReportBus.Now(), true
+		}
+		name := s.cfg.Checkers[k].Name
+		for _, r := range reps {
+			s.prod.Publish(reportbus.DigestFrom(name, sw, at, r))
+		}
+	}
 	for pi := range batch {
 		p := &batch[pi]
 		s.counts.Packets++
 		hops := p.Hops
-		if set.Len() == 0 {
+		if len(s.cfg.Checkers) == 0 {
 			hops = nil // nothing to run: no hop does any work
 		}
 		st.FillFlow(p.Key)
-		c.BeginEphemeralReports()
-		set.BeginTrace(c)
-		reject := false
-		// c.Reports accumulates over the packet's hops (arena storage,
-		// recycled by the next packet). Its hops are checked back to
-		// back, so every digest of the packet carries the one bus-clock
-		// reading taken at its first report.
-		reported := 0
-		at, stamped := int64(0), false
-		for h := 0; h < len(hops) && !reject; h++ {
+		st.Set.BeginTrace(st.Ctx)
+		reported, stamped = 0, false
+		var rejects uint64
+		for h := 0; h < len(hops) && rejects == 0; h++ {
 			hop := &hops[h]
 			first, last := h == 0, h == len(hops)-1
 			st.H[bytecode.HInPort] = pipeline.B(8, uint64(hop.InPort))
 			st.H[bytecode.HEgPort] = pipeline.B(8, uint64(hop.OutPort))
 			r := s.row(hop.SwitchID)
 			st.Row, st.Bind = r.st, &r.bind
-			st.Run(hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))
-			// The fresh tail is grouped by owner, in checker order.
-			for reported < len(c.Reports) {
-				hi := reported + 1
-				for hi < len(c.Reports) && c.Owners[hi] == c.Owners[reported] {
-					hi++
-				}
-				if !stamped && s.prod != nil {
-					at, stamped = s.cfg.ReportBus.Now(), true
-				}
-				s.raise(int(c.Owners[reported]), hop.SwitchID, at, c.Reports[reported:hi])
-				reported = hi
-			}
-			for k := 0; k < set.Len(); k++ {
-				if set.Reject(c, k) {
-					reject = true
-					s.perChecker[k].Rejected++
-				}
-			}
+			rejects = st.Run(hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))
+			sw = hop.SwitchID
+			st.Reports(raise)
 		}
-		if reject {
+		for m := rejects; m != 0; m &= m - 1 {
+			s.perChecker[bits.TrailingZeros64(m)].Rejected++
+		}
+		s.counts.Reports += uint64(reported)
+		if rejects != 0 {
 			s.counts.Rejected++
 		} else {
 			s.counts.Forwarded++
 		}
 		if uint(p.Index) < uint(len(s.cfg.Verdicts)) {
-			s.cfg.Verdicts[p.Index] = Verdict{Reject: reject, Reports: int32(reported)}
-		}
-	}
-}
-
-// raise counts the digests checker i raised at one hop and publishes
-// them stamped at. reps is arena-backed and only valid until the
-// context's next packet; a Digest copies what it keeps.
-func (s *shard) raise(i int, switchID uint32, at int64, reps []pipeline.Report) {
-	s.counts.Reports += uint64(len(reps))
-	s.perChecker[i].Reports += uint64(len(reps))
-	if s.prod != nil {
-		name := s.cfg.Checkers[i].Name
-		for _, r := range reps {
-			s.prod.Publish(reportbus.DigestFrom(name, switchID, at, r))
+			s.cfg.Verdicts[p.Index] = Verdict{Reject: rejects != 0, Reports: reported}
 		}
 	}
 }

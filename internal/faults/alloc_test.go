@@ -13,7 +13,6 @@ type nullNode struct {
 	rx  uint64
 }
 
-func (n *nullNode) NodeName() string { return "null" }
 func (n *nullNode) Receive(frame []byte, port int) {
 	n.rx++
 	n.sim.ReleaseFrame(frame)

@@ -23,7 +23,7 @@ type CaptureRecord struct {
 }
 
 // Capture collects frames from the links it is attached to, like a
-// network TAP (Figure 13's vantage points). Attach with Tap. Records
+// network TAP (Figure 13's vantage points). Attach with tap. Records
 // are in execution order.
 type Capture struct {
 	// Max bounds the number of retained records (0 = unbounded): the
@@ -38,6 +38,34 @@ type Capture struct {
 	// afterwards), so a record keeps only derived strings — never the
 	// frame or slices into it.
 	dec dataplane.Decoded
+}
+
+// tapped is one end of a link with a capture in front of it: it records
+// each frame delivered there, then hands it on.
+type tapped struct {
+	Node
+	name string
+	c    *Capture
+	sim  *Simulator
+}
+
+func (t *tapped) Receive(frame []byte, port int) {
+	t.c.record(t.sim.now, t.name, port, frame)
+	t.Node.Receive(frame, port)
+}
+
+// tap records every frame delivered over l, in both directions, into c.
+func tap(c *Capture, l *Link) {
+	for _, s := range []*linkSink{&l.toA, &l.toB} {
+		name := fmt.Sprintf("%T", s.to.node)
+		switch n := s.to.node.(type) {
+		case *Switch:
+			name = n.Name
+		case *Host:
+			name = n.Name
+		}
+		s.to.node = &tapped{Node: s.to.node, name: name, c: c, sim: l.sim}
+	}
 }
 
 func (c *Capture) record(at Time, node string, port int, frame []byte) {

@@ -28,9 +28,6 @@ const (
 
 // checkGolden compares a transcript with its golden file, or rewrites
 // the file under NETSIM_GOLDEN_UPDATE.
-// tap records every frame delivered over l into c.
-func tap(c *Capture, l *Link) { l.taps = append(l.taps, c) }
-
 func checkGolden(t *testing.T, path, got string) {
 	t.Helper()
 	if os.Getenv("NETSIM_GOLDEN_UPDATE") != "" {

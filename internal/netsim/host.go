@@ -98,9 +98,6 @@ func (h *Host) stackDelay() Time {
 	return d
 }
 
-// NodeName implements Node.
-func (h *Host) NodeName() string { return h.Name }
-
 // Receive implements Node. The host takes ownership of the frame and
 // releases it once the packet is delivered; anything retained
 // (Received) is a deep copy.

@@ -33,7 +33,8 @@ type HydraAttachment struct {
 // only the telemetry block on them, which §4.3 notes makes Hydra
 // deployable on cores that "are not fully programmable but can run
 // telemetry". A switch still checks a packet its forwarding drops: it
-// never reaches a NIC.
+// never reaches a NIC. A pass keeps bytecode.Stage's hop contract, as an
+// engine shard does (see pass).
 type hydra struct {
 	// checkers are the attached programs; several can share a node (the
 	// §6.2 "all checkers" configuration), each with its own fixed-size
@@ -78,13 +79,14 @@ func (hy *hydra) linked() *bytecode.Stage {
 // pass runs one pipeline pass of the linked image over the packet as it is
 // now — before forwarding at ingress, after it at egress; outPort is
 // negative for a packet with no egress port — on the telemetry in the
-// stage's PHV, which the caller decoded or left from the init pass, and
-// hands each report to its attachment. meta is nil at a NIC, which has no
-// forwarding context and leaves the forwarding-metadata paths absent. The
-// source-route entry forwarding popped, if any, is hdr.srcRoutes[0]. A
-// program-specific path is absent: nothing on the wire stores it.
-func (hy *hydra) pass(st *bytecode.Stage, id uint32, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) {
-	st.Ctx.BeginEphemeralReports()
+// stage's PHV, which the caller decoded or left from the init pass. It
+// hands each report to its attachment, counts each attachment's check and
+// reject from the blocks run and bit k of Stage.Run's mask, and reports
+// whether a checker rejected the packet. meta is nil at a NIC, which has
+// no forwarding context and leaves the forwarding-metadata paths absent.
+// The source-route entry forwarding popped, if any, is hdr.srcRoutes[0].
+// A program-specific path is absent: nothing on the wire stores it.
+func (hy *hydra) pass(st *bytecode.Stage, id uint32, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) bool {
 	h := st.H
 	st.FillPacket(pkt)
 	if meta != nil {
@@ -96,9 +98,21 @@ func (hy *hydra) pass(st *bytecode.Stage, id uint32, pkt *dataplane.Decoded, met
 		h[bytecode.HEgPort] = pipeline.B(8, uint64(max(outPort, 0)))
 		h[bytecode.HSkipFwd] = pipeline.BoolV(meta.Drop)
 	}
-	st.Run(id, pkt.WireLen(), first, last, b)
-	for i, rep := range st.Ctx.Reports {
-		if at := hy.checkers[st.Ctx.Owners[i]]; at.OnReport != nil {
+	rejects := st.Run(id, pkt.WireLen(), first, last, b)
+	st.Reports(hy.deliver)
+	for k, at := range hy.checkers {
+		if b&bytecode.BlockChecker != 0 || at.Runtime.CheckEveryHop && b&bytecode.BlockTelemetry != 0 {
+			at.Checked++
+		}
+		at.Rejected += rejects >> k & 1
+	}
+	return rejects != 0
+}
+
+// deliver hands attachment k's reports of a pass to its OnReport.
+func (hy *hydra) deliver(k int, reps []pipeline.Report) {
+	if at := hy.checkers[k]; at.OnReport != nil {
+		for _, rep := range reps {
 			at.OnReport(rep)
 		}
 	}
@@ -114,6 +128,7 @@ func (hy *hydra) inject(id uint32, pkt *dataplane.Decoded, meta *PacketMeta, inP
 	st := hy.linked()
 	pkt.InsertHydra(nil)
 	_ = st.Set.DecodeTele(nil, st.Ctx.PHV) // the decode-empty image
+	// No verdict to read: Indus rejects only in a checker block.
 	hy.pass(st, id, pkt, meta, inPort, -1, true, false, bytecode.BlockInit)
 	n := st.Set.TeleWireBytes()
 	if cap(hy.injectBuf) < n {
@@ -138,22 +153,6 @@ func (hy *hydra) decode(st *bytecode.Stage, blob []byte) []byte {
 	}
 	_ = st.Set.DecodeTele(blob, st.Ctx.PHV) // cannot fail: blob is empty or long enough
 	return dst
-}
-
-// verdict counts the pass's checks and rejections per attachment and
-// reports whether a checker rejected the packet.
-func (hy *hydra) verdict(st *bytecode.Stage, last bool) bool {
-	rejected := false
-	for k, at := range hy.checkers[:st.Set.Len()] {
-		if last || at.Runtime.CheckEveryHop {
-			at.Checked++
-		}
-		if st.Set.Reject(st.Ctx, k) {
-			at.Rejected++
-			rejected = true
-		}
-	}
-	return rejected
 }
 
 // AttachNIC attaches a checker to the host's NIC, with fresh per-NIC
@@ -185,8 +184,7 @@ func (h *Host) nicIngress(pkt *dataplane.Decoded) bool {
 	}
 	st := nic.linked()
 	nic.decode(st, pkt.Hydra.Blob)
-	nic.pass(st, h.nicID(), pkt, nil, 0, 0, false, true, bytecode.BlockChecker)
-	if nic.verdict(st, true) {
+	if nic.pass(st, h.nicID(), pkt, nil, 0, 0, false, true, bytecode.BlockChecker) {
 		return false
 	}
 	pkt.StripHydra()

@@ -10,8 +10,6 @@ type Node interface {
 	// copy anything it retains past the callback, and should return it
 	// with Simulator.ReleaseFrame when done.
 	Receive(frame []byte, port int)
-	// NodeName identifies the node in traces and errors.
-	NodeName() string
 }
 
 // endpoint is one side of a link.
@@ -29,12 +27,8 @@ type linkSink struct {
 }
 
 func (s *linkSink) deliverFrame(frame []byte, port int) {
-	l := s.l
-	l.Frames++
-	l.Bytes += uint64(len(frame))
-	for _, c := range l.taps {
-		c.record(l.sim.now, s.to.node.NodeName(), port, frame)
-	}
+	s.l.Frames++
+	s.l.Bytes += uint64(len(frame))
 	s.to.node.Receive(frame, port)
 }
 
@@ -104,9 +98,6 @@ type Link struct {
 	// Fault, when non-nil, intercepts every transmitted frame (see
 	// LinkFault). nil — the default — costs one pointer test per send.
 	Fault LinkFault
-
-	// taps are the captures recording every delivered frame.
-	taps []*Capture
 }
 
 // Connect wires two nodes with a new link and returns it. The link is

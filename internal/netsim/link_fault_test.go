@@ -33,7 +33,6 @@ type orderNode struct {
 	seen []byte
 }
 
-func (n *orderNode) NodeName() string { return "order" }
 func (n *orderNode) Receive(frame []byte, port int) {
 	if len(frame) > 0 {
 		n.seen = append(n.seen, frame[0])

@@ -468,7 +468,6 @@ type blobNode struct {
 	blobs [][]byte
 }
 
-func (n *blobNode) NodeName() string { return "blobs" }
 func (n *blobNode) Receive(frame []byte, _ int) {
 	pkt := new(dataplane.Decoded)
 	if err := dataplane.ParseInto(pkt, frame); err != nil {

@@ -151,9 +151,6 @@ func NewSwitch(sim *Simulator, id uint32, name string) *Switch {
 	return sw
 }
 
-// NodeName implements Node.
-func (sw *Switch) NodeName() string { return sw.Name }
-
 // wire records l on a port, with the host behind it if peer is one; it
 // panics if the port is wired already.
 func (sw *Switch) wire(port int, l *Link, peer Node) {
@@ -312,12 +309,7 @@ func (sw *Switch) egress(pkt *dataplane.Decoded, frame []byte, shape wireShape, 
 		} else {
 			dst = sw.decode(st, pkt.Hydra.Blob)
 		}
-		blocks := bytecode.BlockTelemetry
-		if lastHop {
-			blocks |= bytecode.BlockChecker
-		}
-		sw.pass(st, sw.ID, pkt, meta, inPort, outPort, firstHop, lastHop, blocks)
-		if sw.verdict(st, lastHop) {
+		if sw.pass(st, sw.ID, pkt, meta, inPort, outPort, firstHop, lastHop, bytecode.HopBlocks(false, lastHop)) {
 			return false // a checker halts the packet (reject, §2)
 		}
 		if lastHop {
