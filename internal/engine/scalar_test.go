@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -155,12 +154,19 @@ func TestScalarInstallVisibleAtNextPacket(t *testing.T) {
 }
 
 // TestScalarToggleDuringReplay toggles leaf 2's is_leaf through
-// Engine.Install from one goroutine while a two-shard engine replays the
-// campus mix. Leaf 2 is every packet's last hop, where routing-validity
-// reads is_leaf once, so each verdict must be the oracle's under one of
-// the two values; run under -race, the bindings' re-reads race the
-// control plane's writes.
+// Engine.Install while a two-shard engine replays the campus mix. Leaf 2
+// is every packet's last hop, where routing-validity reads is_leaf once,
+// so each verdict must be the oracle's under one of the two values; run
+// under -race, the bindings' re-reads race the control plane's writes.
+// The submitting goroutine toggles before every toggleEvery-th packet,
+// twice the packets the engine can hold submitted and unfinished (per
+// shard: QueueDepth batches queued, one executing, one filling). So a
+// toggle lands while the shards execute the packets before it, and at
+// least half of every run of packets executes under that run's value
+// alone, whatever the scheduler does.
 func TestScalarToggleDuringReplay(t *testing.T) {
+	const shards, batch, depth = 2, 16, 4
+	const toggleEvery = 2 * shards * (depth + 2) * batch
 	pkts, pairs := experiments.CampusEnginePackets(3000, 9)
 	chks := corpus(t)
 	legal := [2][]engine.Verdict{}
@@ -179,46 +185,39 @@ func TestScalarToggleDuringReplay(t *testing.T) {
 	}
 
 	verdicts := make([]engine.Verdict, len(pkts))
-	eng := engine.New(engine.Config{Shards: 2, BatchSize: 16, Checkers: chks, Verdicts: verdicts})
+	eng := engine.New(engine.Config{Shards: shards, BatchSize: batch, QueueDepth: depth, Checkers: chks, Verdicts: verdicts})
 	if err := experiments.ConfigureReplayEngine(eng.Install, pairs); err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := uint64(0); ; v ^= 1 {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := eng.Install("routing-validity", 2, scalarWrite("is_leaf", 1, v)); err != nil {
-				t.Error(err)
-				return
+	for i := range pkts {
+		if i%toggleEvery == 0 {
+			if err := eng.Install("routing-validity", 2, scalarWrite("is_leaf", 1, uint64(i/toggleEvery%2))); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}()
-	for i := range pkts {
 		eng.Submit(pkts[i])
 	}
 	eng.Drain()
-	close(stop)
-	wg.Wait()
 
-	var seen [2]int
+	// Every campus packet's verdict tells the two values apart, and at
+	// least half of each run of toggleEvery packets saw its run's value.
+	var seen, floor [2]int
 	for i, v := range verdicts {
-		switch v {
-		case legal[0][i]:
+		switch {
+		case legal[0][i] == legal[1][i]:
+			t.Fatalf("packet %d: is_leaf does not decide the verdict %+v", i, v)
+		case v == legal[0][i]:
 			seen[0]++
-		case legal[1][i]:
+		case v == legal[1][i]:
 			seen[1]++
 		default:
 			t.Fatalf("packet %d: verdict %+v, legal %+v or %+v", i, v, legal[0][i], legal[1][i])
 		}
 	}
-	if seen[0] == 0 || seen[1] == 0 {
-		t.Errorf("vacuous: %d packets saw is_leaf 0, %d saw 1", seen[0], seen[1])
+	for start := 0; start < len(pkts); start += toggleEvery {
+		floor[start/toggleEvery%2] += max(0, min(toggleEvery, len(pkts)-start)-toggleEvery/2)
+	}
+	if seen[0] < floor[0] || seen[1] < floor[1] {
+		t.Errorf("%d packets saw is_leaf 0 and %d saw 1, want at least %d and %d", seen[0], seen[1], floor[0], floor[1])
 	}
 }

@@ -123,24 +123,23 @@ func AttachAllCheckers(ls *netsim.LeafSpine) (map[string][]*netsim.HydraAttachme
 	return atts, nil
 }
 
+// seedChunk is the pairs FirewallSeed lays out for one InsertBatch:
+// what a seed install holds at once, however many pairs it seeds.
+const seedChunk = 1024
+
 // FirewallSeed returns an installer that seeds the stateful firewall's
 // allowed dictionary (both directions) for the given (src, dst) address
-// pairs. The entries are laid out once — keys cut from one slab, one
-// shared action — and go into the first empty table the installer is
-// handed as one batch. allowed is one control variable replicated to
-// every switch, so each later empty table adopts the first copy-on-write
+// pairs. A table the installer has to fill is grown once for the whole
+// seed (pipeline.Table.Grow) and takes it in batches of seedChunk pairs,
+// laid out in two buffers — keys and entries, one shared action — that
+// every batch refills: allowed is a two-column exact table, whose store
+// copies each entry in. An install is all or nothing per batch, not for
+// the seed. allowed is one control variable replicated to every switch,
+// so each later empty table adopts the first copy-on-write
 // (pipeline.Table.CopyFrom) while that one still holds exactly the
-// batch; any other table takes the batch itself. For one goroutine.
+// seed; any other table takes the batches itself. For one goroutine.
 func FirewallSeed(pairs [][2]uint32) func(*pipeline.State) error {
-	keys := make([]pipeline.KeyMatch, 0, 4*len(pairs))
-	batch := make([]pipeline.Entry, 0, 2*len(pairs))
 	allow := []pipeline.Value{pipeline.BoolV(true)}
-	for _, p := range pairs {
-		for dir := 0; dir < 2; dir++ {
-			keys = append(keys, pipeline.ExactKey(uint64(p[dir])), pipeline.ExactKey(uint64(p[1-dir])))
-			batch = append(batch, pipeline.Entry{Keys: keys[len(keys)-2 : len(keys) : len(keys)], Action: allow})
-		}
-	}
 	var donor *pipeline.Table
 	var version uint64
 	return func(st *pipeline.State) error {
@@ -149,11 +148,28 @@ func FirewallSeed(pairs [][2]uint32) func(*pipeline.State) error {
 		if empty && donor != nil && donor.Version() == version {
 			return tbl.CopyFrom(donor)
 		}
-		err := tbl.InsertBatch(batch)
-		if err == nil && empty && donor == nil {
+		tbl.Grow(2 * len(pairs))
+		size := min(len(pairs), seedChunk)
+		keys := make([]pipeline.KeyMatch, 4*size)
+		batch := make([]pipeline.Entry, 2*size)
+		for i := range batch {
+			batch[i] = pipeline.Entry{Keys: keys[2*i : 2*i+2 : 2*i+2], Action: allow}
+		}
+		for rest := pairs; len(rest) > 0; {
+			chunk := rest[:min(len(rest), seedChunk)]
+			rest = rest[len(chunk):]
+			for i, p := range chunk {
+				keys[4*i], keys[4*i+1] = pipeline.ExactKey(uint64(p[0])), pipeline.ExactKey(uint64(p[1]))
+				keys[4*i+2], keys[4*i+3] = pipeline.ExactKey(uint64(p[1])), pipeline.ExactKey(uint64(p[0]))
+			}
+			if err := tbl.InsertBatch(batch[:2*len(chunk)]); err != nil {
+				return err
+			}
+		}
+		if empty && donor == nil {
 			donor, version = tbl, tbl.Version()
 		}
-		return err
+		return nil
 	}
 }
 

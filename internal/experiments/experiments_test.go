@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -186,23 +187,31 @@ func TestWireReplayBenign(t *testing.T) {
 	}
 }
 
-// TestFirewallSeedAllocs: building the seed batch and installing it into
-// a fresh state costs a fixed number of allocations — the batch's three
-// slices, the table's arrays — however many pairs there are.
-func TestFirewallSeedAllocs(t *testing.T) {
-	newState := func() *pipeline.State {
-		return &pipeline.State{Tables: map[string]*pipeline.Table{"allowed": pipeline.NewTable("allowed",
-			[]pipeline.KeySpec{{Name: "src", Width: 32}, {Name: "dst", Width: 32}},
-			[]pipeline.FieldRef{"allowed.value"}, []pipeline.Value{pipeline.BoolV(false)})}}
+// seedState is a fresh state holding an empty allowed dictionary.
+func seedState() *pipeline.State {
+	return &pipeline.State{Tables: map[string]*pipeline.Table{"allowed": pipeline.NewTable("allowed",
+		[]pipeline.KeySpec{{Name: "src", Width: 32}, {Name: "dst", Width: 32}},
+		[]pipeline.FieldRef{"allowed.value"}, []pipeline.Value{pipeline.BoolV(false)})}}
+}
+
+// seedPairs is n distinct (src, dst) pairs.
+func seedPairs(n int) [][2]uint32 {
+	pairs := make([][2]uint32, n)
+	for i := range pairs {
+		pairs[i] = [2]uint32{uint32(i) + 1, ^uint32(i)}
 	}
+	return pairs
+}
+
+// TestFirewallSeedAllocs: laying out the seed and installing it into a
+// fresh state costs a fixed number of allocations — one chunk's two
+// buffers, the table's array — however many pairs there are.
+func TestFirewallSeedAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
-		pairs := make([][2]uint32, n)
-		for i := range pairs {
-			pairs[i] = [2]uint32{uint32(i) + 1, ^uint32(i)}
-		}
+		pairs := seedPairs(n)
 		var tbl *pipeline.Table
 		got := testing.AllocsPerRun(5, func() {
-			st := newState()
+			st := seedState()
 			tbl = st.Tables["allowed"]
 			if err := FirewallSeed(pairs)(st); err != nil {
 				t.Fatal(err)
@@ -226,17 +235,14 @@ func TestFirewallSeedAllocs(t *testing.T) {
 
 	// Every table after the first adopts it: no array, no batch, whatever
 	// the seed's size.
-	pairs := make([][2]uint32, 40_000)
-	for i := range pairs {
-		pairs[i] = [2]uint32{uint32(i) + 1, ^uint32(i)}
-	}
+	pairs := seedPairs(40_000)
 	seed := FirewallSeed(pairs)
-	if err := seed(newState()); err != nil {
+	if err := seed(seedState()); err != nil {
 		t.Fatal(err)
 	}
 	states := make([]*pipeline.State, 7) // AllocsPerRun's warm-up run takes one too
 	for i := range states {
-		states[i] = newState()
+		states[i] = seedState()
 	}
 	next := 0
 	adopting := testing.AllocsPerRun(len(states)-1, func() {
@@ -252,5 +258,38 @@ func TestFirewallSeedAllocs(t *testing.T) {
 	}
 	if adopting > 2 {
 		t.Fatalf("an adopting FirewallSeed call allocates %v times, want at most 2", adopting)
+	}
+}
+
+// TestFirewallSeedBytes: a seed install holds one chunk, not the seed.
+// 40 000 pairs may allocate more bytes than 100 by what the larger
+// record array costs, plus seedChunkBytes for one full chunk's buffers,
+// and nothing more; a seed laid out whole before the first insert is
+// ≈ 9.6 MB over.
+func TestFirewallSeedBytes(t *testing.T) {
+	const seedChunkBytes = 512 << 10 // a 1 024-pair chunk's buffers are ≈ 240 KB
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	install := func(n int) uint64 {
+		pairs, st := seedPairs(n), seedState()
+		return allocated(func() {
+			if err := FirewallSeed(pairs)(st); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	array := func(n int) uint64 {
+		tbl := seedState().Tables["allowed"]
+		return allocated(func() { tbl.Grow(2 * n) })
+	}
+	small, large := install(100), install(40_000)
+	if budget := small + array(40_000) - array(100) + seedChunkBytes; large > budget {
+		t.Fatalf("FirewallSeed allocates %d bytes for 40 000 pairs, %d for 100: %d over the budget of the larger record array plus one chunk",
+			large, small, large-budget)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -139,8 +140,10 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 // data[0] picks the column count (0–4), data[1] the action length (0–2);
 // each op is three bytes: kind (low nibble; bit 4 picks the table, bit 5
 // checks the step without lookups), key index, value. One op has the
-// table adopt the other's entries (CopyFrom). Action values are raw — any width, bits above it set — so
-// a store that reinterprets W or V shows.
+// table adopt the other's entries (CopyFrom), another make room for up
+// to 63 more (Grow), which must leave its Version alone. Action values
+// are raw — any width, bits above it set — so a store that reinterprets
+// W or V shows.
 func runTableOps(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
@@ -227,6 +230,12 @@ func runTableOps(t *testing.T, data []byte) {
 			tbl.Clear()
 			clear(m.acts)
 			clear(m.names)
+		case val < 96: // make room, one time in four
+			tbl.Grow(int(val) - 32)
+			if tbl.Version() != versions[target] {
+				t.Fatalf("%s: Grow moved Version %d → %d", step, versions[target], tbl.Version())
+			}
+			mutated = false
 		case val >= 224: // adopt the other table's entries, one time in eight
 			if err := tbl.CopyFrom(tbls[1-target]); err != nil {
 				t.Fatalf("%s: %v", step, err)
@@ -512,6 +521,82 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 		}
 		if a, _ := g.LookupPacked(PackedKey{7}); a[0].V != want {
 			t.Fatalf("table %d answers %d for the key one adopter rewrote, want %d", i, a[0].V, want)
+		}
+	}
+}
+
+// TestGrow: Grow(n) sizes the store as InsertBatch sizes a batch of n,
+// so the next n inserts, in chunks of any size, rehash nothing and lay
+// the records out slot for slot as the one batch does. It writes no
+// entry — Version, ScalarEpoch, the published view and every lookup are
+// as they were — and it is a no-op on the priority list and on a
+// keyless table.
+func TestGrow(t *testing.T) {
+	keys := []KeySpec{{Width: 32, Kind: MatchExact}, {Width: 32, Kind: MatchExact}}
+	span := func(from, n int) []Entry {
+		es := make([]Entry, n)
+		for i := range es {
+			v := uint64(from + i)
+			es[i] = Entry{Keys: []KeyMatch{ExactKey(v), ExactKey(^v & 0xffffffff)}, Action: []Value{B(32, v)}}
+		}
+		return es
+	}
+	whole := NewTable("t", keys, []FieldRef{"v"}, []Value{B(32, 0)})
+	chunked := NewTable("t", keys, whole.Outputs, whole.Default)
+	for _, tbl := range []*Table{whole, chunked} {
+		if err := tbl.InsertBatch(span(1, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunked.WarmSnapshot()
+	version, epoch, view := chunked.Version(), ScalarEpoch(), chunked.snap.Load()
+	chunked.Grow(1000)
+	if chunked.Version() != version || ScalarEpoch() != epoch || chunked.snap.Load() != view {
+		t.Fatalf("Grow wrote: Version %d → %d, ScalarEpoch %d → %d, view replaced %t",
+			version, chunked.Version(), epoch, ScalarEpoch(), chunked.snap.Load() != view)
+	}
+	for _, e := range span(1, 100) {
+		if a, hit := chunked.LookupPacked(packEntryKeys(e.Keys)); !hit || a[0] != e.Action[0] {
+			t.Fatalf("after Grow, key %v answers %v, %t", e.Keys, a, hit)
+		}
+	}
+	recs := &chunked.packed.recs[0]
+	batch := span(101, 1000)
+	if err := whole.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < len(batch); c += 7 {
+		if err := chunked.InsertBatch(batch[c:min(c+7, len(batch))]); err != nil {
+			t.Fatal(err)
+		}
+		if &chunked.packed.recs[0] != recs {
+			t.Fatalf("the chunk at %d of the %d entries Grow made room for rehashed", c, len(batch))
+		}
+	}
+	if w, c := whole.packed, chunked.packed; w.mask != c.mask || !slices.Equal(w.recs, c.recs) {
+		t.Fatalf("Grow and chunks laid out %d slots, one batch %d, or the records differ", c.mask+1, w.mask+1)
+	}
+
+	shapes := tableShapes()
+	delete(shapes, "packed")
+	shapes["keyless"] = NewTable("s", nil, []FieldRef{"v"}, []Value{B(8, 0)})
+	for name, tbl := range shapes {
+		e := Entry{Keys: make([]KeyMatch, len(tbl.Keys)), Action: []Value{B(8, 1)}}
+		if err := tbl.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+		tbl.WarmSnapshot()
+		version, epoch, entries := tbl.Version(), ScalarEpoch(), tbl.Entries()
+		var recs []Value
+		if tbl.packed != nil {
+			recs = tbl.packed.recs
+		}
+		tbl.Grow(1000)
+		if tbl.Version() != version || ScalarEpoch() != epoch || !reflect.DeepEqual(tbl.Entries(), entries) {
+			t.Errorf("%s: Grow wrote", name)
+		}
+		if tbl.packed != nil && (len(tbl.packed.recs) != len(recs) || &tbl.packed.recs[0] != &recs[0]) {
+			t.Errorf("%s: Grow rehashed the keyless table's array", name)
 		}
 	}
 }

@@ -108,7 +108,7 @@ type Entry struct {
 
 // tcamEntry is an installed TCAM entry with its non-wildcard columns
 // compiled at insert time. The tests stay off Entry, which is also the
-// bulk-install form: a firewall seed is 150 k of them.
+// bulk-install form.
 type tcamEntry struct {
 	Entry
 	tests []colTest
@@ -273,14 +273,31 @@ func (t *Table) InsertBatch(es []Entry) error {
 	}
 	t.version.Add(1)
 	t.snap.Store(nil)
-	if st := t.packed; st != nil && (st.count+len(es))*2 > int(st.mask)+1 {
-		st.rehash(max(st.count+len(es), 2*st.count)) // at least doubling
+	if t.packed != nil {
+		t.packed.grow(len(es))
 	}
 	for i := range es {
 		t.insertLocked(&es[i])
 	}
 	t.wrote()
 	return nil
+}
+
+// Grow makes room for n more entries with at most one rehash, by the
+// rule InsertBatch sizes a batch of n with, so a bulk install that
+// arrives in chunks lands in the array one batch of all of it would
+// have, slot for slot, and moves no record on its way up. It writes no
+// entry: it bumps neither Version nor ScalarEpoch, and a published view
+// keeps the old array, which stays as it was. It is a no-op on a table
+// kept as a priority list (TCAM, or exact and wider than MaxPackedKeys)
+// and on a table without key columns.
+func (t *Table) Grow(n int) {
+	if t.packed == nil || len(t.Keys) == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.packed.grow(n)
 }
 
 // validate checks an entry's shape; insertLocked installs one that passed.
@@ -583,6 +600,14 @@ func (st *packedStore) unshare() {
 	}
 }
 
+// grow makes room for n more entries at <= 50% load; a rehash at least
+// doubles the array.
+func (st *packedStore) grow(n int) {
+	if (st.count+n)*2 > int(st.mask)+1 {
+		st.rehash(max(st.count+n, 2*st.count))
+	}
+}
+
 // rehash moves the records into a fresh array with room for entries of
 // them at <= 50% load. The old array is left as it was, so a published
 // view stays valid.
@@ -603,7 +628,8 @@ func (st *packedStore) rehash(entries int) {
 
 // insert adds k or overwrites its action in place (every entry of a
 // table carries len(Outputs) values); action is copied, not kept. The
-// caller (InsertBatch) has made room: load stays <= 50%.
+// caller has made room (grow: InsertBatch for its batch, or Grow ahead of
+// a chunked install), so load stays <= 50%.
 func (st *packedStore) insert(k PackedKey, action []Value, name string) {
 	if k == (PackedKey{}) {
 		if st.zero == nil {

@@ -56,6 +56,9 @@ type Bus struct {
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
+	// wake is the one-slot channel a ring at half full sends on (ring.push)
+	// and the collector sweeps on.
+	wake chan struct{}
 
 	// sweepMu serializes whole sweeps; scratch is the drain buffer they
 	// share. Held across the post-mutex tap/export phase so drained
@@ -148,6 +151,7 @@ func New(cfg Config) *Bus {
 		shift:    uint(64 - bits.TrailingZeros(uint(slots))),
 		keys:     make([]sortKey, 0, cfg.MaxKeys),
 		checkers: map[string]*checkerStats{},
+		wake:     make(chan struct{}, 1),
 	}
 }
 
@@ -198,7 +202,7 @@ type ProducerMetrics struct {
 // Publish must stay single-goroutine per producer; the collector is the
 // only consumer.
 func (b *Bus) RingProducer(name string) *Producer {
-	p := &Producer{bus: b, name: name, r: newRing(b.cfg.RingSize), drops: map[string]uint64{}}
+	p := &Producer{bus: b, name: name, r: newRing(b.cfg.RingSize, b.wake), drops: map[string]uint64{}}
 	b.mu.Lock()
 	b.producers = append(b.producers, p)
 	b.mu.Unlock()
@@ -502,7 +506,8 @@ func (b *Bus) sweep(forceClose bool) {
 }
 
 // Start launches the collector goroutine, sweeping rings every
-// Window/4. Inline producers work with or without Start.
+// Window/4 and whenever a ring reaches half full. Inline producers work
+// with or without Start.
 func (b *Bus) Start() {
 	b.mu.Lock()
 	if b.started {
@@ -522,6 +527,8 @@ func (b *Bus) Start() {
 			case <-b.stop:
 				return
 			case <-t.C:
+				b.sweep(false)
+			case <-b.wake:
 				b.sweep(false)
 			}
 		}

@@ -28,7 +28,7 @@ func rep(args ...uint64) pipeline.Report {
 }
 
 func TestRingPushDrain(t *testing.T) {
-	r := newRing(5) // rounds up to 8
+	r := newRing(5, make(chan struct{}, 1)) // rounds up to 8
 	if got := len(r.buf); got != 8 {
 		t.Fatalf("ring size = %d, want 8 (rounded up)", got)
 	}
@@ -313,6 +313,40 @@ func TestEmissionIgnoresArgsHash(t *testing.T) {
 	}
 	if st := upM.Checkers["storm"]; st.OverflowDigests == 0 || st.Suppressed == 0 || upM.Unaccounted() != 0 {
 		t.Fatalf("the budget or the key cap never bit, or digests were lost: %+v", upM)
+	}
+}
+
+// TestRingWakesAtHalf: on a bus whose collector is not running, a ring
+// producer leaves exactly one pending wake-up once RingSize/2 digests
+// are queued, none before, and no second one while the ring stays past
+// half — however full it gets — until a sweep drains it.
+func TestRingWakesAtHalf(t *testing.T) {
+	clk := &manualClock{}
+	b := New(Config{Window: 100, Clock: clk.fn(), RingSize: 64})
+	p := b.RingProducer("shard:0")
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			p.Publish(DigestFrom("noisy", 1, 0, rep(uint64(i))))
+		}
+	}
+	for round := 0; round < 2; round++ {
+		publish(31)
+		if len(b.wake) != 0 {
+			t.Fatalf("round %d: a wake-up pending at 31 of 64", round)
+		}
+		publish(1)
+		if len(b.wake) != 1 {
+			t.Fatalf("round %d: %d wake-ups pending at 32 of 64, want 1", round, len(b.wake))
+		}
+		<-b.wake
+		publish(40) // past full: 32 land, 8 drop
+		if len(b.wake) != 0 {
+			t.Fatalf("round %d: a second wake-up before the ring was drained", round)
+		}
+		b.Flush()
+	}
+	if m := b.Metrics(); m.Dropped != 16 || m.Unaccounted() != 0 {
+		t.Fatalf("dropped=%d unaccounted=%d, want 16/0", m.Dropped, m.Unaccounted())
 	}
 }
 

@@ -7,10 +7,14 @@ import "sync/atomic"
 // opposite side can read them, and Go's sequentially consistent atomics
 // make the slot write visible before the tail publish. A full ring
 // rejects the push — the producer accounts the drop and moves on; the
-// hot path never blocks on the collector.
+// hot path never blocks on the collector. The push that fills the ring
+// to half wakes the collector, without blocking either.
 type ring struct {
 	buf  []Digest
 	mask uint64
+	// wake is the bus's one-slot channel the collector sweeps on besides
+	// its ticker.
+	wake chan<- struct{}
 	// head/tail are free-running indices (masked on access), padded
 	// apart so producer and consumer don't false-share a cache line.
 	head atomic.Uint64
@@ -19,22 +23,32 @@ type ring struct {
 	_    [7]uint64
 }
 
-func newRing(size int) *ring {
+func newRing(size int, wake chan<- struct{}) *ring {
 	n := 1
 	for n < size {
 		n <<= 1
 	}
-	return &ring{buf: make([]Digest, n), mask: uint64(n - 1)}
+	return &ring{buf: make([]Digest, n), mask: uint64(n - 1), wake: wake}
 }
 
 // push appends *d; false means the ring is full and d was not enqueued.
+// The push that makes the depth exactly half the ring leaves a wake-up
+// unless one is already pending: a ring fills by one digest at a time,
+// so every climb past half is seen once.
 func (r *ring) push(d *Digest) bool {
 	t := r.tail.Load()
-	if t-r.head.Load() == uint64(len(r.buf)) {
+	depth := t - r.head.Load()
+	if depth == uint64(len(r.buf)) {
 		return false
 	}
 	r.buf[t&r.mask] = *d
 	r.tail.Store(t + 1)
+	if depth+1 == uint64(len(r.buf)/2) {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
+	}
 	return true
 }
 
