@@ -264,8 +264,8 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 
 	for _, r := range []*replay{clean, dirty} {
 		r.bus.Flush()
-		if m := r.bus.Metrics(); m.Dropped != 0 {
-			t.Fatalf("report bus dropped %d of %d digests", m.Dropped, m.Published)
+		if m := r.bus.Metrics(); m.Spilled != 0 {
+			t.Fatalf("report bus spilled %d of %d digests", m.Spilled, m.Published)
 		}
 	}
 	if c := clean.seq.Counts(); c.Rejected == 0 || c.Reports == 0 {

@@ -139,7 +139,8 @@ type reportTap struct {
 }
 
 // newReportTap sizes every ring for ringSize digests; a run that raises
-// more on one shard between two reads drops, and digests fails then.
+// more on one shard between two reads spills, losing those digests'
+// words, and digests fails then.
 func newReportTap(ringSize int) *reportTap {
 	r := &reportTap{bus: reportbus.New(reportbus.Config{RingSize: ringSize, Clock: func() int64 { return 0 }})}
 	r.bus.Tap(func(d reportbus.Digest) { r.got = append(r.got, d) })
@@ -150,8 +151,8 @@ func newReportTap(ringSize int) *reportTap {
 func (r *reportTap) digests(t *testing.T) []reportbus.Digest {
 	t.Helper()
 	r.bus.Flush()
-	if m := r.bus.Metrics(); m.Dropped != 0 {
-		t.Fatalf("report bus dropped %d of %d digests", m.Dropped, m.Published)
+	if m := r.bus.Metrics(); m.Spilled != 0 {
+		t.Fatalf("report bus spilled %d of %d digests", m.Spilled, m.Published)
 	}
 	return r.got
 }
@@ -343,8 +344,8 @@ func TestEngineReportBusDeterministicAggregation(t *testing.T) {
 	if wantCounts.Reports == 0 {
 		t.Fatal("violation workload raised no reports")
 	}
-	if wantM.Dropped != 0 {
-		t.Fatalf("rings dropped %d digests despite oversizing", wantM.Dropped)
+	if wantM.Spilled != 0 {
+		t.Fatalf("rings spilled %d digests despite oversizing", wantM.Spilled)
 	}
 	if wantM.Published != wantCounts.Reports {
 		t.Fatalf("bus published %d digests, engine raised %d", wantM.Published, wantCounts.Reports)
@@ -365,8 +366,8 @@ func TestEngineReportBusDeterministicAggregation(t *testing.T) {
 		if !reflect.DeepEqual(gotCounts, wantCounts) {
 			t.Errorf("shards=%d: engine counts diverge\n got %+v\nwant %+v", shards, gotCounts, wantCounts)
 		}
-		if gotM.Dropped != 0 || gotM.Unaccounted() != 0 {
-			t.Errorf("shards=%d: dropped=%d unaccounted=%d", shards, gotM.Dropped, gotM.Unaccounted())
+		if gotM.Spilled != 0 || gotM.Unaccounted() != 0 {
+			t.Errorf("shards=%d: spilled=%d unaccounted=%d", shards, gotM.Spilled, gotM.Unaccounted())
 		}
 		if len(gotM.Producers) != shards {
 			t.Errorf("shards=%d: %d ring producers registered", shards, len(gotM.Producers))

@@ -705,13 +705,13 @@ func TestIngestBackpressureDrops(t *testing.T) {
 	if stats.Dropped["backpressure"] == 0 {
 		t.Fatalf("expected backpressure drops, got %+v", stats.Dropped)
 	}
-	var droppedTotal uint64
+	var dropped uint64
 	for _, v := range stats.Dropped {
-		droppedTotal += v
+		dropped += v
 	}
-	if stats.Acked+droppedTotal != stats.Packets {
+	if stats.Acked+dropped != stats.Packets {
 		t.Fatalf("accounting leak: acked %d + dropped %d != packets %d",
-			stats.Acked, droppedTotal, stats.Packets)
+			stats.Acked, dropped, stats.Packets)
 	}
 	if stats.Reconnects != 0 {
 		t.Fatalf("backpressure must not reconnect, got %d", stats.Reconnects)

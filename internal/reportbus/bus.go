@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -60,11 +61,26 @@ type Bus struct {
 	// and the collector sweeps on.
 	wake chan struct{}
 
-	// sweepMu serializes whole sweeps; scratch is the drain buffer they
-	// share. Held across the post-mutex tap/export phase so drained
-	// digests are not clobbered by the next sweep mid-tap.
+	// spare is the batch the next closing window fills: the bus lends it
+	// to the exporters and export puts it back. One in steady state; a
+	// close that finds none (a concurrent or re-entrant export holds it)
+	// makes another, and whichever comes back last stays.
+	spare atomic.Pointer[batch]
+
+	// sweepMu serializes whole sweeps; scratch and spilled are the drain
+	// buffers they share. Held across the post-mutex tap/export phase so
+	// drained digests are not clobbered by the next sweep mid-tap.
 	sweepMu sync.Mutex
 	scratch []Digest
+	spilled []Aggregate
+}
+
+// batch is one closed window's emission, lent to the exporters until
+// they return: the aggregates and the arena their Args are carved from,
+// each grown to its high-water mark and reused by later windows.
+type batch struct {
+	aggs  []Aggregate
+	arena []uint64
 }
 
 // entry is one aggregate in the table, its argument words inline; the
@@ -77,10 +93,11 @@ type entry struct {
 	args  [MaxArgs]uint64
 }
 
-func (e *entry) bump(at int64) {
-	e.Count++
-	e.FirstAt = min(e.FirstAt, at)
-	e.LastAt = max(e.LastAt, at)
+// add folds n digests raised between first and last into a.
+func (a *Aggregate) add(first, last int64, n uint64) {
+	a.Count += n
+	a.FirstAt = min(a.FirstAt, first)
+	a.LastAt = max(a.LastAt, last)
 }
 
 // sortKey is an entry's place in emission order, compact: checker rank
@@ -155,11 +172,15 @@ func New(cfg Config) *Bus {
 	}
 }
 
-// Tap registers a per-digest observer. It runs outside the bus mutex,
-// on the publisher goroutine (inline producers) or on the goroutine
-// that drains the rings (ring producers: the collector, Flush or
-// Close). Register taps before publishing begins; digests already in
-// flight may miss a late tap.
+// Tap registers a per-digest observer. Every digest reaches every tap
+// exactly once. It runs outside the bus mutex, on the publisher
+// goroutine (inline producers) or on the goroutine that drains the
+// rings (ring producers: the collector, Flush or Close). A digest that
+// spilled past a full ring reaches the taps from the sweep that folds
+// its spill entry, carrying only its checker, its switch and the
+// entry's last At: its words are gone (Metrics.Spilled counts these).
+// Register taps before publishing begins; digests already in flight may
+// miss a late tap.
 func (b *Bus) Tap(fn func(Digest)) {
 	b.mu.Lock()
 	b.taps = append(b.taps, fn)
@@ -177,21 +198,51 @@ type Producer struct {
 	bus  *Bus
 	name string
 	// r is nil for inline producers. A ring producer's enqueued count is
-	// its ring's tail; an inline producer's is enqueued, under the bus
-	// mutex.
+	// its ring's tail plus its spill's; an inline producer's is enqueued,
+	// under the bus mutex.
 	r        *ring
 	enqueued uint64
-	// drops is the ring-full account, by checker; the drop path is cold
-	// (it only runs once the bounded ring is already full), so a mutex
-	// and map are fine there.
-	dropMu sync.Mutex
-	drops  map[string]uint64
+	// spill takes what a full ring cannot. The path is cold (it only runs
+	// once the bounded ring is already full), so a mutex is fine there.
+	spillMu sync.Mutex
+	spill   spill
+}
+
+// spill is a ring producer's fold for the digests its full ring turns
+// away, until the next sweep takes it: one overflow aggregate per
+// (checker, switch), with the count and the first and last At. The
+// argument words are gone, as in the bus's own overflow buckets, where
+// the sweep folds these. A table of 64 whole digests in front of these
+// kept 2–7 % of engine-storm's spilled digests with their words, since
+// nearly every storm digest has a key of its own (E45), so there is
+// none. The entries keep their storage across sweeps: spilling
+// allocates nothing once each (checker, switch) has spilled.
+type spill struct {
+	aggs []Aggregate
+	// total is every digest ever spilled; it counts in Published.
+	total uint64
+}
+
+func (s *spill) fold(d *Digest) {
+	s.total++
+	for i := range s.aggs {
+		if a := &s.aggs[i]; a.SwitchID == d.SwitchID && a.Checker == d.Checker {
+			a.add(d.At, d.At, 1)
+			return
+		}
+	}
+	s.aggs = append(s.aggs, Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, Count: 1, FirstAt: d.At, LastAt: d.At, Overflow: true})
 }
 
 // ProducerMetrics is one producer's ingest accounting.
 type ProducerMetrics struct {
-	Name     string
+	Name string
+	// Enqueued counts every digest the producer published, Spilled ones
+	// included; Spilled are those its full ring turned into its spill,
+	// which lost their words. Dropped is always 0: a full ring spills, it
+	// does not drop.
 	Enqueued uint64
+	Spilled  uint64
 	Dropped  uint64
 	// QueueDepth is a racy snapshot of digests waiting in the ring
 	// (always 0 for inline producers).
@@ -202,7 +253,7 @@ type ProducerMetrics struct {
 // Publish must stay single-goroutine per producer; the collector is the
 // only consumer.
 func (b *Bus) RingProducer(name string) *Producer {
-	p := &Producer{bus: b, name: name, r: newRing(b.cfg.RingSize, b.wake), drops: map[string]uint64{}}
+	p := &Producer{bus: b, name: name, r: newRing(b.cfg.RingSize, b.wake)}
 	b.mu.Lock()
 	b.producers = append(b.producers, p)
 	b.mu.Unlock()
@@ -213,15 +264,19 @@ func (b *Bus) RingProducer(name string) *Producer {
 // the bus mutex — safe from any goroutine, intended for single-threaded
 // embedders that need the per-digest tap to fire before Publish returns.
 func (b *Bus) InlineProducer(name string) *Producer {
-	p := &Producer{bus: b, name: name, drops: map[string]uint64{}}
+	p := &Producer{bus: b, name: name}
 	b.mu.Lock()
 	b.producers = append(b.producers, p)
 	b.mu.Unlock()
 	return p
 }
 
-// Publish enqueues one digest. It reports false — after accounting the
-// drop — when the producer's ring is full; inline producers never drop.
+// Publish hands one digest to the bus; no digest is lost. An inline
+// producer folds it before returning, and every tap has seen it. A ring
+// producer enqueues it; when the ring is full the digest spills into
+// the producer's spill instead, without its words, and Publish reports
+// false. The next sweep takes the spill and fires the taps once per
+// spilled digest (see Tap).
 func (p *Producer) Publish(d Digest) bool {
 	b := p.bus
 	if p.r == nil {
@@ -238,31 +293,23 @@ func (p *Producer) Publish(d Digest) bool {
 		return true
 	}
 	if !p.r.push(&d) {
-		p.dropMu.Lock()
-		p.drops[d.Checker]++
-		p.dropMu.Unlock()
+		p.spillMu.Lock()
+		p.spill.fold(&d)
+		p.spillMu.Unlock()
 		return false
 	}
 	return true
 }
 
-// enqueuedTotal is the digests p has handed to the bus. Caller holds
-// b.mu.
-func (p *Producer) enqueuedTotal() uint64 {
-	if p.r != nil {
-		return p.r.tail.Load()
+// metrics is p's ingest accounting. Caller holds b.mu.
+func (p *Producer) metrics() ProducerMetrics {
+	if p.r == nil {
+		return ProducerMetrics{Name: p.name, Enqueued: p.enqueued}
 	}
-	return p.enqueued
-}
-
-func (p *Producer) droppedTotal() uint64 {
-	p.dropMu.Lock()
-	defer p.dropMu.Unlock()
-	var n uint64
-	for _, v := range p.drops {
-		n += v
-	}
-	return n
+	p.spillMu.Lock()
+	spilled := p.spill.total
+	p.spillMu.Unlock()
+	return ProducerMetrics{Name: p.name, Enqueued: p.r.tail.Load() + spilled, Spilled: spilled, QueueDepth: p.r.depth()}
 }
 
 // ---------------------------------------------------------------------------
@@ -272,13 +319,7 @@ func (p *Producer) droppedTotal() uint64 {
 // new entry while the table has room, else its (checker, switch)
 // overflow bucket. Caller holds b.mu.
 func (b *Bus) fold(d *Digest) {
-	st := b.stats(d.Checker)
-	st.delivered++
-	if !b.windowOpen {
-		b.windowOpen = true
-		b.windowStart = d.At
-	}
-	b.liveDigests++
+	st := b.open(d.Checker, d.At, 1)
 	mask := len(b.index) - 1
 	for i := b.slot(d.SwitchID, d.ArgsHash); ; i = (i + 1) & mask {
 		pos := b.index[i]
@@ -290,17 +331,36 @@ func (b *Bus) fold(d *Digest) {
 						Count: 1, FirstAt: d.At, LastAt: d.At},
 					st: st, nargs: d.NArgs, args: d.Args,
 				})
+				b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
 			} else {
-				b.overflow(st, d)
+				b.overflow(st, d.SwitchID, d.At, d.At, 1)
 			}
 			break
 		}
 		if e := &b.live[pos-1]; e.st == st && e.SwitchID == d.SwitchID && e.ArgsHash == d.ArgsHash {
-			e.bump(d.At)
+			e.add(d.At, d.At, 1)
 			break
 		}
 	}
-	b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
+}
+
+// foldSpilled merges one spill entry, with its count, into its
+// (checker, switch) overflow bucket. Caller holds b.mu.
+func (b *Bus) foldSpilled(a *Aggregate) {
+	b.overflow(b.open(a.Checker, a.FirstAt, a.Count), a.SwitchID, a.FirstAt, a.LastAt, a.Count)
+}
+
+// open accounts n digests of checker arriving, the earliest at first,
+// and returns the checker's record. Caller holds b.mu.
+func (b *Bus) open(checker string, first int64, n uint64) *checkerStats {
+	st := b.stats(checker)
+	st.delivered += n
+	if !b.windowOpen {
+		b.windowOpen = true
+		b.windowStart = first
+	}
+	b.liveDigests += n
+	return st
 }
 
 // slot is the index slot a key's probe starts at.
@@ -308,20 +368,23 @@ func (b *Bus) slot(switchID uint32, argsHash uint64) int {
 	return int((argsHash ^ uint64(switchID)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9 >> b.shift)
 }
 
-// overflow folds d into its (checker, switch) bucket once the live-key
-// budget is spent. Counts stay exact; args are gone.
-func (b *Bus) overflow(st *checkerStats, d *Digest) {
-	st.overflowDigests++
+// overflow folds n digests of st's checker on switchID, raised between
+// first and last, into their (checker, switch) bucket: once the live-key
+// budget is spent, or when they spilled. Counts stay exact; args are
+// gone.
+func (b *Bus) overflow(st *checkerStats, switchID uint32, first, last int64, n uint64) {
+	st.overflowDigests += n
 	for i := range b.ovf {
-		if e := &b.ovf[i]; e.SwitchID == d.SwitchID && e.st == st {
-			e.bump(d.At)
+		if e := &b.ovf[i]; e.SwitchID == switchID && e.st == st {
+			e.add(first, last, n)
 			return
 		}
 	}
 	b.ovf = append(b.ovf, entry{
-		Aggregate: Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, Count: 1, FirstAt: d.At, LastAt: d.At, Overflow: true},
+		Aggregate: Aggregate{Checker: st.name, SwitchID: switchID, Count: n, FirstAt: first, LastAt: last, Overflow: true},
 		st:        st,
 	})
+	b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
 }
 
 // stats returns the named checker's record, creating it (and placing it
@@ -347,7 +410,7 @@ func (b *Bus) stats(name string) *checkerStats {
 // maybeCloseWindow closes the window if it has run its length, and
 // returns the emitted batch (nil when the window stays open). Caller
 // holds b.mu.
-func (b *Bus) maybeCloseWindow(now int64) []Aggregate {
+func (b *Bus) maybeCloseWindow(now int64) *batch {
 	if !b.windowOpen || now-b.windowStart < int64(b.cfg.Window) {
 		return nil
 	}
@@ -359,16 +422,22 @@ func (b *Bus) maybeCloseWindow(now int64) []Aggregate {
 // into the next window with Deferred incremented — storm control delays
 // and coalesces, it never loses counts. force bypasses the buckets
 // (final flush). Live entries go first, then the overflow buckets, each
-// in emission order (compareEntries); the batch's Args are carved from
-// one arena allocated for this window and never reused, since an
-// exporter may keep the batch. Caller holds b.mu.
-func (b *Bus) closeWindow(now int64, force bool) []Aggregate {
+// in emission order (compareEntries). The batch is the bus's spare, or a
+// new one when an export still holds that: its aggregates and the arena
+// their Args are carved from are reused window after window, which is
+// why an exporter may not keep them. It returns nil, and keeps the
+// batch, when the window emits nothing. Caller holds b.mu.
+func (b *Bus) closeWindow(now int64, force bool) *batch {
 	b.windowStart = now
 	if len(b.live)+len(b.ovf) == 0 {
 		b.windowOpen = false
 		return nil
 	}
-	out := make([]Aggregate, 0, len(b.live)+len(b.ovf))
+	bt := b.spare.Swap(nil)
+	if bt == nil {
+		bt = &batch{}
+	}
+	out := slices.Grow(bt.aggs[:0], len(b.live)+len(b.ovf))
 	words := 0
 	keys := b.keys[:0]
 	for i := range b.live {
@@ -384,7 +453,11 @@ func (b *Bus) closeWindow(now int64, force bool) []Aggregate {
 		}
 		return compareEntries(&b.live[x.pos], &b.live[y.pos])
 	})
-	arena := make([]uint64, words)
+	// A live aggregate's Args is never nil, even with no words.
+	if cap(bt.arena) < words || bt.arena == nil {
+		bt.arena = make([]uint64, max(words, 2*cap(bt.arena)))
+	}
+	arena := bt.arena[:words]
 	for _, k := range keys {
 		e := &b.live[k.pos]
 		if b.emit(e, now, force) {
@@ -410,7 +483,12 @@ func (b *Bus) closeWindow(now int64, force bool) []Aggregate {
 		b.reindex()
 	}
 	b.windowOpen = len(b.live)+len(b.ovf) > 0
-	return out
+	bt.aggs = out
+	if len(out) == 0 {
+		b.spare.Store(bt)
+		return nil
+	}
+	return bt
 }
 
 // emit takes e's emission decision: true when its checker's bucket has
@@ -459,47 +537,64 @@ func (b *Bus) reindex() {
 	}
 }
 
-// export hands a batch to the exporters, outside the bus mutex.
-func (b *Bus) export(aggs []Aggregate) {
-	if len(aggs) == 0 {
+// export lends a batch to the exporters, outside the bus mutex, and
+// takes it back for the next window once they return.
+func (b *Bus) export(bt *batch) {
+	if bt == nil {
 		return
 	}
 	for _, e := range b.cfg.Exporters {
-		e.ExportAggregates(aggs)
+		e.ExportAggregates(bt.aggs)
 	}
+	b.spare.Store(bt)
 }
 
-// sweep drains every ring into the aggregate table, then runs the
-// window check; taps and exports fire after the bus mutex is released.
-// sweepMu serializes sweeps (collector tick vs Flush/Close) — they
-// share the scratch buffer and the rings' consumer side.
+// sweep drains every ring, then takes every spill, into the aggregate
+// table, and runs the window check; taps and exports fire after the bus
+// mutex is released, the drained digests first, then each spill entry's
+// wordless digest once per digest it counts. sweepMu serializes sweeps (collector tick vs
+// Flush/Close) — they share the scratch buffers and the rings' consumer
+// side.
 func (b *Bus) sweep(forceClose bool) {
 	b.sweepMu.Lock()
 	defer b.sweepMu.Unlock()
 	b.mu.Lock()
-	b.scratch = b.scratch[:0]
+	b.scratch, b.spilled = b.scratch[:0], b.spilled[:0]
 	for _, p := range b.producers {
 		if p.r != nil {
 			b.scratch = p.r.drainInto(b.scratch)
+			p.spillMu.Lock()
+			b.spilled = append(b.spilled, p.spill.aggs...)
+			p.spill.aggs = p.spill.aggs[:0]
+			p.spillMu.Unlock()
 		}
 	}
 	for i := range b.scratch {
 		b.fold(&b.scratch[i])
 	}
+	for i := range b.spilled {
+		b.foldSpilled(&b.spilled[i])
+	}
 	now := b.Now()
-	var emitted []Aggregate
+	var emitted *batch
 	if forceClose {
 		emitted = b.closeWindow(now, true)
 	} else {
 		emitted = b.maybeCloseWindow(now)
 	}
-	drained := b.scratch
+	drained, spilled := b.scratch, b.spilled
 	taps := b.taps
 	b.mu.Unlock()
 
 	for _, tap := range taps {
 		for i := range drained {
 			tap(drained[i])
+		}
+		for i := range spilled {
+			a := &spilled[i]
+			for range a.Count {
+				tap(Digest{Checker: a.Checker, SwitchID: a.SwitchID, At: a.LastAt})
+			}
 		}
 	}
 	b.export(emitted)
@@ -540,9 +635,9 @@ func (b *Bus) Start() {
 func (b *Bus) Flush() { b.sweep(true) }
 
 // Close stops the collector (if started) and flushes. After Close
-// every raised digest is accounted: emitted counts plus ring drops
-// equal publishes exactly (Metrics.Unaccounted() == 0). Producers must
-// have stopped publishing to rings before Close.
+// every raised digest is accounted: emitted counts equal publishes
+// exactly (Metrics.Unaccounted() == 0). Producers must have stopped
+// publishing to rings before Close.
 func (b *Bus) Close() {
 	b.mu.Lock()
 	started := b.started
@@ -578,11 +673,9 @@ func compareEntries(a, c *entry) int {
 
 // CheckerMetrics is one checker's digest accounting.
 type CheckerMetrics struct {
-	// Delivered digests reached the aggregation table; Dropped were
-	// rejected by full ingest rings. Delivered+Dropped is every digest
-	// the checker raised.
+	// Delivered digests reached the aggregation table: once every ring
+	// and spill is drained, every digest the checker raised.
 	Delivered uint64
-	Dropped   uint64
 	// EmittedDigests sums the counts of emitted aggregates; Suppressed
 	// counts storm-control deferrals (aggregate-windows held back — the
 	// digests themselves are carried, not lost).
@@ -590,7 +683,8 @@ type CheckerMetrics struct {
 	EmittedDigests    uint64
 	Suppressed        uint64
 	// OverflowDigests were folded into overflow buckets (counted
-	// exactly, args dropped) after the live-key budget filled.
+	// exactly, args dropped): after the live-key budget filled, or
+	// because they spilled (Metrics.Spilled).
 	OverflowDigests uint64
 }
 
@@ -604,18 +698,23 @@ type Metrics struct {
 	LiveAggregates    int
 	MaxLiveAggregates int
 	LiveDigests       uint64
-	// Totals across producers and checkers.
+	// Totals across producers and checkers. Spilled digests reached the
+	// aggregation table through a producer's spill, without their words;
+	// a run whose rings kept up reads 0. Dropped is always 0: nothing is
+	// dropped.
 	Published      uint64
+	Spilled        uint64
 	Dropped        uint64
 	Delivered      uint64
 	EmittedDigests uint64
 }
 
-// Unaccounted is the digest conservation check: publishes minus drops,
-// emissions, and still-live counts. It is 0 after Close — nothing is
-// silently lost.
+// Unaccounted is the digest conservation check: publishes minus
+// emissions and still-live counts. It is 0 whenever the rings and
+// spills are drained — after a sweep, Flush or Close — since nothing is
+// lost.
 func (m Metrics) Unaccounted() int64 {
-	return int64(m.Published) - int64(m.Dropped) - int64(m.EmittedDigests) - int64(m.LiveDigests)
+	return int64(m.Published) - int64(m.EmittedDigests) - int64(m.LiveDigests)
 }
 
 // Metrics snapshots the bus counters.
@@ -628,25 +727,15 @@ func (b *Bus) Metrics() Metrics {
 		MaxLiveAggregates: b.maxLive,
 		LiveDigests:       b.liveDigests,
 	}
-	drops := map[string]uint64{}
 	for _, p := range b.producers {
-		pm := ProducerMetrics{Name: p.name, Enqueued: p.enqueuedTotal(), Dropped: p.droppedTotal()}
-		if p.r != nil {
-			pm.QueueDepth = p.r.depth()
-		}
-		p.dropMu.Lock()
-		for c, n := range p.drops {
-			drops[c] += n
-		}
-		p.dropMu.Unlock()
+		pm := p.metrics()
 		m.Producers = append(m.Producers, pm)
-		m.Published += pm.Enqueued + pm.Dropped
-		m.Dropped += pm.Dropped
+		m.Published += pm.Enqueued
+		m.Spilled += pm.Spilled
 	}
 	for name, st := range b.checkers {
 		cm := CheckerMetrics{
 			Delivered:         st.delivered,
-			Dropped:           drops[name],
 			EmittedAggregates: st.emittedAggregates,
 			EmittedDigests:    st.emittedDigests,
 			Suppressed:        st.suppressed,
@@ -655,12 +744,6 @@ func (b *Bus) Metrics() Metrics {
 		m.Checkers[name] = cm
 		m.Delivered += cm.Delivered
 		m.EmittedDigests += cm.EmittedDigests
-	}
-	// Checkers that only ever dropped (ring always full) still publish.
-	for name, n := range drops {
-		if _, ok := b.checkers[name]; !ok {
-			m.Checkers[name] = CheckerMetrics{Dropped: n}
-		}
 	}
 	return m
 }

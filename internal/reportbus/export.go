@@ -5,25 +5,39 @@ import "sync"
 // Exporter consumes each closed window's emitted aggregates. Batches
 // arrive sorted by (checker, switch, argument words, args-hash), the
 // live aggregates before the overflow buckets. A batch and its Args are
-// the exporter's to keep: the bus never writes them again. Calls may
-// come from the collector goroutine and inline publishers concurrently,
-// so implementations must be safe for concurrent use.
+// lent: they are valid until ExportAggregates returns, and the bus fills
+// the same storage again for a later window, so an exporter that keeps
+// anything keeps a copy. Calls may come from the collector goroutine and
+// inline publishers concurrently, so implementations must be safe for
+// concurrent use.
 type Exporter interface {
 	ExportAggregates(aggs []Aggregate)
 }
 
 // CollectExporter keeps every emitted aggregate in memory — the
-// consumer for tests and short experiment runs.
+// consumer for tests and short experiment runs. It copies each batch,
+// the Args into an arena of its own, each with no room past its words.
 type CollectExporter struct {
 	mu   sync.Mutex
 	aggs []Aggregate
+	args []uint64
 }
 
 // ExportAggregates implements Exporter.
 func (e *CollectExporter) ExportAggregates(aggs []Aggregate) {
 	e.mu.Lock()
-	e.aggs = append(e.aggs, aggs...)
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	if e.args == nil {
+		e.args = []uint64{}
+	}
+	for _, a := range aggs {
+		if a.Args != nil {
+			at := len(e.args)
+			e.args = append(e.args, a.Args...)
+			a.Args = e.args[at:len(e.args):len(e.args)]
+		}
+		e.aggs = append(e.aggs, a)
+	}
 }
 
 // Aggregates returns a snapshot of everything collected so far.

@@ -15,7 +15,10 @@ import (
 // refBus is the bus's reference semantics: a string-keyed map of
 // aggregate pointers, a map of overflow buckets, and a full sort of each
 // closed window by (checker, switch, argument words, ArgsHash). Rings are
-// plain queues of the same capacity, drained in registration order.
+// plain queues of the same capacity, drained in registration order; a
+// digest a full queue turns away goes to its producer's spill, a list by
+// (checker, switch) with counts and no words. A sweep folds the queues,
+// then the spills into overflow buckets; nothing is dropped.
 type refBus struct {
 	cfg         Config
 	live        map[Key]*Aggregate
@@ -37,7 +40,16 @@ type refProducer struct {
 	ring     bool
 	queue    []Digest
 	enqueued uint64
-	drops    map[string]uint64
+	spilled  uint64
+	// spill is in first-seen order; an entry's At is the last raise it
+	// stands for.
+	spill []refSpilled
+}
+
+type refSpilled struct {
+	d     Digest
+	first int64
+	n     uint64
 }
 
 func newRefBus(cfg Config) *refBus {
@@ -46,7 +58,7 @@ func newRefBus(cfg Config) *refBus {
 }
 
 func (b *refBus) producer(name string, ring bool) *refProducer {
-	p := &refProducer{name: name, ring: ring, drops: map[string]uint64{}}
+	p := &refProducer{name: name, ring: ring}
 	b.producers = append(b.producers, p)
 	return p
 }
@@ -63,13 +75,20 @@ func (b *refBus) publish(p *refProducer, d Digest) bool {
 		b.export(emitted)
 		return true
 	}
-	if len(p.queue) == ringCap(b.cfg.RingSize) {
-		p.drops[d.Checker]++
-		return false
-	}
-	p.queue = append(p.queue, d)
 	p.enqueued++
-	return true
+	if len(p.queue) < ringCap(b.cfg.RingSize) {
+		p.queue = append(p.queue, d)
+		return true
+	}
+	p.spilled++
+	i := slices.IndexFunc(p.spill, func(s refSpilled) bool { return s.d.Checker == d.Checker && s.d.SwitchID == d.SwitchID })
+	if i < 0 {
+		p.spill, i = append(p.spill, refSpilled{d: Digest{Checker: d.Checker, SwitchID: d.SwitchID, At: d.At}, first: d.At}), len(p.spill)
+	}
+	s := &p.spill[i]
+	s.n++
+	s.first, s.d.At = min(s.first, d.At), max(s.d.At, d.At)
+	return false
 }
 
 func ringCap(size int) int {
@@ -80,39 +99,47 @@ func ringCap(size int) int {
 	return n
 }
 
-func (b *refBus) fold(d Digest) {
+func (b *refBus) fold(d Digest) { b.foldN(d, d.At, 1, false) }
+
+// foldN folds n digests with d's key, raised between first and d.At;
+// overflow sends them to their (checker, switch) bucket whatever the
+// live table holds.
+func (b *refBus) foldN(d Digest, first int64, n uint64, overflow bool) {
 	st := b.checkers[d.Checker]
 	if st == nil {
 		st = &checkerStats{}
 		b.checkers[d.Checker] = st
 	}
-	st.delivered++
+	st.delivered += n
 	if !b.windowOpen {
 		b.windowOpen = true
-		b.windowStart = d.At
+		b.windowStart = first
 	}
 	k := Key{Checker: d.Checker, SwitchID: d.SwitchID, ArgsHash: d.ArgsHash}
 	agg := b.live[k]
 	switch {
+	case overflow:
+		agg = nil
 	case agg != nil:
 	case len(b.live) < b.cfg.MaxKeys:
 		agg = &Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, ArgsHash: d.ArgsHash,
-			Args: slices.Clone(d.Args[:d.NArgs:d.NArgs]), FirstAt: d.At, LastAt: d.At}
+			Args: slices.Clone(d.Args[:d.NArgs:d.NArgs]), FirstAt: first, LastAt: d.At}
 		if agg.Args == nil {
 			agg.Args = []uint64{}
 		}
 		b.live[k] = agg
-	default:
+	}
+	if agg == nil {
 		ok := Key{Checker: d.Checker, SwitchID: d.SwitchID}
 		if agg = b.ovf[ok]; agg == nil {
-			agg = &Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, FirstAt: d.At, LastAt: d.At, Overflow: true}
+			agg = &Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, FirstAt: first, LastAt: d.At, Overflow: true}
 			b.ovf[ok] = agg
 		}
-		st.overflowDigests++
+		st.overflowDigests += n
 	}
-	agg.Count++
-	agg.FirstAt, agg.LastAt = min(agg.FirstAt, d.At), max(agg.LastAt, d.At)
-	b.liveDigests++
+	agg.Count += n
+	agg.FirstAt, agg.LastAt = min(agg.FirstAt, first), max(agg.LastAt, d.At)
+	b.liveDigests += n
 	b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
 }
 
@@ -168,6 +195,15 @@ func (b *refBus) sweep(now int64, force bool) {
 	for _, d := range drained {
 		b.fold(d)
 	}
+	for _, p := range b.producers {
+		for _, s := range p.spill {
+			b.foldN(s.d, s.first, s.n, true)
+			for range s.n {
+				drained = append(drained, s.d)
+			}
+		}
+		p.spill = nil
+	}
 	var emitted []Aggregate
 	if force {
 		emitted = b.closeWindow(now, true)
@@ -181,37 +217,44 @@ func (b *refBus) sweep(now int64, force bool) {
 func (b *refBus) metrics() Metrics {
 	m := Metrics{Checkers: map[string]CheckerMetrics{}, LiveAggregates: len(b.live) + len(b.ovf),
 		MaxLiveAggregates: b.maxLive, LiveDigests: b.liveDigests}
-	drops := map[string]uint64{}
 	for _, p := range b.producers {
-		pm := ProducerMetrics{Name: p.name, Enqueued: p.enqueued, QueueDepth: len(p.queue)}
-		for c, n := range p.drops {
-			pm.Dropped += n
-			drops[c] += n
-		}
-		m.Producers = append(m.Producers, pm)
-		m.Published += pm.Enqueued + pm.Dropped
-		m.Dropped += pm.Dropped
+		m.Producers = append(m.Producers, ProducerMetrics{Name: p.name, Enqueued: p.enqueued, Spilled: p.spilled, QueueDepth: len(p.queue)})
+		m.Published += p.enqueued
+		m.Spilled += p.spilled
 	}
 	for name, st := range b.checkers {
-		m.Checkers[name] = CheckerMetrics{Delivered: st.delivered, Dropped: drops[name],
+		m.Checkers[name] = CheckerMetrics{Delivered: st.delivered,
 			EmittedAggregates: st.emittedAggregates, EmittedDigests: st.emittedDigests,
 			Suppressed: st.suppressed, OverflowDigests: st.overflowDigests}
 		m.Delivered += st.delivered
 		m.EmittedDigests += st.emittedDigests
 	}
-	for name, n := range drops {
-		if _, ok := b.checkers[name]; !ok {
-			m.Checkers[name] = CheckerMetrics{Dropped: n}
-		}
-	}
 	return m
 }
 
-// batchExporter keeps every batch as handed over, without copying, so a
-// bus that reused an emitted batch's storage would show in an older one.
-type batchExporter struct{ batches [][]Aggregate }
+// batchExporter copies every batch on receipt, its Args included, as the
+// Exporter contract asks. The bus fills the storage of a returned batch
+// again for a later window, so an exporter that kept a lent batch — a
+// copy that shared its Args, say — shows when runBusOps compares every
+// batch again at the end.
+// It counts the lent aggregates whose Args have room past their words.
+type batchExporter struct {
+	batches [][]Aggregate
+	roomy   int
+}
 
-func (e *batchExporter) ExportAggregates(aggs []Aggregate) { e.batches = append(e.batches, aggs) }
+func (e *batchExporter) ExportAggregates(aggs []Aggregate) {
+	kept := slices.Clone(aggs)
+	for i := range kept {
+		if a := &kept[i]; a.Args != nil {
+			if cap(a.Args) != len(a.Args) {
+				e.roomy++
+			}
+			a.Args = append(make([]uint64, 0, len(a.Args)), a.Args...)
+		}
+	}
+	e.batches = append(e.batches, kept)
+}
 
 var (
 	modelCheckers = [3]string{"acl", "loop", "waypoint"}
@@ -223,13 +266,13 @@ var (
 // compares them after every op: the exported batches in order, field by
 // field (a live aggregate's Args non-nil, an overflow bucket's nil), the
 // tapped digests, and Metrics; and Unaccounted() == 0 wherever the rings
-// are empty. data[0] picks MaxKeys (1–6) and the storm budget; then each
-// op is three bytes.
+// are empty. data[0] picks MaxKeys (1–6), the storm budget and the ring
+// size (4, 1, 2 or 3); then each op is three bytes.
 func runBusOps(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
 	}
-	cfg := Config{Window: 100, RingSize: 4, MaxKeys: 1 + int(data[0])%6}
+	cfg := Config{Window: 100, RingSize: [4]int{4, 1, 2, 3}[data[0]/54%4], MaxKeys: 1 + int(data[0])%6}
 	switch data[0] / 6 % 3 {
 	case 1: // Burst emissions per checker, then next to no refill
 		cfg.Rate, cfg.Burst = 1e-9, 1+int(data[0])/18%3
@@ -258,12 +301,8 @@ func runBusOps(t *testing.T, data []byte) {
 		if !slices.Equal(tapped[seen.taps:], ref.taps[seen.taps:]) {
 			t.Fatalf("%s: taps differ\n bus: %+v\n ref: %+v", step, tapped, ref.taps)
 		}
-		for _, batch := range sink.batches[seen.batches:] {
-			for _, a := range batch {
-				if cap(a.Args) != len(a.Args) {
-					t.Fatalf("%s: an aggregate's Args has room for %d more words, an exporter's append would write over the next one's", step, cap(a.Args)-len(a.Args))
-				}
-			}
+		if sink.roomy > 0 {
+			t.Fatalf("%s: %d lent aggregates' Args have room past their words, an exporter's append would write over the next one's", step, sink.roomy)
 		}
 		seen.batches, seen.taps = len(ref.batches), len(ref.taps)
 		m := bus.Metrics()
@@ -278,9 +317,8 @@ func runBusOps(t *testing.T, data []byte) {
 		op, sel, val := data[pc], data[pc+1], data[pc+2]
 		step := fmt.Sprintf("op %d (%d %d %d)", (pc-1)/3, op, sel, val)
 		drained := false
-		switch kind := op % 16; {
-		case kind < 9:
-			pi := min(int(op>>4&3), 2)
+		publish := func(pi int, sel, val byte) {
+			t.Helper()
 			args := make([]pipeline.Value, int(sel/9)%9)
 			for i := range args {
 				args[i] = pipeline.B(64, modelWords[val>>(2*(i%4))&3])
@@ -293,6 +331,16 @@ func runBusOps(t *testing.T, data []byte) {
 			if got, want := prods[pi].Publish(d), ref.publish(refProds[pi], d); got != want {
 				t.Fatalf("%s: Publish = %t, reference %t", step, got, want)
 			}
+		}
+		switch kind := op % 16; {
+		case kind < 9 && op>>4&3 == 3:
+			// A burst into one ring: past a small ring's capacity, over
+			// checkers and switches that repeat.
+			for i := range 2 + int(val%11) {
+				publish(1+int(sel&1), sel+byte(i%3)*9, val+byte(i/2))
+			}
+		case kind < 9:
+			publish(int(op>>4&3), sel, val)
 		case kind < 12:
 			clk.set(clk.read() + int64(val))
 		case kind == 12:
@@ -325,9 +373,9 @@ func runBusOps(t *testing.T, data []byte) {
 }
 
 // TestBusModel runs long random op streams against the reference for
-// every key cap and storm budget.
+// every key cap, storm budget and ring size.
 func TestBusModel(t *testing.T) {
-	for c := 0; c < 54; c++ {
+	for c := 0; c < 4*54; c++ {
 		rng := rand.New(rand.NewSource(int64(c)))
 		data := make([]byte, 1+3*600)
 		rng.Read(data)
@@ -336,7 +384,9 @@ func TestBusModel(t *testing.T) {
 	}
 }
 
-// FuzzBusOps is TestBusModel's driver under the fuzzer.
+// FuzzBusOps is TestBusModel's driver under the fuzzer. The named seeds
+// under testdata/fuzz/FuzzBusOps are regression inputs: seed_ring_burst_*
+// spill past rings of 1 and 2 slots.
 func FuzzBusOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0x10, 9, 2, 9, 0, 150, 0, 0, 1, 12, 0, 0})
 	f.Add([]byte{13, 0xc0, 80, 3, 0xc0, 81, 2, 0x20, 1, 5, 9, 0, 200, 15, 0, 9, 14, 0, 0})

@@ -9,7 +9,9 @@
 //   - Sharded ingest: each producer (engine shard, netsim switch, or
 //     any single-threaded source) publishes fixed-size Digest values
 //     into its own bounded SPSC ring — no shared lock, no allocation on
-//     the hot path, and explicit drop accounting when a ring is full.
+//     the hot path. A full ring spills: the digest folds, counted but
+//     without its words, into a small table the producer owns, and the
+//     next sweep folds that in, so no digest is dropped.
 //     Single-threaded embedders (the netsim event loop, the control
 //     plane) can use inline producers that deliver under the bus mutex
 //     instead, trading the ring for synchronous delivery.
@@ -20,24 +22,24 @@
 //     allocated once: aggregates are values with their argument words
 //     inline, found through an open-addressing index, so folding a
 //     digest allocates nothing; a closing window sorts compact integer
-//     keys and carves its batch's Args from one fresh arena. The clock
-//     is pluggable: wall time for live engines, netsim virtual time for
-//     simulations.
+//     keys into a batch the bus lends to its exporters and fills again
+//     for a later window, so closing one allocates nothing either. The
+//     clock is pluggable: wall time for live engines, netsim virtual
+//     time for simulations.
 //   - Storm control: per-checker token buckets bound the aggregate
 //     emission rate, mirroring the digest-channel budget. A rate-limited
 //     aggregate is never dropped — it is carried into the next window
 //     (counts merged, Deferred incremented) and eventually emitted, so
-//     emitted counts plus ring drops always sum to exactly the number
-//     of digests raised.
+//     emitted counts always sum to exactly the number of digests raised.
 //   - Bounded memory: the live aggregate table is capped; beyond the
 //     cap, new keys fold into one per-(checker, switch) overflow bucket
 //     that keeps counts (but not args), so collector memory is bounded
 //     by configuration, not by traffic.
 //
 // Consumers attach per-window Exporters (in-memory collection, the
-// fleet worker's uplink) and per-digest taps (Bus.Tap) that see every
-// digest before aggregation — the path a reactive control-plane app
-// reads reports by.
+// fleet worker's uplink), which are lent each batch until they return,
+// and per-digest taps (Bus.Tap) that see every digest once before
+// aggregation — the path a reactive control-plane app reads reports by.
 package reportbus
 
 import (
@@ -159,8 +161,8 @@ type Config struct {
 	// buckets. Default 4096.
 	MaxKeys int
 	// Exporters receive each closed window's emitted aggregates, sorted
-	// by (checker, switch, argument words, args-hash). Called outside the
-	// bus mutex.
+	// by (checker, switch, argument words, args-hash), lent until the
+	// call returns (see Exporter). Called outside the bus mutex.
 	Exporters []Exporter
 }
 

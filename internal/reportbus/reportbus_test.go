@@ -2,11 +2,13 @@ package reportbus
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/pipeline"
 )
@@ -319,7 +321,8 @@ func TestEmissionIgnoresArgsHash(t *testing.T) {
 // TestRingWakesAtHalf: on a bus whose collector is not running, a ring
 // producer leaves exactly one pending wake-up once RingSize/2 digests
 // are queued, none before, and no second one while the ring stays past
-// half — however full it gets — until a sweep drains it.
+// half — however full it gets, spilling included — until a sweep
+// drains it.
 func TestRingWakesAtHalf(t *testing.T) {
 	clk := &manualClock{}
 	b := New(Config{Window: 100, Clock: clk.fn(), RingSize: 64})
@@ -339,45 +342,72 @@ func TestRingWakesAtHalf(t *testing.T) {
 			t.Fatalf("round %d: %d wake-ups pending at 32 of 64, want 1", round, len(b.wake))
 		}
 		<-b.wake
-		publish(40) // past full: 32 land, 8 drop
+		publish(40) // past full: 32 land, 8 spill
 		if len(b.wake) != 0 {
 			t.Fatalf("round %d: a second wake-up before the ring was drained", round)
 		}
 		b.Flush()
 	}
-	if m := b.Metrics(); m.Dropped != 16 || m.Unaccounted() != 0 {
-		t.Fatalf("dropped=%d unaccounted=%d, want 16/0", m.Dropped, m.Unaccounted())
+	if m := b.Metrics(); m.Dropped != 0 || m.Spilled != 2*8 || m.Published != 2*72 || m.Unaccounted() != 0 {
+		t.Fatalf("dropped=%d spilled=%d published=%d unaccounted=%d, want 0/16/144/0", m.Dropped, m.Spilled, m.Published, m.Unaccounted())
 	}
 }
 
-func TestRingDropAccounting(t *testing.T) {
+// TestRingSpillAccounting: a full ring of 4 turns ten distinct digests'
+// last six into its spill, which folds them into one (checker, switch)
+// entry without words. Published and Spilled count them at once; the
+// sweep folds the spill with its count into the overflow bucket, and the
+// taps see every digest once, a spilled one with its checker, its switch
+// and its entry's last At.
+func TestRingSpillAccounting(t *testing.T) {
 	clk := &manualClock{}
-	b := New(Config{Window: 100, Clock: clk.fn(), RingSize: 4})
+	sink := &CollectExporter{}
+	b := New(Config{Window: 100, Clock: clk.fn(), RingSize: 4, Exporters: []Exporter{sink}})
+	var tapped []Digest
+	b.Tap(func(d Digest) { tapped = append(tapped, d) })
 	p := b.RingProducer("shard:0")
 
+	var published []Digest
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if p.Publish(DigestFrom("noisy", 1, int64(i), rep(uint64(i)))) {
+		d := DigestFrom("noisy", 1, int64(i), rep(uint64(i)))
+		published = append(published, d)
+		if p.Publish(d) {
 			accepted++
 		}
 	}
 	if accepted != 4 {
-		t.Fatalf("accepted %d, want 4 (ring capacity)", accepted)
+		t.Fatalf("accepted %d into the ring, want 4 (its capacity)", accepted)
 	}
-	m := b.Metrics()
-	if m.Published != 10 || m.Dropped != 6 {
-		t.Fatalf("published=%d dropped=%d, want 10/6", m.Published, m.Dropped)
-	}
-	if st := m.Checkers["noisy"]; st.Dropped != 6 {
-		t.Fatalf("per-checker dropped = %d, want 6", st.Dropped)
+	if m := b.Metrics(); m.Published != 10 || m.Spilled != 6 || m.Producers[0].Spilled != 6 || m.Dropped != 0 || m.Delivered != 0 {
+		t.Fatalf("before a sweep: published=%d spilled=%d dropped=%d delivered=%d, want 10/6/0/0", m.Published, m.Spilled, m.Dropped, m.Delivered)
 	}
 	b.Close()
-	m = b.Metrics()
-	if m.EmittedDigests != 4 || m.Unaccounted() != 0 {
-		t.Fatalf("post-close metrics: emitted=%d unaccounted=%d", m.EmittedDigests, m.Unaccounted())
+	m := b.Metrics()
+	if m.EmittedDigests != 10 || m.Delivered != 10 || m.Unaccounted() != 0 {
+		t.Fatalf("post-close metrics: emitted=%d delivered=%d unaccounted=%d", m.EmittedDigests, m.Delivered, m.Unaccounted())
+	}
+	if st := m.Checkers["noisy"]; st.OverflowDigests != 6 {
+		t.Fatalf("overflow digests = %d, want the spill's 6", st.OverflowDigests)
 	}
 	if d := m.Producers[0].QueueDepth; d != 0 {
 		t.Fatalf("queue depth after close = %d", d)
+	}
+	want := published[:4:4]
+	for range 6 {
+		want = append(want, Digest{Checker: "noisy", SwitchID: 1, At: 9})
+	}
+	if !slices.Equal(tapped, want) {
+		t.Fatalf("taps saw\n %+v\nwant\n %+v", tapped, want)
+	}
+	var ovf []Aggregate
+	for _, a := range sink.Aggregates() {
+		if a.Overflow {
+			ovf = append(ovf, a)
+		}
+	}
+	if len(ovf) != 1 || ovf[0].Count != 6 || ovf[0].FirstAt != 4 || ovf[0].LastAt != 9 || ovf[0].Args != nil {
+		t.Fatalf("overflow aggregates %+v, want one of count 6 over [4,9] without words", ovf)
 	}
 }
 
@@ -394,10 +424,11 @@ func TestInlineTapRunsBeforePublishReturns(t *testing.T) {
 	}
 }
 
-// TestConcurrentProducersExactAccounting is the race-detector stress
+// TestConcurrentProducersExactAccounting is the race-detector storm
 // test: many ring producers against a live collector goroutine, with a
-// concurrent metrics poller, must conserve every digest — published
-// equals dropped plus emitted, exactly.
+// concurrent metrics poller, must conserve every digest — nothing is
+// dropped, published equals emitted exactly, and the taps see every
+// published digest once, spilled ones included.
 func TestConcurrentProducersExactAccounting(t *testing.T) {
 	const (
 		producers = 4
@@ -406,9 +437,11 @@ func TestConcurrentProducersExactAccounting(t *testing.T) {
 	sink := &CollectExporter{}
 	b := New(Config{
 		Window:    500 * time.Microsecond,
-		RingSize:  256, // small enough to force real drops under load
+		RingSize:  256, // small enough to spill under load
 		Exporters: []Exporter{sink},
 	})
+	var tapped atomic.Uint64
+	b.Tap(func(Digest) { tapped.Add(1) })
 	b.Start()
 
 	var wg sync.WaitGroup
@@ -442,9 +475,13 @@ func TestConcurrentProducersExactAccounting(t *testing.T) {
 	if m.Published != producers*perProd {
 		t.Fatalf("published = %d, want %d", m.Published, producers*perProd)
 	}
-	if m.Unaccounted() != 0 || m.LiveDigests != 0 {
-		t.Fatalf("post-close accounting: unaccounted=%d live=%d (dropped=%d emitted=%d)",
-			m.Unaccounted(), m.LiveDigests, m.Dropped, m.EmittedDigests)
+	if m.Dropped != 0 || m.Unaccounted() != 0 || m.LiveDigests != 0 {
+		t.Fatalf("post-close accounting: dropped=%d unaccounted=%d live=%d emitted=%d",
+			m.Dropped, m.Unaccounted(), m.LiveDigests, m.EmittedDigests)
+	}
+	t.Logf("%d of %d digests spilled", m.Spilled, m.Published)
+	if n := tapped.Load(); n != m.Published {
+		t.Fatalf("taps saw %d digests, %d were published", n, m.Published)
 	}
 	var exported uint64
 	for _, c := range sink.CountsByKey() {
@@ -486,8 +523,9 @@ func TestCloseIsIdempotentAndFlushKeepsBusUsable(t *testing.T) {
 // TestCollectorAllocs is the collector's allocation budget. At steady
 // state (the checker's record exists) folding a digest allocates
 // nothing, whether it opens a key, repeats one or lands in an overflow
-// bucket; closing a window allocates the same fixed number of times —
-// the batch and its Args arena — whether it emits 64 aggregates or 4096.
+// bucket; spilling past a full ring allocates nothing once its
+// (checker, switch) has spilled, whatever the digest's words; and a close that reuses the bus's batch allocates nothing, whether it
+// emits 64 aggregates or 4096.
 func TestCollectorAllocs(t *testing.T) {
 	b := New(Config{Clock: (&manualClock{}).fn()})
 	d := DigestFrom("acl", 1, 0, rep(1, 2))
@@ -515,6 +553,26 @@ func TestCollectorAllocs(t *testing.T) {
 		t.Errorf("an overflow: %.2f allocs per digest, want 0", n)
 	}
 
+	p := b.RingProducer("shard")
+	spill := func() {
+		if p.Publish(d) {
+			t.Fatal("a publish past a full ring did not spill")
+		}
+	}
+	for p.Publish(d) {
+	}
+	if n := testing.AllocsPerRun(100, spill); n != 0 {
+		t.Errorf("a repeated spill: %.2f allocs per digest, want 0", n)
+	}
+	spillKey := func() {
+		d.Args[0]++
+		d.ArgsHash++
+		spill()
+	}
+	if n := testing.AllocsPerRun(100, spillKey); n != 0 || len(p.spill.aggs) != 1 {
+		t.Errorf("a spill with new words: %.2f allocs per digest, %d spill entries; want 0 and 1", n, len(p.spill.aggs))
+	}
+
 	closing := func(keys int) float64 {
 		b := New(Config{Clock: (&manualClock{}).fn()})
 		d := DigestFrom("acl", 1, 0, rep(1, 2))
@@ -525,16 +583,179 @@ func TestCollectorAllocs(t *testing.T) {
 				d.Args[0], d.ArgsHash = uint64(i), uint64(i)
 				b.fold(&d)
 			}
-			emitted = len(b.closeWindow(0, true))
+			bt := b.closeWindow(0, true)
 			b.mu.Unlock()
+			emitted = len(bt.aggs)
+			b.export(bt)
 		})
 		if emitted != keys {
 			t.Fatalf("a window of %d keys emitted %d aggregates", keys, emitted)
 		}
 		return n
 	}
-	small, large := closing(64), closing(4096)
-	if small != large || large > 2 {
-		t.Errorf("closing a window: %.2f allocs for 64 aggregates, %.2f for 4096; want the same, at most 2", small, large)
+	if small, large := closing(64), closing(4096); small != 0 || large != 0 {
+		t.Errorf("closing a window into a reused batch: %.2f allocs for 64 aggregates, %.2f for 4096; want 0", small, large)
+	}
+}
+
+// countingExporter counts the digests it is lent and keeps nothing.
+type countingExporter struct{ digests uint64 }
+
+func (e *countingExporter) ExportAggregates(aggs []Aggregate) {
+	for i := range aggs {
+		e.digests += aggs[i].Count
+	}
+}
+
+// TestCloseBytes is the report path's byte budget: 1 000 windows of
+// 4 096 aggregates each, published to a ring and closed by Flush, with
+// an exporter that keeps nothing, allocate fewer bytes between them
+// than one batch of 4 096 aggregates and their words. A bus that made
+// each window's batch afresh would allocate a thousand.
+func TestCloseBytes(t *testing.T) {
+	const keys, windows = 4096, 1000
+	sink := &countingExporter{}
+	b := New(Config{Clock: (&manualClock{}).fn(), Exporters: []Exporter{sink}})
+	p := b.RingProducer("shard")
+	digests := make([]Digest, keys)
+	for i := range digests {
+		digests[i] = DigestFrom("acl", uint32(i%8), 0, rep(uint64(i), 2))
+	}
+	window := func() {
+		for i := range digests {
+			if !p.Publish(digests[i]) {
+				t.Fatal("a window's digest spilled; the ring holds a window")
+			}
+		}
+		b.Flush()
+	}
+	window()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range windows {
+		window()
+	}
+	runtime.ReadMemStats(&after)
+	batch := keys * (unsafe.Sizeof(Aggregate{}) + 2*unsafe.Sizeof(uint64(0)))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(batch) {
+		t.Errorf("%d windows of %d aggregates allocated %d bytes, want fewer than one batch's %d", windows, keys, got, batch)
+	}
+	if want := uint64(keys * (windows + 1)); sink.digests != want {
+		t.Fatalf("the exporter counted %d digests, want %d", sink.digests, want)
+	}
+}
+
+// TestReentrantExportGetsItsOwnBatch: an exporter that publishes, and so
+// closes a second window while it holds the first, is lent a batch of
+// its own; the one it holds is untouched until it returns.
+func TestReentrantExportGetsItsOwnBatch(t *testing.T) {
+	clk := &manualClock{}
+	var p *Producer
+	var inner [][]uint64
+	outer := exporterFunc(func(aggs []Aggregate) {
+		if aggs[0].Args[0] != 1 {
+			for _, a := range aggs {
+				inner = append(inner, slices.Clone(a.Args))
+			}
+			return
+		}
+		held := slices.Clone(aggs)
+		heldArgs := slices.Clone(aggs[1].Args)
+		p.Publish(DigestFrom("c", 2, 300, rep(7, 7, 7)))
+		p.Publish(DigestFrom("c", 2, 500, rep(9, 9, 9)))
+		if !reflect.DeepEqual(aggs, held) || !slices.Equal(aggs[1].Args, heldArgs) {
+			t.Fatalf("a re-entrant close wrote over the batch its exporter holds: %+v, was %+v", aggs, held)
+		}
+	})
+	b := New(Config{Window: 100, Clock: clk.fn(), Exporters: []Exporter{outer}})
+	p = b.InlineProducer("sim")
+	p.Publish(DigestFrom("c", 1, 0, rep(1)))
+	p.Publish(DigestFrom("c", 1, 150, rep(1, 2)))
+	if want := [][]uint64{{7, 7, 7}, {9, 9, 9}}; !reflect.DeepEqual(inner, want) {
+		t.Fatalf("the re-entrant close emitted words %v, want %v", inner, want)
+	}
+}
+
+// TestConcurrentExportsLendDistinctBatches races an inline publisher's
+// closes against the collector's on one bus, both on the wall clock with
+// short windows, so that two exports are often out at once. Every
+// aggregate an exporter is lent must still read as its key wrote it
+// (both words equal), and every digest is emitted once; under -race, two
+// closes filling one batch would also show as a race.
+func TestConcurrentExportsLendDistinctBatches(t *testing.T) {
+	var bad, digests atomic.Uint64
+	check := exporterFunc(func(aggs []Aggregate) {
+		for _, a := range aggs {
+			if !a.Overflow && (len(a.Args) != 2 || a.Args[0] != a.Args[1]) {
+				bad.Add(1)
+			}
+			digests.Add(a.Count)
+		}
+	})
+	b := New(Config{Window: 50 * time.Microsecond, RingSize: 64, Exporters: []Exporter{check}})
+	b.Start()
+	inline, ring := b.InlineProducer("sim"), b.RingProducer("shard")
+	const perProd = 20_000
+	var wg sync.WaitGroup
+	for _, p := range []*Producer{inline, ring} {
+		wg.Add(1)
+		go func(p *Producer) {
+			defer wg.Done()
+			for i := range uint64(perProd) {
+				k := i % 97
+				p.Publish(DigestFrom("race", 1, b.Now(), rep(k, k)))
+			}
+		}(p)
+	}
+	wg.Wait()
+	b.Close()
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d lent aggregates were written over while an exporter held them", n)
+	}
+	if m := b.Metrics(); digests.Load() != 2*perProd || m.Unaccounted() != 0 {
+		t.Fatalf("exported %d digests of %d, %d unaccounted", digests.Load(), 2*perProd, m.Unaccounted())
+	}
+}
+
+type exporterFunc func([]Aggregate)
+
+func (f exporterFunc) ExportAggregates(aggs []Aggregate) { f(aggs) }
+
+// TestCollectExporterKeepsCopies: what CollectExporter kept from a
+// window is unchanged after 100 later windows, which the bus fills into
+// the same storage (they carry fewer words, so the arena is not
+// outgrown), and each kept aggregate's Args has no room past its words.
+func TestCollectExporterKeepsCopies(t *testing.T) {
+	clk := &manualClock{}
+	sink := &CollectExporter{}
+	b := New(Config{Window: 100, Clock: clk.fn(), Exporters: []Exporter{sink}})
+	p := b.InlineProducer("sim")
+	for i := range uint64(8) {
+		p.Publish(DigestFrom("c", uint32(i), 0, rep(i, i+1, i+2)))
+	}
+	b.Flush()
+	first := sink.Aggregates()
+	kept := make([]Aggregate, len(first))
+	for i, a := range first {
+		kept[i] = a
+		kept[i].Args = slices.Clone(a.Args)
+	}
+	for w := range int64(100) {
+		for i := range uint64(8) {
+			p.Publish(DigestFrom("c", uint32(i), 100*w+1, rep(1000+i, uint64(w))))
+		}
+	}
+	b.Close()
+	all := sink.Aggregates()
+	if !reflect.DeepEqual(all[:len(kept)], kept) {
+		t.Fatalf("kept aggregates changed under later windows:\n %+v\nwere\n %+v", all[:len(kept)], kept)
+	}
+	for _, a := range all {
+		if cap(a.Args) != len(a.Args) {
+			t.Fatalf("a kept aggregate's Args has room for %d more words", cap(a.Args)-len(a.Args))
+		}
+	}
+	if len(all) != 8*101 {
+		t.Fatalf("collected %d aggregates, want %d", len(all), 8*101)
 	}
 }

@@ -6,7 +6,7 @@ import "sync/atomic"
 // producer owns tail, the consumer owns head; both are atomics so the
 // opposite side can read them, and Go's sequentially consistent atomics
 // make the slot write visible before the tail publish. A full ring
-// rejects the push — the producer accounts the drop and moves on; the
+// rejects the push — the producer spills the digest and moves on; the
 // hot path never blocks on the collector. The push that fills the ring
 // to half wakes the collector, without blocking either.
 type ring struct {
