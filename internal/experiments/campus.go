@@ -22,14 +22,15 @@ const busWindow = time.Duration(netsim.Millisecond)
 // share (and engine.go's replayPaths model): a 2×2
 // leaf-spine whose default routes carry everything entering leaf 1
 // across either spine (ECMP) to a sink host on leaf 2, with link
-// headroom so a replay is CPU-shaped, not line-blocked, and the campus
-// trace generated up front so the firewall can be seeded with exactly
-// the flows that will appear.
+// headroom so a replay is CPU-shaped, not line-blocked, and a first
+// pass of the campus trace made up front so the firewall can be seeded
+// with exactly the flows that will appear.
 type campusFabric struct {
 	sim       *netsim.Simulator
 	ls        *netsim.LeafSpine
 	src, sink *netsim.Host
-	pkts      []trafficgen.Packet
+	packets   int // with seed, the trace, which schedule draws again
+	seed      int64
 	// pairs are the trace's (src, dst) addresses in order of first
 	// occurrence; span is the offered duration, the sum of the gaps.
 	pairs [][2]uint32
@@ -56,11 +57,8 @@ func newCampusFabric(packets int, seed int64) *campusFabric {
 		p.AddRoute(0, 0, 2) // toward leaf2
 		spine.Forwarding = p
 	}
-	f := &campusFabric{sim: sim, ls: ls, src: ls.Host(0, 0), sink: ls.Host(1, 0), pkts: make([]trafficgen.Packet, packets)}
-	f.pairs = campusTrace(packets, seed, func(i int, p trafficgen.Packet) {
-		f.pkts[i] = p
-		f.span += p.Gap
-	})
+	f := &campusFabric{sim: sim, ls: ls, src: ls.Host(0, 0), sink: ls.Host(1, 0), packets: packets, seed: seed}
+	f.pairs = campusTrace(packets, seed, func(_ int, p trafficgen.Packet) { f.span += p.Gap })
 	return f
 }
 
@@ -84,14 +82,19 @@ func campusTrace(n int, seed int64, emit func(i int, p trafficgen.Packet)) [][2]
 	return pairs
 }
 
-// schedule queues every send of the trace at its arrival time.
+// schedule queues the first send; each send draws and queues the next.
 func (f *campusFabric) schedule() {
-	var at netsim.Time
-	for i := range f.pkts {
-		p := f.pkts[i]
-		at += p.Gap
-		f.sim.At(at, func() { f.src.SendPacket(p.Decode()) })
+	gen := trafficgen.NewCampus(trafficgen.CampusConfig{Seed: f.seed})
+	p, left := gen.Next(), f.packets
+	var send func()
+	send = func() {
+		f.src.SendPacket(p.Decode())
+		if left--; left > 0 {
+			p = gen.Next()
+			f.sim.After(p.Gap, send)
+		}
 	}
+	f.sim.At(p.Gap, send)
 }
 
 // run schedules the trace, runs the simulator to completion and returns
@@ -104,7 +107,7 @@ func (f *campusFabric) run() (float64, error) {
 	if wall <= 0 || f.sim.Now() == 0 {
 		return 0, fmt.Errorf("experiments: empty campus replay")
 	}
-	return float64(len(f.pkts)) / wall.Seconds(), nil
+	return float64(f.packets) / wall.Seconds(), nil
 }
 
 // bus returns a report bus on the fabric's virtual clock with busWindow

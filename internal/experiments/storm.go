@@ -74,7 +74,6 @@ type StormPass struct {
 	// inline producers nothing can drop, so after the final flush the
 	// two must be exactly equal — the conservation check.
 	Raised            uint64
-	Dropped           uint64
 	ExportedDigests   uint64
 	EmittedAggregates uint64
 	Suppressed        uint64
@@ -101,7 +100,7 @@ type StormResult struct {
 // storm probe. The baseline pass keeps the probe disarmed; the storm
 // pass arms it, so every packet raises a digest at every hop at full
 // replay rate. Reported: sustained pps for both passes, and the bus's
-// drop/suppression/overflow accounting for the storm.
+// suppression/overflow accounting for the storm.
 func RunStorm(cfg StormConfig) (StormResult, error) {
 	cfg = cfg.withDefaults()
 	// Passes alternate (base, storm, base, storm, ...) and each side
@@ -157,7 +156,6 @@ func runStormPass(cfg StormConfig, armed uint64) (StormPass, error) {
 		WallPktsPerSec:    pps,
 		Delivered:         f.delivered(),
 		Raised:            m.Published,
-		Dropped:           m.Dropped,
 		MaxLiveAggregates: m.MaxLiveAggregates,
 		Unaccounted:       m.Unaccounted(),
 	}

@@ -16,11 +16,9 @@ func (a *evKey) before(b *evKey) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// payload is what an event does when its time comes.
+// payload is what an event does when its time comes: it runs
+// sink.deliverFrame(frame, port). At's callback is a funcSink.
 type payload struct {
-	fn func()
-	// Frame-delivery form: when sink is non-nil, fn is nil and the
-	// event runs sink.deliverFrame(frame, port).
 	sink  frameSink
 	frame []byte
 	port  int
@@ -28,7 +26,7 @@ type payload struct {
 
 // event is one scheduled callback or frame delivery in transit: what
 // the queue takes and gives back. Events travel by pointer: a by-value
-// event is 80 bytes copied at every call.
+// event is 72 bytes copied at every call.
 type event struct {
 	k evKey
 	payload
@@ -40,15 +38,15 @@ type event struct {
 // into an interface on Push — one allocation per scheduled event — which
 // is exactly what the zero-allocation wire path removes.)
 //
-// A campaign schedules its sends up front, in time order, and in a heap
-// that backlog of tens of thousands lies under every frame in flight:
-// each near-term push would climb its whole depth and each pop sink the
-// last far-future key back down it. So a key that is not before the last
-// one of run is appended to run, a sorted FIFO consumed from head, and
-// only a key that is goes into the heap — which then holds little more
-// than the frames in flight. pop takes the smaller of the two fronts;
-// before is a total order, so the pop order is the sorted order of the
-// keys whatever the split between run and heap was.
+// bench/'s wireRun.schedule queues its 49 152 sends up front, and in a
+// heap that backlog lies under every frame in flight: each near-term
+// push would climb its whole depth and each pop sink the last far-future
+// key back down it (wire-campus reads 15 % fewer pps). So a key not
+// before the last one of run is appended to run, a sorted FIFO consumed
+// from head, and only a key that is goes into the heap — which then
+// holds little more than the frames in flight. pop takes the smaller of
+// the two fronts; before is a total order, so the pop order is the
+// sorted order of the keys whatever the split between run and heap was.
 type eventQueue struct {
 	heap eventHeap
 	run  []evKey
@@ -133,7 +131,7 @@ func (q *eventQueue) pop(e *event) {
 	}
 	slot := e.k.ref
 	e.payload = q.slab[slot]
-	q.slab[slot] = payload{} // drop frame/closure references
+	q.slab[slot] = payload{} // drop frame and sink references
 	q.free = append(q.free, slot)
 }
 

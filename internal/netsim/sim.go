@@ -66,12 +66,17 @@ func (t Time) String() string { return t.Duration().String() }
 // Seconds returns the time in floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// frameSink is the closure-free form of a frame-delivery event: the
-// wire path schedules (sink, frame, port) triples instead of capturing
-// them in a func, so steady-state forwarding allocates nothing per hop.
+// frameSink is what every event runs: the wire path schedules (sink,
+// frame, port) triples instead of capturing them in a func, so
+// steady-state forwarding allocates nothing per hop. At's callback is a
+// funcSink: a func value is one pointer, so boxing it allocates nothing.
 type frameSink interface {
 	deliverFrame(frame []byte, port int)
 }
+
+type funcSink func()
+
+func (f funcSink) deliverFrame([]byte, int) { f() }
 
 // Simulator owns a single-threaded event loop: all node callbacks run
 // inside Run, so nodes need no locking of their own — and the frame
@@ -170,7 +175,7 @@ func (s *Simulator) schedule(e *event) {
 
 // At schedules fn to run at absolute time t (clamped to now).
 func (s *Simulator) At(t Time, fn func()) {
-	s.schedule(&event{k: evKey{at: t}, payload: payload{fn: fn}})
+	s.schedule(&event{k: evKey{at: t}, payload: payload{sink: funcSink(fn)}})
 }
 
 // After schedules fn to run delay from now.
@@ -212,11 +217,7 @@ func (s *Simulator) run(until Time) uint64 {
 	for s.events.len() > 0 && s.events.nextAt() <= until {
 		s.events.pop(&e)
 		s.now = e.k.at
-		if e.sink != nil {
-			e.sink.deliverFrame(e.frame, e.port)
-		} else {
-			e.fn()
-		}
+		e.sink.deliverFrame(e.frame, e.port)
 		s.ran++
 		n++
 		if n > limit {
