@@ -133,61 +133,6 @@ func BenchmarkThroughputBaseline(b *testing.B) { benchThroughput(b, false) }
 // BenchmarkThroughputAllCheckers replays it with all checkers linked.
 func BenchmarkThroughputAllCheckers(b *testing.B) { benchThroughput(b, true) }
 
-// ---------------------------------------------------------------------------
-// Sharded checker engine
-
-// benchEngineShards replays the campus trace through the flow-sharded
-// engine with all corpus checkers attached. The engine is rebuilt per
-// iteration so per-shard load sensors start cold each time; `pps` is
-// the engine's packet-checking rate. Parallel speedup needs cores: on a
-// multi-core machine shards scale the rate, under GOMAXPROCS=1 they
-// tie.
-func benchEngineShards(b *testing.B, shards int) {
-	const packets = 10_000
-	var res experiments.EngineReplayResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.RunEngineReplay(experiments.EngineReplayConfig{
-			Packets: packets, Seed: 5, Shards: shards,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Counts.Forwarded != packets || res.Counts.Errors != 0 {
-			b.Fatalf("replay outcome changed: %+v", res.Counts)
-		}
-	}
-	b.ReportMetric(res.WallPktsPerSec, "pps")
-}
-
-func BenchmarkEngineShards1(b *testing.B) { benchEngineShards(b, 1) }
-func BenchmarkEngineShards4(b *testing.B) { benchEngineShards(b, 4) }
-func BenchmarkEngineShards8(b *testing.B) { benchEngineShards(b, 8) }
-
-// BenchmarkNetsimReplay measures the end-to-end wire path: the campus
-// trace through the event-driven fabric with all checkers attached —
-// pooled parse, plan-based header binding, in-place telemetry rewrite,
-// and single-pass serialization. `pps` is wall-clock end-to-end
-// throughput; `fast_pct` is the share of switch transmissions that took
-// the in-place rewrite fast path.
-func BenchmarkNetsimReplay(b *testing.B) {
-	const packets = 10_000
-	var res experiments.WireReplayResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.RunWireReplay(experiments.WireReplayConfig{Packets: packets, Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.DeliveredRatio != 1 || res.Rejected != 0 || res.ParseErrors != 0 {
-			b.Fatalf("replay outcome changed: delivered=%.2f rejected=%d errors=%d",
-				res.DeliveredRatio, res.Rejected, res.ParseErrors)
-		}
-	}
-	b.ReportMetric(res.WallPktsPerSec, "pps")
-	b.ReportMetric(res.FastShare*100, "fast_pct")
-}
-
 // BenchmarkStormReplay measures the report-bus pipeline under a
 // worst-case report storm: the campus trace with an always-violating
 // probe raising a digest at every hop, aggregated and rate-limited by

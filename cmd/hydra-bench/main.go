@@ -6,8 +6,6 @@
 //	hydra-bench -table1                    # Table 1 (LoC, stages, PHV)
 //	hydra-bench -fig12a -fig12b            # Figure 12 RTT experiment
 //	hydra-bench -throughput                # campus-replay throughput
-//	hydra-bench -engine -shards 1,4,8      # sharded checker-engine replay
-//	hydra-bench -wire                      # end-to-end wire-path replay
 //	hydra-bench -storm                     # report-storm replay on the bus
 //	hydra-bench -chaos -seed 1 -faultrate 0.02   # fault-injection detection matrix
 //	hydra-bench -symcheck                  # symbolic backend-equivalence proof
@@ -22,6 +20,11 @@
 //
 // Figure 12's duration/background scale with -duration and -bps; see
 // EXPERIMENTS.md for how the defaults relate to the paper's setup.
+//
+// The throughput figure of each deployment shape (engine, storm, wire,
+// fleet) is the repository benchmark's: bash bench/run.sh. -cpuprofile
+// and -memprofile profile the modes that run; -throughput's second
+// replay is the wire path with every checker attached.
 package main
 
 import (
@@ -32,8 +35,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -108,8 +109,7 @@ func parseFlags(args []string) (selected []mode, cpuProfile, memProfile string, 
 		durationS = fs.Float64("duration", 5, "figure 12: seconds of simulated time per configuration")
 		bps       = fs.Int64("bps", 2_000_000_000, "figure 12: background load per direction (bit/s)")
 		pingMs    = fs.Float64("ping-ms", 10, "figure 12: ping interval (ms)")
-		packets   = fs.Int("packets", 50000, "throughput: packets to replay")
-		shards    = fs.String("shards", "1,4,8", "engine: comma-separated worker counts (0 = GOMAXPROCS)")
+		packets   = fs.Int("packets", 50000, "throughput, storm, chaos, fleet/soak: packets to replay")
 		seed      = fs.Int64("seed", 1, "chaos: campaign seed (traffic + every fault injector)")
 		faultRate = fs.Float64("faultrate", 0.02, "chaos: per-packet/per-frame fault probability")
 		chaosJSON = fs.String("chaosjson", "", "chaos: write the byte-reproducible detection matrix as JSON to this file (- for stdout)")
@@ -189,35 +189,6 @@ func parseFlags(args []string) (selected []mode, cpuProfile, memProfile string, 
 			}
 			fmt.Println(experiments.FormatThroughput(base, chk))
 			return nil
-		}},
-		{"engine", "run the sharded checker-engine replay", false, func() error {
-			counts, err := parseShards(*shards)
-			if err != nil {
-				return err
-			}
-			var results []experiments.EngineReplayResult
-			for _, n := range counts {
-				fmt.Fprintf(os.Stderr, "running engine replay with %d shard(s)...\n", n)
-				r, err := experiments.RunEngineReplay(experiments.EngineReplayConfig{Packets: *packets, Shards: n})
-				if err != nil {
-					return err
-				}
-				results = append(results, r)
-			}
-			fmt.Println(experiments.FormatEngineReplay(results))
-			fmt.Fprintln(os.Stderr, "running batched single-shard replay (no dispatch queues)...")
-			r, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{Packets: *packets, BatchSize: 64})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Batch:  steady-state batched checking, 1 shard: %.0f pkts/s (%.0f ns/pkt)\n\n",
-				r.WallPktsPerSec, 1e9/r.WallPktsPerSec)
-			return nil
-		}},
-		{"wire", "run the end-to-end wire-path replay", false, func() error {
-			fmt.Fprintln(os.Stderr, "running end-to-end wire replay...")
-			r, err := experiments.RunWireReplay(experiments.WireReplayConfig{Packets: *packets})
-			return show(experiments.FormatWireReplay, r, err)
 		}},
 		{"storm", "run the report-storm replay (baseline vs always-violating probe on the report bus)", false, func() error {
 			fmt.Fprintln(os.Stderr, "running report-storm replay (baseline + storm passes)...")
@@ -341,16 +312,4 @@ func validateModes(selected []mode) error {
 		return fmt.Errorf("no mode selected: pass one or more experiment flags (or -all), or -fleet / -soak")
 	}
 	return nil
-}
-
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -shards value %q: %w", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -54,12 +54,12 @@ func TestValidateModes(t *testing.T) {
 		wantErr  string // substring; empty means valid
 	}{
 		{"none", nil, "no mode selected"},
-		{"one inproc", []string{"engine"}, ""},
-		{"many inproc", []string{"table1", "engine", "wire", "atoms"}, ""},
+		{"one inproc", []string{"throughput"}, ""},
+		{"many inproc", []string{"table1", "throughput", "storm", "atoms"}, ""},
 		{"fleet alone", []string{"fleet"}, ""},
 		{"soak alone", []string{"soak"}, ""},
 		{"fleet+soak", []string{"fleet", "soak"}, "mutually exclusive"},
-		{"fleet+engine", []string{"engine", "fleet"}, "cannot be combined"},
+		{"fleet+throughput", []string{"throughput", "fleet"}, "cannot be combined"},
 		{"soak+table1", []string{"table1", "soak"}, "cannot be combined"},
 	}
 	for _, c := range cases {
@@ -82,7 +82,7 @@ func TestValidateModes(t *testing.T) {
 	}
 }
 
-// TestAllSelectsInProcessModes: -all selects exactly the ten in-process
+// TestAllSelectsInProcessModes: -all selects exactly the eight in-process
 // modes, in the order they run, and neither process-tree mode.
 func TestAllSelectsInProcessModes(t *testing.T) {
 	selected, _, _, err := parseFlags([]string{"-all"})
@@ -93,7 +93,7 @@ func TestAllSelectsInProcessModes(t *testing.T) {
 	for _, m := range selected {
 		got = append(got, m.name)
 	}
-	want := []string{"table1", "fig12a", "fig12b", "throughput", "engine", "wire", "storm", "chaos", "symcheck", "atoms"}
+	want := []string{"table1", "fig12a", "fig12b", "throughput", "storm", "chaos", "symcheck", "atoms"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("-all selected %v, want %v", got, want)
 	}
@@ -104,8 +104,8 @@ func TestAllSelectsInProcessModes(t *testing.T) {
 // run is not left empty.
 func TestRunFailureKeepsProfile(t *testing.T) {
 	prof := filepath.Join(t.TempDir(), "cpu.prof")
-	if code := run([]string{"-engine", "-shards", "x", "-cpuprofile", prof}); code == 0 {
-		t.Fatal("run with a bad -shards value returned 0")
+	if code := run([]string{"-throughput", "-packets", "-1", "-cpuprofile", prof}); code == 0 {
+		t.Fatal("run -throughput -packets -1 returned 0")
 	}
 	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
 		t.Fatalf("CPU profile after a failed run: %v, want a non-empty file", err)
@@ -114,7 +114,7 @@ func TestRunFailureKeepsProfile(t *testing.T) {
 
 // TestRunRejectsBenchJSON: the flag left with the guard that read it.
 func TestRunRejectsBenchJSON(t *testing.T) {
-	if code := run([]string{"-engine", "-benchjson", "x"}); code != 2 {
-		t.Fatalf("run -engine -benchjson x = %d, want 2 (unknown flag)", code)
+	if code := run([]string{"-table1", "-benchjson", "x"}); code != 2 {
+		t.Fatalf("run -table1 -benchjson x = %d, want 2 (unknown flag)", code)
 	}
 }

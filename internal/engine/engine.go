@@ -197,9 +197,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Shards returns the configured shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // Install applies fn to the named checker's state for switchID on every
 // shard, creating the per-shard replica if needed. It must be called
 // before packets that touch that state are submitted (control-plane

@@ -13,52 +13,6 @@ import (
 	"repro/internal/reportbus"
 )
 
-// TestEngineMatchesSequential is the sharding invariant: for the campus
-// replay, the sharded engine's merged counts and per-packet verdicts
-// are identical to the single-state inline run at every shard count.
-func TestEngineMatchesSequential(t *testing.T) {
-	const packets, seed = 4000, 7
-	want, err := experiments.RunSequentialReplay(experiments.EngineReplayConfig{
-		Packets: packets, Seed: seed, KeepVerdicts: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Counts.Packets != packets {
-		t.Fatalf("sequential processed %d packets, want %d", want.Counts.Packets, packets)
-	}
-	if want.Counts.Errors != 0 {
-		t.Fatalf("sequential replay had %d checker errors", want.Counts.Errors)
-	}
-	if want.Counts.Forwarded != packets {
-		t.Fatalf("benign replay forwarded %d of %d packets; rejections by checker: %+v",
-			want.Counts.Forwarded, packets, want.Counts.PerChecker)
-	}
-
-	for _, shards := range []int{1, 2, 3, 8} {
-		got, err := experiments.RunEngineReplay(experiments.EngineReplayConfig{
-			Packets: packets, Seed: seed, Shards: shards, KeepVerdicts: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Shards != shards {
-			t.Errorf("shards=%d: engine reports %d shards", shards, got.Shards)
-		}
-		if !reflect.DeepEqual(got.Counts, want.Counts) {
-			t.Errorf("shards=%d: counts diverge\n got %+v\nwant %+v", shards, got.Counts, want.Counts)
-		}
-		if !reflect.DeepEqual(got.Verdicts, want.Verdicts) {
-			for i := range got.Verdicts {
-				if got.Verdicts[i] != want.Verdicts[i] {
-					t.Errorf("shards=%d: packet %d verdict %+v, sequential %+v", shards, i, got.Verdicts[i], want.Verdicts[i])
-					break
-				}
-			}
-		}
-	}
-}
-
 // violationWorkload builds packets over a few flows whose paths violate
 // checkers: egress through non-allow-listed port 13 (egress-validity
 // reject + report, multi-tenancy reject) and a leaf-only path that

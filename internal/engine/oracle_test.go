@@ -242,7 +242,8 @@ func corpus(t *testing.T) []engine.Checker {
 // one, on per-packet verdicts, Counts (per checker included) and the
 // sorted multiset of digests the engine published on its report bus, for
 // every way of driving the one execution loop: Sequential.Process, and
-// sharded workers at 1/4/8 shards with dispatch batches of 1 and 64.
+// sharded workers at 1/2/3/4/8 shards (3: a shard count that is not a
+// power of two) with dispatch batches of 1 and 64.
 func TestEngineMatchesOracle(t *testing.T) {
 	const spine3, spine4 = 3, 4
 	campus, pairs := experiments.CampusEnginePackets(3000, 9)
@@ -344,7 +345,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 
 	type driver struct{ shards, batch int } // shards 0: Sequential.Process
 	drivers := []driver{{0, 1}}
-	for _, shards := range []int{1, 4, 8} {
+	for _, shards := range []int{1, 2, 3, 4, 8} {
 		for _, batch := range []int{1, 64} {
 			drivers = append(drivers, driver{shards, batch})
 		}

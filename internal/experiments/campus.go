@@ -98,8 +98,12 @@ func (f *campusFabric) schedule() {
 }
 
 // run schedules the trace, runs the simulator to completion and returns
-// the replay's wall-clock rate in packets per second.
+// the replay's wall-clock rate in packets per second. A replay of fewer
+// than one packet is an error: schedule always queues a first send.
 func (f *campusFabric) run() (float64, error) {
+	if f.packets < 1 {
+		return 0, fmt.Errorf("experiments: campus replay of %d packets", f.packets)
+	}
 	f.schedule()
 	start := time.Now()
 	f.sim.RunAll()

@@ -181,3 +181,18 @@ func TestCampusScheduleAllocs(t *testing.T) {
 		t.Fatalf("starting a replay allocates %.0f times for 20 000 packets, %.0f for 1 000", large, small)
 	}
 }
+
+// TestCampusReplayRefusesNoPackets: a replay of fewer than one packet is
+// an error in every harness on the fabric, not a run that sends the
+// first packet anyway and reports a negative rate.
+func TestCampusReplayRefusesNoPackets(t *testing.T) {
+	if _, err := replayCampus(WireReplayConfig{Packets: -1}, false); err == nil {
+		t.Error("replayCampus with -1 packets returned no error")
+	}
+	if _, err := RunStorm(StormConfig{Packets: -1}); err == nil {
+		t.Error("RunStorm with -1 packets returned no error")
+	}
+	if _, err := RunChaos(ChaosConfig{Packets: -1}); err == nil {
+		t.Error("RunChaos with -1 packets returned no error")
+	}
+}

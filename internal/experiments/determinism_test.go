@@ -61,7 +61,7 @@ func wireCounters(r WireReplayResult) string {
 // subtest keeps the name the golden was first pinned under.
 func TestWireReplayMatchesSequentialGolden(t *testing.T) {
 	t.Run("shards=1", func(t *testing.T) {
-		res, err := RunWireReplay(WireReplayConfig{Packets: 5000, Seed: 5})
+		res, err := replayCampus(WireReplayConfig{Packets: 5000, Seed: 5}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

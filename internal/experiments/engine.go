@@ -2,50 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
-	"time"
 
 	"repro/internal/checkers"
 	"repro/internal/compiler"
 	"repro/internal/dataplane"
 	"repro/internal/engine"
 	"repro/internal/pipeline"
-	"repro/internal/reportbus"
 	"repro/internal/trafficgen"
 )
-
-// EngineReplayConfig parameterizes the engine campus replay: the same
-// synthetic trace as RunWireReplay, executed by internal/engine instead
-// of the event-driven simulator, to measure how fast the software
-// substrate can check packets.
-type EngineReplayConfig struct {
-	// Packets to replay (default 50,000).
-	Packets int
-	// Shards is the engine worker count; <= 0 means GOMAXPROCS.
-	// RunSequentialReplay ignores it.
-	Shards int
-	// BatchSize is the packets per dispatch batch (RunEngineReplay,
-	// engine default 64) or per ProcessBatch call (RunSequentialReplay,
-	// default 1).
-	BatchSize int
-	Seed      int64
-	// KeepVerdicts records every packet's individual verdict (used by
-	// the differential tests; costs one slice slot per packet).
-	KeepVerdicts bool
-}
-
-// EngineReplayResult is the outcome of one engine replay.
-type EngineReplayResult struct {
-	Counts engine.Counts
-	// Verdicts is per-packet, in submission order (nil unless
-	// KeepVerdicts).
-	Verdicts []engine.Verdict
-	// WallPktsPerSec is packets checked per wall-clock second across all
-	// shards — the engine's headline throughput number.
-	WallPktsPerSec float64
-	Shards         int
-}
 
 // CorpusCheckers compiles every corpus checker into an engine checker
 // list (the §6.2 "All Checkers" configuration). A checker the bytecode
@@ -140,127 +104,4 @@ func ConfigureReplayEngine(install func(checker string, switchID uint32, fn func
 		}
 	}
 	return nil
-}
-
-// replayFixture is what both replay drivers share: the compiled corpus,
-// the campus packets with their firewall seed, and the verdict slice.
-type replayFixture struct {
-	chks     []engine.Checker
-	pkts     []engine.Packet
-	pairs    [][2]uint32
-	verdicts []engine.Verdict
-}
-
-func newReplayFixture(cfg EngineReplayConfig) (replayFixture, error) {
-	if cfg.Packets == 0 {
-		cfg.Packets = 50_000
-	}
-	chks, err := CorpusCheckers()
-	if err != nil {
-		return replayFixture{}, err
-	}
-	f := replayFixture{chks: chks}
-	f.pkts, f.pairs = CampusEnginePackets(cfg.Packets, cfg.Seed)
-	if cfg.KeepVerdicts {
-		f.verdicts = make([]engine.Verdict, len(f.pkts))
-	}
-	return f, nil
-}
-
-// sequential builds the engine.Sequential both the batched replay and
-// the fleet reference drive: the fixture's checkers and verdict slice,
-// digests to bus (nil: none), the benign state plus the firewall seeded
-// with pairs, warmed.
-func (f replayFixture) sequential(bus *reportbus.Bus, pairs [][2]uint32) (*engine.Sequential, error) {
-	seq := engine.NewSequential(engine.Config{Checkers: f.chks, Verdicts: f.verdicts, ReportBus: bus})
-	if err := ConfigureReplayEngine(seq.Install, pairs); err != nil {
-		return nil, err
-	}
-	seq.Warm()
-	return seq, nil
-}
-
-// batches pushes the fixture's packets through seq, n at a time.
-func (f replayFixture) batches(seq *engine.Sequential, n int) {
-	for lo := 0; lo < len(f.pkts); lo += n {
-		seq.ProcessBatch(f.pkts[lo:min(lo+n, len(f.pkts))])
-	}
-}
-
-// timed runs replay after collecting the install-phase garbage (so the
-// replay's first GC cycle doesn't land mid-measurement; steady state is
-// alloc-free) and fills in the result.
-func (f replayFixture) timed(shards int, replay func() engine.Counts) (EngineReplayResult, error) {
-	runtime.GC()
-	start := time.Now()
-	counts := replay()
-	wall := time.Since(start)
-	if wall <= 0 {
-		return EngineReplayResult{}, fmt.Errorf("experiments: empty engine replay")
-	}
-	return EngineReplayResult{
-		Counts:         counts,
-		Verdicts:       f.verdicts,
-		WallPktsPerSec: float64(len(f.pkts)) / wall.Seconds(),
-		Shards:         shards,
-	}, nil
-}
-
-// RunEngineReplay replays the campus trace through the sharded engine
-// with all corpus checkers attached and benignly configured.
-func RunEngineReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
-	f, err := newReplayFixture(cfg)
-	if err != nil {
-		return EngineReplayResult{}, err
-	}
-	eng := engine.New(engine.Config{
-		Shards:    cfg.Shards,
-		BatchSize: cfg.BatchSize,
-		Checkers:  f.chks,
-		Verdicts:  f.verdicts,
-	})
-	if err := ConfigureReplayEngine(eng.Install, f.pairs); err != nil {
-		return EngineReplayResult{}, err
-	}
-	eng.Warm()
-	return f.timed(eng.Shards(), func() engine.Counts {
-		for i := range f.pkts {
-			eng.Submit(f.pkts[i])
-		}
-		return eng.Drain()
-	})
-}
-
-// RunSequentialReplay runs the identical workload inline through
-// engine.Sequential in BatchSize slices (default 1): the per-packet
-// cost of the engine's execution loop itself, without the sharded
-// engine's dispatch queues around it. At BatchSize 64 it is the number
-// the BenchmarkEngineBatch* benchmarks track.
-func RunSequentialReplay(cfg EngineReplayConfig) (EngineReplayResult, error) {
-	f, err := newReplayFixture(cfg)
-	if err != nil {
-		return EngineReplayResult{}, err
-	}
-	seq, err := f.sequential(nil, f.pairs)
-	if err != nil {
-		return EngineReplayResult{}, err
-	}
-	return f.timed(1, func() engine.Counts {
-		f.batches(seq, max(cfg.BatchSize, 1))
-		return seq.Counts()
-	})
-}
-
-// FormatEngineReplay renders one or more engine-replay results.
-func FormatEngineReplay(results []EngineReplayResult) string {
-	var b strings.Builder
-	b.WriteString("Engine: sharded campus-trace replay, all checkers benign\n")
-	fmt.Fprintf(&b, "%-8s %12s %12s %10s %10s %10s %8s\n",
-		"shards", "pkts_per_s", "packets", "forwarded", "rejected", "reports", "errors")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-8d %12.0f %12d %10d %10d %10d %8d\n",
-			r.Shards, r.WallPktsPerSec, r.Counts.Packets, r.Counts.Forwarded,
-			r.Counts.Rejected, r.Counts.Reports, r.Counts.Errors)
-	}
-	return b.String()
 }

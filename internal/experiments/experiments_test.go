@@ -167,7 +167,7 @@ func TestAttachAllConfiguresEveryChecker(t *testing.T) {
 }
 
 func TestWireReplayBenign(t *testing.T) {
-	res, err := RunWireReplay(WireReplayConfig{Packets: 2_000, Seed: 5})
+	res, err := replayCampus(WireReplayConfig{Packets: 2_000, Seed: 5}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

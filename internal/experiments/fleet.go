@@ -86,25 +86,30 @@ func RunFleetReference(packets, loops, skipSeedEvery, batchSize int, seed int64)
 	if batchSize <= 0 {
 		batchSize = fleetBatchSize
 	}
-	f, err := newReplayFixture(EngineReplayConfig{Packets: packets, Seed: seed, KeepVerdicts: true})
+	chks, err := CorpusCheckers()
 	if err != nil {
 		return FleetReference{}, err
 	}
-	seedPairs, _ := fleet.FilterSeedPairs(f.pairs, skipSeedEvery)
+	pkts, pairs := CampusEnginePackets(packets, seed)
+	verdicts := make([]engine.Verdict, len(pkts))
+	seedPairs, _ := fleet.FilterSeedPairs(pairs, skipSeedEvery)
 	collect := &reportbus.CollectExporter{}
 	bus := reportbus.New(reportbus.Config{
 		Window:    5 * time.Millisecond,
 		Exporters: []reportbus.Exporter{collect},
 	})
-	seq, err := f.sequential(bus, seedPairs)
-	if err != nil {
+	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts, ReportBus: bus})
+	if err := ConfigureReplayEngine(seq.Install, seedPairs); err != nil {
 		return FleetReference{}, err
 	}
+	seq.Warm()
 	bus.Start()
 	var perLoop [][]fleet.VerdictCount
 	for loop := 0; loop < loops; loop++ {
-		f.batches(seq, batchSize)
-		perLoop = append(perLoop, fleet.VerdictCountsOf(f.verdicts))
+		for lo := 0; lo < len(pkts); lo += batchSize {
+			seq.ProcessBatch(pkts[lo:min(lo+batchSize, len(pkts))])
+		}
+		perLoop = append(perLoop, fleet.VerdictCountsOf(verdicts))
 	}
 	bus.Close()
 	return FleetReference{

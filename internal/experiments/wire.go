@@ -45,14 +45,6 @@ type WireReplayResult struct {
 	TxFrames     uint64
 	FastTxFrames uint64
 	SlowTxFrames uint64
-	FastShare    float64
-}
-
-// RunWireReplay replays the campus trace end to end through the
-// leaf-spine fabric with every corpus checker attached and benignly
-// configured, and reports wall-clock throughput plus fast-path usage.
-func RunWireReplay(cfg WireReplayConfig) (WireReplayResult, error) {
-	return replayCampus(cfg, true)
 }
 
 // RunThroughput replays the same synthetic campus trace through the
@@ -111,22 +103,7 @@ func replayCampus(cfg WireReplayConfig, checked bool) (WireReplayResult, error) 
 			res.Rejected += att.Rejected
 		}
 	}
-	if res.TxFrames > 0 {
-		res.FastShare = float64(res.FastTxFrames) / float64(res.FastTxFrames+res.SlowTxFrames)
-	}
 	return res, nil
-}
-
-// FormatWireReplay renders one wire-replay result.
-func FormatWireReplay(r WireReplayResult) string {
-	var b strings.Builder
-	b.WriteString("Wire: end-to-end campus-trace replay, all checkers benign\n")
-	fmt.Fprintf(&b, "%-14s %12s %10s %10s %10s %10s %8s\n",
-		"wire_pps", "delivered", "checked", "rejected", "fast_tx", "slow_tx", "errors")
-	fmt.Fprintf(&b, "%-14.0f %11.1f%% %10d %10d %10d %10d %8d\n",
-		r.WallPktsPerSec, r.DeliveredRatio*100, r.Checked, r.Rejected,
-		r.FastTxFrames, r.SlowTxFrames, r.ParseErrors)
-	return b.String()
 }
 
 // FormatThroughput renders the baseline / all-checkers comparison.
