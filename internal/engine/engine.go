@@ -72,13 +72,13 @@ type Hop struct {
 // takes through the fabric. Hops may be shared between packets (the
 // engine never mutates it).
 type Packet struct {
-	Key  dataplane.FlowKey
-	Len  uint32
-	Hops []Hop
+	Key dataplane.FlowKey
+	Len uint32
 	// Index, when Config.Verdicts is set, selects the slot the packet's
 	// verdict is recorded into; -1 (or any index outside Verdicts)
 	// records nothing.
 	Index int32
+	Hops  []Hop
 }
 
 // Verdict is the per-packet outcome when Config.Verdicts is enabled.

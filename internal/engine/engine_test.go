@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataplane"
 	"repro/internal/engine"
@@ -109,6 +110,15 @@ func (r *reportTap) digests(t *testing.T) []reportbus.Digest {
 		t.Fatalf("report bus spilled %d of %d digests", m.Spilled, m.Published)
 	}
 	return r.got
+}
+
+// TestPacketSize pins the work unit at 48 bytes: Index sits beside Len,
+// so neither carries padding, and a campus replay's 196 608 packets are
+// 9.4 MB, not the 11.0 MB of a 56-byte Packet.
+func TestPacketSize(t *testing.T) {
+	if s := unsafe.Sizeof(engine.Packet{}); s != 48 {
+		t.Fatalf("engine.Packet is %d bytes, want 48", s)
+	}
 }
 
 // TestEngineBackpressure squeezes a large submission through tiny

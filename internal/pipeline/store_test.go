@@ -34,10 +34,11 @@ func modelPool(ncols int) []PackedKey {
 const modelZero = 72
 
 // collidingKeys returns n distinct keys of ncols columns built to
-// collide: three in four hash to the last slot of every table of up to
-// 1 024 slots (low ten hash bits all ones), so their probe run wraps
-// around to slot 0; the rest hash to slot 0 and sit in the middle of
-// that run. A keyless table has the one empty key.
+// collide: three in four home in the last slot of every table of up to
+// 1 024 slots (top ten hash bits all ones, which home scales to at least
+// slots - 1), so their probe run wraps around to slot 0; the rest home
+// in slot 0 (top ten bits zero) and sit in the middle of that run. A
+// keyless table has the one empty key.
 func collidingKeys(ncols, n int) []PackedKey {
 	if ncols == 0 {
 		return []PackedKey{{}}
@@ -57,7 +58,7 @@ func collidingKeys(ncols, n int) []PackedKey {
 		if len(keys)%4 == 3 {
 			want = 0
 		}
-		if hashPacked(split(k))&0x3ff == want {
+		if hashPacked(split(k))>>54 == want {
 			keys = append(keys, k)
 		}
 	}
@@ -290,29 +291,38 @@ func FuzzTableOps(f *testing.F) {
 
 // TestWrapAroundDelete pins the case the model test is built to reach:
 // a probe run that starts in the last slot and continues at slot 0
-// loses its first entry, and everything behind the hole stays findable.
+// loses its first entry, and everything behind the hole stays findable —
+// at the 8 slots a fresh table starts with and at 10 and 12, slot
+// counts that are not a power of two.
 func TestWrapAroundDelete(t *testing.T) {
-	tbl := NewTable("t", []KeySpec{{Width: 64, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(8, 0)})
-	pool := collidingKeys(1, 4) // three home in the last slot, one in slot 0
-	for i, k := range pool {
-		if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(8, uint64(i+1))}}); err != nil {
-			t.Fatal(err)
+	for _, room := range []int{0, 5, 6} {
+		tbl := NewTable("t", []KeySpec{{Width: 64, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(8, 0)})
+		tbl.Grow(room)
+		pool := collidingKeys(1, 4) // three home in the last slot, one in slot 0
+		for i, k := range pool {
+			if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(8, uint64(i+1))}}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	st := tbl.packed
-	if st.key(st.rec(st.mask)) != pool[0] || st.key(st.rec(0)) == (PackedKey{}) || st.key(st.rec(1)) == (PackedKey{}) {
-		t.Fatalf("the run does not wrap: records %v", st.recs)
-	}
-	if n := tbl.Delete([]KeyMatch{ExactKey(pool[0][0])}); n != 1 {
-		t.Fatalf("Delete = %d", n)
-	}
-	for i, k := range pool {
-		if a, hit := tbl.LookupPacked(k); hit != (i > 0) || hit && a[0].V != uint64(i+1) {
-			t.Fatalf("key %d after the delete: %v, %t", i, a, hit)
+		st := tbl.packed
+		if want := uint64(max(8, 2*room)); st.slots != want {
+			t.Fatalf("room for %d: %d slots, want %d", room, st.slots, want)
 		}
-	}
-	if st.key(st.rec(st.mask)) != pool[1] {
-		t.Fatalf("the second entry did not shift back across the wrap-around: records %v", st.recs)
+		last := st.slots - 1
+		if st.key(st.rec(last)) != pool[0] || st.key(st.rec(0)) == (PackedKey{}) || st.key(st.rec(1)) == (PackedKey{}) {
+			t.Fatalf("%d slots: the run does not wrap: records %v", st.slots, st.recs)
+		}
+		if n := tbl.Delete([]KeyMatch{ExactKey(pool[0][0])}); n != 1 {
+			t.Fatalf("%d slots: Delete = %d", st.slots, n)
+		}
+		for i, k := range pool {
+			if a, hit := tbl.LookupPacked(k); hit != (i > 0) || hit && a[0].V != uint64(i+1) {
+				t.Fatalf("%d slots: key %d after the delete: %v, %t", st.slots, i, a, hit)
+			}
+		}
+		if st.key(st.rec(last)) != pool[1] {
+			t.Fatalf("%d slots: the second entry did not shift back across the wrap-around: records %v", st.slots, st.recs)
+		}
 	}
 }
 
@@ -460,7 +470,7 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := &tbl.packed.recs[0]
-	if st := tbl.packed; len(st.recs) != 2048*st.stride || st.stride != 2 {
+	if st := tbl.packed; len(st.recs) != 2000*st.stride || st.stride != 2 {
 		t.Fatalf("a batch of 1000 left %d records of %d values: it must size the table once", len(st.recs)/st.stride, st.stride)
 	}
 	tbl.WarmSnapshot()
@@ -573,8 +583,8 @@ func TestGrow(t *testing.T) {
 			t.Fatalf("the chunk at %d of the %d entries Grow made room for rehashed", c, len(batch))
 		}
 	}
-	if w, c := whole.packed, chunked.packed; w.mask != c.mask || !slices.Equal(w.recs, c.recs) {
-		t.Fatalf("Grow and chunks laid out %d slots, one batch %d, or the records differ", c.mask+1, w.mask+1)
+	if w, c := whole.packed, chunked.packed; w.slots != c.slots || !slices.Equal(w.recs, c.recs) {
+		t.Fatalf("Grow and chunks laid out %d slots, one batch %d, or the records differ", c.slots, w.slots)
 	}
 
 	shapes := tableShapes()

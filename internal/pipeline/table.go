@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -501,7 +502,7 @@ func (t *Table) match(vals []uint64) ([]Value, bool) {
 // ever holds. Once published, nothing it points to is written.
 type packedSnap struct {
 	recs       []Value
-	mask       uint64  // slots - 1
+	slots      uint64  // records in recs, two per entry it was sized for
 	kv, stride int     // Values of key per record, Values per record
 	zero       []Value // the all-zero key's action; nil when it is not installed
 }
@@ -513,12 +514,26 @@ const _ uint = strconv.IntSize - 64
 var emptyAction = []Value{}
 
 // hashPacked mixes the four key words, in a record's key form, with
-// distinct odd multipliers; good enough dispersion for
-// addresses/ports/IDs at half load.
+// distinct odd multipliers, whose products' top bits (the ones home
+// reads) depend on every key bit: dispersion enough at half load.
 func hashPacked(k0, k1 Value) uint64 {
-	h := uint64(k0.W)*0x9e3779b97f4a7c15 ^ k0.V*0xbf58476d1ce4e5b9 ^
+	return uint64(k0.W)*0x9e3779b97f4a7c15 ^ k0.V*0xbf58476d1ce4e5b9 ^
 		uint64(k1.W)*0x94d049bb133111eb ^ k1.V*0x2545f4914f6cdd1d
-	return h ^ h>>29
+}
+
+// home is hash h's slot: h scaled to [0, slots) by a multiply-shift,
+// which takes any slot count and costs a multiply, not a divide.
+func (s *packedSnap) home(h uint64) uint64 {
+	hi, _ := bits.Mul64(h, s.slots)
+	return hi
+}
+
+// next is the slot after i, wrapping at the end of the array.
+func (s *packedSnap) next(i uint64) uint64 {
+	if i++; i == s.slots {
+		return 0
+	}
+	return i
 }
 
 // split is k in a record's key form: two words to a Value, W first.
@@ -544,7 +559,7 @@ func (s *packedSnap) key(r []Value) PackedKey {
 // find probes for k, which is not the all-zero key: its slot, or the
 // empty one ending its run.
 func (s *packedSnap) find(k PackedKey) (uint64, bool) {
-	for i := hashPacked(split(k)) & s.mask; ; i = (i + 1) & s.mask {
+	for i := s.home(hashPacked(split(k))); ; i = s.next(i) {
 		if kr := s.key(s.rec(i)); kr == k || kr == (PackedKey{}) {
 			return i, kr == k
 		}
@@ -558,7 +573,7 @@ func (s *packedSnap) lookup(k0, k1 Value) ([]Value, bool) {
 	if k0 == (Value{}) && k1 == (Value{}) {
 		return s.zero, s.zero != nil
 	}
-	for i := hashPacked(k0, k1) & s.mask; ; i = (i + 1) & s.mask {
+	for i := s.home(hashPacked(k0, k1)); ; i = s.next(i) {
 		r := s.rec(i)
 		if r[0] == k0 && (s.kv == 1 || r[1] == k1) {
 			return r[s.kv:], true
@@ -603,21 +618,18 @@ func (st *packedStore) unshare() {
 // grow makes room for n more entries at <= 50% load; a rehash at least
 // doubles the array.
 func (st *packedStore) grow(n int) {
-	if (st.count+n)*2 > int(st.mask)+1 {
+	if (st.count+n)*2 > int(st.slots) {
 		st.rehash(max(st.count+n, 2*st.count))
 	}
 }
 
-// rehash moves the records into a fresh array with room for entries of
-// them at <= 50% load. The old array is left as it was, so a published
-// view stays valid.
+// rehash moves the records into a fresh array of two slots per entry
+// (eight at least), so entries of them fill it to 50%. The old array is
+// left as it was, so a published view stays valid.
 func (st *packedStore) rehash(entries int) {
-	size := 8
-	for size < 2*entries {
-		size *= 2
-	}
+	size := max(8, 2*entries)
 	old := st.recs
-	st.recs, st.mask, st.shared = make([]Value, size*st.stride), uint64(size-1), false
+	st.recs, st.slots, st.shared = make([]Value, size*st.stride), uint64(size), false
 	for ; len(old) > 0; old = old[st.stride:] {
 		if k := st.key(old); k != (PackedKey{}) {
 			i, _ := st.find(k)
@@ -662,6 +674,8 @@ func (st *packedStore) insert(k PackedKey, action []Value, name string) {
 
 // remove deletes k by backward shift: later records of the probe run
 // whose home slot is not past the hole move back into it (no tombstones).
+// j-home and j-i are how far j lies past each, wrapped modulo 2⁶⁴, not
+// modulo slots; with all three below slots, both wraps order them alike.
 func (st *packedStore) remove(k PackedKey) bool {
 	if k == (PackedKey{}) {
 		if st.zero == nil {
@@ -674,12 +688,12 @@ func (st *packedStore) remove(k PackedKey) bool {
 			return false
 		}
 		st.unshare()
-		for j := (i + 1) & st.mask; ; j = (j + 1) & st.mask {
+		for j := st.next(i); ; j = st.next(j) {
 			kj := st.key(st.rec(j))
 			if kj == (PackedKey{}) {
 				break
 			}
-			if home := hashPacked(split(kj)); (j-home)&st.mask >= (j-i)&st.mask {
+			if home := st.home(hashPacked(split(kj))); j-home >= j-i {
 				copy(st.rec(i), st.rec(j))
 				i = j
 			}
