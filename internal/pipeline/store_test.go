@@ -10,22 +10,39 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
+
+// modelShapes are the key column widths the model test runs: none to
+// four full words, then narrow columns that share one word (2×32,
+// 3×16+8) and a pair that needs a second (64+1). A shape is named by
+// its index, so shapes 0–4 are also column counts.
+var modelShapes = [][]int{{}, {64}, {64, 64}, {64, 64, 64}, {64, 64, 64, 64}, {32, 32}, {16, 16, 16, 8}, {64, 1}}
+
+// shapeKeys is a shape's exact key columns.
+func shapeKeys(shape int) []KeySpec {
+	keys := make([]KeySpec, len(modelShapes[shape]))
+	for i, w := range modelShapes[shape] {
+		keys[i] = KeySpec{Name: fmt.Sprintf("k%d", i), Width: w, Kind: MatchExact}
+	}
+	return keys
+}
 
 // modelPool is the key pool of the model test: collidingKeys, plus what
 // a store that marks an empty slot by its key can get wrong — the
 // all-zero key itself (index modelZero) and one key per column with only
 // that column set, so a live record may start with a zero word, or a
-// whole zero Value.
-func modelPool(ncols int) []PackedKey {
-	pool := collidingKeys(ncols, modelZero)
-	if ncols == 0 {
+// zero column.
+func modelPool(shape int) []PackedKey {
+	pool := collidingKeys(shape, modelZero)
+	widths := modelShapes[shape]
+	if len(widths) == 0 {
 		return pool
 	}
 	pool = append(pool, PackedKey{})
-	for c := 0; c < ncols; c++ {
+	for c, w := range widths {
 		var k PackedKey
-		k[c] = uint64(c + 1)
+		k[c] = min(uint64(c+1), colBits(w))
 		pool = append(pool, k)
 	}
 	return pool
@@ -33,44 +50,45 @@ func modelPool(ncols int) []PackedKey {
 
 const modelZero = 72
 
-// collidingKeys returns n distinct keys of ncols columns built to
-// collide: three in four home in the last slot of every table of up to
-// 1 024 slots (top ten hash bits all ones, which home scales to at least
-// slots - 1), so their probe run wraps around to slot 0; the rest home
-// in slot 0 (top ten bits zero) and sit in the middle of that run. A
-// keyless table has the one empty key.
-func collidingKeys(ncols, n int) []PackedKey {
-	if ncols == 0 {
+// collidingKeys returns n distinct keys of a shape, every column within
+// its width, built to collide: three in four home in the last slot of
+// every table of up to 1 024 slots (top ten hash bits all ones, which
+// home scales to at least slots - 1), so their probe run wraps around to
+// slot 0; the rest home in slot 0 (top ten bits zero) and sit in the
+// middle of that run. A keyless table has the one empty key.
+func collidingKeys(shape, n int) []PackedKey {
+	if len(modelShapes[shape]) == 0 {
 		return []PackedKey{{}}
 	}
 	poolMu.Lock()
 	defer poolMu.Unlock()
-	if keys := pools[ncols]; len(keys) >= n {
+	if keys := pools[shape]; len(keys) >= n {
 		return keys[:n:n]
 	}
-	keys := make([]PackedKey, 0, n)
+	st := newPackedStore(shapeKeys(shape), 0)
+	keys, seen := make([]PackedKey, 0, n), map[PackedKey]bool{{}: true}
 	for v := uint64(1); len(keys) < n; v++ {
 		var k PackedKey
-		for c := 0; c < ncols; c++ {
-			k[c] = v * uint64(c+1)
+		for c, w := range modelShapes[shape] {
+			k[c] = (v * uint64(c+1) * 0x9e3779b97f4a7c15 >> (8 * c)) & colBits(w)
 		}
 		want := uint64(0x3ff)
 		if len(keys)%4 == 3 {
 			want = 0
 		}
-		if hashPacked(split(k))>>54 == want {
-			keys = append(keys, k)
+		if !seen[k] && hash(st.pack(k))>>54 == want {
+			keys, seen[k] = append(keys, k), true
 		}
 	}
-	pools[ncols] = keys
+	pools[shape] = keys
 	return keys
 }
 
-// pools memoizes collidingKeys per column count: finding the keys is a
+// pools memoizes collidingKeys per shape: finding the keys is a
 // thousand hashes each, and the fuzzer asks once per input.
 var (
 	poolMu sync.Mutex
-	pools  [MaxPackedKeys + 1][]PackedKey
+	pools  = make([][]PackedKey, len(modelShapes))
 )
 
 // tableModel is the plain-map oracle the store is checked against.
@@ -88,7 +106,10 @@ func entryKey(e Entry) PackedKey { return packEntryKeys(e.Keys) }
 // whatever marks the op itself set. Every key is looked up twice by
 // LookupWords: first from the no-view state a mutation leaves (the
 // view dropped again before each key), then from the view that
-// lookup published.
+// lookup published. On a table with a column narrower than a word, the
+// key is looked up once more with every bit above each column's width
+// set: a lookup masks each column to its width, so the stray bits reach
+// neither the column nor its neighbour in the word.
 func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedKey, m *tableModel, lookups bool) {
 	t.Helper()
 	if !lookups {
@@ -110,6 +131,14 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 		}
 		if got, ok := tbl.Lookup(k[:ncols]); ok != hit || !slices.Equal(got, want) {
 			t.Fatalf("%s: Lookup(%v) = %v, %t; want %v, %t", step, k[:ncols], got, ok, want, hit)
+		}
+		stray, narrow := k, false
+		for c, col := range tbl.Keys {
+			stray[c] |= ^colBits(col.Width)
+			narrow = narrow || col.Width < 64
+		}
+		if got, ok := tbl.LookupWords(stray[0], stray[1], stray[2], stray[3]); narrow && (ok != hit || !slices.Equal(got, want)) {
+			t.Fatalf("%s: LookupWords(%#x), key %v with the bits above each width set, = %v, %t; want %v, %t", step, stray[:ncols], k[:ncols], got, ok, want, hit)
 		}
 	}
 	if tbl.Len() != len(m.acts) {
@@ -138,8 +167,11 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 // runTableOps drives two tables of one shape, each with its own model,
 // through the op stream and checks both against their models after every
 // step, so a write that reaches the table it was not aimed at shows.
-// data[0] picks the column count (0–4), data[1] the action length (0–2);
-// each op is three bytes: kind (low nibble; bit 4 picks the table, bit 5
+// data[0] picks the key columns (modelShapes: 0–4 columns of 64 bits, or
+// narrow ones), data[1] the action length (0–2) and, from 3 on, a small
+// action alphabet — three tuples, so entries share them in the profile —
+// where the rest draw from 256, so overwrites leave dead tuples for
+// compaction to drop; each op is three bytes: kind (low nibble; bit 4 picks the table, bit 5
 // checks the step without lookups), key index, value. One op has the
 // table adopt the other's entries (CopyFrom), another make room for up
 // to 63 more (Grow), which must leave its Version alone. Action values
@@ -149,18 +181,19 @@ func runTableOps(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
 	}
-	ncols, nout := int(data[0]%5), int(data[1]%3)
-	keys := make([]KeySpec, ncols)
-	for i := range keys {
-		keys[i] = KeySpec{Name: fmt.Sprintf("k%d", i), Width: 64, Kind: MatchExact}
+	shape, nout, alphabet := int(data[0])%len(modelShapes), int(data[1]%3), uint64(256)
+	if data[1]/3%2 == 1 {
+		alphabet = 3
 	}
+	keys, ncols := shapeKeys(shape), len(modelShapes[shape])
 	outs, def := make([]FieldRef, nout), make([]Value, nout)
 	for i := range outs {
 		outs[i], def[i] = FieldRef(fmt.Sprintf("o%d", i)), B(16, 0xdead)
 	}
 	tbls := [2]*Table{NewTable("t0", keys, outs, def), NewTable("t1", keys, outs, def)}
-	pool := modelPool(ncols)
+	pool := modelPool(shape)
 	action := func(val uint64, o int) Value {
+		val %= alphabet
 		return Value{W: int(val % 65), V: val*0x0101010101010101 + uint64(o)}
 	}
 	var ms [2]*tableModel
@@ -259,9 +292,10 @@ func runTableOps(t *testing.T, data []byte) {
 	}
 }
 
-// TestTableModel runs long random op streams for every column count,
-// with a key pool small and colliding enough that backward-shift
-// deletion crosses the wrap-around and growth lands mid-chain. Every
+// TestTableModel runs long random op streams for every shape of key
+// columns, action length and alphabet, with a key pool small and
+// colliding enough that backward-shift deletion crosses the wrap-around
+// and growth lands mid-chain. Every
 // shape opens with the all-zero key inserted, replaced, deleted and
 // re-inserted by name, then a batch across it that grows the table; then
 // the second table adopts the first — zero key, named entry and all —
@@ -270,14 +304,25 @@ func runTableOps(t *testing.T, data []byte) {
 func TestTableModel(t *testing.T) {
 	prologue := []byte{0, modelZero, 1, 0, modelZero, 2, 9, modelZero, 0, 9, modelZero, 0, 8, modelZero, 3, 13, modelZero - 7, 15,
 		0x3f, 0, 0xff, 0x20, 1, 4, 0x10, 2, 5, 0x19, modelZero, 0, 0x2f, 0, 0xff, 0x30, 3, 6, 9, 3, 0}
-	for ncols := 0; ncols <= 4; ncols++ {
-		for nout := 0; nout <= 2; nout++ {
-			rng := rand.New(rand.NewSource(int64(17*ncols + nout)))
+	for shape, widths := range modelShapes {
+		for mode := 0; mode < 6; mode++ {
+			nout, small := mode%3, mode >= 3
+			if small && (nout == 0 || shape < 4) {
+				continue // nothing to share, or a shape the narrow ones cover
+			}
+			rng := rand.New(rand.NewSource(int64(17*shape + mode)))
 			data := make([]byte, 2+3*1500)
 			rng.Read(data)
-			data[0], data[1] = byte(ncols), byte(nout)
+			data[0], data[1] = byte(shape), byte(mode)
 			copy(data[2:], prologue)
-			t.Run(fmt.Sprintf("cols%d_out%d", ncols, nout), func(t *testing.T) { runTableOps(t, data) })
+			name := fmt.Sprintf("cols%d_out%d", len(widths), nout)
+			if shape > 4 {
+				name = fmt.Sprintf("widths%s_out%d", strings.ReplaceAll(strings.Trim(fmt.Sprint(widths), "[]"), " ", "x"), nout)
+			}
+			if small {
+				name += "_alphabet3"
+			}
+			t.Run(name, func(t *testing.T) { runTableOps(t, data) })
 		}
 	}
 }
@@ -408,7 +453,7 @@ func TestCopyOnWriteReaders(t *testing.T) {
 				dst, src = tbl, twin
 			}
 			old := dst.publish()
-			oldRecs, oldZero := slices.Clone(old.recs), slices.Clone(old.zero)
+			oldRecs, oldActs, oldZero := slices.Clone(old.recs), slices.Clone(old.actions), slices.Clone(old.zero)
 			if err := dst.CopyFrom(src); err != nil {
 				t.Fatal(err)
 			}
@@ -416,13 +461,13 @@ func TestCopyOnWriteReaders(t *testing.T) {
 			if &view.recs[0] != &src.packed.recs[0] {
 				t.Fatal("the adopter holds a copy of the donor's array, not the array")
 			}
-			before, zero := slices.Clone(view.recs), slices.Clone(view.zero)
+			before, acts, zero := slices.Clone(view.recs), slices.Clone(view.actions), slices.Clone(view.zero)
 			_ = src.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, uint64(i))}})
 			_ = dst.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, ^uint64(i))}})
 			src.Delete([]KeyMatch{ExactKey(k[0])})
 			_ = dst.Insert(Entry{Keys: []KeyMatch{ExactKey(0)}, Action: []Value{B(64, uint64(i))}})
-			if !slices.Equal(view.recs, before) || !slices.Equal(view.zero, zero) ||
-				!slices.Equal(old.recs, oldRecs) || !slices.Equal(old.zero, oldZero) {
+			if !slices.Equal(view.recs, before) || !slices.Equal(view.actions, acts) || !slices.Equal(view.zero, zero) ||
+				!slices.Equal(old.recs, oldRecs) || !slices.Equal(old.actions, oldActs) || !slices.Equal(old.zero, oldZero) {
 				t.Fatal("a view held across an adoption was written")
 			}
 		case 0, 1, 2, 3:
@@ -436,7 +481,7 @@ func TestCopyOnWriteReaders(t *testing.T) {
 		case 7:
 			// A held view must stay what it was through the next writes.
 			view := tbl.publish()
-			before, zero := slices.Clone(view.recs), slices.Clone(view.zero)
+			before, acts, zero := slices.Clone(view.recs), slices.Clone(view.actions), slices.Clone(view.zero)
 			tbl.Delete([]KeyMatch{ExactKey(k[0])})
 			_ = tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, ^uint64(i))}})
 			_ = tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(0)}, Action: []Value{B(64, uint64(i))}})
@@ -448,8 +493,8 @@ func TestCopyOnWriteReaders(t *testing.T) {
 				grow[g] = Entry{Keys: []KeyMatch{ExactKey(churn[g%len(churn)][0])}, Action: []Value{B(64, uint64(g))}}
 			}
 			_ = tbl.InsertBatch(grow)
-			if !slices.Equal(view.recs, before) || !slices.Equal(view.zero, zero) {
-				t.Fatal("a published record array or zero-key action was written")
+			if !slices.Equal(view.recs, before) || !slices.Equal(view.actions, acts) || !slices.Equal(view.zero, zero) {
+				t.Fatal("a published record array, action profile or zero-key action was written")
 			}
 		}
 	}
@@ -470,8 +515,8 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := &tbl.packed.recs[0]
-	if st := tbl.packed; len(st.recs) != 2000*st.stride || st.stride != 2 {
-		t.Fatalf("a batch of 1000 left %d records of %d values: it must size the table once", len(st.recs)/st.stride, st.stride)
+	if st := tbl.packed; len(st.recs) != 2000*int(st.stride) || st.stride != 2 {
+		t.Fatalf("a batch of 1000 left %d records of %d words: it must size the table once", len(st.recs)/int(st.stride), st.stride)
 	}
 	tbl.WarmSnapshot()
 	view := tbl.snap.Load()
@@ -491,7 +536,7 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 	if &tbl.packed.recs[0] != clone {
 		t.Fatal("a second write before the next publish cloned again")
 	}
-	if a, _ := view.lookup(split(PackedKey{5})); a[0].V != 1 {
+	if a, _ := view.lookup(5, 0, 0, 0); a[0].V != 1 {
 		t.Fatal("the write reached the published view")
 	}
 	if a, _ := tbl.LookupPacked(PackedKey{5}); a[0].V != 2 {
@@ -509,7 +554,7 @@ func TestQuiescentTableHoldsOneCopy(t *testing.T) {
 		group = append(group, a)
 	}
 	arrays := func() int {
-		seen := map[*Value]bool{}
+		seen := map[*uint64]bool{}
 		for _, g := range group {
 			seen[&g.packed.recs[0]] = true
 		}
@@ -597,7 +642,7 @@ func TestGrow(t *testing.T) {
 		}
 		tbl.WarmSnapshot()
 		version, epoch, entries := tbl.Version(), ScalarEpoch(), tbl.Entries()
-		var recs []Value
+		var recs []uint64
 		if tbl.packed != nil {
 			recs = tbl.packed.recs
 		}
@@ -658,6 +703,11 @@ func TestInsertBatchAllOrNothing(t *testing.T) {
 				wild := entry(3)
 				wild.Keys[0] = AnyKey()
 				bad["wildcard"] = wild
+			}
+			if col := slices.IndexFunc(tbl.Keys, func(k KeySpec) bool { return k.Kind == MatchExact }); col >= 0 {
+				wide := entry(3) // a bit above the column's width: no lookup could reach it
+				wide.Keys[col].Value |= 1 << tbl.Keys[col].Width
+				bad["over-wide"] = wide
 			}
 			for what, e := range bad {
 				err := tbl.InsertBatch([]Entry{entry(2), entry(1), e, entry(4)})
@@ -828,6 +878,153 @@ func TestScalarEpoch(t *testing.T) {
 			}
 			if ScalarEpoch() != before {
 				t.Errorf("%s on a %s table moved the epoch", name, shape)
+			}
+		}
+	}
+}
+
+// TestProfileChurn: overwrites and deletes cannot grow the action
+// profile without bound. 10 000 overwrites of one key, each with an
+// action no entry held before, leave at most 2 × entries + 8 tuples
+// after every insert; so do 10 000 rounds of deleting and re-inserting a
+// colliding pool's keys with fresh actions, a view published now and
+// then so that compaction meets shared arrays too. Every key answers its
+// last action throughout, and a tuple many entries hold is stored once.
+func TestProfileChurn(t *testing.T) {
+	tbl := NewTable("t", shapeKeys(5), []FieldRef{"v"}, []Value{B(32, 0)})
+	st := tbl.packed
+	insert := func(k PackedKey, v uint64) {
+		t.Helper()
+		if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0]), ExactKey(k[1])}, Action: []Value{B(32, v)}}); err != nil {
+			t.Fatal(err)
+		}
+		if n := tuples(st); n > 2*tbl.Len()+8 {
+			t.Fatalf("%d tuples for %d entries, want at most %d", n, tbl.Len(), 2*tbl.Len()+8)
+		}
+	}
+	one := PackedKey{7, 9}
+	for i := uint64(0); i < 10000; i++ {
+		insert(one, i)
+	}
+	if a, hit := tbl.LookupPacked(one); !hit || a[0].V != 9999 {
+		t.Fatalf("after 10 000 overwrites the key answers %v, %t", a, hit)
+	}
+
+	pool, last := collidingKeys(5, 64), map[PackedKey]uint64{one: 9999}
+	for i := 0; i < 10000; i++ {
+		k := pool[i%len(pool)]
+		if i%3 == 0 {
+			tbl.Delete([]KeyMatch{ExactKey(k[0]), ExactKey(k[1])})
+			delete(last, k)
+		} else {
+			insert(k, uint64(i))
+			last[k] = uint64(i)
+		}
+		if i%97 == 0 {
+			tbl.WarmSnapshot()
+		}
+	}
+	for k, v := range last {
+		if a, hit := tbl.LookupPacked(k); !hit || a[0].V != v {
+			t.Fatalf("key %v answers %v, %t after the churn, want %d", k[:2], a, hit, v)
+		}
+	}
+
+	// Entries that share an action share its tuple.
+	before := tuples(st)
+	for i, k := range append(pool, one) {
+		insert(k, uint64(i%2))
+	}
+	if n := tuples(st); n > before+2 {
+		t.Fatalf("%d entries of two actions took %d tuples more", tbl.Len(), n-before)
+	}
+	st.rehash(int(st.slots) / 2)
+	if n := tuples(st); n != 2 {
+		t.Fatalf("a compaction of %d entries of two actions kept %d tuples", tbl.Len(), n)
+	}
+}
+
+// tuples is the number of action tuples in st's profile.
+func tuples(st *packedStore) int { return len(st.actions) / int(st.nout) }
+
+// TestOverWideKey: an exact key with a bit set above its column's
+// declared width, which InsertBatch refuses (TestInsertBatchAllOrNothing),
+// is not the key its low bits name either: Delete of it removes nothing,
+// on every store with an exact column. A packed table's lookup masks
+// each column to its width, so there the same key finds that entry.
+func TestOverWideKey(t *testing.T) {
+	for name, tbl := range tableShapes() {
+		col := slices.IndexFunc(tbl.Keys, func(k KeySpec) bool { return k.Kind == MatchExact })
+		if col < 0 {
+			continue
+		}
+		e := Entry{Keys: make([]KeyMatch, len(tbl.Keys)), Action: []Value{B(8, 5)}}
+		for i := range e.Keys {
+			e.Keys[i] = KeyMatch{Value: 5, Aux: 0xff}
+		}
+		if err := tbl.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+		wide := slices.Clone(e.Keys)
+		wide[col].Value |= 1 << tbl.Keys[col].Width
+		if n := tbl.Delete(wide); n != 0 || tbl.Len() != 1 {
+			t.Errorf("%s: Delete of the over-wide key removed %d entries, %d left", name, n, tbl.Len())
+		}
+		if tbl.packed == nil {
+			continue
+		}
+		var k PackedKey
+		for i, m := range wide {
+			k[i] = m.Value
+		}
+		if a, hit := tbl.LookupPacked(k); !hit || a[0].V != 5 {
+			t.Errorf("%s: a lookup with the bits above column %d's width set = %v, %t; want the entry of its low bits", name, col, a, hit)
+		}
+	}
+}
+
+// TestKeyLayout pins how columns pack into key words: at their declared
+// widths, as few words as hold them and none straddling two, a width
+// outside 1..64 taking a whole word; and a record is those words plus
+// one index word when the table has outputs. A published view fits the
+// 192-byte size class, whose objects start on a cache line.
+func TestKeyLayout(t *testing.T) {
+	if n := unsafe.Sizeof(packedSnap{}); n > 192 {
+		t.Errorf("a packedSnap is %d bytes, more than the 192-byte size class", n)
+	}
+	for _, c := range []struct {
+		widths      []int
+		nout        int
+		words       int
+		placed      [][2]int // each column's word and shift
+		recordBytes int
+	}{
+		{nil, 1, 1, nil, 16},
+		{[]int{32}, 0, 1, [][2]int{{0, 0}}, 8},
+		{[]int{32, 32}, 1, 1, [][2]int{{0, 0}, {0, 32}}, 16},
+		{[]int{16, 16, 16, 8}, 2, 1, [][2]int{{0, 0}, {0, 16}, {0, 32}, {0, 48}}, 16},
+		{[]int{64, 1}, 1, 2, [][2]int{{0, 0}, {1, 0}}, 24},
+		{[]int{33, 33, 31, 31}, 1, 2, [][2]int{{0, 0}, {1, 0}, {0, 33}, {1, 33}}, 24},
+		{[]int{32, 8, 32, 16}, 1, 2, [][2]int{{0, 0}, {0, 32}, {1, 0}, {0, 40}}, 24},
+		{[]int{64, 64, 64, 64}, 1, 4, [][2]int{{0, 0}, {1, 0}, {2, 0}, {3, 0}}, 40},
+		{[]int{0, 65}, 0, 2, [][2]int{{0, 0}, {1, 0}}, 16},
+	} {
+		keys := make([]KeySpec, len(c.widths))
+		for i, w := range c.widths {
+			keys[i] = KeySpec{Width: w}
+		}
+		st := newPackedStore(keys, c.nout)
+		if int(st.kw) != c.words || 8*int(st.stride) != c.recordBytes {
+			t.Errorf("widths %v, %d outputs: %d key words and %d-byte records, want %d and %d", c.widths, c.nout, st.kw, 8*st.stride, c.words, c.recordBytes)
+		}
+		for i, p := range c.placed {
+			if int(st.word[i]) != p[0] || int(st.shift[i]) != p[1] {
+				t.Errorf("widths %v: column %d in word %d at bit %d, want word %d at bit %d", c.widths, i, st.word[i], st.shift[i], p[0], p[1])
+			}
+			for w := 0; i > 0 && w < 2; w++ {
+				if want := uint64(1) << p[1]; st.scale[w][i-1] != want && w == p[0] || st.scale[w][i-1] != 0 && w != p[0] {
+					t.Errorf("widths %v: column %d scales by %d into word %d", c.widths, i, st.scale[w][i-1], w)
+				}
 			}
 		}
 	}

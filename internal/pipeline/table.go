@@ -1,12 +1,12 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -194,7 +194,7 @@ func NewTable(name string, keys []KeySpec, outputs []FieldRef, def []Value) *Tab
 		}
 	}
 	if t.isExact && len(keys) <= MaxPackedKeys {
-		t.packed = newPackedStore(len(keys), len(outputs))
+		t.packed = newPackedStore(keys, len(outputs))
 	}
 	return t
 }
@@ -316,7 +316,22 @@ func (t *Table) validate(e *Entry) error {
 			}
 		}
 	}
+	if i := t.overWide(e.Keys); i >= 0 {
+		return fmt.Errorf("key %#x is wider than exact-match column %d's %d bits", e.Keys[i].Value, i, t.Keys[i].Width)
+	}
 	return nil
+}
+
+// overWide is the first exact column whose value has a bit set above the
+// column's width, or -1: a key no lookup, which packs columns masked to
+// their widths, could reach.
+func (t *Table) overWide(keys []KeyMatch) int {
+	for i, k := range keys {
+		if c := t.Keys[i]; c.Kind == MatchExact && !k.Any && k.Value&^colBits(c.Width) != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 func (t *Table) insertLocked(e *Entry) {
@@ -374,7 +389,7 @@ func (t *Table) Delete(keys []KeyMatch) int {
 	t.version.Add(1)
 	t.snap.Store(nil)
 	if t.packed != nil {
-		if t.packed.remove(packEntryKeys(keys)) {
+		if len(keys) == len(t.Keys) && t.overWide(keys) < 0 && t.packed.remove(packEntryKeys(keys)) {
 			return 1
 		}
 		return 0
@@ -399,7 +414,7 @@ func (t *Table) Clear() {
 	t.version.Add(1)
 	t.snap.Store(nil)
 	if t.packed != nil {
-		*t.packed = *newPackedStore(len(t.Keys), len(t.Outputs))
+		*t.packed = *newPackedStore(t.Keys, len(t.Outputs))
 	}
 	t.entries = nil
 	t.wrote()
@@ -407,8 +422,10 @@ func (t *Table) Clear() {
 
 // CopyFrom makes t hold exactly src's entries: a control variable
 // replicated to every switch is installed once. On a packed exact table
-// it is O(1) — both stores alias one record array, each marked shared,
-// and whichever is written next clones it first (see packedStore). The
+// it is O(1) — both stores alias one record array and one action
+// profile, each marked shared, and whichever is written next clones them
+// first (see packedStore); the adopter builds its own interning index
+// when an insert first needs one. The
 // locks are taken one after the other, never nested. A src of another
 // shape is an error that leaves t, its version and its view as they were.
 func (t *Table) CopyFrom(src *Table) error {
@@ -432,7 +449,7 @@ func (t *Table) CopyFrom(src *Table) error {
 	src.mu.Lock()
 	src.packed.shared = true
 	st := *src.packed
-	st.names = maps.Clone(st.names)
+	st.names, st.index = maps.Clone(st.names), nil
 	src.mu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -493,33 +510,128 @@ func (t *Table) match(vals []uint64) ([]Value, bool) {
 
 // packedSnap is the lock-free read view of an exact table: open
 // addressing with linear probing at <= 50% load over one array of
-// fixed-stride records — an entry's key words at the table's own column
-// count, two to a Value (W, then V), then its action values. A hit loads
-// one line of one array and returns a view of the record's tail; the
-// array carries no pointers, so GC scans nothing of it. An empty slot is
+// fixed-stride records of 64-bit words — an entry's key columns packed at
+// their declared widths into kw words (keyLayout), then, in a table with
+// outputs, one word holding the offset of its action tuple in actions,
+// the table's action profile: each distinct action tuple once, nout
+// Values apiece, so entries with one action share it. A hit loads one
+// line of the record array and returns a view of the profile; neither
+// array carries pointers, so GC scans nothing of them. An empty slot is
 // the all-zero key, and the all-zero key's entry lives in zero instead —
 // which is all a table without key columns (a scalar control variable)
 // ever holds. Once published, nothing it points to is written.
+//
+// The fields are ordered by when a lookup needs them, so a key of one
+// word reads only the view's first two 64-byte lines, and the view fits
+// the 192-byte size class, whose objects start on a line (TestKeyLayout
+// pins the size).
 type packedSnap struct {
-	recs       []Value
+	recs       []uint64
+	actions    []Value // the action profile
 	slots      uint64  // records in recs, two per entry it was sized for
-	kv, stride int     // Values of key per record, Values per record
-	zero       []Value // the all-zero key's action; nil when it is not installed
+	kw, stride int32   // key words per record, words per record
+	nout       int32   // Values per action tuple
+	keyLayout
+	zero []Value // the all-zero key's action; nil when it is not installed
 }
 
-// Key words ride in Value.W, so an int must hold all 64 bits of one.
-const _ uint = strconv.IntSize - 64
+// keyLayout places a table's key columns in a record's key words:
+// column c is its bits at shift[c] within word[c]. A column past the
+// table's own has no bits, so whatever a caller leaves in its word is
+// ignored. Column 0 always starts word 0. The per-packet path places
+// columns 1–3 of a key of one or two words by multiplying by
+// scale[w][c-1]: 1 << shift[c] in the column's own word w, 0 in the
+// other. A multiply by a register is one instruction, where a shift by
+// one must first move the count into CL and clamp it at 64, and it
+// needs no branch on the word.
+type keyLayout struct {
+	bits        [MaxPackedKeys]uint64
+	scale       [2][MaxPackedKeys - 1]uint64
+	word, shift [MaxPackedKeys]uint8
+}
 
-// emptyAction is the all-zero key's action in a table without outputs.
+// colBits is the mask of a column of width bits; a width outside 1..64
+// is a full word.
+func colBits(width int) uint64 {
+	if width <= 0 {
+		return ^uint64(0)
+	}
+	return Mask(width, ^uint64(0))
+}
+
+// layoutKey packs exact columns of the given widths into as few 64-bit
+// words as hold them, no column straddling two: the first assignment of
+// columns to one word, then two, and so on, that fits, each word's
+// columns from bit 0 up in column order. At most MaxPackedKeys columns
+// make at most 4⁴ assignments to try, once per table.
+func layoutKey(keys []KeySpec) (l keyLayout, words int) {
+	var used [MaxPackedKeys]int // bits taken in each word; a failed place gives them back
+	var place func(c int) bool
+	place = func(c int) bool {
+		if c == len(keys) {
+			return true
+		}
+		m := colBits(keys[c].Width)
+		w := bits.Len64(m)
+		for j := 0; j < words; j++ {
+			if used[j]+w > 64 {
+				continue
+			}
+			l.bits[c], l.word[c], l.shift[c] = m, uint8(j), uint8(used[j])
+			used[j] += w
+			if place(c + 1) {
+				return true
+			}
+			used[j] -= w
+		}
+		return false
+	}
+	for words = 1; !place(0); {
+		words++
+	}
+	for c := 1; c < len(keys); c++ {
+		if w := l.word[c]; w < 2 {
+			l.scale[w][c-1] = 1 << l.shift[c]
+		}
+	}
+	return l, words
+}
+
+// pack is the key words of column values k, each masked to its width.
+func (l *keyLayout) pack(k PackedKey) PackedKey {
+	var w PackedKey
+	for c, m := range l.bits {
+		w[l.word[c]] |= k[c] & m << l.shift[c]
+	}
+	return w
+}
+
+// unpack is the column values of key words w.
+func (l *keyLayout) unpack(w PackedKey) PackedKey {
+	var k PackedKey
+	for c, m := range l.bits {
+		k[c] = w[l.word[c]] >> l.shift[c] & m
+	}
+	return k
+}
+
+// emptyAction is the action of every entry of a table without outputs.
 var emptyAction = []Value{}
 
-// hashPacked mixes the four key words, in a record's key form, with
-// distinct odd multipliers, whose products' top bits (the ones home
-// reads) depend on every key bit: dispersion enough at half load.
-func hashPacked(k0, k1 Value) uint64 {
-	return uint64(k0.W)*0x9e3779b97f4a7c15 ^ k0.V*0xbf58476d1ce4e5b9 ^
-		uint64(k1.W)*0x94d049bb133111eb ^ k1.V*0x2545f4914f6cdd1d
+// hashWords mixes a record's key words — the first as its two halves —
+// with distinct odd multipliers, whose products' top bits (the ones home
+// reads) depend on every key bit: dispersion enough at half load. Two
+// 32-bit columns sharing word 0 hash as they did with a word each; one
+// multiply over the whole word lets the high half reach the top bits
+// only through its low bits' carries, and allowed's longest run grows
+// from 26 slots to 37.
+func hashWords(w0, w1, w2, w3 uint64) uint64 {
+	return (w0&0xffffffff)*0x9e3779b97f4a7c15 ^ (w0>>32)*0xbf58476d1ce4e5b9 ^
+		w1*0x94d049bb133111eb ^ w2*0x2545f4914f6cdd1d ^ w3*0xd6e8feb86659fd93
 }
+
+// hash is hashWords on key words as an array.
+func hash(w PackedKey) uint64 { return hashWords(w[0], w[1], w[2], w[3]) }
 
 // home is hash h's slot: h scaled to [0, slots) by a multiply-shift,
 // which takes any slot count and costs a multiply, not a divide.
@@ -536,82 +648,130 @@ func (s *packedSnap) next(i uint64) uint64 {
 	return i
 }
 
-// split is k in a record's key form: two words to a Value, W first.
-func split(k PackedKey) (Value, Value) {
-	return Value{int(k[0]), k[1]}, Value{int(k[2]), k[3]}
+// rec is slot i's record: kw key words, then the action's offset.
+func (s *packedSnap) rec(i uint64) []uint64 {
+	o, n := int(i)*int(s.stride), int(s.stride)
+	return s.recs[o : o+n : o+n]
 }
 
-// rec is slot i's record: kv Values of key, then the action.
-func (s *packedSnap) rec(i uint64) []Value {
-	o := int(i) * s.stride
-	return s.recs[o : o+s.stride : o+s.stride]
+// key is a record's key words.
+func (s *packedSnap) key(r []uint64) PackedKey {
+	var w PackedKey
+	copy(w[:], r[:s.kw])
+	return w
 }
 
-// key unpacks a record's key words.
-func (s *packedSnap) key(r []Value) PackedKey {
-	k := PackedKey{uint64(r[0].W), r[0].V}
-	if s.kv == 2 {
-		k[2], k[3] = uint64(r[1].W), r[1].V
+// action is a record's action tuple, a view of the profile.
+func (s *packedSnap) action(r []uint64) []Value {
+	if s.nout == 0 {
+		return emptyAction
 	}
-	return k
+	o, n := int(r[s.kw]), int(s.nout)
+	return s.actions[o : o+n : o+n]
 }
 
-// find probes for k, which is not the all-zero key: its slot, or the
-// empty one ending its run.
-func (s *packedSnap) find(k PackedKey) (uint64, bool) {
-	for i := s.home(hashPacked(split(k))); ; i = s.next(i) {
-		if kr := s.key(s.rec(i)); kr == k || kr == (PackedKey{}) {
-			return i, kr == k
+// find probes for key words w, which are not all zero: their slot, or
+// the empty one ending their run.
+func (s *packedSnap) find(w PackedKey) (uint64, bool) {
+	for i := s.home(hash(w)); ; i = s.next(i) {
+		if kr := s.key(s.rec(i)); kr == w || kr == (PackedKey{}) {
+			return i, kr == w
 		}
 	}
 }
 
-// lookup is find for readers, on the key in a record's own form and
-// compared word by word: it is the per-packet path, and comparing
-// through key costs half again.
-func (s *packedSnap) lookup(k0, k1 Value) ([]Value, bool) {
-	if k0 == (Value{}) && k1 == (Value{}) {
+// lookup is find for readers, on column values: it is the per-packet
+// path. A key of one or two words — every shape the corpus declares, the
+// firewall's two 32-bit columns in one word and Aether's 88-bit
+// filtering key in two — is packed, hashed and compared in registers,
+// the record read in place; a wider one goes through the array form.
+// Column 0 always starts word 0.
+func (s *packedSnap) lookup(k0, k1, k2, k3 uint64) ([]Value, bool) {
+	if s.kw > 2 {
+		return s.lookupWide(k0, k1, k2, k3)
+	}
+	if k0|k1|k2|k3 == 0 {
+		return s.zero, s.zero != nil // a keyless table's one answer, before any packing
+	}
+	w0, w1 := k0&s.bits[0], uint64(0)
+	if s.bits[1] != 0 { // more than one column
+		m1, m2, m3 := k1&s.bits[1], k2&s.bits[2], k3&s.bits[3]
+		w0 |= m1*s.scale[0][0] | m2*s.scale[0][1] | m3*s.scale[0][2]
+		if s.kw == 2 {
+			w1 = m1*s.scale[1][0] | m2*s.scale[1][1] | m3*s.scale[1][2]
+		}
+	}
+	if w0|w1 == 0 {
 		return s.zero, s.zero != nil
 	}
-	for i := s.home(hashPacked(k0, k1)); ; i = s.next(i) {
-		r := s.rec(i)
-		if r[0] == k0 && (s.kv == 1 || r[1] == k1) {
-			return r[s.kv:], true
+	for i := s.home(hashWords(w0, w1, 0, 0)); ; i = s.next(i) {
+		o := int(i) * int(s.stride)
+		r0, r1 := s.recs[o], uint64(0)
+		if s.kw == 2 {
+			r1 = s.recs[o+1]
 		}
-		if r[0] == (Value{}) && (s.kv == 1 || r[1] == (Value{})) {
+		if r0 == w0 && r1 == w1 {
+			if s.nout == 0 {
+				return emptyAction, true
+			}
+			a, n := int(s.recs[o+int(s.kw)]), int(s.nout)
+			return s.actions[a : a+n : a+n], true
+		}
+		if r0|r1 == 0 {
 			return nil, false
 		}
 	}
 }
 
-// packedStore is the one store of a packed exact table: the array a
+// lookupWide is lookup on a key of more than two words.
+func (s *packedSnap) lookupWide(k0, k1, k2, k3 uint64) ([]Value, bool) {
+	w := s.pack(PackedKey{k0, k1, k2, k3})
+	if w == (PackedKey{}) {
+		return s.zero, s.zero != nil
+	}
+	if i, ok := s.find(w); ok {
+		return s.action(s.rec(i)), true
+	}
+	return nil, false
+}
+
+// packedStore is the one store of a packed exact table: the arrays a
 // reader probes plus what only the writer needs. It is mutated under
 // Table.mu and published copy-on-write: Table.publish hands readers the
-// store's own array and marks it shared, and the next mutation clones
-// it before its first write (the zero action is replaced, never written).
-// The one invariant: an aliased array is never written, be the alias a
-// published view or another table's store (CopyFrom marks both sides).
-// So a quiescent table holds one copy, as do tables that adopted one
-// another; publishing and adopting are O(1), a bulk install never copies
-// and a live install pays one memcpy.
+// store's own arrays and marks the store shared, and the next mutation
+// clones both before its first write (the zero action is replaced, never
+// written). The one invariant: an aliased array is never written, be the
+// alias a published view or another table's store (CopyFrom marks both
+// sides). So a quiescent table holds one copy, as do tables that adopted
+// one another; publishing and adopting are O(1), a bulk install never
+// copies and a live install pays one memcpy.
 type packedStore struct {
 	packedSnap
 	count  int                  // entries, the all-zero key's included
-	shared bool                 // a published view or another store aliases recs
+	shared bool                 // a published view or another store aliases recs and actions
 	names  map[PackedKey]string // the cold side map for the rare Entry.Name
+	// index finds a tuple's offset in actions by its bytes. It is built
+	// when an insert first needs it and dropped by rehash and CopyFrom,
+	// which leave it describing a profile the store no longer holds.
+	index map[string]int
+	last  int // the offset interned last: a bulk install of one action never hashes it
 }
 
-func newPackedStore(ncols, nout int) *packedStore {
-	kv := max(1, (ncols+1)/2) // a keyless table's array is never probed for a key
-	st := &packedStore{packedSnap: packedSnap{kv: kv, stride: kv + nout}}
+func newPackedStore(keys []KeySpec, nout int) *packedStore {
+	l, kw := layoutKey(keys)
+	stride := kw
+	if nout > 0 {
+		stride++
+	}
+	st := &packedStore{packedSnap: packedSnap{kw: int32(kw), stride: int32(stride), nout: int32(nout), keyLayout: l}}
 	st.rehash(0)
 	return st
 }
 
-// unshare gives the store a private array if a view aliases it.
+// unshare gives the store private arrays if a view aliases them.
 func (st *packedStore) unshare() {
 	if st.shared {
-		st.recs, st.shared = slices.Clone(st.recs), false
+		st.recs, st.actions, st.shared = slices.Clone(st.recs), slices.Clone(st.actions), false
 	}
 }
 
@@ -624,43 +784,105 @@ func (st *packedStore) grow(n int) {
 }
 
 // rehash moves the records into a fresh array of two slots per entry
-// (eight at least), so entries of them fill it to 50%. The old array is
-// left as it was, so a published view stays valid.
+// (eight at least), so entries of them fill it to 50%, and their action
+// tuples into a fresh profile, each tuple a record points to once and
+// none that no record points to. The old arrays are left as they were,
+// so a published view stays valid.
 func (st *packedStore) rehash(entries int) {
 	size := max(8, 2*entries)
-	old := st.recs
-	st.recs, st.slots, st.shared = make([]Value, size*st.stride), uint64(size), false
-	for ; len(old) > 0; old = old[st.stride:] {
-		if k := st.key(old); k != (PackedKey{}) {
-			i, _ := st.find(k)
-			copy(st.rec(i), old)
+	old, oldActs := st.recs, st.actions
+	stride, nout := int(st.stride), int(st.nout)
+	st.recs, st.actions, st.slots, st.shared = make([]uint64, size*stride), nil, uint64(size), false
+	st.index, st.last = nil, 0
+	var moved []int // an old tuple's new offset plus one; 0 until it moved
+	if nout > 0 {
+		moved = make([]int, len(oldActs)/nout)
+	}
+	for ; len(old) > 0; old = old[stride:] {
+		w := st.key(old)
+		if w == (PackedKey{}) {
+			continue
+		}
+		i, _ := st.find(w)
+		r := st.rec(i)
+		copy(r, old[:st.kw])
+		if nout > 0 {
+			o := int(old[st.kw])
+			if t := o / nout; moved[t] == 0 {
+				moved[t] = len(st.actions) + 1
+				st.actions = append(st.actions, oldActs[o:o+nout]...)
+			}
+			r[st.kw] = uint64(moved[o/nout] - 1)
 		}
 	}
 }
 
-// insert adds k or overwrites its action in place (every entry of a
-// table carries len(Outputs) values); action is copied, not kept. The
-// caller has made room (grow: InsertBatch for its batch, or Grow ahead of
-// a chunked install), so load stays <= 50%.
+// intern is action's offset in the profile, appended there if no entry
+// holds it yet; the caller has unshared the store. Before it looks a
+// tuple up it compacts: once the profile holds 2·count + 8 tuples, at
+// least count + 8 of them are dead, and a rehash at the same slot count
+// drops them. So overwrites and deletes cannot grow the profile without
+// bound, and each rebuild follows count + 8 appends or half the entries'
+// deletion.
+func (st *packedStore) intern(action []Value) int {
+	nout := int(st.nout)
+	if nout == 0 {
+		return 0
+	}
+	if n := st.last + nout; n <= len(st.actions) && slices.Equal(st.actions[st.last:n], action) {
+		return st.last
+	}
+	if len(st.actions) >= (2*st.count+8)*nout {
+		st.rehash(int(st.slots) / 2)
+	}
+	var buf [64]byte
+	if st.index == nil {
+		st.index = make(map[string]int, len(st.actions)/nout)
+		for o := 0; o < len(st.actions); o += nout {
+			st.index[string(appendTuple(buf[:0], st.actions[o:o+nout]))] = o
+		}
+	}
+	b := appendTuple(buf[:0], action)
+	o, ok := st.index[string(b)]
+	if !ok {
+		o = len(st.actions)
+		st.actions = append(st.actions, action...)
+		st.index[string(b)] = o
+	}
+	st.last = o
+	return o
+}
+
+// appendTuple appends an action tuple's bytes, its key in the index.
+func appendTuple(b []byte, t []Value) []byte {
+	for _, v := range t {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.W))
+		b = binary.LittleEndian.AppendUint64(b, v.V)
+	}
+	return b
+}
+
+// insert adds k or points its record at the new action; action is
+// interned, not kept. The caller has made room (grow: InsertBatch for
+// its batch, or Grow ahead of a chunked install), so load stays <= 50%.
 func (st *packedStore) insert(k PackedKey, action []Value, name string) {
-	if k == (PackedKey{}) {
+	if w := st.pack(k); w == (PackedKey{}) {
 		if st.zero == nil {
 			st.count++
 		}
 		st.zero = append(emptyAction, action...)
 	} else {
 		st.unshare()
-		i, ok := st.find(k)
+		o := st.intern(action) // first: compacting moves the records
+		i, ok := st.find(w)
 		r := st.rec(i)
 		if !ok {
-			k0, k1 := split(k)
-			r[0] = k0
-			if st.kv == 2 {
-				r[1] = k1
-			}
+			copy(r, w[:st.kw])
 			st.count++
 		}
-		copy(r[st.kv:], action)
+		if st.nout > 0 {
+			r[st.kw] = uint64(o)
+		}
 	}
 	if name != "" {
 		if st.names == nil {
@@ -676,24 +898,25 @@ func (st *packedStore) insert(k PackedKey, action []Value, name string) {
 // whose home slot is not past the hole move back into it (no tombstones).
 // j-home and j-i are how far j lies past each, wrapped modulo 2⁶⁴, not
 // modulo slots; with all three below slots, both wraps order them alike.
+// The action tuple stays in the profile until a compaction.
 func (st *packedStore) remove(k PackedKey) bool {
-	if k == (PackedKey{}) {
+	if w := st.pack(k); w == (PackedKey{}) {
 		if st.zero == nil {
 			return false
 		}
 		st.zero = nil
 	} else {
-		i, ok := st.find(k)
+		i, ok := st.find(w)
 		if !ok {
 			return false
 		}
 		st.unshare()
 		for j := st.next(i); ; j = st.next(j) {
-			kj := st.key(st.rec(j))
-			if kj == (PackedKey{}) {
+			wj := st.key(st.rec(j))
+			if wj == (PackedKey{}) {
 				break
 			}
-			if home := st.home(hashPacked(split(kj))); j-home >= j-i {
+			if home := st.home(hash(wj)); j-home >= j-i {
 				copy(st.rec(i), st.rec(j))
 				i = j
 			}
@@ -719,8 +942,8 @@ func (st *packedStore) entries(nkeys int) []Entry {
 		add(PackedKey{}, st.zero)
 	}
 	for r := st.recs; len(r) > 0; r = r[st.stride:] {
-		if k := st.key(r); k != (PackedKey{}) {
-			add(k, r[st.kv:st.stride])
+		if w := st.key(r); w != (PackedKey{}) {
+			add(st.unpack(w), st.action(r))
 		}
 	}
 	return out
@@ -732,10 +955,10 @@ func (st *packedStore) entries(nkeys int) []Entry {
 // first if a mutation invalidated it — so an install is visible at the
 // next lookup; any other table walks its entries under the read lock. It
 // serves tables of at most MaxPackedKeys columns; wider tables must go
-// through Lookup. Callers zero the words past the table's own columns
-// (as Lookup and the VM's runApply do): an exact table stores and
-// compares keys at its own width, so what a key with a stray word there
-// matches is unspecified.
+// through Lookup. The words past the table's own columns are ignored,
+// and an exact table masks each column to its declared width, which no
+// value the VM passes exceeds; Lookup and the VM's runApply zero those
+// words all the same.
 func (t *Table) LookupWords(k0, k1, k2, k3 uint64) ([]Value, bool) {
 	s := t.snap.Load()
 	if s == nil {
@@ -745,7 +968,7 @@ func (t *Table) LookupWords(k0, k1, k2, k3 uint64) ([]Value, bool) {
 		}
 		s = t.publish()
 	}
-	if a, ok := s.lookup(Value{int(k0), k1}, Value{int(k2), k3}); ok {
+	if a, ok := s.lookup(k0, k1, k2, k3); ok {
 		return a, true
 	}
 	return t.Default, false
