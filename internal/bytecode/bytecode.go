@@ -220,14 +220,36 @@ type teleStep struct {
 	kind  stepKind
 }
 
-// applySite is the side table for one ApplyOp.
+// applySite is the side table for one ApplyOp: first what runApply
+// reads every time, then what Binding.bind reads once.
 type applySite struct {
-	member int    // index of the owning program's state in the row a Binding binds
-	name   string // the table, as the member's State.Tables names it
-	keys   []int32
-	outs   []int32
-	hit    int32
-	wide   bool // more key columns than LookupWords takes
+	keys    []applyKey
+	outs    []int32
+	hit     int32
+	oneWord bool               // every key column sits in word 0: runApply packs without a branch on the word
+	member  int                // index of the owning program's state in the row a Binding binds
+	name    string             // the table, as the member's State.Tables names it
+	spec    []pipeline.KeySpec // its key columns, whose layout keys follows; Binding.bind holds a bound table to their widths
+}
+
+// applyKey is one key of an apply site: the slot it is read from and the
+// place its table's KeyLayout gives its column, where runApply packs it —
+// its mask, its word and its shift as a multiplier, 1 << shift: a
+// multiply by a register is one instruction, where a shift by one must
+// first move the count into CL.
+type applyKey struct {
+	mask, scale uint64
+	slot        int32
+	word        uint8
+}
+
+// keySlots is the slots the site's keys are read from.
+func (a *applySite) keySlots() []int32 {
+	slots := make([]int32, len(a.keys))
+	for i, k := range a.keys {
+		slots[i] = k.slot
+	}
+	return slots
 }
 
 // regSite resolves one register access.
@@ -852,13 +874,20 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 	if err != nil {
 		return err
 	}
-	keys := make([]int32, len(op.Keys))
+	if len(op.Keys) != len(spec.Keys) {
+		return fmt.Errorf("pipeline: apply of table %q with %d keys, want its %d columns", op.Table, len(op.Keys), len(spec.Keys))
+	}
+	layout, err := pipeline.KeyLayout(spec.Keys)
+	if err != nil {
+		return fmt.Errorf("pipeline: table %q: %w", op.Table, err)
+	}
+	keys := make([]applyKey, len(op.Keys))
 	for i, k := range op.Keys {
 		s, err := cp.expr(k, code)
 		if err != nil {
 			return err
 		}
-		keys[i] = s
+		keys[i] = applyKey{mask: layout[i].Mask, scale: 1 << layout[i].Shift, slot: s, word: layout[i].Word}
 	}
 	outs := make([]int32, len(spec.Outputs))
 	for i, o := range spec.Outputs {
@@ -866,10 +895,13 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 	}
 	site := applySite{
 		name: op.Table,
+		spec: spec.Keys,
 		keys: keys,
-		outs: outs,
-		hit:  cp.intern(pipeline.FieldRef(spec.Name + ".$hit")),
-		wide: len(op.Keys) > pipeline.MaxPackedKeys || len(spec.Keys) > pipeline.MaxPackedKeys,
+		// Every corpus key but Aether's filtering_actions fills one
+		// word; a branch per key on its word read slower (E49).
+		oneWord: !slices.ContainsFunc(keys, func(k applyKey) bool { return k.word != 0 }),
+		outs:    outs,
+		hit:     cp.intern(pipeline.FieldRef(spec.Name + ".$hit")),
 	}
 	*code = append(*code, Instr{Op: opApply, A: int32(len(p.img.applies))})
 	p.img.applies = append(p.img.applies, site)
@@ -961,7 +993,7 @@ func (cp *comp) relocate() {
 	}
 	for i := range p.img.applies {
 		for j := range p.img.applies[i].keys {
-			p.img.applies[i].keys[j] = fix(p.img.applies[i].keys[j])
+			p.img.applies[i].keys[j].slot = fix(p.img.applies[i].keys[j].slot)
 		}
 	}
 	for i := range p.img.reports {
@@ -1006,7 +1038,7 @@ func (p *Prog) markPrologues() {
 				switch shapes[in.Op][f] {
 				case opdApply:
 					a := &p.img.applies[*v]
-					slots = append(append(slices.Clip(a.keys), a.outs...), a.hit)
+					slots = append(append(a.keySlots(), a.outs...), a.hit)
 				case opdReport:
 					slots = p.img.reports[*v].args
 				case opdNone, opdJump, opdMember, opdReg, opdArray:
@@ -1128,7 +1160,7 @@ func (p *Prog) readBeforeWrite(code []Instr, scratch func(int32) bool) map[int32
 			case opdApply:
 				site := &p.img.applies[*v]
 				for _, k := range site.keys {
-					read(k)
+					read(k.slot)
 				}
 				if uncond {
 					for _, o := range site.outs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -178,8 +179,9 @@ func tortureTraces() [][]uint64 {
 
 // sinkProgram is a second hand-written IR program covering the forms
 // the torture program leaves out: a ternary+range TCAM table keyed by
-// two headers, an exact table wider than MaxPackedKeys (the generic
-// slice-key path), indexed header-stack writes under a branch, register
+// two headers, an exact table of five columns (packed into one word, one
+// of its keys a 16-bit header the site masks to its 8-bit column),
+// indexed header-stack writes under a branch, register
 // writes in an else arm, static array-slot references inside and beyond
 // the stack's capacity, and a report carrying builtin, telemetry and
 // array-slot arguments. aligned selects the byte-aligned wire layout.
@@ -490,9 +492,9 @@ func TestVMLiveInstall(t *testing.T) {
 		t.Fatalf("post-delete: acl=%d, want 7", acl)
 	}
 
-	// The same hop, steady state, allocates nothing: packed-exact,
-	// TCAM and wide (slice-key) applies plus the in-place
-	// encode; and neither do the table lookups themselves.
+	// The same hop, steady state, allocates nothing: packed-exact
+	// applies of two and five columns and a TCAM apply plus the
+	// in-place encode; and neither do the table lookups themselves.
 	if raceEnabled {
 		return
 	}
@@ -517,16 +519,17 @@ func TestVMLiveInstall(t *testing.T) {
 	}
 }
 
-// TestApplyZeroFillsUnusedColumns pins the caller's half of the
-// LookupPacked contract: an exact table compares keys at its own width,
-// so runApply must hand a narrower table a key whose remaining columns
-// are zero, whatever a wider apply left behind. Every narrow apply here
-// follows a four-column one with all four words set, and must hit.
+// TestApplyZeroFillsUnusedColumns pins the apply site's half of the
+// LookupWords contract: the site packs its key into the table's words and
+// a word the key does not fill must be zero, so runApply must hand a
+// narrower table words it filled itself, whatever a wider apply left
+// behind. Every narrow apply here follows a four-column one, two words
+// of two 32-bit columns each, and must hit.
 func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 	fx, fy := f("hdr.x", 32), f("hdr.y", 16)
 	four := pipeline.ApplyOp{Table: "t4", Keys: []pipeline.Expr{fx, fy, fx, fy}}
 	prog := &pipeline.Program{Name: "widths", HeaderBindings: map[string]string{"x": "hdr.x", "y": "hdr.y"}}
-	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
+	for n := 0; n <= 4; n++ {
 		name := fmt.Sprintf("t%d", n)
 		prog.Tables = append(prog.Tables, pipeline.TableSpec{
 			Name: name, Keys: make([]pipeline.KeySpec, n),
@@ -536,13 +539,13 @@ func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 		for i := range prog.Tables[n].Keys {
 			prog.Tables[n].Keys[i].Width = 32
 		}
-		if n < pipeline.MaxPackedKeys {
+		if n < 4 {
 			prog.Checker = append(prog.Checker, four, pipeline.ApplyOp{Table: name, Keys: []pipeline.Expr{fx, fy, fx}[:n]})
 		}
 	}
 	vm := linkOne(t, prog)
 	st := prog.NewState()
-	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
+	for n := 0; n <= 4; n++ {
 		keys := []pipeline.KeyMatch{pipeline.ExactKey(7), pipeline.ExactKey(9), pipeline.ExactKey(7), pipeline.ExactKey(9)}[:n]
 		if err := st.Tables[fmt.Sprintf("t%d", n)].Insert(pipeline.Entry{Keys: keys, Action: []pipeline.Value{pipeline.B(8, uint64(n+1))}}); err != nil {
 			t.Fatal(err)
@@ -553,11 +556,56 @@ func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	phv := vm.Ctx.PHV
-	for n := 0; n <= pipeline.MaxPackedKeys; n++ {
+	for n := 0; n <= 4; n++ {
 		out := setSlot(t, vm, pipeline.FieldRef(fmt.Sprintf("ctrl.ot%d", n)))
 		hit := setSlot(t, vm, st.Tables[fmt.Sprintf("t%d", n)].HitField())
 		if phv[out].V != uint64(n+1) || phv[hit].V != 1 {
 			t.Errorf("%d-column apply after a 4-column one: out %d hit %d, want %d and 1", n, phv[out].V, phv[hit].V, n+1)
+		}
+	}
+}
+
+// TestApplyMasksKeysToColumnWidths: a key expression wider than its
+// column reaches the table as the column's declared bits, as Table.Lookup
+// packs the same values: the site masks each column before it places it,
+// so no stray bit reaches the column or its neighbour — in a key of one
+// word (two 8-bit columns) and in one of two (60 + 8 bits).
+func TestApplyMasksKeysToColumnWidths(t *testing.T) {
+	fy := f("hdr.y", 16)
+	table := func(name string, widths ...int) pipeline.TableSpec {
+		keys := make([]pipeline.KeySpec, len(widths))
+		for i, w := range widths {
+			keys[i].Width = w
+		}
+		return pipeline.TableSpec{Name: name, Keys: keys, Outputs: []pipeline.FieldRef{pipeline.FieldRef("ctrl." + name)},
+			OutputWidths: []int{8}, Default: []pipeline.Value{pipeline.B(8, 0)}}
+	}
+	prog := &pipeline.Program{Name: "mask", HeaderBindings: map[string]string{"x": "hdr.x", "y": "hdr.y"},
+		Tables: []pipeline.TableSpec{table("one", 8, 8), table("two", 60, 8)},
+		Checker: []pipeline.Op{
+			pipeline.ApplyOp{Table: "one", Keys: []pipeline.Expr{fy, fy}},
+			pipeline.ApplyOp{Table: "two", Keys: []pipeline.Expr{fy, fy}},
+		},
+	}
+	vm := linkOne(t, prog)
+	st := prog.NewState()
+	const y = 0x1209 // 16 bits into 8-bit columns: 0x09 is the key
+	for name, key := range map[string][]uint64{"one": {0x09, 0x09}, "two": {y, 0x09}} {
+		tbl := st.Tables[name]
+		if err := tbl.Insert(pipeline.Entry{Keys: []pipeline.KeyMatch{pipeline.ExactKey(key[0]), pipeline.ExactKey(key[1])}, Action: []pipeline.Value{pipeline.B(8, 5)}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit := tbl.Lookup([]uint64{y, y}); !hit {
+			t.Fatalf("%s: Table.Lookup of the wide values misses", name)
+		}
+	}
+	envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(7, y), PacketLen: 100}}
+	if _, _, err := vm.Pass(nil, envs, bytecode.BlockChecker, true, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"one", "two"} {
+		if out := vm.Ctx.PHV[setSlot(t, vm, pipeline.FieldRef("ctrl."+name))]; out.V != 5 {
+			t.Errorf("%s: the apply of a 16-bit key into 8-bit columns read %d, want the entry's 5", name, out.V)
 		}
 	}
 }
@@ -721,6 +769,46 @@ func TestCompileUndeclaredResources(t *testing.T) {
 	if _, err := bytecode.Compile(bad2); err == nil {
 		t.Fatal("undeclared register: want error")
 	}
+}
+
+// TestApplyKeyCountRefused: an apply with more or fewer keys than its
+// table has columns is refused at compile time. Packed short it would
+// disagree with Table.Lookup, which misses on any other count.
+func TestApplyKeyCountRefused(t *testing.T) {
+	fx := f("hdr.x", 32)
+	for _, n := range []int{1, 3} {
+		prog := &pipeline.Program{
+			Name: "count", HeaderBindings: map[string]string{"x": "hdr.x"},
+			Tables:  []pipeline.TableSpec{{Name: "pair", Keys: []pipeline.KeySpec{{Width: 32}, {Width: 32}}}},
+			Checker: []pipeline.Op{pipeline.ApplyOp{Table: "pair", Keys: []pipeline.Expr{fx, fx, fx}[:n]}},
+		}
+		if _, err := bytecode.Compile(prog); err == nil || !strings.Contains(err.Error(), `"pair"`) {
+			t.Errorf("%d keys on two columns: error %v, want one naming the table", n, err)
+		}
+	}
+}
+
+// TestBindRefusesOtherKeyWidths: an apply site packs its key by the
+// layout of the table it was compiled against, so binding a row whose
+// table declares other key widths panics, naming the table, when the row
+// binds — not a packet later with a key packed for the wrong columns.
+func TestBindRefusesOtherKeyWidths(t *testing.T) {
+	prog := &pipeline.Program{
+		Name: "widths", HeaderBindings: map[string]string{"x": "hdr.x"},
+		Tables: []pipeline.TableSpec{{Name: "pair", Keys: []pipeline.KeySpec{{Width: 32}, {Width: 32}},
+			Outputs: []pipeline.FieldRef{"ctrl.pair"}, OutputWidths: []int{8}, Default: []pipeline.Value{pipeline.B(8, 0)}}},
+		Checker: []pipeline.Op{pipeline.ApplyOp{Table: "pair", Keys: []pipeline.Expr{f("hdr.x", 32), f("hdr.x", 32)}}},
+	}
+	vm := linkOne(t, prog)
+	st := prog.NewState()
+	st.Tables["pair"] = pipeline.NewTable("pair", []pipeline.KeySpec{{Width: 16}, {Width: 48}}, []pipeline.FieldRef{"ctrl.pair"}, []pipeline.Value{pipeline.B(8, 0)})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"pair"`) {
+			t.Errorf("binding a table of other key widths: panic %v, want one naming the table", r)
+		}
+	}()
+	envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(7, 9), PacketLen: 100}}
+	vm.Pass(nil, envs, bytecode.BlockChecker, true, true)
 }
 
 // reportProg raises one report per hop carrying the switch ID and the

@@ -205,7 +205,7 @@ func access(img *image, in Instr) (r, w []int32) {
 			w = append(w, *v)
 		case opdApply:
 			a := &img.applies[*v]
-			r, w = append(r, a.keys...), append(append(w, a.outs...), a.hit)
+			r, w = append(r, a.keySlots()...), append(append(w, a.outs...), a.hit)
 		case opdArray:
 			a := &img.arrays[*v]
 			for s := a.start; s < a.start+a.capN; s++ {

@@ -119,7 +119,10 @@ func LinkSet(members []Member) *Set {
 
 		base := [4]int32{int32(len(s.applies)), int32(len(s.regs)), int32(len(s.arrays)), int32(len(s.reports))}
 		for _, a := range p.img.applies {
-			a.member, a.keys, a.outs, a.hit = k, remap(a.keys), remap(a.outs), slot[a.hit]
+			a.member, a.keys, a.outs, a.hit = k, slices.Clone(a.keys), remap(a.outs), slot[a.hit]
+			for i := range a.keys {
+				a.keys[i].slot = slot[a.keys[i].slot]
+			}
 			s.applies = append(s.applies, a)
 		}
 		for _, r := range p.img.regs {

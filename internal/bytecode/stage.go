@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/dataplane"
@@ -134,8 +135,9 @@ func Link(members ...Member) *Stage {
 // Blocks subset a snapshot of what that pass's lifted scalar loads wrote,
 // in the order of its prologue's slots. The zero Binding is unbound.
 // Stage.Run keeps it current before every pass: a row whose States are not
-// the bound ones (a wipe, a relinked switch) re-resolves every site and
-// drops the snapshots; a moved pipeline.ScalarEpoch drops the snapshots.
+// the bound ones (a wipe, a relinked switch) re-resolves every site — and
+// panics on a table whose key widths are not the ones its apply site packs
+// for, a check made per bind, never per packet — and drops the snapshots; a moved pipeline.ScalarEpoch drops the snapshots.
 // A scattered snapshot is the pass's loads because nothing inside a pass
 // writes a table; an install moves the epoch before it returns, so the
 // next pass re-reads; the epoch is loaded before the loads it stamps, so a
@@ -158,7 +160,11 @@ func (bd *Binding) bind(s *Set, row []*pipeline.State) {
 		bd.set, bd.row, bd.fresh = s, append(bd.row[:0], row...), 0
 		bd.tables, bd.regs = bd.tables[:0], bd.regs[:0]
 		for _, a := range s.applies {
-			bd.tables = append(bd.tables, row[a.member].Tables[a.name])
+			t := row[a.member].Tables[a.name]
+			if t == nil || !slices.EqualFunc(t.Keys, a.spec, func(x, y pipeline.KeySpec) bool { return x.Width == y.Width }) {
+				panic(fmt.Sprintf("bytecode: member %d binds table %q missing or with other key widths than its apply site packs for (%v)", a.member, a.name, a.spec))
+			}
+			bd.tables = append(bd.tables, t)
 		}
 		for _, r := range s.regs {
 			bd.regs = append(bd.regs, row[r.member].Registers[r.name])

@@ -28,10 +28,6 @@ type Ctx struct {
 	reports  []pipeline.Report
 	owners   []int32
 	argArena []pipeline.Value
-
-	// wide is the reusable key buffer for applies of tables with more
-	// than MaxPackedKeys columns.
-	wide []uint64
 }
 
 // NewCtx returns a fresh context the caller owns for as long as it
@@ -349,42 +345,41 @@ func binWidth(x, y pipeline.Value) int {
 }
 
 // runApply executes apply site a against the table the pass's binding
-// resolved for it. A table of at most MaxPackedKeys columns gets its key
-// words as LookupWords' four arguments, read slot by slot into locals: no
-// key array is built, so the words stay in registers down to the probe,
-// and those past the site's keys stay zero. Wider tables take the generic
-// slice path.
+// resolved for it. It packs the key into the table's words itself, each
+// column read from its slot, masked to its declared width and shifted to
+// its place (the table's KeyLayout, which Binding.bind has held the bound
+// table to), straight into four locals: no key array is built, so the
+// words stay in registers down to the probe, and the words no column
+// fills stay zero.
 func (p *image) runApply(c *Ctx, a int32) {
-	site, t := &p.applies[a], c.bind.tables[a]
-	if site.wide {
-		nk := len(site.keys)
-		if cap(c.wide) < nk {
-			c.wide = make([]uint64, nk)
+	var w0, w1, w2, w3 uint64
+	if site := &p.applies[a]; site.oneWord {
+		for _, k := range site.keys {
+			w0 |= c.PHV[k.slot].V & k.mask * k.scale
 		}
-		kv := c.wide[:nk]
-		for i, s := range site.keys {
-			kv[i] = c.PHV[s].V
+	} else {
+		w0, w1, w2, w3 = packKey(site.keys, c.PHV)
+	}
+	action, hit := c.bind.tables[a].LookupWords(w0, w1, w2, w3)
+	p.writeOut(c, &p.applies[a], action, hit)
+}
+
+// packKey is the key words of keys read from phv.
+func packKey(keys []applyKey, phv []pipeline.Value) (w0, w1, w2, w3 uint64) {
+	for _, k := range keys {
+		v := phv[k.slot].V & k.mask * k.scale
+		switch k.word {
+		case 0:
+			w0 |= v
+		case 1:
+			w1 |= v
+		case 2:
+			w2 |= v
+		default:
+			w3 |= v
 		}
-		action, hit := t.Lookup(kv)
-		p.writeOut(c, site, action, hit)
-		return
 	}
-	var k0, k1, k2, k3 uint64
-	switch ks := site.keys; len(ks) {
-	case 4:
-		k3 = c.PHV[ks[3]].V
-		fallthrough
-	case 3:
-		k2 = c.PHV[ks[2]].V
-		fallthrough
-	case 2:
-		k1 = c.PHV[ks[1]].V
-		fallthrough
-	case 1:
-		k0 = c.PHV[ks[0]].V
-	}
-	action, hit := t.LookupWords(k0, k1, k2, k3)
-	p.writeOut(c, site, action, hit)
+	return w0, w1, w2, w3
 }
 
 func (p *image) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit bool) {

@@ -183,17 +183,25 @@ func (c *compilerState) declareAll() error {
 			out := pipeline.FieldRef("ctrl." + d.Name)
 			switch t := d.Type.(type) {
 			case ast.DictType:
+				keys, err := keySpecs(d, t.Key)
+				if err != nil {
+					return err
+				}
 				c.prog.Tables = append(c.prog.Tables, pipeline.TableSpec{
 					Name:         d.Name,
-					Keys:         keySpecs(d.Name, t.Key),
+					Keys:         keys,
 					Outputs:      []pipeline.FieldRef{out},
 					OutputWidths: []int{widthOf(t.Val)},
 					Default:      []pipeline.Value{pipeline.B(widthOf(t.Val), 0)},
 				})
 			case ast.SetType:
+				keys, err := keySpecs(d, t.Elem)
+				if err != nil {
+					return err
+				}
 				c.prog.Tables = append(c.prog.Tables, pipeline.TableSpec{
 					Name: d.Name,
-					Keys: keySpecs(d.Name, t.Elem),
+					Keys: keys,
 				})
 			default:
 				// Scalar control variable: a parameterless table whose
@@ -212,17 +220,23 @@ func (c *compilerState) declareAll() error {
 	return nil
 }
 
-func keySpecs(name string, keyType ast.Type) []pipeline.KeySpec {
+// keySpecs is the exact key columns of control d's dict or set key. A key
+// whose columns do not pack into a table's four key words is refused at
+// the declaration.
+func keySpecs(d *ast.Decl, keyType ast.Type) ([]pipeline.KeySpec, error) {
 	cols := scalarCols(keyType)
 	specs := make([]pipeline.KeySpec, len(cols))
 	for i, w := range cols {
 		specs[i] = pipeline.KeySpec{
-			Name:  fmt.Sprintf("%s_key%d", name, i),
+			Name:  fmt.Sprintf("%s_key%d", d.Name, i),
 			Width: w,
 			Kind:  pipeline.MatchExact,
 		}
 	}
-	return specs
+	if _, err := pipeline.KeyLayout(specs); err != nil {
+		return nil, fmt.Errorf("%s: compiler: control %q: %v", d.Pos, d.Name, err)
+	}
+	return specs, nil
 }
 
 // compileInitBlock compiles tele initializers followed by the init block

@@ -11,6 +11,8 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/indus/ast"
 	"repro/internal/indus/eval"
+	"repro/internal/indus/parser"
+	"repro/internal/indus/types"
 	"repro/internal/pipeline"
 )
 
@@ -623,5 +625,30 @@ func TestRuntimeVMErr(t *testing.T) {
 	ok := &compiler.Runtime{Prog: &pipeline.Program{Name: "ok"}}
 	if ok.VM() == nil || ok.VMErr() != nil {
 		t.Fatalf("compilable program: VM() nil=%v VMErr()=%v", ok.VM() == nil, ok.VMErr())
+	}
+}
+
+// TestKeyWiderThanFourWordsRefused: a dict or set key whose columns do
+// not pack into a table's four 64-bit key words is refused where it is
+// declared — the error carries the declaration's line — and no table
+// falls back to another store for it.
+func TestKeyWiderThanFourWordsRefused(t *testing.T) {
+	for _, decl := range []string{
+		"control dict<(bit<64>,bit<64>,bit<64>,bit<64>,bit<8>),bit<8>> big;",
+		"control set<(bit<64>,bit<64>,bit<64>,bit<64>,bit<8>)> big;",
+	} {
+		src := "header bit<8> a;\n" + decl + "\ntele bit<8> t = 0;\n{ }\n{ }\n{ }\n"
+		prog, err := parser.Parse("big", src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", decl, err)
+		}
+		info, err := types.Check(prog)
+		if err != nil {
+			t.Fatalf("%s: types: %v", decl, err)
+		}
+		_, err = compiler.Compile(info, compiler.Options{})
+		if err == nil || !strings.Contains(err.Error(), "big:2:") || !strings.Contains(err.Error(), `"big"`) {
+			t.Errorf("%s: error %v, want one at line 2 naming the control", decl, err)
+		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 // state and bind headers by name: tele scalars t{8,16,32}_{0,1}, bools
 // f0/f1, arrays arr0/arr1, sensors s0/s1, headers h0 (8-bit) and h1
 // (16-bit), scalar control c0, dicts d0 (bit<8> key), d1
-// ((bit<8>,bit<16>) key) and d2 (a five-column key of mixed widths, wider
-// than a packed table key), and set0 (bit<8> members).
+// ((bit<8>,bit<16>) key) and d2 (a five-column key of mixed widths, 80
+// bits that a packed table holds in two key words), and set0 (bit<8>
+// members).
 func RandomProgram(rng *rand.Rand) string {
 	return newProgGen(rng).generate()
 }

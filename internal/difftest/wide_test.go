@@ -6,8 +6,8 @@ import (
 )
 
 // wideDictSrc looks a five-column key of mixed widths up in every block
-// — wider than a packed table key, so the table keeps it in its priority
-// list — and reports what it read.
+// — 80 bits, which the packed store holds in two key words and each
+// apply site packs column by column — and reports what it read.
 const wideDictSrc = `
 header bit<8> a;
 header bit<16> b;
@@ -19,8 +19,8 @@ tele bit<8> sum = 0;
 { report((sum, wide[(a, b, c, a, 0)])); }
 `
 
-// TestWideDictConformance holds the applies of a dict wider than a
-// packed key to the indus/eval oracle, with control-plane installs,
+// TestWideDictConformance holds the applies of a dict of more than four
+// columns to the indus/eval oracle, with control-plane installs,
 // replacements and traces drawn from one small pool of header values so
 // that most lookups hit. RandomProgram declares such a dict too, but its
 // random keys almost never meet an installed entry.

@@ -3,13 +3,14 @@ package pipeline
 import "testing"
 
 // BenchmarkLookup times a hit through each lookup entry — LookupWords,
-// the key words as four arguments, and LookupPacked, the same key as a
-// PackedKey array — on the table shapes a campus packet meets: a small
-// one-column dictionary, a keyless scalar, a two-column table the size
-// of the firewall's allowed (152 k entries, past the L2 cache) and a
-// 32-entry TCAM shaped like aether's applications table. On a table
-// that fits in L1 the difference between the two entries is the cost
-// of passing the key.
+// the key's packed words as four arguments, as an apply site passes
+// them, and LookupPacked, the key's column values as a PackedKey array,
+// which it packs by the table's layout first — on the table shapes a
+// campus packet meets: a small one-column dictionary, a keyless scalar, a
+// two-column table the size of the firewall's allowed (152 k entries,
+// past the L2 cache) and a 32-entry TCAM shaped like aether's
+// applications table. On a table that fits in L1 the difference between
+// the two entries is the cost of passing and packing the key.
 func BenchmarkLookup(b *testing.B) {
 	out, def := []FieldRef{"v"}, []Value{B(16, 0)}
 	install := func(tbl *Table, es []Entry) *Table {
@@ -55,14 +56,15 @@ func BenchmarkLookup(b *testing.B) {
 		if sh.name == "big" {
 			n = 1 << 17 // most of the table, in a scattered order
 		}
-		keys, mask := make([]PackedKey, n), n-1
+		keys, words, mask := make([]PackedKey, n), make([]PackedKey, n), n-1
 		for i := range keys {
 			keys[i] = sh.key(uint64(i))
+			words[i] = packKey(sh.tbl.layout, keys[i][:len(sh.tbl.Keys)])
 		}
 		b.Run(sh.name+"/words", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k := &keys[i&mask]
+				k := &words[i&mask]
 				if _, hit := sh.tbl.LookupWords(k[0], k[1], k[2], k[3]); !hit {
 					b.Fatal("miss")
 				}

@@ -15,9 +15,26 @@ import (
 
 // modelShapes are the key column widths the model test runs: none to
 // four full words, then narrow columns that share one word (2×32,
-// 3×16+8) and a pair that needs a second (64+1). A shape is named by
-// its index, so shapes 0–4 are also column counts.
-var modelShapes = [][]int{{}, {64}, {64, 64}, {64, 64, 64}, {64, 64, 64, 64}, {32, 32}, {16, 16, 16, 8}, {64, 1}}
+// 3×16+8), a pair that needs a second (64+1) and five columns in two
+// words (difftest's wideDictSrc key). A shape is named by its index, so
+// shapes 0–4 are also column counts.
+var modelShapes = [][]int{{}, {64}, {64, 64}, {64, 64, 64}, {64, 64, 64, 64}, {32, 32}, {16, 16, 16, 8}, {64, 1}, {8, 16, 32, 8, 16}}
+
+// colKey is a model key's column values, one a word, at most five.
+type colKey [5]uint64
+
+// packKey is the words of column values vals in a table of layout: what
+// Lookup packs and what an apply site hands LookupWords.
+func packKey(layout []KeyCol, vals []uint64) PackedKey {
+	var w PackedKey
+	for c, p := range layout {
+		w[p.Word] |= vals[c] & p.Mask << p.Shift
+	}
+	return w
+}
+
+// packed is a key of at most four columns in LookupPacked's form.
+func (k colKey) packed() PackedKey { return PackedKey(k[:4]) }
 
 // shapeKeys is a shape's exact key columns.
 func shapeKeys(shape int) []KeySpec {
@@ -33,15 +50,15 @@ func shapeKeys(shape int) []KeySpec {
 // all-zero key itself (index modelZero) and one key per column with only
 // that column set, so a live record may start with a zero word, or a
 // zero column.
-func modelPool(shape int) []PackedKey {
+func modelPool(shape int) []colKey {
 	pool := collidingKeys(shape, modelZero)
 	widths := modelShapes[shape]
 	if len(widths) == 0 {
 		return pool
 	}
-	pool = append(pool, PackedKey{})
+	pool = append(pool, colKey{})
 	for c, w := range widths {
-		var k PackedKey
+		var k colKey
 		k[c] = min(uint64(c+1), colBits(w))
 		pool = append(pool, k)
 	}
@@ -56,19 +73,19 @@ const modelZero = 72
 // home scales to at least slots - 1), so their probe run wraps around to
 // slot 0; the rest home in slot 0 (top ten bits zero) and sit in the
 // middle of that run. A keyless table has the one empty key.
-func collidingKeys(shape, n int) []PackedKey {
+func collidingKeys(shape, n int) []colKey {
 	if len(modelShapes[shape]) == 0 {
-		return []PackedKey{{}}
+		return []colKey{{}}
 	}
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	if keys := pools[shape]; len(keys) >= n {
 		return keys[:n:n]
 	}
-	st := newPackedStore(shapeKeys(shape), 0)
-	keys, seen := make([]PackedKey, 0, n), map[PackedKey]bool{{}: true}
+	layout, _ := KeyLayout(shapeKeys(shape))
+	keys, seen := make([]colKey, 0, n), map[colKey]bool{{}: true}
 	for v := uint64(1); len(keys) < n; v++ {
-		var k PackedKey
+		var k colKey
 		for c, w := range modelShapes[shape] {
 			k[c] = (v * uint64(c+1) * 0x9e3779b97f4a7c15 >> (8 * c)) & colBits(w)
 		}
@@ -76,7 +93,7 @@ func collidingKeys(shape, n int) []PackedKey {
 		if len(keys)%4 == 3 {
 			want = 0
 		}
-		if !seen[k] && hash(st.pack(k))>>54 == want {
+		if !seen[k] && hash(packKey(layout, k[:]))>>54 == want {
 			keys, seen[k] = append(keys, k), true
 		}
 	}
@@ -88,29 +105,37 @@ func collidingKeys(shape, n int) []PackedKey {
 // thousand hashes each, and the fuzzer asks once per input.
 var (
 	poolMu sync.Mutex
-	pools  = make([][]PackedKey, len(modelShapes))
+	pools  = make([][]colKey, len(modelShapes))
 )
 
 // tableModel is the plain-map oracle the store is checked against.
 type tableModel struct {
-	acts  map[PackedKey][]Value
-	names map[PackedKey]string
+	acts  map[colKey][]Value
+	names map[colKey]string
 }
 
-func entryKey(e Entry) PackedKey { return packEntryKeys(e.Keys) }
+func entryKey(e Entry) colKey {
+	var k colKey
+	for c, m := range e.Keys {
+		k[c] = m.Value
+	}
+	return k
+}
 
 // checkTable compares every observable of tbl with the model: the three
 // lookups for every key of the pool, Len, and the sorted Entries. A
 // lookup publishes the view, which marks the array shared; without
 // lookups the table is left as the op left it, so the next write meets
 // whatever marks the op itself set. Every key is looked up twice by
-// LookupWords: first from the no-view state a mutation leaves (the
-// view dropped again before each key), then from the view that
-// lookup published. On a table with a column narrower than a word, the
-// key is looked up once more with every bit above each column's width
-// set: a lookup masks each column to its width, so the stray bits reach
-// neither the column nor its neighbour in the word.
-func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedKey, m *tableModel, lookups bool) {
+// LookupWords, on its packed words: first from the no-view state a
+// mutation leaves (the view dropped again before each key), then from
+// the view that lookup published. LookupPacked takes a key of at most
+// four columns and misses on a wider table. On a table with a column
+// narrower than a word, the key is looked up once more with every bit
+// above each column's width set: Lookup masks each column to its width
+// as it packs, so the stray bits reach neither the column nor its
+// neighbour in the word.
+func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []colKey, m *tableModel, lookups bool) {
 	t.Helper()
 	if !lookups {
 		pool = nil
@@ -121,24 +146,21 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 			want = tbl.Default
 		}
 		tbl.snap.Store(nil)
+		w := packKey(tbl.layout, k[:])
 		for _, view := range []string{"no view", "view"} {
-			if got, ok := tbl.LookupWords(k[0], k[1], k[2], k[3]); ok != hit || !slices.Equal(got, want) {
-				t.Fatalf("%s: LookupWords(%v) from %s = %v, %t; want %v, %t", step, k[:ncols], view, got, ok, want, hit)
+			if got, ok := tbl.LookupWords(w[0], w[1], w[2], w[3]); ok != hit || !slices.Equal(got, want) {
+				t.Fatalf("%s: LookupWords(%#x), key %v, from %s = %v, %t; want %v, %t", step, w, k[:ncols], view, got, ok, want, hit)
 			}
 		}
-		if got, ok := tbl.LookupPacked(k); ok != hit || !slices.Equal(got, want) {
+		if got, ok := tbl.LookupPacked(k.packed()); ncols <= 4 && (ok != hit || !slices.Equal(got, want)) || ncols > 4 && ok {
 			t.Fatalf("%s: LookupPacked(%v) = %v, %t; want %v, %t", step, k[:ncols], got, ok, want, hit)
 		}
 		if got, ok := tbl.Lookup(k[:ncols]); ok != hit || !slices.Equal(got, want) {
 			t.Fatalf("%s: Lookup(%v) = %v, %t; want %v, %t", step, k[:ncols], got, ok, want, hit)
 		}
-		stray, narrow := k, false
-		for c, col := range tbl.Keys {
-			stray[c] |= ^colBits(col.Width)
-			narrow = narrow || col.Width < 64
-		}
-		if got, ok := tbl.LookupWords(stray[0], stray[1], stray[2], stray[3]); narrow && (ok != hit || !slices.Equal(got, want)) {
-			t.Fatalf("%s: LookupWords(%#x), key %v with the bits above each width set, = %v, %t; want %v, %t", step, stray[:ncols], k[:ncols], got, ok, want, hit)
+		stray, narrow := strayBits(tbl, k)
+		if got, ok := tbl.Lookup(stray[:ncols]); narrow && (ok != hit || !slices.Equal(got, want)) {
+			t.Fatalf("%s: Lookup(%#x), key %v with the bits above each width set, = %v, %t; want %v, %t", step, stray[:ncols], k[:ncols], got, ok, want, hit)
 		}
 	}
 	if tbl.Len() != len(m.acts) {
@@ -164,9 +186,57 @@ func checkTable(t *testing.T, step string, tbl *Table, ncols int, pool []PackedK
 	}
 }
 
+// strayBits is key k with every bit above each of tbl's column widths set,
+// and whether any column of tbl is narrower than a word.
+func strayBits(tbl *Table, k colKey) (colKey, bool) {
+	narrow := false
+	for c, col := range tbl.Keys {
+		k[c] |= ^colBits(col.Width)
+		narrow = narrow || col.Width < 64
+	}
+	return k, narrow
+}
+
+// prioTwin is a table of tbl's exact columns and one more, a one-bit
+// ternary column every entry leaves a wildcard: the same entries on the
+// priority list, which must answer every lookup as the packed store
+// does. It is nil when the shape leaves the key words no room for the
+// extra column.
+func prioTwin(tbl *Table) *Table {
+	keys := append(slices.Clip(tbl.Keys), KeySpec{Name: "any", Width: 1, Kind: MatchTernary})
+	if _, err := KeyLayout(keys); err != nil {
+		return nil
+	}
+	return NewTable("prio", keys, tbl.Outputs, tbl.Default)
+}
+
+// prioEntry is e on the twin: its own copies of the keys, plus the
+// wildcard, and of the action, which the priority list keeps.
+func prioEntry(e Entry) Entry {
+	return Entry{Keys: append(slices.Clone(e.Keys), AnyKey()), Action: slices.Clone(e.Action)}
+}
+
+// checkAgree holds the twin to the packed table on every key of the pool,
+// as it is and with the bits above each column's width set: a column is
+// its declared bits on both stores.
+func checkAgree(t *testing.T, step string, tbl, prio *Table, ncols int, pool []colKey) {
+	t.Helper()
+	for _, k := range pool {
+		stray, _ := strayBits(tbl, k)
+		for _, key := range []colKey{k, stray} {
+			want, hit := tbl.Lookup(key[:ncols])
+			if got, ok := prio.Lookup(append(slices.Clone(key[:ncols]), key[0]|2)); ok != hit || !slices.Equal(got, want) {
+				t.Fatalf("%s: key %#x: the priority list answers %v, %t; the packed store %v, %t", step, key[:ncols], got, ok, want, hit)
+			}
+		}
+	}
+}
+
 // runTableOps drives two tables of one shape, each with its own model,
 // through the op stream and checks both against their models after every
-// step, so a write that reaches the table it was not aimed at shows.
+// step, so a write that reaches the table it was not aimed at shows. A
+// third table, table 0's twin on the priority list (prioTwin), takes
+// every write table 0 does and must answer every lookup alike.
 // data[0] picks the key columns (modelShapes: 0–4 columns of 64 bits, or
 // narrow ones), data[1] the action length (0–2) and, from 3 on, a small
 // action alphabet — three tuples, so entries share them in the profile —
@@ -191,6 +261,7 @@ func runTableOps(t *testing.T, data []byte) {
 		outs[i], def[i] = FieldRef(fmt.Sprintf("o%d", i)), B(16, 0xdead)
 	}
 	tbls := [2]*Table{NewTable("t0", keys, outs, def), NewTable("t1", keys, outs, def)}
+	prio := prioTwin(tbls[0])
 	pool := modelPool(shape)
 	action := func(val uint64, o int) Value {
 		val %= alphabet
@@ -198,7 +269,7 @@ func runTableOps(t *testing.T, data []byte) {
 	}
 	var ms [2]*tableModel
 	for i := range ms {
-		ms[i] = &tableModel{acts: map[PackedKey][]Value{}, names: map[PackedKey]string{}}
+		ms[i] = &tableModel{acts: map[colKey][]Value{}, names: map[colKey]string{}}
 	}
 	// One Entry refilled for every insert, as a bulk installer would.
 	e := Entry{Keys: make([]KeyMatch, ncols), Action: make([]Value, nout)}
@@ -207,6 +278,7 @@ func runTableOps(t *testing.T, data []byte) {
 		kind, k, val := data[pc]%16, pool[int(data[pc+1])%len(pool)], uint64(data[pc+2])
 		target := int(data[pc] >> 4 & 1)
 		tbl, m := tbls[target], ms[target]
+		mirror := target == 0 && prio != nil
 		step := fmt.Sprintf("op %d (table %d, kind %d, key %v, val %d)", (pc-2)/3, target, kind, k[:ncols], val)
 		mutated := true
 		switch {
@@ -224,6 +296,11 @@ func runTableOps(t *testing.T, data []byte) {
 			if err := tbl.Insert(e); err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
+			if mirror {
+				if err := prio.Insert(prioEntry(e)); err != nil {
+					t.Fatalf("%s: priority list: %v", step, err)
+				}
+			}
 			m.acts[k] = slices.Clone(e.Action)
 			delete(m.names, k)
 			if e.Name != "" {
@@ -237,6 +314,9 @@ func runTableOps(t *testing.T, data []byte) {
 			}
 			if n := tbl.Delete(dk); (n == 1) != had {
 				t.Fatalf("%s: Delete = %d, entry present %t", step, n, had)
+			}
+			if mirror && (prio.Delete(append(dk, AnyKey())) == 1) != had {
+				t.Fatalf("%s: the priority list's Delete disagrees, entry present %t", step, had)
 			}
 			delete(m.acts, k)
 			delete(m.names, k)
@@ -257,11 +337,23 @@ func runTableOps(t *testing.T, data []byte) {
 			if err := tbl.InsertBatch(batch); err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
+			if mirror {
+				twin := make([]Entry, len(batch))
+				for b := range batch {
+					twin[b] = prioEntry(batch[b])
+				}
+				if err := prio.InsertBatch(twin); err != nil {
+					t.Fatalf("%s: priority list: %v", step, err)
+				}
+			}
 		case kind == 14:
 			tbl.WarmSnapshot()
 			mutated = false
 		case val < 32: // Clear, one time in eight
 			tbl.Clear()
+			if mirror {
+				prio.Clear()
+			}
 			clear(m.acts)
 			clear(m.names)
 		case val < 96: // make room, one time in four
@@ -275,6 +367,14 @@ func runTableOps(t *testing.T, data []byte) {
 				t.Fatalf("%s: %v", step, err)
 			}
 			m.acts, m.names = maps.Clone(ms[1-target].acts), maps.Clone(ms[1-target].names)
+			if mirror { // the twin takes the adopted entries one by one
+				prio.Clear()
+				for _, e := range tbl.Entries() {
+					if err := prio.Insert(prioEntry(e)); err != nil {
+						t.Fatalf("%s: priority list: %v", step, err)
+					}
+				}
+			}
 		default:
 			mutated = false
 		}
@@ -288,6 +388,9 @@ func runTableOps(t *testing.T, data []byte) {
 		}
 		for i := range tbls {
 			checkTable(t, fmt.Sprintf("%s, table %d", step, i), tbls[i], ncols, pool, ms[i], data[pc]>>5&1 == 0)
+		}
+		if prio != nil && data[pc]>>5&1 == 0 {
+			checkAgree(t, step+", table 0", tbls[0], prio, ncols, pool)
 		}
 	}
 }
@@ -354,18 +457,18 @@ func TestWrapAroundDelete(t *testing.T) {
 			t.Fatalf("room for %d: %d slots, want %d", room, st.slots, want)
 		}
 		last := st.slots - 1
-		if st.key(st.rec(last)) != pool[0] || st.key(st.rec(0)) == (PackedKey{}) || st.key(st.rec(1)) == (PackedKey{}) {
+		if st.key(st.rec(last)) != pool[0].packed() || st.key(st.rec(0)) == (PackedKey{}) || st.key(st.rec(1)) == (PackedKey{}) {
 			t.Fatalf("%d slots: the run does not wrap: records %v", st.slots, st.recs)
 		}
 		if n := tbl.Delete([]KeyMatch{ExactKey(pool[0][0])}); n != 1 {
 			t.Fatalf("%d slots: Delete = %d", st.slots, n)
 		}
 		for i, k := range pool {
-			if a, hit := tbl.LookupPacked(k); hit != (i > 0) || hit && a[0].V != uint64(i+1) {
+			if a, hit := tbl.LookupPacked(k.packed()); hit != (i > 0) || hit && a[0].V != uint64(i+1) {
 				t.Fatalf("%d slots: key %d after the delete: %v, %t", st.slots, i, a, hit)
 			}
 		}
-		if st.key(st.rec(last)) != pool[1] {
+		if st.key(st.rec(last)) != pool[1].packed() {
 			t.Fatalf("%d slots: the second entry did not shift back across the wrap-around: records %v", st.slots, st.recs)
 		}
 	}
@@ -410,7 +513,7 @@ func TestCopyOnWriteReaders(t *testing.T) {
 	tbl := NewTable("t", []KeySpec{{Width: 64, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(64, 0)})
 	twin := NewTable("twin", tbl.Keys, tbl.Outputs, tbl.Default)
 	pool := collidingKeys(1, 96)
-	stable, churn := pool[:32], append(pool[32:], PackedKey{}) // the all-zero key churns too
+	stable, churn := pool[:32], append(pool[32:], colKey{}) // the all-zero key churns too
 	for _, k := range stable {
 		if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0])}, Action: []Value{B(64, k[0])}}); err != nil {
 			t.Fatal(err)
@@ -433,7 +536,7 @@ func TestCopyOnWriteReaders(t *testing.T) {
 			}
 			for i := r; !done.Load(); i++ {
 				k := stable[i%len(stable)]
-				if a, hit := tbl.LookupPacked(k); !hit || a[0].V != k[0] {
+				if a, hit := tbl.LookupPacked(k.packed()); !hit || a[0].V != k[0] {
 					t.Errorf("reader %d: LookupPacked(%d) = %v, %t", r, k[0], a, hit)
 					return
 				}
@@ -611,7 +714,7 @@ func TestGrow(t *testing.T) {
 			version, chunked.Version(), epoch, ScalarEpoch(), chunked.snap.Load() != view)
 	}
 	for _, e := range span(1, 100) {
-		if a, hit := chunked.LookupPacked(packEntryKeys(e.Keys)); !hit || a[0] != e.Action[0] {
+		if a, hit := chunked.LookupPacked(entryKey(e).packed()); !hit || a[0] != e.Action[0] {
 			t.Fatalf("after Grow, key %v answers %v, %t", e.Keys, a, hit)
 		}
 	}
@@ -634,6 +737,7 @@ func TestGrow(t *testing.T) {
 
 	shapes := tableShapes()
 	delete(shapes, "packed")
+	delete(shapes, "wide")
 	shapes["keyless"] = NewTable("s", nil, []FieldRef{"v"}, []Value{B(8, 0)})
 	for name, tbl := range shapes {
 		e := Entry{Keys: make([]KeyMatch, len(tbl.Keys)), Action: []Value{B(8, 1)}}
@@ -656,10 +760,9 @@ func TestGrow(t *testing.T) {
 	}
 }
 
-// tableShapes is one table of each shape: packed exact, wide exact (all
-// exact, on the priority list) and TCAM, each with one output. The TCAM
-// shape comes twice: all-ternary, and one column of each kind at the full
-// MaxPackedKeys width.
+// tableShapes is one table of each shape: packed exact, wide exact (five
+// columns, packed in three words) and TCAM, each with one output. The
+// TCAM shape comes twice: all-ternary, and one column of each kind.
 func tableShapes() map[string]*Table {
 	cols := func(n int, kind MatchKind) []KeySpec {
 		keys := make([]KeySpec, n)
@@ -670,7 +773,7 @@ func tableShapes() map[string]*Table {
 	}
 	return map[string]*Table{
 		"packed": NewTable("t", cols(2, MatchExact), []FieldRef{"v"}, []Value{B(8, 0)}),
-		"wide":   NewTable("t", cols(MaxPackedKeys+1, MatchExact), []FieldRef{"v"}, []Value{B(8, 0)}),
+		"wide":   NewTable("t", cols(5, MatchExact), []FieldRef{"v"}, []Value{B(8, 0)}),
 		"tcam":   NewTable("t", cols(2, MatchTernary), []FieldRef{"v"}, []Value{B(8, 0)}),
 		"tcam-mixed": NewTable("t", []KeySpec{{Width: 32, Kind: MatchLPM}, {Width: 16, Kind: MatchRange},
 			{Width: 8, Kind: MatchTernary}, {Width: 32, Kind: MatchExact}}, []FieldRef{"v"}, []Value{B(8, 0)}),
@@ -802,11 +905,11 @@ func TestCopyFrom(t *testing.T) {
 
 // TestLookupKeyWidth pins the key-width contract: Lookup with any other
 // number of values than the table has columns is a miss, on every
-// store. LookupWords and LookupPacked always take four words, which
-// their callers zero past the table's columns (bytecode's
-// TestApplyZeroFillsUnusedColumns holds runApply to that): so filled,
-// the installed key hits through both on every store of at most
-// MaxPackedKeys columns, and a wider table answers only Lookup.
+// store. LookupWords takes the key's words packed by the table's layout,
+// which its caller packs (an apply site — bytecode's
+// TestApplyZeroFillsUnusedColumns — or Lookup), so the installed key hits
+// through it on every store; LookupPacked takes at most four column
+// values, so a wider table misses through it.
 func TestLookupKeyWidth(t *testing.T) {
 	for name, tbl := range tableShapes() {
 		key := make([]uint64, len(tbl.Keys)+1)
@@ -820,12 +923,13 @@ func TestLookupKeyWidth(t *testing.T) {
 		if _, hit := tbl.Lookup(key[:len(tbl.Keys)]); !hit {
 			t.Errorf("%s: the installed key misses", name)
 		}
-		var k PackedKey
+		var k colKey
 		copy(k[:], key[:len(tbl.Keys)])
-		words, _ := tbl.LookupWords(k[0], k[1], k[2], k[3])
-		packed, hit := tbl.LookupPacked(k)
-		if hit != (len(tbl.Keys) <= MaxPackedKeys) || words[0] != packed[0] {
-			t.Errorf("%s: LookupWords / LookupPacked of the installed key = %v / %v, %t", name, words, packed, hit)
+		w := packKey(tbl.layout, k[:])
+		words, wordsHit := tbl.LookupWords(w[0], w[1], w[2], w[3])
+		packed, hit := tbl.LookupPacked(k.packed())
+		if !wordsHit || words[0].V != 1 || hit != (len(tbl.Keys) <= 4) || hit && words[0] != packed[0] {
+			t.Errorf("%s: LookupWords / LookupPacked of the installed key = %v, %t / %v, %t", name, words, wordsHit, packed, hit)
 		}
 		for _, vals := range [][]uint64{nil, key[:len(tbl.Keys)-1], key} {
 			if a, hit := tbl.Lookup(vals); hit || !slices.Equal(a, tbl.Default) {
@@ -893,7 +997,7 @@ func TestScalarEpoch(t *testing.T) {
 func TestProfileChurn(t *testing.T) {
 	tbl := NewTable("t", shapeKeys(5), []FieldRef{"v"}, []Value{B(32, 0)})
 	st := tbl.packed
-	insert := func(k PackedKey, v uint64) {
+	insert := func(k colKey, v uint64) {
 		t.Helper()
 		if err := tbl.Insert(Entry{Keys: []KeyMatch{ExactKey(k[0]), ExactKey(k[1])}, Action: []Value{B(32, v)}}); err != nil {
 			t.Fatal(err)
@@ -902,15 +1006,15 @@ func TestProfileChurn(t *testing.T) {
 			t.Fatalf("%d tuples for %d entries, want at most %d", n, tbl.Len(), 2*tbl.Len()+8)
 		}
 	}
-	one := PackedKey{7, 9}
+	one := colKey{7, 9}
 	for i := uint64(0); i < 10000; i++ {
 		insert(one, i)
 	}
-	if a, hit := tbl.LookupPacked(one); !hit || a[0].V != 9999 {
+	if a, hit := tbl.LookupPacked(one.packed()); !hit || a[0].V != 9999 {
 		t.Fatalf("after 10 000 overwrites the key answers %v, %t", a, hit)
 	}
 
-	pool, last := collidingKeys(5, 64), map[PackedKey]uint64{one: 9999}
+	pool, last := collidingKeys(5, 64), map[colKey]uint64{one: 9999}
 	for i := 0; i < 10000; i++ {
 		k := pool[i%len(pool)]
 		if i%3 == 0 {
@@ -925,7 +1029,7 @@ func TestProfileChurn(t *testing.T) {
 		}
 	}
 	for k, v := range last {
-		if a, hit := tbl.LookupPacked(k); !hit || a[0].V != v {
+		if a, hit := tbl.LookupPacked(k.packed()); !hit || a[0].V != v {
 			t.Fatalf("key %v answers %v, %t after the churn, want %d", k[:2], a, hit, v)
 		}
 	}
@@ -950,8 +1054,9 @@ func tuples(st *packedStore) int { return len(st.actions) / int(st.nout) }
 // TestOverWideKey: an exact key with a bit set above its column's
 // declared width, which InsertBatch refuses (TestInsertBatchAllOrNothing),
 // is not the key its low bits name either: Delete of it removes nothing,
-// on every store with an exact column. A packed table's lookup masks
-// each column to its width, so there the same key finds that entry.
+// on every store with an exact column. A lookup masks each column to its
+// width as it packs the key, so on every store — packed, or the priority
+// list's tests on the same words — the same key finds that entry.
 func TestOverWideKey(t *testing.T) {
 	for name, tbl := range tableShapes() {
 		col := slices.IndexFunc(tbl.Keys, func(k KeySpec) bool { return k.Kind == MatchExact })
@@ -970,27 +1075,25 @@ func TestOverWideKey(t *testing.T) {
 		if n := tbl.Delete(wide); n != 0 || tbl.Len() != 1 {
 			t.Errorf("%s: Delete of the over-wide key removed %d entries, %d left", name, n, tbl.Len())
 		}
-		if tbl.packed == nil {
-			continue
-		}
-		var k PackedKey
+		vals := make([]uint64, len(wide))
 		for i, m := range wide {
-			k[i] = m.Value
+			vals[i] = m.Value
 		}
-		if a, hit := tbl.LookupPacked(k); !hit || a[0].V != 5 {
+		if a, hit := tbl.Lookup(vals); !hit || a[0].V != 5 {
 			t.Errorf("%s: a lookup with the bits above column %d's width set = %v, %t; want the entry of its low bits", name, col, a, hit)
 		}
 	}
 }
 
 // TestKeyLayout pins how columns pack into key words: at their declared
-// widths, as few words as hold them and none straddling two, a width
-// outside 1..64 taking a whole word; and a record is those words plus
-// one index word when the table has outputs. A published view fits the
-// 192-byte size class, whose objects start on a cache line.
+// widths, first fit in column order and none straddling two words, a
+// width outside 1..64 taking a whole word; a record is those words plus
+// one index word when the table has outputs. A key that needs a fifth
+// word is refused, and NewTable panics on it naming the table. A
+// published view fits the 96-byte size class: it holds no packing state.
 func TestKeyLayout(t *testing.T) {
-	if n := unsafe.Sizeof(packedSnap{}); n > 192 {
-		t.Errorf("a packedSnap is %d bytes, more than the 192-byte size class", n)
+	if n := unsafe.Sizeof(packedSnap{}); n > 96 {
+		t.Errorf("a packedSnap is %d bytes, more than the 96-byte size class", n)
 	}
 	for _, c := range []struct {
 		widths      []int
@@ -1008,24 +1111,35 @@ func TestKeyLayout(t *testing.T) {
 		{[]int{32, 8, 32, 16}, 1, 2, [][2]int{{0, 0}, {0, 32}, {1, 0}, {0, 40}}, 24},
 		{[]int{64, 64, 64, 64}, 1, 4, [][2]int{{0, 0}, {1, 0}, {2, 0}, {3, 0}}, 40},
 		{[]int{0, 65}, 0, 2, [][2]int{{0, 0}, {1, 0}}, 16},
+		{[]int{8, 16, 32, 8, 16}, 1, 2, [][2]int{{0, 0}, {0, 8}, {0, 24}, {0, 56}, {1, 0}}, 24},
+		{[]int{1, 1, 1, 1, 1, 1}, 0, 1, [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}, 8},
 	} {
 		keys := make([]KeySpec, len(c.widths))
 		for i, w := range c.widths {
 			keys[i] = KeySpec{Width: w}
 		}
-		st := newPackedStore(keys, c.nout)
+		layout, err := KeyLayout(keys)
+		if err != nil {
+			t.Fatalf("widths %v: %v", c.widths, err)
+		}
+		st := newPackedStore(layout, c.nout)
 		if int(st.kw) != c.words || 8*int(st.stride) != c.recordBytes {
 			t.Errorf("widths %v, %d outputs: %d key words and %d-byte records, want %d and %d", c.widths, c.nout, st.kw, 8*st.stride, c.words, c.recordBytes)
 		}
 		for i, p := range c.placed {
-			if int(st.word[i]) != p[0] || int(st.shift[i]) != p[1] {
-				t.Errorf("widths %v: column %d in word %d at bit %d, want word %d at bit %d", c.widths, i, st.word[i], st.shift[i], p[0], p[1])
-			}
-			for w := 0; i > 0 && w < 2; w++ {
-				if want := uint64(1) << p[1]; st.scale[w][i-1] != want && w == p[0] || st.scale[w][i-1] != 0 && w != p[0] {
-					t.Errorf("widths %v: column %d scales by %d into word %d", c.widths, i, st.scale[w][i-1], w)
-				}
+			if l := layout[i]; int(l.Word) != p[0] || int(l.Shift) != p[1] || l.Mask != colBits(c.widths[i]) {
+				t.Errorf("widths %v: column %d in word %d at bit %d under %#x, want word %d at bit %d", c.widths, i, l.Word, l.Shift, l.Mask, p[0], p[1])
 			}
 		}
 	}
+	over := []KeySpec{{Width: 64}, {Width: 64}, {Width: 64}, {Width: 64}, {Width: 8}}
+	if _, err := KeyLayout(over); err == nil {
+		t.Error("KeyLayout packed 264 bits into four words")
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "table filtering") {
+			t.Errorf("NewTable on a key of five words: panic %v, want one naming the table", r)
+		}
+	}()
+	NewTable("filtering", over, nil, nil)
 }

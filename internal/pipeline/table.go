@@ -14,9 +14,8 @@ import (
 // MatchKind is how one key column of a table matches.
 type MatchKind int
 
-// Match kinds. An all-exact table of at most MaxPackedKeys columns
-// takes the packed hash store; any other table is a priority-ordered
-// (TCAM-style) list.
+// Match kinds. An all-exact table takes the packed hash store; any other
+// table is a priority-ordered (TCAM-style) list.
 const (
 	MatchExact MatchKind = iota
 	MatchLPM
@@ -82,18 +81,52 @@ func (m KeyMatch) specificity(kind MatchKind) int {
 	return 1
 }
 
-// MaxPackedKeys is the widest key (in columns) the allocation-free
-// packed lookup path supports; a wider all-exact table keeps its entries
-// in the priority list, as a TCAM table does.
-const MaxPackedKeys = 4
+// keyWords is how many 64-bit words a table's key packs into at most:
+// NewTable refuses a key whose columns do not fit (KeyLayout).
+const keyWords = 4
 
-// PackedKey is a table key of at most MaxPackedKeys words, the form the
-// writers and the tests handle. It is not how the per-packet path passes
-// a key: Go's register ABI passes an array of more than one element in
-// memory, so a PackedKey argument is a 32-byte store and reload per
-// call. LookupWords takes the words as four arguments instead.
-// Columns beyond the table's key count must be zero.
-type PackedKey [MaxPackedKeys]uint64
+// PackedKey is four words: LookupPacked's key, one column value a word,
+// and inside a table a key's packed words. It is not how the per-packet
+// path passes a key: Go's register ABI passes an array of more than one
+// element in memory, so a PackedKey argument is a 32-byte store and
+// reload per call. LookupWords takes the words as four arguments instead.
+type PackedKey [keyWords]uint64
+
+// KeyCol is where one key column's bits lie in a table's key words: the
+// column's declared bits, Mask, at bit Shift of word Word.
+type KeyCol struct {
+	Mask        uint64
+	Word, Shift uint8
+}
+
+// KeyLayout places key columns in at most four 64-bit words at their
+// declared widths, first fit in column order: a column goes to the first
+// word with room for it, from that word's lowest free bit, and no column
+// straddles two words. A width outside 1..64 takes a whole word. Every
+// table keys its records, its TCAM tests and its lookups on the words this
+// layout makes, and an apply site packs by it (bytecode's emitApply).
+func KeyLayout(keys []KeySpec) ([]KeyCol, error) {
+	var used [keyWords]int // bits taken in each word
+	cols := make([]KeyCol, len(keys))
+	for c, k := range keys {
+		m := colBits(k.Width)
+		w := bits.Len64(m)
+		j := 0
+		for j < keyWords && used[j]+w > 64 {
+			j++
+		}
+		if j == keyWords {
+			widths := make([]int, len(keys))
+			for i, k := range keys {
+				widths[i] = k.Width
+			}
+			return nil, fmt.Errorf("key columns of widths %v do not pack into %d 64-bit words", widths, keyWords)
+		}
+		cols[c] = KeyCol{Mask: m, Word: uint8(j), Shift: uint8(used[j])}
+		used[j] += w
+	}
+	return cols, nil
+}
 
 // Entry is one table entry: matchers for each key column, a priority
 // (higher wins; tables with a non-exact column only — an exact table
@@ -115,13 +148,12 @@ type tcamEntry struct {
 	tests []colTest
 }
 
-// colTest is one compiled TCAM column: the column's value, shifted
-// right and masked, lies in [lo, hi]. Every kind is one such test, so a
-// TCAM walk calls no closure per entry — through which its key would
-// escape to the heap — and re-dispatches on no MatchKind per column.
+// colTest is one compiled TCAM column: its key word, shifted right and
+// masked, lies in [lo, hi]. Every kind is one such test, so a TCAM walk
+// calls no closure per entry — through which its key would escape to the
+// heap — and re-dispatches on no MatchKind per column.
 type colTest struct {
-	col          int
-	shift        uint
+	word, shift  uint8
 	mask, lo, hi uint64
 }
 
@@ -143,9 +175,12 @@ type Table struct {
 	Outputs []FieldRef
 	Default []Value
 
+	// layout places the key columns in the key words (KeyLayout).
+	layout []KeyCol
+
 	mu sync.RWMutex
-	// packed is the allocation-free fast path: all-exact tables with at
-	// most MaxPackedKeys columns. Set once by NewTable; guarded by mu.
+	// packed is the store of an all-exact table. Set once by NewTable;
+	// guarded by mu.
 	packed *packedStore
 	// snap is the published read view of packed, stored atomically and
 	// invalidated (stored nil) by every mutation. Readers that find it
@@ -159,7 +194,6 @@ type Table struct {
 	snap atomic.Pointer[packedSnap]
 	// entries is every other table's store, kept sorted by priority desc.
 	entries []*tcamEntry
-	isExact bool
 	// version increments on every mutation; read without the lock
 	// (atomically).
 	version atomic.Uint64
@@ -184,53 +218,60 @@ func (t *Table) wrote() {
 	}
 }
 
-// NewTable creates an empty table. All-exact key columns, at most
-// MaxPackedKeys of them, select the packed store.
+// NewTable creates an empty table. All-exact key columns select the
+// packed store. It panics, naming the table, on key columns that do not
+// pack into four words (KeyLayout): the compiler refuses such a key where
+// it is declared.
 func NewTable(name string, keys []KeySpec, outputs []FieldRef, def []Value) *Table {
-	t := &Table{Name: name, Keys: keys, Outputs: outputs, Default: def, isExact: true}
-	for _, k := range keys {
-		if k.Kind != MatchExact {
-			t.isExact = false
-		}
+	layout, err := KeyLayout(keys)
+	if err != nil {
+		panic(fmt.Sprintf("pipeline: table %s: %v", name, err))
 	}
-	if t.isExact && len(keys) <= MaxPackedKeys {
-		t.packed = newPackedStore(keys, len(outputs))
+	t := &Table{Name: name, Keys: keys, Outputs: outputs, Default: def, layout: layout}
+	if !slices.ContainsFunc(keys, func(k KeySpec) bool { return k.Kind != MatchExact }) {
+		t.packed = newPackedStore(layout, len(outputs))
 	}
 	return t
 }
 
 // IsExact reports whether every key column is exact.
-func (t *Table) IsExact() bool { return t.isExact }
+func (t *Table) IsExact() bool { return t.packed != nil }
 
 // HitField is the PHV field recording whether the last apply hit.
 func (t *Table) HitField() FieldRef { return FieldRef(t.Name + ".$hit") }
 
-func packEntryKeys(keys []KeyMatch) PackedKey {
-	var k PackedKey
-	for i, m := range keys {
-		k[i] = m.Value
+// packMatch is the key words of an entry's values, each masked to its
+// column (validate has refused an exact value with bits above it).
+func (t *Table) packMatch(keys []KeyMatch) PackedKey {
+	var w PackedKey
+	for c, p := range t.layout {
+		w[p.Word] |= keys[c].Value & p.Mask << p.Shift
 	}
-	return k
+	return w
 }
 
-// compileTests compiles an entry's columns. Exact, and a prefix at
-// least the column's width, compare the whole value; a shorter prefix
-// its top plen bits; ternary the bits under the mask; range lo..hi
-// inclusive. A wildcard, or a prefix of length 0, is no test at all.
+// compileTests compiles an entry's columns into tests on the key words,
+// each at its column's word and shift under its width's mask, so no
+// column sees its neighbour's bits. Exact, and a prefix at least the
+// column's width, compare the column's bits; a shorter prefix its top
+// plen bits; ternary the bits under the mask; range lo..hi inclusive. A
+// wildcard, or a prefix of length 0, is no test at all.
 func (t *Table) compileTests(keys []KeyMatch) []colTest {
 	tests := make([]colTest, 0, len(keys))
 	for i, m := range keys {
-		kind, width, plen := t.Keys[i].Kind, t.Keys[i].Width, int(m.Aux)
-		c := colTest{col: i, mask: ^uint64(0), lo: m.Value, hi: m.Value}
+		p := t.layout[i]
+		kind, width, plen := t.Keys[i].Kind, bits.Len64(p.Mask), int(m.Aux)
+		c := colTest{word: p.Word, shift: p.Shift, mask: p.Mask, lo: m.Value, hi: m.Value}
 		switch {
 		case m.Any, kind == MatchLPM && plen <= 0:
 			continue
 		case kind == MatchExact, kind == MatchLPM && plen >= width:
 		case kind == MatchLPM:
-			c.shift = uint(width - plen)
-			c.lo, c.hi = m.Value>>c.shift, m.Value>>c.shift
+			drop := uint8(width - plen)
+			c.shift, c.mask = c.shift+drop, c.mask>>drop
+			c.lo, c.hi = m.Value>>drop, m.Value>>drop
 		case kind == MatchTernary:
-			c.mask, c.lo, c.hi = m.Aux, m.Value&m.Aux, m.Value&m.Aux
+			c.mask, c.lo, c.hi = m.Aux&p.Mask, m.Value&m.Aux, m.Value&m.Aux
 		case kind == MatchRange:
 			c.hi = m.Aux
 		default:
@@ -241,10 +282,10 @@ func (t *Table) compileTests(keys []KeyMatch) []colTest {
 	return tests
 }
 
-// hit reports whether every compiled column of e passes on vals.
-func (e *tcamEntry) hit(vals []uint64) bool {
+// hit reports whether every compiled column of e passes on key words w.
+func (e *tcamEntry) hit(w *PackedKey) bool {
 	for _, c := range e.tests {
-		if v := vals[c.col] >> c.shift & c.mask; v < c.lo || v > c.hi {
+		if v := w[c.word&(keyWords-1)] >> (c.shift & 63) & c.mask; v < c.lo || v > c.hi {
 			return false
 		}
 	}
@@ -289,9 +330,8 @@ func (t *Table) InsertBatch(es []Entry) error {
 // arrives in chunks lands in the array one batch of all of it would
 // have, slot for slot, and moves no record on its way up. It writes no
 // entry: it bumps neither Version nor ScalarEpoch, and a published view
-// keeps the old array, which stays as it was. It is a no-op on a table
-// kept as a priority list (TCAM, or exact and wider than MaxPackedKeys)
-// and on a table without key columns.
+// keeps the old array, which stays as it was. It is a no-op on a TCAM
+// table, kept as a priority list, and on a table without key columns.
 func (t *Table) Grow(n int) {
 	if t.packed == nil || len(t.Keys) == 0 {
 		return
@@ -309,7 +349,7 @@ func (t *Table) validate(e *Entry) error {
 	if len(e.Action) != len(t.Outputs) {
 		return fmt.Errorf("%d action values, want %d", len(e.Action), len(t.Outputs))
 	}
-	if t.isExact {
+	if t.packed != nil {
 		for i, k := range e.Keys {
 			if k.Any {
 				return fmt.Errorf("wildcard key in exact-match column %d", i)
@@ -324,7 +364,7 @@ func (t *Table) validate(e *Entry) error {
 
 // overWide is the first exact column whose value has a bit set above the
 // column's width, or -1: a key no lookup, which packs columns masked to
-// their widths, could reach.
+// their widths, could reach, and one the key words have no room for.
 func (t *Table) overWide(keys []KeyMatch) int {
 	for i, k := range keys {
 		if c := t.Keys[i]; c.Kind == MatchExact && !k.Any && k.Value&^colBits(c.Width) != 0 {
@@ -336,15 +376,12 @@ func (t *Table) overWide(keys []KeyMatch) int {
 
 func (t *Table) insertLocked(e *Entry) {
 	if t.packed != nil {
-		t.packed.insert(packEntryKeys(e.Keys), e.Action, e.Name)
+		t.packed.insert(t.packMatch(e.Keys), e.Action, e.Name)
 		return
 	}
 	kept := &tcamEntry{*e, t.compileTests(e.Keys)}
-	if t.isExact {
-		kept.Priority = 0 // a key matches one entry at most: nothing to order
-	}
 	for i, old := range t.entries {
-		if old.Priority == kept.Priority && sameKeys(old.Keys, e.Keys) {
+		if old.Priority == kept.Priority && slices.Equal(old.Keys, e.Keys) {
 			t.entries[i] = kept
 			return
 		}
@@ -368,18 +405,6 @@ func (t *Table) specificityLocked(e *Entry) int {
 	return s
 }
 
-func sameKeys(a, b []KeyMatch) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Delete removes entries whose keys equal the given matchers; it returns
 // the number removed.
 func (t *Table) Delete(keys []KeyMatch) int {
@@ -389,7 +414,7 @@ func (t *Table) Delete(keys []KeyMatch) int {
 	t.version.Add(1)
 	t.snap.Store(nil)
 	if t.packed != nil {
-		if len(keys) == len(t.Keys) && t.overWide(keys) < 0 && t.packed.remove(packEntryKeys(keys)) {
+		if len(keys) == len(t.Keys) && t.overWide(keys) < 0 && t.packed.remove(t.packMatch(keys)) {
 			return 1
 		}
 		return 0
@@ -397,7 +422,7 @@ func (t *Table) Delete(keys []KeyMatch) int {
 	n := 0
 	kept := t.entries[:0]
 	for _, e := range t.entries {
-		if sameKeys(e.Keys, keys) {
+		if slices.Equal(e.Keys, keys) {
 			n++
 			continue
 		}
@@ -414,7 +439,7 @@ func (t *Table) Clear() {
 	t.version.Add(1)
 	t.snap.Store(nil)
 	if t.packed != nil {
-		*t.packed = *newPackedStore(t.Keys, len(t.Outputs))
+		*t.packed = *newPackedStore(t.layout, len(t.Outputs))
 	}
 	t.entries = nil
 	t.wrote()
@@ -478,30 +503,28 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Lookup matches the key values, one per key column, and returns the
 // action data and whether the lookup hit; on a miss — which any other
-// number of values is — the default action data is returned.
+// number of values is — the default action data is returned. It packs
+// the values into the table's key words, each masked to its column's
+// declared width, and looks the words up (LookupWords): a column is its
+// declared bits on every store.
 func (t *Table) Lookup(vals []uint64) ([]Value, bool) {
 	if len(vals) != len(t.Keys) {
 		return t.Default, false
 	}
-	if len(vals) > MaxPackedKeys {
-		return t.match(vals)
+	var w PackedKey
+	for c, p := range t.layout {
+		w[p.Word&(keyWords-1)] |= vals[c] & p.Mask << (p.Shift & 63)
 	}
-	var k PackedKey
-	copy(k[:], vals)
-	return t.LookupWords(k[0], k[1], k[2], k[3])
+	return t.LookupWords(w[0], w[1], w[2], w[3])
 }
 
 // match walks the priority list for the first entry whose compiled
-// columns pass on vals; any other number of values than the table has
-// columns is a miss.
-func (t *Table) match(vals []uint64) ([]Value, bool) {
-	if len(vals) != len(t.Keys) {
-		return t.Default, false
-	}
+// columns pass on key words w.
+func (t *Table) match(w *PackedKey) ([]Value, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, e := range t.entries {
-		if e.hit(vals) {
+		if e.hit(w) {
 			return e.Action, true
 		}
 	}
@@ -510,44 +533,24 @@ func (t *Table) match(vals []uint64) ([]Value, bool) {
 
 // packedSnap is the lock-free read view of an exact table: open
 // addressing with linear probing at <= 50% load over one array of
-// fixed-stride records of 64-bit words — an entry's key columns packed at
-// their declared widths into kw words (keyLayout), then, in a table with
-// outputs, one word holding the offset of its action tuple in actions,
-// the table's action profile: each distinct action tuple once, nout
-// Values apiece, so entries with one action share it. A hit loads one
-// line of the record array and returns a view of the profile; neither
-// array carries pointers, so GC scans nothing of them. An empty slot is
-// the all-zero key, and the all-zero key's entry lives in zero instead —
-// which is all a table without key columns (a scalar control variable)
-// ever holds. Once published, nothing it points to is written.
-//
-// The fields are ordered by when a lookup needs them, so a key of one
-// word reads only the view's first two 64-byte lines, and the view fits
-// the 192-byte size class, whose objects start on a line (TestKeyLayout
-// pins the size).
+// fixed-stride records of 64-bit words — an entry's key words, its
+// columns packed at their declared widths (KeyLayout), kw of them, then,
+// in a table with outputs, one word holding the offset of its action
+// tuple in actions, the table's action profile: each distinct action
+// tuple once, nout Values apiece, so entries with one action share it. A
+// hit loads one line of the record array and returns a view of the
+// profile; neither array carries pointers, so GC scans nothing of them.
+// An empty slot is the all-zero key, and the all-zero key's entry lives
+// in zero instead — which is all a table without key columns (a scalar
+// control variable) ever holds. Once published, nothing it points to is
+// written. It takes packed words and packs nothing: the caller has.
 type packedSnap struct {
 	recs       []uint64
 	actions    []Value // the action profile
 	slots      uint64  // records in recs, two per entry it was sized for
 	kw, stride int32   // key words per record, words per record
 	nout       int32   // Values per action tuple
-	keyLayout
-	zero []Value // the all-zero key's action; nil when it is not installed
-}
-
-// keyLayout places a table's key columns in a record's key words:
-// column c is its bits at shift[c] within word[c]. A column past the
-// table's own has no bits, so whatever a caller leaves in its word is
-// ignored. Column 0 always starts word 0. The per-packet path places
-// columns 1–3 of a key of one or two words by multiplying by
-// scale[w][c-1]: 1 << shift[c] in the column's own word w, 0 in the
-// other. A multiply by a register is one instruction, where a shift by
-// one must first move the count into CL and clamp it at 64, and it
-// needs no branch on the word.
-type keyLayout struct {
-	bits        [MaxPackedKeys]uint64
-	scale       [2][MaxPackedKeys - 1]uint64
-	word, shift [MaxPackedKeys]uint8
+	zero       []Value // the all-zero key's action; nil when it is not installed
 }
 
 // colBits is the mask of a column of width bits; a width outside 1..64
@@ -557,62 +560,6 @@ func colBits(width int) uint64 {
 		return ^uint64(0)
 	}
 	return Mask(width, ^uint64(0))
-}
-
-// layoutKey packs exact columns of the given widths into as few 64-bit
-// words as hold them, no column straddling two: the first assignment of
-// columns to one word, then two, and so on, that fits, each word's
-// columns from bit 0 up in column order. At most MaxPackedKeys columns
-// make at most 4⁴ assignments to try, once per table.
-func layoutKey(keys []KeySpec) (l keyLayout, words int) {
-	var used [MaxPackedKeys]int // bits taken in each word; a failed place gives them back
-	var place func(c int) bool
-	place = func(c int) bool {
-		if c == len(keys) {
-			return true
-		}
-		m := colBits(keys[c].Width)
-		w := bits.Len64(m)
-		for j := 0; j < words; j++ {
-			if used[j]+w > 64 {
-				continue
-			}
-			l.bits[c], l.word[c], l.shift[c] = m, uint8(j), uint8(used[j])
-			used[j] += w
-			if place(c + 1) {
-				return true
-			}
-			used[j] -= w
-		}
-		return false
-	}
-	for words = 1; !place(0); {
-		words++
-	}
-	for c := 1; c < len(keys); c++ {
-		if w := l.word[c]; w < 2 {
-			l.scale[w][c-1] = 1 << l.shift[c]
-		}
-	}
-	return l, words
-}
-
-// pack is the key words of column values k, each masked to its width.
-func (l *keyLayout) pack(k PackedKey) PackedKey {
-	var w PackedKey
-	for c, m := range l.bits {
-		w[l.word[c]] |= k[c] & m << l.shift[c]
-	}
-	return w
-}
-
-// unpack is the column values of key words w.
-func (l *keyLayout) unpack(w PackedKey) PackedKey {
-	var k PackedKey
-	for c, m := range l.bits {
-		k[c] = w[l.word[c]] >> l.shift[c] & m
-	}
-	return k
 }
 
 // emptyAction is the action of every entry of a table without outputs.
@@ -680,59 +627,40 @@ func (s *packedSnap) find(w PackedKey) (uint64, bool) {
 	}
 }
 
-// lookup is find for readers, on column values: it is the per-packet
-// path. A key of one or two words — every shape the corpus declares, the
-// firewall's two 32-bit columns in one word and Aether's 88-bit
-// filtering key in two — is packed, hashed and compared in registers,
-// the record read in place; a wider one goes through the array form.
-// Column 0 always starts word 0.
-func (s *packedSnap) lookup(k0, k1, k2, k3 uint64) ([]Value, bool) {
+// lookup is find for readers: it is the per-packet path. The key words
+// are hashed and compared in registers, the record read in place, the
+// words past kw read as zero; the caller leaves them zero too.
+func (s *packedSnap) lookup(w0, w1, w2, w3 uint64) ([]Value, bool) {
+	if w0|w1|w2|w3 == 0 {
+		return s.zero, s.zero != nil // a keyless table's one answer
+	}
+	h := hashWords(w0, w1, 0, 0) // what every key of one or two words hashes to
 	if s.kw > 2 {
-		return s.lookupWide(k0, k1, k2, k3)
+		h = hashWords(w0, w1, w2, w3)
 	}
-	if k0|k1|k2|k3 == 0 {
-		return s.zero, s.zero != nil // a keyless table's one answer, before any packing
-	}
-	w0, w1 := k0&s.bits[0], uint64(0)
-	if s.bits[1] != 0 { // more than one column
-		m1, m2, m3 := k1&s.bits[1], k2&s.bits[2], k3&s.bits[3]
-		w0 |= m1*s.scale[0][0] | m2*s.scale[0][1] | m3*s.scale[0][2]
-		if s.kw == 2 {
-			w1 = m1*s.scale[1][0] | m2*s.scale[1][1] | m3*s.scale[1][2]
-		}
-	}
-	if w0|w1 == 0 {
-		return s.zero, s.zero != nil
-	}
-	for i := s.home(hashWords(w0, w1, 0, 0)); ; i = s.next(i) {
+	for i := s.home(h); ; i = s.next(i) {
 		o := int(i) * int(s.stride)
-		r0, r1 := s.recs[o], uint64(0)
-		if s.kw == 2 {
+		r0, r1, r2, r3 := s.recs[o], uint64(0), uint64(0), uint64(0)
+		if s.kw > 1 {
 			r1 = s.recs[o+1]
+			if s.kw > 2 {
+				r2 = s.recs[o+2]
+				if s.kw > 3 {
+					r3 = s.recs[o+3]
+				}
+			}
 		}
-		if r0 == w0 && r1 == w1 {
+		if r0 == w0 && r1 == w1 && r2 == w2 && r3 == w3 {
 			if s.nout == 0 {
 				return emptyAction, true
 			}
 			a, n := int(s.recs[o+int(s.kw)]), int(s.nout)
 			return s.actions[a : a+n : a+n], true
 		}
-		if r0|r1 == 0 {
+		if r0|r1|r2|r3 == 0 {
 			return nil, false
 		}
 	}
-}
-
-// lookupWide is lookup on a key of more than two words.
-func (s *packedSnap) lookupWide(k0, k1, k2, k3 uint64) ([]Value, bool) {
-	w := s.pack(PackedKey{k0, k1, k2, k3})
-	if w == (PackedKey{}) {
-		return s.zero, s.zero != nil
-	}
-	if i, ok := s.find(w); ok {
-		return s.action(s.rec(i)), true
-	}
-	return nil, false
 }
 
 // packedStore is the one store of a packed exact table: the arrays a
@@ -749,7 +677,7 @@ type packedStore struct {
 	packedSnap
 	count  int                  // entries, the all-zero key's included
 	shared bool                 // a published view or another store aliases recs and actions
-	names  map[PackedKey]string // the cold side map for the rare Entry.Name
+	names  map[PackedKey]string // by key words: the cold side map for the rare Entry.Name
 	// index finds a tuple's offset in actions by its bytes. It is built
 	// when an insert first needs it and dropped by rehash and CopyFrom,
 	// which leave it describing a profile the store no longer holds.
@@ -757,13 +685,18 @@ type packedStore struct {
 	last  int // the offset interned last: a bulk install of one action never hashes it
 }
 
-func newPackedStore(keys []KeySpec, nout int) *packedStore {
-	l, kw := layoutKey(keys)
+// newPackedStore is an empty store for keys laid out by layout: as many
+// key words as the layout fills, one at least.
+func newPackedStore(layout []KeyCol, nout int) *packedStore {
+	kw := 1
+	for _, p := range layout {
+		kw = max(kw, int(p.Word)+1)
+	}
 	stride := kw
 	if nout > 0 {
 		stride++
 	}
-	st := &packedStore{packedSnap: packedSnap{kw: int32(kw), stride: int32(stride), nout: int32(nout), keyLayout: l}}
+	st := &packedStore{packedSnap: packedSnap{kw: int32(kw), stride: int32(stride), nout: int32(nout)}}
 	st.rehash(0)
 	return st
 }
@@ -862,11 +795,12 @@ func appendTuple(b []byte, t []Value) []byte {
 	return b
 }
 
-// insert adds k or points its record at the new action; action is
-// interned, not kept. The caller has made room (grow: InsertBatch for
-// its batch, or Grow ahead of a chunked install), so load stays <= 50%.
-func (st *packedStore) insert(k PackedKey, action []Value, name string) {
-	if w := st.pack(k); w == (PackedKey{}) {
+// insert adds key words w or points its record at the new action;
+// action is interned, not kept. The caller has made room (grow:
+// InsertBatch for its batch, or Grow ahead of a chunked install), so
+// load stays <= 50%.
+func (st *packedStore) insert(w PackedKey, action []Value, name string) {
+	if w == (PackedKey{}) {
 		if st.zero == nil {
 			st.count++
 		}
@@ -888,19 +822,20 @@ func (st *packedStore) insert(k PackedKey, action []Value, name string) {
 		if st.names == nil {
 			st.names = make(map[PackedKey]string)
 		}
-		st.names[k] = name
+		st.names[w] = name
 	} else {
-		delete(st.names, k)
+		delete(st.names, w)
 	}
 }
 
-// remove deletes k by backward shift: later records of the probe run
-// whose home slot is not past the hole move back into it (no tombstones).
+// remove deletes key words w by backward shift: later records of the
+// probe run whose home slot is not past the hole move back into it (no
+// tombstones).
 // j-home and j-i are how far j lies past each, wrapped modulo 2⁶⁴, not
 // modulo slots; with all three below slots, both wraps order them alike.
 // The action tuple stays in the profile until a compaction.
-func (st *packedStore) remove(k PackedKey) bool {
-	if w := st.pack(k); w == (PackedKey{}) {
+func (st *packedStore) remove(w PackedKey) bool {
+	if w == (PackedKey{}) {
 		if st.zero == nil {
 			return false
 		}
@@ -924,59 +859,59 @@ func (st *packedStore) remove(k PackedKey) bool {
 		clear(st.rec(i))
 	}
 	st.count--
-	delete(st.names, k)
+	delete(st.names, w)
 	return true
 }
 
 // entries rebuilds Entry values from the records, for Table.Entries.
-func (st *packedStore) entries(nkeys int) []Entry {
+func (st *packedStore) entries(layout []KeyCol) []Entry {
 	out := make([]Entry, 0, st.count)
-	add := func(k PackedKey, action []Value) {
-		keys := make([]KeyMatch, nkeys)
-		for j := range keys {
-			keys[j] = ExactKey(k[j])
+	add := func(w PackedKey, action []Value) {
+		keys := make([]KeyMatch, len(layout))
+		for c, p := range layout {
+			keys[c] = ExactKey(w[p.Word] >> p.Shift & p.Mask)
 		}
-		out = append(out, Entry{Keys: keys, Action: slices.Clone(action), Name: st.names[k]})
+		out = append(out, Entry{Keys: keys, Action: slices.Clone(action), Name: st.names[w]})
 	}
 	if st.zero != nil {
 		add(PackedKey{}, st.zero)
 	}
 	for r := st.recs; len(r) > 0; r = r[st.stride:] {
 		if w := st.key(r); w != (PackedKey{}) {
-			add(st.unpack(w), st.action(r))
+			add(w, st.action(r))
 		}
 	}
 	return out
 }
 
-// LookupWords is the allocation-free lookup the bytecode VM uses: the
-// key words travel as arguments, in registers, down to the probe. An
-// exact table answers from its lock-free read view, published here
-// first if a mutation invalidated it — so an install is visible at the
-// next lookup; any other table walks its entries under the read lock. It
-// serves tables of at most MaxPackedKeys columns; wider tables must go
-// through Lookup. The words past the table's own columns are ignored,
-// and an exact table masks each column to its declared width, which no
-// value the VM passes exceeds; Lookup and the VM's runApply zero those
-// words all the same.
-func (t *Table) LookupWords(k0, k1, k2, k3 uint64) ([]Value, bool) {
+// LookupWords is the allocation-free lookup the bytecode VM uses: the key
+// travels as its packed words — each column at its place in the table's
+// KeyLayout, masked to its declared width, every other bit zero — as four
+// arguments, in registers, down to the probe. The caller packs (an apply
+// site, or Lookup); a word the key does not fill must be zero. An exact
+// table answers from its lock-free read view, published here first if a
+// mutation invalidated it — so an install is visible at the next lookup;
+// a TCAM table walks its entries' tests on the words under the read lock.
+func (t *Table) LookupWords(w0, w1, w2, w3 uint64) ([]Value, bool) {
 	s := t.snap.Load()
 	if s == nil {
 		if t.packed == nil {
-			k := PackedKey{k0, k1, k2, k3}
-			return t.match(k[:min(len(t.Keys), MaxPackedKeys)])
+			return t.match(&PackedKey{w0, w1, w2, w3})
 		}
 		s = t.publish()
 	}
-	if a, ok := s.lookup(k0, k1, k2, k3); ok {
+	if a, ok := s.lookup(w0, w1, w2, w3); ok {
 		return a, true
 	}
 	return t.Default, false
 }
 
-// LookupPacked is LookupWords on a key built as an array.
+// LookupPacked is Lookup on the column values of a key of at most four
+// columns, one a word: it packs them by the table's layout and looks the
+// words up. The values past the table's columns are ignored; a table of
+// more than four columns has no key of this form and misses.
 func (t *Table) LookupPacked(k PackedKey) ([]Value, bool) {
-	return t.LookupWords(k[0], k[1], k[2], k[3])
+	return t.Lookup(k[:min(len(t.Keys), len(k))])
 }
 
 // Entries returns a snapshot of the installed entries (TCAM order for
@@ -985,7 +920,7 @@ func (t *Table) Entries() []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.packed != nil {
-		return t.packed.entries(len(t.Keys))
+		return t.packed.entries(t.layout)
 	}
 	out := make([]Entry, 0, len(t.entries))
 	for _, e := range t.entries {
