@@ -29,14 +29,16 @@
 //     one another — a linked Set places every member's in one region
 //     after the builtins — so the per-hop reset is one copy of that
 //     region of the template.
-//   - Every slot's "unwritten" value is precomputed into a template:
-//     slot widths are mined from the program's Field reads, so a read
-//     of a never-written field sees Value{W: declared} exactly as the
-//     interpreters' width-defaulting read would produce. Expression
-//     code can therefore reference field slots directly, with no
-//     per-read width fixup instruction.
-//   - Constants are materialized into read-only template slots;
-//     loading a constant costs zero instructions.
+//   - A slot holds bits: the PHV is a []uint64, and every slot has one
+//     static width, fixed at compile time — the width of every read and
+//     write of its field, which Compile holds to one (a field read or
+//     written at two widths is refused). An instruction carries its
+//     result's mask, so no width travels with a value and none is
+//     reconciled at run time: an operation is at its left operand's
+//     static width, as in the map reference.
+//   - Every slot's "unwritten" value is zero bits in a template, and
+//     constants are materialized into read-only template slots; loading
+//     a field or a constant costs zero instructions.
 //   - Expressions flatten to three-address code over temp slots. This
 //     evaluates both sides of &&/||/mux eagerly, which is sound
 //     because pipeline expressions are pure and total (no state reads,
@@ -77,22 +79,21 @@ type OpKind uint8
 // executors.
 const (
 	opNop       OpKind = iota
-	opLoadF            // A=dst, B=src, W: width-defaulting field read
-	opAssign           // A=dst, B=src, W: dst = B(W, src.V) [ir]
-	opAddAssign        // A=dst, B, C, W: an opAssign of the opAdd before it, both masks kept [ir: AssignOp]
+	opAssign           // A=dst, B=src, M: dst = src & M [ir]
+	opAddAssign        // A=dst, B, C, M: an opAssign of the opAdd before it, at the narrower mask [ir: AssignOp]
 	opJmp              // A=target
 	opJz               // A=cond, B=target: jump if cond is false [ir: IfOp]
 
-	opNot  // A=dst, B=src
-	opBNot //
+	opNot  // A=dst, B=src: 1 if src is 0
+	opBNot // A=dst, B=src, M: at src's width
 	opNeg  //
 	opAbs  //
 
-	opBoolAnd // A=dst, B, C: BoolV(B && C)
+	opBoolAnd // A=dst, B, C: 1 if B and C are nonzero
 	opBoolOr  //
 	opSelect  // A=dst, B=cond, C=then, D=else
 
-	opAdd // A=dst, B, C (binary arithmetic at reconciled width)
+	opAdd // A=dst, B, C, M: binary arithmetic at B's width
 	opSub
 	opMul
 	opDiv
@@ -105,7 +106,7 @@ const (
 	opMax
 	opMin
 
-	opEq // A=dst, B, C (comparisons produce BoolV)
+	opEq // A=dst, B, C (comparisons produce 0 or 1)
 	opNe
 	opLt
 	opLe
@@ -130,27 +131,30 @@ const (
 	opJnz   // A=cond, B=target: fused !x — taken when cond is TRUE [ir: IfOp]
 
 	opApply       // A=apply-site [ir]
-	opApplyAssign // A=apply-site, B=dst, C=its one output or hit, W: the apply, then an opAssign [ir: 2]
-	opIn          // A=dst, B=array-site, C=needle: BoolV(needle among the first min(count, capN) elements)
-	opRegRead     // A=dst, B=reg-site, C=idx slot, W=width [ir]
+	opApplyAssign // A=apply-site, B=dst, C=its one output or hit, M: the apply, then an opAssign [ir: 2]
+	opIn          // A=dst, B=array-site, C=needle: 1 if needle is among the first min(count, capN) elements
+	opRegRead     // A=dst, B=reg-site, C=idx slot, M: the read at the destination's width [ir]
 	opRegWrite    // A=reg-site, B=idx slot, C=src slot [ir]
 	opPush        // A=array-site, B=src slot [ir]
 	opSetSlot     // A=array-site, B=idx slot, C=src slot [ir]
 	opReport      // A=report-site [ir]
-	opReject      // A=member, B=src, W: the member's bit of the pass's reject mask = Mask(W, src) != 0 [ir: AssignOp to the write-only reject flag]
+	opReject      // A=member, B=src, M: the member's bit of the pass's reject mask = src&M != 0 [ir: AssignOp to the write-only reject flag]
 )
 
 // Instr is one VM instruction. Operands are PHV slot indices, jump
-// targets, or side-table indices depending on the opcode; W carries a
-// bit width where one is needed.
+// targets, or side-table indices depending on the opcode; M is the mask
+// of its result's static width, the low bits an op of that width keeps.
 type Instr struct {
 	Op OpKind
-	W  int32
 	A  int32
 	B  int32
 	C  int32
 	D  int32
+	M  uint64
 }
+
+// widthMask is the mask of a width-w result: the low w bits.
+func widthMask(w int) uint64 { return pipeline.Mask(w, ^uint64(0)) }
 
 // opd says what one operand field of an instruction holds, for the
 // passes that walk code without executing it: the reset and prologue
@@ -174,7 +178,7 @@ var shapes = func() (t [opReject + 1][4]opd) {
 	for op := opBoolAnd; op <= opGe; op++ {
 		t[op] = [4]opd{opdDst, opdSrc, opdSrc} // opSelect, in their midst, is set below
 	}
-	for _, op := range []OpKind{opLoadF, opAssign, opNot, opBNot, opNeg, opAbs} {
+	for _, op := range []OpKind{opAssign, opNot, opBNot, opNeg, opAbs} {
 		t[op] = [4]opd{opdDst, opdSrc}
 	}
 	t[opSelect] = [4]opd{opdDst, opdSrc, opdSrc, opdSrc}
@@ -258,18 +262,21 @@ type regSite struct {
 	name   string
 }
 
-// arraySite is the side table for header-stack ops.
+// arraySite is the side table for header-stack ops: the element slots,
+// the count slot, the capacity and the elements' mask.
 type arraySite struct {
 	start int32
 	cnt   int32
 	capN  int32
-	ew    int32
+	em    uint64
 }
 
-// reportSite is the side table for one ReportOp.
+// reportSite is the side table for one ReportOp: the slots of its
+// arguments and their static widths, which the raised Values carry.
 type reportSite struct {
 	owner int32 // index of the member whose reports it raises
 	args  []int32
+	argW  []uint8
 }
 
 // image is a PHV layout with its template and reset plan, plus the side
@@ -287,10 +294,13 @@ type image struct {
 	kindEnd   [numStepKinds]int
 	teleBytes int
 
-	// template is the trace-start PHV image: decode-empty telemetry
-	// values, width-defaulted field slots, and constant values. The
-	// scratch (non-tele) region doubles as the per-hop reset image.
-	template []pipeline.Value
+	// template is the trace-start PHV image: zero bits but for the
+	// constants. The scratch (non-tele) region doubles as the per-hop
+	// reset image.
+	template []uint64
+	// widths is every slot's static width; a temporary has none (0), its
+	// width being each instruction's that writes it.
+	widths []uint8
 
 	applies []applySite
 	regs    []regSite
@@ -339,8 +349,8 @@ type comp struct {
 	p    *Prog
 	prog *pipeline.Program
 
-	// widths holds the Field read width per ref (-1 on conflicting
-	// widths, which forces an explicit opLoadF at each read site).
+	// widths holds every field's static width: the one width its reads
+	// and writes agree on (scanWidths).
 	widths map[pipeline.FieldRef]int
 	consts map[pipeline.Value]int32
 	arrays map[string]arrayBlock
@@ -367,7 +377,9 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 		arrays: map[string]arrayBlock{},
 	}
 
-	cp.scanWidths()
+	if err := cp.scanWidths(); err != nil {
+		return nil, err
+	}
 	if err := cp.layout(); err != nil {
 		return nil, err
 	}
@@ -387,31 +399,73 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 	return p, nil
 }
 
-// scanWidths mines every Field read's width so slot templates can bake
-// the width-defaulting semantics of an unwritten field.
-func (cp *comp) scanWidths() {
+// scanWidths gives every field of the program its static width: the
+// width of each of its reads (Field) and writes (an assignment's, a
+// register read's, an array element's, a table output's — its default's
+// width — or a hit flag's), of a telemetry field's declaration and of a
+// builtin's. A field they do not agree on is refused, naming it: its
+// slot could not hold one width.
+func (cp *comp) scanWidths() error {
+	var err error
+	declare := func(f pipeline.FieldRef, w int) {
+		if was, seen := cp.widths[f]; !seen {
+			cp.widths[f] = w
+		} else if was != w && err == nil {
+			err = fmt.Errorf("bytecode: field %s is read or written at widths %d and %d", f, was, w)
+		}
+	}
 	note := func(e pipeline.Expr) {
 		walkExpr(e, func(x pipeline.Expr) {
 			if f, ok := x.(pipeline.Field); ok {
-				if w, seen := cp.widths[f.Ref]; seen && w != f.Width {
-					cp.widths[f.Ref] = -1
-				} else if !seen {
-					cp.widths[f.Ref] = f.Width
-				}
+				declare(f.Ref, f.Width)
 			}
 		})
 	}
+	array := func(base string, capN, ew int) {
+		declare(pipeline.ArrayCount(base), 8)
+		for i := 0; i < capN; i++ {
+			declare(pipeline.ArraySlot(base, i), ew)
+		}
+	}
+	declare(pipeline.FieldHops, 8)
+	for _, f := range cp.prog.Tele {
+		if f.IsArray {
+			array(f.Name, f.Cap, f.Width)
+		} else {
+			declare(pipeline.FieldRef(f.Name), f.Width)
+		}
+	}
+	declare(pipeline.FieldSwitch, 32)
+	declare(pipeline.FieldPktLen, 32)
+	declare(pipeline.FieldLastHop, 1)
+	declare(pipeline.FieldFirst, 1)
 	for _, blk := range [][]pipeline.Op{cp.prog.Init, cp.prog.Telemetry, cp.prog.Checker} {
 		pipeline.WalkOps(blk, func(op pipeline.Op) {
 			switch op := op.(type) {
 			case pipeline.AssignOp:
 				note(op.Src)
+				if op.Dst != pipeline.FieldReject {
+					declare(op.Dst, op.DstWidth)
+				}
 			case pipeline.ApplyOp:
 				for _, k := range op.Keys {
 					note(k)
 				}
+				spec, _ := tableSpec(cp.prog, op.Table) // an undeclared table is emitApply's error
+				if spec == nil {
+					break
+				}
+				if len(spec.Default) != len(spec.Outputs) && err == nil {
+					err = fmt.Errorf("bytecode: table %q has %d defaults for %d outputs", spec.Name, len(spec.Default), len(spec.Outputs))
+					break
+				}
+				for i, o := range spec.Outputs {
+					declare(o, spec.Default[i].W)
+				}
+				declare(pipeline.FieldRef(spec.Name+".$hit"), 1)
 			case pipeline.RegReadOp:
 				note(op.Index)
+				declare(op.Dst, op.Width)
 			case pipeline.RegWriteOp:
 				note(op.Index)
 				note(op.Src)
@@ -419,9 +473,11 @@ func (cp *comp) scanWidths() {
 				note(op.Cond)
 			case pipeline.PushOp:
 				note(op.Src)
+				array(op.Base, op.Cap, op.ElemWidth)
 			case pipeline.SetSlotOp:
 				note(op.Index)
 				note(op.Src)
+				array(op.Base, op.Cap, op.ElemWidth)
 			case pipeline.ReportOp:
 				for _, a := range op.Args {
 					note(a)
@@ -429,6 +485,7 @@ func (cp *comp) scanWidths() {
 			}
 		})
 	}
+	return err
 }
 
 func walkExpr(e pipeline.Expr, visit func(pipeline.Expr)) {
@@ -448,7 +505,7 @@ func walkExpr(e pipeline.Expr, visit func(pipeline.Expr)) {
 
 // layout assigns the telemetry region (wire order, slot 0 = hop
 // counter), the builtin metadata slots, array blocks, and header
-// binding slots, and seeds the PHV template.
+// binding slots.
 func (cp *comp) layout() error {
 	p := cp.p
 
@@ -457,7 +514,6 @@ func (cp *comp) layout() error {
 	off := int32(0)
 	addTele := func(slot int32, width int) {
 		p.img.teleSteps = append(p.img.teleSteps, teleStep{slot: slot, width: int32(width), off: off, kind: stepShape(off, int32(width))})
-		p.img.template[slot] = pipeline.Value{W: width}
 		off += int32(width)
 	}
 	align := func() {
@@ -545,9 +601,8 @@ func (cp *comp) layout() error {
 	return nil
 }
 
-// intern assigns (or returns) the slot of a field, seeding its template
-// value with the mined read width so unwritten reads width-default
-// without an instruction.
+// intern assigns (or returns) the slot of a field, at its static width;
+// its template bits are zero, what an unwritten field reads.
 func (cp *comp) intern(f pipeline.FieldRef) int32 {
 	p := cp.p
 	if s, ok := p.slots[f]; ok {
@@ -555,11 +610,8 @@ func (cp *comp) intern(f pipeline.FieldRef) int32 {
 	}
 	s := int32(len(p.img.template))
 	p.slots[f] = s
-	var tv pipeline.Value
-	if w := cp.widths[f]; w > 0 {
-		tv = pipeline.Value{W: w}
-	}
-	p.img.template = append(p.img.template, tv)
+	p.img.template = append(p.img.template, 0)
+	p.img.widths = append(p.img.widths, uint8(cp.widths[f]))
 	return s
 }
 
@@ -569,7 +621,8 @@ func (cp *comp) constSlot(v pipeline.Value) int32 {
 		return s
 	}
 	s := int32(len(cp.p.img.template))
-	cp.p.img.template = append(cp.p.img.template, v)
+	cp.p.img.template = append(cp.p.img.template, v.V)
+	cp.p.img.widths = append(cp.p.img.widths, uint8(v.W))
 	cp.consts[v] = s
 	return s
 }
@@ -583,34 +636,28 @@ func (cp *comp) temp() int32 {
 	return tempBase + t
 }
 
-// expr emits code computing e and returns the slot holding the result.
-// Fields and constants cost zero instructions: they are slot
-// references into the templated PHV.
-func (cp *comp) expr(e pipeline.Expr, code *[]Instr) (int32, error) {
+// expr emits code computing e and returns the slot holding the result
+// and its static width: a field's, a constant's, a unary or arithmetic
+// op's left operand's, 1 for a comparison or a logical op, and a mux's
+// arms', which must agree. Fields and constants cost zero instructions:
+// they are slot references into the templated PHV.
+func (cp *comp) expr(e pipeline.Expr, code *[]Instr) (int32, int, error) {
 	switch e := e.(type) {
 	case pipeline.Field:
-		s := cp.intern(e.Ref)
-		if cp.widths[e.Ref] == -1 {
-			// Conflicting read widths: the template cannot bake a
-			// single default, so width-default explicitly.
-			t := cp.temp()
-			*code = append(*code, Instr{Op: opLoadF, A: t, B: s, W: int32(e.Width)})
-			return t, nil
-		}
-		return s, nil
+		return cp.intern(e.Ref), cp.widths[e.Ref], nil
 
 	case pipeline.Const:
-		return cp.constSlot(e.Val), nil
+		return cp.constSlot(e.Val), e.Val.W, nil
 
 	case pipeline.Unary:
-		x, err := cp.expr(e.X, code)
+		x, w, err := cp.expr(e.X, code)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		var op OpKind
 		switch e.Op {
 		case pipeline.OpNot:
-			op = opNot
+			op, w = opNot, 1
 		case pipeline.OpBNot:
 			op = opBNot
 		case pipeline.OpNeg:
@@ -618,53 +665,60 @@ func (cp *comp) expr(e pipeline.Expr, code *[]Instr) (int32, error) {
 		case pipeline.OpAbs:
 			op = opAbs
 		default:
-			return 0, fmt.Errorf("bytecode: bad unary opcode %s", e.Op)
+			return 0, 0, fmt.Errorf("bytecode: bad unary opcode %s", e.Op)
 		}
 		t := cp.temp()
-		*code = append(*code, Instr{Op: op, A: t, B: x})
-		return t, nil
+		*code = append(*code, Instr{Op: op, A: t, B: x, M: widthMask(w)})
+		return t, w, nil
 
 	case pipeline.Bin:
 		if base, needle, ok := cp.membership(e); ok {
-			x, _ := cp.expr(needle, code) // a Field: never an error
+			x := cp.intern(needle.Ref)
 			t := cp.temp()
-			*code = append(*code, Instr{Op: opIn, A: t, B: cp.arraySite(base, cp.arrays[base].capN, 0), C: x})
-			return t, nil
+			site := cp.arraySite(base, cp.arrays[base].capN, cp.widths[pipeline.ArraySlot(base, 0)])
+			*code = append(*code, Instr{Op: opIn, A: t, B: site, C: x, M: 1})
+			return t, 1, nil
 		}
-		x, err := cp.expr(e.X, code)
+		x, w, err := cp.expr(e.X, code)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		y, err := cp.expr(e.Y, code)
+		y, _, err := cp.expr(e.Y, code)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		op, ok := binOp[e.Op]
 		if !ok {
-			return 0, fmt.Errorf("bytecode: bad binary opcode %s", e.Op)
+			return 0, 0, fmt.Errorf("bytecode: bad binary opcode %s", e.Op)
+		}
+		if op >= opEq || op == opBoolAnd || op == opBoolOr {
+			w = 1
 		}
 		t := cp.temp()
-		*code = append(*code, Instr{Op: op, A: t, B: x, C: y})
-		return t, nil
+		*code = append(*code, Instr{Op: op, A: t, B: x, C: y, M: widthMask(w)})
+		return t, w, nil
 
 	case pipeline.Mux:
-		cond, err := cp.expr(e.Cond, code)
+		cond, _, err := cp.expr(e.Cond, code)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		x, err := cp.expr(e.X, code)
+		x, w, err := cp.expr(e.X, code)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		y, err := cp.expr(e.Y, code)
+		y, wy, err := cp.expr(e.Y, code)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
+		}
+		if wy != w {
+			return 0, 0, fmt.Errorf("bytecode: mux %s has arms of widths %d and %d", e, w, wy)
 		}
 		t := cp.temp()
-		*code = append(*code, Instr{Op: opSelect, A: t, B: cond, C: x, D: y})
-		return t, nil
+		*code = append(*code, Instr{Op: opSelect, A: t, B: cond, C: x, D: y, M: widthMask(w)})
+		return t, w, nil
 	}
-	return 0, fmt.Errorf("bytecode: unknown expr %T", e)
+	return 0, 0, fmt.Errorf("bytecode: unknown expr %T", e)
 }
 
 // membership recognises exactly the expansion compiler.compileIn emits
@@ -738,17 +792,19 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 		switch op := op.(type) {
 		case pipeline.AssignOp:
 			n := len(*code)
-			src, err := cp.expr(op.Src, code)
+			src, _, err := cp.expr(op.Src, code)
 			if err != nil {
 				return err
 			}
 			if op.Dst == pipeline.FieldReject { // LinkSet fills in the member
-				*code = append(*code, Instr{Op: opReject, B: src, W: int32(op.DstWidth)})
+				*code = append(*code, Instr{Op: opReject, B: src, M: widthMask(op.DstWidth)})
 				break
 			}
-			in := Instr{Op: opAssign, A: cp.intern(op.Dst), B: src, W: int32(op.DstWidth)}
-			if last := len(*code) - 1; src >= tempBase && (*code)[last].Op == opAdd && (*code)[last].A == src {
-				// x += k: the sum's temp has no other reader (emitBranch's idiom).
+			in := Instr{Op: opAssign, A: cp.intern(op.Dst), B: src, M: widthMask(op.DstWidth)}
+			if last := len(*code) - 1; src >= tempBase && (*code)[last].Op == opAdd && (*code)[last].A == src && (*code)[last].M&in.M == in.M {
+				// x += k: the sum's temp has no other reader (emitBranch's
+				// idiom), and the sum is no narrower than x, so x's mask is
+				// the pair's.
 				in.Op, in.B, in.C = opAddAssign, (*code)[last].B, (*code)[last].C
 				*code = (*code)[:last]
 			} else if _, after := prev.(pipeline.ApplyOp); after && len(*code) == n {
@@ -757,7 +813,7 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 				// its hit: one dispatch for both IR ops.
 				a := (*code)[n-1].A
 				if site := &p.img.applies[a]; src == site.hit || len(site.outs) == 1 && src == site.outs[0] {
-					in = Instr{Op: opApplyAssign, A: a, B: in.A, C: src, W: in.W}
+					in = Instr{Op: opApplyAssign, A: a, B: in.A, C: src, M: in.M}
 					*code = (*code)[:n-1]
 				}
 			}
@@ -772,23 +828,23 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			if err := regDeclared(p.P, op.Reg); err != nil {
 				return err
 			}
-			idx, err := cp.expr(op.Index, code)
+			idx, _, err := cp.expr(op.Index, code)
 			if err != nil {
 				return err
 			}
 			site := int32(len(p.img.regs))
 			p.img.regs = append(p.img.regs, regSite{name: op.Reg})
-			*code = append(*code, Instr{Op: opRegRead, A: cp.intern(op.Dst), B: site, C: idx, W: int32(op.Width)})
+			*code = append(*code, Instr{Op: opRegRead, A: cp.intern(op.Dst), B: site, C: idx, M: widthMask(op.Width)})
 
 		case pipeline.RegWriteOp:
 			if err := regDeclared(p.P, op.Reg); err != nil {
 				return err
 			}
-			idx, err := cp.expr(op.Index, code)
+			idx, _, err := cp.expr(op.Index, code)
 			if err != nil {
 				return err
 			}
-			src, err := cp.expr(op.Src, code)
+			src, _, err := cp.expr(op.Src, code)
 			if err != nil {
 				return err
 			}
@@ -797,7 +853,7 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			*code = append(*code, Instr{Op: opRegWrite, A: site, B: idx, C: src})
 
 		case pipeline.IfOp:
-			cond, err := cp.expr(op.Cond, code)
+			cond, _, err := cp.expr(op.Cond, code)
 			if err != nil {
 				return err
 			}
@@ -818,34 +874,34 @@ func (cp *comp) emitOps(ops []pipeline.Op, code *[]Instr) error {
 			}
 
 		case pipeline.PushOp:
-			src, err := cp.expr(op.Src, code)
+			src, _, err := cp.expr(op.Src, code)
 			if err != nil {
 				return err
 			}
 			*code = append(*code, Instr{Op: opPush, A: cp.arraySite(op.Base, op.Cap, op.ElemWidth), B: src})
 
 		case pipeline.SetSlotOp:
-			idx, err := cp.expr(op.Index, code)
+			idx, _, err := cp.expr(op.Index, code)
 			if err != nil {
 				return err
 			}
-			src, err := cp.expr(op.Src, code)
+			src, _, err := cp.expr(op.Src, code)
 			if err != nil {
 				return err
 			}
 			*code = append(*code, Instr{Op: opSetSlot, A: cp.arraySite(op.Base, op.Cap, op.ElemWidth), B: idx, C: src})
 
 		case pipeline.ReportOp:
-			args := make([]int32, len(op.Args))
+			args, argW := make([]int32, len(op.Args)), make([]uint8, len(op.Args))
 			for i, a := range op.Args {
-				s, err := cp.expr(a, code)
+				s, w, err := cp.expr(a, code)
 				if err != nil {
 					return err
 				}
-				args[i] = s
+				args[i], argW[i] = s, uint8(w)
 			}
 			site := int32(len(p.img.reports))
-			p.img.reports = append(p.img.reports, reportSite{args: args})
+			p.img.reports = append(p.img.reports, reportSite{args: args, argW: argW})
 			*code = append(*code, Instr{Op: opReport, A: site})
 
 		default:
@@ -863,7 +919,7 @@ func (cp *comp) arraySite(base string, capN, ew int) int32 {
 		start: cp.arrays[base].start,
 		cnt:   cp.intern(pipeline.ArrayCount(base)),
 		capN:  int32(capN),
-		ew:    int32(ew),
+		em:    widthMask(ew),
 	})
 	return site
 }
@@ -883,7 +939,7 @@ func (cp *comp) emitApply(op pipeline.ApplyOp, code *[]Instr) error {
 	}
 	keys := make([]applyKey, len(op.Keys))
 	for i, k := range op.Keys {
-		s, err := cp.expr(k, code)
+		s, _, err := cp.expr(k, code)
 		if err != nil {
 			return err
 		}
@@ -1002,9 +1058,10 @@ func (cp *comp) relocate() {
 		}
 	}
 	p.img.nSlots = len(p.img.template) + int(cp.tempMax)
-	// Temps join the template as zero values so whole-template copies
-	// cover the full PHV.
-	p.img.template = append(p.img.template, make([]pipeline.Value, cp.tempMax)...)
+	// Temps join the template as zeros, of no static width, so
+	// whole-template copies cover the full PHV.
+	p.img.template = append(p.img.template, make([]uint64, cp.tempMax)...)
+	p.img.widths = append(p.img.widths, make([]uint8, cp.tempMax)...)
 	p.tempStart = base
 	p.computeResetSlots()
 	p.markPrologues()
@@ -1022,7 +1079,7 @@ func (p *Prog) markPrologues() {
 	for bi, code := range p.blocks() {
 		for _, in := range code {
 			var w []int32
-			if in.Op == opAddAssign && in.A == hop && in.B == hop && in.W == 8 && p.img.template[in.C] == pipeline.B(8, 1) {
+			if in.Op == opAddAssign && in.A == hop && in.B == hop && in.M == 0xff && p.img.template[in.C] == 1 {
 				w = []int32{hop}
 			} else if in.Op == opApply && len(p.img.applies[in.A].keys) == 0 {
 				w = append(slices.Clip(p.img.applies[in.A].outs), p.img.applies[in.A].hit)

@@ -463,7 +463,7 @@ func TestVMLiveInstall(t *testing.T) {
 		if _, _, err := vm.Pass(blob, envs, bytecode.BlockTelemetry|bytecode.BlockChecker, true, true); err != nil {
 			t.Fatal(err)
 		}
-		return vm.Ctx.PHV[aclSlot].V, vm.Ctx.PHV[exSlot].V
+		return vm.Ctx.PHV[aclSlot], vm.Ctx.PHV[exSlot]
 	}
 
 	if acl, ex := run(); acl != 7 || ex != 0x0BEE {
@@ -559,8 +559,8 @@ func TestApplyZeroFillsUnusedColumns(t *testing.T) {
 	for n := 0; n <= 4; n++ {
 		out := setSlot(t, vm, pipeline.FieldRef(fmt.Sprintf("ctrl.ot%d", n)))
 		hit := setSlot(t, vm, st.Tables[fmt.Sprintf("t%d", n)].HitField())
-		if phv[out].V != uint64(n+1) || phv[hit].V != 1 {
-			t.Errorf("%d-column apply after a 4-column one: out %d hit %d, want %d and 1", n, phv[out].V, phv[hit].V, n+1)
+		if phv[out] != uint64(n+1) || phv[hit] != 1 {
+			t.Errorf("%d-column apply after a 4-column one: out %d hit %d, want %d and 1", n, phv[out], phv[hit], n+1)
 		}
 	}
 }
@@ -604,34 +604,30 @@ func TestApplyMasksKeysToColumnWidths(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"one", "two"} {
-		if out := vm.Ctx.PHV[setSlot(t, vm, pipeline.FieldRef("ctrl."+name))]; out.V != 5 {
-			t.Errorf("%s: the apply of a 16-bit key into 8-bit columns read %d, want the entry's 5", name, out.V)
+		if out := vm.Ctx.PHV[setSlot(t, vm, pipeline.FieldRef("ctrl."+name))]; out != 5 {
+			t.Errorf("%s: the apply of a 16-bit key into 8-bit columns read %d, want the entry's 5", name, out)
 		}
 	}
 }
 
-// TestLoadFieldAtTwoWidths reads one header field at two widths — the only
-// way the compiler emits opLoadF — with the header present and absent, and
-// holds the reports to the map reference: a present field reads as bound,
-// an absent one as a zero of each read's width.
-func TestLoadFieldAtTwoWidths(t *testing.T) {
-	prog := &pipeline.Program{
-		Name: "two-widths", HeaderBindings: map[string]string{"x": "hdr.x"},
-		Checker: []pipeline.Op{pipeline.ReportOp{Args: []pipeline.Expr{f("hdr.x", 8), f("hdr.x", 16)}}},
-	}
-	ref, vm := difftest.Reference{Prog: prog}, linkOne(t, prog)
-	for _, hdr := range []map[string]pipeline.Value{{"hdr.x": pipeline.B(16, 0x1234)}, nil} {
-		env := difftest.HopEnv{State: prog.NewState(), SwitchID: 1, Headers: hdr, PacketLen: 100}
-		want, err := ref.RunHop(nil, env, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := vm.RunHop(nil, env, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Reports) != 1 || !reflect.DeepEqual(got.Reports, want.Reports) {
-			t.Errorf("headers %v: vm reported %+v, reference %+v", hdr, got.Reports, want.Reports)
+// TestTwoWidthFieldRefused holds Compile to one static width per slot: IR
+// that reads a field at two widths, or reads it at one and writes it at
+// another, is refused with an error naming the field — the map reference
+// would give such a field whichever width was stored last.
+func TestTwoWidthFieldRefused(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		ops   []pipeline.Op
+	}{
+		{"hdr.x", []pipeline.Op{pipeline.ReportOp{Args: []pipeline.Expr{f("hdr.x", 8), f("hdr.x", 16)}}}},
+		{"meta.y", []pipeline.Op{
+			pipeline.AssignOp{Dst: "meta.y", DstWidth: 16, Src: f("hdr.x", 8)},
+			pipeline.ReportOp{Args: []pipeline.Expr{f("meta.y", 8)}},
+		}},
+	} {
+		prog := &pipeline.Program{Name: "two-widths", HeaderBindings: map[string]string{"x": "hdr.x"}, Checker: c.ops}
+		if _, err := bytecode.Compile(prog); err == nil || !strings.Contains(err.Error(), "field "+c.field+" ") {
+			t.Errorf("%s at two widths: Compile returned %v, want an error naming it", c.field, err)
 		}
 	}
 }
@@ -677,7 +673,7 @@ func TestInstallVisibleAtNextLookup(t *testing.T) {
 	run := func(v uint64) uint64 {
 		vm.H[h0] = pipeline.B(8, v)
 		vm.Run(1, 100, true, false, bytecode.HopBlocks(true, false)) // init and telemetry
-		return vm.Ctx.PHV[slot].V
+		return vm.Ctx.PHV[slot]
 	}
 
 	if got := run(0x04); got != 9 { // miss -> default
@@ -901,6 +897,6 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm.Run(1, 100, false, false, bytecode.BlockTelemetry) // a middle hop
-		benchSink += c.PHV[0].V
+		benchSink += c.PHV[0]
 	}
 }

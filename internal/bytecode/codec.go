@@ -65,11 +65,11 @@ func (p *image) planTele() {
 // record, a Set's members' records one after another.
 func (p *image) TeleWireBytes() int { return p.teleBytes }
 
-// DecodeTele unpacks a telemetry blob into the slot PHV. An empty blob
-// (first hop) zero-fills the telemetry slots at their declared widths; a
-// short one fails before any slot is written; bytes past TeleWireBytes
-// are ignored.
-func (p *image) DecodeTele(blob []byte, phv []pipeline.Value) error {
+// DecodeTele unpacks a telemetry blob into the slot PHV, each field's
+// bits into its slot. An empty blob (first hop) zero-fills the telemetry
+// slots; a short one fails before any slot is written; bytes past
+// TeleWireBytes are ignored.
+func (p *image) DecodeTele(blob []byte, phv []uint64) error {
 	if len(blob) == 0 {
 		copy(phv[:p.nTele], p.template[:p.nTele])
 		return nil
@@ -79,22 +79,22 @@ func (p *image) DecodeTele(blob []byte, phv []pipeline.Value) error {
 	}
 	steps, end := p.teleSteps, &p.kindEnd
 	for _, st := range steps[:end[stepBits]] {
-		phv[st.slot] = pipeline.Value{W: int(st.width), V: getBits(blob, int(st.off), int(st.width))}
+		phv[st.slot] = getBits(blob, int(st.off), int(st.width))
 	}
 	for _, st := range steps[end[stepBits]:end[stepFlag]] {
-		phv[st.slot] = pipeline.Value{W: 1, V: uint64(blob[st.off>>3]>>(7-uint(st.off)&7)) & 1}
+		phv[st.slot] = uint64(blob[st.off>>3]>>(7-uint(st.off)&7)) & 1
 	}
 	for _, st := range steps[end[stepFlag]:end[stepU8]] {
-		phv[st.slot] = pipeline.Value{W: 8, V: uint64(blob[st.off>>3])}
+		phv[st.slot] = uint64(blob[st.off>>3])
 	}
 	for _, st := range steps[end[stepU8]:end[stepU16]] {
-		phv[st.slot] = pipeline.Value{W: 16, V: uint64(binary.BigEndian.Uint16(blob[st.off>>3:]))}
+		phv[st.slot] = uint64(binary.BigEndian.Uint16(blob[st.off>>3:]))
 	}
 	for _, st := range steps[end[stepU16]:end[stepU32]] {
-		phv[st.slot] = pipeline.Value{W: 32, V: uint64(binary.BigEndian.Uint32(blob[st.off>>3:]))}
+		phv[st.slot] = uint64(binary.BigEndian.Uint32(blob[st.off>>3:]))
 	}
 	for _, st := range steps[end[stepU32]:end[stepU64]] {
-		phv[st.slot] = pipeline.Value{W: 64, V: binary.BigEndian.Uint64(blob[st.off>>3:])}
+		phv[st.slot] = binary.BigEndian.Uint64(blob[st.off>>3:])
 	}
 	return nil
 }
@@ -104,7 +104,7 @@ func (p *image) DecodeTele(blob []byte, phv []pipeline.Value) error {
 // Callers that own dst get an allocation-free encode — in place over the
 // blob DecodeTele just read when dst is blob[:0], since every slot was
 // read before the first byte is written; pass nil for a fresh blob.
-func (p *image) EncodeTele(dst []byte, phv []pipeline.Value) []byte {
+func (p *image) EncodeTele(dst []byte, phv []uint64) []byte {
 	if cap(dst) >= p.teleBytes {
 		dst = dst[:p.teleBytes]
 		clear(dst)
@@ -113,22 +113,22 @@ func (p *image) EncodeTele(dst []byte, phv []pipeline.Value) []byte {
 	}
 	steps, end := p.teleSteps, &p.kindEnd
 	for _, st := range steps[:end[stepBits]] {
-		putBits(dst, int(st.off), int(st.width), phv[st.slot].V)
+		putBits(dst, int(st.off), int(st.width), phv[st.slot])
 	}
 	for _, st := range steps[end[stepBits]:end[stepFlag]] {
-		dst[st.off>>3] |= byte(phv[st.slot].V&1) << (7 - uint(st.off)&7)
+		dst[st.off>>3] |= byte(phv[st.slot]&1) << (7 - uint(st.off)&7)
 	}
 	for _, st := range steps[end[stepFlag]:end[stepU8]] {
-		dst[st.off>>3] = byte(phv[st.slot].V)
+		dst[st.off>>3] = byte(phv[st.slot])
 	}
 	for _, st := range steps[end[stepU8]:end[stepU16]] {
-		binary.BigEndian.PutUint16(dst[st.off>>3:], uint16(phv[st.slot].V))
+		binary.BigEndian.PutUint16(dst[st.off>>3:], uint16(phv[st.slot]))
 	}
 	for _, st := range steps[end[stepU16]:end[stepU32]] {
-		binary.BigEndian.PutUint32(dst[st.off>>3:], uint32(phv[st.slot].V))
+		binary.BigEndian.PutUint32(dst[st.off>>3:], uint32(phv[st.slot]))
 	}
 	for _, st := range steps[end[stepU32]:end[stepU64]] {
-		binary.BigEndian.PutUint64(dst[st.off>>3:], phv[st.slot].V)
+		binary.BigEndian.PutUint64(dst[st.off>>3:], phv[st.slot])
 	}
 	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -103,7 +104,7 @@ func checkCodec(t *testing.T, name string, members []codecMember, blob []byte) {
 	c := set.NewCtx()
 
 	if len(blob) > 0 && len(blob) < size {
-		before := append([]pipeline.Value(nil), c.PHV...)
+		before := slices.Clone(c.PHV)
 		if err := set.DecodeTele(blob, c.PHV); err == nil {
 			t.Fatalf("%s: %d-byte blob decoded into a %d-byte image", name, len(blob), size)
 		}
@@ -131,8 +132,8 @@ func checkCodec(t *testing.T, name string, members []codecMember, blob []byte) {
 			if !ok {
 				t.Fatalf("%s: member %d has no slot for %s", name, k, f.ref)
 			}
-			if got := c.PHV[slot]; got != (pipeline.Value{W: f.width, V: vals[i]}) {
-				t.Fatalf("%s: member %d %s@%d decoded %+v, reference %d-bit %#x", name, k, f.ref, f.off, got, f.width, vals[i])
+			if got := c.PHV[slot]; got != vals[i] {
+				t.Fatalf("%s: member %d %s@%d decoded %#x, reference %d-bit %#x", name, k, f.ref, f.off, got, f.width, vals[i])
 			}
 		}
 		// The member alone — a set of one — over its own record.

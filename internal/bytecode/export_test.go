@@ -14,7 +14,7 @@ var (
 // TestEveryOpcodeReached reports; one added after opReject must move the
 // bound here and in shapes.
 var opNames = [opReject + 1]string{
-	opNop: "nop", opLoadF: "loadf", opAssign: "assign", opAddAssign: "addassign", opJmp: "jmp", opJz: "jz",
+	opNop: "nop", opAssign: "assign", opAddAssign: "addassign", opJmp: "jmp", opJz: "jz",
 	opNot: "not", opBNot: "bnot", opNeg: "neg", opAbs: "abs",
 	opBoolAnd: "booland", opBoolOr: "boolor", opSelect: "select",
 	opAdd: "add", opSub: "sub", opMul: "mul", opDiv: "div", opMod: "mod",
@@ -64,3 +64,7 @@ var (
 	CheckLayout     = checkLayout
 	LayoutMutations = layoutMutations
 )
+
+// ResetSlots is the length of s's BeginHop reset run and of the telemetry
+// region BeginTrace resets, in slots.
+func ResetSlots(s *Set) (hop, trace int) { return int(s.reset[1] - s.reset[0]), s.nTele }

@@ -29,13 +29,13 @@ func foldCount(s *Set, b Blocks, row []*pipeline.State, switchID uint32) (fold, 
 	code, pro := s.code[b], &s.pro[b]
 	c := s.NewCtx()
 	mark := int32(len(c.PHV))
-	c.PHV = append(c.PHV, pipeline.Value{})
+	c.PHV = append(c.PHV, 0)
 	c.bind = new(Binding)
 	c.bind.bind(s, row)
 	for _, a := range pro.applies {
 		s.runApply(c, a)
 	}
-	invariant := map[int32]pipeline.Value{}
+	invariant := map[int32]uint64{}
 	dirty := map[int32]bool{}
 	for _, sl := range s.dirtySlots {
 		dirty[sl] = true
@@ -45,7 +45,7 @@ func foldCount(s *Set, b Blocks, row []*pipeline.State, switchID uint32) (fold, 
 			invariant[int32(sl)] = v
 		}
 	}
-	invariant[s.slotSwitch] = pipeline.B(32, uint64(switchID))
+	invariant[s.slotSwitch] = uint64(switchID)
 	written, targets := map[int32]bool{}, map[int]bool{}
 	for pc := range code {
 		if t := jumpTarget(&code[pc]); t != nil {
@@ -82,15 +82,15 @@ func foldCount(s *Set, b Blocks, row []*pipeline.State, switchID uint32) (fold, 
 		}
 		jump := jumpTarget(&in)
 		keyless := (in.Op == opApply || in.Op == opApplyAssign) && len(s.applies[in.A].keys) == 0
-		pure := in.Op == opAssign || in.Op == opAddAssign || in.Op == opLoadF || in.Op >= opNot && in.Op <= opGe
+		pure := in.Op == opAssign || in.Op == opAddAssign || in.Op >= opNot && in.Op <= opGe
 		switch {
 		case jump != nil && in.Op != opJmp && all:
 			probe := []Instr{in, {Op: opNot, A: mark, B: mark}}
 			*jumpTarget(&probe[0]) = 2
-			c.PHV[mark] = pipeline.Value{}
+			c.PHV[mark] = 0
 			s.run(c, probe)
 			folds[pc], next[pc] = true, int(*jump)
-			if c.PHV[mark].V != 0 {
+			if c.PHV[mark] != 0 {
 				next[pc] = pc + 1
 			}
 		case keyless || pure && all:

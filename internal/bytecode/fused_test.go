@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bytecode"
 	"repro/internal/checkers"
@@ -36,8 +37,7 @@ header bit<8> h0;
 // extraFormsSrc and the hand-built parity programs, and requires every
 // opcode Compile can emit to appear in one of them — the fused forms in
 // the corpus itself — so a compiler change cannot silently stop emitting
-// one, nor leave one that nothing exercises. One opcode only hand-built
-// IR reaches: opLoadF (a field read at two widths). The corpus Set's
+// one, nor leave one that nothing exercises. The corpus Set's
 // prologue is pinned too: every member's hop-count bump, and 21 of the 22
 // scalar loads of a campus packet's three passes (routing-validity's
 // checker keeps its is_leaf apply in the body).
@@ -84,10 +84,7 @@ func TestEveryOpcodeReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count(seen, extra.Prog, tortureProgram(), sinkProgram(false), &pipeline.Program{Name: "two-widths", Checker: []pipeline.Op{
-		pipeline.AssignOp{Dst: "a", DstWidth: 8, Src: f("x", 8)},
-		pipeline.AssignOp{Dst: "b", DstWidth: 16, Src: f("x", 16)},
-	}})
+	count(seen, extra.Prog, tortureProgram(), sinkProgram(false))
 	for _, op := range bytecode.Opcodes() {
 		if op == "" || seen[op] == 0 {
 			t.Errorf("opcode %q: no program compiles to it", op)
@@ -364,6 +361,27 @@ func corpusSet(t *testing.T, everyHop bool, extra ...string) *bytecode.Set {
 		members[k] = rt.Member()
 	}
 	return bytecode.LinkSet(members)
+}
+
+// TestPHVBytes pins what a hop's state costs on the corpus set, where a
+// slot is claimed to hold only bits: the PHV at 171 slots of 8 bytes,
+// 1 368 bytes; BeginHop's reset run at no more than 248 bytes; and
+// BeginTrace's telemetry reset at 52 slots, 416 bytes. A slot that
+// carries its width again (a 16-byte pipeline.Value) doubles all three.
+func TestPHVBytes(t *testing.T) {
+	set := corpusSet(t, false)
+	c := set.NewCtx()
+	slot := int(unsafe.Sizeof(c.PHV[0]))
+	hop, trace := bytecode.ResetSlots(set)
+	if n := len(c.PHV) * slot; n != 1368 {
+		t.Errorf("the corpus PHV is %d slots, %d bytes; want 1368 bytes", len(c.PHV), n)
+	}
+	if n := hop * slot; n > 248 {
+		t.Errorf("BeginHop copies %d slots, %d bytes; want at most 248 bytes", hop, n)
+	}
+	if n := trace * slot; n != 416 {
+		t.Errorf("BeginTrace copies %d slots, %d bytes; want 416 bytes", trace, n)
+	}
 }
 
 // hopInitSrc's init reads hop_count, which compiles to the carried count

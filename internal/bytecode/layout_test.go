@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/pipeline"
@@ -24,6 +25,10 @@ import (
 //     block of its member that runs before it in the pass reads or writes
 //     a slot it writes (checkLifted).
 //   - Every jump lands inside the body of the block it was compiled in.
+//   - Every slot has one width (checkWidths): every instruction that
+//     writes a slot writes it at that slot's width, every telemetry step
+//     moves its slot's width, and every apply output's slot has its table
+//     output's width.
 func checkLayout(s *Set) error {
 	const shared = -2
 	owner := make([]int, s.nSlots) // member owning a slot, -1 free
@@ -143,6 +148,62 @@ func checkLayout(s *Set) error {
 				b, len(code), len(pro.hops), len(pro.applies), off, hops, applies)
 		}
 	}
+	return checkWidths(s, func(sl int32) bool { return owner[sl] == shared })
+}
+
+// checkWidths holds every write of a slot that is not shared (a temporary
+// or a builtin) to the slot's static width: an instruction's, by the
+// width its mask keeps, an array op's elements and count, an apply's
+// outputs — each also at its table output's width, its default's — and
+// hit flag; then every telemetry step to its slot's width.
+func checkWidths(s *Set, shared func(int32) bool) error {
+	at := func(sl int32, w int, what string) error {
+		if !shared(sl) && int(s.widths[sl]) != w {
+			return fmt.Errorf("%s writes slot %d at %d bits, its width is %d", what, sl, w, s.widths[sl])
+		}
+		return nil
+	}
+	for b, code := range s.code {
+		for pc, in := range code {
+			for f, v := range in.fields() {
+				what := fmt.Sprintf("blocks %b: pc %d (%s)", b, pc, opNames[in.Op])
+				var err error
+				switch shapes[in.Op][f] {
+				case opdDst:
+					err = at(*v, bits.Len64(in.M), what)
+				case opdArray:
+					a := &s.arrays[*v]
+					err = at(a.cnt, 8, what)
+					for sl := a.start; sl < a.start+a.capN && err == nil; sl++ {
+						err = at(sl, bits.Len64(a.em), what)
+					}
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for i, a := range s.applies {
+		spec, err := tableSpec(s.members[a.member].Prog.P, a.name)
+		if err != nil {
+			return err
+		}
+		what := fmt.Sprintf("apply site %d (table %q)", i, a.name)
+		for j, o := range a.outs {
+			if err := at(o, spec.Default[j].W, what); err != nil {
+				return err
+			}
+		}
+		if err := at(a.hit, 1, what); err != nil {
+			return err
+		}
+	}
+	for _, st := range s.teleSteps {
+		if int(st.width) != int(s.widths[st.slot]) {
+			return fmt.Errorf("telemetry step at bit %d moves %d bits of slot %d, its width is %d", st.off, st.width, st.slot, s.widths[st.slot])
+		}
+	}
 	return nil
 }
 
@@ -171,7 +232,7 @@ func relocated(in Instr, k int, slot []int32, base [4]int32, shift int32) Instr 
 // write a slot it writes, or write a slot it reads.
 func checkLifted(p *Prog, in Instr, ran []Instr) error {
 	hop := p.slots[pipeline.FieldHops]
-	bump := in.Op == opAddAssign && in.A == hop && in.B == hop && in.W == 8 && p.img.template[in.C] == pipeline.B(8, 1)
+	bump := in.Op == opAddAssign && in.A == hop && in.B == hop && in.M == 0xff && p.img.template[in.C] == 1
 	if !bump && (in.Op != opApply || len(p.img.applies[in.A].keys) > 0) {
 		return fmt.Errorf("lifted %+v is neither a hop-count bump nor a keyless apply", in)
 	}
@@ -232,8 +293,9 @@ func jumpTarget(in *Instr) *int32 {
 	return nil
 }
 
-// layoutMutations are five linker bugs, each applied to a linked Set in
-// place; one reports false when the Set gives it nothing to break.
+// layoutMutations are five linker bugs and an emitter bug, each applied
+// to a linked Set in place; one reports false when the Set gives it
+// nothing to break.
 var layoutMutations = map[string]func(*Set) bool{
 	// A reset slot placed outside the region: BeginHop never restores it.
 	"reset slot outside the run": func(s *Set) bool {
@@ -242,6 +304,7 @@ var layoutMutations = map[string]func(*Set) bool{
 				sl := m.Prog.resetSlots[0]
 				m.slot[sl] = int32(len(s.template))
 				s.template = append(s.template, m.Prog.img.template[sl])
+				s.widths = append(s.widths, m.Prog.img.widths[sl])
 				s.nSlots++
 				return true
 			}
@@ -280,6 +343,28 @@ var layoutMutations = map[string]func(*Set) bool{
 			hop := p.slots[pipeline.FieldHops]
 			return in.Op == opAddAssign && in.A == hop && in.B == hop
 		})
+	},
+	// The emitter stores a field one bit wider than its slot: the first
+	// assignment to a field in the set, relinked.
+	"slot stored at a wider width": func(s *Set) bool {
+		members, found := make([]Member, len(s.members)), false
+		for k, m := range s.members {
+			members[k] = m.Member
+			p := m.Prog
+			for bi, code := range p.blocks() {
+				i := slices.IndexFunc(code, func(in Instr) bool { return in.Op == opAssign && in.A < p.tempStart && in.M != ^uint64(0) })
+				if found || i < 0 {
+					continue
+				}
+				q := *p
+				blk := slices.Clone(code)
+				blk[i].M = blk[i].M<<1 | 1
+				*[]*[]Instr{&q.init, &q.tele, &q.check}[bi] = blk
+				members[k].Prog, found = &q, true
+			}
+		}
+		*s = *LinkSet(members)
+		return found
 	},
 	// A checker's scalar apply lifted over the telemetry block that applies
 	// and reads the same slot: routing-validity's is_leaf in the corpus.

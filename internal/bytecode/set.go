@@ -3,8 +3,6 @@ package bytecode
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/pipeline"
 )
 
 // Member is one program of a Set: its compiled form and the §4.3
@@ -77,7 +75,8 @@ func LinkSet(members []Member) *Set {
 	tempBase := int32(s.nTele)
 	s.slotSwitch, s.slotPktLen, s.slotLast, s.slotFirst = tempBase+nTemp, tempBase+nTemp+1, tempBase+nTemp+2, tempBase+nTemp+3
 	s.reset = [2]int32{tempBase + nTemp + 4, tempBase + nTemp + 4 + nReset}
-	s.template = make([]pipeline.Value, s.reset[1])
+	s.template, s.widths = make([]uint64, s.reset[1]), make([]uint8, s.reset[1])
+	s.widths[s.slotSwitch], s.widths[s.slotPktLen], s.widths[s.slotLast], s.widths[s.slotFirst] = 32, 32, 1, 1
 	nextReset := s.reset[0]
 
 	teleBase := int32(0)
@@ -100,13 +99,12 @@ func LinkSet(members []Member) *Set {
 					slot[sl], nextReset = nextReset, nextReset+1
 				} else {
 					slot[sl] = int32(len(s.template))
-					s.template = append(s.template, pipeline.Value{})
+					s.template, s.widths = append(s.template, 0), append(s.widths, 0)
 				}
-				s.template[slot[sl]] = p.img.template[sl]
 			} else {
 				slot[sl] = teleBase + sl
-				s.template[slot[sl]] = p.img.template[sl]
 			}
+			s.template[slot[sl]], s.widths[slot[sl]] = p.img.template[sl], p.img.widths[sl]
 		}
 		teleBase += int32(p.img.nTele)
 		remap := func(slots []int32) []int32 {
@@ -134,7 +132,7 @@ func LinkSet(members []Member) *Set {
 			s.arrays = append(s.arrays, a)
 		}
 		for _, r := range p.img.reports {
-			s.reports = append(s.reports, reportSite{owner: int32(k), args: remap(r.args)})
+			s.reports = append(s.reports, reportSite{owner: int32(k), args: remap(r.args), argW: r.argW})
 		}
 		for b := range s.code {
 			for bi, code := range p.blocks() {
@@ -201,13 +199,13 @@ func relocate(dst, code []Instr, n, k int, slot []int32, base [4]int32) []Instr 
 // only caller. §4.2 splits a hop in two passes: a switch runs init alone at
 // ingress and telemetry, or telemetry and checker, at egress; a NIC's
 // ingress runs the checker alone. The prologue runs first, counted as the
-// instructions it was: a hop slot holds an 8-bit value, as every telemetry
-// slot one of its width; the lifted scalar loads scatter the binding's
-// snapshot of pass b when it has one, else run and record it.
+// instructions it was: a hop slot holds 8 bits; the lifted scalar loads
+// scatter the binding's snapshot of pass b when it has one, else run and
+// record it.
 func (s *Set) RunBlocks(c *Ctx, b Blocks) {
 	pro, phv, bd := &s.pro[b], c.PHV, c.bind
 	for _, sl := range pro.hops {
-		phv[sl] = pipeline.B(8, phv[sl].V+1)
+		phv[sl] = (phv[sl] + 1) & 0xff
 	}
 	if snap := bd.snaps[b]; bd.fresh&(1<<b) != 0 {
 		for i, sl := range pro.slots {

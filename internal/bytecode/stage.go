@@ -97,7 +97,7 @@ type Stage struct {
 	// the packet does not carry: the standard paths, then one entry per
 	// program-specific path some member binds (Index finds those). A fill
 	// writes H[HVLANID:NumStdHeaders]; every other entry is the embedder's
-	// to store.
+	// to store, at the width its members declare the path.
 	H []pipeline.Value
 
 	index map[string]int32
@@ -137,7 +137,9 @@ func Link(members ...Member) *Stage {
 // Stage.Run keeps it current before every pass: a row whose States are not
 // the bound ones (a wipe, a relinked switch) re-resolves every site — and
 // panics on a table whose key widths are not the ones its apply site packs
-// for, a check made per bind, never per packet — and drops the snapshots; a moved pipeline.ScalarEpoch drops the snapshots.
+// for, or whose outputs are not at its output slots' widths, a check made
+// per bind, never per packet — and drops the snapshots; a moved
+// pipeline.ScalarEpoch drops the snapshots.
 // A scattered snapshot is the pass's loads because nothing inside a pass
 // writes a table; an install moves the epoch before it returns, so the
 // next pass re-reads; the epoch is loaded before the loads it stamps, so a
@@ -150,8 +152,8 @@ type Binding struct {
 	tables []*pipeline.Table    // by apply site
 	regs   []*pipeline.Register // by register site
 	epoch  uint64
-	fresh  uint8                               // bit b: snaps[b] holds pass b's loads at epoch
-	snaps  [BlockChecker << 1][]pipeline.Value // by Blocks
+	fresh  uint8                       // bit b: snaps[b] holds pass b's loads at epoch
+	snaps  [BlockChecker << 1][]uint64 // by Blocks
 }
 
 // bind brings bd up to date with s and row.
@@ -161,8 +163,9 @@ func (bd *Binding) bind(s *Set, row []*pipeline.State) {
 		bd.tables, bd.regs = bd.tables[:0], bd.regs[:0]
 		for _, a := range s.applies {
 			t := row[a.member].Tables[a.name]
-			if t == nil || !slices.EqualFunc(t.Keys, a.spec, func(x, y pipeline.KeySpec) bool { return x.Width == y.Width }) {
-				panic(fmt.Sprintf("bytecode: member %d binds table %q missing or with other key widths than its apply site packs for (%v)", a.member, a.name, a.spec))
+			if t == nil || !slices.EqualFunc(t.Keys, a.spec, func(x, y pipeline.KeySpec) bool { return x.Width == y.Width }) ||
+				!slices.EqualFunc(t.Default, a.outs, func(d pipeline.Value, sl int32) bool { return d.W == int(s.widths[sl]) }) {
+				panic(fmt.Sprintf("bytecode: member %d binds table %q missing or with other key or output widths than its apply site's (%v)", a.member, a.name, a.spec))
 			}
 			bd.tables = append(bd.tables, t)
 		}
@@ -269,7 +272,7 @@ func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) ui
 	h, phv := st.H, c.PHV
 	for _, bp := range st.binds {
 		if v := h[bp.src]; v.W != 0 {
-			phv[bp.dst] = v
+			phv[bp.dst] = v.V
 		}
 	}
 	set.RunBlocks(c, b)

@@ -12,7 +12,9 @@ import (
 // and owned by one Stage — an engine shard's, a netsim switch's — for its
 // whole life, never re-templated.
 type Ctx struct {
-	PHV []pipeline.Value
+	// PHV holds every slot's bits at its static width, which the Set's
+	// code fixes: a slot is a uint64 and carries no width of its own.
+	PHV []uint64
 	// TableApplies and OpsExecuted mirror the interpreter's counters.
 	TableApplies int
 	OpsExecuted  int
@@ -31,10 +33,9 @@ type Ctx struct {
 }
 
 // NewCtx returns a fresh context the caller owns for as long as it
-// likes, its PHV holding the template (decode-empty telemetry,
-// width-defaulted fields, constants).
+// likes, its PHV holding the template (zero bits, and the constants).
 func (p *image) NewCtx() *Ctx {
-	c := &Ctx{PHV: make([]pipeline.Value, p.nSlots)}
+	c := &Ctx{PHV: make([]uint64, p.nSlots)}
 	copy(c.PHV, p.template)
 	return c
 }
@@ -60,11 +61,19 @@ func (p *image) BeginHop(c *Ctx, switchID uint32, pktLen int, first, last bool) 
 	phv := c.PHV
 	copy(phv[p.reset[0]:p.reset[1]], p.template[p.reset[0]:p.reset[1]])
 	// The builtin per-hop metadata, at the widths the map reference
-	// (difftest.Reference) sets them.
-	phv[p.slotSwitch] = pipeline.B(32, uint64(switchID))
-	phv[p.slotPktLen] = pipeline.B(32, uint64(pktLen))
-	phv[p.slotLast] = pipeline.BoolV(last)
-	phv[p.slotFirst] = pipeline.BoolV(first)
+	// (difftest.Reference) sets them: 32, 32, 1 and 1 bits.
+	phv[p.slotSwitch] = uint64(switchID)
+	phv[p.slotPktLen] = uint64(uint32(pktLen))
+	phv[p.slotLast] = bit(last)
+	phv[p.slotFirst] = bit(first)
+}
+
+// bit is a boolean's 1-bit value.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Blocks selects the blocks one pipeline pass executes (Set.RunBlocks).
@@ -84,7 +93,8 @@ const (
 // closures, no interface values. Ops that correspond to IR ops bump
 // OpsExecuted exactly as the other executors do; the count accumulates
 // in a local so the loop isn't forced to reload the Ctx field after
-// every PHV store (the compiler can't prove phv doesn't alias c).
+// every PHV store (the compiler can't prove phv doesn't alias c). An op
+// keeps its result's static width by its mask, in.M.
 func (p *image) run(c *Ctx, code []Instr) {
 	phv := c.PHV
 	ops := 0
@@ -94,174 +104,145 @@ func (p *image) run(c *Ctx, code []Instr) {
 		switch in.Op {
 		case opAssign:
 			ops++
-			phv[in.A] = pipeline.B(int(in.W), phv[in.B].V)
+			phv[in.A] = phv[in.B] & in.M
 		case opAddAssign:
 			ops++
-			x, y := phv[in.B], phv[in.C]
-			phv[in.A] = pipeline.B(int(in.W), pipeline.Mask(binWidth(x, y), x.V+y.V))
+			phv[in.A] = (phv[in.B] + phv[in.C]) & in.M
 
 		case opJz:
 			ops++
-			if phv[in.A].V == 0 {
+			if phv[in.A] == 0 {
 				pc = int(in.B)
 			}
 
 		case opJzEq:
 			ops++
-			if phv[in.B].V != phv[in.C].V {
+			if phv[in.B] != phv[in.C] {
 				pc = int(in.D)
 			}
 		case opJzNe:
 			ops++
-			if phv[in.B].V == phv[in.C].V {
+			if phv[in.B] == phv[in.C] {
 				pc = int(in.D)
 			}
 		case opJzLt:
 			ops++
-			if phv[in.B].V >= phv[in.C].V {
+			if phv[in.B] >= phv[in.C] {
 				pc = int(in.D)
 			}
 		case opJzLe:
 			ops++
-			if phv[in.B].V > phv[in.C].V {
+			if phv[in.B] > phv[in.C] {
 				pc = int(in.D)
 			}
 		case opJzGt:
 			ops++
-			if phv[in.B].V <= phv[in.C].V {
+			if phv[in.B] <= phv[in.C] {
 				pc = int(in.D)
 			}
 		case opJzGe:
 			ops++
-			if phv[in.B].V < phv[in.C].V {
+			if phv[in.B] < phv[in.C] {
 				pc = int(in.D)
 			}
 		case opJzAnd:
 			ops++
-			if phv[in.B].V == 0 || phv[in.C].V == 0 {
+			if phv[in.B] == 0 || phv[in.C] == 0 {
 				pc = int(in.D)
 			}
 		case opJzOr:
 			ops++
-			if phv[in.B].V == 0 && phv[in.C].V == 0 {
+			if phv[in.B] == 0 && phv[in.C] == 0 {
 				pc = int(in.D)
 			}
 		case opJnz:
 			ops++
-			if phv[in.A].V != 0 {
+			if phv[in.A] != 0 {
 				pc = int(in.B)
 			}
 
 		case opJmp:
 			pc = int(in.A)
 
-		case opLoadF:
-			v := phv[in.B]
-			if v.W == 0 {
-				v = pipeline.Value{W: int(in.W)}
-			}
-			phv[in.A] = v
-
 		case opNot:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V == 0)
+			phv[in.A] = bit(phv[in.B] == 0)
 		case opBNot:
-			x := phv[in.B]
-			phv[in.A] = pipeline.B(x.W, ^x.V)
+			phv[in.A] = ^phv[in.B] & in.M
 		case opNeg:
-			x := phv[in.B]
-			phv[in.A] = pipeline.B(x.W, -x.V)
+			phv[in.A] = -phv[in.B] & in.M
 		case opAbs:
+			// Two's complement at the operand's width: negative when its
+			// top bit, the one M keeps that M>>1 does not, is set.
 			x := phv[in.B]
-			s := x.Signed()
-			if s < 0 {
-				s = -s
+			if x&(in.M&^(in.M>>1)) != 0 {
+				x = -x
 			}
-			phv[in.A] = pipeline.B(x.W, uint64(s))
+			phv[in.A] = x & in.M
 
 		case opBoolAnd:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V != 0 && phv[in.C].V != 0)
+			phv[in.A] = bit(phv[in.B] != 0 && phv[in.C] != 0)
 		case opBoolOr:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V != 0 || phv[in.C].V != 0)
+			phv[in.A] = bit(phv[in.B] != 0 || phv[in.C] != 0)
 		case opSelect:
-			if phv[in.B].V != 0 {
+			if phv[in.B] != 0 {
 				phv[in.A] = phv[in.C]
 			} else {
 				phv[in.A] = phv[in.D]
 			}
 
 		case opAdd:
-			x, y := phv[in.B], phv[in.C]
-			phv[in.A] = pipeline.B(binWidth(x, y), x.V+y.V)
+			phv[in.A] = (phv[in.B] + phv[in.C]) & in.M
 		case opSub:
-			x, y := phv[in.B], phv[in.C]
-			phv[in.A] = pipeline.B(binWidth(x, y), x.V-y.V)
+			phv[in.A] = (phv[in.B] - phv[in.C]) & in.M
 		case opMul:
-			x, y := phv[in.B], phv[in.C]
-			phv[in.A] = pipeline.B(binWidth(x, y), x.V*y.V)
+			phv[in.A] = phv[in.B] * phv[in.C] & in.M
 		case opDiv:
-			x, y := phv[in.B], phv[in.C]
-			if y.V == 0 {
-				phv[in.A] = pipeline.B(binWidth(x, y), 0)
+			if y := phv[in.C]; y == 0 {
+				phv[in.A] = 0
 			} else {
-				phv[in.A] = pipeline.B(binWidth(x, y), x.V/y.V)
+				phv[in.A] = phv[in.B] / y & in.M
 			}
 		case opMod:
-			x, y := phv[in.B], phv[in.C]
-			if y.V == 0 {
-				phv[in.A] = pipeline.B(binWidth(x, y), 0)
+			if y := phv[in.C]; y == 0 {
+				phv[in.A] = 0
 			} else {
-				phv[in.A] = pipeline.B(binWidth(x, y), x.V%y.V)
+				phv[in.A] = phv[in.B] % y & in.M
 			}
 		case opBAnd:
-			x, y := phv[in.B], phv[in.C]
-			phv[in.A] = pipeline.B(binWidth(x, y), x.V&y.V)
+			phv[in.A] = phv[in.B] & phv[in.C] & in.M
 		case opBOr:
-			x, y := phv[in.B], phv[in.C]
-			phv[in.A] = pipeline.B(binWidth(x, y), x.V|y.V)
+			phv[in.A] = (phv[in.B] | phv[in.C]) & in.M
 		case opBXor:
-			x, y := phv[in.B], phv[in.C]
-			phv[in.A] = pipeline.B(binWidth(x, y), x.V^y.V)
+			phv[in.A] = (phv[in.B] ^ phv[in.C]) & in.M
 		case opShl:
-			x, y := phv[in.B], phv[in.C]
-			if y.V >= 64 {
-				phv[in.A] = pipeline.B(binWidth(x, y), 0)
+			if y := phv[in.C]; y >= 64 {
+				phv[in.A] = 0
 			} else {
-				phv[in.A] = pipeline.B(binWidth(x, y), x.V<<y.V)
+				phv[in.A] = phv[in.B] << y & in.M
 			}
 		case opShr:
-			x, y := phv[in.B], phv[in.C]
-			if y.V >= 64 {
-				phv[in.A] = pipeline.B(binWidth(x, y), 0)
+			if y := phv[in.C]; y >= 64 {
+				phv[in.A] = 0
 			} else {
-				phv[in.A] = pipeline.B(binWidth(x, y), x.V>>y.V)
+				phv[in.A] = phv[in.B] >> y & in.M
 			}
 		case opMax:
-			x, y := phv[in.B], phv[in.C]
-			if x.V >= y.V {
-				phv[in.A] = pipeline.B(binWidth(x, y), x.V)
-			} else {
-				phv[in.A] = pipeline.B(binWidth(x, y), y.V)
-			}
+			phv[in.A] = max(phv[in.B], phv[in.C]) & in.M
 		case opMin:
-			x, y := phv[in.B], phv[in.C]
-			if x.V <= y.V {
-				phv[in.A] = pipeline.B(binWidth(x, y), x.V)
-			} else {
-				phv[in.A] = pipeline.B(binWidth(x, y), y.V)
-			}
+			phv[in.A] = min(phv[in.B], phv[in.C]) & in.M
 
 		case opEq:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V == phv[in.C].V)
+			phv[in.A] = bit(phv[in.B] == phv[in.C])
 		case opNe:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V != phv[in.C].V)
+			phv[in.A] = bit(phv[in.B] != phv[in.C])
 		case opLt:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V < phv[in.C].V)
+			phv[in.A] = bit(phv[in.B] < phv[in.C])
 		case opLe:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V <= phv[in.C].V)
+			phv[in.A] = bit(phv[in.B] <= phv[in.C])
 		case opGt:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V > phv[in.C].V)
+			phv[in.A] = bit(phv[in.B] > phv[in.C])
 		case opGe:
-			phv[in.A] = pipeline.BoolV(phv[in.B].V >= phv[in.C].V)
+			phv[in.A] = bit(phv[in.B] >= phv[in.C])
 
 		case opApply:
 			ops++
@@ -269,52 +250,50 @@ func (p *image) run(c *Ctx, code []Instr) {
 		case opApplyAssign:
 			ops += 2
 			p.runApply(c, in.A)
-			phv[in.B] = pipeline.B(int(in.W), phv[in.C].V)
+			phv[in.B] = phv[in.C] & in.M
 
 		case opIn:
-			site, needle := &p.arrays[in.B], phv[in.C].V
-			n := min(phv[site.cnt].V, uint64(site.capN))
+			site, needle := &p.arrays[in.B], phv[in.C]
+			n := min(phv[site.cnt], uint64(site.capN))
 			found := false
 			for _, v := range phv[site.start : site.start+int32(n)] {
-				found = found || v.V == needle
+				found = found || v == needle
 			}
-			phv[in.A] = pipeline.BoolV(found)
+			phv[in.A] = bit(found)
 
 		case opRegRead:
 			ops++
 			r := c.bind.regs[in.B]
-			phv[in.A] = pipeline.B(int(in.W), r.Read(int(phv[in.C].V)))
+			phv[in.A] = r.Read(int(phv[in.C])) & in.M
 
 		case opRegWrite:
 			ops++
-			c.bind.regs[in.A].Write(int(phv[in.B].V), phv[in.C].V)
+			c.bind.regs[in.A].Write(int(phv[in.B]), phv[in.C])
 
 		case opPush:
 			ops++
 			site := &p.arrays[in.A]
-			n := int32(phv[site.cnt].V)
-			v := phv[in.B].V
+			n := int32(phv[site.cnt])
+			v := phv[in.B] & site.em
 			if n < site.capN {
-				phv[site.start+n] = pipeline.B(int(site.ew), v)
-				phv[site.cnt] = pipeline.B(8, uint64(n+1))
+				phv[site.start+n] = v
+				phv[site.cnt] = uint64(n+1) & 0xff
 			} else {
 				// Full: shift out the oldest element.
-				for i := int32(0); i+1 < site.capN; i++ {
-					phv[site.start+i] = phv[site.start+i+1]
-				}
-				phv[site.start+site.capN-1] = pipeline.B(int(site.ew), v)
+				copy(phv[site.start:site.start+site.capN-1], phv[site.start+1:site.start+site.capN])
+				phv[site.start+site.capN-1] = v
 			}
 
 		case opSetSlot:
 			ops++
 			site := &p.arrays[in.A]
-			i := int64(phv[in.B].V)
+			i := int64(phv[in.B])
 			if i < 0 || i >= int64(site.capN) {
 				break // out-of-range writes are dropped, as on hardware
 			}
-			phv[site.start+int32(i)] = pipeline.B(int(site.ew), phv[in.C].V)
-			if n := int64(phv[site.cnt].V); i >= n {
-				phv[site.cnt] = pipeline.B(8, uint64(i+1))
+			phv[site.start+int32(i)] = phv[in.C] & site.em
+			if n := int64(phv[site.cnt]); i >= n {
+				phv[site.cnt] = uint64(i+1) & 0xff
 			}
 
 		case opReport:
@@ -324,7 +303,7 @@ func (p *image) run(c *Ctx, code []Instr) {
 		case opReject:
 			ops++
 			c.rejects &^= 1 << in.A
-			if pipeline.Mask(int(in.W), phv[in.B].V) != 0 {
+			if phv[in.B]&in.M != 0 {
 				c.rejects |= 1 << in.A
 			}
 
@@ -333,15 +312,6 @@ func (p *image) run(c *Ctx, code []Instr) {
 		}
 	}
 	c.OpsExecuted += ops
-}
-
-// binWidth reconciles binary operand widths: a width-0 (unset/weak)
-// left side adopts the right side's width.
-func binWidth(x, y pipeline.Value) int {
-	if x.W == 0 {
-		return y.W
-	}
-	return x.W
 }
 
 // runApply executes apply site a against the table the pass's binding
@@ -355,7 +325,7 @@ func (p *image) runApply(c *Ctx, a int32) {
 	var w0, w1, w2, w3 uint64
 	if site := &p.applies[a]; site.oneWord {
 		for _, k := range site.keys {
-			w0 |= c.PHV[k.slot].V & k.mask * k.scale
+			w0 |= c.PHV[k.slot] & k.mask * k.scale
 		}
 	} else {
 		w0, w1, w2, w3 = packKey(site.keys, c.PHV)
@@ -365,9 +335,9 @@ func (p *image) runApply(c *Ctx, a int32) {
 }
 
 // packKey is the key words of keys read from phv.
-func packKey(keys []applyKey, phv []pipeline.Value) (w0, w1, w2, w3 uint64) {
+func packKey(keys []applyKey, phv []uint64) (w0, w1, w2, w3 uint64) {
 	for _, k := range keys {
-		v := phv[k.slot].V & k.mask * k.scale
+		v := phv[k.slot] & k.mask * k.scale
 		switch k.word {
 		case 0:
 			w0 |= v
@@ -382,21 +352,25 @@ func packKey(keys []applyKey, phv []pipeline.Value) (w0, w1, w2, w3 uint64) {
 	return w0, w1, w2, w3
 }
 
+// writeOut stores an apply's outcome: the action's bits in the output
+// slots — a table holds every action value at its output's width, the
+// width Binding.bind holds the slots to — and the hit flag.
 func (p *image) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit bool) {
 	for i, s := range site.outs {
-		c.PHV[s] = action[i]
+		c.PHV[s] = action[i].V
 	}
-	c.PHV[site.hit] = pipeline.BoolV(hit)
+	c.PHV[site.hit] = bit(hit)
 	c.TableApplies++
 }
 
-// runReport raises a report, its Args carved from the arena. Arena
-// growth leaves earlier reports' Args on the old array — their values
-// stay intact, so reads remain correct; the arena converges after warmup.
+// runReport raises a report, its Args carved from the arena, each at its
+// argument's static width. Arena growth leaves earlier reports' Args on
+// the old array — their values stay intact, so reads remain correct; the
+// arena converges after warmup.
 func (p *image) runReport(c *Ctx, site *reportSite) {
 	off := len(c.argArena)
-	for _, s := range site.args {
-		c.argArena = append(c.argArena, c.PHV[s])
+	for i, s := range site.args {
+		c.argArena = append(c.argArena, pipeline.Value{W: int(site.argW[i]), V: c.PHV[s]})
 	}
 	c.reports = append(c.reports, pipeline.Report{Args: c.argArena[off:len(c.argArena):len(c.argArena)]})
 	c.owners = append(c.owners, site.owner)

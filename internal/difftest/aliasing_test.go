@@ -86,7 +86,7 @@ func newAliasCase(t *testing.T, key string) aliasCase {
 func poison(vm *difftest.Linked) {
 	c := vm.Ctx
 	for _, s := range vm.Set.DirtySlots() {
-		c.PHV[s] = pipeline.B(64, ^uint64(0))
+		c.PHV[s] = ^uint64(0)
 	}
 	c.OpsExecuted += 997
 	c.TableApplies += 31
@@ -255,7 +255,7 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 		// stale values there (DirtySlots documents this contract).
 		set, c := dirty.seq.VMContext()
 		for _, s := range set.DirtySlots() {
-			c.PHV[s] = pipeline.B(64, ^uint64(0))
+			c.PHV[s] = ^uint64(0)
 		}
 		c.OpsExecuted += 997
 		c.TableApplies += 31

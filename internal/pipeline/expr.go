@@ -133,8 +133,8 @@ func (u Unary) String() string {
 	return fmt.Sprintf("%s(%s)", u.Op, u.X)
 }
 
-// Bin applies a binary opcode. Operand widths are reconciled by letting
-// a width-0 (unset/weak) side adopt the other side's width.
+// Bin applies a binary opcode. An arithmetic or bitwise result has its
+// left operand's width, the static width the bytecode VM gives it too.
 type Bin struct {
 	Op   OpCode
 	X, Y Expr
@@ -158,9 +158,6 @@ func (b Bin) Eval(phv PHV) Value {
 
 	x, y := b.X.Eval(phv), b.Y.Eval(phv)
 	w := x.W
-	if w == 0 {
-		w = y.W
-	}
 	switch b.Op {
 	case OpAdd:
 		return B(w, x.V+y.V)

@@ -244,9 +244,10 @@ func checkAgree(t *testing.T, step string, tbl, prio *Table, ncols int, pool []c
 // compaction to drop; each op is three bytes: kind (low nibble; bit 4 picks the table, bit 5
 // checks the step without lookups), key index, value. One op has the
 // table adopt the other's entries (CopyFrom), another make room for up
-// to 63 more (Grow), which must leave its Version alone. Action values
-// are raw — any width, bits above it set — so a store that reinterprets
-// W or V shows.
+// to 63 more (Grow), which must leave its Version alone. Outputs are 64
+// bits and action values are raw — any width, any bits — so a store that
+// loses a bit of V, or keeps a value at another width than its output's,
+// shows.
 func runTableOps(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
@@ -258,7 +259,7 @@ func runTableOps(t *testing.T, data []byte) {
 	keys, ncols := shapeKeys(shape), len(modelShapes[shape])
 	outs, def := make([]FieldRef, nout), make([]Value, nout)
 	for i := range outs {
-		outs[i], def[i] = FieldRef(fmt.Sprintf("o%d", i)), B(16, 0xdead)
+		outs[i], def[i] = FieldRef(fmt.Sprintf("o%d", i)), B(64, 0xdead)
 	}
 	tbls := [2]*Table{NewTable("t0", keys, outs, def), NewTable("t1", keys, outs, def)}
 	prio := prioTwin(tbls[0])
@@ -266,6 +267,13 @@ func runTableOps(t *testing.T, data []byte) {
 	action := func(val uint64, o int) Value {
 		val %= alphabet
 		return Value{W: int(val % 65), V: val*0x0101010101010101 + uint64(o)}
+	}
+	stored := func(action []Value) []Value { // as the table answers: at the outputs' width
+		out := slices.Clone(action)
+		for o := range out {
+			out[o].W = 64
+		}
+		return out
 	}
 	var ms [2]*tableModel
 	for i := range ms {
@@ -301,7 +309,7 @@ func runTableOps(t *testing.T, data []byte) {
 					t.Fatalf("%s: priority list: %v", step, err)
 				}
 			}
-			m.acts[k] = slices.Clone(e.Action)
+			m.acts[k] = stored(e.Action)
 			delete(m.names, k)
 			if e.Name != "" {
 				m.names[k] = e.Name
@@ -331,7 +339,7 @@ func runTableOps(t *testing.T, data []byte) {
 				for o := range batch[b].Action {
 					batch[b].Action[o] = action(val, b+o)
 				}
-				m.acts[bk] = batch[b].Action
+				m.acts[bk] = stored(batch[b].Action)
 				delete(m.names, bk)
 			}
 			if err := tbl.InsertBatch(batch); err != nil {
@@ -870,9 +878,10 @@ func TestCopyFrom(t *testing.T) {
 			dst.WarmSnapshot()
 			version, view := dst.Version(), dst.snap.Load()
 			for what, other := range map[string]*Table{
-				"fewer columns": NewTable("o", src.Keys[1:], src.Outputs, src.Default),
-				"more outputs":  NewTable("o", src.Keys, []FieldRef{"v", "w"}, []Value{B(8, 0), B(8, 0)}),
-				"another kind":  NewTable("o", append([]KeySpec{{Width: 32, Kind: MatchRange}}, src.Keys[1:]...), src.Outputs, src.Default),
+				"fewer columns":  NewTable("o", src.Keys[1:], src.Outputs, src.Default),
+				"more outputs":   NewTable("o", src.Keys, []FieldRef{"v", "w"}, []Value{B(8, 0), B(8, 0)}),
+				"a wider output": NewTable("o", src.Keys, src.Outputs, []Value{B(16, 0)}),
+				"another kind":   NewTable("o", append([]KeySpec{{Width: 32, Kind: MatchRange}}, src.Keys[1:]...), src.Outputs, src.Default),
 			} {
 				if err := dst.CopyFrom(other); err == nil {
 					t.Fatalf("%s: CopyFrom accepted the donor", what)
@@ -1081,6 +1090,46 @@ func TestOverWideKey(t *testing.T) {
 		}
 		if a, hit := tbl.Lookup(vals); !hit || a[0].V != 5 {
 			t.Errorf("%s: a lookup with the bits above column %d's width set = %v, %t; want the entry of its low bits", name, col, a, hit)
+		}
+	}
+}
+
+// TestOverWideAction holds action values to their outputs' declared
+// widths, each output's default's, on every table shape and a keyless
+// one: a batch with a value that has a bit above its output's width is
+// refused, naming the entry, and installs nothing of the batch; a value
+// that fits but is carried at another width (a bit<32> 6 for a bit<8>
+// output) is stored, looked up and listed at the output's width — the
+// width the bytecode VM computes on it at.
+func TestOverWideAction(t *testing.T) {
+	shapes := tableShapes()
+	shapes["keyless"] = NewTable("s", nil, []FieldRef{"v"}, []Value{B(8, 0)})
+	for name, tbl := range shapes {
+		entry := func(k uint64, a Value) Entry {
+			e := Entry{Keys: make([]KeyMatch, len(tbl.Keys)), Action: []Value{a}}
+			for i := range e.Keys {
+				e.Keys[i] = KeyMatch{Value: k, Aux: 0xff}
+			}
+			return e
+		}
+		version := tbl.Version()
+		err := tbl.InsertBatch([]Entry{entry(1, B(8, 5)), entry(2, Value{W: 32, V: 0x105})})
+		if err == nil || !strings.Contains(err.Error(), "entry 1:") || tbl.Len() != 0 || tbl.Version() != version {
+			t.Errorf("%s: a batch with a 9-bit value for an 8-bit output: error %v, %d entries installed, version moved %t",
+				name, err, tbl.Len(), tbl.Version() != version)
+		}
+		if err := tbl.Insert(entry(3, Value{W: 32, V: 6})); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		vals := make([]uint64, len(tbl.Keys))
+		for i := range vals {
+			vals[i] = 3
+		}
+		if a, hit := tbl.Lookup(vals); !hit || a[0] != B(8, 6) {
+			t.Errorf("%s: lookup = %v, %t; want 6:bit<8>", name, a, hit)
+		}
+		if es := tbl.Entries(); len(es) != 1 || es[0].Action[0] != B(8, 6) {
+			t.Errorf("%s: entries %+v, want one of action 6:bit<8>", name, es)
 		}
 	}
 }

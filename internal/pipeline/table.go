@@ -346,8 +346,13 @@ func (t *Table) validate(e *Entry) error {
 	if len(e.Keys) != len(t.Keys) {
 		return fmt.Errorf("%d keys, want %d", len(e.Keys), len(t.Keys))
 	}
-	if len(e.Action) != len(t.Outputs) {
-		return fmt.Errorf("%d action values, want %d", len(e.Action), len(t.Outputs))
+	if len(e.Action) != len(t.Outputs) || len(t.Default) != len(t.Outputs) {
+		return fmt.Errorf("%d action values and %d defaults, want %d", len(e.Action), len(t.Default), len(t.Outputs))
+	}
+	for i, v := range e.Action {
+		if w := t.Default[i].W; Mask(w, v.V) != v.V {
+			return fmt.Errorf("action value %#x is wider than output %d's %d bits", v.V, i, w)
+		}
 	}
 	if t.packed != nil {
 		for i, k := range e.Keys {
@@ -375,11 +380,13 @@ func (t *Table) overWide(keys []KeyMatch) int {
 }
 
 func (t *Table) insertLocked(e *Entry) {
+	action := t.atWidths(e.Action)
 	if t.packed != nil {
-		t.packed.insert(t.packMatch(e.Keys), e.Action, e.Name)
+		t.packed.insert(t.packMatch(e.Keys), action, e.Name)
 		return
 	}
 	kept := &tcamEntry{*e, t.compileTests(e.Keys)}
+	kept.Action = action
 	for i, old := range t.entries {
 		if old.Priority == kept.Priority && slices.Equal(old.Keys, e.Keys) {
 			t.entries[i] = kept
@@ -395,6 +402,22 @@ func (t *Table) insertLocked(e *Entry) {
 		// without explicit priorities.
 		return t.specificityLocked(&t.entries[i].Entry) > t.specificityLocked(&t.entries[j].Entry)
 	})
+}
+
+// atWidths is action with every value at its output's width, the width
+// of the output's default; validate has refused a value with bits above
+// it. It copies only an action one of whose values has another width.
+func (t *Table) atWidths(action []Value) []Value {
+	for i, v := range action {
+		if v.W != t.Default[i].W {
+			out := slices.Clone(action)
+			for j := range out {
+				out[j].W = t.Default[j].W
+			}
+			return out
+		}
+	}
+	return action
 }
 
 func (t *Table) specificityLocked(e *Entry) int {
@@ -454,10 +477,9 @@ func (t *Table) Clear() {
 // locks are taken one after the other, never nested. A src of another
 // shape is an error that leaves t, its version and its view as they were.
 func (t *Table) CopyFrom(src *Table) error {
-	if len(src.Outputs) != len(t.Outputs) || !slices.EqualFunc(src.Keys, t.Keys, func(a, b KeySpec) bool {
-		return a.Kind == b.Kind && a.Width == b.Width
-	}) {
-		return fmt.Errorf("table %s: copy from %s: key columns or output count differ", t.Name, src.Name)
+	if len(src.Outputs) != len(t.Outputs) || !slices.EqualFunc(src.Default, t.Default, func(a, b Value) bool { return a.W == b.W }) ||
+		!slices.EqualFunc(src.Keys, t.Keys, func(a, b KeySpec) bool { return a.Kind == b.Kind && a.Width == b.Width }) {
+		return fmt.Errorf("table %s: copy from %s: key columns or output widths differ", t.Name, src.Name)
 	}
 	if t.packed == nil {
 		es := src.Entries()
@@ -907,11 +929,29 @@ func (t *Table) LookupWords(w0, w1, w2, w3 uint64) ([]Value, bool) {
 }
 
 // LookupPacked is Lookup on the column values of a key of at most four
-// columns, one a word: it packs them by the table's layout and looks the
-// words up. The values past the table's columns are ignored; a table of
-// more than four columns has no key of this form and misses.
+// columns, one a word: it packs them by the table's layout straight into
+// four words, as an apply site does, and looks the words up. The values
+// past the table's columns are ignored; a table of more than four columns
+// has no key of this form and misses.
 func (t *Table) LookupPacked(k PackedKey) ([]Value, bool) {
-	return t.Lookup(k[:min(len(t.Keys), len(k))])
+	if len(t.layout) > len(k) {
+		return t.Default, false
+	}
+	var w0, w1, w2, w3 uint64
+	for c, p := range t.layout {
+		v := k[c&(keyWords-1)] & p.Mask << (p.Shift & 63)
+		switch p.Word {
+		case 0:
+			w0 |= v
+		case 1:
+			w1 |= v
+		case 2:
+			w2 |= v
+		default:
+			w3 |= v
+		}
+	}
+	return t.LookupWords(w0, w1, w2, w3)
 }
 
 // Entries returns a snapshot of the installed entries (TCAM order for

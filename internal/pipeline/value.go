@@ -90,9 +90,9 @@ func ArrayCount(base string) FieldRef { return FieldRef(base + ".$count") }
 // headers.
 type PHV map[FieldRef]Value
 
-// Get returns the field value; reading an unset field yields a zero of
-// width 0 (arith ops adopt the partner's width), matching P4's
-// zero-initialized metadata.
+// Get returns the field value; an unset field is the zero Value, which
+// a Field read gives its declared width, matching P4's zero-initialized
+// metadata.
 func (p PHV) Get(f FieldRef) Value { return p[f] }
 
 // Set writes the field.

@@ -135,9 +135,6 @@ func (t *Term) Eval(asn []uint64) pipeline.Value {
 		}
 		x, y := t.x.Eval(asn), t.y.Eval(asn)
 		w := x.W
-		if w == 0 {
-			w = y.W
-		}
 		switch t.op {
 		case pipeline.OpAdd:
 			return pipeline.B(w, x.V+y.V)
