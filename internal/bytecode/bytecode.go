@@ -28,7 +28,7 @@
 //   - The scratch slots some block may read before writing come next to
 //     one another — a linked Set places every member's in one region
 //     after the builtins — so the per-hop reset is one copy of that
-//     region of the template.
+//     region of the template. A bound header is packet input (Stage).
 //   - A slot holds bits: the PHV is a []uint64, and every slot has one
 //     static width, fixed at compile time — the width of every read and
 //     write of its field, which Compile holds to one (a field read or
@@ -364,9 +364,9 @@ type arrayBlock struct {
 	capN  int
 }
 
-// Compile builds the bytecode form of prog. It fails only on programs
-// the map interpreter would also reject at execution time (ops
-// referencing undeclared tables or registers).
+// Compile builds the bytecode form of prog. It fails on ops the map
+// interpreter would reject (undeclared tables or registers), a field at
+// two widths and a write to a bound header, which Indus cannot express.
 func Compile(prog *pipeline.Program) (*Prog, error) {
 	p := &Prog{P: prog, slots: make(map[pipeline.FieldRef]int32, 64)}
 	cp := &comp{
@@ -396,6 +396,10 @@ func Compile(prog *pipeline.Program) (*Prog, error) {
 	}
 
 	cp.relocate()
+	if err := p.computeResetSlots(); err != nil {
+		return nil, err
+	}
+	p.markPrologues()
 	return p, nil
 }
 
@@ -1063,8 +1067,6 @@ func (cp *comp) relocate() {
 	p.img.template = append(p.img.template, make([]uint64, cp.tempMax)...)
 	p.img.widths = append(p.img.widths, make([]uint8, cp.tempMax)...)
 	p.tempStart = base
-	p.computeResetSlots()
-	p.markPrologues()
 }
 
 func (p *Prog) blocks() [3][]Instr { return [3][]Instr{p.init, p.tele, p.check} }
@@ -1114,9 +1116,9 @@ func (p *Prog) markPrologues() {
 // region). Telemetry slots are resident by design, constant and
 // read-only field slots can never diverge from the template, and
 // expression temporaries are statement-scoped (every read is dominated
-// by a write in the same IR op), so the candidates are only the slots
-// some writer can dirty: instruction destinations plus the header binds
-// (a sparse binder may skip absent headers, leaving the last hop's value).
+// by a write in the same IR op), and a bound header is packet input
+// (Stage), refused as a destination, so the candidates are only the
+// slots the code can dirty: instruction destinations.
 //
 // A candidate is then dropped when every block that reads it is
 // guaranteed to overwrite it first — a stale value nothing can observe
@@ -1126,7 +1128,7 @@ func (p *Prog) markPrologues() {
 // a NIC runs the checker alone). Array regions are force-kept: their
 // element stores index dynamically, which the linear read/write scan does
 // not track.
-func (p *Prog) computeResetSlots() {
+func (p *Prog) computeResetSlots() error {
 	scratch := func(si int32) bool {
 		return si >= int32(p.img.nTele) && si < p.tempStart
 	}
@@ -1164,8 +1166,10 @@ func (p *Prog) computeResetSlots() {
 			need[si] = true
 		}
 	}
-	for _, si := range p.img.bindSlots {
-		add(si)
+	for i, si := range p.img.bindSlots {
+		if writable[si] {
+			return fmt.Errorf("bytecode: the program writes header %s, which is packet input", p.img.bindings[i])
+		}
 	}
 
 	for si := int32(0); si < int32(p.img.nTele); si++ {
@@ -1177,7 +1181,7 @@ func (p *Prog) computeResetSlots() {
 			p.resetSlots = append(p.resetSlots, si)
 		}
 	}
-	for _, si := range []int32{p.img.slotSwitch, p.img.slotPktLen, p.img.slotLast, p.img.slotFirst} {
+	for _, si := range append([]int32{p.img.slotSwitch, p.img.slotPktLen, p.img.slotLast, p.img.slotFirst}, p.img.bindSlots...) {
 		if !writable[si] {
 			p.img.dirtySlots = append(p.img.dirtySlots, si)
 		}
@@ -1186,6 +1190,7 @@ func (p *Prog) computeResetSlots() {
 		p.img.dirtySlots = append(p.img.dirtySlots, si)
 	}
 	slices.Sort(p.img.dirtySlots)
+	return nil
 }
 
 // readBeforeWrite scans one block for the scratch slots it may read

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,12 +290,12 @@ func setSlot(t testing.TB, vm *difftest.Linked, f pipeline.FieldRef) int32 {
 	return s
 }
 
-// headerIndex resolves a path the stage's programs bind to its place in
-// the header environment.
-func headerIndex(t testing.TB, vm *difftest.Linked, path string) int32 {
+// headerIndex resolves a path the stage's programs bind to its path
+// index, for Stage.SetHeader.
+func headerIndex(t testing.TB, vm *difftest.Linked, path string) int {
 	t.Helper()
-	i, ok := vm.Index(path)
-	if !ok {
+	i := slices.Index(vm.Paths(), path)
+	if i < 0 {
 		t.Fatalf("%s not bound", path)
 	}
 	return i
@@ -671,7 +672,7 @@ func TestInstallVisibleAtNextLookup(t *testing.T) {
 	vm.Row[0] = st
 	slot, h0 := setSlot(t, vm, "tcam_t.out"), headerIndex(t, vm, "hdr.x.h0")
 	run := func(v uint64) uint64 {
-		vm.H[h0] = pipeline.B(8, v)
+		vm.SetHeader(h0, v)
 		vm.Run(1, 100, true, false, bytecode.HopBlocks(true, false)) // init and telemetry
 		return vm.Ctx.PHV[slot]
 	}
@@ -714,7 +715,7 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 		set.BeginTrace(c)
 		for i, v := range headers {
 			first, last := i == 0, i == len(headers)-1
-			vm.H[h0] = pipeline.B(8, v)
+			vm.SetHeader(h0, v)
 			sink += int(vm.Run(uint32(i%3+1), 100, first, last, bytecode.HopBlocks(first, last)))
 			vm.Reports(count)
 		}
@@ -890,7 +891,7 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	vm.Row[0] = st
-	vm.H[headerIndex(b, vm, "hdr.x.h0")] = pipeline.B(8, 9)
+	vm.SetHeader(headerIndex(b, vm, "hdr.x.h0"), 9)
 	set, c := vm.Set, vm.Ctx
 	set.BeginTrace(c)
 	b.ReportAllocs()

@@ -26,7 +26,7 @@ type linked struct {
 
 // Set is several programs linked into one image, the way the compiler
 // links every checker into one pipeline beside forwarding (§4.2): one
-// PHV, one reset, one header scatter and one dispatch run per hop, and one
+// PHV, one header fill, one reset and one dispatch run per hop, and one
 // verdict word per pass, a member's reject its bit of the context's mask
 // (Figure 6's flag, checked once at the end of the pass).
 //
@@ -194,9 +194,8 @@ func relocate(dst, code []Instr, n, k int, slot []int32, base [4]int32) []Instr 
 }
 
 // RunBlocks executes the selected blocks of every member, member after
-// member, against the context's row binding, after BeginHop and the header
-// scatter: Stage.Run binds the row and makes the three calls, and is the
-// only caller. §4.2 splits a hop in two passes: a switch runs init alone at
+// member, against the context's row binding, after BeginHop: Stage.Run
+// binds the row and makes the two calls, and is the only caller. §4.2 splits a hop in two passes: a switch runs init alone at
 // ingress and telemetry, or telemetry and checker, at egress; a NIC's
 // ingress runs the checker alone. The prologue runs first, counted as the
 // instructions it was: a hop slot holds 8 bits; the lifted scalar loads

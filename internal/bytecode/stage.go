@@ -8,10 +8,10 @@ import (
 	"repro/internal/pipeline"
 )
 
-// The standard annotation paths a pipeline pass can bind, as positions in
-// Stage.H: the three forwarding-metadata paths, which only an embedder
-// with a forwarding context stores (a NIC leaves them absent), then the
-// packet's own, which the two fills write.
+// The standard annotation paths a pipeline pass can bind, as a Stage's
+// path indices: the three forwarding-metadata paths, which only an
+// embedder with a forwarding context stores per pass (a NIC leaves them
+// absent), then the packet's own, which the two fills write.
 const (
 	HInPort = iota
 	HEgPort
@@ -42,7 +42,7 @@ const (
 	NumStdHeaders
 )
 
-// StdHeaderPaths names the standard paths, by H index.
+// StdHeaderPaths names the standard paths, by path index.
 var StdHeaderPaths = [NumStdHeaders]string{
 	HInPort:          "standard_metadata.ingress_port",
 	HEgPort:          "standard_metadata.egress_port",
@@ -70,18 +70,20 @@ var StdHeaderPaths = [NumStdHeaders]string{
 	HSrcRoute0Switch: "hdr.srcRoutes[0].switch_id",
 }
 
-// bindPair routes H[src] to PHV slot dst of the linked image.
-type bindPair struct{ src, dst int32 }
-
 // Stage is the Hydra half of one pipeline: every program an embedder runs
 // — an engine shard's checkers, the attachments of a switch or a NIC —
 // linked into one image (§4.2), with the one context that
 // image ever runs on. An embedder runs its passes one after another and
-// never nested, so the context, the header environment and the reports of
-// a pass are the stage's own until the next pass. Every member has a VM
-// form: an embedder refuses a program without one where it is attached.
-// The image reads its tables and registers through Bind, which Run checks
-// against Row and the scalar epoch at every pass.
+// never nested, so the context and the reports of a pass are the stage's
+// own until the next pass. Every member has a VM form: an embedder refuses
+// a program without one where it is attached. The image reads its tables
+// and registers through Bind, which Run checks against Row and the scalar
+// epoch at every pass.
+//
+// Headers are packet input, as a parser's output is on the switch: a
+// fill writes every bound slot (a path the packet lacks reads zero),
+// and between the passes of one packet only the per-pass paths change,
+// stored through SetHeader after it. No pass restores or moves a header.
 type Stage struct {
 	Set *Set
 	Ctx *Ctx
@@ -93,16 +95,18 @@ type Stage struct {
 	// Bind is Row bound to Set. Link gives the stage one; an engine shard
 	// keeps one beside each switch's row and stores it with the row.
 	Bind *Binding
-	// H is the pass's header environment, a zero-width Value for a header
-	// the packet does not carry: the standard paths, then one entry per
-	// program-specific path some member binds (Index finds those). A fill
-	// writes H[HVLANID:NumStdHeaders]; every other entry is the embedder's
-	// to store, at the width its members declare the path.
-	H []pipeline.Value
-
-	index map[string]int32
-	binds []bindPair
+	// paths names the header paths by index: the standard ones, then
+	// each program-specific path some member binds. fills is every bound
+	// slot, by path: fills[at[i]:at[i+1]] are path i's, one per member
+	// that binds it.
+	paths []string
+	fills []headerSlot
+	at    []int32
 }
+
+// headerSlot is a bound PHV slot and the fill's source for it: its
+// path's index, NumStdHeaders for a program-specific path.
+type headerSlot struct{ slot, src int32 }
 
 // Link links the members, in order, into one image on a fresh context.
 func Link(members ...Member) *Stage {
@@ -112,21 +116,22 @@ func Link(members ...Member) *Stage {
 		Ctx:   set.NewCtx(),
 		Row:   make([]*pipeline.State, len(members)),
 		Bind:  new(Binding),
-		index: map[string]int32{},
+		paths: slices.Clone(StdHeaderPaths[:]),
 	}
-	n := int32(NumStdHeaders)
-	for bi, path := range set.bindings {
-		src, ok := st.index[path]
-		if !ok {
-			if src = int32(slices.Index(StdHeaderPaths[:], path)); src < 0 {
-				src = n
-				n++
-			}
-			st.index[path] = src
+	for _, path := range set.bindings {
+		if !slices.Contains(st.paths, path) {
+			st.paths = append(st.paths, path)
 		}
-		st.binds = append(st.binds, bindPair{src: src, dst: set.bindSlots[bi]})
 	}
-	st.H = make([]pipeline.Value, n)
+	for i, path := range st.paths {
+		st.at = append(st.at, int32(len(st.fills)))
+		for bi, bound := range set.bindings {
+			if bound == path {
+				st.fills = append(st.fills, headerSlot{slot: set.bindSlots[bi], src: int32(min(i, NumStdHeaders))})
+			}
+		}
+	}
+	st.at = append(st.at, int32(len(st.fills)))
 	return st
 }
 
@@ -178,51 +183,59 @@ func (bd *Binding) bind(s *Set, row []*pipeline.State) {
 	}
 }
 
-// Index returns the H entry of a path some member binds.
-func (st *Stage) Index(path string) (int32, bool) {
-	i, ok := st.index[path]
-	return i, ok
-}
+// Paths names the header paths by index (shared backing; callers must
+// not mutate).
+func (st *Stage) Paths() []string { return st.paths }
 
-// present is a bound header value, or the zero-width Value that marks a
-// header the packet does not carry.
-func present(ok bool, w int, v uint64) pipeline.Value {
-	if !ok {
-		return pipeline.Value{}
+// SetHeader writes v into every slot bound to path i: a per-pass path,
+// stored after the fill, at the width its members declare the path.
+func (st *Stage) SetHeader(i int, v uint64) {
+	phv := st.Ctx.PHV
+	for _, b := range st.fills[st.at[i]:st.at[i+1]] {
+		phv[b.slot] = v
 	}
-	return pipeline.Value{W: w, V: v}
 }
 
-// FillPacket writes the packet-derived standard bindings: a field of a
-// layer the packet lacks is absent, a layer's $valid$ bit is always bound.
+// fill writes every bound slot from h, by the standard path's index; its
+// last entry, a program-specific path's, stays zero.
+func (st *Stage) fill(h *[NumStdHeaders + 1]uint64) {
+	phv := st.Ctx.PHV
+	for _, b := range st.fills {
+		phv[b.slot] = h[b.src]
+	}
+}
+
+// FillPacket writes every bound slot from the packet: a field of a layer
+// it lacks reads zero, a layer's $valid$ bit is always bound.
 func (st *Stage) FillPacket(pkt *dataplane.Decoded) {
-	h := st.H
-	h[HVLANID] = present(pkt.HasVLAN, 16, uint64(pkt.VLAN.VID))
-	h[HIPv4Valid] = pipeline.BoolV(pkt.HasIPv4)
-	h[HIPv4Src] = present(pkt.HasIPv4, 32, uint64(pkt.IPv4.Src))
-	h[HIPv4Dst] = present(pkt.HasIPv4, 32, uint64(pkt.IPv4.Dst))
-	h[HIPv4Proto] = present(pkt.HasIPv4, 8, uint64(pkt.IPv4.Protocol))
-	h[HTCPValid] = pipeline.BoolV(pkt.HasTCP)
-	h[HTCPSport] = present(pkt.HasTCP, 16, uint64(pkt.TCP.SrcPort))
-	h[HTCPDport] = present(pkt.HasTCP, 16, uint64(pkt.TCP.DstPort))
-	// A GTP-U tunnel's outer UDP header is the tunnel's, not the flow's.
-	h[HUDPValid] = pipeline.BoolV(pkt.HasUDP && !pkt.HasGTPU)
-	h[HUDPSport] = present(pkt.HasUDP, 16, uint64(pkt.UDP.SrcPort))
-	h[HUDPDport] = present(pkt.HasUDP, 16, uint64(pkt.UDP.DstPort))
-	h[HInnerIPv4Valid] = pipeline.BoolV(pkt.HasInnerIPv4)
-	h[HInnerIPv4Src] = present(pkt.HasInnerIPv4, 32, uint64(pkt.InnerIPv4.Src))
-	h[HInnerIPv4Dst] = present(pkt.HasInnerIPv4, 32, uint64(pkt.InnerIPv4.Dst))
-	h[HInnerIPv4Proto] = present(pkt.HasInnerIPv4, 8, uint64(pkt.InnerIPv4.Protocol))
-	h[HInnerTCPValid] = pipeline.BoolV(pkt.HasInnerTCP)
-	h[HInnerTCPDport] = present(pkt.HasInnerTCP, 16, uint64(pkt.InnerTCP.DstPort))
-	h[HInnerUDPValid] = pipeline.BoolV(pkt.HasInnerUDP)
-	h[HInnerUDPDport] = present(pkt.HasInnerUDP, 16, uint64(pkt.InnerUDP.DstPort))
-	routed := pkt.HasSourceRoute && len(pkt.SourceRoute) > 0
-	h[HSrcRoute0Valid] = pipeline.BoolV(routed)
-	h[HSrcRoute0Switch] = pipeline.Value{}
-	if routed {
-		h[HSrcRoute0Switch] = pipeline.B(32, uint64(pkt.SourceRoute[0].SwitchID))
+	var h [NumStdHeaders + 1]uint64
+	if pkt.HasVLAN {
+		h[HVLANID] = uint64(pkt.VLAN.VID)
 	}
+	if pkt.HasIPv4 {
+		h[HIPv4Valid], h[HIPv4Src], h[HIPv4Dst], h[HIPv4Proto] = 1, uint64(pkt.IPv4.Src), uint64(pkt.IPv4.Dst), uint64(pkt.IPv4.Protocol)
+	}
+	if pkt.HasTCP {
+		h[HTCPValid], h[HTCPSport], h[HTCPDport] = 1, uint64(pkt.TCP.SrcPort), uint64(pkt.TCP.DstPort)
+	}
+	// A GTP-U tunnel's outer UDP header is the tunnel's, not the flow's.
+	h[HUDPValid] = bit(pkt.HasUDP && !pkt.HasGTPU)
+	if pkt.HasUDP {
+		h[HUDPSport], h[HUDPDport] = uint64(pkt.UDP.SrcPort), uint64(pkt.UDP.DstPort)
+	}
+	if pkt.HasInnerIPv4 {
+		h[HInnerIPv4Valid], h[HInnerIPv4Src], h[HInnerIPv4Dst], h[HInnerIPv4Proto] = 1, uint64(pkt.InnerIPv4.Src), uint64(pkt.InnerIPv4.Dst), uint64(pkt.InnerIPv4.Protocol)
+	}
+	if pkt.HasInnerTCP {
+		h[HInnerTCPValid], h[HInnerTCPDport] = 1, uint64(pkt.InnerTCP.DstPort)
+	}
+	if pkt.HasInnerUDP {
+		h[HInnerUDPValid], h[HInnerUDPDport] = 1, uint64(pkt.InnerUDP.DstPort)
+	}
+	if pkt.HasSourceRoute && len(pkt.SourceRoute) > 0 {
+		h[HSrcRoute0Valid], h[HSrcRoute0Switch] = 1, uint64(pkt.SourceRoute[0].SwitchID)
+	}
+	st.fill(&h)
 }
 
 // FillFlow is FillPacket for a packet known only by its 5-tuple: the
@@ -231,31 +244,23 @@ func (st *Stage) FillPacket(pkt *dataplane.Decoded) {
 // IPv4 (dataplane.FlowKeyOf). TestFlowFillIsPacketFill holds the two
 // fills to each other.
 func (st *Stage) FillFlow(k dataplane.FlowKey) {
-	h := st.H
-	clear(h[HVLANID:NumStdHeaders])
-	ip4 := k != (dataplane.FlowKey{})
-	tcp, udp := k.Proto == dataplane.ProtoTCP, k.Proto == dataplane.ProtoUDP
-	h[HIPv4Valid] = pipeline.BoolV(ip4)
-	h[HIPv4Src] = present(ip4, 32, uint64(k.Src))
-	h[HIPv4Dst] = present(ip4, 32, uint64(k.Dst))
-	h[HIPv4Proto] = present(ip4, 8, uint64(k.Proto))
-	h[HTCPValid] = pipeline.BoolV(tcp)
-	h[HTCPSport] = present(tcp, 16, uint64(k.Sport))
-	h[HTCPDport] = present(tcp, 16, uint64(k.Dport))
-	h[HUDPValid] = pipeline.BoolV(udp)
-	h[HUDPSport] = present(udp, 16, uint64(k.Sport))
-	h[HUDPDport] = present(udp, 16, uint64(k.Dport))
-	h[HInnerIPv4Valid] = pipeline.BoolV(false)
-	h[HInnerTCPValid] = pipeline.BoolV(false)
-	h[HInnerUDPValid] = pipeline.BoolV(false)
-	h[HSrcRoute0Valid] = pipeline.BoolV(false)
+	var h [NumStdHeaders + 1]uint64
+	if k != (dataplane.FlowKey{}) {
+		h[HIPv4Valid], h[HIPv4Src], h[HIPv4Dst], h[HIPv4Proto] = 1, uint64(k.Src), uint64(k.Dst), uint64(k.Proto)
+	}
+	switch k.Proto {
+	case dataplane.ProtoTCP:
+		h[HTCPValid], h[HTCPSport], h[HTCPDport] = 1, uint64(k.Sport), uint64(k.Dport)
+	case dataplane.ProtoUDP:
+		h[HUDPValid], h[HUDPSport], h[HUDPDport] = 1, uint64(k.Sport), uint64(k.Dport)
+	}
+	st.fill(&h)
 }
 
-// Run is one pipeline pass over the telemetry in the context's slots:
-// bring Bind up to date with Row and the scalar epoch, start the pass's
-// reports, restore the scratch slots, install the hop's builtins, scatter
-// the bound headers — an absent one leaves its slot at the restored
-// template — and run the blocks b of every member through Bind, prologues
+// Run is one pipeline pass over the telemetry and the headers in the
+// context's slots: bring Bind up to date with Row and the scalar epoch,
+// start the pass's reports, restore the scratch slots, install the hop's
+// builtins and run the blocks b of every member through Bind, prologues
 // first (no pass writes a table, so a lifted load reads what its block
 // head would). It returns the pass's reject mask, bit k set iff member k
 // rejected in this pass; its reports (Reports) and telemetry stay in the
@@ -267,14 +272,6 @@ func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) ui
 	c.bind = st.Bind
 	c.reports, c.owners, c.argArena = c.reports[:0], c.owners[:0], c.argArena[:0]
 	set.BeginHop(c, switchID, pktLen, first, last)
-	// In locals: a store through the PHV would have the loop reload both
-	// slice headers every pair.
-	h, phv := st.H, c.PHV
-	for _, bp := range st.binds {
-		if v := h[bp.src]; v.W != 0 {
-			phv[bp.dst] = v.V
-		}
-	}
 	set.RunBlocks(c, b)
 	return c.rejects
 }

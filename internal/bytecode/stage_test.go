@@ -1,7 +1,9 @@
 package bytecode_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -55,11 +57,58 @@ func bindPacketHeaders(pkt *dataplane.Decoded) map[string]pipeline.Value {
 	return h
 }
 
+// stdWidths is the width every standard path is declared at in the
+// corpus, by path index.
+var stdWidths = [bytecode.NumStdHeaders]int{
+	bytecode.HInPort: 8, bytecode.HEgPort: 8, bytecode.HSkipFwd: 1,
+	bytecode.HVLANID: 16, bytecode.HIPv4Valid: 1, bytecode.HIPv4Src: 32, bytecode.HIPv4Dst: 32, bytecode.HIPv4Proto: 8,
+	bytecode.HTCPValid: 1, bytecode.HTCPSport: 16, bytecode.HTCPDport: 16,
+	bytecode.HUDPValid: 1, bytecode.HUDPSport: 16, bytecode.HUDPDport: 16,
+	bytecode.HInnerIPv4Valid: 1, bytecode.HInnerIPv4Src: 32, bytecode.HInnerIPv4Dst: 32, bytecode.HInnerIPv4Proto: 8,
+	bytecode.HInnerTCPValid: 1, bytecode.HInnerTCPDport: 16, bytecode.HInnerUDPValid: 1, bytecode.HInnerUDPDport: 16,
+	bytecode.HSrcRoute0Valid: 1, bytecode.HSrcRoute0Switch: 32,
+}
+
+// stdStage links a program that binds every standard path and a
+// program-specific one, reporting all of them, and poisons every slot the
+// VM can write: a fill must write each bound slot itself.
+func stdStage(t *testing.T, dirt uint64) *bytecode.Stage {
+	t.Helper()
+	prog := &pipeline.Program{Name: "std-headers", HeaderBindings: map[string]string{"custom": "hdr.custom"}}
+	args := []pipeline.Expr{f("hdr.custom", 16)}
+	for i, path := range bytecode.StdHeaderPaths {
+		prog.HeaderBindings[fmt.Sprintf("h%d", i)] = path
+		args = append(args, f(path, stdWidths[i]))
+	}
+	prog.Checker = []pipeline.Op{pipeline.ReportOp{Args: args}}
+	p, err := bytecode.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := bytecode.Link(bytecode.Member{Prog: p})
+	for _, sl := range st.Set.DirtySlots() {
+		st.Ctx.PHV[sl] = dirt
+	}
+	return st
+}
+
+// headerSlot is the slot a stage of one member binds path to.
+func headerSlot(t *testing.T, st *bytecode.Stage, path string) int32 {
+	t.Helper()
+	sl, ok := st.Set.SlotOf(0, pipeline.FieldRef(path))
+	if !ok {
+		t.Fatalf("%s not bound", path)
+	}
+	return sl
+}
+
 // TestFlatFillMatchesMapReference holds the packet fill against the map
 // reference on every standard path, present and absent: a packet carrying
 // every layer, packets missing one each, a bare Ethernet frame — on a
-// stage whose embedder stores forwarding metadata (a switch) and on one
-// whose embedder does not (a NIC), which the fill must leave absent.
+// stage whose embedder stores forwarding metadata after the fill (a
+// switch) and on one whose embedder does not (a NIC), where the fill
+// leaves it absent. An absent path reads the template's zero in its slot,
+// whatever the context held before, and so does a program-specific path.
 func TestFlatFillMatchesMapReference(t *testing.T) {
 	full := func() *dataplane.Decoded {
 		return &dataplane.Decoded{
@@ -92,20 +141,20 @@ func TestFlatFillMatchesMapReference(t *testing.T) {
 		pkt := full()
 		strip(pkt)
 		for _, nic := range []bool{false, true} {
-			st := bytecode.Link()
+			st := stdStage(t, ^uint64(0))
 			want := bindPacketHeaders(pkt)
+			st.FillPacket(pkt)
 			if !nic {
-				st.H[bytecode.HInPort] = pipeline.B(8, 3)
-				st.H[bytecode.HEgPort] = pipeline.B(8, 0)
-				st.H[bytecode.HSkipFwd] = pipeline.BoolV(true)
+				st.SetHeader(bytecode.HInPort, 3)
+				st.SetHeader(bytecode.HEgPort, 0)
+				st.SetHeader(bytecode.HSkipFwd, 1)
 				want["standard_metadata.ingress_port"] = pipeline.B(8, 3)
 				want["standard_metadata.egress_port"] = pipeline.B(8, 0)
 				want["fabric_metadata.skip_forwarding"] = pipeline.BoolV(true)
 			}
-			st.FillPacket(pkt)
-			for i, path := range bytecode.StdHeaderPaths {
-				if got, ref := st.H[i], want[path]; got != ref {
-					t.Errorf("%s (nic=%v): %s = %+v, map reference %+v", name, nic, path, got, ref)
+			for _, path := range append(bytecode.StdHeaderPaths[:], "hdr.custom") {
+				if got, ref := st.Ctx.PHV[headerSlot(t, st, path)], want[path].V; got != ref {
+					t.Errorf("%s (nic=%v): %s = %#x, map reference %+v", name, nic, path, got, want[path])
 				}
 				delete(want, path)
 			}
@@ -113,6 +162,20 @@ func TestFlatFillMatchesMapReference(t *testing.T) {
 				t.Errorf("%s (nic=%v): map reference binds paths the flat fill has no slot for: %v", name, nic, want)
 			}
 		}
+	}
+}
+
+// TestHeaderWriteRefused: a bound header is packet input the fill writes
+// once, so a program that assigns one — Indus cannot, hand-built IR can —
+// is refused at compile time rather than left to see its own write at the
+// next hop.
+func TestHeaderWriteRefused(t *testing.T) {
+	prog := &pipeline.Program{
+		Name: "header-write", HeaderBindings: map[string]string{"x": "hdr.x"},
+		Telemetry: []pipeline.Op{pipeline.AssignOp{Dst: "hdr.x", DstWidth: 8, Src: c(8, 1)}},
+	}
+	if _, err := bytecode.Compile(prog); err == nil || !strings.Contains(err.Error(), "hdr.x") {
+		t.Fatalf("Compile = %v, want a refusal naming hdr.x", err)
 	}
 }
 
@@ -144,7 +207,8 @@ func flowFrame(k dataplane.FlowKey) []byte {
 // record describes: over seeded TCP, UDP, ICMP and other-protocol keys —
 // the GTP-U port, zero addresses and zero ports among them — and the zero
 // key, the frame is serialized and parsed back, and FillFlow of its flow
-// key must equal FillPacket of the parse on every packet-derived path.
+// key must leave every bound header slot as FillPacket of the parse does,
+// on two contexts that carry different dirt.
 func TestFlowFillIsPacketFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	protos := []uint8{dataplane.ProtoTCP, dataplane.ProtoUDP, dataplane.ProtoICMP, 47}
@@ -161,7 +225,7 @@ func TestFlowFillIsPacketFill(t *testing.T) {
 		}
 		keys = append(keys, k)
 	}
-	flow, packet := bytecode.Link(), bytecode.Link()
+	flow, packet := stdStage(t, ^uint64(0)), stdStage(t, 0x5a5a)
 	var pkt dataplane.Decoded
 	for _, k := range keys {
 		if err := dataplane.ParseInto(&pkt, flowFrame(k)); err != nil {
@@ -170,9 +234,10 @@ func TestFlowFillIsPacketFill(t *testing.T) {
 		// Dirt from the key before must not survive either fill.
 		flow.FillFlow(dataplane.FlowKeyOf(&pkt))
 		packet.FillPacket(&pkt)
-		for i := bytecode.HVLANID; i < bytecode.NumStdHeaders; i++ {
-			if flow.H[i] != packet.H[i] {
-				t.Errorf("%+v: %s: flow fill %+v, packet fill %+v", k, bytecode.StdHeaderPaths[i], flow.H[i], packet.H[i])
+		for _, path := range append(bytecode.StdHeaderPaths[:], "hdr.custom") {
+			sl := headerSlot(t, flow, path)
+			if got, ref := flow.Ctx.PHV[sl], packet.Ctx.PHV[sl]; got != ref {
+				t.Errorf("%+v: %s: flow fill %#x, packet fill %#x", k, path, got, ref)
 			}
 		}
 	}

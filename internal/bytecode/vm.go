@@ -49,13 +49,11 @@ func (p *image) BeginTrace(c *Ctx) {
 	copy(c.PHV[:p.nTele], p.template[:p.nTele])
 }
 
-// BeginHop resets the writable scratch slots to the template (the
-// link-time reset run, one copy — constants, read-only fields, and
-// statement-scoped temps can't diverge, so they are skipped) and
-// installs the per-hop builtin metadata, and clears the reject mask.
-// Telemetry slots are left untouched: they carry across hops in resident
-// mode. The PHV is owned by the VM between BeginTrace and the end of the
-// trace; external writes to non-bind slots between hops are not restored.
+// BeginHop resets the scratch slots some block may read before writing
+// to the template (the link-time reset run, one copy), installs the
+// per-hop builtin metadata and clears the reject mask. Telemetry slots
+// carry across hops in resident mode and header slots are packet input
+// (Stage): neither is restored, nor is any other write between hops.
 func (p *image) BeginHop(c *Ctx, switchID uint32, pktLen int, first, last bool) {
 	c.rejects = 0
 	phv := c.PHV

@@ -182,7 +182,7 @@ control bit<8> c0;
 // leak between slot namespaces shows. Some members bind their headers to
 // annotation paths of their own, so one name means different paths — and
 // different values — across the set (a pass has one packet, so one path
-// has one value for every member that binds it: bytecode.Stage.H); some
+// has one value for every member that binds it: Stage.SetHeader); some
 // run their checker at every hop among last-hop members, which is also
 // where mid-path rejects come from; some are initOnlySrc.
 func TestSetConformanceRandom(t *testing.T) {

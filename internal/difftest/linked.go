@@ -28,22 +28,25 @@ func Link(rts ...*compiler.Runtime) (*Linked, error) {
 }
 
 // run is a pipeline pass over telemetry already in the context's slots:
-// store member k's state and the headers of every env by path, run the
-// blocks b of every member and return the pass's reject mask. A pass has
-// one packet, so members that bind one path must be given one value for
-// it. The hop's switch and packet length are envs[0]'s.
+// store member k's state, fill every header path from the envs (zero
+// where none holds it; a pass has one packet, so members that bind one
+// path must be given one value), run the blocks b of every member and
+// return the reject mask. The hop's switch and packet length are envs[0]'s.
 func (l *Linked) run(envs []HopEnv, b bytecode.Blocks, first, last bool) uint64 {
-	clear(l.H)
-	for k, env := range envs {
-		l.Row[k] = env.State
-		for path, v := range env.Headers {
-			if i, ok := l.Index(path); ok {
-				if l.H[i].W != 0 && l.H[i] != v {
-					panic(fmt.Sprintf("difftest: %s bound to %+v and %+v in one pass", path, l.H[i], v))
+	for i, path := range l.Paths() {
+		var v pipeline.Value
+		for _, env := range envs {
+			if x, ok := env.Headers[path]; ok {
+				if v.W != 0 && v != x {
+					panic(fmt.Sprintf("difftest: %s bound to %+v and %+v in one pass", path, v, x))
 				}
-				l.H[i] = v
+				v = x
 			}
 		}
+		l.SetHeader(i, v.V)
+	}
+	for k, env := range envs {
+		l.Row[k] = env.State
 	}
 	return l.Run(envs[0].SwitchID, int(envs[0].PacketLen), first, last, b)
 }

@@ -325,9 +325,8 @@ type shard struct {
 	rows []stateRow
 	// st is the engine's checkers linked into one image on this shard's
 	// resident context, each under its Config.Checkers index as Set index
-	// (row position and report owner). Of its header environment the engine
-	// stores skip_forwarding once and the two ports per hop, the flow
-	// fill the rest per packet; a path neither supplies is absent.
+	// (row position and report owner). FillFlow writes its header slots
+	// once a packet, SetHeader the two ports at every hop.
 	st         *bytecode.Stage
 	counts     Counts
 	perChecker []CheckerCounts
@@ -348,7 +347,6 @@ func newShard(id int, cfg *Config) *shard {
 		st:         bytecode.Link(members...),
 		perChecker: make([]CheckerCounts, len(cfg.Checkers)),
 	}
-	s.st.H[bytecode.HSkipFwd] = pipeline.BoolV(false)
 	if cfg.ReportBus != nil {
 		s.prod = cfg.ReportBus.RingProducer(fmt.Sprintf("engine-shard:%d", id))
 	}
@@ -424,8 +422,8 @@ func (s *shard) exec(batch []Packet) {
 		for h := 0; h < len(hops) && rejects == 0; h++ {
 			hop := &hops[h]
 			first, last := h == 0, h == len(hops)-1
-			st.H[bytecode.HInPort] = pipeline.B(8, uint64(hop.InPort))
-			st.H[bytecode.HEgPort] = pipeline.B(8, uint64(hop.OutPort))
+			st.SetHeader(bytecode.HInPort, uint64(uint8(hop.InPort)))
+			st.SetHeader(bytecode.HEgPort, uint64(uint8(hop.OutPort)))
 			r := s.row(hop.SwitchID)
 			st.Row, st.Bind = r.st, &r.bind
 			rejects = st.Run(hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))

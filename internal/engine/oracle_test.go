@@ -465,3 +465,93 @@ func TestPacketIndexOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// headerProbeSrc reports at every hop what it reads of the per-pass paths
+// (the ports, skip_forwarding, a program-specific path nothing supplies)
+// and of the flow's headers, carries the first hop's TCP port in
+// telemetry, and rejects at the last hop on a header value: a slot
+// holding the previous packet's header, the previous hop's port or a
+// restored zero shows in a report or a verdict.
+const headerProbeSrc = `
+tele bit<16> first_dport = 0;
+header bit<8> in_port @ "standard_metadata.ingress_port";
+header bit<8> eg_port @ "standard_metadata.egress_port";
+header bool skip @ "fabric_metadata.skip_forwarding";
+header bit<16> custom @ "fabric_metadata.custom";
+header bool ip_ok @ "hdr.ipv4.$valid$";
+header bit<32> src @ "hdr.ipv4.src_addr";
+header bit<8> proto @ "hdr.ipv4.protocol";
+header bool tcp_ok @ "hdr.tcp.$valid$";
+header bit<16> tcp_dport @ "hdr.tcp.dport";
+header bool udp_ok @ "hdr.udp.$valid$";
+header bit<16> udp_sport @ "hdr.udp.sport";
+header bit<16> udp_dport @ "hdr.udp.dport";
+
+{ first_dport = tcp_dport; }
+{
+  report((in_port, eg_port, skip, custom));
+  report((ip_ok, src, proto, tcp_ok, tcp_dport));
+  report((udp_ok, udp_sport, udp_dport, first_dport));
+}
+{
+  if (udp_ok && udp_sport % 2 == 1) {
+    reject;
+  }
+}
+`
+
+// TestEngineHeaderAbsence runs one Sequential shard over packets whose
+// keys cycle through TCP, UDP and the zero (non-IPv4) key, on 1-, 2- and
+// 3-hop paths whose every hop has its own ports, and holds every verdict,
+// count and report to the map reference run hop by hop (the oracle). The
+// shard's fill writes the flow's headers once a packet and the ports at
+// every hop, and nothing restores a header between hops: a fill that
+// skipped an absent header would show the previous flow's, ports stored
+// only at the first hop would show at the next, and header slots reset
+// per hop would read zero past the first.
+func TestEngineHeaderAbsence(t *testing.T) {
+	chks := []engine.Checker{{Name: "header-probe", RT: &compiler.Runtime{Prog: compileSrc(t, "header-probe", headerProbeSrc)}}}
+	var pkts []engine.Packet
+	for i := 0; i < 36; i++ {
+		var key dataplane.FlowKey
+		if proto := []uint8{dataplane.ProtoTCP, dataplane.ProtoUDP, 0}[i%3]; proto != 0 {
+			key = dataplane.FlowKey{Src: dataplane.IP4(0x0a000001 + uint32(i)), Dst: dataplane.IP4(0x0a000100), Proto: proto,
+				Sport: uint16(1000 + i), Dport: uint16(2000 + 7*i)}
+		}
+		hops := make([]engine.Hop, 1+i/3%3)
+		for h := range hops {
+			hops[h] = engine.Hop{SwitchID: uint32(h + 1), InPort: uint16(10*h + i%4 + 1), OutPort: uint16(10*h + i%5 + 2)}
+		}
+		pkts = append(pkts, engine.Packet{Key: key, Len: 200, Index: int32(i), Hops: hops})
+	}
+
+	want := newOracle(t, chks, len(pkts))
+	for i := range pkts {
+		want.process(&pkts[i])
+	}
+	if want.counts.Rejected == 0 || want.counts.Forwarded == 0 {
+		t.Fatalf("vacuous workload: oracle counts %+v", want.counts)
+	}
+
+	verdicts := make([]engine.Verdict, len(pkts))
+	tap := newReportTap(len(want.reports))
+	seq := engine.NewSequential(engine.Config{Checkers: chks, Verdicts: verdicts, ReportBus: tap.bus})
+	seq.ProcessBatch(pkts)
+	if got := seq.Counts(); !reflect.DeepEqual(got, want.counts) {
+		t.Errorf("counts diverge from the oracle\n got %+v\nwant %+v", got, want.counts)
+	}
+	for i := range verdicts {
+		if verdicts[i] != want.verdicts[i] {
+			t.Errorf("packet %d (%+v, %d hops): verdict %+v, oracle %+v", i, pkts[i].Key, len(pkts[i].Hops), verdicts[i], want.verdicts[i])
+		}
+	}
+	got := digestKeys(t, tap.digests(t))
+	for i := range min(len(got), len(want.reports)) {
+		if got[i] != want.reports[i] {
+			t.Fatalf("report %d: %+v, oracle %+v", i, got[i], want.reports[i])
+		}
+	}
+	if len(got) != len(want.reports) {
+		t.Fatalf("%d reports, oracle %d", len(got), len(want.reports))
+	}
+}

@@ -87,16 +87,15 @@ func (hy *hydra) linked() *bytecode.Stage {
 // The source-route entry forwarding popped, if any, is hdr.srcRoutes[0].
 // A program-specific path is absent: nothing on the wire stores it.
 func (hy *hydra) pass(st *bytecode.Stage, id uint32, pkt *dataplane.Decoded, meta *PacketMeta, inPort, outPort int, first, last bool, b bytecode.Blocks) bool {
-	h := st.H
 	st.FillPacket(pkt)
 	if meta != nil {
 		if meta.HasPopped {
-			h[bytecode.HSrcRoute0Valid] = pipeline.BoolV(true)
-			h[bytecode.HSrcRoute0Switch] = pipeline.B(32, uint64(meta.Popped.SwitchID))
+			st.SetHeader(bytecode.HSrcRoute0Valid, 1)
+			st.SetHeader(bytecode.HSrcRoute0Switch, uint64(meta.Popped.SwitchID))
 		}
-		h[bytecode.HInPort] = pipeline.B(8, uint64(inPort))
-		h[bytecode.HEgPort] = pipeline.B(8, uint64(max(outPort, 0)))
-		h[bytecode.HSkipFwd] = pipeline.BoolV(meta.Drop)
+		st.SetHeader(bytecode.HInPort, uint64(uint8(inPort)))
+		st.SetHeader(bytecode.HEgPort, uint64(uint8(max(outPort, 0))))
+		st.SetHeader(bytecode.HSkipFwd, pipeline.BoolV(meta.Drop).V)
 	}
 	rejects := st.Run(id, pkt.WireLen(), first, last, b)
 	st.Reports(hy.deliver)
