@@ -54,9 +54,9 @@
 //   - A block's prologue, its leading hop-count bump and scalar-control
 //     loads, leaves the dispatch loop: RunBlocks runs every member's in
 //     two flat loops at the head of the pass (markPrologues).
-//   - A row binds once: a Binding resolves every apply and register site
-//     of a Set against a state row when the row changes, and keeps per
-//     pass what the prologue's scalar loads wrote, re-read only when
+//   - A row binds once, where it is made: Set.Bind resolves every apply and
+//     register site, and a wipe resets a State in place. The Binding keeps
+//     per pass what the prologue's scalar loads wrote, re-read only when
 //     pipeline.ScalarEpoch moves (stage.go). No packet resolves a site,
 //     and a warm one probes no scalar control.
 package bytecode
@@ -225,7 +225,7 @@ type teleStep struct {
 }
 
 // applySite is the side table for one ApplyOp: first what runApply
-// reads every time, then what Binding.bind reads once.
+// reads every time, then what Set.Bind reads once.
 type applySite struct {
 	keys    []applyKey
 	outs    []int32
@@ -233,7 +233,7 @@ type applySite struct {
 	oneWord bool               // every key column sits in word 0: runApply packs without a branch on the word
 	member  int                // index of the owning program's state in the row a Binding binds
 	name    string             // the table, as the member's State.Tables names it
-	spec    []pipeline.KeySpec // its key columns, whose layout keys follows; Binding.bind holds a bound table to their widths
+	spec    []pipeline.KeySpec // its key columns, whose layout keys follows; Set.Bind holds a bound table to their widths
 }
 
 // applyKey is one key of an apply site: the slot it is read from and the

@@ -669,11 +669,11 @@ func TestInstallVisibleAtNextLookup(t *testing.T) {
 	vm := linkOne(t, prog)
 	st := prog.NewState()
 	installTorture(t, st)
-	vm.Row[0] = st
+	bd := vm.Set.Bind([]*pipeline.State{st})
 	slot, h0 := setSlot(t, vm, "tcam_t.out"), headerIndex(t, vm, "hdr.x.h0")
 	run := func(v uint64) uint64 {
 		vm.SetHeader(h0, v)
-		vm.Run(1, 100, true, false, bytecode.HopBlocks(true, false)) // init and telemetry
+		vm.Run(bd, 1, 100, true, false, bytecode.HopBlocks(true, false)) // init and telemetry
 		return vm.Ctx.PHV[slot]
 	}
 
@@ -704,7 +704,7 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 	vm := linkOne(t, prog)
 	st := prog.NewState()
 	installTorture(t, st)
-	vm.Row[0] = st
+	bd := vm.Set.Bind([]*pipeline.State{st})
 	h0 := headerIndex(t, vm, "hdr.x.h0")
 	set, c := vm.Set, vm.Ctx
 
@@ -716,7 +716,7 @@ func TestVMSteadyStateAllocs(t *testing.T) {
 		for i, v := range headers {
 			first, last := i == 0, i == len(headers)-1
 			vm.SetHeader(h0, v)
-			sink += int(vm.Run(uint32(i%3+1), 100, first, last, bytecode.HopBlocks(first, last)))
+			sink += int(vm.Run(bd, uint32(i%3+1), 100, first, last, bytecode.HopBlocks(first, last)))
 			vm.Reports(count)
 		}
 	}
@@ -788,24 +788,47 @@ func TestApplyKeyCountRefused(t *testing.T) {
 // TestBindRefusesOtherKeyWidths: an apply site packs its key by the
 // layout of the table it was compiled against, so binding a row whose
 // table declares other key widths panics, naming the table, when the row
-// binds — not a packet later with a key packed for the wrong columns.
+// binds — not a packet later with a key packed for the wrong columns. A
+// row whose State lacks a register a register site names panics there
+// too, naming the member and the register, not as a nil dereference at
+// the first packet that reads it.
 func TestBindRefusesOtherKeyWidths(t *testing.T) {
 	prog := &pipeline.Program{
 		Name: "widths", HeaderBindings: map[string]string{"x": "hdr.x"},
 		Tables: []pipeline.TableSpec{{Name: "pair", Keys: []pipeline.KeySpec{{Width: 32}, {Width: 32}},
 			Outputs: []pipeline.FieldRef{"ctrl.pair"}, OutputWidths: []int{8}, Default: []pipeline.Value{pipeline.B(8, 0)}}},
-		Checker: []pipeline.Op{pipeline.ApplyOp{Table: "pair", Keys: []pipeline.Expr{f("hdr.x", 32), f("hdr.x", 32)}}},
+		Registers: []pipeline.RegisterSpec{{Name: "seen", Width: 8, Size: 1}},
+		Checker: []pipeline.Op{
+			pipeline.ApplyOp{Table: "pair", Keys: []pipeline.Expr{f("hdr.x", 32), f("hdr.x", 32)}},
+			pipeline.RegReadOp{Reg: "seen", Index: c(1, 0), Dst: "d", Width: 8},
+		},
 	}
-	vm := linkOne(t, prog)
-	st := prog.NewState()
-	st.Tables["pair"] = pipeline.NewTable("pair", []pipeline.KeySpec{{Width: 16}, {Width: 48}}, []pipeline.FieldRef{"ctrl.pair"}, []pipeline.Value{pipeline.B(8, 0)})
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"pair"`) {
-			t.Errorf("binding a table of other key widths: panic %v, want one naming the table", r)
-		}
-	}()
-	envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(7, 9), PacketLen: 100}}
-	vm.Pass(nil, envs, bytecode.BlockChecker, true, true)
+	for _, row := range []struct {
+		name   string
+		mutate func(*pipeline.State)
+		want   []string
+	}{
+		{"a table of other key widths", func(st *pipeline.State) {
+			st.Tables["pair"] = pipeline.NewTable("pair", []pipeline.KeySpec{{Width: 16}, {Width: 48}}, []pipeline.FieldRef{"ctrl.pair"}, []pipeline.Value{pipeline.B(8, 0)})
+		}, []string{`"pair"`}},
+		{"a missing register", func(st *pipeline.State) { delete(st.Registers, "seen") }, []string{"member 0", `"seen"`}},
+	} {
+		vm := linkOne(t, prog)
+		st := prog.NewState()
+		row.mutate(st)
+		func() {
+			defer func() {
+				r := recover()
+				for _, w := range row.want {
+					if r == nil || !strings.Contains(fmt.Sprint(r), w) {
+						t.Errorf("binding %s: panic %v, want one naming %s", row.name, r, w)
+					}
+				}
+			}()
+			envs := []difftest.HopEnv{{State: st, SwitchID: 1, Headers: sinkHdr(7, 9), PacketLen: 100}}
+			vm.Pass(nil, envs, bytecode.BlockChecker, true, true)
+		}()
+	}
 }
 
 // reportProg raises one report per hop carrying the switch ID and the
@@ -890,14 +913,14 @@ func BenchmarkBytecodeDispatch(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	vm.Row[0] = st
+	bd := vm.Set.Bind([]*pipeline.State{st})
 	vm.SetHeader(headerIndex(b, vm, "hdr.x.h0"), 9)
 	set, c := vm.Set, vm.Ctx
 	set.BeginTrace(c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm.Run(1, 100, false, false, bytecode.BlockTelemetry) // a middle hop
+		vm.Run(bd, 1, 100, false, false, bytecode.BlockTelemetry) // a middle hop
 		benchSink += c.PHV[0]
 	}
 }

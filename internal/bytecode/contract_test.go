@@ -29,13 +29,15 @@ func compileAll(t *testing.T, progs ...*pipeline.Program) []Member {
 	return members
 }
 
-// link links members into a stage with a fresh state per member.
-func link(members []Member) *Stage {
+// link links members into a stage and binds it to a fresh state per
+// member.
+func link(members []Member) (*Stage, *Binding) {
 	st := Link(members...)
+	row := make([]*pipeline.State, len(members))
 	for k, m := range members {
-		st.Row[k] = m.Prog.P.NewState()
+		row[k] = m.Prog.P.NewState()
 	}
-	return st
+	return st, st.Set.Bind(row)
 }
 
 // TestPassRejectMask runs a two-hop trace in the Wire shape — hop 1 an
@@ -55,7 +57,7 @@ func TestPassRejectMask(t *testing.T) {
 		&pipeline.Program{Name: "last-hop", Checker: []pipeline.Op{reject}},
 	)
 	members[0].CheckEveryHop = true
-	st := link(members)
+	st, bd := link(members)
 	passes := []struct {
 		b           Blocks
 		first, last bool
@@ -70,7 +72,7 @@ func TestPassRejectMask(t *testing.T) {
 		if err := st.Set.DecodeTele(blob, st.Ctx.PHV); err != nil {
 			t.Fatal(err)
 		}
-		if got := st.Run(uint32(i+1), 64, p.first, p.last, p.b); got != p.want {
+		if got := st.Run(bd, uint32(i+1), 64, p.first, p.last, p.b); got != p.want {
 			t.Errorf("pass %d (blocks %03b): mask %02b, want %02b", i, p.b, got, p.want)
 		}
 		blob = st.Set.EncodeTele(blob[:0], st.Ctx.PHV)
@@ -84,7 +86,7 @@ func TestPassRejectMask(t *testing.T) {
 // member, in member order, each run in the order raised.
 func TestReportRunsByOwner(t *testing.T) {
 	rep := func(v uint64) pipeline.Op { return pipeline.ReportOp{Args: []pipeline.Expr{pipeline.C(8, v)}} }
-	st := link(compileAll(t,
+	st, bd := link(compileAll(t,
 		&pipeline.Program{Name: "a", Telemetry: []pipeline.Op{rep(10)}, Checker: []pipeline.Op{rep(11), rep(12)}},
 		&pipeline.Program{Name: "quiet", Telemetry: []pipeline.Op{pipeline.AssignOp{Dst: "x", DstWidth: 8, Src: pipeline.C(8, 1)}}},
 		&pipeline.Program{Name: "b", Telemetry: []pipeline.Op{rep(20)}, Checker: []pipeline.Op{rep(21)}},
@@ -111,7 +113,7 @@ func TestReportRunsByOwner(t *testing.T) {
 		c := st.Ctx
 		c.reports = append(c.reports, pipeline.Report{Args: []pipeline.Value{pipeline.B(8, 99)}})
 		c.owners = append(c.owners, 1)
-		st.Run(1, 64, true, true, p.b)
+		st.Run(bd, 1, 64, true, true, p.b)
 		if got := runs(); got != p.want {
 			t.Errorf("blocks %03b: runs %s, want %s", p.b, got, p.want)
 		}
@@ -126,8 +128,8 @@ func TestLinkSetMemberLimit(t *testing.T) {
 	for range 63 {
 		set = append(set, members[0])
 	}
-	st := link(append(set, members[1]))
-	if got := st.Run(1, 64, true, true, HopBlocks(true, true)); got != 1<<63 {
+	st, bd := link(append(set, members[1]))
+	if got := st.Run(bd, 1, 64, true, true, HopBlocks(true, true)); got != 1<<63 {
 		t.Errorf("64 members: mask %#x, want %#x", got, uint64(1)<<63)
 	}
 	defer func() {

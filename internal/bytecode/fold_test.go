@@ -30,8 +30,7 @@ func foldCount(s *Set, b Blocks, row []*pipeline.State, switchID uint32) (fold, 
 	c := s.NewCtx()
 	mark := int32(len(c.PHV))
 	c.PHV = append(c.PHV, 0)
-	c.bind = new(Binding)
-	c.bind.bind(s, row)
+	c.bind = s.Bind(row)
 	for _, a := range pro.applies {
 		s.runApply(c, a)
 	}

@@ -470,7 +470,9 @@ func TestPrologueKeepsBlockedEntries(t *testing.T) {
 // could — a reset slot outside the run, a jump left unrebased, a scratch
 // slot shared between members, a hop-count bump lifted over an init that
 // reads it, routing-validity's checker is_leaf load lifted over its
-// telemetry block — and requires the check to refuse each.
+// telemetry block — and two ways an emitter could — a slot stored at a
+// wider width, a jump back to itself — and requires the check to refuse
+// each.
 func TestLinkedLayout(t *testing.T) {
 	for _, everyHop := range []bool{false, true} {
 		if err := bytecode.CheckLayout(corpusSet(t, everyHop, hopInitSrc, sharedScalarSrc)); err != nil {

@@ -24,7 +24,9 @@ import (
 //   - Every prologue entry is a hop-count bump or a keyless apply, and no
 //     block of its member that runs before it in the pass reads or writes
 //     a slot it writes (checkLifted).
-//   - Every jump lands inside the body of the block it was compiled in.
+//   - Every jump lands inside the body of the block it was compiled in,
+//     after itself: no code loops, so an instruction runs at most once a
+//     pass.
 //   - Every slot has one width (checkWidths): every instruction that
 //     writes a slot writes it at that slot's width, every telemetry step
 //     moves its slot's width, and every apply output's slot has its table
@@ -133,6 +135,8 @@ func checkLayout(s *Set) error {
 					}
 					if t := jumpTarget(&code[pc]); t != nil && (int(*t) < off || int(*t) > off+len(body)) {
 						return fmt.Errorf("%s: pc %d jumps to %d, outside [%d, %d]", where, pc, *t, off, off+len(body))
+					} else if t != nil && int(*t) <= pc {
+						return fmt.Errorf("%s: pc %d jumps back to %d", where, pc, *t)
 					}
 				}
 				off += len(body)
@@ -293,7 +297,7 @@ func jumpTarget(in *Instr) *int32 {
 	return nil
 }
 
-// layoutMutations are five linker bugs and an emitter bug, each applied
+// layoutMutations are five linker bugs and two emitter bugs, each applied
 // to a linked Set in place; one reports false when the Set gives it
 // nothing to break.
 var layoutMutations = map[string]func(*Set) bool{
@@ -347,24 +351,14 @@ var layoutMutations = map[string]func(*Set) bool{
 	// The emitter stores a field one bit wider than its slot: the first
 	// assignment to a field in the set, relinked.
 	"slot stored at a wider width": func(s *Set) bool {
-		members, found := make([]Member, len(s.members)), false
-		for k, m := range s.members {
-			members[k] = m.Member
-			p := m.Prog
-			for bi, code := range p.blocks() {
-				i := slices.IndexFunc(code, func(in Instr) bool { return in.Op == opAssign && in.A < p.tempStart && in.M != ^uint64(0) })
-				if found || i < 0 {
-					continue
-				}
-				q := *p
-				blk := slices.Clone(code)
-				blk[i].M = blk[i].M<<1 | 1
-				*[]*[]Instr{&q.init, &q.tele, &q.check}[bi] = blk
-				members[k].Prog, found = &q, true
-			}
-		}
-		*s = *LinkSet(members)
-		return found
+		return emitFirst(s, func(p *Prog, in Instr) bool { return in.Op == opAssign && in.A < p.tempStart && in.M != ^uint64(0) },
+			func(in *Instr, _ int) { in.M = in.M<<1 | 1 })
+	},
+	// The emitter makes a loop: the first jump in the set jumps to itself,
+	// relinked.
+	"backward jump": func(s *Set) bool {
+		return emitFirst(s, func(_ *Prog, in Instr) bool { return jumpTarget(&in) != nil },
+			func(in *Instr, pc int) { *jumpTarget(in) = int32(pc) })
 	},
 	// A checker's scalar apply lifted over the telemetry block that applies
 	// and reads the same slot: routing-validity's is_leaf in the corpus.
@@ -385,6 +379,30 @@ func firstPrivateScratch(p *Prog) int32 {
 		}
 	}
 	return -1
+}
+
+// emitFirst relinks s with the first instruction in the set that match
+// picks, in member and then block order, rewritten by edit (given its
+// index in its block) in a copy of its Prog.
+func emitFirst(s *Set, match func(*Prog, Instr) bool, edit func(in *Instr, pc int)) bool {
+	members, found := make([]Member, len(s.members)), false
+	for k, m := range s.members {
+		members[k] = m.Member
+		p := m.Prog
+		for bi, code := range p.blocks() {
+			i := slices.IndexFunc(code, func(in Instr) bool { return match(p, in) })
+			if found || i < 0 {
+				continue
+			}
+			q := *p
+			blk := slices.Clone(code)
+			edit(&blk[i], i)
+			*[]*[]Instr{&q.init, &q.tele, &q.check}[bi] = blk
+			members[k].Prog, found = &q, true
+		}
+	}
+	*s = *LinkSet(members)
+	return found
 }
 
 // liftNext relinks s with block bi's prologue one instruction longer in

@@ -195,12 +195,12 @@ func relocate(dst, code []Instr, n, k int, slot []int32, base [4]int32) []Instr 
 
 // RunBlocks executes the selected blocks of every member, member after
 // member, against the context's row binding, after BeginHop: Stage.Run
-// binds the row and makes the two calls, and is the only caller. §4.2 splits a hop in two passes: a switch runs init alone at
-// ingress and telemetry, or telemetry and checker, at egress; a NIC's
-// ingress runs the checker alone. The prologue runs first, counted as the
-// instructions it was: a hop slot holds 8 bits; the lifted scalar loads
-// scatter the binding's snapshot of pass b when it has one, else run and
-// record it.
+// stores the binding and makes the two calls, and is the only caller. §4.2
+// splits a hop in two passes: a switch runs init alone at ingress and
+// telemetry, or telemetry and checker, at egress; a NIC's ingress runs the
+// checker alone. The prologue runs first, counted as the instructions it
+// was: a hop slot holds 8 bits; the lifted scalar loads scatter the
+// binding's snapshot of pass b when it has one, else run and record it.
 func (s *Set) RunBlocks(c *Ctx, b Blocks) {
 	pro, phv, bd := &s.pro[b], c.PHV, c.bind
 	for _, sl := range pro.hops {

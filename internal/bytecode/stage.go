@@ -77,8 +77,8 @@ var StdHeaderPaths = [NumStdHeaders]string{
 // never nested, so the context and the reports of a pass are the stage's
 // own until the next pass. Every member has a VM form: an embedder refuses
 // a program without one where it is attached. The image reads its tables
-// and registers through Bind, which Run checks against Row and the scalar
-// epoch at every pass.
+// and registers through a Binding, which the embedder makes with Set.Bind
+// where it makes the state row and hands to every Run.
 //
 // Headers are packet input, as a parser's output is on the switch: a
 // fill writes every bound slot (a path the packet lacks reads zero),
@@ -87,14 +87,6 @@ var StdHeaderPaths = [NumStdHeaders]string{
 type Stage struct {
 	Set *Set
 	Ctx *Ctx
-	// Row is the state each member runs against, by position. The
-	// embedder stores it before a pass: a switch's control plane and the
-	// fault injectors replace an attachment's State to wipe it, an engine
-	// shard has one row per switch.
-	Row []*pipeline.State
-	// Bind is Row bound to Set. Link gives the stage one; an engine shard
-	// keeps one beside each switch's row and stores it with the row.
-	Bind *Binding
 	// paths names the header paths by index: the standard ones, then
 	// each program-specific path some member binds. fills is every bound
 	// slot, by path: fills[at[i]:at[i+1]] are path i's, one per member
@@ -114,8 +106,6 @@ func Link(members ...Member) *Stage {
 	st := &Stage{
 		Set:   set,
 		Ctx:   set.NewCtx(),
-		Row:   make([]*pipeline.State, len(members)),
-		Bind:  new(Binding),
 		paths: slices.Clone(StdHeaderPaths[:]),
 	}
 	for _, path := range set.bindings {
@@ -135,25 +125,17 @@ func Link(members ...Member) *Stage {
 	return st
 }
 
-// Binding is a state row bound to a Set: the row's States, every apply
+// Binding is a state row bound to a Set once, by Set.Bind: every apply
 // site's table and every register site's register in site order, and per
 // Blocks subset a snapshot of what that pass's lifted scalar loads wrote,
-// in the order of its prologue's slots. The zero Binding is unbound.
-// Stage.Run keeps it current before every pass: a row whose States are not
-// the bound ones (a wipe, a relinked switch) re-resolves every site — and
-// panics on a table whose key widths are not the ones its apply site packs
-// for, or whose outputs are not at its output slots' widths, a check made
-// per bind, never per packet — and drops the snapshots; a moved
-// pipeline.ScalarEpoch drops the snapshots.
-// A scattered snapshot is the pass's loads because nothing inside a pass
-// writes a table; an install moves the epoch before it returns, so the
-// next pass re-reads; the epoch is loaded before the loads it stamps, so a
-// write racing them moves it again; and a State's tables and registers
-// are fixed at NewState, so a State pointer still bound still resolves to
-// the same sites.
+// in the order of its prologue's slots, which Stage.Run drops when
+// pipeline.ScalarEpoch moved. A scattered snapshot is the pass's loads
+// because nothing inside a pass writes a table; any write to a keyless
+// table, a wipe's too, moves the epoch before it returns, so the next pass
+// re-reads; the epoch is loaded before the loads it stamps, so a write
+// racing them moves it again; and a State's tables and registers are fixed
+// at NewState (a wipe resets them in place), so a row's sites never move.
 type Binding struct {
-	set    *Set
-	row    []*pipeline.State
 	tables []*pipeline.Table    // by apply site
 	regs   []*pipeline.Register // by register site
 	epoch  uint64
@@ -161,26 +143,28 @@ type Binding struct {
 	snaps  [BlockChecker << 1][]uint64 // by Blocks
 }
 
-// bind brings bd up to date with s and row.
-func (bd *Binding) bind(s *Set, row []*pipeline.State) {
-	if bd.set != s || !slices.Equal(bd.row, row) {
-		bd.set, bd.row, bd.fresh = s, append(bd.row[:0], row...), 0
-		bd.tables, bd.regs = bd.tables[:0], bd.regs[:0]
-		for _, a := range s.applies {
-			t := row[a.member].Tables[a.name]
-			if t == nil || !slices.EqualFunc(t.Keys, a.spec, func(x, y pipeline.KeySpec) bool { return x.Width == y.Width }) ||
-				!slices.EqualFunc(t.Default, a.outs, func(d pipeline.Value, sl int32) bool { return d.W == int(s.widths[sl]) }) {
-				panic(fmt.Sprintf("bytecode: member %d binds table %q missing or with other key or output widths than its apply site's (%v)", a.member, a.name, a.spec))
-			}
-			bd.tables = append(bd.tables, t)
+// Bind binds row, member k's State at k, to s. It panics on a missing
+// table or register, and on a table whose key widths are not the ones its
+// apply site packs for or whose outputs are not at its output slots'
+// widths: a check made per row, never per packet.
+func (s *Set) Bind(row []*pipeline.State) *Binding {
+	bd := &Binding{tables: make([]*pipeline.Table, 0, len(s.applies)), regs: make([]*pipeline.Register, 0, len(s.regs))}
+	for _, a := range s.applies {
+		t := row[a.member].Tables[a.name]
+		if t == nil || !slices.EqualFunc(t.Keys, a.spec, func(x, y pipeline.KeySpec) bool { return x.Width == y.Width }) ||
+			!slices.EqualFunc(t.Default, a.outs, func(d pipeline.Value, sl int32) bool { return d.W == int(s.widths[sl]) }) {
+			panic(fmt.Sprintf("bytecode: member %d binds table %q missing or with other key or output widths than its apply site's (%v)", a.member, a.name, a.spec))
 		}
-		for _, r := range s.regs {
-			bd.regs = append(bd.regs, row[r.member].Registers[r.name])
+		bd.tables = append(bd.tables, t)
+	}
+	for _, r := range s.regs {
+		reg := row[r.member].Registers[r.name]
+		if reg == nil {
+			panic(fmt.Sprintf("bytecode: member %d binds register %q, which its State lacks", r.member, r.name))
 		}
+		bd.regs = append(bd.regs, reg)
 	}
-	if e := pipeline.ScalarEpoch(); e != bd.epoch {
-		bd.epoch, bd.fresh = e, 0
-	}
+	return bd
 }
 
 // Paths names the header paths by index (shared backing; callers must
@@ -258,18 +242,20 @@ func (st *Stage) FillFlow(k dataplane.FlowKey) {
 }
 
 // Run is one pipeline pass over the telemetry and the headers in the
-// context's slots: bring Bind up to date with Row and the scalar epoch,
-// start the pass's reports, restore the scratch slots, install the hop's
-// builtins and run the blocks b of every member through Bind, prologues
-// first (no pass writes a table, so a lifted load reads what its block
-// head would). It returns the pass's reject mask, bit k set iff member k
-// rejected in this pass; its reports (Reports) and telemetry stay in the
-// context until the next pass. That is the hop contract: an embedder reads
-// a pass's verdict and reports there and nowhere else.
-func (st *Stage) Run(switchID uint32, pktLen int, first, last bool, b Blocks) uint64 {
+// context's slots, on the row bd binds to st.Set: drop bd's stale
+// snapshots, start the pass's reports, restore the scratch slots, install
+// the hop's builtins and run the blocks b of every member through bd,
+// prologues first (no pass writes a table, so a lifted load reads what its
+// block head would). It returns the pass's reject mask, bit k set iff
+// member k rejected in this pass; its reports (Reports) and telemetry stay
+// in the context until the next pass. That is the hop contract: an
+// embedder reads a pass's verdict and reports there and nowhere else.
+func (st *Stage) Run(bd *Binding, switchID uint32, pktLen int, first, last bool, b Blocks) uint64 {
 	set, c := st.Set, st.Ctx
-	st.Bind.bind(set, st.Row)
-	c.bind = st.Bind
+	if e := pipeline.ScalarEpoch(); e != bd.epoch {
+		bd.epoch, bd.fresh = e, 0
+	}
+	c.bind = bd
 	c.reports, c.owners, c.argArena = c.reports[:0], c.owners[:0], c.argArena[:0]
 	set.BeginHop(c, switchID, pktLen, first, last)
 	set.RunBlocks(c, b)

@@ -315,7 +315,7 @@ func (p *image) run(c *Ctx, code []Instr) {
 // runApply executes apply site a against the table the pass's binding
 // resolved for it. It packs the key into the table's words itself, each
 // column read from its slot, masked to its declared width and shifted to
-// its place (the table's KeyLayout, which Binding.bind has held the bound
+// its place (the table's KeyLayout, which Set.Bind has held the bound
 // table to), straight into four locals: no key array is built, so the
 // words stay in registers down to the probe, and the words no column
 // fills stay zero.
@@ -352,7 +352,7 @@ func packKey(keys []applyKey, phv []uint64) (w0, w1, w2, w3 uint64) {
 
 // writeOut stores an apply's outcome: the action's bits in the output
 // slots — a table holds every action value at its output's width, the
-// width Binding.bind holds the slots to — and the hit flag.
+// width Set.Bind holds the slots to — and the hit flag.
 func (p *image) writeOut(c *Ctx, site *applySite, action []pipeline.Value, hit bool) {
 	for i, s := range site.outs {
 		c.PHV[s] = action[i].V

@@ -190,16 +190,16 @@ func (c *Controller) observeInstall(name string, id uint32, varName string, key 
 // WipeSwitch resets every checker attachment on the given switch to
 // factory state — the register wipe of a switch crash/restart: all
 // installed table entries and register values are lost and must be
-// reinstalled. Returns how many attachments were wiped. Call it only
-// from the simulator thread (it swaps the state the switch reads per
-// packet).
+// reinstalled. The State is reset in place (pipeline.State.Reset), so the
+// switch's binding to it holds. Returns how many attachments were wiped.
+// Call it only from the simulator thread.
 func (c *Controller) WipeSwitch(switchID uint32) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for _, m := range c.atts {
 		if att, ok := m[switchID]; ok {
-			att.State = att.Runtime.Prog.NewState()
+			att.State.Reset()
 			n++
 		}
 	}

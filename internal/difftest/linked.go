@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
@@ -11,8 +12,13 @@ import (
 // Linked is programs linked into one bytecode.Stage — what an engine
 // shard and a netsim switch hold, here with a set of one for a program on
 // its own. The context is never re-templated: whatever a pass leaves in
-// it, the next pass finds.
-type Linked struct{ *bytecode.Stage }
+// it, the next pass finds. Its row may change between passes: it keeps the
+// last one's binding and binds again when a pass's envs name other States.
+type Linked struct {
+	*bytecode.Stage
+	row  []*pipeline.State
+	bind *bytecode.Binding
+}
 
 // Link links rts, in order, into one Set; member k's reports carry owner
 // k. A runtime without a VM form is an error.
@@ -24,11 +30,11 @@ func Link(rts ...*compiler.Runtime) (*Linked, error) {
 		}
 		members[k] = rt.Member()
 	}
-	return &Linked{bytecode.Link(members...)}, nil
+	return &Linked{Stage: bytecode.Link(members...)}, nil
 }
 
 // run is a pipeline pass over telemetry already in the context's slots:
-// store member k's state, fill every header path from the envs (zero
+// bind member k's state, fill every header path from the envs (zero
 // where none holds it; a pass has one packet, so members that bind one
 // path must be given one value), run the blocks b of every member and
 // return the reject mask. The hop's switch and packet length are envs[0]'s.
@@ -45,10 +51,14 @@ func (l *Linked) run(envs []HopEnv, b bytecode.Blocks, first, last bool) uint64 
 		}
 		l.SetHeader(i, v.V)
 	}
-	for k, env := range envs {
-		l.Row[k] = env.State
+	if !slices.EqualFunc(l.row, envs, func(st *pipeline.State, env HopEnv) bool { return st == env.State }) {
+		l.row = l.row[:0]
+		for _, env := range envs {
+			l.row = append(l.row, env.State)
+		}
+		l.bind = l.Set.Bind(l.row)
 	}
-	return l.Run(envs[0].SwitchID, int(envs[0].PacketLen), first, last, b)
+	return l.Run(l.bind, envs[0].SwitchID, int(envs[0].PacketLen), first, last, b)
 }
 
 // Pass is one pipeline pass the way a netsim switch makes it:

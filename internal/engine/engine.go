@@ -308,11 +308,11 @@ func mergeCounts(chks []Checker, shards ...*shard) Counts {
 // Shard worker
 
 // stateRow is every checker's state on one switch, in Config.Checkers
-// order, and the shard's linked set bound to it.
+// order, and the shard's linked set bound to it where the row is made.
 type stateRow struct {
 	id   uint32
 	st   []*pipeline.State
-	bind bytecode.Binding
+	bind *bytecode.Binding
 }
 
 type shard struct {
@@ -366,7 +366,7 @@ func (s *shard) row(switchID uint32) *stateRow {
 	for i, c := range s.cfg.Checkers {
 		st[i] = c.RT.Prog.NewState()
 	}
-	s.rows = append(s.rows, stateRow{id: switchID, st: st})
+	s.rows = append(s.rows, stateRow{id: switchID, st: st, bind: s.st.Set.Bind(st)})
 	return &s.rows[len(s.rows)-1]
 }
 
@@ -424,9 +424,7 @@ func (s *shard) exec(batch []Packet) {
 			first, last := h == 0, h == len(hops)-1
 			st.SetHeader(bytecode.HInPort, uint64(uint8(hop.InPort)))
 			st.SetHeader(bytecode.HEgPort, uint64(uint8(hop.OutPort)))
-			r := s.row(hop.SwitchID)
-			st.Row, st.Bind = r.st, &r.bind
-			rejects = st.Run(hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))
+			rejects = st.Run(s.row(hop.SwitchID).bind, hop.SwitchID, int(p.Len), first, last, bytecode.HopBlocks(first, last))
 			sw = hop.SwitchID
 			st.Reports(raise)
 		}

@@ -11,8 +11,9 @@ import (
 // NIC.
 type HydraAttachment struct {
 	Runtime *compiler.Runtime
-	// State is this node's tables and registers for the checker program;
-	// the control plane installs entries into it.
+	// State is this node's tables and registers for the checker program,
+	// fixed at attach: the control plane installs entries into it, and a
+	// wipe resets it in place (pipeline.State.Reset).
 	State *pipeline.State
 	// OnReport receives the report digests raised here.
 	OnReport func(pipeline.Report)
@@ -41,8 +42,9 @@ type hydra struct {
 	// slice of the telemetry blob. attach is the one writer.
 	checkers []*HydraAttachment
 	// stage is checkers linked into one image, nil until the next pass
-	// after an attach; see linked.
+	// after an attach, and bind is its binding to their States; see linked.
 	stage *bytecode.Stage
+	bind  *bytecode.Binding
 	// injectBuf holds the blob of a packet this node injected. All of a
 	// node's callbacks run on the one event loop, so one suffices.
 	injectBuf []byte
@@ -59,19 +61,18 @@ func (hy *hydra) attach(rt *compiler.Runtime, onReport func(pipeline.Report)) *H
 	return at
 }
 
-// linked returns the checkers as one linked image, relinked after an
-// attach, with the state row the attachments hold now: the control plane
-// and the fault injectors replace an attachment's State to wipe it.
+// linked returns the checkers as one linked image, relinked and bound to
+// the attachments' States after an attach. A State is fixed at attach (a
+// wipe resets it in place), so the binding holds until the next attach.
 func (hy *hydra) linked() *bytecode.Stage {
 	if hy.stage == nil {
 		members := make([]bytecode.Member, len(hy.checkers))
+		row := make([]*pipeline.State, len(hy.checkers))
 		for i, at := range hy.checkers {
-			members[i] = at.Runtime.Member()
+			members[i], row[i] = at.Runtime.Member(), at.State
 		}
 		hy.stage = bytecode.Link(members...)
-	}
-	for i, at := range hy.checkers {
-		hy.stage.Row[i] = at.State
+		hy.bind = hy.stage.Set.Bind(row)
 	}
 	return hy.stage
 }
@@ -97,7 +98,7 @@ func (hy *hydra) pass(st *bytecode.Stage, id uint32, pkt *dataplane.Decoded, met
 		st.SetHeader(bytecode.HEgPort, uint64(uint8(max(outPort, 0))))
 		st.SetHeader(bytecode.HSkipFwd, pipeline.BoolV(meta.Drop).V)
 	}
-	rejects := st.Run(id, pkt.WireLen(), first, last, b)
+	rejects := st.Run(hy.bind, id, pkt.WireLen(), first, last, b)
 	st.Reports(hy.deliver)
 	for k, at := range hy.checkers {
 		if b&bytecode.BlockChecker != 0 || at.Runtime.CheckEveryHop && b&bytecode.BlockTelemetry != 0 {

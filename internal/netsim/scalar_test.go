@@ -28,7 +28,7 @@ control bit<32> mark;
 // TestScalarWriteVisibleAtNextPacket makes, between two packets, each
 // write a controller can make to a scalar control — Insert, Delete back
 // to the default, Clear, CopyFrom another table, and the fault injectors'
-// wipe, a fresh attachment State — on an edge switch (two passes a
+// wipe, the attachment's State reset in place — on an edge switch (two passes a
 // packet, {init} then {telemetry, checker}, over one row binding) and on
 // a NIC: the very next packet's verdict and reports must be the map
 // reference's over a state given the same writes.
@@ -38,21 +38,20 @@ func TestScalarWriteVisibleAtNextPacket(t *testing.T) {
 	setMark(t, donor, 7)
 	steps := []struct {
 		name  string
-		write func(*pipeline.State) *pipeline.State
+		write func(*pipeline.State)
 	}{
-		{"insert", func(st *pipeline.State) *pipeline.State { setMark(t, st, 5); return st }},
-		{"re-insert", func(st *pipeline.State) *pipeline.State { setMark(t, st, 9); return st }},
-		{"delete", func(st *pipeline.State) *pipeline.State { st.Tables["mark"].Delete(nil); return st }},
-		{"insert after delete", func(st *pipeline.State) *pipeline.State { setMark(t, st, 5); return st }},
-		{"clear", func(st *pipeline.State) *pipeline.State { st.Tables["mark"].Clear(); return st }},
-		{"copy", func(st *pipeline.State) *pipeline.State {
+		{"insert", func(st *pipeline.State) { setMark(t, st, 5) }},
+		{"re-insert", func(st *pipeline.State) { setMark(t, st, 9) }},
+		{"delete", func(st *pipeline.State) { st.Tables["mark"].Delete(nil) }},
+		{"insert after delete", func(st *pipeline.State) { setMark(t, st, 5) }},
+		{"clear", func(st *pipeline.State) { st.Tables["mark"].Clear() }},
+		{"copy", func(st *pipeline.State) {
 			if err := st.Tables["mark"].CopyFrom(donor.Tables["mark"]); err != nil {
 				t.Fatal(err)
 			}
-			return st
 		}},
-		{"wipe", func(*pipeline.State) *pipeline.State { return rt.Prog.NewState() }},
-		{"insert after wipe", func(st *pipeline.State) *pipeline.State { setMark(t, st, 4); return st }},
+		{"wipe", (*pipeline.State).Reset},
+		{"insert after wipe", func(st *pipeline.State) { setMark(t, st, 4) }},
 	}
 	hdrs := packetHeaders(udpPacket())
 
@@ -65,17 +64,17 @@ func TestScalarWriteVisibleAtNextPacket(t *testing.T) {
 	blobLen := h.nic.linked().Set.TeleWireBytes()
 	embedders := []struct {
 		name  string
-		state **pipeline.State
+		state *pipeline.State
 		blob  []byte // the telemetry the pass starts from: nil at a first hop
 		send  func() (bool, [][]uint64)
 	}{
-		{"switch", &at.State, nil, func() (bool, [][]uint64) {
+		{"switch", at.State, nil, func() (bool, [][]uint64) {
 			rejected, n := at.Rejected, len(swReports)
 			sw.Receive(udpPacket().Serialize(), 1)
 			sim.RunAll()
 			return at.Rejected > rejected, swReports[n:]
 		}},
-		{"nic", &nic.State, make([]byte, blobLen), func() (bool, [][]uint64) {
+		{"nic", nic.State, make([]byte, blobLen), func() (bool, [][]uint64) {
 			pkt := udpPacket()
 			pkt.Eth.Dst = h.MAC
 			pkt.InsertHydra(make([]byte, blobLen))
@@ -92,7 +91,8 @@ func TestScalarWriteVisibleAtNextPacket(t *testing.T) {
 			step := "before any write"
 			if k >= 0 {
 				step = steps[k].name
-				*e.state, ref = steps[k].write(*e.state), steps[k].write(ref)
+				steps[k].write(e.state)
+				steps[k].write(ref)
 			}
 			env := difftest.HopEnv{State: ref, SwitchID: 7, Headers: hdrs, PacketLen: 100}
 			hr, err := difftest.Reference{Prog: rt.Prog}.RunHop(e.blob, env, e.blob == nil, true)

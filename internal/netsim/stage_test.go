@@ -298,10 +298,10 @@ func setMark(t *testing.T, st *pipeline.State, mark uint64) {
 }
 
 // TestStateReadPerHop pins what the linked image resolves when: the
-// control plane and the node-fault injector wipe a switch by replacing
-// HydraAttachment.State, so the next packet must run against the new
-// tables and registers, not the ones linked; and a checker attached after
-// traffic has flowed joins the image.
+// control plane and the node-fault injector wipe a switch by resetting
+// HydraAttachment.State in place, so the next packet must run against the
+// emptied tables and zeroed registers, not what they held before; and a
+// checker attached after traffic has flowed joins the image.
 func TestStateReadPerHop(t *testing.T) {
 	rt := &compiler.Runtime{Prog: compileSource(t, "state-probe", stateProbeSrc)}
 	sim := NewSimulator()
@@ -316,7 +316,7 @@ func TestStateReadPerHop(t *testing.T) {
 	send()
 	send()
 
-	at.State = rt.Prog.NewState()
+	at.State.Reset()
 	setMark(t, at.State, 22)
 	send()
 

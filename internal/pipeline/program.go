@@ -99,9 +99,9 @@ func (f TeleField) WireBitsAligned() int {
 
 // State is the per-switch instantiation of a program's tables and
 // registers. The control plane holds the same *Table pointers and
-// updates them concurrently with forwarding. The maps are filled once,
-// by NewState or by hand; a bytecode row binding resolves its sites by
-// name when it binds a row, never per packet.
+// updates them concurrently with forwarding. The maps are filled once, by
+// NewState or by hand, and a wipe resets what they hold (Reset); a bytecode
+// row binding resolves its sites by name when the row is made.
 type State struct {
 	Tables    map[string]*Table
 	Registers map[string]*Register
@@ -120,6 +120,20 @@ func (p *Program) NewState() *State {
 		st.Registers[rs.Name] = NewRegister(rs.Name, rs.Width, rs.Size)
 	}
 	return st
+}
+
+// Reset wipes s in place, as a switch restart does: every table loses its
+// entries (Table.Clear, which moves ScalarEpoch for a keyless one) and
+// every register cell reads zero; the *Table and *Register pointers stay.
+func (s *State) Reset() {
+	for _, t := range s.Tables {
+		t.Clear()
+	}
+	for _, r := range s.Registers {
+		for i := range r.Size {
+			r.Write(i, 0)
+		}
+	}
 }
 
 // Warm eagerly rebuilds every exact table's lock-free read snapshot

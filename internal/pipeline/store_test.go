@@ -996,6 +996,54 @@ func TestScalarEpoch(t *testing.T) {
 	}
 }
 
+// TestStateReset: a wipe empties every table and zeroes every register in
+// place — each table keeps its Default, every *Table and *Register is
+// the one NewState made, so a binding to the State holds — and moves
+// ScalarEpoch, so a cached scalar load re-reads.
+func TestStateReset(t *testing.T) {
+	out := []FieldRef{"v"}
+	def := []Value{B(8, 3)}
+	prog := &Program{
+		Tables: []TableSpec{
+			{Name: "exact", Keys: []KeySpec{{Width: 16}}, Outputs: out, OutputWidths: []int{8}, Default: def},
+			{Name: "tcam", Keys: []KeySpec{{Width: 16, Kind: MatchTernary}}, Outputs: out, OutputWidths: []int{8}, Default: def},
+			{Name: "scalar", Outputs: out, OutputWidths: []int{8}, Default: def},
+		},
+		Registers: []RegisterSpec{{Name: "r", Width: 16, Size: 4}},
+	}
+	st := prog.NewState()
+	for name, e := range map[string]Entry{
+		"exact":  {Keys: []KeyMatch{ExactKey(9)}, Action: []Value{B(8, 1)}},
+		"tcam":   {Keys: []KeyMatch{TernaryKey(9, 0xff)}, Priority: 1, Action: []Value{B(8, 1)}},
+		"scalar": {Action: []Value{B(8, 1)}},
+	} {
+		if err := st.Tables[name].Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Registers["r"].Write(2, 77)
+	tables, regs := maps.Clone(st.Tables), maps.Clone(st.Registers)
+	epoch := ScalarEpoch()
+
+	st.Reset()
+	if !maps.Equal(st.Tables, tables) || !maps.Equal(st.Registers, regs) {
+		t.Error("Reset replaced a *Table or a *Register")
+	}
+	for name, tbl := range st.Tables {
+		if tbl.Len() != 0 || !reflect.DeepEqual(tbl.Default, def) {
+			t.Errorf("%s after Reset: %d entries, default %v; want 0 and %v", name, tbl.Len(), tbl.Default, def)
+		}
+	}
+	for i := range 4 {
+		if v := st.Registers["r"].Read(i); v != 0 {
+			t.Errorf("register cell %d after Reset reads %d, want 0", i, v)
+		}
+	}
+	if ScalarEpoch() == epoch {
+		t.Error("Reset left ScalarEpoch where it was")
+	}
+}
+
 // TestProfileChurn: overwrites and deletes cannot grow the action
 // profile without bound. 10 000 overwrites of one key, each with an
 // action no entry held before, leave at most 2 × entries + 8 tuples
