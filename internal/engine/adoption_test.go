@@ -69,8 +69,9 @@ func sortedEntries(tbl *pipeline.Table) []pipeline.Entry {
 	return es
 }
 
-// adoptionRingSize holds a whole run's digests on one ring: at most
-// 1 501 are raised.
+// adoptionRingSize holds a whole run's digests on one ring (at most
+// 1 501 are raised), because the test compares tap order: a full ring's
+// digest folds ahead of those still queued.
 const adoptionRingSize = 1 << 11
 
 // TestSeedAdoptionEquivalence is the oracle for the aliasing bug seed

@@ -144,9 +144,10 @@ type Config struct {
 	// ReportBus, when set, receives every raised digest — the one way a
 	// digest leaves the engine; without it only counts are kept. Each
 	// shard owns one ring producer on the bus, so the hot path enqueues
-	// without a shared lock and a full ring spills into the producer's
-	// fold instead of blocking the worker. A consumer that wants
-	// individual digests registers a bus Tap.
+	// without a shared lock; a full ring's digest the worker folds itself
+	// under the bus mutex, words and all, without waiting on an exporter.
+	// A consumer that wants individual digests registers a bus Tap, which
+	// then runs on shard workers too and must be safe for concurrent use.
 	ReportBus *reportbus.Bus
 }
 

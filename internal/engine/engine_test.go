@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -90,15 +91,21 @@ func sortedReports(keys []reportKey) []reportKey {
 // digest in delivery order: the way a test reads what an engine raised.
 type reportTap struct {
 	bus *reportbus.Bus
+	mu  sync.Mutex
 	got []reportbus.Digest
 }
 
-// newReportTap sizes every ring for ringSize digests; a run that raises
-// more on one shard between two reads spills, losing those digests'
-// words, and digests fails then.
+// newReportTap sizes every ring for ringSize digests. A test that reads
+// tap order sizes them for everything one shard raises between two
+// reads: a full ring's digest reaches the tap, from the shard worker,
+// ahead of those still queued.
 func newReportTap(ringSize int) *reportTap {
 	r := &reportTap{bus: reportbus.New(reportbus.Config{RingSize: ringSize, Clock: func() int64 { return 0 }})}
-	r.bus.Tap(func(d reportbus.Digest) { r.got = append(r.got, d) })
+	r.bus.Tap(func(d reportbus.Digest) {
+		r.mu.Lock()
+		r.got = append(r.got, d)
+		r.mu.Unlock()
+	})
 	return r
 }
 
@@ -106,9 +113,8 @@ func newReportTap(ringSize int) *reportTap {
 func (r *reportTap) digests(t *testing.T) []reportbus.Digest {
 	t.Helper()
 	r.bus.Flush()
-	if m := r.bus.Metrics(); m.Spilled != 0 {
-		t.Fatalf("report bus spilled %d of %d digests", m.Spilled, m.Published)
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.got
 }
 
@@ -308,9 +314,6 @@ func TestEngineReportBusDeterministicAggregation(t *testing.T) {
 	if wantCounts.Reports == 0 {
 		t.Fatal("violation workload raised no reports")
 	}
-	if wantM.Spilled != 0 {
-		t.Fatalf("rings spilled %d digests despite oversizing", wantM.Spilled)
-	}
 	if wantM.Published != wantCounts.Reports {
 		t.Fatalf("bus published %d digests, engine raised %d", wantM.Published, wantCounts.Reports)
 	}
@@ -330,8 +333,8 @@ func TestEngineReportBusDeterministicAggregation(t *testing.T) {
 		if !reflect.DeepEqual(gotCounts, wantCounts) {
 			t.Errorf("shards=%d: engine counts diverge\n got %+v\nwant %+v", shards, gotCounts, wantCounts)
 		}
-		if gotM.Spilled != 0 || gotM.Unaccounted() != 0 {
-			t.Errorf("shards=%d: spilled=%d unaccounted=%d", shards, gotM.Spilled, gotM.Unaccounted())
+		if gotM.Unaccounted() != 0 {
+			t.Errorf("shards=%d: unaccounted=%d", shards, gotM.Unaccounted())
 		}
 		if len(gotM.Producers) != shards {
 			t.Errorf("shards=%d: %d ring producers registered", shards, len(gotM.Producers))

@@ -13,13 +13,19 @@ import (
 // Bus is one violation-digest pipeline: a set of producers feeding a
 // windowed, storm-controlled aggregation table that emits to exporters.
 //
-// Two ingest disciplines coexist on one bus. Ring producers are for
-// concurrent sources (engine shards): each owns an SPSC ring drained by
-// the collector goroutine (Start) or by explicit Flush/Close. Inline
-// producers are for single-threaded embedders (the netsim event loop
-// via the control plane): Publish delivers under the bus mutex and the
-// per-digest taps fire before it returns, so a simulation's reactive
-// control logic sees a report at the instant it is raised.
+// A digest reaches the table one of two ways, and both fold it whole.
+// A ring producer (an engine shard) pushes it onto its SPSC ring, which
+// the collector goroutine (Start) or Flush/Close drains. Otherwise the
+// publisher folds it itself under the bus mutex, and the taps fire
+// before Publish returns: always for an inline producer (the netsim
+// event loop via the control plane, whose reactive logic must see a
+// report at the instant it is raised), and for a ring producer whose
+// ring is full. An inline publish may close the window; a ring
+// producer's never does, so a ring publisher runs no exporter.
+//
+// A publisher never waits on another goroutine's exporter or tap. It
+// may wait on the bus mutex, which no sweep or publisher holds across
+// taps or exports.
 type Bus struct {
 	cfg Config
 
@@ -67,12 +73,11 @@ type Bus struct {
 	// makes another, and whichever comes back last stays.
 	spare atomic.Pointer[batch]
 
-	// sweepMu serializes whole sweeps; scratch and spilled are the drain
-	// buffers they share. Held across the post-mutex tap/export phase so
-	// drained digests are not clobbered by the next sweep mid-tap.
+	// sweepMu serializes whole sweeps; scratch is the drain buffer they
+	// share. Held across the post-mutex tap/export phase so drained
+	// digests are not clobbered by the next sweep mid-tap.
 	sweepMu sync.Mutex
 	scratch []Digest
-	spilled []Aggregate
 }
 
 // batch is one closed window's emission, lent to the exporters until
@@ -93,11 +98,11 @@ type entry struct {
 	args  [MaxArgs]uint64
 }
 
-// add folds n digests raised between first and last into a.
-func (a *Aggregate) add(first, last int64, n uint64) {
-	a.Count += n
-	a.FirstAt = min(a.FirstAt, first)
-	a.LastAt = max(a.LastAt, last)
+// add folds one digest raised at at into a.
+func (a *Aggregate) add(at int64) {
+	a.Count++
+	a.FirstAt = min(a.FirstAt, at)
+	a.LastAt = max(a.LastAt, at)
 }
 
 // sortKey is an entry's place in emission order, compact: checker rank
@@ -173,14 +178,13 @@ func New(cfg Config) *Bus {
 }
 
 // Tap registers a per-digest observer. Every digest reaches every tap
-// exactly once. It runs outside the bus mutex, on the publisher
-// goroutine (inline producers) or on the goroutine that drains the
-// rings (ring producers: the collector, Flush or Close). A digest that
-// spilled past a full ring reaches the taps from the sweep that folds
-// its spill entry, carrying only its checker, its switch and the
-// entry's last At: its words are gone (Metrics.Spilled counts these).
-// Register taps before publishing begins; digests already in flight may
-// miss a late tap.
+// exactly once, whole. A tap runs outside the bus mutex, on the
+// goroutine that delivers the digest: an inline publisher, a ring
+// publisher whose ring was full, or the sweeper (the collector, Flush
+// or Close). So a full ring's digest reaches the taps ahead of those
+// still queued, and on a bus with ring producers a tap must be safe for
+// concurrent use, as an Exporter must. Register taps before publishing
+// begins; digests already in flight may miss a late tap.
 func (b *Bus) Tap(fn func(Digest)) {
 	b.mu.Lock()
 	b.taps = append(b.taps, fn)
@@ -197,61 +201,27 @@ func (b *Bus) Now() int64 { return b.cfg.Clock() }
 type Producer struct {
 	bus  *Bus
 	name string
-	// r is nil for inline producers. A ring producer's enqueued count is
-	// its ring's tail plus its spill's; an inline producer's is enqueued,
-	// under the bus mutex.
-	r        *ring
-	enqueued uint64
-	// spill takes what a full ring cannot. The path is cold (it only runs
-	// once the bounded ring is already full), so a mutex is fine there.
-	spillMu sync.Mutex
-	spill   spill
-}
-
-// spill is a ring producer's fold for the digests its full ring turns
-// away, until the next sweep takes it: one overflow aggregate per
-// (checker, switch), with the count and the first and last At. The
-// argument words are gone, as in the bus's own overflow buckets, where
-// the sweep folds these. A table of 64 whole digests in front of these
-// kept 2–7 % of engine-storm's spilled digests with their words, since
-// nearly every storm digest has a key of its own (E45), so there is
-// none. The entries keep their storage across sweeps: spilling
-// allocates nothing once each (checker, switch) has spilled.
-type spill struct {
-	aggs []Aggregate
-	// total is every digest ever spilled; it counts in Published.
-	total uint64
-}
-
-func (s *spill) fold(d *Digest) {
-	s.total++
-	for i := range s.aggs {
-		if a := &s.aggs[i]; a.SwitchID == d.SwitchID && a.Checker == d.Checker {
-			a.add(d.At, d.At, 1)
-			return
-		}
-	}
-	s.aggs = append(s.aggs, Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, Count: 1, FirstAt: d.At, LastAt: d.At, Overflow: true})
+	// r is nil for inline producers. folded counts the digests the
+	// producer folded itself, under the bus mutex: all of an inline
+	// producer's, a ring producer's that found its ring full.
+	r      *ring
+	folded uint64
 }
 
 // ProducerMetrics is one producer's ingest accounting.
 type ProducerMetrics struct {
 	Name string
-	// Enqueued counts every digest the producer published, Spilled ones
-	// included; Spilled are those its full ring turned into its spill,
-	// which lost their words. Dropped is always 0: a full ring spills, it
-	// does not drop.
+	// Enqueued counts every digest the producer published.
 	Enqueued uint64
-	Spilled  uint64
-	Dropped  uint64
 	// QueueDepth is a racy snapshot of digests waiting in the ring
 	// (always 0 for inline producers).
 	QueueDepth int
 }
 
 // RingProducer registers a producer with its own bounded SPSC ring.
-// Publish must stay single-goroutine per producer; the collector is the
-// only consumer.
+// Publish must stay single-goroutine per producer; the sweeper is the
+// ring's only consumer. A digest that finds the ring full is folded by
+// the publisher, as an inline producer's is.
 func (b *Bus) RingProducer(name string) *Producer {
 	p := &Producer{bus: b, name: name, r: newRing(b.cfg.RingSize, b.wake)}
 	b.mu.Lock()
@@ -271,45 +241,41 @@ func (b *Bus) InlineProducer(name string) *Producer {
 	return p
 }
 
-// Publish hands one digest to the bus; no digest is lost. An inline
-// producer folds it before returning, and every tap has seen it. A ring
-// producer enqueues it; when the ring is full the digest spills into
-// the producer's spill instead, without its words, and Publish reports
-// false. The next sweep takes the spill and fires the taps once per
-// spilled digest (see Tap).
+// Publish hands one digest to the bus, whole; no digest is lost. A ring
+// producer pushes it onto its ring. Otherwise — an inline producer, or a
+// full ring — Publish folds it under the bus mutex, and every tap has
+// seen it before Publish returns; only an inline producer's fold may
+// close the window. The result is always true: it stays because bench/
+// counts the publishes that return false.
 func (p *Producer) Publish(d Digest) bool {
-	b := p.bus
-	if p.r == nil {
-		b.mu.Lock()
-		p.enqueued++
-		b.fold(&d)
-		emitted := b.maybeCloseWindow(d.At)
-		taps := b.taps
-		b.mu.Unlock()
-		for _, tap := range taps {
-			tap(d)
-		}
-		b.export(emitted)
+	if p.r != nil && p.r.push(&d) {
 		return true
 	}
-	if !p.r.push(&d) {
-		p.spillMu.Lock()
-		p.spill.fold(&d)
-		p.spillMu.Unlock()
-		return false
+	b := p.bus
+	b.mu.Lock()
+	p.folded++
+	b.fold(&d)
+	var emitted *batch
+	if p.r == nil {
+		emitted = b.maybeCloseWindow(d.At)
 	}
+	taps := b.taps
+	b.mu.Unlock()
+	for _, tap := range taps {
+		tap(d)
+	}
+	b.export(emitted)
 	return true
 }
 
 // metrics is p's ingest accounting. Caller holds b.mu.
 func (p *Producer) metrics() ProducerMetrics {
-	if p.r == nil {
-		return ProducerMetrics{Name: p.name, Enqueued: p.enqueued}
+	m := ProducerMetrics{Name: p.name, Enqueued: p.folded}
+	if p.r != nil {
+		m.Enqueued += p.r.tail.Load()
+		m.QueueDepth = p.r.depth()
 	}
-	p.spillMu.Lock()
-	spilled := p.spill.total
-	p.spillMu.Unlock()
-	return ProducerMetrics{Name: p.name, Enqueued: p.r.tail.Load() + spilled, Spilled: spilled, QueueDepth: p.r.depth()}
+	return m
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +285,7 @@ func (p *Producer) metrics() ProducerMetrics {
 // new entry while the table has room, else its (checker, switch)
 // overflow bucket. Caller holds b.mu.
 func (b *Bus) fold(d *Digest) {
-	st := b.open(d.Checker, d.At, 1)
+	st := b.open(d)
 	mask := len(b.index) - 1
 	for i := b.slot(d.SwitchID, d.ArgsHash); ; i = (i + 1) & mask {
 		pos := b.index[i]
@@ -333,33 +299,27 @@ func (b *Bus) fold(d *Digest) {
 				})
 				b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
 			} else {
-				b.overflow(st, d.SwitchID, d.At, d.At, 1)
+				b.overflow(st, d)
 			}
 			break
 		}
 		if e := &b.live[pos-1]; e.st == st && e.SwitchID == d.SwitchID && e.ArgsHash == d.ArgsHash {
-			e.add(d.At, d.At, 1)
+			e.add(d.At)
 			break
 		}
 	}
 }
 
-// foldSpilled merges one spill entry, with its count, into its
-// (checker, switch) overflow bucket. Caller holds b.mu.
-func (b *Bus) foldSpilled(a *Aggregate) {
-	b.overflow(b.open(a.Checker, a.FirstAt, a.Count), a.SwitchID, a.FirstAt, a.LastAt, a.Count)
-}
-
-// open accounts n digests of checker arriving, the earliest at first,
-// and returns the checker's record. Caller holds b.mu.
-func (b *Bus) open(checker string, first int64, n uint64) *checkerStats {
-	st := b.stats(checker)
-	st.delivered += n
+// open accounts d arriving, opening a window at its At if none is open,
+// and returns its checker's record. Caller holds b.mu.
+func (b *Bus) open(d *Digest) *checkerStats {
+	st := b.stats(d.Checker)
+	st.delivered++
 	if !b.windowOpen {
 		b.windowOpen = true
-		b.windowStart = first
+		b.windowStart = d.At
 	}
-	b.liveDigests += n
+	b.liveDigests++
 	return st
 }
 
@@ -368,20 +328,18 @@ func (b *Bus) slot(switchID uint32, argsHash uint64) int {
 	return int((argsHash ^ uint64(switchID)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9 >> b.shift)
 }
 
-// overflow folds n digests of st's checker on switchID, raised between
-// first and last, into their (checker, switch) bucket: once the live-key
-// budget is spent, or when they spilled. Counts stay exact; args are
-// gone.
-func (b *Bus) overflow(st *checkerStats, switchID uint32, first, last int64, n uint64) {
-	st.overflowDigests += n
+// overflow folds d, of st's checker, into its (checker, switch) bucket
+// once the live-key budget is spent. Counts stay exact; args are gone.
+func (b *Bus) overflow(st *checkerStats, d *Digest) {
+	st.overflowDigests++
 	for i := range b.ovf {
-		if e := &b.ovf[i]; e.SwitchID == switchID && e.st == st {
-			e.add(first, last, n)
+		if e := &b.ovf[i]; e.SwitchID == d.SwitchID && e.st == st {
+			e.add(d.At)
 			return
 		}
 	}
 	b.ovf = append(b.ovf, entry{
-		Aggregate: Aggregate{Checker: st.name, SwitchID: switchID, Count: n, FirstAt: first, LastAt: last, Overflow: true},
+		Aggregate: Aggregate{Checker: st.name, SwitchID: d.SwitchID, Count: 1, FirstAt: d.At, LastAt: d.At, Overflow: true},
 		st:        st,
 	})
 	b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
@@ -549,31 +507,22 @@ func (b *Bus) export(bt *batch) {
 	b.spare.Store(bt)
 }
 
-// sweep drains every ring, then takes every spill, into the aggregate
-// table, and runs the window check; taps and exports fire after the bus
-// mutex is released, the drained digests first, then each spill entry's
-// wordless digest once per digest it counts. sweepMu serializes sweeps (collector tick vs
-// Flush/Close) — they share the scratch buffers and the rings' consumer
-// side.
+// sweep drains every ring into the aggregate table and runs the window
+// check; taps and exports fire after the bus mutex is released.
+// sweepMu serializes sweeps (collector tick vs Flush/Close) — they share
+// the scratch buffer and the rings' consumer side.
 func (b *Bus) sweep(forceClose bool) {
 	b.sweepMu.Lock()
 	defer b.sweepMu.Unlock()
 	b.mu.Lock()
-	b.scratch, b.spilled = b.scratch[:0], b.spilled[:0]
+	b.scratch = b.scratch[:0]
 	for _, p := range b.producers {
 		if p.r != nil {
 			b.scratch = p.r.drainInto(b.scratch)
-			p.spillMu.Lock()
-			b.spilled = append(b.spilled, p.spill.aggs...)
-			p.spill.aggs = p.spill.aggs[:0]
-			p.spillMu.Unlock()
 		}
 	}
 	for i := range b.scratch {
 		b.fold(&b.scratch[i])
-	}
-	for i := range b.spilled {
-		b.foldSpilled(&b.spilled[i])
 	}
 	now := b.Now()
 	var emitted *batch
@@ -582,19 +531,13 @@ func (b *Bus) sweep(forceClose bool) {
 	} else {
 		emitted = b.maybeCloseWindow(now)
 	}
-	drained, spilled := b.scratch, b.spilled
+	drained := b.scratch
 	taps := b.taps
 	b.mu.Unlock()
 
 	for _, tap := range taps {
 		for i := range drained {
 			tap(drained[i])
-		}
-		for i := range spilled {
-			a := &spilled[i]
-			for range a.Count {
-				tap(Digest{Checker: a.Checker, SwitchID: a.SwitchID, At: a.LastAt})
-			}
 		}
 	}
 	b.export(emitted)
@@ -674,7 +617,7 @@ func compareEntries(a, c *entry) int {
 // CheckerMetrics is one checker's digest accounting.
 type CheckerMetrics struct {
 	// Delivered digests reached the aggregation table: once every ring
-	// and spill is drained, every digest the checker raised.
+	// is drained, every digest the checker raised.
 	Delivered uint64
 	// EmittedDigests sums the counts of emitted aggregates; Suppressed
 	// counts storm-control deferrals (aggregate-windows held back — the
@@ -683,8 +626,7 @@ type CheckerMetrics struct {
 	EmittedDigests    uint64
 	Suppressed        uint64
 	// OverflowDigests were folded into overflow buckets (counted
-	// exactly, args dropped): after the live-key budget filled, or
-	// because they spilled (Metrics.Spilled).
+	// exactly, args dropped) after the live-key budget filled.
 	OverflowDigests uint64
 }
 
@@ -698,21 +640,18 @@ type Metrics struct {
 	LiveAggregates    int
 	MaxLiveAggregates int
 	LiveDigests       uint64
-	// Totals across producers and checkers. Spilled digests reached the
-	// aggregation table through a producer's spill, without their words;
-	// a run whose rings kept up reads 0. Dropped is always 0: nothing is
-	// dropped.
+	// Totals across producers and checkers. Dropped always reads 0:
+	// nothing is dropped. It stays because bench/ reports it as
+	// reportbus.ring_drop_share.
 	Published      uint64
-	Spilled        uint64
 	Dropped        uint64
 	Delivered      uint64
 	EmittedDigests uint64
 }
 
 // Unaccounted is the digest conservation check: publishes minus
-// emissions and still-live counts. It is 0 whenever the rings and
-// spills are drained — after a sweep, Flush or Close — since nothing is
-// lost.
+// emissions and still-live counts. It is 0 whenever the rings are
+// drained — after a sweep, Flush or Close — since nothing is lost.
 func (m Metrics) Unaccounted() int64 {
 	return int64(m.Published) - int64(m.EmittedDigests) - int64(m.LiveDigests)
 }
@@ -731,7 +670,6 @@ func (b *Bus) Metrics() Metrics {
 		pm := p.metrics()
 		m.Producers = append(m.Producers, pm)
 		m.Published += pm.Enqueued
-		m.Spilled += pm.Spilled
 	}
 	for name, st := range b.checkers {
 		cm := CheckerMetrics{

@@ -16,9 +16,9 @@ import (
 // aggregate pointers, a map of overflow buckets, and a full sort of each
 // closed window by (checker, switch, argument words, ArgsHash). Rings are
 // plain queues of the same capacity, drained in registration order; a
-// digest a full queue turns away goes to its producer's spill, a list by
-// (checker, switch) with counts and no words. A sweep folds the queues,
-// then the spills into overflow buckets; nothing is dropped.
+// digest a full queue turns away folds and taps at once, as an inline
+// producer's does, but closes no window. A sweep folds the queues;
+// nothing is dropped.
 type refBus struct {
 	cfg         Config
 	live        map[Key]*Aggregate
@@ -40,16 +40,6 @@ type refProducer struct {
 	ring     bool
 	queue    []Digest
 	enqueued uint64
-	spilled  uint64
-	// spill is in first-seen order; an entry's At is the last raise it
-	// stands for.
-	spill []refSpilled
-}
-
-type refSpilled struct {
-	d     Digest
-	first int64
-	n     uint64
 }
 
 func newRefBus(cfg Config) *refBus {
@@ -64,31 +54,19 @@ func (b *refBus) producer(name string, ring bool) *refProducer {
 }
 
 func (b *refBus) publish(p *refProducer, d Digest) bool {
-	if !p.ring {
-		p.enqueued++
-		b.fold(d)
-		var emitted []Aggregate
-		if b.windowOpen && d.At-b.windowStart >= int64(b.cfg.Window) {
-			emitted = b.closeWindow(d.At, false)
-		}
-		b.taps = append(b.taps, d)
-		b.export(emitted)
-		return true
-	}
 	p.enqueued++
-	if len(p.queue) < ringCap(b.cfg.RingSize) {
+	if p.ring && len(p.queue) < ringCap(b.cfg.RingSize) {
 		p.queue = append(p.queue, d)
 		return true
 	}
-	p.spilled++
-	i := slices.IndexFunc(p.spill, func(s refSpilled) bool { return s.d.Checker == d.Checker && s.d.SwitchID == d.SwitchID })
-	if i < 0 {
-		p.spill, i = append(p.spill, refSpilled{d: Digest{Checker: d.Checker, SwitchID: d.SwitchID, At: d.At}, first: d.At}), len(p.spill)
+	b.fold(d)
+	var emitted []Aggregate
+	if !p.ring && b.windowOpen && d.At-b.windowStart >= int64(b.cfg.Window) {
+		emitted = b.closeWindow(d.At, false)
 	}
-	s := &p.spill[i]
-	s.n++
-	s.first, s.d.At = min(s.first, d.At), max(s.d.At, d.At)
-	return false
+	b.taps = append(b.taps, d)
+	b.export(emitted)
+	return true
 }
 
 func ringCap(size int) int {
@@ -99,31 +77,24 @@ func ringCap(size int) int {
 	return n
 }
 
-func (b *refBus) fold(d Digest) { b.foldN(d, d.At, 1, false) }
-
-// foldN folds n digests with d's key, raised between first and d.At;
-// overflow sends them to their (checker, switch) bucket whatever the
-// live table holds.
-func (b *refBus) foldN(d Digest, first int64, n uint64, overflow bool) {
+// fold folds d into its key's aggregate, or its (checker, switch)
+// bucket once the live table is full.
+func (b *refBus) fold(d Digest) {
 	st := b.checkers[d.Checker]
 	if st == nil {
 		st = &checkerStats{}
 		b.checkers[d.Checker] = st
 	}
-	st.delivered += n
+	st.delivered++
 	if !b.windowOpen {
 		b.windowOpen = true
-		b.windowStart = first
+		b.windowStart = d.At
 	}
 	k := Key{Checker: d.Checker, SwitchID: d.SwitchID, ArgsHash: d.ArgsHash}
 	agg := b.live[k]
-	switch {
-	case overflow:
-		agg = nil
-	case agg != nil:
-	case len(b.live) < b.cfg.MaxKeys:
+	if agg == nil && len(b.live) < b.cfg.MaxKeys {
 		agg = &Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, ArgsHash: d.ArgsHash,
-			Args: slices.Clone(d.Args[:d.NArgs:d.NArgs]), FirstAt: first, LastAt: d.At}
+			Args: slices.Clone(d.Args[:d.NArgs:d.NArgs]), FirstAt: d.At, LastAt: d.At}
 		if agg.Args == nil {
 			agg.Args = []uint64{}
 		}
@@ -132,14 +103,14 @@ func (b *refBus) foldN(d Digest, first int64, n uint64, overflow bool) {
 	if agg == nil {
 		ok := Key{Checker: d.Checker, SwitchID: d.SwitchID}
 		if agg = b.ovf[ok]; agg == nil {
-			agg = &Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, FirstAt: first, LastAt: d.At, Overflow: true}
+			agg = &Aggregate{Checker: d.Checker, SwitchID: d.SwitchID, FirstAt: d.At, LastAt: d.At, Overflow: true}
 			b.ovf[ok] = agg
 		}
-		st.overflowDigests += n
+		st.overflowDigests++
 	}
-	agg.Count += n
-	agg.FirstAt, agg.LastAt = min(agg.FirstAt, first), max(agg.LastAt, d.At)
-	b.liveDigests += n
+	agg.Count++
+	agg.FirstAt, agg.LastAt = min(agg.FirstAt, d.At), max(agg.LastAt, d.At)
+	b.liveDigests++
 	b.maxLive = max(b.maxLive, len(b.live)+len(b.ovf))
 }
 
@@ -195,15 +166,6 @@ func (b *refBus) sweep(now int64, force bool) {
 	for _, d := range drained {
 		b.fold(d)
 	}
-	for _, p := range b.producers {
-		for _, s := range p.spill {
-			b.foldN(s.d, s.first, s.n, true)
-			for range s.n {
-				drained = append(drained, s.d)
-			}
-		}
-		p.spill = nil
-	}
 	var emitted []Aggregate
 	if force {
 		emitted = b.closeWindow(now, true)
@@ -218,9 +180,8 @@ func (b *refBus) metrics() Metrics {
 	m := Metrics{Checkers: map[string]CheckerMetrics{}, LiveAggregates: len(b.live) + len(b.ovf),
 		MaxLiveAggregates: b.maxLive, LiveDigests: b.liveDigests}
 	for _, p := range b.producers {
-		m.Producers = append(m.Producers, ProducerMetrics{Name: p.name, Enqueued: p.enqueued, Spilled: p.spilled, QueueDepth: len(p.queue)})
+		m.Producers = append(m.Producers, ProducerMetrics{Name: p.name, Enqueued: p.enqueued, QueueDepth: len(p.queue)})
 		m.Published += p.enqueued
-		m.Spilled += p.spilled
 	}
 	for name, st := range b.checkers {
 		m.Checkers[name] = CheckerMetrics{Delivered: st.delivered,
@@ -386,7 +347,7 @@ func TestBusModel(t *testing.T) {
 
 // FuzzBusOps is TestBusModel's driver under the fuzzer. The named seeds
 // under testdata/fuzz/FuzzBusOps are regression inputs: seed_ring_burst_*
-// spill past rings of 1 and 2 slots.
+// publish past full rings of 1 and 2 slots.
 func FuzzBusOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0x10, 9, 2, 9, 0, 150, 0, 0, 1, 12, 0, 0})
 	f.Add([]byte{13, 0xc0, 80, 3, 0xc0, 81, 2, 0x20, 1, 5, 9, 0, 200, 15, 0, 9, 14, 0, 0})

@@ -9,12 +9,11 @@
 //   - Sharded ingest: each producer (engine shard, netsim switch, or
 //     any single-threaded source) publishes fixed-size Digest values
 //     into its own bounded SPSC ring — no shared lock, no allocation on
-//     the hot path. A full ring spills: the digest folds, counted but
-//     without its words, into a small table the producer owns, and the
-//     next sweep folds that in, so no digest is dropped.
-//     Single-threaded embedders (the netsim event loop, the control
-//     plane) can use inline producers that deliver under the bus mutex
-//     instead, trading the ring for synchronous delivery.
+//     the hot path. Single-threaded embedders (the netsim event loop,
+//     the control plane) use inline producers, which fold each digest
+//     under the bus mutex, trading the ring for synchronous delivery;
+//     a digest that finds its ring full is folded the same way, words
+//     and all, so no digest is dropped or loses its words.
 //   - Windowed aggregation: a collector drains the rings and coalesces
 //     digests keyed by (checker, switch, args-hash) into counted
 //     aggregates with first/last timestamps, so a million identical

@@ -321,8 +321,8 @@ func TestEmissionIgnoresArgsHash(t *testing.T) {
 // TestRingWakesAtHalf: on a bus whose collector is not running, a ring
 // producer leaves exactly one pending wake-up once RingSize/2 digests
 // are queued, none before, and no second one while the ring stays past
-// half — however full it gets, spilling included — until a sweep
-// drains it.
+// half — however full it gets, publishes past full included — until a
+// sweep drains it.
 func TestRingWakesAtHalf(t *testing.T) {
 	clk := &manualClock{}
 	b := New(Config{Window: 100, Clock: clk.fn(), RingSize: 64})
@@ -342,24 +342,23 @@ func TestRingWakesAtHalf(t *testing.T) {
 			t.Fatalf("round %d: %d wake-ups pending at 32 of 64, want 1", round, len(b.wake))
 		}
 		<-b.wake
-		publish(40) // past full: 32 land, 8 spill
+		publish(40) // past full: 32 land, 8 fold at once
 		if len(b.wake) != 0 {
 			t.Fatalf("round %d: a second wake-up before the ring was drained", round)
 		}
 		b.Flush()
 	}
-	if m := b.Metrics(); m.Dropped != 0 || m.Spilled != 2*8 || m.Published != 2*72 || m.Unaccounted() != 0 {
-		t.Fatalf("dropped=%d spilled=%d published=%d unaccounted=%d, want 0/16/144/0", m.Dropped, m.Spilled, m.Published, m.Unaccounted())
+	if m := b.Metrics(); m.Dropped != 0 || m.Published != 2*72 || m.Unaccounted() != 0 {
+		t.Fatalf("dropped=%d published=%d unaccounted=%d, want 0/144/0", m.Dropped, m.Published, m.Unaccounted())
 	}
 }
 
-// TestRingSpillAccounting: a full ring of 4 turns ten distinct digests'
-// last six into its spill, which folds them into one (checker, switch)
-// entry without words. Published and Spilled count them at once; the
-// sweep folds the spill with its count into the overflow bucket, and the
-// taps see every digest once, a spilled one with its checker, its switch
-// and its entry's last At.
-func TestRingSpillAccounting(t *testing.T) {
+// TestFullRingFoldsWhole: a ring of 4 takes ten distinct digests' first
+// four; the publisher folds the last six itself, at once and with their
+// words, and the taps see them before Publish returns — so ahead of the
+// four still queued. Every Publish returns true, nothing overflows, and
+// the exporter receives ten aggregates with their words.
+func TestFullRingFoldsWhole(t *testing.T) {
 	clk := &manualClock{}
 	sink := &CollectExporter{}
 	b := New(Config{Window: 100, Clock: clk.fn(), RingSize: 4, Exporters: []Exporter{sink}})
@@ -368,46 +367,81 @@ func TestRingSpillAccounting(t *testing.T) {
 	p := b.RingProducer("shard:0")
 
 	var published []Digest
-	accepted := 0
 	for i := 0; i < 10; i++ {
-		d := DigestFrom("noisy", 1, int64(i), rep(uint64(i)))
+		d := DigestFrom("noisy", 1, int64(i), rep(uint64(i), uint64(100+i)))
 		published = append(published, d)
-		if p.Publish(d) {
-			accepted++
+		if !p.Publish(d) {
+			t.Fatalf("publish %d returned false", i)
 		}
 	}
-	if accepted != 4 {
-		t.Fatalf("accepted %d into the ring, want 4 (its capacity)", accepted)
+	if m := b.Metrics(); m.Published != 10 || m.Delivered != 6 || m.Producers[0].QueueDepth != 4 || m.Dropped != 0 {
+		t.Fatalf("before a sweep: published=%d delivered=%d queued=%d dropped=%d, want 10/6/4/0",
+			m.Published, m.Delivered, m.Producers[0].QueueDepth, m.Dropped)
 	}
-	if m := b.Metrics(); m.Published != 10 || m.Spilled != 6 || m.Producers[0].Spilled != 6 || m.Dropped != 0 || m.Delivered != 0 {
-		t.Fatalf("before a sweep: published=%d spilled=%d dropped=%d delivered=%d, want 10/6/0/0", m.Published, m.Spilled, m.Dropped, m.Delivered)
+	if !slices.Equal(tapped, published[4:]) {
+		t.Fatalf("before a sweep the taps saw\n %+v\nwant the six past full\n %+v", tapped, published[4:])
 	}
 	b.Close()
 	m := b.Metrics()
-	if m.EmittedDigests != 10 || m.Delivered != 10 || m.Unaccounted() != 0 {
-		t.Fatalf("post-close metrics: emitted=%d delivered=%d unaccounted=%d", m.EmittedDigests, m.Delivered, m.Unaccounted())
+	if m.EmittedDigests != 10 || m.Delivered != 10 || m.Unaccounted() != 0 || m.Producers[0].QueueDepth != 0 {
+		t.Fatalf("post-close metrics: %+v", m)
 	}
-	if st := m.Checkers["noisy"]; st.OverflowDigests != 6 {
-		t.Fatalf("overflow digests = %d, want the spill's 6", st.OverflowDigests)
+	if st := m.Checkers["noisy"]; st.OverflowDigests != 0 {
+		t.Fatalf("overflow digests = %d, want 0", st.OverflowDigests)
 	}
-	if d := m.Producers[0].QueueDepth; d != 0 {
-		t.Fatalf("queue depth after close = %d", d)
-	}
-	want := published[:4:4]
-	for range 6 {
-		want = append(want, Digest{Checker: "noisy", SwitchID: 1, At: 9})
-	}
-	if !slices.Equal(tapped, want) {
+	if want := append(slices.Clone(published[4:]), published[:4]...); !slices.Equal(tapped, want) {
 		t.Fatalf("taps saw\n %+v\nwant\n %+v", tapped, want)
 	}
-	var ovf []Aggregate
-	for _, a := range sink.Aggregates() {
-		if a.Overflow {
-			ovf = append(ovf, a)
+	aggs := sink.Aggregates()
+	if len(aggs) != 10 {
+		t.Fatalf("exported %d aggregates, want 10", len(aggs))
+	}
+	for i, a := range aggs {
+		d := published[i]
+		if a.Overflow || a.Count != 1 || a.FirstAt != d.At || a.LastAt != d.At || !slices.Equal(a.Args, d.Args[:d.NArgs]) {
+			t.Fatalf("aggregate %d = %+v, want digest %+v's one count and words", i, a, d)
 		}
 	}
-	if len(ovf) != 1 || ovf[0].Count != 6 || ovf[0].FirstAt != 4 || ovf[0].LastAt != 9 || ovf[0].Args != nil {
-		t.Fatalf("overflow aggregates %+v, want one of count 6 over [4,9] without words", ovf)
+}
+
+// TestFullRingNeverWaitsOnExport: while a sweep is held in a blocked
+// exporter, a ring producer publishes well past its ring's capacity, and
+// every Publish returns; a ring publisher waits on no exporter.
+func TestFullRingNeverWaitsOnExport(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	blocking := exporterFunc(func([]Aggregate) {
+		once.Do(func() { close(entered) })
+		<-release
+	})
+	clk := &manualClock{}
+	b := New(Config{Window: 100, Clock: clk.fn(), RingSize: 4, Exporters: []Exporter{blocking}})
+	p := b.RingProducer("shard:0")
+	p.Publish(DigestFrom("c", 1, 0, rep(1)))
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		b.Flush()
+	}()
+	<-entered
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for i := range uint64(20) {
+			p.Publish(DigestFrom("c", 1, 1, rep(i)))
+		}
+	}()
+	select {
+	case <-published:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a publish past a full ring waited on the blocked exporter")
+	}
+	close(release)
+	<-flushed
+	b.Close()
+	if m := b.Metrics(); m.Published != 21 || m.EmittedDigests != 21 || m.Unaccounted() != 0 {
+		t.Fatalf("published=%d emitted=%d unaccounted=%d, want 21/21/0", m.Published, m.EmittedDigests, m.Unaccounted())
 	}
 }
 
@@ -428,7 +462,8 @@ func TestInlineTapRunsBeforePublishReturns(t *testing.T) {
 // test: many ring producers against a live collector goroutine, with a
 // concurrent metrics poller, must conserve every digest — nothing is
 // dropped, published equals emitted exactly, and the taps see every
-// published digest once, spilled ones included.
+// published digest once, whole (switch, At and words), those folded past
+// a full ring included.
 func TestConcurrentProducersExactAccounting(t *testing.T) {
 	const (
 		producers = 4
@@ -437,11 +472,21 @@ func TestConcurrentProducersExactAccounting(t *testing.T) {
 	sink := &CollectExporter{}
 	b := New(Config{
 		Window:    500 * time.Microsecond,
-		RingSize:  256, // small enough to spill under load
+		RingSize:  256, // small enough to fill under load
 		Exporters: []Exporter{sink},
 	})
-	var tapped atomic.Uint64
-	b.Tap(func(Digest) { tapped.Add(1) })
+	type seen struct {
+		sw   uint32
+		at   int64
+		args [MaxArgs]uint64
+	}
+	var mu sync.Mutex
+	tapped := map[seen]int{}
+	b.Tap(func(d Digest) {
+		mu.Lock()
+		tapped[seen{d.SwitchID, d.At, d.Args}]++
+		mu.Unlock()
+	})
 	b.Start()
 
 	var wg sync.WaitGroup
@@ -479,9 +524,16 @@ func TestConcurrentProducersExactAccounting(t *testing.T) {
 		t.Fatalf("post-close accounting: dropped=%d unaccounted=%d live=%d emitted=%d",
 			m.Dropped, m.Unaccounted(), m.LiveDigests, m.EmittedDigests)
 	}
-	t.Logf("%d of %d digests spilled", m.Spilled, m.Published)
-	if n := tapped.Load(); n != m.Published {
-		t.Fatalf("taps saw %d digests, %d were published", n, m.Published)
+	for pi := range uint32(producers) {
+		for i := range int64(perProd) {
+			d := DigestFrom("stress", pi, i, rep(uint64(i%17)))
+			tapped[seen{d.SwitchID, d.At, d.Args}]--
+		}
+	}
+	for k, n := range tapped {
+		if n != 0 {
+			t.Fatalf("switch %d, At %d, words %v: the taps saw it %+d times more than it was published", k.sw, k.at, k.args, n)
+		}
 	}
 	var exported uint64
 	for _, c := range sink.CountsByKey() {
@@ -523,9 +575,9 @@ func TestCloseIsIdempotentAndFlushKeepsBusUsable(t *testing.T) {
 // TestCollectorAllocs is the collector's allocation budget. At steady
 // state (the checker's record exists) folding a digest allocates
 // nothing, whether it opens a key, repeats one or lands in an overflow
-// bucket; spilling past a full ring allocates nothing once its
-// (checker, switch) has spilled, whatever the digest's words; and a close that reuses the bus's batch allocates nothing, whether it
-// emits 64 aggregates or 4096.
+// bucket; so does a publish past a full ring, whatever the digest's
+// words; and a close that reuses the bus's batch allocates nothing,
+// whether it emits 64 aggregates or 4096.
 func TestCollectorAllocs(t *testing.T) {
 	b := New(Config{Clock: (&manualClock{}).fn()})
 	d := DigestFrom("acl", 1, 0, rep(1, 2))
@@ -554,23 +606,16 @@ func TestCollectorAllocs(t *testing.T) {
 	}
 
 	p := b.RingProducer("shard")
-	spill := func() {
-		if p.Publish(d) {
-			t.Fatal("a publish past a full ring did not spill")
-		}
+	for p.r.depth() < len(p.r.buf) {
+		p.Publish(d)
 	}
-	for p.Publish(d) {
-	}
-	if n := testing.AllocsPerRun(100, spill); n != 0 {
-		t.Errorf("a repeated spill: %.2f allocs per digest, want 0", n)
-	}
-	spillKey := func() {
+	pastFull := func() {
 		d.Args[0]++
 		d.ArgsHash++
-		spill()
+		p.Publish(d)
 	}
-	if n := testing.AllocsPerRun(100, spillKey); n != 0 || len(p.spill.aggs) != 1 {
-		t.Errorf("a spill with new words: %.2f allocs per digest, %d spill entries; want 0 and 1", n, len(p.spill.aggs))
+	if n := testing.AllocsPerRun(100, pastFull); n != 0 || p.folded != 101 {
+		t.Errorf("a publish past a full ring: %.2f allocs per digest, %d folded by the publisher; want 0 and 101", n, p.folded)
 	}
 
 	closing := func(keys int) float64 {
@@ -623,9 +668,10 @@ func TestCloseBytes(t *testing.T) {
 	}
 	window := func() {
 		for i := range digests {
-			if !p.Publish(digests[i]) {
-				t.Fatal("a window's digest spilled; the ring holds a window")
-			}
+			p.Publish(digests[i])
+		}
+		if d := p.r.depth(); d != keys {
+			t.Fatalf("%d of a window's %d digests queued; the ring holds a window", d, keys)
 		}
 		b.Flush()
 	}

@@ -6,8 +6,8 @@ import "sync/atomic"
 // producer owns tail, the consumer owns head; both are atomics so the
 // opposite side can read them, and Go's sequentially consistent atomics
 // make the slot write visible before the tail publish. A full ring
-// rejects the push — the producer spills the digest and moves on; the
-// hot path never blocks on the collector. The push that fills the ring
+// rejects the push — the producer folds the digest itself under the bus
+// mutex; it never waits on the collector. The push that fills the ring
 // to half wakes the collector, without blocking either.
 type ring struct {
 	buf  []Digest
